@@ -13,7 +13,7 @@ use std::collections::HashSet;
 /// Execution-path files: every interpreter/executor loop lives here.
 /// Parser/lexer loops are bounded by input length and run before a
 /// request is admitted to execution, so they are out of scope.
-const EXEC_FILES: &[(&str, &str)] = &[("query", "src/exec.rs")];
+const EXEC_FILES: &[(&str, &str)] = &[("query", "src/exec.rs"), ("query", "src/bind.rs")];
 
 pub struct BudgetLoops;
 

@@ -649,17 +649,25 @@ impl Aion {
     }
 
     /// Lazy ascending-id stream of the nodes alive at `ts`, starting
-    /// strictly after `after`. Prefers the lineage index (O(log n) to the
-    /// resume point, O(1) memory); falls back to a pinned TimeStore
-    /// snapshot while the lineage applier lags or is wedged. Both sources
-    /// yield the identical sequence, so pagination cursors are
-    /// source-independent. See [`crate::stream::NodeStream`].
+    /// strictly after `after`. Both sources yield the identical sequence,
+    /// so pagination cursors are source-independent (see
+    /// [`crate::stream::NodeStream`]); this is the one place that picks
+    /// between them for a node scan, by the planner's rule (Sec. 5.1):
+    ///
+    /// - `whole_graph` — the consumer folds over every node (an aggregate,
+    ///   a sort, a write), i.e. [`AccessPattern::Global`]: the TimeStore
+    ///   snapshot serves it, as it does `get_graph_at`.
+    /// - otherwise the consumer may stop early (`LIMIT`, one page), so the
+    ///   scan walks the lineage index (O(log n) to the resume point, O(1)
+    ///   memory), falling back to a pinned snapshot only while the lineage
+    ///   applier lags or is wedged.
     pub fn stream_nodes_at(
         &self,
         ts: Timestamp,
         after: Option<NodeId>,
+        whole_graph: bool,
     ) -> Result<crate::stream::NodeStream> {
-        if self.lineage_current(ts) && !self.lineage_wedged() {
+        if !whole_graph && self.lineage_current(ts) && !self.lineage_wedged() {
             crate::stream::NodeStream::lineage(Arc::clone(&self.lineage), ts, after)
         } else {
             Ok(crate::stream::NodeStream::snapshot(
@@ -672,13 +680,18 @@ impl Aion {
 
     /// Whether `id` was alive at `ts` — cursor-anchor revalidation: a
     /// resumed cursor's last-emitted node must still resolve at its pinned
-    /// snapshot, otherwise resuming could skip or duplicate rows.
+    /// snapshot, otherwise resuming could skip or duplicate rows. A lineage
+    /// hit is final; a lineage miss is confirmed against the TimeStore
+    /// before it fails the cursor, because a B+Tree lookup racing the
+    /// applier's page split can transiently miss a key that is there.
     pub fn node_alive_at(&self, id: NodeId, ts: Timestamp) -> Result<bool> {
-        if self.lineage_current(ts) && !self.lineage_wedged() {
-            Ok(self.lineage.node_at(id, ts)?.is_some())
-        } else {
-            Ok(self.timestore.snapshot_at(ts)?.node(id).is_some())
+        if self.lineage_current(ts)
+            && !self.lineage_wedged()
+            && self.lineage.node_at(id, ts)?.is_some()
+        {
+            return Ok(true);
         }
+        Ok(self.timestore.snapshot_at(ts)?.node(id).is_some())
     }
 
     /// `getGraph(start, end, step)` — a snapshot series.

@@ -6,8 +6,9 @@
 //!   one logical scan sees the same graph even while writers commit;
 //! - a **query fingerprint** (query text + parameters), so a token can
 //!   only resume the query it was minted for;
-//! - the **anchor** — either the last node key emitted (streaming scans
-//!   resume strictly after it) or a row offset (materialized fallback);
+//! - the **anchor** — the last node key emitted (a key-ordered node scan
+//!   resumes strictly after it) or a row offset (every other source
+//!   skips that many rows while pulling);
 //! - the **rows emitted so far**, so `LIMIT` composes across pages;
 //! - an FNV-1a **checksum** over all of the above.
 //!
@@ -33,9 +34,9 @@ const TOKEN_LEN: usize = 44;
 /// Where a resumed scan picks up.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Anchor {
-    /// Streaming scan: resume strictly after this node key.
+    /// Key-ordered node scan: resume strictly after this node key.
     Key(u64),
-    /// Materialized fallback: resume at this row offset.
+    /// Any other source: resume at this row offset.
     Offset(u64),
 }
 
@@ -118,20 +119,6 @@ impl CursorToken {
 /// bounded-staleness contract as first-page reads.
 pub fn peek_snapshot_ts(bytes: &[u8]) -> Result<u64> {
     CursorToken::decode(bytes).map(|t| t.snapshot_ts)
-}
-
-/// The page window `[start, end)` into a materialized result of `total`
-/// rows. An offset beyond the result means the anchor no longer exists
-/// (the query re-executed smaller than when the cursor was minted) —
-/// a genuine revalidation failure.
-pub fn compute_page_window(total: usize, offset: u64, page_size: usize) -> Result<(usize, usize)> {
-    let start = usize::try_from(offset)
-        .ok()
-        .filter(|s| *s <= total)
-        .ok_or_else(|| {
-            GraphError::CursorInvalid("offset beyond the result: anchor no longer resolves".into())
-        })?;
-    Ok((start, total.min(start.saturating_add(page_size.max(1)))))
 }
 
 /// Fingerprints a query + parameter map. Parameter order is
@@ -242,15 +229,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn page_window_clamps_and_rejects() {
-        assert_eq!(compute_page_window(10, 0, 3).unwrap(), (0, 3));
-        assert_eq!(compute_page_window(10, 9, 3).unwrap(), (9, 10));
-        assert_eq!(compute_page_window(10, 10, 3).unwrap(), (10, 10));
-        assert!(compute_page_window(10, 11, 3).is_err());
-        assert!(compute_page_window(3, u64::MAX, 3).is_err());
     }
 
     #[test]

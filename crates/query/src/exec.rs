@@ -1,15 +1,16 @@
-//! The executor: binds patterns, applies predicates, and routes reads
-//! through Aion's temporal API (so the planner's store choice applies).
+//! The executor: budgets, entry points, and the sinks that pull from the
+//! one binding stream ([`crate::bind`]) — collect-with-`LIMIT`, `count`,
+//! sort-then-`LIMIT`, and the write actions. All reads go through Aion's
+//! temporal API, so the planner's store choice applies.
 
 use crate::ast::*;
+use crate::bind::{lookup, prop, Binding, Bindings};
+use crate::cursor::{Anchor, CursorToken};
 use crate::value::Value;
-use aion::bitemporal;
 use aion::Aion;
-use lpg::{
-    Direction, GraphError, NodeId, PropertyValue, RelId, Result, StrId, TimeRange, Timestamp,
-};
+use lpg::{GraphError, NodeId, PropertyValue, RelId, Result, StrId, TimeRange, Timestamp};
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -141,7 +142,7 @@ pub(crate) fn check_budget() -> Result<()> {
 /// Charges one result row (plus its approximate byte size) against the
 /// installed budget's row/byte caps. Called wherever the executor emits
 /// or materializes a row.
-pub(crate) fn charge_row(row: &[Value]) -> Result<()> {
+fn charge_row(row: &[Value]) -> Result<()> {
     let bytes = 8 + row.iter().map(Value::approx_bytes).sum::<u64>();
     BUDGET.with(|b| b.borrow().charge(1, bytes))
 }
@@ -158,33 +159,27 @@ pub fn is_read_only(query: &Query) -> bool {
     }
 }
 
-/// Per-stage executor metrics, resolved once per process.
-pub(crate) struct StageMetrics {
+/// Executor metrics, resolved once per process.
+struct StageMetrics {
     executed: Arc<obs::Counter>,
     parse_latency: Arc<obs::Histogram>,
-    bind_latency: Arc<obs::Histogram>,
-    filter_latency: Arc<obs::Histogram>,
-    action_latency: Arc<obs::Histogram>,
     exec_latency: Arc<obs::Histogram>,
-    /// Rows emitted by the streaming scan executor.
-    pub(crate) rows_streamed: Arc<obs::Counter>,
+    /// Result rows built by `MATCH … RETURN` pipelines.
+    rows_streamed: Arc<obs::Counter>,
     /// Pages served through `execute_paged`.
-    pub(crate) pages_served: Arc<obs::Counter>,
+    pages_served: Arc<obs::Counter>,
     /// Queries aborted by the row/byte result budget.
-    pub(crate) budget_aborts: Arc<obs::Counter>,
+    budget_aborts: Arc<obs::Counter>,
     /// Cursor tokens rejected as invalid (corrupt, mismatched, stale
     /// anchor).
-    pub(crate) cursor_rejects: Arc<obs::Counter>,
+    cursor_rejects: Arc<obs::Counter>,
 }
 
-pub(crate) fn stage_metrics() -> &'static StageMetrics {
+fn stage_metrics() -> &'static StageMetrics {
     static METRICS: OnceLock<StageMetrics> = OnceLock::new();
     METRICS.get_or_init(|| StageMetrics {
         executed: obs::counter("query.executed"),
         parse_latency: obs::histogram("query.parse.latency_ns"),
-        bind_latency: obs::histogram("query.bind.latency_ns"),
-        filter_latency: obs::histogram("query.filter.latency_ns"),
-        action_latency: obs::histogram("query.action.latency_ns"),
         exec_latency: obs::histogram("query.exec.latency_ns"),
         rows_streamed: obs::counter("query.rows_streamed"),
         pages_served: obs::counter("query.pages_served"),
@@ -238,103 +233,16 @@ pub fn execute_with_budget(
     run(db, &query, params)
 }
 
-/// Reference executor: parses and runs `text` through the materializing
-/// path only (bind → filter → act), bypassing the streaming scan. The
-/// pagination equivalence suite uses it as the independent oracle the
-/// lazy stream must match byte-for-byte.
-pub fn execute_reference(db: &Aion, text: &str, params: &Params) -> Result<QueryResult> {
-    let _budget = install_budget(ExecBudget::unlimited());
-    let query = crate::parser::parse(text).map_err(|e| GraphError::Unknown(e.to_string()))?;
-    run_materialized_at(db, &query, params, db.latest_ts())
-}
-
-/// Executes an already-parsed query. Streamable shapes (single-node
-/// point-in-time scans returning plain items) run through the lazy
-/// [`crate::stream::ScanStream`] with `LIMIT` pushed down into the
-/// stream; everything else materializes.
+/// Executes an already-parsed query at the latest snapshot: the one
+/// pipeline (*bind source → filter → sink*, see [`crate::bind`]) from the
+/// first row to the last, with `LIMIT` bounding the pull.
 pub fn run(db: &Aion, query: &Query, params: &Params) -> Result<QueryResult> {
-    run_at(db, query, params, db.latest_ts())
-}
-
-/// [`run`] with the implicit "latest" snapshot pinned to `default_ts`
-/// (paged executions resolve it once and carry it in the cursor).
-fn run_at(db: &Aion, query: &Query, params: &Params, default_ts: Timestamp) -> Result<QueryResult> {
-    if let Some(plan) = crate::stream::plan_scan(db, query, params, default_ts)? {
-        return run_scan_full(db, plan);
-    }
-    run_materialized_at(db, query, params, default_ts)
-}
-
-/// Drains a streamable scan with `LIMIT` pushed down: at most `limit`
-/// rows are ever pulled (and therefore materialized), instead of
-/// scanning everything and truncating afterwards.
-fn run_scan_full(db: &Aion, plan: crate::stream::ScanPlan<'_>) -> Result<QueryResult> {
-    let columns = return_columns(plan.items);
-    let take = plan.limit.unwrap_or(usize::MAX);
-    let mut stream = crate::stream::ScanStream::open(db, plan, None)?;
-    let mut rows = Vec::new();
-    while rows.len() < take {
-        check_budget()?;
-        match stream.next_row()? {
-            Some(r) => rows.push(r),
-            None => break,
-        }
-    }
-    Ok(QueryResult { columns, rows })
-}
-
-/// The materializing executor (the seed path): full bind → filter → act,
-/// then sort and truncate.
-fn run_materialized_at(
-    db: &Aion,
-    query: &Query,
-    params: &Params,
-    default_ts: Timestamp,
-) -> Result<QueryResult> {
-    match query {
-        Query::Create { patterns } => run_create(db, &[], patterns, params),
-        Query::Match {
-            time,
-            patterns,
-            predicates,
-            action,
-            order_by,
-            limit,
-        } => {
-            let mut result =
-                run_match(db, *time, patterns, predicates, action, params, default_ts)?;
-            if let Action::Return(_) = action {
-                if let Some(order) = order_by {
-                    sort_rows(&mut result, order, params)?;
-                }
-                if let Some(n) = limit {
-                    result.rows.truncate(*n);
-                }
-            }
-            Ok(result)
-        }
-        Query::Call { name, args } => {
-            let result = run_call(db, name, args, params)?;
-            for row in &result.rows {
-                check_budget()?;
-                charge_row(row)?;
-            }
-            Ok(result)
-        }
-    }
-}
-
-/// RETURN column names, shared by the streaming and materializing paths.
-pub(crate) fn return_columns(items: &[ReturnItem]) -> Vec<String> {
-    items
-        .iter()
-        .map(|i| match i {
-            ReturnItem::Var(v) => v.clone(),
-            ReturnItem::Prop(v, k) => format!("{v}.{k}"),
-            ReturnItem::Count(v) => format!("count({v})"),
-            ReturnItem::Id(v) => format!("id({v})"),
-        })
-        .collect()
+    let whole = Resume {
+        anchor: None,
+        prior_rows: 0,
+        page_size: usize::MAX,
+    };
+    run_page(db, query, params, db.latest_ts(), whole).map(|(result, _)| result)
 }
 
 /// One page of a paged execution.
@@ -372,19 +280,17 @@ pub fn execute_paged(
         let _parse = m.parse_latency.start_timer();
         crate::parser::parse(text).map_err(|e| GraphError::Unknown(e.to_string()))?
     };
-    let page_size = page_size.max(1);
     if !is_read_only(&query) {
         return Err(GraphError::ExecError(
             "write queries cannot be paged".into(),
         ));
     }
-    let fp = crate::cursor::fingerprint(text, params);
+    let fingerprint = crate::cursor::fingerprint(text, params);
     let token = match cursor {
         None => None,
         Some(bytes) => {
-            let t = crate::cursor::CursorToken::decode(bytes)
-                .inspect_err(|_| m.cursor_rejects.inc())?;
-            if t.fingerprint != fp {
+            let t = CursorToken::decode(bytes).inspect_err(|_| m.cursor_rejects.inc())?;
+            if t.fingerprint != fingerprint {
                 m.cursor_rejects.inc();
                 return Err(GraphError::CursorInvalid(
                     "cursor was minted for a different query".into(),
@@ -393,11 +299,25 @@ pub fn execute_paged(
             Some(t)
         }
     };
-    let default_ts = token.map_or_else(|| db.latest_ts(), |t| t.snapshot_ts);
-    let out = match crate::stream::plan_scan(db, &query, params, default_ts)? {
-        Some(plan) => page_stream(db, plan, token, fp, page_size),
-        None => page_materialized(db, &query, params, token, fp, page_size, default_ts),
+    let snapshot_ts = token.map_or_else(|| db.latest_ts(), |t| t.snapshot_ts);
+    let resume = Resume {
+        anchor: token.map(|t| t.anchor),
+        prior_rows: token.map_or(0, |t| t.rows_emitted),
+        page_size: page_size.max(1),
     };
+    let out = run_page(db, &query, params, snapshot_ts, resume).map(|(result, next)| Page {
+        cursor: next.map(|anchor| {
+            CursorToken {
+                snapshot_ts,
+                fingerprint,
+                rows_emitted: resume.prior_rows + result.rows.len() as u64,
+                anchor,
+            }
+            .encode()
+        }),
+        result,
+        snapshot_ts,
+    });
     match &out {
         Ok(_) => m.pages_served.inc(),
         Err(GraphError::CursorInvalid(_)) => m.cursor_rejects.inc(),
@@ -406,183 +326,342 @@ pub fn execute_paged(
     out
 }
 
-/// One page through the streaming executor: resume strictly after the
-/// revalidated anchor, pull at most `min(page_size, remaining LIMIT)`
-/// rows — never materializing more than the page.
-fn page_stream(
-    db: &Aion,
-    plan: crate::stream::ScanPlan<'_>,
-    token: Option<crate::cursor::CursorToken>,
-    fp: u64,
+/// Where an execution picks up and how many rows it may emit. An unpaged
+/// run is the degenerate page: from the start, unbounded.
+#[derive(Clone, Copy)]
+struct Resume {
+    /// The previous page's anchor.
+    anchor: Option<Anchor>,
+    /// Rows all previous pages emitted (`LIMIT` spans pages).
+    prior_rows: u64,
     page_size: usize,
-) -> Result<Page> {
-    use crate::cursor::{Anchor, CursorToken};
-    let ts = plan.ts;
-    let (after, prior) = match token {
-        None => (None, 0),
-        Some(CursorToken {
-            anchor: Anchor::Key(k),
-            rows_emitted,
-            ..
-        }) => {
-            if !db.node_alive_at(NodeId::new(k), ts)? {
+}
+
+/// Executes `query` with the implicit "latest" snapshot pinned to
+/// `default_ts`, emitting the page `resume` describes. Returns the rows
+/// and, when more may follow, the anchor the next page resumes from.
+fn run_page(
+    db: &Aion,
+    query: &Query,
+    params: &Params,
+    default_ts: Timestamp,
+    resume: Resume,
+) -> Result<(QueryResult, Option<Anchor>)> {
+    let (time, patterns, predicates, action, order_by, limit) = match query {
+        Query::Create { patterns } => return Ok((run_create(db, &[], patterns, params)?, None)),
+        Query::Call { name, args } => {
+            let result = run_call(db, name, args, params)?;
+            for row in &result.rows {
+                check_budget()?;
+                charge_row(row)?;
+            }
+            return emit(
+                result.columns,
+                Rows::Built(result.rows.into_iter()),
+                None,
+                resume,
+            );
+        }
+        Query::Match {
+            time,
+            patterns,
+            predicates,
+            action,
+            order_by,
+            limit,
+        } => (time, patterns, predicates, action, order_by, *limit),
+    };
+    let range = time.map_or(TimeRange::AsOf(default_ts), TimeSpec::to_range);
+    // A sink that folds over every row (aggregate, sort, write) reads the
+    // whole graph; a plain RETURN may stop at LIMIT or the page boundary.
+    let counts = |items: &[ReturnItem]| items.iter().any(|i| matches!(i, ReturnItem::Count(_)));
+    let whole_graph = match action {
+        Action::Return(items) => counts(items) || order_by.is_some(),
+        _ => true,
+    };
+    // A keyed scan resumes strictly after the revalidated anchor node.
+    let after = match resume.anchor {
+        Some(Anchor::Key(k)) => {
+            let id = NodeId::new(k);
+            if !db.node_alive_at(id, range.to_half_open().start)? {
                 return Err(GraphError::CursorInvalid(
                     "anchor node no longer resolves at the pinned snapshot".into(),
                 ));
             }
-            (Some(k), rows_emitted)
+            Some(id)
         }
-        Some(_) => {
+        _ => None,
+    };
+    let mut bindings = Bindings::open(db, range, patterns, predicates, params, whole_graph, after)?;
+    match action {
+        Action::Return(items) => {
+            let columns: Vec<String> = items.iter().map(column_name).collect();
+            let rows = if whole_graph {
+                let mut all = Vec::new();
+                if counts(items) {
+                    // Aggregation: any count() collapses to a single row.
+                    all.push(count_row(&mut bindings, items)?);
+                } else {
+                    let mut lazy = Rows::Lazy(bindings, items);
+                    while let Some(row) = lazy.next()? {
+                        check_budget()?;
+                        all.push(row);
+                    }
+                }
+                if let Some(order) = order_by {
+                    sort_rows(&columns, &mut all, order)?;
+                }
+                all.truncate(limit.unwrap_or(usize::MAX));
+                Rows::Built(all.into_iter())
+            } else {
+                Rows::Lazy(bindings, items)
+            };
+            emit(columns, rows, limit, resume)
+        }
+        Action::Set(var, key, lit) => {
+            let value = literal_to_prop(lit, db, params)?;
+            let key = db.intern(key);
+            let mut targets = Vec::new();
+            while let Some(b) = bindings.next()? {
+                check_budget()?;
+                targets.extend(lookup(&b, var).cloned());
+            }
+            let mut affected = 0;
+            db.write(|txn| {
+                for t in &targets {
+                    match t {
+                        Value::Node { id, .. } => {
+                            txn.set_node_prop(NodeId::new(*id), key, value.clone())?
+                        }
+                        Value::Rel { id, .. } => {
+                            txn.set_rel_prop(RelId::new(*id), key, value.clone())?
+                        }
+                        _ => continue,
+                    }
+                    affected += 1;
+                }
+                Ok(())
+            })?;
+            Ok((QueryResult::affected(affected), None))
+        }
+        Action::Delete(vars) => {
+            // Sets: a multigraph reaches the same neighbour through
+            // several relationships, and deleting it twice would fail.
+            let mut nodes = BTreeSet::new();
+            let mut rels = BTreeSet::new();
+            while let Some(b) = bindings.next()? {
+                check_budget()?;
+                for var in vars {
+                    match lookup(&b, var) {
+                        Some(Value::Node { id, .. }) => nodes.insert(NodeId::new(*id)),
+                        Some(Value::Rel { id, .. }) => rels.insert(RelId::new(*id)),
+                        _ => false,
+                    };
+                }
+            }
+            db.write(|txn| {
+                for r in &rels {
+                    txn.delete_rel(*r)?;
+                }
+                for n in &nodes {
+                    txn.delete_node(*n)?;
+                }
+                Ok(())
+            })?;
+            Ok((QueryResult::affected(nodes.len() + rels.len()), None))
+        }
+        Action::Create(create_patterns) => {
+            // The first matched row feeds endpoint resolution.
+            let bound: Vec<(String, u64)> = bindings
+                .next()?
+                .into_iter()
+                .flatten()
+                .filter_map(|(var, v)| v.entity_id().map(|id| (var.to_string(), id)))
+                .collect();
+            Ok((run_create(db, &bound, create_patterns, params)?, None))
+        }
+    }
+}
+
+/// Result rows on their way to a page: still lazy (a plain `RETURN`
+/// projects one binding per pull), or already built because the sink had
+/// to drain its input first (`count`, `ORDER BY`, procedures).
+enum Rows<'a> {
+    Lazy(Bindings<'a>, &'a [ReturnItem]),
+    Built(std::vec::IntoIter<Vec<Value>>),
+}
+
+impl Rows<'_> {
+    /// The next result row. A lazy row is projected, charged against the
+    /// result budget and counted only now — rows never pulled cost nothing.
+    fn next(&mut self) -> Result<Option<Vec<Value>>> {
+        match self {
+            Rows::Built(rows) => Ok(rows.next()),
+            Rows::Lazy(bindings, items) => {
+                let Some(b) = bindings.next()? else {
+                    return Ok(None);
+                };
+                let row = project(items, &b)?;
+                charge_row(&row)?;
+                stage_metrics().rows_streamed.inc();
+                Ok(Some(row))
+            }
+        }
+    }
+
+    /// Drops the first `n` rows without building them. A result shorter
+    /// than the offset it once reached means the anchor no longer
+    /// resolves — a genuine revalidation failure.
+    fn skip(&mut self, n: u64) -> Result<()> {
+        for _ in 0..n {
+            let more = match self {
+                Rows::Built(rows) => rows.next().is_some(),
+                Rows::Lazy(bindings, _) => bindings.next()?.is_some(),
+            };
+            if !more {
+                return Err(GraphError::CursorInvalid(
+                    "offset beyond the result: anchor no longer resolves".into(),
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The one place a page is cut: position `rows` at the resume anchor,
+/// pull at most `min(page_size, remaining LIMIT)` of them, and name the
+/// anchor the next page resumes from — the last node id for a keyed scan,
+/// the row offset for everything else.
+fn emit(
+    columns: Vec<String>,
+    mut rows: Rows<'_>,
+    limit: Option<usize>,
+    resume: Resume,
+) -> Result<(QueryResult, Option<Anchor>)> {
+    let keyed = matches!(&rows, Rows::Lazy(bindings, _) if bindings.keyed);
+    let skipped = match (resume.anchor, keyed) {
+        // A keyed scan was opened strictly after its anchor.
+        (None, _) | (Some(Anchor::Key(_)), true) => 0,
+        (Some(Anchor::Offset(n)), false) => {
+            rows.skip(n)?;
+            n
+        }
+        _ => {
             return Err(GraphError::CursorInvalid(
                 "anchor kind does not match the query plan".into(),
             ))
         }
     };
-    let columns = return_columns(plan.items);
-    let limit = plan.limit;
-    let remaining = limit.map(|l| (l as u64).saturating_sub(prior));
-    if remaining == Some(0) {
-        return Ok(Page {
-            result: QueryResult {
-                columns,
-                rows: Vec::new(),
-            },
-            cursor: None,
-            snapshot_ts: ts,
-        });
-    }
-    let take = remaining.map_or(page_size, |r| {
-        page_size.min(usize::try_from(r).unwrap_or(usize::MAX))
-    });
-    let mut stream = crate::stream::ScanStream::open(db, plan, after)?;
-    let mut rows = Vec::with_capacity(take.min(1024));
-    while rows.len() < take {
+    let remaining = limit.map_or(u64::MAX, |l| (l as u64).saturating_sub(resume.prior_rows));
+    let take = resume
+        .page_size
+        .min(usize::try_from(remaining).unwrap_or(usize::MAX));
+    let mut page = Vec::new();
+    while page.len() < take {
         check_budget()?;
-        match stream.next_row()? {
-            Some(r) => rows.push(r),
+        match rows.next()? {
+            Some(row) => page.push(row),
             None => break,
         }
     }
-    let emitted = prior + rows.len() as u64;
-    let limit_done = limit.is_some_and(|l| emitted >= l as u64);
-    let cursor = (rows.len() == take && !limit_done)
-        .then_some(stream.last_key)
-        .flatten()
-        .map(|k| {
-            CursorToken {
-                snapshot_ts: ts,
-                fingerprint: fp,
-                rows_emitted: emitted,
-                anchor: Anchor::Key(k),
-            }
-            .encode()
-        });
-    Ok(Page {
-        result: QueryResult { columns, rows },
-        cursor,
-        snapshot_ts: ts,
-    })
+    // A full page short of LIMIT may have more behind it. Built rows know;
+    // lazy rows would have to pull to find out, so the next page does.
+    let full = page.len() == take && (take as u64) < remaining;
+    let offset = Anchor::Offset(skipped + page.len() as u64);
+    let next = match &rows {
+        Rows::Built(rest) => (rest.len() > 0).then_some(offset),
+        Rows::Lazy(bindings, _) if keyed => bindings.last_key.map(Anchor::Key),
+        Rows::Lazy(..) => Some(offset),
+    }
+    .filter(|_| full);
+    let result = QueryResult {
+        columns,
+        rows: page,
+    };
+    Ok((result, next))
 }
 
-/// One page through the materializing fallback: re-execute the full
-/// query at the pinned snapshot (deterministic — history is immutable
-/// and scans are id-ordered) and slice the offset window.
-fn page_materialized(
-    db: &Aion,
-    query: &Query,
-    params: &Params,
-    token: Option<crate::cursor::CursorToken>,
-    fp: u64,
-    page_size: usize,
-    default_ts: Timestamp,
-) -> Result<Page> {
-    use crate::cursor::{Anchor, CursorToken};
-    let offset = match token {
-        None => 0,
-        Some(CursorToken {
-            anchor: Anchor::Offset(o),
-            ..
-        }) => o,
-        Some(_) => {
-            return Err(GraphError::CursorInvalid(
-                "anchor kind does not match the query plan".into(),
-            ))
+fn column_name(item: &ReturnItem) -> String {
+    match item {
+        ReturnItem::Var(v) => v.clone(),
+        ReturnItem::Prop(v, k) => format!("{v}.{k}"),
+        ReturnItem::Count(v) => format!("count({v})"),
+        ReturnItem::Id(v) => format!("id({v})"),
+    }
+}
+
+/// Projects one binding onto the RETURN items.
+fn project(items: &[ReturnItem], b: &Binding<'_>) -> Result<Vec<Value>> {
+    items
+        .iter()
+        .map(|item| {
+            Ok(match item {
+                ReturnItem::Var(v) => lookup(b, v).cloned(),
+                ReturnItem::Prop(v, k) => lookup(b, v).and_then(|v| prop(v, k)).cloned(),
+                ReturnItem::Id(v) => lookup(b, v)
+                    .and_then(Value::entity_id)
+                    .map(|id| Value::Int(id as i64)),
+                // `run_page` routes any RETURN holding a COUNT to
+                // `count_row`, so reaching one here is a bug in it.
+                ReturnItem::Count(_) => {
+                    return Err(GraphError::ExecError(
+                        "COUNT item reached the non-aggregate row builder".into(),
+                    ))
+                }
+            }
+            .unwrap_or(Value::Null))
+        })
+        .collect()
+}
+
+/// The aggregate sink: drains `bindings` and counts, per `count(v)` item,
+/// the rows that bind `v`; other items are null.
+fn count_row(bindings: &mut Bindings<'_>, items: &[ReturnItem]) -> Result<Vec<Value>> {
+    let mut counts = vec![0i64; items.len()];
+    while let Some(b) = bindings.next()? {
+        check_budget()?;
+        for (n, item) in counts.iter_mut().zip(items) {
+            if matches!(item, ReturnItem::Count(v) if lookup(&b, v).is_some()) {
+                *n += 1;
+            }
         }
-    };
-    let full = run_materialized_at(db, query, params, default_ts)?;
-    let total = full.rows.len();
-    let (start, end) = crate::cursor::compute_page_window(total, offset, page_size)?;
-    let rows = full.rows[start..end].to_vec();
-    let cursor = (end < total).then(|| {
-        CursorToken {
-            snapshot_ts: default_ts,
-            fingerprint: fp,
-            rows_emitted: end as u64,
-            anchor: Anchor::Offset(end as u64),
-        }
-        .encode()
-    });
-    Ok(Page {
-        result: QueryResult {
-            columns: full.columns,
-            rows,
-        },
-        cursor,
-        snapshot_ts: default_ts,
-    })
+    }
+    let row: Vec<Value> = counts
+        .into_iter()
+        .zip(items)
+        .map(|(n, item)| match item {
+            ReturnItem::Count(_) => Value::Int(n),
+            _ => Value::Null,
+        })
+        .collect();
+    charge_row(&row)?;
+    Ok(row)
 }
 
 /// Sorts result rows by an `ORDER BY` key (nulls last).
-fn sort_rows(result: &mut QueryResult, order: &OrderBy, _params: &Params) -> Result<()> {
-    let col = match &order.item {
-        ReturnItem::Var(v) => result.columns.iter().position(|c| c == v),
-        ReturnItem::Prop(v, k) => {
-            let name = format!("{v}.{k}");
-            result.columns.iter().position(|c| *c == name)
-        }
-        ReturnItem::Id(v) => {
-            let name = format!("id({v})");
-            result.columns.iter().position(|c| *c == name)
-        }
-        ReturnItem::Count(_) => None,
-    };
-    // Sorting by a non-returned key: fall back to resolving against a node
-    // column's property when the sort item is `var.key` and `var` is a
-    // returned column.
-    enum Key {
-        Column(usize),
-        NodeProp(usize, String),
-    }
-    let key = match (col, &order.item) {
-        (Some(i), _) => Key::Column(i),
+fn sort_rows(columns: &[String], rows: &mut [Vec<Value>], order: &OrderBy) -> Result<()> {
+    let column = |name: &str| columns.iter().position(|c| c == name);
+    // A returned column, or — for `var.key` with only `var` returned — a
+    // property of that node/relationship column.
+    let (col, key) = match (column(&column_name(&order.item)), &order.item) {
+        (Some(i), ReturnItem::Var(_) | ReturnItem::Prop(..) | ReturnItem::Id(_)) => (i, None),
         (None, ReturnItem::Prop(v, k)) => {
-            let i =
-                result.columns.iter().position(|c| c == v).ok_or_else(|| {
-                    GraphError::Unknown(format!("ORDER BY: unknown variable {v}"))
-                })?;
-            Key::NodeProp(i, k.clone())
+            let i = column(v)
+                .ok_or_else(|| GraphError::Unknown(format!("ORDER BY: unknown variable {v}")))?;
+            (i, Some(k.as_str()))
         }
-        (None, other) => {
+        (_, other) => {
             return Err(GraphError::Unknown(format!(
                 "ORDER BY key {other:?} is not in RETURN"
             )))
         }
     };
-    let sort_value = |row: &Vec<Value>| -> Option<Value> {
-        match &key {
-            Key::Column(i) => row.get(*i).cloned(),
-            Key::NodeProp(i, k) => match row.get(*i) {
-                Some(Value::Node { props, .. }) | Some(Value::Rel { props, .. }) => props
-                    .iter()
-                    .find(|(key, _)| key == k)
-                    .map(|(_, v)| v.clone()),
-                _ => None,
-            },
-        }
-    };
-    result.rows.sort_by(|a, b| {
-        let (va, vb) = (sort_value(a), sort_value(b));
-        let ord = match (&va, &vb) {
+    fn sort_value<'r>(row: &'r [Value], col: usize, key: Option<&str>) -> Option<&'r Value> {
+        let cell = row.get(col)?;
+        key.map_or(Some(cell), |k| prop(cell, k))
+    }
+    rows.sort_by(|a, b| {
+        let ord = match (sort_value(a, col, key), sort_value(b, col, key)) {
             (Some(x), Some(y)) => value_order(x, y),
             (Some(_), None) => std::cmp::Ordering::Less, // nulls last
             (None, Some(_)) => std::cmp::Ordering::Greater,
@@ -807,409 +886,6 @@ fn take_id(props: &[(String, Literal)], params: &Params) -> Result<Option<u64>> 
         }
     }
     Ok(None)
-}
-
-/// One bound row: variable → value.
-type Binding = HashMap<String, Value>;
-
-#[allow(clippy::too_many_arguments)]
-fn run_match(
-    db: &Aion,
-    time: Option<TimeSpec>,
-    patterns: &[Pattern],
-    predicates: &[Predicate],
-    action: &Action,
-    params: &Params,
-    default_ts: Timestamp,
-) -> Result<QueryResult> {
-    let range: TimeRange = time
-        .map(TimeSpec::to_range)
-        .unwrap_or(TimeRange::AsOf(default_ts));
-    let window = range.to_half_open();
-    let point_mode = range.is_point();
-    let at: Timestamp = window.start;
-
-    // Collect id constraints per variable.
-    let mut id_of: HashMap<&str, u64> = HashMap::new();
-    let mut app_time: Option<TimeRange> = None;
-    for p in predicates {
-        match p {
-            Predicate::IdEquals(var, lit) => {
-                let v = resolve_literal(lit, params)?;
-                let id = v
-                    .as_int()
-                    .ok_or_else(|| GraphError::Unknown("id() must compare to an integer".into()))?;
-                id_of.insert(var.as_str(), id as u64);
-            }
-            Predicate::AppTimeContainedIn(a, b) => {
-                app_time = Some(TimeRange::ContainedIn(*a, *b));
-            }
-            Predicate::PropCmp(..) => {}
-        }
-    }
-
-    // Bind patterns to rows.
-    let bind_timer = stage_metrics().bind_latency.start_timer();
-    let mut rows: Vec<Binding> = Vec::new();
-    let interner = db.interner();
-    for pattern in patterns {
-        let anchor_var = pattern
-            .start
-            .var
-            .clone()
-            .unwrap_or_else(|| "_anchor".into());
-        match &pattern.rel {
-            None => {
-                // Single node pattern.
-                if let Some(&id) = pattern.start.var.as_deref().and_then(|v| id_of.get(v)) {
-                    // Point or history lookup by id.
-                    let versions = db.get_node(NodeId::new(id), window.start, window.end)?;
-                    for v in versions {
-                        let mut b = Binding::new();
-                        let valid = (!point_mode).then_some((v.valid.start, v.valid.end));
-                        b.insert(
-                            anchor_var.clone(),
-                            Value::from_node(&v.data, interner, valid),
-                        );
-                        push_binding(&mut rows, b, patterns.len() > 1);
-                    }
-                } else {
-                    // Label scan over the snapshot at `at`, in ascending id
-                    // order so results are deterministic (the offset-paging
-                    // fallback re-executes per page and slices by position).
-                    let g = db.get_graph_at(at)?;
-                    let label = pattern.start.label.as_deref().map(|l| db.intern(l));
-                    let mut scan: Vec<&lpg::Node> = g.nodes().collect();
-                    scan.sort_by_key(|n| n.id);
-                    for n in scan {
-                        check_budget()?;
-                        if let Some(l) = label {
-                            if !n.has_label(l) {
-                                continue;
-                            }
-                        }
-                        let mut b = Binding::new();
-                        b.insert(anchor_var.clone(), Value::from_node(n, interner, None));
-                        push_binding(&mut rows, b, patterns.len() > 1);
-                    }
-                }
-            }
-            Some((rel, end)) => {
-                // Direct relationship binding: `()-[r]->() WHERE id(r) = …`.
-                if let Some(&rid) = rel.var.as_deref().and_then(|v| id_of.get(v)) {
-                    let versions =
-                        db.get_relationship(RelId::new(rid), window.start, window.end)?;
-                    for v in versions {
-                        let mut b = Binding::new();
-                        let valid = (!point_mode).then_some((v.valid.start, v.valid.end));
-                        if let Some(rv) = &rel.var {
-                            b.insert(rv.clone(), Value::from_rel(&v.data, interner, valid));
-                        }
-                        push_binding(&mut rows, b, patterns.len() > 1);
-                    }
-                    continue;
-                }
-                // Anchored traversal: the anchor needs an id constraint.
-                let Some(&anchor_id) = pattern.start.var.as_deref().and_then(|v| id_of.get(v))
-                else {
-                    return Err(GraphError::Unknown(
-                        "traversal patterns require `id(anchor) = …` or `id(rel) = …` in WHERE"
-                            .into(),
-                    ));
-                };
-                let dir = match rel.direction {
-                    RelDirection::Right => Direction::Outgoing,
-                    RelDirection::Left => Direction::Incoming,
-                    RelDirection::Undirected => Direction::Both,
-                };
-                if rel.hops <= 1 {
-                    // Single hop: bind rel and neighbour.
-                    let rel_type = rel.rel_type.as_deref().map(|t| db.intern(t));
-                    let histories = db.get_relationships(
-                        NodeId::new(anchor_id),
-                        dir,
-                        window.start,
-                        window.end,
-                    )?;
-                    let anchor_node = db
-                        .get_node(NodeId::new(anchor_id), window.start, window.end)?
-                        .into_iter()
-                        .next_back();
-                    for chain in histories {
-                        check_budget()?;
-                        for v in chain {
-                            if let Some(t) = rel_type {
-                                if v.data.label != Some(t) {
-                                    continue;
-                                }
-                            }
-                            let other = v.data.other_end(NodeId::new(anchor_id));
-                            let mut b = Binding::new();
-                            if let Some(an) = &anchor_node {
-                                b.insert(
-                                    anchor_var.clone(),
-                                    Value::from_node(&an.data, interner, None),
-                                );
-                            }
-                            if let Some(rv) = &rel.var {
-                                let valid = (!point_mode).then_some((v.valid.start, v.valid.end));
-                                b.insert(rv.clone(), Value::from_rel(&v.data, interner, valid));
-                            }
-                            if let (Some(ev), Some(other)) = (&end.var, other) {
-                                let node_versions =
-                                    db.get_node(other, v.valid.start, v.valid.start + 1)?;
-                                if let Some(nv) = node_versions.into_iter().next() {
-                                    b.insert(
-                                        ev.clone(),
-                                        Value::from_node(&nv.data, interner, None),
-                                    );
-                                }
-                            }
-                            push_binding(&mut rows, b, patterns.len() > 1);
-                        }
-                    }
-                } else {
-                    // Variable-length expansion (Fig. 1b): planner-routed.
-                    let hits = db.expand(NodeId::new(anchor_id), dir, rel.hops, at)?;
-                    for (node_id, hop) in hits {
-                        check_budget()?;
-                        let versions = db.get_node(node_id, at, at)?;
-                        let Some(v) = versions.into_iter().next() else {
-                            continue;
-                        };
-                        let mut b = Binding::new();
-                        if let Some(ev) = &end.var {
-                            b.insert(ev.clone(), Value::from_node(&v.data, interner, None));
-                        }
-                        b.insert("_hop".into(), Value::Int(i64::from(hop)));
-                        push_binding(&mut rows, b, patterns.len() > 1);
-                    }
-                }
-            }
-        }
-    }
-
-    drop(bind_timer);
-
-    // Property predicates + application-time filter.
-    let filter_timer = stage_metrics().filter_latency.start_timer();
-    let mut kept: Vec<Binding> = Vec::with_capacity(rows.len());
-    for b in rows {
-        check_budget()?;
-        let pass = {
-            let b = &b;
-            predicates.iter().all(|p| match p {
-                Predicate::PropCmp(var, key, op, lit) => {
-                    let Ok(expected) = resolve_literal(lit, params) else {
-                        return false;
-                    };
-                    match b.get(var) {
-                        Some(Value::Node { props, .. }) | Some(Value::Rel { props, .. }) => props
-                            .iter()
-                            .find(|(k, _)| k == key)
-                            .map(|(_, actual)| value_cmp(actual, *op, &expected))
-                            .unwrap_or(false),
-                        _ => false,
-                    }
-                }
-                Predicate::AppTimeContainedIn(..) => {
-                    let Some(range) = app_time else { return true };
-                    b.values().all(|v| app_time_pass(db, v, range))
-                }
-                Predicate::IdEquals(..) => true, // already applied at bind time
-            })
-        };
-        if pass {
-            kept.push(b);
-        }
-    }
-    let rows = kept;
-    drop(filter_timer);
-
-    // Action.
-    let _action_timer = stage_metrics().action_latency.start_timer();
-    match action {
-        Action::Return(items) => {
-            let columns: Vec<String> = items
-                .iter()
-                .map(|i| match i {
-                    ReturnItem::Var(v) => v.clone(),
-                    ReturnItem::Prop(v, k) => format!("{v}.{k}"),
-                    ReturnItem::Count(v) => format!("count({v})"),
-                    ReturnItem::Id(v) => format!("id({v})"),
-                })
-                .collect();
-            // Aggregation: any count() collapses to a single row.
-            if items.iter().any(|i| matches!(i, ReturnItem::Count(_))) {
-                let mut row = Vec::new();
-                for item in items {
-                    match item {
-                        ReturnItem::Count(v) => {
-                            let n = rows.iter().filter(|b| b.contains_key(v)).count();
-                            row.push(Value::Int(n as i64));
-                        }
-                        _ => row.push(Value::Null),
-                    }
-                }
-                charge_row(&row)?;
-                return Ok(QueryResult {
-                    columns,
-                    rows: vec![row],
-                });
-            }
-            let mut out = Vec::with_capacity(rows.len());
-            for b in &rows {
-                check_budget()?;
-                let mut row = Vec::with_capacity(items.len());
-                for item in items {
-                    row.push(match item {
-                        ReturnItem::Var(v) => b.get(v).cloned().unwrap_or(Value::Null),
-                        ReturnItem::Prop(v, k) => match b.get(v) {
-                            Some(Value::Node { props, .. }) | Some(Value::Rel { props, .. }) => {
-                                props
-                                    .iter()
-                                    .find(|(key, _)| key == k)
-                                    .map(|(_, v)| v.clone())
-                                    .unwrap_or(Value::Null)
-                            }
-                            _ => Value::Null,
-                        },
-                        ReturnItem::Id(v) => b
-                            .get(v)
-                            .and_then(Value::entity_id)
-                            .map(|id| Value::Int(id as i64))
-                            .unwrap_or(Value::Null),
-                        // The aggregate branch above returns early whenever
-                        // a COUNT item is present, so reaching one here
-                        // means the planner produced a malformed plan.
-                        ReturnItem::Count(_) => {
-                            return Err(GraphError::ExecError(
-                                "COUNT item reached the non-aggregate row builder".into(),
-                            ))
-                        }
-                    });
-                }
-                charge_row(&row)?;
-                out.push(row);
-            }
-            Ok(QueryResult { columns, rows: out })
-        }
-        Action::Set(var, key, lit) => {
-            let value = literal_to_prop(lit, db, params)?;
-            let key = db.intern(key);
-            let mut affected = 0;
-            let targets: Vec<Value> = rows.iter().filter_map(|b| b.get(var).cloned()).collect();
-            db.write(|txn| {
-                for t in &targets {
-                    match t {
-                        Value::Node { id, .. } => {
-                            txn.set_node_prop(NodeId::new(*id), key, value.clone())?
-                        }
-                        Value::Rel { id, .. } => {
-                            txn.set_rel_prop(RelId::new(*id), key, value.clone())?
-                        }
-                        _ => continue,
-                    }
-                    affected += 1;
-                }
-                Ok(())
-            })?;
-            Ok(QueryResult::affected(affected))
-        }
-        Action::Delete(vars) => {
-            let mut nodes = Vec::new();
-            let mut rels = Vec::new();
-            for b in &rows {
-                for var in vars {
-                    match b.get(var) {
-                        Some(Value::Node { id, .. }) => nodes.push(NodeId::new(*id)),
-                        Some(Value::Rel { id, .. }) => rels.push(RelId::new(*id)),
-                        _ => {}
-                    }
-                }
-            }
-            nodes.dedup();
-            rels.dedup();
-            let affected = nodes.len() + rels.len();
-            db.write(|txn| {
-                for r in &rels {
-                    txn.delete_rel(*r)?;
-                }
-                for n in &nodes {
-                    txn.delete_node(*n)?;
-                }
-                Ok(())
-            })?;
-            Ok(QueryResult::affected(affected))
-        }
-        Action::Create(create_patterns) => {
-            // Bindings from the MATCH part feed endpoint resolution.
-            let bound: Vec<(String, u64)> = rows
-                .first()
-                .map(|b| {
-                    b.iter()
-                        .filter_map(|(k, v)| v.entity_id().map(|id| (k.clone(), id)))
-                        .collect()
-                })
-                .unwrap_or_default();
-            run_create(db, &bound, create_patterns, params)
-        }
-    }
-}
-
-pub(crate) fn value_cmp(actual: &Value, op: CmpOp, expected: &Value) -> bool {
-    use std::cmp::Ordering;
-    let ord = match (actual, expected) {
-        (Value::Int(a), Value::Int(b)) => a.partial_cmp(b),
-        (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-        (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-        (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-        (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
-        (Value::Bool(a), Value::Bool(b)) => a.partial_cmp(b),
-        _ => None,
-    };
-    matches!(
-        (ord, op),
-        (Some(Ordering::Equal), CmpOp::Eq | CmpOp::Le | CmpOp::Ge)
-            | (Some(Ordering::Less), CmpOp::Lt | CmpOp::Le | CmpOp::Neq)
-            | (Some(Ordering::Greater), CmpOp::Gt | CmpOp::Ge | CmpOp::Neq)
-    )
-}
-
-pub(crate) fn app_time_pass(db: &Aion, v: &Value, range: TimeRange) -> bool {
-    // Reconstruct a property bag in storage terms for the filter.
-    let keys = db.app_time_keys();
-    let props = match v {
-        Value::Node { props, .. } | Value::Rel { props, .. } => props,
-        _ => return true,
-    };
-    let mut bag: lpg::Props = Vec::new();
-    for (k, v) in props {
-        if let Value::Int(x) = v {
-            let kid = db.intern(k);
-            bag.push((kid, PropertyValue::Int(*x)));
-        }
-    }
-    bag.sort_by_key(|(k, _)| *k);
-    bitemporal::matches_app_time(&bag, range, keys)
-}
-
-fn push_binding(rows: &mut Vec<Binding>, b: Binding, cartesian: bool) {
-    if cartesian && !rows.is_empty() {
-        // Cross-product with existing rows for multi-pattern MATCH.
-        // Only merge when variables are disjoint; collisions overwrite.
-        let mut merged = Vec::with_capacity(rows.len());
-        for existing in rows.iter() {
-            let mut m = existing.clone();
-            for (k, v) in &b {
-                m.insert(k.clone(), v.clone());
-            }
-            merged.push(m);
-        }
-        *rows = merged;
-    } else {
-        rows.push(b);
-    }
 }
 
 fn run_create(

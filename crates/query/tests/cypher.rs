@@ -206,6 +206,45 @@ fn set_and_delete_report_affected() {
     assert!(err.is_err());
 }
 
+/// An id-constrained node pattern still honours its label.
+#[test]
+fn id_lookup_applies_pattern_label() {
+    let (_d, db) = db();
+    let last = seed(&db);
+    db.lineage_barrier(last);
+    assert_eq!(
+        exec(&db, "MATCH (n:Person) WHERE id(n) = 0 RETURN n")
+            .rows
+            .len(),
+        1
+    );
+    let r = exec(&db, "MATCH (n:Org) WHERE id(n) = 0 RETURN n");
+    assert!(r.rows.is_empty(), "node 0 is a Person, got {:?}", r.rows);
+}
+
+/// A multigraph reaches the same neighbour through several relationships;
+/// `DELETE r, m` must delete it once and report distinct entities.
+#[test]
+fn delete_dedups_multigraph_neighbours() {
+    let (_d, db) = db();
+    for i in 0..3 {
+        exec(&db, &format!("CREATE (n:Person {{_id: {i}}})"));
+    }
+    // 0→1 (r1), 0→2 (r2), 0→1 (r3): neighbours bind as [1, 2, 1].
+    for (rid, tgt) in [(1, 1), (2, 2), (3, 1)] {
+        exec(
+            &db,
+            &format!(
+                "MATCH (a), (b) WHERE id(a) = 0 AND id(b) = {tgt} CREATE (a)-[:KNOWS {{_id: {rid}}}]->(b)"
+            ),
+        );
+    }
+    let r = exec(&db, "MATCH (n)-[r]->(m) WHERE id(n) = 0 DELETE r, m");
+    assert_eq!(r.rows, vec![vec![Value::Int(5)]], "3 rels + 2 nodes");
+    let left = exec(&db, "MATCH (n) RETURN id(n)");
+    assert_eq!(left.rows, vec![vec![Value::Int(0)]]);
+}
+
 #[test]
 fn rel_with_where_on_rel_pattern() {
     let (_d, db) = db();

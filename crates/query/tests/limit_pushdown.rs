@@ -1,8 +1,9 @@
 //! LIMIT pushdown regression gate: `RETURN … LIMIT k` over a large graph
 //! must touch O(k) lineage index entries — not the whole index — and a
 //! paged drain must never materialize more than one page of rows at a
-//! time. Both are asserted through the process-wide obs counters, so the
-//! two tests serialize on a lock to keep their deltas isolated.
+//! time; and `LIMIT k` over a hub's edges must resolve O(k) neighbours.
+//! All are asserted through the process-wide obs counters, so the tests
+//! serialize on a lock to keep their deltas isolated.
 
 use aion::{Aion, AionConfig};
 use lpg::{NodeId, RelId};
@@ -122,4 +123,55 @@ fn paged_scan_materializes_at_most_one_page() {
     // The paged drain and the one-shot scan agree end to end.
     let full: QueryResult = execute(&db, q, &params).unwrap();
     assert_eq!(full.rows.len(), total);
+}
+
+/// LIMIT bounds the pull for traversals too: over a hub with 1200
+/// out-edges, `RETURN m LIMIT 5` resolves five neighbours, not one per
+/// edge. No counter counts `get_node` calls, so the B+Tree page reads
+/// they cost stand in: the same pattern without an end variable (no
+/// neighbour lookups at all) is the floor, the unlimited query the
+/// control.
+#[test]
+fn limit_bounds_neighbour_lookups_on_a_hub() {
+    let _guard = METRICS_LOCK.lock().unwrap();
+    const EDGES: u64 = 1200;
+    let dir = tempdir().unwrap();
+    let db = Aion::open(AionConfig::new(dir.path())).unwrap();
+    db.write(|txn| {
+        for i in 0..=EDGES {
+            txn.add_node(NodeId::new(i), vec![], vec![])?;
+        }
+        for i in 1..=EDGES {
+            txn.add_rel(RelId::new(i), NodeId::new(0), NodeId::new(i), None, vec![])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.lineage_barrier(db.latest_ts());
+
+    let reads = obs::counter("btree.page.reads");
+    let mut params = Params::new();
+    params.insert("hub".into(), query::Value::Int(0));
+    let page_reads = |q: &str, rows: usize| {
+        let before = reads.get();
+        assert_eq!(execute(&db, q, &params).unwrap().rows.len(), rows, "{q}");
+        reads.get() - before
+    };
+    let floor = page_reads(
+        "MATCH (n)-[r]->() WHERE id(n) = $hub RETURN r",
+        EDGES as usize,
+    );
+    let limited = page_reads("MATCH (n)-[r]->(m) WHERE id(n) = $hub RETURN m LIMIT 5", 5);
+    let full = page_reads(
+        "MATCH (n)-[r]->(m) WHERE id(n) = $hub RETURN m",
+        EDGES as usize,
+    );
+    assert!(
+        limited <= floor + 5 * 16,
+        "LIMIT 5 must resolve O(LIMIT) neighbours: {limited} page reads vs floor {floor}"
+    );
+    assert!(
+        full >= floor + EDGES,
+        "unlimited resolves every neighbour: {full} page reads vs floor {floor}"
+    );
 }

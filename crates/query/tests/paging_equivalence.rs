@@ -1,13 +1,15 @@
 //! Pagination equivalence battery: for every page size, draining a paged
-//! execution must concatenate to *exactly* the unpaged result — which in
-//! turn must match the materializing reference executor. Cursor tokens
-//! must survive round-trips and reject every truncation and bit-flip
-//! rather than mis-resuming.
+//! execution must concatenate to *exactly* the unpaged result, for every
+//! bind source and sink — and the node-scan shapes must in turn match a
+//! test-local oracle evaluated straight over the snapshot graph, sharing
+//! no filter or projection code with the executor. Cursor tokens must
+//! survive round-trips and reject every truncation and bit-flip rather
+//! than mis-resuming.
 
 use aion::{Aion, AionConfig};
-use lpg::GraphError;
+use lpg::{GraphError, PropertyValue};
 use proptest::prelude::*;
-use query::{execute, execute_paged, execute_reference, ExecBudget, Params, QueryResult};
+use query::{execute, execute_paged, ExecBudget, Params, QueryResult, Value};
 use tempfile::tempdir;
 
 fn db() -> (tempfile::TempDir, Aion) {
@@ -21,12 +23,28 @@ fn exec(db: &Aion, q: &str) -> QueryResult {
 }
 
 /// Seeds `n` nodes: even ids are `Person`, odd ids are `Org`, each with a
-/// `v` property equal to its id. Waits for the lineage index so the
-/// streaming path sees everything.
+/// `v` property equal to its id; a ring `i → i+1` (rel ids `i`) plus hub
+/// edges `0 → i` (rel ids `100+i`, so `0 → 1` is a multi-edge); and two
+/// later updates of node 0 so it has a three-version history. Waits for
+/// the lineage index so node scans walk it.
 fn seed(db: &Aion, n: u64) {
     for i in 0..n {
         let label = if i % 2 == 0 { "Person" } else { "Org" };
         exec(db, &format!("CREATE (x:{label} {{_id: {i}, v: {i}}})"));
+    }
+    for i in 0..n {
+        for (rid, src, tgt) in [(i, i, (i + 1) % n), (100 + i, 0, i)] {
+            exec(
+                db,
+                &format!(
+                    "MATCH (a), (b) WHERE id(a) = {src} AND id(b) = {tgt} \
+                     CREATE (a)-[:E {{_id: {rid}}}]->(b)"
+                ),
+            );
+        }
+    }
+    for w in 1..=2 {
+        exec(db, &format!("MATCH (x) WHERE id(x) = 0 SET x.w = {w}"));
     }
     db.lineage_barrier(db.latest_ts());
 }
@@ -73,18 +91,166 @@ fn drain_pages(db: &Aion, q: &str, page_size: usize) -> QueryResult {
     panic!("paged drain of {q} did not terminate");
 }
 
-/// The query shapes under test: streaming-eligible scans (with and
-/// without label filters, predicates, projections, LIMIT and an id
-/// anchor) plus a non-streamable ORDER BY that exercises the
-/// materialized-offset fallback.
-fn queries(limit: usize, anchor: u64, threshold: u64) -> Vec<String> {
+/// A node-scan query, kept structurally so the oracle never parses
+/// Cypher: `MATCH (n[:label]) [WHERE id(n) = id | n.v >= min_v]
+/// RETURN ret [ORDER BY n.v DESC] [LIMIT limit]`.
+#[derive(Clone, Copy, Default, Debug)]
+struct Scan {
+    label: Option<&'static str>,
+    id: Option<u64>,
+    min_v: Option<i64>,
+    ret: Ret,
+    desc_by_v: bool,
+    limit: Option<usize>,
+}
+
+#[derive(Clone, Copy, Default, Debug)]
+enum Ret {
+    #[default]
+    Node,
+    Id,
+    V,
+}
+
+impl Ret {
+    fn text(self) -> &'static str {
+        match self {
+            Ret::Node => "n",
+            Ret::Id => "id(n)",
+            Ret::V => "n.v",
+        }
+    }
+}
+
+impl Scan {
+    fn text(&self) -> String {
+        let label = self.label.map(|l| format!(":{l}")).unwrap_or_default();
+        let filter = match (self.id, self.min_v) {
+            (Some(id), _) => format!(" WHERE id(n) = {id}"),
+            (None, Some(v)) => format!(" WHERE n.v >= {v}"),
+            (None, None) => String::new(),
+        };
+        let ret = self.ret.text();
+        let order = if self.desc_by_v {
+            " ORDER BY n.v DESC"
+        } else {
+            ""
+        };
+        let limit = self
+            .limit
+            .map(|l| format!(" LIMIT {l}"))
+            .unwrap_or_default();
+        format!("MATCH (n{label}){filter} RETURN {ret}{order}{limit}")
+    }
+
+    /// The expected result, straight from the snapshot graph: sorted ids →
+    /// label/id/property filter → sort → projection → LIMIT.
+    fn oracle(&self, db: &Aion) -> QueryResult {
+        let g = db.get_graph_at(db.latest_ts()).unwrap();
+        let name = |id| db.interner().resolve(id).unwrap().to_string();
+        let v_of = |n: &lpg::Node| match n.prop(db.intern("v")) {
+            Some(PropertyValue::Int(v)) => *v,
+            other => panic!("seeded nodes carry an integer v, got {other:?}"),
+        };
+        let mut nodes: Vec<&lpg::Node> = g.nodes().collect();
+        nodes.sort_by_key(|n| n.id);
+        nodes.retain(|n| {
+            self.label
+                .is_none_or(|l| n.labels.iter().any(|x| name(*x) == l))
+                && self.id.is_none_or(|id| n.id.raw() == id)
+                && self.min_v.is_none_or(|v| v_of(n) >= v)
+        });
+        if self.desc_by_v {
+            nodes.sort_by_key(|n| std::cmp::Reverse(v_of(n)));
+        }
+        nodes.truncate(self.limit.unwrap_or(usize::MAX));
+        let cell = |n: &lpg::Node| match self.ret {
+            Ret::Id => Value::Int(n.id.raw() as i64),
+            Ret::V => Value::Int(v_of(n)),
+            Ret::Node => Value::Node {
+                id: n.id.raw(),
+                labels: n.labels.iter().map(|l| name(*l)).collect(),
+                props: n
+                    .props
+                    .iter()
+                    .map(|(k, v)| match v {
+                        PropertyValue::Int(v) => (name(*k), Value::Int(*v)),
+                        other => panic!("seeded properties are integers, got {other:?}"),
+                    })
+                    .collect(),
+                valid: None,
+            },
+        };
+        QueryResult {
+            columns: vec![self.ret.text().to_string()],
+            rows: nodes.into_iter().map(|n| vec![cell(n)]).collect(),
+        }
+    }
+}
+
+/// Node scans with and without label filters, predicates, projections,
+/// LIMIT, ORDER BY and an id anchor (bare and labelled).
+fn scans(limit: usize, anchor: u64, threshold: i64) -> Vec<Scan> {
+    let all = Scan::default();
+    let (person, org) = (Some("Person"), Some("Org"));
+    let limit = Some(limit);
     vec![
-        "MATCH (n) RETURN n".into(),
-        "MATCH (n:Person) RETURN n".into(),
-        format!("MATCH (n) RETURN id(n) LIMIT {limit}"),
-        format!("MATCH (n:Person) WHERE n.v >= {threshold} RETURN n.v LIMIT {limit}"),
-        format!("MATCH (n) WHERE id(n) = {anchor} RETURN n"),
-        "MATCH (n:Org) RETURN n.v ORDER BY n.v DESC".into(),
+        all,
+        Scan {
+            label: person,
+            ..all
+        },
+        Scan {
+            ret: Ret::Id,
+            limit,
+            ..all
+        },
+        Scan {
+            label: person,
+            min_v: Some(threshold),
+            ret: Ret::V,
+            limit,
+            ..all
+        },
+        Scan {
+            id: Some(anchor),
+            ..all
+        },
+        Scan {
+            label: org,
+            id: Some(anchor),
+            ..all
+        },
+        Scan {
+            label: org,
+            ret: Ret::V,
+            desc_by_v: true,
+            ..all
+        },
+        Scan {
+            label: org,
+            ret: Ret::V,
+            desc_by_v: true,
+            limit,
+            ..all
+        },
+    ]
+}
+
+/// Every other bind source and sink: relationship by id, 1-hop, n-hop,
+/// aggregates, and a system-time window returning a version history.
+fn traversals(db: &Aion, anchor: u64) -> Vec<String> {
+    vec![
+        format!("MATCH ()-[r]->() WHERE id(r) = {anchor} RETURN r"),
+        "MATCH (n)-[r]->(m) WHERE id(n) = 0 RETURN id(m)".into(),
+        "MATCH (n)-[r]->(m) WHERE id(n) = 0 RETURN r".into(),
+        format!("MATCH (n)-[*2]->(m) WHERE id(n) = {anchor} RETURN id(m)"),
+        "MATCH (n) RETURN count(n)".into(),
+        "MATCH (n:Person) WHERE n.v >= 2 RETURN count(n)".into(),
+        format!(
+            "USE GDB FOR SYSTEM_TIME FROM 0 TO {} MATCH (n) WHERE id(n) = 0 RETURN n",
+            db.latest_ts() + 1
+        ),
     ]
 }
 
@@ -92,33 +258,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Paging with every page size in {1, 3, 7, ∞} concatenates to the
-    /// exact unpaged result, which itself matches the materializing
-    /// reference executor — order, dedup and LIMIT interaction included.
+    /// exact unpaged result — order, dedup and LIMIT interaction included
+    /// — and node scans match the snapshot-graph oracle.
     #[test]
     fn paged_concat_equals_unpaged(
         n in 1u64..24,
         limit in 1usize..20,
         anchor in 0u64..30,
-        threshold in 0u64..24,
+        threshold in 0i64..24,
     ) {
         let (_d, db) = db();
         seed(&db, n);
-        let params = Params::new();
-        for q in queries(limit, anchor, threshold) {
-            let oracle = execute_reference(&db, &q, &params)
-                .unwrap_or_else(|e| panic!("{q}: {e}"));
-            let unpaged = execute(&db, &q, &params)
-                .unwrap_or_else(|e| panic!("{q}: {e}"));
-            prop_assert_eq!(
-                &unpaged, &oracle,
-                "streaming executor diverged from reference on {}", q
-            );
+        let mut queries = traversals(&db, anchor % n);
+        for scan in scans(limit, anchor, threshold) {
+            let unpaged = exec(&db, &scan.text());
+            prop_assert_eq!(&unpaged, &scan.oracle(&db), "executor diverged from oracle on {:?}", scan);
+            queries.push(scan.text());
+        }
+        for q in queries {
+            let unpaged = exec(&db, &q);
             for page_size in [1usize, 3, 7, usize::MAX] {
                 let paged = drain_pages(&db, &q, page_size);
-                prop_assert_eq!(
-                    &paged, &oracle,
-                    "page_size {} diverged on {}", page_size, q
-                );
+                prop_assert_eq!(&paged, &unpaged, "page_size {} diverged on {}", page_size, q);
             }
         }
     }
@@ -174,8 +335,7 @@ fn limit_exhausts_across_pages() {
     for page_size in [1usize, 3, 7, usize::MAX] {
         let got = drain_pages(&db, q, page_size);
         assert_eq!(got.rows.len(), 10, "page_size {page_size}");
-        let oracle = execute_reference(&db, q, &Params::new()).unwrap();
-        assert_eq!(got, oracle, "page_size {page_size}");
+        assert_eq!(got, exec(&db, q), "page_size {page_size}");
     }
 }
 

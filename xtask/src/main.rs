@@ -5,8 +5,6 @@
 //! (vfs-bypass, lock-order, budget-loops, panic-freedom,
 //! unsafe-inventory, manifest-lints). See DESIGN.md §12.
 //!
-//! `cargo xtask lint` is kept as an alias for the old entry point.
-//!
 //! Exit codes: 0 clean, 1 findings, 2 analyzer error (I/O, malformed
 //! allow file).
 
@@ -19,8 +17,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_default();
     match cmd.as_str() {
-        // `lint` is the historical name for the gate.
-        "analyze" | "lint" => analyze_cmd(args.collect()),
+        "analyze" => analyze_cmd(args.collect()),
         "bench-gate" => bench_gate::run(args.collect(), workspace_root()),
         "" | "help" | "--help" | "-h" => {
             print!("{USAGE}");
@@ -38,7 +35,7 @@ const USAGE: &str = "\
 Usage: cargo xtask <command>
 
 Commands:
-  analyze   run the workspace invariant analyzer (alias: lint)
+  analyze   run the workspace invariant analyzer
             --json           machine-readable output
             --list           print the rule catalogue and exit
             --rule <id>      run only this rule (repeatable)
