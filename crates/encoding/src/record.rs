@@ -141,29 +141,13 @@ impl RecordBody {
     /// Serializes the body into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            RecordBody::NodeFull { labels, props } => {
-                out.push(TYPE_NODE);
-                varint::write_u64(out, labels.len() as u64);
-                for l in labels {
-                    varint::write_u32(out, l.raw());
-                }
-                encode_props(out, props);
-            }
+            RecordBody::NodeFull { labels, props } => encode_node_full(out, labels, props),
             RecordBody::RelFull {
                 src,
                 tgt,
                 label,
                 props,
-            } => {
-                out.push(TYPE_REL);
-                varint::write_u64(out, src.raw());
-                varint::write_u64(out, tgt.raw());
-                match label {
-                    Some(l) => varint::write_u32(out, l.raw()),
-                    None => varint::write_u32(out, LABEL_REMOVED),
-                }
-                encode_props(out, props);
-            }
+            } => encode_rel_full(out, *src, *tgt, *label, props),
             RecordBody::NodeDelta(d) => {
                 out.push(TYPE_NODE | FLAG_DELTA);
                 encode_delta(out, d);
@@ -236,6 +220,32 @@ impl RecordBody {
         let body = Self::decode(buf, &mut pos)?;
         (pos == buf.len()).then_some(body)
     }
+}
+
+/// Serializes a [`RecordBody::NodeFull`] from borrowed fields, so bulk
+/// encoders (snapshots) need not clone every entity into a `RecordBody`.
+pub fn encode_node_full(out: &mut Vec<u8>, labels: &[StrId], props: &Props) {
+    out.push(TYPE_NODE);
+    varint::write_u64(out, labels.len() as u64);
+    for l in labels {
+        varint::write_u32(out, l.raw());
+    }
+    encode_props(out, props);
+}
+
+/// Serializes a [`RecordBody::RelFull`] from borrowed fields.
+pub fn encode_rel_full(
+    out: &mut Vec<u8>,
+    src: NodeId,
+    tgt: NodeId,
+    label: Option<StrId>,
+    props: &Props,
+) {
+    out.push(TYPE_REL);
+    varint::write_u64(out, src.raw());
+    varint::write_u64(out, tgt.raw());
+    varint::write_u32(out, label.map_or(LABEL_REMOVED, |l| l.raw()));
+    encode_props(out, props);
 }
 
 fn encode_props(out: &mut Vec<u8>, props: &Props) {

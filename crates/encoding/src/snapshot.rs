@@ -7,7 +7,7 @@
 //! `varint id + RelFull`. Nodes precede relationships so decoding can replay
 //! through the constraint-checking [`lpg::Graph`] applier.
 
-use crate::record::RecordBody;
+use crate::record::{encode_node_full, encode_rel_full, RecordBody};
 use crate::varint;
 use lpg::{Graph, NodeId, RelId, Update};
 
@@ -25,24 +25,14 @@ pub fn encode_graph(graph: &Graph) -> Vec<u8> {
     nodes.sort_unstable_by_key(|n| n.id);
     for n in nodes {
         varint::write_u64(&mut out, n.id.raw());
-        RecordBody::NodeFull {
-            labels: n.labels.clone(),
-            props: n.props.clone(),
-        }
-        .encode(&mut out);
+        encode_node_full(&mut out, &n.labels, &n.props);
     }
     varint::write_u64(&mut out, graph.rel_count() as u64);
     let mut rels: Vec<_> = graph.rels().collect();
     rels.sort_unstable_by_key(|r| r.id);
     for r in rels {
         varint::write_u64(&mut out, r.id.raw());
-        RecordBody::RelFull {
-            src: r.src,
-            tgt: r.tgt,
-            label: r.label,
-            props: r.props.clone(),
-        }
-        .encode(&mut out);
+        encode_rel_full(&mut out, r.src, r.tgt, r.label, &r.props);
     }
     out
 }

@@ -102,39 +102,50 @@ impl LruCache {
         }
     }
 
-    /// Immutable access to a resident page; counts a hit or miss.
-    pub fn get(&mut self, page: PageId) -> Option<&PageBuf> {
-        if let Some(&i) = self.map.get(&page) {
-            self.stats.hits += 1;
-            self.touch(i);
-            Some(&self.slab[i].buf)
-        } else {
-            self.stats.misses += 1;
-            None
+    /// Resolves `page` to its slot, counting a hit or a miss and making
+    /// it the most recently used. The slot stays valid until the next
+    /// [`Self::insert`] or [`Self::remove`]; read it with [`Self::buf`] or
+    /// [`Self::buf_mut`], so one access costs one hash lookup and one
+    /// counter tick.
+    pub fn lookup(&mut self, page: PageId) -> Option<usize> {
+        match self.map.get(&page) {
+            Some(&i) => {
+                self.stats.hits += 1;
+                self.touch(i);
+                Some(i)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
-    /// Mutable access to a resident page, marking it dirty.
-    pub fn get_mut(&mut self, page: PageId) -> Option<&mut PageBuf> {
-        if let Some(&i) = self.map.get(&page) {
-            self.stats.hits += 1;
-            self.touch(i);
-            self.slab[i].dirty = true;
-            Some(&mut self.slab[i].buf)
-        } else {
-            self.stats.misses += 1;
-            None
-        }
+    /// The page in `slot`.
+    pub fn buf(&self, slot: usize) -> &PageBuf {
+        &self.slab[slot].buf
     }
 
-    /// Inserts (or replaces) a page. Returns an evicted `(page, buf)` pair if
-    /// a *dirty* victim had to make room; clean victims are dropped silently.
-    pub fn insert(&mut self, page: PageId, buf: PageBuf, dirty: bool) -> Option<(PageId, PageBuf)> {
+    /// The page in `slot`, marked dirty.
+    pub fn buf_mut(&mut self, slot: usize) -> &mut PageBuf {
+        self.slab[slot].dirty = true;
+        &mut self.slab[slot].buf
+    }
+
+    /// Inserts (or replaces) a page. Returns its slot and, if a *dirty*
+    /// victim had to make room, the evicted `(page, buf)` pair; clean
+    /// victims are dropped silently.
+    pub fn insert(
+        &mut self,
+        page: PageId,
+        buf: PageBuf,
+        dirty: bool,
+    ) -> (usize, Option<(PageId, PageBuf)>) {
         if let Some(&i) = self.map.get(&page) {
             self.slab[i].buf = buf;
             self.slab[i].dirty |= dirty;
             self.touch(i);
-            return None;
+            return (i, None);
         }
         let mut evicted = None;
         if self.map.len() >= self.capacity {
@@ -170,7 +181,7 @@ impl LruCache {
         };
         self.map.insert(page, i);
         self.push_front(i);
-        evicted
+        (i, evicted)
     }
 
     /// Removes a page, returning its buffer and dirtiness.
@@ -228,31 +239,40 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = LruCache::new(2);
-        assert!(c.insert(PageId(1), buf(1), false).is_none());
-        assert!(c.insert(PageId(2), buf(2), false).is_none());
+        assert!(c.insert(PageId(1), buf(1), false).1.is_none());
+        assert!(c.insert(PageId(2), buf(2), false).1.is_none());
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(c.get(PageId(1)).is_some());
-        assert!(c.insert(PageId(3), buf(3), false).is_none()); // 2 evicted, clean
+        assert!(c.lookup(PageId(1)).is_some());
+        assert!(c.insert(PageId(3), buf(3), false).1.is_none()); // 2 evicted, clean
         assert_eq!(c.resident(), vec![PageId(3), PageId(1)]);
-        assert!(c.get(PageId(2)).is_none());
-        assert_eq!(c.stats().evictions, 1);
+        assert!(c.lookup(PageId(2)).is_none());
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                evictions: 1
+            }
+        );
     }
 
     #[test]
     fn dirty_eviction_returns_buffer() {
         let mut c = LruCache::new(1);
         c.insert(PageId(1), buf(7), true);
-        let ev = c.insert(PageId(2), buf(8), false);
+        let (_, ev) = c.insert(PageId(2), buf(8), false);
         let (pid, b) = ev.expect("dirty page must be handed back");
         assert_eq!(pid, PageId(1));
         assert_eq!(b.read_u64(0), 7);
     }
 
     #[test]
-    fn get_mut_marks_dirty() {
+    fn buf_mut_marks_dirty() {
         let mut c = LruCache::new(2);
-        c.insert(PageId(1), buf(1), false);
-        c.get_mut(PageId(1)).unwrap().write_u64(0, 99);
+        let (slot, _) = c.insert(PageId(1), buf(1), false);
+        assert_eq!(c.lookup(PageId(1)), Some(slot));
+        assert!(c.dirty_pages().is_empty());
+        c.buf_mut(slot).write_u64(0, 99);
         let dirty = c.dirty_pages();
         assert_eq!(dirty.len(), 1);
         assert_eq!(dirty[0].1.read_u64(0), 99);
@@ -266,9 +286,9 @@ mod tests {
     fn replace_existing_keeps_len() {
         let mut c = LruCache::new(4);
         c.insert(PageId(1), buf(1), false);
-        c.insert(PageId(1), buf(2), false);
+        let (slot, _) = c.insert(PageId(1), buf(2), false);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(PageId(1)).unwrap().read_u64(0), 2);
+        assert_eq!(c.buf(slot).read_u64(0), 2);
     }
 
     #[test]
@@ -290,7 +310,7 @@ mod tests {
         for i in 0..1000u64 {
             c.insert(PageId(i % 16), buf(i), i % 3 == 0);
             if i % 5 == 0 {
-                c.get(PageId(i % 16));
+                c.lookup(PageId(i % 16));
             }
         }
         assert!(c.len() <= 8);

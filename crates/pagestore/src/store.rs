@@ -4,17 +4,17 @@
 //! production `StdVfs` and on the fault-injecting `SimVfs`. Alongside the
 //! page file the store maintains a **checksum sidecar** (`<file>.sums`),
 //! rewritten atomically-by-footer at every [`PageStore::sync`]: it records
-//! one FNV-1a checksum per page plus a footer checksum over the whole
-//! sidecar, so `open_with_vfs(.., verify: true)` can tell a cleanly synced
-//! file from one torn by a crash — a torn file fails verification and the
-//! caller rebuilds it from its source of truth (the change log).
+//! one [`vfs::bulk_sum64`] checksum per page plus a footer checksum over the
+//! whole sidecar, so `open_with_vfs(.., verify: true)` can tell a cleanly
+//! synced file from one torn by a crash — a torn file fails verification
+//! and the caller rebuilds it from its source of truth (the change log).
 
 use crate::cache::{CacheStats, LruCache};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
 const MAGIC: u64 = 0x4149_4F4E_5047_5331; // "AIONPGS1"
@@ -28,7 +28,9 @@ pub const ROOT_SLOTS: usize = 8;
 /// Suffix of the checksum sidecar next to every page file.
 pub const SUMS_SUFFIX: &str = "sums";
 
-const SUMS_MAGIC: u64 = 0x4149_4F4E_5355_4D31; // "AIONSUM1"
+/// "AIONSUM2": version 1 carried FNV-1a sums. An old sidecar fails
+/// verification like a torn one, and the caller rebuilds the page file.
+const SUMS_MAGIC: u64 = 0x4149_4F4E_5355_4D32;
 const SUMS_HEADER: usize = 24; // magic + generation + count
 const SUMS_FOOTER: usize = 8;
 
@@ -38,7 +40,7 @@ struct Inner {
     free_head: PageId,
     roots: [u64; ROOT_SLOTS],
     meta_dirty: bool,
-    /// FNV-1a checksum of each page as last written to the file.
+    /// Checksum of each page as last written to the file.
     sums: Vec<u64>,
     /// Monotonic sync counter, persisted in the sidecar header.
     generation: u64,
@@ -80,15 +82,6 @@ pub struct PageStore {
     metrics: Metrics,
 }
 
-/// `load` guarantees residency, so a subsequent cache miss means the
-/// cache itself misbehaved; surface it as an error, never a panic.
-fn cache_miss_after_load(page: PageId) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("page {} missing from cache immediately after load", page.0),
-    )
-}
-
 fn unclean(detail: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -96,8 +89,11 @@ fn unclean(detail: &str) -> io::Error {
     )
 }
 
+/// Checksum of an all-zero page: what an allocated page that was never
+/// written reads back as.
 fn zero_page_sum() -> u64 {
-    vfs::fnv64(&[0u8; PAGE_SIZE])
+    static SUM: OnceLock<u64> = OnceLock::new();
+    *SUM.get_or_init(|| vfs::bulk_sum64(&[0u8; PAGE_SIZE]))
 }
 
 /// Parses a sidecar image, returning `(generation, per-page checksums)`.
@@ -111,7 +107,7 @@ fn decode_sidecar(bytes: &[u8]) -> io::Result<(u64, Vec<u64>)> {
         return Err(unclean("sidecar truncated"));
     }
     let body = &bytes[..bytes.len() - SUMS_FOOTER];
-    if le(&bytes[bytes.len() - SUMS_FOOTER..]) != vfs::fnv64(body) {
+    if le(&bytes[bytes.len() - SUMS_FOOTER..]) != vfs::bulk_sum64(body) {
         return Err(unclean("sidecar footer checksum mismatch"));
     }
     if le(&bytes[0..8]) != SUMS_MAGIC {
@@ -136,7 +132,7 @@ fn encode_sidecar(generation: u64, sums: &[u64]) -> Vec<u8> {
     for s in sums {
         out.extend_from_slice(&s.to_le_bytes());
     }
-    let footer = vfs::fnv64(&out);
+    let footer = vfs::bulk_sum64(&out);
     out.extend_from_slice(&footer.to_le_bytes());
     out
 }
@@ -199,7 +195,7 @@ impl PageStore {
                 let off = pid * PAGE_SIZE as u64;
                 if off + PAGE_SIZE as u64 <= len {
                     file.read_exact_at(buf.bytes_mut().as_mut_slice(), off)?;
-                    inner.sums.push(vfs::fnv64(buf.bytes().as_slice()));
+                    inner.sums.push(vfs::bulk_sum64(buf.bytes().as_slice()));
                 } else {
                     inner.sums.push(zero);
                 }
@@ -271,14 +267,17 @@ impl PageStore {
         if inner.sums.len() <= idx {
             inner.sums.resize(idx + 1, zero_page_sum());
         }
-        inner.sums[idx] = vfs::fnv64(bytes.as_slice());
+        inner.sums[idx] = vfs::bulk_sum64(bytes.as_slice());
         Ok(())
     }
 
-    fn load(&self, inner: &mut Inner, page: PageId) -> io::Result<()> {
-        if inner.cache.get(page).is_some() {
+    /// Resolves `page` to its cache slot with one cache lookup — one hit
+    /// or one miss, booked alike in [`CacheStats`] and the `obs` counters —
+    /// reading the page from the file on a miss.
+    fn load(&self, inner: &mut Inner, page: PageId) -> io::Result<usize> {
+        if let Some(slot) = inner.cache.lookup(page) {
             self.metrics.cache_hits.inc();
-            return Ok(());
+            return Ok(slot);
         }
         self.metrics.cache_misses.inc();
         let mut buf = PageBuf::zeroed();
@@ -287,7 +286,8 @@ impl PageStore {
             self.file
                 .read_exact_at(buf.bytes_mut().as_mut_slice(), page.offset())?;
         }
-        if let Some((pid, dirty)) = inner.cache.insert(page, buf, false) {
+        let (slot, evicted) = inner.cache.insert(page, buf, false);
+        if let Some((pid, dirty)) = evicted {
             self.metrics.cache_evictions.inc();
             let _t = self.metrics.writeback_latency.start_timer();
             if let Err(e) = self.write_page(inner, pid, dirty.bytes()) {
@@ -299,50 +299,42 @@ impl PageStore {
                 return Err(e);
             }
         }
-        Ok(())
+        Ok(slot)
     }
 
     /// Runs `f` over an immutable view of `page`.
     pub fn read<R>(&self, page: PageId, f: impl FnOnce(&PageBuf) -> R) -> io::Result<R> {
         debug_assert!(!page.is_null());
         let mut inner = self.inner.lock();
-        self.load(&mut inner, page)?;
-        match inner.cache.get(page) {
-            Some(buf) => Ok(f(buf)),
-            None => Err(cache_miss_after_load(page)),
-        }
+        let slot = self.load(&mut inner, page)?;
+        Ok(f(inner.cache.buf(slot)))
     }
 
     /// Runs `f` over a mutable view of `page`, marking it dirty.
     pub fn write<R>(&self, page: PageId, f: impl FnOnce(&mut PageBuf) -> R) -> io::Result<R> {
         debug_assert!(!page.is_null());
         let mut inner = self.inner.lock();
-        self.load(&mut inner, page)?;
-        match inner.cache.get_mut(page) {
-            Some(buf) => Ok(f(buf)),
-            None => Err(cache_miss_after_load(page)),
-        }
+        let slot = self.load(&mut inner, page)?;
+        Ok(f(inner.cache.buf_mut(slot)))
     }
 
     /// Allocates a zeroed page, reusing the free list when possible.
     pub fn allocate(&self) -> io::Result<PageId> {
         let mut inner = self.inner.lock();
-        let page = if !inner.free_head.is_null() {
+        if !inner.free_head.is_null() {
             let head = inner.free_head;
-            self.load(&mut inner, head)?;
-            let next = match inner.cache.get(head) {
-                Some(buf) => PageId(buf.read_u64(0)),
-                None => return Err(cache_miss_after_load(head)),
-            };
+            let slot = self.load(&mut inner, head)?;
+            let buf = inner.cache.buf_mut(slot);
+            let next = PageId(buf.read_u64(0));
+            *buf = PageBuf::zeroed();
             inner.free_head = next;
-            head
-        } else {
-            let p = PageId(inner.page_count);
-            inner.page_count += 1;
-            p
-        };
+            inner.meta_dirty = true;
+            return Ok(head);
+        }
+        let page = PageId(inner.page_count);
+        inner.page_count += 1;
         inner.meta_dirty = true;
-        if let Some((pid, dirty)) = inner.cache.insert(page, PageBuf::zeroed(), true) {
+        if let (_, Some((pid, dirty))) = inner.cache.insert(page, PageBuf::zeroed(), true) {
             self.metrics.cache_evictions.inc();
             let _t = self.metrics.writeback_latency.start_timer();
             self.write_page(&mut inner, pid, dirty.bytes())?;
@@ -355,11 +347,8 @@ impl PageStore {
         debug_assert!(!page.is_null() && page != PageId::META);
         let mut inner = self.inner.lock();
         let old_head = inner.free_head;
-        self.load(&mut inner, page)?;
-        match inner.cache.get_mut(page) {
-            Some(buf) => buf.write_u64(0, old_head.0),
-            None => return Err(cache_miss_after_load(page)),
-        }
+        let slot = self.load(&mut inner, page)?;
+        inner.cache.buf_mut(slot).write_u64(0, old_head.0);
         inner.free_head = page;
         inner.meta_dirty = true;
         Ok(())
@@ -379,11 +368,8 @@ impl PageStore {
             if cur.0 >= inner.page_count {
                 break;
             }
-            self.load(&mut inner, cur)?;
-            let next = match inner.cache.get(cur) {
-                Some(buf) => PageId(buf.read_u64(0)),
-                None => return Err(cache_miss_after_load(cur)),
-            };
+            let slot = self.load(&mut inner, cur)?;
+            let next = PageId(inner.cache.buf(slot).read_u64(0));
             out.push(cur);
             cur = next;
         }

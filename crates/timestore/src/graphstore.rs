@@ -7,6 +7,13 @@
 //! Snapshots are shared as `Arc<Graph>`: handing one out is a pointer copy
 //! (the CoW discipline of Sec. 5.2 — a reader that needs to mutate clones
 //! via `Arc::make_mut`, copying only then).
+//!
+//! The historical cache is **demand-filled**: only reads put graphs there
+//! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a
+//! snapshot file and recovery do not — an `Arc` of the latest graph parked
+//! in the cache is a live reference, so the next commit's `make_mut` would
+//! deep-copy the whole graph (once per snapshot, on the commit path) and
+//! keep a snapshot resident that no reader asked for.
 
 use lpg::{Graph, Timestamp, Update};
 use parking_lot::Mutex;
@@ -29,6 +36,9 @@ struct Inner {
 pub struct GraphStore {
     inner: Mutex<Inner>,
     budget: usize,
+    /// `timestore.latest.cow_copies`: commits that found the latest graph
+    /// shared and had to deep-copy it before applying.
+    cow_copies: Arc<obs::Counter>,
 }
 
 impl GraphStore {
@@ -47,12 +57,16 @@ impl GraphStore {
                 misses: 0,
             }),
             budget: budget_bytes,
+            cow_copies: obs::counter("timestore.latest.cow_copies"),
         }
     }
 
     /// Applies one committed transaction to the latest graph.
     pub fn apply_commit(&self, ts: Timestamp, updates: &[Update]) -> lpg::Result<()> {
         let mut g = self.inner.lock();
+        if Arc::get_mut(&mut g.latest).is_none() {
+            self.cow_copies.inc();
+        }
         let graph = Arc::make_mut(&mut g.latest);
         for u in updates {
             graph.apply(u)?;

@@ -47,12 +47,13 @@ impl Default for TimeStoreConfig {
     }
 }
 
-/// Appends the FNV-1a footer that makes a snapshot file self-verifying.
-pub(crate) fn seal_snapshot(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&vfs::fnv64(payload).to_le_bytes());
-    out
+/// Appends the checksum footer that makes a snapshot file self-verifying.
+/// Snapshots are derived from the log, so they carry the bulk checksum; a
+/// footer written by an older version (FNV-1a) fails verification and the
+/// file is dropped at open like a torn one.
+pub(crate) fn seal_snapshot(snapshot: &mut Vec<u8>) {
+    let footer = vfs::bulk_sum64(snapshot);
+    snapshot.extend_from_slice(&footer.to_le_bytes());
 }
 
 /// Verifies a snapshot file's footer, returning the payload when intact.
@@ -63,7 +64,7 @@ pub(crate) fn snapshot_payload(bytes: &[u8]) -> Option<&[u8]> {
     let (payload, footer) = bytes.split_at(bytes.len() - 8);
     let mut f = [0u8; 8];
     f.copy_from_slice(footer);
-    (vfs::fnv64(payload) == u64::from_le_bytes(f)).then_some(payload)
+    (vfs::bulk_sum64(payload) == u64::from_le_bytes(f)).then_some(payload)
 }
 
 /// Parses the timestamp out of a `snap_<ts>.aisnap` file name.
@@ -333,13 +334,38 @@ impl TimeStore {
         state.last_snapshot_ts = 0;
         drop(state);
         if latest_ts > 0 {
-            let graph = self.reconstruct_at(latest_ts)?;
-            self.graphstore.set_latest(
-                Arc::try_unwrap(graph).unwrap_or_else(|a| (*a).clone()),
-                latest_ts,
-            );
+            // Built in place, not through `reconstruct_at`: that caches
+            // what it loads and replays, and a cached `Arc` of the latest
+            // graph would cost a deep copy here and leave two copies
+            // resident.
+            let floor = self
+                .snap_index
+                .seek_floor(&keys::ts_key(latest_ts))
+                .map_err(storage_err)?;
+            let (mut base_ts, mut graph) = (0, Graph::new());
+            if let Some((k, name)) = floor {
+                if let Some(g) = self.read_snapshot(&name) {
+                    (base_ts, graph) = (decode_ts(&k)?, g);
+                }
+            }
+            if base_ts < latest_ts {
+                let _timer = self.metrics.snapshot_replay_latency.start_timer();
+                self.metrics.snapshot_replays.inc();
+                for u in &self.diff(base_ts + 1, latest_ts.saturating_add(1))? {
+                    graph.apply(&u.op)?;
+                }
+            }
+            self.graphstore.set_latest(graph, latest_ts);
         }
         Ok(())
+    }
+
+    /// Reads and decodes the snapshot file a snapshot-index entry names;
+    /// `None` when it is missing, torn or sealed by an older version.
+    fn read_snapshot(&self, name: &[u8]) -> Option<Graph> {
+        let path = self.snap_dir.join(String::from_utf8_lossy(name).as_ref());
+        let bytes = self.vfs.read(&path).ok()?;
+        snapshot_payload(&bytes).and_then(snapshot::decode_graph)
     }
 
     /// Ingests one committed transaction. Timestamps must be strictly
@@ -390,9 +416,16 @@ impl TimeStore {
     pub fn write_snapshot(&self, ts: Timestamp) -> Result<()> {
         let _timer = self.metrics.snapshot_create_latency.start_timer();
         self.metrics.snapshot_creates.inc();
-        let (graph, latest_ts) = self.graphstore.latest();
-        debug_assert_eq!(latest_ts, ts);
-        let bytes = seal_snapshot(&snapshot::encode_graph(&graph));
+        let mut bytes = {
+            // The latest graph is borrowed only while it is encoded, and
+            // not parked in the GraphStore's cache (reads fill that on
+            // demand): an `Arc` still alive at the next commit would make
+            // `apply_commit` deep-copy the whole graph.
+            let (graph, latest_ts) = self.graphstore.latest();
+            debug_assert_eq!(latest_ts, ts);
+            snapshot::encode_graph(&graph)
+        };
+        seal_snapshot(&mut bytes);
         let name = format!("snap_{ts:020}.aisnap");
         let path = self.snap_dir.join(&name);
         // Write through a handle and sync before indexing: a crash can
@@ -406,7 +439,6 @@ impl TimeStore {
         self.snap_index
             .insert(&keys::ts_key(ts), name.as_bytes())
             .map_err(storage_err)?;
-        self.graphstore.put(ts, graph);
         let mut state = self.state.lock();
         state.ops_since_snapshot = 0;
         state.last_snapshot_ts = ts;
@@ -476,13 +508,7 @@ impl TimeStore {
             (Some((mts, g)), None) => (mts, g),
             (mem, Some((k, name))) => {
                 let disk_ts = decode_ts(&k)?;
-                let path = self.snap_dir.join(String::from_utf8_lossy(&name).as_ref());
-                match self
-                    .vfs
-                    .read(&path)
-                    .ok()
-                    .and_then(|b| snapshot_payload(&b).and_then(snapshot::decode_graph))
-                {
+                match self.read_snapshot(&name) {
                     Some(g) => {
                         let g = Arc::new(g);
                         self.graphstore.put(disk_ts, g.clone());

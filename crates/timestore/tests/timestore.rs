@@ -202,20 +202,31 @@ fn window_unions_entities_and_prunes_dangling() {
 fn recovery_after_reopen_preserves_everything() {
     let dir = tempdir().unwrap();
     let commits = history();
+    // Snapshots at 50 and 100 of 120 commits: the reopen has to replay.
     {
-        let store = TimeStore::open(dir.path(), config(SnapshotPolicy::EveryNOps(30))).unwrap();
+        let store = TimeStore::open(dir.path(), config(SnapshotPolicy::EveryNOps(50))).unwrap();
         for (ts, ops) in &commits {
             store.append_commit(*ts, ops).unwrap();
         }
         store.sync().unwrap();
     }
-    let store = TimeStore::open(dir.path(), config(SnapshotPolicy::EveryNOps(30))).unwrap();
+    let store = TimeStore::open(dir.path(), config(SnapshotPolicy::EveryNOps(50))).unwrap();
     assert_eq!(store.latest_ts(), commits.last().unwrap().0);
     let want = oracle_at(&commits, u64::MAX);
     assert!(store.latest_graph().same_as(&want));
-    // Historical reads still work.
+    // The latest graph exists once (the store's reference and ours) and
+    // the historical cache holds only what reads put there: nothing yet.
+    assert_eq!(std::sync::Arc::strong_count(&store.latest_graph()), 2);
+    assert_eq!(store.graphstore().len(), 0);
+    assert_eq!(store.graphstore().cached_bytes(), 0);
+    // Historical reads still work, and fill the cache on demand.
     let got = store.snapshot_at(60).unwrap();
     assert!(got.same_as(&oracle_at(&commits, 60)));
+    assert_eq!(
+        store.graphstore().len(),
+        2,
+        "snapshot 50 and its replay to 60"
+    );
     // Ingestion continues.
     store.append_commit(1_000, &[add_node(999)]).unwrap();
     assert_eq!(store.latest_graph().node_count(), want.node_count() + 1);

@@ -1,0 +1,146 @@
+//! Opening a data directory written before the bulk checksum
+//! (`vfs::bulk_sum64`, sidecar magic `AIONSUM2`): its page-checksum
+//! sidecars and snapshot footers carry FNV-1a sums (`AIONSUM1`). They are
+//! derived files, so nothing converts them: they fail verification like a
+//! torn file would, the page files are rebuilt from the change log — whose
+//! frame checksum did not change — and the stale snapshots are dropped.
+
+use aion::{Aion, AionConfig};
+use check::CheckLevel;
+use lpg::{Graph, NodeId, PropertyValue, RelId};
+use pagestore::{PageStore, PAGE_SIZE};
+use std::path::Path;
+use std::sync::Arc;
+use timestore::SnapshotPolicy;
+use vfs::{fnv64, VfsRef};
+
+fn config(dir: &Path) -> AionConfig {
+    let mut config = AionConfig::new(dir);
+    config.timestore.policy = SnapshotPolicy::EveryNOps(10);
+    config
+}
+
+fn u64_at(bytes: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+}
+
+/// Rewrites `<page_file>.sums` the way version 1 wrote it: magic
+/// `AIONSUM1`, one FNV-1a sum per page, FNV-1a footer over the rest.
+fn reseal_sidecar_v1(page_file: &Path) {
+    let sums_path = PageStore::sums_path(page_file);
+    let current = VfsRef::std().read(&sums_path).unwrap();
+    assert_eq!(&current[..8], b"2MUSNOIA", "little-endian AIONSUM2");
+    let (generation, count) = (u64_at(&current, 8), u64_at(&current, 16) as usize);
+    let mut pages = VfsRef::std().read(page_file).unwrap();
+    pages.resize(count * PAGE_SIZE, 0); // allocated, never written: a hole
+    let mut out = Vec::new();
+    out.extend_from_slice(b"1MUSNOIA");
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    for page in pages.chunks_exact(PAGE_SIZE) {
+        out.extend_from_slice(&fnv64(page).to_le_bytes());
+    }
+    let footer = fnv64(&out);
+    out.extend_from_slice(&footer.to_le_bytes());
+    assert_eq!(
+        out.len(),
+        current.len(),
+        "same sidecar length in both versions"
+    );
+    VfsRef::std().write(&sums_path, &out).unwrap();
+}
+
+/// Rewrites a snapshot's footer as FNV-1a over its payload.
+fn reseal_snapshot_v1(path: &Path) {
+    let mut bytes = VfsRef::std().read(path).unwrap();
+    let payload_len = bytes.len() - 8;
+    let footer = fnv64(&bytes[..payload_len]);
+    bytes[payload_len..].copy_from_slice(&footer.to_le_bytes());
+    VfsRef::std().write(path, &bytes).unwrap();
+}
+
+fn snapshot_files(dir: &Path) -> Vec<std::path::PathBuf> {
+    let snap_dir = dir.join("timestore/snapshots");
+    let files = VfsRef::std().read_dir(&snap_dir).unwrap();
+    files.iter().map(|(name, _)| snap_dir.join(name)).collect()
+}
+
+#[test]
+fn old_checksums_are_rebuilt_from_the_log() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
+
+    // History: nodes, relationships, property churn; the graph after
+    // every commit is the oracle for "readable at its timestamp".
+    let mut history: Vec<(u64, Arc<Graph>)> = Vec::new();
+    {
+        let db = Aion::open(config(dir)).unwrap();
+        let (label, key) = (db.intern("N"), db.intern("v"));
+        for i in 0..20u64 {
+            let ts = db
+                .write(|txn| txn.add_node(NodeId::new(i), vec![label], vec![]))
+                .unwrap();
+            history.push((ts, db.latest_graph()));
+        }
+        for i in 0..20u64 {
+            let ts = db
+                .write(|txn| {
+                    txn.add_rel(
+                        RelId::new(i),
+                        NodeId::new(i),
+                        NodeId::new((i * 7 + 1) % 20),
+                        None,
+                        vec![],
+                    )?;
+                    txn.set_node_prop(NodeId::new(i % 5), key, PropertyValue::Int(i as i64))
+                })
+                .unwrap();
+            history.push((ts, db.latest_graph()));
+        }
+        db.lineage_barrier(db.latest_ts());
+        db.sync().unwrap();
+    }
+    let snapshots = snapshot_files(dir);
+    assert!(
+        snapshots.len() >= 3,
+        "the history crosses snapshot boundaries"
+    );
+
+    for file in &page_files {
+        reseal_sidecar_v1(file);
+        let err = PageStore::open_with_vfs(&VfsRef::std(), file, 4, true)
+            .err()
+            .expect("a version-1 sidecar must not verify");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+    for snapshot in &snapshots {
+        reseal_snapshot_v1(snapshot);
+    }
+
+    {
+        let db = Aion::open(config(dir)).unwrap();
+        assert!(
+            snapshot_files(dir).is_empty(),
+            "stale snapshots are dropped"
+        );
+        assert_eq!(db.timestore().stats().snapshot_count, 0);
+        assert_eq!(db.latest_ts(), history.last().unwrap().0);
+        db.lineage_barrier(db.latest_ts());
+        for (ts, want) in &history {
+            assert!(db.get_graph_at(*ts).unwrap().same_as(want), "at ts {ts}");
+            for node in want.nodes() {
+                let got = db.lineagestore().node_at(node.id, *ts).unwrap();
+                assert_eq!(got.as_ref(), Some(node), "node {:?} at ts {ts}", node.id);
+            }
+        }
+        let report = db.check_consistency(CheckLevel::Full).unwrap();
+        assert!(report.is_clean(), "{report}");
+        db.sync().unwrap();
+    }
+    for file in &page_files {
+        let sums = VfsRef::std().read(&PageStore::sums_path(file)).unwrap();
+        assert_eq!(&sums[..8], b"2MUSNOIA", "the next sync writes AIONSUM2");
+        PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
+    }
+}
