@@ -210,6 +210,25 @@ mod tests {
         assert_eq!(peek_snapshot_ts(&t.encode()).unwrap(), 42);
     }
 
+    /// Byte-exact known answer: pins the big-endian layout and this
+    /// file's checksum. NOT the function `vfs::fnv64` and the frame
+    /// envelope compute: `FNV_PRIME` here has one hex digit more than the
+    /// FNV-1a-64 prime (`0x100_0000_01b3`), so merging the copies changes
+    /// every token's last eight bytes.
+    #[test]
+    fn golden_token() {
+        let hex: String = token()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex.len(), 2 * TOKEN_LEN);
+        assert_eq!(
+            hex,
+            "a10c0101000000000000002a0000000000000063000000000000001100000000deadbeefea77908a9467a6ac"
+        );
+    }
+
     #[test]
     fn truncation_and_bitflips_reject() {
         let enc = token().encode();

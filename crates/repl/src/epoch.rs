@@ -20,6 +20,7 @@
 //! it). Epochs in the chain are strictly increasing; a record that
 //! violates that is treated as corruption and the chain is cut there.
 
+use aion_server::protocol::Reader;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -53,21 +54,10 @@ impl EpochRecord {
     }
 
     fn decode(rec: &[u8]) -> Option<EpochRecord> {
-        let body: &[u8; RECORD_LEN] = rec.try_into().ok()?;
-        let sum = u64::from_le_bytes([
-            body[16], body[17], body[18], body[19], body[20], body[21], body[22], body[23],
-        ]);
-        if fnv64(&body[..16]) != sum {
-            return None;
-        }
-        Some(EpochRecord {
-            epoch: u64::from_le_bytes([
-                body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
-            ]),
-            base_ts: u64::from_le_bytes([
-                body[8], body[9], body[10], body[11], body[12], body[13], body[14], body[15],
-            ]),
-        })
+        let mut r = Reader::new(rec);
+        let (epoch, base_ts, sum) = (r.u64().ok()?, r.u64().ok()?, r.u64().ok()?);
+        r.finish().ok()?;
+        (fnv64(&rec[..16]) == sum).then_some(EpochRecord { epoch, base_ts })
     }
 }
 

@@ -37,7 +37,6 @@
 //!   checksummed sidecar before the node resyncs as a replica.
 
 pub mod epoch;
-mod frame_io;
 pub mod node;
 pub mod rejoin;
 pub mod replayer;

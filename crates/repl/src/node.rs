@@ -30,11 +30,10 @@
 use crate::epoch::{EpochRecord, EpochState};
 use crate::replayer::{Replayer, ReplayerConfig};
 use crate::shipper::{LogShipper, ShipperConfig};
-use crate::wire::{encode_msg, ReplMsg};
+use crate::wire::send_hello;
 use aion::Aion;
-use aion_server::protocol::write_frame;
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -228,17 +227,7 @@ impl Drop for ReplNode {
 /// shipper folds the epoch into its fence state before answering, so
 /// delivery alone is enough — the reply is not awaited.
 fn fence_probe(target: SocketAddr, epoch: u64, timeout: Duration) -> io::Result<()> {
-    let mut stream = TcpStream::connect_timeout(&target, timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(timeout))?;
-    write_frame(
-        &mut stream,
-        &encode_msg(&ReplMsg::Hello {
-            start_offset: 0,
-            latest_ts: 0,
-            epoch,
-        }),
-    )?;
+    let _stream = send_hello(target, timeout, 0, 0, epoch)?;
     // Give the peer a beat to read the frame before the socket drops.
     std::thread::sleep(Duration::from_millis(20));
     Ok(())

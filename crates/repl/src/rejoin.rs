@@ -29,14 +29,14 @@
 //! u64 byte_len | u64 fnv64(bytes) | bytes (raw log suffix, verbatim)
 //! ```
 
-use crate::epoch::{EpochRecord, EpochState};
-use crate::frame_io::{FrameReader, Polled};
-use crate::wire::{decode_msg, encode_msg, ReplMsg};
-use aion_server::protocol::write_frame;
+use crate::epoch::EpochState;
+use crate::wire::{await_hello_ack, send_hello, HelloAck};
+use aion_server::protocol::{put_u32, put_u64, Reader};
 use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use timestore::log::parse_frame;
 use timestore::CommitFrame;
 use vfs::{fnv64, sidecar_path, VfsRef};
 
@@ -110,8 +110,8 @@ pub fn prepare_rejoin(
     let log_bytes = vfs.read(&log_path).unwrap_or_default();
     let (local_latest_ts, _) = scan_frames(&log_bytes, 0);
 
-    let (primary_epoch, epoch_base_ts, fence_ts) =
-        probe_primary(primary, connect_timeout, my_epoch, local_latest_ts)?;
+    let ack = probe_primary(primary, connect_timeout, my_epoch, local_latest_ts)?;
+    let (primary_epoch, fence_ts) = (ack.head.epoch, ack.fence_ts);
 
     if primary_epoch <= my_epoch {
         // The "primary" is not ahead of us; there is no newer timeline
@@ -155,10 +155,7 @@ pub fn prepare_rejoin(
 
     // Adopt the cluster epoch last: once persisted, the node's write
     // path is fenced from the moment it reopens.
-    epochs.adopt(EpochRecord {
-        epoch: primary_epoch,
-        base_ts: epoch_base_ts,
-    })?;
+    epochs.adopt(ack.head)?;
 
     Ok(RejoinReport {
         primary_epoch,
@@ -175,36 +172,20 @@ pub fn prepare_rejoin(
 pub fn read_divergence_archive(vfs: &VfsRef, path: &Path) -> io::Result<DivergenceArchive> {
     let bytes = vfs.read(path)?;
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let header = bytes.get(..HEADER_LEN).ok_or_else(|| bad("short header"))?;
-    if &header[..8] != DIVERGENCE_MAGIC {
+    let mut r = Reader::new(&bytes);
+    if r.bytes(DIVERGENCE_MAGIC.len())? != DIVERGENCE_MAGIC {
         return Err(bad("bad divergence archive magic"));
     }
-    let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if version != DIVERGENCE_VERSION {
+    if r.u32()? != DIVERGENCE_VERSION {
         return Err(bad("unsupported divergence archive version"));
     }
-    let read_u64 = |at: usize| {
-        u64::from_le_bytes([
-            header[at],
-            header[at + 1],
-            header[at + 2],
-            header[at + 3],
-            header[at + 4],
-            header[at + 5],
-            header[at + 6],
-            header[at + 7],
-        ])
-    };
-    let epoch = read_u64(12);
-    let fence_ts = read_u64(20);
-    let byte_len = read_u64(28) as usize;
-    let checksum = read_u64(36);
-    let body = bytes
-        .get(HEADER_LEN..HEADER_LEN + byte_len)
+    let (epoch, fence_ts, byte_len, checksum) = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
+    let body = usize::try_from(byte_len)
+        .ok()
+        .and_then(|len| r.bytes(len).ok())
         .ok_or_else(|| bad("archive body shorter than its header claims"))?;
-    if bytes.len() != HEADER_LEN + byte_len {
-        return Err(bad("trailing bytes after archive body"));
-    }
+    r.finish()
+        .map_err(|_| bad("trailing bytes after archive body"))?;
     if fnv64(body) != checksum {
         return Err(bad("divergence archive checksum mismatch"));
     }
@@ -224,11 +205,11 @@ fn write_archive(
 ) -> io::Result<()> {
     let mut out = Vec::with_capacity(HEADER_LEN + suffix.len());
     out.extend_from_slice(DIVERGENCE_MAGIC);
-    out.extend_from_slice(&DIVERGENCE_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&fence_ts.to_le_bytes());
-    out.extend_from_slice(&(suffix.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv64(suffix).to_le_bytes());
+    put_u32(&mut out, DIVERGENCE_VERSION);
+    put_u64(&mut out, epoch);
+    put_u64(&mut out, fence_ts);
+    put_u64(&mut out, suffix.len() as u64);
+    put_u64(&mut out, fnv64(suffix));
     out.extend_from_slice(suffix);
     let file = vfs.open(path)?;
     file.write_all_at(&out, 0)?;
@@ -237,65 +218,27 @@ fn write_archive(
 }
 
 /// One handshake round against the primary: send a Hello, read the
-/// pre-gate HelloAck, return `(epoch, epoch_base_ts, fence_ts)`.
+/// pre-gate HelloAck.
 fn probe_primary(
     primary: SocketAddr,
     connect_timeout: Duration,
     my_epoch: u64,
     latest_ts: u64,
-) -> io::Result<(u64, u64, u64)> {
-    let mut stream = TcpStream::connect_timeout(&primary, connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    write_frame(
-        &mut stream,
-        &encode_msg(&ReplMsg::Hello {
-            start_offset: 0,
-            latest_ts,
-            epoch: my_epoch,
-        }),
-    )?;
-    let mut reader = FrameReader::new();
-    let deadline = std::time::Instant::now() + connect_timeout.max(Duration::from_secs(2));
-    let ack = loop {
-        match reader.poll(&mut stream)? {
-            Polled::Frame(payload) => break decode_msg(&payload)?,
-            Polled::Pending => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "primary did not answer the rejoin probe",
-                    ));
-                }
-            }
-            Polled::Eof => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "primary closed during rejoin probe",
-                ))
-            }
-        }
-    };
-    let ReplMsg::HelloAck {
-        epoch,
-        epoch_base_ts,
-        fence_ts,
-        ..
-    } = ack
-    else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected HELLO_ACK from primary",
-        ));
-    };
-    Ok((epoch, epoch_base_ts, fence_ts))
+) -> io::Result<HelloAck> {
+    let mut stream = send_hello(primary, connect_timeout, 0, latest_ts, my_epoch)?;
+    let deadline = Instant::now() + connect_timeout.max(Duration::from_secs(2));
+    match await_hello_ack(&mut stream, || Instant::now() >= deadline)? {
+        Some((ack, _)) => Ok(ack),
+        None => Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            "primary did not answer the rejoin probe",
+        )),
+    }
 }
 
-/// Walks raw log bytes frame by frame (same `u32 len, u32 fnv1a,
-/// payload` layout the [`timestore::ChangeLog`] writes), stopping at the
-/// first frame that fails to parse (torn tail). Returns the highest
-/// frame timestamp seen and the number of complete frames.
+/// Walks raw log bytes frame by frame ([`timestore::log::parse_frame`]),
+/// stopping at the first frame that fails to parse (torn tail). Returns
+/// the highest frame timestamp seen and the number of complete frames.
 fn scan_frames(bytes: &[u8], from: usize) -> (u64, u64) {
     let mut latest_ts = 0u64;
     let mut frames = 0u64;
@@ -321,35 +264,6 @@ fn find_fork_offset(bytes: &[u8], fence_ts: u64) -> u64 {
         offset = next;
     }
     offset as u64
-}
-
-/// Parses one log frame at `offset`; `None` on truncation or any
-/// checksum/structure failure (the caller treats that as the torn tail).
-fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> {
-    let head = bytes.get(offset..offset + 8)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    let checksum = u32::from_le_bytes([head[4], head[5], head[6], head[7]]);
-    if len as u64 > timestore::log::MAX_FRAME_LEN {
-        return None;
-    }
-    let payload = bytes.get(offset + 8..offset + 8 + len)?;
-    if fnv1a32(payload) != checksum {
-        return None;
-    }
-    let frame = CommitFrame::decode(payload)?;
-    Some((frame, offset + 8 + len))
-}
-
-/// The log's 32-bit FNV-1a payload checksum (mirrors
-/// `timestore::log`'s private implementation — the format is fixed by
-/// the on-disk log layout, documented there).
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 #[cfg(test)]

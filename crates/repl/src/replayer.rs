@@ -26,12 +26,11 @@
 //!   frames as re-delivery, so the replayer instead marks itself
 //!   [`Replayer::diverged`] and stops; the replica needs a rebuild.
 
-use crate::epoch::{EpochRecord, EpochState};
-use crate::frame_io::{FrameReader, Polled};
+use crate::epoch::EpochState;
 use crate::watermark::{Watermark, WatermarkStore};
-use crate::wire::{decode_msg, encode_msg, ReplMsg};
+use crate::wire::{await_hello_ack, decode_msg, encode_msg, send_hello, ReplMsg};
 use aion::Aion;
-use aion_server::protocol::write_frame;
+use aion_server::protocol::{write_frame, Polled};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -314,51 +313,20 @@ fn run(shared: &Arc<ReplayerShared>) {
 /// `handshake_ok` is set once a valid `HelloAck` arrived, so the caller
 /// can reset its reconnect backoff after sessions that actually worked.
 fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<()> {
-    let mut stream = TcpStream::connect_timeout(&shared.cfg.primary, shared.cfg.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-
     let wm = shared.watermark();
     let my_epoch = shared.epochs.current().epoch;
-    write_frame(
-        &mut stream,
-        &encode_msg(&ReplMsg::Hello {
-            start_offset: wm.offset,
-            latest_ts: wm.ts,
-            epoch: my_epoch,
-        }),
+    let mut stream = send_hello(
+        shared.cfg.primary,
+        shared.cfg.connect_timeout,
+        wm.offset,
+        wm.ts,
+        my_epoch,
     )?;
-    let mut reader = FrameReader::new();
-    let ack = loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match reader.poll(&mut stream)? {
-            Polled::Frame(payload) => break decode_msg(&payload)?,
-            Polled::Pending => {}
-            Polled::Eof => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "primary closed during handshake",
-                ))
-            }
-        }
+    let stopped = || shared.stop.load(Ordering::Acquire);
+    let Some((ack, mut reader)) = await_hello_ack(&mut stream, stopped)? else {
+        return Ok(());
     };
-    let ReplMsg::HelloAck {
-        resume_offset,
-        latest_ts: primary_ts,
-        epoch: primary_epoch,
-        epoch_base_ts,
-        fence_ts,
-        ..
-    } = ack
-    else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected HELLO_ACK from primary",
-        ));
-    };
+    let (primary_epoch, primary_ts, fence_ts) = (ack.head.epoch, ack.latest_ts, ack.fence_ts);
     if primary_epoch < my_epoch {
         // A deposed primary: it predates an epoch we already adopted.
         // Following it would replay a dead timeline — reconnect (the
@@ -388,10 +356,7 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                 ),
             ));
         }
-        shared.epochs.adopt(EpochRecord {
-            epoch: primary_epoch,
-            base_ts: epoch_base_ts,
-        })?;
+        shared.epochs.adopt(ack.head)?;
         shared.db.observe_epoch(primary_epoch);
     }
     if primary_ts < wm.ts {
@@ -417,7 +382,7 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
     // The primary may have forced a full resync (resume_offset 0 when we
     // asked for more): idempotent replay makes that safe, but the cursor
     // must follow the *wire* position, not the local watermark.
-    let mut cursor = resume_offset;
+    let mut cursor = ack.resume_offset;
     let mut pending: u64 = 0; // frames applied/skipped since last durability point
     let mut last_inbound = Instant::now();
     loop {
@@ -426,15 +391,19 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
             let _ = make_durable(shared, &mut stream, cursor, &mut pending);
             return Ok(());
         }
-        let msg = match reader.poll(&mut stream)? {
-            Polled::Frame(payload) => {
-                last_inbound = Instant::now();
-                decode_msg(&payload)?
-            }
+        let polled = reader.poll(&mut stream)?;
+        if reader.progressed() {
+            // Any byte counts, not only a complete message: a large frame
+            // trickling in over a slow link is a live link.
+            last_inbound = Instant::now();
+        }
+        let msg = match polled {
+            Polled::Frame(payload) => decode_msg(&payload)?,
             Polled::Pending => {
                 if last_inbound.elapsed() >= shared.cfg.heartbeat_timeout {
                     // The shipper heartbeats even when idle, so silence
-                    // this long means the link is dead (half-open TCP,
+                    // this long — between frames or in the middle of one
+                    // — means the link is dead (half-open TCP,
                     // black-holing middlebox). Declare it down and
                     // reconnect through the normal backoff path.
                     shared.tel.heartbeat_timeouts.inc();

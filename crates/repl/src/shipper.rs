@@ -23,11 +23,10 @@
 //! [`ChangeLog::iter_from`]: timestore::ChangeLog::iter_from
 
 use crate::epoch::EpochState;
-use crate::frame_io::{FrameReader, Polled};
 use crate::watermark::Watermark;
 use crate::wire::{decode_msg, encode_msg, ReplMsg};
 use aion::Aion;
-use aion_server::protocol::write_frame;
+use aion_server::protocol::{write_frame, FrameReader, POLL_TICK};
 use aion_server::workers::WorkerSet;
 use std::collections::HashMap;
 use std::io;
@@ -248,7 +247,7 @@ fn serve_replica(
     cancel: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(20)))?;
+    stream.set_read_timeout(Some(POLL_TICK))?;
     stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
     let stopped = || shared.stop.load(Ordering::Acquire) || cancel.load(Ordering::Acquire);
 
@@ -256,21 +255,14 @@ fn serve_replica(
     // offset by test-reading one frame there, falling back to a full
     // resync from 0 (safe: replay is idempotent).
     let mut reader = FrameReader::new();
-    let hello = loop {
-        if stopped() {
-            return Ok(());
-        }
-        match reader.poll(&mut stream)? {
-            Polled::Frame(payload) => break decode_msg(&payload)?,
-            Polled::Pending => {}
-            Polled::Eof => return Ok(()),
-        }
+    let Some(hello) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped)? else {
+        return Ok(());
     };
     let ReplMsg::Hello {
         start_offset,
         latest_ts: replica_ts,
         epoch: replica_epoch,
-    } = hello
+    } = decode_msg(&hello)?
     else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -475,19 +467,12 @@ fn ack_loop(
     worker_id: u64,
     shared: &Arc<ShipperShared>,
 ) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        match reader.poll(&mut stream) {
-            Ok(Polled::Frame(payload)) => {
-                if let Ok(ReplMsg::Ack { offset, ts }) = decode_msg(&payload) {
-                    shared.tel.frames_acked.inc();
-                    shared.record_ack(worker_id, Watermark { offset, ts });
-                }
-            }
-            Ok(Polled::Pending) => {}
-            Ok(Polled::Eof) | Err(_) => return,
+    let stopped = || shared.stop.load(Ordering::Acquire);
+    // Ends on stop, hang-up, a corrupt frame or a replica stalled mid-ack.
+    while let Ok(Some(payload)) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped) {
+        if let Ok(ReplMsg::Ack { offset, ts }) = decode_msg(&payload) {
+            shared.tel.frames_acked.inc();
+            shared.record_ack(worker_id, Watermark { offset, ts });
         }
     }
 }

@@ -9,6 +9,7 @@
 //! replay is idempotent (frames at or below the local latest timestamp
 //! are skipped) — so no corruption mode can invent progress.
 
+use aion_server::protocol::{put_u64, Reader};
 use std::io;
 use std::path::{Path, PathBuf};
 use vfs::{fnv64, VfsRef};
@@ -53,33 +54,20 @@ impl WatermarkStore {
     /// error would wedge a replica that a full resync could heal.
     pub fn load(&self) -> Option<Watermark> {
         let bytes = self.vfs.read(&self.path).ok()?;
-        let record: &[u8; 24] = bytes.as_slice().try_into().ok()?;
-        let sum = u64::from_le_bytes([
-            record[16], record[17], record[18], record[19], record[20], record[21], record[22],
-            record[23],
-        ]);
-        if fnv64(&record[..16]) != sum {
-            return None;
-        }
-        Some(Watermark {
-            offset: u64::from_le_bytes([
-                record[0], record[1], record[2], record[3], record[4], record[5], record[6],
-                record[7],
-            ]),
-            ts: u64::from_le_bytes([
-                record[8], record[9], record[10], record[11], record[12], record[13], record[14],
-                record[15],
-            ]),
-        })
+        let mut r = Reader::new(&bytes);
+        let (offset, ts, sum) = (r.u64().ok()?, r.u64().ok()?, r.u64().ok()?);
+        r.finish().ok()?;
+        (fnv64(&bytes[..16]) == sum).then_some(Watermark { offset, ts })
     }
 
     /// Durably replaces the watermark. Call only after the database
     /// state it describes is itself durable.
     pub fn store(&self, wm: Watermark) -> io::Result<()> {
         let mut record = Vec::with_capacity(24);
-        record.extend_from_slice(&wm.offset.to_le_bytes());
-        record.extend_from_slice(&wm.ts.to_le_bytes());
-        record.extend_from_slice(&fnv64(&record[..16]).to_le_bytes());
+        put_u64(&mut record, wm.offset);
+        put_u64(&mut record, wm.ts);
+        let sum = fnv64(&record);
+        put_u64(&mut record, sum);
         let file = self.vfs.open(&self.path)?;
         // A crash between these steps leaves a short or stale record;
         // either fails `load` or describes an older durable prefix —

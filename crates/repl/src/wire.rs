@@ -1,7 +1,8 @@
-//! Replication wire messages.
+//! Replication wire messages, and the handshake every replication
+//! connection opens with (`send_hello`, `await_hello_ack`).
 //!
-//! All messages travel inside the server's checksummed frame envelope
-//! (`u32 len, u64 fnv64(payload), payload` — [`aion_server::protocol`]),
+//! All messages travel inside the checksummed frame envelope of
+//! [`aion_server::protocol`] and are read by its `FrameReader`,
 //! so a flipped byte is a framing error, never a different valid
 //! message. On top of that, a [`ReplMsg::Frame`] carries a verbatim
 //! commit-log frame *payload* whose own integrity the replica re-checks
@@ -24,7 +25,13 @@
 //!      | 0x14 "HEARTBEAT" u64 log_end, u64 latest_ts, u64 epoch
 //! ```
 
+use crate::epoch::EpochRecord;
+use aion_server::protocol::{
+    put_bytes, put_u64, write_frame, FrameReader, Polled, Reader, POLL_TICK,
+};
 use std::io;
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 /// One replication protocol message.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -117,28 +124,6 @@ const TAG_FRAME: u8 = 0x12;
 const TAG_ACK: u8 = 0x13;
 const TAG_HEARTBEAT: u8 = 0x14;
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u64"))?;
-    *pos += 8;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-fn get_u32(buf: &[u8], pos: &mut usize) -> io::Result<u32> {
-    let bytes: [u8; 4] = buf
-        .get(*pos..*pos + 4)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u32"))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes))
-}
-
 /// Serializes one message.
 pub fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
     let mut out = Vec::new();
@@ -179,8 +164,7 @@ pub fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
             put_u64(&mut out, *offset);
             put_u64(&mut out, *next_offset);
             put_u64(&mut out, *epoch);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(payload);
+            put_bytes(&mut out, payload);
         }
         ReplMsg::Ack { offset, ts } => {
             out.push(TAG_ACK);
@@ -204,50 +188,35 @@ pub fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
 /// Deserializes one message; trailing bytes are a protocol error (they
 /// would mean the sender and receiver disagree on the message layout).
 pub fn decode_msg(buf: &[u8]) -> io::Result<ReplMsg> {
-    let mut pos = 0usize;
-    let tag = *buf
-        .first()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty repl message"))?;
-    pos += 1;
-    let msg = match tag {
+    let mut r = Reader::new(buf);
+    let msg = match r.u8()? {
         TAG_HELLO => ReplMsg::Hello {
-            start_offset: get_u64(buf, &mut pos)?,
-            latest_ts: get_u64(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
+            start_offset: r.u64()?,
+            latest_ts: r.u64()?,
+            epoch: r.u64()?,
         },
         TAG_HELLO_ACK => ReplMsg::HelloAck {
-            resume_offset: get_u64(buf, &mut pos)?,
-            log_end: get_u64(buf, &mut pos)?,
-            latest_ts: get_u64(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
-            epoch_base_ts: get_u64(buf, &mut pos)?,
-            fence_ts: get_u64(buf, &mut pos)?,
+            resume_offset: r.u64()?,
+            log_end: r.u64()?,
+            latest_ts: r.u64()?,
+            epoch: r.u64()?,
+            epoch_base_ts: r.u64()?,
+            fence_ts: r.u64()?,
         },
-        TAG_FRAME => {
-            let offset = get_u64(buf, &mut pos)?;
-            let next_offset = get_u64(buf, &mut pos)?;
-            let epoch = get_u64(buf, &mut pos)?;
-            let plen = get_u32(buf, &mut pos)? as usize;
-            let payload = buf
-                .get(pos..pos + plen)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated payload"))?
-                .to_vec();
-            pos += plen;
-            ReplMsg::Frame {
-                offset,
-                next_offset,
-                epoch,
-                payload,
-            }
-        }
+        TAG_FRAME => ReplMsg::Frame {
+            offset: r.u64()?,
+            next_offset: r.u64()?,
+            epoch: r.u64()?,
+            payload: r.var_bytes()?.to_vec(),
+        },
         TAG_ACK => ReplMsg::Ack {
-            offset: get_u64(buf, &mut pos)?,
-            ts: get_u64(buf, &mut pos)?,
+            offset: r.u64()?,
+            ts: r.u64()?,
         },
         TAG_HEARTBEAT => ReplMsg::Heartbeat {
-            log_end: get_u64(buf, &mut pos)?,
-            latest_ts: get_u64(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
+            log_end: r.u64()?,
+            latest_ts: r.u64()?,
+            epoch: r.u64()?,
         },
         other => {
             return Err(io::Error::new(
@@ -256,11 +225,88 @@ pub fn decode_msg(buf: &[u8]) -> io::Result<ReplMsg> {
             ))
         }
     };
-    if pos != buf.len() {
+    r.finish()?;
+    Ok(msg)
+}
+
+/// Opens a replication connection to `target` and sends the one `Hello`
+/// every such connection starts with: connect within `connect_timeout`,
+/// set the socket up for polled reads, write the frame.
+pub(crate) fn send_hello(
+    target: SocketAddr,
+    connect_timeout: Duration,
+    start_offset: u64,
+    latest_ts: u64,
+    epoch: u64,
+) -> io::Result<TcpStream> {
+    let mut stream = TcpStream::connect_timeout(&target, connect_timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_TICK))?;
+    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+    write_frame(
+        &mut stream,
+        &encode_msg(&ReplMsg::Hello {
+            start_offset,
+            latest_ts,
+            epoch,
+        }),
+    )?;
+    Ok(stream)
+}
+
+/// What a `HelloAck` tells the side that said `Hello` (see
+/// [`ReplMsg::HelloAck`]).
+pub(crate) struct HelloAck {
+    pub(crate) resume_offset: u64,
+    pub(crate) latest_ts: u64,
+    /// The primary's current epoch and the timestamp it began at.
+    pub(crate) head: EpochRecord,
+    pub(crate) fence_ts: u64,
+}
+
+/// Waits for the `HelloAck`, asking `give_up` at every poll tick; `None`
+/// means it said yes. The reader comes back with the ack because frames
+/// the primary pipelined behind it are already in its buffer.
+pub(crate) fn await_hello_ack(
+    stream: &mut TcpStream,
+    give_up: impl Fn() -> bool,
+) -> io::Result<Option<(HelloAck, FrameReader)>> {
+    let mut reader = FrameReader::new();
+    let payload = loop {
+        match reader.poll(stream)? {
+            Polled::Frame(payload) => break payload,
+            Polled::Pending if give_up() => return Ok(None),
+            Polled::Pending => {}
+            Polled::Eof => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "primary closed during handshake",
+                ))
+            }
+        }
+    };
+    let ReplMsg::HelloAck {
+        resume_offset,
+        latest_ts,
+        epoch,
+        epoch_base_ts,
+        fence_ts,
+        ..
+    } = decode_msg(&payload)?
+    else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "trailing bytes after repl message",
+            "expected HELLO_ACK from primary",
         ));
-    }
-    Ok(msg)
+    };
+    let ack = HelloAck {
+        resume_offset,
+        latest_ts,
+        head: EpochRecord {
+            epoch,
+            base_ts: epoch_base_ts,
+        },
+        fence_ts,
+    };
+    Ok(Some((ack, reader)))
 }

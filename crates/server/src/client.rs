@@ -19,7 +19,7 @@
 //!   the server sheds those before execution, so any request may retry.
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
+    decode_response, encode_request, write_frame, ErrorCode, FrameReader, Request, Response,
 };
 use crate::rng::SplitMix64;
 use query::{QueryResult, Value};
@@ -57,11 +57,18 @@ impl Default for ClientConfig {
     }
 }
 
+/// One live connection: the socket and the reader that owns its inbound
+/// side.
+struct Conn {
+    stream: TcpStream,
+    reader: FrameReader,
+}
+
 /// A connected Aion client.
 pub struct Client {
     addr: SocketAddr,
     cfg: ClientConfig,
-    stream: Option<TcpStream>,
+    conn: Option<Conn>,
     rng: SplitMix64,
     prev_backoff: Duration,
     connected_once: bool,
@@ -84,7 +91,7 @@ impl Client {
             addr,
             rng: SplitMix64::new(cfg.jitter_seed),
             cfg,
-            stream: None,
+            conn: None,
             prev_backoff,
             connected_once: false,
             reconnects: 0,
@@ -98,20 +105,23 @@ impl Client {
         self.reconnects
     }
 
-    fn ensure_connected(&mut self) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
+    fn ensure_connected(&mut self) -> io::Result<&mut Conn> {
+        if self.conn.is_none() {
             let stream = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
             stream.set_nodelay(true)?;
             stream.set_read_timeout(Some(self.cfg.request_timeout))?;
             stream.set_write_timeout(Some(self.cfg.request_timeout))?;
-            self.stream = Some(stream);
+            self.conn = Some(Conn {
+                stream,
+                reader: FrameReader::new(),
+            });
             if self.connected_once {
                 self.reconnects += 1;
             }
             self.connected_once = true;
         }
-        match self.stream.as_mut() {
-            Some(s) => Ok(s),
+        match self.conn.as_mut() {
+            Some(c) => Ok(c),
             // Unreachable: the branch above just populated it.
             None => Err(io::Error::other("connection unavailable")),
         }
@@ -135,14 +145,14 @@ impl Client {
     /// One wire exchange; any failure poisons the connection.
     fn attempt(&mut self, payload: &[u8]) -> io::Result<Response> {
         let result = (|| {
-            let stream = self.ensure_connected()?;
-            write_frame(stream, payload)?;
-            let frame = read_frame(stream)?;
+            let conn = self.ensure_connected()?;
+            write_frame(&mut conn.stream, payload)?;
+            let frame = conn.reader.read_one(&mut conn.stream)?;
             decode_response(&frame)
         })();
         if result.is_err() {
             // The stream may hold half a frame; never reuse it.
-            self.stream = None;
+            self.conn = None;
         }
         result
     }
@@ -157,7 +167,7 @@ impl Client {
                 // executed, so retrying is safe even for writes.
                 Ok(Response::Err(e)) if e.code == ErrorCode::Overloaded && attempts_left > 0 => {
                     attempts_left -= 1;
-                    self.stream = None;
+                    self.conn = None;
                     self.backoff_sleep();
                 }
                 Ok(resp) => {

@@ -1,36 +1,54 @@
-//! The wire format: length-prefixed frames, type-tagged values.
+//! The wire format — everything that crosses a socket: length-prefixed
+//! checksummed frames ([`FrameReader`], [`write_frame`]), little-endian
+//! fields ([`Reader`], `put_*`), type-tagged values. The replication
+//! stream (`aion-repl`) rides the same envelope and the same field codec.
 //!
 //! ```text
-//! frame    := u32 payload_len, u64 fnv64(payload), payload
-//! request  := 0x01 "RUN"  u16 qlen, query, u16 nparams, nparams × param,
-//!                         u64 min_watermark, u32 page_size,
-//!                         u8 has_cursor, [u32 clen, cursor]
+//! frame    := u32 payload_len (≤ 256 MiB), u64 fnv64(payload), payload
+//! str      := u32 len, len × utf-8 byte
+//! blob     := u8 present, [u32 len (≤ 64 KiB), len × byte]
+//! request  := 0x01 "RUN"      stmt, u64 min_watermark, u32 page_size,
+//!                             blob cursor
 //!           | 0x02 "PING"
 //!           | 0x03 "SHUTDOWN"
 //!           | 0x04 "METRICS"
 //!           | 0x05 "RUNBATCH" u32 nstmts, nstmts × stmt, u64 min_watermark
 //!           | 0x06 "PROMOTE"
 //!           | 0x07 "STATUS"
-//! stmt     := u16 qlen, query, u16 nparams, nparams × param
-//! param    := u16 klen, key, value
-//! response := 0x00 "OK"   result, u64 watermark,
-//!                          u8 has_cursor, [u32 clen, cursor]
-//!           | 0x01 "ERR"  u8 code, str
+//! stmt     := str query, u16 nparams, nparams × (str key, value)
+//! response := 0x00 "OK"      result, u64 watermark, blob cursor
+//!           | 0x01 "ERR"     error
 //!           | 0x02 "METRICS" u32 nctr, nctr × (str, u64),
 //!                            u32 ngauge, ngauge × (str, i64),
 //!                            u32 nhist, nhist × (str, 5 × u64)
-//!           | 0x03 "BATCH" u32 nstmts, nstmts × item, u64 watermark
-//!           | 0x04 "STATUS" u64 epoch, u8 read_only, u8 fenced,
-//!                           u64 latest_ts
-//! item     := 0x00 result | 0x01 u8 code, str
-//! result   := u16 ncols, ncols × str, u32 nrows, rows × row
-//! row      := ncols × value
-//! value    := tag, payload (see `write_value`)
+//!           | 0x03 "BATCH"   u32 nitems, nitems × item, u64 watermark
+//!           | 0x04 "STATUS"  u64 epoch, u8 read_only, u8 fenced,
+//!                            u64 latest_ts
+//! item     := 0x00 result | 0x01 error
+//! error    := u8 code, str message
+//! result   := u16 ncols, ncols × str, u32 nrows, nrows × ncols × value
+//! value    := 0x00 NULL | 0x01 BOOL u8 | 0x02 INT i64 | 0x03 FLOAT f64
+//!           | 0x04 STR str
+//!           | 0x05 NODE u64 id, u16 nlabels, nlabels × str, props, valid
+//!           | 0x06 REL  u64 id, u64 src, u64 tgt, u8 has_type, [str type],
+//!                       props, valid
+//!           | 0x07 LIST u32 n, n × value
+//! props    := u16 n, n × (str key, value)
+//! valid    := u8 present, [u64 start, u64 end]
 //! ```
+//!
+//! Two rules the grammar does not show. **Nesting:** a NODE, REL or LIST
+//! may sit at most [`MAX_VALUE_NESTING`] containers deep; a deeper value
+//! is `InvalidData` (the decoder recurses once per level, and the bytes
+//! come from a peer). **Trailing bytes:** a payload must be consumed to
+//! its last byte — leftovers mean sender and receiver disagree on the
+//! layout and are `InvalidData`, for requests, responses and replication
+//! messages alike.
 
 use obs::{HistogramSnapshot, MetricsSnapshot};
 use query::{QueryResult, Value};
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 /// Request messages.
 #[derive(Clone, PartialEq, Debug)]
@@ -227,6 +245,133 @@ pub enum Response {
     },
 }
 
+fn invalid(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
+// ---- fields -----------------------------------------------------------
+
+fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `u32 len, bytes` ([`Reader::var_bytes`] reads it back).
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_bytes(out, s.as_bytes());
+}
+
+/// Appends a `blob`: an optional opaque byte string (cursor tokens).
+fn put_opt_bytes(out: &mut Vec<u8>, bytes: Option<&[u8]>) {
+    match bytes {
+        Some(b) => {
+            out.push(1);
+            put_bytes(out, b);
+        }
+        None => out.push(0),
+    }
+}
+
+/// A cursor over one received payload (or one fixed-size on-disk record):
+/// every read checks its bounds, so a short or lying input is
+/// [`io::ErrorKind::InvalidData`], never a panic or an over-read.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Starts at the first byte of `buf`.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf }
+    }
+
+    /// The next `len` bytes, borrowed from the input.
+    pub fn bytes(&mut self, len: usize) -> io::Result<&'a [u8]> {
+        if len > self.buf.len() {
+            return Err(invalid("truncated message"));
+        }
+        let (head, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> io::Result<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> io::Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> io::Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// `u32 len, bytes`, borrowed from the input.
+    pub fn var_bytes(&mut self) -> io::Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.bytes(len)
+    }
+
+    /// A `str`: `u32 len, utf-8 bytes`.
+    pub fn str(&mut self) -> io::Result<String> {
+        String::from_utf8(self.var_bytes()?.to_vec()).map_err(|_| invalid("invalid utf-8"))
+    }
+
+    /// A `blob`: an optional opaque byte string, capped at 64 KiB (real
+    /// cursor tokens are 44 bytes).
+    pub fn opt_bytes(&mut self) -> io::Result<Option<Vec<u8>>> {
+        if self.u8()? == 0 {
+            return Ok(None);
+        }
+        let bytes = self.var_bytes()?;
+        if bytes.len() > 65_536 {
+            return Err(invalid("cursor blob too big"));
+        }
+        Ok(Some(bytes.to_vec()))
+    }
+
+    /// Ends the message: leftover bytes mean the sender and the receiver
+    /// disagree on the layout.
+    pub fn finish(self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(invalid("trailing bytes after message"))
+        }
+    }
+}
+
+// ---- values -----------------------------------------------------------
+
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
@@ -236,58 +381,53 @@ const TAG_NODE: u8 = 5;
 const TAG_REL: u8 = 6;
 const TAG_LIST: u8 = 7;
 
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// How many containers (NODE, REL, LIST) deep a value may nest on the
+/// wire. Query results nest two or three deep; the bound exists because
+/// the value decoder recurses per level on bytes a peer chose.
+pub const MAX_VALUE_NESTING: usize = 32;
+
+/// `valid`: the validity interval closing a NODE and a REL.
+fn write_valid(out: &mut Vec<u8>, valid: Option<(u64, u64)>) {
+    match valid {
+        Some((s, e)) => {
+            out.push(1);
+            put_u64(out, s);
+            put_u64(out, e);
+        }
+        None => out.push(0),
+    }
 }
 
-fn read_str(buf: &[u8], pos: &mut usize) -> io::Result<String> {
-    let len = read_u32(buf, pos)? as usize;
-    let bytes = buf
-        .get(*pos..*pos + len)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated string"))?;
-    *pos += len;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid utf-8"))
+fn read_valid(r: &mut Reader<'_>) -> io::Result<Option<(u64, u64)>> {
+    Ok(if r.u8()? == 1 {
+        Some((r.u64()?, r.u64()?))
+    } else {
+        None
+    })
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> io::Result<u32> {
-    let bytes: [u8; 4] = buf
-        .get(*pos..*pos + 4)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u32"))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(bytes))
+/// `u16 n, n × (str key, value)`: entity properties and statement
+/// parameters.
+fn write_pairs(out: &mut Vec<u8>, pairs: &[(String, Value)]) {
+    put_u16(out, pairs.len() as u16);
+    for (k, v) in pairs {
+        put_str(out, k);
+        write_value(out, v);
+    }
 }
 
-fn read_u64(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let bytes: [u8; 8] = buf
-        .get(*pos..*pos + 8)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u64"))?;
-    *pos += 8;
-    Ok(u64::from_le_bytes(bytes))
-}
-
-fn read_u16(buf: &[u8], pos: &mut usize) -> io::Result<u16> {
-    let bytes: [u8; 2] = buf
-        .get(*pos..*pos + 2)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u16"))?;
-    *pos += 2;
-    Ok(u16::from_le_bytes(bytes))
-}
-
-fn read_u8(buf: &[u8], pos: &mut usize) -> io::Result<u8> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated u8"))?;
-    *pos += 1;
-    Ok(b)
+fn read_pairs(r: &mut Reader<'_>, depth: usize) -> io::Result<Vec<(String, Value)>> {
+    let n = r.u16()? as usize;
+    let mut pairs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let k = r.str()?;
+        pairs.push((k, read_value(r, depth)?));
+    }
+    Ok(pairs)
 }
 
 /// Serializes one value.
-pub fn write_value(out: &mut Vec<u8>, v: &Value) {
+fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
@@ -304,7 +444,7 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             out.push(TAG_STR);
-            write_str(out, s);
+            put_str(out, s);
         }
         Value::Node {
             id,
@@ -313,24 +453,13 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
             valid,
         } => {
             out.push(TAG_NODE);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(labels.len() as u16).to_le_bytes());
+            put_u64(out, *id);
+            put_u16(out, labels.len() as u16);
             for l in labels {
-                write_str(out, l);
+                put_str(out, l);
             }
-            out.extend_from_slice(&(props.len() as u16).to_le_bytes());
-            for (k, v) in props {
-                write_str(out, k);
-                write_value(out, v);
-            }
-            match valid {
-                Some((s, e)) => {
-                    out.push(1);
-                    out.extend_from_slice(&s.to_le_bytes());
-                    out.extend_from_slice(&e.to_le_bytes());
-                }
-                None => out.push(0),
-            }
+            write_pairs(out, props);
+            write_valid(out, *valid);
         }
         Value::Rel {
             id,
@@ -341,33 +470,22 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
             valid,
         } => {
             out.push(TAG_REL);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&src.to_le_bytes());
-            out.extend_from_slice(&tgt.to_le_bytes());
+            put_u64(out, *id);
+            put_u64(out, *src);
+            put_u64(out, *tgt);
             match rel_type {
                 Some(t) => {
                     out.push(1);
-                    write_str(out, t);
+                    put_str(out, t);
                 }
                 None => out.push(0),
             }
-            out.extend_from_slice(&(props.len() as u16).to_le_bytes());
-            for (k, v) in props {
-                write_str(out, k);
-                write_value(out, v);
-            }
-            match valid {
-                Some((s, e)) => {
-                    out.push(1);
-                    out.extend_from_slice(&s.to_le_bytes());
-                    out.extend_from_slice(&e.to_le_bytes());
-                }
-                None => out.push(0),
-            }
+            write_pairs(out, props);
+            write_valid(out, *valid);
         }
         Value::List(vs) => {
             out.push(TAG_LIST);
-            out.extend_from_slice(&(vs.len() as u32).to_le_bytes());
+            put_u32(out, vs.len() as u32);
             for v in vs {
                 write_value(out, v);
             }
@@ -375,84 +493,69 @@ pub fn write_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Deserializes one value.
-pub fn read_value(buf: &[u8], pos: &mut usize) -> io::Result<Value> {
-    let tag = read_u8(buf, pos)?;
+/// Deserializes one value sitting `depth` containers deep.
+fn read_value(r: &mut Reader<'_>, depth: usize) -> io::Result<Value> {
+    let tag = r.u8()?;
+    if matches!(tag, TAG_NODE | TAG_REL | TAG_LIST) && depth >= MAX_VALUE_NESTING {
+        return Err(invalid(format!(
+            "value nested deeper than {MAX_VALUE_NESTING} levels"
+        )));
+    }
     Ok(match tag {
         TAG_NULL => Value::Null,
-        TAG_BOOL => Value::Bool(read_u8(buf, pos)? != 0),
-        TAG_INT => Value::Int(read_u64(buf, pos)? as i64),
-        TAG_FLOAT => Value::Float(f64::from_bits(read_u64(buf, pos)?)),
-        TAG_STR => Value::Str(read_str(buf, pos)?),
+        TAG_BOOL => Value::Bool(r.u8()? != 0),
+        TAG_INT => Value::Int(r.u64()? as i64),
+        TAG_FLOAT => Value::Float(f64::from_bits(r.u64()?)),
+        TAG_STR => Value::Str(r.str()?),
         TAG_NODE => {
-            let id = read_u64(buf, pos)?;
-            let nlabels = read_u16(buf, pos)? as usize;
+            let id = r.u64()?;
+            let nlabels = r.u16()? as usize;
             let mut labels = Vec::with_capacity(nlabels);
             for _ in 0..nlabels {
-                labels.push(read_str(buf, pos)?);
+                labels.push(r.str()?);
             }
-            let nprops = read_u16(buf, pos)? as usize;
-            let mut props = Vec::with_capacity(nprops);
-            for _ in 0..nprops {
-                let k = read_str(buf, pos)?;
-                props.push((k, read_value(buf, pos)?));
-            }
-            let valid = if read_u8(buf, pos)? == 1 {
-                Some((read_u64(buf, pos)?, read_u64(buf, pos)?))
-            } else {
-                None
-            };
             Value::Node {
                 id,
                 labels,
-                props,
-                valid,
+                props: read_pairs(r, depth + 1)?,
+                valid: read_valid(r)?,
             }
         }
         TAG_REL => {
-            let id = read_u64(buf, pos)?;
-            let src = read_u64(buf, pos)?;
-            let tgt = read_u64(buf, pos)?;
-            let rel_type = if read_u8(buf, pos)? == 1 {
-                Some(read_str(buf, pos)?)
-            } else {
-                None
-            };
-            let nprops = read_u16(buf, pos)? as usize;
-            let mut props = Vec::with_capacity(nprops);
-            for _ in 0..nprops {
-                let k = read_str(buf, pos)?;
-                props.push((k, read_value(buf, pos)?));
-            }
-            let valid = if read_u8(buf, pos)? == 1 {
-                Some((read_u64(buf, pos)?, read_u64(buf, pos)?))
-            } else {
-                None
-            };
+            let id = r.u64()?;
+            let src = r.u64()?;
+            let tgt = r.u64()?;
+            let rel_type = if r.u8()? == 1 { Some(r.str()?) } else { None };
             Value::Rel {
                 id,
                 src,
                 tgt,
                 rel_type,
-                props,
-                valid,
+                props: read_pairs(r, depth + 1)?,
+                valid: read_valid(r)?,
             }
         }
         TAG_LIST => {
-            let n = read_u32(buf, pos)? as usize;
+            let n = r.u32()? as usize;
             let mut vs = Vec::with_capacity(n.min(65_536));
             for _ in 0..n {
-                vs.push(read_value(buf, pos)?);
+                vs.push(read_value(r, depth + 1)?);
             }
             Value::List(vs)
         }
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown value tag {other}"),
-            ))
-        }
+        other => return Err(invalid(format!("unknown value tag {other}"))),
     })
+}
+
+// ---- requests ---------------------------------------------------------
+
+fn write_stmt(out: &mut Vec<u8>, query: &str, params: &[(String, Value)]) {
+    put_str(out, query);
+    write_pairs(out, params);
+}
+
+fn read_stmt(r: &mut Reader<'_>) -> io::Result<(String, Vec<(String, Value)>)> {
+    Ok((r.str()?, read_pairs(r, 0)?))
 }
 
 /// Serializes a request payload.
@@ -467,15 +570,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             cursor,
         } => {
             out.push(0x01);
-            write_str(&mut out, query);
-            out.extend_from_slice(&(params.len() as u16).to_le_bytes());
-            for (k, v) in params {
-                write_str(&mut out, k);
-                write_value(&mut out, v);
-            }
-            out.extend_from_slice(&min_watermark.to_le_bytes());
-            out.extend_from_slice(&page_size.to_le_bytes());
-            write_opt_bytes(&mut out, cursor.as_deref());
+            write_stmt(&mut out, query, params);
+            put_u64(&mut out, *min_watermark);
+            put_u32(&mut out, *page_size);
+            put_opt_bytes(&mut out, cursor.as_deref());
         }
         Request::Ping => out.push(0x02),
         Request::Shutdown => out.push(0x03),
@@ -485,16 +583,11 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             min_watermark,
         } => {
             out.push(0x05);
-            out.extend_from_slice(&(statements.len() as u32).to_le_bytes());
+            put_u32(&mut out, statements.len() as u32);
             for (query, params) in statements {
-                write_str(&mut out, query);
-                out.extend_from_slice(&(params.len() as u16).to_le_bytes());
-                for (k, v) in params {
-                    write_str(&mut out, k);
-                    write_value(&mut out, v);
-                }
+                write_stmt(&mut out, query, params);
             }
-            out.extend_from_slice(&min_watermark.to_le_bytes());
+            put_u64(&mut out, *min_watermark);
         }
         Request::Promote => out.push(0x06),
         Request::Status => out.push(0x07),
@@ -504,100 +597,49 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Deserializes a request payload.
 pub fn decode_request(buf: &[u8]) -> io::Result<Request> {
-    let mut pos = 0;
-    let kind = read_u8(buf, &mut pos)?;
-    Ok(match kind {
+    let mut r = Reader::new(buf);
+    let req = match r.u8()? {
         0x01 => {
-            let query = read_str(buf, &mut pos)?;
-            let nparams = read_u16(buf, &mut pos)? as usize;
-            let mut params = Vec::with_capacity(nparams);
-            for _ in 0..nparams {
-                let k = read_str(buf, &mut pos)?;
-                params.push((k, read_value(buf, &mut pos)?));
-            }
-            let min_watermark = read_u64(buf, &mut pos)?;
-            let page_size = read_u32(buf, &mut pos)?;
-            let cursor = read_opt_bytes(buf, &mut pos)?;
+            let (query, params) = read_stmt(&mut r)?;
             Request::Run {
                 query,
                 params,
-                min_watermark,
-                page_size,
-                cursor,
+                min_watermark: r.u64()?,
+                page_size: r.u32()?,
+                cursor: r.opt_bytes()?,
             }
         }
         0x02 => Request::Ping,
         0x03 => Request::Shutdown,
         0x04 => Request::Metrics,
         0x05 => {
-            let n = read_u32(buf, &mut pos)? as usize;
+            let n = r.u32()? as usize;
             let mut statements = Vec::with_capacity(n.min(65_536));
             for _ in 0..n {
-                let query = read_str(buf, &mut pos)?;
-                let nparams = read_u16(buf, &mut pos)? as usize;
-                let mut params = Vec::with_capacity(nparams);
-                for _ in 0..nparams {
-                    let k = read_str(buf, &mut pos)?;
-                    params.push((k, read_value(buf, &mut pos)?));
-                }
-                statements.push((query, params));
+                statements.push(read_stmt(&mut r)?);
             }
-            let min_watermark = read_u64(buf, &mut pos)?;
             Request::RunBatch {
                 statements,
-                min_watermark,
+                min_watermark: r.u64()?,
             }
         }
         0x06 => Request::Promote,
         0x07 => Request::Status,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown request kind {other}"),
-            ))
-        }
-    })
+        other => return Err(invalid(format!("unknown request kind {other}"))),
+    };
+    r.finish()?;
+    Ok(req)
 }
 
-/// Serializes an optional opaque byte blob (cursor tokens).
-fn write_opt_bytes(out: &mut Vec<u8>, bytes: Option<&[u8]>) {
-    match bytes {
-        Some(b) => {
-            out.push(1);
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(b);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Deserializes an optional opaque byte blob (cursor tokens, capped at
-/// 64 KiB — real tokens are 44 bytes).
-fn read_opt_bytes(buf: &[u8], pos: &mut usize) -> io::Result<Option<Vec<u8>>> {
-    if read_u8(buf, pos)? == 0 {
-        return Ok(None);
-    }
-    let len = read_u32(buf, pos)? as usize;
-    if len > 65_536 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "cursor blob too big",
-        ));
-    }
-    let bytes = buf
-        .get(*pos..*pos + len)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated cursor blob"))?;
-    *pos += len;
-    Ok(Some(bytes.to_vec()))
-}
+// ---- responses --------------------------------------------------------
 
 /// Serializes one query result (shared by `OK` and `BATCH` items).
 fn write_result(out: &mut Vec<u8>, result: &QueryResult) {
-    out.extend_from_slice(&(result.columns.len() as u16).to_le_bytes());
+    put_u16(out, result.columns.len() as u16);
     for c in &result.columns {
-        write_str(out, c);
+        put_str(out, c);
     }
-    out.extend_from_slice(&(result.rows.len() as u32).to_le_bytes());
+    put_u32(out, result.rows.len() as u32);
     for row in &result.rows {
         for v in row {
             write_value(out, v);
@@ -606,30 +648,40 @@ fn write_result(out: &mut Vec<u8>, result: &QueryResult) {
 }
 
 /// Deserializes one query result (shared by `OK` and `BATCH` items).
-fn read_result(buf: &[u8], pos: &mut usize) -> io::Result<QueryResult> {
-    let ncols = read_u16(buf, pos)? as usize;
+fn read_result(r: &mut Reader<'_>) -> io::Result<QueryResult> {
+    let ncols = r.u16()? as usize;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        columns.push(read_str(buf, pos)?);
+        columns.push(r.str()?);
     }
-    let nrows = read_u32(buf, pos)? as usize;
+    let nrows = r.u32()? as usize;
     // Zero-column rows consume no payload bytes, so a malformed
     // header could otherwise demand billions of loop iterations.
     if ncols == 0 && nrows > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "rows without columns",
-        ));
+        return Err(invalid("rows without columns"));
     }
     let mut rows = Vec::with_capacity(nrows.min(1 << 20));
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            row.push(read_value(buf, pos)?);
+            row.push(read_value(r, 0)?);
         }
         rows.push(row);
     }
     Ok(QueryResult { columns, rows })
+}
+
+/// `u8 code, str message` (shared by `ERR` and `BATCH` items).
+fn write_error(out: &mut Vec<u8>, err: &WireError) {
+    out.push(err.code as u8);
+    put_str(out, &err.message);
+}
+
+fn read_error(r: &mut Reader<'_>) -> io::Result<WireError> {
+    Ok(WireError {
+        code: ErrorCode::from_u8(r.u8()?),
+        message: r.str()?,
+    })
 }
 
 /// Serializes a response payload.
@@ -643,17 +695,16 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         } => {
             out.push(0x00);
             write_result(&mut out, result);
-            out.extend_from_slice(&watermark.to_le_bytes());
-            write_opt_bytes(&mut out, cursor.as_deref());
+            put_u64(&mut out, *watermark);
+            put_opt_bytes(&mut out, cursor.as_deref());
         }
         Response::Err(err) => {
             out.push(0x01);
-            out.push(err.code as u8);
-            write_str(&mut out, &err.message);
+            write_error(&mut out, err);
         }
         Response::Batch { results, watermark } => {
             out.push(0x03);
-            out.extend_from_slice(&(results.len() as u32).to_le_bytes());
+            put_u32(&mut out, results.len() as u32);
             for item in results {
                 match item {
                     Ok(result) => {
@@ -662,12 +713,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                     }
                     Err(err) => {
                         out.push(0x01);
-                        out.push(err.code as u8);
-                        write_str(&mut out, &err.message);
+                        write_error(&mut out, err);
                     }
                 }
             }
-            out.extend_from_slice(&watermark.to_le_bytes());
+            put_u64(&mut out, *watermark);
         }
         Response::Status {
             epoch,
@@ -676,28 +726,28 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             latest_ts,
         } => {
             out.push(0x04);
-            out.extend_from_slice(&epoch.to_le_bytes());
+            put_u64(&mut out, *epoch);
             out.push(u8::from(*read_only));
             out.push(u8::from(*fenced));
-            out.extend_from_slice(&latest_ts.to_le_bytes());
+            put_u64(&mut out, *latest_ts);
         }
         Response::Metrics(snap) => {
             out.push(0x02);
-            out.extend_from_slice(&(snap.counters.len() as u32).to_le_bytes());
+            put_u32(&mut out, snap.counters.len() as u32);
             for (name, v) in &snap.counters {
-                write_str(&mut out, name);
-                out.extend_from_slice(&v.to_le_bytes());
+                put_str(&mut out, name);
+                put_u64(&mut out, *v);
             }
-            out.extend_from_slice(&(snap.gauges.len() as u32).to_le_bytes());
+            put_u32(&mut out, snap.gauges.len() as u32);
             for (name, v) in &snap.gauges {
-                write_str(&mut out, name);
-                out.extend_from_slice(&v.to_le_bytes());
+                put_str(&mut out, name);
+                put_u64(&mut out, *v as u64);
             }
-            out.extend_from_slice(&(snap.histograms.len() as u32).to_le_bytes());
+            put_u32(&mut out, snap.histograms.len() as u32);
             for h in &snap.histograms {
-                write_str(&mut out, &h.name);
+                put_str(&mut out, &h.name);
                 for v in [h.count, h.sum, h.p50, h.p95, h.p99] {
-                    out.extend_from_slice(&v.to_le_bytes());
+                    put_u64(&mut out, v);
                 }
             }
         }
@@ -707,104 +757,71 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 /// Deserializes a response payload.
 pub fn decode_response(buf: &[u8]) -> io::Result<Response> {
-    let mut pos = 0;
-    match read_u8(buf, &mut pos)? {
-        0x00 => {
-            let result = read_result(buf, &mut pos)?;
-            let watermark = read_u64(buf, &mut pos)?;
-            let cursor = read_opt_bytes(buf, &mut pos)?;
-            Ok(Response::Ok {
-                result,
-                watermark,
-                cursor,
-            })
-        }
-        0x01 => {
-            let code = ErrorCode::from_u8(read_u8(buf, &mut pos)?);
-            Ok(Response::Err(WireError {
-                code,
-                message: read_str(buf, &mut pos)?,
-            }))
-        }
+    let mut r = Reader::new(buf);
+    let resp = match r.u8()? {
+        0x00 => Response::Ok {
+            result: read_result(&mut r)?,
+            watermark: r.u64()?,
+            cursor: r.opt_bytes()?,
+        },
+        0x01 => Response::Err(read_error(&mut r)?),
         0x02 => {
-            let nctr = read_u32(buf, &mut pos)? as usize;
+            let nctr = r.u32()? as usize;
             let mut counters = Vec::with_capacity(nctr.min(65_536));
             for _ in 0..nctr {
-                let name = read_str(buf, &mut pos)?;
-                counters.push((name, read_u64(buf, &mut pos)?));
+                counters.push((r.str()?, r.u64()?));
             }
-            let ngauge = read_u32(buf, &mut pos)? as usize;
+            let ngauge = r.u32()? as usize;
             let mut gauges = Vec::with_capacity(ngauge.min(65_536));
             for _ in 0..ngauge {
-                let name = read_str(buf, &mut pos)?;
-                gauges.push((name, read_u64(buf, &mut pos)? as i64));
+                gauges.push((r.str()?, r.u64()? as i64));
             }
-            let nhist = read_u32(buf, &mut pos)? as usize;
+            let nhist = r.u32()? as usize;
             let mut histograms = Vec::with_capacity(nhist.min(65_536));
             for _ in 0..nhist {
-                let name = read_str(buf, &mut pos)?;
-                let count = read_u64(buf, &mut pos)?;
-                let sum = read_u64(buf, &mut pos)?;
-                let p50 = read_u64(buf, &mut pos)?;
-                let p95 = read_u64(buf, &mut pos)?;
-                let p99 = read_u64(buf, &mut pos)?;
                 histograms.push(HistogramSnapshot {
-                    name,
-                    count,
-                    sum,
-                    p50,
-                    p95,
-                    p99,
+                    name: r.str()?,
+                    count: r.u64()?,
+                    sum: r.u64()?,
+                    p50: r.u64()?,
+                    p95: r.u64()?,
+                    p99: r.u64()?,
                 });
             }
-            Ok(Response::Metrics(MetricsSnapshot {
+            Response::Metrics(MetricsSnapshot {
                 counters,
                 gauges,
                 histograms,
-            }))
-        }
-        0x03 => {
-            let n = read_u32(buf, &mut pos)? as usize;
-            let mut results = Vec::with_capacity(n.min(65_536));
-            for _ in 0..n {
-                match read_u8(buf, &mut pos)? {
-                    0x00 => results.push(Ok(read_result(buf, &mut pos)?)),
-                    0x01 => {
-                        let code = ErrorCode::from_u8(read_u8(buf, &mut pos)?);
-                        results.push(Err(WireError {
-                            code,
-                            message: read_str(buf, &mut pos)?,
-                        }));
-                    }
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unknown batch item tag {other}"),
-                        ))
-                    }
-                }
-            }
-            let watermark = read_u64(buf, &mut pos)?;
-            Ok(Response::Batch { results, watermark })
-        }
-        0x04 => {
-            let epoch = read_u64(buf, &mut pos)?;
-            let read_only = read_u8(buf, &mut pos)? != 0;
-            let fenced = read_u8(buf, &mut pos)? != 0;
-            let latest_ts = read_u64(buf, &mut pos)?;
-            Ok(Response::Status {
-                epoch,
-                read_only,
-                fenced,
-                latest_ts,
             })
         }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown response kind {other}"),
-        )),
-    }
+        0x03 => {
+            let n = r.u32()? as usize;
+            let mut results = Vec::with_capacity(n.min(65_536));
+            for _ in 0..n {
+                results.push(match r.u8()? {
+                    0x00 => Ok(read_result(&mut r)?),
+                    0x01 => Err(read_error(&mut r)?),
+                    other => return Err(invalid(format!("unknown batch item tag {other}"))),
+                });
+            }
+            Response::Batch {
+                results,
+                watermark: r.u64()?,
+            }
+        }
+        0x04 => Response::Status {
+            epoch: r.u64()?,
+            read_only: r.u8()? != 0,
+            fenced: r.u8()? != 0,
+            latest_ts: r.u64()?,
+        },
+        other => return Err(invalid(format!("unknown response kind {other}"))),
+    };
+    r.finish()?;
+    Ok(resp)
 }
+
+// ---- frames -----------------------------------------------------------
 
 /// FNV-1a over the payload, carried in every frame header. TCP's
 /// 16-bit checksum is weak and proxies/middleboxes can corrupt bytes
@@ -812,7 +829,7 @@ pub fn decode_response(buf: &[u8]) -> io::Result<Response> {
 /// a *different valid query* and commit the wrong write. With the
 /// digest, corruption is detected at the framing layer and surfaces as
 /// a connection error the client may retry (idempotency permitting).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -820,6 +837,21 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     }
     h
 }
+
+/// `u32 payload_len, u64 fnv64(payload)`.
+const FRAME_HEADER: usize = 12;
+
+/// Largest payload a frame may announce; a longer length is refused
+/// before any byte of it is buffered.
+const MAX_FRAME: usize = 256 << 20;
+
+/// What a [`FrameReader`] reads ahead, starts with and shrinks back to.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// The socket read timeout of every polled connection: how often a
+/// blocked read returns so its owner can look at a stop flag, a deadline
+/// or a stall clock ([`FrameReader::next_frame`]).
+pub const POLL_TICK: Duration = Duration::from_millis(20);
 
 /// Validates a frame payload length against the u32 length prefix. A
 /// payload over `u32::MAX` bytes must be rejected, not silently truncated
@@ -843,40 +875,203 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame (up to 256 MiB), verifying its
-/// checksum; a digest mismatch is [`io::ErrorKind::InvalidData`].
+/// Reads one frame and not a byte more, blocking as long as `r` does: a
+/// read timeout set on `r` surfaces as [`io::ErrorKind::TimedOut`], a
+/// close — even between frames — as [`io::ErrorKind::UnexpectedEof`].
+/// For callers that own the stream for a single exchange; a connection's
+/// long-lived side keeps a [`FrameReader`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 12];
-    r.read_exact(&mut header)?;
-    let (len, sum) = parse_frame_header(&header)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    verify_frame_checksum(&payload, sum)?;
-    Ok(payload)
+    FrameReader {
+        exact: true,
+        ..FrameReader::new()
+    }
+    .read_one(r)
 }
 
-/// Splits a 12-byte frame header into (payload length, checksum),
-/// rejecting lengths over the 256 MiB cap before any allocation.
-pub(crate) fn parse_frame_header(header: &[u8; 12]) -> io::Result<(usize, u64)> {
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if len > 256 << 20 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too big"));
-    }
-    let sum = u64::from_le_bytes([
-        header[4], header[5], header[6], header[7], header[8], header[9], header[10], header[11],
-    ]);
-    Ok((len, sum))
+/// One step of [`FrameReader::poll`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Polled {
+    /// A complete, checksum-verified frame payload.
+    Frame(Vec<u8>),
+    /// No complete frame yet and the stream has nothing more for now (its
+    /// read timed out or would block); poll again.
+    Pending,
+    /// The peer closed the connection at a frame boundary.
+    Eof,
 }
 
-/// Compares a received payload against its header checksum.
-pub(crate) fn verify_frame_checksum(payload: &[u8], sum: u64) -> io::Result<()> {
-    if fnv64(payload) != sum {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame checksum mismatch",
-        ));
+/// The one inbound frame path: accumulates whatever a `read` returns and
+/// yields complete frames only, so a socket-timeout tick in the middle of
+/// a frame loses nothing and bytes a peer pipelined behind a frame stay
+/// buffered for the next poll.
+///
+/// The reader knows the format and nothing about patience. It reports
+/// [`Polled::Pending`] whenever the stream has no more bytes for now, and
+/// whether any [arrived](FrameReader::progressed) during that poll; how
+/// long to keep polling — a stop flag, a deadline, a liveness timeout —
+/// is the caller's loop. [`FrameReader::next_frame`] is that loop as the
+/// query server and the log shipper want it.
+#[derive(Default)]
+pub struct FrameReader {
+    /// Initialised storage; `buf[..filled]` holds the received bytes,
+    /// starting at a frame header. Zeroed when it grows, not per poll.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Never `read` past the end of the frame at the front ([`read_frame`]).
+    exact: bool,
+    progressed: bool,
+}
+
+impl FrameReader {
+    /// A reader for a stream it will be the only reader of: a `read` may
+    /// take whatever the peer has sent, frame boundaries or not.
+    pub fn new() -> FrameReader {
+        FrameReader::default()
     }
-    Ok(())
+
+    /// Whether the last [`poll`](FrameReader::poll) received any bytes —
+    /// a peer that is slow but alive.
+    pub fn progressed(&self) -> bool {
+        self.progressed
+    }
+
+    /// Returns the next complete frame, reading from `r` as needed.
+    ///
+    /// Errors: a length over the 256 MiB cap and a checksum mismatch are
+    /// [`io::ErrorKind::InvalidData`]; a close in the middle of a frame is
+    /// [`io::ErrorKind::UnexpectedEof`]; anything else `r` reports, except
+    /// `WouldBlock`/`TimedOut` ([`Polled::Pending`]) and `Interrupted`
+    /// (retried).
+    pub fn poll(&mut self, r: &mut impl Read) -> io::Result<Polled> {
+        self.progressed = false;
+        loop {
+            let missing = if self.filled < FRAME_HEADER {
+                FRAME_HEADER - self.filled
+            } else {
+                let mut header = Reader::new(&self.buf[..FRAME_HEADER]);
+                let (len, sum) = (header.u32()? as usize, header.u64()?);
+                if len > MAX_FRAME {
+                    return Err(invalid("frame too big"));
+                }
+                let end = FRAME_HEADER + len;
+                if self.filled >= end {
+                    return self.take_frame(end, sum).map(Polled::Frame);
+                }
+                end - self.filled
+            };
+            if self.filled == self.buf.len() {
+                // Grow with the bytes actually received (doubling), never
+                // to an announced length — a peer pays for memory with
+                // traffic — and no further than the frame needs.
+                let chunk = if self.exact {
+                    missing.min(READ_CHUNK)
+                } else {
+                    READ_CHUNK
+                };
+                let grow = self.filled.max(chunk).min(missing.max(chunk));
+                self.buf.resize(self.filled + grow, 0);
+            }
+            let end = if self.exact {
+                self.buf.len().min(self.filled + missing)
+            } else {
+                self.buf.len()
+            };
+            match r.read(&mut self.buf[self.filled..end]) {
+                Ok(0) if self.filled == 0 => return Ok(Polled::Eof),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(n) => {
+                    self.filled += n;
+                    self.progressed = true;
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(Polled::Pending)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Verifies and hands out the frame occupying `buf[..end]`, keeping
+    /// whatever was received behind it.
+    fn take_frame(&mut self, end: usize, sum: u64) -> io::Result<Vec<u8>> {
+        let payload = &self.buf[FRAME_HEADER..end];
+        if fnv64(payload) != sum {
+            return Err(invalid("frame checksum mismatch"));
+        }
+        let payload = payload.to_vec();
+        self.buf.copy_within(end..self.filled, 0);
+        self.filled -= end;
+        if self.buf.len() > READ_CHUNK && self.filled <= READ_CHUNK {
+            // One large frame must not pin its size for the connection's
+            // lifetime.
+            self.buf.truncate(READ_CHUNK);
+            self.buf.shrink_to_fit();
+        }
+        Ok(payload)
+    }
+
+    /// Blocks for one frame; see [`read_frame`] for the error mapping.
+    pub(crate) fn read_one(&mut self, r: &mut impl Read) -> io::Result<Vec<u8>> {
+        match self.poll(r)? {
+            Polled::Frame(payload) => Ok(payload),
+            Polled::Pending => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "timed out waiting for a frame",
+            )),
+            Polled::Eof => Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed",
+            )),
+        }
+    }
+
+    /// Waits for the next frame the way a serving side does, on a stream
+    /// whose read timeout is a short poll tick. Between frames the wait is
+    /// unbounded, but `stopped` is consulted every tick and ends it with
+    /// `Ok(None)`, as does a close at a frame boundary. Once a frame has
+    /// begun the peer must keep delivering: `stall` without a byte fails
+    /// with [`io::ErrorKind::TimedOut`] (and `stopped` is not consulted —
+    /// a request already on the wire is read to its end).
+    pub fn next_frame(
+        &mut self,
+        r: &mut impl Read,
+        stall: Duration,
+        stopped: impl Fn() -> bool,
+    ) -> io::Result<Option<Vec<u8>>> {
+        let mut last_progress = Instant::now();
+        loop {
+            match self.poll(r)? {
+                Polled::Frame(payload) => return Ok(Some(payload)),
+                Polled::Eof => return Ok(None),
+                Polled::Pending => {
+                    if self.progressed {
+                        last_progress = Instant::now();
+                    }
+                    if self.filled == 0 {
+                        if stopped() {
+                            return Ok(None);
+                        }
+                    } else if last_progress.elapsed() >= stall {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "peer stalled mid-frame",
+                        ));
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -973,9 +1168,95 @@ mod tests {
         let mut out = Vec::new();
         let v = Value::List(vec![Value::Null, Value::List(vec![Value::Int(-1)])]);
         write_value(&mut out, &v);
-        let mut pos = 0;
-        assert_eq!(read_value(&out, &mut pos).unwrap(), v);
-        assert_eq!(pos, out.len());
+        let mut r = Reader::new(&out);
+        assert_eq!(read_value(&mut r, 0).unwrap(), v);
+        r.finish().unwrap();
+    }
+
+    /// `levels` lists around one integer, as the single parameter of a
+    /// `Run`.
+    fn nested_run(levels: usize) -> Request {
+        let mut v = Value::Int(1);
+        for _ in 0..levels {
+            v = Value::List(vec![v]);
+        }
+        Request::Run {
+            query: "RETURN $p".into(),
+            params: vec![("p".into(), v)],
+            min_watermark: 0,
+            page_size: 0,
+            cursor: None,
+        }
+    }
+
+    #[test]
+    fn value_nesting_is_capped() {
+        let deepest = nested_run(MAX_VALUE_NESTING);
+        assert_eq!(decode_request(&encode_request(&deepest)).unwrap(), deepest);
+        let err = decode_request(&encode_request(&nested_run(MAX_VALUE_NESTING + 1))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nested"), "{err}");
+        // Property maps nest too: a node whose property is a node whose
+        // property is … recurses exactly like a list.
+        let mut v = Value::Null;
+        for _ in 0..=MAX_VALUE_NESTING {
+            v = Value::Node {
+                id: 0,
+                labels: vec![],
+                props: vec![("p".into(), v)],
+                valid: None,
+            };
+        }
+        let resp = Response::Ok {
+            result: QueryResult {
+                columns: vec!["n".into()],
+                rows: vec![vec![v]],
+            },
+            watermark: 0,
+            cursor: None,
+        };
+        assert!(decode_response(&encode_response(&resp)).is_err());
+        // What used to abort the process: thousands of levels in a few KB.
+        // Built as bytes — encoding such a `Value` would recurse as deep.
+        let mut bytes = vec![0x01];
+        put_str(&mut bytes, "RETURN $p");
+        put_u16(&mut bytes, 1);
+        put_str(&mut bytes, "p");
+        for _ in 0..5_000 {
+            bytes.push(TAG_LIST);
+            put_u32(&mut bytes, 1);
+        }
+        assert!(decode_request(&bytes).is_err());
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut req = encode_request(&Request::Ping);
+        req.push(0);
+        assert!(decode_request(&req).is_err());
+        let mut resp = encode_response(&Response::Err(WireError::generic("x")));
+        resp.push(0);
+        assert!(decode_response(&resp).is_err());
+    }
+
+    #[test]
+    fn reader_checks_every_bound() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.u16().unwrap(), 0x0201);
+        assert!(r.u16().is_err(), "one byte left");
+        assert!(
+            r.bytes(usize::MAX).is_err(),
+            "no overflow on a lying length"
+        );
+        assert_eq!(r.u8().unwrap(), 3);
+        r.finish().unwrap();
+        // A `str` whose length prefix outruns the input.
+        assert!(Reader::new(&[9, 0, 0, 0, b'a']).str().is_err());
+        // A present blob over the 64 KiB cap is refused even when whole.
+        let mut blob = vec![1];
+        put_bytes(&mut blob, &[0; 65_537]);
+        assert!(Reader::new(&blob).opt_bytes().is_err());
+        assert!(Reader::new(&[7]).finish().is_err());
     }
 
     #[test]
@@ -993,7 +1274,7 @@ mod tests {
     fn corrupt_payloads_rejected() {
         assert!(decode_request(&[0xFF]).is_err());
         assert!(decode_response(&[0x55]).is_err());
-        assert!(read_value(&[200], &mut 0).is_err());
+        assert!(read_value(&mut Reader::new(&[200]), 0).is_err());
     }
 
     #[test]
@@ -1132,5 +1413,225 @@ mod tests {
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"));
+    }
+
+    /// A `Read` that plays back a script: data chunks (split further when
+    /// the caller's buffer is smaller) interleaved with errors, then
+    /// `tail` forever (`None` = end of stream).
+    struct Script {
+        steps: std::collections::VecDeque<io::Result<Vec<u8>>>,
+        tail: Option<io::ErrorKind>,
+    }
+
+    impl Script {
+        fn new(steps: Vec<io::Result<Vec<u8>>>) -> Script {
+            Script {
+                steps: steps.into(),
+                tail: None,
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.steps.pop_front() {
+                None => self.tail.map_or(Ok(0), |kind| Err(kind.into())),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.steps.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn tick(kind: io::ErrorKind) -> io::Result<Vec<u8>> {
+        Err(kind.into())
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        wire
+    }
+
+    #[test]
+    fn reader_byte_at_a_time_yields_exactly_once() {
+        let wire = framed(b"hello repl");
+        let mut script = Script::new(wire.iter().map(|b| Ok(vec![*b])).collect());
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            reader.poll(&mut script).unwrap(),
+            Polled::Frame(b"hello repl".to_vec())
+        );
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Eof);
+    }
+
+    #[test]
+    fn reader_keeps_what_was_pipelined_behind_a_frame() {
+        // Two whole frames and the head of a third in one read.
+        let third = framed(b"three");
+        let mut script = Script::new(vec![
+            Ok([framed(b"one"), framed(b""), third[..5].to_vec()].concat()),
+            tick(io::ErrorKind::WouldBlock),
+            Ok(third[5..].to_vec()),
+        ]);
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            reader.poll(&mut script).unwrap(),
+            Polled::Frame(b"one".to_vec())
+        );
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Frame(vec![]));
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Pending);
+        assert!(!reader.progressed(), "the tick delivered nothing");
+        assert_eq!(
+            reader.poll(&mut script).unwrap(),
+            Polled::Frame(b"three".to_vec())
+        );
+        assert!(reader.progressed());
+    }
+
+    #[test]
+    fn reader_survives_timeouts_and_interrupts_mid_frame() {
+        let wire = [framed(&[7u8; 300]), framed(b"next")].concat();
+        let mut script = Script::new(vec![
+            Ok(wire[..3].to_vec()), // inside the length prefix
+            tick(io::ErrorKind::TimedOut),
+            Ok(wire[3..20].to_vec()), // header done, payload begun
+            tick(io::ErrorKind::Interrupted),
+            Ok(wire[20..100].to_vec()),
+            tick(io::ErrorKind::WouldBlock),
+            tick(io::ErrorKind::WouldBlock),
+            Ok(wire[100..].to_vec()),
+        ]);
+        let mut reader = FrameReader::new();
+        let mut frames = Vec::new();
+        let mut pendings = 0;
+        loop {
+            match reader.poll(&mut script).unwrap() {
+                Polled::Frame(f) => frames.push(f),
+                Polled::Pending => pendings += 1,
+                Polled::Eof => break,
+            }
+        }
+        assert_eq!(frames, vec![vec![7u8; 300], b"next".to_vec()]);
+        assert_eq!(pendings, 3, "Interrupted is retried, not reported");
+    }
+
+    #[test]
+    fn reader_refuses_an_oversize_header_before_buffering_for_it() {
+        let mut header = Vec::new();
+        put_u32(&mut header, (MAX_FRAME + 1) as u32);
+        put_u64(&mut header, 0);
+        let mut reader = FrameReader::new();
+        let err = reader.poll(&mut Script::new(vec![Ok(header)])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("frame too big"));
+        assert!(reader.buf.len() <= READ_CHUNK);
+        // At the cap the length is accepted, and memory still follows the
+        // bytes received, not the 256 MiB announced.
+        let mut header = Vec::new();
+        put_u32(&mut header, MAX_FRAME as u32);
+        put_u64(&mut header, 0);
+        let mut script = Script::new(vec![Ok(header)]);
+        script.tail = Some(io::ErrorKind::WouldBlock);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Pending);
+        assert!(reader.buf.len() <= READ_CHUNK);
+    }
+
+    #[test]
+    fn reader_tells_eof_at_a_boundary_from_eof_mid_frame() {
+        let wire = framed(b"whole");
+        let mut reader = FrameReader::new();
+        let mut script = Script::new(vec![Ok(wire.clone())]);
+        assert!(matches!(
+            reader.poll(&mut script).unwrap(),
+            Polled::Frame(_)
+        ));
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Eof);
+        for cut in [1, FRAME_HEADER, wire.len() - 1] {
+            let err = FrameReader::new()
+                .poll(&mut Script::new(vec![Ok(wire[..cut].to_vec())]))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn reader_does_not_pin_a_large_frame() {
+        let big = vec![0xA5u8; 4 * READ_CHUNK];
+        let mut script = Script::new(vec![Ok([framed(&big), framed(b"small")].concat())]);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.poll(&mut script).unwrap(), Polled::Frame(big));
+        assert!(reader.buf.capacity() <= READ_CHUNK);
+        assert_eq!(
+            reader.poll(&mut script).unwrap(),
+            Polled::Frame(b"small".to_vec())
+        );
+    }
+
+    #[test]
+    fn read_frame_takes_one_frame_and_not_a_byte_more() {
+        let mut script = Script::new(vec![Ok([framed(b"one"), framed(b"two")].concat())]);
+        assert_eq!(read_frame(&mut script).unwrap(), b"one");
+        assert_eq!(read_frame(&mut script).unwrap(), b"two");
+        assert_eq!(
+            read_frame(&mut script).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+        // A socket read timeout is reported as such.
+        let mut script = Script::new(vec![Ok(framed(b"late")[..6].to_vec())]);
+        script.tail = Some(io::ErrorKind::WouldBlock);
+        assert_eq!(
+            read_frame(&mut script).unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
+    }
+
+    #[test]
+    fn next_frame_is_patient_when_idle_and_strict_mid_frame() {
+        let hour = Duration::from_secs(3600);
+        let wire = framed(b"req");
+        // Idle: ticks pass, nobody asked to stop, the frame arrives.
+        let mut script = Script::new(vec![
+            tick(io::ErrorKind::WouldBlock),
+            tick(io::ErrorKind::TimedOut),
+            Ok(wire.clone()),
+        ]);
+        let mut reader = FrameReader::new();
+        let got = reader.next_frame(&mut script, Duration::ZERO, || false);
+        assert_eq!(got.unwrap(), Some(b"req".to_vec()));
+        // Idle and asked to stop: the first tick ends the wait.
+        let mut idle = Script::new(vec![]);
+        idle.tail = Some(io::ErrorKind::WouldBlock);
+        assert_eq!(reader.next_frame(&mut idle, hour, || true).unwrap(), None);
+        // A clean hang-up between frames is not an error either.
+        let mut closed = Script::new(vec![]);
+        assert_eq!(
+            reader.next_frame(&mut closed, hour, || false).unwrap(),
+            None
+        );
+        // Mid-frame: a stop request does not abandon the frame …
+        let mut script = Script::new(vec![
+            Ok(wire[..7].to_vec()),
+            tick(io::ErrorKind::WouldBlock),
+            Ok(wire[7..].to_vec()),
+        ]);
+        assert_eq!(
+            reader.next_frame(&mut script, hour, || true).unwrap(),
+            Some(b"req".to_vec())
+        );
+        // … but a peer that stops delivering is failed.
+        let mut stalled = Script::new(vec![Ok(wire[..7].to_vec())]);
+        stalled.tail = Some(io::ErrorKind::WouldBlock);
+        let err = FrameReader::new()
+            .next_frame(&mut stalled, Duration::ZERO, || false)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 }

@@ -20,8 +20,8 @@
 //!   so a stopped server owns zero threads.
 
 use crate::protocol::{
-    decode_request, encode_response, parse_frame_header, verify_frame_checksum, write_frame,
-    ErrorCode, Request, Response, WireError,
+    decode_request, encode_response, write_frame, ErrorCode, FrameReader, Request, Response,
+    WireError, POLL_TICK,
 };
 use crate::workers::WorkerSet;
 use aion::Aion;
@@ -35,10 +35,6 @@ use std::time::{Duration, Instant};
 
 /// A `Run` request slower than this is counted and logged (slow-query log).
 const SLOW_QUERY_NS: u64 = 100_000_000;
-
-/// Socket read timeout used as the poll tick: workers wake this often to
-/// check the stop flag while idle at a frame boundary.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Tunable limits for one [`Server`].
 #[derive(Clone, Debug)]
@@ -274,6 +270,16 @@ impl ServerShared {
     fn is_read_only(&self) -> bool {
         self.read_only.load(Ordering::Acquire)
     }
+
+    /// A control-plane reply: a final (cursor-less) result stamped with
+    /// this node's watermark.
+    fn ok(&self, columns: Vec<String>, rows: Vec<Vec<query::Value>>) -> Response {
+        Response::Ok {
+            result: query::QueryResult { columns, rows },
+            watermark: self.db.latest_ts(),
+            cursor: None,
+        }
+    }
 }
 
 /// A running Aion server.
@@ -466,104 +472,6 @@ fn shed(mut stream: TcpStream, shared: &ServerShared) {
     let _ = stream.shutdown(Shutdown::Write);
 }
 
-/// Outcome of waiting for one inbound frame.
-enum FrameIn {
-    Frame(Vec<u8>),
-    /// Peer closed cleanly at a frame boundary.
-    CleanEof,
-    /// The server began draining while this connection was idle.
-    Stopped,
-    Failed(io::Error),
-}
-
-enum ReadOutcome {
-    Done,
-    CleanEof,
-    Stopped,
-    Failed(io::Error),
-}
-
-/// Fills `buf`, polling on the socket's short read timeout. While no
-/// byte has arrived and `idle_at_start` holds, the wait is unbounded but
-/// interruptible by `stop`; once any byte arrives, the peer must keep
-/// making progress within `io_timeout` or the read fails.
-fn poll_read(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    stop: &AtomicBool,
-    io_timeout: Duration,
-    idle_at_start: bool,
-) -> ReadOutcome {
-    let mut got = 0usize;
-    let mut last_progress = Instant::now();
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && idle_at_start {
-                    ReadOutcome::CleanEof
-                } else {
-                    ReadOutcome::Failed(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    ))
-                }
-            }
-            Ok(n) => {
-                got += n;
-                last_progress = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if got == 0 && idle_at_start {
-                    if stop.load(Ordering::Acquire) {
-                        return ReadOutcome::Stopped;
-                    }
-                } else if last_progress.elapsed() >= io_timeout {
-                    return ReadOutcome::Failed(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    ));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return ReadOutcome::Failed(e),
-        }
-    }
-    ReadOutcome::Done
-}
-
-/// Reads one length-prefixed frame, distinguishing clean hangups from
-/// protocol/IO failures and noticing server drain while idle.
-fn read_frame_poll(stream: &mut TcpStream, stop: &AtomicBool, io_timeout: Duration) -> FrameIn {
-    let mut header = [0u8; 12];
-    match poll_read(stream, &mut header, stop, io_timeout, true) {
-        ReadOutcome::Done => {}
-        ReadOutcome::CleanEof => return FrameIn::CleanEof,
-        ReadOutcome::Stopped => return FrameIn::Stopped,
-        ReadOutcome::Failed(e) => return FrameIn::Failed(e),
-    }
-    let (len, sum) = match parse_frame_header(&header) {
-        Ok(parsed) => parsed,
-        Err(e) => return FrameIn::Failed(e),
-    };
-    let mut payload = vec![0u8; len];
-    match poll_read(stream, &mut payload, stop, io_timeout, false) {
-        ReadOutcome::Done => match verify_frame_checksum(&payload, sum) {
-            Ok(()) => FrameIn::Frame(payload),
-            Err(e) => FrameIn::Failed(e),
-        },
-        ReadOutcome::CleanEof | ReadOutcome::Stopped => FrameIn::Failed(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "connection closed mid-frame",
-        )),
-        ReadOutcome::Failed(e) => FrameIn::Failed(e),
-    }
-}
-
 fn elapsed_ns(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -607,13 +515,15 @@ fn handle_connection(
     cancel: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_read_timeout(Some(POLL_TICK))?;
     stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
+    let mut reader = FrameReader::new();
+    let draining = || shared.stop.load(Ordering::Acquire);
     loop {
-        let frame = match read_frame_poll(&mut stream, &shared.stop, shared.cfg.io_timeout) {
-            FrameIn::Frame(f) => f,
-            FrameIn::CleanEof | FrameIn::Stopped => return Ok(()),
-            FrameIn::Failed(e) => return Err(e),
+        // `None`: the peer hung up between frames, or the server began
+        // draining while this connection was idle.
+        let Some(frame) = reader.next_frame(&mut stream, shared.cfg.io_timeout, draining)? else {
+            return Ok(());
         };
         // A stop request (from any connection) drains live workers: refuse
         // further work instead of silently serving a half-down server.
@@ -631,14 +541,7 @@ fn handle_connection(
         let started = Instant::now();
         let response = match decode_request(&frame) {
             Ok(Request::Ping) => {
-                let r = Response::Ok {
-                    result: query::QueryResult {
-                        columns: vec!["pong".into()],
-                        rows: vec![],
-                    },
-                    watermark: shared.db.latest_ts(),
-                    cursor: None,
-                };
+                let r = shared.ok(vec!["pong".into()], vec![]);
                 shared.tel.ping_latency.record(elapsed_ns(started));
                 r
             }
@@ -667,16 +570,12 @@ fn handle_connection(
                         "this node has no promote handler (not running under a role manager)",
                     )),
                     Some(handler) => match handler() {
-                        Ok(epoch) => Response::Ok {
-                            result: query::QueryResult {
-                                columns: vec!["epoch".into()],
-                                rows: vec![vec![query::Value::Int(
-                                    i64::try_from(epoch).unwrap_or(i64::MAX),
-                                )]],
-                            },
-                            watermark: shared.db.latest_ts(),
-                            cursor: None,
-                        },
+                        Ok(epoch) => shared.ok(
+                            vec!["epoch".into()],
+                            vec![vec![query::Value::Int(
+                                i64::try_from(epoch).unwrap_or(i64::MAX),
+                            )]],
+                        ),
                         Err(e) => {
                             Response::Err(WireError::generic(format!("promotion failed: {e}")))
                         }
@@ -685,17 +584,7 @@ fn handle_connection(
             }
             Ok(Request::Shutdown) => {
                 shared.stop.store(true, Ordering::Release);
-                write_frame(
-                    &mut stream,
-                    &encode_response(&Response::Ok {
-                        result: query::QueryResult {
-                            columns: vec![],
-                            rows: vec![],
-                        },
-                        watermark: shared.db.latest_ts(),
-                        cursor: None,
-                    }),
-                )?;
+                write_frame(&mut stream, &encode_response(&shared.ok(vec![], vec![])))?;
                 // The accept thread blocks in `incoming()` and only checks
                 // the stop flag after a connection arrives; without a wake
                 // the listener would linger until the next organic connect.

@@ -166,6 +166,22 @@ proptest! {
         }
     }
 
+    /// Bytes left over after a complete message mean the two sides disagree
+    /// on its layout: that is an error, not something to ignore.
+    #[test]
+    fn trailing_bytes_rejected(
+        req in request_strategy(),
+        resp in response_strategy(),
+        extra in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let mut bytes = encode_request(&req);
+        bytes.extend_from_slice(&extra);
+        prop_assert!(decode_request(&bytes).is_err());
+        let mut bytes = encode_response(&resp);
+        bytes.extend_from_slice(&extra);
+        prop_assert!(decode_response(&bytes).is_err());
+    }
+
     /// Arbitrary malformed frames must produce `Err`, never a panic or
     /// unbounded work (e.g. a row count with no columns to bound it).
     #[test]

@@ -339,3 +339,47 @@ fn clean_eof_is_not_a_connection_error_but_garbage_is() {
     );
     drop(sock);
 }
+
+/// A `Run` whose one parameter is 5 000 lists nested in each other used to
+/// recurse the worker thread off its stack and abort the whole process.
+/// Now it is an ordinary protocol error: answered once, that connection
+/// closed, everyone else unaffected.
+#[test]
+fn deeply_nested_parameter_is_a_protocol_error_not_a_process_abort() {
+    let (_dir, _db, server) = test_server(ServerConfig::default());
+
+    let mut payload = vec![0x01]; // RUN
+    payload.extend_from_slice(&9u32.to_le_bytes());
+    payload.extend_from_slice(b"RETURN $p");
+    payload.extend_from_slice(&1u16.to_le_bytes()); // one parameter
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(b"p");
+    for _ in 0..5_000 {
+        payload.push(7); // LIST
+        payload.extend_from_slice(&1u32.to_le_bytes());
+    }
+    payload.push(0); // NULL
+    payload.extend_from_slice(&0u64.to_le_bytes()); // min_watermark
+    payload.extend_from_slice(&0u32.to_le_bytes()); // page_size
+    payload.push(0); // no cursor
+
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    write_frame(&mut sock, &payload).unwrap();
+    match decode_response(&read_frame(&mut sock).unwrap()).unwrap() {
+        Response::Err(e) => {
+            assert_eq!(e.code, ErrorCode::Generic);
+            assert!(e.message.contains("protocol error"), "got: {}", e.message);
+        }
+        other => panic!("expected an ERR frame, got {other:?}"),
+    }
+    // Answered once, then closed.
+    assert_eq!(
+        read_frame(&mut sock).unwrap_err().kind(),
+        ErrorKind::UnexpectedEof
+    );
+    assert!(server.stats().conn_errors >= 1);
+
+    let mut other = Client::connect_with(server.addr(), no_retry()).unwrap();
+    other.ping().unwrap();
+}

@@ -92,6 +92,30 @@ fn fnv1a_feed(h: &mut u32, bytes: &[u8]) {
     }
 }
 
+/// Splits a frame header into `(payload_len, checksum)`; `None` when the
+/// length is over [`MAX_FRAME_LEN`].
+fn parse_header(head: [u8; 8]) -> Option<(u64, u32)> {
+    let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
+    let len = u64::from(u32::from_le_bytes([l0, l1, l2, l3]));
+    (len <= MAX_FRAME_LEN).then_some((len, u32::from_le_bytes([c0, c1, c2, c3])))
+}
+
+/// Parses the log frame starting at `offset` of raw log bytes held in
+/// memory (a log file read whole, a divergence archive): the frame and
+/// the offset of the next one, or `None` on truncation or any
+/// length/checksum/structure failure — what a scan treats as the torn
+/// tail. The on-file twin is [`ChangeLog::iter_from`].
+pub fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> {
+    let body = offset.checked_add(8)?;
+    let (len, checksum) = parse_header(bytes.get(offset..body)?.try_into().ok()?)?;
+    let end = body.checked_add(usize::try_from(len).ok()?)?;
+    let payload = bytes.get(body..end)?;
+    if fnv1a(payload) != checksum {
+        return None;
+    }
+    Some((CommitFrame::decode(payload)?, end))
+}
+
 /// Append-only log file with torn-tail recovery.
 pub struct ChangeLog {
     file: Box<dyn VfsFile>,
@@ -178,13 +202,8 @@ impl ChangeLog {
         }
         let mut head = [0u8; 8];
         self.file.read_exact_at(&mut head, offset).ok()?;
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&head[..4]);
-        let len = u32::from_le_bytes(len4) as u64;
-        let mut sum4 = [0u8; 4];
-        sum4.copy_from_slice(&head[4..]);
-        let checksum = u32::from_le_bytes(sum4);
-        if len > MAX_FRAME_LEN || offset + 8 + len > file_len {
+        let (len, checksum) = parse_header(head)?;
+        if offset + 8 + len > file_len {
             return None;
         }
         // Verify the checksum with a streaming pass over a small buffer
@@ -315,6 +334,16 @@ mod tests {
         assert_eq!(got2.ts, 2);
         let all: Vec<_> = log.iter_from(0).collect::<Result<_>>().unwrap();
         assert_eq!(all.len(), 2);
+        // The in-memory parser walks the same bytes to the same frames
+        // and stops where the file scan would: at a damaged frame.
+        let mut bytes = VfsRef::std().read(&dir.path().join("c.log")).unwrap();
+        assert_eq!(parse_frame(&bytes, 0), Some((f1, o2 as usize)));
+        assert_eq!(parse_frame(&bytes, o2 as usize), Some((f2, bytes.len())));
+        assert_eq!(parse_frame(&bytes, bytes.len()), None);
+        assert_eq!(parse_frame(&bytes, usize::MAX - 3), None);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        assert_eq!(parse_frame(&bytes, o2 as usize), None);
     }
 
     #[test]
