@@ -6,7 +6,7 @@
 //!         [--metrics-dir DIR]
 //!
 //! experiments: table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!              fig14 writes
+//!              fig14 writes ablations ids
 //! ```
 //!
 //! With `--metrics-dir DIR`, the harness drops one
@@ -65,6 +65,7 @@ fn main() {
             "fig14".into(),
             "writes".into(),
             "ablations".into(),
+            "ids".into(),
         ];
     }
     println!(
@@ -114,6 +115,9 @@ fn main() {
             }
             "ablations" => {
                 ablations::run(&cfg);
+            }
+            "ids" => {
+                graph_ids::run(&cfg);
             }
             other => {
                 eprintln!("unknown experiment: {other}");

@@ -27,6 +27,7 @@ pub mod fig11_materialize;
 pub mod fig12_incremental;
 pub mod fig13_bolt;
 pub mod fig14_procedures;
+pub mod graph_ids;
 pub mod scan_paged;
 pub mod table3_datasets;
 pub mod table4_complexity;

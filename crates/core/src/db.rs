@@ -387,8 +387,8 @@ impl Aion {
     {
         self.check_fence()?;
         let updates = {
-            // The base Arc must drop before commit: a live reference would
-            // force the copy-on-write latest graph to deep-copy on apply.
+            // The base Arc drops before commit, so this transaction itself
+            // does not make the commit copy the chunks it touches.
             let base = self.latest_graph();
             let mut txn = WriteTxn::new(&base, self.app_keys);
             f(&mut txn)?;

@@ -11,9 +11,9 @@
 //!   `node_at(id, ts)`. Touches O(entries before the cut-off) index
 //!   entries, which is what makes pushed-down `LIMIT` cheap.
 //! - **Snapshot source** — a pinned `Arc<Graph>` from the TimeStore used
-//!   while the lineage applier lags or is wedged; ids are sorted once and
-//!   stepped lazily. Holding the `Arc` pins the snapshot for the stream's
-//!   lifetime, never the rows.
+//!   while the lineage applier lags or is wedged, walked in the graph's own
+//!   (ascending id) order from the last id emitted. Holding the `Arc` pins
+//!   the snapshot for the stream's lifetime, never the rows.
 //!
 //! Every live stream is visible in the `core.stream.open` gauge; `Drop`
 //! decrements it, so tests can assert aborted requests release their
@@ -30,8 +30,8 @@ enum Source {
     },
     Snapshot {
         graph: Arc<Graph>,
-        ids: Vec<NodeId>,
-        idx: usize,
+        /// The last id emitted (or the cursor the scan resumed after).
+        last: Option<NodeId>,
     },
 }
 
@@ -53,13 +53,7 @@ impl NodeStream {
     }
 
     pub(crate) fn snapshot(graph: Arc<Graph>, ts: Timestamp, after: Option<NodeId>) -> NodeStream {
-        let mut ids: Vec<NodeId> = graph.nodes().map(|n| n.id).collect();
-        ids.sort_unstable();
-        let idx = match after {
-            Some(a) => ids.partition_point(|id| *id <= a),
-            None => 0,
-        };
-        NodeStream::register(Source::Snapshot { graph, ids, idx }, ts)
+        NodeStream::register(Source::Snapshot { graph, last: after }, ts)
     }
 
     fn register(source: Source, ts: Timestamp) -> NodeStream {
@@ -86,17 +80,12 @@ impl NodeStream {
                 }
                 Ok(None)
             }
-            Source::Snapshot { graph, ids, idx } => {
-                let Some(id) = ids.get(*idx) else {
-                    return Ok(None);
-                };
-                *idx += 1;
-                match graph.node(*id) {
-                    Some(n) => Ok(Some(n.clone())),
-                    None => Err(lpg::GraphError::CorruptRecord(format!(
-                        "snapshot lost node {id} mid-stream"
-                    ))),
+            Source::Snapshot { graph, last } => {
+                let next = graph.nodes_after(*last).next();
+                if let Some(n) = next {
+                    *last = Some(n.id);
                 }
+                Ok(next.cloned())
             }
         }
     }

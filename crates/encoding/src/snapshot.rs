@@ -4,12 +4,12 @@
 //!
 //! The format reuses the Fig. 3 record bodies: a small header, then every
 //! node as `varint id + NodeFull`, then every relationship as
-//! `varint id + RelFull`. Nodes precede relationships so decoding can replay
-//! through the constraint-checking [`lpg::Graph`] applier.
+//! `varint id + RelFull`, both ascending by id. Nodes precede relationships
+//! so decoding can insert through the constraint-checking [`lpg::Graph`].
 
 use crate::record::{encode_node_full, encode_rel_full, RecordBody};
 use crate::varint;
-use lpg::{Graph, NodeId, RelId, Update};
+use lpg::{Graph, Node, NodeId, RelId, Relationship};
 
 const MAGIC: u32 = 0x4149_5053; // "AIPS"
 const VERSION: u8 = 1;
@@ -20,17 +20,14 @@ pub fn encode_graph(graph: &Graph) -> Vec<u8> {
     varint::write_u32(&mut out, MAGIC);
     out.push(VERSION);
     varint::write_u64(&mut out, graph.node_count() as u64);
-    // Deterministic order aids testing and delta-friendly file diffs.
-    let mut nodes: Vec<_> = graph.nodes().collect();
-    nodes.sort_unstable_by_key(|n| n.id);
-    for n in nodes {
+    // Ascending by id, the graph's own order: deterministic bytes aid
+    // testing and delta-friendly file diffs.
+    for n in graph.nodes() {
         varint::write_u64(&mut out, n.id.raw());
         encode_node_full(&mut out, &n.labels, &n.props);
     }
     varint::write_u64(&mut out, graph.rel_count() as u64);
-    let mut rels: Vec<_> = graph.rels().collect();
-    rels.sort_unstable_by_key(|r| r.id);
-    for r in rels {
+    for r in graph.rels() {
         varint::write_u64(&mut out, r.id.raw());
         encode_rel_full(&mut out, r.src, r.tgt, r.label, &r.props);
     }
@@ -53,7 +50,7 @@ pub fn decode_graph(buf: &[u8]) -> Option<Graph> {
         let id = NodeId::new(varint::read_u64(buf, &mut pos)?);
         match RecordBody::decode(buf, &mut pos)? {
             RecordBody::NodeFull { labels, props } => {
-                graph.apply(&Update::AddNode { id, labels, props }).ok()?;
+                graph.insert_node(Node::new(id, labels, props)).ok()?;
             }
             _ => return None,
         }
@@ -69,13 +66,7 @@ pub fn decode_graph(buf: &[u8]) -> Option<Graph> {
                 props,
             } => {
                 graph
-                    .apply(&Update::AddRel {
-                        id,
-                        src,
-                        tgt,
-                        label,
-                        props,
-                    })
+                    .insert_rel(Relationship::new(id, src, tgt, label, props))
                     .ok()?;
             }
             _ => return None,
@@ -87,7 +78,7 @@ pub fn decode_graph(buf: &[u8]) -> Option<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpg::{PropertyValue, StrId};
+    use lpg::{PropertyValue, StrId, Update};
 
     fn sample_graph() -> Graph {
         let mut g = Graph::new();

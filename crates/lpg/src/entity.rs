@@ -43,6 +43,22 @@ pub fn prop_remove(props: &mut Props, key: StrId) -> Option<PropertyValue> {
         .map(|i| props.remove(i).1)
 }
 
+/// Sorts a property bag by key. Of several values given for one key the last
+/// wins, as if they had been [`prop_set`] in turn: a bag holds one value per
+/// key, which the binary searches above rely on.
+fn canonical_props(mut props: Props) -> Props {
+    // Stable, so equal keys keep the order they were given in.
+    props.sort_by_key(|(k, _)| *k);
+    props.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
+    props
+}
+
 /// A node snapshot: `v = (nid, l, p)` (Sec. 3).
 #[derive(Clone, PartialEq, Debug)]
 pub struct Node {
@@ -55,12 +71,16 @@ pub struct Node {
 }
 
 impl Node {
-    /// A new node with sorted, deduplicated labels and sorted properties.
-    pub fn new(id: NodeId, mut labels: Vec<StrId>, mut props: Props) -> Self {
+    /// A new node with sorted, deduplicated labels and properties sorted by
+    /// key, one value per key (the last one given).
+    pub fn new(id: NodeId, mut labels: Vec<StrId>, props: Props) -> Self {
         labels.sort_unstable();
         labels.dedup();
-        props.sort_unstable_by_key(|(k, _)| *k);
-        Node { id, labels, props }
+        Node {
+            id,
+            labels,
+            props: canonical_props(props),
+        }
     }
 
     /// Whether the node carries `label`.
@@ -104,21 +124,15 @@ pub struct Relationship {
 }
 
 impl Relationship {
-    /// A new relationship with sorted properties.
-    pub fn new(
-        id: RelId,
-        src: NodeId,
-        tgt: NodeId,
-        label: Option<StrId>,
-        mut props: Props,
-    ) -> Self {
-        props.sort_unstable_by_key(|(k, _)| *k);
+    /// A new relationship with properties sorted by key, one value per key
+    /// (the last one given).
+    pub fn new(id: RelId, src: NodeId, tgt: NodeId, label: Option<StrId>, props: Props) -> Self {
         Relationship {
             id,
             src,
             tgt,
             label,
-            props,
+            props: canonical_props(props),
         }
     }
 
@@ -208,6 +222,30 @@ mod tests {
         assert!(!n.has_label(sid(2)));
         assert_eq!(n.prop(sid(2)), Some(&PropertyValue::Int(2)));
         assert_eq!(n.prop(sid(5)), None);
+    }
+
+    #[test]
+    fn duplicate_property_keys_collapse_to_the_last_value() {
+        let given = vec![
+            (sid(4), PropertyValue::Int(1)),
+            (sid(2), PropertyValue::Int(2)),
+            (sid(4), PropertyValue::Int(3)),
+            (sid(4), PropertyValue::Int(4)),
+        ];
+        let want = vec![
+            (sid(2), PropertyValue::Int(2)),
+            (sid(4), PropertyValue::Int(4)),
+        ];
+        let n = Node::new(NodeId::new(1), vec![], given.clone());
+        assert_eq!(n.props, want);
+        let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(1), None, given);
+        assert_eq!(r.props, want);
+        // What the constructors guarantee is what the bag operations need:
+        // setting and removing a key leaves no stale twin behind.
+        let mut props = n.props;
+        prop_set(&mut props, sid(4), PropertyValue::Int(5));
+        assert_eq!(prop_remove(&mut props, sid(4)), Some(PropertyValue::Int(5)));
+        assert_eq!(prop_get(&props, sid(4)), None);
     }
 
     #[test]

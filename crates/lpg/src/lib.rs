@@ -21,8 +21,9 @@
 //! * [`update`] — the update universe `U` and timestamped update tuples.
 //! * [`delta`] — compact diffs between entity versions (paper Fig. 3 "Diff"
 //!   records), including merge and apply.
-//! * [`graph`] — a simple hash-map reference graph used as the correctness
-//!   oracle in tests and as the materialization target for snapshots.
+//! * [`graph`] — the in-memory graph: id-ordered copy-on-write chunks, so a
+//!   clone shares what later updates do not touch; the latest graph, the
+//!   materialization target for snapshots and the oracle in tests.
 //! * [`error`] — the crate error type covering the constraint violations of
 //!   Sec. 3 ("A graph entity g can be added only if g ∉ G", etc.).
 

@@ -1,12 +1,15 @@
 //! Property tests on the data-model invariants: interval algebra, delta
-//! merge/apply equivalence, and temporal-graph well-formedness under
-//! arbitrary replay.
+//! merge/apply equivalence, temporal-graph well-formedness under arbitrary
+//! replay, and the chunked copy-on-write `Graph` against an ordered-map
+//! model.
 
 use lpg::{
-    EntityDelta, Graph, Interval, Node, NodeId, PropChange, PropertyValue, StrId, TemporalGraph,
-    TimeRange, TimestampedUpdate, Update,
+    Direction, EntityDelta, Graph, GraphError, Interval, Node, NodeId, PropChange, PropertyValue,
+    RelId, Relationship, StrId, TemporalGraph, TimeRange, TimestampedUpdate, Update,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0u64..1_000, 1u64..1_000).prop_map(|(s, len)| Interval::new(s, s + len))
@@ -135,4 +138,334 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// `Graph` against a plain ordered-map model: same answers, same rejections,
+// clones isolated from later updates, and clones *sharing* what was not
+// touched.
+// ---------------------------------------------------------------------------
+
+/// Entities per chunk in `lpg::graph` (its private `1 << CHUNK_BITS`): the
+/// model needs it to say how many chunks a graph should consist of.
+const CHUNK: u64 = 64;
+
+#[derive(Clone, Default)]
+struct Model {
+    nodes: BTreeMap<u64, Node>,
+    rels: BTreeMap<u64, Relationship>,
+}
+
+impl Model {
+    fn node_mut(&mut self, id: NodeId) -> Result<&mut Node, GraphError> {
+        self.nodes
+            .get_mut(&id.raw())
+            .ok_or(GraphError::NodeNotFound(id))
+    }
+
+    fn rel_mut(&mut self, id: RelId) -> Result<&mut Relationship, GraphError> {
+        self.rels
+            .get_mut(&id.raw())
+            .ok_or(GraphError::RelNotFound(id))
+    }
+
+    /// The Sec. 3 constraints, written against the two maps only.
+    fn apply(&mut self, op: &Update) -> Result<(), GraphError> {
+        match op.clone() {
+            Update::AddNode { id, labels, props } => {
+                if self.nodes.contains_key(&id.raw()) {
+                    return Err(GraphError::NodeExists(id));
+                }
+                self.nodes.insert(id.raw(), Node::new(id, labels, props));
+            }
+            Update::DeleteNode { id } => {
+                if !self.nodes.contains_key(&id.raw()) {
+                    return Err(GraphError::NodeNotFound(id));
+                }
+                if self.rels.values().any(|r| r.src == id || r.tgt == id) {
+                    return Err(GraphError::NodeHasRelationships(id));
+                }
+                self.nodes.remove(&id.raw());
+            }
+            Update::AddRel {
+                id,
+                src,
+                tgt,
+                label,
+                props,
+            } => {
+                if self.rels.contains_key(&id.raw()) {
+                    return Err(GraphError::RelExists(id));
+                }
+                for node in [src, tgt] {
+                    if !self.nodes.contains_key(&node.raw()) {
+                        return Err(GraphError::EndpointMissing { rel: id, node });
+                    }
+                }
+                self.rels
+                    .insert(id.raw(), Relationship::new(id, src, tgt, label, props));
+            }
+            Update::DeleteRel { id } => {
+                self.rels
+                    .remove(&id.raw())
+                    .ok_or(GraphError::RelNotFound(id))?;
+            }
+            Update::SetNodeProp { id, key, value } => {
+                lpg::prop_set(&mut self.node_mut(id)?.props, key, value);
+            }
+            Update::RemoveNodeProp { id, key } => {
+                lpg::prop_remove(&mut self.node_mut(id)?.props, key);
+            }
+            Update::AddLabel { id, label } => {
+                let n = self.node_mut(id)?;
+                n.labels.push(label);
+                n.labels.sort_unstable();
+                n.labels.dedup();
+            }
+            Update::RemoveLabel { id, label } => {
+                self.node_mut(id)?.labels.retain(|l| *l != label);
+            }
+            Update::SetRelProp { id, key, value } => {
+                lpg::prop_set(&mut self.rel_mut(id)?.props, key, value);
+            }
+            Update::RemoveRelProp { id, key } => {
+                lpg::prop_remove(&mut self.rel_mut(id)?.props, key);
+            }
+        }
+        Ok(())
+    }
+
+    fn chunks(&self) -> usize {
+        fn distinct<V>(live: &BTreeMap<u64, V>) -> usize {
+            live.keys()
+                .map(|id| id / CHUNK)
+                .collect::<BTreeSet<_>>()
+                .len()
+        }
+        distinct(&self.nodes) + distinct(&self.rels)
+    }
+
+    fn incident(&self, node: u64, pick: fn(&Relationship) -> NodeId) -> Vec<RelId> {
+        self.rels
+            .values()
+            .filter(|r| pick(r).raw() == node)
+            .map(|r| r.id)
+            .collect()
+    }
+}
+
+/// Everything observable about `g` equals the model.
+fn assert_matches(g: &Graph, m: &Model) {
+    g.check_consistency().unwrap();
+    assert_eq!(g.node_count(), m.nodes.len());
+    assert_eq!(g.rel_count(), m.rels.len());
+    // `BTreeMap` iterates ascending, so equality also proves the order.
+    assert!(g.nodes().eq(m.nodes.values()));
+    assert!(g.rels().eq(m.rels.values()));
+    assert_eq!(g.chunks_diverged_from(&Graph::new()), m.chunks());
+    for &id in m.nodes.keys() {
+        let nid = NodeId::new(id);
+        let sorted = |dir| {
+            let mut v = g.relationships(nid, dir);
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(Direction::Outgoing), m.incident(id, |r| r.src));
+        assert_eq!(sorted(Direction::Incoming), m.incident(id, |r| r.tgt));
+        assert_eq!(
+            g.degree(nid, Direction::Both),
+            g.relationships(nid, Direction::Both).len()
+        );
+    }
+    for id in id_pool() {
+        assert_eq!(g.node(NodeId::new(id)), m.nodes.get(&id));
+        assert_eq!(g.has_node(NodeId::new(id)), m.nodes.contains_key(&id));
+        assert_eq!(g.rel(RelId::new(id)), m.rels.get(&id));
+        let after: Vec<u64> = g
+            .nodes_after(Some(NodeId::new(id)))
+            .map(|n| n.id.raw())
+            .collect();
+        let want: Vec<u64> = m
+            .nodes
+            .range((Bound::Excluded(id), Bound::Unbounded))
+            .map(|(k, _)| *k)
+            .collect();
+        assert_eq!(after, want, "nodes_after({id})");
+    }
+}
+
+/// Chunk edges, integer-width edges, and a probe inside each dense run.
+const SPARSE: [u64; 9] = [
+    0,
+    63,
+    64,
+    1 << 32,
+    (1 << 32) + 1,
+    1 << 63,
+    u64::MAX - 64,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+fn id_pool() -> impl Iterator<Item = u64> {
+    SPARSE
+        .into_iter()
+        .chain([7, 39, 40, 100, 127, 128, 135, 136])
+}
+
+/// Ids from two dense runs (one inside a chunk, one across two chunk
+/// boundaries) and from the sparse points.
+fn id_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..40,
+        56u64..136,
+        56u64..136,
+        (0usize..SPARSE.len()).prop_map(|i| SPARSE[i]),
+    ]
+}
+
+/// A raw id, or (two times in three) "the `pick`-th entity that exists now"
+/// — so that most updates are valid while invalid ones keep coming.
+type Target = (u64, u8, usize);
+
+fn target_strategy() -> impl Strategy<Value = Target> {
+    (id_strategy(), 0u8..3, 0usize..1 << 16)
+}
+
+fn resolve<V>(live: &BTreeMap<u64, V>, (raw, mode, pick): Target) -> u64 {
+    if mode == 0 || live.is_empty() {
+        raw
+    } else {
+        *live.keys().nth(pick % live.len()).unwrap()
+    }
+}
+
+/// `None` is "take a clone here".
+fn step(m: &Model, kind: u8, a: Target, b: Target, c: Target, v: i64) -> Option<Update> {
+    let node = |t| NodeId::new(resolve(&m.nodes, t));
+    let rel = |t| RelId::new(resolve(&m.rels, t));
+    let key = StrId::new(v.rem_euclid(3) as u32);
+    let value = PropertyValue::Int(v);
+    Some(match kind {
+        0..=5 => Update::AddNode {
+            id: NodeId::new(a.0),
+            labels: vec![key],
+            props: vec![(key, value)],
+        },
+        6 => Update::DeleteNode { id: node(a) },
+        7..=13 => Update::AddRel {
+            id: RelId::new(a.0),
+            src: node(b),
+            tgt: node(c),
+            label: (v % 2 == 0).then_some(key),
+            props: vec![],
+        },
+        14 => Update::DeleteRel { id: rel(a) },
+        15 => Update::SetNodeProp {
+            id: node(a),
+            key,
+            value,
+        },
+        16 => Update::RemoveNodeProp { id: node(a), key },
+        17 => Update::AddLabel {
+            id: node(a),
+            label: key,
+        },
+        18 => Update::RemoveLabel {
+            id: node(a),
+            label: key,
+        },
+        19 => Update::SetRelProp {
+            id: rel(a),
+            key,
+            value,
+        },
+        20 => Update::RemoveRelProp { id: rel(a), key },
+        _ => return None,
+    })
+}
+
+proptest! {
+    #[test]
+    fn graph_matches_ordered_map_model_and_clones_share(
+        steps in proptest::collection::vec(
+            (0u8..23, target_strategy(), target_strategy(), target_strategy(), any::<i64>()),
+            1..400,
+        ),
+    ) {
+        let mut graph = Graph::new();
+        let mut model = Model::default();
+        // Every clone taken, with the model as of then.
+        let mut clones: Vec<(Graph, Model)> = vec![(graph.clone(), model.clone())];
+        let mut applied_since_clone = 0;
+        for (kind, a, b, c, v) in steps {
+            let Some(op) = step(&model, kind, a, b, c, v) else {
+                assert_matches(&graph, &model);
+                clones.push((graph.clone(), model.clone()));
+                applied_since_clone = 0;
+                continue;
+            };
+            let got = graph.apply(&op);
+            prop_assert_eq!(&got, &model.apply(&op), "{:?}", op);
+            applied_since_clone += usize::from(got.is_ok());
+            // Sharing: an update copies its own chunk and, for a
+            // relationship, its endpoints'; a rejected one copies nothing.
+            let (last, _) = clones.last().unwrap();
+            let diverged = graph.chunks_diverged_from(last);
+            prop_assert!(
+                diverged <= 3 * applied_since_clone,
+                "{} updates since the clone, {} chunks diverged", applied_since_clone, diverged
+            );
+        }
+        assert_matches(&graph, &model);
+        // Isolation: the original moved on, no clone did.
+        for (clone, as_of) in &clones {
+            assert_matches(clone, as_of);
+        }
+    }
+}
+
+/// The sparse points make single-entity chunks come and go under the
+/// proptest above; this pins the dense case it reaches only rarely.
+#[test]
+fn a_chunk_emptied_by_deletes_disappears_and_can_be_refilled() {
+    let add = |id| Update::AddNode {
+        id: NodeId::new(id),
+        labels: vec![],
+        props: vec![],
+    };
+    let chunks = |g: &Graph| g.chunks_diverged_from(&Graph::new());
+    let mut g = Graph::new();
+    g.apply_all((0..3 * CHUNK).map(add).collect::<Vec<_>>().iter())
+        .unwrap();
+    assert_eq!(chunks(&g), 3);
+    let full = g.clone();
+    for id in CHUNK..2 * CHUNK {
+        g.apply(&Update::DeleteNode {
+            id: NodeId::new(id),
+        })
+        .unwrap();
+    }
+    assert_eq!(chunks(&g), 2);
+    assert_eq!(g.chunks_diverged_from(&full), 0, "what is left is shared");
+    assert_eq!(
+        g.nodes_after(Some(NodeId::new(CHUNK - 1)))
+            .next()
+            .unwrap()
+            .id
+            .raw(),
+        2 * CHUNK
+    );
+    g.check_consistency().unwrap();
+    // Refilled in descending order: the chunk reappears between its
+    // neighbours and sorts itself.
+    for id in (CHUNK..2 * CHUNK).rev() {
+        g.apply(&add(id)).unwrap();
+    }
+    assert_eq!(chunks(&g), 3);
+    assert_eq!(g.chunks_diverged_from(&full), 1);
+    assert!(g.same_as(&full));
+    assert!(g.nodes().map(|n| n.id.raw()).eq(0..3 * CHUNK));
+    g.check_consistency().unwrap();
+    assert_eq!(full.node_count() as u64, 3 * CHUNK);
 }

@@ -833,11 +833,11 @@ fn run_call(db: &Aion, name: &str, args: &[Literal], params: &Params) -> Result<
             // getWindow(start, end): the union graph's size plus members.
             let g = db.get_window(int_at(0)?, int_at(1)?)?;
             let interner = db.interner();
-            let mut rows: Vec<Vec<Value>> = g
+            // `Graph::nodes` ascends by id.
+            let rows = g
                 .nodes()
                 .map(|n| vec![Value::from_node(n, interner, None)])
                 .collect();
-            rows.sort_by_key(|r| r[0].entity_id());
             Ok(QueryResult {
                 columns: vec!["node".into()],
                 rows,

@@ -5,25 +5,39 @@
 //! HTAP-style).
 //!
 //! Snapshots are shared as `Arc<Graph>`: handing one out is a pointer copy
-//! (the CoW discipline of Sec. 5.2 — a reader that needs to mutate clones
-//! via `Arc::make_mut`, copying only then).
+//! (the CoW discipline of Sec. 5.2). `lpg::Graph` is itself structurally
+//! shared, so a commit that finds the latest graph held by a reader copies
+//! the graph's spine and the ≤ 3 chunks per update it lands in
+//! (`timestore.latest.cow_chunks`), never the graph; a replayed entry shares
+//! every chunk the replay did not touch with its base.
+//!
+//! The byte budget is an **upper bound**: every entry is charged its full
+//! `heap_size()` when it is inserted, shared chunks included, so the cache
+//! holds at most `budget` bytes and usually fewer.
 //!
 //! The historical cache is **demand-filled**: only reads put graphs there
 //! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a
-//! snapshot file and recovery do not — an `Arc` of the latest graph parked
-//! in the cache is a live reference, so the next commit's `make_mut` would
-//! deep-copy the whole graph (once per snapshot, on the commit path) and
-//! keep a snapshot resident that no reader asked for.
+//! snapshot file and recovery do not: that would keep a snapshot resident
+//! that no reader asked for.
 
 use lpg::{Graph, Timestamp, Update};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+struct Entry {
+    graph: Arc<Graph>,
+    /// Drives LRU eviction.
+    tick: u64,
+    /// `graph.heap_size()` when it was inserted (a cached graph is never
+    /// mutated): eviction must not walk graphs under the store's mutex.
+    bytes: usize,
+}
+
 struct Inner {
     /// Cached historical snapshots keyed by timestamp; `BTreeMap` gives us
-    /// the floor lookup, the `u64` tick drives LRU eviction.
-    cache: BTreeMap<Timestamp, (Arc<Graph>, u64)>,
+    /// the floor lookup.
+    cache: BTreeMap<Timestamp, Entry>,
     bytes: usize,
     tick: u64,
     latest: Arc<Graph>,
@@ -37,8 +51,11 @@ pub struct GraphStore {
     inner: Mutex<Inner>,
     budget: usize,
     /// `timestore.latest.cow_copies`: commits that found the latest graph
-    /// shared and had to deep-copy it before applying.
+    /// shared with a reader.
     cow_copies: Arc<obs::Counter>,
+    /// `timestore.latest.cow_chunks`: chunks those commits had to copy (or
+    /// create) instead of updating in place.
+    cow_chunks: Arc<obs::Counter>,
 }
 
 impl GraphStore {
@@ -58,18 +75,24 @@ impl GraphStore {
             }),
             budget: budget_bytes,
             cow_copies: obs::counter("timestore.latest.cow_copies"),
+            cow_chunks: obs::counter("timestore.latest.cow_chunks"),
         }
     }
 
     /// Applies one committed transaction to the latest graph.
     pub fn apply_commit(&self, ts: Timestamp, updates: &[Update]) -> lpg::Result<()> {
         let mut g = self.inner.lock();
-        if Arc::get_mut(&mut g.latest).is_none() {
-            self.cow_copies.inc();
-        }
+        // A reader holds the latest graph: it keeps its version, this
+        // commit copies the spine and the chunks it touches.
+        let before = Arc::get_mut(&mut g.latest)
+            .is_none()
+            .then(|| g.latest.clone());
         let graph = Arc::make_mut(&mut g.latest);
-        for u in updates {
-            graph.apply(u)?;
+        graph.apply_all(updates)?;
+        if let Some(before) = before {
+            self.cow_copies.inc();
+            self.cow_chunks
+                .add(graph.chunks_diverged_from(&before) as u64);
         }
         g.latest_ts = ts;
         Ok(())
@@ -90,17 +113,17 @@ impl GraphStore {
 
     /// Caches a historical snapshot, evicting LRU entries past the budget.
     pub fn put(&self, ts: Timestamp, graph: Arc<Graph>) {
-        let size = graph.heap_size();
-        if size > self.budget {
+        let bytes = graph.heap_size();
+        if bytes > self.budget {
             return; // would evict everything else for one entry
         }
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
-        if let Some((old, _)) = g.cache.insert(ts, (graph, tick)) {
-            g.bytes -= old.heap_size();
+        if let Some(old) = g.cache.insert(ts, Entry { graph, tick, bytes }) {
+            g.bytes -= old.bytes;
         }
-        g.bytes += size;
+        g.bytes += bytes;
         while g.bytes > self.budget {
             // Evict the least recently used snapshot. An empty cache with
             // a non-zero byte count would be an accounting bug; reset the
@@ -108,14 +131,14 @@ impl GraphStore {
             let victim = g
                 .cache
                 .iter()
-                .min_by_key(|(_, (_, t))| *t)
+                .min_by_key(|(_, e)| e.tick)
                 .map(|(ts, _)| *ts);
             let Some(victim) = victim else {
                 g.bytes = 0;
                 break;
             };
-            if let Some((old, _)) = g.cache.remove(&victim) {
-                g.bytes -= old.heap_size();
+            if let Some(old) = g.cache.remove(&victim) {
+                g.bytes -= old.bytes;
             }
         }
     }
@@ -126,9 +149,9 @@ impl GraphStore {
         g.tick += 1;
         let tick = g.tick;
         match g.cache.get_mut(&ts) {
-            Some((graph, t)) => {
-                *t = tick;
-                let out = graph.clone();
+            Some(e) => {
+                e.tick = tick;
+                let out = e.graph.clone();
                 g.hits += 1;
                 Some(out)
             }
@@ -145,7 +168,7 @@ impl GraphStore {
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
-        if g.latest_ts <= ts && g.latest.nodes().next().is_some() {
+        if g.latest_ts <= ts && g.latest.node_count() > 0 {
             // The live graph is the cheapest base when it's old enough.
             return Some((g.latest_ts, g.latest.clone()));
         }
@@ -153,13 +176,13 @@ impl GraphStore {
             .cache
             .range(..=ts)
             .next_back()
-            .map(|(k, (graph, _))| (*k, graph.clone()));
+            .map(|(k, e)| (*k, e.graph.clone()));
         match &found {
             Some((k, _)) => {
                 g.hits += 1;
                 let k = *k;
-                if let Some((_, t)) = g.cache.get_mut(&k) {
-                    *t = tick;
+                if let Some(e) = g.cache.get_mut(&k) {
+                    e.tick = tick;
                 }
             }
             None => g.misses += 1,

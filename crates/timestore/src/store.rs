@@ -335,9 +335,8 @@ impl TimeStore {
         drop(state);
         if latest_ts > 0 {
             // Built in place, not through `reconstruct_at`: that caches
-            // what it loads and replays, and a cached `Arc` of the latest
-            // graph would cost a deep copy here and leave two copies
-            // resident.
+            // what it loads and replays, and nobody asked for those
+            // snapshots to be resident.
             let floor = self
                 .snap_index
                 .seek_floor(&keys::ts_key(latest_ts))
@@ -420,7 +419,7 @@ impl TimeStore {
             // The latest graph is borrowed only while it is encoded, and
             // not parked in the GraphStore's cache (reads fill that on
             // demand): an `Arc` still alive at the next commit would make
-            // `apply_commit` deep-copy the whole graph.
+            // `apply_commit` copy every chunk it touches.
             let (graph, latest_ts) = self.graphstore.latest();
             debug_assert_eq!(latest_ts, ts);
             snapshot::encode_graph(&graph)
@@ -530,7 +529,8 @@ impl TimeStore {
         if base_ts == ts {
             return Ok(base);
         }
-        // Replay (base_ts, ts] on a CoW copy.
+        // Replay (base_ts, ts] on a clone: it shares every chunk the replay
+        // does not touch with `base`.
         let _timer = self.metrics.snapshot_replay_latency.start_timer();
         self.metrics.snapshot_replays.inc();
         let deltas = self.diff(base_ts.saturating_add(1), ts.saturating_add(1))?;

@@ -233,6 +233,60 @@ fn recovery_after_reopen_preserves_everything() {
 }
 
 #[test]
+fn replayed_snapshot_shares_untouched_chunks_with_its_base() {
+    let dir = tempdir().unwrap();
+    let store = TimeStore::open(dir.path(), config(SnapshotPolicy::Never)).unwrap();
+    // 2 000 nodes and 2 000 relationships (≥ 60 chunks), snapshotted at 1.
+    let bulk: Vec<Update> = (0..2_000)
+        .map(add_node)
+        .chain((0..2_000).map(|i| add_rel(i, i, (i * 7 + 1) % 2_000)))
+        .collect();
+    store.append_commit(1, &bulk).unwrap();
+    store.write_snapshot(1).unwrap();
+    // m single-update commits of every kind, then one more so that the
+    // latest graph is not the base of the read below.
+    let replayed = [
+        Update::SetNodeProp {
+            id: NodeId::new(70),
+            key: StrId::new(2),
+            value: PropertyValue::Int(7),
+        },
+        add_rel(5_000, 3, 1_999),
+        Update::DeleteRel {
+            id: RelId::new(900),
+        },
+        add_node(9_999),
+        Update::SetRelProp {
+            id: RelId::new(64),
+            key: StrId::new(1),
+            value: PropertyValue::Float(0.5),
+        },
+    ];
+    let m = replayed.len();
+    for (i, u) in replayed.iter().enumerate() {
+        store
+            .append_commit(2 + i as u64, std::slice::from_ref(u))
+            .unwrap();
+    }
+    let end = 1 + m as u64;
+    store.append_commit(end + 1, &[add_node(10_000)]).unwrap();
+
+    let base = store.snapshot_at(1).unwrap();
+    let got = store.snapshot_at(end).unwrap();
+    let mut want = Graph::new();
+    want.apply_all(bulk.iter().chain(&replayed)).unwrap();
+    assert!(got.same_as(&want));
+    let diverged = got.chunks_diverged_from(&base);
+    assert!(
+        (1..=3 * m).contains(&diverged),
+        "{m} replayed updates copied {diverged} chunks"
+    );
+    // The base was loaded from disk and shares nothing with the writer's
+    // graph, which says what a graph that shares nothing looks like.
+    assert!(base.chunks_diverged_from(&store.latest_graph()) >= 60);
+}
+
+#[test]
 fn recovery_reindexes_unflushed_index_tail() {
     let dir = tempdir().unwrap();
     let commits = history();
