@@ -5,8 +5,7 @@
 //! remember each live relationship's contribution so a deletion can retract
 //! it.
 
-use dyngraph::DynGraph;
-use lpg::{PropertyValue, RelId, StrId, TimestampedUpdate, Update};
+use lpg::{Graph, PropertyValue, RelId, StrId, TimestampedUpdate, Update};
 use std::collections::HashMap;
 
 /// Running `AVG(rel.prop)` maintained incrementally.
@@ -31,7 +30,7 @@ impl IncrementalAvg {
     }
 
     /// Bootstraps from an existing graph.
-    pub fn from_graph(graph: &DynGraph, key: StrId) -> Self {
+    pub fn from_graph(graph: &Graph, key: StrId) -> Self {
         let mut agg = IncrementalAvg::new(key);
         for rel in graph.rels() {
             if let Some(v) = rel.prop(key).and_then(PropertyValue::as_float) {
@@ -96,7 +95,7 @@ impl IncrementalAvg {
 }
 
 /// From-scratch `AVG(rel.prop)` — the classic (non-incremental) baseline.
-pub fn avg_rel_property(graph: &DynGraph, key: StrId) -> Option<f64> {
+pub fn avg_rel_property(graph: &Graph, key: StrId) -> Option<f64> {
     let mut sum = 0.0;
     let mut count = 0u64;
     for rel in graph.rels() {
@@ -178,7 +177,7 @@ mod tests {
 
     #[test]
     fn matches_from_scratch_baseline() {
-        let mut g = DynGraph::new();
+        let mut g = Graph::new();
         for i in 0..2 {
             g.apply(&Update::AddNode {
                 id: NodeId::new(i),

@@ -3,14 +3,13 @@
 //! nodes are tagged, and their value is reset before propagating the tags
 //! to the remaining graph").
 
-use dyngraph::DynGraph;
-use lpg::{Direction, NodeId, TimestampedUpdate, Update};
+use lpg::{Direction, Graph, NodeId, TimestampedUpdate, Update};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Static BFS: hop distance from `source` following outgoing relationships.
 /// Unreachable nodes are absent from the map.
-pub fn bfs_levels(graph: &DynGraph, source: NodeId) -> HashMap<NodeId, u32> {
+pub fn bfs_levels(graph: &Graph, source: NodeId) -> HashMap<NodeId, u32> {
     let mut levels = HashMap::new();
     if graph.node(source).is_none() {
         return levels;
@@ -20,8 +19,8 @@ pub fn bfs_levels(graph: &DynGraph, source: NodeId) -> HashMap<NodeId, u32> {
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let lu = levels[&u];
-        for rid in graph.adj(u, Direction::Outgoing) {
-            let Some(rel) = graph.rel(*rid) else { continue };
+        for rid in graph.relationships(u, Direction::Outgoing) {
+            let Some(rel) = graph.rel(rid) else { continue };
             if let Entry::Vacant(slot) = levels.entry(rel.tgt) {
                 slot.insert(lu + 1);
                 queue.push_back(rel.tgt);
@@ -47,7 +46,7 @@ pub struct IncrementalBfs {
 
 impl IncrementalBfs {
     /// Initializes by running a full BFS on `graph`.
-    pub fn new(graph: &DynGraph, source: NodeId) -> Self {
+    pub fn new(graph: &Graph, source: NodeId) -> Self {
         let levels = bfs_levels(graph, source);
         IncrementalBfs {
             source,
@@ -62,7 +61,7 @@ impl IncrementalBfs {
     }
 
     /// Applies one diff batch; `graph` must already reflect the updates.
-    pub fn apply_diff(&mut self, graph: &DynGraph, diff: &[TimestampedUpdate]) {
+    pub fn apply_diff(&mut self, graph: &Graph, diff: &[TimestampedUpdate]) {
         let mut inserted_edges: Vec<(NodeId, NodeId)> = Vec::new();
         let mut deletion_suspects: Vec<NodeId> = Vec::new();
         for u in diff {
@@ -117,7 +116,7 @@ impl IncrementalBfs {
 
     /// Tags `seeds` and every node transitively dependent on them, resets
     /// their levels, then re-relaxes from the untagged boundary.
-    fn tag_and_reset(&mut self, graph: &DynGraph, seeds: Vec<NodeId>) {
+    fn tag_and_reset(&mut self, graph: &Graph, seeds: Vec<NodeId>) {
         let mut tagged: HashSet<NodeId> = HashSet::new();
         let mut queue: VecDeque<NodeId> = seeds.into();
         while let Some(v) = queue.pop_front() {
@@ -126,8 +125,8 @@ impl IncrementalBfs {
             }
             // Dependents: out-neighbours whose level came through v.
             let lv = self.levels.get(&v).copied();
-            for rid in graph.adj(v, Direction::Outgoing) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(v, Direction::Outgoing) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 let w = rel.tgt;
                 if tagged.contains(&w) {
                     continue;
@@ -147,8 +146,8 @@ impl IncrementalBfs {
         // Re-relax: frontier = untagged nodes adjacent to the reset region.
         let mut frontier: VecDeque<NodeId> = VecDeque::new();
         for v in &tagged {
-            for rid in graph.adj(*v, Direction::Incoming) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(*v, Direction::Incoming) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 if self.levels.contains_key(&rel.src) {
                     frontier.push_back(rel.src);
                 }
@@ -157,13 +156,13 @@ impl IncrementalBfs {
         self.relax_from(graph, &mut frontier);
     }
 
-    fn relax_from(&mut self, graph: &DynGraph, queue: &mut VecDeque<NodeId>) {
+    fn relax_from(&mut self, graph: &Graph, queue: &mut VecDeque<NodeId>) {
         while let Some(u) = queue.pop_front() {
             let Some(&lu) = self.levels.get(&u) else {
                 continue;
             };
-            for rid in graph.adj(u, Direction::Outgoing) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(u, Direction::Outgoing) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 let cand = lu + 1;
                 if self.levels.get(&rel.tgt).is_none_or(|&lt| cand < lt) {
                     self.levels.insert(rel.tgt, cand);
@@ -176,25 +175,25 @@ impl IncrementalBfs {
 }
 
 /// Does some in-neighbour justify `node` at `level`?
-fn justified(graph: &DynGraph, levels: &HashMap<NodeId, u32>, node: NodeId, level: u32) -> bool {
-    graph.adj(node, Direction::Incoming).iter().any(|rid| {
+fn justified(graph: &Graph, levels: &HashMap<NodeId, u32>, node: NodeId, level: u32) -> bool {
+    graph.relationships(node, Direction::Incoming).any(|rid| {
         graph
-            .rel(*rid)
+            .rel(rid)
             .and_then(|r| levels.get(&r.src))
             .is_some_and(|&ls| ls + 1 == level)
     })
 }
 
 fn justified_excluding(
-    graph: &DynGraph,
+    graph: &Graph,
     levels: &HashMap<NodeId, u32>,
     node: NodeId,
     level: u32,
     excluded: &HashSet<NodeId>,
 ) -> bool {
-    graph.adj(node, Direction::Incoming).iter().any(|rid| {
+    graph.relationships(node, Direction::Incoming).any(|rid| {
         graph
-            .rel(*rid)
+            .rel(rid)
             .filter(|r| !excluded.contains(&r.src))
             .and_then(|r| levels.get(&r.src))
             .is_some_and(|&ls| ls + 1 == level)
@@ -233,8 +232,8 @@ mod tests {
     }
 
     /// 0→1→2→3 and 0→4→3 (two paths to 3).
-    fn diamond() -> DynGraph {
-        let mut g = DynGraph::new();
+    fn diamond() -> Graph {
+        let mut g = Graph::new();
         for i in 0..5 {
             g.apply(&add_node(i)).unwrap();
         }
@@ -317,7 +316,7 @@ mod tests {
 
     #[test]
     fn cycles_handled() {
-        let mut g = DynGraph::new();
+        let mut g = Graph::new();
         for i in 0..4 {
             g.apply(&add_node(i)).unwrap();
         }

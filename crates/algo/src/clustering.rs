@@ -2,15 +2,14 @@
 //! query ("computing the local clustering coefficient", Sec. 3), computed
 //! over the undirected neighbourhood of one node.
 
-use dyngraph::DynGraph;
-use lpg::{Direction, NodeId};
+use lpg::{Direction, Graph, NodeId};
 use std::collections::HashSet;
 
 /// The local clustering coefficient of `node`: the fraction of pairs of
 /// distinct neighbours that are themselves connected (either direction).
 /// `None` when the node is absent; nodes with fewer than two neighbours
 /// yield 0.
-pub fn local_clustering_coefficient(graph: &DynGraph, node: NodeId) -> Option<f64> {
+pub fn local_clustering_coefficient(graph: &Graph, node: NodeId) -> Option<f64> {
     graph.node(node)?;
     let mut neigh: Vec<NodeId> = graph.neighbours(node, Direction::Both);
     neigh.retain(|n| *n != node); // ignore self-loops
@@ -33,8 +32,8 @@ pub fn local_clustering_coefficient(graph: &DynGraph, node: NodeId) -> Option<f6
     Some(closed as f64 / (k * (k - 1)) as f64)
 }
 
-/// Average clustering coefficient over all live nodes.
-pub fn average_clustering(graph: &DynGraph) -> f64 {
+/// Average clustering coefficient over all nodes.
+pub fn average_clustering(graph: &Graph) -> f64 {
     let mut sum = 0.0;
     let mut n = 0usize;
     for node in graph.nodes() {
@@ -55,8 +54,8 @@ mod tests {
     use super::*;
     use lpg::{RelId, Update};
 
-    fn graph_with_edges(n: u64, edges: &[(u64, u64)]) -> DynGraph {
-        let mut g = DynGraph::new();
+    fn graph_with_edges(n: u64, edges: &[(u64, u64)]) -> Graph {
+        let mut g = Graph::new();
         for i in 0..n {
             g.apply(&Update::AddNode {
                 id: NodeId::new(i),

@@ -1,89 +1,89 @@
 //! Static CSR projections (the GDS-style "graph projection" of Sec. 5.1:
 //! "Aion … allows the creation of static CSRs, known as graph projections,
 //! to exploit the efficient parallel versions of the GDS library's
-//! algorithms").
+//! algorithms") and the sparse → dense id remap of Sec. 5.2 ("a map to
+//! translate from a sparse domain of node IDs … to a dense domain `[0, V_d)`
+//! where all IDs refer to valid nodes").
 //!
-//! The CSR is built over the dense node domain so algorithm state lives in
-//! flat vectors.
+//! [`Graph::nodes`] ascends by id, so a node's dense index is its rank and
+//! the map is the sorted id vector itself: every index names a live node and
+//! algorithm state lives in flat vectors.
 
-use crate::graph::DynGraph;
-use lpg::{Direction, PropertyValue, StrId};
+use lpg::{Direction, Graph, NodeId, PropertyValue, StrId};
 
-/// A compressed-sparse-row projection of one direction of a [`DynGraph`].
+/// A compressed-sparse-row projection of one direction of a [`Graph`].
 #[derive(Clone, Debug)]
 pub struct Csr {
+    /// The node ids, ascending: `ids[d]` is the node at dense index `d`.
+    pub ids: Vec<NodeId>,
     /// `offsets[d]..offsets[d+1]` indexes `targets` for dense node `d`.
     pub offsets: Vec<usize>,
-    /// Flattened neighbour lists (dense ids).
+    /// Flattened neighbour lists (dense indexes).
     pub targets: Vec<u32>,
     /// Optional per-edge weights aligned with `targets`.
     pub weights: Option<Vec<f64>>,
-    /// Whether each dense slot holds a live node.
-    pub live: Vec<bool>,
+}
+
+/// The rank of `id` in the ascending `ids`. Ids counted up from 0 without
+/// gaps sit at their own rank, so that slot is probed before searching.
+fn rank(ids: &[NodeId], id: NodeId) -> Option<usize> {
+    let guess = usize::try_from(id.raw()).ok();
+    guess
+        .filter(|&g| ids.get(g) == Some(&id))
+        .or_else(|| ids.binary_search(&id).ok())
 }
 
 impl Csr {
     /// Projects `g` in direction `dir` (`Both` concatenates out + in
     /// adjacency per node). When `weight_key` is given, edge weights are
     /// read from that relationship property (missing ⇒ 1.0).
-    pub fn project(g: &DynGraph, dir: Direction, weight_key: Option<StrId>) -> Csr {
-        let n = g.dense_len();
-        let mut offsets = Vec::with_capacity(n + 1);
+    pub fn project(g: &Graph, dir: Direction, weight_key: Option<StrId>) -> Csr {
+        let ids: Vec<NodeId> = g.nodes().map(|n| n.id).collect();
+        assert!(u32::try_from(ids.len()).is_ok(), "dense indexes are u32");
+        let mut offsets = Vec::with_capacity(ids.len() + 1);
         let mut targets = Vec::new();
         let mut weights = weight_key.map(|_| Vec::new());
-        let mut live = vec![false; n];
         offsets.push(0);
-        for d in 0..n as u32 {
-            if let Some(node) = g.node_dense(d) {
-                live[d as usize] = true;
-                let id = node.id;
-                let mut push = |rid: lpg::RelId, outgoing: bool| {
-                    let Some(rel) = g.rel(rid) else { return };
-                    let other = if outgoing { rel.tgt } else { rel.src };
-                    let Some(od) = g.dense(other) else { return };
-                    targets.push(od);
-                    if let (Some(w), Some(key)) = (weights.as_mut(), weight_key) {
-                        let value = rel
-                            .prop(key)
-                            .and_then(PropertyValue::as_float)
-                            .unwrap_or(1.0);
-                        w.push(value);
-                    }
+        for &id in &ids {
+            for rid in g.relationships(id, dir) {
+                let Some(rel) = g.rel(rid) else { continue };
+                let Some(other) = rel.other_end(id).and_then(|o| rank(&ids, o)) else {
+                    continue;
                 };
-                if dir.includes_out() {
-                    for rid in g.adj(id, Direction::Outgoing) {
-                        push(*rid, true);
-                    }
-                }
-                if dir.includes_in() {
-                    for rid in g.adj(id, Direction::Incoming) {
-                        push(*rid, false);
-                    }
+                targets.push(other as u32);
+                if let (Some(w), Some(key)) = (weights.as_mut(), weight_key) {
+                    let value = rel.prop(key).and_then(PropertyValue::as_float);
+                    w.push(value.unwrap_or(1.0));
                 }
             }
             offsets.push(targets.len());
         }
         Csr {
+            ids,
             offsets,
             targets,
             weights,
-            live,
         }
     }
 
-    /// Number of dense node slots.
-    pub fn node_slots(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Number of live nodes.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|l| **l).count()
+    /// Number of nodes (= dense indexes).
+    pub fn node_count(&self) -> usize {
+        self.ids.len()
     }
 
     /// Total projected edges.
     pub fn edge_count(&self) -> usize {
         self.targets.len()
+    }
+
+    /// The dense index of node `id`.
+    pub fn dense(&self, id: NodeId) -> Option<u32> {
+        rank(&self.ids, id).map(|d| d as u32)
+    }
+
+    /// The node id at dense index `d`.
+    pub fn sparse(&self, d: u32) -> NodeId {
+        self.ids[d as usize]
     }
 
     /// The neighbours of dense node `d`.
@@ -100,10 +100,10 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpg::{NodeId, RelId, Update};
+    use lpg::{RelId, Update};
 
-    fn build() -> DynGraph {
-        let mut g = DynGraph::new();
+    fn build() -> Graph {
+        let mut g = Graph::new();
         for i in 0..4 {
             g.apply(&Update::AddNode {
                 id: NodeId::new(i * 10),
@@ -130,14 +130,16 @@ mod tests {
     fn outgoing_projection() {
         let g = build();
         let csr = Csr::project(&g, Direction::Outgoing, None);
-        assert_eq!(csr.node_slots(), 4);
-        assert_eq!(csr.live_count(), 4);
+        assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.edge_count(), 4);
         // Node 0 (dense 0) points at dense 1 and 2.
         let mut n0: Vec<u32> = csr.neighbours(0).to_vec();
         n0.sort_unstable();
         assert_eq!(n0, vec![1, 2]);
         assert_eq!(csr.degree(3), 0);
+        assert_eq!(csr.dense(NodeId::new(20)), Some(2));
+        assert_eq!(csr.dense(NodeId::new(5)), None);
+        assert_eq!(csr.sparse(3), NodeId::new(30));
     }
 
     #[test]
@@ -160,7 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn deleted_nodes_leave_dead_slots() {
+    fn deleted_nodes_leave_no_slot() {
         let mut g = build();
         g.apply(&Update::DeleteRel { id: RelId::new(3) }).unwrap();
         g.apply(&Update::DeleteNode {
@@ -168,9 +170,8 @@ mod tests {
         })
         .unwrap();
         let csr = Csr::project(&g, Direction::Outgoing, None);
-        assert_eq!(csr.node_slots(), 4);
-        assert_eq!(csr.live_count(), 3);
-        assert!(!csr.live[3]);
+        assert_eq!(csr.node_count(), 3);
+        assert_eq!(csr.dense(NodeId::new(30)), None);
         assert_eq!(csr.edge_count(), 3);
     }
 }

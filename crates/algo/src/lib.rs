@@ -20,13 +20,14 @@
 //! latest-departure computation over temporal LPGs (Fig. 2, following
 //! Wu et al. and TeGraph's topological-optimum formulation).
 //!
-//! Static algorithms consume [`dyngraph::Csr`] projections (the GDS-style
-//! path); incremental engines consume a [`dyngraph::DynGraph`] plus the
-//! update diff between snapshots.
+//! Static algorithms consume [`csr::Csr`] projections (the GDS-style path,
+//! and the sparse → dense id remap of Sec. 5.2); incremental engines consume
+//! an [`lpg::Graph`] plus the update diff between snapshots.
 
 pub mod aggregate;
 pub mod bfs;
 pub mod clustering;
+pub mod csr;
 pub mod pagerank;
 pub mod sssp;
 pub mod temporal_paths;
@@ -34,6 +35,7 @@ pub mod wcc;
 
 pub use aggregate::IncrementalAvg;
 pub use bfs::{bfs_levels, IncrementalBfs};
+pub use csr::Csr;
 pub use pagerank::{pagerank, IncrementalPageRank, PageRankConfig};
 pub use sssp::{sssp, IncrementalSssp};
 pub use temporal_paths::{earliest_arrival, fastest_duration, latest_departure};

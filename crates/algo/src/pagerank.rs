@@ -3,8 +3,8 @@
 //! "non-monotonic algorithms that converge to correct results independently
 //! of node initialization", Sec. 5.2).
 
-use dyngraph::{Csr, DynGraph};
-use lpg::{Direction, NodeId};
+use crate::csr::Csr;
+use lpg::{Direction, Graph, NodeId};
 use std::collections::HashMap;
 
 /// PageRank parameters. The evaluation (Sec. 6.6) runs "either for up to
@@ -33,7 +33,7 @@ impl Default for PageRankConfig {
 /// The result of a PageRank run.
 #[derive(Clone, Debug)]
 pub struct PageRankResult {
-    /// Rank per dense node slot (dead slots hold 0).
+    /// Rank per dense node index (see [`Csr::ids`]).
     pub ranks: Vec<f64>,
     /// Iterations executed until convergence or the cap.
     pub iterations: usize,
@@ -41,35 +41,21 @@ pub struct PageRankResult {
 
 /// Static PageRank by power iteration over the *outgoing* CSR.
 pub fn pagerank(csr: &Csr, config: PageRankConfig) -> PageRankResult {
-    let slots = csr.node_slots();
-    let n = csr.live_count().max(1) as f64;
-    let init = 1.0 / n;
-    let ranks: Vec<f64> = csr
-        .live
-        .iter()
-        .map(|l| if *l { init } else { 0.0 })
-        .collect();
-    power_iterate(csr, ranks, config, slots)
+    let n = csr.node_count();
+    power_iterate(csr, vec![1.0 / n.max(1) as f64; n], config)
 }
 
-fn power_iterate(
-    csr: &Csr,
-    mut ranks: Vec<f64>,
-    config: PageRankConfig,
-    slots: usize,
-) -> PageRankResult {
-    let n = csr.live_count().max(1) as f64;
+fn power_iterate(csr: &Csr, mut ranks: Vec<f64>, config: PageRankConfig) -> PageRankResult {
+    let nodes = csr.node_count();
+    let n = nodes.max(1) as f64;
     let base = (1.0 - config.damping) / n;
-    let mut next = vec![0.0f64; slots];
+    let mut next = vec![0.0f64; nodes];
     let mut iterations = 0;
     for _ in 0..config.max_iters {
         iterations += 1;
         next.iter_mut().for_each(|x| *x = 0.0);
         let mut dangling = 0.0;
-        for d in 0..slots as u32 {
-            if !csr.live[d as usize] {
-                continue;
-            }
+        for d in 0..nodes as u32 {
             let deg = csr.degree(d);
             let r = ranks[d as usize];
             if deg == 0 {
@@ -83,11 +69,7 @@ fn power_iterate(
         }
         let dangling_share = dangling / n;
         let mut delta = 0.0;
-        for d in 0..slots {
-            if !csr.live[d] {
-                next[d] = 0.0;
-                continue;
-            }
+        for d in 0..nodes {
             let v = base + config.damping * (next[d] + dangling_share);
             delta += (v - ranks[d]).abs();
             next[d] = v;
@@ -123,37 +105,25 @@ impl IncrementalPageRank {
 
     /// Computes ranks for `graph`, reusing the previous snapshot's ranks as
     /// the starting vector. Returns the per-node ranks.
-    pub fn run(&mut self, graph: &DynGraph) -> HashMap<NodeId, f64> {
+    pub fn run(&mut self, graph: &Graph) -> HashMap<NodeId, f64> {
         let csr = Csr::project(graph, Direction::Outgoing, None);
-        let slots = csr.node_slots();
-        let n = csr.live_count().max(1) as f64;
-        let init = 1.0 / n;
+        let init = 1.0 / csr.node_count().max(1) as f64;
         // Warm start: prior rank where known, uniform share for new nodes.
-        let mut start = vec![0.0f64; slots];
-        let mut mass = 0.0;
-        for d in 0..slots as u32 {
-            if csr.live[d as usize] {
-                let id = graph.sparse(d).expect("dense maps back");
-                let r = self.ranks.get(&id).copied().unwrap_or(init);
-                start[d as usize] = r;
-                mass += r;
-            }
-        }
+        let mut start: Vec<f64> = csr
+            .ids
+            .iter()
+            .map(|id| self.ranks.get(id).copied().unwrap_or(init))
+            .collect();
         // Renormalize so the vector still sums to 1 after adds/deletes.
+        let mass: f64 = start.iter().sum();
         if mass > 0.0 {
             for v in &mut start {
                 *v /= mass;
             }
         }
-        let result = power_iterate(&csr, start, self.config, slots);
+        let result = power_iterate(&csr, start, self.config);
         self.total_iterations += result.iterations;
-        self.ranks.clear();
-        for d in 0..slots as u32 {
-            if csr.live[d as usize] {
-                let id = graph.sparse(d).expect("dense maps back");
-                self.ranks.insert(id, result.ranks[d as usize]);
-            }
-        }
+        self.ranks = csr.ids.iter().copied().zip(result.ranks).collect();
         self.ranks.clone()
     }
 
@@ -168,8 +138,8 @@ mod tests {
     use super::*;
     use lpg::{RelId, Update};
 
-    fn line_graph(n: u64) -> DynGraph {
-        let mut g = DynGraph::new();
+    fn line_graph(n: u64) -> Graph {
+        let mut g = Graph::new();
         for i in 0..n {
             g.apply(&Update::AddNode {
                 id: NodeId::new(i),
@@ -229,11 +199,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_graphs() {
-        let g = DynGraph::new();
+        let g = Graph::new();
         let csr = Csr::project(&g, Direction::Outgoing, None);
         let r = pagerank(&csr, PageRankConfig::default());
         assert!(r.ranks.is_empty());
-        let mut g = DynGraph::new();
+        let mut g = Graph::new();
         g.apply(&Update::AddNode {
             id: NodeId::new(0),
             labels: vec![],
@@ -263,7 +233,7 @@ mod tests {
         let csr = Csr::project(&g, Direction::Outgoing, None);
         let scratch = pagerank(&csr, tight());
         for d in 0..30u32 {
-            let id = g.sparse(d).unwrap();
+            let id = csr.sparse(d);
             let a = inc_ranks[&id];
             let b = scratch.ranks[d as usize];
             assert!((a - b).abs() < 1e-6, "node {id}: {a} vs {b}");
@@ -308,7 +278,7 @@ mod tests {
         let csr = Csr::project(&g, Direction::Outgoing, None);
         let scratch = pagerank(&csr, tight());
         for d in 0..10u32 {
-            let id = g.sparse(d).unwrap();
+            let id = csr.sparse(d);
             assert!((inc_ranks[&id] - scratch.ranks[d as usize]).abs() < 1e-6);
         }
     }

@@ -2,8 +2,7 @@
 //! the second monotonic path algorithm of Sec. 5.2, using the same tag &
 //! reset discipline as BFS but over weighted distances.
 
-use dyngraph::DynGraph;
-use lpg::{Direction, NodeId, PropertyValue, StrId, TimestampedUpdate, Update};
+use lpg::{Direction, Graph, NodeId, PropertyValue, StrId, TimestampedUpdate, Update};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -15,7 +14,7 @@ fn weight_of(rel: &lpg::Relationship, key: Option<StrId>) -> f64 {
 }
 
 /// Static Dijkstra from `source`; weights from `weight_key` (missing ⇒ 1).
-pub fn sssp(graph: &DynGraph, source: NodeId, weight_key: Option<StrId>) -> HashMap<NodeId, f64> {
+pub fn sssp(graph: &Graph, source: NodeId, weight_key: Option<StrId>) -> HashMap<NodeId, f64> {
     let mut dist: HashMap<NodeId, f64> = HashMap::new();
     if graph.node(source).is_none() {
         return dist;
@@ -28,8 +27,8 @@ pub fn sssp(graph: &DynGraph, source: NodeId, weight_key: Option<StrId>) -> Hash
         if dist.get(&u).copied().unwrap_or(f64::INFINITY) < du {
             continue; // stale entry
         }
-        for rid in graph.adj(u, Direction::Outgoing) {
-            let Some(rel) = graph.rel(*rid) else { continue };
+        for rid in graph.relationships(u, Direction::Outgoing) {
+            let Some(rel) = graph.rel(rid) else { continue };
             let cand = du + weight_of(rel, weight_key);
             if dist.get(&rel.tgt).is_none_or(|&d| cand < d) {
                 dist.insert(rel.tgt, cand);
@@ -52,7 +51,7 @@ pub struct IncrementalSssp {
 
 impl IncrementalSssp {
     /// Full Dijkstra to initialize.
-    pub fn new(graph: &DynGraph, source: NodeId, weight_key: Option<StrId>) -> Self {
+    pub fn new(graph: &Graph, source: NodeId, weight_key: Option<StrId>) -> Self {
         IncrementalSssp {
             source,
             weight_key,
@@ -67,7 +66,7 @@ impl IncrementalSssp {
     }
 
     /// Applies one diff batch; `graph` must already reflect the updates.
-    pub fn apply_diff(&mut self, graph: &DynGraph, diff: &[TimestampedUpdate]) {
+    pub fn apply_diff(&mut self, graph: &Graph, diff: &[TimestampedUpdate]) {
         let had_deletions = diff.iter().any(|u| {
             matches!(
                 u.op,
@@ -115,16 +114,10 @@ impl IncrementalSssp {
         self.settle(graph, heap);
     }
 
-    fn justified(
-        &self,
-        graph: &DynGraph,
-        node: NodeId,
-        d: f64,
-        excluded: &HashSet<NodeId>,
-    ) -> bool {
-        graph.adj(node, Direction::Incoming).iter().any(|rid| {
+    fn justified(&self, graph: &Graph, node: NodeId, d: f64, excluded: &HashSet<NodeId>) -> bool {
+        graph.relationships(node, Direction::Incoming).any(|rid| {
             graph
-                .rel(*rid)
+                .rel(rid)
                 .filter(|r| !excluded.contains(&r.src))
                 .and_then(|r| {
                     self.dist
@@ -135,15 +128,15 @@ impl IncrementalSssp {
         })
     }
 
-    fn tag_and_reset(&mut self, graph: &DynGraph, seeds: Vec<NodeId>) {
+    fn tag_and_reset(&mut self, graph: &Graph, seeds: Vec<NodeId>) {
         let mut tagged: HashSet<NodeId> = HashSet::new();
         let mut queue: Vec<NodeId> = seeds;
         while let Some(v) = queue.pop() {
             if !tagged.insert(v) {
                 continue;
             }
-            for rid in graph.adj(v, Direction::Outgoing) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(v, Direction::Outgoing) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 let w = rel.tgt;
                 if tagged.contains(&w) || !self.dist.contains_key(&w) {
                     continue;
@@ -160,8 +153,8 @@ impl IncrementalSssp {
             self.touched += 1;
         }
         for v in &tagged {
-            for rid in graph.adj(*v, Direction::Incoming) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(*v, Direction::Incoming) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 if let Some(&ds) = self.dist.get(&rel.src) {
                     heap.push(Reverse((ds.to_bits(), rel.src)));
                 }
@@ -170,14 +163,14 @@ impl IncrementalSssp {
         self.settle(graph, heap);
     }
 
-    fn settle(&mut self, graph: &DynGraph, mut heap: BinaryHeap<Reverse<(u64, NodeId)>>) {
+    fn settle(&mut self, graph: &Graph, mut heap: BinaryHeap<Reverse<(u64, NodeId)>>) {
         while let Some(Reverse((du_bits, u))) = heap.pop() {
             let du = f64::from_bits(du_bits);
             if self.dist.get(&u).copied().unwrap_or(f64::INFINITY) < du {
                 continue;
             }
-            for rid in graph.adj(u, Direction::Outgoing) {
-                let Some(rel) = graph.rel(*rid) else { continue };
+            for rid in graph.relationships(u, Direction::Outgoing) {
+                let Some(rel) = graph.rel(rid) else { continue };
                 let cand = du + weight_of(rel, self.weight_key);
                 if self.dist.get(&rel.tgt).is_none_or(|&d| cand < d) {
                     self.dist.insert(rel.tgt, cand);
@@ -221,8 +214,8 @@ mod tests {
         TimestampedUpdate::new(1, op)
     }
 
-    fn weighted_diamond() -> DynGraph {
-        let mut g = DynGraph::new();
+    fn weighted_diamond() -> Graph {
+        let mut g = Graph::new();
         for i in 0..4 {
             g.apply(&add_node(i)).unwrap();
         }

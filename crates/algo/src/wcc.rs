@@ -1,6 +1,6 @@
 //! Weakly connected components via union-find over a CSR projection.
 
-use dyngraph::Csr;
+use crate::csr::Csr;
 
 /// Union-find with path halving and union by size.
 struct Dsu {
@@ -37,28 +37,23 @@ impl Dsu {
     }
 }
 
-/// Component label per dense slot (`None` for dead slots). Direction is
-/// ignored (weak connectivity) — project with `Direction::Both` or
-/// `Direction::Outgoing`; both give the same components.
-pub fn wcc(csr: &Csr) -> Vec<Option<u32>> {
-    let n = csr.node_slots();
+/// Component label per dense node index. Direction is ignored (weak
+/// connectivity) — project with `Direction::Both` or `Direction::Outgoing`;
+/// both give the same components.
+pub fn wcc(csr: &Csr) -> Vec<u32> {
+    let n = csr.node_count();
     let mut dsu = Dsu::new(n);
     for d in 0..n as u32 {
-        if !csr.live[d as usize] {
-            continue;
-        }
         for &t in csr.neighbours(d) {
             dsu.union(d, t);
         }
     }
-    (0..n as u32)
-        .map(|d| csr.live[d as usize].then(|| dsu.find(d)))
-        .collect()
+    (0..n as u32).map(|d| dsu.find(d)).collect()
 }
 
 /// Number of distinct components.
-pub fn component_count(labels: &[Option<u32>]) -> usize {
-    let mut roots: Vec<u32> = labels.iter().flatten().copied().collect();
+pub fn component_count(labels: &[u32]) -> usize {
+    let mut roots = labels.to_vec();
     roots.sort_unstable();
     roots.dedup();
     roots.len()
@@ -67,11 +62,10 @@ pub fn component_count(labels: &[Option<u32>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyngraph::DynGraph;
-    use lpg::{Direction, NodeId, RelId, Update};
+    use lpg::{Direction, Graph, NodeId, RelId, Update};
 
-    fn graph_with_edges(n: u64, edges: &[(u64, u64)]) -> DynGraph {
-        let mut g = DynGraph::new();
+    fn graph_with_edges(n: u64, edges: &[(u64, u64)]) -> Graph {
+        let mut g = Graph::new();
         for i in 0..n {
             g.apply(&Update::AddNode {
                 id: NodeId::new(i),
@@ -96,7 +90,7 @@ mod tests {
     #[test]
     fn two_components() {
         let g = graph_with_edges(6, &[(0, 1), (1, 2), (3, 4)]);
-        let csr = dyngraph::Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing, None);
         let labels = wcc(&csr);
         assert_eq!(component_count(&labels), 3); // {0,1,2}, {3,4}, {5}
         assert_eq!(labels[0], labels[1]);
@@ -109,16 +103,16 @@ mod tests {
     #[test]
     fn direction_does_not_matter() {
         let g = graph_with_edges(4, &[(1, 0), (2, 3)]);
-        let out = wcc(&dyngraph::Csr::project(&g, Direction::Outgoing, None));
-        let both = wcc(&dyngraph::Csr::project(&g, Direction::Both, None));
+        let out = wcc(&Csr::project(&g, Direction::Outgoing, None));
+        let both = wcc(&Csr::project(&g, Direction::Both, None));
         assert_eq!(component_count(&out), component_count(&both));
         assert_eq!(component_count(&out), 2);
     }
 
     #[test]
     fn empty_graph() {
-        let g = DynGraph::new();
-        let csr = dyngraph::Csr::project(&g, Direction::Both, None);
+        let g = Graph::new();
+        let csr = Csr::project(&g, Direction::Both, None);
         assert_eq!(component_count(&wcc(&csr)), 0);
     }
 }

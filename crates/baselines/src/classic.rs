@@ -6,13 +6,12 @@
 //! historical question forces a full recomputation from retained inputs.
 
 use crate::TemporalBackend;
-use dyngraph::DynGraph;
 use lpg::{Graph, RelId, Relationship, Timestamp, Update};
 
 /// Latest-version-only graph store.
 #[derive(Default)]
 pub struct ClassicStore {
-    graph: DynGraph,
+    graph: Graph,
     updates: u64,
 }
 
@@ -23,7 +22,7 @@ impl ClassicStore {
     }
 
     /// The live graph.
-    pub fn graph(&self) -> &DynGraph {
+    pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
@@ -51,7 +50,7 @@ impl TemporalBackend for ClassicStore {
     }
 
     fn snapshot_at(&self, _ts: Timestamp) -> Graph {
-        self.graph.to_graph()
+        self.graph.clone()
     }
 
     fn heap_size(&self) -> usize {

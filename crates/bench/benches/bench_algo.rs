@@ -4,16 +4,16 @@
 use algo::aggregate::{avg_rel_property, IncrementalAvg};
 use algo::bfs::{bfs_levels, IncrementalBfs};
 use algo::pagerank::{pagerank, IncrementalPageRank, PageRankConfig};
+use algo::Csr;
 use criterion::{criterion_group, criterion_main, Criterion};
-use dyngraph::{Csr, DynGraph};
-use lpg::{Direction, NodeId, StrId, TimestampedUpdate};
+use lpg::{Direction, Graph, NodeId, StrId, TimestampedUpdate};
 use workload::datasets;
 
 fn bench(c: &mut Criterion) {
     let spec = datasets::by_name("Pokec").unwrap().scaled(0.0005);
     let w = workload::generate(spec, 5);
     let half = w.updates.len() / 2;
-    let mut graph = DynGraph::new();
+    let mut graph = Graph::new();
     for u in &w.updates[..half] {
         graph.apply(&u.op).unwrap();
     }

@@ -58,13 +58,13 @@ fn bench(c: &mut Criterion) {
         )
     });
 
-    g.bench_function("dyngraph_full_load", |b| {
+    g.bench_function("graph_full_load", |b| {
         b.iter(|| {
-            let mut dg = dyngraph::DynGraph::new();
+            let mut graph = lpg::Graph::new();
             for u in &w.updates {
-                dg.apply(&u.op).unwrap();
+                graph.apply(&u.op).unwrap();
             }
-            std::hint::black_box(dg.rel_count())
+            std::hint::black_box(graph.rel_count())
         })
     });
 

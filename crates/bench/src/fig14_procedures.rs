@@ -4,15 +4,14 @@
 //! Compared to Fig. 12, the procedure path removes repeated query
 //! compilation and task scheduling, so the paper measures even higher
 //! speedups: AVG 9–61×, BFS 3.5–12×. In this reproduction the procedure
-//! path reuses one in-memory dynamic graph and its engine state across the
+//! path reuses one in-memory graph and its engine state across the
 //! entire series (the GraphStore result-caching of Sec. 5.2), while the
-//! classic path pays full projection per snapshot — the same contrast.
+//! classic path fetches and recomputes every snapshot — the same contrast.
 
 use crate::common::{banner, ingest_aion, open_aion, BenchConfig, Timer};
 use algo::aggregate::IncrementalAvg;
 use algo::bfs::{bfs_levels, IncrementalBfs};
-use dyngraph::DynGraph;
-use lpg::StrId;
+use lpg::{Graph, StrId};
 use tempfile::tempdir;
 
 /// Datasets measured.
@@ -57,24 +56,23 @@ pub fn run(cfg: &BenchConfig) -> Vec<ProcRow> {
                 .collect();
 
             // --- AVG ---
-            // Classic: re-project and re-scan per snapshot.
+            // Classic: re-fetch and re-scan per snapshot.
             let t = Timer::start();
             for &ts in &times {
-                let g = db.project_at(ts).expect("project");
+                let g = db.get_graph_at(ts).expect("snapshot");
                 std::hint::black_box(algo::aggregate::avg_rel_property(&g, weight));
             }
             let classic_s = t.secs();
             // Procedure: one resident graph + running aggregate.
             let t = Timer::start();
             {
-                let mut g = db.project_at(times[0]).expect("project");
+                let mut g = Graph::clone(&db.get_graph_at(times[0]).expect("snapshot"));
                 let mut agg = IncrementalAvg::from_graph(&g, weight);
                 std::hint::black_box(agg.value());
                 for pair in times.windows(2) {
                     let diff = db.get_diff(pair[0] + 1, pair[1] + 1).expect("diff");
-                    for u in &diff {
-                        let _ = g.apply(&u.op);
-                    }
+                    g.apply_all(diff.iter().map(|u| &u.op))
+                        .expect("diff applies");
                     agg.apply_diff(&diff);
                     std::hint::black_box(agg.value());
                 }
@@ -86,20 +84,19 @@ pub fn run(cfg: &BenchConfig) -> Vec<ProcRow> {
             let src = lpg::NodeId::new(0);
             let t = Timer::start();
             for &ts in &times {
-                let g = db.project_at(ts).expect("project");
+                let g = db.get_graph_at(ts).expect("snapshot");
                 std::hint::black_box(bfs_levels(&g, src).len());
             }
             let classic_s = t.secs();
             let t = Timer::start();
             {
-                let mut g: DynGraph = db.project_at(times[0]).expect("project");
+                let mut g = Graph::clone(&db.get_graph_at(times[0]).expect("snapshot"));
                 let mut engine = IncrementalBfs::new(&g, src);
                 std::hint::black_box(engine.levels().len());
                 for pair in times.windows(2) {
                     let diff = db.get_diff(pair[0] + 1, pair[1] + 1).expect("diff");
-                    for u in &diff {
-                        let _ = g.apply(&u.op);
-                    }
+                    g.apply_all(diff.iter().map(|u| &u.op))
+                        .expect("diff applies");
                     engine.apply_diff(&g, &diff);
                     std::hint::black_box(engine.levels().len());
                 }

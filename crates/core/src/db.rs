@@ -548,7 +548,7 @@ impl Aion {
         // any touched by the diff window, then one per-rel history each.
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
-        let mut rel_ids: Vec<RelId> = base.relationships(id, dir);
+        let mut rel_ids: Vec<RelId> = base.relationships(id, dir).collect();
         for u in self.timestore.diff(start.saturating_add(1), end)? {
             if let Update::AddRel {
                 id: rid, src, tgt, ..

@@ -8,9 +8,9 @@ use algo::{
     aggregate::{avg_rel_property, IncrementalAvg},
     bfs::{bfs_levels, IncrementalBfs},
     pagerank::{pagerank, IncrementalPageRank, PageRankConfig},
+    Csr,
 };
-use dyngraph::{Csr, DynGraph};
-use lpg::{Direction, NodeId, Result, StrId, Timestamp};
+use lpg::{Direction, Graph, GraphError, NodeId, Result, StrId, Timestamp};
 use std::collections::HashMap;
 
 /// How a snapshot-series procedure executes.
@@ -36,7 +36,11 @@ pub struct SeriesResult<T> {
 
 impl Aion {
     /// Materializes the snapshot time points `start, start+step, … < end`.
-    fn series_times(start: Timestamp, end: Timestamp, step: u64) -> Vec<Timestamp> {
+    /// A `step` of 0 would never reach `end` and is refused.
+    fn series_times(start: Timestamp, end: Timestamp, step: u64) -> Result<Vec<Timestamp>> {
+        if step == 0 {
+            return Err(GraphError::InvalidTimeRange);
+        }
         let mut out = Vec::new();
         let mut t = start;
         while t < end {
@@ -46,18 +50,7 @@ impl Aion {
                 None => break,
             }
         }
-        out
-    }
-
-    /// Builds the dynamic in-memory graph at `t` (a "graph projection" onto
-    /// the Sec. 5.2 representation).
-    pub fn project_at(&self, t: Timestamp) -> Result<DynGraph> {
-        Ok(DynGraph::from_graph(self.get_graph_at(t)?.as_ref()))
-    }
-
-    /// Builds a static CSR projection at `t` (the GDS-style path).
-    pub fn project_csr_at(&self, t: Timestamp, dir: Direction) -> Result<Csr> {
-        Ok(Csr::project(&self.project_at(t)?, dir, None))
+        Ok(out)
     }
 
     /// `AVG(rel.prop)` over a snapshot series.
@@ -69,20 +62,20 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<Option<f64>>> {
-        let times = Self::series_times(start, end, step);
+        let times = Self::series_times(start, end, step)?;
         let mut points = Vec::with_capacity(times.len());
         let mut work = 0u64;
         match mode {
             ExecMode::Classic => {
                 for &t in &times {
-                    let g = self.project_at(t)?;
+                    let g = self.get_graph_at(t)?;
                     work += g.rel_count() as u64; // full scan each time
                     points.push((t, avg_rel_property(&g, key)));
                 }
             }
             ExecMode::Incremental => {
                 let first = times.first().copied().unwrap_or(start);
-                let g = self.project_at(first)?;
+                let g = self.get_graph_at(first)?;
                 work += g.rel_count() as u64;
                 let mut agg = IncrementalAvg::from_graph(&g, key);
                 points.push((first, agg.value()));
@@ -107,13 +100,13 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<usize>> {
-        let times = Self::series_times(start, end, step);
+        let times = Self::series_times(start, end, step)?;
         let mut points = Vec::with_capacity(times.len());
         let mut work = 0u64;
         match mode {
             ExecMode::Classic => {
                 for &t in &times {
-                    let g = self.project_at(t)?;
+                    let g = self.get_graph_at(t)?;
                     let levels = bfs_levels(&g, source);
                     work += g.node_count() as u64;
                     points.push((t, levels.len()));
@@ -121,15 +114,15 @@ impl Aion {
             }
             ExecMode::Incremental => {
                 let first = times.first().copied().unwrap_or(start);
-                let mut g = self.project_at(first)?;
+                // A copy of the spine to apply the diffs to; the chunks stay
+                // shared with the stored snapshot until a diff touches them.
+                let mut g = Graph::clone(&*self.get_graph_at(first)?);
                 let mut engine = IncrementalBfs::new(&g, source);
                 work += g.node_count() as u64;
                 points.push((first, engine.levels().len()));
                 for pair in times.windows(2) {
                     let diff = self.get_diff(pair[0] + 1, pair[1] + 1)?;
-                    for u in &diff {
-                        let _ = g.apply(&u.op);
-                    }
+                    g.apply_all(diff.iter().map(|u| &u.op))?;
                     engine.apply_diff(&g, &diff);
                     work += diff.len() as u64 + engine.touched as u64;
                     points.push((pair[1], engine.levels().len()));
@@ -149,31 +142,22 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<HashMap<NodeId, f64>>> {
-        let times = Self::series_times(start, end, step);
+        let times = Self::series_times(start, end, step)?;
         let mut points = Vec::with_capacity(times.len());
         let mut work = 0u64;
         match mode {
             ExecMode::Classic => {
                 for &t in &times {
-                    let g = self.project_at(t)?;
+                    let g = self.get_graph_at(t)?;
                     let csr = Csr::project(&g, Direction::Outgoing, None);
                     let result = pagerank(&csr, config);
                     work += result.iterations as u64;
-                    let mut ranks = HashMap::new();
-                    for d in 0..csr.node_slots() as u32 {
-                        if !csr.live[d as usize] {
-                            continue;
-                        }
-                        if let Some(id) = g.sparse(d) {
-                            ranks.insert(id, result.ranks[d as usize]);
-                        }
-                    }
-                    points.push((t, ranks));
+                    points.push((t, csr.ids.into_iter().zip(result.ranks).collect()));
                 }
             }
             ExecMode::Incremental => {
                 let first = times.first().copied().unwrap_or(start);
-                let mut g = self.project_at(first)?;
+                let mut g = Graph::clone(&*self.get_graph_at(first)?);
                 let mut engine = IncrementalPageRank::new(config);
                 let mut prev_iters = 0;
                 let ranks = engine.run(&g);
@@ -182,9 +166,7 @@ impl Aion {
                 points.push((first, ranks));
                 for pair in times.windows(2) {
                     let diff = self.get_diff(pair[0] + 1, pair[1] + 1)?;
-                    for u in &diff {
-                        let _ = g.apply(&u.op);
-                    }
+                    g.apply_all(diff.iter().map(|u| &u.op))?;
                     let ranks = engine.run(&g);
                     work += (engine.total_iterations - prev_iters) as u64;
                     prev_iters = engine.total_iterations;

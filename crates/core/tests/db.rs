@@ -261,69 +261,118 @@ fn recovery_reopens_with_lineage_catchup() {
 
 #[test]
 fn incremental_procedures_match_classic() {
-    let dir = tempdir().unwrap();
-    let db = open(dir.path());
-    let weight = db.intern("weight");
     // Paper protocol (Sec. 6.6): load half the relationships, then step
     // through the remaining increments.
-    let ts = seed(&db, 60);
+    let ring_dir = tempdir().unwrap();
+    let ring = open(ring_dir.path());
+    let ts = seed(&ring, 60);
     let last = *ts.last().unwrap();
-    db.lineage_barrier(last);
     let half = ts[60 + 30]; // 60 node commits, then 30 of 60 rel commits
-    let step = ((last - half) / 8).max(1);
+    let ring_step = ((last - half) / 8).max(1);
 
-    // AVG.
-    let classic = db
-        .proc_avg_series(weight, half, last + 1, step, ExecMode::Classic)
+    // Ids are the client's and may be far apart: nothing may size a vector
+    // by one. One snapshot per commit, the relationship arriving, changing
+    // and leaving inside the series.
+    let sparse_dir = tempdir().unwrap();
+    let sparse = open(sparse_dir.path());
+    let weight = sparse.intern("weight");
+    let (far, farthest, rel) = (nid(1 << 32), nid(u64::MAX - 1), rid(1 << 40));
+    let first = sparse
+        .write(|txn| txn.add_node(nid(0), vec![], vec![]))
         .unwrap();
-    let incr = db
-        .proc_avg_series(weight, half, last + 1, step, ExecMode::Incremental)
+    sparse
+        .write(|txn| txn.add_node(far, vec![], vec![]))
         .unwrap();
-    assert_eq!(classic.points.len(), incr.points.len());
-    for ((t1, a), (t2, b)) in classic.points.iter().zip(incr.points.iter()) {
-        assert_eq!(t1, t2);
-        match (a, b) {
-            (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
-            (None, None) => {}
-            other => panic!("mismatch at {t1}: {other:?}"),
+    sparse
+        .write(|txn| txn.add_node(farthest, vec![], vec![]))
+        .unwrap();
+    sparse
+        .write(|txn| {
+            let props = vec![(weight, PropertyValue::Float(2.0))];
+            txn.add_rel(rel, nid(0), far, None, props)
+        })
+        .unwrap();
+    sparse
+        .write(|txn| txn.set_rel_prop(rel, weight, PropertyValue::Float(5.0)))
+        .unwrap();
+    sparse.write(|txn| txn.delete_rel(rel)).unwrap();
+    let sparse_last = sparse.write(|txn| txn.delete_node(farthest)).unwrap();
+
+    // (database, series start, series end, step, whether the series is long
+    // enough for reuse to show in the work counters)
+    let cases = [
+        (&ring, half, last + 1, ring_step, true),
+        (&sparse, first, sparse_last + 1, 1, false),
+    ];
+    for (db, start, end, step, reuses) in cases {
+        db.lineage_barrier(end - 1);
+        let weight = db.intern("weight");
+
+        // AVG.
+        let classic = db
+            .proc_avg_series(weight, start, end, step, ExecMode::Classic)
+            .unwrap();
+        let incr = db
+            .proc_avg_series(weight, start, end, step, ExecMode::Incremental)
+            .unwrap();
+        assert_eq!(classic.points.len(), incr.points.len());
+        for ((t1, a), (t2, b)) in classic.points.iter().zip(incr.points.iter()) {
+            assert_eq!(t1, t2);
+            match (a, b) {
+                (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
+                (None, None) => {}
+                other => panic!("mismatch at {t1}: {other:?}"),
+            }
         }
-    }
-    assert!(incr.work < classic.work, "incremental does less work");
+        assert!(
+            !reuses || incr.work < classic.work,
+            "incremental does less work"
+        );
 
-    // BFS reachable counts.
-    let classic = db
-        .proc_bfs_series(nid(0), half, last + 1, step, ExecMode::Classic)
-        .unwrap();
-    let incr = db
-        .proc_bfs_series(nid(0), half, last + 1, step, ExecMode::Incremental)
-        .unwrap();
-    assert_eq!(classic.points, incr.points);
+        // BFS reachable counts.
+        let classic = db
+            .proc_bfs_series(nid(0), start, end, step, ExecMode::Classic)
+            .unwrap();
+        let incr = db
+            .proc_bfs_series(nid(0), start, end, step, ExecMode::Incremental)
+            .unwrap();
+        assert_eq!(classic.points, incr.points);
 
-    // PageRank.
-    let cfg = PageRankConfig {
-        damping: 0.85,
-        max_iters: 200,
-        epsilon: 1e-8,
-    };
-    let classic = db
-        .proc_pagerank_series(cfg, half, last + 1, step, ExecMode::Classic)
-        .unwrap();
-    let incr = db
-        .proc_pagerank_series(cfg, half, last + 1, step, ExecMode::Incremental)
-        .unwrap();
-    for ((t1, a), (_, b)) in classic.points.iter().zip(incr.points.iter()) {
-        for (id, ra) in a {
-            let rb = b[id];
-            assert!(
-                (ra - rb).abs() < 1e-6,
-                "pagerank mismatch at {t1} node {id}"
-            );
+        // PageRank.
+        let cfg = PageRankConfig {
+            damping: 0.85,
+            max_iters: 200,
+            epsilon: 1e-8,
+        };
+        let classic = db
+            .proc_pagerank_series(cfg, start, end, step, ExecMode::Classic)
+            .unwrap();
+        let incr = db
+            .proc_pagerank_series(cfg, start, end, step, ExecMode::Incremental)
+            .unwrap();
+        assert_eq!(classic.points.len(), incr.points.len());
+        for ((t1, a), (_, b)) in classic.points.iter().zip(incr.points.iter()) {
+            assert_eq!(a.len(), b.len(), "pagerank node set at {t1}");
+            for (id, ra) in a {
+                let rb = b[id];
+                assert!(
+                    (ra - rb).abs() < 1e-6,
+                    "pagerank mismatch at {t1} node {id}"
+                );
+            }
         }
+        assert!(
+            !reuses || incr.work <= classic.work,
+            "incremental iterations ({}) should not exceed classic ({})",
+            incr.work,
+            classic.work
+        );
     }
-    assert!(
-        incr.work <= classic.work,
-        "incremental iterations ({}) should not exceed classic ({})",
-        incr.work,
-        classic.work
-    );
+
+    // The sparse series saw the relationship come and go.
+    let reached = sparse
+        .proc_bfs_series(nid(0), first, sparse_last + 1, 1, ExecMode::Incremental)
+        .unwrap();
+    let counts: Vec<usize> = reached.points.iter().map(|(_, n)| *n).collect();
+    assert_eq!(counts, vec![1, 1, 1, 2, 2, 1, 1]);
 }

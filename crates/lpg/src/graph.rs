@@ -55,8 +55,9 @@
 //! insert moves at most one page of the spine, not the spine. `figures ids`
 //! measures all four under ids counted up, counted down, strided and random.
 //!
-//! The compute-efficient Sortledton-style structure of Sec. 5.2 lives in the
-//! `dyngraph` crate.
+//! This is the compute-efficient in-memory LPG of Sec. 5.2 (nodes,
+//! relationships, incoming and outgoing id lists, copy-on-write snapshots).
+//! Its sparse→dense id remap for vector-backed algorithms is `algo::Csr`.
 
 use crate::entity::{prop_remove, prop_set, Node, Relationship};
 use crate::error::{GraphError, Result};
@@ -403,20 +404,20 @@ impl Graph {
         self.rels.iter()
     }
 
-    /// The relationship ids incident to `node` in the given direction.
-    /// For `Both`, self-loops appear twice (once per direction), matching the
-    /// degree semantics used by the evaluation datasets.
-    pub fn relationships(&self, node: NodeId, dir: Direction) -> Vec<RelId> {
-        let mut out = Vec::new();
-        if let Some(s) = self.nodes.get(node.raw()) {
-            if dir.includes_out() {
-                out.extend_from_slice(&s.out);
-            }
-            if dir.includes_in() {
-                out.extend_from_slice(&s.inc);
-            }
-        }
-        out
+    /// The relationship ids incident to `node` in the given direction, lent
+    /// from its adjacency lists: outgoing first, then incoming, each in
+    /// insertion order. For `Both`, self-loops appear twice (once per
+    /// direction), matching the degree semantics used by the evaluation
+    /// datasets.
+    pub fn relationships(&self, node: NodeId, dir: Direction) -> impl Iterator<Item = RelId> + '_ {
+        let slot = self.nodes.get(node.raw());
+        let out = slot
+            .filter(|_| dir.includes_out())
+            .map_or(&[][..], |s| &s.out);
+        let inc = slot
+            .filter(|_| dir.includes_in())
+            .map_or(&[][..], |s| &s.inc);
+        out.iter().chain(inc).copied()
     }
 
     /// The degree of `node` in the given direction.
@@ -432,7 +433,6 @@ impl Graph {
     pub fn neighbours(&self, node: NodeId, dir: Direction) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .relationships(node, dir)
-            .into_iter()
             .filter_map(|rid| self.rel(rid))
             .filter_map(|r| r.other_end(node))
             .collect();

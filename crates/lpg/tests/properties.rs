@@ -266,7 +266,7 @@ fn assert_matches(g: &Graph, m: &Model) {
     for &id in m.nodes.keys() {
         let nid = NodeId::new(id);
         let sorted = |dir| {
-            let mut v = g.relationships(nid, dir);
+            let mut v: Vec<RelId> = g.relationships(nid, dir).collect();
             v.sort_unstable();
             v
         };
@@ -274,7 +274,7 @@ fn assert_matches(g: &Graph, m: &Model) {
         assert_eq!(sorted(Direction::Incoming), m.incident(id, |r| r.tgt));
         assert_eq!(
             g.degree(nid, Direction::Both),
-            g.relationships(nid, Direction::Both).len()
+            g.relationships(nid, Direction::Both).count()
         );
     }
     for id in id_pool() {

@@ -97,6 +97,29 @@ fn call_errors() {
     assert!(execute(&db, "CALL aion.bfs('x', 1, 2, 3)", &Params::new()).is_err());
 }
 
+/// A series with step 0 never advances: it is refused, in both modes,
+/// before the first snapshot is fetched.
+#[test]
+fn zero_step_series_are_rejected() {
+    let (_d, db, last) = seeded_db();
+    for call in [
+        "aion.avg('weight', 0, {end}, 0{mode})",
+        "aion.bfs(0, 0, {end}, 0{mode})",
+        "aion.pagerank(0, {end}, 0{mode})",
+    ] {
+        for mode in ["", ", 'classic'"] {
+            let q = call
+                .replace("{end}", &(last + 1).to_string())
+                .replace("{mode}", mode);
+            assert_eq!(
+                execute(&db, &format!("CALL {q}"), &Params::new()).unwrap_err(),
+                lpg::GraphError::InvalidTimeRange,
+                "{q}"
+            );
+        }
+    }
+}
+
 #[test]
 fn call_diff_and_window() {
     let (_d, db, last) = seeded_db();

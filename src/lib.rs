@@ -22,7 +22,6 @@ pub use algo;
 pub use baselines;
 pub use btree;
 pub use check;
-pub use dyngraph;
 pub use encoding;
 pub use lineagestore;
 pub use lpg;
