@@ -67,12 +67,15 @@ fn bench(c: &mut Criterion) {
 
     let graph = sample_graph(2_000);
     g.bench_function("snapshot_encode_10k_entities", |b| {
-        b.iter(|| std::hint::black_box(snapshot::encode_graph(&graph).len()))
+        b.iter(|| std::hint::black_box(snapshot::encode(&graph, 1, None, |_| true).0.len()))
     });
 
-    let blob = snapshot::encode_graph(&graph);
+    let (blob, manifest) = snapshot::encode(&graph, 1, None, |_| true);
     g.bench_function("snapshot_decode_10k_entities", |b| {
-        b.iter(|| std::hint::black_box(snapshot::decode_graph(&blob).unwrap().node_count()))
+        b.iter(|| {
+            let graph = snapshot::decode(&manifest, &blob, |_, _| None).unwrap();
+            std::hint::black_box(graph.node_count())
+        })
     });
 
     g.finish();

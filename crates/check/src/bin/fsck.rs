@@ -190,7 +190,7 @@ fn generate_db(
         ls.apply_commit(t, std::slice::from_ref(&op))?;
         commits += 1;
     }
-    ts.write_snapshot(t)?;
+    ts.write_snapshot()?;
     // Read back a few historical points: this exercises snapshot replay,
     // the GraphStore cache and lineage expansion, so a `--metrics` run
     // reports the read path of every layer, not just ingest.

@@ -23,7 +23,8 @@
 //! * B+Tree keys ([`keys`]) are big-endian so lexicographic byte order
 //!   equals numeric order — exactly the composite layouts of Table 2.
 //!
-//! [`snapshot`] serializes whole graphs for TimeStore's snapshot files, and
+//! [`snapshot`] is the format of TimeStore's snapshot files (logically full,
+//! physically sharing unchanged 64-id segments with earlier files), and
 //! [`varint`] provides the LEB128 + zigzag primitives everything above uses.
 
 pub mod keys;

@@ -186,7 +186,7 @@ impl RecordBody {
             (TYPE_REL, false, true) => RecordBody::RelDelta(decode_delta(buf, pos)?),
             (TYPE_NODE, false, false) => {
                 let nlabels = varint::read_u64(buf, pos)? as usize;
-                let mut labels = Vec::with_capacity(nlabels);
+                let mut labels = Vec::with_capacity(nlabels.min(1024));
                 for _ in 0..nlabels {
                     labels.push(StrId::new(varint::read_u32(buf, pos)?));
                 }

@@ -14,12 +14,15 @@
 //!   offset, and points at a log frame carrying exactly that timestamp;
 //! * every log frame is indexed (no orphaned commits);
 //! * every snapshot-index entry names an existing, decodable snapshot file
-//!   whose contents equal an independent log replay at that timestamp;
+//!   whose references are to valid earlier snapshots and match their sums,
+//!   and whose contents equal an independent log replay at that timestamp;
 //! * a full log replay reproduces the live in-memory graph.
 
-use crate::store::TimeStore;
-use encoding::{keys, snapshot};
+use crate::store::{LoadError, TimeStore};
+use encoding::keys;
+use encoding::snapshot::Fault;
 use lpg::{Graph, Result};
+use std::collections::BTreeSet;
 
 /// One audit finding: a named invariant plus what was observed.
 #[derive(Clone, Debug)]
@@ -48,7 +51,7 @@ impl TimeStore {
         let mut findings = Vec::new();
 
         // Structural pass: both index trees, then page accounting.
-        let mut reachable = std::collections::BTreeSet::new();
+        let mut reachable = BTreeSet::new();
         reachable.insert(0); // meta page
         for (name, tree) in [
             ("time-index", &self.time_index),
@@ -81,7 +84,7 @@ impl TimeStore {
         }
 
         // Deep pass: time index ↔ log agreement.
-        let mut indexed_offsets = std::collections::BTreeSet::new();
+        let mut indexed_offsets = BTreeSet::new();
         let mut prev: Option<(u64, u64)> = None; // (ts, offset)
         for item in self.time_index.scan(&[], &[]).map_err(storage_err)? {
             let (key, value) = item.map_err(storage_err)?;
@@ -153,6 +156,7 @@ impl TimeStore {
             snaps.push((ts, String::from_utf8_lossy(&value).into_owned()));
         }
         let mut snap_iter = snaps.iter().peekable();
+        let mut valid = BTreeSet::new();
         let mut replay = Graph::new();
         let mut replay_ok = true;
         for entry in self.log.iter_from(0) {
@@ -179,7 +183,13 @@ impl TimeStore {
                 if *sts > frame.ts {
                     break;
                 }
-                self.audit_snapshot(*sts, name, replay_ok.then_some(&replay), &mut findings);
+                self.audit_snapshot(
+                    *sts,
+                    name,
+                    replay_ok.then_some(&replay),
+                    &mut valid,
+                    &mut findings,
+                );
                 snap_iter.next();
             }
         }
@@ -204,35 +214,58 @@ impl TimeStore {
         Ok(findings)
     }
 
-    /// Checks one snapshot file: readable, decodable, internally consistent
-    /// and (when the log replay is trustworthy) equal to the replayed state
-    /// at its timestamp.
+    /// Checks one snapshot file through the loader: readable, decodable,
+    /// every range it references present and matching its sum, every file
+    /// it references itself valid (`valid`, filled in ascending ts),
+    /// internally consistent and (when the log replay is trustworthy) equal
+    /// to the replayed state at its timestamp.
     fn audit_snapshot(
         &self,
         ts: u64,
         name: &str,
         replay: Option<&Graph>,
+        valid: &mut BTreeSet<u64>,
         findings: &mut Vec<AuditFinding>,
     ) {
-        let path = self.snap_dir.join(name);
-        let bytes = match self.vfs.read(&path) {
-            Ok(b) => b,
-            Err(e) => {
+        let (manifest, graph) = match self.load_snapshot(ts) {
+            Ok(loaded) => loaded,
+            Err(LoadError::Unreadable(e)) => {
                 findings.push(AuditFinding {
                     check: "snapshot/file",
                     detail: format!("snapshot {name} at ts {ts} unreadable: {e}"),
                 });
                 return;
             }
+            Err(LoadError::Fault(Fault::Corrupt)) => {
+                findings.push(AuditFinding {
+                    check: "snapshot/decode",
+                    detail: format!("snapshot {name} at ts {ts} does not decode"),
+                });
+                return;
+            }
+            Err(LoadError::Fault(Fault::Reference(source))) => {
+                findings.push(AuditFinding {
+                    check: "snapshot/reference",
+                    detail: format!(
+                        "snapshot {name} at ts {ts} references bytes of the snapshot at ts \
+                         {source} that are missing or do not match their sum"
+                    ),
+                });
+                return;
+            }
         };
-        let Some(graph) = crate::store::snapshot_payload(&bytes).and_then(snapshot::decode_graph)
-        else {
-            findings.push(AuditFinding {
-                check: "snapshot/decode",
-                detail: format!("snapshot {name} at ts {ts} does not decode"),
-            });
-            return;
-        };
+        match manifest.sources().into_iter().find(|s| !valid.contains(s)) {
+            Some(source) => findings.push(AuditFinding {
+                check: "snapshot/reference",
+                detail: format!(
+                    "snapshot {name} at ts {ts} references the snapshot at ts {source}, \
+                     which is not a valid snapshot"
+                ),
+            }),
+            None => {
+                valid.insert(ts);
+            }
+        }
         if let Err(e) = graph.check_consistency() {
             findings.push(AuditFinding {
                 check: "snapshot/consistency",
@@ -274,7 +307,7 @@ mod tests {
         for i in 1..200u64 {
             ts.append_commit(i, &[add_node(i)]).unwrap();
         }
-        ts.write_snapshot(199).unwrap();
+        ts.write_snapshot().unwrap();
         ts.sync().unwrap();
         let findings = ts.audit(true).unwrap();
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
@@ -287,7 +320,7 @@ mod tests {
         for i in 1..50u64 {
             ts.append_commit(i, &[add_node(i)]).unwrap();
         }
-        ts.write_snapshot(49).unwrap();
+        ts.write_snapshot().unwrap();
         ts.sync().unwrap();
         let vfs = vfs::VfsRef::std();
         let snapdir = dir.path().join("snapshots");
@@ -296,5 +329,65 @@ mod tests {
         }
         let findings = ts.audit(true).unwrap();
         assert!(findings.iter().any(|f| f.check == "snapshot/file"));
+    }
+
+    #[test]
+    fn missing_referenced_snapshot_detected_and_dropped_with_its_dependant() {
+        let dir = tempdir().unwrap();
+        let config = || TimeStoreConfig {
+            policy: crate::SnapshotPolicy::Never,
+            ..TimeStoreConfig::default()
+        };
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        // 300 nodes over five segments, snapshotted whole at 300; node 7
+        // changes, so the snapshot at 301 holds one segment and references
+        // four in the one at 300.
+        for i in 1..=300u64 {
+            ts.append_commit(i, &[add_node(i)]).unwrap();
+        }
+        ts.write_snapshot().unwrap();
+        let label = Update::AddLabel {
+            id: NodeId::new(7),
+            label: lpg::StrId::new(1),
+        };
+        ts.append_commit(301, &[label]).unwrap();
+        ts.write_snapshot().unwrap();
+        ts.append_commit(302, &[add_node(1_000)]).unwrap();
+        ts.sync().unwrap();
+        assert!(ts.audit(true).unwrap().is_empty());
+        let snapdir = dir.path().join("snapshots");
+        let vfs = vfs::VfsRef::std();
+        let (anchor, dependant) = (
+            "snap_00000000000000000300.aisnap",
+            "snap_00000000000000000301.aisnap",
+        );
+        let sizes: Vec<u64> = vfs
+            .read_dir(&snapdir)
+            .unwrap()
+            .iter()
+            .map(|f| f.1)
+            .collect();
+        assert!(sizes[1] * 3 < sizes[0], "{sizes:?}");
+        vfs.remove_file(&snapdir.join(anchor)).unwrap();
+
+        let findings = ts.audit(true).unwrap();
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.check == "snapshot/reference" && f.detail.contains(dependant)),
+            "{findings:?}"
+        );
+        drop(ts);
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        assert!(vfs.read_dir(&snapdir).unwrap().is_empty(), "both dropped");
+        assert_eq!(ts.stats().snapshot_count, 0);
+        let mut replay = Graph::new();
+        for t in 1..=302 {
+            for u in ts.diff(t, t + 1).unwrap() {
+                replay.apply(&u.op).unwrap();
+            }
+            assert!(ts.snapshot_at(t).unwrap().same_as(&replay), "at ts {t}");
+        }
+        assert!(ts.audit(true).unwrap().is_empty());
     }
 }

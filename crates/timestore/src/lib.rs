@@ -16,7 +16,9 @@
 //! * eager snapshots written "based on a user-defined policy"
 //!   ([`policy::SnapshotPolicy`], operation-based by default) to snapshot
 //!   files, referenced from "a second B+Tree indexed by time" (Table 2,
-//!   row 2);
+//!   row 2). Each file is logically full but writes only the 64-id
+//!   segments an update touched since the previous snapshot and references
+//!   the rest in earlier files ([`encoding::snapshot`]);
 //! * [`graphstore::GraphStore`] — "an in-memory Least Recently Used (LRU)
 //!   cache for snapshots", which also maintains the *latest* graph by
 //!   synchronously applying committed updates (Sec. 5.1 "Snapshot

@@ -4,14 +4,15 @@ use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, CommitFrame};
 use crate::policy::SnapshotPolicy;
 use btree::BTree;
-use encoding::{keys, snapshot};
+use encoding::keys;
+use encoding::snapshot::{self, Manifest, Segment};
 use lpg::{
     Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate, Update,
     TS_MAX,
 };
 use pagestore::PageStore;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,32 +48,25 @@ impl Default for TimeStoreConfig {
     }
 }
 
-/// Appends the checksum footer that makes a snapshot file self-verifying.
-/// Snapshots are derived from the log, so they carry the bulk checksum; a
-/// footer written by an older version (FNV-1a) fails verification and the
-/// file is dropped at open like a torn one.
-pub(crate) fn seal_snapshot(snapshot: &mut Vec<u8>) {
-    let footer = vfs::bulk_sum64(snapshot);
-    snapshot.extend_from_slice(&footer.to_le_bytes());
-}
-
-/// Verifies a snapshot file's footer, returning the payload when intact.
-pub(crate) fn snapshot_payload(bytes: &[u8]) -> Option<&[u8]> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (payload, footer) = bytes.split_at(bytes.len() - 8);
-    let mut f = [0u8; 8];
-    f.copy_from_slice(footer);
-    (vfs::bulk_sum64(payload) == u64::from_le_bytes(f)).then_some(payload)
-}
-
 /// Parses the timestamp out of a `snap_<ts>.aisnap` file name.
 pub(crate) fn snapshot_name_ts(name: &str) -> Option<Timestamp> {
     name.strip_prefix("snap_")?
         .strip_suffix(".aisnap")?
         .parse()
         .ok()
+}
+
+fn snapshot_name(ts: Timestamp) -> String {
+    format!("snap_{ts:020}.aisnap")
+}
+
+/// Why a snapshot file did not load.
+#[derive(Debug)]
+pub(crate) enum LoadError {
+    /// The file itself could not be read.
+    Unreadable(std::io::Error),
+    /// Its footer, version, name or contents, or a range it references.
+    Fault(snapshot::Fault),
 }
 
 /// Size/footprint counters for the storage-overhead experiments (Fig. 10).
@@ -126,6 +120,21 @@ struct MutableState {
     snapshot_count: u64,
 }
 
+/// What the next snapshot file may reference, and what it must rewrite.
+/// Only the writer takes this lock (commits, snapshots, recovery).
+#[derive(Default)]
+struct Chain {
+    /// The manifest of the last snapshot written (after open: of the floor
+    /// snapshot); `None` makes the next snapshot stand alone.
+    last: Option<Arc<Manifest>>,
+    /// Every segment an update named since `last`'s snapshot, with the
+    /// timestamp of the last such update. Exact, never a content hash: a
+    /// segment absent here holds what `last` says it holds. The timestamp
+    /// lets a snapshot at `ts` clear only entries up to `ts`, keeping those
+    /// of a commit that raced with it.
+    touched: HashMap<Segment, Timestamp>,
+}
+
 /// Snapshot-based temporal storage indexed by time (Sec. 4.3).
 pub struct TimeStore {
     pub(crate) vfs: VfsRef,
@@ -139,6 +148,7 @@ pub struct TimeStore {
     pub(crate) snap_dir: PathBuf,
     policy: SnapshotPolicy,
     state: Mutex<MutableState>,
+    chain: Mutex<Chain>,
     /// In-memory mirror of [`SLOT_DURABLE_LOG_END`]: how many log bytes
     /// the last successful [`TimeStore::sync`] provably fsynced.
     /// Replication ships only below this point — bytes past it could
@@ -236,6 +246,7 @@ impl TimeStore {
                 snapshot_bytes: 0,
                 snapshot_count: 0,
             }),
+            chain: Mutex::new(Chain::default()),
             durable_log_end,
             metrics: Metrics::new(),
         };
@@ -283,42 +294,45 @@ impl TimeStore {
         state.latest_ts = latest_ts;
         state.commits = commits;
         state.updates = updates;
-        // Reconcile the snapshot directory with the snapshot index. A
-        // crash can leave torn snapshot files (quarantined — the log
-        // re-derives them), snapshots from a future the durable log never
-        // reached (deleted, preserving the snapshot-index envelope), valid
-        // files the index lost (re-indexed), and index entries whose file
-        // is gone (dropped).
+        // Reconcile the snapshot directory with the snapshot index, in
+        // ascending ts: a file is valid when its footer verifies, it names
+        // its own ts, that ts is one the durable log reached, and every file
+        // it references is valid. So a torn file (crash), one from a future
+        // the log never reached, or one of an older format is deleted
+        // together with every file that references it, and the log
+        // re-derives them. Valid files the index lost are re-indexed, index
+        // entries whose file is gone are dropped.
+        let mut files: Vec<(Timestamp, String)> = self
+            .vfs
+            .read_dir(&self.snap_dir)?
+            .into_iter()
+            .filter_map(|(name, _)| Some((snapshot_name_ts(&name)?, name)))
+            .collect();
+        files.sort_unstable();
         let mut valid = std::collections::BTreeSet::new();
-        for (name, _) in self.vfs.read_dir(&self.snap_dir)? {
-            let Some(sts) = snapshot_name_ts(&name) else {
+        let mut floor: Option<(Manifest, Vec<u8>)> = None;
+        for (sts, name) in files {
+            let checked = (sts > 0 && sts <= latest_ts)
+                .then(|| self.read_snapshot_file(sts).ok())
+                .flatten()
+                .filter(|(m, _)| m.sources().iter().all(|s| valid.contains(s)));
+            let Some((manifest, bytes)) = checked else {
+                let _ = self.vfs.remove_file(&self.snap_dir.join(&name));
                 continue;
             };
-            let path = self.snap_dir.join(&name);
-            let intact = self
-                .vfs
-                .read(&path)
-                .ok()
-                .map(|b| (snapshot_payload(&b).is_some(), b.len() as u64));
-            match intact {
-                Some((true, len)) if sts <= latest_ts && sts > 0 => {
-                    valid.insert(sts);
-                    state.snapshot_bytes += len;
-                    state.snapshot_count += 1;
-                    if !self
-                        .snap_index
-                        .contains(&keys::ts_key(sts))
-                        .map_err(storage_err)?
-                    {
-                        self.snap_index
-                            .insert(&keys::ts_key(sts), name.as_bytes())
-                            .map_err(storage_err)?;
-                    }
-                }
-                _ => {
-                    let _ = self.vfs.remove_file(&path);
-                }
+            valid.insert(sts);
+            state.snapshot_bytes += bytes.len() as u64;
+            state.snapshot_count += 1;
+            if !self
+                .snap_index
+                .contains(&keys::ts_key(sts))
+                .map_err(storage_err)?
+            {
+                self.snap_index
+                    .insert(&keys::ts_key(sts), name.as_bytes())
+                    .map_err(storage_err)?;
             }
+            floor = Some((manifest, bytes));
         }
         let mut stale = Vec::new();
         for item in self.snap_index.scan(&[], &[]).map_err(storage_err)? {
@@ -336,35 +350,90 @@ impl TimeStore {
         if latest_ts > 0 {
             // Built in place, not through `reconstruct_at`: that caches
             // what it loads and replays, and nobody asked for those
-            // snapshots to be resident.
-            let floor = self
-                .snap_index
-                .seek_floor(&keys::ts_key(latest_ts))
-                .map_err(storage_err)?;
-            let (mut base_ts, mut graph) = (0, Graph::new());
-            if let Some((k, name)) = floor {
-                if let Some(g) = self.read_snapshot(&name) {
-                    (base_ts, graph) = (decode_ts(&k)?, g);
+            // snapshots to be resident. The floor is the last valid file.
+            let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
+            if let Some((manifest, bytes)) = floor {
+                if let Ok(g) = self.decode_snapshot(&manifest, &bytes) {
+                    (base_ts, graph, last) = (manifest.ts(), g, Some(Arc::new(manifest)));
                 }
             }
+            // The updates replayed past the floor are what the next snapshot
+            // must not reference.
+            let mut touched = HashMap::new();
             if base_ts < latest_ts {
                 let _timer = self.metrics.snapshot_replay_latency.start_timer();
                 self.metrics.snapshot_replays.inc();
                 for u in &self.diff(base_ts + 1, latest_ts.saturating_add(1))? {
                     graph.apply(&u.op)?;
+                    touched.insert(Segment::of(u.op.entity()), u.ts);
                 }
             }
             self.graphstore.set_latest(graph, latest_ts);
+            *self.chain.lock() = Chain { last, touched };
         }
         Ok(())
     }
 
-    /// Reads and decodes the snapshot file a snapshot-index entry names;
-    /// `None` when it is missing, torn or sealed by an older version.
-    fn read_snapshot(&self, name: &[u8]) -> Option<Graph> {
-        let path = self.snap_dir.join(String::from_utf8_lossy(name).as_ref());
-        let bytes = self.vfs.read(&path).ok()?;
-        snapshot_payload(&bytes).and_then(snapshot::decode_graph)
+    /// Reads the snapshot file at `ts` and checks its footer, version and
+    /// name; the referenced ranges are checked by [`Self::decode_snapshot`].
+    fn read_snapshot_file(
+        &self,
+        ts: Timestamp,
+    ) -> std::result::Result<(Manifest, Vec<u8>), LoadError> {
+        let bytes = self
+            .vfs
+            .read(&self.snap_dir.join(snapshot_name(ts)))
+            .map_err(LoadError::Unreadable)?;
+        match snapshot::open(&bytes) {
+            Some(manifest) if manifest.ts() == ts => Ok((manifest, bytes)),
+            _ => Err(LoadError::Fault(snapshot::Fault::Corrupt)),
+        }
+    }
+
+    /// Decodes a snapshot file read by [`Self::read_snapshot_file`],
+    /// fetching the ranges it references with one read per run of
+    /// consecutive ranges of one file; each referenced range must match
+    /// its sum.
+    fn decode_snapshot(
+        &self,
+        manifest: &Manifest,
+        bytes: &[u8],
+    ) -> std::result::Result<Graph, snapshot::Fault> {
+        // Extents come grouped by file: each source is opened once.
+        let mut source: Option<(Timestamp, Box<dyn vfs::VfsFile>, u64)> = None;
+        snapshot::decode(manifest, bytes, |extent, buf| {
+            if source.as_ref().is_none_or(|(ts, ..)| *ts != extent.ts) {
+                // `open` would create a missing file.
+                let path = self.snap_dir.join(snapshot_name(extent.ts));
+                let file = self
+                    .vfs
+                    .exists(&path)
+                    .then(|| self.vfs.open(&path).ok())??;
+                let len = file.len().ok()?;
+                source = Some((extent.ts, file, len));
+            }
+            let (_, file, len) = source.as_ref()?;
+            if extent.offset.checked_add(extent.len)? > *len {
+                return None;
+            }
+            let start = buf.len();
+            buf.resize(start.checked_add(usize::try_from(extent.len).ok()?)?, 0);
+            file.read_exact_at(&mut buf[start..], extent.offset).ok()
+        })
+    }
+
+    /// The one snapshot loader (`reconstruct_at`, `recover`, the audit):
+    /// the file at `ts` with its footer checked, and its graph with every
+    /// referenced range checked.
+    pub(crate) fn load_snapshot(
+        &self,
+        ts: Timestamp,
+    ) -> std::result::Result<(Manifest, Graph), LoadError> {
+        let (manifest, bytes) = self.read_snapshot_file(ts)?;
+        let graph = self
+            .decode_snapshot(&manifest, &bytes)
+            .map_err(LoadError::Fault)?;
+        Ok((manifest, graph))
     }
 
     /// Ingests one committed transaction. Timestamps must be strictly
@@ -390,6 +459,12 @@ impl TimeStore {
         // `latest_ts() >= ts` means the commit reached the log and its
         // durability is uncertain.
         self.metrics.log_appends.inc();
+        {
+            let mut chain = self.chain.lock();
+            for u in updates {
+                chain.touched.insert(Segment::of(u.entity()), ts);
+            }
+        }
         let should_snapshot;
         {
             let mut state = self.state.lock();
@@ -406,26 +481,44 @@ impl TimeStore {
             .map_err(storage_err)?;
         self.graphstore.apply_commit(ts, updates)?;
         if should_snapshot {
-            self.write_snapshot(ts)?;
+            self.write_snapshot()?;
         }
         Ok(())
     }
 
-    /// Forces a snapshot of the latest graph at its current timestamp.
-    pub fn write_snapshot(&self, ts: Timestamp) -> Result<()> {
+    /// Writes a snapshot of the latest graph at its own timestamp; a no-op
+    /// when there is no commit yet or the last snapshot is at that
+    /// timestamp already.
+    ///
+    /// The file references every segment of the previous snapshot that no
+    /// update touched since, and holds the rest inline.
+    pub fn write_snapshot(&self) -> Result<()> {
+        // The latest graph is borrowed only while it is encoded, and not
+        // parked in the GraphStore's cache (reads fill that on demand): an
+        // `Arc` still alive at the next commit would make `apply_commit`
+        // copy every chunk it touches.
+        let (graph, ts) = self.graphstore.latest();
+        let (prev, dirty) = {
+            let chain = self.chain.lock();
+            let prev = chain.last.clone();
+            if ts == 0 || prev.as_ref().is_some_and(|m| m.ts() >= ts) {
+                return Ok(());
+            }
+            let since = prev.as_ref().map_or(0, |m| m.ts());
+            let dirty: HashSet<Segment> = chain
+                .touched
+                .iter()
+                .filter(|(_, t)| **t > since)
+                .map(|(s, _)| *s)
+                .collect();
+            (prev, dirty)
+        };
         let _timer = self.metrics.snapshot_create_latency.start_timer();
         self.metrics.snapshot_creates.inc();
-        let mut bytes = {
-            // The latest graph is borrowed only while it is encoded, and
-            // not parked in the GraphStore's cache (reads fill that on
-            // demand): an `Arc` still alive at the next commit would make
-            // `apply_commit` copy every chunk it touches.
-            let (graph, latest_ts) = self.graphstore.latest();
-            debug_assert_eq!(latest_ts, ts);
-            snapshot::encode_graph(&graph)
-        };
-        seal_snapshot(&mut bytes);
-        let name = format!("snap_{ts:020}.aisnap");
+        let (bytes, manifest) =
+            snapshot::encode(&graph, ts, prev.as_deref(), |s| dirty.contains(&s));
+        drop(graph);
+        let name = snapshot_name(ts);
         let path = self.snap_dir.join(&name);
         // Write through a handle and sync before indexing: a crash can
         // then only leave a torn (quarantinable) or absent file, never a
@@ -438,6 +531,15 @@ impl TimeStore {
         self.snap_index
             .insert(&keys::ts_key(ts), name.as_bytes())
             .map_err(storage_err)?;
+        // Only a snapshot that made it becomes what the next one references;
+        // a failure above leaves the chain as it was.
+        {
+            let mut chain = self.chain.lock();
+            if chain.last.as_ref().is_none_or(|m| m.ts() < ts) {
+                chain.last = Some(Arc::new(manifest));
+            }
+            chain.touched.retain(|_, t| *t > ts);
+        }
         let mut state = self.state.lock();
         state.ops_since_snapshot = 0;
         state.last_snapshot_ts = ts;
@@ -505,15 +607,15 @@ impl TimeStore {
         let (base_ts, base): (Timestamp, Arc<Graph>) = match (mem, disk) {
             (Some((mts, g)), Some((k, _))) if mts >= decode_ts(&k)? => (mts, g),
             (Some((mts, g)), None) => (mts, g),
-            (mem, Some((k, name))) => {
+            (mem, Some((k, _))) => {
                 let disk_ts = decode_ts(&k)?;
-                match self.read_snapshot(&name) {
-                    Some(g) => {
+                match self.load_snapshot(disk_ts) {
+                    Ok((_, g)) => {
                         let g = Arc::new(g);
                         self.graphstore.put(disk_ts, g.clone());
                         (disk_ts, g)
                     }
-                    None => {
+                    Err(_) => {
                         // A corrupt or missing snapshot file is recoverable:
                         // the change log holds the full history. Prefer any
                         // older in-memory base, else replay from the start.

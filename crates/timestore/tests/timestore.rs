@@ -242,7 +242,7 @@ fn replayed_snapshot_shares_untouched_chunks_with_its_base() {
         .chain((0..2_000).map(|i| add_rel(i, i, (i * 7 + 1) % 2_000)))
         .collect();
     store.append_commit(1, &bulk).unwrap();
-    store.write_snapshot(1).unwrap();
+    store.write_snapshot().unwrap();
     // m single-update commits of every kind, then one more so that the
     // latest graph is not the base of the read below.
     let replayed = [

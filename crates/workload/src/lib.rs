@@ -23,5 +23,5 @@ pub mod txmix;
 
 pub use datasets::{Dataset, DATASETS};
 pub use generator::{generate, GeneratedWorkload};
-pub use simops::{commit_script, SimOpsConfig};
+pub use simops::{commit_script, spread_ids, SimOpsConfig};
 pub use txmix::{ClientOp, TxMix};

@@ -74,6 +74,36 @@ pub fn commit_script(seed: u64, cfg: &SimOpsConfig) -> Vec<Vec<Update>> {
     script
 }
 
+/// Multiplies every node and relationship id of `script` by `stride`.
+///
+/// Scripts count ids up from 0, so a few dozen entities share one or two of
+/// the 64-id chunks `lpg::Graph` and snapshot files are cut into; spread by
+/// a stride above 1 they span many, and a snapshot can share some with the
+/// one before it and rewrite others.
+pub fn spread_ids(mut script: Vec<Vec<Update>>, stride: u64) -> Vec<Vec<Update>> {
+    let node = |id: &mut NodeId| *id = NodeId::new(id.raw() * stride);
+    let rel = |id: &mut RelId| *id = RelId::new(id.raw() * stride);
+    for u in script.iter_mut().flatten() {
+        match u {
+            Update::AddNode { id, .. }
+            | Update::DeleteNode { id }
+            | Update::SetNodeProp { id, .. }
+            | Update::RemoveNodeProp { id, .. }
+            | Update::AddLabel { id, .. }
+            | Update::RemoveLabel { id, .. } => node(id),
+            Update::AddRel { id, src, tgt, .. } => {
+                rel(id);
+                node(src);
+                node(tgt);
+            }
+            Update::DeleteRel { id }
+            | Update::SetRelProp { id, .. }
+            | Update::RemoveRelProp { id, .. } => rel(id),
+        }
+    }
+    script
+}
+
 /// Emits one valid update and folds it into the model.
 fn next_op(rng: &mut SmallRng, m: &mut Model, cfg: &SimOpsConfig) -> Update {
     // Weighted op mix; structural choices fall back to AddNode whenever the
@@ -237,6 +267,24 @@ mod tests {
         let c = commit_script(8, &cfg());
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn spread_scripts_stay_valid_and_span_many_chunks() {
+        let script = spread_ids(commit_script(5, &cfg()), 29);
+        let mut g = Graph::new();
+        for u in script.iter().flatten() {
+            g.apply(u).unwrap();
+        }
+        let mut chunks: Vec<(bool, u64)> = script
+            .iter()
+            .flatten()
+            .map(|u| (u.entity().is_node(), u.entity().raw() >> 6))
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        assert!(chunks.len() >= 16, "{} chunks", chunks.len());
+        assert!(script.iter().flatten().all(|u| u.entity().raw() % 29 == 0));
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Opening a data directory written before the bulk checksum
-//! (`vfs::bulk_sum64`, sidecar magic `AIONSUM2`): its page-checksum
-//! sidecars and snapshot footers carry FNV-1a sums (`AIONSUM1`). They are
-//! derived files, so nothing converts them: they fail verification like a
-//! torn file would, the page files are rebuilt from the change log — whose
-//! frame checksum did not change — and the stale snapshots are dropped.
+//! Opening a data directory written by an older version. Its derived files
+//! are not converted: they fail verification like a torn file would, the
+//! page files are rebuilt from the change log — whose format did not
+//! change — and the stale snapshots are dropped at open. Two inputs:
+//!
+//! * written before the bulk checksum (`vfs::bulk_sum64`, sidecar magic
+//!   `AIONSUM2`): page-checksum sidecars and snapshot footers carry FNV-1a
+//!   sums (`AIONSUM1`);
+//! * written before snapshot files shared segments: every snapshot is a
+//!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
@@ -65,42 +69,60 @@ fn snapshot_files(dir: &Path) -> Vec<std::path::PathBuf> {
     files.iter().map(|(name, _)| snap_dir.join(name)).collect()
 }
 
+/// History: nodes, relationships, property churn, synced and closed; the
+/// graph after every commit is the oracle for "readable at its timestamp".
+fn write_history(dir: &Path) -> Vec<(u64, Arc<Graph>)> {
+    let mut history = Vec::new();
+    let db = Aion::open(config(dir)).unwrap();
+    let (label, key) = (db.intern("N"), db.intern("v"));
+    for i in 0..20u64 {
+        let ts = db
+            .write(|txn| txn.add_node(NodeId::new(i), vec![label], vec![]))
+            .unwrap();
+        history.push((ts, db.latest_graph()));
+    }
+    for i in 0..20u64 {
+        let ts = db
+            .write(|txn| {
+                txn.add_rel(
+                    RelId::new(i),
+                    NodeId::new(i),
+                    NodeId::new((i * 7 + 1) % 20),
+                    None,
+                    vec![],
+                )?;
+                txn.set_node_prop(NodeId::new(i % 5), key, PropertyValue::Int(i as i64))
+            })
+            .unwrap();
+        history.push((ts, db.latest_graph()));
+    }
+    db.lineage_barrier(db.latest_ts());
+    db.sync().unwrap();
+    history
+}
+
+/// Every state of `history` reads back from both stores, and the full
+/// audit is clean.
+fn assert_history(db: &Aion, history: &[(u64, Arc<Graph>)]) {
+    assert_eq!(db.latest_ts(), history.last().unwrap().0);
+    db.lineage_barrier(db.latest_ts());
+    for (ts, want) in history {
+        assert!(db.get_graph_at(*ts).unwrap().same_as(want), "at ts {ts}");
+        for node in want.nodes() {
+            let got = db.lineagestore().node_at(node.id, *ts).unwrap();
+            assert_eq!(got.as_ref(), Some(node), "node {:?} at ts {ts}", node.id);
+        }
+    }
+    let report = db.check_consistency(CheckLevel::Full).unwrap();
+    assert!(report.is_clean(), "{report}");
+}
+
 #[test]
 fn old_checksums_are_rebuilt_from_the_log() {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
     let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
-
-    // History: nodes, relationships, property churn; the graph after
-    // every commit is the oracle for "readable at its timestamp".
-    let mut history: Vec<(u64, Arc<Graph>)> = Vec::new();
-    {
-        let db = Aion::open(config(dir)).unwrap();
-        let (label, key) = (db.intern("N"), db.intern("v"));
-        for i in 0..20u64 {
-            let ts = db
-                .write(|txn| txn.add_node(NodeId::new(i), vec![label], vec![]))
-                .unwrap();
-            history.push((ts, db.latest_graph()));
-        }
-        for i in 0..20u64 {
-            let ts = db
-                .write(|txn| {
-                    txn.add_rel(
-                        RelId::new(i),
-                        NodeId::new(i),
-                        NodeId::new((i * 7 + 1) % 20),
-                        None,
-                        vec![],
-                    )?;
-                    txn.set_node_prop(NodeId::new(i % 5), key, PropertyValue::Int(i as i64))
-                })
-                .unwrap();
-            history.push((ts, db.latest_graph()));
-        }
-        db.lineage_barrier(db.latest_ts());
-        db.sync().unwrap();
-    }
+    let history = write_history(dir);
     let snapshots = snapshot_files(dir);
     assert!(
         snapshots.len() >= 3,
@@ -125,17 +147,7 @@ fn old_checksums_are_rebuilt_from_the_log() {
             "stale snapshots are dropped"
         );
         assert_eq!(db.timestore().stats().snapshot_count, 0);
-        assert_eq!(db.latest_ts(), history.last().unwrap().0);
-        db.lineage_barrier(db.latest_ts());
-        for (ts, want) in &history {
-            assert!(db.get_graph_at(*ts).unwrap().same_as(want), "at ts {ts}");
-            for node in want.nodes() {
-                let got = db.lineagestore().node_at(node.id, *ts).unwrap();
-                assert_eq!(got.as_ref(), Some(node), "node {:?} at ts {ts}", node.id);
-            }
-        }
-        let report = db.check_consistency(CheckLevel::Full).unwrap();
-        assert!(report.is_clean(), "{report}");
+        assert_history(&db, &history);
         db.sync().unwrap();
     }
     for file in &page_files {
@@ -143,4 +155,50 @@ fn old_checksums_are_rebuilt_from_the_log() {
         assert_eq!(&sums[..8], b"2MUSNOIA", "the next sync writes AIONSUM2");
         PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
     }
+}
+
+/// PR 17's pinned whole-graph snapshot body: the version-1 format.
+const VERSION_1_BODY: &str = include_str!("../crates/encoding/tests/golden/snapshot_200.hex");
+
+#[test]
+fn version_1_snapshots_are_dropped_at_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let history = write_history(dir);
+    let snapshots = snapshot_files(dir);
+    assert!(
+        snapshots.len() >= 3,
+        "the history crosses snapshot boundaries"
+    );
+    let hex: Vec<u8> = VERSION_1_BODY
+        .bytes()
+        .filter(u8::is_ascii_hexdigit)
+        .collect();
+    let mut v1: Vec<u8> = hex
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect();
+    v1.extend_from_slice(&vfs::bulk_sum64(&v1).to_le_bytes());
+    for snapshot in &snapshots {
+        VfsRef::std().write(snapshot, &v1).unwrap();
+    }
+
+    let db = Aion::open(config(dir)).unwrap();
+    // Dropped by the open, before anything read them.
+    assert!(
+        snapshot_files(dir).is_empty(),
+        "version-1 snapshots are dropped"
+    );
+    assert_eq!(db.timestore().stats().snapshot_count, 0);
+    assert_history(&db, &history);
+    // The next snapshot is written in the current version.
+    for i in 100..110u64 {
+        db.write(|txn| txn.add_node(NodeId::new(i), vec![], vec![]))
+            .unwrap();
+    }
+    let written = snapshot_files(dir);
+    assert_eq!(written.len(), 1);
+    let bytes = VfsRef::std().read(&written[0]).unwrap();
+    assert!(encoding::snapshot::open(&bytes).is_some());
+    assert!(encoding::snapshot::open(&v1).is_none());
 }

@@ -22,8 +22,8 @@ use lpg::{Graph, NodeId, Update};
 use std::path::PathBuf;
 use std::sync::Arc;
 use timestore::SnapshotPolicy;
-use vfs::{FaultConfig, SimVfs, VfsRef};
-use workload::simops::{commit_script, SimOpsConfig};
+use vfs::{FaultConfig, SimVfs, Vfs, VfsRef};
+use workload::simops::{commit_script, spread_ids, SimOpsConfig};
 
 const COMMITS: usize = 24;
 const OPS_PER_COMMIT: usize = 4;
@@ -105,10 +105,12 @@ fn apply_update(txn: &mut WriteTxn<'_>, u: &Update) -> lpg::Result<()> {
 }
 
 /// Builds the seed's commit script. Property keys match the interner ids
-/// Aion assigns on every open, so the script is stable across reopens.
+/// Aion assigns on every open, so the script is stable across reopens. Ids
+/// are spread over many 64-id segments, so that snapshot files reference
+/// earlier ones and crash points fall inside such files.
 fn script_for(db: &Aion, seed: u64) -> Vec<Vec<Update>> {
     let keys = db.app_time_keys();
-    commit_script(
+    let script = commit_script(
         seed,
         &SimOpsConfig {
             commits: COMMITS,
@@ -118,7 +120,8 @@ fn script_for(db: &Aion, seed: u64) -> Vec<Vec<Update>> {
             key: db.intern("k"),
             label: db.intern("L"),
         },
-    )
+    );
+    spread_ids(script, 29)
 }
 
 /// The in-memory oracle: `states[t]` is the graph after commit `t`
@@ -273,6 +276,20 @@ fn run_seed(seed: u64, max_points: u64) {
     );
     let total_ops = sim.op_count();
     assert!(total_ops > 0);
+    // The crash points below fall inside snapshot files that reference
+    // earlier ones, not only inside whole ones.
+    let snap_dir = db_root().join("timestore/snapshots");
+    let referencing = sim
+        .read_dir(&snap_dir)
+        .unwrap()
+        .iter()
+        .filter_map(|(name, _)| encoding::snapshot::open(&sim.read(&snap_dir.join(name)).ok()?))
+        .filter(|manifest| !manifest.sources().is_empty())
+        .count();
+    assert!(
+        referencing > 0,
+        "seed {seed}: no snapshot references an earlier one"
+    );
     // Verify the fault-free image too — recovery from "no crash at all".
     check_recovery(
         &sim,
