@@ -10,7 +10,18 @@
 //! ...          cells, packed towards PAGE_SIZE
 //! ```
 //!
-//! Leaf cell:      `u8 flags, u16 klen, u32 vlen, key, (value | u64 ovf page)`
+//! Leaf cell:
+//!
+//! ```text
+//! cell     = varint(klen) varint(vlen << 1 | overflow) key payload
+//! payload  = value                 ; overflow = 0: vlen value bytes inline
+//!          | u64 overflow page     ; overflow = 1: the chain holds vlen bytes
+//! varint   = LEB128, low 7 bits first, at most 5 bytes
+//! ```
+//!
+//! A LineageStore cell (16- or 32-byte key, value under 64 bytes) spends
+//! two header bytes; a longer key or value only widens its own varint.
+//!
 //! Internal cell:  `u16 klen, u64 child, key`
 
 use pagestore::{PageBuf, PAGE_SIZE};
@@ -20,15 +31,16 @@ pub const LEAF: u8 = 1;
 /// Node type tag for internal nodes.
 pub const INTERNAL: u8 = 2;
 
-/// Leaf-cell flag: the value lives in an overflow chain.
-pub const FLAG_OVERFLOW: u8 = 1;
-
 const TYPE_OFF: usize = 0;
 const NCELLS_OFF: usize = 2;
 const DATA_START_OFF: usize = 4;
 const LINK_OFF: usize = 8;
 /// First byte of the slot directory.
 pub const SLOTS_OFF: usize = 16;
+
+/// Widest varint a leaf-cell header holds: 5 bytes carry 35 bits, enough
+/// for `u32::MAX << 1 | 1`.
+const MAX_VARINT: usize = 5;
 
 /// Initializes a page as an empty node of the given type.
 pub fn init(page: &mut PageBuf, node_type: u8) {
@@ -73,12 +85,6 @@ fn read_u16_at(b: &[u8], off: usize) -> u16 {
     u16::from_le_bytes(a)
 }
 
-fn read_u32_at(b: &[u8], off: usize) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[off..off + 4]);
-    u32::from_le_bytes(a)
-}
-
 fn read_u64_at(b: &[u8], off: usize) -> u64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(&b[off..off + 8]);
@@ -90,18 +96,151 @@ pub fn free_space(page: &PageBuf) -> usize {
     data_start(page).saturating_sub(SLOTS_OFF + ncells(page) * 2)
 }
 
+/// Reserves `size` heap bytes for a new cell at slot `i`, shifting the slot
+/// directory right of `i`; returns the cell's offset. The caller must have
+/// ensured enough contiguous free space (see [`free_space`] / [`compact`]).
+fn reserve(page: &mut PageBuf, i: usize, size: usize) -> usize {
+    debug_assert!(free_space(page) >= size + 2, "caller must ensure space");
+    let n = ncells(page);
+    let start = data_start(page) - size;
+    page.bytes_mut()
+        .copy_within(SLOTS_OFF + i * 2..SLOTS_OFF + n * 2, SLOTS_OFF + i * 2 + 2);
+    page.write_u16(SLOTS_OFF + i * 2, start as u16);
+    page.write_u16(NCELLS_OFF, (n + 1) as u16);
+    page.write_u16(DATA_START_OFF, start as u16);
+    start
+}
+
+/// Drops slot `i` from the directory (its heap bytes become garbage until
+/// the next [`compact`]).
+fn unslot(page: &mut PageBuf, i: usize) {
+    let n = ncells(page);
+    page.bytes_mut().copy_within(
+        SLOTS_OFF + (i + 1) * 2..SLOTS_OFF + n * 2,
+        SLOTS_OFF + i * 2,
+    );
+    page.write_u16(NCELLS_OFF, (n - 1) as u16);
+}
+
+// ------------------------------------------------------------------ varints
+
+fn varint_len(mut v: u64) -> usize {
+    let mut len = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        len += 1;
+    }
+    len
+}
+
+/// Writes `v` at the start of `out`; returns the bytes written.
+fn put_varint(out: &mut [u8], mut v: u64) -> usize {
+    let mut i = 0;
+    while v >= 0x80 {
+        out[i] = (v as u8) | 0x80;
+        v >>= 7;
+        i += 1;
+    }
+    out[i] = v as u8;
+    i + 1
+}
+
+/// Reads the varint at `b[*pos..]`, advancing `pos`: `None` when it runs
+/// past the end of `b` or past [`MAX_VARINT`] bytes. A one-byte varint
+/// (every length below 128) takes the first branch.
+#[inline]
+fn read_varint(b: &[u8], pos: &mut usize) -> Option<u64> {
+    let first = *b.get(*pos)?;
+    *pos += 1;
+    if first < 0x80 {
+        return Some(u64::from(first));
+    }
+    let mut v = u64::from(first & 0x7f);
+    for shift in (7..7 * MAX_VARINT as u32).step_by(7) {
+        let byte = *b.get(*pos)?;
+        *pos += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 // ---------------------------------------------------------------- leaf cells
 
-/// Bytes needed for a leaf cell holding `klen`-byte key and `inline_vlen`
-/// bytes of inline payload (value bytes, or 8 for an overflow pointer).
-pub fn leaf_cell_size(klen: usize, inline_vlen: usize) -> usize {
-    1 + 2 + 4 + klen + inline_vlen
+/// The decoded header of one leaf cell.
+#[derive(Clone, Copy, Default)]
+struct Header {
+    klen: usize,
+    vlen: usize,
+    overflow: bool,
+    /// Offset of the key's first byte (just past the two varints).
+    key_off: usize,
+}
+
+impl Header {
+    fn inline_len(&self) -> usize {
+        if self.overflow {
+            8
+        } else {
+            self.vlen
+        }
+    }
+
+    /// One past the cell's last byte.
+    fn end(&self) -> usize {
+        self.key_off + self.klen + self.inline_len()
+    }
+}
+
+fn read_header(b: &[u8], off: usize) -> Option<Header> {
+    let mut pos = off;
+    let klen = read_varint(b, &mut pos)? as usize;
+    let field = read_varint(b, &mut pos)?;
+    Some(Header {
+        klen,
+        vlen: (field >> 1) as usize,
+        overflow: field & 1 != 0,
+        key_off: pos,
+    })
+}
+
+/// The header of the cell at `off` on a page the tree wrote itself; an
+/// undecodable header reads as an empty cell rather than panicking.
+#[inline]
+fn header(page: &PageBuf, off: usize) -> Header {
+    // Every key comparison lands here. A key under 128 bytes with an
+    // inline value under 64 (every neighbour and time-index cell, most
+    // history cells) has two one-byte varints: decode them without the
+    // general loop.
+    if let Some(&[klen, field]) = page.bytes().get(off..off + 2) {
+        if (klen | field) < 0x80 {
+            return Header {
+                klen: usize::from(klen),
+                vlen: usize::from(field >> 1),
+                overflow: field & 1 != 0,
+                key_off: off + 2,
+            };
+        }
+    }
+    read_header(page.bytes(), off).unwrap_or(Header {
+        key_off: off,
+        ..Header::default()
+    })
+}
+
+/// Bytes needed for a leaf cell holding a `klen`-byte key and a `vlen`-byte
+/// value, inline or (with `overflow`) behind an 8-byte chain pointer.
+pub fn leaf_cell_size(klen: usize, vlen: usize, overflow: bool) -> usize {
+    let field = (vlen as u64) << 1 | u64::from(overflow);
+    let inline = if overflow { 8 } else { vlen };
+    varint_len(klen as u64) + varint_len(field) + klen + inline
 }
 
 /// A decoded view of one leaf cell.
 pub struct LeafCell<'a> {
-    /// Cell flags ([`FLAG_OVERFLOW`]).
-    pub flags: u8,
+    overflow: bool,
     /// The key bytes.
     pub key: &'a [u8],
     /// Logical value length (may exceed the inline payload when overflowed).
@@ -113,7 +252,7 @@ pub struct LeafCell<'a> {
 impl LeafCell<'_> {
     /// Whether the value is in an overflow chain.
     pub fn is_overflow(&self) -> bool {
-        self.flags & FLAG_OVERFLOW != 0
+        self.overflow
     }
 
     /// The overflow chain head (only valid when [`Self::is_overflow`]).
@@ -122,30 +261,33 @@ impl LeafCell<'_> {
     }
 }
 
+fn leaf_cell_at(b: &[u8], h: Header) -> LeafCell<'_> {
+    let inline_off = h.key_off + h.klen;
+    LeafCell {
+        overflow: h.overflow,
+        key: &b[h.key_off..inline_off],
+        vlen: h.vlen,
+        inline: &b[inline_off..h.end()],
+    }
+}
+
 /// Reads leaf cell `i`.
 pub fn leaf_cell(page: &PageBuf, i: usize) -> LeafCell<'_> {
-    let off = slot(page, i);
-    let b = page.bytes();
-    let flags = b[off];
-    let klen = read_u16_at(b, off + 1) as usize;
-    let vlen = read_u32_at(b, off + 3) as usize;
-    let key = &b[off + 7..off + 7 + klen];
-    let inline_len = if flags & FLAG_OVERFLOW != 0 { 8 } else { vlen };
-    let inline = &b[off + 7 + klen..off + 7 + klen + inline_len];
-    LeafCell {
-        flags,
-        key,
-        vlen,
-        inline,
-    }
+    let h = header(page, slot(page, i));
+    leaf_cell_at(page.bytes(), h)
 }
 
 /// Key of leaf cell `i` (avoids decoding the value).
 pub fn leaf_key(page: &PageBuf, i: usize) -> &[u8] {
+    let h = header(page, slot(page, i));
+    &page.bytes()[h.key_off..h.key_off + h.klen]
+}
+
+/// The raw bytes of leaf cell `i`, header included, for moving it to
+/// another page with [`leaf_insert_raw`].
+pub fn leaf_cell_bytes(page: &PageBuf, i: usize) -> &[u8] {
     let off = slot(page, i);
-    let b = page.bytes();
-    let klen = read_u16_at(b, off + 1) as usize;
-    &b[off + 7..off + 7 + klen]
+    &page.bytes()[off..header(page, off).end()]
 }
 
 /// Binary search among leaf keys. `Ok(i)` exact hit, `Err(i)` insert slot.
@@ -164,45 +306,36 @@ pub fn leaf_search(page: &PageBuf, key: &[u8]) -> Result<usize, usize> {
     Err(lo)
 }
 
-/// Inserts a leaf cell at slot index `i`. The caller must have ensured
+/// Inserts a leaf cell at slot index `i`: `inline` is the value, or the
+/// overflow chain head when `overflow` is set. The caller must have ensured
 /// enough contiguous free space (see [`free_space`] / [`compact`]).
-pub fn leaf_insert(page: &mut PageBuf, i: usize, flags: u8, key: &[u8], vlen: u32, inline: &[u8]) {
-    let size = leaf_cell_size(key.len(), inline.len());
-    debug_assert!(free_space(page) >= size + 2, "caller must ensure space");
-    let n = ncells(page);
-    let new_start = data_start(page) - size;
-    {
-        let b = page.bytes_mut();
-        b[new_start] = flags;
-        b[new_start + 1..new_start + 3].copy_from_slice(&(key.len() as u16).to_le_bytes());
-        b[new_start + 3..new_start + 7].copy_from_slice(&vlen.to_le_bytes());
-        b[new_start + 7..new_start + 7 + key.len()].copy_from_slice(key);
-        b[new_start + 7 + key.len()..new_start + size].copy_from_slice(inline);
-        // Shift the slot directory right of i.
-        b.copy_within(SLOTS_OFF + i * 2..SLOTS_OFF + n * 2, SLOTS_OFF + i * 2 + 2);
-    }
-    page.write_u16(SLOTS_OFF + i * 2, new_start as u16);
-    page.write_u16(NCELLS_OFF, (n + 1) as u16);
-    page.write_u16(DATA_START_OFF, new_start as u16);
+pub fn leaf_insert(
+    page: &mut PageBuf,
+    i: usize,
+    overflow: bool,
+    key: &[u8],
+    vlen: u32,
+    inline: &[u8],
+) {
+    let size = leaf_cell_size(key.len(), vlen as usize, overflow);
+    let start = reserve(page, i, size);
+    let cell = &mut page.bytes_mut()[start..start + size];
+    let mut pos = put_varint(cell, key.len() as u64);
+    pos += put_varint(&mut cell[pos..], u64::from(vlen) << 1 | u64::from(overflow));
+    cell[pos..pos + key.len()].copy_from_slice(key);
+    cell[pos + key.len()..].copy_from_slice(inline);
+}
+
+/// Inserts a cell taken from [`leaf_cell_bytes`] at slot index `i`.
+pub fn leaf_insert_raw(page: &mut PageBuf, i: usize, raw: &[u8]) {
+    let start = reserve(page, i, raw.len());
+    page.bytes_mut()[start..start + raw.len()].copy_from_slice(raw);
 }
 
 /// Removes leaf cell `i` (slot only; heap bytes become garbage until the
-/// next [`compact`]). Returns the cell's heap size for accounting.
-pub fn leaf_remove(page: &mut PageBuf, i: usize) -> usize {
-    let off = slot(page, i);
-    let b = page.bytes();
-    let flags = b[off];
-    let klen = read_u16_at(b, off + 1) as usize;
-    let vlen = read_u32_at(b, off + 3) as usize;
-    let inline = if flags & FLAG_OVERFLOW != 0 { 8 } else { vlen };
-    let size = leaf_cell_size(klen, inline);
-    let n = ncells(page);
-    page.bytes_mut().copy_within(
-        SLOTS_OFF + (i + 1) * 2..SLOTS_OFF + n * 2,
-        SLOTS_OFF + i * 2,
-    );
-    page.write_u16(NCELLS_OFF, (n - 1) as u16);
-    size
+/// next [`compact`]).
+pub fn leaf_remove(page: &mut PageBuf, i: usize) {
+    unslot(page, i);
 }
 
 // ------------------------------------------------------- checked accessors
@@ -223,30 +356,15 @@ pub fn checked_slot(page: &PageBuf, i: usize) -> Option<usize> {
     (off < PAGE_SIZE).then_some(off)
 }
 
-/// Bounds-checked leaf cell decode.
+/// Bounds-checked leaf cell decode: `None` for a varint that is truncated
+/// by the page end or longer than five bytes, and for a key or payload
+/// running past the page.
 pub fn checked_leaf_cell(page: &PageBuf, i: usize) -> Option<LeafCell<'_>> {
     let off = checked_slot(page, i)?;
     let b = page.bytes();
-    if off + 7 > PAGE_SIZE {
-        return None;
-    }
-    let flags = b[off];
-    let klen = read_u16_at(b, off + 1) as usize;
-    let vlen = read_u32_at(b, off + 3) as usize;
-    let inline_len = if flags & FLAG_OVERFLOW != 0 { 8 } else { vlen };
-    let end = off
-        .checked_add(7)?
-        .checked_add(klen)?
-        .checked_add(inline_len)?;
-    if end > PAGE_SIZE {
-        return None;
-    }
-    Some(LeafCell {
-        flags,
-        key: &b[off + 7..off + 7 + klen],
-        vlen,
-        inline: &b[off + 7 + klen..end],
-    })
+    let h = read_header(b, off)?;
+    let end = h.key_off.checked_add(h.klen)?.checked_add(h.inline_len())?;
+    (end <= PAGE_SIZE).then(|| leaf_cell_at(b, h))
 }
 
 /// Bounds-checked internal cell decode into `(key, child)`.
@@ -311,54 +429,40 @@ pub fn internal_descend(page: &PageBuf, key: &[u8]) -> (isize, u64) {
 /// Inserts an internal cell at slot `i`.
 pub fn internal_insert(page: &mut PageBuf, i: usize, key: &[u8], child: u64) {
     let size = internal_cell_size(key.len());
-    debug_assert!(free_space(page) >= size + 2, "caller must ensure space");
-    let n = ncells(page);
-    let new_start = data_start(page) - size;
-    {
-        let b = page.bytes_mut();
-        b[new_start..new_start + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-        b[new_start + 2..new_start + 10].copy_from_slice(&child.to_le_bytes());
-        b[new_start + 10..new_start + size].copy_from_slice(key);
-        b.copy_within(SLOTS_OFF + i * 2..SLOTS_OFF + n * 2, SLOTS_OFF + i * 2 + 2);
-    }
-    page.write_u16(SLOTS_OFF + i * 2, new_start as u16);
-    page.write_u16(NCELLS_OFF, (n + 1) as u16);
-    page.write_u16(DATA_START_OFF, new_start as u16);
+    let start = reserve(page, i, size);
+    let cell = &mut page.bytes_mut()[start..start + size];
+    cell[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    cell[2..10].copy_from_slice(&child.to_le_bytes());
+    cell[10..].copy_from_slice(key);
 }
 
 /// Removes internal cell `i`.
 pub fn internal_remove(page: &mut PageBuf, i: usize) {
-    let n = ncells(page);
-    page.bytes_mut().copy_within(
-        SLOTS_OFF + (i + 1) * 2..SLOTS_OFF + n * 2,
-        SLOTS_OFF + i * 2,
-    );
-    page.write_u16(NCELLS_OFF, (n - 1) as u16);
+    unslot(page, i);
 }
 
 // ----------------------------------------------------------------- compaction
+
+/// Heap bytes of the cell at `off`.
+fn cell_len(page: &PageBuf, off: usize, is_leaf: bool) -> usize {
+    if is_leaf {
+        header(page, off).end() - off
+    } else {
+        internal_cell_size(read_u16_at(page.bytes(), off) as usize)
+    }
+}
 
 /// Rewrites all live cells contiguously at the end of the page, reclaiming
 /// garbage left by removals and in-place updates.
 pub fn compact(page: &mut PageBuf) {
     let n = ncells(page);
     let is_leaf = node_type(page) == LEAF;
-    let mut cells: Vec<Vec<u8>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = slot(page, i);
-        let b = page.bytes();
-        let size = if is_leaf {
-            let flags = b[off];
-            let klen = read_u16_at(b, off + 1) as usize;
-            let vlen = read_u32_at(b, off + 3) as usize;
-            let inline = if flags & FLAG_OVERFLOW != 0 { 8 } else { vlen };
-            leaf_cell_size(klen, inline)
-        } else {
-            let klen = read_u16_at(b, off) as usize;
-            internal_cell_size(klen)
-        };
-        cells.push(b[off..off + size].to_vec());
-    }
+    let cells: Vec<Vec<u8>> = (0..n)
+        .map(|i| {
+            let off = slot(page, i);
+            page.bytes()[off..off + cell_len(page, off, is_leaf)].to_vec()
+        })
+        .collect();
     let mut pos = PAGE_SIZE;
     for (i, cell) in cells.iter().enumerate() {
         pos -= cell.len();
@@ -368,27 +472,15 @@ pub fn compact(page: &mut PageBuf) {
     page.write_u16(DATA_START_OFF, pos as u16);
 }
 
-/// Total bytes of live cell payload plus slots — used to decide whether a
-/// compaction would make an insert fit.
+/// Bytes in use after a [`compact`]: the node header, the slot directory
+/// and every live cell. Decides whether a compaction would make an insert
+/// fit, and measures how full a leaf is.
 pub fn live_bytes(page: &PageBuf) -> usize {
     let n = ncells(page);
     let is_leaf = node_type(page) == LEAF;
-    let mut total = SLOTS_OFF + n * 2;
-    for i in 0..n {
-        let off = slot(page, i);
-        let b = page.bytes();
-        total += if is_leaf {
-            let flags = b[off];
-            let klen = read_u16_at(b, off + 1) as usize;
-            let vlen = read_u32_at(b, off + 3) as usize;
-            let inline = if flags & FLAG_OVERFLOW != 0 { 8 } else { vlen };
-            leaf_cell_size(klen, inline)
-        } else {
-            let klen = read_u16_at(b, off) as usize;
-            internal_cell_size(klen)
-        };
-    }
-    total
+    (0..n).fold(SLOTS_OFF + n * 2, |total, i| {
+        total + cell_len(page, slot(page, i), is_leaf)
+    })
 }
 
 #[cfg(test)]
@@ -403,7 +495,7 @@ mod tests {
         // Insert keys out of order at their sorted slots.
         for key in [b"bb".as_slice(), b"aa", b"cc"] {
             let i = leaf_search(&p, key).unwrap_err();
-            leaf_insert(&mut p, i, 0, key, 1, &[key[0]]);
+            leaf_insert(&mut p, i, false, key, 1, &[key[0]]);
         }
         assert_eq!(ncells(&p), 3);
         assert_eq!(leaf_key(&p, 0), b"aa");
@@ -427,7 +519,7 @@ mod tests {
         for i in 0..20u8 {
             let key = [i];
             let s = leaf_search(&p, &key).unwrap_err();
-            leaf_insert(&mut p, s, 0, &key, 100, &val);
+            leaf_insert(&mut p, s, false, &key, 100, &val);
         }
         let before = free_space(&p);
         for _ in 0..10 {
@@ -462,7 +554,92 @@ mod tests {
         let mut p = PageBuf::zeroed();
         init(&mut p, LEAF);
         let empty = live_bytes(&p);
-        leaf_insert(&mut p, 0, 0, b"key", 5, b"value");
-        assert_eq!(live_bytes(&p), empty + 2 + leaf_cell_size(3, 5));
+        leaf_insert(&mut p, 0, false, b"key", 5, b"value");
+        assert_eq!(live_bytes(&p), empty + 2 + leaf_cell_size(3, 5, false));
+        assert_eq!(leaf_cell_size(3, 5, false), 2 + 3 + 5, "two header bytes");
+    }
+
+    #[test]
+    fn header_varints_widen_at_their_boundaries() {
+        // vlen << 1 | overflow fits one byte up to vlen 63.
+        assert_eq!(leaf_cell_size(16, 63, false), 2 + 16 + 63);
+        assert_eq!(leaf_cell_size(16, 64, false), 3 + 16 + 64);
+        assert_eq!(leaf_cell_size(127, 0, false), 2 + 127);
+        assert_eq!(leaf_cell_size(128, 0, false), 3 + 128);
+        assert_eq!(leaf_cell_size(4, 5000, true), 1 + 2 + 4 + 8);
+        let mut p = PageBuf::zeroed();
+        init(&mut p, LEAF);
+        let cases: [(usize, usize); 6] = [
+            (1, 0),
+            (127, 63),
+            (128, 64),
+            (512, 1024),
+            (4, 8191),
+            (200, 129),
+        ];
+        for (n, (klen, vlen)) in cases.into_iter().enumerate() {
+            let key = vec![n as u8; klen];
+            let overflow = vlen > 1024;
+            let inline = if overflow {
+                7u64.to_le_bytes().to_vec()
+            } else {
+                vec![0xA5; vlen]
+            };
+            leaf_insert(&mut p, n, overflow, &key, vlen as u32, &inline);
+            let cell = checked_leaf_cell(&p, n).expect("decodes");
+            assert_eq!((cell.key, cell.vlen), (&key[..], vlen));
+            assert_eq!((cell.is_overflow(), cell.inline), (overflow, &inline[..]));
+            assert_eq!(
+                leaf_cell_bytes(&p, n).len(),
+                leaf_cell_size(klen, vlen, overflow)
+            );
+        }
+    }
+
+    #[test]
+    fn raw_cells_move_between_pages() {
+        let mut a = PageBuf::zeroed();
+        let mut b = PageBuf::zeroed();
+        init(&mut a, LEAF);
+        init(&mut b, LEAF);
+        leaf_insert(&mut a, 0, false, &[9; 300], 70, &[1; 70]);
+        leaf_insert_raw(&mut b, 0, leaf_cell_bytes(&a, 0));
+        let cell = leaf_cell(&b, 0);
+        assert_eq!((cell.key, cell.inline), (&[9u8; 300][..], &[1u8; 70][..]));
+    }
+
+    /// A page with one leaf cell at the very end whose header bytes are
+    /// `header`.
+    fn page_with_cell_header(header: &[u8]) -> PageBuf {
+        let mut p = PageBuf::zeroed();
+        init(&mut p, LEAF);
+        let off = PAGE_SIZE - header.len();
+        p.bytes_mut()[off..].copy_from_slice(header);
+        p.write_u16(SLOTS_OFF, off as u16);
+        p.write_u16(NCELLS_OFF, 1);
+        p.write_u16(DATA_START_OFF, off as u16);
+        p
+    }
+
+    #[test]
+    fn malformed_varints_are_rejected_not_panicked_on() {
+        // klen's varint is cut off by the page end.
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x80]), 0).is_none());
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x04, 0xFF, 0xFF]), 0).is_none());
+        // Six bytes where at most five are allowed, for klen and for vlen.
+        let long = [0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00];
+        assert!(checked_leaf_cell(&page_with_cell_header(&long), 0).is_none());
+        let long_vlen = [0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert!(checked_leaf_cell(&page_with_cell_header(&long_vlen), 0).is_none());
+        // Well-formed header whose key runs past the page.
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x10, 0x00]), 0).is_none());
+        // The trusting accessors read such a cell as empty.
+        let p = page_with_cell_header(&long);
+        assert!(leaf_key(&p, 0).is_empty());
+        assert_eq!(live_bytes(&p), SLOTS_OFF + 2);
+        // The smallest valid cell still decodes.
+        let p = page_with_cell_header(&[0x00, 0x00]);
+        let cell = checked_leaf_cell(&p, 0).unwrap();
+        assert!(cell.key.is_empty() && cell.inline.is_empty());
     }
 }

@@ -13,16 +13,23 @@
 //! * variable-size values with transparent overflow pages for values larger
 //!   than [`MAX_INLINE_VALUE`];
 //! * slotted 8 KiB pages served through the `pagestore` LRU cache, so the
-//!   tree works out-of-core;
+//!   tree works out-of-core; a leaf cell's header is two varints, so a
+//!   small cell spends two bytes on it ([`layout`]);
 //! * `O(log n)` point lookups and ordered range scans over leaf sibling
 //!   chains — the access pattern behind both TimeStore and LineageStore;
+//! * leaves split 50/50, except that an insert past the last key of the
+//!   rightmost leaf starts a new leaf and leaves the full one full, so
+//!   ascending ids and timestamps pack leaves instead of half-filling them;
 //! * several trees can share one file: each tree persists its root pointer
 //!   in one of the page-store meta slots.
 //!
-//! Deletion is *lazy*: cells are removed in place and empty leaves are
-//! unlinked and freed, but non-empty underfull nodes are not rebalanced.
-//! Aion's stores are append-mostly (the change log has "no retention
-//! policy"), so rebalancing would add complexity with no measurable win.
+//! Deletion is *lazy*: cells are removed in place and their bytes reclaimed
+//! by the next compaction of that page, but no page is ever merged,
+//! unlinked or freed — an emptied leaf stays in the sibling chain — and
+//! underfull nodes are not rebalanced. Only overflow chains return to the
+//! free list. Aion's stores are append-mostly (the change log has "no
+//! retention policy"), so rebalancing would add complexity with no
+//! measurable win.
 
 pub mod layout;
 pub mod overflow;
@@ -32,4 +39,4 @@ pub mod verify;
 
 pub use scan::{KeyScan, Scan};
 pub use tree::{BTree, MAX_INLINE_VALUE, MAX_KEY};
-pub use verify::{VerifyClass, VerifyReport, Violation};
+pub use verify::{TreeFill, VerifyClass, VerifyReport, Violation};

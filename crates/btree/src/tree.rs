@@ -1,10 +1,10 @@
 //! The B+Tree proper: descent, splits, upserts, lazy deletes and floor
 //! lookups.
 
-use crate::layout::{self, FLAG_OVERFLOW, INTERNAL, LEAF};
+use crate::layout::{self, INTERNAL, LEAF};
 use crate::overflow;
 use crate::scan::{KeyScan, Scan};
-use pagestore::{PageId, PageStore, PAGE_SIZE};
+use pagestore::{PageBuf, PageId, PageStore, PAGE_SIZE};
 use std::io;
 use std::sync::Arc;
 
@@ -158,17 +158,20 @@ impl BTree {
     }
 
     /// Inserts or replaces `key → value`.
+    ///
+    /// A full leaf splits 50/50, except the rightmost leaf when `key` sorts
+    /// after all of its cells: ascending inserts (relationship ids, commit
+    /// timestamps) then start a new rightmost leaf holding just `key` and
+    /// leave the full leaf full, where a 50/50 split would leave a
+    /// half-empty leaf behind that no later insert fills.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> io::Result<()> {
         assert!(key.len() <= MAX_KEY, "key too large");
-        let (flags, vlen, inline) = if value.len() > MAX_INLINE_VALUE {
+        let vlen = value.len() as u32;
+        let (overflow, inline) = if value.len() > MAX_INLINE_VALUE {
             let head = overflow::write_chain(&self.store, value)?;
-            (
-                FLAG_OVERFLOW,
-                value.len() as u32,
-                head.0.to_le_bytes().to_vec(),
-            )
+            (true, head.0.to_le_bytes().to_vec())
         } else {
-            (0u8, value.len() as u32, value.to_vec())
+            (false, value.to_vec())
         };
         let (mut path, leaf) = self.descend(key)?;
 
@@ -187,78 +190,70 @@ impl BTree {
             overflow::free_chain(&self.store, head)?;
         }
 
-        let needed = layout::leaf_cell_size(key.len(), inline.len()) + 2;
-        let fits = self.store.write(leaf, |p| {
-            if layout::free_space(p) >= needed {
-                true
-            } else if layout::live_bytes(p) + needed <= PAGE_SIZE {
-                layout::compact(p);
-                true
-            } else {
-                false
-            }
-        })?;
-        if fits {
-            self.store.write(leaf, |p| {
-                // The cell for `key` was removed above, so the search can
-                // only miss; fold both arms to stay panic-free regardless.
-                let i = match layout::leaf_search(p, key) {
-                    Ok(i) | Err(i) => i,
-                };
-                layout::leaf_insert(p, i, flags, key, vlen, &inline);
-            })?;
-            return Ok(());
-        }
-
-        // Split the leaf and retry into the correct half.
-        let (sep, new_leaf) = self.split_leaf(leaf)?;
-        let target = if key < sep.as_slice() { leaf } else { new_leaf };
-        self.store.write(target, |p| {
+        let needed = layout::leaf_cell_size(key.len(), value.len(), overflow) + 2;
+        let insert_cell = |p: &mut PageBuf| {
             if layout::free_space(p) < needed {
                 layout::compact(p);
             }
+            // The cell for `key` was removed above, so the search can only
+            // miss; fold both arms to stay panic-free regardless.
             let i = match layout::leaf_search(p, key) {
                 Ok(i) | Err(i) => i,
             };
-            layout::leaf_insert(p, i, flags, key, vlen, &inline);
+            layout::leaf_insert(p, i, overflow, key, vlen, &inline);
+        };
+        let (fits, appends) = self.store.read(leaf, |p| {
+            let n = layout::ncells(p);
+            let fits =
+                layout::free_space(p) >= needed || layout::live_bytes(p) + needed <= PAGE_SIZE;
+            let appends = layout::link(p) == u64::MAX && n > 0 && layout::leaf_key(p, n - 1) < key;
+            (fits, appends)
         })?;
-        self.insert_into_parent(&mut path, sep, new_leaf)?;
-        Ok(())
+        if fits {
+            return self.store.write(leaf, insert_cell);
+        }
+
+        let (sep, new_leaf) = if appends {
+            self.metrics.splits.inc();
+            let new_leaf = self.store.allocate()?;
+            self.store.write(new_leaf, |p| {
+                layout::init(p, LEAF);
+                insert_cell(p);
+            })?;
+            self.store
+                .write(leaf, |p| layout::set_link(p, new_leaf.0))?;
+            (key.to_vec(), new_leaf)
+        } else {
+            // Split the leaf and insert into the correct half.
+            let (sep, new_leaf) = self.split_leaf(leaf)?;
+            let target = if key < sep.as_slice() { leaf } else { new_leaf };
+            self.store.write(target, insert_cell)?;
+            (sep, new_leaf)
+        };
+        self.insert_into_parent(&mut path, sep, new_leaf)
     }
 
-    /// Splits `leaf`, returning the separator key and the new right sibling.
+    /// Splits `leaf` at half its live bytes, returning the separator key
+    /// and the new right sibling.
     fn split_leaf(&self, leaf: PageId) -> io::Result<(Vec<u8>, PageId)> {
         self.metrics.splits.inc();
         let new_page = self.store.allocate()?;
         let moved: Vec<Vec<u8>> = self.store.write(leaf, |p| {
             let n = layout::ncells(p);
             debug_assert!(n >= 2);
-            // Split at roughly half the live payload.
             let total = layout::live_bytes(p);
             let mut acc = 0;
             let mut split_at = n / 2;
             for i in 0..n {
-                let cell = layout::leaf_cell(p, i);
-                acc += layout::leaf_cell_size(cell.key.len(), cell.inline.len()) + 2;
+                acc += layout::leaf_cell_bytes(p, i).len() + 2;
                 if acc >= total / 2 {
                     split_at = (i + 1).clamp(1, n - 1);
                     break;
                 }
             }
-            let mut cells = Vec::with_capacity(n - split_at);
-            for i in split_at..n {
-                let off_cell = layout::leaf_cell(p, i);
-                let mut raw = Vec::with_capacity(layout::leaf_cell_size(
-                    off_cell.key.len(),
-                    off_cell.inline.len(),
-                ));
-                raw.push(off_cell.flags);
-                raw.extend_from_slice(&(off_cell.key.len() as u16).to_le_bytes());
-                raw.extend_from_slice(&(off_cell.vlen as u32).to_le_bytes());
-                raw.extend_from_slice(off_cell.key);
-                raw.extend_from_slice(off_cell.inline);
-                cells.push(raw);
-            }
+            let cells = (split_at..n)
+                .map(|i| layout::leaf_cell_bytes(p, i).to_vec())
+                .collect();
             for _ in split_at..n {
                 layout::leaf_remove(p, split_at);
             }
@@ -270,16 +265,7 @@ impl BTree {
             layout::init(p, LEAF);
             layout::set_link(p, old_sibling);
             for (i, raw) in moved.iter().enumerate() {
-                let flags = raw[0];
-                let mut klen2 = [0u8; 2];
-                klen2.copy_from_slice(&raw[1..3]);
-                let klen = u16::from_le_bytes(klen2) as usize;
-                let mut vlen4 = [0u8; 4];
-                vlen4.copy_from_slice(&raw[3..7]);
-                let vlen = u32::from_le_bytes(vlen4);
-                let key = &raw[7..7 + klen];
-                let inline = &raw[7 + klen..];
-                layout::leaf_insert(p, i, flags, key, vlen, inline);
+                layout::leaf_insert_raw(p, i, raw);
             }
         })?;
         self.store
@@ -618,6 +604,65 @@ mod tests {
             let v = t.get(&key).unwrap().expect("present");
             assert_eq!(v, (i * 3).to_le_bytes());
         }
+    }
+
+    /// `live_bytes / PAGE_SIZE` of every leaf, left to right.
+    fn leaf_fills(t: &BTree) -> Vec<f64> {
+        let mut page = t.root();
+        while let Some(child) = t
+            .store
+            .read(page, |p| {
+                (layout::node_type(p) == INTERNAL).then(|| layout::link(p))
+            })
+            .unwrap()
+        {
+            page = PageId(child);
+        }
+        let mut fills = Vec::new();
+        while !page.is_null() {
+            let (live, next) = t
+                .store
+                .read(page, |p| (layout::live_bytes(p), layout::link(p)))
+                .unwrap();
+            fills.push(live as f64 / PAGE_SIZE as f64);
+            page = PageId(next);
+        }
+        fills
+    }
+
+    #[test]
+    fn ascending_inserts_leave_leaves_full() {
+        let n = 20_000u64;
+        let (_d, t) = open_tree(64);
+        for i in 0..n {
+            t.insert(&k(i), &(i * 3).to_le_bytes()).unwrap();
+        }
+        let fills = leaf_fills(&t);
+        let (last, full) = fills.split_last().unwrap();
+        assert!(full.len() >= 40, "{} leaves", fills.len());
+        assert!(full.iter().all(|&f| f >= 0.95), "{full:?}");
+        assert!(*last > 0.0);
+        assert_eq!(t.verify().unwrap().entries, n);
+
+        // Shuffled inserts split 50/50 exactly as before. A 13-byte value
+        // makes a 23-byte cell, the size an 8-byte value made under the
+        // seven-byte header, where this shuffle left 91 leaves 67.3 % full.
+        let mut keys: Vec<u64> = (0..n).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..keys.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            keys.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let (_d, t) = open_tree(64);
+        for &key in &keys {
+            t.insert(&k(key), &[key as u8; 13]).unwrap();
+        }
+        let fills = leaf_fills(&t);
+        let mean = fills.iter().sum::<f64>() / fills.len() as f64;
+        assert_eq!(fills.len(), 91);
+        assert!((0.672..0.673).contains(&mean), "mean leaf fill {mean}");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!
 //! The report also returns the set of reachable pages so a caller that
 //! knows every tree sharing the page file can reconcile reachability
-//! against the free list (leak / double-use detection).
+//! against the free list (leak / double-use detection), and counts the
+//! leaves and their live bytes, so `aion-fsck` can print how full each
+//! index's pages are ([`TreeFill`]).
 
 use crate::layout;
 use crate::tree::BTree;
@@ -76,6 +78,11 @@ pub struct VerifyReport {
     pub reachable: BTreeSet<u64>,
     /// Number of live leaf entries seen.
     pub entries: u64,
+    /// Number of leaf pages seen.
+    pub leaves: u64,
+    /// Bytes in use on those leaves: node headers, slot directories and
+    /// live cells ([`crate::layout::live_bytes`]).
+    pub leaf_live_bytes: u64,
     /// Tree height observed on the leftmost path (0 when the root is
     /// undecodable).
     pub height: u32,
@@ -87,12 +94,55 @@ impl VerifyReport {
         self.violations.is_empty()
     }
 
+    /// The tree's size and leaf fill.
+    pub fn fill(&self) -> TreeFill {
+        TreeFill {
+            pages: self.reachable.len() as u64,
+            leaves: self.leaves,
+            leaf_live_bytes: self.leaf_live_bytes,
+        }
+    }
+
     fn push(&mut self, class: VerifyClass, page: u64, detail: String) {
         self.violations.push(Violation {
             class,
             page,
             detail,
         });
+    }
+}
+
+/// How many pages one tree takes and how full its leaves are — the number
+/// a denser page layout or split policy moves.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TreeFill {
+    /// Pages reachable from the root: tree nodes plus overflow pages.
+    pub pages: u64,
+    /// Leaf pages.
+    pub leaves: u64,
+    /// Bytes in use on the leaves.
+    pub leaf_live_bytes: u64,
+}
+
+impl TreeFill {
+    /// Share of the leaf pages' bytes in use, in `[0, 1]`.
+    pub fn leaf_fill(&self) -> f64 {
+        if self.leaves == 0 {
+            return 0.0;
+        }
+        self.leaf_live_bytes as f64 / (self.leaves * PAGE_SIZE as u64) as f64
+    }
+}
+
+impl fmt::Display for TreeFill {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} pages, {} leaves, leaf fill {:.1} %",
+            self.pages,
+            self.leaves,
+            self.leaf_fill() * 100.0
+        )
     }
 }
 
@@ -149,6 +199,7 @@ impl BTree {
                     keys: Vec<Vec<u8>>,
                     link: u64,
                     overflows: Vec<(u64, usize)>,
+                    live: usize,
                 },
                 Internal {
                     seps: Vec<(Vec<u8>, u64)>,
@@ -184,6 +235,9 @@ impl BTree {
                             keys,
                             link: layout::link(p),
                             overflows,
+                            // Every cell decoded above, so this sums sizes
+                            // of in-bounds cells.
+                            live: layout::live_bytes(p),
                         }
                     }
                     layout::INTERNAL => {
@@ -212,9 +266,12 @@ impl BTree {
                     keys,
                     link,
                     overflows,
+                    live,
                 } => {
                     leaves.push((page, link));
                     report.entries += keys.len() as u64;
+                    report.leaves += 1;
+                    report.leaf_live_bytes += live as u64;
                     check_key_order(&mut report, page, &keys, low.as_deref(), high.as_deref());
                     for (head, vlen) in overflows {
                         self.verify_overflow_chain(&mut report, page, head, vlen, page_count)?;
@@ -408,6 +465,41 @@ mod tests {
         assert_eq!(r.entries, 5_000);
         assert!(r.height >= 2);
         assert!(r.reachable.len() > 2);
+        // 5 000 ascending cells of 2 + 8 + 8 bytes plus a 2-byte slot each,
+        // on leaves that append splits leave full.
+        let fill = r.fill();
+        assert_eq!(fill.pages, r.reachable.len() as u64);
+        assert!(fill.leaves >= 12 && fill.leaves < fill.pages);
+        assert!(fill.leaf_live_bytes >= 5_000 * 20);
+        assert!(fill.leaf_fill() > 0.9, "{fill}");
+    }
+
+    #[test]
+    fn malformed_cell_header_reported_as_structure() {
+        for header in [&[0x80u8][..], &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00]] {
+            let dir = tempdir().unwrap();
+            let store = Arc::new(PageStore::open(dir.path().join("t.db"), 64).unwrap());
+            let t = BTree::open(store.clone(), 0).unwrap();
+            t.insert(b"a", b"1").unwrap();
+            let root = PageId(store.root(0));
+            // Point the one cell at a varint that the page end truncates
+            // or that runs longer than five bytes.
+            store
+                .write(root, |p| {
+                    let off = PAGE_SIZE - header.len();
+                    p.bytes_mut()[off..].copy_from_slice(header);
+                    p.write_u16(layout::SLOTS_OFF, off as u16);
+                })
+                .unwrap();
+            let r = t.verify().unwrap();
+            assert!(
+                r.violations
+                    .iter()
+                    .any(|v| v.class == VerifyClass::Structure),
+                "{header:?}: {:?}",
+                r.violations
+            );
+        }
     }
 
     #[test]

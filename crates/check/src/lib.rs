@@ -13,7 +13,12 @@
 //! * a cross-store differential: the graph reconstructed from the
 //!   TimeStore (snapshot + forward replay) and from the LineageStore
 //!   (all-entities floor scan) must agree at every sampled timestamp.
+//!
+//! The report also carries each index's pages and leaf fill, measured by
+//! the structural pass, so `aion-fsck` shows how densely the stores use
+//! their pages.
 
+use btree::TreeFill;
 use lineagestore::LineageStore;
 use lpg::Result;
 use std::fmt;
@@ -93,6 +98,17 @@ impl fmt::Display for Finding {
     }
 }
 
+/// One index's pages and leaf fill.
+#[derive(Clone, Debug)]
+pub struct IndexFill {
+    /// The store the index belongs to.
+    pub subsystem: Subsystem,
+    /// The index, e.g. `"out-neighbours"` or `"time-index"`.
+    pub index: &'static str,
+    /// What the index's structural verification measured.
+    pub fill: TreeFill,
+}
+
 /// The outcome of [`check_stores`].
 #[derive(Clone, Debug)]
 pub struct ConsistencyReport {
@@ -100,6 +116,9 @@ pub struct ConsistencyReport {
     pub level: CheckLevel,
     /// Every violation found, in discovery order.
     pub findings: Vec<Finding>,
+    /// Pages and leaf fill of every index: the TimeStore's two, then the
+    /// LineageStore's four.
+    pub fill: Vec<IndexFill>,
     /// Timestamps the cross-store differential compared (empty below
     /// [`CheckLevel::Full`]).
     pub sampled_timestamps: Vec<u64>,
@@ -141,34 +160,62 @@ impl fmt::Display for ConsistencyReport {
         for finding in &self.findings {
             writeln!(f, "  {finding}")?;
         }
+        if !self.fill.is_empty() {
+            writeln!(f, "index pages and leaf fill:")?;
+        }
+        for index in &self.fill {
+            writeln!(f, "  {} {}: {}", index.subsystem, index.index, index.fill)?;
+        }
         Ok(())
     }
 }
 
+/// One store's audit as report entries.
+type Audited = (Vec<Finding>, Vec<IndexFill>);
+
+fn audited(
+    subsystem: Subsystem,
+    findings: impl Iterator<Item = (&'static str, String)>,
+    fill: Vec<(&'static str, TreeFill)>,
+) -> Audited {
+    let findings = findings
+        .map(|(check, detail)| Finding {
+            subsystem,
+            check: check.to_string(),
+            detail,
+        })
+        .collect();
+    let fill = fill
+        .into_iter()
+        .map(|(index, fill)| IndexFill {
+            subsystem,
+            index,
+            fill,
+        })
+        .collect();
+    (findings, fill)
+}
+
+fn audit_timestore(ts: &TimeStore, level: CheckLevel) -> Result<Audited> {
+    let report = ts.audit(level != CheckLevel::Quick)?;
+    let findings = report.findings.into_iter().map(|f| (f.check, f.detail));
+    Ok(audited(Subsystem::TimeStore, findings, report.fill))
+}
+
+fn audit_lineagestore(ls: &LineageStore, level: CheckLevel) -> Result<Audited> {
+    let report = ls.audit(level != CheckLevel::Quick)?;
+    let findings = report.findings.into_iter().map(|f| (f.check, f.detail));
+    Ok(audited(Subsystem::LineageStore, findings, report.fill))
+}
+
 /// Audits the TimeStore alone at `level`.
 pub fn check_timestore(ts: &TimeStore, level: CheckLevel) -> Result<Vec<Finding>> {
-    Ok(ts
-        .audit(level != CheckLevel::Quick)?
-        .into_iter()
-        .map(|f| Finding {
-            subsystem: Subsystem::TimeStore,
-            check: f.check.to_string(),
-            detail: f.detail,
-        })
-        .collect())
+    Ok(audit_timestore(ts, level)?.0)
 }
 
 /// Audits the LineageStore alone at `level`.
 pub fn check_lineagestore(ls: &LineageStore, level: CheckLevel) -> Result<Vec<Finding>> {
-    Ok(ls
-        .audit(level != CheckLevel::Quick)?
-        .into_iter()
-        .map(|f| Finding {
-            subsystem: Subsystem::LineageStore,
-            check: f.check.to_string(),
-            detail: f.detail,
-        })
-        .collect())
+    Ok(audit_lineagestore(ls, level)?.0)
 }
 
 /// Timestamps the cross-store differential samples: up to `max` points
@@ -222,8 +269,10 @@ pub fn check_stores(
     ls: &LineageStore,
     level: CheckLevel,
 ) -> Result<ConsistencyReport> {
-    let mut findings = check_timestore(ts, level)?;
-    findings.extend(check_lineagestore(ls, level)?);
+    let (mut findings, mut fill) = audit_timestore(ts, level)?;
+    let (lineage_findings, lineage_fill) = audit_lineagestore(ls, level)?;
+    findings.extend(lineage_findings);
+    fill.extend(lineage_fill);
     let mut sampled = Vec::new();
     if level == CheckLevel::Full {
         // Only compare below the lineage watermark: above it the
@@ -235,6 +284,7 @@ pub fn check_stores(
     Ok(ConsistencyReport {
         level,
         findings,
+        fill,
         sampled_timestamps: sampled,
     })
 }
@@ -292,6 +342,21 @@ mod tests {
         let report = check_stores(&ts, &ls, CheckLevel::Full).unwrap();
         assert!(report.is_clean(), "unexpected findings:\n{report}");
         assert!(!report.sampled_timestamps.is_empty());
+        let text = report.to_string();
+        for index in [
+            "timestore time-index",
+            "timestore snapshot-index",
+            "lineagestore nodes",
+            "lineagestore rels",
+            "lineagestore out-neighbours",
+            "lineagestore in-neighbours",
+        ] {
+            assert!(text.contains(&format!("  {index}: ")), "{index}:\n{text}");
+        }
+        assert!(
+            text.contains(" pages, ") && text.contains(" leaves, leaf fill "),
+            "{text}"
+        );
     }
 
     #[test]

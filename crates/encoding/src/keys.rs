@@ -64,11 +64,6 @@ pub fn rel_key(id: RelId, ts: Timestamp) -> [u8; 16] {
     entity_ts_key(id.raw(), ts)
 }
 
-/// `[low, high)` bounds covering every version of one entity from `from_ts`.
-pub fn entity_range(id: u64, from_ts: Timestamp) -> ([u8; 16], [u8; 16]) {
-    (entity_ts_key(id, from_ts), entity_ts_key(id + 1, 0))
-}
-
 /// A `(a, b, relId, ts)` neighbourhood key — `a = src, b = tgt` for the
 /// out-neighbours index and the reverse for in-neighbours.
 pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> [u8; 32] {
@@ -93,11 +88,15 @@ pub fn decode_neigh_key(key: &[u8]) -> Option<(NodeId, NodeId, RelId, Timestamp)
 }
 
 /// `[low, high)` bounds covering every neighbourhood entry anchored at `a`.
-pub fn neigh_range(a: NodeId) -> ([u8; 32], [u8; 32]) {
-    (
-        neigh_key(a, NodeId::new(0), RelId::new(0), 0),
-        neigh_key(NodeId::new(a.raw() + 1), NodeId::new(0), RelId::new(0), 0),
-    )
+/// `high` is empty — unbounded, as B+Tree scans read it — for the largest
+/// node id, which has no successor to bound it with.
+pub fn neigh_range(a: NodeId) -> ([u8; 32], Vec<u8>) {
+    let low = neigh_key(a, NodeId::new(0), RelId::new(0), 0);
+    let high = match a.raw().checked_add(1) {
+        Some(next) => neigh_key(NodeId::new(next), NodeId::new(0), RelId::new(0), 0).to_vec(),
+        None => Vec::new(),
+    };
+    (low, high)
 }
 
 #[cfg(test)]
@@ -125,15 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn entity_range_covers_exactly_one_entity() {
-        let (lo, hi) = entity_range(7, 3);
-        assert_eq!(lo, entity_ts_key(7, 3));
-        assert!(entity_ts_key(7, u64::MAX) < hi);
-        assert!(entity_ts_key(8, 0) >= hi);
-        assert!(entity_ts_key(7, 2) < lo);
-    }
-
-    #[test]
     fn neigh_key_roundtrip_and_order() {
         let k1 = neigh_key(NodeId::new(1), NodeId::new(9), RelId::new(4), 10);
         let k2 = neigh_key(NodeId::new(1), NodeId::new(9), RelId::new(4), 11);
@@ -151,7 +141,11 @@ mod tests {
         let (lo, hi) = neigh_range(NodeId::new(5));
         let inside = neigh_key(NodeId::new(5), NodeId::new(u64::MAX), RelId::new(3), 9);
         let outside = neigh_key(NodeId::new(6), NodeId::new(0), RelId::new(0), 0);
-        assert!(lo <= inside && inside < hi);
-        assert!(outside >= hi);
+        assert!(lo <= inside && inside[..] < hi[..]);
+        assert!(outside[..] >= hi[..]);
+        // The largest id has no successor: the scan runs to the end.
+        let (lo, hi) = neigh_range(NodeId::new(u64::MAX));
+        assert_eq!(lo[..8], [0xFF; 8]);
+        assert!(hi.is_empty());
     }
 }

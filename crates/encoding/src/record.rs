@@ -3,7 +3,7 @@
 //! Every record starts with a one-byte header:
 //!
 //! ```text
-//! bit 0-1  entity type: 0 = node, 1 = relationship, 2 = neighbourhood
+//! bit 0-1  entity type: 0 = node, 1 = relationship
 //! bit 2    deleted
 //! bit 3    delta (diff from the previous version)
 //! ```
@@ -19,7 +19,10 @@
 //! * **deleted**: header only — "deleted entities require space only for
 //!   their ID and timestamp of deletion", both of which live in the key or
 //!   the log envelope.
-//! * **neighbourhood**: `varint relId` with src/tgt in the key.
+//!
+//! A LineageStore neighbourhood entry is not a record: its key holds both
+//! endpoints, the relationship id and the timestamp, and its value is one
+//! byte, the deleted flag.
 //!
 //! A property is a `u32` word whose three most significant bits carry
 //! state + type and whose low 29 bits are the key reference, followed by the
@@ -31,7 +34,6 @@ use lpg::{EntityDelta, NodeId, PropChange, PropertyValue, Props, RelId, StrId, T
 const TYPE_MASK: u8 = 0b0000_0011;
 const TYPE_NODE: u8 = 0;
 const TYPE_REL: u8 = 1;
-const TYPE_NEIGH: u8 = 2;
 const FLAG_DELETED: u8 = 0b0000_0100;
 const FLAG_DELTA: u8 = 0b0000_1000;
 
@@ -82,20 +84,12 @@ pub enum RecordBody {
     NodeDeleted,
     /// Relationship tombstone.
     RelDeleted,
-    /// A neighbourhood index entry pointing back at its relationship.
-    Neighbour {
-        /// The relationship id this adjacency entry maps back to.
-        rel: RelId,
-        /// Whether the adjacency was removed at this timestamp.
-        deleted: bool,
-    },
 }
 
 impl RecordBody {
     /// `true` for tombstones.
     pub fn is_deleted(&self) -> bool {
         matches!(self, RecordBody::NodeDeleted | RecordBody::RelDeleted)
-            || matches!(self, RecordBody::Neighbour { deleted: true, .. })
     }
 
     /// `true` for delta records.
@@ -158,10 +152,6 @@ impl RecordBody {
             }
             RecordBody::NodeDeleted => out.push(TYPE_NODE | FLAG_DELETED),
             RecordBody::RelDeleted => out.push(TYPE_REL | FLAG_DELETED),
-            RecordBody::Neighbour { rel, deleted } => {
-                out.push(TYPE_NEIGH | if *deleted { FLAG_DELETED } else { 0 });
-                varint::write_u64(out, rel.raw());
-            }
         }
     }
 
@@ -206,10 +196,6 @@ impl RecordBody {
                     props,
                 }
             }
-            (TYPE_NEIGH, _, _) => RecordBody::Neighbour {
-                rel: RelId::new(varint::read_u64(buf, pos)?),
-                deleted,
-            },
             _ => return None,
         })
     }
@@ -482,18 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbour_roundtrip() {
-        roundtrip(RecordBody::Neighbour {
-            rel: RelId::new(123),
-            deleted: false,
-        });
-        roundtrip(RecordBody::Neighbour {
-            rel: RelId::new(0),
-            deleted: true,
-        });
-    }
-
-    #[test]
     fn from_update_maps_every_variant() {
         let cases: Vec<(Update, bool, bool)> = vec![
             (
@@ -570,6 +544,7 @@ mod tests {
     fn corrupt_input_returns_none() {
         assert_eq!(RecordBody::from_bytes(&[]), None);
         assert_eq!(RecordBody::from_bytes(&[0xFF]), None); // bad type bits
+        assert_eq!(RecordBody::from_bytes(&[2, 0]), None); // type 2 is unused
                                                            // Truncated node record.
         let full = RecordBody::NodeFull {
             labels: vec![sid(1)],
@@ -646,7 +621,6 @@ pub fn updates_from_record(entity: u64, body: &RecordBody) -> Vec<Update> {
                 })
                 .collect()
         }
-        RecordBody::Neighbour { .. } => Vec::new(),
     }
 }
 

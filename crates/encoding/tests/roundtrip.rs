@@ -3,7 +3,7 @@
 //! streamed back-to-back in the TimeStore log).
 
 use encoding::{LogRecord, RecordBody};
-use lpg::{EntityDelta, NodeId, PropChange, PropertyValue, RelId, StrId};
+use lpg::{EntityDelta, NodeId, PropChange, PropertyValue, StrId};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = PropertyValue> {
@@ -68,10 +68,6 @@ fn body_strategy() -> impl Strategy<Value = RecordBody> {
         delta_strategy().prop_map(RecordBody::RelDelta),
         Just(RecordBody::NodeDeleted),
         Just(RecordBody::RelDeleted),
-        (any::<u64>(), any::<bool>()).prop_map(|(r, d)| RecordBody::Neighbour {
-            rel: RelId::new(r),
-            deleted: d,
-        }),
     ]
 }
 

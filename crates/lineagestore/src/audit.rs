@@ -16,13 +16,16 @@
 //!   chain positions increment from it, its `base_ts` is propagated
 //!   unchanged, and no delta extends a tombstone;
 //! * record bodies match their index (node records in the node tree, …);
-//! * the out- and in-neighbour indexes hold mirror-image entry sets, and
+//! * every neighbour value is exactly `[0]` or `[1]` (the deleted flag),
+//!   the out- and in-neighbour indexes hold mirror-image entry sets, and
 //!   every neighbour entry agrees with the relationship index about the
 //!   endpoints and liveness of its relationship at that timestamp.
+//!
+//! The structural pass also measures each index's pages and leaf fill.
 
 use crate::entry::LineageEntry;
-use crate::store::LineageStore;
-use btree::BTree;
+use crate::store::{neighbour_deleted, LineageStore};
+use btree::{BTree, TreeFill};
 use encoding::{keys, RecordBody};
 use lpg::{NodeId, RelId, Result};
 use std::collections::BTreeSet;
@@ -40,6 +43,16 @@ impl std::fmt::Display for AuditFinding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.check, self.detail)
     }
+}
+
+/// What [`LineageStore::audit`] found.
+#[derive(Clone, Debug, Default)]
+pub struct AuditReport {
+    /// Every violation (empty = consistent).
+    pub findings: Vec<AuditFinding>,
+    /// Pages and leaf fill of the node, relationship, out- and
+    /// in-neighbour indexes, in that order.
+    pub fill: Vec<(&'static str, TreeFill)>,
 }
 
 fn storage_err(e: std::io::Error) -> lpg::GraphError {
@@ -64,27 +77,29 @@ fn is_rel_body(body: &RecordBody) -> bool {
 
 impl LineageStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
-    /// every violation found (empty = consistent). IO errors abort the
-    /// audit; corruption is reported, never panicked on.
-    pub fn audit(&self, deep: bool) -> Result<Vec<AuditFinding>> {
+    /// every violation found (empty = consistent) and each index's fill.
+    /// IO errors abort the audit; corruption is reported, never panicked on.
+    pub fn audit(&self, deep: bool) -> Result<AuditReport> {
         let mut findings = Vec::new();
+        let mut fill = Vec::new();
 
         // Structural pass: all four trees share one page file.
         let mut reachable = BTreeSet::new();
         reachable.insert(0u64); // meta page
-        for (name, tree) in [
-            ("nodes/structure", &self.nodes),
-            ("rels/structure", &self.rels),
-            ("out-neighbours/structure", &self.out_n),
-            ("in-neighbours/structure", &self.in_n),
+        for (name, check, tree) in [
+            ("nodes", "nodes/structure", &self.nodes),
+            ("rels", "rels/structure", &self.rels),
+            ("out-neighbours", "out-neighbours/structure", &self.out_n),
+            ("in-neighbours", "in-neighbours/structure", &self.in_n),
         ] {
             let report = tree.verify().map_err(storage_err)?;
             for v in &report.violations {
                 findings.push(AuditFinding {
-                    check: name,
+                    check,
                     detail: format!("{v}"),
                 });
             }
+            fill.push((name, report.fill()));
             reachable.extend(report.reachable.iter().copied());
         }
         for problem in self
@@ -97,14 +112,12 @@ impl LineageStore {
                 detail: problem,
             });
         }
-        if !deep {
-            return Ok(findings);
+        if deep {
+            self.audit_entity_chains(&self.nodes, "node", is_node_body, &mut findings)?;
+            self.audit_entity_chains(&self.rels, "rel", is_rel_body, &mut findings)?;
+            self.audit_neighbour_indexes(&mut findings)?;
         }
-
-        self.audit_entity_chains(&self.nodes, "node", is_node_body, &mut findings)?;
-        self.audit_entity_chains(&self.rels, "rel", is_rel_body, &mut findings)?;
-        self.audit_neighbour_indexes(&mut findings)?;
-        Ok(findings)
+        Ok(AuditReport { findings, fill })
     }
 
     /// Walks one history index checking per-entity chain invariants.
@@ -234,37 +247,15 @@ impl LineageStore {
                     });
                     continue;
                 };
-                let Some(entry) = LineageEntry::from_bytes(&value) else {
+                let Some(deleted) = neighbour_deleted(&value) else {
                     findings.push(AuditFinding {
                         check: "neighbours/entry",
-                        detail: format!("{name} entry for rel {} is undecodable", rel.raw()),
+                        detail: format!(
+                            "{name} entry for rel {} at ts {ts} holds {value:?}, not [0] or [1]",
+                            rel.raw()
+                        ),
                     });
                     continue;
-                };
-                let deleted = match entry.body {
-                    RecordBody::Neighbour {
-                        rel: body_rel,
-                        deleted,
-                    } => {
-                        if body_rel != rel {
-                            findings.push(AuditFinding {
-                                check: "neighbours/entry",
-                                detail: format!(
-                                    "{name} key names rel {} but the body names rel {}",
-                                    rel.raw(),
-                                    body_rel.raw()
-                                ),
-                            });
-                        }
-                        deleted
-                    }
-                    other => {
-                        findings.push(AuditFinding {
-                            check: "neighbours/entry",
-                            detail: format!("{name} holds a foreign record body {other:?}"),
-                        });
-                        continue;
-                    }
                 };
                 let (src, tgt) = if swap { (b, a) } else { (a, b) };
                 set.insert((src.raw(), tgt.raw(), rel.raw(), ts, deleted));
@@ -378,8 +369,17 @@ mod tests {
         let ls =
             LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap();
         seed(&ls);
-        let findings = ls.audit(true).unwrap();
-        assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+        let report = ls.audit(true).unwrap();
+        assert!(
+            report.findings.is_empty(),
+            "unexpected findings: {:?}",
+            report.findings
+        );
+        let names: Vec<&str> = report.fill.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["nodes", "rels", "out-neighbours", "in-neighbours"]);
+        for (name, fill) in &report.fill {
+            assert!(fill.leaves >= 1 && fill.leaf_fill() > 0.0, "{name}: {fill}");
+        }
     }
 
     #[test]
@@ -389,20 +389,39 @@ mod tests {
             LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap();
         seed(&ls);
         // Inject an out-neighbour entry with no in-neighbour mirror.
-        let entry = LineageEntry::full(
-            777,
-            RecordBody::Neighbour {
-                rel: RelId::new(999),
-                deleted: false,
-            },
-        );
         ls.out_n
             .insert(
                 &keys::neigh_key(NodeId::new(1), NodeId::new(2), RelId::new(999), 777),
-                &entry.to_bytes(),
+                &[0],
             )
             .unwrap();
-        let findings = ls.audit(true).unwrap();
+        let findings = ls.audit(true).unwrap().findings;
         assert!(findings.iter().any(|f| f.check == "neighbours/mirror"));
+    }
+
+    #[test]
+    fn neighbour_value_other_than_the_deleted_flag_detected() {
+        let dir = tempdir().unwrap();
+        let ls =
+            LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap();
+        seed(&ls);
+        // Rel 3 (2 -> 3, added at ts 11): overwrite its in-neighbour value
+        // with a byte that is no flag, then with a whole record.
+        let key = keys::neigh_key(NodeId::new(3), NodeId::new(2), RelId::new(3), 11);
+        for value in [
+            vec![2u8],
+            LineageEntry::full(11, RecordBody::RelDeleted).to_bytes(),
+        ] {
+            ls.in_n.insert(&key, &value).unwrap();
+            let findings = ls.audit(true).unwrap().findings;
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.check == "neighbours/entry" && f.detail.contains("rel 3 at ts 11")),
+                "{value:?}: {findings:?}"
+            );
+        }
+        ls.in_n.insert(&key, &[0]).unwrap();
+        assert!(ls.audit(true).unwrap().findings.is_empty());
     }
 }

@@ -11,8 +11,12 @@
 //! |-----------------|--------------------------|----------------------------|
 //! | node            | `nodeId, ts`             | type, labels, props        |
 //! | relationship    | `relId, ts`              | type, label, props         |
-//! | out-neighbours  | `srcId, tgtId, relId, ts`| relId (+ deleted flag)     |
-//! | in-neighbours   | `tgtId, srcId, relId, ts`| relId (+ deleted flag)     |
+//! | out-neighbours  | `srcId, tgtId, relId, ts`| one byte: deleted flag     |
+//! | in-neighbours   | `tgtId, srcId, relId, ts`| one byte: deleted flag     |
+//!
+//! A neighbour entry's key already names the relationship and the time, so
+//! its value is `[0]` (the relationship joined the neighbourhood at `ts`)
+//! or `[1]` (it left).
 //!
 //! Updates are stored **in place** as deltas or fully materialized entities
 //! (not as pointers into the TimeStore log), trading space for access
@@ -30,7 +34,7 @@ pub mod expand;
 pub mod store;
 pub mod stream;
 
-pub use audit::AuditFinding;
+pub use audit::{AuditFinding, AuditReport};
 pub use entry::LineageEntry;
 pub use store::{LineageStore, LineageStoreConfig, LineageStoreStats};
 pub use stream::NodeIdScan;

@@ -228,6 +228,9 @@ impl LineageStore {
             .map_err(io_err)
     }
 
+    /// Records that `rel` joined (or, `deleted`, left) the neighbourhoods
+    /// of its endpoints at `ts`. The key holds both endpoints, the rel id
+    /// and the ts, so the value is just the deleted flag.
     fn put_neighbours(
         &self,
         src: NodeId,
@@ -236,14 +239,12 @@ impl LineageStore {
         ts: Timestamp,
         deleted: bool,
     ) -> Result<()> {
-        let body = RecordBody::Neighbour { rel, deleted };
-        let entry = LineageEntry::full(ts, body);
-        let bytes = entry.to_bytes();
+        let value = [u8::from(deleted)];
         self.out_n
-            .insert(&keys::neigh_key(src, tgt, rel, ts), &bytes)
+            .insert(&keys::neigh_key(src, tgt, rel, ts), &value)
             .map_err(io_err)?;
         self.in_n
-            .insert(&keys::neigh_key(tgt, src, rel, ts), &bytes)
+            .insert(&keys::neigh_key(tgt, src, rel, ts), &value)
             .map_err(io_err)
     }
 
@@ -597,9 +598,8 @@ impl LineageStore {
             let (key, value) = item.map_err(io_err)?;
             let (_, _, rel, ets) = keys::decode_neigh_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
-            let entry = LineageEntry::from_bytes(&value)
+            let deleted = neighbour_deleted(&value)
                 .ok_or_else(|| GraphError::Storage("bad neigh entry".into()))?;
-            let deleted = entry.body.is_deleted();
             match current {
                 Some((cur, _)) if cur == rel => {
                     if ets <= ts {
@@ -761,9 +761,15 @@ fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result
                 "rel delta over {other:?} for {id}"
             ))),
         },
-        RecordBody::Neighbour { .. } => Err(GraphError::Storage(
-            "neighbour record in entity chain".into(),
-        )),
+    }
+}
+
+/// Decodes a neighbour-index value: `[0]` added, `[1]` deleted.
+pub(crate) fn neighbour_deleted(value: &[u8]) -> Option<bool> {
+    match value {
+        [0] => Some(false),
+        [1] => Some(true),
+        _ => None,
     }
 }
 

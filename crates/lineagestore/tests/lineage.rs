@@ -77,6 +77,51 @@ fn node_history_versions_and_intervals() {
     assert!(s.node_at(NodeId::new(7), 11).unwrap().is_some());
 }
 
+/// The largest node id has no successor to bound its neighbour scan with;
+/// its relationships must still be found (a debug build once panicked on
+/// the `+ 1`, a release build wrapped the bound to 0 and found none).
+#[test]
+fn largest_node_id_keeps_its_relationships() {
+    let (_d, s) = open(Some(4));
+    let (max, low) = (NodeId::new(u64::MAX), NodeId::new(0));
+    s.apply_update(1, &add_node(u64::MAX)).unwrap();
+    s.apply_update(2, &add_node(0)).unwrap();
+    let rel = |id: u64, src: NodeId, tgt: NodeId| Update::AddRel {
+        id: RelId::new(id),
+        src,
+        tgt,
+        label: None,
+        props: vec![],
+    };
+    s.apply_update(3, &rel(1, max, low)).unwrap();
+    s.apply_update(4, &rel(2, low, max)).unwrap();
+
+    let ids = |dir| -> Vec<u64> {
+        let mut ids: Vec<u64> = s
+            .rels_at(max, dir, 5)
+            .unwrap()
+            .iter()
+            .map(|r| r.id.raw())
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(ids(Direction::Outgoing), [1]);
+    assert_eq!(ids(Direction::Incoming), [2]);
+    assert_eq!(ids(Direction::Both), [1, 2]);
+    assert_eq!(
+        s.rels_history(max, Direction::Both, 0, 10).unwrap().len(),
+        2
+    );
+    let hits = s.expand(max, Direction::Outgoing, 2, 5).unwrap();
+    let mut reached: Vec<u64> = hits.iter().map(|h| h.node.id.raw()).collect();
+    reached.sort_unstable();
+    assert_eq!(reached, [0]);
+    assert_eq!(s.expand(low, Direction::Outgoing, 1, 5).unwrap().len(), 1);
+    // Node 0's scan stops before node u64::MAX's entries.
+    assert_eq!(s.rels_at(low, Direction::Outgoing, 5).unwrap().len(), 1);
+}
+
 #[test]
 fn chain_thresholds_do_not_change_answers() {
     let mut answers = Vec::new();

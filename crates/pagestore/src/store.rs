@@ -17,7 +17,13 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
-const MAGIC: u64 = 0x4149_4F4E_5047_5331; // "AIONPGS1"
+/// "AIONPGS2": the page-file format version. Version 1 laid B+Tree leaf
+/// cells out with a seven-byte header; this build does not read it, and an
+/// old file fails at open like a torn one, so the caller rebuilds it from
+/// the change log.
+const MAGIC: u64 = 0x4149_4F4E_5047_5332;
+/// The magic without its version digit.
+const MAGIC_STEM: u64 = MAGIC >> 8;
 const META_MAGIC_OFF: usize = 0;
 const META_PAGE_COUNT_OFF: usize = 8;
 const META_FREE_HEAD_OFF: usize = 16;
@@ -87,6 +93,11 @@ fn unclean(detail: &str) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("page store failed checksum verification ({detail}); rebuild required"),
     )
+}
+
+/// A magic number as the eight ASCII characters it spells.
+fn magic_name(magic: u64) -> String {
+    magic.to_be_bytes().escape_ascii().to_string()
 }
 
 /// Checksum of an all-zero page: what an allocated page that was never
@@ -173,11 +184,18 @@ impl PageStore {
         if len >= PAGE_SIZE as u64 {
             let mut meta = PageBuf::zeroed();
             file.read_exact_at(meta.bytes_mut().as_mut_slice(), 0)?;
-            if meta.read_u64(META_MAGIC_OFF) != MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not an aion page store (bad magic)",
-                ));
+            let magic = meta.read_u64(META_MAGIC_OFF);
+            if magic != MAGIC {
+                let detail = if magic >> 8 == MAGIC_STEM {
+                    format!(
+                        "page file version {}, this build reads {}",
+                        magic_name(magic),
+                        magic_name(MAGIC)
+                    )
+                } else {
+                    "not an aion page store (bad magic)".to_string()
+                };
+                return Err(io::Error::new(io::ErrorKind::InvalidData, detail));
             }
             inner.page_count = meta.read_u64(META_PAGE_COUNT_OFF);
             inner.free_head = PageId(meta.read_u64(META_FREE_HEAD_OFF));
@@ -556,6 +574,23 @@ mod tests {
             .write(&path, &vec![0x42u8; PAGE_SIZE])
             .unwrap();
         assert!(PageStore::open(&path, 4).is_err());
+    }
+
+    #[test]
+    fn older_version_rejected_by_name() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("v1.db");
+        PageStore::open(&path, 4).unwrap().sync().unwrap();
+        let mut raw = VfsRef::std().read(&path).unwrap();
+        assert_eq!(&raw[..8], b"2SGPNOIA", "little-endian AIONPGS2");
+        raw[0] = b'1';
+        VfsRef::std().write(&path, &raw).unwrap();
+        let err = PageStore::open(&path, 4).err().unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "page file version AIONPGS1, this build reads AIONPGS2"
+        );
     }
 
     #[test]

@@ -17,8 +17,11 @@
 //!   whose references are to valid earlier snapshots and match their sums,
 //!   and whose contents equal an independent log replay at that timestamp;
 //! * a full log replay reproduces the live in-memory graph.
+//!
+//! The structural pass also measures each index's pages and leaf fill.
 
 use crate::store::{LoadError, TimeStore};
+use btree::TreeFill;
 use encoding::keys;
 use encoding::snapshot::Fault;
 use lpg::{Graph, Result};
@@ -39,34 +42,46 @@ impl std::fmt::Display for AuditFinding {
     }
 }
 
+/// What [`TimeStore::audit`] found.
+#[derive(Clone, Debug, Default)]
+pub struct AuditReport {
+    /// Every violation (empty = consistent).
+    pub findings: Vec<AuditFinding>,
+    /// Pages and leaf fill of the time and snapshot indexes.
+    pub fill: Vec<(&'static str, TreeFill)>,
+}
+
 pub(crate) fn storage_err(e: std::io::Error) -> lpg::GraphError {
     lpg::GraphError::Storage(e.to_string())
 }
 
 impl TimeStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
-    /// every violation found (empty = consistent). IO errors abort the
-    /// audit; corruption is reported, never panicked on.
-    pub fn audit(&self, deep: bool) -> Result<Vec<AuditFinding>> {
+    /// every violation found (empty = consistent) and each index's fill.
+    /// IO errors abort the audit; corruption is reported, never panicked on.
+    pub fn audit(&self, deep: bool) -> Result<AuditReport> {
         let mut findings = Vec::new();
+        let mut fill = Vec::new();
 
         // Structural pass: both index trees, then page accounting.
         let mut reachable = BTreeSet::new();
         reachable.insert(0); // meta page
-        for (name, tree) in [
-            ("time-index", &self.time_index),
-            ("snapshot-index", &self.snap_index),
+        for (name, check, tree) in [
+            ("time-index", "time-index/structure", &self.time_index),
+            (
+                "snapshot-index",
+                "snapshot-index/structure",
+                &self.snap_index,
+            ),
         ] {
             let report = tree.verify().map_err(storage_err)?;
             for v in &report.violations {
                 findings.push(AuditFinding {
-                    check: match name {
-                        "time-index" => "time-index/structure",
-                        _ => "snapshot-index/structure",
-                    },
+                    check,
                     detail: format!("{v}"),
                 });
             }
+            fill.push((name, report.fill()));
             reachable.extend(report.reachable.iter().copied());
         }
         for problem in self
@@ -80,7 +95,7 @@ impl TimeStore {
             });
         }
         if !deep {
-            return Ok(findings);
+            return Ok(AuditReport { findings, fill });
         }
 
         // Deep pass: time index ↔ log agreement.
@@ -211,7 +226,7 @@ impl TimeStore {
                 detail: format!("live graph fails self-check: {e}"),
             });
         }
-        Ok(findings)
+        Ok(AuditReport { findings, fill })
     }
 
     /// Checks one snapshot file through the loader: readable, decodable,
@@ -309,7 +324,7 @@ mod tests {
         }
         ts.write_snapshot().unwrap();
         ts.sync().unwrap();
-        let findings = ts.audit(true).unwrap();
+        let findings = ts.audit(true).unwrap().findings;
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
     }
 
@@ -327,7 +342,7 @@ mod tests {
         for (name, _) in vfs.read_dir(&snapdir).unwrap() {
             vfs.remove_file(&snapdir.join(name)).unwrap();
         }
-        let findings = ts.audit(true).unwrap();
+        let findings = ts.audit(true).unwrap().findings;
         assert!(findings.iter().any(|f| f.check == "snapshot/file"));
     }
 
@@ -354,7 +369,7 @@ mod tests {
         ts.write_snapshot().unwrap();
         ts.append_commit(302, &[add_node(1_000)]).unwrap();
         ts.sync().unwrap();
-        assert!(ts.audit(true).unwrap().is_empty());
+        assert!(ts.audit(true).unwrap().findings.is_empty());
         let snapdir = dir.path().join("snapshots");
         let vfs = vfs::VfsRef::std();
         let (anchor, dependant) = (
@@ -370,7 +385,7 @@ mod tests {
         assert!(sizes[1] * 3 < sizes[0], "{sizes:?}");
         vfs.remove_file(&snapdir.join(anchor)).unwrap();
 
-        let findings = ts.audit(true).unwrap();
+        let findings = ts.audit(true).unwrap().findings;
         assert!(
             findings
                 .iter()
@@ -388,6 +403,6 @@ mod tests {
             }
             assert!(ts.snapshot_at(t).unwrap().same_as(&replay), "at ts {t}");
         }
-        assert!(ts.audit(true).unwrap().is_empty());
+        assert!(ts.audit(true).unwrap().findings.is_empty());
     }
 }

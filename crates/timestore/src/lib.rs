@@ -34,7 +34,7 @@ pub mod log;
 pub mod policy;
 pub mod store;
 
-pub use audit::AuditFinding;
+pub use audit::{AuditFinding, AuditReport};
 pub use graphstore::GraphStore;
 pub use log::{ChangeLog, CommitFrame};
 pub use policy::SnapshotPolicy;

@@ -133,7 +133,7 @@ proptest! {
         }
         let store = TimeStore::open(dir.path(), config(policy)).unwrap();
         prop_assert_eq!(store.latest_ts(), end);
-        prop_assert!(store.audit(true).unwrap().is_empty());
+        prop_assert!(store.audit(true).unwrap().findings.is_empty());
         assert_matches_replay(&store, end);
     }
 }

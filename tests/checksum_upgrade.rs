@@ -1,13 +1,15 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
 //! page files are rebuilt from the change log — whose format did not
-//! change — and the stale snapshots are dropped at open. Two inputs:
+//! change — and the stale snapshots are dropped at open. Three inputs:
 //!
 //! * written before the bulk checksum (`vfs::bulk_sum64`, sidecar magic
 //!   `AIONSUM2`): page-checksum sidecars and snapshot footers carry FNV-1a
 //!   sums (`AIONSUM1`);
 //! * written before snapshot files shared segments: every snapshot is a
-//!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer.
+//!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer;
+//! * written before leaf cells had a varint header: the page files carry
+//!   the page-file magic `AIONPGS1` behind a *valid* checksum sidecar.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
@@ -52,6 +54,26 @@ fn reseal_sidecar_v1(page_file: &Path) {
         "same sidecar length in both versions"
     );
     VfsRef::std().write(&sums_path, &out).unwrap();
+}
+
+/// Rewrites a page file's magic to `AIONPGS1` and reseals its `AIONSUM2`
+/// sidecar over the new bytes, so the format version is the only thing
+/// wrong with the file.
+fn rewrite_page_magic_v1(page_file: &Path) {
+    let mut pages = VfsRef::std().read(page_file).unwrap();
+    assert_eq!(&pages[..8], b"2SGPNOIA", "little-endian AIONPGS2");
+    pages[0] = b'1';
+    VfsRef::std().write(page_file, &pages).unwrap();
+    let sums_path = PageStore::sums_path(page_file);
+    let mut sums = VfsRef::std().read(&sums_path).unwrap();
+    // Header (magic, generation, count), then one sum per page from page
+    // 0, then the footer over everything before it.
+    let meta_sum = vfs::bulk_sum64(&pages[..PAGE_SIZE]);
+    sums[24..32].copy_from_slice(&meta_sum.to_le_bytes());
+    let body = sums.len() - 8;
+    let footer = vfs::bulk_sum64(&sums[..body]);
+    sums[body..].copy_from_slice(&footer.to_le_bytes());
+    VfsRef::std().write(&sums_path, &sums).unwrap();
 }
 
 /// Rewrites a snapshot's footer as FNV-1a over its payload.
@@ -201,4 +223,43 @@ fn version_1_snapshots_are_dropped_at_open() {
     let bytes = VfsRef::std().read(&written[0]).unwrap();
     assert!(encoding::snapshot::open(&bytes).is_some());
     assert!(encoding::snapshot::open(&v1).is_none());
+}
+
+#[test]
+fn version_1_page_files_are_rebuilt_at_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
+    let history = write_history(dir);
+    let mut snapshots = snapshot_files(dir);
+    snapshots.sort();
+    for file in &page_files {
+        rewrite_page_magic_v1(file);
+        let err = PageStore::open_with_vfs(&VfsRef::std(), file, 4, true)
+            .err()
+            .expect("a version-1 page file must not open");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version AIONPGS1"), "{err}");
+    }
+
+    {
+        let db = Aion::open(config(dir)).unwrap();
+        // Rebuilt by the open, before anything read them: the old files
+        // were deleted, and the new ones are empty or version 2.
+        for file in &page_files {
+            let bytes = VfsRef::std().read(file).unwrap();
+            assert!(!bytes.starts_with(b"1SGPNOIA"), "{file:?} still version 1");
+        }
+        // The snapshot files did not change format: they are kept.
+        let mut kept = snapshot_files(dir);
+        kept.sort();
+        assert_eq!(kept, snapshots);
+        assert_history(&db, &history);
+        db.sync().unwrap();
+    }
+    for file in &page_files {
+        let bytes = VfsRef::std().read(file).unwrap();
+        assert_eq!(&bytes[..8], b"2SGPNOIA", "the next sync writes AIONPGS2");
+        PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
+    }
 }

@@ -224,14 +224,36 @@ mod corruption {
     use tempfile::tempdir;
     use timestore::{TimeStore, TimeStoreConfig};
 
-    // Raw slotted-page layout (crates/btree/src/layout.rs): all integers LE.
+    // Raw slotted-page layout (crates/btree/src/layout.rs): integers LE,
+    // a leaf cell starts `varint klen, varint (vlen << 1 | overflow)`.
     const LEAF: u8 = 1;
     const NCELLS_OFF: usize = 2;
     const SLOTS_OFF: usize = 16;
-    const FLAG_OVERFLOW: u8 = 1;
 
     fn read_u16(b: &[u8], off: usize) -> usize {
         u16::from_le_bytes([b[off], b[off + 1]]) as usize
+    }
+
+    /// Reads the LEB128 varint at `b[*pos..]`, advancing `pos`.
+    fn read_varint(b: &[u8], pos: &mut usize) -> u64 {
+        let mut v = 0u64;
+        for shift in (0..35).step_by(7) {
+            let byte = b[*pos];
+            *pos += 1;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+        }
+        v
+    }
+
+    /// The leaf cell at `off`: `(klen, overflow, offset of its key)`.
+    fn leaf_cell(b: &[u8], off: usize) -> (usize, bool, usize) {
+        let mut pos = off;
+        let klen = read_varint(b, &mut pos) as usize;
+        let overflow = read_varint(b, &mut pos) & 1 != 0;
+        (klen, overflow, pos)
     }
 
     fn read_u64(b: &[u8], off: usize) -> u64 {
@@ -354,9 +376,9 @@ mod corruption {
             let base = page * PAGE_SIZE;
             for i in 0..read_u16(&file, base + NCELLS_OFF) {
                 let off = base + read_u16(&file, base + SLOTS_OFF + i * 2);
-                if file[off] & FLAG_OVERFLOW != 0 {
-                    let klen = read_u16(&file, off + 1);
-                    let head = read_u64(&file, off + 7 + klen) as usize;
+                let (klen, overflow, key) = leaf_cell(&file, off);
+                if overflow {
+                    let head = read_u64(&file, key + klen) as usize;
                     let next_off = head * PAGE_SIZE;
                     file[next_off..next_off + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
                     corrupted = true;
@@ -394,14 +416,15 @@ mod corruption {
             let base = page * PAGE_SIZE;
             let ncells = read_u16(&file, base + NCELLS_OFF);
             for i in 0..ncells.saturating_sub(1) {
-                let a = base + read_u16(&file, base + SLOTS_OFF + i * 2);
-                let b = base + read_u16(&file, base + SLOTS_OFF + (i + 1) * 2);
-                if read_u16(&file, a + 1) == 16
-                    && read_u16(&file, b + 1) == 16
-                    && file[a + 7..a + 15] == file[b + 7..b + 15]
-                {
-                    let ts = file[a + 15..a + 23].to_vec();
-                    file[b + 15..b + 23].copy_from_slice(&ts);
+                let (alen, _, a) =
+                    leaf_cell(&file, base + read_u16(&file, base + SLOTS_OFF + i * 2));
+                let (blen, _, b) = leaf_cell(
+                    &file,
+                    base + read_u16(&file, base + SLOTS_OFF + (i + 1) * 2),
+                );
+                if alen == 16 && blen == 16 && file[a..a + 8] == file[b..b + 8] {
+                    let ts = file[a + 8..a + 16].to_vec();
+                    file[b + 8..b + 16].copy_from_slice(&ts);
                     injected = true;
                     break 'outer;
                 }
