@@ -1,13 +1,8 @@
 //! `figures` — regenerates every table and figure of the paper's
 //! evaluation (Sec. 6) at a configurable scale.
 //!
-//! ```text
-//! figures <experiment|all> [--edges N] [--ops N] [--runs N] [--seed N]
-//!         [--metrics-dir DIR]
-//!
-//! experiments: table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-//!              fig14 writes ablations ids
-//! ```
+//! Usage is [`aion_bench::cli::USAGE`]; a bad flag value or an unknown
+//! experiment prints it and exits 2.
 //!
 //! With `--metrics-dir DIR`, the harness drops one
 //! `BENCH_<experiment>_metrics.json` sidecar per experiment: the
@@ -15,64 +10,26 @@
 //! successive sidecars for per-experiment deltas).
 
 use aion_bench::*;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = BenchConfig::default();
-    let mut which: Vec<String> = Vec::new();
-    let mut metrics_dir: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--edges" => {
-                cfg.target_edges = args[i + 1].parse().expect("--edges N");
-                i += 2;
-            }
-            "--ops" => {
-                cfg.point_ops = args[i + 1].parse().expect("--ops N");
-                i += 2;
-            }
-            "--runs" => {
-                cfg.snapshot_runs = args[i + 1].parse().expect("--runs N");
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = args[i + 1].parse().expect("--seed N");
-                i += 2;
-            }
-            "--metrics-dir" => {
-                metrics_dir = Some(std::path::PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            other => {
-                which.push(other.to_lowercase());
-                i += 1;
-            }
+    let cli::FiguresArgs {
+        cfg,
+        experiments,
+        metrics_dir,
+    } = match cli::parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("figures: {e}\n\n{}", cli::USAGE);
+            return ExitCode::from(2);
         }
-    }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = vec![
-            "table3".into(),
-            "table4".into(),
-            "fig6".into(),
-            "fig7".into(),
-            "fig8".into(),
-            "fig9".into(),
-            "fig10".into(),
-            "fig11".into(),
-            "fig12".into(),
-            "fig13".into(),
-            "fig14".into(),
-            "writes".into(),
-            "ablations".into(),
-            "ids".into(),
-        ];
-    }
+    };
     println!(
         "aion-bench: target |E| = {}, point ops = {}, snapshot runs = {}, seed = {}",
         cfg.target_edges, cfg.point_ops, cfg.snapshot_runs, cfg.seed
     );
-    for exp in which {
+    for exp in experiments {
         match exp.as_str() {
             "table3" => {
                 table3_datasets::run(&cfg);
@@ -119,15 +76,13 @@ fn main() {
             "ids" => {
                 graph_ids::run(&cfg);
             }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                continue;
-            }
+            other => unreachable!("parse_args accepted unknown experiment {other}"),
         }
         if let Some(dir) = &metrics_dir {
             write_metrics_sidecar(dir, &exp);
         }
     }
+    ExitCode::SUCCESS
 }
 
 /// Dumps the cumulative metrics snapshot next to the experiment output so

@@ -17,6 +17,7 @@
 //! datasets, a reimplementation); `EXPERIMENTS.md` records a full run.
 
 pub mod ablations;
+pub mod cli;
 pub mod common;
 pub mod fig06_point_queries;
 pub mod fig07_snapshots;
@@ -28,7 +29,6 @@ pub mod fig12_incremental;
 pub mod fig13_bolt;
 pub mod fig14_procedures;
 pub mod graph_ids;
-pub mod scan_paged;
 pub mod table3_datasets;
 pub mod table4_complexity;
 pub mod write_throughput;

@@ -10,16 +10,15 @@
 //!   budget: the log-writer thread coalesces them, and N commits share
 //!   one fsync.
 //!
-//! Two machine-portable ratios are reported (and gated by
-//! `cargo xtask bench-gate`):
+//! Two ratios are reported:
 //!
 //! * `commits_per_fsync` — histogram `core.group_commit.size` sum/count
 //!   delta: ~1.0 single-writer, approaching N for the group run. This is
 //!   the direct evidence that group commit coalesces.
 //! * `rel_throughput` — durable commits/sec relative to the
 //!   single-writer run. How much of the coalescing turns into end-to-end
-//!   throughput depends on how expensive fsync is on the machine, which
-//!   is exactly why the baseline records the machine's own ratio.
+//!   throughput depends on how expensive fsync is on the machine, so the
+//!   ratio is only comparable between runs on the same machine.
 
 use crate::common::banner;
 use aion::{Aion, AionConfig};
@@ -62,7 +61,7 @@ pub struct WriteRow {
     pub commits_per_fsync: f64,
     /// Durable commits/sec relative to the single-writer run.
     pub rel_throughput: f64,
-    /// Absolute durable commits/sec (printed, machine-specific, ungated).
+    /// Absolute durable commits/sec (machine-specific).
     pub commits_per_sec: f64,
 }
 

@@ -93,9 +93,10 @@ fn paged_scan_materializes_at_most_one_page() {
     let params = Params::new();
     let q = "MATCH (n) RETURN id(n)";
 
-    let mut total = 0usize;
+    let mut rows = Vec::new();
     let mut cursor: Option<Vec<u8>> = None;
     let mut started = false;
+    let drain_before = streamed.get();
     while !started || cursor.is_some() {
         started = true;
         let before = streamed.get();
@@ -115,14 +116,20 @@ fn paged_scan_materializes_at_most_one_page() {
         );
         assert!(page.result.rows.len() <= 64);
         assert_eq!(page.result.rows.len() as u64, delta);
-        total += page.result.rows.len();
+        rows.extend(page.result.rows);
         cursor = page.cursor;
     }
-    assert_eq!(total, NODES as usize);
+    assert_eq!(rows.len(), NODES as usize);
+    // Paging re-reads nothing and skips nothing: over the whole drain the
+    // counter grows by exactly the result's row count.
+    assert_eq!(streamed.get() - drain_before, rows.len() as u64);
 
-    // The paged drain and the one-shot scan agree end to end.
+    // The paged drain and the one-shot scan agree end to end, and the
+    // one-shot scan streams each row once too.
+    let before = streamed.get();
     let full: QueryResult = execute(&db, q, &params).unwrap();
-    assert_eq!(full.rows.len(), total);
+    assert_eq!(streamed.get() - before, full.rows.len() as u64);
+    assert_eq!(full.rows, rows);
 }
 
 /// LIMIT bounds the pull for traversals too: over a hub with 1200

@@ -8,8 +8,6 @@
 //! Exit codes: 0 clean, 1 findings, 2 analyzer error (I/O, malformed
 //! allow file).
 
-mod bench_gate;
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -18,7 +16,6 @@ fn main() -> ExitCode {
     let cmd = args.next().unwrap_or_default();
     match cmd.as_str() {
         "analyze" => analyze_cmd(args.collect()),
-        "bench-gate" => bench_gate::run(args.collect(), workspace_root()),
         "" | "help" | "--help" | "-h" => {
             print!("{USAGE}");
             ExitCode::SUCCESS
@@ -40,12 +37,6 @@ Commands:
             --list           print the rule catalogue and exit
             --rule <id>      run only this rule (repeatable)
             --root <dir>     analyze a different tree (testing)
-  bench-gate  diff fresh Fig. 9 ingest + write-throughput runs against BENCH_ingest.json
-            --update         rewrite the baseline from this run
-            --baseline <p>   compare against a different file
-            --tolerance <f>  relative band (default 0.5)
-            --runs <n>       median over n harness runs (default 3)
-            --edges <n>, --seed <n>  harness scale (must match baseline)
   help      show this message
 ";
 
