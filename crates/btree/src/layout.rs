@@ -19,7 +19,8 @@
 //! varint   = LEB128, low 7 bits first, at most 5 bytes
 //! ```
 //!
-//! A LineageStore cell (16- or 32-byte key, value under 64 bytes) spends
+//! A LineageStore cell (a 16-byte history key or a neighbour key of at most
+//! 36 bytes, value under 64 bytes) spends
 //! two header bytes; a longer key or value only widens its own varint.
 //!
 //! Internal cell:  `u16 klen, u64 child, key`

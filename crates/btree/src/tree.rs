@@ -9,7 +9,7 @@ use std::io;
 use std::sync::Arc;
 
 /// Maximum key length in bytes. Composite keys (Table 2) are at most
-/// 24 bytes, so this is generous.
+/// 36 bytes, so this is generous.
 pub const MAX_KEY: usize = 512;
 
 /// Values larger than this are spilled to overflow pages.

@@ -1,18 +1,31 @@
 //! Order-preserving composite B+Tree keys (Table 2).
 //!
-//! All components are encoded big-endian so the B+Tree's lexicographic byte
-//! comparison equals the intended numeric ordering: first by entity id(s),
-//! then by timestamp — which puts an entity's whole history "in the same or
-//! adjacent B+Tree pages" (Sec. 4.4).
+//! Every key compares, byte by byte, in the order of the tuple it encodes:
+//! first by entity id(s), then by timestamp — which puts an entity's whole
+//! history "in the same or adjacent B+Tree pages" (Sec. 4.4).
 //!
-//! | store        | entry           | key layout                |
-//! |--------------|-----------------|---------------------------|
-//! | TimeStore    | graph update    | `ts`                      |
-//! | TimeStore    | graph snapshot  | `ts`                      |
-//! | LineageStore | node            | `nodeId, ts`              |
-//! | LineageStore | relationship    | `relId, ts`               |
-//! | LineageStore | out-neighbours  | `srcId, tgtId, relId, ts` |
-//! | LineageStore | in-neighbours   | `tgtId, srcId, relId, ts` |
+//! | store        | entry           | key layout                | bytes  |
+//! |--------------|-----------------|---------------------------|--------|
+//! | TimeStore    | graph update    | `ts`                      | 8      |
+//! | TimeStore    | graph snapshot  | `ts`                      | 8      |
+//! | LineageStore | node            | `nodeId, ts`              | 16     |
+//! | LineageStore | relationship    | `relId, ts`               | 16     |
+//! | LineageStore | out-neighbours  | `srcId, tgtId, relId, ts` | 4 – 36 |
+//! | LineageStore | in-neighbours   | `tgtId, srcId, relId, ts` | 4 – 36 |
+//!
+//! The TimeStore and history keys write each part as 8 big-endian bytes.
+//! The neighbour keys, the most numerous, write each part compactly (the
+//! variable-size encoding of Sec. 4.2):
+//!
+//! ```text
+//! neigh_key = part part part part
+//! part      = u8 n (0..=8), then the n low-order big-endian bytes of the
+//!             value, the first of them non-zero; zero is the single byte 0
+//! ```
+//!
+//! A shorter part is a smaller number and equal-length parts compare
+//! numerically, and no part is a prefix of another, so the concatenation
+//! sorts exactly like the tuple. Only the canonical form decodes.
 //!
 //! The neighbourhood keys extend Table 2 with the relationship id so that
 //! multigraphs (several relationships between the same node pair — which
@@ -64,38 +77,65 @@ pub fn rel_key(id: RelId, ts: Timestamp) -> [u8; 16] {
     entity_ts_key(id.raw(), ts)
 }
 
+/// Longest [`neigh_key`]: four parts of a length byte and eight bytes.
+pub const MAX_NEIGH_KEY: usize = 36;
+
+/// Appends `v` as a length byte and its significant big-endian bytes.
+fn put_part(out: &mut Vec<u8>, v: u64) {
+    let n = 8 - (v.leading_zeros() / 8) as usize;
+    out.push(n as u8);
+    out.extend_from_slice(&v.to_be_bytes()[8 - n..]);
+}
+
+/// Reads one canonical part off the front of `key`.
+fn take_part(key: &mut &[u8]) -> Option<u64> {
+    let (&n, rest) = key.split_first()?;
+    let n = usize::from(n);
+    if n > 8 {
+        return None;
+    }
+    let digits = rest.get(..n)?;
+    if digits.first() == Some(&0) {
+        return None;
+    }
+    let mut be = [0u8; 8];
+    be[8 - n..].copy_from_slice(digits);
+    *key = &rest[n..];
+    Some(u64::from_be_bytes(be))
+}
+
 /// A `(a, b, relId, ts)` neighbourhood key — `a = src, b = tgt` for the
 /// out-neighbours index and the reverse for in-neighbours.
-pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> [u8; 32] {
-    let mut k = [0u8; 32];
-    k[..8].copy_from_slice(&a.raw().to_be_bytes());
-    k[8..16].copy_from_slice(&b.raw().to_be_bytes());
-    k[16..24].copy_from_slice(&rel.raw().to_be_bytes());
-    k[24..].copy_from_slice(&ts.to_be_bytes());
+pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> Vec<u8> {
+    let mut k = Vec::with_capacity(MAX_NEIGH_KEY);
+    for part in [a.raw(), b.raw(), rel.raw(), ts] {
+        put_part(&mut k, part);
+    }
     k
 }
 
-/// Decodes a [`neigh_key`] into `(a, b, rel, ts)`.
-pub fn decode_neigh_key(key: &[u8]) -> Option<(NodeId, NodeId, RelId, Timestamp)> {
-    if key.len() != 32 {
-        return None;
-    }
-    let a = be_u64(key, 0);
-    let b = be_u64(key, 8);
-    let r = be_u64(key, 16);
-    let ts = be_u64(key, 24);
-    Some((NodeId::new(a), NodeId::new(b), RelId::new(r), ts))
+/// Decodes a [`neigh_key`] into `(a, b, rel, ts)`. `None` unless `key` is
+/// exactly four canonical parts.
+pub fn decode_neigh_key(mut key: &[u8]) -> Option<(NodeId, NodeId, RelId, Timestamp)> {
+    let a = take_part(&mut key)?;
+    let b = take_part(&mut key)?;
+    let r = take_part(&mut key)?;
+    let ts = take_part(&mut key)?;
+    key.is_empty()
+        .then(|| (NodeId::new(a), NodeId::new(b), RelId::new(r), ts))
 }
 
-/// `[low, high)` bounds covering every neighbourhood entry anchored at `a`.
-/// `high` is empty — unbounded, as B+Tree scans read it — for the largest
-/// node id, which has no successor to bound it with.
-pub fn neigh_range(a: NodeId) -> ([u8; 32], Vec<u8>) {
-    let low = neigh_key(a, NodeId::new(0), RelId::new(0), 0);
-    let high = match a.raw().checked_add(1) {
-        Some(next) => neigh_key(NodeId::new(next), NodeId::new(0), RelId::new(0), 0).to_vec(),
-        None => Vec::new(),
-    };
+/// `[low, high)` bounds covering every neighbourhood entry anchored at `a`:
+/// the encodings of `a` and `a + 1` alone. `high` is empty — unbounded, as
+/// B+Tree scans read it — for the largest node id, which has no successor
+/// to bound it with.
+pub fn neigh_range(a: NodeId) -> (Vec<u8>, Vec<u8>) {
+    let mut low = Vec::with_capacity(9);
+    put_part(&mut low, a.raw());
+    let mut high = Vec::new();
+    if let Some(next) = a.raw().checked_add(1) {
+        put_part(&mut high, next);
+    }
     (low, high)
 }
 
@@ -137,6 +177,38 @@ mod tests {
     }
 
     #[test]
+    fn neigh_key_writes_only_significant_bytes() {
+        let zero = neigh_key(NodeId::new(0), NodeId::new(0), RelId::new(0), 0);
+        assert_eq!(zero, [0, 0, 0, 0]);
+        let k = neigh_key(NodeId::new(255), NodeId::new(256), RelId::new(1), u64::MAX);
+        let mut want = vec![1, 0xFF, 2, 1, 0, 1, 1, 8];
+        want.extend_from_slice(&[0xFF; 8]);
+        assert_eq!(k, want);
+        assert_eq!(decode_neigh_key(&k).unwrap().3, u64::MAX);
+        let widest = neigh_key(
+            NodeId::new(u64::MAX),
+            NodeId::new(u64::MAX),
+            RelId::new(u64::MAX),
+            u64::MAX,
+        );
+        assert_eq!(widest.len(), MAX_NEIGH_KEY);
+    }
+
+    #[test]
+    fn neigh_key_rejects_non_canonical_bytes() {
+        for bad in [
+            &[][..],
+            &[0, 0, 0],                               // three parts
+            &[0, 0, 0, 0, 0],                         // trailing byte
+            &[9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0], // length above 8
+            &[1, 0, 0, 0, 0],                         // leading zero byte
+            &[0, 0, 0, 2, 1],                         // truncated part
+        ] {
+            assert_eq!(decode_neigh_key(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
     fn neigh_range_covers_anchor() {
         let (lo, hi) = neigh_range(NodeId::new(5));
         let inside = neigh_key(NodeId::new(5), NodeId::new(u64::MAX), RelId::new(3), 9);
@@ -145,7 +217,7 @@ mod tests {
         assert!(outside[..] >= hi[..]);
         // The largest id has no successor: the scan runs to the end.
         let (lo, hi) = neigh_range(NodeId::new(u64::MAX));
-        assert_eq!(lo[..8], [0xFF; 8]);
+        assert_eq!(lo[..], [8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF]);
         assert!(hi.is_empty());
     }
 }

@@ -400,6 +400,24 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_neighbour_key_detected() {
+        let dir = tempdir().unwrap();
+        let ls =
+            LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap();
+        seed(&ls);
+        // Node 0 written as `[1, 0]`, with a leading zero byte: it sorts
+        // among the one-byte ids but is no key `neigh_key` writes.
+        ls.out_n.insert(&[1, 0, 1, 1, 1, 1, 1, 2], &[0]).unwrap();
+        let findings = ls.audit(true).unwrap().findings;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.check == "neighbours/key" && f.detail.contains("8-byte key")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
     fn neighbour_value_other_than_the_deleted_flag_detected() {
         let dir = tempdir().unwrap();
         let ls =

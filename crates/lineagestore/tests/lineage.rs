@@ -4,8 +4,8 @@
 
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{
-    Direction, Graph, Interval, NodeId, PropertyValue, RelId, StrId, TemporalGraph,
-    TimestampedUpdate, Update,
+    Direction, Graph, Interval, NodeId, PropertyValue, RelId, Relationship, StrId, TemporalGraph,
+    TimestampedUpdate, Update, Version,
 };
 use proptest::prelude::*;
 use tempfile::tempdir;
@@ -120,6 +120,112 @@ fn largest_node_id_keeps_its_relationships() {
     assert_eq!(s.expand(low, Direction::Outgoing, 1, 5).unwrap().len(), 1);
     // Node 0's scan stops before node u64::MAX's entries.
     assert_eq!(s.rels_at(low, Direction::Outgoing, 5).unwrap().len(), 1);
+}
+
+/// Ids and timestamps whose significant bytes cross the compact neighbour
+/// key's length boundaries (255/256, 65 535/65 536, 2^32, `u64::MAX`),
+/// connected both ways, with a multi-edge and deleted relationships:
+/// `rels_at`, `rels_history` and `expand` agree with a naive replay at
+/// every commit.
+#[test]
+fn neighbour_queries_across_key_width_boundaries() {
+    let (_d, s) = open(Some(4));
+    const NODES: [u64; 6] = [0, 255, 256, 65_535, 65_536, u64::MAX];
+    let rel = |id: u64, src: u64, tgt: u64| Update::AddRel {
+        id: RelId::new(id),
+        src: NodeId::new(src),
+        tgt: NodeId::new(tgt),
+        label: None,
+        props: vec![],
+    };
+    let mut updates: Vec<TimestampedUpdate> = NODES
+        .iter()
+        .zip(252..)
+        .map(|(&id, ts)| TimestampedUpdate::new(ts, add_node(id)))
+        .collect();
+    let later = [
+        rel(255, 255, 256),
+        rel(256, 256, 255),
+        rel(65_535, 65_535, 65_536),
+        rel(65_536, 65_535, 65_536), // a second edge between the same pair
+        rel(u64::MAX, u64::MAX, 0),
+        rel(1, 0, u64::MAX),
+        rel(2, 256, 65_536),
+        rel(65_537, 65_536, 255),
+        Update::DeleteRel {
+            id: RelId::new(65_536),
+        },
+        Update::SetRelProp {
+            id: RelId::new(65_535),
+            key: StrId::new(2),
+            value: PropertyValue::Int(-1),
+        },
+        Update::DeleteRel { id: RelId::new(1) },
+        rel(3, 65_536, u64::MAX),
+    ];
+    let stamps = (65_530..).take(later.len() - 1).chain([1 << 32]);
+    updates.extend(
+        stamps
+            .zip(later)
+            .map(|(ts, u)| TimestampedUpdate::new(ts, u)),
+    );
+
+    let mut graph = Graph::new();
+    for (i, commit) in updates.iter().enumerate() {
+        let ts = commit.ts;
+        s.apply_update(ts, &commit.op).unwrap();
+        graph.apply(&commit.op).unwrap();
+        let oracle = TemporalGraph::build(&Graph::new(), Interval::new(0, ts + 1), &updates[..=i]);
+        for id in NODES.map(NodeId::new) {
+            for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
+                let mut got = s.rels_at(id, dir, ts).unwrap();
+                got.sort_by_key(|r| r.id);
+                let mut want: Vec<Relationship> = graph
+                    .relationships(id, dir)
+                    .filter_map(|rid| graph.rel(rid).cloned())
+                    .collect();
+                want.sort_by_key(|r| r.id);
+                assert_eq!(got, want, "rels_at({id:?}, {dir:?}, {ts})");
+
+                let got = s.rels_history(id, dir, 0, ts + 1).unwrap();
+                let mut want: Vec<(RelId, Vec<Version<Relationship>>)> = oracle
+                    .rels
+                    .iter()
+                    .filter(|(_, chain)| {
+                        let r = &chain[0].data;
+                        (dir.includes_out() && r.src == id) || (dir.includes_in() && r.tgt == id)
+                    })
+                    .map(|(rid, chain)| (*rid, chain.clone()))
+                    .collect();
+                want.sort_by_key(|(rid, _)| *rid);
+                let want: Vec<_> = want.into_iter().map(|(_, chain)| chain).collect();
+                assert_eq!(got, want, "rels_history({id:?}, {dir:?}, 0, {})", ts + 1);
+
+                let got = s.expand(id, dir, 2, ts);
+                if graph.node(id).is_none() {
+                    assert!(got.is_err(), "expand from absent {id:?} at {ts}");
+                    continue;
+                }
+                let mut got: Vec<(NodeId, u32)> =
+                    got.unwrap().iter().map(|h| (h.node.id, h.hop)).collect();
+                got.sort_unstable();
+                let (mut seen, mut frontier, mut want) = (vec![id], vec![id], Vec::new());
+                for hop in 1..=2 {
+                    let mut next = Vec::new();
+                    for n in frontier.iter().flat_map(|&c| graph.neighbours(c, dir)) {
+                        if !seen.contains(&n) {
+                            seen.push(n);
+                            want.push((n, hop));
+                            next.push(n);
+                        }
+                    }
+                    frontier = next;
+                }
+                want.sort_unstable();
+                assert_eq!(got, want, "expand({id:?}, {dir:?}, 2, {ts})");
+            }
+        }
+    }
 }
 
 #[test]

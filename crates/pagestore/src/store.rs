@@ -17,11 +17,12 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
-/// "AIONPGS2": the page-file format version. Version 1 laid B+Tree leaf
-/// cells out with a seven-byte header; this build does not read it, and an
-/// old file fails at open like a torn one, so the caller rebuilds it from
-/// the change log.
-const MAGIC: u64 = 0x4149_4F4E_5047_5332;
+/// "AIONPGS3": the page-file format version. Version 1 laid B+Tree leaf
+/// cells out with a seven-byte header; version 2 had the varint cell header
+/// but 32-byte neighbour keys. This build reads neither, and an old file
+/// fails at open like a torn one, so the caller rebuilds it from the change
+/// log.
+const MAGIC: u64 = 0x4149_4F4E_5047_5333;
 /// The magic without its version digit.
 const MAGIC_STEM: u64 = MAGIC >> 8;
 const META_MAGIC_OFF: usize = 0;
@@ -579,18 +580,23 @@ mod tests {
     #[test]
     fn older_version_rejected_by_name() {
         let dir = tempdir().unwrap();
-        let path = dir.path().join("v1.db");
+        let path = dir.path().join("old.db");
         PageStore::open(&path, 4).unwrap().sync().unwrap();
         let mut raw = VfsRef::std().read(&path).unwrap();
-        assert_eq!(&raw[..8], b"2SGPNOIA", "little-endian AIONPGS2");
-        raw[0] = b'1';
-        VfsRef::std().write(&path, &raw).unwrap();
-        let err = PageStore::open(&path, 4).err().unwrap();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(
-            err.to_string(),
-            "page file version AIONPGS1, this build reads AIONPGS2"
-        );
+        assert_eq!(&raw[..8], b"3SGPNOIA", "little-endian AIONPGS3");
+        for version in [b'1', b'2'] {
+            raw[0] = version;
+            VfsRef::std().write(&path, &raw).unwrap();
+            let err = PageStore::open(&path, 4).err().unwrap();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "page file version AIONPGS{}, this build reads AIONPGS3",
+                    char::from(version)
+                )
+            );
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ use obs::{HistogramSnapshot, MetricsSnapshot};
 use query::{QueryResult, Value};
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
+use vfs::fnv64;
 
 /// Request messages.
 #[derive(Clone, PartialEq, Debug)]
@@ -823,22 +824,12 @@ pub fn decode_response(buf: &[u8]) -> io::Result<Response> {
 
 // ---- frames -----------------------------------------------------------
 
-/// FNV-1a over the payload, carried in every frame header. TCP's
-/// 16-bit checksum is weak and proxies/middleboxes can corrupt bytes
-/// above it; a flipped byte in a `Run` frame could otherwise decode as
-/// a *different valid query* and commit the wrong write. With the
-/// digest, corruption is detected at the framing layer and surfaces as
-/// a connection error the client may retry (idempotency permitting).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// `u32 payload_len, u64 fnv64(payload)`.
+/// `u32 payload_len, u64 fnv64(payload)`, FNV-1a being [`vfs::fnv64`].
+/// TCP's 16-bit checksum is weak and proxies/middleboxes can corrupt bytes
+/// above it; a flipped byte in a `Run` frame could otherwise decode as a
+/// *different valid query* and commit the wrong write. With the digest,
+/// corruption is detected at the framing layer and surfaces as a
+/// connection error the client may retry (idempotency permitting).
 const FRAME_HEADER: usize = 12;
 
 /// Largest payload a frame may announce; a longer length is refused

@@ -1,15 +1,16 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
 //! page files are rebuilt from the change log — whose format did not
-//! change — and the stale snapshots are dropped at open. Three inputs:
+//! change — and the stale snapshots are dropped at open. Four inputs:
 //!
 //! * written before the bulk checksum (`vfs::bulk_sum64`, sidecar magic
 //!   `AIONSUM2`): page-checksum sidecars and snapshot footers carry FNV-1a
 //!   sums (`AIONSUM1`);
 //! * written before snapshot files shared segments: every snapshot is a
 //!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer;
-//! * written before leaf cells had a varint header: the page files carry
-//!   the page-file magic `AIONPGS1` behind a *valid* checksum sidecar.
+//! * written before leaf cells had a varint header, or before neighbour
+//!   keys were compact: the page files carry the page-file magic `AIONPGS1`
+//!   or `AIONPGS2` behind a *valid* checksum sidecar.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
@@ -56,13 +57,13 @@ fn reseal_sidecar_v1(page_file: &Path) {
     VfsRef::std().write(&sums_path, &out).unwrap();
 }
 
-/// Rewrites a page file's magic to `AIONPGS1` and reseals its `AIONSUM2`
-/// sidecar over the new bytes, so the format version is the only thing
-/// wrong with the file.
-fn rewrite_page_magic_v1(page_file: &Path) {
+/// Rewrites a page file's magic to `AIONPGS<version>` and reseals its
+/// `AIONSUM2` sidecar over the new bytes, so the format version is the only
+/// thing wrong with the file.
+fn rewrite_page_magic(page_file: &Path, version: u8) {
     let mut pages = VfsRef::std().read(page_file).unwrap();
-    assert_eq!(&pages[..8], b"2SGPNOIA", "little-endian AIONPGS2");
-    pages[0] = b'1';
+    assert_eq!(&pages[..8], b"3SGPNOIA", "little-endian AIONPGS3");
+    pages[0] = version;
     VfsRef::std().write(page_file, &pages).unwrap();
     let sums_path = PageStore::sums_path(page_file);
     let mut sums = VfsRef::std().read(&sums_path).unwrap();
@@ -225,30 +226,34 @@ fn version_1_snapshots_are_dropped_at_open() {
     assert!(encoding::snapshot::open(&v1).is_none());
 }
 
-#[test]
-fn version_1_page_files_are_rebuilt_at_open() {
+/// A directory whose page files carry the older page-file version
+/// `version` opens: both page files are rebuilt from the log before any
+/// read, the snapshots are kept, and history reads back from both stores.
+fn old_page_files_are_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
     let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
     let history = write_history(dir);
     let mut snapshots = snapshot_files(dir);
     snapshots.sort();
+    let old_magic = [version, b'S', b'G', b'P', b'N', b'O', b'I', b'A'];
     for file in &page_files {
-        rewrite_page_magic_v1(file);
+        rewrite_page_magic(file, version);
         let err = PageStore::open_with_vfs(&VfsRef::std(), file, 4, true)
             .err()
-            .expect("a version-1 page file must not open");
+            .expect("an old page file must not open");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("version AIONPGS1"), "{err}");
+        let found = format!("version AIONPGS{}", char::from(version));
+        assert!(err.to_string().contains(&found), "{err}");
     }
 
     {
         let db = Aion::open(config(dir)).unwrap();
         // Rebuilt by the open, before anything read them: the old files
-        // were deleted, and the new ones are empty or version 2.
+        // were deleted, and the new ones are empty or the current version.
         for file in &page_files {
             let bytes = VfsRef::std().read(file).unwrap();
-            assert!(!bytes.starts_with(b"1SGPNOIA"), "{file:?} still version 1");
+            assert!(!bytes.starts_with(&old_magic), "{file:?} still old");
         }
         // The snapshot files did not change format: they are kept.
         let mut kept = snapshot_files(dir);
@@ -259,7 +264,17 @@ fn version_1_page_files_are_rebuilt_at_open() {
     }
     for file in &page_files {
         let bytes = VfsRef::std().read(file).unwrap();
-        assert_eq!(&bytes[..8], b"2SGPNOIA", "the next sync writes AIONPGS2");
+        assert_eq!(&bytes[..8], b"3SGPNOIA", "the next sync writes AIONPGS3");
         PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
     }
+}
+
+#[test]
+fn version_1_page_files_are_rebuilt_at_open() {
+    old_page_files_are_rebuilt_at_open(b'1');
+}
+
+#[test]
+fn version_2_page_files_are_rebuilt_at_open() {
+    old_page_files_are_rebuilt_at_open(b'2');
 }
