@@ -32,16 +32,33 @@
 //!
 //! Nodes precede relationships so decoding can insert through the
 //! constraint-checking [`lpg::Graph`].
+//!
+//! # Sharing in memory what the files share on disk
+//!
+//! A relationship segment is exactly one chunk of a graph's relationship
+//! table, and every file that references a segment names the same bytes
+//! (one hop). So [`decode`] keeps what it decodes from a relationship
+//! segment in a [`SharedSegments`], keyed by those bytes, and a later load
+//! that names the same bytes takes the chunk from there: it neither reads
+//! nor decodes them again, and the two graphs hold one copy. The chunks are
+//! held weakly, so a segment costs nothing once no graph holds it. Node
+//! segments are always decoded: a node chunk carries the node's adjacency
+//! lists, which depend on relationships in other segments.
 
 use crate::record::{encode_node_full, encode_rel_full, RecordBody};
 use crate::varint;
-use lpg::{EntityId, Graph, Node, NodeId, RelId, Relationship, Timestamp};
+use lpg::{EntityId, Graph, Node, NodeId, RelChunk, RelId, Relationship, Timestamp, WeakRelChunk};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use vfs::bulk_sum64;
 
 const MAGIC: u32 = 0x4149_5053; // "AIPS"
 const VERSION: u8 = 2;
 /// A segment holds the entities whose ids agree above this many low bits.
 const SEGMENT_BITS: u32 = 6;
+// A relationship segment decodes into exactly one graph chunk: what lets
+// loads share it (see the module doc).
+const _: () = assert!(SEGMENT_BITS == lpg::CHUNK_BITS);
 
 /// The unit a snapshot file writes or references: 64 consecutive node ids or
 /// 64 consecutive relationship ids. Nodes order before relationships, the
@@ -65,7 +82,7 @@ impl Segment {
 }
 
 /// `len` bytes at `offset` of the snapshot file at `ts`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Extent {
     /// Timestamp of the file.
     pub ts: Timestamp,
@@ -81,6 +98,35 @@ struct Entry {
     segment: Segment,
     at: Extent,
     sum: u64,
+}
+
+/// The bytes an entry names: its segment, where they are and their sum.
+/// Every file that references a segment names the bytes the file holding it
+/// inline does, so this is what two loads of different files can share.
+type Source = (Segment, Extent, u64);
+
+impl Entry {
+    fn source(&self) -> Source {
+        (self.segment, self.at, self.sum)
+    }
+}
+
+/// `extents` by file, then offset, ranges that touch or overlap merged into
+/// one.
+fn merge(extents: impl Iterator<Item = Extent>) -> Vec<Extent> {
+    let mut refs: Vec<Extent> = extents.collect();
+    refs.sort_unstable();
+    let mut out: Vec<Extent> = Vec::with_capacity(refs.len());
+    for r in refs {
+        match out.last_mut() {
+            Some(last) if last.ts == r.ts && r.offset <= last.offset.saturating_add(last.len) => {
+                let end = r.offset.saturating_add(r.len);
+                last.len = last.len.max(end - last.offset);
+            }
+            _ => out.push(r),
+        }
+    }
+    out
 }
 
 /// Where the bytes of every segment of one snapshot file are.
@@ -108,21 +154,7 @@ impl Manifest {
     /// The reads that fetch every referenced byte: by file, then offset,
     /// ranges that touch or overlap merged into one.
     pub fn extents(&self) -> Vec<Extent> {
-        let mut refs: Vec<Extent> = self.references().map(|e| e.at).collect();
-        refs.sort_unstable();
-        let mut out: Vec<Extent> = Vec::with_capacity(refs.len());
-        for r in refs {
-            match out.last_mut() {
-                Some(last)
-                    if last.ts == r.ts && r.offset <= last.offset.saturating_add(last.len) =>
-                {
-                    let end = r.offset.saturating_add(r.len);
-                    last.len = last.len.max(end - last.offset);
-                }
-                _ => out.push(r),
-            }
-        }
-        out
+        merge(self.references().map(|e| e.at))
     }
 
     fn references(&self) -> impl Iterator<Item = &Entry> {
@@ -323,17 +355,87 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
     (pos == rest.len()).then_some(Manifest { ts, entries })
 }
 
+/// Relationship segments decoded by earlier loads, by the bytes they were
+/// decoded from (see the module doc). A chunk is held weakly: it is found
+/// here for as long as some graph holds it unchanged. It was checked
+/// against its sum when it was decoded; a load that finds it here does not
+/// read its bytes again.
+#[derive(Default)]
+pub struct SharedSegments {
+    inner: Mutex<Held>,
+}
+
+#[derive(Default)]
+struct Held {
+    chunks: HashMap<Source, WeakRelChunk>,
+    /// `chunks.len()` after the last sweep of dead entries.
+    swept: usize,
+}
+
+impl SharedSegments {
+    /// The chunk of each of `entries` that is held, in their order.
+    fn find(&self, entries: &[Entry]) -> Vec<Option<RelChunk>> {
+        let held = self.inner.lock();
+        entries
+            .iter()
+            .map(|e| match e.segment {
+                Segment::Rel(_) => held.chunks.get(&e.source())?.upgrade(),
+                Segment::Node(_) => None,
+            })
+            .collect()
+    }
+
+    fn keep(&self, fresh: Vec<(Source, RelChunk)>) {
+        let mut held = self.inner.lock();
+        for (source, chunk) in fresh {
+            held.chunks.insert(source, chunk.downgrade());
+        }
+        // A dead entry costs a few dozen bytes: sweep them out whenever the
+        // map has doubled since the last sweep.
+        if held.chunks.len() > 2 * held.swept.max(64) {
+            held.chunks.retain(|_, chunk| !chunk.is_dead());
+            held.swept = held.chunks.len();
+        }
+    }
+
+    /// How many segments some graph still holds.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        let held = self.inner.lock();
+        held.chunks.values().filter(|c| !c.is_dead()).count()
+    }
+}
+
+/// A decoded snapshot and what its segments cost.
+#[derive(Debug)]
+pub struct Decoded {
+    /// The graph at the file's timestamp.
+    pub graph: Graph,
+    /// Segments decoded from bytes.
+    pub decoded: usize,
+    /// Relationship segments taken from [`SharedSegments`].
+    pub shared: usize,
+}
+
 /// Decodes the graph of the snapshot file `file`, whose manifest is
-/// `manifest`. `read` is asked once for every extent of
-/// [`Manifest::extents`], in that order, to append the extent's bytes to the
-/// buffer it is given; every referenced range must match its sum.
+/// `manifest`. A relationship segment that `shared` holds is taken from
+/// there; every other segment is decoded from bytes, and the relationship
+/// ones are added to `shared` once the whole graph has decoded. `read` is
+/// asked once for every extent that fetches the referenced bytes still
+/// needed ([`Manifest::extents`] when nothing is shared), in that order, to
+/// append the extent's bytes to the buffer it is given; every referenced
+/// range must match its sum.
 pub fn decode(
     manifest: &Manifest,
     file: &[u8],
+    shared: &SharedSegments,
     mut read: impl FnMut(Extent, &mut Vec<u8>) -> Option<()>,
-) -> Result<Graph, Fault> {
-    let extents = manifest.extents();
-    // Every referenced byte in one buffer, extent after extent.
+) -> Result<Decoded, Fault> {
+    let held = shared.find(&manifest.entries);
+    let needed = manifest.entries.iter().zip(&held);
+    let needed = needed.filter(|(e, h)| h.is_none() && e.at.ts != manifest.ts);
+    let extents = merge(needed.map(|(e, _)| e.at));
+    // Every referenced byte still needed in one buffer, extent after extent.
     let mut fetched = Vec::new();
     let mut starts = Vec::with_capacity(extents.len());
     for e in &extents {
@@ -343,29 +445,55 @@ pub fn decode(
             .filter(|()| (fetched.len() - start) as u64 == e.len)
             .ok_or(Fault::Reference(e.ts))?;
     }
-    let mut graph = Graph::new();
-    for entry in &manifest.entries {
+    // The bytes of an entry that is not held, checked against its sum when
+    // they come from another file.
+    let bytes_of = |entry: &Entry| {
         let at = entry.at;
-        let bytes = if at.ts == manifest.ts {
-            slice(file, at.offset, at.len).ok_or(Fault::Corrupt)?
-        } else {
-            // The extent that covers `at`: the last one starting at or
-            // before it.
-            let key = (at.ts, at.offset);
-            let i = extents.partition_point(|e| (e.ts, e.offset) <= key);
-            let bytes = i
-                .checked_sub(1)
-                .and_then(|i| Some((extents.get(i)?, *starts.get(i)? as u64)))
-                .and_then(|(e, start)| {
-                    let offset = start.checked_add(at.offset.checked_sub(e.offset)?)?;
-                    slice(&fetched, offset, at.len)
-                })
-                .filter(|b| bulk_sum64(b) == entry.sum);
-            bytes.ok_or(Fault::Reference(at.ts))?
+        if at.ts == manifest.ts {
+            return slice(file, at.offset, at.len).ok_or(Fault::Corrupt);
+        }
+        // The extent that covers `at`: the last one starting at or before it.
+        let key = (at.ts, at.offset);
+        let i = extents.partition_point(|e| (e.ts, e.offset) <= key);
+        i.checked_sub(1)
+            .and_then(|i| Some((extents.get(i)?, *starts.get(i)? as u64)))
+            .and_then(|(e, start)| {
+                let offset = start.checked_add(at.offset.checked_sub(e.offset)?)?;
+                slice(&fetched, offset, at.len)
+            })
+            .filter(|b| bulk_sum64(b) == entry.sum)
+            .ok_or(Fault::Reference(at.ts))
+    };
+    let mut out = Decoded {
+        graph: Graph::new(),
+        decoded: 0,
+        shared: 0,
+    };
+    let mut fresh = Vec::new();
+    for (entry, held) in manifest.entries.iter().zip(held) {
+        let chunk = match (held, entry.segment) {
+            (Some(chunk), _) => {
+                out.shared += 1;
+                chunk
+            }
+            (None, Segment::Node(no)) => {
+                out.decoded += 1;
+                decode_nodes(&mut out.graph, no, bytes_of(entry)?).ok_or(Fault::Corrupt)?;
+                continue;
+            }
+            (None, Segment::Rel(no)) => {
+                out.decoded += 1;
+                let chunk = decode_rels(no, bytes_of(entry)?).ok_or(Fault::Corrupt)?;
+                fresh.push((entry.source(), chunk.clone()));
+                chunk
+            }
         };
-        decode_segment(&mut graph, entry.segment, bytes).ok_or(Fault::Corrupt)?;
+        out.graph
+            .insert_rel_chunk(&chunk)
+            .map_err(|_| Fault::Corrupt)?;
     }
-    Ok(graph)
+    shared.keep(fresh);
+    Ok(out)
 }
 
 fn slice(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
@@ -373,42 +501,56 @@ fn slice(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
     bytes.get(start..start.checked_add(usize::try_from(len).ok()?)?)
 }
 
-/// Inserts the entities of one segment's bytes, which must ascend by id and
-/// all belong to `segment`.
-fn decode_segment(graph: &mut Graph, segment: Segment, bytes: &[u8]) -> Option<()> {
+/// The `(id, body)` records of one segment's bytes, whose ids must ascend
+/// and all belong to segment `no`.
+fn records(no: u64, bytes: &[u8]) -> impl Iterator<Item = Option<(u64, RecordBody)>> + '_ {
     let mut pos = 0;
     let mut last = None;
-    while pos < bytes.len() {
-        let id = varint::read_u64(bytes, &mut pos)?;
-        if last.is_some_and(|last| last >= id) {
+    std::iter::from_fn(move || {
+        (pos < bytes.len()).then(|| {
+            let id = varint::read_u64(bytes, &mut pos)?;
+            let ascends = last.is_none_or(|last| last < id);
+            last = Some(id);
+            let body = RecordBody::decode(bytes, &mut pos)?;
+            (ascends && id >> SEGMENT_BITS == no).then_some((id, body))
+        })
+    })
+}
+
+/// Inserts the nodes of node segment `no`.
+fn decode_nodes(graph: &mut Graph, no: u64, bytes: &[u8]) -> Option<()> {
+    for record in records(no, bytes) {
+        let (id, RecordBody::NodeFull { labels, props }) = record? else {
             return None;
-        }
-        last = Some(id);
-        match (segment, RecordBody::decode(bytes, &mut pos)?) {
-            (Segment::Node(no), RecordBody::NodeFull { labels, props })
-                if id >> SEGMENT_BITS == no =>
-            {
-                graph
-                    .insert_node(Node::new(NodeId::new(id), labels, props))
-                    .ok()?;
-            }
-            (
-                Segment::Rel(no),
-                RecordBody::RelFull {
-                    src,
-                    tgt,
-                    label,
-                    props,
-                },
-            ) if id >> SEGMENT_BITS == no => {
-                graph
-                    .insert_rel(Relationship::new(RelId::new(id), src, tgt, label, props))
-                    .ok()?;
-            }
-            _ => return None,
-        }
+        };
+        graph
+            .insert_node(Node::new(NodeId::new(id), labels, props))
+            .ok()?;
     }
     Some(())
+}
+
+/// The relationships of relationship segment `no`, as one chunk.
+fn decode_rels(no: u64, bytes: &[u8]) -> Option<RelChunk> {
+    let mut rels = Vec::with_capacity(1 << SEGMENT_BITS);
+    for record in records(no, bytes) {
+        let (
+            id,
+            RecordBody::RelFull {
+                src,
+                tgt,
+                label,
+                props,
+            },
+        ) = record?
+        else {
+            return None;
+        };
+        rels.push(Relationship::new(RelId::new(id), src, tgt, label, props));
+    }
+    // Sparse ids leave segments nearly empty.
+    rels.shrink_to_fit();
+    RelChunk::new(rels)
 }
 
 #[cfg(test)]
@@ -440,14 +582,30 @@ mod tests {
         g
     }
 
+    /// Decodes `file` with its references answered from `earlier`, sharing
+    /// what `shared` holds; also returns how many bytes were read.
+    fn load_with(
+        file: &[u8],
+        earlier: &[(Timestamp, &[u8])],
+        shared: &SharedSegments,
+    ) -> Result<(Decoded, usize), Fault> {
+        let manifest = open(file).ok_or(Fault::Corrupt)?;
+        let mut read = 0;
+        let decoded = decode(&manifest, file, shared, |e, buf| {
+            let (_, bytes) = earlier.iter().find(|(ts, _)| *ts == e.ts)?;
+            let bytes = slice(bytes, e.offset, e.len)?;
+            buf.extend_from_slice(bytes);
+            read += bytes.len();
+            Some(())
+        })?;
+        Ok((decoded, read))
+    }
+
     /// Decodes `file` with its references answered from `earlier`.
     fn load(file: &[u8], earlier: &[(Timestamp, &[u8])]) -> Result<Graph, Fault> {
-        let manifest = open(file).ok_or(Fault::Corrupt)?;
-        decode(&manifest, file, |e, buf| {
-            let (_, bytes) = earlier.iter().find(|(ts, _)| *ts == e.ts)?;
-            buf.extend_from_slice(slice(bytes, e.offset, e.len)?);
-            Some(())
-        })
+        Ok(load_with(file, earlier, &SharedSegments::default())?
+            .0
+            .graph)
     }
 
     #[test]
@@ -508,6 +666,89 @@ mod tests {
             Some(Fault::Reference(10))
         );
         assert_eq!(load(&f3, &[(20, &f2)]).err(), Some(Fault::Reference(10)));
+    }
+
+    /// The anchor of [`sample_graph`] at 10 and, at 20, the file that
+    /// rewrites node segment 1 and relationship segment 4 and references the
+    /// rest: `(f1, f2, g2)`.
+    fn referencing_pair() -> (Vec<u8>, Vec<u8>, Graph) {
+        let g1 = sample_graph();
+        let (f1, m1) = encode(&g1, 10, None, |_| true);
+        let mut g2 = g1.clone();
+        g2.apply(&Update::SetNodeProp {
+            id: NodeId::new(70),
+            key: StrId::new(2),
+            value: PropertyValue::Bool(true),
+        })
+        .unwrap();
+        g2.apply(&Update::DeleteRel {
+            id: RelId::new(300),
+        })
+        .unwrap();
+        let dirty = [Segment::Node(1), Segment::Rel(4)];
+        let (f2, _) = encode(&g2, 20, Some(&m1), |s| dirty.contains(&s));
+        (f1, f2, g2)
+    }
+
+    #[test]
+    fn loads_share_the_relationship_segments_their_files_share() {
+        let (f1, f2, g2) = referencing_pair();
+        let shared = SharedSegments::default();
+        let (a, _) = load_with(&f1, &[], &shared).unwrap();
+        assert_eq!((a.decoded, a.shared), (11, 0));
+        assert_eq!(shared.held(), 7);
+        // f2 references six of f1's seven relationship segments: they come
+        // from memory, and of f1 only the node segments are read.
+        let (b, read) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        assert_eq!((b.decoded, b.shared), (5, 6));
+        assert!(b.graph.same_as(&g2));
+        b.graph.check_consistency().unwrap();
+        let m2 = open(&f2).unwrap();
+        let referenced: u64 = m2.extents().iter().map(|e| e.len).sum();
+        let nodes: u64 = m2
+            .references()
+            .filter(|e| matches!(e.segment, Segment::Node(_)))
+            .map(|e| e.at.len)
+            .sum();
+        assert_eq!(read as u64, nodes);
+        assert!(nodes * 2 < referenced, "{nodes} of {referenced}");
+        // Four node chunks and relationship segment 4 are all they do not
+        // share.
+        assert_eq!(b.graph.chunks_diverged_from(&a.graph), 5);
+        assert_eq!(shared.held(), 8);
+
+        // Held weakly: once no graph holds them, everything is decoded again.
+        drop((a, b));
+        assert_eq!(shared.held(), 0);
+        let (c, read) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        assert_eq!((c.decoded, c.shared), (11, 0));
+        assert_eq!(read as u64, referenced);
+    }
+
+    #[test]
+    fn a_graph_that_changes_a_shared_chunk_keeps_the_change_to_itself() {
+        let (f1, f2, g2) = referencing_pair();
+        let shared = SharedSegments::default();
+        let (mut a, _) = load_with(&f1, &[], &shared).unwrap();
+        let (b, _) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        let set = |rel: u64| Update::SetRelProp {
+            id: RelId::new(rel),
+            key: StrId::new(3),
+            value: PropertyValue::Int(-1),
+        };
+        // Segment 0 is held by both graphs: `a` changes a copy of it.
+        a.graph.apply(&set(5)).unwrap();
+        assert!(b.graph.same_as(&g2), "the other holder is untouched");
+        let (c, _) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        assert_eq!(c.shared, 7);
+        assert!(c.graph.same_as(&g2));
+        drop((b, c));
+        // Of f2's relationship segments `a` alone holds 1–3, 5 and 6 now.
+        // Changing segment 1 in place takes it away from what loads find.
+        a.graph.apply(&set(70)).unwrap();
+        let (d, _) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        assert_eq!(d.shared, 4);
+        assert!(d.graph.same_as(&g2));
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!   returns a different graph.
 //! * The property test does the same for random graphs, random touched
 //!   segments and random corruption, and decodes re-sealed garbage without
-//!   panicking.
+//!   panicking. It also loads the anchor and then the later file through
+//!   one `SharedSegments`: the later graph is the same, and it takes from
+//!   memory exactly the relationship segments no update touched.
 
-use encoding::snapshot::{decode, encode, open, Extent, Fault, Manifest, Segment};
+use encoding::snapshot::{self, encode, open, Extent, Fault, Manifest, Segment, SharedSegments};
 use lpg::{Graph, NodeId, PropertyValue, RelId, StrId, Timestamp, Update};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const ANCHOR: &str = include_str!("golden/snapshot_pair_100.hex");
 const LATER: &str = include_str!("golden/snapshot_pair_200.hex");
@@ -151,6 +154,15 @@ fn pair(
     let touched: Vec<Segment> = updates.iter().map(|u| Segment::of(u.entity())).collect();
     let (later, _) = encode(g2, ts2, Some(&m1), |s| touched.contains(&s));
     (anchor, later)
+}
+
+/// Decodes with nothing shared: every referenced byte is read and checked.
+fn decode(
+    manifest: &Manifest,
+    file: &[u8],
+    read: impl FnMut(Extent, &mut Vec<u8>) -> Option<()>,
+) -> Result<Graph, Fault> {
+    snapshot::decode(manifest, file, &SharedSegments::default(), read).map(|d| d.graph)
 }
 
 fn read(file: &[u8], e: Extent, buf: &mut Vec<u8>) -> Option<()> {
@@ -328,6 +340,27 @@ proptest! {
         let back = load_later(&anchor, &later);
         prop_assert!(back.is_some_and(|g| g.same_as(&g2)));
         let m2 = open(&later).unwrap();
+
+        let shared = SharedSegments::default();
+        let m1 = open(&anchor).unwrap();
+        // `first` holds the anchor's chunks while the later file loads.
+        let first = snapshot::decode(&m1, &anchor, &shared, |_, _| None).unwrap();
+        prop_assert!(first.graph.same_as(&g1));
+        let second =
+            snapshot::decode(&m2, &later, &shared, |e, buf| read(&anchor, e, buf)).unwrap();
+        prop_assert!(second.graph.same_as(&g2));
+        let rel_segment = |u: &Update| match Segment::of(u.entity()) {
+            Segment::Rel(no) => Some(no),
+            Segment::Node(_) => None,
+        };
+        let touched: BTreeSet<u64> = updates.iter().filter_map(rel_segment).collect();
+        let clean = g2
+            .rels()
+            .map(|r| r.id.raw() >> 6)
+            .collect::<BTreeSet<u64>>()
+            .difference(&touched)
+            .count();
+        prop_assert_eq!(second.shared, clean);
 
         // One random bit of each file, one random truncation of each.
         let bit = (at % (later.len() as u64 * 8)) as usize;

@@ -24,6 +24,12 @@
 //!   two endpoints'). A rejected update copies nothing.
 //!   [`Graph::chunks_diverged_from`] counts the chunks two graphs no longer
 //!   share.
+//! * Graphs that are not clones of each other can share relationship
+//!   chunks too: [`Graph::insert_rel_chunk`] adds a [`RelChunk`] by pointer
+//!   and only fills in the endpoints' adjacency lists. Snapshot loading uses
+//!   it to hold a segment that several snapshot files reference once.
+//!   (Node chunks carry adjacency lists, which depend on the rest of the
+//!   graph, so they are not shared this way.)
 //! * Lookup searches for the page, in it for the chunk, in it for the
 //!   entity. Each search first probes the slot the key occupies when ids are
 //!   dense from 0 (capped at the tail, where appends land) and only falls
@@ -64,10 +70,10 @@ use crate::error::{GraphError, Result};
 use crate::ids::{Direction, NodeId, RelId};
 use crate::update::Update;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A chunk holds the entities whose ids agree above this many low bits.
-const CHUNK_BITS: u32 = 6;
+pub const CHUNK_BITS: u32 = 6;
 /// The most entities a chunk can hold.
 const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 /// The most chunks a page of the spine can hold.
@@ -200,49 +206,80 @@ impl<T: Keyed + Clone> Table<T> {
         let id = item.key();
         let no = id >> CHUNK_BITS;
         let p = self.seek_page(no);
+        let c = match self.pages.get_mut(p) {
+            None => 0,
+            Some(page) => match Self::seek_chunk(&page.chunks, no) {
+                Ok(c) => {
+                    let Err(i) = Self::seek_in(&page.chunks[c].1, id) else {
+                        return false;
+                    };
+                    Arc::make_mut(&mut page.chunks[c].1).insert(i, item);
+                    self.len += 1;
+                    return true;
+                }
+                Err(c) => c,
+            },
+        };
+        // A chunk opened right after a full one continues a dense run of ids
+        // and will fill up: give it its final size now rather than by
+        // doubling (see the module doc).
+        let dense = c.checked_sub(1).is_some_and(|prev| {
+            let (prev, chunk) = &self.pages[p].chunks[prev];
+            prev + 1 == no && chunk.len() == CHUNK_LEN
+        });
+        let mut chunk = Vec::with_capacity(if dense { CHUNK_LEN } else { 1 });
+        chunk.push(item);
+        self.open(p, c, no, Arc::new(chunk));
+        true
+    }
+
+    /// Adds `chunk`, whose entities all belong to chunk `no`, as it is:
+    /// shared with whoever else holds it. Does nothing when the table has
+    /// chunk `no` already.
+    fn insert_chunk(&mut self, no: u64, chunk: Arc<Vec<T>>) {
+        let p = self.seek_page(no);
+        let at = self
+            .pages
+            .get(p)
+            .map_or(Err(0), |page| Self::seek_chunk(&page.chunks, no));
+        if let Err(c) = at {
+            self.open(p, c, no, chunk);
+        }
+    }
+
+    /// Puts `chunk`, numbered `no`, at index `c` of page `p` (where
+    /// `seek_chunk` said it goes; a new page when there is none), splitting
+    /// the page when it overflows.
+    fn open(&mut self, p: usize, c: usize, no: u64, chunk: Arc<Vec<T>>) {
+        self.len += chunk.len();
         let Some(page) = self.pages.get_mut(p) else {
             self.pages.push(Page {
                 first: no,
-                chunks: vec![(no, Arc::new(vec![item]))],
+                chunks: vec![(no, chunk)],
             });
-            self.len += 1;
-            return true;
+            return;
         };
-        match Self::seek_chunk(&page.chunks, no) {
-            Ok(c) => {
-                let Err(i) = Self::seek_in(&page.chunks[c].1, id) else {
-                    return false;
-                };
-                Arc::make_mut(&mut page.chunks[c].1).insert(i, item);
-            }
-            Err(c) => {
-                // A chunk opened right after a full one continues a dense
-                // run of ids and will fill up: give it its final size now
-                // rather than by doubling (see the module doc).
-                let dense = c.checked_sub(1).is_some_and(|prev| {
-                    let (prev, chunk) = &page.chunks[prev];
-                    prev + 1 == no && chunk.len() == CHUNK_LEN
-                });
-                let mut chunk = Vec::with_capacity(if dense { CHUNK_LEN } else { 1 });
-                chunk.push(item);
-                page.chunks.insert(c, (no, Arc::new(chunk)));
-                page.first = page.chunks[0].0;
-                if page.chunks.len() > PAGE_LEN {
-                    // An append leaves a full page behind it (ids counting
-                    // up fill every page), anything else halves the page.
-                    let cut = if c == PAGE_LEN {
-                        PAGE_LEN
-                    } else {
-                        PAGE_LEN / 2
-                    };
-                    let chunks = page.chunks.split_off(cut);
-                    let first = chunks[0].0;
-                    self.pages.insert(p + 1, Page { first, chunks });
-                }
-            }
+        page.chunks.insert(c, (no, chunk));
+        page.first = page.chunks[0].0;
+        if page.chunks.len() > PAGE_LEN {
+            // An append leaves a full page behind it (ids counting up fill
+            // every page), anything else halves the page.
+            let cut = if c == PAGE_LEN {
+                PAGE_LEN
+            } else {
+                PAGE_LEN / 2
+            };
+            let chunks = page.chunks.split_off(cut);
+            let first = chunks[0].0;
+            self.pages.insert(p + 1, Page { first, chunks });
         }
-        self.len += 1;
-        true
+    }
+
+    /// The chunk numbered `no`.
+    fn chunk(&self, no: u64) -> Option<&Arc<Vec<T>>> {
+        let chunks = &self.pages.get(self.seek_page(no))?.chunks;
+        let c = Self::seek_chunk(chunks, no).ok()?;
+        Some(&chunks[c].1)
     }
 
     fn remove(&mut self, id: u64) -> bool {
@@ -338,6 +375,68 @@ impl<T: Keyed + Clone> Table<T> {
         });
         let total: usize = self.chunks().map(|(_, chunk)| chunk.len()).sum();
         pages_ok && spine_ascends && chunks_ok && total == self.len
+    }
+}
+
+/// One chunk of a relationship table as graphs share it: up to 64
+/// relationships whose ids agree above the low [`CHUNK_BITS`] bits,
+/// ascending by id, behind one `Arc`. [`Graph::insert_rel_chunk`] adds it
+/// without copying, so every graph it is added to holds the same bytes. A
+/// graph that later changes one of them copies the chunk first; the other
+/// graphs and any [`WeakRelChunk`] keep the unchanged one.
+#[derive(Clone, Debug)]
+pub struct RelChunk {
+    no: u64,
+    rels: Arc<Vec<Relationship>>,
+}
+
+/// A [`RelChunk`] that does not keep its relationships alive.
+#[derive(Clone, Debug)]
+pub struct WeakRelChunk {
+    no: u64,
+    rels: Weak<Vec<Relationship>>,
+}
+
+impl RelChunk {
+    /// `None` when `rels` is empty, does not ascend strictly by id, or spans
+    /// two chunks.
+    pub fn new(rels: Vec<Relationship>) -> Option<RelChunk> {
+        let no = rels.first()?.id.raw() >> CHUNK_BITS;
+        let one_chunk = rels.last()?.id.raw() >> CHUNK_BITS == no;
+        let ascending = rels.windows(2).all(|w| w[0].id < w[1].id);
+        (one_chunk && ascending).then(|| RelChunk {
+            no,
+            rels: Arc::new(rels),
+        })
+    }
+
+    /// The relationships, ascending by id.
+    pub fn rels(&self) -> &[Relationship] {
+        &self.rels
+    }
+
+    /// A handle that finds this chunk for as long as some graph or
+    /// `RelChunk` still holds it unchanged.
+    pub fn downgrade(&self) -> WeakRelChunk {
+        WeakRelChunk {
+            no: self.no,
+            rels: Arc::downgrade(&self.rels),
+        }
+    }
+}
+
+impl WeakRelChunk {
+    /// The chunk, unless nothing holds it any more.
+    pub fn upgrade(&self) -> Option<RelChunk> {
+        Some(RelChunk {
+            no: self.no,
+            rels: self.rels.upgrade()?,
+        })
+    }
+
+    /// Whether [`Self::upgrade`] would find nothing.
+    pub fn is_dead(&self) -> bool {
+        self.rels.strong_count() == 0
     }
 }
 
@@ -475,6 +574,33 @@ impl Graph {
         }
         if let Some(s) = self.nodes.get_mut(tgt.raw()) {
             s.inc.push(id);
+        }
+        Ok(())
+    }
+
+    /// Adds every relationship of `chunk` at once, sharing the chunk rather
+    /// than copying it (see [`RelChunk`]). Each must satisfy the `AddRel`
+    /// constraints, and the graph must hold no relationship of the chunk's
+    /// id range yet. On error the graph is unchanged.
+    pub fn insert_rel_chunk(&mut self, chunk: &RelChunk) -> Result<()> {
+        if let Some(held) = self.rels.chunk(chunk.no).and_then(|c| c.first()) {
+            return Err(GraphError::RelExists(held.id));
+        }
+        for r in chunk.rels() {
+            for node in [r.src, r.tgt] {
+                if !self.has_node(node) {
+                    return Err(GraphError::EndpointMissing { rel: r.id, node });
+                }
+            }
+        }
+        self.rels.insert_chunk(chunk.no, chunk.rels.clone());
+        for r in chunk.rels() {
+            if let Some(s) = self.nodes.get_mut(r.src.raw()) {
+                s.out.push(r.id);
+            }
+            if let Some(s) = self.nodes.get_mut(r.tgt.raw()) {
+                s.inc.push(r.id);
+            }
         }
         Ok(())
     }

@@ -43,7 +43,7 @@ pub use entity::{
     prop_get, prop_remove, prop_set, Node, Props, Relationship, TemporalNode, TemporalRel, Version,
 };
 pub use error::{GraphError, Result};
-pub use graph::Graph;
+pub use graph::{Graph, RelChunk, WeakRelChunk, CHUNK_BITS};
 pub use ids::{Direction, EntityId, NodeId, RelId, StrId, Timestamp, TS_MAX, TS_MIN};
 pub use interner::Interner;
 pub use interval::{Interval, TimeRange};

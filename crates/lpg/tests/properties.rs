@@ -5,7 +5,7 @@
 
 use lpg::{
     Direction, EntityDelta, Graph, GraphError, Interval, Node, NodeId, PropChange, PropertyValue,
-    RelId, Relationship, StrId, TemporalGraph, TimeRange, TimestampedUpdate, Update,
+    RelChunk, RelId, Relationship, StrId, TemporalGraph, TimeRange, TimestampedUpdate, Update,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -146,9 +146,9 @@ proptest! {
 // touched.
 // ---------------------------------------------------------------------------
 
-/// Entities per chunk in `lpg::graph` (its private `1 << CHUNK_BITS`): the
-/// model needs it to say how many chunks a graph should consist of.
-const CHUNK: u64 = 64;
+/// Entities per chunk in `lpg::graph`: the model needs it to say how many
+/// chunks a graph should consist of.
+const CHUNK: u64 = 1 << lpg::CHUNK_BITS;
 
 #[derive(Clone, Default)]
 struct Model {
@@ -422,7 +422,103 @@ proptest! {
         for (clone, as_of) in &clones {
             assert_matches(clone, as_of);
         }
+        // Two graphs built from the nodes and the relationship chunks, the
+        // way a snapshot load shares segments: both match the model and
+        // hold every relationship chunk once between them.
+        let mut chunks = BTreeMap::new();
+        let a = rebuilt(&graph, &mut chunks);
+        let b = rebuilt(&graph, &mut chunks);
+        assert_matches(&a, &model);
+        assert_matches(&b, &model);
+        let nodes = model.nodes.keys().map(|id| id / CHUNK).collect::<BTreeSet<_>>();
+        prop_assert_eq!(b.chunks_diverged_from(&a), nodes.len());
     }
+}
+
+/// `g`'s nodes inserted one by one, then its relationships chunk by chunk
+/// through `insert_rel_chunk`, taking each chunk from `chunks` (by chunk
+/// number) or adding it there.
+fn rebuilt(g: &Graph, chunks: &mut BTreeMap<u64, RelChunk>) -> Graph {
+    let mut out = Graph::new();
+    for n in g.nodes() {
+        out.insert_node(n.clone()).unwrap();
+    }
+    let mut by_chunk: BTreeMap<u64, Vec<Relationship>> = BTreeMap::new();
+    for r in g.rels() {
+        by_chunk
+            .entry(r.id.raw() / CHUNK)
+            .or_default()
+            .push(r.clone());
+    }
+    for (no, rels) in by_chunk {
+        let chunk = chunks
+            .entry(no)
+            .or_insert_with(|| RelChunk::new(rels).unwrap());
+        out.insert_rel_chunk(chunk).unwrap();
+    }
+    out
+}
+
+#[test]
+fn rel_chunks_are_checked_and_inserted_whole_or_not_at_all() {
+    let rel = |id: u64, src: u64, tgt: u64| {
+        Relationship::new(
+            RelId::new(id),
+            NodeId::new(src),
+            NodeId::new(tgt),
+            None,
+            vec![],
+        )
+    };
+    assert!(RelChunk::new(vec![]).is_none(), "empty");
+    assert!(
+        RelChunk::new(vec![rel(2, 0, 1), rel(1, 0, 1)]).is_none(),
+        "descending"
+    );
+    assert!(
+        RelChunk::new(vec![rel(1, 0, 1), rel(1, 0, 1)]).is_none(),
+        "a duplicate"
+    );
+    assert!(
+        RelChunk::new(vec![rel(63, 0, 1), rel(64, 0, 1)]).is_none(),
+        "two chunks"
+    );
+    let mut g = Graph::new();
+    for id in [0, 1, 2] {
+        g.apply(&Update::AddNode {
+            id: NodeId::new(id),
+            labels: vec![],
+            props: vec![],
+        })
+        .unwrap();
+    }
+    let before = g.clone();
+    // Relationship 70 has an endpoint the graph lacks: none of the chunk
+    // goes in, not even 64 and 65 before it.
+    let dangling = RelChunk::new(vec![rel(64, 0, 1), rel(65, 1, 2), rel(70, 2, 9)]).unwrap();
+    assert_eq!(
+        g.insert_rel_chunk(&dangling),
+        Err(GraphError::EndpointMissing {
+            rel: RelId::new(70),
+            node: NodeId::new(9)
+        })
+    );
+    assert_eq!(g.chunks_diverged_from(&before), 0);
+    let chunk = RelChunk::new(vec![rel(64, 0, 1), rel(65, 1, 1)]).unwrap();
+    g.insert_rel_chunk(&chunk).unwrap();
+    // The chunk's id range is taken, whichever ids the second one holds.
+    let other = RelChunk::new(vec![rel(100, 0, 2)]).unwrap();
+    assert_eq!(
+        g.insert_rel_chunk(&other),
+        Err(GraphError::RelExists(RelId::new(64)))
+    );
+    g.check_consistency().unwrap();
+    assert_eq!(g.rel_count(), 2);
+    assert_eq!(g.degree(NodeId::new(1), Direction::Both), 3);
+    // A change copies the chunk: the `RelChunk` keeps what it held.
+    g.apply(&Update::DeleteRel { id: RelId::new(65) }).unwrap();
+    assert_eq!(chunk.rels().len(), 2);
+    g.check_consistency().unwrap();
 }
 
 /// The sparse points make single-entity chunks come and go under the

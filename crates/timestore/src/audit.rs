@@ -23,7 +23,7 @@
 use crate::store::{LoadError, TimeStore};
 use btree::TreeFill;
 use encoding::keys;
-use encoding::snapshot::Fault;
+use encoding::snapshot::{Fault, SharedSegments};
 use lpg::{Graph, Result};
 use std::collections::BTreeSet;
 
@@ -242,7 +242,9 @@ impl TimeStore {
         valid: &mut BTreeSet<u64>,
         findings: &mut Vec<AuditFinding>,
     ) {
-        let (manifest, graph) = match self.load_snapshot(ts) {
+        // Nothing shared: the audit checks every byte as it is now, not
+        // what a read decoded earlier.
+        let (manifest, graph) = match self.load_snapshot(ts, &SharedSegments::default()) {
             Ok(loaded) => loaded,
             Err(LoadError::Unreadable(e)) => {
                 findings.push(AuditFinding {

@@ -9,7 +9,9 @@
 //! shared, so a commit that finds the latest graph held by a reader copies
 //! the graph's spine and the ≤ 3 chunks per update it lands in
 //! (`timestore.latest.cow_chunks`), never the graph; a replayed entry shares
-//! every chunk the replay did not touch with its base.
+//! every chunk the replay did not touch with its base, and entries loaded
+//! from different snapshot files share the relationship segments the files
+//! share (`encoding::snapshot::SharedSegments`).
 //!
 //! The byte budget is an **upper bound**: every entry is charged its full
 //! `heap_size()` when it is inserted, shared chunks included, so the cache

@@ -18,7 +18,9 @@
 //!   files, referenced from "a second B+Tree indexed by time" (Table 2,
 //!   row 2). Each file is logically full but writes only the 64-id
 //!   segments an update touched since the previous snapshot and references
-//!   the rest in earlier files ([`encoding::snapshot`]);
+//!   the rest in earlier files ([`encoding::snapshot`]). Loading decodes a
+//!   relationship segment several files reference once, and the loaded
+//!   graphs hold it as one chunk;
 //! * [`graphstore::GraphStore`] — "an in-memory Least Recently Used (LRU)
 //!   cache for snapshots", which also maintains the *latest* graph by
 //!   synchronously applying committed updates (Sec. 5.1 "Snapshot

@@ -1,7 +1,8 @@
 //! The change log: an append-only file of checksummed commit frames.
 //!
-//! Frame layout: `u32 payload_len, u32 fnv1a(payload), payload` where the
-//! payload is `varint ts, varint n, n × (varint entity, record body)`.
+//! Frame layout: `u32 payload_len, u32 fnv32(payload), payload` where the
+//! checksum is 32-bit FNV-1a ([`vfs::fnv32`]) and the payload is
+//! `varint ts, varint n, n × (varint entity, record body)`.
 //! One frame per committed transaction keeps commit batching intact and
 //! makes the frame boundary the natural recovery unit.
 
@@ -10,7 +11,7 @@ use encoding::{updates_from_record, RecordBody};
 use lpg::{GraphError, Result, Timestamp, TimestampedUpdate, Update};
 use parking_lot::Mutex;
 use std::path::Path;
-use vfs::{VfsFile, VfsRef};
+use vfs::{fnv32, Fnv32, VfsFile, VfsRef};
 
 /// Hard upper bound on a frame's payload. A corrupt length field can
 /// otherwise demand an allocation as large as the file; no legitimate
@@ -79,19 +80,6 @@ impl CommitFrame {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    fnv1a_feed(&mut h, bytes);
-    h
-}
-
-fn fnv1a_feed(h: &mut u32, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u32::from(b);
-        *h = h.wrapping_mul(0x0100_0193);
-    }
-}
-
 /// Splits a frame header into `(payload_len, checksum)`; `None` when the
 /// length is over [`MAX_FRAME_LEN`].
 fn parse_header(head: [u8; 8]) -> Option<(u64, u32)> {
@@ -110,7 +98,7 @@ pub fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> 
     let (len, checksum) = parse_header(bytes.get(offset..body)?.try_into().ok()?)?;
     let end = body.checked_add(usize::try_from(len).ok()?)?;
     let payload = bytes.get(body..end)?;
-    if fnv1a(payload) != checksum {
+    if fnv32(payload) != checksum {
         return None;
     }
     Some((CommitFrame::decode(payload)?, end))
@@ -177,7 +165,7 @@ impl ChangeLog {
         }
         let mut buf = Vec::with_capacity(payload.len() + 8);
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
         buf.extend_from_slice(&payload);
         let mut end = self.end.lock();
         let offset = *end;
@@ -209,7 +197,7 @@ impl ChangeLog {
         // Verify the checksum with a streaming pass over a small buffer
         // *before* allocating `len` bytes, so a corrupt length field never
         // drives a large allocation of garbage.
-        let mut h: u32 = 0x811c_9dc5;
+        let mut h = Fnv32::default();
         let mut chunk = [0u8; VERIFY_CHUNK];
         let mut pos = 0u64;
         while pos < len {
@@ -217,10 +205,10 @@ impl ChangeLog {
             self.file
                 .read_exact_at(&mut chunk[..n], offset + 8 + pos)
                 .ok()?;
-            fnv1a_feed(&mut h, &chunk[..n]);
+            h.feed(&chunk[..n]);
             pos += n as u64;
         }
-        if h != checksum {
+        if h.sum() != checksum {
             return None;
         }
         let mut payload = vec![0u8; len as usize];

@@ -5,7 +5,7 @@ use crate::log::{ChangeLog, CommitFrame};
 use crate::policy::SnapshotPolicy;
 use btree::BTree;
 use encoding::keys;
-use encoding::snapshot::{self, Manifest, Segment};
+use encoding::snapshot::{self, Manifest, Segment, SharedSegments};
 use lpg::{
     Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate, Update,
     TS_MAX,
@@ -92,6 +92,8 @@ struct Metrics {
     snapshot_create_latency: Arc<obs::Histogram>,
     snapshot_replays: Arc<obs::Counter>,
     snapshot_replay_latency: Arc<obs::Histogram>,
+    segments_decoded: Arc<obs::Counter>,
+    segments_shared: Arc<obs::Counter>,
     graphstore_hits: Arc<obs::Counter>,
     graphstore_misses: Arc<obs::Counter>,
 }
@@ -104,6 +106,8 @@ impl Metrics {
             snapshot_create_latency: obs::histogram("timestore.snapshot.create.latency_ns"),
             snapshot_replays: obs::counter("timestore.snapshot.replays"),
             snapshot_replay_latency: obs::histogram("timestore.snapshot.replay.latency_ns"),
+            segments_decoded: obs::counter("timestore.snapshot.segments_decoded"),
+            segments_shared: obs::counter("timestore.snapshot.segments_shared"),
             graphstore_hits: obs::counter("timestore.graphstore.hits"),
             graphstore_misses: obs::counter("timestore.graphstore.misses"),
         }
@@ -145,6 +149,9 @@ pub struct TimeStore {
     pub(crate) snap_index: BTree,
     pub(crate) index_store: Arc<PageStore>,
     graphstore: GraphStore,
+    /// The relationship segments loaded graphs hold, so that a load shares
+    /// them instead of decoding them again.
+    segments: SharedSegments,
     pub(crate) snap_dir: PathBuf,
     policy: SnapshotPolicy,
     state: Mutex<MutableState>,
@@ -235,6 +242,7 @@ impl TimeStore {
             snap_index,
             index_store,
             graphstore: GraphStore::new(config.graphstore_bytes),
+            segments: SharedSegments::default(),
             snap_dir,
             policy: config.policy,
             state: Mutex::new(MutableState {
@@ -353,7 +361,7 @@ impl TimeStore {
             // snapshots to be resident. The floor is the last valid file.
             let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
             if let Some((manifest, bytes)) = floor {
-                if let Ok(g) = self.decode_snapshot(&manifest, &bytes) {
+                if let Ok(g) = self.decode_snapshot(&manifest, &bytes, &self.segments) {
                     (base_ts, graph, last) = (manifest.ts(), g, Some(Arc::new(manifest)));
                 }
             }
@@ -391,17 +399,18 @@ impl TimeStore {
     }
 
     /// Decodes a snapshot file read by [`Self::read_snapshot_file`],
-    /// fetching the ranges it references with one read per run of
-    /// consecutive ranges of one file; each referenced range must match
-    /// its sum.
+    /// taking the relationship segments `shared` holds from there and
+    /// fetching the other ranges it references with one read per run of
+    /// consecutive ranges of one file; each range read must match its sum.
     fn decode_snapshot(
         &self,
         manifest: &Manifest,
         bytes: &[u8],
+        shared: &SharedSegments,
     ) -> std::result::Result<Graph, snapshot::Fault> {
         // Extents come grouped by file: each source is opened once.
         let mut source: Option<(Timestamp, Box<dyn vfs::VfsFile>, u64)> = None;
-        snapshot::decode(manifest, bytes, |extent, buf| {
+        let decoded = snapshot::decode(manifest, bytes, shared, |extent, buf| {
             if source.as_ref().is_none_or(|(ts, ..)| *ts != extent.ts) {
                 // `open` would create a missing file.
                 let path = self.snap_dir.join(snapshot_name(extent.ts));
@@ -419,19 +428,25 @@ impl TimeStore {
             let start = buf.len();
             buf.resize(start.checked_add(usize::try_from(extent.len).ok()?)?, 0);
             file.read_exact_at(&mut buf[start..], extent.offset).ok()
-        })
+        })?;
+        self.metrics.segments_decoded.add(decoded.decoded as u64);
+        self.metrics.segments_shared.add(decoded.shared as u64);
+        Ok(decoded.graph)
     }
 
     /// The one snapshot loader (`reconstruct_at`, `recover`, the audit):
     /// the file at `ts` with its footer checked, and its graph with every
-    /// referenced range checked.
+    /// referenced range it reads checked. Reads share segments through the
+    /// store's [`SharedSegments`]; the audit passes its own, so that it
+    /// checks every byte as it is now.
     pub(crate) fn load_snapshot(
         &self,
         ts: Timestamp,
+        shared: &SharedSegments,
     ) -> std::result::Result<(Manifest, Graph), LoadError> {
         let (manifest, bytes) = self.read_snapshot_file(ts)?;
         let graph = self
-            .decode_snapshot(&manifest, &bytes)
+            .decode_snapshot(&manifest, &bytes, shared)
             .map_err(LoadError::Fault)?;
         Ok((manifest, graph))
     }
@@ -609,7 +624,7 @@ impl TimeStore {
             (Some((mts, g)), None) => (mts, g),
             (mem, Some((k, _))) => {
                 let disk_ts = decode_ts(&k)?;
-                match self.load_snapshot(disk_ts) {
+                match self.load_snapshot(disk_ts, &self.segments) {
                     Ok((_, g)) => {
                         let g = Arc::new(g);
                         self.graphstore.put(disk_ts, g.clone());

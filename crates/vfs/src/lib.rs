@@ -122,6 +122,40 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// FNV-1a over `bytes`, 32-bit: the change log's frame checksum. The log
+/// is the source of truth, so this too is a stored format that must never
+/// change. [`Fnv32`] computes it over bytes that arrive in pieces.
+pub fn fnv32(bytes: &[u8]) -> u32 {
+    let mut h = Fnv32::default();
+    h.feed(bytes);
+    h.sum()
+}
+
+/// [`fnv32`], fed piece by piece.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv32(u32);
+
+impl Default for Fnv32 {
+    fn default() -> Self {
+        Fnv32(0x811C_9DC5)
+    }
+}
+
+impl Fnv32 {
+    /// Absorbs the next piece.
+    pub fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u32::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0193);
+        }
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn sum(self) -> u32 {
+        self.0
+    }
+}
+
 /// 64-bit checksum for bulk *derived* files: page-checksum sidecars and
 /// snapshot footers, both rebuilt from the change log on mismatch.
 ///
@@ -279,6 +313,20 @@ mod tests {
         assert_eq!(fnv64(b"a"), 0xAF63_DC4C_8601_EC8C);
         assert_eq!(fnv64(b"foobar"), 0x8594_4171_F739_67E8);
         assert_eq!(fnv64(&[0u8; 24]), 0x81D2_3FD7_003C_2305);
+    }
+
+    /// Change-log frames carry this sum: the published FNV-1a 32-bit test
+    /// vectors, whole and fed in pieces.
+    #[test]
+    fn fnv32_known_answers() {
+        assert_eq!(fnv32(b""), 0x811C_9DC5);
+        assert_eq!(fnv32(b"a"), 0xE40C_292C);
+        assert_eq!(fnv32(b"foobar"), 0xBF9C_F968);
+        let mut h = Fnv32::default();
+        for piece in [&b"foo"[..], b"", b"ba", b"r"] {
+            h.feed(piece);
+        }
+        assert_eq!(h.sum(), fnv32(b"foobar"));
     }
 
     /// A page of distinct pseudo-random words (xorshift64).
