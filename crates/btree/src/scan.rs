@@ -6,6 +6,7 @@
 //! entries at a time, so no page stays pinned between iterator steps.
 
 use crate::layout;
+use crate::overflow;
 use crate::tree::BTree;
 use pagestore::PageId;
 use std::collections::VecDeque;
@@ -39,33 +40,60 @@ impl Scan {
     }
 
     /// Buffers the next non-empty leaf's entries `>= low` and `< high`.
+    ///
+    /// Each matching cell's key and inline value (or overflow head) are
+    /// copied under the same page read as the sibling link, so a concurrent
+    /// insert or split cannot repeat, skip or swap entries: a split only
+    /// moves keys right, into pages the link still leads to. Overflow
+    /// chains are followed after the page is released, and that is not
+    /// safe against every writer: `BTree::insert` frees the chain of a
+    /// value it replaces and `BTree::remove` the chain of the value it
+    /// deletes, so a scan that copied the old head can follow freed, even
+    /// reused, pages. Only replacing or removing an overflow value races
+    /// this way; inserting new keys and splitting do not.
     fn fill(&mut self, low: &[u8]) -> io::Result<()> {
+        enum Value {
+            Inline(Vec<u8>),
+            Overflow(PageId),
+        }
         while self.buffer.is_empty() && !self.done {
             if self.next_leaf.is_null() {
                 self.done = true;
                 return Ok(());
             }
-            let leaf = self.next_leaf;
-            let (indices, sibling, past_high) = self.tree.store().read(leaf, |p| {
+            let (cells, sibling, past_high) = self.tree.store().read(self.next_leaf, |p| {
                 let n = layout::ncells(p);
                 let start = match layout::leaf_search(p, low) {
                     Ok(i) => i,
                     Err(i) => i,
                 };
-                let mut idxs = Vec::new();
+                let mut cells = Vec::new();
                 let mut past = false;
                 for i in start..n {
-                    let key = layout::leaf_key(p, i);
-                    if !self.high.is_empty() && key >= self.high.as_slice() {
+                    let cell = layout::leaf_cell(p, i);
+                    if !self.high.is_empty() && cell.key >= self.high.as_slice() {
                         past = true;
                         break;
                     }
-                    idxs.push(i);
+                    let value = if cell.is_overflow() {
+                        Value::Overflow(PageId(cell.overflow_page()))
+                    } else {
+                        Value::Inline(cell.inline.to_vec())
+                    };
+                    cells.push((cell.key.to_vec(), value));
                 }
-                (idxs, layout::link(p), past)
+                (cells, layout::link(p), past)
             })?;
-            for i in indices {
-                self.buffer.push_back(self.tree.read_leaf_entry(leaf, i)?);
+            for (key, value) in cells {
+                let value = match value {
+                    Value::Inline(v) => v,
+                    Value::Overflow(head) => {
+                        let mut out = Vec::new();
+                        overflow::read_chain(self.tree.store(), head, &mut out)?;
+                        out
+                    }
+                };
+                self.buffer.push_back((key, value));
             }
             if past_high {
                 self.done = true;

@@ -167,51 +167,53 @@ impl BTree {
     pub fn insert(&self, key: &[u8], value: &[u8]) -> io::Result<()> {
         assert!(key.len() <= MAX_KEY, "key too large");
         let vlen = value.len() as u32;
-        let (overflow, inline) = if value.len() > MAX_INLINE_VALUE {
-            let head = overflow::write_chain(&self.store, value)?;
-            (true, head.0.to_le_bytes().to_vec())
+        let overflow = value.len() > MAX_INLINE_VALUE;
+        let head;
+        let inline: &[u8] = if overflow {
+            head = overflow::write_chain(&self.store, value)?.0.to_le_bytes();
+            &head
         } else {
-            (false, value.to_vec())
+            value
         };
         let (mut path, leaf) = self.descend(key)?;
-
-        // Replace an existing cell: remove it first (freeing any chain).
-        let old_overflow = self.store.write(leaf, |p| {
-            if let Ok(i) = layout::leaf_search(p, key) {
-                let cell = layout::leaf_cell(p, i);
-                let ovf = cell.is_overflow().then(|| PageId(cell.overflow_page()));
-                layout::leaf_remove(p, i);
-                ovf
-            } else {
-                None
-            }
-        })?;
-        if let Some(head) = old_overflow {
-            overflow::free_chain(&self.store, head)?;
-        }
 
         let needed = layout::leaf_cell_size(key.len(), value.len(), overflow) + 2;
         let insert_cell = |p: &mut PageBuf| {
             if layout::free_space(p) < needed {
                 layout::compact(p);
             }
-            // The cell for `key` was removed above, so the search can only
+            // Any cell for `key` was removed first, so the search can only
             // miss; fold both arms to stay panic-free regardless.
             let i = match layout::leaf_search(p, key) {
                 Ok(i) | Err(i) => i,
             };
-            layout::leaf_insert(p, i, overflow, key, vlen, &inline);
+            layout::leaf_insert(p, i, overflow, key, vlen, inline);
         };
-        let (fits, appends) = self.store.read(leaf, |p| {
+        // One touch of the leaf: drop the cell `key` replaces (its chain is
+        // freed below), then insert if the new cell fits. Otherwise the leaf
+        // splits, and `appends` says whether `key` starts a new rightmost
+        // leaf.
+        let (split, old_overflow) = self.store.write(leaf, |p| {
+            let old_overflow = layout::leaf_search(p, key).ok().and_then(|i| {
+                let cell = layout::leaf_cell(p, i);
+                let ovf = cell.is_overflow().then(|| PageId(cell.overflow_page()));
+                layout::leaf_remove(p, i);
+                ovf
+            });
+            if layout::free_space(p) >= needed || layout::live_bytes(p) + needed <= PAGE_SIZE {
+                insert_cell(p);
+                return (None, old_overflow);
+            }
             let n = layout::ncells(p);
-            let fits =
-                layout::free_space(p) >= needed || layout::live_bytes(p) + needed <= PAGE_SIZE;
             let appends = layout::link(p) == u64::MAX && n > 0 && layout::leaf_key(p, n - 1) < key;
-            (fits, appends)
+            (Some(appends), old_overflow)
         })?;
-        if fits {
-            return self.store.write(leaf, insert_cell);
+        if let Some(head) = old_overflow {
+            overflow::free_chain(&self.store, head)?;
         }
+        let Some(appends) = split else {
+            return Ok(());
+        };
 
         let (sep, new_leaf) = if appends {
             self.metrics.splits.inc();
@@ -235,10 +237,14 @@ impl BTree {
 
     /// Splits `leaf` at half its live bytes, returning the separator key
     /// and the new right sibling.
+    ///
+    /// The new sibling is written in full before `leaf` drops the moved
+    /// cells and links to it in one write, so a concurrent scan sees every
+    /// cell either in `leaf` or down its link.
     fn split_leaf(&self, leaf: PageId) -> io::Result<(Vec<u8>, PageId)> {
         self.metrics.splits.inc();
         let new_page = self.store.allocate()?;
-        let moved: Vec<Vec<u8>> = self.store.write(leaf, |p| {
+        let (split_at, moved, old_sibling) = self.store.read(leaf, |p| {
             let n = layout::ncells(p);
             debug_assert!(n >= 2);
             let total = layout::live_bytes(p);
@@ -251,16 +257,11 @@ impl BTree {
                     break;
                 }
             }
-            let cells = (split_at..n)
+            let cells: Vec<Vec<u8>> = (split_at..n)
                 .map(|i| layout::leaf_cell_bytes(p, i).to_vec())
                 .collect();
-            for _ in split_at..n {
-                layout::leaf_remove(p, split_at);
-            }
-            layout::compact(p);
-            cells
+            (split_at, cells, layout::link(p))
         })?;
-        let old_sibling = self.store.read(leaf, layout::link)?;
         self.store.write(new_page, |p| {
             layout::init(p, LEAF);
             layout::set_link(p, old_sibling);
@@ -268,8 +269,15 @@ impl BTree {
                 layout::leaf_insert_raw(p, i, raw);
             }
         })?;
-        self.store
-            .write(leaf, |p| layout::set_link(p, new_page.0))?;
+        #[cfg(test)]
+        tests::before_split_link(self);
+        self.store.write(leaf, |p| {
+            for _ in 0..moved.len() {
+                layout::leaf_remove(p, split_at);
+            }
+            layout::compact(p);
+            layout::set_link(p, new_page.0);
+        })?;
         let sep = self
             .store
             .read(new_page, |p| layout::leaf_key(p, 0).to_vec())?;
@@ -510,7 +518,7 @@ impl BTree {
     }
 
     /// Copies out entry `i` of `leaf`, resolving overflow.
-    pub(crate) fn read_leaf_entry(&self, leaf: PageId, i: usize) -> io::Result<(Vec<u8>, Vec<u8>)> {
+    fn read_leaf_entry(&self, leaf: PageId, i: usize) -> io::Result<(Vec<u8>, Vec<u8>)> {
         enum V {
             Inline(Vec<u8>, Vec<u8>),
             Ovf(Vec<u8>, PageId),
@@ -562,6 +570,8 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
     use tempfile::tempdir;
 
     fn open_tree(cache: usize) -> (tempfile::TempDir, BTree) {
@@ -573,6 +583,56 @@ mod tests {
 
     fn k(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    type Hook = Box<dyn Fn(&BTree)>;
+
+    thread_local! {
+        static BEFORE_SPLIT_LINK: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// Runs this thread's hook, if any, where `split_leaf` has written the
+    /// new sibling but not yet relinked the old leaf.
+    pub(super) fn before_split_link(t: &BTree) {
+        BEFORE_SPLIT_LINK.with(|h| {
+            if let Some(f) = h.borrow().as_ref() {
+                f(t);
+            }
+        });
+    }
+
+    #[test]
+    fn a_scan_between_a_splits_page_writes_sees_every_entry_once() {
+        let (_d, t) = open_tree(64);
+        let value = |key: &[u8]| key.repeat(12);
+        let held = Rc::new(Cell::new(0usize));
+        let scans = Rc::new(Cell::new(0usize));
+        let hook = {
+            let (held, scans) = (held.clone(), scans.clone());
+            move |t: &BTree| {
+                let keys: Vec<Vec<u8>> =
+                    t.scan_keys(&[], &[]).unwrap().map(|k| k.unwrap()).collect();
+                assert_eq!(keys.len(), held.get(), "keys skipped or repeated");
+                assert!(keys.windows(2).all(|w| w[0] < w[1]));
+                let mut entries = 0;
+                for e in t.scan(&[], &[]).unwrap() {
+                    let (key, v) = e.unwrap();
+                    assert_eq!(v, value(&key));
+                    entries += 1;
+                }
+                assert_eq!(entries, held.get(), "entries skipped or repeated");
+                scans.set(scans.get() + 1);
+            }
+        };
+        BEFORE_SPLIT_LINK.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
+        let n = 3_000u64;
+        for i in 0..n {
+            let key = k(i * 7919 % n);
+            t.insert(&key, &value(&key)).unwrap();
+            held.set(held.get() + 1);
+        }
+        BEFORE_SPLIT_LINK.with(|h| h.borrow_mut().take());
+        assert!(scans.get() >= 20, "{} splits", scans.get());
     }
 
     #[test]

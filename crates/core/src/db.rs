@@ -22,6 +22,20 @@ use vfs::VfsRef;
 
 pub use crate::planner::StoreChoice;
 
+/// A read's hold on the version it reads at the implicit latest time (see
+/// [`Aion::pin_latest`]). Dropping it releases the version.
+pub struct LatestPin {
+    ts: Timestamp,
+    _graph: Option<Arc<Graph>>,
+}
+
+impl LatestPin {
+    /// The timestamp to read at: the pinned version's commit timestamp.
+    pub fn ts(&self) -> Timestamp {
+        self.ts
+    }
+}
+
 /// Configuration of an [`Aion`] instance.
 #[derive(Clone, Debug)]
 pub struct AionConfig {
@@ -372,6 +386,32 @@ impl Aion {
     /// The latest graph version (unaffected by temporal machinery).
     pub fn latest_graph(&self) -> Arc<Graph> {
         self.timestore.latest_graph()
+    }
+
+    /// Pins the latest version for a read: its timestamp and graph, taken
+    /// in one step. While the guard lives, every TimeStore read at
+    /// [`LatestPin::ts`] is served from the pinned graph, however many
+    /// commits land meanwhile (see `timestore::GraphStore`).
+    ///
+    /// The pin is never older than [`Aion::latest_ts`] as read on entry,
+    /// so a caller that checked a watermark against it reads at or after
+    /// that watermark. A commit is published under the GraphStore's lock
+    /// and applied before the lock is released, so only a commit that
+    /// failed to apply in memory leaves the latest graph behind; then the
+    /// guard holds no graph and the read rebuilds its version from the
+    /// TimeStore.
+    pub fn pin_latest(&self) -> LatestPin {
+        let published = self.timestore.latest_ts();
+        match self.timestore.graphstore().pin_latest(published) {
+            Some((ts, graph)) => LatestPin {
+                ts,
+                _graph: Some(graph),
+            },
+            None => LatestPin {
+                ts: published,
+                _graph: None,
+            },
+        }
     }
 
     /// Starts a write transaction against the latest graph.

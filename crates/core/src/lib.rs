@@ -48,7 +48,7 @@ pub mod stream;
 pub mod txn;
 
 pub use check::{CheckLevel, ConsistencyReport};
-pub use db::{Aion, AionConfig, StoreChoice};
+pub use db::{Aion, AionConfig, LatestPin, StoreChoice};
 pub use planner::Planner;
 pub use stats::Statistics;
 pub use stream::NodeStream;

@@ -94,6 +94,22 @@ fn failed_txn_commits_nothing() {
 }
 
 #[test]
+fn a_latest_pin_is_never_older_than_the_published_commit() {
+    let dir = tempdir().unwrap();
+    let db = open(dir.path());
+    seed(&db, 3);
+    assert_eq!(db.pin_latest().ts(), db.latest_ts());
+    // A replicated commit skips validation. This one reaches the log, so
+    // its timestamp is published, but fails to apply to the in-memory
+    // latest graph, which stays at the commit before it.
+    let ts = db.latest_ts() + 1;
+    let bad = vec![lpg::Update::DeleteNode { id: nid(999) }];
+    assert!(db.apply_replicated(ts, bad).is_err());
+    assert_eq!(db.latest_ts(), ts);
+    assert_eq!(db.pin_latest().ts(), ts, "not the lagging graph's");
+}
+
+#[test]
 fn listener_sees_after_commit_events() {
     let dir = tempdir().unwrap();
     let db = open(dir.path());

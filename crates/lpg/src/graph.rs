@@ -11,19 +11,22 @@
 //! each chunk behind its own `Arc`. A chunk that loses its last entity leaves
 //! the spine, so no chunk is ever empty. The spine is cut into **pages** of
 //! at most 512 entries, so that opening a chunk between two others moves at
-//! most one page of it.
+//! most one page of it. Each page's entries sit behind an `Arc` of their
+//! own too, so clones share whole pages.
 //!
 //! # What things cost
 //!
-//! * `clone()` copies the spine: one pointer bump per chunk (≈ 1 800 at
-//!   100 k relationships) and no entity. This is the "CoW snapshot copy" of
-//!   Sec. 5.2.
-//! * A mutation `Arc::make_mut`s only the chunk it lands in. While a clone
-//!   is alive that copies ≤ 64 entities; otherwise nothing. Changing a node
-//!   touches 1 chunk, adding or deleting a relationship ≤ 3 (its own and its
-//!   two endpoints'). A rejected update copies nothing.
+//! * `clone()` copies the list of pages: one pointer bump per page (4 for
+//!   the ≈ 1 800 chunks of 100 k relationships), no spine entry and no
+//!   entity. This is the "CoW snapshot copy" of Sec. 5.2.
+//! * A mutation `Arc::make_mut`s the page and the chunk it lands in. While
+//!   a clone is alive that copies one page (≤ 512 pointers) and ≤ 64
+//!   entities; otherwise nothing. So a writer that finds its version held by
+//!   a reader pays one page and one chunk per touched chunk, not the spine.
+//!   Changing a node touches 1 chunk, adding or deleting a relationship ≤ 3
+//!   (its own and its two endpoints'). A rejected update copies nothing.
 //!   [`Graph::chunks_diverged_from`] counts the chunks two graphs no longer
-//!   share.
+//!   share, skipping the pages they still share.
 //! * Graphs that are not clones of each other can share relationship
 //!   chunks too: [`Graph::insert_rel_chunk`] adds a [`RelChunk`] by pointer
 //!   and only fills in the endpoints' adjacency lists. Snapshot loading uses
@@ -137,7 +140,8 @@ type Chunk<T> = (u64, Arc<Vec<T>>);
 struct Page<T> {
     /// `chunks[0].0`, kept here so that finding a page reads no page.
     first: u64,
-    chunks: Vec<Chunk<T>>,
+    /// Shared by the clones that have not changed this page since.
+    chunks: Arc<Vec<Chunk<T>>>,
 }
 
 /// An id-ordered table of copy-on-write chunks (see the module doc).
@@ -195,10 +199,11 @@ impl<T: Keyed + Clone> Table<T> {
         self.pages[p].chunks[c].1.get(i)
     }
 
-    /// Copies the chunk of `id` if it is shared — and only if `id` exists.
+    /// Copies the page and the chunk of `id` if they are shared — and only
+    /// if `id` exists.
     fn get_mut(&mut self, id: u64) -> Option<&mut T> {
         let (p, c, i) = self.find(id)?;
-        Arc::make_mut(&mut self.pages[p].chunks[c].1).get_mut(i)
+        Arc::make_mut(&mut Arc::make_mut(&mut self.pages[p].chunks)[c].1).get_mut(i)
     }
 
     /// `false` (and nothing copied) when the id is taken.
@@ -213,7 +218,7 @@ impl<T: Keyed + Clone> Table<T> {
                     let Err(i) = Self::seek_in(&page.chunks[c].1, id) else {
                         return false;
                     };
-                    Arc::make_mut(&mut page.chunks[c].1).insert(i, item);
+                    Arc::make_mut(&mut Arc::make_mut(&mut page.chunks)[c].1).insert(i, item);
                     self.len += 1;
                     return true;
                 }
@@ -255,13 +260,14 @@ impl<T: Keyed + Clone> Table<T> {
         let Some(page) = self.pages.get_mut(p) else {
             self.pages.push(Page {
                 first: no,
-                chunks: vec![(no, chunk)],
+                chunks: Arc::new(vec![(no, chunk)]),
             });
             return;
         };
-        page.chunks.insert(c, (no, chunk));
-        page.first = page.chunks[0].0;
-        if page.chunks.len() > PAGE_LEN {
+        let chunks = Arc::make_mut(&mut page.chunks);
+        chunks.insert(c, (no, chunk));
+        page.first = chunks[0].0;
+        if chunks.len() > PAGE_LEN {
             // An append leaves a full page behind it (ids counting up fill
             // every page), anything else halves the page.
             let cut = if c == PAGE_LEN {
@@ -269,9 +275,15 @@ impl<T: Keyed + Clone> Table<T> {
             } else {
                 PAGE_LEN / 2
             };
-            let chunks = page.chunks.split_off(cut);
+            let chunks = chunks.split_off(cut);
             let first = chunks[0].0;
-            self.pages.insert(p + 1, Page { first, chunks });
+            self.pages.insert(
+                p + 1,
+                Page {
+                    first,
+                    chunks: Arc::new(chunks),
+                },
+            );
         }
     }
 
@@ -288,10 +300,11 @@ impl<T: Keyed + Clone> Table<T> {
         };
         let page = &mut self.pages[p];
         if page.chunks[c].1.len() > 1 {
-            Arc::make_mut(&mut page.chunks[c].1).remove(i);
+            Arc::make_mut(&mut Arc::make_mut(&mut page.chunks)[c].1).remove(i);
         } else if page.chunks.len() > 1 {
-            page.chunks.remove(c);
-            page.first = page.chunks[0].0;
+            let chunks = Arc::make_mut(&mut page.chunks);
+            chunks.remove(c);
+            page.first = chunks[0].0;
         } else {
             self.pages.remove(p);
         }
@@ -301,7 +314,7 @@ impl<T: Keyed + Clone> Table<T> {
 
     /// The spine, page after page.
     fn chunks(&self) -> impl Iterator<Item = &Chunk<T>> {
-        self.pages.iter().flat_map(|page| &page.chunks)
+        self.pages.iter().flat_map(|page| page.chunks.iter())
     }
 
     /// Ascending by id, starting after `after`.
@@ -310,7 +323,7 @@ impl<T: Keyed + Clone> Table<T> {
         let (p, c, i) = after.map_or((0, 0, 0), |id| {
             let no = id >> CHUNK_BITS;
             let p = self.seek_page(no);
-            let chunks = self.pages.get(p).map_or(&[][..], |page| &page.chunks);
+            let chunks = self.pages.get(p).map_or(&[][..], |page| &page.chunks[..]);
             match Self::seek_chunk(chunks, no) {
                 Ok(c) => match Self::seek_in(&chunks[c].1, id) {
                     Ok(i) => (p, c, i + 1),
@@ -324,7 +337,7 @@ impl<T: Keyed + Clone> Table<T> {
             .get(p..)
             .unwrap_or_default()
             .iter()
-            .flat_map(|page| &page.chunks)
+            .flat_map(|page| page.chunks.iter())
             .skip(c);
         let head = chunks.next().map_or(&[][..], |(_, chunk)| &chunk[i..]);
         head.iter()
@@ -336,21 +349,25 @@ impl<T: Keyed + Clone> Table<T> {
     }
 
     /// Chunks of `self` that `other` does not hold the very same copy of.
+    /// A page both hold the same copy of is skipped unread.
     fn diverged_from(&self, other: &Self) -> usize {
-        let mut theirs = other.chunks().peekable();
-        self.chunks()
-            .filter(|(no, chunk)| {
-                while theirs.next_if(|(o, _)| o < no).is_some() {}
-                !theirs
-                    .next_if(|(o, _)| o == no)
-                    .is_some_and(|(_, c)| Arc::ptr_eq(c, chunk))
+        self.pages
+            .iter()
+            .filter(|page| {
+                !other
+                    .pages
+                    .get(other.seek_page(page.first))
+                    .is_some_and(|theirs| Arc::ptr_eq(&theirs.chunks, &page.chunks))
             })
+            .flat_map(|page| page.chunks.iter())
+            .filter(|(no, chunk)| !other.chunk(*no).is_some_and(|c| Arc::ptr_eq(c, chunk)))
             .count()
     }
 
     /// What the chunks cost beyond their entities: a spine entry each, and
     /// the two counters and the `Vec` header behind the `Arc`. Next to
     /// nothing for dense ids, as much as a small entity for sparse ones.
+    /// (A page's own `Arc`, ≤ 48 bytes per ≤ 512 chunks, is left out.)
     fn overhead(&self) -> usize {
         let per_chunk = std::mem::size_of::<Chunk<T>>()
             + std::mem::size_of::<Vec<T>>()

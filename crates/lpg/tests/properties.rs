@@ -565,3 +565,34 @@ fn a_chunk_emptied_by_deletes_disappears_and_can_be_refilled() {
     g.check_consistency().unwrap();
     assert_eq!(full.node_count() as u64, 3 * CHUNK);
 }
+
+/// What a writer pays while a reader holds its version: a clone shares
+/// every page, and one `SetNodeProp` copies one page and one chunk, so the
+/// two graphs differ in exactly that chunk, seen from either side.
+#[test]
+fn a_clone_and_one_property_change_diverge_in_one_chunk() {
+    // One node per chunk: the spine spans several pages.
+    let ids: Vec<u64> = (0..2_000).map(|i| i * CHUNK).collect();
+    let mut g = Graph::new();
+    for &id in &ids {
+        g.apply(&Update::AddNode {
+            id: NodeId::new(id),
+            labels: vec![],
+            props: vec![],
+        })
+        .unwrap();
+    }
+    let held = g.clone();
+    assert_eq!(g.chunks_diverged_from(&held), 0);
+    g.apply(&Update::SetNodeProp {
+        id: NodeId::new(ids[1_234]),
+        key: StrId::new(0),
+        value: PropertyValue::Int(7),
+    })
+    .unwrap();
+    assert_eq!(g.chunks_diverged_from(&held), 1);
+    assert_eq!(held.chunks_diverged_from(&g), 1);
+    assert!(held.node(NodeId::new(ids[1_234])).unwrap().props.is_empty());
+    g.check_consistency().unwrap();
+    held.check_consistency().unwrap();
+}

@@ -10,7 +10,7 @@
 //!   resumes strictly after it) or a row offset (every other source
 //!   skips that many rows while pulling);
 //! - the **rows emitted so far**, so `LIMIT` composes across pages;
-//! - an FNV-1a **checksum** over all of the above.
+//! - an FNV-1a **checksum** ([`vfs::fnv64`]) over all of the above.
 //!
 //! Tokens are integrity-checked, not authenticated: a corrupted,
 //! truncated, or bit-flipped token is rejected with
@@ -22,9 +22,12 @@
 use crate::exec::Params;
 use crate::value::Value;
 use lpg::{GraphError, Result};
+use vfs::fnv64;
 
 const MAGIC: u16 = 0xA10C;
-const VERSION: u8 = 1;
+/// Version 2 checksums and fingerprints with [`vfs::fnv64`]; version 1
+/// used a private FNV whose prime had one hex digit too many.
+const VERSION: u8 = 2;
 const KIND_KEY: u8 = 1;
 const KIND_OFFSET: u8 = 2;
 /// magic(2) + version(1) + kind(1) + ts(8) + anchor(8) + rows(8) +
@@ -124,65 +127,48 @@ pub fn peek_snapshot_ts(bytes: &[u8]) -> Result<u64> {
 /// Fingerprints a query + parameter map. Parameter order is
 /// canonicalized so logically identical requests fingerprint equally.
 pub fn fingerprint(text: &str, params: &Params) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_feed(&mut h, text.as_bytes());
+    let mut bytes = text.as_bytes().to_vec();
     let mut names: Vec<&String> = params.keys().collect();
     names.sort();
     for name in names {
-        fnv_feed(&mut h, &[0xFE]);
-        fnv_feed(&mut h, name.as_bytes());
-        hash_value(&mut h, &params[name]);
+        bytes.push(0xFE);
+        bytes.extend_from_slice(name.as_bytes());
+        put_value(&mut bytes, &params[name]);
     }
-    h
+    fnv64(&bytes)
 }
 
-fn hash_value(h: &mut u64, v: &Value) {
+fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        Value::Null => fnv_feed(h, &[0]),
-        Value::Bool(b) => fnv_feed(h, &[1, u8::from(*b)]),
+        Value::Null => out.push(0),
+        Value::Bool(b) => out.extend_from_slice(&[1, u8::from(*b)]),
         Value::Int(i) => {
-            fnv_feed(h, &[2]);
-            fnv_feed(h, &i.to_be_bytes());
+            out.push(2);
+            out.extend_from_slice(&i.to_be_bytes());
         }
         Value::Float(f) => {
-            fnv_feed(h, &[3]);
-            fnv_feed(h, &f.to_bits().to_be_bytes());
+            out.push(3);
+            out.extend_from_slice(&f.to_bits().to_be_bytes());
         }
         Value::Str(s) => {
-            fnv_feed(h, &[4]);
-            fnv_feed(h, s.as_bytes());
+            out.push(4);
+            out.extend_from_slice(s.as_bytes());
         }
         Value::Node { id, .. } => {
-            fnv_feed(h, &[5]);
-            fnv_feed(h, &id.to_be_bytes());
+            out.push(5);
+            out.extend_from_slice(&id.to_be_bytes());
         }
         Value::Rel { id, .. } => {
-            fnv_feed(h, &[6]);
-            fnv_feed(h, &id.to_be_bytes());
+            out.push(6);
+            out.extend_from_slice(&id.to_be_bytes());
         }
         Value::List(vs) => {
-            fnv_feed(h, &[7]);
+            out.push(7);
             for v in vs {
-                hash_value(h, v);
+                put_value(out, v);
             }
         }
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_feed(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_feed(&mut h, bytes);
-    h
 }
 
 #[cfg(test)]
@@ -210,23 +196,47 @@ mod tests {
         assert_eq!(peek_snapshot_ts(&t.encode()).unwrap(), 42);
     }
 
-    /// Byte-exact known answer: pins the big-endian layout and this
-    /// file's checksum. NOT the function `vfs::fnv64` and the frame
-    /// envelope compute: `FNV_PRIME` here has one hex digit more than the
-    /// FNV-1a-64 prime (`0x100_0000_01b3`), so merging the copies changes
-    /// every token's last eight bytes.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Byte-exact known answer: pins the big-endian layout and the
+    /// checksum, `vfs::fnv64` over the first 36 bytes.
     #[test]
     fn golden_token() {
-        let hex: String = token()
-            .encode()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(hex.len(), 2 * TOKEN_LEN);
+        let enc = token().encode();
+        assert_eq!(enc.len(), TOKEN_LEN);
         assert_eq!(
-            hex,
-            "a10c0101000000000000002a0000000000000063000000000000001100000000deadbeefea77908a9467a6ac"
+            hex(&enc),
+            "a10c0201000000000000002a0000000000000063000000000000001100000000deadbeef497ae778764a7e2b"
         );
+    }
+
+    /// The same token as minted by version 1, whose checksum used a
+    /// private FNV with a wrong prime: it no longer resumes anything, nor
+    /// does its body under a checksum this version accepts.
+    #[test]
+    fn version_1_token_is_invalid() {
+        let mut v1 = unhex(
+            "a10c0101000000000000002a0000000000000063000000000000001100000000deadbeefea77908a9467a6ac",
+        );
+        assert!(matches!(
+            CursorToken::decode(&v1),
+            Err(GraphError::CursorInvalid(_))
+        ));
+        let sum = fnv64(&v1[..TOKEN_LEN - 8]);
+        v1[TOKEN_LEN - 8..].copy_from_slice(&sum.to_be_bytes());
+        assert!(matches!(
+            CursorToken::decode(&v1),
+            Err(GraphError::CursorInvalid(why)) if why == "unknown version"
+        ));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::ast::*;
 use crate::bind::{lookup, prop, Binding, Bindings};
 use crate::cursor::{Anchor, CursorToken};
 use crate::value::Value;
-use aion::Aion;
+use aion::{Aion, LatestPin};
 use lpg::{GraphError, NodeId, PropertyValue, RelId, Result, StrId, TimeRange, Timestamp};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -242,7 +242,31 @@ pub fn run(db: &Aion, query: &Query, params: &Params) -> Result<QueryResult> {
         prior_rows: 0,
         page_size: usize::MAX,
     };
-    run_page(db, query, params, db.latest_ts(), whole).map(|(result, _)| result)
+    let (ts, _pin) = resolve_latest(db, query);
+    run_page(db, query, params, ts, whole).map(|(result, _)| result)
+}
+
+/// The timestamp `query`'s implicit latest time resolves to, with the guard
+/// to hold until the query ends. A read at the implicit latest time pins
+/// the version it reads, so a commit landing before the read reaches the
+/// TimeStore leaves that version addressable instead of making the read
+/// rebuild it. Writes pin nothing: their own commit would copy what it
+/// touches.
+fn resolve_latest(db: &Aion, query: &Query) -> (Timestamp, Option<LatestPin>) {
+    let reads_latest = matches!(
+        query,
+        Query::Match {
+            time: None,
+            action: Action::Return(_),
+            ..
+        }
+    );
+    if reads_latest {
+        let pin = db.pin_latest();
+        (pin.ts(), Some(pin))
+    } else {
+        (db.latest_ts(), None)
+    }
 }
 
 /// One page of a paged execution.
@@ -299,7 +323,12 @@ pub fn execute_paged(
             Some(t)
         }
     };
-    let snapshot_ts = token.map_or_else(|| db.latest_ts(), |t| t.snapshot_ts);
+    // The first page pins the latest version; a resumed page reads at its
+    // token's timestamp, whose version nobody need still hold.
+    let (snapshot_ts, _pin) = match token {
+        Some(t) => (t.snapshot_ts, None),
+        None => resolve_latest(db, &query),
+    };
     let resume = Resume {
         anchor: token.map(|t| t.anchor),
         prior_rows: token.map_or(0, |t| t.rows_emitted),

@@ -7,7 +7,7 @@
 //! Snapshots are shared as `Arc<Graph>`: handing one out is a pointer copy
 //! (the CoW discipline of Sec. 5.2). `lpg::Graph` is itself structurally
 //! shared, so a commit that finds the latest graph held by a reader copies
-//! the graph's spine and the ≤ 3 chunks per update it lands in
+//! the ≤ 3 chunks per update it lands in and the spine page of each
 //! (`timestore.latest.cow_chunks`), never the graph; a replayed entry shares
 //! every chunk the replay did not touch with its base, and entries loaded
 //! from different snapshot files share the relationship segments the files
@@ -20,12 +20,24 @@
 //! The historical cache is **demand-filled**: only reads put graphs there
 //! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a
 //! snapshot file and recovery do not: that would keep a snapshot resident
-//! that no reader asked for.
+//! that no reader asked for. Nor do pins:
+//!
+//! **Pinned versions.** A read at the implicit latest time takes the
+//! latest graph and its timestamp in one step ([`GraphStore::pin_latest`])
+//! and holds that `Arc` until it ends. The store remembers each pin as a
+//! `ts → Weak<Graph>` entry, swept of dead entries on every pin, and
+//! [`GraphStore::pinned`] hands the version out again while any reader
+//! still holds it. So a commit landing in the middle of a read costs the
+//! writer one page and one chunk per chunk it touches (the copy-on-write of
+//! a held graph), and the reader's own `snapshot_at(ts)` finds its version
+//! instead of rebuilding it from a snapshot file and the log. A pinned
+//! version lives exactly as long as a reader holds it; it is never charged
+//! to the byte budget, and ingest, which pins nothing, pays nothing.
 
 use lpg::{Graph, Timestamp, Update};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 struct Entry {
     graph: Arc<Graph>,
@@ -44,6 +56,8 @@ struct Inner {
     tick: u64,
     latest: Arc<Graph>,
     latest_ts: Timestamp,
+    /// The versions readers pinned, by timestamp (see the module doc).
+    pinned: BTreeMap<Timestamp, Weak<Graph>>,
     hits: u64,
     misses: u64,
 }
@@ -58,6 +72,8 @@ pub struct GraphStore {
     /// `timestore.latest.cow_chunks`: chunks those commits had to copy (or
     /// create) instead of updating in place.
     cow_chunks: Arc<obs::Counter>,
+    /// `timestore.pins`: pinned versions still alive, as of the last pin.
+    pins: Arc<obs::Gauge>,
 }
 
 impl GraphStore {
@@ -72,23 +88,33 @@ impl GraphStore {
                 tick: 0,
                 latest: Arc::new(Graph::new()),
                 latest_ts: 0,
+                pinned: BTreeMap::new(),
                 hits: 0,
                 misses: 0,
             }),
             budget: budget_bytes,
             cow_copies: obs::counter("timestore.latest.cow_copies"),
             cow_chunks: obs::counter("timestore.latest.cow_chunks"),
+            pins: obs::gauge("timestore.pins"),
         }
     }
 
-    /// Applies one committed transaction to the latest graph.
-    pub fn apply_commit(&self, ts: Timestamp, updates: &[Update]) -> lpg::Result<()> {
+    /// Applies one committed transaction to the latest graph, returning
+    /// what `publish` returns. `publish` runs first, under the store's
+    /// lock: a reader that sees what it published and then pins the latest
+    /// graph waits for this commit.
+    pub fn apply_commit<R>(
+        &self,
+        ts: Timestamp,
+        updates: &[Update],
+        publish: impl FnOnce() -> R,
+    ) -> lpg::Result<R> {
         let mut g = self.inner.lock();
+        let published = publish();
         // A reader holds the latest graph: it keeps its version, this
-        // commit copies the spine and the chunks it touches.
-        let before = Arc::get_mut(&mut g.latest)
-            .is_none()
-            .then(|| g.latest.clone());
+        // commit copies the pages and chunks it touches. A pin nobody
+        // holds any more is only a `Weak`, which copies nothing.
+        let before = (Arc::strong_count(&g.latest) > 1).then(|| g.latest.clone());
         let graph = Arc::make_mut(&mut g.latest);
         graph.apply_all(updates)?;
         if let Some(before) = before {
@@ -97,13 +123,35 @@ impl GraphStore {
                 .add(graph.chunks_diverged_from(&before) as u64);
         }
         g.latest_ts = ts;
-        Ok(())
+        Ok(published)
     }
 
     /// The latest graph (shared, zero-copy) and its timestamp.
     pub fn latest(&self) -> (Arc<Graph>, Timestamp) {
         let g = self.inner.lock();
         (g.latest.clone(), g.latest_ts)
+    }
+
+    /// The latest graph and its timestamp, pinned: until every clone of the
+    /// returned `Arc` is dropped, [`Self::pinned`] finds it at that
+    /// timestamp. `None`, pinning nothing, while the latest graph is older
+    /// than `at_least`, which only a commit that failed to apply here
+    /// leaves behind.
+    pub fn pin_latest(&self, at_least: Timestamp) -> Option<(Timestamp, Arc<Graph>)> {
+        let mut g = self.inner.lock();
+        if g.latest_ts < at_least {
+            return None;
+        }
+        g.pinned.retain(|_, v| v.strong_count() > 0);
+        let (ts, graph) = (g.latest_ts, g.latest.clone());
+        g.pinned.entry(ts).or_insert_with(|| Arc::downgrade(&graph));
+        self.pins.set(g.pinned.len() as i64);
+        Some((ts, graph))
+    }
+
+    /// The version a reader pinned at exactly `ts`, while one holds it.
+    pub fn pinned(&self, ts: Timestamp) -> Option<Arc<Graph>> {
+        self.inner.lock().pinned.get(&ts)?.upgrade()
     }
 
     /// Replaces the latest graph wholesale (recovery).
@@ -242,6 +290,7 @@ mod tests {
                 labels: vec![],
                 props: vec![],
             }],
+            || {},
         )
         .unwrap();
         let (g, ts) = gs.latest();
@@ -259,6 +308,7 @@ mod tests {
                 labels: vec![],
                 props: vec![],
             }],
+            || {},
         )
         .unwrap();
         let (before, _) = gs.latest();
@@ -269,6 +319,7 @@ mod tests {
                 labels: vec![],
                 props: vec![],
             }],
+            || {},
         )
         .unwrap();
         // The reader's Arc still sees the old state (copy-on-write).
@@ -297,6 +348,7 @@ mod tests {
                 labels: vec![],
                 props: vec![],
             }],
+            || {},
         )
         .unwrap();
         let (ts, g) = gs.floor(60).unwrap();

@@ -96,6 +96,7 @@ struct Metrics {
     segments_shared: Arc<obs::Counter>,
     graphstore_hits: Arc<obs::Counter>,
     graphstore_misses: Arc<obs::Counter>,
+    pinned_hits: Arc<obs::Counter>,
 }
 
 impl Metrics {
@@ -110,6 +111,7 @@ impl Metrics {
             segments_shared: obs::counter("timestore.snapshot.segments_shared"),
             graphstore_hits: obs::counter("timestore.graphstore.hits"),
             graphstore_misses: obs::counter("timestore.graphstore.misses"),
+            pinned_hits: obs::counter("timestore.snapshot.pinned_hits"),
         }
     }
 }
@@ -467,12 +469,12 @@ impl TimeStore {
         let frame = CommitFrame::from_updates(ts, updates);
         let offset = self.log.append(&frame)?;
         // The commit is in the log from here on: recovery replays it even
-        // if the index insert or in-memory apply below fails. Publish
-        // `latest_ts` before those steps so a caller seeing an error can
-        // classify it: `latest_ts() < ts` means the log rejected the frame
-        // cleanly (nothing persisted, the same timestamp may be retried),
-        // `latest_ts() >= ts` means the commit reached the log and its
-        // durability is uncertain.
+        // if the index insert or in-memory apply below fails. `latest_ts`
+        // is published whether or not those steps fail, so a caller seeing
+        // an error can classify it: `latest_ts() < ts` means the log
+        // rejected the frame cleanly (nothing persisted, the same timestamp
+        // may be retried), `latest_ts() >= ts` means the commit reached the
+        // log and its durability is uncertain.
         self.metrics.log_appends.inc();
         {
             let mut chain = self.chain.lock();
@@ -480,21 +482,31 @@ impl TimeStore {
                 chain.touched.insert(Segment::of(u.entity()), ts);
             }
         }
-        let should_snapshot;
-        {
+        // Indexed before it is published, so a reader that rebuilds the
+        // version at `latest_ts()` finds every commit up to it.
+        let indexed = self
+            .time_index
+            .insert(&keys::ts_key(ts), &offset.to_le_bytes())
+            .map_err(storage_err);
+        // Returns whether a snapshot is due.
+        let publish = || {
             let mut state = self.state.lock();
             state.latest_ts = ts;
             state.commits += 1;
             state.updates += updates.len() as u64;
             state.ops_since_snapshot += updates.len() as u64;
-            should_snapshot =
-                self.policy
-                    .should_snapshot(state.ops_since_snapshot, state.last_snapshot_ts, ts);
-        }
-        self.time_index
-            .insert(&keys::ts_key(ts), &offset.to_le_bytes())
-            .map_err(storage_err)?;
-        self.graphstore.apply_commit(ts, updates)?;
+            self.policy
+                .should_snapshot(state.ops_since_snapshot, state.last_snapshot_ts, ts)
+        };
+        let should_snapshot = match indexed {
+            // Published under the GraphStore's lock, so a read that pins
+            // the latest graph after seeing `ts` gets this commit applied.
+            Ok(()) => self.graphstore.apply_commit(ts, updates, publish)?,
+            Err(e) => {
+                publish();
+                return Err(e);
+            }
+        };
         if should_snapshot {
             self.write_snapshot()?;
         }
@@ -600,13 +612,18 @@ impl TimeStore {
 
     /// `getGraph` at a single point: the full graph as of `ts` (inclusive).
     ///
-    /// Fetches the closest snapshot `≤ ts` from the GraphStore or disk, then
-    /// replays forward log changes (Sec. 4.3).
+    /// A version a reader pinned at exactly `ts` and still holds is the
+    /// answer. Otherwise fetches the closest snapshot `≤ ts` from the
+    /// GraphStore or disk, then replays forward log changes (Sec. 4.3).
     pub fn snapshot_at(&self, ts: Timestamp) -> Result<Arc<Graph>> {
         self.reconstruct_at(ts)
     }
 
     fn reconstruct_at(&self, ts: Timestamp) -> Result<Arc<Graph>> {
+        if let Some(g) = self.graphstore.pinned(ts) {
+            self.metrics.pinned_hits.inc();
+            return Ok(g);
+        }
         // Exact in-memory hit?
         if let Some(g) = self.graphstore.get(ts) {
             self.metrics.graphstore_hits.inc();
