@@ -12,7 +12,7 @@
 //!    against the measured Fig. 8 crossover.
 
 use crate::common::{banner, fmt_rate, ingest_aion, BenchConfig, Timer};
-use aion::planner::{AccessPattern, Planner};
+use aion::planner::Planner;
 use aion::{Aion, AionConfig};
 use lineagestore::LineageStoreConfig;
 use rand::rngs::SmallRng;
@@ -43,7 +43,7 @@ fn open_with(dir: &std::path::Path, graphstore_bytes: usize, sync_lineage: bool)
 pub fn run(cfg: &BenchConfig) {
     graphstore_cache(cfg);
     sync_vs_async(cfg);
-    planner_threshold(cfg);
+    threshold_sweep(cfg);
 }
 
 /// Ablation 1: GraphStore warm vs cold.
@@ -100,7 +100,7 @@ pub fn sync_vs_async(cfg: &BenchConfig) {
 }
 
 /// Ablation 3: planner threshold sweep against the measured crossover.
-pub fn planner_threshold(cfg: &BenchConfig) {
+pub fn threshold_sweep(cfg: &BenchConfig) {
     banner(
         "Ablation — planner threshold sweep",
         "store chosen for 1..8-hop expansions as the threshold moves around 30%",
@@ -109,7 +109,7 @@ pub fn planner_threshold(cfg: &BenchConfig) {
     let dir = tempdir().expect("tempdir");
     let db = open_with(dir.path(), 64 << 20, true);
     ingest_aion(&db, &w);
-    let stats = db.statistics();
+    let latest = db.latest_graph();
     print!("{:<12}", "threshold");
     for hops in [1u32, 2, 4, 8] {
         print!(" {:>10}", format!("{hops}-hop"));
@@ -119,7 +119,7 @@ pub fn planner_threshold(cfg: &BenchConfig) {
         let planner = Planner::with_threshold(threshold);
         print!("{:<12}", format!("{:.0}%", threshold * 100.0));
         for hops in [1u32, 2, 4, 8] {
-            let choice = planner.choose(stats, AccessPattern::Expand { seeds: 1, hops });
+            let choice = planner.choose(&latest, 1, hops);
             print!(" {:>10}", format!("{choice:?}"));
         }
         println!();

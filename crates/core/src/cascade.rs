@@ -28,13 +28,14 @@ pub struct Cascade {
 }
 
 impl Cascade {
-    /// Spawns the worker over a shared LineageStore. Fails only if the OS
-    /// refuses the thread.
-    pub fn spawn(lineage: Arc<LineageStore>) -> Result<Cascade> {
+    /// Spawns the worker over a shared LineageStore. `wedged` is the one
+    /// wedge flag of the database: the worker sets it on an apply error,
+    /// and the log writer on a commit of uncertain durability, after which
+    /// it submits nothing more. Fails only if the OS refuses the thread.
+    pub fn spawn(lineage: Arc<LineageStore>, wedged: Arc<AtomicBool>) -> Result<Cascade> {
         let (tx, rx) = unbounded::<Job>();
         let applied = Arc::new(AtomicU64::new(lineage.applied_ts()));
         let applied2 = applied.clone();
-        let wedged = Arc::new(AtomicBool::new(false));
         let wedged2 = wedged.clone();
         let worker = std::thread::Builder::new()
             .name("aion-cascade".into())
@@ -82,15 +83,10 @@ impl Cascade {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// Whether the worker hit an apply error and stopped advancing.
-    pub fn is_wedged(&self) -> bool {
-        self.wedged.load(Ordering::Acquire)
-    }
-
     /// Blocks until everything at or below `ts` has been applied, or the
-    /// cascade wedges (in which case the watermark will never reach `ts`).
+    /// wedge flag is set (in which case the watermark may never reach `ts`).
     pub fn barrier(&self, ts: Timestamp) {
-        while self.applied_ts() < ts && !self.is_wedged() {
+        while self.applied_ts() < ts && !self.wedged.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
     }
@@ -118,7 +114,7 @@ mod tests {
         let lineage = Arc::new(
             LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap(),
         );
-        let cascade = Cascade::spawn(lineage.clone()).unwrap();
+        let cascade = Cascade::spawn(lineage.clone(), Arc::default()).unwrap();
         for ts in 1..=50u64 {
             cascade.submit(CommitEvent {
                 ts,
@@ -140,7 +136,7 @@ mod tests {
         let lineage = Arc::new(
             LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default()).unwrap(),
         );
-        let cascade = Cascade::spawn(lineage.clone()).unwrap();
+        let cascade = Cascade::spawn(lineage.clone(), Arc::default()).unwrap();
         cascade.submit(CommitEvent {
             ts: 1,
             updates: Arc::new(vec![Update::AddNode {

@@ -3,8 +3,7 @@
 use crate::bitemporal;
 use crate::cascade::Cascade;
 use crate::group_commit::{self, LogWriter};
-use crate::planner::{AccessPattern, Planner};
-use crate::stats::Statistics;
+use crate::planner::Planner;
 use crate::txn::{AppTimeKeys, CommitEvent, WriteTxn};
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{
@@ -64,8 +63,6 @@ pub struct AionConfig {
     ///
     /// [`sync_on_commit`]: AionConfig::sync_on_commit
     pub commit_latency_budget: Duration,
-    /// Planner threshold (fraction of graph accessed; paper: 0.3).
-    pub planner_threshold: f64,
     /// The file system every storage layer runs on. Defaults to the
     /// production passthrough ([`VfsRef::std`]); the crash-consistency
     /// harness swaps in [`vfs::SimVfs`]. Overrides the `vfs` handles inside
@@ -83,7 +80,6 @@ impl AionConfig {
             sync_lineage: false,
             sync_on_commit: false,
             commit_latency_budget: Duration::ZERO,
-            planner_threshold: 0.3,
             vfs: VfsRef::std(),
         }
     }
@@ -121,7 +117,6 @@ pub struct Aion {
     timestore: Arc<TimeStore>,
     lineage: Arc<LineageStore>,
     cascade: Option<Arc<Cascade>>,
-    stats: Statistics,
     planner: Planner,
     app_keys: AppTimeKeys,
     lineage_wedged: Arc<AtomicBool>,
@@ -175,41 +170,15 @@ impl Aion {
             start: interner.intern("_app_start"),
             end: interner.intern("_app_end"),
         };
-        // Rebuild statistics from the latest graph (labels/types at the
-        // current state; history size from the store counters).
-        let stats = Statistics::new();
-        {
-            let latest_graph = timestore.latest_graph();
-            let mut batch = Vec::new();
-            for n in latest_graph.nodes() {
-                batch.push(Update::AddNode {
-                    id: n.id,
-                    labels: n.labels.clone(),
-                    props: vec![],
-                });
-            }
-            for r in latest_graph.rels() {
-                batch.push(Update::AddRel {
-                    id: r.id,
-                    src: r.src,
-                    tgt: r.tgt,
-                    label: r.label,
-                    props: vec![],
-                });
-            }
-            stats.record_commit(&batch, |id| {
-                latest_graph
-                    .node(id)
-                    .map(|n| n.labels.as_slice())
-                    .unwrap_or(&[])
-            });
-        }
+        let lineage_wedged = Arc::new(AtomicBool::new(false));
         let cascade = if config.sync_lineage {
             None
         } else {
-            Some(Arc::new(Cascade::spawn(lineage.clone())?))
+            Some(Arc::new(Cascade::spawn(
+                lineage.clone(),
+                lineage_wedged.clone(),
+            )?))
         };
-        let lineage_wedged = Arc::new(AtomicBool::new(false));
         let pipeline = group_commit::Pipeline::spawn(LogWriter {
             timestore: timestore.clone(),
             lineage: lineage.clone(),
@@ -228,8 +197,7 @@ impl Aion {
             timestore,
             lineage,
             cascade,
-            stats,
-            planner: Planner::with_threshold(config.planner_threshold),
+            planner: Planner::new(),
             app_keys,
             pipeline,
             listeners: RwLock::new(Vec::new()),
@@ -285,11 +253,6 @@ impl Aion {
     /// Application-time property keys.
     pub fn app_time_keys(&self) -> AppTimeKeys {
         self.app_keys
-    }
-
-    /// Base statistics (cardinality histograms).
-    pub fn statistics(&self) -> &Statistics {
-        &self.stats
     }
 
     /// The planner.
@@ -476,21 +439,14 @@ impl Aion {
     /// then run the commit's bookkeeping on this thread.
     fn commit(&self, updates: Vec<Update>, forced_ts: Option<Timestamp>) -> Result<Timestamp> {
         let _timer = self.commit_latency.start_timer();
-        let done = self.pipeline.commit(updates, forced_ts)?;
-        // Statistics fold and stage-1 after-commit listeners run here on
-        // the committer's thread, off the writer's critical path — a slow
-        // listener delays its own commit's return, never other writers.
-        // Labels resolve against the graph this commit produced.
-        self.stats.record_commit(&done.event.updates, |id| {
-            done.graph
-                .node(id)
-                .map(|n| n.labels.as_slice())
-                .unwrap_or(&[])
-        });
+        let event = self.pipeline.commit(updates, forced_ts)?;
+        // Stage-1 after-commit listeners run here on the committer's
+        // thread, off the writer's critical path — a slow listener delays
+        // its own commit's return, never other writers.
         for l in self.listeners.read().iter() {
-            l(&done.event);
+            l(&event);
         }
-        Ok(done.event.ts)
+        Ok(event.ts)
     }
 
     /// Blocks until the LineageStore caught up with `ts` (tests, recovery).
@@ -500,13 +456,11 @@ impl Aion {
         }
     }
 
-    /// Whether the LineageStore applier hit an error and stopped advancing
-    /// (queries fall back to the TimeStore; a reopen replays the gap).
+    /// Whether the LineageStore stopped advancing: its applier hit an
+    /// error, or a commit's durability became uncertain (queries fall back
+    /// to the TimeStore; a reopen replays the gap).
     pub fn lineage_wedged(&self) -> bool {
-        match &self.cascade {
-            Some(c) => c.is_wedged(),
-            None => self.lineage_wedged.load(Ordering::Acquire),
-        }
+        self.lineage_wedged.load(Ordering::Acquire)
     }
 
     /// Whether the LineageStore can serve queries up to `ts`.
@@ -623,8 +577,9 @@ impl Aion {
         hops: u32,
         t: Timestamp,
     ) -> Result<Vec<(NodeId, u32)>> {
-        let pattern = AccessPattern::Expand { seeds: 1, hops };
-        let choice = self.planner.choose(&self.stats, pattern);
+        // The latest graph's `Arc` drops with this statement: held, it
+        // would make a concurrent commit copy the chunks it touches.
+        let choice = self.planner.choose(&self.latest_graph(), 1, hops);
         match choice {
             StoreChoice::Lineage if self.lineage_current(t) => {
                 let hits = self.lineage.expand(id, dir, hops, t)?;
@@ -695,7 +650,7 @@ impl Aion {
     /// between them for a node scan, by the planner's rule (Sec. 5.1):
     ///
     /// - `whole_graph` — the consumer folds over every node (an aggregate,
-    ///   a sort, a write), i.e. [`AccessPattern::Global`]: the TimeStore
+    ///   a sort, a write), so it accesses the whole graph: the TimeStore
     ///   snapshot serves it, as it does `get_graph_at`.
     /// - otherwise the consumer may stop early (`LIMIT`, one page), so the
     ///   scan walks the lineage index (O(log n) to the resume point, O(1)

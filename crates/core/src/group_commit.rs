@@ -23,12 +23,13 @@
 //! * An append error with `latest_ts() >= ts` (or a failed group fsync)
 //!   leaves the commit's durability *uncertain*: the timestamp is
 //!   consumed and the LineageStore is wedged so its watermark cannot
-//!   advance past the hole (see `cascade`).
+//!   advance past the hole. The wedge flag is the one the cascade reads
+//!   (see `cascade`), so `Aion::lineage_wedged` reports it and
+//!   `Aion::lineage_barrier` stops waiting.
 //!
 //! The writer submits successful commits to the lineage cascade in commit
-//! order on its own thread; the statistics fold and after-commit
-//! listeners run on the committer's thread after it wakes, off the
-//! write-path critical section.
+//! order on its own thread; the after-commit listeners run on the
+//! committer's thread after it wakes, off the write-path critical section.
 //!
 //! [`AionConfig::commit_latency_budget`]: crate::AionConfig::commit_latency_budget
 //! [`TimeStore::sync`]: timestore::TimeStore::sync
@@ -37,26 +38,17 @@ use crate::cascade::Cascade;
 use crate::txn::CommitEvent;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use lineagestore::LineageStore;
-use lpg::{Graph, GraphError, Result, Timestamp, Update};
+use lpg::{GraphError, Result, Timestamp, Update};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use timestore::TimeStore;
 
-/// What the writer hands back to a successful committer: the commit event
-/// (for the after-commit listeners) and the latest graph as of *this*
-/// commit's apply (for the statistics fold — labels are resolved against
-/// the graph the commit produced, not whatever is latest once the
-/// committer thread gets scheduled).
-pub(crate) struct CommitDone {
-    pub event: CommitEvent,
-    pub graph: Arc<Graph>,
-}
-
-/// One committer's parking spot. The writer publishes exactly one result.
+/// One committer's parking spot. The writer publishes exactly one result:
+/// on success the commit event, for the after-commit listeners.
 struct CommitSlot {
-    state: Mutex<Option<Result<CommitDone>>>,
+    state: Mutex<Option<Result<CommitEvent>>>,
     cond: Condvar,
 }
 
@@ -68,7 +60,7 @@ impl CommitSlot {
         }
     }
 
-    fn complete(&self, result: Result<CommitDone>) {
+    fn complete(&self, result: Result<CommitEvent>) {
         // Poisoning cannot happen (neither side panics while holding the
         // lock), but recover rather than unwrap to keep the path abort-free.
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -80,7 +72,7 @@ impl CommitSlot {
     /// to stay distinct from `Condvar::wait`, which releases the lock
     /// while blocked — the lock-order analyzer resolves bare calls by
     /// name and must not mistake the reacquisition for lock nesting.)
-    fn wait_done(&self) -> Result<CommitDone> {
+    fn wait_done(&self) -> Result<CommitEvent> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = state.take() {
@@ -166,8 +158,7 @@ impl LogWriter {
 
     fn process_group(&mut self, group: Vec<CommitRequest>) {
         // Stage 2a: one append run over the whole group, in arrival order.
-        let mut appended: Vec<(Arc<CommitSlot>, CommitEvent, Arc<Graph>)> =
-            Vec::with_capacity(group.len());
+        let mut appended: Vec<(Arc<CommitSlot>, CommitEvent)> = Vec::with_capacity(group.len());
         for req in group {
             let ts = match req.forced_ts {
                 // Keep the internal clock strictly ahead of explicit
@@ -189,12 +180,11 @@ impl LogWriter {
             match self.timestore.append_commit(ts, &req.updates) {
                 Ok(()) => {
                     self.next_ts = ts + 1;
-                    let graph = self.timestore.latest_graph();
                     let event = CommitEvent {
                         ts,
                         updates: Arc::new(req.updates),
                     };
-                    appended.push((req.slot, event, graph));
+                    appended.push((req.slot, event));
                 }
                 Err(e) => {
                     if self.timestore.latest_ts() >= ts {
@@ -223,7 +213,7 @@ impl LogWriter {
                 self.lineage_wedged.store(true, Ordering::Release);
                 let msg = format!("group commit sync failed: {e}");
                 let mut first_err = Some(e);
-                for (slot, _, _) in appended {
+                for (slot, _) in appended {
                     self.commits_failed.inc();
                     let err = first_err
                         .take()
@@ -237,7 +227,7 @@ impl LogWriter {
         // cascade channel preserves it; the synchronous path applies
         // here). Wedged, the watermark stalls and queries fall back to
         // the TimeStore — same contract as before group commit.
-        for (slot, event, graph) in appended {
+        for (slot, event) in appended {
             if !self.lineage_wedged.load(Ordering::Acquire) {
                 match &self.cascade {
                     Some(c) => c.submit(event.clone()),
@@ -252,7 +242,7 @@ impl LogWriter {
                 }
             }
             self.commits.inc();
-            slot.complete(Ok(CommitDone { event, graph }));
+            slot.complete(Ok(event));
         }
     }
 }
@@ -285,7 +275,7 @@ impl Pipeline {
         &self,
         updates: Vec<Update>,
         forced_ts: Option<Timestamp>,
-    ) -> Result<CommitDone> {
+    ) -> Result<CommitEvent> {
         let slot = Arc::new(CommitSlot::new());
         let req = CommitRequest {
             updates,

@@ -24,11 +24,11 @@
 //! * `group_commit` — the dedicated log-writer thread that coalesces
 //!   concurrent commits into one TimeStore append run and one shared
 //!   durability fsync (bounded by `AionConfig::commit_latency_budget`).
-//! * [`stats`] — histogram base statistics (nodes, relationships, labels,
-//!   types, patterns) and derived cardinality estimates.
 //! * [`planner`] — the heuristic store selector: "if less than 30% of the
 //!   graph is accessed, Aion uses the LineageStore; otherwise, it
-//!   constructs a full graph snapshot with the TimeStore".
+//!   constructs a full graph snapshot with the TimeStore". Its inputs are
+//!   the latest graph's |V| and |E|; the paper's label, type and pattern
+//!   histograms return with a cost model that reads them.
 //! * [`db`] — [`Aion`] itself, exposing the Table 1 temporal graph API.
 //! * [`bitemporal`] — application-time handling (Sec. 4.5): application
 //!   start/end stored as ordinary properties, filtered after system-time
@@ -43,13 +43,11 @@ pub mod db;
 mod group_commit;
 pub mod planner;
 pub mod procedures;
-pub mod stats;
 pub mod stream;
 pub mod txn;
 
 pub use check::{CheckLevel, ConsistencyReport};
 pub use db::{Aion, AionConfig, LatestPin, StoreChoice};
 pub use planner::Planner;
-pub use stats::Statistics;
 pub use stream::NodeStream;
 pub use txn::{CommitEvent, WriteTxn};

@@ -4,8 +4,16 @@
 //! graph is accessed, Aion uses the LineageStore; (ii) otherwise, it
 //! constructs a full graph snapshot with the TimeStore." The threshold
 //! itself comes from the crossover measured in Fig. 8 (Sec. 6.3).
+//!
+//! The one estimate any query needs is that of an n-hop expansion, and it
+//! reads only |V| and |E| of the latest graph, both O(1). The paper's
+//! label, type and pattern histograms return together with a cost model
+//! that reads them.
 
-use crate::stats::Statistics;
+use lpg::Graph;
+
+/// The paper's threshold on the estimated accessed fraction.
+const THRESHOLD: f64 = 0.3;
 
 /// Which temporal store should serve a query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -16,24 +24,6 @@ pub enum StoreChoice {
     Time,
 }
 
-/// Access shape of a temporal query, as seen by the planner.
-#[derive(Clone, Copy, Debug)]
-pub enum AccessPattern {
-    /// Single node/relationship lookup.
-    Point,
-    /// n-hop expansion from `seeds` start nodes.
-    Expand {
-        /// Start-node count.
-        seeds: u64,
-        /// Hop budget.
-        hops: u32,
-    },
-    /// Whole-graph access (snapshots, windows, temporal graphs).
-    Global,
-    /// A label/type-constrained pattern scan with a known estimate.
-    Cardinality(u64),
-}
-
 /// Cardinality-driven planner.
 pub struct Planner {
     threshold: f64,
@@ -42,7 +32,9 @@ pub struct Planner {
 impl Planner {
     /// A planner with the paper's 30 % threshold.
     pub fn new() -> Self {
-        Planner { threshold: 0.3 }
+        Planner {
+            threshold: THRESHOLD,
+        }
     }
 
     /// A planner with a custom threshold (ablation experiments).
@@ -55,25 +47,33 @@ impl Planner {
         self.threshold
     }
 
-    /// Estimates the accessed fraction of the graph for `pattern`.
-    pub fn estimate_fraction(&self, stats: &Statistics, pattern: AccessPattern) -> f64 {
-        match pattern {
-            AccessPattern::Point => {
-                let total = (stats.node_count() + stats.rel_count()).max(1);
-                1.0 / total as f64
-            }
-            AccessPattern::Expand { seeds, hops } => stats.estimate_expand_fraction(seeds, hops),
-            AccessPattern::Global => 1.0,
-            AccessPattern::Cardinality(rows) => {
-                let total = (stats.node_count() + stats.rel_count()).max(1);
-                (rows as f64 / total as f64).min(1.0)
+    /// Estimated fraction of `graph` touched by an `hops`-hop expansion
+    /// from `seeds` start nodes, assuming average branching.
+    pub fn expand_fraction(graph: &Graph, seeds: u64, hops: u32) -> f64 {
+        let (nodes, rels) = (graph.node_count() as u64, graph.rel_count() as u64);
+        if nodes == 0 {
+            return 0.0;
+        }
+        let entities = (nodes + rels) as f64;
+        let d = rels as f64 / nodes as f64;
+        // Reached nodes ≈ seeds · (1 + d + d² + … + d^hops), capped.
+        let mut reached = seeds as f64;
+        let mut frontier = seeds as f64;
+        for _ in 0..hops {
+            frontier *= d.max(0.0);
+            reached += frontier;
+            if reached >= entities {
+                return 1.0;
             }
         }
+        // Each reached node also touches ~d relationships.
+        ((reached * (1.0 + d)) / entities).min(1.0)
     }
 
-    /// Picks the store for `pattern`.
-    pub fn choose(&self, stats: &Statistics, pattern: AccessPattern) -> StoreChoice {
-        if self.estimate_fraction(stats, pattern) < self.threshold {
+    /// Picks the store for an `hops`-hop expansion from `seeds` start
+    /// nodes over `graph`.
+    pub fn choose(&self, graph: &Graph, seeds: u64, hops: u32) -> StoreChoice {
+        if Self::expand_fraction(graph, seeds, hops) < self.threshold {
             StoreChoice::Lineage
         } else {
             StoreChoice::Time
@@ -92,87 +92,68 @@ mod tests {
     use super::*;
     use lpg::{NodeId, RelId, Update};
 
-    fn stats_with(nodes: u64, rels: u64) -> Statistics {
-        let s = Statistics::new();
-        let mut batch = Vec::new();
+    /// `nodes` nodes on a ring carrying `rels` relationships.
+    fn graph_with(nodes: u64, rels: u64) -> Graph {
+        let mut g = Graph::new();
         for i in 0..nodes {
-            batch.push(Update::AddNode {
+            g.apply(&Update::AddNode {
                 id: NodeId::new(i),
                 labels: vec![],
                 props: vec![],
-            });
+            })
+            .unwrap();
         }
         for i in 0..rels {
-            batch.push(Update::AddRel {
+            g.apply(&Update::AddRel {
                 id: RelId::new(i),
                 src: NodeId::new(i % nodes),
                 tgt: NodeId::new((i + 1) % nodes),
                 label: None,
                 props: vec![],
-            });
+            })
+            .unwrap();
         }
-        s.record_commit(&batch, |_| &[]);
-        s
+        g
     }
 
     #[test]
-    fn point_queries_use_lineage() {
-        let s = stats_with(1_000, 5_000);
-        let p = Planner::new();
-        assert_eq!(p.choose(&s, AccessPattern::Point), StoreChoice::Lineage);
+    fn expand_fraction_grows_with_hops() {
+        // Average degree 3.
+        let g = graph_with(100, 300);
+        let f1 = Planner::expand_fraction(&g, 1, 1);
+        let f2 = Planner::expand_fraction(&g, 1, 2);
+        let f8 = Planner::expand_fraction(&g, 1, 8);
+        assert!(f1 < f2 && f2 < f8);
+        assert!(f1 > 0.0);
+        assert_eq!(f8, 1.0, "degree 3, 8 hops saturates 100 nodes");
     }
 
     #[test]
-    fn global_queries_use_timestore() {
-        let s = stats_with(1_000, 5_000);
-        let p = Planner::new();
-        assert_eq!(p.choose(&s, AccessPattern::Global), StoreChoice::Time);
+    fn empty_graph_is_safe() {
+        assert_eq!(Planner::expand_fraction(&Graph::new(), 1, 4), 0.0);
+        assert_eq!(
+            Planner::new().choose(&Graph::new(), 1, 4),
+            StoreChoice::Lineage
+        );
     }
 
     #[test]
     fn expand_crosses_threshold_with_hops() {
         // Average degree 5: 1 hop touches a sliver, 8 hops everything.
-        let s = stats_with(10_000, 50_000);
+        let g = graph_with(1_000, 5_000);
         let p = Planner::new();
-        assert_eq!(
-            p.choose(&s, AccessPattern::Expand { seeds: 1, hops: 1 }),
-            StoreChoice::Lineage
-        );
-        assert_eq!(
-            p.choose(&s, AccessPattern::Expand { seeds: 1, hops: 8 }),
-            StoreChoice::Time
-        );
+        assert_eq!(p.choose(&g, 1, 1), StoreChoice::Lineage);
+        assert_eq!(p.choose(&g, 1, 8), StoreChoice::Time);
         // The flip happens at some hop count in between.
-        let mut flipped = None;
-        for hops in 1..=8 {
-            if p.choose(&s, AccessPattern::Expand { seeds: 1, hops }) == StoreChoice::Time {
-                flipped = Some(hops);
-                break;
-            }
-        }
-        assert!(flipped.is_some());
-    }
-
-    #[test]
-    fn cardinality_pattern_scales() {
-        let s = stats_with(1_000, 1_000);
-        let p = Planner::new();
-        assert_eq!(
-            p.choose(&s, AccessPattern::Cardinality(10)),
-            StoreChoice::Lineage
-        );
-        assert_eq!(
-            p.choose(&s, AccessPattern::Cardinality(1_500)),
-            StoreChoice::Time
-        );
+        assert!((1..=8).any(|hops| p.choose(&g, 1, hops) == StoreChoice::Time));
     }
 
     #[test]
     fn custom_threshold() {
-        let s = stats_with(100, 100);
+        let g = graph_with(100, 100);
         let p = Planner::with_threshold(0.0);
         // Everything at or above 0 goes to TimeStore.
-        assert_eq!(p.choose(&s, AccessPattern::Point), StoreChoice::Time);
+        assert_eq!(p.choose(&g, 1, 1), StoreChoice::Time);
         assert_eq!(p.threshold(), 0.0);
     }
 }

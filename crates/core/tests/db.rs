@@ -129,20 +129,10 @@ fn planner_routes_small_and_large_expansions() {
     let ts = seed(&db, 50);
     let last = *ts.last().unwrap();
     db.lineage_barrier(last);
-    let stats = db.statistics();
+    let latest = db.latest_graph();
     // Ring of degree 1: 1 hop is tiny, 50 hops covers everything.
-    assert_eq!(
-        db.planner().choose(
-            stats,
-            aion::planner::AccessPattern::Expand { seeds: 1, hops: 1 }
-        ),
-        StoreChoice::Lineage
-    );
-    assert_eq!(
-        db.planner()
-            .choose(stats, aion::planner::AccessPattern::Global),
-        StoreChoice::Time
-    );
+    assert_eq!(db.planner().choose(&latest, 1, 1), StoreChoice::Lineage);
+    assert_eq!(db.planner().choose(&latest, 1, 50), StoreChoice::Time);
     // Both expansion paths agree on results.
     let via_lineage = db
         .lineagestore()

@@ -55,10 +55,6 @@ pub struct AuditReport {
     pub fill: Vec<(&'static str, TreeFill)>,
 }
 
-fn storage_err(e: std::io::Error) -> lpg::GraphError {
-    lpg::GraphError::Storage(e.to_string())
-}
-
 /// Whether `body` belongs in the node history index.
 fn is_node_body(body: &RecordBody) -> bool {
     matches!(
@@ -92,7 +88,7 @@ impl LineageStore {
             ("out-neighbours", "out-neighbours/structure", &self.out_n),
             ("in-neighbours", "in-neighbours/structure", &self.in_n),
         ] {
-            let report = tree.verify().map_err(storage_err)?;
+            let report = tree.verify()?;
             for v in &report.violations {
                 findings.push(AuditFinding {
                     check,
@@ -102,11 +98,7 @@ impl LineageStore {
             fill.push((name, report.fill()));
             reachable.extend(report.reachable.iter().copied());
         }
-        for problem in self
-            .store
-            .reconcile_free_list(&reachable)
-            .map_err(storage_err)?
-        {
+        for problem in self.store.reconcile_free_list(&reachable)? {
             findings.push(AuditFinding {
                 check: "pages/accounting",
                 detail: problem,
@@ -130,8 +122,8 @@ impl LineageStore {
     ) -> Result<()> {
         // (entity id, ts, entry) of the previous record.
         let mut prev: Option<(u64, u64, LineageEntry)> = None;
-        for item in tree.scan(&[], &[]).map_err(storage_err)? {
-            let (key, value) = item.map_err(storage_err)?;
+        for item in tree.scan(&[], &[])? {
+            let (key, value) = item?;
             let Some((id, ts)) = keys::decode_entity_ts_key(&key) else {
                 findings.push(AuditFinding {
                     check: "chain/key",
@@ -238,8 +230,8 @@ impl LineageStore {
             (&self.out_n, &mut out_set, false, "out-neighbours"),
             (&self.in_n, &mut in_set, true, "in-neighbours"),
         ] {
-            for item in tree.scan(&[], &[]).map_err(storage_err)? {
-                let (key, value) = item.map_err(storage_err)?;
+            for item in tree.scan(&[], &[])? {
+                let (key, value) = item?;
                 let Some((a, b, rel, ts)) = keys::decode_neigh_key(&key) else {
                     findings.push(AuditFinding {
                         check: "neighbours/key",

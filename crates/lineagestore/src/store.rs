@@ -99,7 +99,7 @@ impl LineageStore {
             config.cache_pages,
             config.verify_pages,
         )?);
-        let open_tree = |slot| BTree::open(store.clone(), slot).map_err(io_err);
+        let open_tree = |slot| BTree::open(store.clone(), slot);
         Ok(LineageStore {
             nodes: open_tree(SLOT_NODES)?,
             rels: open_tree(SLOT_RELS)?,
@@ -224,8 +224,7 @@ impl LineageStore {
 
     fn put_full(&self, tree: &BTree, id: u64, ts: Timestamp, body: RecordBody) -> Result<()> {
         let entry = LineageEntry::full(ts, body);
-        tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())
-            .map_err(io_err)
+        Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?)
     }
 
     /// Records that `rel` joined (or, `deleted`, left) the neighbourhoods
@@ -241,11 +240,10 @@ impl LineageStore {
     ) -> Result<()> {
         let value = [u8::from(deleted)];
         self.out_n
-            .insert(&keys::neigh_key(src, tgt, rel, ts), &value)
-            .map_err(io_err)?;
-        self.in_n
-            .insert(&keys::neigh_key(tgt, src, rel, ts), &value)
-            .map_err(io_err)
+            .insert(&keys::neigh_key(src, tgt, rel, ts), &value)?;
+        Ok(self
+            .in_n
+            .insert(&keys::neigh_key(tgt, src, rel, ts), &value)?)
     }
 
     fn put_delta(
@@ -314,9 +312,7 @@ impl LineageStore {
                 pos: prev_entry.pos,
                 body: merged,
             };
-            return tree
-                .insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())
-                .map_err(io_err);
+            return Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?);
         }
         let next_pos = prev_entry.pos + 1;
         let materialize = self.threshold.is_some_and(|k| next_pos >= k);
@@ -358,8 +354,7 @@ impl LineageStore {
         } else {
             self.stats.lock().deltas += 1;
             let entry = LineageEntry::delta(prev_entry.base_ts, next_pos, body_of(delta));
-            tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())
-                .map_err(io_err)
+            Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?)
         }
     }
 
@@ -372,10 +367,7 @@ impl LineageStore {
         id: u64,
         ts: Timestamp,
     ) -> Result<Option<(Timestamp, LineageEntry)>> {
-        let Some((key, value)) = tree
-            .seek_floor(&keys::entity_ts_key(id, ts))
-            .map_err(io_err)?
-        else {
+        let Some((key, value)) = tree.seek_floor(&keys::entity_ts_key(id, ts))? else {
             return Ok(None);
         };
         let (kid, kts) = keys::decode_entity_ts_key(&key)
@@ -404,8 +396,8 @@ impl LineageStore {
         let low = keys::entity_ts_key(id, entry.base_ts);
         let high = keys::entity_ts_key(id, at_ts.saturating_add(1));
         let mut current: Option<RecordBody> = None;
-        for item in tree.scan(&low, &high).map_err(io_err)? {
-            let (_, value) = item.map_err(io_err)?;
+        for item in tree.scan(&low, &high)? {
+            let (_, value) = item?;
             let e = LineageEntry::from_bytes(&value)
                 .ok_or_else(|| GraphError::Storage("bad lineage entry".into()))?;
             current = Some(apply_entry(current, e.body, id)?);
@@ -513,8 +505,8 @@ impl LineageStore {
         // Forward entries inside the window.
         let low = keys::entity_ts_key(id, start.saturating_add(1));
         let high = keys::entity_ts_key(id, end);
-        for item in tree.scan(&low, &high).map_err(io_err)? {
-            let (key, value) = item.map_err(io_err)?;
+        for item in tree.scan(&low, &high)? {
+            let (key, value) = item?;
             let (_, ts) = keys::decode_entity_ts_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             let entry = LineageEntry::from_bytes(&value)
@@ -594,8 +586,8 @@ impl LineageStore {
     ) -> Result<()> {
         let (low, high) = keys::neigh_range(anchor);
         let mut current: Option<(RelId, bool)> = None; // (rel, alive)
-        for item in tree.scan(&low, &high).map_err(io_err)? {
-            let (key, value) = item.map_err(io_err)?;
+        for item in tree.scan(&low, &high)? {
+            let (key, value) = item?;
             let (_, _, rel, ets) = keys::decode_neigh_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
             let deleted = neighbour_deleted(&value)
@@ -637,8 +629,8 @@ impl LineageStore {
         let mut rel_ids = Vec::new();
         let collect = |tree: &BTree, out: &mut Vec<RelId>| -> Result<()> {
             let (low, high) = keys::neigh_range(node);
-            for item in tree.scan(&low, &high).map_err(io_err)? {
-                let (key, _) = item.map_err(io_err)?;
+            for item in tree.scan(&low, &high)? {
+                let (key, _) = item?;
                 let (_, _, rel, _) = keys::decode_neigh_key(&key)
                     .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
                 out.push(rel);
@@ -668,8 +660,8 @@ impl LineageStore {
     /// Every node id that ever existed (full index scan).
     pub fn all_node_ids(&self) -> Result<Vec<NodeId>> {
         let mut out = Vec::new();
-        for item in self.nodes.scan(&[], &[]).map_err(io_err)? {
-            let (key, _) = item.map_err(io_err)?;
+        for item in self.nodes.scan(&[], &[])? {
+            let (key, _) = item?;
             let (id, _) = keys::decode_entity_ts_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             if out.last() != Some(&NodeId::new(id)) {
@@ -697,8 +689,8 @@ impl LineageStore {
         }
         let mut last: Option<RelId> = None;
         let mut rel_ids = Vec::new();
-        for item in self.rels.scan(&[], &[]).map_err(io_err)? {
-            let (key, _) = item.map_err(io_err)?;
+        for item in self.rels.scan(&[], &[])? {
+            let (key, _) = item?;
             let (id, _) = keys::decode_entity_ts_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             if last != Some(RelId::new(id)) {
@@ -771,8 +763,4 @@ pub(crate) fn neighbour_deleted(value: &[u8]) -> Option<bool> {
         [1] => Some(true),
         _ => None,
     }
-}
-
-fn io_err(e: std::io::Error) -> GraphError {
-    GraphError::Storage(e.to_string())
 }

@@ -43,7 +43,7 @@ impl Iterator for NodeIdScan {
         loop {
             let key = match self.keys.next()? {
                 Ok(k) => k,
-                Err(e) => return Some(Err(GraphError::Storage(e.to_string()))),
+                Err(e) => return Some(Err(e.into())),
             };
             self.entries_touched.inc();
             let Some((id, _ts)) = keys::decode_entity_ts_key(&key) else {
@@ -75,10 +75,7 @@ impl LineageStore {
             },
             None => Vec::new(),
         };
-        let scan = self
-            .nodes
-            .scan_keys(&low, &[])
-            .map_err(|e| GraphError::Storage(e.to_string()))?;
+        let scan = self.nodes.scan_keys(&low, &[])?;
         Ok(NodeIdScan::new(scan, after))
     }
 }

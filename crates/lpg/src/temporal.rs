@@ -156,15 +156,6 @@ impl TemporalGraph {
         self.nodes.values().map(Vec::len).sum::<usize>()
             + self.rels.values().map(Vec::len).sum::<usize>()
     }
-
-    /// Relationship versions overlapping `iv`, for temporal path algorithms
-    /// (Fig. 2).
-    pub fn rels_overlapping(&self, iv: Interval) -> Vec<&Version<Relationship>> {
-        self.rels
-            .values()
-            .flat_map(|c| c.iter().filter(|v| v.valid.overlaps(&iv)))
-            .collect()
-    }
 }
 
 fn close_version<T>(chain: Option<&mut Vec<Version<T>>>, ts: Timestamp) {
@@ -294,38 +285,5 @@ mod tests {
         assert_eq!(chain[0].valid, Interval::new(1, 3));
         assert_eq!(chain[1].valid, Interval::new(7, 10));
         assert!(crate::entity::versions_well_formed(chain));
-    }
-
-    #[test]
-    fn rels_overlapping_filters_by_interval() {
-        let base = Graph::new();
-        let updates = vec![
-            tu(1, add_node(1)),
-            tu(
-                2,
-                Update::AddRel {
-                    id: rid(1),
-                    src: nid(1),
-                    tgt: nid(1),
-                    label: None,
-                    props: vec![],
-                },
-            ),
-            tu(4, Update::DeleteRel { id: rid(1) }),
-            tu(
-                6,
-                Update::AddRel {
-                    id: rid(2),
-                    src: nid(1),
-                    tgt: nid(1),
-                    label: None,
-                    props: vec![],
-                },
-            ),
-        ];
-        let tg = TemporalGraph::build(&base, Interval::new(0, 10), &updates);
-        assert_eq!(tg.rels_overlapping(Interval::new(2, 4)).len(), 1);
-        assert_eq!(tg.rels_overlapping(Interval::new(0, 10)).len(), 2);
-        assert_eq!(tg.rels_overlapping(Interval::new(4, 6)).len(), 0);
     }
 }

@@ -23,13 +23,13 @@
 //! `chaos-soak` job), but lives in the library so the same storm can be
 //! pointed at a long-running server from `examples/` or a bench driver.
 
-use crate::rng::SplitMix64;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use vfs::SplitMix64;
 
 /// Fault plan for a [`ChaosProxy`]; probabilities are per forwarded
 /// chunk and independent.

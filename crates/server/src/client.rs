@@ -21,11 +21,11 @@
 use crate::protocol::{
     decode_response, encode_request, write_frame, ErrorCode, FrameReader, Request, Response,
 };
-use crate::rng::SplitMix64;
 use query::{QueryResult, Value};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
+use vfs::SplitMix64;
 
 /// Tunable resilience knobs for one [`Client`].
 #[derive(Clone, Debug)]

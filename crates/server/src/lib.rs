@@ -25,7 +25,6 @@
 pub mod chaos;
 pub mod client;
 pub mod protocol;
-mod rng;
 pub mod routing;
 pub mod server;
 pub mod workers;

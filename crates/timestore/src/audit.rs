@@ -51,10 +51,6 @@ pub struct AuditReport {
     pub fill: Vec<(&'static str, TreeFill)>,
 }
 
-pub(crate) fn storage_err(e: std::io::Error) -> lpg::GraphError {
-    lpg::GraphError::Storage(e.to_string())
-}
-
 impl TimeStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
     /// every violation found (empty = consistent) and each index's fill.
@@ -74,7 +70,7 @@ impl TimeStore {
                 &self.snap_index,
             ),
         ] {
-            let report = tree.verify().map_err(storage_err)?;
+            let report = tree.verify()?;
             for v in &report.violations {
                 findings.push(AuditFinding {
                     check,
@@ -84,11 +80,7 @@ impl TimeStore {
             fill.push((name, report.fill()));
             reachable.extend(report.reachable.iter().copied());
         }
-        for problem in self
-            .index_store
-            .reconcile_free_list(&reachable)
-            .map_err(storage_err)?
-        {
+        for problem in self.index_store.reconcile_free_list(&reachable)? {
             findings.push(AuditFinding {
                 check: "index-pages/accounting",
                 detail: problem,
@@ -101,8 +93,8 @@ impl TimeStore {
         // Deep pass: time index ↔ log agreement.
         let mut indexed_offsets = BTreeSet::new();
         let mut prev: Option<(u64, u64)> = None; // (ts, offset)
-        for item in self.time_index.scan(&[], &[]).map_err(storage_err)? {
-            let (key, value) = item.map_err(storage_err)?;
+        for item in self.time_index.scan(&[], &[])? {
+            let (key, value) = item?;
             let Some(ts) = keys::decode_ts_key(&key) else {
                 findings.push(AuditFinding {
                     check: "time-index/key",
@@ -159,8 +151,8 @@ impl TimeStore {
         // must reproduce the live graph; snapshots are compared against the
         // running replay as it passes their timestamps.
         let mut snaps: Vec<(u64, String)> = Vec::new();
-        for item in self.snap_index.scan(&[], &[]).map_err(storage_err)? {
-            let (key, value) = item.map_err(storage_err)?;
+        for item in self.snap_index.scan(&[], &[])? {
+            let (key, value) = item?;
             let Some(ts) = keys::decode_ts_key(&key) else {
                 findings.push(AuditFinding {
                     check: "snapshot-index/key",

@@ -30,10 +30,6 @@ pub struct TimeStoreConfig {
     /// File system every file of the store is opened on. Defaults to the
     /// production `StdVfs`; the crash harness passes a `SimVfs`.
     pub vfs: VfsRef,
-    /// Verify the index page file against its checksum sidecar at open.
-    /// On mismatch (a crash tore un-synced index pages) the index is
-    /// wiped and rebuilt from the log. Defaults to `true`.
-    pub verify_index_pages: bool,
 }
 
 impl Default for TimeStoreConfig {
@@ -43,7 +39,6 @@ impl Default for TimeStoreConfig {
             policy: SnapshotPolicy::default(),
             graphstore_bytes: 256 << 20,
             vfs: VfsRef::std(),
-            verify_index_pages: true,
         }
     }
 }
@@ -186,7 +181,7 @@ impl TimeStore {
         let dir = dir.as_ref();
         config.vfs.create_dir_all(dir)?;
         config.vfs.create_dir_all(&dir.join("snapshots"))?;
-        match Self::try_open(dir, &config, config.verify_index_pages, false) {
+        match Self::try_open(dir, &config, true, false) {
             Ok(store) => Ok(store),
             // Corruption below the durable log end is diagnosed against a
             // checksum-verified index: real damage, not a crash artifact.
@@ -220,10 +215,8 @@ impl TimeStore {
             config.cache_pages,
             verify,
         )?);
-        let time_index = BTree::open(index_store.clone(), SLOT_TIME_INDEX)
-            .map_err(|e| GraphError::Storage(e.to_string()))?;
-        let snap_index = BTree::open(index_store.clone(), SLOT_SNAP_INDEX)
-            .map_err(|e| GraphError::Storage(e.to_string()))?;
+        let time_index = BTree::open(index_store.clone(), SLOT_TIME_INDEX)?;
+        let snap_index = BTree::open(index_store.clone(), SLOT_SNAP_INDEX)?;
         // The durable-end marker is only trustworthy when the index file
         // verified against its checksum sidecar (i.e. is exactly the image
         // of its last successful sync); otherwise fall back to
@@ -269,11 +262,7 @@ impl TimeStore {
     fn recover(&self) -> Result<()> {
         // Find the highest indexed (ts, offset).
         let mut last_indexed_offset: Option<u64> = None;
-        if let Some((_, v)) = self
-            .time_index
-            .seek_floor(&keys::ts_key(TS_MAX))
-            .map_err(storage_err)?
-        {
+        if let Some((_, v)) = self.time_index.seek_floor(&keys::ts_key(TS_MAX))? {
             last_indexed_offset = Some(decode_u64(&v)?);
         }
         // Scan the log from the last indexed frame (or the start).
@@ -287,8 +276,7 @@ impl TimeStore {
         for entry in self.log.iter_from(scan_from) {
             let entry = entry?;
             self.time_index
-                .insert(&keys::ts_key(entry.frame.ts), &entry.offset.to_le_bytes())
-                .map_err(storage_err)?;
+                .insert(&keys::ts_key(entry.frame.ts), &entry.offset.to_le_bytes())?;
         }
         // Count stats and rebuild the latest graph from the best snapshot.
         let mut state = self.state.lock();
@@ -333,27 +321,22 @@ impl TimeStore {
             valid.insert(sts);
             state.snapshot_bytes += bytes.len() as u64;
             state.snapshot_count += 1;
-            if !self
-                .snap_index
-                .contains(&keys::ts_key(sts))
-                .map_err(storage_err)?
-            {
+            if !self.snap_index.contains(&keys::ts_key(sts))? {
                 self.snap_index
-                    .insert(&keys::ts_key(sts), name.as_bytes())
-                    .map_err(storage_err)?;
+                    .insert(&keys::ts_key(sts), name.as_bytes())?;
             }
             floor = Some((manifest, bytes));
         }
         let mut stale = Vec::new();
-        for item in self.snap_index.scan(&[], &[]).map_err(storage_err)? {
-            let (key, _) = item.map_err(storage_err)?;
+        for item in self.snap_index.scan(&[], &[])? {
+            let (key, _) = item?;
             match keys::decode_ts_key(&key) {
                 Some(sts) if valid.contains(&sts) => {}
                 _ => stale.push(key),
             }
         }
         for key in stale {
-            self.snap_index.remove(&key).map_err(storage_err)?;
+            self.snap_index.remove(&key)?;
         }
         state.last_snapshot_ts = 0;
         drop(state);
@@ -486,8 +469,7 @@ impl TimeStore {
         // version at `latest_ts()` finds every commit up to it.
         let indexed = self
             .time_index
-            .insert(&keys::ts_key(ts), &offset.to_le_bytes())
-            .map_err(storage_err);
+            .insert(&keys::ts_key(ts), &offset.to_le_bytes());
         // Returns whether a snapshot is due.
         let publish = || {
             let mut state = self.state.lock();
@@ -504,7 +486,7 @@ impl TimeStore {
             Ok(()) => self.graphstore.apply_commit(ts, updates, publish)?,
             Err(e) => {
                 publish();
-                return Err(e);
+                return Err(e.into());
             }
         };
         if should_snapshot {
@@ -555,9 +537,7 @@ impl TimeStore {
         file.write_all_at(&bytes, 0)?;
         file.sync_data()?;
         drop(file);
-        self.snap_index
-            .insert(&keys::ts_key(ts), name.as_bytes())
-            .map_err(storage_err)?;
+        self.snap_index.insert(&keys::ts_key(ts), name.as_bytes())?;
         // Only a snapshot that made it becomes what the next one references;
         // a failure above leaves the chain as it was.
         {
@@ -599,10 +579,9 @@ impl TimeStore {
         let mut out = Vec::new();
         let scan = self
             .time_index
-            .scan(&keys::ts_key(start), &keys::ts_key(end))
-            .map_err(storage_err)?;
+            .scan(&keys::ts_key(start), &keys::ts_key(end))?;
         for entry in scan {
-            let (_, v) = entry.map_err(storage_err)?;
+            let (_, v) = entry?;
             let offset = decode_u64(&v)?;
             let (frame, _) = self.log.read_at(offset)?;
             out.extend(frame.to_updates());
@@ -632,10 +611,7 @@ impl TimeStore {
         self.metrics.graphstore_misses.inc();
         // Best base from memory or disk.
         let mem = self.graphstore.floor(ts);
-        let disk = self
-            .snap_index
-            .seek_floor(&keys::ts_key(ts))
-            .map_err(storage_err)?;
+        let disk = self.snap_index.seek_floor(&keys::ts_key(ts))?;
         let (base_ts, base): (Timestamp, Arc<Graph>) = match (mem, disk) {
             (Some((mts, g)), Some((k, _))) if mts >= decode_ts(&k)? => (mts, g),
             (Some((mts, g)), None) => (mts, g),
@@ -760,20 +736,6 @@ impl TimeStore {
         ))
     }
 
-    /// Per-entity diffs grouped by entity — the `List<Entity>` shape of the
-    /// paper's `getDiff`.
-    pub fn diff_by_entity(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<HashMap<lpg::EntityId, Vec<TimestampedUpdate>>> {
-        let mut map: HashMap<lpg::EntityId, Vec<TimestampedUpdate>> = HashMap::new();
-        for u in self.diff(start, end)? {
-            map.entry(u.op.entity()).or_default().push(u);
-        }
-        Ok(map)
-    }
-
     /// The underlying commit log. Replication tails this directly with
     /// [`ChangeLog::iter_from`]; the log is append-only so concurrent
     /// readers see a consistent prefix.
@@ -821,10 +783,6 @@ impl TimeStore {
     pub fn durable_log_end(&self) -> u64 {
         self.durable_log_end.load(Ordering::Acquire)
     }
-}
-
-fn storage_err(e: std::io::Error) -> GraphError {
-    GraphError::Storage(e.to_string())
 }
 
 fn decode_u64(v: &[u8]) -> Result<u64> {

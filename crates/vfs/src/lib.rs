@@ -11,6 +11,8 @@
 //!   granularity, transient `EIO` / `ENOSPC`, and crash points that
 //!   discard any data not yet fsynced. The crash-consistency simulation
 //!   harness (`tests/sim_crash.rs`) is built on it.
+//! * [`SplitMix64`] — the workspace's one small deterministic RNG, shared
+//!   by the sim disk, the client's retry jitter and the chaos proxy.
 //!
 //! The model deliberately mirrors what a POSIX kernel guarantees — and
 //! nothing more: a `write_all_at` buffers data that only [`VfsFile::sync_data`]
@@ -25,8 +27,10 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+mod rng;
 pub mod sim;
 
+pub use rng::SplitMix64;
 pub use sim::{FaultConfig, SimVfs};
 
 /// An open file: positioned I/O plus explicit durability control.

@@ -28,7 +28,7 @@
 //! immediately (directory fsync is not modelled), and reads always see the
 //! latest written (live) data, like a page cache.
 
-use crate::{Vfs, VfsFile};
+use crate::{SplitMix64, Vfs, VfsFile};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
@@ -102,7 +102,7 @@ fn apply_set_len(img: &mut Vec<u8>, len: u64) {
 struct State {
     files: BTreeMap<PathBuf, SimFile>,
     fault: FaultConfig,
-    rng: u64,
+    rng: SplitMix64,
     ops: u64,
     crashed: bool,
     crashes: u64,
@@ -110,19 +110,6 @@ struct State {
 }
 
 impl State {
-    /// splitmix64 step.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// The crash lottery: fold each file's pending operations into its
     /// durable image, each torn-granularity chunk surviving independently.
     fn crash(&mut self) {
@@ -140,14 +127,14 @@ impl State {
                         let mut pos = 0usize;
                         while pos < data.len() {
                             let end = (pos + granularity).min(data.len());
-                            if self.next_f64() < survive {
+                            if self.rng.next_f64() < survive {
                                 apply_write(&mut durable, offset + pos as u64, &data[pos..end]);
                             }
                             pos = end;
                         }
                     }
                     Pending::SetLen(len) => {
-                        if self.next_f64() < survive {
+                        if self.rng.next_f64() < survive {
                             apply_set_len(&mut durable, *len);
                         }
                     }
@@ -175,7 +162,7 @@ impl State {
         if self.fault.crash_at_op == Some(op) {
             return Ok(true);
         }
-        if self.fault.io_error_rate > 0.0 && self.next_f64() < self.fault.io_error_rate {
+        if self.fault.io_error_rate > 0.0 && self.rng.next_f64() < self.fault.io_error_rate {
             self.enospc_next = !self.enospc_next;
             let msg = if self.enospc_next {
                 "sim: injected ENOSPC"
@@ -226,7 +213,7 @@ impl SimVfs {
             state: Arc::new(Mutex::new(State {
                 files: BTreeMap::new(),
                 fault,
-                rng: seed,
+                rng: SplitMix64::new(seed),
                 ops: 0,
                 crashed: false,
                 crashes: 0,

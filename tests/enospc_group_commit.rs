@@ -1,13 +1,18 @@
-//! Out-of-space during group commit (DESIGN.md §15): when every
-//! mutating VFS operation fails with transient `ENOSPC`/`EIO`, the
-//! group-commit log writer must degrade to **clean typed rejections** —
-//! each writer gets an error naming the injected fault, nothing is
-//! acked, nothing wedges — and recover to full service the moment space
-//! returns, with no residue from the rejected commits.
+//! Faults during group commit (DESIGN.md §15).
+//!
+//! * When every mutating VFS operation fails with transient
+//!   `ENOSPC`/`EIO`, the group-commit log writer must degrade to **clean
+//!   typed rejections** — each writer gets an error naming the injected
+//!   fault, nothing is acked, nothing wedges — and recover to full service
+//!   the moment space returns, with no residue from the rejected commits.
+//! * When a commit fails after its frame reached the log, its durability
+//!   is uncertain: the LineageStore wedges, and that must be visible to
+//!   `lineage_wedged()` and end `lineage_barrier()` instead of leaving it
+//!   waiting for a watermark that will not move.
 
 use aion::{Aion, AionConfig, CheckLevel};
 use lpg::NodeId;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use vfs::{FaultConfig, SimVfs, VfsRef};
 
@@ -114,4 +119,45 @@ fn enospc_during_group_commit_rejects_cleanly_and_recovers() {
     assert_eq!(db.latest_ts(), healthy_ts + 10);
     let report = db.check_consistency(CheckLevel::Full).unwrap();
     assert!(report.is_clean(), "audit dirty after reopen: {report:?}");
+}
+
+#[test]
+fn uncertain_commit_wedges_the_cascade_visibly() {
+    let sim = SimVfs::new(78);
+    let db = Arc::new(Aion::open(config(&sim)).unwrap());
+    for id in 1..=10 {
+        create(&db, id).unwrap();
+    }
+
+    // Transient faults until a commit fails after its frame reached the
+    // log (its timestamp is published): durability uncertain.
+    sim.arm(FaultConfig {
+        io_error_rate: 0.2,
+        ..FaultConfig::none()
+    });
+    let mut id = 100;
+    loop {
+        let before = db.latest_ts();
+        let failed = create(&db, id).is_err();
+        id += 1;
+        if failed && db.latest_ts() > before {
+            break;
+        }
+        assert!(id < 10_000, "no commit failed after reaching the log");
+    }
+
+    // The disk heals; a later commit is acked, but the LineageStore must
+    // not advance past the hole the uncertain commit left.
+    sim.arm(FaultConfig::none());
+    create(&db, id).unwrap();
+    let (tx, rx) = mpsc::channel();
+    let waiter = db.clone();
+    let barrier = std::thread::spawn(move || {
+        waiter.lineage_barrier(waiter.latest_ts());
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("lineage_barrier must return once the LineageStore is wedged");
+    barrier.join().expect("the barrier thread must not panic");
+    assert!(db.lineage_wedged());
 }
