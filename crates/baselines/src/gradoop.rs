@@ -9,8 +9,7 @@
 //! time" (Sec. 6.2).
 
 use crate::TemporalBackend;
-use lpg::{prop_remove, prop_set};
-use lpg::{Graph, NodeId, RelId, Relationship, Timestamp, Update, TS_MAX};
+use lpg::{Graph, Node, NodeId, RelId, Relationship, Timestamp, Update, TS_MAX};
 use std::collections::HashSet;
 
 /// One temporal node row.
@@ -19,8 +18,8 @@ struct NodeRow {
     id: NodeId,
     from: Timestamp,
     to: Timestamp,
-    labels: Vec<lpg::StrId>,
-    props: lpg::Props,
+    labels: lpg::LabelSet,
+    props: lpg::PropBag,
 }
 
 /// One temporal relationship row.
@@ -32,7 +31,7 @@ struct RelRow {
     src: NodeId,
     tgt: NodeId,
     label: Option<lpg::StrId>,
-    props: lpg::Props,
+    props: lpg::PropBag,
 }
 
 /// The model-based store: append-only temporal tables.
@@ -125,8 +124,8 @@ impl TemporalBackend for GradoopLike {
                 id: *id,
                 from: ts,
                 to: TS_MAX,
-                labels: labels.clone(),
-                props: props.clone(),
+                labels: labels.clone().into(),
+                props: props.clone().into(),
             }),
             Update::DeleteNode { id } => self.close_node(*id, ts),
             Update::AddRel {
@@ -142,30 +141,26 @@ impl TemporalBackend for GradoopLike {
                 src: *src,
                 tgt: *tgt,
                 label: *label,
-                props: props.clone(),
+                props: props.clone().into(),
             }),
             Update::DeleteRel { id } => self.close_rel(*id, ts),
             Update::SetNodeProp { id, key, value } => self.reversion_node(*id, ts, |row| {
-                prop_set(&mut row.props, *key, value.clone());
+                row.props.set(*key, value.clone());
             }),
             Update::RemoveNodeProp { id, key } => self.reversion_node(*id, ts, |row| {
-                prop_remove(&mut row.props, *key);
+                row.props.remove(*key);
             }),
             Update::AddLabel { id, label } => self.reversion_node(*id, ts, |row| {
-                if let Err(i) = row.labels.binary_search(label) {
-                    row.labels.insert(i, *label);
-                }
+                row.labels.insert(*label);
             }),
             Update::RemoveLabel { id, label } => self.reversion_node(*id, ts, |row| {
-                if let Ok(i) = row.labels.binary_search(label) {
-                    row.labels.remove(i);
-                }
+                row.labels.remove(*label);
             }),
             Update::SetRelProp { id, key, value } => self.reversion_rel(*id, ts, |row| {
-                prop_set(&mut row.props, *key, value.clone());
+                row.props.set(*key, value.clone());
             }),
             Update::RemoveRelProp { id, key } => self.reversion_rel(*id, ts, |row| {
-                prop_remove(&mut row.props, *key);
+                row.props.remove(*key);
             }),
         }
     }
@@ -188,8 +183,13 @@ impl TemporalBackend for GradoopLike {
             .nodes
             .iter()
             .any(|n| n.id == row.tgt && n.from <= ts && ts < n.to);
-        (src_ok && tgt_ok)
-            .then(|| Relationship::new(row.id, row.src, row.tgt, row.label, row.props.clone()))
+        (src_ok && tgt_ok).then(|| Relationship {
+            id: row.id,
+            src: row.src,
+            tgt: row.tgt,
+            label: row.label,
+            props: row.props.clone(),
+        })
     }
 
     fn snapshot_at(&self, ts: Timestamp) -> Graph {
@@ -225,7 +225,7 @@ impl TemporalBackend for GradoopLike {
         // Materialize.
         let mut g = Graph::new();
         for n in valid_nodes {
-            g.apply(&Update::AddNode {
+            g.insert_node(Node {
                 id: n.id,
                 labels: n.labels.clone(),
                 props: n.props.clone(),
@@ -233,7 +233,7 @@ impl TemporalBackend for GradoopLike {
             .expect("node rows are disjoint");
         }
         for r in joined {
-            g.apply(&Update::AddRel {
+            g.insert_rel(Relationship {
                 id: r.id,
                 src: r.src,
                 tgt: r.tgt,

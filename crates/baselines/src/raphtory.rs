@@ -14,7 +14,6 @@
 //! WikiTalk for this reason).
 
 use crate::TemporalBackend;
-use lpg::{prop_remove, prop_set};
 use lpg::{Graph, Node, NodeId, RelId, Relationship, Timestamp, Update};
 use std::collections::HashMap;
 
@@ -102,26 +101,22 @@ impl RaphtoryLike {
                 NodeEvent::Deleted => node = None,
                 NodeEvent::SetProp(k, v) => {
                     if let Some(n) = &mut node {
-                        prop_set(&mut n.props, *k, v.clone());
+                        n.props.set(*k, v.clone());
                     }
                 }
                 NodeEvent::RemoveProp(k) => {
                     if let Some(n) = &mut node {
-                        prop_remove(&mut n.props, *k);
+                        n.props.remove(*k);
                     }
                 }
                 NodeEvent::AddLabel(l) => {
                     if let Some(n) = &mut node {
-                        if let Err(i) = n.labels.binary_search(l) {
-                            n.labels.insert(i, *l);
-                        }
+                        n.labels.insert(*l);
                     }
                 }
                 NodeEvent::RemoveLabel(l) => {
                     if let Some(n) = &mut node {
-                        if let Ok(i) = n.labels.binary_search(l) {
-                            n.labels.remove(i);
-                        }
+                        n.labels.remove(*l);
                     }
                 }
             }
@@ -146,12 +141,12 @@ impl RaphtoryLike {
                 RelEvent::Deleted => rel = None,
                 RelEvent::SetProp(k, v) => {
                     if let Some(r) = &mut rel {
-                        prop_set(&mut r.props, *k, v.clone());
+                        r.props.set(*k, v.clone());
                     }
                 }
                 RelEvent::RemoveProp(k) => {
                     if let Some(r) = &mut rel {
-                        prop_remove(&mut r.props, *k);
+                        r.props.remove(*k);
                     }
                 }
             }
@@ -317,25 +312,13 @@ impl TemporalBackend for RaphtoryLike {
         let mut g = Graph::new();
         for &id in self.node_history.keys() {
             if let Some(n) = self.node_state(id, ts) {
-                g.apply(&Update::AddNode {
-                    id,
-                    labels: n.labels,
-                    props: n.props,
-                })
-                .expect("replay is consistent");
+                g.insert_node(n).expect("replay is consistent");
             }
         }
         for &id in self.rel_history.keys() {
             if let Some(r) = self.rel_state(id, ts) {
                 if g.has_node(r.src) && g.has_node(r.tgt) {
-                    g.apply(&Update::AddRel {
-                        id,
-                        src: r.src,
-                        tgt: r.tgt,
-                        label: r.label,
-                        props: r.props,
-                    })
-                    .expect("endpoints checked");
+                    g.insert_rel(r).expect("endpoints checked");
                 }
             }
         }

@@ -123,6 +123,23 @@ fn unslot(page: &mut PageBuf, i: usize) {
     page.write_u16(NCELLS_OFF, (n - 1) as u16);
 }
 
+/// Drops every cell from slot `i` on, leaf or internal (their heap bytes
+/// become garbage until the next [`compact`]). The dropped directory entries
+/// are left holding the last cell's offset, as dropping the cells one
+/// [`unslot`] at a time would leave them, so the page bytes do not depend on
+/// the way the cells were dropped.
+pub fn truncate(page: &mut PageBuf, i: usize) {
+    let n = ncells(page);
+    let Some(last) = n.checked_sub(1).filter(|&last| i <= last) else {
+        return;
+    };
+    let last_off = page.read_u16(SLOTS_OFF + last * 2);
+    for j in i..last {
+        page.write_u16(SLOTS_OFF + j * 2, last_off);
+    }
+    page.write_u16(NCELLS_OFF, i as u16);
+}
+
 // ------------------------------------------------------------------ varints
 
 fn varint_len(mut v: u64) -> usize {
@@ -437,11 +454,6 @@ pub fn internal_insert(page: &mut PageBuf, i: usize, key: &[u8], child: u64) {
     cell[10..].copy_from_slice(key);
 }
 
-/// Removes internal cell `i`.
-pub fn internal_remove(page: &mut PageBuf, i: usize) {
-    unslot(page, i);
-}
-
 // ----------------------------------------------------------------- compaction
 
 /// Heap bytes of the cell at `off`.
@@ -454,20 +466,17 @@ fn cell_len(page: &PageBuf, off: usize, is_leaf: bool) -> usize {
 }
 
 /// Rewrites all live cells contiguously at the end of the page, reclaiming
-/// garbage left by removals and in-place updates.
+/// garbage left by removals and in-place updates. The cells are read from
+/// one copy of the page taken up front.
 pub fn compact(page: &mut PageBuf) {
-    let n = ncells(page);
+    let old = page.clone();
     let is_leaf = node_type(page) == LEAF;
-    let cells: Vec<Vec<u8>> = (0..n)
-        .map(|i| {
-            let off = slot(page, i);
-            page.bytes()[off..off + cell_len(page, off, is_leaf)].to_vec()
-        })
-        .collect();
     let mut pos = PAGE_SIZE;
-    for (i, cell) in cells.iter().enumerate() {
-        pos -= cell.len();
-        page.bytes_mut()[pos..pos + cell.len()].copy_from_slice(cell);
+    for i in 0..ncells(page) {
+        let off = slot(&old, i);
+        let len = cell_len(&old, off, is_leaf);
+        pos -= len;
+        page.bytes_mut()[pos..pos + len].copy_from_slice(&old.bytes()[off..off + len]);
         page.write_u16(SLOTS_OFF + i * 2, pos as u16);
     }
     page.write_u16(DATA_START_OFF, pos as u16);
@@ -487,6 +496,8 @@ pub fn live_bytes(page: &PageBuf) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn leaf_insert_search_remove() {
@@ -532,6 +543,75 @@ mod tests {
         assert_eq!(ncells(&p), 10);
         assert_eq!(leaf_key(&p, 0), &[10u8]);
         assert_eq!(leaf_cell(&p, 9).inline, &val[..]);
+    }
+
+    /// Dropping cells one [`unslot`] at a time, then compacting through one
+    /// `Vec` per live cell: what splits did before [`truncate`] and the
+    /// single-copy [`compact`], kept as the reference they must match.
+    fn drop_and_compact_cell_by_cell(page: &mut PageBuf, from: usize) {
+        while ncells(page) > from {
+            unslot(page, from);
+        }
+        let is_leaf = node_type(page) == LEAF;
+        let cells: Vec<Vec<u8>> = (0..ncells(page))
+            .map(|i| {
+                let off = slot(page, i);
+                page.bytes()[off..off + cell_len(page, off, is_leaf)].to_vec()
+            })
+            .collect();
+        let mut pos = PAGE_SIZE;
+        for (i, cell) in cells.iter().enumerate() {
+            pos -= cell.len();
+            page.bytes_mut()[pos..pos + cell.len()].copy_from_slice(cell);
+            page.write_u16(SLOTS_OFF + i * 2, pos as u16);
+        }
+        page.write_u16(DATA_START_OFF, pos as u16);
+    }
+
+    proptest! {
+        #[test]
+        fn truncate_and_compact_write_the_bytes_the_reference_does(
+            leaf in any::<bool>(),
+            cells in vec((vec(any::<u8>(), 1..40), 0usize..120, any::<bool>(), any::<u64>()), 1..160),
+            holes in vec(any::<usize>(), 0..24),
+            cut in any::<usize>(),
+        ) {
+            let mut page = PageBuf::zeroed();
+            init(&mut page, if leaf { LEAF } else { INTERNAL });
+            for (key, vlen, overflow, word) in &cells {
+                let overflow = leaf && *overflow;
+                let size = if leaf {
+                    leaf_cell_size(key.len(), *vlen, overflow)
+                } else {
+                    internal_cell_size(key.len())
+                };
+                if free_space(&page) < size + 2 {
+                    break;
+                }
+                // Slot order does not matter to the byte layout.
+                let i = (*word as usize) % (ncells(&page) + 1);
+                if !leaf {
+                    internal_insert(&mut page, i, key, *word);
+                } else if overflow {
+                    leaf_insert(&mut page, i, true, key, *vlen as u32, &word.to_le_bytes());
+                } else {
+                    leaf_insert(&mut page, i, false, key, *vlen as u32, &vec![*word as u8; *vlen]);
+                }
+            }
+            // Removed cells leave garbage in the heap for compaction to skip.
+            for hole in holes {
+                let n = ncells(&page);
+                if n > 1 {
+                    unslot(&mut page, hole % n);
+                }
+            }
+            let from = cut % (ncells(&page) + 1);
+            let mut fast = page.clone();
+            truncate(&mut fast, from);
+            compact(&mut fast);
+            drop_and_compact_cell_by_cell(&mut page, from);
+            prop_assert!(fast.bytes()[..] == page.bytes()[..]);
+        }
     }
 
     #[test]

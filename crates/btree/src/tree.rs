@@ -272,9 +272,7 @@ impl BTree {
         #[cfg(test)]
         tests::before_split_link(self);
         self.store.write(leaf, |p| {
-            for _ in 0..moved.len() {
-                layout::leaf_remove(p, split_at);
-            }
+            layout::truncate(p, split_at);
             layout::compact(p);
             layout::set_link(p, new_page.0);
         })?;
@@ -379,9 +377,7 @@ impl BTree {
                     )
                 })
                 .collect();
-            for _ in mid..n {
-                layout::internal_remove(p, mid);
-            }
+            layout::truncate(p, mid);
             layout::compact(p);
             (promoted, new_link, moved)
         })?;

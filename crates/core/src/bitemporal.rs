@@ -8,11 +8,11 @@
 //! fall back to using the system time."
 
 use crate::txn::AppTimeKeys;
-use lpg::{Interval, PropertyValue, Props, TimeRange, Version, TS_MAX};
+use lpg::{Interval, PropBag, PropertyValue, StrId, TimeRange, Version, TS_MAX};
 
 /// Reads an entity's application-time validity from its property bag.
 /// `None` when no application start time is set.
-pub fn app_interval(props: &Props, keys: AppTimeKeys) -> Option<Interval> {
+pub fn app_interval(props: &[(StrId, PropertyValue)], keys: AppTimeKeys) -> Option<Interval> {
     let get = |key| {
         props
             .iter()
@@ -28,7 +28,11 @@ pub fn app_interval(props: &Props, keys: AppTimeKeys) -> Option<Interval> {
 /// Whether an entity (by its property bag) is visible to an application-
 /// time range. Entities without application time fall back to system time,
 /// i.e. they pass (system-time filtering already happened upstream).
-pub fn matches_app_time(props: &Props, range: TimeRange, keys: AppTimeKeys) -> bool {
+pub fn matches_app_time(
+    props: &[(StrId, PropertyValue)],
+    range: TimeRange,
+    keys: AppTimeKeys,
+) -> bool {
     match app_interval(props, keys) {
         Some(iv) => range.matches(&iv),
         None => true,
@@ -51,17 +55,17 @@ pub fn filter_versions<T: HasProps>(
 /// Anything carrying a property bag (nodes and relationships).
 pub trait HasProps {
     /// The entity's property bag.
-    fn props(&self) -> &Props;
+    fn props(&self) -> &PropBag;
 }
 
 impl HasProps for lpg::Node {
-    fn props(&self) -> &Props {
+    fn props(&self) -> &PropBag {
         &self.props
     }
 }
 
 impl HasProps for lpg::Relationship {
-    fn props(&self) -> &Props {
+    fn props(&self) -> &PropBag {
         &self.props
     }
 }
@@ -69,7 +73,7 @@ impl HasProps for lpg::Relationship {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpg::{Node, NodeId, StrId};
+    use lpg::{Node, NodeId, Props};
 
     fn keys() -> AppTimeKeys {
         AppTimeKeys {

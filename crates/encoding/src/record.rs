@@ -210,7 +210,7 @@ impl RecordBody {
 
 /// Serializes a [`RecordBody::NodeFull`] from borrowed fields, so bulk
 /// encoders (snapshots) need not clone every entity into a `RecordBody`.
-pub fn encode_node_full(out: &mut Vec<u8>, labels: &[StrId], props: &Props) {
+pub fn encode_node_full(out: &mut Vec<u8>, labels: &[StrId], props: &[(StrId, PropertyValue)]) {
     out.push(TYPE_NODE);
     varint::write_u64(out, labels.len() as u64);
     for l in labels {
@@ -225,7 +225,7 @@ pub fn encode_rel_full(
     src: NodeId,
     tgt: NodeId,
     label: Option<StrId>,
-    props: &Props,
+    props: &[(StrId, PropertyValue)],
 ) {
     out.push(TYPE_REL);
     varint::write_u64(out, src.raw());
@@ -234,7 +234,7 @@ pub fn encode_rel_full(
     encode_props(out, props);
 }
 
-fn encode_props(out: &mut Vec<u8>, props: &Props) {
+fn encode_props(out: &mut Vec<u8>, props: &[(StrId, PropertyValue)]) {
     varint::write_u64(out, props.len() as u64);
     for (key, value) in props {
         encode_prop_value(out, *key, value);

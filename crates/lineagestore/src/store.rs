@@ -274,8 +274,8 @@ impl LineageStore {
                     let mut node = Node::new(NodeId::new(id), labels, props);
                     delta.apply_to_node(&mut node);
                     RecordBody::NodeFull {
-                        labels: node.labels,
-                        props: node.props,
+                        labels: node.labels.to_vec(),
+                        props: node.props.into(),
                     }
                 }
                 RecordBody::RelFull {
@@ -290,7 +290,7 @@ impl LineageStore {
                         src: rel.src,
                         tgt: rel.tgt,
                         label: rel.label,
-                        props: rel.props,
+                        props: rel.props.into(),
                     }
                 }
                 RecordBody::NodeDelta(mut prev_d) => {
@@ -324,8 +324,8 @@ impl LineageStore {
                     let mut node = Node::new(NodeId::new(id), labels, props);
                     delta.apply_to_node(&mut node);
                     RecordBody::NodeFull {
-                        labels: node.labels,
-                        props: node.props,
+                        labels: node.labels.to_vec(),
+                        props: node.props.into(),
                     }
                 }
                 RecordBody::RelFull {
@@ -340,7 +340,7 @@ impl LineageStore {
                         src: rel.src,
                         tgt: rel.tgt,
                         label: rel.label,
-                        props: rel.props,
+                        props: rel.props.into(),
                     }
                 }
                 other => {
@@ -680,11 +680,7 @@ impl LineageStore {
         // Nodes first so relationships validate.
         for id in self.all_node_ids()? {
             if let Some(n) = self.node_at(id, ts)? {
-                g.apply(&Update::AddNode {
-                    id,
-                    labels: n.labels,
-                    props: n.props,
-                })?;
+                g.insert_node(n)?;
             }
         }
         let mut last: Option<RelId> = None;
@@ -700,13 +696,7 @@ impl LineageStore {
         }
         for rid in rel_ids {
             if let Some(r) = self.rel_at(rid, ts)? {
-                g.apply(&Update::AddRel {
-                    id: rid,
-                    src: r.src,
-                    tgt: r.tgt,
-                    label: r.label,
-                    props: r.props,
-                })?;
+                g.insert_rel(r)?;
             }
         }
         Ok(g)
@@ -725,8 +715,8 @@ fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result
                 let mut node = Node::new(NodeId::new(id), labels, props);
                 d.apply_to_node(&mut node);
                 Ok(RecordBody::NodeFull {
-                    labels: node.labels,
-                    props: node.props,
+                    labels: node.labels.to_vec(),
+                    props: node.props.into(),
                 })
             }
             other => Err(GraphError::Storage(format!(
@@ -746,7 +736,7 @@ fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result
                     src: rel.src,
                     tgt: rel.tgt,
                     label: rel.label,
-                    props: rel.props,
+                    props: rel.props.into(),
                 })
             }
             other => Err(GraphError::Storage(format!(

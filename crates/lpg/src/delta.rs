@@ -7,7 +7,7 @@
 //! reference carry the present/deleted state on disk (handled by the
 //! `encoding` crate). Here we keep the logical form plus `apply`/`merge`.
 
-use crate::entity::{prop_remove, prop_set, Node, Relationship};
+use crate::entity::{Node, Relationship};
 use crate::ids::StrId;
 use crate::update::Update;
 use crate::value::PropertyValue;
@@ -96,20 +96,16 @@ impl EntityDelta {
     /// Applies this delta to a node snapshot in place.
     pub fn apply_to_node(&self, node: &mut Node) {
         for l in &self.labels_removed {
-            if let Ok(i) = node.labels.binary_search(l) {
-                node.labels.remove(i);
-            }
+            node.labels.remove(*l);
         }
         for l in &self.labels_added {
-            if let Err(i) = node.labels.binary_search(l) {
-                node.labels.insert(i, *l);
-            }
+            node.labels.insert(*l);
         }
         for p in &self.props {
             match p {
-                PropChange::Set(k, v) => prop_set(&mut node.props, *k, v.clone()),
+                PropChange::Set(k, v) => node.props.set(*k, v.clone()),
                 PropChange::Remove(k) => {
-                    prop_remove(&mut node.props, *k);
+                    node.props.remove(*k);
                 }
             }
         }
@@ -120,9 +116,9 @@ impl EntityDelta {
     pub fn apply_to_rel(&self, rel: &mut Relationship) {
         for p in &self.props {
             match p {
-                PropChange::Set(k, v) => prop_set(&mut rel.props, *k, v.clone()),
+                PropChange::Set(k, v) => rel.props.set(*k, v.clone()),
                 PropChange::Remove(k) => {
-                    prop_remove(&mut rel.props, *k);
+                    rel.props.remove(*k);
                 }
             }
         }
@@ -202,7 +198,7 @@ mod tests {
             ],
         };
         d.apply_to_node(&mut n);
-        assert_eq!(n.labels, vec![sid(2), sid(3)]);
+        assert_eq!(*n.labels, [sid(2), sid(3)]);
         assert_eq!(n.prop(sid(10)), Some(&PropertyValue::Int(2)));
         assert_eq!(n.prop(sid(11)), Some(&PropertyValue::Bool(true)));
     }

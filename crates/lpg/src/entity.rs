@@ -8,56 +8,14 @@
 //! "a temporal LPG can include entities with the same identifier and
 //! non-overlapping time intervals").
 
+use crate::bag::{LabelSet, PropBag};
 use crate::ids::{NodeId, RelId, StrId, Timestamp};
 use crate::interval::Interval;
 use crate::value::PropertyValue;
 
-/// The key-value property bag of an entity.
-///
-/// Kept as a sorted `Vec` of `(key, value)` pairs: entities typically carry
-/// few properties, and a sorted vector beats a hash map for footprint and
-/// scan speed (perf-book: handle small collections specially).
+/// A property bag as updates, records and callers give it: `(key, value)`
+/// pairs in any order. An entity keeps it as a [`PropBag`].
 pub type Props = Vec<(StrId, PropertyValue)>;
-
-/// Looks up a property by key in a sorted property bag.
-pub fn prop_get(props: &Props, key: StrId) -> Option<&PropertyValue> {
-    props
-        .binary_search_by_key(&key, |(k, _)| *k)
-        .ok()
-        .map(|i| &props[i].1)
-}
-
-/// Inserts or replaces a property, keeping the bag sorted.
-pub fn prop_set(props: &mut Props, key: StrId, value: PropertyValue) {
-    match props.binary_search_by_key(&key, |(k, _)| *k) {
-        Ok(i) => props[i].1 = value,
-        Err(i) => props.insert(i, (key, value)),
-    }
-}
-
-/// Removes a property by key; returns the old value if present.
-pub fn prop_remove(props: &mut Props, key: StrId) -> Option<PropertyValue> {
-    props
-        .binary_search_by_key(&key, |(k, _)| *k)
-        .ok()
-        .map(|i| props.remove(i).1)
-}
-
-/// Sorts a property bag by key. Of several values given for one key the last
-/// wins, as if they had been [`prop_set`] in turn: a bag holds one value per
-/// key, which the binary searches above rely on.
-fn canonical_props(mut props: Props) -> Props {
-    // Stable, so equal keys keep the order they were given in.
-    props.sort_by_key(|(k, _)| *k);
-    props.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
-        if same {
-            std::mem::swap(later, kept);
-        }
-        same
-    });
-    props
-}
 
 /// A node snapshot: `v = (nid, l, p)` (Sec. 3).
 #[derive(Clone, PartialEq, Debug)]
@@ -65,45 +23,37 @@ pub struct Node {
     /// Unique node identifier.
     pub id: NodeId,
     /// Sorted set of labels.
-    pub labels: Vec<StrId>,
+    pub labels: LabelSet,
     /// Sorted property bag.
-    pub props: Props,
+    pub props: PropBag,
 }
 
 impl Node {
     /// A new node with sorted, deduplicated labels and properties sorted by
     /// key, one value per key (the last one given).
-    pub fn new(id: NodeId, mut labels: Vec<StrId>, props: Props) -> Self {
-        labels.sort_unstable();
-        labels.dedup();
+    pub fn new(id: NodeId, labels: Vec<StrId>, props: Props) -> Self {
         Node {
             id,
-            labels,
-            props: canonical_props(props),
+            labels: labels.into(),
+            props: props.into(),
         }
     }
 
     /// Whether the node carries `label`.
     pub fn has_label(&self, label: StrId) -> bool {
-        self.labels.binary_search(&label).is_ok()
+        self.labels.contains(label)
     }
 
     /// Property lookup.
     pub fn prop(&self, key: StrId) -> Option<&PropertyValue> {
-        prop_get(&self.props, key)
+        self.props.get(key)
     }
 
-    /// Estimated in-memory footprint in bytes (Table 3 accounting: ~60 B per
-    /// node plus label/property payload).
+    /// In-memory footprint in bytes (Table 3 accounting): 64 B, plus what
+    /// the labels and properties allocate beyond the two labels and the one
+    /// property held inline.
     pub fn heap_size(&self) -> usize {
-        let base = std::mem::size_of::<Node>();
-        let labels = self.labels.len() * std::mem::size_of::<StrId>();
-        let props: usize = self
-            .props
-            .iter()
-            .map(|(_, v)| std::mem::size_of::<(StrId, PropertyValue)>() + v.heap_size())
-            .sum();
-        base + labels + props
+        std::mem::size_of::<Node>() + self.labels.heap_size() + self.props.heap_size()
     }
 }
 
@@ -120,7 +70,7 @@ pub struct Relationship {
     /// Optional relationship type.
     pub label: Option<StrId>,
     /// Sorted property bag.
-    pub props: Props,
+    pub props: PropBag,
 }
 
 impl Relationship {
@@ -132,13 +82,13 @@ impl Relationship {
             src,
             tgt,
             label,
-            props: canonical_props(props),
+            props: props.into(),
         }
     }
 
     /// Property lookup.
     pub fn prop(&self, key: StrId) -> Option<&PropertyValue> {
-        prop_get(&self.props, key)
+        self.props.get(key)
     }
 
     /// Given one endpoint, returns the other (`None` if `node` is neither).
@@ -153,16 +103,10 @@ impl Relationship {
         }
     }
 
-    /// Estimated in-memory footprint in bytes (Table 3 accounting: ~68 B per
-    /// relationship plus property payload).
+    /// In-memory footprint in bytes (Table 3 accounting): 72 B, plus what
+    /// the properties allocate beyond the one held inline.
     pub fn heap_size(&self) -> usize {
-        let base = std::mem::size_of::<Relationship>();
-        let props: usize = self
-            .props
-            .iter()
-            .map(|(_, v)| std::mem::size_of::<(StrId, PropertyValue)>() + v.heap_size())
-            .sum();
-        base + props
+        std::mem::size_of::<Relationship>() + self.props.heap_size()
     }
 }
 
@@ -217,7 +161,7 @@ mod tests {
                 (sid(2), PropertyValue::Int(2)),
             ],
         );
-        assert_eq!(n.labels, vec![sid(1), sid(3)]);
+        assert_eq!(*n.labels, [sid(1), sid(3)]);
         assert!(n.has_label(sid(3)));
         assert!(!n.has_label(sid(2)));
         assert_eq!(n.prop(sid(2)), Some(&PropertyValue::Int(2)));
@@ -232,33 +176,20 @@ mod tests {
             (sid(4), PropertyValue::Int(3)),
             (sid(4), PropertyValue::Int(4)),
         ];
-        let want = vec![
+        let want = [
             (sid(2), PropertyValue::Int(2)),
             (sid(4), PropertyValue::Int(4)),
         ];
         let n = Node::new(NodeId::new(1), vec![], given.clone());
-        assert_eq!(n.props, want);
+        assert_eq!(*n.props, want);
         let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(1), None, given);
-        assert_eq!(r.props, want);
+        assert_eq!(*r.props, want);
         // What the constructors guarantee is what the bag operations need:
         // setting and removing a key leaves no stale twin behind.
         let mut props = n.props;
-        prop_set(&mut props, sid(4), PropertyValue::Int(5));
-        assert_eq!(prop_remove(&mut props, sid(4)), Some(PropertyValue::Int(5)));
-        assert_eq!(prop_get(&props, sid(4)), None);
-    }
-
-    #[test]
-    fn prop_bag_operations() {
-        let mut p: Props = Vec::new();
-        prop_set(&mut p, sid(5), PropertyValue::Int(1));
-        prop_set(&mut p, sid(1), PropertyValue::Int(2));
-        prop_set(&mut p, sid(5), PropertyValue::Int(3));
-        assert_eq!(p.len(), 2);
-        assert_eq!(prop_get(&p, sid(5)), Some(&PropertyValue::Int(3)));
-        assert_eq!(prop_remove(&mut p, sid(1)), Some(PropertyValue::Int(2)));
-        assert_eq!(prop_remove(&mut p, sid(1)), None);
-        assert_eq!(p.len(), 1);
+        props.set(sid(4), PropertyValue::Int(5));
+        assert_eq!(props.remove(sid(4)), Some(PropertyValue::Int(5)));
+        assert_eq!(props.get(sid(4)), None);
     }
 
     #[test]
@@ -286,16 +217,22 @@ mod tests {
     }
 
     #[test]
-    fn heap_sizes_are_plausible() {
-        let n = Node::new(NodeId::new(1), vec![sid(0)], vec![]);
-        assert!(n.heap_size() >= std::mem::size_of::<Node>());
-        let r = Relationship::new(
-            RelId::new(1),
-            NodeId::new(1),
-            NodeId::new(2),
-            Some(sid(0)),
-            vec![(sid(1), PropertyValue::IntArray(vec![1, 2, 3, 4]))],
-        );
-        assert!(r.heap_size() > std::mem::size_of::<Relationship>() + 24);
+    fn entities_stay_small() {
+        assert!(std::mem::size_of::<Relationship>() <= 72);
+        assert!(std::mem::size_of::<Node>() <= 64);
+    }
+
+    #[test]
+    fn heap_sizes_charge_what_is_allocated() {
+        let two_labels = Node::new(NodeId::new(1), vec![sid(0), sid(1)], vec![]);
+        assert_eq!(two_labels.heap_size(), std::mem::size_of::<Node>());
+        let three = Node::new(NodeId::new(1), vec![sid(0), sid(1), sid(2)], vec![]);
+        assert_eq!(three.heap_size(), std::mem::size_of::<Node>() + 12);
+        let weight = vec![(sid(1), PropertyValue::Float(0.5))];
+        let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, weight);
+        assert_eq!(r.heap_size(), std::mem::size_of::<Relationship>());
+        let array = vec![(sid(1), PropertyValue::IntArray(vec![1, 2, 3, 4]))];
+        let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, array);
+        assert_eq!(r.heap_size(), std::mem::size_of::<Relationship>() + 32);
     }
 }

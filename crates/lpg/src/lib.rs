@@ -18,6 +18,8 @@
 //!   `CONTAINED IN`).
 //! * [`entity`] — node / relationship snapshots and their versioned temporal
 //!   counterparts.
+//! * [`bag`] — the property bag and label set an entity holds, the common
+//!   one property and one or two labels inline.
 //! * [`update`] — the update universe `U` and timestamped update tuples.
 //! * [`delta`] — compact diffs between entity versions (paper Fig. 3 "Diff"
 //!   records), including merge and apply.
@@ -27,6 +29,7 @@
 //! * [`error`] — the crate error type covering the constraint violations of
 //!   Sec. 3 ("A graph entity g can be added only if g ∉ G", etc.).
 
+pub mod bag;
 pub mod delta;
 pub mod entity;
 pub mod error;
@@ -38,10 +41,9 @@ pub mod temporal;
 pub mod update;
 pub mod value;
 
+pub use bag::{LabelSet, PropBag};
 pub use delta::{EntityDelta, PropChange};
-pub use entity::{
-    prop_get, prop_remove, prop_set, Node, Props, Relationship, TemporalNode, TemporalRel, Version,
-};
+pub use entity::{Node, Props, Relationship, TemporalNode, TemporalRel, Version};
 pub use error::{GraphError, Result};
 pub use graph::{Graph, RelChunk, WeakRelChunk, CHUNK_BITS};
 pub use ids::{Direction, EntityId, NodeId, RelId, StrId, Timestamp, TS_MAX, TS_MIN};

@@ -128,24 +128,14 @@ impl TemporalGraph {
         let mut g = Graph::new();
         for chain in self.nodes.values() {
             if let Some(v) = chain.iter().find(|v| v.valid.contains(ts)) {
-                g.apply(&Update::AddNode {
-                    id: v.data.id,
-                    labels: v.data.labels.clone(),
-                    props: v.data.props.clone(),
-                })
-                .expect("node chains are disjoint");
+                g.insert_node(v.data.clone())
+                    .expect("node chains are disjoint");
             }
         }
         for chain in self.rels.values() {
             if let Some(v) = chain.iter().find(|v| v.valid.contains(ts)) {
-                g.apply(&Update::AddRel {
-                    id: v.data.id,
-                    src: v.data.src,
-                    tgt: v.data.tgt,
-                    label: v.data.label,
-                    props: v.data.props.clone(),
-                })
-                .expect("endpoints of a valid rel are valid");
+                g.insert_rel(v.data.clone())
+                    .expect("endpoints of a valid rel are valid");
             }
         }
         g

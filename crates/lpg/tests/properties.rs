@@ -1,11 +1,12 @@
 //! Property tests on the data-model invariants: interval algebra, delta
 //! merge/apply equivalence, temporal-graph well-formedness under arbitrary
-//! replay, and the chunked copy-on-write `Graph` against an ordered-map
-//! model.
+//! replay, the inline property bag and label set against sorted models, and
+//! the chunked copy-on-write `Graph` against an ordered-map model.
 
 use lpg::{
-    Direction, EntityDelta, Graph, GraphError, Interval, Node, NodeId, PropChange, PropertyValue,
-    RelChunk, RelId, Relationship, StrId, TemporalGraph, TimeRange, TimestampedUpdate, Update,
+    Direction, EntityDelta, Graph, GraphError, Interval, LabelSet, Node, NodeId, PropBag,
+    PropChange, PropertyValue, RelChunk, RelId, Relationship, StrId, TemporalGraph, TimeRange,
+    TimestampedUpdate, Update,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,6 +142,83 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// `PropBag` and `LabelSet` against a sorted model under random in-place
+// updates. Four keys and up to five labels make every inline ↔ spilled
+// transition (0 ↔ 1 ↔ 2 pairs, 2 ↔ 3 labels) common.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn prop_bag_matches_a_sorted_vec(
+        given in proptest::collection::vec((0u32..4, 0i64..3), 0..5),
+        ops in proptest::collection::vec((0u32..4, proptest::option::of(0i64..3)), 0..24),
+    ) {
+        let given: Vec<_> = given
+            .into_iter()
+            .map(|(k, v)| (StrId::new(k), PropertyValue::Int(v)))
+            .collect();
+        // The constructors keep the last value given for a key, as a map does.
+        let mut model: BTreeMap<StrId, PropertyValue> = given.iter().cloned().collect();
+        let node = Node::new(NodeId::new(1), vec![], given.clone());
+        let rel = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, given);
+        prop_assert_eq!(&node.props, &rel.props);
+        let mut bag = node.props;
+        for (key, value) in ops {
+            let key = StrId::new(key);
+            match value {
+                Some(v) => {
+                    bag.set(key, PropertyValue::Int(v));
+                    model.insert(key, PropertyValue::Int(v));
+                }
+                None => prop_assert_eq!(bag.remove(key), model.remove(&key)),
+            }
+            let want: Vec<_> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+            prop_assert_eq!(&*bag, &want[..]);
+            for probe in (0..4).map(StrId::new) {
+                prop_assert_eq!(bag.get(probe), model.get(&probe));
+            }
+            // Equal to bags that got there another way: built whole, and set
+            // key by key from the highest down.
+            prop_assert_eq!(&bag, &PropBag::from(want.clone()));
+            let mut backwards = PropBag::default();
+            for (k, v) in want.iter().rev() {
+                backwards.set(*k, v.clone());
+            }
+            prop_assert_eq!(&bag, &backwards);
+            let spill = if want.len() > 1 { std::mem::size_of_val(&want[..]) } else { 0 };
+            prop_assert_eq!(bag.heap_size(), spill);
+        }
+    }
+
+    #[test]
+    fn label_set_matches_a_sorted_vec(
+        given in proptest::collection::vec(0u32..5, 0..5),
+        ops in proptest::collection::vec((0u32..5, any::<bool>()), 0..24),
+    ) {
+        let given: Vec<StrId> = given.into_iter().map(StrId::new).collect();
+        let mut model: BTreeSet<StrId> = given.iter().copied().collect();
+        let mut labels = Node::new(NodeId::new(1), given, vec![]).labels;
+        for (label, add) in ops {
+            let label = StrId::new(label);
+            if add {
+                prop_assert_eq!(labels.insert(label), model.insert(label));
+            } else {
+                prop_assert_eq!(labels.remove(label), model.remove(&label));
+            }
+            let want: Vec<StrId> = model.iter().copied().collect();
+            prop_assert_eq!(&*labels, &want[..]);
+            for probe in (0..5).map(StrId::new) {
+                prop_assert_eq!(labels.contains(probe), model.contains(&probe));
+            }
+            let reversed: Vec<StrId> = want.iter().rev().copied().collect();
+            prop_assert_eq!(&labels, &LabelSet::from(reversed));
+            let spill = if want.len() > 2 { std::mem::size_of_val(&want[..]) } else { 0 };
+            prop_assert_eq!(labels.heap_size(), spill);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // `Graph` against a plain ordered-map model: same answers, same rejections,
 // clones isolated from later updates, and clones *sharing* what was not
 // touched.
@@ -210,26 +288,34 @@ impl Model {
                     .remove(&id.raw())
                     .ok_or(GraphError::RelNotFound(id))?;
             }
+            // The bags and label sets are rebuilt through their canonicalising
+            // `From`, so the model does not lean on their in-place updates.
             Update::SetNodeProp { id, key, value } => {
-                lpg::prop_set(&mut self.node_mut(id)?.props, key, value);
+                let props = &mut self.node_mut(id)?.props;
+                *props = with_prop(std::mem::take(props), key, Some(value));
             }
             Update::RemoveNodeProp { id, key } => {
-                lpg::prop_remove(&mut self.node_mut(id)?.props, key);
+                let props = &mut self.node_mut(id)?.props;
+                *props = with_prop(std::mem::take(props), key, None);
             }
             Update::AddLabel { id, label } => {
-                let n = self.node_mut(id)?;
-                n.labels.push(label);
-                n.labels.sort_unstable();
-                n.labels.dedup();
+                let labels = &mut self.node_mut(id)?.labels;
+                let mut all = labels.to_vec();
+                all.push(label);
+                *labels = all.into();
             }
             Update::RemoveLabel { id, label } => {
-                self.node_mut(id)?.labels.retain(|l| *l != label);
+                let labels = &mut self.node_mut(id)?.labels;
+                let rest: Vec<StrId> = labels.iter().copied().filter(|l| *l != label).collect();
+                *labels = rest.into();
             }
             Update::SetRelProp { id, key, value } => {
-                lpg::prop_set(&mut self.rel_mut(id)?.props, key, value);
+                let props = &mut self.rel_mut(id)?.props;
+                *props = with_prop(std::mem::take(props), key, Some(value));
             }
             Update::RemoveRelProp { id, key } => {
-                lpg::prop_remove(&mut self.rel_mut(id)?.props, key);
+                let props = &mut self.rel_mut(id)?.props;
+                *props = with_prop(std::mem::take(props), key, None);
             }
         }
         Ok(())
@@ -252,6 +338,14 @@ impl Model {
             .map(|r| r.id)
             .collect()
     }
+}
+
+/// `bag` with `key` set to `value`, or removed when `value` is `None`.
+fn with_prop(bag: PropBag, key: StrId, value: Option<PropertyValue>) -> PropBag {
+    let mut pairs: Vec<_> = Vec::from(bag);
+    pairs.retain(|(k, _)| *k != key);
+    pairs.extend(value.map(|v| (key, v)));
+    pairs.into()
 }
 
 /// Everything observable about `g` equals the model.

@@ -13,9 +13,14 @@
 //! from different snapshot files share the relationship segments the files
 //! share (`encoding::snapshot::SharedSegments`).
 //!
-//! The byte budget is an **upper bound**: every entry is charged its full
-//! `heap_size()` when it is inserted, shared chunks included, so the cache
-//! holds at most `budget` bytes and usually fewer.
+//! The byte budget counts `Graph::heap_size()`: every entry is charged in
+//! full when it is inserted, shared chunks included, so the entries never
+//! charge more than `budget` together and usually hold less, being shared.
+//! `heap_size()` counts the bytes the graph's structures hold, not what the
+//! allocator spends on them (its per-block header and rounding): building
+//! `aion-perf`'s final graph charges 11.2 MB and grows the resident set by
+//! 11.8 MB (13.5 against 15.2 MB while every relationship's property was a
+//! block of its own).
 //!
 //! The historical cache is **demand-filled**: only reads put graphs there
 //! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a

@@ -697,11 +697,7 @@ impl TimeStore {
         for chain in tg.nodes.values() {
             // temporal_graph never emits empty chains; skip defensively.
             let Some(last) = chain.last() else { continue };
-            out.apply(&Update::AddNode {
-                id: last.data.id,
-                labels: last.data.labels.clone(),
-                props: last.data.props.clone(),
-            })?;
+            out.insert_node(last.data.clone())?;
         }
         for chain in tg.rels.values() {
             let Some(last) = chain.last() else { continue };
@@ -709,13 +705,7 @@ impl TimeStore {
             // Dangling relationships (an endpoint never present in the
             // window) are pruned, mirroring Gradoop's verification join.
             if out.has_node(r.src) && out.has_node(r.tgt) {
-                out.apply(&Update::AddRel {
-                    id: r.id,
-                    src: r.src,
-                    tgt: r.tgt,
-                    label: r.label,
-                    props: r.props.clone(),
-                })?;
+                out.insert_rel(r.clone())?;
             }
         }
         Ok(out)
