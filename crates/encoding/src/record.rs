@@ -297,7 +297,7 @@ fn decode_prop_entry(buf: &[u8], pos: &mut usize) -> Option<(StrId, Option<Prope
             for _ in 0..n {
                 v.push(varint::read_i64(buf, pos)?);
             }
-            Some(PropertyValue::IntArray(v))
+            Some(PropertyValue::IntArray(v.into_boxed_slice()))
         }
         PROP_FLOAT_ARR => {
             let n = varint::read_u64(buf, pos)? as usize;
@@ -305,7 +305,7 @@ fn decode_prop_entry(buf: &[u8], pos: &mut usize) -> Option<(StrId, Option<Prope
             for _ in 0..n {
                 v.push(varint::read_f64(buf, pos)?);
             }
-            Some(PropertyValue::FloatArray(v))
+            Some(PropertyValue::FloatArray(v.into_boxed_slice()))
         }
         _ => return None,
     };
@@ -420,8 +420,8 @@ mod tests {
                 (sid(1), PropertyValue::Float(2.5)),
                 (sid(2), PropertyValue::Bool(true)),
                 (sid(3), PropertyValue::Str(sid(77))),
-                (sid(4), PropertyValue::IntArray(vec![1, -2, 3])),
-                (sid(5), PropertyValue::FloatArray(vec![0.5, -0.5])),
+                (sid(4), PropertyValue::IntArray(Box::new([1, -2, 3]))),
+                (sid(5), PropertyValue::FloatArray(Box::new([0.5, -0.5]))),
             ],
         });
     }

@@ -43,7 +43,12 @@
 //! nor decodes them again, and the two graphs hold one copy. The chunks are
 //! held weakly, so a segment costs nothing once no graph holds it. Node
 //! segments are always decoded: a node chunk carries the node's adjacency
-//! lists, which depend on relationships in other segments.
+//! list, which depends on relationships in other segments.
+//!
+//! A load adds all its relationship chunks, shared or decoded, in one
+//! [`lpg::Graph::insert_rel_chunks`] once every node is in: each node's
+//! adjacency list is allocated once, at exactly its length, so a loaded
+//! graph holds no spare capacity.
 
 use crate::record::{encode_node_full, encode_rel_full, RecordBody};
 use crate::varint;
@@ -470,6 +475,7 @@ pub fn decode(
         shared: 0,
     };
     let mut fresh = Vec::new();
+    let mut chunks = Vec::new();
     for (entry, held) in manifest.entries.iter().zip(held) {
         let chunk = match (held, entry.segment) {
             (Some(chunk), _) => {
@@ -488,10 +494,12 @@ pub fn decode(
                 chunk
             }
         };
-        out.graph
-            .insert_rel_chunk(&chunk)
-            .map_err(|_| Fault::Corrupt)?;
+        chunks.push(chunk);
     }
+    // All at once: every adjacency list is allocated once, at its size.
+    out.graph
+        .insert_rel_chunks(&chunks)
+        .map_err(|_| Fault::Corrupt)?;
     shared.keep(fresh);
     Ok(out)
 }

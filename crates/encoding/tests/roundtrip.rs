@@ -13,8 +13,10 @@ fn value_strategy() -> impl Strategy<Value = PropertyValue> {
         (-1e12f64..1e12).prop_map(PropertyValue::Float),
         any::<bool>().prop_map(PropertyValue::Bool),
         (0u32..1 << 29).prop_map(|s| PropertyValue::Str(StrId::new(s))),
-        proptest::collection::vec(any::<i64>(), 0..8).prop_map(PropertyValue::IntArray),
-        proptest::collection::vec(-1e9f64..1e9, 0..8).prop_map(PropertyValue::FloatArray),
+        proptest::collection::vec(any::<i64>(), 0..8)
+            .prop_map(|v| PropertyValue::IntArray(v.into())),
+        proptest::collection::vec(-1e9f64..1e9, 0..8)
+            .prop_map(|v| PropertyValue::FloatArray(v.into())),
     ]
 }
 

@@ -67,9 +67,15 @@ fn fixed_graph() -> Graph {
                 (StrId::new(2), PropertyValue::Bool(slot % 8 == 2)),
             ],
             _ => vec![
-                (StrId::new(11), PropertyValue::IntArray(vec![1, -2, 3])),
+                (
+                    StrId::new(11),
+                    PropertyValue::IntArray(Box::new([1, -2, 3])),
+                ),
                 (StrId::new(4), PropertyValue::Str(StrId::new(slot as u32))),
-                (StrId::new(7), PropertyValue::FloatArray(vec![0.5, -0.25])),
+                (
+                    StrId::new(7),
+                    PropertyValue::FloatArray(Box::new([0.5, -0.25])),
+                ),
             ],
         };
         g.apply(&Update::AddNode {

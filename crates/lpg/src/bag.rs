@@ -20,7 +20,7 @@ type Prop = (StrId, PropertyValue);
 /// The property bag of a [`crate::Node`] or [`crate::Relationship`]: pairs
 /// sorted by key, one value per key.
 ///
-/// Zero or one pair sits inline (40 B, no allocation); two or more spill to
+/// Zero or one pair sits inline (32 B, no allocation); two or more spill to
 /// one boxed slice of exactly their number. Build one from a [`crate::Props`]
 /// with `From`, which sorts it and keeps the last value given for a key.
 #[derive(Clone, Default)]
@@ -287,7 +287,8 @@ mod tests {
 
     #[test]
     fn sizes_stay_inline() {
-        assert!(std::mem::size_of::<PropBag>() <= 40);
+        assert_eq!(std::mem::size_of::<Prop>(), 32);
+        assert!(std::mem::size_of::<PropBag>() <= 32);
         assert_eq!(std::mem::size_of::<LabelSet>(), 16);
     }
 
@@ -301,7 +302,7 @@ mod tests {
         p.set(sid(1), int(2));
         p.set(sid(5), int(3));
         assert_eq!(*p, [(sid(1), int(2)), (sid(5), int(3))]);
-        assert_eq!(p.heap_size(), 2 * std::mem::size_of::<Prop>());
+        assert_eq!(p.heap_size(), 2 * 32);
         p.set(sid(3), int(4));
         assert_eq!(
             p.iter().map(|(k, _)| k.raw()).collect::<Vec<_>>(),

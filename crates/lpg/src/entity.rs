@@ -49,7 +49,7 @@ impl Node {
         self.props.get(key)
     }
 
-    /// In-memory footprint in bytes (Table 3 accounting): 64 B, plus what
+    /// In-memory footprint in bytes (Table 3 accounting): 56 B, plus what
     /// the labels and properties allocate beyond the two labels and the one
     /// property held inline.
     pub fn heap_size(&self) -> usize {
@@ -103,7 +103,7 @@ impl Relationship {
         }
     }
 
-    /// In-memory footprint in bytes (Table 3 accounting): 72 B, plus what
+    /// In-memory footprint in bytes (Table 3 accounting): 64 B, plus what
     /// the properties allocate beyond the one held inline.
     pub fn heap_size(&self) -> usize {
         std::mem::size_of::<Relationship>() + self.props.heap_size()
@@ -218,21 +218,29 @@ mod tests {
 
     #[test]
     fn entities_stay_small() {
-        assert!(std::mem::size_of::<Relationship>() <= 72);
-        assert!(std::mem::size_of::<Node>() <= 64);
+        assert_eq!(std::mem::size_of::<PropertyValue>(), 24);
+        assert!(std::mem::size_of::<Relationship>() <= 64);
+        assert!(std::mem::size_of::<Node>() <= 56);
     }
 
     #[test]
     fn heap_sizes_charge_what_is_allocated() {
         let two_labels = Node::new(NodeId::new(1), vec![sid(0), sid(1)], vec![]);
-        assert_eq!(two_labels.heap_size(), std::mem::size_of::<Node>());
+        assert_eq!(two_labels.heap_size(), 56);
         let three = Node::new(NodeId::new(1), vec![sid(0), sid(1), sid(2)], vec![]);
-        assert_eq!(three.heap_size(), std::mem::size_of::<Node>() + 12);
+        assert_eq!(three.heap_size(), 56 + 3 * 4);
         let weight = vec![(sid(1), PropertyValue::Float(0.5))];
         let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, weight);
-        assert_eq!(r.heap_size(), std::mem::size_of::<Relationship>());
-        let array = vec![(sid(1), PropertyValue::IntArray(vec![1, 2, 3, 4]))];
+        assert_eq!(r.heap_size(), 64);
+        let array = vec![(sid(1), PropertyValue::IntArray(Box::new([1, 2, 3, 4])))];
         let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, array);
-        assert_eq!(r.heap_size(), std::mem::size_of::<Relationship>() + 32);
+        assert_eq!(r.heap_size(), 64 + 4 * 8);
+        // Two properties spill: one boxed slice of two 32 B pairs.
+        let two = vec![
+            (sid(1), PropertyValue::Int(1)),
+            (sid(2), PropertyValue::Int(2)),
+        ];
+        let r = Relationship::new(RelId::new(1), NodeId::new(1), NodeId::new(2), None, two);
+        assert_eq!(r.heap_size(), 64 + 2 * 32);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! # Layout
 //!
-//! Two id-ordered tables, one of nodes *with their out/in adjacency lists*
-//! and one of relationships. A table is a **spine** of `(chunk_no, Arc<chunk>)`
+//! Two id-ordered tables, one of nodes *with their adjacency lists* and one
+//! of relationships. A table is a **spine** of `(chunk_no, Arc<chunk>)`
 //! entries sorted by `chunk_no`, over **chunks**: the sorted `Vec` of the
 //! entities whose `id >> CHUNK_BITS` equals `chunk_no`, at most 64 of them,
 //! each chunk behind its own `Arc`. A chunk that loses its last entity leaves
@@ -16,15 +16,22 @@
 //!
 //! # What things cost
 //!
-//! * An entity is one fixed-size value in its chunk: a relationship 72 B, a
-//!   node 64 B beside its two adjacency lists. Its one property and up to
-//!   two labels sit inside it ([`crate::PropBag`], [`crate::LabelSet`]); only
-//!   a second property, a third label or an array value allocates.
-//!   [`Graph::heap_size`] charges these sizes, 8 B per adjacency entry,
-//!   48 B per non-empty adjacency list and 56 B per chunk, which is what
-//!   the structures hold and not the allocator's overhead on top: 100 k
-//!   one-property relationships over 14 k nodes charge 11.2 MB and grow the
-//!   resident set by 11.8 MB.
+//! * An entity is one fixed-size value in its chunk: a relationship 64 B, a
+//!   node 88 B with the header of its adjacency list and its out-degree.
+//!   Its one property and up to two labels sit inside it
+//!   ([`crate::PropBag`], [`crate::LabelSet`]); only a second property, a
+//!   third label or an array value allocates.
+//! * A node's adjacency list is one heap block: its outgoing ids, then its
+//!   incoming ids. Adding an outgoing id shifts the incoming part by one
+//!   slot (a `memmove` of in-degree × 8 B); deleting a relationship
+//!   searches the part it is in. [`Graph::insert_rel_chunks`] allocates
+//!   each list it touches once, at exactly its new length; updates grow a
+//!   list the way a `Vec` grows.
+//! * [`Graph::heap_size`] charges these sizes, 8 B per adjacency slot
+//!   allocated and 56 B per chunk, which is what the structures hold and
+//!   not the allocator's overhead on top: 100 k one-property relationships
+//!   over 14 k nodes, built by updates, charge 9.9 MB and grow the resident
+//!   set by 10.5 MB.
 //! * `clone()` copies the list of pages: one pointer bump per page (4 for
 //!   the ≈ 1 800 chunks of 100 k relationships), no spine entry and no
 //!   entity. This is the "CoW snapshot copy" of Sec. 5.2.
@@ -37,7 +44,7 @@
 //!   [`Graph::chunks_diverged_from`] counts the chunks two graphs no longer
 //!   share, skipping the pages they still share.
 //! * Graphs that are not clones of each other can share relationship
-//!   chunks too: [`Graph::insert_rel_chunk`] adds a [`RelChunk`] by pointer
+//!   chunks too: [`Graph::insert_rel_chunks`] adds [`RelChunk`]s by pointer
 //!   and only fills in the endpoints' adjacency lists. Snapshot loading uses
 //!   it to hold a segment that several snapshot files reference once.
 //!   (Node chunks carry adjacency lists, which depend on the rest of the
@@ -50,8 +57,8 @@
 //! # Ordering
 //!
 //! [`Graph::nodes`], [`Graph::rels`] and [`Graph::nodes_after`] ascend by
-//! id; callers rely on it (snapshot files, paginated scans). Adjacency lists
-//! keep insertion order.
+//! id; callers rely on it (snapshot files, paginated scans). Each direction
+//! of an adjacency list keeps insertion order.
 //!
 //! # Dense and sparse ids
 //!
@@ -66,7 +73,7 @@
 //!
 //! Ids far apart (hashes, `0`, `2^32`, `u64::MAX`) land in chunks of their
 //! own: one `Arc`, one small `Vec` and one spine entry per entity, which
-//! [`Graph::heap_size`] charges (≈ 2× the bytes per node); a lookup that is
+//! [`Graph::heap_size`] charges (≈ 1.6× the bytes per node); a lookup that is
 //! two binary searches and two more pointers to follow (≈ 5× a hash map's
 //! once nothing is cached); a clone that bumps one pointer per entity (what
 //! copying a hash map cost). Loading costs the same in any id order: an
@@ -82,6 +89,7 @@ use crate::error::{GraphError, Result};
 use crate::ids::{Direction, NodeId, RelId};
 use crate::update::Update;
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
 
 /// A chunk holds the entities whose ids agree above this many low bits.
@@ -128,12 +136,56 @@ impl Keyed for Relationship {
     }
 }
 
-/// A node and the ids of its incident relationships.
+/// A node and the ids of its incident relationships, in one list: the
+/// outgoing ids, then the incoming ids, each part in insertion order. One
+/// list rather than two saves a `Vec` header per node and a heap block per
+/// node with relationships both ways.
 #[derive(Clone, Debug)]
 struct NodeSlot {
     node: Node,
-    out: Vec<RelId>,
-    inc: Vec<RelId>,
+    /// `adj[..n_out]` are outgoing, `adj[n_out..]` incoming.
+    adj: Vec<RelId>,
+    n_out: usize,
+}
+
+impl NodeSlot {
+    fn new(node: Node) -> Self {
+        NodeSlot {
+            node,
+            adj: Vec::new(),
+            n_out: 0,
+        }
+    }
+
+    /// `(outgoing, incoming)`.
+    fn lists(&self) -> (&[RelId], &[RelId]) {
+        self.adj.split_at(self.n_out)
+    }
+
+    /// Appends to the outgoing part, which shifts the incoming part by one
+    /// slot.
+    fn push_out(&mut self, id: RelId) {
+        self.adj.insert(self.n_out, id);
+        self.n_out += 1;
+    }
+
+    fn push_in(&mut self, id: RelId) {
+        self.adj.push(id);
+    }
+
+    fn remove_out(&mut self, id: RelId) {
+        if let Some(i) = self.lists().0.iter().position(|r| *r == id) {
+            self.adj.remove(i);
+            self.n_out -= 1;
+        }
+    }
+
+    fn remove_in(&mut self, id: RelId) {
+        let (out, inc) = self.lists();
+        if let Some(i) = inc.iter().position(|r| *r == id) {
+            self.adj.remove(out.len() + i);
+        }
+    }
 }
 
 impl Keyed for NodeSlot {
@@ -406,7 +458,7 @@ impl<T: Keyed + Clone> Table<T> {
 
 /// One chunk of a relationship table as graphs share it: up to 64
 /// relationships whose ids agree above the low [`CHUNK_BITS`] bits,
-/// ascending by id, behind one `Arc`. [`Graph::insert_rel_chunk`] adds it
+/// ascending by id, behind one `Arc`. [`Graph::insert_rel_chunks`] adds it
 /// without copying, so every graph it is added to holds the same bytes. A
 /// graph that later changes one of them copies the chunk first; the other
 /// graphs and any [`WeakRelChunk`] keep the unchanged one.
@@ -529,29 +581,33 @@ impl Graph {
         self.rels.iter()
     }
 
+    /// `node`'s outgoing and incoming ids as `dir` selects them (an empty
+    /// slice for the other direction, and both for a missing node).
+    fn lists(&self, node: NodeId, dir: Direction) -> (&[RelId], &[RelId]) {
+        let (out, inc) = self
+            .nodes
+            .get(node.raw())
+            .map_or((&[][..], &[][..]), NodeSlot::lists);
+        (
+            if dir.includes_out() { out } else { &[] },
+            if dir.includes_in() { inc } else { &[] },
+        )
+    }
+
     /// The relationship ids incident to `node` in the given direction, lent
-    /// from its adjacency lists: outgoing first, then incoming, each in
+    /// from its adjacency list: outgoing first, then incoming, each in
     /// insertion order. For `Both`, self-loops appear twice (once per
     /// direction), matching the degree semantics used by the evaluation
     /// datasets.
     pub fn relationships(&self, node: NodeId, dir: Direction) -> impl Iterator<Item = RelId> + '_ {
-        let slot = self.nodes.get(node.raw());
-        let out = slot
-            .filter(|_| dir.includes_out())
-            .map_or(&[][..], |s| &s.out);
-        let inc = slot
-            .filter(|_| dir.includes_in())
-            .map_or(&[][..], |s| &s.inc);
+        let (out, inc) = self.lists(node, dir);
         out.iter().chain(inc).copied()
     }
 
     /// The degree of `node` in the given direction.
     pub fn degree(&self, node: NodeId, dir: Direction) -> usize {
-        self.nodes.get(node.raw()).map_or(0, |s| {
-            let out = if dir.includes_out() { s.out.len() } else { 0 };
-            let inc = if dir.includes_in() { s.inc.len() } else { 0 };
-            out + inc
-        })
+        let (out, inc) = self.lists(node, dir);
+        out.len() + inc.len()
     }
 
     /// Neighbour node ids (deduplicated) of `node`.
@@ -570,12 +626,7 @@ impl Graph {
     /// On error the graph is unchanged.
     pub fn insert_node(&mut self, node: Node) -> Result<()> {
         let id = node.id;
-        let slot = NodeSlot {
-            node,
-            out: Vec::new(),
-            inc: Vec::new(),
-        };
-        if self.nodes.insert(slot) {
+        if self.nodes.insert(NodeSlot::new(node)) {
             Ok(())
         } else {
             Err(GraphError::NodeExists(id))
@@ -596,36 +647,64 @@ impl Graph {
         }
         self.rels.insert(rel);
         if let Some(s) = self.nodes.get_mut(src.raw()) {
-            s.out.push(id);
+            s.push_out(id);
         }
         if let Some(s) = self.nodes.get_mut(tgt.raw()) {
-            s.inc.push(id);
+            s.push_in(id);
         }
         Ok(())
     }
 
-    /// Adds every relationship of `chunk` at once, sharing the chunk rather
-    /// than copying it (see [`RelChunk`]). Each must satisfy the `AddRel`
-    /// constraints, and the graph must hold no relationship of the chunk's
-    /// id range yet. On error the graph is unchanged.
-    pub fn insert_rel_chunk(&mut self, chunk: &RelChunk) -> Result<()> {
-        if let Some(held) = self.rels.chunk(chunk.no).and_then(|c| c.first()) {
-            return Err(GraphError::RelExists(held.id));
-        }
-        for r in chunk.rels() {
-            for node in [r.src, r.tgt] {
-                if !self.has_node(node) {
-                    return Err(GraphError::EndpointMissing { rel: r.id, node });
+    /// Adds every relationship of `chunks` at once, sharing each chunk
+    /// rather than copying it (see [`RelChunk`]). Each relationship must
+    /// satisfy the `AddRel` constraints, and no chunk's id range may be held
+    /// by the graph already or by an earlier chunk of `chunks`. On error the
+    /// graph is unchanged.
+    ///
+    /// The result equals inserting the relationships one by one in the
+    /// order given, adjacency order included, but each endpoint's list
+    /// grows once, to exactly the size it needs: what a snapshot load
+    /// leaves behind holds no spare capacity. All outgoing ids go in before
+    /// any incoming one, so a graph without relationships moves no id.
+    pub fn insert_rel_chunks(&mut self, chunks: &[RelChunk]) -> Result<()> {
+        let mut seen = HashSet::with_capacity(chunks.len());
+        let mut grow: HashMap<u64, usize> = HashMap::new();
+        for chunk in chunks {
+            let held = self.rels.chunk(chunk.no).map(|c| &c[..]);
+            let earlier = (!seen.insert(chunk.no)).then(|| chunk.rels());
+            if let Some(taken) = held.or(earlier).and_then(<[_]>::first) {
+                return Err(GraphError::RelExists(taken.id));
+            }
+            for r in chunk.rels() {
+                for node in [r.src, r.tgt] {
+                    if !self.has_node(node) {
+                        return Err(GraphError::EndpointMissing { rel: r.id, node });
+                    }
+                    *grow.entry(node.raw()).or_default() += 1;
                 }
             }
         }
-        self.rels.insert_chunk(chunk.no, chunk.rels.clone());
-        for r in chunk.rels() {
-            if let Some(s) = self.nodes.get_mut(r.src.raw()) {
-                s.out.push(r.id);
+        // In id order: the lists are allocated in the order the nodes sit,
+        // the same way every time.
+        let mut grow: Vec<(u64, usize)> = grow.into_iter().collect();
+        grow.sort_unstable();
+        for (node, n) in grow {
+            if let Some(s) = self.nodes.get_mut(node) {
+                s.adj.reserve_exact(n);
             }
+        }
+        for chunk in chunks {
+            self.rels.insert_chunk(chunk.no, chunk.rels.clone());
+        }
+        let rels = || chunks.iter().flat_map(RelChunk::rels);
+        for r in rels() {
+            if let Some(s) = self.nodes.get_mut(r.src.raw()) {
+                s.push_out(r.id);
+            }
+        }
+        for r in rels() {
             if let Some(s) = self.nodes.get_mut(r.tgt.raw()) {
-                s.inc.push(r.id);
+                s.push_in(r.id);
             }
         }
         Ok(())
@@ -656,7 +735,7 @@ impl Graph {
                     .nodes
                     .get(id.raw())
                     .ok_or(GraphError::NodeNotFound(*id))?;
-                if !slot.out.is_empty() || !slot.inc.is_empty() {
+                if !slot.adj.is_empty() {
                     return Err(GraphError::NodeHasRelationships(*id));
                 }
                 self.nodes.remove(id.raw());
@@ -675,10 +754,10 @@ impl Graph {
                 let (src, tgt) = (rel.src, rel.tgt);
                 self.rels.remove(id.raw());
                 if let Some(s) = self.nodes.get_mut(src.raw()) {
-                    s.out.retain(|r| r != id);
+                    s.remove_out(*id);
                 }
                 if let Some(s) = self.nodes.get_mut(tgt.raw()) {
-                    s.inc.retain(|r| r != id);
+                    s.remove_in(*id);
                 }
             }
             Update::SetNodeProp { id, key, value } => {
@@ -727,14 +806,8 @@ impl Graph {
                     return Err(GraphError::EndpointMissing { rel: r.id, node });
                 }
             }
-            let out_ok = self
-                .nodes
-                .get(r.src.raw())
-                .is_some_and(|s| s.out.contains(&r.id));
-            let in_ok = self
-                .nodes
-                .get(r.tgt.raw())
-                .is_some_and(|s| s.inc.contains(&r.id));
+            let out_ok = self.lists(r.src, Direction::Outgoing).0.contains(&r.id);
+            let in_ok = self.lists(r.tgt, Direction::Incoming).1.contains(&r.id);
             if !out_ok || !in_ok {
                 return Err(GraphError::Storage(format!(
                     "adjacency desync for relationship {}",
@@ -742,31 +815,33 @@ impl Graph {
                 )));
             }
         }
-        let (out_total, in_total) = self
-            .nodes
-            .iter()
-            .fold((0, 0), |(o, i), s| (o + s.out.len(), i + s.inc.len()));
+        let (out_total, in_total) = self.nodes.iter().fold((0, 0), |(o, i), s| {
+            let (out, inc) = s.lists();
+            (o + out.len(), i + inc.len())
+        });
         if out_total != self.rel_count() || in_total != self.rel_count() {
             return Err(GraphError::Storage("dangling adjacency entries".into()));
         }
         Ok(())
     }
 
-    /// Estimated in-memory footprint in bytes (Table 3 accounting): the
-    /// entities, 48 B per non-empty adjacency list, 8 B per entry in one and
-    /// 56 B per chunk. Chunks shared with other graphs are counted in full.
+    /// Estimated in-memory footprint in bytes (Table 3 accounting): 88 B
+    /// per node (its slot: the node, its adjacency list's header and its
+    /// out-degree), 64 B per relationship, what either allocates beyond
+    /// that (a second property, a third label, an array), 8 B per slot an
+    /// adjacency list has allocated, and 56 B per chunk. A loaded graph's
+    /// lists hold exactly their entries; one grown by updates also holds
+    /// its spare capacity, which is charged too. Chunks shared with other
+    /// graphs are counted in full.
     pub fn heap_size(&self) -> usize {
+        let beside = std::mem::size_of::<NodeSlot>() - std::mem::size_of::<Node>();
         let nodes: usize = self
             .nodes
             .iter()
-            .map(|s| {
-                let lists = usize::from(!s.out.is_empty()) + usize::from(!s.inc.is_empty());
-                s.node.heap_size() + lists * 48
-            })
+            .map(|s| s.node.heap_size() + beside + s.adj.capacity() * std::mem::size_of::<RelId>())
             .sum();
         let rels: usize = self.rels().map(Relationship::heap_size).sum();
-        let adjacency = self.rel_count() * 2 * std::mem::size_of::<RelId>();
-        nodes + rels + adjacency + self.nodes.overhead() + self.rels.overhead()
+        nodes + rels + self.nodes.overhead() + self.rels.overhead()
     }
 
     /// The number of chunks of `self` that are not shared with `other`: what
@@ -1002,6 +1077,42 @@ mod tests {
         assert_eq!(weighted(true).heap_size(), weighted(false).heap_size());
         let rels: usize = weighted(true).rels().map(Relationship::heap_size).sum();
         assert_eq!(rels, 1_000 * std::mem::size_of::<Relationship>());
+    }
+
+    #[test]
+    fn node_slot_stays_small() {
+        assert!(std::mem::size_of::<NodeSlot>() <= 88);
+    }
+
+    /// A node without relationships is charged its slot; every adjacency
+    /// slot allocated is charged 8 B, and a bulk load allocates none spare.
+    #[test]
+    fn heap_size_charges_slots_and_allocated_entries() {
+        let mut g = Graph::new();
+        g.apply_all([&add_node(0), &add_node(1), &add_node(2)])
+            .unwrap();
+        let chunk = |rels: Vec<Relationship>| RelChunk::new(rels).unwrap();
+        let rel = |id, src, tgt| Relationship::new(rid(id), nid(src), nid(tgt), None, vec![]);
+        let chunks = [
+            chunk(vec![rel(0, 0, 1), rel(1, 0, 0), rel(2, 1, 0)]),
+            chunk(vec![rel(64, 0, 1), rel(65, 2, 0)]),
+        ];
+        g.insert_rel_chunks(&chunks).unwrap();
+        for (id, len) in [(0, 6), (1, 3), (2, 1)] {
+            let slot = g.nodes.get(id).unwrap();
+            assert_eq!((slot.adj.len(), slot.adj.capacity()), (len, len));
+        }
+        assert!(g
+            .relationships(nid(0), Direction::Both)
+            .eq([0, 1, 64, 1, 2, 65].map(rid)));
+        // 1 node chunk and 2 relationship chunks.
+        assert_eq!(g.heap_size(), 3 * 88 + 5 * 64 + 10 * 8 + 3 * 56);
+        // Growing by updates leaves spare capacity, which is charged.
+        let before = g.heap_size();
+        g.apply(&add_rel(3, 2, 2)).unwrap();
+        let grown = g.nodes.get(2).unwrap().adj.capacity();
+        assert!(grown > 3, "spare capacity");
+        assert_eq!(g.heap_size(), before + 64 + (grown - 1) * 8);
     }
 
     #[test]

@@ -19,10 +19,11 @@ pub enum PropertyValue {
     Bool(bool),
     /// Interned string value.
     Str(StrId),
-    /// Array of integers.
-    IntArray(Vec<i64>),
+    /// Array of integers. A boxed slice, not a `Vec`: values are replaced
+    /// whole, never grown, and 8 bytes less keeps the enum at 24.
+    IntArray(Box<[i64]>),
     /// Array of floats.
-    FloatArray(Vec<f64>),
+    FloatArray(Box<[f64]>),
 }
 
 /// Discriminant tags used by the on-disk property encoding (Sec. 4.2 reserves
@@ -178,8 +179,8 @@ mod tests {
             PropertyValue::Float(1.0),
             PropertyValue::Bool(false),
             PropertyValue::Str(StrId::new(0)),
-            PropertyValue::IntArray(vec![1, 2]),
-            PropertyValue::FloatArray(vec![0.5]),
+            PropertyValue::IntArray(Box::new([1, 2])),
+            PropertyValue::FloatArray(Box::new([0.5])),
         ] {
             let tag = v.tag();
             assert_eq!(ValueTag::from_u8(tag as u8), Some(tag));
@@ -190,6 +191,11 @@ mod tests {
     #[test]
     fn heap_size_counts_arrays_only() {
         assert_eq!(PropertyValue::Int(1).heap_size(), 0);
-        assert_eq!(PropertyValue::IntArray(vec![1, 2, 3]).heap_size(), 24);
+        assert_eq!(PropertyValue::IntArray(Box::new([1, 2, 3])).heap_size(), 24);
+    }
+
+    #[test]
+    fn value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<PropertyValue>(), 24);
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests on the data-model invariants: interval algebra, delta
 //! merge/apply equivalence, temporal-graph well-formedness under arbitrary
-//! replay, the inline property bag and label set against sorted models, and
-//! the chunked copy-on-write `Graph` against an ordered-map model.
+//! replay, the inline property bag and label set against sorted models, the
+//! chunked copy-on-write `Graph` against an ordered-map model, and its
+//! adjacency against two lists per node.
 
 use lpg::{
     Direction, EntityDelta, Graph, GraphError, Interval, LabelSet, Node, NodeId, PropBag,
@@ -529,9 +530,9 @@ proptest! {
     }
 }
 
-/// `g`'s nodes inserted one by one, then its relationships chunk by chunk
-/// through `insert_rel_chunk`, taking each chunk from `chunks` (by chunk
-/// number) or adding it there.
+/// `g`'s nodes inserted one by one, then its relationships in one
+/// `insert_rel_chunks`, taking each chunk from `chunks` (by chunk number) or
+/// adding it there.
 fn rebuilt(g: &Graph, chunks: &mut BTreeMap<u64, RelChunk>) -> Graph {
     let mut out = Graph::new();
     for n in g.nodes() {
@@ -544,12 +545,16 @@ fn rebuilt(g: &Graph, chunks: &mut BTreeMap<u64, RelChunk>) -> Graph {
             .or_default()
             .push(r.clone());
     }
-    for (no, rels) in by_chunk {
-        let chunk = chunks
-            .entry(no)
-            .or_insert_with(|| RelChunk::new(rels).unwrap());
-        out.insert_rel_chunk(chunk).unwrap();
-    }
+    let taken: Vec<RelChunk> = by_chunk
+        .into_iter()
+        .map(|(no, rels)| {
+            let chunk = chunks.entry(no);
+            chunk
+                .or_insert_with(|| RelChunk::new(rels).unwrap())
+                .clone()
+        })
+        .collect();
+    out.insert_rel_chunks(&taken).unwrap();
     out
 }
 
@@ -590,20 +595,28 @@ fn rel_chunks_are_checked_and_inserted_whole_or_not_at_all() {
     // Relationship 70 has an endpoint the graph lacks: none of the chunk
     // goes in, not even 64 and 65 before it.
     let dangling = RelChunk::new(vec![rel(64, 0, 1), rel(65, 1, 2), rel(70, 2, 9)]).unwrap();
+    let fine = RelChunk::new(vec![rel(0, 0, 1)]).unwrap();
     assert_eq!(
-        g.insert_rel_chunk(&dangling),
+        g.insert_rel_chunks(&[fine.clone(), dangling]),
         Err(GraphError::EndpointMissing {
             rel: RelId::new(70),
             node: NodeId::new(9)
         })
     );
     assert_eq!(g.chunks_diverged_from(&before), 0);
+    // Two chunks of one id range in one call: neither goes in.
+    let twin = RelChunk::new(vec![rel(1, 2, 0)]).unwrap();
+    assert_eq!(
+        g.insert_rel_chunks(&[fine, twin]),
+        Err(GraphError::RelExists(RelId::new(1)))
+    );
+    assert_eq!(g.chunks_diverged_from(&before), 0);
     let chunk = RelChunk::new(vec![rel(64, 0, 1), rel(65, 1, 1)]).unwrap();
-    g.insert_rel_chunk(&chunk).unwrap();
+    g.insert_rel_chunks(std::slice::from_ref(&chunk)).unwrap();
     // The chunk's id range is taken, whichever ids the second one holds.
     let other = RelChunk::new(vec![rel(100, 0, 2)]).unwrap();
     assert_eq!(
-        g.insert_rel_chunk(&other),
+        g.insert_rel_chunks(&[other]),
         Err(GraphError::RelExists(RelId::new(64)))
     );
     g.check_consistency().unwrap();
@@ -689,4 +702,167 @@ fn a_clone_and_one_property_change_diverge_in_one_chunk() {
     assert!(held.node(NodeId::new(ids[1_234])).unwrap().props.is_empty());
     g.check_consistency().unwrap();
     held.check_consistency().unwrap();
+}
+
+/// The adjacency `Graph` is specified to keep: per node, its outgoing and
+/// its incoming relationship ids in two lists, each in insertion order.
+#[derive(Default)]
+struct AdjModel {
+    out: BTreeMap<u64, Vec<RelId>>,
+    inc: BTreeMap<u64, Vec<RelId>>,
+    /// `id → (src, tgt)`.
+    rels: BTreeMap<u64, (u64, u64)>,
+}
+
+impl AdjModel {
+    fn apply(&mut self, op: &Update) -> Result<(), GraphError> {
+        match *op {
+            Update::AddNode { id, .. } => {
+                if self.out.contains_key(&id.raw()) {
+                    return Err(GraphError::NodeExists(id));
+                }
+                self.out.insert(id.raw(), vec![]);
+                self.inc.insert(id.raw(), vec![]);
+            }
+            Update::DeleteNode { id } => {
+                let (out, inc) = (&self.out, &self.inc);
+                match (out.get(&id.raw()), inc.get(&id.raw())) {
+                    (Some(o), Some(i)) if o.is_empty() && i.is_empty() => {}
+                    (Some(_), _) => return Err(GraphError::NodeHasRelationships(id)),
+                    _ => return Err(GraphError::NodeNotFound(id)),
+                }
+                self.out.remove(&id.raw());
+                self.inc.remove(&id.raw());
+            }
+            Update::AddRel { id, src, tgt, .. } => {
+                if self.rels.contains_key(&id.raw()) {
+                    return Err(GraphError::RelExists(id));
+                }
+                for node in [src, tgt] {
+                    if !self.out.contains_key(&node.raw()) {
+                        return Err(GraphError::EndpointMissing { rel: id, node });
+                    }
+                }
+                self.rels.insert(id.raw(), (src.raw(), tgt.raw()));
+                self.out.get_mut(&src.raw()).unwrap().push(id);
+                self.inc.get_mut(&tgt.raw()).unwrap().push(id);
+            }
+            Update::DeleteRel { id } => {
+                let (src, tgt) = self
+                    .rels
+                    .remove(&id.raw())
+                    .ok_or(GraphError::RelNotFound(id))?;
+                self.out.get_mut(&src).unwrap().retain(|r| *r != id);
+                self.inc.get_mut(&tgt).unwrap().retain(|r| *r != id);
+            }
+            _ => unreachable!("only structural updates are generated"),
+        }
+        Ok(())
+    }
+}
+
+/// `g`'s adjacency, as `relationships` and `degree` show it, equals `m`'s.
+fn assert_adjacency(g: &Graph, m: &AdjModel) {
+    g.check_consistency().unwrap();
+    assert_eq!(g.node_count(), m.out.len());
+    assert_eq!(g.rel_count(), m.rels.len());
+    for (node, out) in &m.out {
+        let inc = &m.inc[node];
+        let id = NodeId::new(*node);
+        let both: Vec<RelId> = out.iter().chain(inc).copied().collect();
+        for (dir, want) in [
+            (Direction::Outgoing, out),
+            (Direction::Incoming, inc),
+            (Direction::Both, &both),
+        ] {
+            let got: Vec<RelId> = g.relationships(id, dir).collect();
+            assert_eq!(&got, want, "node {node} {dir:?}");
+            assert_eq!(g.degree(id, dir), want.len());
+        }
+    }
+}
+
+/// Node ids: a few in one chunk (so self-loops and parallel relationships
+/// are common) and one far off.
+const ADJ_NODES: [u64; 5] = [0, 1, 2, 3, 1 << 40];
+
+fn adj_step(m: &AdjModel, kind: u8, a: usize, b: usize, rel: u64) -> Update {
+    let node = |i: usize| NodeId::new(ADJ_NODES[i % ADJ_NODES.len()]);
+    match kind {
+        0 | 1 => Update::AddNode {
+            id: node(a),
+            labels: vec![],
+            props: vec![],
+        },
+        2 => Update::DeleteNode { id: node(a) },
+        3..=7 => Update::AddRel {
+            id: RelId::new(rel),
+            src: node(a),
+            tgt: node(b),
+            label: None,
+            props: vec![],
+        },
+        _ => {
+            // Mostly a relationship that exists.
+            let live = m.rels.keys().nth(a % m.rels.len().max(1)).copied();
+            Update::DeleteRel {
+                id: RelId::new(live.filter(|_| !b.is_multiple_of(4)).unwrap_or(rel)),
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn adjacency_matches_two_lists_per_node(
+        steps in proptest::collection::vec((0u8..10, 0usize..64, 0usize..64, 0u64..256), 1..300),
+        first_chunks in 0u64..5,
+        reverse in any::<bool>(),
+    ) {
+        let mut g = Graph::new();
+        let mut m = AdjModel::default();
+        for (kind, a, b, rel) in steps {
+            let op = adj_step(&m, kind, a, b, rel);
+            prop_assert_eq!(g.apply(&op), m.apply(&op), "{:?}", op);
+            assert_adjacency(&g, &m);
+        }
+        // The same relationships again, into graphs that hold the nodes and
+        // the first `first_chunks` chunks' relationships: one by one, and
+        // the rest chunk-wise in one call, in the same order.
+        let mut one_by_one = Graph::new();
+        for n in g.nodes() {
+            one_by_one.insert_node(n.clone()).unwrap();
+        }
+        let (early, late): (Vec<&Relationship>, Vec<_>) =
+            g.rels().partition(|r| r.id.raw() / CHUNK < first_chunks);
+        for r in early {
+            one_by_one.insert_rel(r.clone()).unwrap();
+        }
+        let mut bulk = one_by_one.clone();
+        let mut chunks: BTreeMap<u64, Vec<Relationship>> = BTreeMap::new();
+        for r in late {
+            chunks.entry(r.id.raw() / CHUNK).or_default().push(r.clone());
+        }
+        let mut chunks: Vec<RelChunk> =
+            chunks.into_values().map(|rels| RelChunk::new(rels).unwrap()).collect();
+        if reverse {
+            chunks.reverse();
+        }
+        for r in chunks.iter().flat_map(RelChunk::rels) {
+            one_by_one.insert_rel(r.clone()).unwrap();
+        }
+        bulk.insert_rel_chunks(&chunks).unwrap();
+        bulk.check_consistency().unwrap();
+        prop_assert!(bulk.same_as(&one_by_one) && bulk.same_as(&g));
+        for &node in &ADJ_NODES {
+            let id = NodeId::new(node);
+            prop_assert!(bulk
+                .relationships(id, Direction::Both)
+                .eq(one_by_one.relationships(id, Direction::Both)));
+            prop_assert_eq!(
+                bulk.degree(id, Direction::Outgoing),
+                one_by_one.degree(id, Direction::Outgoing)
+            );
+        }
+    }
 }

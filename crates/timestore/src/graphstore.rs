@@ -18,9 +18,10 @@
 //! charge more than `budget` together and usually hold less, being shared.
 //! `heap_size()` counts the bytes the graph's structures hold, not what the
 //! allocator spends on them (its per-block header and rounding): building
-//! `aion-perf`'s final graph charges 11.2 MB and grows the resident set by
-//! 11.8 MB (13.5 against 15.2 MB while every relationship's property was a
-//! block of its own).
+//! `aion-perf`'s final graph charges 9.9 MB and grows the resident set by
+//! 10.5 MB. The gauges `timestore.graphstore.bytes` and
+//! `timestore.graphstore.entries` report what the historical cache is
+//! charged and how many graphs it holds.
 //!
 //! The historical cache is **demand-filled**: only reads put graphs there
 //! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a
@@ -63,8 +64,6 @@ struct Inner {
     latest_ts: Timestamp,
     /// The versions readers pinned, by timestamp (see the module doc).
     pinned: BTreeMap<Timestamp, Weak<Graph>>,
-    hits: u64,
-    misses: u64,
 }
 
 /// In-memory snapshot cache with a byte budget, plus the latest graph.
@@ -79,6 +78,11 @@ pub struct GraphStore {
     cow_chunks: Arc<obs::Counter>,
     /// `timestore.pins`: pinned versions still alive, as of the last pin.
     pins: Arc<obs::Gauge>,
+    /// `timestore.graphstore.bytes`: what the historical cache's entries
+    /// are charged together, as of the last `put`.
+    cached_bytes: Arc<obs::Gauge>,
+    /// `timestore.graphstore.entries`: how many it holds, likewise.
+    entries: Arc<obs::Gauge>,
 }
 
 impl GraphStore {
@@ -94,13 +98,13 @@ impl GraphStore {
                 latest: Arc::new(Graph::new()),
                 latest_ts: 0,
                 pinned: BTreeMap::new(),
-                hits: 0,
-                misses: 0,
             }),
             budget: budget_bytes,
             cow_copies: obs::counter("timestore.latest.cow_copies"),
             cow_chunks: obs::counter("timestore.latest.cow_chunks"),
             pins: obs::gauge("timestore.pins"),
+            cached_bytes: obs::gauge("timestore.graphstore.bytes"),
+            entries: obs::gauge("timestore.graphstore.entries"),
         }
     }
 
@@ -196,6 +200,8 @@ impl GraphStore {
                 g.bytes -= old.bytes;
             }
         }
+        self.cached_bytes.set(g.bytes as i64);
+        self.entries.set(g.cache.len() as i64);
     }
 
     /// Exact-timestamp cache lookup.
@@ -203,18 +209,9 @@ impl GraphStore {
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
-        match g.cache.get_mut(&ts) {
-            Some(e) => {
-                e.tick = tick;
-                let out = e.graph.clone();
-                g.hits += 1;
-                Some(out)
-            }
-            None => {
-                g.misses += 1;
-                None
-            }
-        }
+        let e = g.cache.get_mut(&ts)?;
+        e.tick = tick;
+        Some(e.graph.clone())
     }
 
     /// Best cached snapshot with timestamp `≤ ts` — the "closest snapshot"
@@ -227,28 +224,9 @@ impl GraphStore {
             // The live graph is the cheapest base when it's old enough.
             return Some((g.latest_ts, g.latest.clone()));
         }
-        let found = g
-            .cache
-            .range(..=ts)
-            .next_back()
-            .map(|(k, e)| (*k, e.graph.clone()));
-        match &found {
-            Some((k, _)) => {
-                g.hits += 1;
-                let k = *k;
-                if let Some(e) = g.cache.get_mut(&k) {
-                    e.tick = tick;
-                }
-            }
-            None => g.misses += 1,
-        }
-        found
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        let g = self.inner.lock();
-        (g.hits, g.misses)
+        let (k, e) = g.cache.range_mut(..=ts).next_back()?;
+        e.tick = tick;
+        Some((*k, e.graph.clone()))
     }
 
     /// Number of cached historical snapshots.
