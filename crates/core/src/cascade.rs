@@ -4,25 +4,49 @@
 //!
 //! The cascade owns a worker thread fed by an unbounded channel of commit
 //! events. [`Cascade::barrier`] lets tests and recovery wait until the
-//! LineageStore has caught up with a given timestamp.
+//! LineageStore has caught up with a given timestamp: it parks on a condvar
+//! the worker signals after each apply, so the waiting thread leaves the
+//! CPU to the worker instead of spinning beside it.
 
 use crate::txn::CommitEvent;
 use crossbeam_channel::{unbounded, Sender};
 use lineagestore::LineageStore;
 use lpg::{GraphError, Result, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// The longest a barrier parks before it looks at the wedge flag again: the
+/// log writer sets it without signalling.
+const WEDGE_POLL: Duration = Duration::from_millis(1);
 
 enum Job {
     Apply(CommitEvent),
     Stop,
 }
 
+/// How far the worker has applied, and what it signals when that moves or
+/// it wedges.
+struct Progress {
+    applied: AtomicU64,
+    lock: Mutex<()>,
+    moved: Condvar,
+}
+
+impl Progress {
+    /// Wakes every parked barrier. Taking the lock first means a barrier
+    /// that saw the old state is already parked, so the wake-up is not lost.
+    fn signal(&self) {
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.moved.notify_all();
+    }
+}
+
 /// Handle to the background LineageStore applier.
 pub struct Cascade {
     tx: Sender<Job>,
-    applied: Arc<AtomicU64>,
+    progress: Arc<Progress>,
     wedged: Arc<AtomicBool>,
     worker: Option<JoinHandle<()>>,
 }
@@ -34,8 +58,12 @@ impl Cascade {
     /// it submits nothing more. Fails only if the OS refuses the thread.
     pub fn spawn(lineage: Arc<LineageStore>, wedged: Arc<AtomicBool>) -> Result<Cascade> {
         let (tx, rx) = unbounded::<Job>();
-        let applied = Arc::new(AtomicU64::new(lineage.applied_ts()));
-        let applied2 = applied.clone();
+        let progress = Arc::new(Progress {
+            applied: AtomicU64::new(lineage.applied_ts()),
+            lock: Mutex::new(()),
+            moved: Condvar::new(),
+        });
+        let progress2 = progress.clone();
         let wedged2 = wedged.clone();
         let worker = std::thread::Builder::new()
             .name("aion-cascade".into())
@@ -56,9 +84,10 @@ impl Cascade {
                             }
                             if lineage.apply_commit(event.ts, &event.updates).is_err() {
                                 wedged2.store(true, Ordering::Release);
-                                continue;
+                            } else {
+                                progress2.applied.store(event.ts, Ordering::Release);
                             }
-                            applied2.store(event.ts, Ordering::Release);
+                            progress2.signal();
                         }
                         Job::Stop => break,
                     }
@@ -67,7 +96,7 @@ impl Cascade {
             .map_err(|e| GraphError::Storage(format!("spawn cascade worker: {e}")))?;
         Ok(Cascade {
             tx,
-            applied,
+            progress,
             wedged,
             worker: Some(worker),
         })
@@ -80,14 +109,20 @@ impl Cascade {
 
     /// Highest timestamp the LineageStore has fully applied.
     pub fn applied_ts(&self) -> Timestamp {
-        self.applied.load(Ordering::Acquire)
+        self.progress.applied.load(Ordering::Acquire)
     }
 
     /// Blocks until everything at or below `ts` has been applied, or the
     /// wedge flag is set (in which case the watermark may never reach `ts`).
     pub fn barrier(&self, ts: Timestamp) {
+        let progress = &self.progress;
+        let mut guard = progress.lock.lock().unwrap_or_else(PoisonError::into_inner);
         while self.applied_ts() < ts && !self.wedged.load(Ordering::Acquire) {
-            std::thread::yield_now();
+            guard = progress
+                .moved
+                .wait_timeout(guard, WEDGE_POLL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }

@@ -37,13 +37,25 @@
 //!
 //! A relationship segment is exactly one chunk of a graph's relationship
 //! table, and every file that references a segment names the same bytes
-//! (one hop). So [`decode`] keeps what it decodes from a relationship
-//! segment in a [`SharedSegments`], keyed by those bytes, and a later load
-//! that names the same bytes takes the chunk from there: it neither reads
-//! nor decodes them again, and the two graphs hold one copy. The chunks are
-//! held weakly, so a segment costs nothing once no graph holds it. Node
-//! segments are always decoded: a node chunk carries the node's adjacency
-//! list, which depends on relationships in other segments.
+//! (one hop). A [`SharedSegments`] holds such chunks keyed by those bytes,
+//! and a load that names the same bytes takes the chunk from there: it
+//! neither reads nor decodes them again, and the graphs hold one copy. Two
+//! kinds of chunk go in:
+//!
+//! * the writer's: the graph a file is encoded from already holds every
+//!   segment the file writes inline, so once the file is durable the writer
+//!   lends those chunks ([`Loan`]). The latest graph and the snapshots
+//!   loaded from its files then share every relationship chunk no commit
+//!   changed since;
+//! * a load's: [`decode`] keeps what it decodes from a relationship
+//!   segment, for the loads after it.
+//!
+//! The chunks are held weakly, so a segment costs nothing once no graph
+//! holds it, and a graph that changes a chunk it holds never changes it
+//! where it is found ([`lpg::RelChunk`]): what is found is always what the
+//! bytes decode to. Node segments are always decoded: a node chunk carries
+//! the node's adjacency list, which depends on relationships in other
+//! segments.
 //!
 //! A load adds all its relationship chunks, shared or decoded, in one
 //! [`lpg::Graph::insert_rel_chunks`] once every node is in: each node's
@@ -360,11 +372,12 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
     (pos == rest.len()).then_some(Manifest { ts, entries })
 }
 
-/// Relationship segments decoded by earlier loads, by the bytes they were
-/// decoded from (see the module doc). A chunk is held weakly: it is found
-/// here for as long as some graph holds it unchanged. It was checked
-/// against its sum when it was decoded; a load that finds it here does not
-/// read its bytes again.
+/// Relationship segments in memory, by the bytes they stand for (see the
+/// module doc): those earlier loads decoded, and those the writer lent from
+/// the graph it encoded them from. A chunk is held weakly: it is found here
+/// for as long as some graph holds it unchanged. A decoded chunk was checked
+/// against its sum when it was decoded, a lent one is what those bytes were
+/// encoded from; a load that finds either here does not read the bytes.
 #[derive(Default)]
 pub struct SharedSegments {
     inner: Mutex<Held>,
@@ -390,10 +403,17 @@ impl SharedSegments {
             .collect()
     }
 
-    fn keep(&self, fresh: Vec<(Source, RelChunk)>) {
+    /// Offers the chunks of `loan` to later loads. Call it once the file
+    /// `loan` was taken for is durable and indexed: only then do loads name
+    /// its bytes.
+    pub fn lend(&self, loan: Loan) {
+        self.keep(loan.0);
+    }
+
+    fn keep(&self, chunks: impl IntoIterator<Item = (Source, WeakRelChunk)>) {
         let mut held = self.inner.lock();
-        for (source, chunk) in fresh {
-            held.chunks.insert(source, chunk.downgrade());
+        for (source, chunk) in chunks {
+            held.chunks.insert(source, chunk);
         }
         // A dead entry costs a few dozen bytes: sweep them out whenever the
         // map has doubled since the last sweep.
@@ -408,6 +428,28 @@ impl SharedSegments {
     fn held(&self) -> usize {
         let held = self.inner.lock();
         held.chunks.values().filter(|c| !c.is_dead()).count()
+    }
+}
+
+/// The relationship chunks of the graph a snapshot file was encoded from
+/// whose bytes the file holds inline, held weakly, each under the bytes it
+/// was encoded to: what [`SharedSegments::lend`] offers to later loads.
+pub struct Loan(Vec<(Source, WeakRelChunk)>);
+
+impl Loan {
+    /// Takes the chunks of `graph` that the file of `manifest` holds inline.
+    /// `graph` must be the graph `manifest` was [`encode`]d from, at its
+    /// timestamp: a chunk changed since would stand for bytes it does not
+    /// decode from. (Changing one later is safe: see [`lpg::RelChunk`].)
+    /// Referenced segments are left out: the write that held them inline
+    /// lent them, or the load that decoded them kept them.
+    pub fn new(manifest: &Manifest, graph: &Graph) -> Loan {
+        let inline = manifest.entries.iter().filter(|e| e.at.ts == manifest.ts);
+        let chunks = inline.filter_map(|e| match e.segment {
+            Segment::Rel(no) => Some((e.source(), graph.rel_chunk(no)?.downgrade())),
+            Segment::Node(_) => None,
+        });
+        Loan(chunks.collect())
     }
 }
 
@@ -490,7 +532,7 @@ pub fn decode(
             (None, Segment::Rel(no)) => {
                 out.decoded += 1;
                 let chunk = decode_rels(no, bytes_of(entry)?).ok_or(Fault::Corrupt)?;
-                fresh.push((entry.source(), chunk.clone()));
+                fresh.push((entry.source(), chunk.downgrade()));
                 chunk
             }
         };
@@ -757,6 +799,39 @@ mod tests {
         let (d, _) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
         assert_eq!(d.shared, 4);
         assert!(d.graph.same_as(&g2));
+    }
+
+    #[test]
+    fn a_load_takes_what_the_writer_lent_until_the_writer_changes_it() {
+        let (f1, f2, g2) = referencing_pair();
+        let mut g1 = sample_graph();
+        let shared = SharedSegments::default();
+        shared.lend(Loan::new(&open(&f1).unwrap(), &g1));
+        // Every relationship segment comes from the writer's graph.
+        let (a, read) = load_with(&f1, &[], &shared).unwrap();
+        assert_eq!((a.decoded, a.shared, read), (4, 7, 0));
+        assert!(a.graph.same_as(&g1));
+        a.graph.check_consistency().unwrap();
+        assert_eq!(a.graph.chunks_diverged_from(&g1), 4);
+        // f2 holds relationship segment 4 inline and lends it from g2.
+        let m2 = open(&f2).unwrap();
+        let loan = Loan::new(&m2, &g2);
+        assert_eq!(loan.0.len(), 1);
+        shared.lend(loan);
+        let (b, _) = load_with(&f2, &[(10, &f1)], &shared).unwrap();
+        assert_eq!((b.decoded, b.shared), (4, 7));
+        assert!(b.graph.same_as(&g2));
+        drop((a, b));
+        // Changed where nobody else holds it: the chunk is not found again.
+        g1.apply(&Update::SetRelProp {
+            id: RelId::new(5),
+            key: StrId::new(3),
+            value: PropertyValue::Int(-1),
+        })
+        .unwrap();
+        let (c, _) = load_with(&f1, &[], &shared).unwrap();
+        assert_eq!((c.decoded, c.shared), (5, 6));
+        assert!(c.graph.same_as(&sample_graph()));
     }
 
     #[test]

@@ -44,11 +44,16 @@
 //!   [`Graph::chunks_diverged_from`] counts the chunks two graphs no longer
 //!   share, skipping the pages they still share.
 //! * Graphs that are not clones of each other can share relationship
-//!   chunks too: [`Graph::insert_rel_chunks`] adds [`RelChunk`]s by pointer
-//!   and only fills in the endpoints' adjacency lists. Snapshot loading uses
-//!   it to hold a segment that several snapshot files reference once.
-//!   (Node chunks carry adjacency lists, which depend on the rest of the
-//!   graph, so they are not shared this way.)
+//!   chunks too: [`Graph::rel_chunk`] hands one out by pointer, and
+//!   [`Graph::insert_rel_chunks`] adds [`RelChunk`]s by pointer and only
+//!   fills in the endpoints' adjacency lists. Snapshot loading uses them to
+//!   hold a segment that several snapshot files reference once, and to
+//!   take a segment from the latest graph when that still holds what the
+//!   file holds. A chunk is never changed where it is shared: a mutation
+//!   `make_mut`s it, which copies it while another graph or [`RelChunk`]
+//!   holds it and otherwise detaches every [`WeakRelChunk`] from it. (Node
+//!   chunks carry adjacency lists, which depend on the rest of the graph,
+//!   so they are not shared this way.)
 //! * Lookup searches for the page, in it for the chunk, in it for the
 //!   entity. Each search first probes the slot the key occupies when ids are
 //!   dense from 0 (capped at the tail, where appends land) and only falls
@@ -655,6 +660,15 @@ impl Graph {
         Ok(())
     }
 
+    /// Chunk `no` of the relationship table, shared rather than copied (see
+    /// [`RelChunk`]); `None` when the graph holds no relationship of it.
+    pub fn rel_chunk(&self, no: u64) -> Option<RelChunk> {
+        Some(RelChunk {
+            no,
+            rels: self.rels.chunk(no)?.clone(),
+        })
+    }
+
     /// Adds every relationship of `chunks` at once, sharing each chunk
     /// rather than copying it (see [`RelChunk`]). Each relationship must
     /// satisfy the `AddRel` constraints, and no chunk's id range may be held
@@ -1113,6 +1127,42 @@ mod tests {
         let grown = g.nodes.get(2).unwrap().adj.capacity();
         assert!(grown > 3, "spare capacity");
         assert_eq!(g.heap_size(), before + 64 + (grown - 1) * 8);
+    }
+
+    /// A chunk handed out is the graph's own; a later change to the graph
+    /// never reaches it, and a change nobody else sees kills its weak
+    /// handles instead of changing what they find.
+    #[test]
+    fn rel_chunks_handed_out_never_change() {
+        let mut g = Graph::new();
+        g.apply_all([
+            &add_node(0),
+            &add_node(1),
+            &add_rel(0, 0, 1),
+            &add_rel(70, 1, 0),
+        ])
+        .unwrap();
+        assert!(g.rel_chunk(2).is_none());
+        let chunk = g.rel_chunk(0).unwrap();
+        assert!(Arc::ptr_eq(&chunk.rels, g.rels.chunk(0).unwrap()));
+        let mut h = Graph::new();
+        h.apply_all([&add_node(0), &add_node(1)]).unwrap();
+        h.insert_rel_chunks(std::slice::from_ref(&chunk)).unwrap();
+        assert_eq!(h.rels.diverged_from(&g.rels), 0);
+        let set = |id| Update::SetRelProp {
+            id: rid(id),
+            key: StrId::new(0),
+            value: PropertyValue::Int(1),
+        };
+        // Held by `h` and `chunk`: the change copies it.
+        g.apply(&set(0)).unwrap();
+        assert_eq!(chunk.rels()[0].prop(StrId::new(0)), None);
+        assert_eq!(h.rel(rid(0)).unwrap().prop(StrId::new(0)), None);
+        // Held by `g` alone: the change moves it out, the handle dies.
+        let weak = g.rel_chunk(1).unwrap().downgrade();
+        assert!(weak.upgrade().is_some());
+        g.apply(&set(70)).unwrap();
+        assert!(weak.is_dead() && weak.upgrade().is_none());
     }
 
     #[test]

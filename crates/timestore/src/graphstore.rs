@@ -10,12 +10,15 @@
 //! the ≤ 3 chunks per update it lands in and the spine page of each
 //! (`timestore.latest.cow_chunks`), never the graph; a replayed entry shares
 //! every chunk the replay did not touch with its base, and entries loaded
-//! from different snapshot files share the relationship segments the files
-//! share (`encoding::snapshot::SharedSegments`).
+//! from snapshot files share the relationship segments the files share with
+//! each other and with the latest graph: every relationship chunk no commit
+//! changed since the file that holds it was written
+//! (`encoding::snapshot::SharedSegments`).
 //!
 //! The byte budget counts `Graph::heap_size()`: every entry is charged in
-//! full when it is inserted, shared chunks included, so the entries never
-//! charge more than `budget` together and usually hold less, being shared.
+//! full when it is inserted, shared chunks included (those it shares with
+//! the latest graph too, which the budget does not hold), so the entries
+//! never charge more than `budget` together and hold less, being shared.
 //! `heap_size()` counts the bytes the graph's structures hold, not what the
 //! allocator spends on them (its per-block header and rounding): building
 //! `aion-perf`'s final graph charges 9.9 MB and grows the resident set by

@@ -146,8 +146,8 @@ pub struct TimeStore {
     pub(crate) snap_index: BTree,
     pub(crate) index_store: Arc<PageStore>,
     graphstore: GraphStore,
-    /// The relationship segments loaded graphs hold, so that a load shares
-    /// them instead of decoding them again.
+    /// The relationship segments loaded graphs and the latest graph hold,
+    /// so that a load shares them instead of decoding them again.
     segments: SharedSegments,
     pub(crate) snap_dir: PathBuf,
     policy: SnapshotPolicy,
@@ -500,7 +500,10 @@ impl TimeStore {
     /// timestamp already.
     ///
     /// The file references every segment of the previous snapshot that no
-    /// update touched since, and holds the rest inline.
+    /// update touched since, and holds the rest inline. The relationship
+    /// chunks it holds inline are lent to later loads (see
+    /// `encoding::snapshot`'s module doc), so a snapshot loaded from it
+    /// shares them with the latest graph until a commit changes them.
     pub fn write_snapshot(&self) -> Result<()> {
         // The latest graph is borrowed only while it is encoded, and not
         // parked in the GraphStore's cache (reads fill that on demand): an
@@ -526,6 +529,9 @@ impl TimeStore {
         self.metrics.snapshot_creates.inc();
         let (bytes, manifest) =
             snapshot::encode(&graph, ts, prev.as_deref(), |s| dirty.contains(&s));
+        // The relationship chunks this file holds inline, taken while the
+        // graph is still the one encoded.
+        let loan = snapshot::Loan::new(&manifest, &graph);
         drop(graph);
         let name = snapshot_name(ts);
         let path = self.snap_dir.join(&name);
@@ -538,6 +544,9 @@ impl TimeStore {
         file.sync_data()?;
         drop(file);
         self.snap_index.insert(&keys::ts_key(ts), name.as_bytes())?;
+        // Loads can name this file's bytes from here on: they take the
+        // chunks the latest graph still holds unchanged instead.
+        self.segments.lend(loan);
         // Only a snapshot that made it becomes what the next one references;
         // a failure above leaves the chain as it was.
         {

@@ -1,6 +1,8 @@
 //! Snapshot loads share the relationship segments their files share: a
 //! segment that several snapshot files reference is decoded once and held
 //! by every loaded graph as one chunk, for as long as one of them holds it.
+//! A segment the latest graph still holds as the file was written is not
+//! decoded at all: the snapshot writer lent it.
 //! `timestore.snapshot.segments_decoded` counts the segments decoded from
 //! bytes, `timestore.snapshot.segments_shared` those taken from memory.
 //!
@@ -88,18 +90,24 @@ fn loads_decode_a_shared_segment_once_and_hold_it_once() {
         assert_eq!(store.stats().snapshot_count, 4);
         assert_eq!(segments(&mut last), (0, 0), "writing decodes nothing");
 
-        // The first load decodes everything, the second only the node
-        // segments and the relationship segment its commit touched.
+        // Every file lent the relationship segments it holds inline. The
+        // first load takes from the latest graph all of them but the two
+        // that the commits at 10 and 20 changed since, and decodes those
+        // and the node segments.
         let at1 = store.snapshot_at(1).unwrap();
-        assert_eq!(segments(&mut last), (40, 0));
+        assert!(at1.same_as(&oracle_at(&commits, 1)));
+        assert_eq!(segments(&mut last), (22, 18));
+        assert_eq!(at1.chunks_diverged_from(&store.latest_graph()), 20 + 2);
+        // The second takes segment 1 from the latest graph (lent by the
+        // file at 10) and the rest from there or from the first load.
         let at10 = store.snapshot_at(10).unwrap();
-        assert_eq!(segments(&mut last), (21, 19));
+        assert_eq!(segments(&mut last), (20, 20));
         assert!(at10.same_as(&oracle_at(&commits, 10)));
         assert_eq!(at10.chunks_diverged_from(&at1), 20 + 1);
         // The file at 20 references segment 1 in the file at 10 and the
         // rest in the file at 1: one hop each, all of them held.
         let at20 = store.snapshot_at(20).unwrap();
-        assert_eq!(segments(&mut last), (21, 19));
+        assert_eq!(segments(&mut last), (20, 20));
         assert!(at20.same_as(&oracle_at(&commits, 20)));
         assert_eq!(at20.chunks_diverged_from(&at10), 20 + 1);
         assert_eq!(at20.chunks_diverged_from(&at1), 20 + 2);
