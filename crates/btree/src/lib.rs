@@ -39,4 +39,4 @@ pub mod verify;
 
 pub use scan::{KeyScan, Scan};
 pub use tree::{BTree, MAX_INLINE_VALUE, MAX_KEY};
-pub use verify::{TreeFill, VerifyClass, VerifyReport, Violation};
+pub use verify::{audit_page_file, Audit, Finding, TreeFill, VerifyClass, VerifyReport, Violation};

@@ -13,15 +13,18 @@
 //! * overflow chains are acyclic, in-bounds and deliver exactly the
 //!   declared value length.
 //!
-//! The report also returns the set of reachable pages so a caller that
-//! knows every tree sharing the page file can reconcile reachability
-//! against the free list (leak / double-use detection), and counts the
-//! leaves and their live bytes, so `aion-fsck` can print how full each
-//! index's pages are ([`TreeFill`]).
+//! The report also returns the set of reachable pages, which
+//! [`audit_page_file`] reconciles against the free list of the file every
+//! tree shares (leak / double-use detection), and counts the leaves and
+//! their live bytes, so `aion-fsck` can print how full each index's pages
+//! are ([`TreeFill`]).
+//!
+//! [`audit_page_file`] is the structural pass of every store audit, and
+//! [`Finding`] the one type every auditor above this crate reports in.
 
 use crate::layout;
 use crate::tree::BTree;
-use pagestore::{PageId, PAGE_SIZE};
+use pagestore::{PageId, PageStore, PAGE_SIZE};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::io;
@@ -144,6 +147,67 @@ impl fmt::Display for TreeFill {
             self.leaf_fill() * 100.0
         )
     }
+}
+
+/// One audit finding: a named invariant and what was observed.
+#[derive(Clone, Debug)]
+pub struct Finding {
+    /// Short machine-matchable invariant name, e.g. `"chain/interval"`.
+    pub check: &'static str,
+    /// Human-readable description of the violation.
+    pub detail: String,
+}
+
+impl Finding {
+    /// A finding of `check` with `detail`.
+    pub fn new(check: &'static str, detail: impl Into<String>) -> Finding {
+        Finding {
+            check,
+            detail: detail.into(),
+        }
+    }
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.check, self.detail)
+    }
+}
+
+/// What an audit found.
+#[derive(Clone, Debug, Default)]
+pub struct Audit {
+    /// Every violation (empty = consistent).
+    pub findings: Vec<Finding>,
+    /// Pages and leaf fill of each index, in the order they were verified.
+    pub fill: Vec<(&'static str, TreeFill)>,
+}
+
+/// The structural pass over one page file. Verifies each tree of `trees`,
+/// given as `(index name, check name, tree)` and together every tree
+/// `store` holds, reporting each [`Violation`] under the tree's check
+/// name; then reconciles the file's free list against the pages the trees
+/// and the meta page reach, reporting each discrepancy under
+/// `accounting`. IO errors abort the pass; corruption is reported.
+pub fn audit_page_file(
+    store: &PageStore,
+    trees: &[(&'static str, &'static str, &BTree)],
+    accounting: &'static str,
+) -> io::Result<Audit> {
+    let mut audit = Audit::default();
+    let mut reachable = BTreeSet::from([PageId::META.0]);
+    for &(name, check, tree) in trees {
+        let report = tree.verify()?;
+        for v in &report.violations {
+            audit.findings.push(Finding::new(check, v.to_string()));
+        }
+        audit.fill.push((name, report.fill()));
+        reachable.extend(report.reachable);
+    }
+    for problem in store.reconcile_free_list(&reachable)? {
+        audit.findings.push(Finding::new(accounting, problem));
+    }
+    Ok(audit)
 }
 
 /// An optional key bound inherited from a parent separator.

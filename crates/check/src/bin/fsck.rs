@@ -12,13 +12,17 @@
 //! `<dir>` is an Aion data directory: `<dir>/timestore/` (change log,
 //! index, snapshots) and `<dir>/lineage.db` (the four history indexes).
 //! Exit status: 0 = clean, 1 = violations found, 2 = usage or IO error.
+//! Opening the TimeStore may repair the directory (truncate a torn log
+//! tail, rebuild the index, delete a snapshot file that does not verify);
+//! `check` reports each such repair as a `timestore repair/…` violation,
+//! since the damage it mended is gone by the time the audit runs.
 //!
 //! The `gen` subcommand drives the two stores directly (not through the
 //! `aion` facade — the checker must not depend on the system under test)
 //! with a scaled Table 3 workload plus property churn and deletions, so CI
 //! can round-trip "generate, then fsck" on a fresh database.
 
-use check::{check_stores, CheckLevel};
+use check::{check_stores, CheckLevel, Subsystem};
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{NodeId, PropertyValue, StrId, Update};
 use std::process::ExitCode;
@@ -89,7 +93,12 @@ fn run_check(args: &[String]) -> ExitCode {
         }
     };
     match check_stores(&ts, &ls, level) {
-        Ok(report) => {
+        Ok(mut report) => {
+            let repairs = ts
+                .repairs()
+                .iter()
+                .map(|f| (Subsystem::TimeStore, f.clone()));
+            report.findings.splice(0..0, repairs);
             print!("{report}");
             maybe_print_metrics(args);
             if report.is_clean() {
@@ -111,9 +120,9 @@ fn run_gen(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let scale: f64 = match flag_value(args, "--scale").unwrap_or("0.001").parse() {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("aion-fsck gen: --scale must be a number");
+        Ok(s) if f64::is_finite(s) && s > 0.0 => s,
+        _ => {
+            eprintln!("aion-fsck gen: --scale must be a positive number");
             return ExitCode::from(2);
         }
     };

@@ -1,24 +1,27 @@
 //! # aion-check — deep consistency audits for Aion's hybrid stores
 //!
 //! The library behind the `aion-fsck` binary and
-//! `Aion::check_consistency`. It composes the per-layer verifiers into one
-//! report:
+//! `Aion::check_consistency`. It puts into one report, each finding tagged
+//! with its [`Subsystem`]:
 //!
-//! * [`btree::BTree::verify`] — page-level structure (key order, sibling
-//!   chains, overflow chains, reachability);
-//! * [`timestore::TimeStore::audit`] — log ↔ index ↔ snapshot agreement
-//!   and snapshot + delta replay of the live graph;
-//! * [`lineagestore::LineageStore::audit`] — per-entity interval chains,
-//!   delta-chain termination and neighbour-index mirroring;
+//! * [`timestore::TimeStore::audit`] — the structural pass over the index
+//!   file ([`btree::audit_page_file`]: [`btree::BTree::verify`] on every
+//!   tree, page accounting), then log ↔ index ↔ snapshot agreement and
+//!   snapshot + delta replay of the live graph;
+//! * [`lineagestore::LineageStore::audit`] — the same structural pass over
+//!   the lineage file, then per-entity interval chains, delta-chain
+//!   termination and neighbour-index mirroring;
 //! * a cross-store differential: the graph reconstructed from the
 //!   TimeStore (snapshot + forward replay) and from the LineageStore
 //!   (all-entities floor scan) must agree at every sampled timestamp.
 //!
-//! The report also carries each index's pages and leaf fill, measured by
-//! the structural pass, so `aion-fsck` shows how densely the stores use
-//! their pages.
+//! Every finding is a [`btree::Finding`]. The report also carries each
+//! index's pages and leaf fill, measured by the structural pass, so
+//! `aion-fsck` shows how densely the stores use their pages. What
+//! [`timestore::TimeStore::open`] repaired is not in the report:
+//! `aion-fsck` adds it ([`timestore::TimeStore::repairs`]).
 
-use btree::TreeFill;
+use btree::{Audit, Finding, TreeFill};
 use lineagestore::LineageStore;
 use lpg::Result;
 use std::fmt;
@@ -81,44 +84,17 @@ impl fmt::Display for Subsystem {
     }
 }
 
-/// One consistency violation.
-#[derive(Clone, Debug)]
-pub struct Finding {
-    /// Which subsystem reported it.
-    pub subsystem: Subsystem,
-    /// Machine-matchable invariant name (e.g. `"chain/interval"`).
-    pub check: String,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}: {}", self.subsystem, self.check, self.detail)
-    }
-}
-
-/// One index's pages and leaf fill.
-#[derive(Clone, Debug)]
-pub struct IndexFill {
-    /// The store the index belongs to.
-    pub subsystem: Subsystem,
-    /// The index, e.g. `"out-neighbours"` or `"time-index"`.
-    pub index: &'static str,
-    /// What the index's structural verification measured.
-    pub fill: TreeFill,
-}
-
 /// The outcome of [`check_stores`].
 #[derive(Clone, Debug)]
 pub struct ConsistencyReport {
     /// The level the check ran at.
     pub level: CheckLevel,
-    /// Every violation found, in discovery order.
-    pub findings: Vec<Finding>,
-    /// Pages and leaf fill of every index: the TimeStore's two, then the
-    /// LineageStore's four.
-    pub fill: Vec<IndexFill>,
+    /// Every violation found, in discovery order, with the subsystem that
+    /// reported it.
+    pub findings: Vec<(Subsystem, Finding)>,
+    /// Pages and leaf fill of every index, by subsystem and index name: the
+    /// TimeStore's two, then the LineageStore's four.
+    pub fill: Vec<(Subsystem, &'static str, TreeFill)>,
     /// Timestamps the cross-store differential compared (empty below
     /// [`CheckLevel::Full`]).
     pub sampled_timestamps: Vec<u64>,
@@ -134,7 +110,17 @@ impl ConsistencyReport {
     pub fn by_subsystem(&self, subsystem: Subsystem) -> impl Iterator<Item = &Finding> {
         self.findings
             .iter()
-            .filter(move |f| f.subsystem == subsystem)
+            .filter(move |(s, _)| *s == subsystem)
+            .map(|(_, finding)| finding)
+    }
+
+    /// Adds one store's audit under `subsystem`.
+    fn add(&mut self, subsystem: Subsystem, audit: Audit) {
+        let findings = audit.findings.into_iter();
+        self.findings.extend(findings.map(|f| (subsystem, f)));
+        let fill = audit.fill.into_iter();
+        self.fill
+            .extend(fill.map(|(index, fill)| (subsystem, index, fill)));
     }
 }
 
@@ -157,65 +143,17 @@ impl fmt::Display for ConsistencyReport {
                 self.sampled_timestamps.len()
             )?;
         }
-        for finding in &self.findings {
-            writeln!(f, "  {finding}")?;
+        for (subsystem, finding) in &self.findings {
+            writeln!(f, "  {subsystem} {finding}")?;
         }
         if !self.fill.is_empty() {
             writeln!(f, "index pages and leaf fill:")?;
         }
-        for index in &self.fill {
-            writeln!(f, "  {} {}: {}", index.subsystem, index.index, index.fill)?;
+        for (subsystem, index, fill) in &self.fill {
+            writeln!(f, "  {subsystem} {index}: {fill}")?;
         }
         Ok(())
     }
-}
-
-/// One store's audit as report entries.
-type Audited = (Vec<Finding>, Vec<IndexFill>);
-
-fn audited(
-    subsystem: Subsystem,
-    findings: impl Iterator<Item = (&'static str, String)>,
-    fill: Vec<(&'static str, TreeFill)>,
-) -> Audited {
-    let findings = findings
-        .map(|(check, detail)| Finding {
-            subsystem,
-            check: check.to_string(),
-            detail,
-        })
-        .collect();
-    let fill = fill
-        .into_iter()
-        .map(|(index, fill)| IndexFill {
-            subsystem,
-            index,
-            fill,
-        })
-        .collect();
-    (findings, fill)
-}
-
-fn audit_timestore(ts: &TimeStore, level: CheckLevel) -> Result<Audited> {
-    let report = ts.audit(level != CheckLevel::Quick)?;
-    let findings = report.findings.into_iter().map(|f| (f.check, f.detail));
-    Ok(audited(Subsystem::TimeStore, findings, report.fill))
-}
-
-fn audit_lineagestore(ls: &LineageStore, level: CheckLevel) -> Result<Audited> {
-    let report = ls.audit(level != CheckLevel::Quick)?;
-    let findings = report.findings.into_iter().map(|f| (f.check, f.detail));
-    Ok(audited(Subsystem::LineageStore, findings, report.fill))
-}
-
-/// Audits the TimeStore alone at `level`.
-pub fn check_timestore(ts: &TimeStore, level: CheckLevel) -> Result<Vec<Finding>> {
-    Ok(audit_timestore(ts, level)?.0)
-}
-
-/// Audits the LineageStore alone at `level`.
-pub fn check_lineagestore(ls: &LineageStore, level: CheckLevel) -> Result<Vec<Finding>> {
-    Ok(audit_lineagestore(ls, level)?.0)
 }
 
 /// Timestamps the cross-store differential samples: up to `max` points
@@ -247,17 +185,16 @@ pub fn cross_store_differential(
         let from_time = ts.snapshot_at(t)?;
         let from_lineage = ls.snapshot_at(t)?;
         if !from_time.same_as(&from_lineage) {
-            findings.push(Finding {
-                subsystem: Subsystem::CrossStore,
-                check: "differential".to_string(),
-                detail: format!(
+            findings.push(Finding::new(
+                "differential",
+                format!(
                     "stores disagree at ts {t}: TimeStore has {}N/{}R, LineageStore has {}N/{}R",
                     from_time.node_count(),
                     from_time.rel_count(),
                     from_lineage.node_count(),
                     from_lineage.rel_count()
                 ),
-            });
+            ));
         }
     }
     Ok(findings)
@@ -269,24 +206,25 @@ pub fn check_stores(
     ls: &LineageStore,
     level: CheckLevel,
 ) -> Result<ConsistencyReport> {
-    let (mut findings, mut fill) = audit_timestore(ts, level)?;
-    let (lineage_findings, lineage_fill) = audit_lineagestore(ls, level)?;
-    findings.extend(lineage_findings);
-    fill.extend(lineage_fill);
-    let mut sampled = Vec::new();
+    let mut report = ConsistencyReport {
+        level,
+        findings: Vec::new(),
+        fill: Vec::new(),
+        sampled_timestamps: Vec::new(),
+    };
+    let deep = level != CheckLevel::Quick;
+    report.add(Subsystem::TimeStore, ts.audit(deep)?);
+    report.add(Subsystem::LineageStore, ls.audit(deep)?);
     if level == CheckLevel::Full {
         // Only compare below the lineage watermark: above it the
         // LineageStore legitimately lags the TimeStore.
         let upper = ts.latest_ts().min(ls.applied_ts());
-        sampled = sample_timestamps(upper, 8);
-        findings.extend(cross_store_differential(ts, ls, &sampled)?);
+        report.sampled_timestamps = sample_timestamps(upper, 8);
+        let findings = cross_store_differential(ts, ls, &report.sampled_timestamps)?;
+        let findings = findings.into_iter().map(|f| (Subsystem::CrossStore, f));
+        report.findings.extend(findings);
     }
-    Ok(ConsistencyReport {
-        level,
-        findings,
-        fill,
-        sampled_timestamps: sampled,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]

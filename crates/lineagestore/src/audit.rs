@@ -1,7 +1,8 @@
 //! Deep consistency audit of a [`LineageStore`] (the LineageStore half of
 //! `aion-fsck`).
 //!
-//! Structural pass (always):
+//! Structural pass (always), [`btree::audit_page_file`] over the one page
+//! file:
 //!
 //! * all four index B+Trees pass [`btree::BTree::verify`];
 //! * page accounting: every allocated page is either reachable from a tree
@@ -22,38 +23,14 @@
 //!   endpoints and liveness of its relationship at that timestamp.
 //!
 //! The structural pass also measures each index's pages and leaf fill.
+//! Findings are [`btree::Finding`]s.
 
 use crate::entry::LineageEntry;
 use crate::store::{neighbour_deleted, LineageStore};
-use btree::{BTree, TreeFill};
+use btree::{audit_page_file, Audit, BTree, Finding};
 use encoding::{keys, RecordBody};
 use lpg::{NodeId, RelId, Result};
 use std::collections::BTreeSet;
-
-/// One audit finding: a named invariant plus what was observed.
-#[derive(Clone, Debug)]
-pub struct AuditFinding {
-    /// Short machine-matchable invariant name, e.g. `"chain/interval"`.
-    pub check: &'static str,
-    /// Human-readable description of the violation.
-    pub detail: String,
-}
-
-impl std::fmt::Display for AuditFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.check, self.detail)
-    }
-}
-
-/// What [`LineageStore::audit`] found.
-#[derive(Clone, Debug, Default)]
-pub struct AuditReport {
-    /// Every violation (empty = consistent).
-    pub findings: Vec<AuditFinding>,
-    /// Pages and leaf fill of the node, relationship, out- and
-    /// in-neighbour indexes, in that order.
-    pub fill: Vec<(&'static str, TreeFill)>,
-}
 
 /// Whether `body` belongs in the node history index.
 fn is_node_body(body: &RecordBody) -> bool {
@@ -75,41 +52,21 @@ impl LineageStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
     /// every violation found (empty = consistent) and each index's fill.
     /// IO errors abort the audit; corruption is reported, never panicked on.
-    pub fn audit(&self, deep: bool) -> Result<AuditReport> {
-        let mut findings = Vec::new();
-        let mut fill = Vec::new();
-
-        // Structural pass: all four trees share one page file.
-        let mut reachable = BTreeSet::new();
-        reachable.insert(0u64); // meta page
-        for (name, check, tree) in [
+    pub fn audit(&self, deep: bool) -> Result<Audit> {
+        let trees = [
             ("nodes", "nodes/structure", &self.nodes),
             ("rels", "rels/structure", &self.rels),
             ("out-neighbours", "out-neighbours/structure", &self.out_n),
             ("in-neighbours", "in-neighbours/structure", &self.in_n),
-        ] {
-            let report = tree.verify()?;
-            for v in &report.violations {
-                findings.push(AuditFinding {
-                    check,
-                    detail: format!("{v}"),
-                });
-            }
-            fill.push((name, report.fill()));
-            reachable.extend(report.reachable.iter().copied());
-        }
-        for problem in self.store.reconcile_free_list(&reachable)? {
-            findings.push(AuditFinding {
-                check: "pages/accounting",
-                detail: problem,
-            });
-        }
+        ];
+        let mut audit = audit_page_file(&self.store, &trees, "pages/accounting")?;
         if deep {
-            self.audit_entity_chains(&self.nodes, "node", is_node_body, &mut findings)?;
-            self.audit_entity_chains(&self.rels, "rel", is_rel_body, &mut findings)?;
-            self.audit_neighbour_indexes(&mut findings)?;
+            let findings = &mut audit.findings;
+            self.audit_entity_chains(&self.nodes, "node", is_node_body, findings)?;
+            self.audit_entity_chains(&self.rels, "rel", is_rel_body, findings)?;
+            self.audit_neighbour_indexes(findings)?;
         }
-        Ok(AuditReport { findings, fill })
+        Ok(audit)
     }
 
     /// Walks one history index checking per-entity chain invariants.
@@ -118,36 +75,36 @@ impl LineageStore {
         tree: &BTree,
         kind: &'static str,
         body_fits: fn(&RecordBody) -> bool,
-        findings: &mut Vec<AuditFinding>,
+        findings: &mut Vec<Finding>,
     ) -> Result<()> {
         // (entity id, ts, entry) of the previous record.
         let mut prev: Option<(u64, u64, LineageEntry)> = None;
         for item in tree.scan(&[], &[])? {
             let (key, value) = item?;
             let Some((id, ts)) = keys::decode_entity_ts_key(&key) else {
-                findings.push(AuditFinding {
-                    check: "chain/key",
-                    detail: format!("{kind} index holds an undecodable {}-byte key", key.len()),
-                });
+                findings.push(Finding::new(
+                    "chain/key",
+                    format!("{kind} index holds an undecodable {}-byte key", key.len()),
+                ));
                 prev = None;
                 continue;
             };
             let Some(entry) = LineageEntry::from_bytes(&value) else {
-                findings.push(AuditFinding {
-                    check: "chain/entry",
-                    detail: format!("{kind} {id} at ts {ts}: undecodable entry"),
-                });
+                findings.push(Finding::new(
+                    "chain/entry",
+                    format!("{kind} {id} at ts {ts}: undecodable entry"),
+                ));
                 prev = None;
                 continue;
             };
             if !body_fits(&entry.body) {
-                findings.push(AuditFinding {
-                    check: "chain/body-kind",
-                    detail: format!(
+                findings.push(Finding::new(
+                    "chain/body-kind",
+                    format!(
                         "{kind} {id} at ts {ts} holds a foreign record body {:?}",
                         entry.body
                     ),
-                });
+                ));
             }
             let same_entity = prev.as_ref().is_some_and(|(pid, _, _)| *pid == id);
             if same_entity {
@@ -156,63 +113,57 @@ impl LineageStore {
                 // versions overlap.
                 if let Some((_, pts, _)) = &prev {
                     if ts <= *pts {
-                        findings.push(AuditFinding {
-                            check: "chain/interval",
-                            detail: format!(
+                        findings.push(Finding::new(
+                            "chain/interval",
+                            format!(
                                 "{kind} {id}: version at ts {ts} overlaps predecessor at ts {pts}"
                             ),
-                        });
+                        ));
                     }
                 }
             }
             if entry.pos == 0 {
                 if entry.base_ts != ts {
-                    findings.push(AuditFinding {
-                        check: "chain/base",
-                        detail: format!(
+                    findings.push(Finding::new(
+                        "chain/base",
+                        format!(
                             "{kind} {id} at ts {ts}: materialized record claims base_ts {}",
                             entry.base_ts
                         ),
-                    });
+                    ));
                 }
             } else {
                 // A delta must extend a live predecessor of the same chain.
                 match (same_entity, &prev) {
                     (true, Some((_, pts, pentry))) => {
                         if pentry.body.is_deleted() {
-                            findings.push(AuditFinding {
-                                check: "chain/tombstone",
-                                detail: format!(
+                            findings.push(Finding::new("chain/tombstone", format!(
                                     "{kind} {id} at ts {ts}: delta extends the tombstone at ts {pts}"
-                                ),
-                            });
+                                )));
                         }
                         if entry.pos != pentry.pos + 1 {
-                            findings.push(AuditFinding {
-                                check: "chain/position",
-                                detail: format!(
+                            findings.push(Finding::new(
+                                "chain/position",
+                                format!(
                                     "{kind} {id} at ts {ts}: chain position {} after {}",
                                     entry.pos, pentry.pos
                                 ),
-                            });
+                            ));
                         }
                         if entry.base_ts != pentry.base_ts {
-                            findings.push(AuditFinding {
-                                check: "chain/base",
-                                detail: format!(
+                            findings.push(Finding::new("chain/base", format!(
                                     "{kind} {id} at ts {ts}: base_ts {} diverges from chain base {}",
                                     entry.base_ts, pentry.base_ts
-                                ),
-                            });
+                                )));
                         }
                     }
-                    _ => findings.push(AuditFinding {
-                        check: "chain/head",
-                        detail: format!(
+                    _ => findings.push(Finding::new(
+                        "chain/head",
+                        format!(
                             "{kind} {id}: chain starts with a delta at ts {ts} (pos {})",
                             entry.pos
                         ),
-                    }),
+                    )),
                 }
             }
             prev = Some((id, ts, entry));
@@ -222,7 +173,7 @@ impl LineageStore {
 
     /// Checks that the out-/in-neighbour indexes mirror each other and
     /// agree with the relationship index.
-    fn audit_neighbour_indexes(&self, findings: &mut Vec<AuditFinding>) -> Result<()> {
+    fn audit_neighbour_indexes(&self, findings: &mut Vec<Finding>) -> Result<()> {
         // Normalized entries: (src, tgt, rel, ts, deleted).
         let mut out_set: BTreeSet<(u64, u64, u64, u64, bool)> = BTreeSet::new();
         let mut in_set: BTreeSet<(u64, u64, u64, u64, bool)> = BTreeSet::new();
@@ -233,20 +184,20 @@ impl LineageStore {
             for item in tree.scan(&[], &[])? {
                 let (key, value) = item?;
                 let Some((a, b, rel, ts)) = keys::decode_neigh_key(&key) else {
-                    findings.push(AuditFinding {
-                        check: "neighbours/key",
-                        detail: format!("{name} index holds an undecodable {}-byte key", key.len()),
-                    });
+                    findings.push(Finding::new(
+                        "neighbours/key",
+                        format!("{name} index holds an undecodable {}-byte key", key.len()),
+                    ));
                     continue;
                 };
                 let Some(deleted) = neighbour_deleted(&value) else {
-                    findings.push(AuditFinding {
-                        check: "neighbours/entry",
-                        detail: format!(
+                    findings.push(Finding::new(
+                        "neighbours/entry",
+                        format!(
                             "{name} entry for rel {} at ts {ts} holds {value:?}, not [0] or [1]",
                             rel.raw()
                         ),
-                    });
+                    ));
                     continue;
                 };
                 let (src, tgt) = if swap { (b, a) } else { (a, b) };
@@ -260,47 +211,38 @@ impl LineageStore {
             } else {
                 "only the in-neighbour index"
             };
-            findings.push(AuditFinding {
-                check: "neighbours/mirror",
-                detail: format!("rel {rel} ({src}->{tgt}) at ts {ts} appears in {side}"),
-            });
+            findings.push(Finding::new(
+                "neighbours/mirror",
+                format!("rel {rel} ({src}->{tgt}) at ts {ts} appears in {side}"),
+            ));
         }
         // Each neighbour event must agree with the relationship index.
         for (src, tgt, rel, ts, deleted) in out_set.intersection(&in_set) {
             match self.rel_at(RelId::new(*rel), *ts) {
                 Ok(Some(r)) => {
                     if *deleted {
-                        findings.push(AuditFinding {
-                            check: "neighbours/liveness",
-                            detail: format!(
+                        findings.push(Finding::new("neighbours/liveness", format!(
                                 "neighbour tombstone for rel {rel} at ts {ts}, but the rel index has it alive"
-                            ),
-                        });
+                            )));
                     } else if r.src != NodeId::new(*src) || r.tgt != NodeId::new(*tgt) {
-                        findings.push(AuditFinding {
-                            check: "neighbours/endpoints",
-                            detail: format!(
+                        findings.push(Finding::new("neighbours/endpoints", format!(
                                 "neighbour entry says rel {rel} is {src}->{tgt} at ts {ts}, rel index says {}->{}",
                                 r.src.raw(),
                                 r.tgt.raw()
-                            ),
-                        });
+                            )));
                     }
                 }
                 Ok(None) => {
                     if !*deleted {
-                        findings.push(AuditFinding {
-                            check: "neighbours/liveness",
-                            detail: format!(
+                        findings.push(Finding::new("neighbours/liveness", format!(
                                 "neighbour addition for rel {rel} at ts {ts}, but the rel index has no live record"
-                            ),
-                        });
+                            )));
                     }
                 }
-                Err(e) => findings.push(AuditFinding {
-                    check: "neighbours/liveness",
-                    detail: format!("rel {rel} at ts {ts} is unreadable: {e}"),
-                }),
+                Err(e) => findings.push(Finding::new(
+                    "neighbours/liveness",
+                    format!("rel {rel} at ts {ts} is unreadable: {e}"),
+                )),
             }
         }
         Ok(())

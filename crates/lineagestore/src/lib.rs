@@ -34,7 +34,6 @@ pub mod expand;
 pub mod store;
 pub mod stream;
 
-pub use audit::{AuditFinding, AuditReport};
 pub use entry::LineageEntry;
 pub use store::{LineageStore, LineageStoreConfig, LineageStoreStats};
 pub use stream::NodeIdScan;

@@ -1,7 +1,8 @@
 //! Deep consistency audit of a [`TimeStore`] (the TimeStore half of
 //! `aion-fsck`).
 //!
-//! Structural pass (always):
+//! Structural pass (always), [`btree::audit_page_file`] over the index
+//! file:
 //!
 //! * both index B+Trees pass [`btree::BTree::verify`];
 //! * page accounting: every allocated index page is either reachable from
@@ -19,76 +20,34 @@
 //! * a full log replay reproduces the live in-memory graph.
 //!
 //! The structural pass also measures each index's pages and leaf fill.
+//! Findings are [`btree::Finding`]s. Damage [`TimeStore::open`] repaired
+//! is gone before any audit runs; [`TimeStore::repairs`] reports it.
 
 use crate::store::{LoadError, TimeStore};
-use btree::TreeFill;
+use btree::{audit_page_file, Audit, Finding};
 use encoding::keys;
 use encoding::snapshot::{Fault, SharedSegments};
 use lpg::{Graph, Result};
 use std::collections::BTreeSet;
 
-/// One audit finding: a named invariant plus what was observed.
-#[derive(Clone, Debug)]
-pub struct AuditFinding {
-    /// Short machine-matchable invariant name, e.g. `"time-index/order"`.
-    pub check: &'static str,
-    /// Human-readable description of the violation.
-    pub detail: String,
-}
-
-impl std::fmt::Display for AuditFinding {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.check, self.detail)
-    }
-}
-
-/// What [`TimeStore::audit`] found.
-#[derive(Clone, Debug, Default)]
-pub struct AuditReport {
-    /// Every violation (empty = consistent).
-    pub findings: Vec<AuditFinding>,
-    /// Pages and leaf fill of the time and snapshot indexes.
-    pub fill: Vec<(&'static str, TreeFill)>,
-}
-
 impl TimeStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
     /// every violation found (empty = consistent) and each index's fill.
     /// IO errors abort the audit; corruption is reported, never panicked on.
-    pub fn audit(&self, deep: bool) -> Result<AuditReport> {
-        let mut findings = Vec::new();
-        let mut fill = Vec::new();
-
-        // Structural pass: both index trees, then page accounting.
-        let mut reachable = BTreeSet::new();
-        reachable.insert(0); // meta page
-        for (name, check, tree) in [
+    pub fn audit(&self, deep: bool) -> Result<Audit> {
+        let trees = [
             ("time-index", "time-index/structure", &self.time_index),
             (
                 "snapshot-index",
                 "snapshot-index/structure",
                 &self.snap_index,
             ),
-        ] {
-            let report = tree.verify()?;
-            for v in &report.violations {
-                findings.push(AuditFinding {
-                    check,
-                    detail: format!("{v}"),
-                });
-            }
-            fill.push((name, report.fill()));
-            reachable.extend(report.reachable.iter().copied());
-        }
-        for problem in self.index_store.reconcile_free_list(&reachable)? {
-            findings.push(AuditFinding {
-                check: "index-pages/accounting",
-                detail: problem,
-            });
-        }
+        ];
+        let mut audit = audit_page_file(&self.index_store, &trees, "index-pages/accounting")?;
         if !deep {
-            return Ok(AuditReport { findings, fill });
+            return Ok(audit);
         }
+        let findings = &mut audit.findings;
 
         // Deep pass: time index ↔ log agreement.
         let mut indexed_offsets = BTreeSet::new();
@@ -96,34 +55,32 @@ impl TimeStore {
         for item in self.time_index.scan(&[], &[])? {
             let (key, value) = item?;
             let Some(ts) = keys::decode_ts_key(&key) else {
-                findings.push(AuditFinding {
-                    check: "time-index/key",
-                    detail: format!("undecodable {}-byte key {key:?}", key.len()),
-                });
+                findings.push(Finding::new(
+                    "time-index/key",
+                    format!("undecodable {}-byte key {key:?}", key.len()),
+                ));
                 continue;
             };
             let Ok(bytes) = <[u8; 8]>::try_from(value.as_slice()) else {
-                findings.push(AuditFinding {
-                    check: "time-index/value",
-                    detail: format!("entry at ts {ts} holds a {}-byte offset", value.len()),
-                });
+                findings.push(Finding::new(
+                    "time-index/value",
+                    format!("entry at ts {ts} holds a {}-byte offset", value.len()),
+                ));
                 continue;
             };
             let offset = u64::from_le_bytes(bytes);
             if let Some((pts, poff)) = prev {
                 if ts <= pts {
-                    findings.push(AuditFinding {
-                        check: "time-index/order",
-                        detail: format!("timestamp {ts} not above predecessor {pts}"),
-                    });
+                    findings.push(Finding::new(
+                        "time-index/order",
+                        format!("timestamp {ts} not above predecessor {pts}"),
+                    ));
                 }
                 if offset <= poff {
-                    findings.push(AuditFinding {
-                        check: "time-index/order",
-                        detail: format!(
-                            "offset {offset} at ts {ts} not above predecessor offset {poff}"
-                        ),
-                    });
+                    findings.push(Finding::new(
+                        "time-index/order",
+                        format!("offset {offset} at ts {ts} not above predecessor offset {poff}"),
+                    ));
                 }
             }
             prev = Some((ts, offset));
@@ -131,19 +88,19 @@ impl TimeStore {
             match self.log.read_at(offset) {
                 Ok((frame, _)) => {
                     if frame.ts != ts {
-                        findings.push(AuditFinding {
-                            check: "time-index/envelope",
-                            detail: format!(
+                        findings.push(Finding::new(
+                            "time-index/envelope",
+                            format!(
                                 "index says ts {ts} at offset {offset}, frame carries ts {}",
                                 frame.ts
                             ),
-                        });
+                        ));
                     }
                 }
-                Err(e) => findings.push(AuditFinding {
-                    check: "time-index/envelope",
-                    detail: format!("offset {offset} (ts {ts}) is unreadable: {e}"),
-                }),
+                Err(e) => findings.push(Finding::new(
+                    "time-index/envelope",
+                    format!("offset {offset} (ts {ts}) is unreadable: {e}"),
+                )),
             }
         }
 
@@ -154,10 +111,10 @@ impl TimeStore {
         for item in self.snap_index.scan(&[], &[])? {
             let (key, value) = item?;
             let Some(ts) = keys::decode_ts_key(&key) else {
-                findings.push(AuditFinding {
-                    check: "snapshot-index/key",
-                    detail: format!("undecodable {}-byte key {key:?}", key.len()),
-                });
+                findings.push(Finding::new(
+                    "snapshot-index/key",
+                    format!("undecodable {}-byte key {key:?}", key.len()),
+                ));
                 continue;
             };
             snaps.push((ts, String::from_utf8_lossy(&value).into_owned()));
@@ -169,20 +126,20 @@ impl TimeStore {
         for entry in self.log.iter_from(0) {
             let crate::log::LogEntry { offset, frame, .. } = entry?;
             if !indexed_offsets.contains(&offset) {
-                findings.push(AuditFinding {
-                    check: "time-index/coverage",
-                    detail: format!(
+                findings.push(Finding::new(
+                    "time-index/coverage",
+                    format!(
                         "log frame at offset {offset} (ts {}) is unindexed",
                         frame.ts
                     ),
-                });
+                ));
             }
             for u in frame.to_updates() {
                 if let Err(e) = replay.apply(&u.op) {
-                    findings.push(AuditFinding {
-                        check: "log/replay",
-                        detail: format!("update at ts {} does not apply: {e}", u.ts),
-                    });
+                    findings.push(Finding::new(
+                        "log/replay",
+                        format!("update at ts {} does not apply: {e}", u.ts),
+                    ));
                     replay_ok = false;
                 }
             }
@@ -195,30 +152,30 @@ impl TimeStore {
                     name,
                     replay_ok.then_some(&replay),
                     &mut valid,
-                    &mut findings,
+                    findings,
                 );
                 snap_iter.next();
             }
         }
         for (sts, name) in snap_iter {
-            findings.push(AuditFinding {
-                check: "snapshot-index/envelope",
-                detail: format!("snapshot {name} at ts {sts} is beyond the last log frame"),
-            });
+            findings.push(Finding::new(
+                "snapshot-index/envelope",
+                format!("snapshot {name} at ts {sts} is beyond the last log frame"),
+            ));
         }
         if replay_ok && !replay.same_as(&self.latest_graph()) {
-            findings.push(AuditFinding {
-                check: "log/replay",
-                detail: "full log replay does not reproduce the live graph".into(),
-            });
+            findings.push(Finding::new(
+                "log/replay",
+                "full log replay does not reproduce the live graph",
+            ));
         }
         if let Err(e) = self.latest_graph().check_consistency() {
-            findings.push(AuditFinding {
-                check: "graph/consistency",
-                detail: format!("live graph fails self-check: {e}"),
-            });
+            findings.push(Finding::new(
+                "graph/consistency",
+                format!("live graph fails self-check: {e}"),
+            ));
         }
-        Ok(AuditReport { findings, fill })
+        Ok(audit)
     }
 
     /// Checks one snapshot file through the loader: readable, decodable,
@@ -232,63 +189,63 @@ impl TimeStore {
         name: &str,
         replay: Option<&Graph>,
         valid: &mut BTreeSet<u64>,
-        findings: &mut Vec<AuditFinding>,
+        findings: &mut Vec<Finding>,
     ) {
         // Nothing shared: the audit checks every byte as it is now, not
         // what a read decoded earlier.
         let (manifest, graph) = match self.load_snapshot(ts, &SharedSegments::default()) {
             Ok(loaded) => loaded,
             Err(LoadError::Unreadable(e)) => {
-                findings.push(AuditFinding {
-                    check: "snapshot/file",
-                    detail: format!("snapshot {name} at ts {ts} unreadable: {e}"),
-                });
+                findings.push(Finding::new(
+                    "snapshot/file",
+                    format!("snapshot {name} at ts {ts} unreadable: {e}"),
+                ));
                 return;
             }
             Err(LoadError::Fault(Fault::Corrupt)) => {
-                findings.push(AuditFinding {
-                    check: "snapshot/decode",
-                    detail: format!("snapshot {name} at ts {ts} does not decode"),
-                });
+                findings.push(Finding::new(
+                    "snapshot/decode",
+                    format!("snapshot {name} at ts {ts} does not decode"),
+                ));
                 return;
             }
             Err(LoadError::Fault(Fault::Reference(source))) => {
-                findings.push(AuditFinding {
-                    check: "snapshot/reference",
-                    detail: format!(
+                findings.push(Finding::new(
+                    "snapshot/reference",
+                    format!(
                         "snapshot {name} at ts {ts} references bytes of the snapshot at ts \
                          {source} that are missing or do not match their sum"
                     ),
-                });
+                ));
                 return;
             }
         };
         match manifest.sources().into_iter().find(|s| !valid.contains(s)) {
-            Some(source) => findings.push(AuditFinding {
-                check: "snapshot/reference",
-                detail: format!(
+            Some(source) => findings.push(Finding::new(
+                "snapshot/reference",
+                format!(
                     "snapshot {name} at ts {ts} references the snapshot at ts {source}, \
                      which is not a valid snapshot"
                 ),
-            }),
+            )),
             None => {
                 valid.insert(ts);
             }
         }
         if let Err(e) = graph.check_consistency() {
-            findings.push(AuditFinding {
-                check: "snapshot/consistency",
-                detail: format!("snapshot {name} at ts {ts} fails self-check: {e}"),
-            });
+            findings.push(Finding::new(
+                "snapshot/consistency",
+                format!("snapshot {name} at ts {ts} fails self-check: {e}"),
+            ));
         }
         if let Some(expected) = replay {
             if !graph.same_as(expected) {
-                findings.push(AuditFinding {
-                    check: "snapshot/replay",
-                    detail: format!(
+                findings.push(Finding::new(
+                    "snapshot/replay",
+                    format!(
                         "snapshot {name} at ts {ts} diverges from the log replay at that point"
                     ),
-                });
+                ));
             }
         }
     }

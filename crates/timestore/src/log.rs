@@ -108,6 +108,8 @@ pub fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> 
 pub struct ChangeLog {
     file: Box<dyn VfsFile>,
     end: Mutex<u64>,
+    /// `(new end, old length)` when open truncated a torn tail.
+    torn_tail: Option<(u64, u64)>,
 }
 
 impl ChangeLog {
@@ -130,9 +132,10 @@ impl ChangeLog {
     pub fn open_with_vfs(vfs: &VfsRef, path: &Path, durable_end: u64) -> Result<ChangeLog> {
         let file = vfs.open(path)?;
         let len = file.len()?;
-        let log = ChangeLog {
+        let mut log = ChangeLog {
             file,
             end: Mutex::new(0),
+            torn_tail: None,
         };
         let mut offset = 0u64;
         while offset < len {
@@ -148,6 +151,7 @@ impl ChangeLog {
         }
         if offset < len {
             log.file.set_len(offset)?;
+            log.torn_tail = Some((offset, len));
         }
         *log.end.lock() = offset;
         Ok(log)
@@ -172,6 +176,12 @@ impl ChangeLog {
         self.file.write_all_at(&buf, offset)?;
         *end = offset + buf.len() as u64;
         Ok(offset)
+    }
+
+    /// `(offset, former length)` when open truncated a torn final frame at
+    /// `offset`, else `None`.
+    pub(crate) fn torn_tail(&self) -> Option<(u64, u64)> {
+        self.torn_tail
     }
 
     /// Current end offset (the next append position).

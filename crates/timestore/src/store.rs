@@ -3,7 +3,7 @@
 use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, CommitFrame};
 use crate::policy::SnapshotPolicy;
-use btree::BTree;
+use btree::{BTree, Finding};
 use encoding::keys;
 use encoding::snapshot::{self, Manifest, Segment, SharedSegments};
 use lpg::{
@@ -75,10 +75,6 @@ pub struct TimeStoreStats {
     pub snapshot_bytes: u64,
     /// Number of on-disk snapshots.
     pub snapshot_count: u64,
-    /// Updates ingested.
-    pub updates: u64,
-    /// Commits ingested.
-    pub commits: u64,
 }
 
 struct Metrics {
@@ -115,8 +111,6 @@ struct MutableState {
     latest_ts: Timestamp,
     ops_since_snapshot: u64,
     last_snapshot_ts: Timestamp,
-    updates: u64,
-    commits: u64,
     snapshot_bytes: u64,
     snapshot_count: u64,
 }
@@ -159,6 +153,8 @@ pub struct TimeStore {
     /// still be lost in a crash.
     durable_log_end: AtomicU64,
     metrics: Metrics,
+    /// What `open` repaired; see [`TimeStore::repairs`].
+    repairs: Vec<Finding>,
 }
 
 const SLOT_TIME_INDEX: usize = 0;
@@ -177,12 +173,15 @@ impl TimeStore {
     /// When the index page file fails checksum verification (or recovery
     /// through it fails), the index is deleted and rebuilt wholesale from
     /// the log — the slow path a crash mid-index-writeback leads to.
+    ///
+    /// Every repair made on the way is kept in [`TimeStore::repairs`].
     pub fn open<P: AsRef<Path>>(dir: P, config: TimeStoreConfig) -> Result<TimeStore> {
         let dir = dir.as_ref();
         config.vfs.create_dir_all(dir)?;
         config.vfs.create_dir_all(&dir.join("snapshots"))?;
-        match Self::try_open(dir, &config, true, false) {
-            Ok(store) => Ok(store),
+        let mut repairs = Vec::new();
+        let mut store = match Self::try_open(dir, &config, true, &mut repairs) {
+            Ok(store) => store,
             // Corruption below the durable log end is diagnosed against a
             // checksum-verified index: real damage, not a crash artifact.
             // Wiping the index would discard the evidence and silently
@@ -190,22 +189,30 @@ impl TimeStore {
             // other failure (torn index pages, stale index tail) is
             // recoverable by rebuilding the index from the log.
             Err(e @ GraphError::CorruptRecord(_)) if e.to_string().contains("durable end") => {
-                Err(e)
+                return Err(e)
             }
-            Err(_) => Self::try_open(dir, &config, false, true),
-        }
+            Err(e) => {
+                let detail = format!("timestore.idx rebuilt from the log after: {e}");
+                repairs.push(Finding::new("repair/time-index", detail));
+                Self::try_open(dir, &config, false, &mut repairs)?
+            }
+        };
+        store.repairs = repairs;
+        Ok(store)
     }
 
+    /// One attempt at opening: with `verify`, the index must match its
+    /// checksum sidecar; without, it is deleted and rebuilt from the log.
     fn try_open(
         dir: &Path,
         config: &TimeStoreConfig,
         verify: bool,
-        wipe_index: bool,
+        repairs: &mut Vec<Finding>,
     ) -> Result<TimeStore> {
         let vfs = config.vfs.clone();
         let snap_dir = dir.join("snapshots");
         let idx_path = dir.join("timestore.idx");
-        if wipe_index {
+        if !verify {
             let _ = vfs.remove_file(&idx_path);
             let _ = vfs.remove_file(&PageStore::sums_path(&idx_path));
         }
@@ -227,6 +234,10 @@ impl TimeStore {
             end => end,
         };
         let log = ChangeLog::open_with_vfs(&vfs, &dir.join("timestore.log"), durable_end)?;
+        if let Some((end, len)) = log.torn_tail() {
+            let detail = format!("truncated a torn log tail at offset {end} of {len} bytes");
+            repairs.push(Finding::new("repair/log-tail", detail));
+        }
         // The marker can trail the surviving log (syncs are batched) but
         // never lead it; clamp defensively in case the file shrank.
         let durable_log_end = AtomicU64::new(durable_end.min(log.end_offset()));
@@ -244,54 +255,39 @@ impl TimeStore {
                 latest_ts: 0,
                 ops_since_snapshot: 0,
                 last_snapshot_ts: 0,
-                updates: 0,
-                commits: 0,
                 snapshot_bytes: 0,
                 snapshot_count: 0,
             }),
             chain: Mutex::new(Chain::default()),
             durable_log_end,
             metrics: Metrics::new(),
+            repairs: Vec::new(),
         };
-        store.recover()?;
+        store.recover(repairs)?;
         Ok(store)
     }
 
     /// Recovery: reindex any log frames missing from the time index (crash
     /// between log append and index flush), then rebuild the latest graph.
-    fn recover(&self) -> Result<()> {
-        // Find the highest indexed (ts, offset).
-        let mut last_indexed_offset: Option<u64> = None;
+    /// Each snapshot file it deletes, index entry it drops and floor it
+    /// cannot decode is reported in `repairs`.
+    fn recover(&self, repairs: &mut Vec<Finding>) -> Result<()> {
+        // Scan the log past the highest indexed frame (or from the start);
+        // the last frame indexed or scanned is the latest commit.
+        let mut latest_ts = 0;
+        let mut scan_from = 0;
         if let Some((_, v)) = self.time_index.seek_floor(&keys::ts_key(TS_MAX))? {
-            last_indexed_offset = Some(decode_u64(&v)?);
+            let (frame, next) = self.log.read_at(decode_u64(&v)?)?;
+            (latest_ts, scan_from) = (frame.ts, next);
         }
-        // Scan the log from the last indexed frame (or the start).
-        let scan_from = match last_indexed_offset {
-            Some(off) => {
-                let (_, next) = self.log.read_at(off)?;
-                next
-            }
-            None => 0,
-        };
         for entry in self.log.iter_from(scan_from) {
             let entry = entry?;
+            latest_ts = entry.frame.ts;
             self.time_index
-                .insert(&keys::ts_key(entry.frame.ts), &entry.offset.to_le_bytes())?;
+                .insert(&keys::ts_key(latest_ts), &entry.offset.to_le_bytes())?;
         }
-        // Count stats and rebuild the latest graph from the best snapshot.
         let mut state = self.state.lock();
-        let mut latest_ts = 0;
-        let mut commits = 0u64;
-        let mut updates = 0u64;
-        for entry in self.log.iter_from(0) {
-            let frame = entry?.frame;
-            latest_ts = frame.ts;
-            commits += 1;
-            updates += frame.records.len() as u64;
-        }
         state.latest_ts = latest_ts;
-        state.commits = commits;
-        state.updates = updates;
         // Reconcile the snapshot directory with the snapshot index, in
         // ascending ts: a file is valid when its footer verifies, it names
         // its own ts, that ts is one the durable log reached, and every file
@@ -310,13 +306,28 @@ impl TimeStore {
         let mut valid = std::collections::BTreeSet::new();
         let mut floor: Option<(Manifest, Vec<u8>)> = None;
         for (sts, name) in files {
-            let checked = (sts > 0 && sts <= latest_ts)
-                .then(|| self.read_snapshot_file(sts).ok())
-                .flatten()
-                .filter(|(m, _)| m.sources().iter().all(|s| valid.contains(s)));
-            let Some((manifest, bytes)) = checked else {
-                let _ = self.vfs.remove_file(&self.snap_dir.join(&name));
-                continue;
+            let checked = if sts == 0 || sts > latest_ts {
+                Err(format!(
+                    "its ts is not in (0, {latest_ts}], the span the log reaches"
+                ))
+            } else {
+                match self.read_snapshot_file(sts) {
+                    Err(LoadError::Unreadable(e)) => Err(format!("unreadable: {e}")),
+                    Err(LoadError::Fault(_)) => Err("does not decode".into()),
+                    Ok((m, bytes)) => match m.sources().into_iter().find(|s| !valid.contains(s)) {
+                        Some(s) => Err(format!("references the dropped snapshot at ts {s}")),
+                        None => Ok((m, bytes)),
+                    },
+                }
+            };
+            let (manifest, bytes) = match checked {
+                Ok(file) => file,
+                Err(why) => {
+                    let _ = self.vfs.remove_file(&self.snap_dir.join(&name));
+                    let detail = format!("deleted snapshot file {name}: {why}");
+                    repairs.push(Finding::new("repair/snapshot", detail));
+                    continue;
+                }
             };
             valid.insert(sts);
             state.snapshot_bytes += bytes.len() as u64;
@@ -337,6 +348,11 @@ impl TimeStore {
         }
         for key in stale {
             self.snap_index.remove(&key)?;
+            let detail = match keys::decode_ts_key(&key) {
+                Some(sts) => format!("dropped the entry at ts {sts}: no valid snapshot file"),
+                None => format!("dropped an undecodable {}-byte key", key.len()),
+            };
+            repairs.push(Finding::new("repair/snapshot-index", detail));
         }
         state.last_snapshot_ts = 0;
         drop(state);
@@ -346,8 +362,16 @@ impl TimeStore {
             // snapshots to be resident. The floor is the last valid file.
             let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
             if let Some((manifest, bytes)) = floor {
-                if let Ok(g) = self.decode_snapshot(&manifest, &bytes, &self.segments) {
-                    (base_ts, graph, last) = (manifest.ts(), g, Some(Arc::new(manifest)));
+                match self.decode_snapshot(&manifest, &bytes, &self.segments) {
+                    Ok(g) => (base_ts, graph, last) = (manifest.ts(), g, Some(Arc::new(manifest))),
+                    Err(fault) => repairs.push(Finding::new(
+                        "repair/floor",
+                        format!(
+                            "the snapshot at ts {} did not decode ({fault:?}): the latest graph \
+                             was replayed from the log",
+                            manifest.ts()
+                        ),
+                    )),
                 }
             }
             // The updates replayed past the floor are what the next snapshot
@@ -441,8 +465,10 @@ impl TimeStore {
     /// updates").
     pub fn append_commit(&self, ts: Timestamp, updates: &[Update]) -> Result<()> {
         {
+            // The first commit may take any timestamp, 0 included.
+            let logged = self.log.end_offset() > 0;
             let state = self.state.lock();
-            if ts <= state.latest_ts && state.commits > 0 {
+            if logged && ts <= state.latest_ts {
                 return Err(GraphError::NonMonotonicCommit {
                     attempted: ts,
                     latest: state.latest_ts,
@@ -474,8 +500,6 @@ impl TimeStore {
         let publish = || {
             let mut state = self.state.lock();
             state.latest_ts = ts;
-            state.commits += 1;
-            state.updates += updates.len() as u64;
             state.ops_since_snapshot += updates.len() as u64;
             self.policy
                 .should_snapshot(state.ops_since_snapshot, state.last_snapshot_ts, ts)
@@ -750,9 +774,15 @@ impl TimeStore {
             index_bytes: self.index_store.size_bytes(),
             snapshot_bytes: state.snapshot_bytes,
             snapshot_count: state.snapshot_count,
-            updates: state.updates,
-            commits: state.commits,
         }
+    }
+
+    /// Every repair [`TimeStore::open`] made to the directory: a torn log
+    /// tail truncated, an index rebuilt from the log, a snapshot file
+    /// deleted or snapshot-index entry dropped, a floor snapshot that did
+    /// not decode. Empty when the directory opened as it was last synced.
+    pub fn repairs(&self) -> &[Finding] {
+        &self.repairs
     }
 
     /// Flushes indexes and log to disk.

@@ -217,7 +217,7 @@ fn index_file_lost_rebuilt_from_log() {
 // interval overlap, and cross-store divergence.
 
 mod corruption {
-    use check::{check_lineagestore, check_stores, CheckLevel, Subsystem};
+    use check::{check_stores, CheckLevel, Subsystem};
     use lineagestore::{LineageStore, LineageStoreConfig};
     use lpg::{NodeId, PropertyValue, RelId, StrId, Update};
     use pagestore::PAGE_SIZE;
@@ -355,7 +355,7 @@ mod corruption {
         std::fs::write(&path, &file).unwrap();
 
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = check_lineagestore(&ls, CheckLevel::Quick).unwrap();
+        let findings = ls.audit(false).unwrap().findings;
         assert!(
             findings
                 .iter()
@@ -393,7 +393,7 @@ mod corruption {
         std::fs::write(&path, &file).unwrap();
 
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = check_lineagestore(&ls, CheckLevel::Quick).unwrap();
+        let findings = ls.audit(false).unwrap().findings;
         assert!(
             findings
                 .iter()
@@ -437,7 +437,7 @@ mod corruption {
         std::fs::write(&path, &file).unwrap();
 
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = check_lineagestore(&ls, CheckLevel::Deep).unwrap();
+        let findings = ls.audit(true).unwrap().findings;
         assert!(
             findings.iter().any(|f| f.check == "chain/interval"),
             "interval overlap not reported: {findings:?}"
