@@ -26,6 +26,7 @@
 //! Internal cell:  `u16 klen, u64 child, key`
 
 use pagestore::{PageBuf, PAGE_SIZE};
+use std::cmp::Ordering;
 
 /// Node type tag for leaves.
 pub const LEAF: u8 = 1;
@@ -308,6 +309,37 @@ pub fn leaf_cell_bytes(page: &PageBuf, i: usize) -> &[u8] {
     &page.bytes()[off..header(page, off).end()]
 }
 
+/// Orders two keys as `a.cmp(b)` does, eight bytes at a time: each word is
+/// read big-endian, so comparing words compares the bytes in order. Keys
+/// are short (a LineageStore key is 4–36 bytes), where a `memcmp` call
+/// costs more than the comparison itself.
+#[inline]
+pub fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let (mut wa, mut wb) = (a.chunks_exact(8), b.chunks_exact(8));
+    for (x, y) in (&mut wa).zip(&mut wb) {
+        let (x, y) = (be_word(x), be_word(y));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    // At least one side has fewer than eight bytes left.
+    let done = a.len().min(b.len()) / 8 * 8;
+    for (x, y) in a[done..].iter().zip(&b[done..]) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// An eight-byte chunk as a big-endian word.
+#[inline]
+fn be_word(chunk: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(chunk);
+    u64::from_be_bytes(w)
+}
+
 /// Binary search among leaf keys. `Ok(i)` exact hit, `Err(i)` insert slot.
 pub fn leaf_search(page: &PageBuf, key: &[u8]) -> Result<usize, usize> {
     let n = ncells(page);
@@ -315,13 +347,29 @@ pub fn leaf_search(page: &PageBuf, key: &[u8]) -> Result<usize, usize> {
     let mut hi = n;
     while lo < hi {
         let mid = (lo + hi) / 2;
-        match leaf_key(page, mid).cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Ok(mid),
+        match cmp_keys(leaf_key(page, mid), key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
         }
     }
     Err(lo)
+}
+
+/// Whether `at` is still what [`leaf_search`] would return for `key`, judged
+/// by the one or two cells around it: an O(1) check that an earlier search
+/// of this page stands.
+pub fn placed_at(page: &PageBuf, key: &[u8], at: Result<usize, usize>) -> bool {
+    let n = ncells(page);
+    let cmp_at = |i: usize| cmp_keys(leaf_key(page, i), key);
+    match at {
+        Ok(i) => i < n && cmp_at(i) == Ordering::Equal,
+        Err(i) => {
+            i <= n
+                && (i == 0 || cmp_at(i - 1) == Ordering::Less)
+                && (i == n || cmp_at(i) == Ordering::Greater)
+        }
+    }
 }
 
 /// Inserts a leaf cell at slot index `i`: `inline` is the value, or the
@@ -431,7 +479,7 @@ pub fn internal_descend(page: &PageBuf, key: &[u8]) -> (isize, u64) {
     let mut hi = n;
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if internal_key(page, mid) <= key {
+        if cmp_keys(internal_key(page, mid), key) != Ordering::Greater {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -611,6 +659,23 @@ mod tests {
             compact(&mut fast);
             drop_and_compact_cell_by_cell(&mut page, from);
             prop_assert!(fast.bytes()[..] == page.bytes()[..]);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cmp_keys_orders_like_slices(
+            prefix in vec(any::<u8>(), 0..20),
+            a in vec(0u8..3, 0..20),
+            b in vec(0u8..3, 0..20),
+        ) {
+            // A shared prefix and a small alphabet make ties and keys that
+            // are prefixes of each other common.
+            let a = [&prefix[..], &a[..]].concat();
+            let b = [&prefix[..], &b[..]].concat();
+            prop_assert_eq!(cmp_keys(&a, &b), a.cmp(&b));
+            prop_assert_eq!(cmp_keys(&b, &a), b.cmp(&a));
+            prop_assert_eq!(cmp_keys(&a, &a), Ordering::Equal);
         }
     }
 

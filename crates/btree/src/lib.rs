@@ -20,6 +20,10 @@
 //! * leaves split 50/50, except that an insert past the last key of the
 //!   rightmost leaf starts a new leaf and leaves the full one full, so
 //!   ascending ids and timestamps pack leaves instead of half-filling them;
+//! * an insert walks from the root to its leaf once and searches the leaf
+//!   once (only a split walks down again, for the path), and
+//!   [`BTree::insert_with`] hands the value's builder the entry before the
+//!   key, read from the leaf the insert writes;
 //! * several trees can share one file: each tree persists its root pointer
 //!   in one of the page-store meta slots.
 //!

@@ -64,6 +64,34 @@ impl Metrics {
     }
 }
 
+/// A value ready to go into a leaf cell (see [`BTree::stage`]).
+enum Staged<'v> {
+    Inline(&'v [u8]),
+    /// The value's length and the little-endian head of its chain.
+    Overflow(u32, [u8; 8]),
+}
+
+impl Staged<'_> {
+    /// `(overflow, vlen, inline payload)`, as [`layout::leaf_insert`] takes
+    /// them.
+    fn parts(&self) -> (bool, u32, &[u8]) {
+        match self {
+            Staged::Inline(v) => (false, v.len() as u32, v),
+            Staged::Overflow(vlen, head) => (true, *vlen, head),
+        }
+    }
+}
+
+/// What [`BTree::put`]'s one write of the leaf did. Each carries the
+/// overflow chain of the cell it replaced, to free.
+enum Put {
+    Done(Option<PageId>),
+    /// The leaf is full: it splits, appending (`true`) or 50/50.
+    Split(bool, Option<PageId>),
+    /// The leaf was split since the caller read it: nothing written.
+    Moved,
+}
+
 impl BTree {
     /// Opens the tree persisted in meta `slot`, creating an empty root leaf
     /// on first use.
@@ -94,6 +122,21 @@ impl BTree {
         PageId(self.store.root(self.slot))
     }
 
+    /// Descends to the leaf covering `key`, recording nothing on the way.
+    fn leaf_for(&self, key: &[u8]) -> io::Result<PageId> {
+        let mut page = self.root();
+        loop {
+            let child = self.store.read(page, |p| {
+                (layout::node_type(p) != LEAF).then(|| layout::internal_descend(p, key).1)
+            })?;
+            self.metrics.page_reads.inc();
+            match child {
+                Some(child) => page = PageId(child),
+                None => return Ok(page),
+            }
+        }
+    }
+
     /// Descends to the leaf covering `key`; returns the path of internal
     /// `(page, taken_child_index)` pairs and the leaf page.
     fn descend(&self, key: &[u8]) -> io::Result<(Vec<(PageId, isize)>, PageId)> {
@@ -119,7 +162,7 @@ impl BTree {
 
     /// Exact-match lookup.
     pub fn get(&self, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
-        let (_, leaf) = self.descend(key)?;
+        let leaf = self.leaf_for(key)?;
         enum Hit {
             Miss,
             Inline(Vec<u8>),
@@ -152,7 +195,7 @@ impl BTree {
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &[u8]) -> io::Result<bool> {
-        let (_, leaf) = self.descend(key)?;
+        let leaf = self.leaf_for(key)?;
         self.store
             .read(leaf, |p| layout::leaf_search(p, key).is_ok())
     }
@@ -166,18 +209,150 @@ impl BTree {
     /// half-empty leaf behind that no later insert fills.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> io::Result<()> {
         assert!(key.len() <= MAX_KEY, "key too large");
-        let vlen = value.len() as u32;
-        let overflow = value.len() > MAX_INLINE_VALUE;
-        let head;
-        let inline: &[u8] = if overflow {
-            head = overflow::write_chain(&self.store, value)?.0.to_le_bytes();
-            &head
-        } else {
-            value
-        };
-        let (mut path, leaf) = self.descend(key)?;
+        let cell = self.stage(value)?;
+        let leaf = self.leaf_for(key)?;
+        self.put(leaf, key, &cell, None)
+    }
 
-        let needed = layout::leaf_cell_size(key.len(), value.len(), overflow) + 2;
+    /// Inserts or replaces `key → value_of(floor)`, where `floor` is what
+    /// [`Self::seek_floor`] returns for `key` before the insert: the entry
+    /// `key` replaces, or else the greatest entry below it.
+    ///
+    /// One descent serves both the lookup and the insert: `floor` is read
+    /// from the leaf the insert writes, and the insert goes where that read
+    /// placed `key`. Only when `key` would be the leaf's first cell is the
+    /// floor in a leaf to the left, found by `seek_floor`. An error from
+    /// `value_of` leaves the tree unchanged. `value_of` may read the tree;
+    /// should it also split the leaf, the insert descends again.
+    pub fn insert_with<V, E>(
+        &self,
+        key: &[u8],
+        value_of: impl FnOnce(Option<(&[u8], &[u8])>) -> Result<V, E>,
+    ) -> Result<(), E>
+    where
+        V: AsRef<[u8]>,
+        E: From<io::Error>,
+    {
+        assert!(key.len() <= MAX_KEY, "key too large");
+        let leaf = self.leaf_for(key)?;
+        // The floor cell's key and inline payload, copied out of the page
+        // so that `value_of` runs without the page store's lock.
+        let mut copy = [0u8; MAX_KEY + MAX_INLINE_VALUE];
+        let (at, link, in_leaf) = self.store.read(leaf, |p| {
+            let at = layout::leaf_search(p, key);
+            let floor = match at {
+                Ok(i) => Some(i),
+                Err(i) => i.checked_sub(1),
+            };
+            let in_leaf = floor.map(|i| {
+                let cell = layout::leaf_cell(p, i);
+                let (klen, ilen) = (cell.key.len(), cell.inline.len());
+                copy[..klen].copy_from_slice(cell.key);
+                copy[klen..klen + ilen].copy_from_slice(cell.inline);
+                let head = cell.is_overflow().then(|| PageId(cell.overflow_page()));
+                (klen, ilen, head)
+            });
+            (at, layout::link(p), in_leaf)
+        })?;
+        let mut chain = Vec::new();
+        let elsewhere;
+        let floor = match in_leaf {
+            Some((klen, _, Some(head))) => {
+                self.metrics.overflow_walks.inc();
+                overflow::read_chain(&self.store, head, &mut chain)?;
+                Some((&copy[..klen], &chain[..]))
+            }
+            Some((klen, ilen, None)) => Some((&copy[..klen], &copy[klen..klen + ilen])),
+            None => {
+                elsewhere = self.seek_floor(key)?;
+                elsewhere.as_ref().map(|(k, v)| (&k[..], &v[..]))
+            }
+        };
+        let value = value_of(floor)?;
+        let cell = self.stage(value.as_ref())?;
+        Ok(self.put(leaf, key, &cell, Some((at, link)))?)
+    }
+
+    /// The leaf payload of `value`: the value itself, or the head of the
+    /// overflow chain it is written to first.
+    fn stage<'v>(&self, value: &'v [u8]) -> io::Result<Staged<'v>> {
+        let vlen = value.len() as u32;
+        if value.len() > MAX_INLINE_VALUE {
+            let head = overflow::write_chain(&self.store, value)?;
+            Ok(Staged::Overflow(vlen, head.0.to_le_bytes()))
+        } else {
+            Ok(Staged::Inline(value))
+        }
+    }
+
+    /// Writes `key → cell` into `leaf`, the leaf that covered `key` when
+    /// the caller descended. The leaf is searched once: the position that
+    /// finds the cell `key` replaces is the one the new cell goes to.
+    /// `placed` is what an earlier read of `leaf` said, as the search
+    /// result and the leaf's link field then: if the link is unchanged (no
+    /// split since) and the cells around the position agree, that search
+    /// stands. A changed link means `leaf` may no longer cover `key`, and
+    /// the insert descends again.
+    fn put(
+        &self,
+        mut leaf: PageId,
+        key: &[u8],
+        cell: &Staged,
+        mut placed: Option<(Result<usize, usize>, u64)>,
+    ) -> io::Result<()> {
+        let (overflow, vlen, inline) = cell.parts();
+        let needed = layout::leaf_cell_size(key.len(), vlen as usize, overflow) + 2;
+        // One touch of the leaf: drop the cell `key` replaces (its chain is
+        // freed below), then insert if the new cell fits. Otherwise the leaf
+        // splits, and `appends` says whether `key` starts a new rightmost
+        // leaf.
+        let (split, old_overflow) = loop {
+            let outcome = self.store.write(leaf, |p| {
+                let at = match placed {
+                    Some((_, link)) if layout::link(p) != link => return Put::Moved,
+                    Some((at, _)) if layout::placed_at(p, key, at) => at,
+                    _ => layout::leaf_search(p, key),
+                };
+                let (i, old_overflow) = match at {
+                    Ok(i) => {
+                        let cell = layout::leaf_cell(p, i);
+                        let ovf = cell.is_overflow().then(|| PageId(cell.overflow_page()));
+                        layout::leaf_remove(p, i);
+                        (i, ovf)
+                    }
+                    Err(i) => (i, None),
+                };
+                if layout::free_space(p) >= needed || layout::live_bytes(p) + needed <= PAGE_SIZE {
+                    if layout::free_space(p) < needed {
+                        layout::compact(p);
+                    }
+                    layout::leaf_insert(p, i, overflow, key, vlen, inline);
+                    return Put::Done(old_overflow);
+                }
+                let n = layout::ncells(p);
+                let appends = layout::link(p) == u64::MAX && n > 0 && i == n;
+                Put::Split(appends, old_overflow)
+            })?;
+            match outcome {
+                Put::Done(old) => break (None, old),
+                Put::Split(appends, old) => break (Some(appends), old),
+                Put::Moved => {
+                    leaf = self.leaf_for(key)?;
+                    placed = None;
+                }
+            }
+        };
+        if let Some(head) = old_overflow {
+            overflow::free_chain(&self.store, head)?;
+        }
+        let Some(appends) = split else {
+            return Ok(());
+        };
+
+        // A split: walk down again, this time recording the path that
+        // receives the new separator. Nothing above the leaf changed, so
+        // this walk ends at `leaf`.
+        let (mut path, _) = self.descend(key)?;
         let insert_cell = |p: &mut PageBuf| {
             if layout::free_space(p) < needed {
                 layout::compact(p);
@@ -189,32 +364,6 @@ impl BTree {
             };
             layout::leaf_insert(p, i, overflow, key, vlen, inline);
         };
-        // One touch of the leaf: drop the cell `key` replaces (its chain is
-        // freed below), then insert if the new cell fits. Otherwise the leaf
-        // splits, and `appends` says whether `key` starts a new rightmost
-        // leaf.
-        let (split, old_overflow) = self.store.write(leaf, |p| {
-            let old_overflow = layout::leaf_search(p, key).ok().and_then(|i| {
-                let cell = layout::leaf_cell(p, i);
-                let ovf = cell.is_overflow().then(|| PageId(cell.overflow_page()));
-                layout::leaf_remove(p, i);
-                ovf
-            });
-            if layout::free_space(p) >= needed || layout::live_bytes(p) + needed <= PAGE_SIZE {
-                insert_cell(p);
-                return (None, old_overflow);
-            }
-            let n = layout::ncells(p);
-            let appends = layout::link(p) == u64::MAX && n > 0 && layout::leaf_key(p, n - 1) < key;
-            (Some(appends), old_overflow)
-        })?;
-        if let Some(head) = old_overflow {
-            overflow::free_chain(&self.store, head)?;
-        }
-        let Some(appends) = split else {
-            return Ok(());
-        };
-
         let (sep, new_leaf) = if appends {
             self.metrics.splits.inc();
             let new_leaf = self.store.allocate()?;
@@ -397,7 +546,7 @@ impl BTree {
     /// are append-mostly), but freed overflow chains return to the free list
     /// and in-page space is reclaimed by compaction on later inserts.
     pub fn remove(&self, key: &[u8]) -> io::Result<bool> {
-        let (_, leaf) = self.descend(key)?;
+        let leaf = self.leaf_for(key)?;
         let removed = self.store.write(leaf, |p| {
             if let Ok(i) = layout::leaf_search(p, key) {
                 let cell = layout::leaf_cell(p, i);
@@ -420,7 +569,7 @@ impl BTree {
 
     /// Ordered scan over `[low, high)`. An empty `high` means "unbounded".
     pub fn scan(&self, low: &[u8], high: &[u8]) -> io::Result<Scan> {
-        let (_, leaf) = self.descend(low)?;
+        let leaf = self.leaf_for(low)?;
         Scan::new(self.clone(), leaf, low, high)
     }
 
@@ -428,7 +577,7 @@ impl BTree {
     /// index walks that resolve values lazily. Skips value and overflow
     /// reads entirely; see [`crate::scan::KeyScan`].
     pub fn scan_keys(&self, low: &[u8], high: &[u8]) -> io::Result<KeyScan> {
-        let (_, leaf) = self.descend(low)?;
+        let leaf = self.leaf_for(low)?;
         KeyScan::new(self.clone(), leaf, low, high)
     }
 
@@ -662,8 +811,8 @@ mod tests {
         }
     }
 
-    /// `live_bytes / PAGE_SIZE` of every leaf, left to right.
-    fn leaf_fills(t: &BTree) -> Vec<f64> {
+    /// Every leaf page, left to right.
+    fn leaves(t: &BTree) -> Vec<PageId> {
         let mut page = t.root();
         while let Some(child) = t
             .store
@@ -674,16 +823,21 @@ mod tests {
         {
             page = PageId(child);
         }
-        let mut fills = Vec::new();
+        let mut leaves = Vec::new();
         while !page.is_null() {
-            let (live, next) = t
-                .store
-                .read(page, |p| (layout::live_bytes(p), layout::link(p)))
-                .unwrap();
-            fills.push(live as f64 / PAGE_SIZE as f64);
-            page = PageId(next);
+            leaves.push(page);
+            page = PageId(t.store.read(page, layout::link).unwrap());
         }
-        fills
+        leaves
+    }
+
+    /// `live_bytes / PAGE_SIZE` of every leaf, left to right.
+    fn leaf_fills(t: &BTree) -> Vec<f64> {
+        let live = |&leaf: &PageId| t.store.read(leaf, layout::live_bytes).unwrap();
+        leaves(t)
+            .iter()
+            .map(|leaf| live(leaf) as f64 / PAGE_SIZE as f64)
+            .collect()
     }
 
     #[test]
@@ -719,6 +873,73 @@ mod tests {
         let mean = fills.iter().sum::<f64>() / fills.len() as f64;
         assert_eq!(fills.len(), 91);
         assert!((0.672..0.673).contains(&mean), "mean leaf fill {mean}");
+    }
+
+    /// The first key of every leaf, left to right.
+    fn leaf_first_keys(t: &BTree) -> Vec<Vec<u8>> {
+        let first = |&leaf: &PageId| {
+            t.store
+                .read(leaf, |p| layout::leaf_key(p, 0).to_vec())
+                .unwrap()
+        };
+        leaves(t).iter().map(first).collect()
+    }
+
+    #[test]
+    fn insert_with_finds_the_floor_in_the_left_sibling() {
+        let (_d, t) = open_tree(16);
+        for i in 0..3_000u64 {
+            t.insert(&k(i * 2), &(i * 2).to_le_bytes()).unwrap();
+        }
+        // Take a leaf's first key out: the separator above the leaf still
+        // names it, so putting it back descends to that leaf and lands
+        // before every cell there. Its floor is the left sibling's last.
+        let firsts = leaf_first_keys(&t);
+        assert!(firsts.len() >= 4, "{} leaves", firsts.len());
+        let first = firsts[2].clone();
+        assert!(t.remove(&first).unwrap());
+        let before = u64::from_be_bytes(first[..].try_into().unwrap()) - 2;
+        let mut seen = None;
+        t.insert_with(&first, |floor| {
+            seen = floor.map(|(key, value)| (key.to_vec(), value.to_vec()));
+            io::Result::Ok(b"back".to_vec())
+        })
+        .unwrap();
+        assert_eq!(seen, Some((k(before), before.to_le_bytes().to_vec())));
+        assert_eq!(t.get(&first).unwrap().as_deref(), Some(&b"back"[..]));
+        // The insert went to the leaf the separator names.
+        assert_eq!(leaf_first_keys(&t)[2], first);
+        assert!(t.verify().unwrap().is_clean());
+        // Below the smallest key there is no floor at all.
+        t.insert_with(&[], |floor| {
+            assert_eq!(floor, None);
+            io::Result::Ok([])
+        })
+        .unwrap();
+    }
+
+    #[test]
+    fn insert_with_descends_again_when_value_of_split_the_leaf() {
+        let (_d, t) = open_tree(16);
+        for i in 0..200u64 {
+            t.insert(&k(i * 1_000), &[1; 40]).unwrap();
+        }
+        let writer = t.clone();
+        // The closure fills the key's leaf until it splits at least once,
+        // so the leaf the insert read may no longer cover the key.
+        let key = k(100_500);
+        t.insert_with(&key, |floor| {
+            assert_eq!(floor.map(|(key, _)| key.to_vec()), Some(k(100_000)));
+            for j in 1..400u64 {
+                writer.insert(&k(100_000 + j), &[2; 40]).unwrap();
+            }
+            io::Result::Ok(b"late".to_vec())
+        })
+        .unwrap();
+        assert_eq!(t.get(&key).unwrap().as_deref(), Some(&b"late"[..]));
+        let report = t.verify().unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.entries, 200 + 399 + 1);
     }
 
     #[test]

@@ -80,11 +80,13 @@ pub fn rel_key(id: RelId, ts: Timestamp) -> [u8; 16] {
 /// Longest [`neigh_key`]: four parts of a length byte and eight bytes.
 pub const MAX_NEIGH_KEY: usize = 36;
 
-/// Appends `v` as a length byte and its significant big-endian bytes.
-fn put_part(out: &mut Vec<u8>, v: u64) {
+/// Writes `v` at `out[at..]` as a length byte and its significant
+/// big-endian bytes; returns where the part ends.
+fn put_part(out: &mut [u8; MAX_NEIGH_KEY], at: usize, v: u64) -> usize {
     let n = 8 - (v.leading_zeros() / 8) as usize;
-    out.push(n as u8);
-    out.extend_from_slice(&v.to_be_bytes()[8 - n..]);
+    out[at] = n as u8;
+    out[at + 1..at + 1 + n].copy_from_slice(&v.to_be_bytes()[8 - n..]);
+    at + 1 + n
 }
 
 /// Reads one canonical part off the front of `key`.
@@ -105,13 +107,32 @@ fn take_part(key: &mut &[u8]) -> Option<u64> {
 }
 
 /// A `(a, b, relId, ts)` neighbourhood key — `a = src, b = tgt` for the
-/// out-neighbours index and the reverse for in-neighbours.
-pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> Vec<u8> {
-    let mut k = Vec::with_capacity(MAX_NEIGH_KEY);
-    for part in [a.raw(), b.raw(), rel.raw(), ts] {
-        put_part(&mut k, part);
+/// out-neighbours index and the reverse for in-neighbours. It is built on
+/// the stack: the LineageStore writes two per relationship update.
+pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> NeighKey {
+    let mut bytes = [0u8; MAX_NEIGH_KEY];
+    let len = [a.raw(), b.raw(), rel.raw(), ts]
+        .into_iter()
+        .fold(0, |at, part| put_part(&mut bytes, at, part));
+    NeighKey {
+        bytes,
+        len: len as u8,
     }
-    k
+}
+
+/// The bytes of a [`neigh_key`], read through `Deref<Target = [u8]>`.
+#[derive(Clone, Copy)]
+pub struct NeighKey {
+    bytes: [u8; MAX_NEIGH_KEY],
+    len: u8,
+}
+
+impl std::ops::Deref for NeighKey {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
 }
 
 /// Decodes a [`neigh_key`] into `(a, b, rel, ts)`. `None` unless `key` is
@@ -130,13 +151,13 @@ pub fn decode_neigh_key(mut key: &[u8]) -> Option<(NodeId, NodeId, RelId, Timest
 /// B+Tree scans read it — for the largest node id, which has no successor
 /// to bound it with.
 pub fn neigh_range(a: NodeId) -> (Vec<u8>, Vec<u8>) {
-    let mut low = Vec::with_capacity(9);
-    put_part(&mut low, a.raw());
-    let mut high = Vec::new();
-    if let Some(next) = a.raw().checked_add(1) {
-        put_part(&mut high, next);
-    }
-    (low, high)
+    let part = |v| {
+        let mut bytes = [0u8; MAX_NEIGH_KEY];
+        let len = put_part(&mut bytes, 0, v);
+        bytes[..len].to_vec()
+    };
+    let high = a.raw().checked_add(1).map_or_else(Vec::new, part);
+    (part(a.raw()), high)
 }
 
 #[cfg(test)]
@@ -169,7 +190,7 @@ mod tests {
         let k2 = neigh_key(NodeId::new(1), NodeId::new(9), RelId::new(4), 11);
         let k3 = neigh_key(NodeId::new(1), NodeId::new(10), RelId::new(0), 0);
         let k4 = neigh_key(NodeId::new(2), NodeId::new(0), RelId::new(0), 0);
-        assert!(k1 < k2 && k2 < k3 && k3 < k4);
+        assert!(k1[..] < k2[..] && k2[..] < k3[..] && k3[..] < k4[..]);
         assert_eq!(
             decode_neigh_key(&k1),
             Some((NodeId::new(1), NodeId::new(9), RelId::new(4), 10))
@@ -179,11 +200,11 @@ mod tests {
     #[test]
     fn neigh_key_writes_only_significant_bytes() {
         let zero = neigh_key(NodeId::new(0), NodeId::new(0), RelId::new(0), 0);
-        assert_eq!(zero, [0, 0, 0, 0]);
+        assert_eq!(zero[..], [0, 0, 0, 0]);
         let k = neigh_key(NodeId::new(255), NodeId::new(256), RelId::new(1), u64::MAX);
         let mut want = vec![1, 0xFF, 2, 1, 0, 1, 1, 8];
         want.extend_from_slice(&[0xFF; 8]);
-        assert_eq!(k, want);
+        assert_eq!(k[..], want);
         assert_eq!(decode_neigh_key(&k).unwrap().3, u64::MAX);
         let widest = neigh_key(
             NodeId::new(u64::MAX),
@@ -213,7 +234,7 @@ mod tests {
         let (lo, hi) = neigh_range(NodeId::new(5));
         let inside = neigh_key(NodeId::new(5), NodeId::new(u64::MAX), RelId::new(3), 9);
         let outside = neigh_key(NodeId::new(6), NodeId::new(0), RelId::new(0), 0);
-        assert!(lo <= inside && inside[..] < hi[..]);
+        assert!(lo[..] <= inside[..] && inside[..] < hi[..]);
         assert!(outside[..] >= hi[..]);
         // The largest id has no successor: the scan runs to the end.
         let (lo, hi) = neigh_range(NodeId::new(u64::MAX));

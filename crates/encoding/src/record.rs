@@ -162,6 +162,12 @@ impl RecordBody {
         out
     }
 
+    /// Whether the body encoded at the front of `buf` is a tombstone, read
+    /// from its header byte alone (`None` for an empty buffer).
+    pub fn encodes_tombstone(buf: &[u8]) -> Option<bool> {
+        buf.first().map(|header| header & FLAG_DELETED != 0)
+    }
+
     /// Deserializes a body, advancing `pos`.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Option<RecordBody> {
         let header = *buf.get(*pos)?;
@@ -232,6 +238,58 @@ pub fn encode_rel_full(
     varint::write_u64(out, tgt.raw());
     varint::write_u32(out, label.map_or(LABEL_REMOVED, |l| l.raw()));
     encode_props(out, props);
+}
+
+/// Serializes the body of one logical [`Update`]: the bytes
+/// `RecordBody::from_update(op).encode(out)` writes, without cloning the
+/// update's labels, properties or values into a [`RecordBody`] first.
+pub fn encode_update(out: &mut Vec<u8>, op: &Update) {
+    match op {
+        Update::AddNode { labels, props, .. } => encode_node_full(out, labels, props),
+        Update::DeleteNode { .. } => out.push(TYPE_NODE | FLAG_DELETED),
+        Update::AddRel {
+            src,
+            tgt,
+            label,
+            props,
+            ..
+        } => encode_rel_full(out, *src, *tgt, *label, props),
+        Update::DeleteRel { .. } => out.push(TYPE_REL | FLAG_DELETED),
+        modify => {
+            // A one-operation delta, laid out as `encode_delta` lays out
+            // what `EntityDelta::from_update` builds: the label count and
+            // labels, then the property count and property.
+            out.push(if modify.is_rel() { TYPE_REL } else { TYPE_NODE } | FLAG_DELTA);
+            match modify {
+                Update::AddLabel { label, .. } => {
+                    varint::write_u64(out, 1);
+                    varint::write_u32(out, label.raw());
+                    varint::write_u64(out, 0);
+                }
+                Update::RemoveLabel { label, .. } => {
+                    varint::write_u64(out, 1);
+                    varint::write_u32(out, label.raw() | LABEL_REMOVED);
+                    varint::write_u64(out, 0);
+                }
+                Update::SetNodeProp { key, value, .. } | Update::SetRelProp { key, value, .. } => {
+                    varint::write_u64(out, 0);
+                    varint::write_u64(out, 1);
+                    encode_prop_value(out, *key, value);
+                }
+                Update::RemoveNodeProp { key, .. } | Update::RemoveRelProp { key, .. } => {
+                    varint::write_u64(out, 0);
+                    varint::write_u64(out, 1);
+                    varint::write_u32(out, prop_word(PROP_DELETED, *key));
+                }
+                // Adds and deletes are matched above; an empty delta, as
+                // `RecordBody::from_update` falls back to.
+                _ => {
+                    varint::write_u64(out, 0);
+                    varint::write_u64(out, 0);
+                }
+            }
+        }
+    }
 }
 
 fn encode_props(out: &mut Vec<u8>, props: &[(StrId, PropertyValue)]) {

@@ -39,7 +39,7 @@ fn tuple() -> impl Strategy<Value = Tuple> {
 }
 
 fn key(t: Tuple) -> Vec<u8> {
-    neigh_key(NodeId::new(t.0), NodeId::new(t.1), RelId::new(t.2), t.3)
+    neigh_key(NodeId::new(t.0), NodeId::new(t.1), RelId::new(t.2), t.3).to_vec()
 }
 
 fn decode(bytes: &[u8]) -> Option<Tuple> {

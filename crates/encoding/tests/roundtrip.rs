@@ -1,9 +1,10 @@
 //! Property tests: every encodable record body round-trips bit-exactly, and
 //! decoding consumes exactly the bytes encoding produced (so records can be
-//! streamed back-to-back in the TimeStore log).
+//! streamed back-to-back in the TimeStore log). `record::encode_update`
+//! writes the bytes of the body `RecordBody::from_update` builds.
 
-use encoding::{LogRecord, RecordBody};
-use lpg::{EntityDelta, NodeId, PropChange, PropertyValue, StrId};
+use encoding::{record, LogRecord, RecordBody};
+use lpg::{EntityDelta, NodeId, PropChange, PropertyValue, RelId, StrId, Update};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = PropertyValue> {
@@ -76,6 +77,46 @@ fn body_strategy() -> impl Strategy<Value = RecordBody> {
 /// Values at LEB128 group boundaries (2^(7k) ± 1) where an off-by-one in
 /// the continuation-bit logic would corrupt the stream, mixed with
 /// arbitrary values.
+fn update_strategy() -> impl Strategy<Value = Update> {
+    let node = || any::<u64>().prop_map(NodeId::new);
+    let rel = || any::<u64>().prop_map(RelId::new);
+    prop_oneof![
+        (
+            node(),
+            proptest::collection::vec(sid_strategy(), 0..4),
+            props_strategy()
+        )
+            .prop_map(|(id, labels, props)| Update::AddNode { id, labels, props }),
+        node().prop_map(|id| Update::DeleteNode { id }),
+        (
+            rel(),
+            node(),
+            node(),
+            proptest::option::of(sid_strategy()),
+            props_strategy()
+        )
+            .prop_map(|(id, src, tgt, label, props)| Update::AddRel {
+                id,
+                src,
+                tgt,
+                label,
+                props
+            }),
+        rel().prop_map(|id| Update::DeleteRel { id }),
+        (node(), sid_strategy(), value_strategy())
+            .prop_map(|(id, key, value)| Update::SetNodeProp { id, key, value }),
+        (node(), sid_strategy()).prop_map(|(id, key)| Update::RemoveNodeProp { id, key }),
+        (node(), sid_strategy()).prop_map(|(id, label)| Update::AddLabel { id, label }),
+        (node(), sid_strategy()).prop_map(|(id, label)| Update::RemoveLabel { id, label }),
+        (rel(), sid_strategy(), value_strategy()).prop_map(|(id, key, value)| Update::SetRelProp {
+            id,
+            key,
+            value
+        }),
+        (rel(), sid_strategy()).prop_map(|(id, key)| Update::RemoveRelProp { id, key }),
+    ]
+}
+
 fn varint_boundary_strategy() -> impl Strategy<Value = u64> {
     let mut arms = vec![Just(0u64).boxed(), Just(u64::MAX).boxed()];
     for k in 1..=9u32 {
@@ -148,6 +189,15 @@ proptest! {
     fn body_roundtrips(body in body_strategy()) {
         let bytes = body.to_bytes();
         prop_assert_eq!(RecordBody::from_bytes(&bytes), Some(body));
+    }
+
+    #[test]
+    fn update_bodies_encode_without_a_record_body(op in update_strategy()) {
+        let mut direct = vec![0xA5];
+        record::encode_update(&mut direct, &op);
+        let mut built = vec![0xA5];
+        RecordBody::from_update(&op).encode(&mut built);
+        prop_assert_eq!(direct, built);
     }
 
     #[test]

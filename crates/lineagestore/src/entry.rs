@@ -46,10 +46,14 @@ impl LineageEntry {
     /// Serializes the envelope + body.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        varint::write_u64(&mut out, self.base_ts);
-        varint::write_u64(&mut out, u64::from(self.pos));
-        self.body.encode(&mut out);
+        self.encode(&mut out);
         out
+    }
+
+    /// Appends the envelope + body to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        encode_chain(out, self.base_ts, self.pos);
+        self.body.encode(out);
     }
 
     /// Deserializes an envelope + body.
@@ -64,6 +68,22 @@ impl LineageEntry {
             body,
         })
     }
+}
+
+/// Appends the chain fields of an entry; its body follows them.
+pub(crate) fn encode_chain(out: &mut Vec<u8>, base_ts: Timestamp, pos: u32) {
+    varint::write_u64(out, base_ts);
+    varint::write_u64(out, u64::from(pos));
+}
+
+/// An encoded entry's `(base_ts, pos)` and whether its body is a
+/// tombstone, read without decoding the body.
+pub(crate) fn peek_chain(buf: &[u8]) -> Option<(Timestamp, u32, bool)> {
+    let mut pos = 0;
+    let base_ts = varint::read_u64(buf, &mut pos)?;
+    let chain_pos = varint::read_u64(buf, &mut pos)? as u32;
+    let deleted = RecordBody::encodes_tombstone(buf.get(pos..)?)?;
+    Some((base_ts, chain_pos, deleted))
 }
 
 #[cfg(test)]
@@ -99,6 +119,23 @@ mod tests {
         assert_eq!(back.base_ts, 10);
         assert_eq!(back.pos, 3);
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn peek_reads_the_chain_fields_and_the_tombstone_flag() {
+        let delta = LineageEntry::delta(
+            300,
+            2,
+            RecordBody::NodeDelta(EntityDelta {
+                labels_added: vec![StrId::new(7)],
+                labels_removed: vec![],
+                props: vec![],
+            }),
+        );
+        assert_eq!(peek_chain(&delta.to_bytes()), Some((300, 2, false)));
+        let gone = LineageEntry::full(301, RecordBody::RelDeleted);
+        assert_eq!(peek_chain(&gone.to_bytes()), Some((301, 0, true)));
+        assert_eq!(peek_chain(&gone.to_bytes()[..3]), None, "no body");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The four-index LineageStore with chain-aware reconstruction.
 
-use crate::entry::LineageEntry;
+use crate::entry::{self, LineageEntry};
 use btree::BTree;
-use encoding::{keys, RecordBody};
+use encoding::{keys, record, RecordBody};
 use lpg::{
     EntityDelta, Graph, GraphError, Interval, Node, NodeId, RelId, Relationship, Result, Timestamp,
     Update, Version,
 };
 use pagestore::PageStore;
-use parking_lot::Mutex;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vfs::VfsRef;
 
@@ -50,8 +50,6 @@ impl Default for LineageStoreConfig {
 /// Ingest / lookup counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LineageStoreStats {
-    /// Updates applied.
-    pub updates: u64,
     /// Full records written because a chain hit the threshold.
     pub materializations: u64,
     /// Delta records written.
@@ -86,8 +84,20 @@ pub struct LineageStore {
     pub(crate) out_n: BTree,
     pub(crate) in_n: BTree,
     threshold: Option<u32>,
-    stats: Mutex<LineageStoreStats>,
+    stats: Counts,
     pub(crate) metrics: Metrics,
+}
+
+/// The [`LineageStoreStats`] counters, bumped without a lock.
+#[derive(Default)]
+struct Counts {
+    materializations: AtomicU64,
+    deltas: AtomicU64,
+    chain_reconstructions: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl LineageStore {
@@ -107,7 +117,7 @@ impl LineageStore {
             in_n: open_tree(SLOT_IN)?,
             store,
             threshold: config.chain_threshold,
-            stats: Mutex::new(LineageStoreStats::default()),
+            stats: Counts::default(),
             metrics: Metrics::new(),
         })
     }
@@ -131,7 +141,12 @@ impl LineageStore {
 
     /// Counter snapshot.
     pub fn stats(&self) -> LineageStoreStats {
-        *self.stats.lock()
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        LineageStoreStats {
+            materializations: read(&self.stats.materializations),
+            deltas: read(&self.stats.deltas),
+            chain_reconstructions: read(&self.stats.chain_reconstructions),
+        }
     }
 
     /// On-disk footprint in bytes.
@@ -151,8 +166,10 @@ impl LineageStore {
     /// advances the watermark.
     pub fn apply_commit(&self, ts: Timestamp, updates: &[Update]) -> Result<()> {
         self.metrics.commits_applied.inc();
+        // One buffer encodes every entry of the commit.
+        let mut buf = Vec::new();
         for u in updates {
-            self.apply_update(ts, u)?;
+            self.apply(ts, u, &mut buf)?;
         }
         self.set_applied_ts(ts);
         Ok(())
@@ -160,71 +177,48 @@ impl LineageStore {
 
     /// Applies a single update at timestamp `ts`.
     pub fn apply_update(&self, ts: Timestamp, op: &Update) -> Result<()> {
-        self.stats.lock().updates += 1;
+        self.apply(ts, op, &mut Vec::new())
+    }
+
+    /// Applies `op` at `ts`, encoding each entry in `buf`.
+    fn apply(&self, ts: Timestamp, op: &Update, buf: &mut Vec<u8>) -> Result<()> {
         self.metrics.updates_applied.inc();
+        buf.clear();
         match op {
-            Update::AddNode { id, labels, props } => self.put_full(
-                &self.nodes,
-                id.raw(),
-                ts,
-                RecordBody::NodeFull {
-                    labels: labels.clone(),
-                    props: props.clone(),
-                },
-            ),
-            Update::DeleteNode { id } => {
-                self.put_full(&self.nodes, id.raw(), ts, RecordBody::NodeDeleted)
+            Update::AddNode { id, .. } | Update::DeleteNode { id } => {
+                entry::encode_chain(buf, ts, 0);
+                record::encode_update(buf, op);
+                self.put(&self.nodes, id.raw(), ts, buf)
             }
-            Update::AddRel {
-                id,
-                src,
-                tgt,
-                label,
-                props,
-            } => {
-                self.put_full(
-                    &self.rels,
-                    id.raw(),
-                    ts,
-                    RecordBody::RelFull {
-                        src: *src,
-                        tgt: *tgt,
-                        label: *label,
-                        props: props.clone(),
-                    },
-                )?;
+            Update::AddRel { id, src, tgt, .. } => {
+                entry::encode_chain(buf, ts, 0);
+                record::encode_update(buf, op);
+                self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(*src, *tgt, *id, ts, false)
             }
             Update::DeleteRel { id } => {
                 // The tombstone needs the endpoints for the neighbour indexes.
                 let rel = self.rel_at(*id, ts)?.ok_or(GraphError::RelNotFound(*id))?;
-                self.put_full(&self.rels, id.raw(), ts, RecordBody::RelDeleted)?;
+                entry::encode_chain(buf, ts, 0);
+                record::encode_update(buf, op);
+                self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(rel.src, rel.tgt, *id, ts, true)
             }
             modify => {
-                let Some(delta) = EntityDelta::from_update(modify) else {
-                    return Err(GraphError::CorruptRecord(format!(
-                        "update at ts {ts} is neither an add/delete nor a modify operation"
-                    )));
-                };
                 // The entity id names the tree; a modify update always
-                // carries the same kind as its entity id, so a single
-                // exhaustive match replaces the old `unreachable!` arms.
-                let (tree, raw, body_of): (&BTree, u64, fn(EntityDelta) -> RecordBody) =
-                    match modify.entity() {
-                        lpg::EntityId::Rel(RelId(raw)) => (&self.rels, raw, RecordBody::RelDelta),
-                        lpg::EntityId::Node(NodeId(raw)) => {
-                            (&self.nodes, raw, RecordBody::NodeDelta)
-                        }
-                    };
-                self.put_delta(tree, raw, ts, delta, body_of)
+                // carries the same kind as its entity id.
+                let (tree, raw) = match modify.entity() {
+                    lpg::EntityId::Rel(RelId(raw)) => (&self.rels, raw),
+                    lpg::EntityId::Node(NodeId(raw)) => (&self.nodes, raw),
+                };
+                self.put_delta(tree, raw, ts, modify, buf)
             }
         }
     }
 
-    fn put_full(&self, tree: &BTree, id: u64, ts: Timestamp, body: RecordBody) -> Result<()> {
-        let entry = LineageEntry::full(ts, body);
-        Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?)
+    /// Writes the encoded entry `entry` for `id` at `ts`.
+    fn put(&self, tree: &BTree, id: u64, ts: Timestamp, entry: &[u8]) -> Result<()> {
+        Ok(tree.insert(&keys::entity_ts_key(id, ts), entry)?)
     }
 
     /// Records that `rel` joined (or, `deleted`, left) the neighbourhoods
@@ -246,116 +240,89 @@ impl LineageStore {
             .insert(&keys::neigh_key(tgt, src, rel, ts), &value)?)
     }
 
+    /// Writes the modify update `op` for `id` at `ts` as the next link of
+    /// the entity's chain. The insert reads the entity's previous version
+    /// from the leaf it writes (`BTree::insert_with`); a plain delta reads
+    /// only that version's chain fields, and only a version that coalesces
+    /// with this one or a chain that reaches the threshold is decoded.
     fn put_delta(
         &self,
         tree: &BTree,
         id: u64,
         ts: Timestamp,
-        delta: EntityDelta,
-        body_of: fn(EntityDelta) -> RecordBody,
+        op: &Update,
+        buf: &mut Vec<u8>,
     ) -> Result<()> {
-        // Find the previous version to extend its chain.
-        let prev = self.floor_entry(tree, id, ts)?;
-        let Some((prev_ts, prev_entry)) = prev else {
-            return Err(GraphError::Storage(format!(
-                "delta for unknown entity {id} at ts {ts}"
-            )));
-        };
-        if prev_entry.body.is_deleted() {
-            return Err(GraphError::Storage(format!(
-                "delta for deleted entity {id} at ts {ts}"
-            )));
-        }
-        // Several updates in one transaction share a timestamp; coalesce
-        // them into a single record so each `(id, ts)` key stays unique.
-        if prev_ts == ts {
-            let merged = match prev_entry.body.clone() {
-                RecordBody::NodeFull { labels, props } => {
-                    let mut node = Node::new(NodeId::new(id), labels, props);
-                    delta.apply_to_node(&mut node);
-                    RecordBody::NodeFull {
-                        labels: node.labels.to_vec(),
-                        props: node.props.into(),
-                    }
-                }
-                RecordBody::RelFull {
-                    src,
-                    tgt,
-                    label,
-                    props,
-                } => {
-                    let mut rel = Relationship::new(RelId::new(id), src, tgt, label, props);
-                    delta.apply_to_rel(&mut rel);
-                    RecordBody::RelFull {
-                        src: rel.src,
-                        tgt: rel.tgt,
-                        label: rel.label,
-                        props: rel.props.into(),
-                    }
-                }
-                RecordBody::NodeDelta(mut prev_d) => {
-                    prev_d.merge(&delta);
-                    RecordBody::NodeDelta(prev_d)
-                }
-                RecordBody::RelDelta(mut prev_d) => {
-                    prev_d.merge(&delta);
-                    RecordBody::RelDelta(prev_d)
-                }
-                other => {
-                    return Err(GraphError::Storage(format!(
-                        "cannot coalesce delta over {other:?}"
-                    )))
-                }
+        let key = keys::entity_ts_key(id, ts);
+        tree.insert_with(&key, |floor| {
+            let unknown =
+                || GraphError::Storage(format!("delta for unknown entity {id} at ts {ts}"));
+            let bad_entry = || GraphError::Storage("bad lineage entry".into());
+            let delta = || {
+                EntityDelta::from_update(op).ok_or_else(|| {
+                    GraphError::CorruptRecord(format!(
+                        "update at ts {ts} is neither an add/delete nor a modify operation"
+                    ))
+                })
             };
-            let entry = LineageEntry {
-                base_ts: prev_entry.base_ts,
-                pos: prev_entry.pos,
-                body: merged,
-            };
-            return Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?);
-        }
-        let next_pos = prev_entry.pos + 1;
-        let materialize = self.threshold.is_some_and(|k| next_pos >= k);
-        if materialize {
-            // Reconstruct the current state, apply the delta, store full.
-            let full = self.reconstruct(tree, id, prev_ts, &prev_entry)?;
-            let body = match full {
-                RecordBody::NodeFull { labels, props } => {
-                    let mut node = Node::new(NodeId::new(id), labels, props);
-                    delta.apply_to_node(&mut node);
-                    RecordBody::NodeFull {
-                        labels: node.labels.to_vec(),
-                        props: node.props.into(),
+            // The entity's latest version at or before `ts`.
+            let (prev_key, prev) = floor.ok_or_else(unknown)?;
+            let (kid, prev_ts) = keys::decode_entity_ts_key(prev_key)
+                .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
+            if kid != id {
+                return Err(unknown());
+            }
+            let (base_ts, pos, deleted) = entry::peek_chain(prev).ok_or_else(bad_entry)?;
+            if deleted {
+                return Err(GraphError::Storage(format!(
+                    "delta for deleted entity {id} at ts {ts}"
+                )));
+            }
+            if prev_ts == ts {
+                // Several updates in one transaction share a timestamp;
+                // coalesce them into a single record so each `(id, ts)`
+                // key stays unique.
+                let prev = LineageEntry::from_bytes(prev).ok_or_else(bad_entry)?;
+                let merged = match prev.body {
+                    full @ (RecordBody::NodeFull { .. } | RecordBody::RelFull { .. }) => {
+                        apply_delta(full, &delta()?, id)?
                     }
-                }
-                RecordBody::RelFull {
-                    src,
-                    tgt,
-                    label,
-                    props,
-                } => {
-                    let mut rel = Relationship::new(RelId::new(id), src, tgt, label, props);
-                    delta.apply_to_rel(&mut rel);
-                    RecordBody::RelFull {
-                        src: rel.src,
-                        tgt: rel.tgt,
-                        label: rel.label,
-                        props: rel.props.into(),
+                    RecordBody::NodeDelta(mut prev_d) => {
+                        prev_d.merge(&delta()?);
+                        RecordBody::NodeDelta(prev_d)
                     }
+                    RecordBody::RelDelta(mut prev_d) => {
+                        prev_d.merge(&delta()?);
+                        RecordBody::RelDelta(prev_d)
+                    }
+                    other => {
+                        return Err(GraphError::Storage(format!(
+                            "cannot coalesce delta over {other:?}"
+                        )))
+                    }
+                };
+                LineageEntry {
+                    base_ts,
+                    pos,
+                    body: merged,
                 }
-                other => {
-                    return Err(GraphError::Storage(format!(
-                        "unexpected reconstruction result {other:?}"
-                    )))
-                }
-            };
-            self.stats.lock().materializations += 1;
-            self.put_full(tree, id, ts, body)
-        } else {
-            self.stats.lock().deltas += 1;
-            let entry = LineageEntry::delta(prev_entry.base_ts, next_pos, body_of(delta));
-            Ok(tree.insert(&keys::entity_ts_key(id, ts), &entry.to_bytes())?)
-        }
+                .encode(buf);
+            } else if self.threshold.is_some_and(|k| pos + 1 >= k) {
+                // Reconstruct the current state, apply the delta, store full.
+                let prev = LineageEntry::from_bytes(prev).ok_or_else(bad_entry)?;
+                let full = self.reconstruct(tree, id, prev_ts, &prev)?;
+                let body = apply_delta(full, &delta()?, id)?;
+                bump(&self.stats.materializations);
+                LineageEntry::full(ts, body).encode(buf);
+            } else {
+                bump(&self.stats.deltas);
+                entry::encode_chain(buf, base_ts, pos + 1);
+                record::encode_update(buf, op);
+            }
+            // The value borrows `buf`, which outlives the insert.
+            let buf: &Vec<u8> = buf;
+            Ok(buf.as_slice())
+        })
     }
 
     // --------------------------------------------------------- reconstruction
@@ -392,7 +359,7 @@ impl LineageStore {
         if entry.pos == 0 {
             return Ok(entry.body.clone());
         }
-        self.stats.lock().chain_reconstructions += 1;
+        bump(&self.stats.chain_reconstructions);
         let low = keys::entity_ts_key(id, entry.base_ts);
         let high = keys::entity_ts_key(id, at_ts.saturating_add(1));
         let mut current: Option<RecordBody> = None;
@@ -703,6 +670,38 @@ impl LineageStore {
     }
 }
 
+/// Applies `delta` to the full record `full`.
+fn apply_delta(full: RecordBody, delta: &EntityDelta, id: u64) -> Result<RecordBody> {
+    match full {
+        RecordBody::NodeFull { labels, props } => {
+            let mut node = Node::new(NodeId::new(id), labels, props);
+            delta.apply_to_node(&mut node);
+            Ok(RecordBody::NodeFull {
+                labels: node.labels.to_vec(),
+                props: node.props.into(),
+            })
+        }
+        RecordBody::RelFull {
+            src,
+            tgt,
+            label,
+            props,
+        } => {
+            let mut rel = Relationship::new(RelId::new(id), src, tgt, label, props);
+            delta.apply_to_rel(&mut rel);
+            Ok(RecordBody::RelFull {
+                src: rel.src,
+                tgt: rel.tgt,
+                label: rel.label,
+                props: rel.props.into(),
+            })
+        }
+        other => Err(GraphError::Storage(format!(
+            "unexpected reconstruction result {other:?}"
+        ))),
+    }
+}
+
 /// Applies one record body on top of an optional current full state.
 fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result<RecordBody> {
     match body {
@@ -711,34 +710,13 @@ fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result
             "tombstone inside chain for {id}"
         ))),
         RecordBody::NodeDelta(d) => match current {
-            Some(RecordBody::NodeFull { labels, props }) => {
-                let mut node = Node::new(NodeId::new(id), labels, props);
-                d.apply_to_node(&mut node);
-                Ok(RecordBody::NodeFull {
-                    labels: node.labels.to_vec(),
-                    props: node.props.into(),
-                })
-            }
+            Some(full @ RecordBody::NodeFull { .. }) => apply_delta(full, &d, id),
             other => Err(GraphError::Storage(format!(
                 "node delta over {other:?} for {id}"
             ))),
         },
         RecordBody::RelDelta(d) => match current {
-            Some(RecordBody::RelFull {
-                src,
-                tgt,
-                label,
-                props,
-            }) => {
-                let mut rel = Relationship::new(RelId::new(id), src, tgt, label, props);
-                d.apply_to_rel(&mut rel);
-                Ok(RecordBody::RelFull {
-                    src: rel.src,
-                    tgt: rel.tgt,
-                    label: rel.label,
-                    props: rel.props.into(),
-                })
-            }
+            Some(full @ RecordBody::RelFull { .. }) => apply_delta(full, &d, id),
             other => Err(GraphError::Storage(format!(
                 "rel delta over {other:?} for {id}"
             ))),

@@ -210,6 +210,15 @@ struct Page<T> {
     chunks: Arc<Vec<Chunk<T>>>,
 }
 
+/// Where an absent id would go in a [`Table`]: its page, and either the
+/// chunk that has room for it with the index in that chunk (`Ok`) or the
+/// index in the page a new chunk for it takes (`Err`).
+#[derive(Clone, Copy)]
+struct Vacancy {
+    page: usize,
+    at: std::result::Result<(usize, usize), usize>,
+}
+
 /// An id-ordered table of copy-on-write chunks (see the module doc).
 #[derive(Clone, Debug)]
 struct Table<T> {
@@ -250,14 +259,35 @@ impl<T: Keyed + Clone> Table<T> {
         seek(chunk, id % CHUNK_LEN as u64, id, T::key)
     }
 
-    /// `(page, index in the page, index in the chunk)` of `id`.
-    fn find(&self, id: u64) -> Option<(usize, usize, usize)> {
+    /// `Ok((page, index in the page, index in the chunk))` of `id`, or
+    /// `Err` with where it would go (see [`Vacancy`]).
+    fn locate(&self, id: u64) -> std::result::Result<(usize, usize, usize), Vacancy> {
         let no = id >> CHUNK_BITS;
         let p = self.seek_page(no);
-        let chunks = &self.pages.get(p)?.chunks;
-        let c = Self::seek_chunk(chunks, no).ok()?;
-        let i = Self::seek_in(&chunks[c].1, id).ok()?;
-        Some((p, c, i))
+        let Some(page) = self.pages.get(p) else {
+            return Err(Vacancy {
+                page: p,
+                at: Err(0),
+            });
+        };
+        match Self::seek_chunk(&page.chunks, no) {
+            Ok(c) => match Self::seek_in(&page.chunks[c].1, id) {
+                Ok(i) => Ok((p, c, i)),
+                Err(i) => Err(Vacancy {
+                    page: p,
+                    at: Ok((c, i)),
+                }),
+            },
+            Err(c) => Err(Vacancy {
+                page: p,
+                at: Err(c),
+            }),
+        }
+    }
+
+    /// `(page, index in the page, index in the chunk)` of `id`.
+    fn find(&self, id: u64) -> Option<(usize, usize, usize)> {
+        self.locate(id).ok()
     }
 
     fn get(&self, id: u64) -> Option<&T> {
@@ -268,28 +298,39 @@ impl<T: Keyed + Clone> Table<T> {
     /// Copies the page and the chunk of `id` if they are shared — and only
     /// if `id` exists.
     fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let (p, c, i) = self.find(id)?;
-        Arc::make_mut(&mut Arc::make_mut(&mut self.pages[p].chunks)[c].1).get_mut(i)
+        let at = self.find(id)?;
+        self.at_mut(at)
+    }
+
+    /// The entity [`Self::locate`] found at `(p, c, i)`, copying its page
+    /// and chunk if they are shared.
+    fn at_mut(&mut self, (p, c, i): (usize, usize, usize)) -> Option<&mut T> {
+        let chunks = Arc::make_mut(&mut self.pages.get_mut(p)?.chunks);
+        Arc::make_mut(&mut chunks.get_mut(c)?.1).get_mut(i)
     }
 
     /// `false` (and nothing copied) when the id is taken.
     fn insert(&mut self, item: T) -> bool {
-        let id = item.key();
-        let no = id >> CHUNK_BITS;
-        let p = self.seek_page(no);
-        let c = match self.pages.get_mut(p) {
-            None => 0,
-            Some(page) => match Self::seek_chunk(&page.chunks, no) {
-                Ok(c) => {
-                    let Err(i) = Self::seek_in(&page.chunks[c].1, id) else {
-                        return false;
-                    };
-                    Arc::make_mut(&mut Arc::make_mut(&mut page.chunks)[c].1).insert(i, item);
-                    self.len += 1;
-                    return true;
-                }
-                Err(c) => c,
-            },
+        match self.locate(item.key()) {
+            Ok(_) => false,
+            Err(vacancy) => {
+                self.insert_at(vacancy, item);
+                true
+            }
+        }
+    }
+
+    /// Puts `item` where [`Self::locate`] said its id would go.
+    fn insert_at(&mut self, Vacancy { page: p, at }: Vacancy, item: T) {
+        let no = item.key() >> CHUNK_BITS;
+        let c = match at {
+            Ok((c, i)) => {
+                let chunks = Arc::make_mut(&mut self.pages[p].chunks);
+                Arc::make_mut(&mut chunks[c].1).insert(i, item);
+                self.len += 1;
+                return;
+            }
+            Err(c) => c,
         };
         // A chunk opened right after a full one continues a dense run of ids
         // and will fill up: give it its final size now rather than by
@@ -301,7 +342,6 @@ impl<T: Keyed + Clone> Table<T> {
         let mut chunk = Vec::with_capacity(if dense { CHUNK_LEN } else { 1 });
         chunk.push(item);
         self.open(p, c, no, Arc::new(chunk));
-        true
     }
 
     /// Adds `chunk`, whose entities all belong to chunk `no`, as it is:
@@ -642,19 +682,22 @@ impl Graph {
     /// free and both endpoints present). On error the graph is unchanged.
     pub fn insert_rel(&mut self, rel: Relationship) -> Result<()> {
         let (id, src, tgt) = (rel.id, rel.src, rel.tgt);
-        if self.has_rel(id) {
+        // Every lookup first, so that a failed insert changes nothing; then
+        // each entity is written where its one lookup found it.
+        let Err(vacancy) = self.rels.locate(id.raw()) else {
             return Err(GraphError::RelExists(id));
-        }
-        for node in [src, tgt] {
-            if !self.has_node(node) {
-                return Err(GraphError::EndpointMissing { rel: id, node });
-            }
-        }
-        self.rels.insert(rel);
-        if let Some(s) = self.nodes.get_mut(src.raw()) {
+        };
+        let endpoint = |node: NodeId| {
+            self.nodes
+                .find(node.raw())
+                .ok_or(GraphError::EndpointMissing { rel: id, node })
+        };
+        let (src_at, tgt_at) = (endpoint(src)?, endpoint(tgt)?);
+        self.rels.insert_at(vacancy, rel);
+        if let Some(s) = self.nodes.at_mut(src_at) {
             s.push_out(id);
         }
-        if let Some(s) = self.nodes.get_mut(tgt.raw()) {
+        if let Some(s) = self.nodes.at_mut(tgt_at) {
             s.push_in(id);
         }
         Ok(())
@@ -922,6 +965,33 @@ mod tests {
             g.apply(&add_rel(1, 1, 2)),
             Err(GraphError::RelExists(rid(1)))
         );
+        g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_failed_insert_rel_copies_nothing() {
+        let mut g = Graph::new();
+        g.apply_all([&add_node(1), &add_node(2), &add_rel(1, 1, 2)])
+            .unwrap();
+        let before = g.clone();
+        // Each fails after some lookups succeeded: the id is free and the
+        // source is there, but the target is not; or the id is taken.
+        assert_eq!(
+            g.apply(&add_rel(2, 1, 9)),
+            Err(GraphError::EndpointMissing {
+                rel: rid(2),
+                node: nid(9)
+            })
+        );
+        assert_eq!(
+            g.apply(&add_rel(1, 9, 9)),
+            Err(GraphError::RelExists(rid(1)))
+        );
+        assert_eq!(g.chunks_diverged_from(&before), 0);
+        assert!(g.same_as(&before));
+        // A self-loop finds its one endpoint twice.
+        g.apply(&add_rel(3, 2, 2)).unwrap();
+        assert_eq!(g.degree(nid(2), Direction::Both), 3);
         g.check_consistency().unwrap();
     }
 

@@ -6,6 +6,7 @@
 
 use crate::page::{PageBuf, PageId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const NIL: usize = usize::MAX;
 
@@ -16,6 +17,34 @@ struct Entry {
     prev: usize,
     next: usize,
 }
+
+/// Hashes a page id with one multiply. Page ids are small dense integers
+/// the store hands out itself, so they need spreading over the table, not
+/// protection from chosen keys; SipHash did both at several times the cost.
+#[derive(Default)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        // Fibonacci hashing: the golden-ratio multiply carries each bit of
+        // the id upwards, and the fold brings the high half back down to
+        // the low bits the table indexes with.
+        let h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PageMap = HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>;
 
 /// Cache hit/miss/eviction counters, exposed for the benchmark harness.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -30,7 +59,7 @@ pub struct CacheStats {
 
 /// Fixed-capacity LRU page cache.
 pub struct LruCache {
-    map: HashMap<PageId, usize>,
+    map: PageMap,
     slab: Vec<Entry>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -44,7 +73,7 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruCache {
-            map: HashMap::with_capacity(capacity),
+            map: PageMap::with_capacity_and_hasher(capacity, Default::default()),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,

@@ -14,6 +14,7 @@ use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
@@ -45,7 +46,6 @@ struct Inner {
     cache: LruCache,
     page_count: u64,
     free_head: PageId,
-    roots: [u64; ROOT_SLOTS],
     meta_dirty: bool,
     /// Checksum of each page as last written to the file.
     sums: Vec<u64>,
@@ -86,6 +86,12 @@ pub struct PageStore {
     file: Box<dyn VfsFile>,
     sums_file: Box<dyn VfsFile>,
     inner: Mutex<Inner>,
+    /// The meta page's root slots, readable without `inner`'s lock: every
+    /// B+Tree descent starts with one. `set_root` stores under the lock
+    /// (which also marks the meta page dirty) with `Release`, `root` loads
+    /// with `Acquire`: a reader that sees a new root sees every write the
+    /// setter made before it.
+    roots: [AtomicU64; ROOT_SLOTS],
     metrics: Metrics,
 }
 
@@ -173,11 +179,11 @@ impl PageStore {
     ) -> io::Result<PageStore> {
         let file = vfs.open(path)?;
         let len = file.len()?;
+        let roots = std::array::from_fn(|_| AtomicU64::new(u64::MAX));
         let mut inner = Inner {
             cache: LruCache::new(cache_pages),
             page_count: 1,
             free_head: PageId::NULL,
-            roots: [u64::MAX; ROOT_SLOTS],
             meta_dirty: true,
             sums: Vec::new(),
             generation: 0,
@@ -200,8 +206,8 @@ impl PageStore {
             }
             inner.page_count = meta.read_u64(META_PAGE_COUNT_OFF);
             inner.free_head = PageId(meta.read_u64(META_FREE_HEAD_OFF));
-            for (i, slot) in inner.roots.iter_mut().enumerate() {
-                *slot = meta.read_u64(META_ROOTS_OFF + i * 8);
+            for (i, slot) in roots.iter().enumerate() {
+                slot.store(meta.read_u64(META_ROOTS_OFF + i * 8), Ordering::Relaxed);
             }
             inner.meta_dirty = false;
             // Checksum every page as it sits in the file now, so later
@@ -238,6 +244,7 @@ impl PageStore {
             file,
             sums_file,
             inner: Mutex::new(inner),
+            roots,
             metrics: Metrics::new(),
         })
     }
@@ -264,13 +271,13 @@ impl PageStore {
 
     /// Reads root slot `slot` from the meta page (`u64::MAX` when unset).
     pub fn root(&self, slot: usize) -> u64 {
-        self.inner.lock().roots[slot]
+        self.roots[slot].load(Ordering::Acquire)
     }
 
     /// Persists a root pointer in meta slot `slot`.
     pub fn set_root(&self, slot: usize, value: u64) {
         let mut g = self.inner.lock();
-        g.roots[slot] = value;
+        self.roots[slot].store(value, Ordering::Release);
         g.meta_dirty = true;
     }
 
@@ -442,8 +449,8 @@ impl PageStore {
             meta.write_u64(META_MAGIC_OFF, MAGIC);
             meta.write_u64(META_PAGE_COUNT_OFF, inner.page_count);
             meta.write_u64(META_FREE_HEAD_OFF, inner.free_head.0);
-            for (i, slot) in inner.roots.iter().enumerate() {
-                meta.write_u64(META_ROOTS_OFF + i * 8, *slot);
+            for (i, slot) in self.roots.iter().enumerate() {
+                meta.write_u64(META_ROOTS_OFF + i * 8, slot.load(Ordering::Acquire));
             }
             self.write_page(inner, PageId::META, meta.bytes())?;
             inner.meta_dirty = false;
