@@ -66,7 +66,7 @@ impl fmt::Display for CheckLevel {
 /// The subsystem a finding belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Subsystem {
-    /// The snapshot-based TimeStore (log, time/snapshot indexes).
+    /// The snapshot-based TimeStore (log, time index, snapshots).
     TimeStore,
     /// The entity-indexed LineageStore (four history indexes).
     LineageStore,
@@ -283,7 +283,6 @@ mod tests {
         let text = report.to_string();
         for index in [
             "timestore time-index",
-            "timestore snapshot-index",
             "lineagestore nodes",
             "lineagestore rels",
             "lineagestore out-neighbours",

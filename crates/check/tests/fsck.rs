@@ -68,6 +68,10 @@ fn damaged_snapshot_file_is_reported_although_open_deletes_it() {
         )),
         "{stdout}"
     );
+    // The repair is made once: the next check of the same copy is clean.
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
 }
 
 #[test]

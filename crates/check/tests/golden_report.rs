@@ -121,13 +121,12 @@ fn leak_index_page(path: &Path) {
 
 const PINNED: &str = concat!(
     "consistency check (level deep): 4 violation(s)\n",
-    "  timestore index-pages/accounting: 1 page(s) neither reachable nor free (first: 3)\n",
+    "  timestore index-pages/accounting: 1 page(s) neither reachable nor free (first: 2)\n",
     "  lineagestore nodes/structure: [key-order] page 1: keys out of order: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] !< [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]\n",
     "  lineagestore in-neighbours/structure: [key-order] page 4: keys out of order: [1, 2, 1, 1, 1, 2, 1, 5] !< [1, 1, 0, 1, 1, 1, 3]\n",
     "  lineagestore chain/interval: node 0: version at ts 1 overlaps predecessor at ts 1\n",
     "index pages and leaf fill:\n",
     "  timestore time-index: 1 pages, 1 leaves, leaf fill 28.3 %\n",
-    "  timestore snapshot-index: 1 pages, 1 leaves, leaf fill 0.2 %\n",
     "  lineagestore nodes: 1 pages, 1 leaves, leaf fill 27.8 %\n",
     "  lineagestore rels: 1 pages, 1 leaves, leaf fill 14.5 %\n",
     "  lineagestore out-neighbours: 1 pages, 1 leaves, leaf fill 6.4 %\n",

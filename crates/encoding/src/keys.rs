@@ -33,7 +33,7 @@
 
 use lpg::{NodeId, RelId, Timestamp};
 
-/// An 8-byte timestamp key (TimeStore log / snapshot indexes).
+/// An 8-byte timestamp key (the TimeStore's time index).
 pub fn ts_key(ts: Timestamp) -> [u8; 8] {
     ts.to_be_bytes()
 }

@@ -4,9 +4,9 @@
 //! Structural pass (always), [`btree::audit_page_file`] over the index
 //! file:
 //!
-//! * both index B+Trees pass [`btree::BTree::verify`];
+//! * the time index passes [`btree::BTree::verify`];
 //! * page accounting: every allocated index page is either reachable from
-//!   a tree root or on the free list, and never both.
+//!   its root or on the free list, and never both.
 //!
 //! Deep pass (`deep = true`) additionally checks the log/index/snapshot
 //! agreement the recovery path relies on:
@@ -14,16 +14,17 @@
 //! * every time-index entry decodes, is monotone in both timestamp and log
 //!   offset, and points at a log frame carrying exactly that timestamp;
 //! * every log frame is indexed (no orphaned commits);
-//! * every snapshot-index entry names an existing, decodable snapshot file
-//!   whose references are to valid earlier snapshots and match their sums,
-//!   and whose contents equal an independent log replay at that timestamp;
+//! * every snapshot in the store's snapshot set (the valid files open found
+//!   and those written since) is an existing, decodable file whose
+//!   references are to valid earlier snapshots and match their sums, and
+//!   whose contents equal an independent log replay at that timestamp;
 //! * a full log replay reproduces the live in-memory graph.
 //!
-//! The structural pass also measures each index's pages and leaf fill.
+//! The structural pass also measures the time index's pages and leaf fill.
 //! Findings are [`btree::Finding`]s. Damage [`TimeStore::open`] repaired
 //! is gone before any audit runs; [`TimeStore::repairs`] reports it.
 
-use crate::store::{LoadError, TimeStore};
+use crate::store::{snapshot_name, LoadError, TimeStore};
 use btree::{audit_page_file, Audit, Finding};
 use encoding::keys;
 use encoding::snapshot::{Fault, SharedSegments};
@@ -35,14 +36,7 @@ impl TimeStore {
     /// every violation found (empty = consistent) and each index's fill.
     /// IO errors abort the audit; corruption is reported, never panicked on.
     pub fn audit(&self, deep: bool) -> Result<Audit> {
-        let trees = [
-            ("time-index", "time-index/structure", &self.time_index),
-            (
-                "snapshot-index",
-                "snapshot-index/structure",
-                &self.snap_index,
-            ),
-        ];
+        let trees = [("time-index", "time-index/structure", &self.time_index)];
         let mut audit = audit_page_file(&self.index_store, &trees, "index-pages/accounting")?;
         if !deep {
             return Ok(audit);
@@ -107,19 +101,7 @@ impl TimeStore {
         // Every log frame must be indexed, and the replay of the whole log
         // must reproduce the live graph; snapshots are compared against the
         // running replay as it passes their timestamps.
-        let mut snaps: Vec<(u64, String)> = Vec::new();
-        for item in self.snap_index.scan(&[], &[])? {
-            let (key, value) = item?;
-            let Some(ts) = keys::decode_ts_key(&key) else {
-                findings.push(Finding::new(
-                    "snapshot-index/key",
-                    format!("undecodable {}-byte key {key:?}", key.len()),
-                ));
-                continue;
-            };
-            snaps.push((ts, String::from_utf8_lossy(&value).into_owned()));
-        }
-        let mut snap_iter = snaps.iter().peekable();
+        let mut snap_iter = self.snapshot_timestamps().into_iter().peekable();
         let mut valid = BTreeSet::new();
         let mut replay = Graph::new();
         let mut replay_ok = true;
@@ -143,24 +125,17 @@ impl TimeStore {
                     replay_ok = false;
                 }
             }
-            while let Some((sts, name)) = snap_iter.peek() {
-                if *sts > frame.ts {
-                    break;
-                }
-                self.audit_snapshot(
-                    *sts,
-                    name,
-                    replay_ok.then_some(&replay),
-                    &mut valid,
-                    findings,
-                );
-                snap_iter.next();
+            while let Some(sts) = snap_iter.next_if(|sts| *sts <= frame.ts) {
+                self.audit_snapshot(sts, replay_ok.then_some(&replay), &mut valid, findings);
             }
         }
-        for (sts, name) in snap_iter {
+        for sts in snap_iter {
             findings.push(Finding::new(
-                "snapshot-index/envelope",
-                format!("snapshot {name} at ts {sts} is beyond the last log frame"),
+                "snapshot/envelope",
+                format!(
+                    "snapshot {} at ts {sts} is beyond the last log frame",
+                    snapshot_name(sts)
+                ),
             ));
         }
         if replay_ok && !replay.same_as(&self.latest_graph()) {
@@ -186,11 +161,11 @@ impl TimeStore {
     fn audit_snapshot(
         &self,
         ts: u64,
-        name: &str,
         replay: Option<&Graph>,
         valid: &mut BTreeSet<u64>,
         findings: &mut Vec<Finding>,
     ) {
+        let name = snapshot_name(ts);
         // Nothing shared: the audit checks every byte as it is now, not
         // what a read decoded earlier.
         let (manifest, graph) = match self.load_snapshot(ts, &SharedSegments::default()) {

@@ -15,8 +15,9 @@
 //!   log (Table 2, row 1);
 //! * eager snapshots written "based on a user-defined policy"
 //!   ([`policy::SnapshotPolicy`], operation-based by default) to snapshot
-//!   files, referenced from "a second B+Tree indexed by time" (Table 2,
-//!   row 2). Each file is logically full but writes only the 64-id
+//!   files. The paper references them from "a second B+Tree indexed by
+//!   time" (Table 2, row 2); here the files' names are that index, held in
+//!   memory from open on (see [`store`]). Each file is logically full but writes only the 64-id
 //!   segments an update touched since the previous snapshot and references
 //!   the rest in earlier files ([`encoding::snapshot`]). Loading decodes a
 //!   relationship segment several files reference once, and the loaded

@@ -1,4 +1,11 @@
-//! The TimeStore facade: log + time indexes + snapshots + GraphStore.
+//! The TimeStore facade: log + time index + snapshots + GraphStore.
+//!
+//! The paper indexes snapshots with a second B+Tree, `ts → snapshot file`
+//! (Sec. 4.3). Here the snapshot directory is that index: each file is
+//! named `snap_<ts>.aisnap`, open lists and checks every file anyway, and
+//! the valid ones it finds are kept in memory as the store's snapshot set
+//! (ts → file bytes), which every snapshot written joins once it is synced.
+//! A floor lookup is a range over that set.
 
 use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, CommitFrame};
@@ -12,7 +19,7 @@ use lpg::{
 };
 use pagestore::PageStore;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +58,7 @@ pub(crate) fn snapshot_name_ts(name: &str) -> Option<Timestamp> {
         .ok()
 }
 
-fn snapshot_name(ts: Timestamp) -> String {
+pub(crate) fn snapshot_name(ts: Timestamp) -> String {
     format!("snap_{ts:020}.aisnap")
 }
 
@@ -69,7 +76,7 @@ pub(crate) enum LoadError {
 pub struct TimeStoreStats {
     /// Change-log bytes.
     pub log_bytes: u64,
-    /// Index file bytes (both B+Trees).
+    /// Index file bytes (the time index).
     pub index_bytes: u64,
     /// Total bytes of serialized snapshot files.
     pub snapshot_bytes: u64,
@@ -109,10 +116,11 @@ impl Metrics {
 
 struct MutableState {
     latest_ts: Timestamp,
+    /// Updates committed past the newest snapshot.
     ops_since_snapshot: u64,
-    last_snapshot_ts: Timestamp,
-    snapshot_bytes: u64,
-    snapshot_count: u64,
+    /// The snapshot set: every valid snapshot file's ts → its size in
+    /// bytes.
+    snapshots: BTreeMap<Timestamp, u64>,
 }
 
 /// What the next snapshot file may reference, and what it must rewrite.
@@ -136,8 +144,6 @@ pub struct TimeStore {
     pub(crate) log: ChangeLog,
     /// B+Tree: commit ts → log offset.
     pub(crate) time_index: BTree,
-    /// B+Tree: snapshot ts → snapshot file name.
-    pub(crate) snap_index: BTree,
     pub(crate) index_store: Arc<PageStore>,
     graphstore: GraphStore,
     /// The relationship segments loaded graphs and the latest graph hold,
@@ -158,7 +164,9 @@ pub struct TimeStore {
 }
 
 const SLOT_TIME_INDEX: usize = 0;
-const SLOT_SNAP_INDEX: usize = 1;
+/// Root slot of the `ts → snapshot file` tree older versions kept. An
+/// index file with it set is rebuilt from the log at open.
+const SLOT_RETIRED: usize = 1;
 /// Root slot recording how many log bytes were covered by the last
 /// [`TimeStore::sync`]. Set *after* the log fsync and made durable by the
 /// subsequent index fsync, so it never exceeds the durable log length; at
@@ -174,7 +182,9 @@ impl TimeStore {
     /// through it fails), the index is deleted and rebuilt wholesale from
     /// the log — the slow path a crash mid-index-writeback leads to.
     ///
-    /// Every repair made on the way is kept in [`TimeStore::repairs`].
+    /// Every repair made on the way is kept in [`TimeStore::repairs`]. What
+    /// open wrote to the index is synced, so the next open does not repair
+    /// it again.
     pub fn open<P: AsRef<Path>>(dir: P, config: TimeStoreConfig) -> Result<TimeStore> {
         let dir = dir.as_ref();
         config.vfs.create_dir_all(dir)?;
@@ -222,8 +232,12 @@ impl TimeStore {
             config.cache_pages,
             verify,
         )?);
+        if index_store.root(SLOT_RETIRED) != u64::MAX {
+            return Err(GraphError::Storage(
+                "timestore.idx was written by an older version: root slot 1 is set".into(),
+            ));
+        }
         let time_index = BTree::open(index_store.clone(), SLOT_TIME_INDEX)?;
-        let snap_index = BTree::open(index_store.clone(), SLOT_SNAP_INDEX)?;
         // The durable-end marker is only trustworthy when the index file
         // verified against its checksum sidecar (i.e. is exactly the image
         // of its last successful sync); otherwise fall back to
@@ -245,7 +259,6 @@ impl TimeStore {
             vfs,
             log,
             time_index,
-            snap_index,
             index_store,
             graphstore: GraphStore::new(config.graphstore_bytes),
             segments: SharedSegments::default(),
@@ -254,24 +267,28 @@ impl TimeStore {
             state: Mutex::new(MutableState {
                 latest_ts: 0,
                 ops_since_snapshot: 0,
-                last_snapshot_ts: 0,
-                snapshot_bytes: 0,
-                snapshot_count: 0,
+                snapshots: BTreeMap::new(),
             }),
             chain: Mutex::new(Chain::default()),
             durable_log_end,
             metrics: Metrics::new(),
             repairs: Vec::new(),
         };
-        store.recover(repairs)?;
+        // What open wrote to the index is synced now: left to the next
+        // sync, a store closed before it would fail verification at the
+        // next open and be rebuilt again.
+        if store.recover(repairs)? || !verify {
+            store.sync()?;
+        }
         Ok(store)
     }
 
     /// Recovery: reindex any log frames missing from the time index (crash
-    /// between log append and index flush), then rebuild the latest graph.
-    /// Each snapshot file it deletes, index entry it drops and floor it
-    /// cannot decode is reported in `repairs`.
-    fn recover(&self, repairs: &mut Vec<Finding>) -> Result<()> {
+    /// between log append and index flush), collect the snapshot set, then
+    /// rebuild the latest graph. Each snapshot file it deletes and floor it
+    /// cannot decode is reported in `repairs`. Returns whether it indexed
+    /// any frame.
+    fn recover(&self, repairs: &mut Vec<Finding>) -> Result<bool> {
         // Scan the log past the highest indexed frame (or from the start);
         // the last frame indexed or scanned is the latest commit.
         let mut latest_ts = 0;
@@ -280,22 +297,20 @@ impl TimeStore {
             let (frame, next) = self.log.read_at(decode_u64(&v)?)?;
             (latest_ts, scan_from) = (frame.ts, next);
         }
+        let mut indexed = false;
         for entry in self.log.iter_from(scan_from) {
             let entry = entry?;
             latest_ts = entry.frame.ts;
             self.time_index
                 .insert(&keys::ts_key(latest_ts), &entry.offset.to_le_bytes())?;
+            indexed = true;
         }
-        let mut state = self.state.lock();
-        state.latest_ts = latest_ts;
-        // Reconcile the snapshot directory with the snapshot index, in
-        // ascending ts: a file is valid when its footer verifies, it names
-        // its own ts, that ts is one the durable log reached, and every file
-        // it references is valid. So a torn file (crash), one from a future
-        // the log never reached, or one of an older format is deleted
-        // together with every file that references it, and the log
-        // re-derives them. Valid files the index lost are re-indexed, index
-        // entries whose file is gone are dropped.
+        // The snapshot set is the valid files, checked in ascending ts: a
+        // file is valid when its footer verifies, it names its own ts, that
+        // ts is one the durable log reached, and every file it references
+        // is valid. So a torn file (crash), one from a future the log never
+        // reached, or one of an older format is deleted together with every
+        // file that references it, and the log re-derives them.
         let mut files: Vec<(Timestamp, String)> = self
             .vfs
             .read_dir(&self.snap_dir)?
@@ -303,7 +318,7 @@ impl TimeStore {
             .filter_map(|(name, _)| Some((snapshot_name_ts(&name)?, name)))
             .collect();
         files.sort_unstable();
-        let mut valid = std::collections::BTreeSet::new();
+        let mut snapshots = BTreeMap::new();
         let mut floor: Option<(Manifest, Vec<u8>)> = None;
         for (sts, name) in files {
             let checked = if sts == 0 || sts > latest_ts {
@@ -314,52 +329,33 @@ impl TimeStore {
                 match self.read_snapshot_file(sts) {
                     Err(LoadError::Unreadable(e)) => Err(format!("unreadable: {e}")),
                     Err(LoadError::Fault(_)) => Err("does not decode".into()),
-                    Ok((m, bytes)) => match m.sources().into_iter().find(|s| !valid.contains(s)) {
-                        Some(s) => Err(format!("references the dropped snapshot at ts {s}")),
-                        None => Ok((m, bytes)),
-                    },
+                    Ok((m, bytes)) => {
+                        match m.sources().into_iter().find(|s| !snapshots.contains_key(s)) {
+                            Some(s) => Err(format!("references the dropped snapshot at ts {s}")),
+                            None => Ok((m, bytes)),
+                        }
+                    }
                 }
             };
-            let (manifest, bytes) = match checked {
-                Ok(file) => file,
+            match checked {
+                Ok((manifest, bytes)) => {
+                    snapshots.insert(sts, bytes.len() as u64);
+                    floor = Some((manifest, bytes));
+                }
                 Err(why) => {
                     let _ = self.vfs.remove_file(&self.snap_dir.join(&name));
                     let detail = format!("deleted snapshot file {name}: {why}");
                     repairs.push(Finding::new("repair/snapshot", detail));
-                    continue;
                 }
-            };
-            valid.insert(sts);
-            state.snapshot_bytes += bytes.len() as u64;
-            state.snapshot_count += 1;
-            if !self.snap_index.contains(&keys::ts_key(sts))? {
-                self.snap_index
-                    .insert(&keys::ts_key(sts), name.as_bytes())?;
-            }
-            floor = Some((manifest, bytes));
-        }
-        let mut stale = Vec::new();
-        for item in self.snap_index.scan(&[], &[])? {
-            let (key, _) = item?;
-            match keys::decode_ts_key(&key) {
-                Some(sts) if valid.contains(&sts) => {}
-                _ => stale.push(key),
             }
         }
-        for key in stale {
-            self.snap_index.remove(&key)?;
-            let detail = match keys::decode_ts_key(&key) {
-                Some(sts) => format!("dropped the entry at ts {sts}: no valid snapshot file"),
-                None => format!("dropped an undecodable {}-byte key", key.len()),
-            };
-            repairs.push(Finding::new("repair/snapshot-index", detail));
-        }
-        state.last_snapshot_ts = 0;
-        drop(state);
+        // The updates past the newest snapshot count towards the next one.
+        let newest = snapshots.last_key_value().map_or(0, |(t, _)| *t);
+        let mut ops_since_snapshot = 0;
         if latest_ts > 0 {
-            // Built in place, not through `reconstruct_at`: that caches
-            // what it loads and replays, and nobody asked for those
-            // snapshots to be resident. The floor is the last valid file.
+            // Built in place, not through `snapshot_at`: that caches what it
+            // loads and replays, and nobody asked for those snapshots to be
+            // resident. The floor is the last valid file.
             let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
             if let Some((manifest, bytes)) = floor {
                 match self.decode_snapshot(&manifest, &bytes, &self.segments) {
@@ -383,12 +379,18 @@ impl TimeStore {
                 for u in &self.diff(base_ts + 1, latest_ts.saturating_add(1))? {
                     graph.apply(&u.op)?;
                     touched.insert(Segment::of(u.op.entity()), u.ts);
+                    ops_since_snapshot += u64::from(u.ts > newest);
                 }
             }
             self.graphstore.set_latest(graph, latest_ts);
             *self.chain.lock() = Chain { last, touched };
         }
-        Ok(())
+        *self.state.lock() = MutableState {
+            latest_ts,
+            ops_since_snapshot,
+            snapshots,
+        };
+        Ok(indexed)
     }
 
     /// Reads the snapshot file at `ts` and checks its footer, version and
@@ -443,7 +445,7 @@ impl TimeStore {
         Ok(decoded.graph)
     }
 
-    /// The one snapshot loader (`reconstruct_at`, `recover`, the audit):
+    /// The one snapshot loader (`snapshot_at`, `recover`, the audit):
     /// the file at `ts` with its footer checked, and its graph with every
     /// referenced range it reads checked. Reads share segments through the
     /// store's [`SharedSegments`]; the audit passes its own, so that it
@@ -501,8 +503,9 @@ impl TimeStore {
             let mut state = self.state.lock();
             state.latest_ts = ts;
             state.ops_since_snapshot += updates.len() as u64;
+            let last_snapshot_ts = state.snapshots.last_key_value().map_or(0, |(t, _)| *t);
             self.policy
-                .should_snapshot(state.ops_since_snapshot, state.last_snapshot_ts, ts)
+                .should_snapshot(state.ops_since_snapshot, last_snapshot_ts, ts)
         };
         let should_snapshot = match indexed {
             // Published under the GraphStore's lock, so a read that pins
@@ -557,17 +560,21 @@ impl TimeStore {
         // graph is still the one encoded.
         let loan = snapshot::Loan::new(&manifest, &graph);
         drop(graph);
-        let name = snapshot_name(ts);
-        let path = self.snap_dir.join(&name);
-        // Write through a handle and sync before indexing: a crash can
-        // then only leave a torn (quarantinable) or absent file, never a
-        // durable index entry pointing at a non-durable snapshot.
+        let path = self.snap_dir.join(snapshot_name(ts));
+        // Write through a handle and sync before the file joins the
+        // snapshot set: no read loads it, and no later snapshot references
+        // it, before it is durable. A crash can only leave a torn (deleted
+        // at open) or absent file.
         let file = self.vfs.open(&path)?;
         file.set_len(0)?;
         file.write_all_at(&bytes, 0)?;
         file.sync_data()?;
         drop(file);
-        self.snap_index.insert(&keys::ts_key(ts), name.as_bytes())?;
+        {
+            let mut state = self.state.lock();
+            state.snapshots.insert(ts, bytes.len() as u64);
+            state.ops_since_snapshot = 0;
+        }
         // Loads can name this file's bytes from here on: they take the
         // chunks the latest graph still holds unchanged instead.
         self.segments.lend(loan);
@@ -580,11 +587,6 @@ impl TimeStore {
             }
             chain.touched.retain(|_, t| *t > ts);
         }
-        let mut state = self.state.lock();
-        state.ops_since_snapshot = 0;
-        state.last_snapshot_ts = ts;
-        state.snapshot_bytes += bytes.len() as u64;
-        state.snapshot_count += 1;
         Ok(())
     }
 
@@ -628,10 +630,6 @@ impl TimeStore {
     /// answer. Otherwise fetches the closest snapshot `≤ ts` from the
     /// GraphStore or disk, then replays forward log changes (Sec. 4.3).
     pub fn snapshot_at(&self, ts: Timestamp) -> Result<Arc<Graph>> {
-        self.reconstruct_at(ts)
-    }
-
-    fn reconstruct_at(&self, ts: Timestamp) -> Result<Arc<Graph>> {
         if let Some(g) = self.graphstore.pinned(ts) {
             self.metrics.pinned_hits.inc();
             return Ok(g);
@@ -644,29 +642,27 @@ impl TimeStore {
         self.metrics.graphstore_misses.inc();
         // Best base from memory or disk.
         let mem = self.graphstore.floor(ts);
-        let disk = self.snap_index.seek_floor(&keys::ts_key(ts))?;
+        let disk = self
+            .state
+            .lock()
+            .snapshots
+            .range(..=ts)
+            .next_back()
+            .map(|(t, _)| *t);
         let (base_ts, base): (Timestamp, Arc<Graph>) = match (mem, disk) {
-            (Some((mts, g)), Some((k, _))) if mts >= decode_ts(&k)? => (mts, g),
+            (Some((mts, g)), Some(disk_ts)) if mts >= disk_ts => (mts, g),
             (Some((mts, g)), None) => (mts, g),
-            (mem, Some((k, _))) => {
-                let disk_ts = decode_ts(&k)?;
-                match self.load_snapshot(disk_ts, &self.segments) {
-                    Ok((_, g)) => {
-                        let g = Arc::new(g);
-                        self.graphstore.put(disk_ts, g.clone());
-                        (disk_ts, g)
-                    }
-                    Err(_) => {
-                        // A corrupt or missing snapshot file is recoverable:
-                        // the change log holds the full history. Prefer any
-                        // older in-memory base, else replay from the start.
-                        match mem {
-                            Some((mts, g)) => (mts, g),
-                            None => (0, Arc::new(Graph::new())),
-                        }
-                    }
+            (mem, Some(disk_ts)) => match self.load_snapshot(disk_ts, &self.segments) {
+                Ok((_, g)) => {
+                    let g = Arc::new(g);
+                    self.graphstore.put(disk_ts, g.clone());
+                    (disk_ts, g)
                 }
-            }
+                // A corrupt or missing snapshot file is recoverable: the
+                // change log holds the full history. Prefer any older
+                // in-memory base, else replay from the start.
+                Err(_) => mem.unwrap_or_else(|| (0, Arc::new(Graph::new()))),
+            },
             (None, None) => (0, Arc::new(Graph::new())),
         };
         if base_ts == ts {
@@ -702,7 +698,7 @@ impl TimeStore {
             return Err(GraphError::InvalidTimeRange);
         }
         let mut out = Vec::new();
-        let mut current = (*self.reconstruct_at(start)?).clone();
+        let mut current = (*self.snapshot_at(start)?).clone();
         out.push((start, Arc::new(current.clone())));
         let mut t = start;
         while t.saturating_add(step) < end {
@@ -750,7 +746,7 @@ impl TimeStore {
         if start >= end {
             return Err(GraphError::InvalidTimeRange);
         }
-        let base = self.reconstruct_at(start)?;
+        let base = self.snapshot_at(start)?;
         let updates = self.diff(start.saturating_add(1), end)?;
         Ok(TemporalGraph::build(
             &base,
@@ -772,20 +768,24 @@ impl TimeStore {
         TimeStoreStats {
             log_bytes: self.log.size_bytes(),
             index_bytes: self.index_store.size_bytes(),
-            snapshot_bytes: state.snapshot_bytes,
-            snapshot_count: state.snapshot_count,
+            snapshot_bytes: state.snapshots.values().sum(),
+            snapshot_count: state.snapshots.len() as u64,
         }
+    }
+
+    /// The snapshot set's timestamps, ascending.
+    pub(crate) fn snapshot_timestamps(&self) -> Vec<Timestamp> {
+        self.state.lock().snapshots.keys().copied().collect()
     }
 
     /// Every repair [`TimeStore::open`] made to the directory: a torn log
     /// tail truncated, an index rebuilt from the log, a snapshot file
-    /// deleted or snapshot-index entry dropped, a floor snapshot that did
-    /// not decode. Empty when the directory opened as it was last synced.
+    /// deleted, a floor snapshot that did not decode. Empty when the directory opened as it was last synced.
     pub fn repairs(&self) -> &[Finding] {
         &self.repairs
     }
 
-    /// Flushes indexes and log to disk.
+    /// Flushes the time index and log to disk.
     pub fn sync(&self) -> Result<()> {
         // Capture the end *before* the fsync: a frame appended while the
         // fsync is in flight is not covered by it and must not be marked
@@ -818,8 +818,4 @@ fn decode_u64(v: &[u8]) -> Result<u64> {
     v.try_into()
         .map(u64::from_le_bytes)
         .map_err(|_| GraphError::Storage("bad index value".into()))
-}
-
-fn decode_ts(k: &[u8]) -> Result<Timestamp> {
-    keys::decode_ts_key(k).ok_or_else(|| GraphError::Storage("bad index key".into()))
 }

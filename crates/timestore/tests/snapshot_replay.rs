@@ -106,7 +106,7 @@ proptest! {
         assert_matches_replay(&store, end);
 
         // Recovery path: reopen from the files and re-check, so the
-        // snapshot index rebuilt at open agrees with the log too.
+        // snapshot set rebuilt at open agrees with the log too.
         drop(store);
         let store = TimeStore::open(dir.path(), config(policy)).unwrap();
         prop_assert_eq!(store.latest_ts(), end);

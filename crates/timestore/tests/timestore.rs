@@ -332,6 +332,11 @@ fn open_reports_every_repair_it_makes() {
     let checks = |store: &TimeStore| -> Vec<&'static str> {
         store.repairs().iter().map(|f| f.check).collect()
     };
+    // A repair is made once: the open after it finds nothing to repair.
+    let reopens_clean = || {
+        let store = open();
+        assert!(store.repairs().is_empty(), "{:?}", store.repairs());
+    };
     {
         let store = open();
         for (ts, ops) in &commits {
@@ -356,8 +361,9 @@ fn open_reports_every_repair_it_makes() {
         .detail
         .contains(&format!("offset {synced}")));
     drop(store);
+    reopens_clean();
 
-    // A damaged snapshot file: deleted, and its index entry dropped.
+    // A damaged snapshot file: deleted.
     let snap = dir
         .path()
         .join("snapshots/snap_00000000000000000050.aisnap");
@@ -366,11 +372,7 @@ fn open_reports_every_repair_it_makes() {
     vfs.write(&snap, &bytes).unwrap();
     let store = open();
     let repairs = store.repairs();
-    assert_eq!(
-        checks(&store),
-        ["repair/snapshot", "repair/snapshot-index"],
-        "{repairs:?}"
-    );
+    assert_eq!(checks(&store), ["repair/snapshot"], "{repairs:?}");
     assert!(repairs[0]
         .detail
         .contains("snap_00000000000000000050.aisnap"));
@@ -378,6 +380,7 @@ fn open_reports_every_repair_it_makes() {
     assert!(store.latest_graph().same_as(&oracle_at(&commits, u64::MAX)));
     store.sync().unwrap();
     drop(store);
+    reopens_clean();
 
     // An index that no longer matches its checksums is rebuilt.
     let idx = dir.path().join("timestore.idx");
@@ -391,4 +394,51 @@ fn open_reports_every_repair_it_makes() {
         .unwrap()
         .same_as(&oracle_at(&commits, 60)));
     assert!(store.audit(true).unwrap().findings.is_empty());
+    drop(store);
+    reopens_clean();
+}
+
+/// The snapshot schedule carries over a reopen: the newest snapshot and
+/// the updates committed past it are where the policy counts from, so a
+/// reopen anywhere in the history leaves the same snapshot files as none.
+#[test]
+fn snapshot_schedule_survives_a_reopen() {
+    let snapshot_files = |policy: SnapshotPolicy, reopen_before: Option<u64>| {
+        let dir = tempdir().unwrap();
+        let mut store = TimeStore::open(dir.path(), config(policy)).unwrap();
+        for ts in 1..=20u64 {
+            if reopen_before == Some(ts) {
+                store.sync().unwrap();
+                drop(store);
+                store = TimeStore::open(dir.path(), config(policy)).unwrap();
+            }
+            store.append_commit(ts, &[add_node(ts)]).unwrap();
+        }
+        let snapdir = dir.path().join("snapshots");
+        let mut names: Vec<String> = vfs::VfsRef::std()
+            .read_dir(&snapdir)
+            .unwrap()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        names.sort();
+        names
+    };
+    let expected = [
+        "snap_00000000000000000010.aisnap",
+        "snap_00000000000000000020.aisnap",
+    ];
+    for policy in [
+        SnapshotPolicy::EveryNOps(10),
+        SnapshotPolicy::EveryInterval(10),
+    ] {
+        assert_eq!(snapshot_files(policy, None), expected, "{policy:?}");
+        for reopen_before in [5, 10, 11, 16, 20] {
+            assert_eq!(
+                snapshot_files(policy, Some(reopen_before)),
+                expected,
+                "{policy:?}, reopened before commit {reopen_before}"
+            );
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
 //! page files are rebuilt from the change log — whose format did not
-//! change — and the stale snapshots are dropped at open. Four inputs:
+//! change — and the stale snapshots are dropped at open. Five inputs:
 //!
 //! * written before the bulk checksum (`vfs::bulk_sum64`, sidecar magic
 //!   `AIONSUM2`): page-checksum sidecars and snapshot footers carry FNV-1a
@@ -10,7 +10,9 @@
 //!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer;
 //! * written before leaf cells had a varint header, or before neighbour
 //!   keys were compact: the page files carry the page-file magic `AIONPGS1`
-//!   or `AIONPGS2` behind a *valid* checksum sidecar.
+//!   or `AIONPGS2` behind a *valid* checksum sidecar;
+//! * written while the TimeStore kept a `ts → snapshot file` tree: its
+//!   index file has a root at slot 1 behind a *valid* checksum sidecar.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
@@ -277,4 +279,48 @@ fn version_1_page_files_are_rebuilt_at_open() {
 #[test]
 fn version_2_page_files_are_rebuilt_at_open() {
     old_page_files_are_rebuilt_at_open(b'2');
+}
+
+/// Gives the TimeStore's index file a root at slot 1, where older versions
+/// kept the `snapshot-index` tree, and syncs so the file still verifies
+/// against its checksum sidecar.
+fn set_slot_1_root(index_file: &Path) {
+    let store = PageStore::open(index_file, 4).unwrap();
+    let page = store.allocate().unwrap();
+    store.set_root(1, page.0);
+    store.sync().unwrap();
+}
+
+#[test]
+fn an_index_with_a_slot_1_root_is_rebuilt_at_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let index_file = dir.join("timestore/timestore.idx");
+    let history = write_history(dir);
+    let mut snapshots = snapshot_files(dir);
+    snapshots.sort();
+    set_slot_1_root(&index_file);
+    PageStore::open_with_vfs(&VfsRef::std(), &index_file, 4, true).unwrap();
+
+    {
+        let db = Aion::open(config(dir)).unwrap();
+        let repairs = db.timestore().repairs();
+        assert_eq!(repairs.len(), 1, "{repairs:?}");
+        assert_eq!(repairs[0].check, "repair/time-index");
+        assert!(repairs[0].detail.contains("older version"), "{repairs:?}");
+        // The snapshot files did not change: they are kept.
+        let mut kept = snapshot_files(dir);
+        kept.sort();
+        assert_eq!(kept, snapshots);
+        assert_history(&db, &history);
+    }
+    let store = PageStore::open_with_vfs(&VfsRef::std(), &index_file, 4, true).unwrap();
+    assert_eq!(
+        store.root(1),
+        u64::MAX,
+        "the rebuilt index has no root there"
+    );
+    drop(store);
+    let db = Aion::open(config(dir)).unwrap();
+    assert!(db.timestore().repairs().is_empty(), "rebuilt once");
 }
