@@ -24,7 +24,6 @@ fn open_with(dir: &std::path::Path, graphstore_bytes: usize, sync_lineage: bool)
     let mut cfg = AionConfig::new(dir);
     cfg.sync_lineage = sync_lineage;
     cfg.timestore = TimeStoreConfig {
-        cache_pages: 4096,
         // Dense snapshots keep forward replay short, so the base-snapshot
         // acquisition cost (cache hit vs disk read + decode) dominates.
         policy: SnapshotPolicy::EveryNOps(1_000),

@@ -74,7 +74,6 @@ pub fn open_aion(dir: &Path, sync_lineage: bool) -> Aion {
     let mut cfg = AionConfig::new(dir);
     cfg.sync_lineage = sync_lineage;
     cfg.timestore = TimeStoreConfig {
-        cache_pages: 4096,
         policy: SnapshotPolicy::EveryNOps(5_000),
         graphstore_bytes: 128 << 20,
         ..Default::default()

@@ -63,7 +63,6 @@ pub fn run(cfg: &BenchConfig) -> Vec<IngestRow> {
         let ts_store = TimeStore::open(
             dir.path().join("ts"),
             TimeStoreConfig {
-                cache_pages: 4096,
                 policy: SnapshotPolicy::EveryNOps(5_000),
                 graphstore_bytes: 64 << 20,
                 ..Default::default()
@@ -97,7 +96,6 @@ pub fn run(cfg: &BenchConfig) -> Vec<IngestRow> {
         let ts2 = TimeStore::open(
             dir2.path().join("ts"),
             TimeStoreConfig {
-                cache_pages: 4096,
                 policy: SnapshotPolicy::EveryNOps(5_000),
                 graphstore_bytes: 64 << 20,
                 ..Default::default()

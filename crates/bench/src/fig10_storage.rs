@@ -47,7 +47,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         db.sync().expect("sync");
 
         let ts_stats = db.timestore().stats();
-        let timestore = ts_stats.log_bytes + ts_stats.index_bytes + ts_stats.snapshot_bytes;
+        let timestore = ts_stats.log_bytes + ts_stats.snapshot_bytes;
         let lineagestore = db.lineagestore().size_bytes();
         // Base cost: one serialized snapshot of the final graph — the
         // "graph data" a non-temporal store must hold anyway. The paper's

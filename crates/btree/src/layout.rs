@@ -230,7 +230,7 @@ fn read_header(b: &[u8], off: usize) -> Option<Header> {
 #[inline]
 fn header(page: &PageBuf, off: usize) -> Header {
     // Every key comparison lands here. A key under 128 bytes with an
-    // inline value under 64 (every neighbour and time-index cell, most
+    // inline value under 64 (every neighbour cell, most
     // history cells) has two one-byte varints: decode them without the
     // general loop.
     if let Some(&[klen, field]) = page.bytes().get(off..off + 2) {

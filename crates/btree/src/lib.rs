@@ -16,7 +16,7 @@
 //!   tree works out-of-core; a leaf cell's header is two varints, so a
 //!   small cell spends two bytes on it ([`layout`]);
 //! * `O(log n)` point lookups and ordered range scans over leaf sibling
-//!   chains — the access pattern behind both TimeStore and LineageStore;
+//!   chains — the access pattern behind the LineageStore;
 //! * leaves split 50/50, except that an insert past the last key of the
 //!   rightmost leaf starts a new leaf and leaves the full one full, so
 //!   ascending ids and timestamps pack leaves instead of half-filling them;

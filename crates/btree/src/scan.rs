@@ -1,8 +1,7 @@
 //! Ordered range scans over the leaf sibling chain.
 //!
-//! Both temporal stores are range-scan heavy: TimeStore replays log offsets
-//! over `[t_lo, t_hi)` and LineageStore reconstructs entity history with
-//! `nodes.seek(low, high)` (Sec. 4.4). The scan copies one leaf's matching
+//! The LineageStore is range-scan heavy: it reconstructs entity history
+//! with `nodes.seek(low, high)` (Sec. 4.4). The scan copies one leaf's matching
 //! entries at a time, so no page stays pinned between iterator steps.
 
 use crate::layout;

@@ -9,11 +9,12 @@
 //! text exposition format after the run — CI smoke tests parse it to
 //! assert the storage layers actually recorded work.
 //!
-//! `<dir>` is an Aion data directory: `<dir>/timestore/` (change log,
-//! index, snapshots) and `<dir>/lineage.db` (the four history indexes).
+//! `<dir>` is an Aion data directory: `<dir>/timestore/` (change log, its
+//! durable-end record, snapshots) and `<dir>/lineage.db` (the four history
+//! indexes).
 //! Exit status: 0 = clean, 1 = violations found, 2 = usage or IO error.
 //! Opening the TimeStore may repair the directory (truncate a torn log
-//! tail, rebuild the index, delete a snapshot file that does not verify);
+//! tail, delete a snapshot file that does not verify);
 //! `check` reports each such repair as a `timestore repair/…` violation,
 //! since the damage it mended is gone by the time the audit runs.
 //!

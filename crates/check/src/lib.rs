@@ -4,13 +4,13 @@
 //! `Aion::check_consistency`. It puts into one report, each finding tagged
 //! with its [`Subsystem`]:
 //!
-//! * [`timestore::TimeStore::audit`] — the structural pass over the index
-//!   file ([`btree::audit_page_file`]: [`btree::BTree::verify`] on every
-//!   tree, page accounting), then log ↔ index ↔ snapshot agreement and
-//!   snapshot + delta replay of the live graph;
-//! * [`lineagestore::LineageStore::audit`] — the same structural pass over
-//!   the lineage file, then per-entity interval chains, delta-chain
-//!   termination and neighbour-index mirroring;
+//! * [`timestore::TimeStore::audit`] — log order, log ↔ snapshot
+//!   agreement and snapshot + delta replay of the live graph (the
+//!   TimeStore keeps no page file, so it has no structural pass);
+//! * [`lineagestore::LineageStore::audit`] — the structural pass over the
+//!   lineage file ([`btree::audit_page_file`]: [`btree::BTree::verify`] on
+//!   every tree, page accounting), then per-entity interval chains,
+//!   delta-chain termination and neighbour-index mirroring;
 //! * a cross-store differential: the graph reconstructed from the
 //!   TimeStore (snapshot + forward replay) and from the LineageStore
 //!   (all-entities floor scan) must agree at every sampled timestamp.
@@ -32,7 +32,7 @@ use timestore::TimeStore;
 pub enum CheckLevel {
     /// Structural only: B+Tree verification and page accounting.
     Quick,
-    /// Structural plus the per-store deep audits (log/index/snapshot
+    /// Structural plus the per-store deep audits (log order, log/snapshot
     /// agreement, lineage chain invariants, neighbour mirroring).
     #[default]
     Deep,
@@ -66,7 +66,7 @@ impl fmt::Display for CheckLevel {
 /// The subsystem a finding belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Subsystem {
-    /// The snapshot-based TimeStore (log, time index, snapshots).
+    /// The snapshot-based TimeStore (log, snapshots).
     TimeStore,
     /// The entity-indexed LineageStore (four history indexes).
     LineageStore,
@@ -93,7 +93,7 @@ pub struct ConsistencyReport {
     /// reported it.
     pub findings: Vec<(Subsystem, Finding)>,
     /// Pages and leaf fill of every index, by subsystem and index name: the
-    /// TimeStore's two, then the LineageStore's four.
+    /// LineageStore's four.
     pub fill: Vec<(Subsystem, &'static str, TreeFill)>,
     /// Timestamps the cross-store differential compared (empty below
     /// [`CheckLevel::Full`]).
@@ -282,7 +282,6 @@ mod tests {
         assert!(!report.sampled_timestamps.is_empty());
         let text = report.to_string();
         for index in [
-            "timestore time-index",
             "lineagestore nodes",
             "lineagestore rels",
             "lineagestore out-neighbours",

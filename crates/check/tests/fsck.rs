@@ -1,6 +1,6 @@
 //! `aion-fsck` end to end: the binary's exit status and output on a
-//! generated database, on one whose snapshot file was damaged after it was
-//! written, and on `gen` arguments it must refuse.
+//! generated database, on one whose snapshot file or log was damaged after
+//! it was written, and on `gen` arguments it must refuse.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -72,6 +72,47 @@ fn damaged_snapshot_file_is_reported_although_open_deletes_it() {
     let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
+}
+
+#[test]
+fn damaged_log_is_refused_below_the_durable_end_and_truncated_without_it() {
+    let dir = tempdir().unwrap();
+    let db = dir.path().join("db");
+    generate(&db);
+    let vfs = TimeStoreConfig::default().vfs;
+    let log = db.join("timestore").join("timestore.log");
+    let synced = vfs.read(&log).unwrap();
+
+    // Mid-log damage below the recorded durable end: open refuses, and the
+    // log keeps its length.
+    let mut bytes = synced.clone();
+    let mid = bytes.len() / 2;
+    for b in &mut bytes[mid..mid + 4] {
+        *b ^= 0xff;
+    }
+    vfs.write(&log, &bytes).unwrap();
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(stderr.contains("durable end"), "{stderr}");
+    assert_eq!(vfs.read(&log).unwrap().len(), bytes.len());
+
+    // Without the durable-end record, bytes past the last frame are a
+    // torn tail: truncated and reported once.
+    vfs.write(&log, &synced).unwrap();
+    vfs.remove_file(&db.join("timestore").join("timestore.log.durable"))
+        .unwrap();
+    let mut torn = synced.clone();
+    torn.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
+    vfs.write(&log, &torn).unwrap();
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("timestore repair/log-tail"), "{stdout}");
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(vfs.read(&log).unwrap(), synced);
 }
 
 #[test]

@@ -110,10 +110,10 @@ fn damage_lineage(path: &Path) {
     vfs.write(path, &file).unwrap();
 }
 
-/// Allocates one page of the TimeStore's index file that no tree reaches
-/// and the free list does not hold, and syncs so the file still verifies
-/// against its checksum sidecar at the next open.
-fn leak_index_page(path: &Path) {
+/// Allocates one page of the lineage file that no tree reaches and the
+/// free list does not hold, and syncs so the file still verifies against
+/// its checksum sidecar at the next open.
+fn leak_page(path: &Path) {
     let store = PageStore::open(path, 16).unwrap();
     store.allocate().unwrap();
     store.sync().unwrap();
@@ -121,12 +121,11 @@ fn leak_index_page(path: &Path) {
 
 const PINNED: &str = concat!(
     "consistency check (level deep): 4 violation(s)\n",
-    "  timestore index-pages/accounting: 1 page(s) neither reachable nor free (first: 2)\n",
     "  lineagestore nodes/structure: [key-order] page 1: keys out of order: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] !< [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]\n",
     "  lineagestore in-neighbours/structure: [key-order] page 4: keys out of order: [1, 2, 1, 1, 1, 2, 1, 5] !< [1, 1, 0, 1, 1, 1, 3]\n",
+    "  lineagestore pages/accounting: 1 page(s) neither reachable nor free (first: 5)\n",
     "  lineagestore chain/interval: node 0: version at ts 1 overlaps predecessor at ts 1\n",
     "index pages and leaf fill:\n",
-    "  timestore time-index: 1 pages, 1 leaves, leaf fill 28.3 %\n",
     "  lineagestore nodes: 1 pages, 1 leaves, leaf fill 27.8 %\n",
     "  lineagestore rels: 1 pages, 1 leaves, leaf fill 14.5 %\n",
     "  lineagestore out-neighbours: 1 pages, 1 leaves, leaf fill 6.4 %\n",
@@ -140,8 +139,8 @@ fn damaged_stores_report_matches_the_pinned_text() {
         let (ts, ls) = open_stores(dir.path());
         seed(&ts, &ls);
     }
+    leak_page(&dir.path().join("lineage.db"));
     damage_lineage(&dir.path().join("lineage.db"));
-    leak_index_page(&dir.path().join("timestore").join("timestore.idx"));
 
     let (ts, ls) = open_stores(dir.path());
     let report = check_stores(&ts, &ls, CheckLevel::Deep).unwrap();

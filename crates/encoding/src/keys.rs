@@ -6,14 +6,16 @@
 //!
 //! | store        | entry           | key layout                | bytes  |
 //! |--------------|-----------------|---------------------------|--------|
-//! | TimeStore    | graph update    | `ts`                      | 8      |
-//! | TimeStore    | graph snapshot  | `ts`                      | 8      |
 //! | LineageStore | node            | `nodeId, ts`              | 16     |
 //! | LineageStore | relationship    | `relId, ts`               | 16     |
 //! | LineageStore | out-neighbours  | `srcId, tgtId, relId, ts` | 4 – 36 |
 //! | LineageStore | in-neighbours   | `tgtId, srcId, relId, ts` | 4 – 36 |
 //!
-//! The TimeStore and history keys write each part as 8 big-endian bytes.
+//! Table 2's two TimeStore rows, keyed by `ts`, are not B+Trees here: the
+//! change log and the snapshot directory are the TimeStore's time indexes
+//! (see `timestore`'s crate docs).
+//!
+//! The history keys write each part as 8 big-endian bytes.
 //! The neighbour keys, the most numerous, write each part compactly (the
 //! variable-size encoding of Sec. 4.2):
 //!
@@ -32,16 +34,6 @@
 //! Raphtory cannot represent, Sec. 6.2) remain distinguishable.
 
 use lpg::{NodeId, RelId, Timestamp};
-
-/// An 8-byte timestamp key (the TimeStore's time index).
-pub fn ts_key(ts: Timestamp) -> [u8; 8] {
-    ts.to_be_bytes()
-}
-
-/// Decodes a [`ts_key`].
-pub fn decode_ts_key(key: &[u8]) -> Option<Timestamp> {
-    Some(u64::from_be_bytes(key.get(..8)?.try_into().ok()?))
-}
 
 /// A `(entityId, ts)` key for the node / relationship history indexes.
 pub fn entity_ts_key(id: u64, ts: Timestamp) -> [u8; 16] {
@@ -163,15 +155,6 @@ pub fn neigh_range(a: NodeId) -> (Vec<u8>, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ts_key_orders_numerically() {
-        assert!(ts_key(1) < ts_key(2));
-        assert!(ts_key(255) < ts_key(256));
-        assert!(ts_key(u64::MAX - 1) < ts_key(u64::MAX));
-        assert_eq!(decode_ts_key(&ts_key(42)), Some(42));
-        assert_eq!(decode_ts_key(&[1, 2]), None);
-    }
 
     #[test]
     fn entity_key_orders_by_id_then_ts() {

@@ -15,10 +15,10 @@
 //!    point and archives everything from there — including any torn
 //!    tail — **byte-exact** into a checksummed sidecar
 //!    `timestore.log.divergent-<epoch>`;
-//! 3. truncates the log back to the fork point and deletes the derived
-//!    state that indexed the divergent suffix (`timestore.idx` and
-//!    `lineage.db`, plus their checksum sidecars) so the next open
-//!    rebuilds from the surviving prefix;
+//! 3. truncates the log back to the fork point, deletes its durable-end
+//!    record (which points past the new end) and the derived state that
+//!    indexed the divergent suffix (`lineage.db` and its checksum
+//!    sidecar), so the next open rebuilds from the surviving prefix;
 //! 4. adopts the cluster epoch into the local chain, fencing the node's
 //!    write path before it ever reopens.
 //!
@@ -140,14 +140,20 @@ pub fn prepare_rejoin(
         let path = ts_dir.join(format!("timestore.log.divergent-{primary_epoch}"));
         write_archive(vfs, &path, primary_epoch, fence_ts, suffix)?;
         // Truncate the live log back to the fork point, then drop the
-        // derived state (index, lineage) that may reference the suffix;
-        // the next open rebuilds both from the surviving prefix.
+        // durable-end record that points past it and the lineage store
+        // that may reference the suffix; the next open rebuilds the
+        // lineage store from the surviving prefix and records a new end.
         let log = vfs.open(&log_path)?;
         log.set_len(fork_offset)?;
         log.sync_data()?;
-        for derived in [ts_dir.join("timestore.idx"), dir.join("lineage.db")] {
-            let _ = vfs.remove_file(&derived);
-            let _ = vfs.remove_file(&sidecar_path(&derived, "sums"));
+        let lineage = dir.join("lineage.db");
+        let lineage_sums = sidecar_path(&lineage, "sums");
+        for stale in [
+            ts_dir.join(timestore::store::DURABLE_END_FILE),
+            lineage,
+            lineage_sums,
+        ] {
+            let _ = vfs.remove_file(&stale);
         }
         obs::counter("repl.divergent_frames_archived").add(archived_frames);
         Some(path)

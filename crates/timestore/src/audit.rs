@@ -1,121 +1,61 @@
 //! Deep consistency audit of a [`TimeStore`] (the TimeStore half of
 //! `aion-fsck`).
 //!
-//! Structural pass (always), [`btree::audit_page_file`] over the index
-//! file:
+//! The TimeStore keeps no page file, so it has no structural pass. The
+//! deep pass (`deep = true`) checks the log/snapshot agreement reads and
+//! recovery rely on:
 //!
-//! * the time index passes [`btree::BTree::verify`];
-//! * page accounting: every allocated index page is either reachable from
-//!   its root or on the free list, and never both.
-//!
-//! Deep pass (`deep = true`) additionally checks the log/index/snapshot
-//! agreement the recovery path relies on:
-//!
-//! * every time-index entry decodes, is monotone in both timestamp and log
-//!   offset, and points at a log frame carrying exactly that timestamp;
-//! * every log frame is indexed (no orphaned commits);
+//! * frame timestamps strictly increase along the log, which the binary
+//!   search of [`TimeStore::diff`] relies on;
 //! * every snapshot in the store's snapshot set (the valid files open found
 //!   and those written since) is an existing, decodable file whose
 //!   references are to valid earlier snapshots and match their sums, and
 //!   whose contents equal an independent log replay at that timestamp;
 //! * a full log replay reproduces the live in-memory graph.
 //!
-//! The structural pass also measures the time index's pages and leaf fill.
 //! Findings are [`btree::Finding`]s. Damage [`TimeStore::open`] repaired
 //! is gone before any audit runs; [`TimeStore::repairs`] reports it.
 
+use crate::log::LogEntry;
 use crate::store::{snapshot_name, LoadError, TimeStore};
-use btree::{audit_page_file, Audit, Finding};
-use encoding::keys;
+use btree::{Audit, Finding};
 use encoding::snapshot::{Fault, SharedSegments};
 use lpg::{Graph, Result};
 use std::collections::BTreeSet;
 
 impl TimeStore {
     /// Runs the audit; see the module docs for the invariant list. Returns
-    /// every violation found (empty = consistent) and each index's fill.
-    /// IO errors abort the audit; corruption is reported, never panicked on.
+    /// every violation found (empty = consistent); it measures no index
+    /// fill. IO errors abort the audit; corruption is reported, never
+    /// panicked on.
     pub fn audit(&self, deep: bool) -> Result<Audit> {
-        let trees = [("time-index", "time-index/structure", &self.time_index)];
-        let mut audit = audit_page_file(&self.index_store, &trees, "index-pages/accounting")?;
+        let mut audit = Audit::default();
         if !deep {
             return Ok(audit);
         }
         let findings = &mut audit.findings;
 
-        // Deep pass: time index ↔ log agreement.
-        let mut indexed_offsets = BTreeSet::new();
-        let mut prev: Option<(u64, u64)> = None; // (ts, offset)
-        for item in self.time_index.scan(&[], &[])? {
-            let (key, value) = item?;
-            let Some(ts) = keys::decode_ts_key(&key) else {
-                findings.push(Finding::new(
-                    "time-index/key",
-                    format!("undecodable {}-byte key {key:?}", key.len()),
-                ));
-                continue;
-            };
-            let Ok(bytes) = <[u8; 8]>::try_from(value.as_slice()) else {
-                findings.push(Finding::new(
-                    "time-index/value",
-                    format!("entry at ts {ts} holds a {}-byte offset", value.len()),
-                ));
-                continue;
-            };
-            let offset = u64::from_le_bytes(bytes);
-            if let Some((pts, poff)) = prev {
-                if ts <= pts {
-                    findings.push(Finding::new(
-                        "time-index/order",
-                        format!("timestamp {ts} not above predecessor {pts}"),
-                    ));
-                }
-                if offset <= poff {
-                    findings.push(Finding::new(
-                        "time-index/order",
-                        format!("offset {offset} at ts {ts} not above predecessor offset {poff}"),
-                    ));
-                }
-            }
-            prev = Some((ts, offset));
-            indexed_offsets.insert(offset);
-            match self.log.read_at(offset) {
-                Ok((frame, _)) => {
-                    if frame.ts != ts {
-                        findings.push(Finding::new(
-                            "time-index/envelope",
-                            format!(
-                                "index says ts {ts} at offset {offset}, frame carries ts {}",
-                                frame.ts
-                            ),
-                        ));
-                    }
-                }
-                Err(e) => findings.push(Finding::new(
-                    "time-index/envelope",
-                    format!("offset {offset} (ts {ts}) is unreadable: {e}"),
-                )),
-            }
-        }
-
-        // Every log frame must be indexed, and the replay of the whole log
-        // must reproduce the live graph; snapshots are compared against the
-        // running replay as it passes their timestamps.
+        // One pass over the log: timestamps must increase, and the replay
+        // of the whole log must reproduce the live graph; snapshots are
+        // compared against the running replay as it passes their
+        // timestamps.
         let mut snap_iter = self.snapshot_timestamps().into_iter().peekable();
         let mut valid = BTreeSet::new();
         let mut replay = Graph::new();
         let mut replay_ok = true;
+        let mut prev_ts = None;
         for entry in self.log.iter_from(0) {
-            let crate::log::LogEntry { offset, frame, .. } = entry?;
-            if !indexed_offsets.contains(&offset) {
+            let LogEntry { offset, frame, .. } = entry?;
+            if let Some(prev) = prev_ts.filter(|prev| frame.ts <= *prev) {
                 findings.push(Finding::new(
-                    "time-index/coverage",
+                    "log/order",
                     format!(
-                        "log frame at offset {offset} (ts {}) is unindexed",
+                        "frame at offset {offset} has ts {}, not above its predecessor's {prev}",
                         frame.ts
                     ),
                 ));
             }
+            prev_ts = Some(frame.ts);
             for u in frame.to_updates() {
                 if let Err(e) = replay.apply(&u.op) {
                     findings.push(Finding::new(
@@ -252,6 +192,29 @@ mod tests {
         ts.sync().unwrap();
         let findings = ts.audit(true).unwrap().findings;
         assert!(findings.is_empty(), "unexpected findings: {findings:?}");
+    }
+
+    /// A log whose timestamps go back is reported: `diff`'s binary
+    /// search would miss frames in it.
+    #[test]
+    fn log_timestamps_out_of_order_detected() {
+        let dir = tempdir().unwrap();
+        {
+            let log = crate::ChangeLog::open(dir.path().join("timestore.log")).unwrap();
+            for ts in [1, 5, 3] {
+                let frame = crate::CommitFrame::from_updates(ts, &[add_node(ts)]);
+                log.append(&frame).unwrap();
+            }
+            log.sync().unwrap();
+        }
+        let ts = TimeStore::open(dir.path(), TimeStoreConfig::default()).unwrap();
+        let findings = ts.audit(true).unwrap().findings;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.check == "log/order" && f.detail.contains("has ts 3")),
+            "{findings:?}"
+        );
     }
 
     #[test]

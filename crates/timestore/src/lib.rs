@@ -10,9 +10,10 @@
 //!   a DB write-ahead log with no retention policy)", ordered by
 //!   monotonically increasing transaction timestamps, holding fully
 //!   materialized entries or deltas in the Sec. 4.2 record format. Frames
-//!   are checksummed so recovery can detect a torn tail.
-//! * a B+Tree index `timestamp → log offset` for `O(log n)` seeks into the
-//!   log (Table 2, row 1);
+//!   are checksummed so recovery can detect a torn tail. The paper seeks
+//!   into it with a B+Tree `timestamp → log offset` (Table 2, row 1); here
+//!   the log keeps every frame's `(ts, offset)` in memory from the scan at
+//!   open on, and a seek is a binary search over them;
 //! * eager snapshots written "based on a user-defined policy"
 //!   ([`policy::SnapshotPolicy`], operation-based by default) to snapshot
 //!   files. The paper references them from "a second B+Tree indexed by

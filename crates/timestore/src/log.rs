@@ -5,6 +5,13 @@
 //! `varint ts, varint n, n × (varint entity, record body)`.
 //! One frame per committed transaction keeps commit batching intact and
 //! makes the frame boundary the natural recovery unit.
+//!
+//! The paper seeks into the log through a B+Tree `ts → log offset`
+//! (Sec. 4.3). Here the log is its own time index: the scan at open reads
+//! every frame anyway, so it keeps each frame's `(ts, offset)` in memory,
+//! every append adds its own, and `ChangeLog::iter_ts` finds a time
+//! range by binary search. Commit timestamps are strictly increasing, so
+//! the list is sorted by both.
 
 use encoding::varint;
 use encoding::{updates_from_record, RecordBody};
@@ -107,9 +114,18 @@ pub fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> 
 /// Append-only log file with torn-tail recovery.
 pub struct ChangeLog {
     file: Box<dyn VfsFile>,
-    end: Mutex<u64>,
+    tail: Mutex<Tail>,
     /// `(new end, old length)` when open truncated a torn tail.
     torn_tail: Option<(u64, u64)>,
+}
+
+/// The log's end and its time index, changed together by an append.
+#[derive(Default)]
+struct Tail {
+    /// The next append position.
+    end: u64,
+    /// Every frame's `(ts, offset)`, in log order.
+    frames: Vec<(Timestamp, u64)>,
 }
 
 impl ChangeLog {
@@ -122,7 +138,7 @@ impl ChangeLog {
     /// Opens (or creates) the log on `vfs`; see [`ChangeLog::open`].
     ///
     /// `durable_end` is the caller's proof of how far the log was once
-    /// fsynced (the TimeStore records it in its index at every sync). A
+    /// fsynced (the TimeStore records it next to the log at every sync). A
     /// bad frame *below* it cannot be a crash artifact — fsynced bytes
     /// survive crashes — so it is reported as corruption instead of being
     /// silently truncated away with every valid frame behind it. Bad
@@ -134,13 +150,17 @@ impl ChangeLog {
         let len = file.len()?;
         let mut log = ChangeLog {
             file,
-            end: Mutex::new(0),
+            tail: Mutex::default(),
             torn_tail: None,
         };
+        let mut frames = Vec::new();
         let mut offset = 0u64;
         while offset < len {
             match log.read_frame_at(offset, len) {
-                Some((_, next)) => offset = next,
+                Some((frame, next)) => {
+                    frames.push((frame.ts, offset));
+                    offset = next;
+                }
                 None if offset < durable_end => {
                     return Err(GraphError::CorruptRecord(format!(
                         "corrupt log frame at offset {offset}, below the durable end {durable_end}"
@@ -153,7 +173,10 @@ impl ChangeLog {
             log.file.set_len(offset)?;
             log.torn_tail = Some((offset, len));
         }
-        *log.end.lock() = offset;
+        *log.tail.lock() = Tail {
+            end: offset,
+            frames,
+        };
         Ok(log)
     }
 
@@ -171,10 +194,11 @@ impl ChangeLog {
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
         buf.extend_from_slice(&payload);
-        let mut end = self.end.lock();
-        let offset = *end;
+        let mut tail = self.tail.lock();
+        let offset = tail.end;
         self.file.write_all_at(&buf, offset)?;
-        *end = offset + buf.len() as u64;
+        tail.end = offset + buf.len() as u64;
+        tail.frames.push((frame.ts, offset));
         Ok(offset)
     }
 
@@ -186,7 +210,12 @@ impl ChangeLog {
 
     /// Current end offset (the next append position).
     pub fn end_offset(&self) -> u64 {
-        *self.end.lock()
+        self.tail.lock().end
+    }
+
+    /// The timestamp of the last frame, `None` when the log is empty.
+    pub(crate) fn last_ts(&self) -> Option<Timestamp> {
+        self.tail.lock().frames.last().map(|(ts, _)| *ts)
     }
 
     /// On-disk size of the log in bytes.
@@ -227,14 +256,6 @@ impl ChangeLog {
         Some((frame, offset + 8 + len))
     }
 
-    /// Reads the frame at `offset`; errors on corruption (unlike the
-    /// recovery scan, a read through a valid index must succeed).
-    pub fn read_at(&self, offset: u64) -> Result<(CommitFrame, u64)> {
-        let end = self.end_offset();
-        self.read_frame_at(offset, end)
-            .ok_or_else(|| GraphError::Storage(format!("corrupt log frame at offset {offset}")))
-    }
-
     /// Streams every frame from `offset` to the log end as of this call,
     /// one frame in memory at a time. Recovery replays and replication
     /// tailing both use this instead of materializing the whole suffix.
@@ -243,6 +264,22 @@ impl ChangeLog {
             log: self,
             offset,
             end: self.end_offset(),
+        }
+    }
+
+    /// Streams the frames with a timestamp in `[start, end)`: the frames
+    /// are contiguous, so a binary search for each bound gives the byte
+    /// range to read.
+    pub(crate) fn iter_ts(&self, start: Timestamp, end: Timestamp) -> LogIter<'_> {
+        let tail = self.tail.lock();
+        let offset_of = |ts: Timestamp| {
+            let i = tail.frames.partition_point(|(t, _)| *t < ts);
+            tail.frames.get(i).map_or(tail.end, |(_, offset)| *offset)
+        };
+        LogIter {
+            log: self,
+            offset: offset_of(start),
+            end: offset_of(end),
         }
     }
 
@@ -325,13 +362,12 @@ mod tests {
         let o1 = log.append(&f1).unwrap();
         let o2 = log.append(&f2).unwrap();
         assert!(o2 > o1);
-        let (got1, next1) = log.read_at(o1).unwrap();
-        assert_eq!(got1, f1);
-        assert_eq!(next1, o2);
-        let (got2, _) = log.read_at(o2).unwrap();
-        assert_eq!(got2.ts, 2);
         let all: Vec<_> = log.iter_from(0).collect::<Result<_>>().unwrap();
         assert_eq!(all.len(), 2);
+        assert_eq!((all[0].offset, all[0].next), (o1, o2));
+        assert_eq!(all[0].frame, f1);
+        assert_eq!(all[1].frame.ts, 2);
+        assert_eq!(log.last_ts(), Some(2));
         // The in-memory parser walks the same bytes to the same frames
         // and stops where the file scan would: at a damaged frame.
         let mut bytes = VfsRef::std().read(&dir.path().join("c.log")).unwrap();
@@ -342,6 +378,39 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
         assert_eq!(parse_frame(&bytes, o2 as usize), None);
+    }
+
+    /// `iter_ts` yields exactly the frames in `[start, end)`, from the
+    /// frames appended and from those a reopen scanned.
+    #[test]
+    fn iter_ts_selects_a_time_range() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("c.log");
+        let stamps = [0, 3, 4, 10, 11];
+        let in_range = |log: &ChangeLog, start, end| -> Vec<Timestamp> {
+            let frames = log.iter_ts(start, end).collect::<Result<Vec<_>>>();
+            frames.unwrap().iter().map(|e| e.frame.ts).collect()
+        };
+        let check = |log: &ChangeLog| {
+            assert_eq!(in_range(log, 0, u64::MAX), stamps);
+            assert_eq!(in_range(log, 1, 11), [3, 4, 10]);
+            assert_eq!(in_range(log, 4, 5), [4]);
+            assert_eq!(in_range(log, 5, 10), [] as [Timestamp; 0]);
+            assert_eq!(in_range(log, 11, 4), [] as [Timestamp; 0]);
+            assert_eq!(in_range(log, 12, u64::MAX), [] as [Timestamp; 0]);
+        };
+        {
+            let log = ChangeLog::open(&path).unwrap();
+            assert_eq!(log.last_ts(), None);
+            for ts in stamps {
+                log.append(&CommitFrame::from_updates(ts, &[add_node(ts)]))
+                    .unwrap();
+            }
+            check(&log);
+        }
+        let log = ChangeLog::open(&path).unwrap();
+        check(&log);
+        assert_eq!(log.last_ts(), Some(11));
     }
 
     #[test]

@@ -1,34 +1,37 @@
-//! The TimeStore facade: log + time index + snapshots + GraphStore.
+//! The TimeStore facade: log + snapshots + GraphStore.
 //!
-//! The paper indexes snapshots with a second B+Tree, `ts → snapshot file`
-//! (Sec. 4.3). Here the snapshot directory is that index: each file is
-//! named `snap_<ts>.aisnap`, open lists and checks every file anyway, and
-//! the valid ones it finds are kept in memory as the store's snapshot set
-//! (ts → file bytes), which every snapshot written joins once it is synced.
-//! A floor lookup is a range over that set.
+//! The paper indexes the log and the snapshots with two B+Trees keyed by
+//! time (Sec. 4.3). Here neither is a tree on disk. The log is its own
+//! `ts → log offset` index (see [`crate::log`]). The snapshot directory is
+//! the `ts → snapshot file` index: each file is named `snap_<ts>.aisnap`,
+//! open lists and checks every file anyway, and the valid ones it finds are
+//! kept in memory as the store's snapshot set (ts → file bytes), which
+//! every snapshot written joins once it is synced. A floor lookup is a
+//! range over that set.
+//!
+//! The directory holds `timestore.log`, `timestore.log.durable` (the
+//! durable-end record, see [`TimeStore::sync`]) and `snapshots/`.
 
 use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, CommitFrame};
 use crate::policy::SnapshotPolicy;
-use btree::{BTree, Finding};
-use encoding::keys;
+use btree::Finding;
 use encoding::snapshot::{self, Manifest, Segment, SharedSegments};
 use lpg::{
     Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate, Update,
-    TS_MAX,
 };
-use pagestore::PageStore;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vfs::VfsRef;
+use vfs::{fnv64, VfsFile, VfsRef};
 
 /// Tuning knobs for a [`TimeStore`].
 #[derive(Clone, Debug)]
 pub struct TimeStoreConfig {
-    /// Pages held by the index page cache.
+    /// Read by nothing since the TimeStore keeps no page file; kept only
+    /// because the benchmark harness still sets it.
     pub cache_pages: usize,
     /// Snapshot creation policy.
     pub policy: SnapshotPolicy,
@@ -76,8 +79,6 @@ pub(crate) enum LoadError {
 pub struct TimeStoreStats {
     /// Change-log bytes.
     pub log_bytes: u64,
-    /// Index file bytes (the time index).
-    pub index_bytes: u64,
     /// Total bytes of serialized snapshot files.
     pub snapshot_bytes: u64,
     /// Number of on-disk snapshots.
@@ -142,9 +143,8 @@ struct Chain {
 pub struct TimeStore {
     pub(crate) vfs: VfsRef,
     pub(crate) log: ChangeLog,
-    /// B+Tree: commit ts → log offset.
-    pub(crate) time_index: BTree,
-    pub(crate) index_store: Arc<PageStore>,
+    /// `timestore.log.durable`, which [`TimeStore::sync`] rewrites.
+    durable_end_file: Mutex<Box<dyn VfsFile>>,
     graphstore: GraphStore,
     /// The relationship segments loaded graphs and the latest graph hold,
     /// so that a load shares them instead of decoding them again.
@@ -153,7 +153,7 @@ pub struct TimeStore {
     policy: SnapshotPolicy,
     state: Mutex<MutableState>,
     chain: Mutex<Chain>,
-    /// In-memory mirror of [`SLOT_DURABLE_LOG_END`]: how many log bytes
+    /// In-memory mirror of `timestore.log.durable`: how many log bytes
     /// the last successful [`TimeStore::sync`] provably fsynced.
     /// Replication ships only below this point — bytes past it could
     /// still be lost in a crash.
@@ -163,103 +163,61 @@ pub struct TimeStore {
     repairs: Vec<Finding>,
 }
 
-const SLOT_TIME_INDEX: usize = 0;
-/// Root slot of the `ts → snapshot file` tree older versions kept. An
-/// index file with it set is rebuilt from the log at open.
-const SLOT_RETIRED: usize = 1;
-/// Root slot recording how many log bytes were covered by the last
-/// [`TimeStore::sync`]. Set *after* the log fsync and made durable by the
-/// subsequent index fsync, so it never exceeds the durable log length; at
-/// open it separates mid-log corruption (bad frame below it — hard error)
-/// from a crash's torn tail (bad frame past it — truncated).
-const SLOT_DURABLE_LOG_END: usize = 2;
+/// Name of the durable-end record: `u64 end, u64 fnv64(end)`, both
+/// little-endian.
+pub const DURABLE_END_FILE: &str = "timestore.log.durable";
+
+/// The log end a durable-end record holds; `None` when it is not exactly
+/// 16 bytes or its sum does not match (torn or damaged).
+fn decode_durable_end(record: &[u8]) -> Option<u64> {
+    let end: [u8; 8] = record.get(..8)?.try_into().ok()?;
+    let sum: [u8; 8] = record.get(8..)?.try_into().ok()?;
+    (fnv64(&end) == u64::from_le_bytes(sum)).then_some(u64::from_le_bytes(end))
+}
 
 impl TimeStore {
     /// Opens a TimeStore rooted at directory `dir`, recovering state from
-    /// the log (the log is the source of truth; index tails are rebuilt).
+    /// the log, the source of truth.
     ///
-    /// When the index page file fails checksum verification (or recovery
-    /// through it fails), the index is deleted and rebuilt wholesale from
-    /// the log — the slow path a crash mid-index-writeback leads to.
+    /// A bad log frame below the durable end `timestore.log.durable`
+    /// records is damage, not a crash artifact, and fails the open with
+    /// the log left as found. A missing or torn record reads as 0: every
+    /// bad frame is then a torn tail and is truncated.
     ///
-    /// Every repair made on the way is kept in [`TimeStore::repairs`]. What
-    /// open wrote to the index is synced, so the next open does not repair
-    /// it again.
+    /// Every repair made on the way is kept in [`TimeStore::repairs`].
+    /// When the record did not cover the whole log, open syncs, so the next
+    /// open can tell damage from a torn tail everywhere.
     pub fn open<P: AsRef<Path>>(dir: P, config: TimeStoreConfig) -> Result<TimeStore> {
         let dir = dir.as_ref();
-        config.vfs.create_dir_all(dir)?;
-        config.vfs.create_dir_all(&dir.join("snapshots"))?;
-        let mut repairs = Vec::new();
-        let mut store = match Self::try_open(dir, &config, true, &mut repairs) {
-            Ok(store) => store,
-            // Corruption below the durable log end is diagnosed against a
-            // checksum-verified index: real damage, not a crash artifact.
-            // Wiping the index would discard the evidence and silently
-            // truncate acknowledged commits — surface it instead. Every
-            // other failure (torn index pages, stale index tail) is
-            // recoverable by rebuilding the index from the log.
-            Err(e @ GraphError::CorruptRecord(_)) if e.to_string().contains("durable end") => {
-                return Err(e)
-            }
-            Err(e) => {
-                let detail = format!("timestore.idx rebuilt from the log after: {e}");
-                repairs.push(Finding::new("repair/time-index", detail));
-                Self::try_open(dir, &config, false, &mut repairs)?
-            }
-        };
-        store.repairs = repairs;
-        Ok(store)
-    }
-
-    /// One attempt at opening: with `verify`, the index must match its
-    /// checksum sidecar; without, it is deleted and rebuilt from the log.
-    fn try_open(
-        dir: &Path,
-        config: &TimeStoreConfig,
-        verify: bool,
-        repairs: &mut Vec<Finding>,
-    ) -> Result<TimeStore> {
         let vfs = config.vfs.clone();
         let snap_dir = dir.join("snapshots");
-        let idx_path = dir.join("timestore.idx");
-        if !verify {
-            let _ = vfs.remove_file(&idx_path);
-            let _ = vfs.remove_file(&PageStore::sums_path(&idx_path));
+        vfs.create_dir_all(&snap_dir)?;
+        // Earlier builds kept a `ts → log offset` B+Tree in this page file
+        // and its checksum sidecar; the log is that index now.
+        for old in ["timestore.idx", "timestore.idx.sums"] {
+            let path = dir.join(old);
+            if vfs.exists(&path) {
+                vfs.remove_file(&path)?;
+            }
         }
-        let index_store = Arc::new(PageStore::open_with_vfs(
-            &vfs,
-            &idx_path,
-            config.cache_pages,
-            verify,
-        )?);
-        if index_store.root(SLOT_RETIRED) != u64::MAX {
-            return Err(GraphError::Storage(
-                "timestore.idx was written by an older version: root slot 1 is set".into(),
-            ));
-        }
-        let time_index = BTree::open(index_store.clone(), SLOT_TIME_INDEX)?;
-        // The durable-end marker is only trustworthy when the index file
-        // verified against its checksum sidecar (i.e. is exactly the image
-        // of its last successful sync); otherwise fall back to
-        // truncate-only torn-tail recovery.
-        let durable_end = match index_store.root(SLOT_DURABLE_LOG_END) {
-            _ if !verify => 0,
-            u64::MAX => 0,
-            end => end,
-        };
+        let marker = dir.join(DURABLE_END_FILE);
+        let record = vfs.read(&marker).ok();
+        let durable_end = record.as_deref().and_then(decode_durable_end).unwrap_or(0);
+        let durable_end_file = Mutex::new(vfs.open(&marker)?);
         let log = ChangeLog::open_with_vfs(&vfs, &dir.join("timestore.log"), durable_end)?;
+        let mut repairs = Vec::new();
         if let Some((end, len)) = log.torn_tail() {
             let detail = format!("truncated a torn log tail at offset {end} of {len} bytes");
             repairs.push(Finding::new("repair/log-tail", detail));
         }
-        // The marker can trail the surviving log (syncs are batched) but
+        let covered = durable_end == log.end_offset();
+        // The record can trail the surviving log (syncs are batched) but
         // never lead it; clamp defensively in case the file shrank.
         let durable_log_end = AtomicU64::new(durable_end.min(log.end_offset()));
-        let store = TimeStore {
+        let mut store = TimeStore {
             vfs,
             log,
-            time_index,
-            index_store,
+            durable_end_file,
             graphstore: GraphStore::new(config.graphstore_bytes),
             segments: SharedSegments::default(),
             snap_dir,
@@ -274,37 +232,20 @@ impl TimeStore {
             metrics: Metrics::new(),
             repairs: Vec::new(),
         };
-        // What open wrote to the index is synced now: left to the next
-        // sync, a store closed before it would fail verification at the
-        // next open and be rebuilt again.
-        if store.recover(repairs)? || !verify {
+        store.recover(&mut repairs)?;
+        if !covered {
             store.sync()?;
         }
+        store.repairs = repairs;
         Ok(store)
     }
 
-    /// Recovery: reindex any log frames missing from the time index (crash
-    /// between log append and index flush), collect the snapshot set, then
-    /// rebuild the latest graph. Each snapshot file it deletes and floor it
-    /// cannot decode is reported in `repairs`. Returns whether it indexed
-    /// any frame.
-    fn recover(&self, repairs: &mut Vec<Finding>) -> Result<bool> {
-        // Scan the log past the highest indexed frame (or from the start);
-        // the last frame indexed or scanned is the latest commit.
-        let mut latest_ts = 0;
-        let mut scan_from = 0;
-        if let Some((_, v)) = self.time_index.seek_floor(&keys::ts_key(TS_MAX))? {
-            let (frame, next) = self.log.read_at(decode_u64(&v)?)?;
-            (latest_ts, scan_from) = (frame.ts, next);
-        }
-        let mut indexed = false;
-        for entry in self.log.iter_from(scan_from) {
-            let entry = entry?;
-            latest_ts = entry.frame.ts;
-            self.time_index
-                .insert(&keys::ts_key(latest_ts), &entry.offset.to_le_bytes())?;
-            indexed = true;
-        }
+    /// Recovery: collect the snapshot set, then rebuild the latest graph.
+    /// Each snapshot file it deletes and floor it cannot decode is reported
+    /// in `repairs`.
+    fn recover(&self, repairs: &mut Vec<Finding>) -> Result<()> {
+        // The last frame is the latest commit.
+        let latest_ts = self.log.last_ts().unwrap_or(0);
         // The snapshot set is the valid files, checked in ascending ts: a
         // file is valid when its footer verifies, it names its own ts, that
         // ts is one the durable log reached, and every file it references
@@ -390,7 +331,7 @@ impl TimeStore {
             ops_since_snapshot,
             snapshots,
         };
-        Ok(indexed)
+        Ok(())
     }
 
     /// Reads the snapshot file at `ts` and checks its footer, version and
@@ -478,14 +419,16 @@ impl TimeStore {
             }
         }
         let frame = CommitFrame::from_updates(ts, updates);
-        let offset = self.log.append(&frame)?;
-        // The commit is in the log from here on: recovery replays it even
-        // if the index insert or in-memory apply below fails. `latest_ts`
-        // is published whether or not those steps fail, so a caller seeing
-        // an error can classify it: `latest_ts() < ts` means the log
-        // rejected the frame cleanly (nothing persisted, the same timestamp
-        // may be retried), `latest_ts() >= ts` means the commit reached the
-        // log and its durability is uncertain.
+        // The commit is in the log, and in its time index, from here on:
+        // recovery replays it even if the in-memory apply below fails, and
+        // a reader that rebuilds the version at `latest_ts()` finds every
+        // commit up to it. `latest_ts` is published whether or not the
+        // apply fails, so a caller seeing an error can classify it:
+        // `latest_ts() < ts` means the log rejected the frame cleanly
+        // (nothing persisted, the same timestamp may be retried),
+        // `latest_ts() >= ts` means the commit reached the log and its
+        // durability is uncertain.
+        self.log.append(&frame)?;
         self.metrics.log_appends.inc();
         {
             let mut chain = self.chain.lock();
@@ -493,11 +436,6 @@ impl TimeStore {
                 chain.touched.insert(Segment::of(u.entity()), ts);
             }
         }
-        // Indexed before it is published, so a reader that rebuilds the
-        // version at `latest_ts()` finds every commit up to it.
-        let indexed = self
-            .time_index
-            .insert(&keys::ts_key(ts), &offset.to_le_bytes());
         // Returns whether a snapshot is due.
         let publish = || {
             let mut state = self.state.lock();
@@ -507,16 +445,9 @@ impl TimeStore {
             self.policy
                 .should_snapshot(state.ops_since_snapshot, last_snapshot_ts, ts)
         };
-        let should_snapshot = match indexed {
-            // Published under the GraphStore's lock, so a read that pins
-            // the latest graph after seeing `ts` gets this commit applied.
-            Ok(()) => self.graphstore.apply_commit(ts, updates, publish)?,
-            Err(e) => {
-                publish();
-                return Err(e.into());
-            }
-        };
-        if should_snapshot {
+        // Published under the GraphStore's lock, so a read that pins the
+        // latest graph after seeing `ts` gets this commit applied.
+        if self.graphstore.apply_commit(ts, updates, publish)? {
             self.write_snapshot()?;
         }
         Ok(())
@@ -608,18 +539,9 @@ impl TimeStore {
     /// `getDiff(start, end)`: every update with commit ts in `[start, end)`,
     /// in timestamp order — the primitive behind incremental execution.
     pub fn diff(&self, start: Timestamp, end: Timestamp) -> Result<Vec<TimestampedUpdate>> {
-        if start >= end {
-            return Ok(Vec::new());
-        }
         let mut out = Vec::new();
-        let scan = self
-            .time_index
-            .scan(&keys::ts_key(start), &keys::ts_key(end))?;
-        for entry in scan {
-            let (_, v) = entry?;
-            let offset = decode_u64(&v)?;
-            let (frame, _) = self.log.read_at(offset)?;
-            out.extend(frame.to_updates());
+        for entry in self.log.iter_ts(start, end) {
+            out.extend(entry?.frame.to_updates());
         }
         Ok(out)
     }
@@ -767,7 +689,6 @@ impl TimeStore {
         let state = self.state.lock();
         TimeStoreStats {
             log_bytes: self.log.size_bytes(),
-            index_bytes: self.index_store.size_bytes(),
             snapshot_bytes: state.snapshots.values().sum(),
             snapshot_count: state.snapshots.len() as u64,
         }
@@ -779,13 +700,14 @@ impl TimeStore {
     }
 
     /// Every repair [`TimeStore::open`] made to the directory: a torn log
-    /// tail truncated, an index rebuilt from the log, a snapshot file
-    /// deleted, a floor snapshot that did not decode. Empty when the directory opened as it was last synced.
+    /// tail truncated, a snapshot file deleted, a floor snapshot that did
+    /// not decode. Empty when the directory opened as it was last synced.
     pub fn repairs(&self) -> &[Finding] {
         &self.repairs
     }
 
-    /// Flushes the time index and log to disk.
+    /// Makes the log durable, then records how far in
+    /// `timestore.log.durable`.
     pub fn sync(&self) -> Result<()> {
         // Capture the end *before* the fsync: a frame appended while the
         // fsync is in flight is not covered by it and must not be marked
@@ -797,10 +719,15 @@ impl TimeStore {
         // fetch_max keeps concurrent syncs from regressing the marker.
         self.durable_log_end.fetch_max(end, Ordering::AcqRel);
         // Record how far the log is now provably durable (log fsync above,
-        // marker made durable by the index fsync below — the marker can
-        // trail the log but never lead it).
-        self.index_store.set_root(SLOT_DURABLE_LOG_END, end);
-        self.index_store.sync()?;
+        // record made durable by its own fsync below, so it can trail the
+        // log but never lead it). Read under the file's lock, the value a
+        // write records never goes back.
+        let file = self.durable_end_file.lock();
+        let end = self.durable_log_end.load(Ordering::Acquire);
+        let mut record = end.to_le_bytes().to_vec();
+        record.extend_from_slice(&fnv64(&record).to_le_bytes());
+        file.write_all_at(&record, 0)?;
+        file.sync_data()?;
         Ok(())
     }
 
@@ -812,10 +739,4 @@ impl TimeStore {
     pub fn durable_log_end(&self) -> u64 {
         self.durable_log_end.load(Ordering::Acquire)
     }
-}
-
-fn decode_u64(v: &[u8]) -> Result<u64> {
-    v.try_into()
-        .map(u64::from_le_bytes)
-        .map_err(|_| GraphError::Storage("bad index value".into()))
 }

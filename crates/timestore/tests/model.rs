@@ -98,7 +98,6 @@ proptest! {
         let store = TimeStore::open(
             dir.path(),
             TimeStoreConfig {
-                cache_pages: 64,
                 policy,
                 graphstore_bytes: 1 << 20,
                 ..Default::default()

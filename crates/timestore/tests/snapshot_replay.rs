@@ -23,7 +23,6 @@ use workload::{commit_script, spread_ids, SimOpsConfig};
 
 fn config(policy: SnapshotPolicy) -> TimeStoreConfig {
     TimeStoreConfig {
-        cache_pages: 32,
         policy,
         graphstore_bytes: 1 << 20,
         ..Default::default()

@@ -57,7 +57,6 @@ fn history() -> Vec<(u64, Vec<Update>)> {
 
 fn config(policy: SnapshotPolicy) -> TimeStoreConfig {
     TimeStoreConfig {
-        cache_pages: 64,
         policy,
         graphstore_bytes: 4 << 20,
         ..Default::default()
@@ -288,8 +287,10 @@ fn replayed_snapshot_shares_untouched_chunks_with_its_base() {
     assert_eq!(base.chunks_diverged_from(&store.latest_graph()), 32 + 2);
 }
 
+/// A reopen reads every commit back from the log alone, with or without
+/// the durable-end record.
 #[test]
-fn recovery_reindexes_unflushed_index_tail() {
+fn reopen_reads_every_commit_back_from_the_log() {
     let dir = tempdir().unwrap();
     let commits = history();
     {
@@ -297,17 +298,59 @@ fn recovery_reindexes_unflushed_index_tail() {
         for (ts, ops) in &commits {
             store.append_commit(*ts, ops).unwrap();
         }
-        // Only the log is synced; the index pages may be lost.
         store.sync().unwrap();
     }
-    // Simulate losing the index entirely (worst case).
-    vfs::VfsRef::std()
-        .remove_file(&dir.path().join("timestore.idx"))
-        .unwrap();
-    let store = TimeStore::open(dir.path(), config(SnapshotPolicy::Never)).unwrap();
-    assert_eq!(store.latest_ts(), commits.last().unwrap().0);
-    let got = store.snapshot_at(45).unwrap();
-    assert!(got.same_as(&oracle_at(&commits, 45)));
+    let marker = dir.path().join(timestore::store::DURABLE_END_FILE);
+    for lose_marker in [false, true] {
+        if lose_marker {
+            vfs::VfsRef::std().remove_file(&marker).unwrap();
+        }
+        let store = TimeStore::open(dir.path(), config(SnapshotPolicy::Never)).unwrap();
+        assert!(store.repairs().is_empty(), "{:?}", store.repairs());
+        assert_eq!(store.latest_ts(), commits.last().unwrap().0);
+        for ts in [1, 45, 119] {
+            let got = store.snapshot_at(ts).unwrap();
+            assert!(got.same_as(&oracle_at(&commits, ts)), "at ts {ts}");
+        }
+        let diff = store.diff(31, 91).unwrap();
+        assert_eq!(diff.len(), 60);
+        assert!(diff.iter().all(|u| (31..91).contains(&u.ts)));
+    }
+}
+
+/// A durable commit costs the log append, the log fsync, and the 16-byte
+/// durable-end record with its own fsync: four mutating file operations.
+/// Besides `snapshots/` (implicit on a `SimVfs`), the directory holds the
+/// log and the record, nothing else.
+#[test]
+fn a_durable_commit_writes_the_log_and_the_durable_end_record_only() {
+    let sim = vfs::SimVfs::new(7);
+    let config = TimeStoreConfig {
+        vfs: vfs::VfsRef::new(std::sync::Arc::new(sim.clone())),
+        ..config(SnapshotPolicy::Never)
+    };
+    let dir = std::path::Path::new("/ts");
+    let store = TimeStore::open(dir, config.clone()).unwrap();
+    let before = sim.op_count();
+    store.append_commit(1, &[add_node(1)]).unwrap();
+    store.sync().unwrap();
+    assert_eq!(sim.op_count() - before, 4);
+    let before = sim.op_count();
+    store.append_commit(2, &[add_node(2)]).unwrap();
+    store.sync().unwrap();
+    assert_eq!(sim.op_count() - before, 4);
+    let mut files: Vec<String> = config
+        .vfs
+        .read_dir(dir)
+        .unwrap()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect();
+    files.sort();
+    assert_eq!(files, ["timestore.log", "timestore.log.durable"]);
+    let record = config.vfs.read(&dir.join("timestore.log.durable")).unwrap();
+    assert_eq!(record.len(), 16);
+    assert_eq!(record[..8], store.log().end_offset().to_le_bytes());
 }
 
 #[test]
@@ -319,7 +362,6 @@ fn stats_track_footprint() {
     }
     let stats = store.stats();
     assert!(stats.log_bytes > 0);
-    assert!(stats.index_bytes > 0);
     assert!(stats.snapshot_count >= 2);
     assert!(stats.snapshot_bytes > 0);
 }
@@ -382,20 +424,35 @@ fn open_reports_every_repair_it_makes() {
     drop(store);
     reopens_clean();
 
-    // An index that no longer matches its checksums is rebuilt.
-    let idx = dir.path().join("timestore.idx");
-    let mut bytes = vfs.read(&idx).unwrap();
-    bytes[9000] ^= 0xff;
-    vfs.write(&idx, &bytes).unwrap();
-    let store = open();
-    assert_eq!(checks(&store), ["repair/time-index"]);
-    assert!(store
-        .snapshot_at(60)
-        .unwrap()
-        .same_as(&oracle_at(&commits, 60)));
-    assert!(store.audit(true).unwrap().findings.is_empty());
-    drop(store);
-    reopens_clean();
+    // Without a durable-end record to check it against, every bad frame
+    // is a torn tail: truncated, not refused, whether the record is torn or
+    // gone.
+    let marker = dir.path().join(timestore::store::DURABLE_END_FILE);
+    for torn in [true, false] {
+        if torn {
+            let mut record = vfs.read(&marker).unwrap();
+            record[3] ^= 1;
+            vfs.write(&marker, &record).unwrap();
+        } else {
+            vfs.remove_file(&marker).unwrap();
+        }
+        let mut bytes = vfs.read(&log).unwrap();
+        let synced = bytes.len();
+        bytes.extend_from_slice(&[9, 0, 0, 0, 1, 2]);
+        vfs.write(&log, &bytes).unwrap();
+        let store = open();
+        assert_eq!(checks(&store), ["repair/log-tail"]);
+        assert!(store.repairs()[0]
+            .detail
+            .contains(&format!("offset {synced}")));
+        assert!(store
+            .snapshot_at(60)
+            .unwrap()
+            .same_as(&oracle_at(&commits, 60)));
+        assert!(store.audit(true).unwrap().findings.is_empty());
+        drop(store);
+        reopens_clean();
+    }
 }
 
 /// The snapshot schedule carries over a reopen: the newest snapshot and

@@ -11,8 +11,9 @@
 //! * written before leaf cells had a varint header, or before neighbour
 //!   keys were compact: the page files carry the page-file magic `AIONPGS1`
 //!   or `AIONPGS2` behind a *valid* checksum sidecar;
-//! * written while the TimeStore kept a `ts → snapshot file` tree: its
-//!   index file has a root at slot 1 behind a *valid* checksum sidecar.
+//! * written while the TimeStore kept its `ts → log offset` tree: a
+//!   `timestore.idx` page file with its checksum sidecar, and no
+//!   durable-end record next to the log. Open deletes both files.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
@@ -146,7 +147,7 @@ fn assert_history(db: &Aion, history: &[(u64, Arc<Graph>)]) {
 fn old_checksums_are_rebuilt_from_the_log() {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
-    let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
+    let page_files = [dir.join("lineage.db")];
     let history = write_history(dir);
     let snapshots = snapshot_files(dir);
     assert!(
@@ -234,7 +235,7 @@ fn version_1_snapshots_are_dropped_at_open() {
 fn old_page_files_are_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
-    let page_files = [dir.join("lineage.db"), dir.join("timestore/timestore.idx")];
+    let page_files = [dir.join("lineage.db")];
     let history = write_history(dir);
     let mut snapshots = snapshot_files(dir);
     snapshots.sort();
@@ -281,46 +282,56 @@ fn version_2_page_files_are_rebuilt_at_open() {
     old_page_files_are_rebuilt_at_open(b'2');
 }
 
-/// Gives the TimeStore's index file a root at slot 1, where older versions
-/// kept the `snapshot-index` tree, and syncs so the file still verifies
-/// against its checksum sidecar.
-fn set_slot_1_root(index_file: &Path) {
+/// Writes the TimeStore's index page file the way an older build left it:
+/// a tree root at slot 0 and the durable log end at slot 2, synced, so the
+/// file verifies against its checksum sidecar.
+fn write_old_index_file(index_file: &Path, log_end: u64) {
     let store = PageStore::open(index_file, 4).unwrap();
     let page = store.allocate().unwrap();
-    store.set_root(1, page.0);
+    store.set_root(0, page.0);
+    store.set_root(2, log_end);
     store.sync().unwrap();
 }
 
 #[test]
-fn an_index_with_a_slot_1_root_is_rebuilt_at_open() {
+fn an_index_file_from_an_older_build_is_deleted_at_open() {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
-    let index_file = dir.join("timestore/timestore.idx");
+    let ts_dir = dir.join("timestore");
+    let old_files = [
+        ts_dir.join("timestore.idx"),
+        ts_dir.join("timestore.idx.sums"),
+    ];
+    let marker = ts_dir.join(timestore::store::DURABLE_END_FILE);
     let history = write_history(dir);
     let mut snapshots = snapshot_files(dir);
     snapshots.sort();
-    set_slot_1_root(&index_file);
-    PageStore::open_with_vfs(&VfsRef::std(), &index_file, 4, true).unwrap();
+    let log_len = VfsRef::std()
+        .read(&ts_dir.join("timestore.log"))
+        .unwrap()
+        .len();
+    VfsRef::std().remove_file(&marker).unwrap();
+    write_old_index_file(&old_files[0], log_len as u64);
+    assert!(old_files.iter().all(|f| f.exists()));
 
     {
         let db = Aion::open(config(dir)).unwrap();
-        let repairs = db.timestore().repairs();
-        assert_eq!(repairs.len(), 1, "{repairs:?}");
-        assert_eq!(repairs[0].check, "repair/time-index");
-        assert!(repairs[0].detail.contains("older version"), "{repairs:?}");
+        assert!(old_files.iter().all(|f| !f.exists()), "deleted at open");
+        assert!(
+            db.timestore().repairs().is_empty(),
+            "{:?}",
+            db.timestore().repairs()
+        );
         // The snapshot files did not change: they are kept.
         let mut kept = snapshot_files(dir);
         kept.sort();
         assert_eq!(kept, snapshots);
         assert_history(&db, &history);
+        // Open recorded how far the log it found is durable.
+        assert_eq!(db.timestore().durable_log_end(), log_len as u64);
+        assert_eq!(VfsRef::std().read(&marker).unwrap().len(), 16);
     }
-    let store = PageStore::open_with_vfs(&VfsRef::std(), &index_file, 4, true).unwrap();
-    assert_eq!(
-        store.root(1),
-        u64::MAX,
-        "the rebuilt index has no root there"
-    );
-    drop(store);
     let db = Aion::open(config(dir)).unwrap();
-    assert!(db.timestore().repairs().is_empty(), "rebuilt once");
+    assert!(db.timestore().repairs().is_empty());
+    assert_history(&db, &history);
 }

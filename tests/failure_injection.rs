@@ -1,6 +1,6 @@
 //! Failure injection: crashes between the synchronous TimeStore append and
-//! the asynchronous LineageStore cascade, torn log tails, lost index
-//! files and corrupt snapshot files — in every case the change log is the
+//! the asynchronous LineageStore cascade, torn log tails, a lost durable-end
+//! record and corrupt snapshot files — in every case the change log is the
 //! source of truth and recovery must restore a fully consistent system.
 
 use aion::{Aion, AionConfig};
@@ -188,7 +188,7 @@ fn corrupt_snapshot_file_falls_back_to_log_replay() {
 }
 
 #[test]
-fn index_file_lost_rebuilt_from_log() {
+fn durable_end_record_lost_history_still_reads_back() {
     let dir = tempdir().unwrap();
     let last;
     {
@@ -196,12 +196,14 @@ fn index_file_lost_rebuilt_from_log() {
         last = seed(&db, 15);
         db.sync().unwrap();
     }
-    std::fs::remove_file(dir.path().join("timestore").join("timestore.idx")).unwrap();
+    let ts_dir = dir.path().join("timestore");
+    std::fs::remove_file(ts_dir.join(timestore::store::DURABLE_END_FILE)).unwrap();
     let db = Aion::open(AionConfig::new(dir.path())).unwrap();
+    assert!(db.timestore().repairs().is_empty());
     assert_eq!(db.latest_ts(), last);
     let diff = db.get_diff(1, last + 1).unwrap();
     assert_eq!(diff.len(), 30);
-    // Interleaved reads across the rebuilt index.
+    // Interleaved reads across the log's time index.
     for probe in [1, last / 3, last / 2, last] {
         let g = db.get_graph_at(probe).unwrap();
         g.check_consistency().unwrap();

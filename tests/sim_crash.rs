@@ -77,7 +77,6 @@ fn db_config(sim: &SimVfs, sync_on_commit: bool) -> AionConfig {
     cfg.sync_on_commit = sync_on_commit;
     // Small snapshot cadence so workloads cross snapshot boundaries.
     cfg.timestore.policy = SnapshotPolicy::EveryNOps(10);
-    cfg.timestore.cache_pages = 64;
     cfg.timestore.graphstore_bytes = 4 << 20;
     cfg.lineage.cache_pages = 64;
     cfg
@@ -361,7 +360,6 @@ fn group_commit_crash_recovery_with_concurrent_writers() {
         cfg.sync_on_commit = sync_on_commit;
         cfg.commit_latency_budget = std::time::Duration::from_millis(1);
         cfg.timestore.policy = SnapshotPolicy::EveryNOps(16);
-        cfg.timestore.cache_pages = 64;
         cfg.lineage.cache_pages = 64;
         cfg
     }
