@@ -1,13 +1,9 @@
 //! Ablations for the design decisions DESIGN.md §5 calls out:
 //!
-//! 1. **GraphStore cache** — snapshot retrieval with a warm in-memory
-//!    snapshot cache versus a cold (1-byte budget) one. The paper observes
-//!    the large-graph regime where "the GraphStore cannot cache multiple
-//!    snapshots" costs Aion most of its Fig. 7 lead.
-//! 2. **Sync vs async LineageStore** — end-to-end ingestion throughput with
+//! 1. **Sync vs async LineageStore** — end-to-end ingestion throughput with
 //!    the cascade on the critical path vs in the background (the Sec. 5.1
 //!    design decision that Fig. 9 motivates).
-//! 3. **Planner threshold** — how the store choice for n-hop expansions
+//! 2. **Planner threshold** — how the store choice for n-hop expansions
 //!    flips as the threshold moves, validating 30 % as a sensible default
 //!    against the measured Fig. 8 crossover.
 
@@ -15,19 +11,15 @@ use crate::common::{banner, fmt_rate, ingest_aion, BenchConfig, Timer};
 use aion::planner::Planner;
 use aion::{Aion, AionConfig};
 use lineagestore::LineageStoreConfig;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use tempfile::tempdir;
 use timestore::{SnapshotPolicy, TimeStoreConfig};
 
-fn open_with(dir: &std::path::Path, graphstore_bytes: usize, sync_lineage: bool) -> Aion {
+fn open_with(dir: &std::path::Path, sync_lineage: bool) -> Aion {
     let mut cfg = AionConfig::new(dir);
     cfg.sync_lineage = sync_lineage;
     cfg.timestore = TimeStoreConfig {
-        // Dense snapshots keep forward replay short, so the base-snapshot
-        // acquisition cost (cache hit vs disk read + decode) dominates.
+        // Dense snapshots: ingest writes one every 1 000 updates.
         policy: SnapshotPolicy::EveryNOps(1_000),
-        graphstore_bytes,
         ..Default::default()
     };
     cfg.lineage = LineageStoreConfig {
@@ -38,43 +30,13 @@ fn open_with(dir: &std::path::Path, graphstore_bytes: usize, sync_lineage: bool)
     Aion::open(cfg).expect("open")
 }
 
-/// Runs all three ablations.
+/// Runs both ablations.
 pub fn run(cfg: &BenchConfig) {
-    graphstore_cache(cfg);
     sync_vs_async(cfg);
     threshold_sweep(cfg);
 }
 
-/// Ablation 1: GraphStore warm vs cold.
-pub fn graphstore_cache(cfg: &BenchConfig) {
-    banner(
-        "Ablation — GraphStore snapshot cache (warm vs cold)",
-        "cold cache forces disk snapshot reads + full replay per retrieval",
-    );
-    let w = cfg.workload("WikiTalk");
-    println!("{:<22} {:>16}", "configuration", "snapshot time");
-    for (budget, label) in [(256usize << 20, "warm (256 MiB)"), (1, "cold (disabled)")] {
-        let dir = tempdir().expect("tempdir");
-        let db = open_with(dir.path(), budget, true);
-        ingest_aion(&db, &w);
-        db.sync().expect("sync");
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let probes: Vec<u64> = (0..cfg.snapshot_runs)
-            .map(|_| w.random_ts(&mut rng))
-            .collect();
-        let t = Timer::start();
-        for &ts in &probes {
-            std::hint::black_box(db.get_graph_at(ts).expect("snapshot").node_count());
-        }
-        println!(
-            "{:<22} {:>13.3} ms",
-            label,
-            t.secs() / probes.len() as f64 * 1e3
-        );
-    }
-}
-
-/// Ablation 2: synchronous vs asynchronous LineageStore updates.
+/// Ablation 1: synchronous vs asynchronous LineageStore updates.
 pub fn sync_vs_async(cfg: &BenchConfig) {
     banner(
         "Ablation — LineageStore on vs off the write critical path",
@@ -85,7 +47,7 @@ pub fn sync_vs_async(cfg: &BenchConfig) {
     let mut rates = Vec::new();
     for (sync, label) in [(true, "synchronous (TS+LS)"), (false, "async cascade")] {
         let dir = tempdir().expect("tempdir");
-        let db = open_with(dir.path(), 64 << 20, sync);
+        let db = open_with(dir.path(), sync);
         let t = Timer::start();
         ingest_aion(&db, &w); // barriers on the cascade at the end
         let commit_rate = t.ops_per_sec(w.updates.len());
@@ -98,7 +60,7 @@ pub fn sync_vs_async(cfg: &BenchConfig) {
     );
 }
 
-/// Ablation 3: planner threshold sweep against the measured crossover.
+/// Ablation 2: planner threshold sweep against the measured crossover.
 pub fn threshold_sweep(cfg: &BenchConfig) {
     banner(
         "Ablation — planner threshold sweep",
@@ -106,7 +68,7 @@ pub fn threshold_sweep(cfg: &BenchConfig) {
     );
     let w = cfg.workload("WikiTalk");
     let dir = tempdir().expect("tempdir");
-    let db = open_with(dir.path(), 64 << 20, true);
+    let db = open_with(dir.path(), true);
     ingest_aion(&db, &w);
     let latest = db.latest_graph();
     print!("{:<12}", "threshold");

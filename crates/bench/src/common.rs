@@ -75,7 +75,6 @@ pub fn open_aion(dir: &Path, sync_lineage: bool) -> Aion {
     cfg.sync_lineage = sync_lineage;
     cfg.timestore = TimeStoreConfig {
         policy: SnapshotPolicy::EveryNOps(5_000),
-        graphstore_bytes: 128 << 20,
         ..Default::default()
     };
     cfg.lineage = LineageStoreConfig {

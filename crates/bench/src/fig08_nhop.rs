@@ -77,8 +77,9 @@ pub fn run(cfg: &BenchConfig) -> Vec<NHopRow> {
 
             // TimeStore: "point or subgraph queries require the creation
             // of a snapshot" (Sec. 4.3) — charge the |G| materialization
-            // (the GraphStore may cache the reconstructed state, but the
-            // query still copies a working snapshot) plus the traversal.
+            // (the GraphStore serves the reconstructed state only while a
+            // reader holds it, and the query still copies a working
+            // snapshot) plus the traversal.
             let t = Timer::start();
             for (s, at) in &starts {
                 let snap = (*db.get_graph_at(*at).expect("snapshot")).clone();

@@ -64,7 +64,6 @@ pub fn run(cfg: &BenchConfig) -> Vec<IngestRow> {
             dir.path().join("ts"),
             TimeStoreConfig {
                 policy: SnapshotPolicy::EveryNOps(5_000),
-                graphstore_bytes: 64 << 20,
                 ..Default::default()
             },
         )
@@ -97,7 +96,6 @@ pub fn run(cfg: &BenchConfig) -> Vec<IngestRow> {
             dir2.path().join("ts"),
             TimeStoreConfig {
                 policy: SnapshotPolicy::EveryNOps(5_000),
-                graphstore_bytes: 64 << 20,
                 ..Default::default()
             },
         )

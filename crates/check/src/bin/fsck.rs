@@ -202,7 +202,7 @@ fn generate_db(
     }
     ts.write_snapshot()?;
     // Read back a few historical points: this exercises snapshot replay,
-    // the GraphStore cache and lineage expansion, so a `--metrics` run
+    // the GraphStore's registry and lineage expansion, so a `--metrics` run
     // reports the read path of every layer, not just ingest.
     let mid = ts.snapshot_at(t / 2)?;
     let latest = ts.snapshot_at(t)?;

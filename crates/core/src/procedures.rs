@@ -37,7 +37,7 @@ pub struct SeriesResult<T> {
 impl Aion {
     /// Materializes the snapshot time points `start, start+step, … < end`.
     /// A `step` of 0 would never reach `end` and is refused.
-    fn series_times(start: Timestamp, end: Timestamp, step: u64) -> Result<Vec<Timestamp>> {
+    pub fn series_times(start: Timestamp, end: Timestamp, step: u64) -> Result<Vec<Timestamp>> {
         if step == 0 {
             return Err(GraphError::InvalidTimeRange);
         }

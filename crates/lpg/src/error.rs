@@ -76,6 +76,9 @@ pub enum GraphError {
     },
     /// The query referenced an unknown label, key, or parameter.
     Unknown(String),
+    /// The query has a part the executor cannot evaluate yet, named in the
+    /// message; running the query without it would widen the answer.
+    Unsupported(String),
 }
 
 impl fmt::Display for GraphError {
@@ -115,6 +118,7 @@ impl fmt::Display for GraphError {
                  exists; route writes to the current primary"
             ),
             GraphError::Unknown(what) => write!(f, "unknown reference: {what}"),
+            GraphError::Unsupported(what) => write!(f, "not supported: {what}"),
         }
     }
 }

@@ -108,7 +108,7 @@ impl PropertyValue {
     }
 
     /// The in-memory footprint estimate in bytes, used for Table 3-style
-    /// memory accounting and GraphStore eviction sizing.
+    /// memory accounting.
     pub fn heap_size(&self) -> usize {
         match self {
             PropertyValue::IntArray(v) => v.len() * 8,

@@ -85,8 +85,11 @@ impl<'a> Scope<'a> {
         let valid = move |iv: &Interval| (!point).then_some((iv.start, iv.end));
         let var = pattern.start.var.as_deref().unwrap_or("_anchor");
         let Some((rel, end_node)) = &pattern.rel else {
-            let label = pattern.start.label.as_deref().map(|l| db.intern(l));
-            let wanted = move |n: &lpg::Node| label.is_none_or(|l| n.has_label(l));
+            // No label in the pattern filters nothing; a label the table
+            // does not hold (`Some(None)`) matches nothing.
+            let label = pattern.start.label.as_deref().map(|l| interner.get(l));
+            let wanted =
+                move |n: &lpg::Node| label.is_none_or(|l| l.is_some_and(|l| n.has_label(l)));
             if let Some(id) = self.id_of(&pattern.start.var) {
                 // Point or history lookup by id. A point lookup asks for
                 // `[at, at]` so the lineage serves it once it covers `at`.
@@ -138,7 +141,19 @@ impl<'a> Scope<'a> {
         };
         let end_var = end_node.var.as_deref();
         if rel.hops > 1 {
-            // Variable-length expansion (Fig. 1b): planner-routed.
+            // Variable-length expansion (Fig. 1b): planner-routed. It binds
+            // end nodes only; a filter it would drop widens the answer.
+            let dropped = [
+                (rel.rel_type.is_some(), "a relationship type"),
+                (rel.var.is_some(), "a relationship variable"),
+                (!rel.props.is_empty(), "relationship properties"),
+            ];
+            if let Some((_, part)) = dropped.iter().find(|(has, _)| *has) {
+                return Err(GraphError::Unsupported(format!(
+                    "variable-length pattern `*{}` with {part}",
+                    rel.hops
+                )));
+            }
             let hits = db.expand(anchor, dir, rel.hops, at)?;
             return Ok(Box::new(hits.into_iter().filter_map(move |(id, hop)| {
                 let node = match db.get_node(id, at, at) {
@@ -155,7 +170,8 @@ impl<'a> Scope<'a> {
         }
         // Single hop: bind anchor, rel and — resolved per pulled row — the
         // neighbour as of the relationship version's start.
-        let rel_type = rel.rel_type.as_deref().map(|t| db.intern(t));
+        // As for labels: `Some(None)` is a type nobody wrote.
+        let rel_type = rel.rel_type.as_deref().map(|t| interner.get(t));
         let histories = db.get_relationships(anchor, dir, start, end)?;
         let anchor_value = db
             .get_node(anchor, start, end)?
@@ -166,7 +182,7 @@ impl<'a> Scope<'a> {
             histories
                 .into_iter()
                 .flatten()
-                .filter(move |v| rel_type.is_none_or(|t| v.data.label == Some(t)))
+                .filter(move |v| rel_type.is_none_or(|t| t.is_some() && v.data.label == t))
                 .map(move |v| {
                     let mut b = Binding::new();
                     if let Some(an) = &anchor_value {
@@ -334,8 +350,8 @@ fn app_time_pass(db: &Aion, v: &Value, range: TimeRange) -> bool {
     };
     let mut bag: lpg::Props = Vec::new();
     for (k, v) in props {
-        if let Value::Int(x) = v {
-            let kid = db.intern(k);
+        // A key the table does not hold is no app-time key.
+        if let (Value::Int(x), Some(kid)) = (v, db.interner().get(k)) {
             bag.push((kid, PropertyValue::Int(*x)));
         }
     }

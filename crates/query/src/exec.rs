@@ -772,12 +772,21 @@ fn run_call(db: &Aion, name: &str, args: &[Literal], params: &Params) -> Result<
                     "aion.avg: first argument must be the property name".into(),
                 ));
             };
-            let key = db.intern(prop);
-            let series = db.proc_avg_series(key, int_at(1)?, int_at(2)?, int_at(3)?, mode_at(4))?;
+            let (start, end, step) = (int_at(1)?, int_at(2)?, int_at(3)?);
+            let points = match db.interner().get(prop) {
+                Some(key) => {
+                    db.proc_avg_series(key, start, end, step, mode_at(4))?
+                        .points
+                }
+                // A key the table does not hold is on no relationship.
+                None => Aion::series_times(start, end, step)?
+                    .into_iter()
+                    .map(|ts| (ts, None))
+                    .collect(),
+            };
             Ok(QueryResult {
                 columns: vec!["ts".into(), "avg".into()],
-                rows: series
-                    .points
+                rows: points
                     .into_iter()
                     .map(|(ts, v)| {
                         vec![

@@ -304,3 +304,79 @@ fn order_by_and_limit() {
     let r = exec(&db, "MATCH (n:Person) RETURN n LIMIT 2");
     assert_eq!(r.rows.len(), 2);
 }
+
+/// The seed chain plus `LIKES` relationships 0 → 2 → 4: a second type.
+fn seed_two_types(db: &Aion) -> u64 {
+    seed(db);
+    for (i, (a, b)) in [(0, 2), (2, 4)].into_iter().enumerate() {
+        exec(
+            db,
+            &format!(
+                "MATCH (a), (b) WHERE id(a) = {a} AND id(b) = {b} CREATE (a)-[:LIKES {{_id: {}}}]->(b)",
+                10 + i
+            ),
+        );
+    }
+    db.latest_ts()
+}
+
+#[test]
+fn variable_length_patterns_refuse_the_filters_they_cannot_apply() {
+    let (_d, db) = db();
+    let last = seed_two_types(&db);
+    db.lineage_barrier(last);
+    // Untyped, the expansion follows both types: 0 reaches 1 and 2 in one
+    // hop, 2, 3 and 4 in two.
+    let r = exec(
+        &db,
+        "MATCH (a)-[*2]->(m) WHERE id(a) = 0 RETURN id(m) ORDER BY id(m)",
+    );
+    let ids: Vec<Value> = r.rows.into_iter().flatten().collect();
+    assert_eq!(ids, (1..=4).map(Value::Int).collect::<Vec<_>>());
+    // A type, a variable or a property map would be dropped, widening the
+    // answer past `KNOWS`: each is refused, naming the part.
+    for (pattern, part) in [
+        ("[:KNOWS*2]", "relationship type"),
+        ("[r*2]", "relationship variable"),
+        ("[*2 {_id: 1}]", "relationship properties"),
+    ] {
+        let q = format!("MATCH (a)-{pattern}->(m) WHERE id(a) = 0 RETURN m");
+        match execute(&db, &q, &Params::new()) {
+            Err(lpg::GraphError::Unsupported(msg)) => assert!(msg.contains(part), "{q}: {msg}"),
+            other => panic!("{q}: expected Unsupported, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn reads_never_intern() {
+    let (_d, db) = db();
+    let last = seed(&db);
+    db.lineage_barrier(last);
+    let before = db.interner().len();
+    let count = |q: &str| exec(&db, q).rows;
+    // No label filters nothing; a label nobody wrote matches nothing.
+    assert_eq!(
+        count("MATCH (n) RETURN count(n)"),
+        vec![vec![Value::Int(5)]]
+    );
+    assert_eq!(
+        count("MATCH (n:Ghost) RETURN count(n)"),
+        vec![vec![Value::Int(0)]]
+    );
+    // Likewise for a relationship type.
+    assert_eq!(
+        count("MATCH (a)-[r]->(b) WHERE id(a) = 0 RETURN r").len(),
+        1
+    );
+    assert!(count("MATCH (a)-[r:HAUNTS]->(b) WHERE id(a) = 0 RETURN r").is_empty());
+    // App-time keys and `aion.avg`'s key.
+    count(&format!(
+        "USE GDB FOR SYSTEM_TIME AS OF {last} MATCH (n:Wraith) WHERE id(n) = 1 \
+         AND APPLICATION_TIME CONTAINED IN (1, 2) RETURN n"
+    ));
+    let avg = count(&format!("CALL aion.avg('ectoplasm', 1, {}, 2)", last + 1));
+    assert!(!avg.is_empty());
+    assert!(avg.iter().all(|row| row[1] == Value::Null));
+    assert_eq!(db.interner().len(), before, "a read interned a string");
+}

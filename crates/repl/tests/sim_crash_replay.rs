@@ -53,7 +53,6 @@ fn replica_config(sim: &SimVfs) -> AionConfig {
     cfg.sync_lineage = true;
     // Small snapshot cadence so replay crosses snapshot boundaries.
     cfg.timestore.policy = SnapshotPolicy::EveryNOps(10);
-    cfg.timestore.graphstore_bytes = 4 << 20;
     cfg.lineage.cache_pages = 64;
     cfg
 }

@@ -1,5 +1,5 @@
-//! GraphStore: the in-memory snapshot cache plus the always-current latest
-//! graph (Sec. 4.3 "an in-memory Least Recently Used (LRU) cache for
+//! GraphStore: the latest graph, always current, plus every historical
+//! version a reader still holds (Sec. 4.3 "an in-memory … cache for
 //! snapshots called GraphStore"; Sec. 5.1 "we maintain the latest graph
 //! in-memory … by synchronously applying all committed graph updates",
 //! HTAP-style).
@@ -8,107 +8,84 @@
 //! (the CoW discipline of Sec. 5.2). `lpg::Graph` is itself structurally
 //! shared, so a commit that finds the latest graph held by a reader copies
 //! the ≤ 3 chunks per update it lands in and the spine page of each
-//! (`timestore.latest.cow_chunks`), never the graph; a replayed entry shares
-//! every chunk the replay did not touch with its base, and entries loaded
-//! from snapshot files share the relationship segments the files share with
-//! each other and with the latest graph: every relationship chunk no commit
-//! changed since the file that holds it was written
+//! (`timestore.latest.cow_chunks`), never the graph; a replayed version
+//! shares every chunk the replay did not touch with its base, and versions
+//! loaded from snapshot files share the relationship segments the files
+//! share with each other and with the latest graph: every relationship
+//! chunk no commit changed since the file that holds it was written
 //! (`encoding::snapshot::SharedSegments`).
 //!
-//! The byte budget counts `Graph::heap_size()`: every entry is charged in
-//! full when it is inserted, shared chunks included (those it shares with
-//! the latest graph too, which the budget does not hold), so the entries
-//! never charge more than `budget` together and hold less, being shared.
-//! `heap_size()` counts the bytes the graph's structures hold, not what the
-//! allocator spends on them (its per-block header and rounding): building
-//! `aion-perf`'s final graph charges 9.9 MB and grows the resident set by
-//! 10.5 MB. The gauges `timestore.graphstore.bytes` and
-//! `timestore.graphstore.entries` report what the historical cache is
-//! charged and how many graphs it holds.
+//! **The version registry.** The store keeps one `ts → Weak<Graph>` map
+//! and no copies. Two things register a version there: a read at the
+//! implicit latest time, which takes the latest graph and its timestamp in
+//! one step ([`GraphStore::pin_latest`]) and holds that `Arc` until it
+//! ends, and `TimeStore::snapshot_at`, for the graph it loads or replays
+//! and returns. Every registration first sweeps the entries nobody holds
+//! any more. [`GraphStore::get`] (an exact timestamp) and
+//! [`GraphStore::floor`] (the replay base of Sec. 4.3's "closest
+//! snapshot" lookup) hand out live entries only. So a version lives
+//! exactly as long as some reader holds it: a commit landing in the middle
+//! of a read costs the writer one page and one chunk per chunk it touches
+//! (the copy-on-write of a held graph), and the reader's own
+//! `snapshot_at(ts)` finds its version instead of rebuilding it from a
+//! snapshot file and the log. Ingest, which holds nothing, parks nothing.
+//! The gauge `timestore.graphstore.versions` reports how many versions are
+//! alive as of the last registration.
 //!
-//! The historical cache is **demand-filled**: only reads put graphs there
-//! (`TimeStore::snapshot_at` caches what it loads or replays). Writing a
-//! snapshot file and recovery do not: that would keep a snapshot resident
-//! that no reader asked for. Nor do pins:
-//!
-//! **Pinned versions.** A read at the implicit latest time takes the
-//! latest graph and its timestamp in one step ([`GraphStore::pin_latest`])
-//! and holds that `Arc` until it ends. The store remembers each pin as a
-//! `ts → Weak<Graph>` entry, swept of dead entries on every pin, and
-//! [`GraphStore::pinned`] hands the version out again while any reader
-//! still holds it. So a commit landing in the middle of a read costs the
-//! writer one page and one chunk per chunk it touches (the copy-on-write of
-//! a held graph), and the reader's own `snapshot_at(ts)` finds its version
-//! instead of rebuilding it from a snapshot file and the log. A pinned
-//! version lives exactly as long as a reader holds it; it is never charged
-//! to the byte budget, and ingest, which pins nothing, pays nothing.
+//! The paper's GraphStore is an LRU over copies under a byte budget. An
+//! LRU only wins when the same time is asked for again before its entry is
+//! evicted, and it keeps every graph it was handed resident until then;
+//! EXPERIMENTS.md records what it won and what it cost here.
 
 use lpg::{Graph, Timestamp, Update};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
-struct Entry {
-    graph: Arc<Graph>,
-    /// Drives LRU eviction.
-    tick: u64,
-    /// `graph.heap_size()` when it was inserted (a cached graph is never
-    /// mutated): eviction must not walk graphs under the store's mutex.
-    bytes: usize,
-}
-
 struct Inner {
-    /// Cached historical snapshots keyed by timestamp; `BTreeMap` gives us
-    /// the floor lookup.
-    cache: BTreeMap<Timestamp, Entry>,
-    bytes: usize,
-    tick: u64,
     latest: Arc<Graph>,
     latest_ts: Timestamp,
-    /// The versions readers pinned, by timestamp (see the module doc).
-    pinned: BTreeMap<Timestamp, Weak<Graph>>,
+    /// The versions readers hold, by timestamp (see the module doc).
+    versions: BTreeMap<Timestamp, Weak<Graph>>,
 }
 
-/// In-memory snapshot cache with a byte budget, plus the latest graph.
+/// The latest graph plus the registry of the versions readers hold.
 pub struct GraphStore {
     inner: Mutex<Inner>,
-    budget: usize,
     /// `timestore.latest.cow_copies`: commits that found the latest graph
     /// shared with a reader.
     cow_copies: Arc<obs::Counter>,
     /// `timestore.latest.cow_chunks`: chunks those commits had to copy (or
     /// create) instead of updating in place.
     cow_chunks: Arc<obs::Counter>,
-    /// `timestore.pins`: pinned versions still alive, as of the last pin.
-    pins: Arc<obs::Gauge>,
-    /// `timestore.graphstore.bytes`: what the historical cache's entries
-    /// are charged together, as of the last `put`.
-    cached_bytes: Arc<obs::Gauge>,
-    /// `timestore.graphstore.entries`: how many it holds, likewise.
-    entries: Arc<obs::Gauge>,
+    /// `timestore.graphstore.versions`: registered versions still alive,
+    /// as of the last registration.
+    live: Arc<obs::Gauge>,
 }
 
 impl GraphStore {
-    /// A store whose historical cache may hold up to `budget_bytes` of
-    /// estimated graph heap (the latest graph is not counted — it must
-    /// always be resident).
-    pub fn new(budget_bytes: usize) -> GraphStore {
+    /// An empty latest graph and an empty registry.
+    pub(crate) fn new() -> GraphStore {
         GraphStore {
             inner: Mutex::new(Inner {
-                cache: BTreeMap::new(),
-                bytes: 0,
-                tick: 0,
                 latest: Arc::new(Graph::new()),
                 latest_ts: 0,
-                pinned: BTreeMap::new(),
+                versions: BTreeMap::new(),
             }),
-            budget: budget_bytes,
             cow_copies: obs::counter("timestore.latest.cow_copies"),
             cow_chunks: obs::counter("timestore.latest.cow_chunks"),
-            pins: obs::gauge("timestore.pins"),
-            cached_bytes: obs::gauge("timestore.graphstore.bytes"),
-            entries: obs::gauge("timestore.graphstore.entries"),
+            live: obs::gauge("timestore.graphstore.versions"),
         }
+    }
+
+    /// Sweeps the dead entries, then registers `graph` at `ts` unless a
+    /// live version is registered there already.
+    fn register_locked(&self, g: &mut Inner, ts: Timestamp, graph: &Arc<Graph>) {
+        g.versions.retain(|_, v| v.strong_count() > 0);
+        g.versions
+            .entry(ts)
+            .or_insert_with(|| Arc::downgrade(graph));
+        self.live.set(g.versions.len() as i64);
     }
 
     /// Applies one committed transaction to the latest graph, returning
@@ -145,25 +122,25 @@ impl GraphStore {
     }
 
     /// The latest graph and its timestamp, pinned: until every clone of the
-    /// returned `Arc` is dropped, [`Self::pinned`] finds it at that
-    /// timestamp. `None`, pinning nothing, while the latest graph is older
-    /// than `at_least`, which only a commit that failed to apply here
-    /// leaves behind.
+    /// returned `Arc` is dropped, [`Self::get`] finds it at that timestamp.
+    /// `None`, pinning nothing, while the latest graph is older than
+    /// `at_least`, which only a commit that failed to apply here leaves
+    /// behind.
     pub fn pin_latest(&self, at_least: Timestamp) -> Option<(Timestamp, Arc<Graph>)> {
         let mut g = self.inner.lock();
         if g.latest_ts < at_least {
             return None;
         }
-        g.pinned.retain(|_, v| v.strong_count() > 0);
         let (ts, graph) = (g.latest_ts, g.latest.clone());
-        g.pinned.entry(ts).or_insert_with(|| Arc::downgrade(&graph));
-        self.pins.set(g.pinned.len() as i64);
+        self.register_locked(&mut g, ts, &graph);
         Some((ts, graph))
     }
 
-    /// The version a reader pinned at exactly `ts`, while one holds it.
-    pub fn pinned(&self, ts: Timestamp) -> Option<Arc<Graph>> {
-        self.inner.lock().pinned.get(&ts)?.upgrade()
+    /// Registers `graph` as the version at `ts` while some reader holds
+    /// it. The caller vouches that no commit at or before `ts` is still to
+    /// come, so that the version never changes.
+    pub(crate) fn register(&self, ts: Timestamp, graph: &Arc<Graph>) {
+        self.register_locked(&mut self.inner.lock(), ts, graph);
     }
 
     /// Replaces the latest graph wholesale (recovery).
@@ -173,78 +150,24 @@ impl GraphStore {
         g.latest_ts = ts;
     }
 
-    /// Caches a historical snapshot, evicting LRU entries past the budget.
-    pub fn put(&self, ts: Timestamp, graph: Arc<Graph>) {
-        let bytes = graph.heap_size();
-        if bytes > self.budget {
-            return; // would evict everything else for one entry
-        }
-        let mut g = self.inner.lock();
-        g.tick += 1;
-        let tick = g.tick;
-        if let Some(old) = g.cache.insert(ts, Entry { graph, tick, bytes }) {
-            g.bytes -= old.bytes;
-        }
-        g.bytes += bytes;
-        while g.bytes > self.budget {
-            // Evict the least recently used snapshot. An empty cache with
-            // a non-zero byte count would be an accounting bug; reset the
-            // counter instead of panicking.
-            let victim = g
-                .cache
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(ts, _)| *ts);
-            let Some(victim) = victim else {
-                g.bytes = 0;
-                break;
-            };
-            if let Some(old) = g.cache.remove(&victim) {
-                g.bytes -= old.bytes;
-            }
-        }
-        self.cached_bytes.set(g.bytes as i64);
-        self.entries.set(g.cache.len() as i64);
-    }
-
-    /// Exact-timestamp cache lookup.
+    /// The version registered at exactly `ts`, while a reader holds it.
     pub fn get(&self, ts: Timestamp) -> Option<Arc<Graph>> {
-        let mut g = self.inner.lock();
-        g.tick += 1;
-        let tick = g.tick;
-        let e = g.cache.get_mut(&ts)?;
-        e.tick = tick;
-        Some(e.graph.clone())
+        self.inner.lock().versions.get(&ts)?.upgrade()
     }
 
-    /// Best cached snapshot with timestamp `≤ ts` — the "closest snapshot"
-    /// lookup of Sec. 4.3. The latest graph also qualifies when current.
+    /// The newest version at or before `ts` a reader holds — the "closest
+    /// snapshot" lookup of Sec. 4.3. The latest graph also qualifies when
+    /// current.
     pub fn floor(&self, ts: Timestamp) -> Option<(Timestamp, Arc<Graph>)> {
-        let mut g = self.inner.lock();
-        g.tick += 1;
-        let tick = g.tick;
+        let g = self.inner.lock();
         if g.latest_ts <= ts && g.latest.node_count() > 0 {
             // The live graph is the cheapest base when it's old enough.
             return Some((g.latest_ts, g.latest.clone()));
         }
-        let (k, e) = g.cache.range_mut(..=ts).next_back()?;
-        e.tick = tick;
-        Some((*k, e.graph.clone()))
-    }
-
-    /// Number of cached historical snapshots.
-    pub fn len(&self) -> usize {
-        self.inner.lock().cache.len()
-    }
-
-    /// `true` when no historical snapshots are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Estimated bytes held by the historical cache.
-    pub fn cached_bytes(&self) -> usize {
-        self.inner.lock().bytes
+        g.versions
+            .range(..=ts)
+            .rev()
+            .find_map(|(t, v)| Some((*t, v.upgrade()?)))
     }
 }
 
@@ -268,7 +191,7 @@ mod tests {
 
     #[test]
     fn latest_graph_tracks_commits() {
-        let gs = GraphStore::new(1 << 20);
+        let gs = GraphStore::new();
         gs.apply_commit(
             5,
             &[Update::AddNode {
@@ -286,7 +209,7 @@ mod tests {
 
     #[test]
     fn cow_latest_does_not_disturb_readers() {
-        let gs = GraphStore::new(1 << 20);
+        let gs = GraphStore::new();
         gs.apply_commit(
             1,
             &[Update::AddNode {
@@ -314,11 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn floor_prefers_closest_at_or_before() {
-        let gs = GraphStore::new(1 << 24);
-        gs.put(10, Arc::new(graph_with_nodes(1)));
-        gs.put(20, Arc::new(graph_with_nodes(2)));
-        gs.put(30, Arc::new(graph_with_nodes(3)));
+    fn floor_prefers_closest_held_at_or_before() {
+        let gs = GraphStore::new();
+        let held: Vec<_> = (1..=3).map(|n| Arc::new(graph_with_nodes(n))).collect();
+        for (ts, g) in [10, 20, 30].into_iter().zip(&held) {
+            gs.register(ts, g);
+        }
         assert_eq!(gs.floor(25).unwrap().0, 20);
         assert_eq!(gs.floor(30).unwrap().0, 30);
         assert!(gs.floor(5).is_none());
@@ -326,7 +250,7 @@ mod tests {
 
     #[test]
     fn floor_uses_latest_when_applicable() {
-        let gs = GraphStore::new(1 << 24);
+        let gs = GraphStore::new();
         gs.apply_commit(
             50,
             &[Update::AddNode {
@@ -343,27 +267,19 @@ mod tests {
     }
 
     #[test]
-    fn budget_evicts_lru() {
-        let one = Arc::new(graph_with_nodes(10));
-        let size = one.heap_size();
-        let gs = GraphStore::new(size * 2 + size / 2); // fits two
-        gs.put(1, one.clone());
-        gs.put(2, Arc::new(graph_with_nodes(10)));
-        assert_eq!(gs.len(), 2);
-        // Touch 1 so 2 is the LRU.
-        assert!(gs.get(1).is_some());
-        gs.put(3, Arc::new(graph_with_nodes(10)));
-        assert_eq!(gs.len(), 2);
-        assert!(gs.get(2).is_none(), "2 was evicted");
-        assert!(gs.get(1).is_some());
-        assert!(gs.get(3).is_some());
-    }
-
-    #[test]
-    fn oversized_snapshot_is_not_cached() {
-        let gs = GraphStore::new(64);
-        gs.put(1, Arc::new(graph_with_nodes(100)));
-        assert!(gs.is_empty());
-        assert_eq!(gs.cached_bytes(), 0);
+    fn a_version_lives_as_long_as_a_reader_holds_it() {
+        let gs = GraphStore::new();
+        let (ten, twenty) = (Arc::new(graph_with_nodes(1)), Arc::new(graph_with_nodes(2)));
+        gs.register(10, &ten);
+        gs.register(20, &twenty);
+        assert!(Arc::ptr_eq(&gs.get(20).unwrap(), &twenty));
+        drop(twenty);
+        // A dead entry is neither served nor a floor: the floor skips it.
+        assert!(gs.get(20).is_none());
+        assert_eq!(gs.floor(25).unwrap().0, 10);
+        // The next registration sweeps it; a live entry is not replaced.
+        gs.register(10, &Arc::new(graph_with_nodes(3)));
+        assert!(Arc::ptr_eq(&gs.get(10).unwrap(), &ten));
+        assert_eq!(gs.inner.lock().versions.len(), 1);
     }
 }

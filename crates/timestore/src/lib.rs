@@ -23,14 +23,16 @@
 //!   the rest in earlier files ([`encoding::snapshot`]). Loading decodes a
 //!   relationship segment several files reference once, and the loaded
 //!   graphs hold it as one chunk;
-//! * [`graphstore::GraphStore`] — "an in-memory Least Recently Used (LRU)
-//!   cache for snapshots", which also maintains the *latest* graph by
-//!   synchronously applying committed updates (Sec. 5.1 "Snapshot
-//!   replication", the HTAP-style design).
+//! * [`graphstore::GraphStore`] — the paper's "in-memory Least Recently
+//!   Used (LRU) cache for snapshots" becomes a registry of the versions
+//!   readers hold, with no copies of its own; it also maintains the
+//!   *latest* graph by synchronously applying committed updates (Sec. 5.1
+//!   "Snapshot replication", the HTAP-style design).
 //!
-//! To retrieve a graph at timestamp `t`, [`store::TimeStore`] fetches the
-//! snapshot with the closest timestamp `≤ t` (from GraphStore or disk) and
-//! replays the forward changes from the log (Sec. 4.3).
+//! To retrieve a graph at timestamp `t`, [`store::TimeStore`] serves a
+//! version a reader holds at `t`, or else fetches the closest base `≤ t`
+//! (a held version, the latest graph or a snapshot file) and replays the
+//! forward changes from the log (Sec. 4.3).
 
 pub mod audit;
 pub mod graphstore;

@@ -35,7 +35,8 @@ pub struct TimeStoreConfig {
     pub cache_pages: usize,
     /// Snapshot creation policy.
     pub policy: SnapshotPolicy,
-    /// Byte budget of the in-memory GraphStore snapshot cache.
+    /// Read by nothing since the GraphStore keeps only the versions
+    /// readers hold; kept only because the benchmark harness still sets it.
     pub graphstore_bytes: usize,
     /// File system every file of the store is opened on. Defaults to the
     /// production `StdVfs`; the crash harness passes a `SimVfs`.
@@ -95,7 +96,6 @@ struct Metrics {
     segments_shared: Arc<obs::Counter>,
     graphstore_hits: Arc<obs::Counter>,
     graphstore_misses: Arc<obs::Counter>,
-    pinned_hits: Arc<obs::Counter>,
 }
 
 impl Metrics {
@@ -110,7 +110,6 @@ impl Metrics {
             segments_shared: obs::counter("timestore.snapshot.segments_shared"),
             graphstore_hits: obs::counter("timestore.graphstore.hits"),
             graphstore_misses: obs::counter("timestore.graphstore.misses"),
-            pinned_hits: obs::counter("timestore.snapshot.pinned_hits"),
         }
     }
 }
@@ -218,7 +217,7 @@ impl TimeStore {
             vfs,
             log,
             durable_end_file,
-            graphstore: GraphStore::new(config.graphstore_bytes),
+            graphstore: GraphStore::new(),
             segments: SharedSegments::default(),
             snap_dir,
             policy: config.policy,
@@ -294,9 +293,8 @@ impl TimeStore {
         let newest = snapshots.last_key_value().map_or(0, |(t, _)| *t);
         let mut ops_since_snapshot = 0;
         if latest_ts > 0 {
-            // Built in place, not through `snapshot_at`: that caches what it
-            // loads and replays, and nobody asked for those snapshots to be
-            // resident. The floor is the last valid file.
+            // Built in place, not through `snapshot_at`: the latest graph is
+            // not a version a reader holds. The floor is the last valid file.
             let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
             if let Some((manifest, bytes)) = floor {
                 match self.decode_snapshot(&manifest, &bytes, &self.segments) {
@@ -463,10 +461,9 @@ impl TimeStore {
     /// `encoding::snapshot`'s module doc), so a snapshot loaded from it
     /// shares them with the latest graph until a commit changes them.
     pub fn write_snapshot(&self) -> Result<()> {
-        // The latest graph is borrowed only while it is encoded, and not
-        // parked in the GraphStore's cache (reads fill that on demand): an
-        // `Arc` still alive at the next commit would make `apply_commit`
-        // copy every chunk it touches.
+        // The latest graph is borrowed only while it is encoded: an `Arc`
+        // still alive at the next commit would make `apply_commit` copy
+        // every chunk it touches.
         let (graph, ts) = self.graphstore.latest();
         let (prev, dirty) = {
             let chain = self.chain.lock();
@@ -548,20 +545,20 @@ impl TimeStore {
 
     /// `getGraph` at a single point: the full graph as of `ts` (inclusive).
     ///
-    /// A version a reader pinned at exactly `ts` and still holds is the
-    /// answer. Otherwise fetches the closest snapshot `≤ ts` from the
-    /// GraphStore or disk, then replays forward log changes (Sec. 4.3).
+    /// A version a reader holds at exactly `ts` is the answer. Otherwise
+    /// fetches the closest snapshot `≤ ts` from the GraphStore or disk,
+    /// then replays forward log changes (Sec. 4.3). The graph built is
+    /// registered in the GraphStore for as long as a reader holds it.
     pub fn snapshot_at(&self, ts: Timestamp) -> Result<Arc<Graph>> {
-        if let Some(g) = self.graphstore.pinned(ts) {
-            self.metrics.pinned_hits.inc();
-            return Ok(g);
-        }
-        // Exact in-memory hit?
         if let Some(g) = self.graphstore.get(ts) {
             self.metrics.graphstore_hits.inc();
             return Ok(g);
         }
         self.metrics.graphstore_misses.inc();
+        // Every commit at or before the latest timestamp is in the log:
+        // the version at such a `ts` never changes, so readers may share
+        // it. A later `ts` is not history yet.
+        let settled = ts <= self.latest_ts();
         // Best base from memory or disk.
         let mem = self.graphstore.floor(ts);
         let disk = self
@@ -571,15 +568,11 @@ impl TimeStore {
             .range(..=ts)
             .next_back()
             .map(|(t, _)| *t);
-        let (base_ts, base): (Timestamp, Arc<Graph>) = match (mem, disk) {
+        let (base_ts, mut graph): (Timestamp, Arc<Graph>) = match (mem, disk) {
             (Some((mts, g)), Some(disk_ts)) if mts >= disk_ts => (mts, g),
             (Some((mts, g)), None) => (mts, g),
             (mem, Some(disk_ts)) => match self.load_snapshot(disk_ts, &self.segments) {
-                Ok((_, g)) => {
-                    let g = Arc::new(g);
-                    self.graphstore.put(disk_ts, g.clone());
-                    (disk_ts, g)
-                }
+                Ok((_, g)) => (disk_ts, Arc::new(g)),
                 // A corrupt or missing snapshot file is recoverable: the
                 // change log holds the full history. Prefer any older
                 // in-memory base, else replay from the start.
@@ -587,23 +580,23 @@ impl TimeStore {
             },
             (None, None) => (0, Arc::new(Graph::new())),
         };
-        if base_ts == ts {
-            return Ok(base);
+        if base_ts < ts {
+            // Replay (base_ts, ts]. A base someone else holds is cloned
+            // first, and the clone shares every chunk the replay does not
+            // touch with it.
+            let _timer = self.metrics.snapshot_replay_latency.start_timer();
+            self.metrics.snapshot_replays.inc();
+            let deltas = self.diff(base_ts.saturating_add(1), ts.saturating_add(1))?;
+            if !deltas.is_empty() {
+                let replayed = Arc::make_mut(&mut graph);
+                for u in &deltas {
+                    replayed.apply(&u.op)?;
+                }
+            }
         }
-        // Replay (base_ts, ts] on a clone: it shares every chunk the replay
-        // does not touch with `base`.
-        let _timer = self.metrics.snapshot_replay_latency.start_timer();
-        self.metrics.snapshot_replays.inc();
-        let deltas = self.diff(base_ts.saturating_add(1), ts.saturating_add(1))?;
-        if deltas.is_empty() {
-            return Ok(base);
+        if settled {
+            self.graphstore.register(ts, &graph);
         }
-        let mut graph = (*base).clone();
-        for u in &deltas {
-            graph.apply(&u.op)?;
-        }
-        let graph = Arc::new(graph);
-        self.graphstore.put(ts, graph.clone());
         Ok(graph)
     }
 

@@ -78,8 +78,6 @@ fn a_lent_chunk_a_commit_changes_is_never_handed_out() {
     let dir = tempfile::tempdir().unwrap();
     let config = TimeStoreConfig {
         policy: SnapshotPolicy::Never,
-        // Nothing is cached: every read below loads its snapshot file.
-        graphstore_bytes: 0,
         ..Default::default()
     };
     let store = TimeStore::open(dir.path(), config).unwrap();
@@ -116,11 +114,17 @@ fn a_lent_chunk_a_commit_changes_is_never_handed_out() {
     commit(3);
     assert!(at2.same_as(&oracle_at(&commits, 2)));
     assert_eq!(at2.chunks_diverged_from(&store.latest_graph()), 10 + 1);
-    // What a load finds is still the version at 2, and the latest graph
-    // has the commit.
+    // A read at 2 is served the held version itself. Once it is dropped,
+    // what a load finds is still the version at 2: the segment the commit
+    // copied is decoded, since nobody holds its old chunk any more, and the
+    // latest graph has the commit.
+    let again = store.snapshot_at(2).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&again, &at2));
+    assert_eq!(segments(&mut last), (0, 0));
+    drop((at2, again));
     let again = store.snapshot_at(2).unwrap();
     assert!(again.same_as(&oracle_at(&commits, 2)));
-    assert_eq!(segments(&mut last), (10, 10));
+    assert_eq!(segments(&mut last), (10 + 1, 9));
     assert!(store
         .snapshot_at(3)
         .unwrap()

@@ -99,7 +99,6 @@ proptest! {
             dir.path(),
             TimeStoreConfig {
                 policy,
-                graphstore_bytes: 1 << 20,
                 ..Default::default()
             },
         )

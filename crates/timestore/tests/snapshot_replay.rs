@@ -24,7 +24,6 @@ use workload::{commit_script, spread_ids, SimOpsConfig};
 fn config(policy: SnapshotPolicy) -> TimeStoreConfig {
     TimeStoreConfig {
         policy,
-        graphstore_bytes: 1 << 20,
         ..Default::default()
     }
 }

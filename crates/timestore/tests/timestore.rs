@@ -58,7 +58,6 @@ fn history() -> Vec<(u64, Vec<Update>)> {
 fn config(policy: SnapshotPolicy) -> TimeStoreConfig {
     TimeStoreConfig {
         policy,
-        graphstore_bytes: 4 << 20,
         ..Default::default()
     }
 }
@@ -214,18 +213,19 @@ fn recovery_after_reopen_preserves_everything() {
     let want = oracle_at(&commits, u64::MAX);
     assert!(store.latest_graph().same_as(&want));
     // The latest graph exists once (the store's reference and ours) and
-    // the historical cache holds only what reads put there: nothing yet.
+    // the GraphStore holds no historical version: no reader holds one.
     assert_eq!(std::sync::Arc::strong_count(&store.latest_graph()), 2);
-    assert_eq!(store.graphstore().len(), 0);
-    assert_eq!(store.graphstore().cached_bytes(), 0);
-    // Historical reads still work, and fill the cache on demand.
+    assert!((1..=120).all(|ts| store.graphstore().get(ts).is_none()));
+    // Historical reads still work, and the GraphStore serves the version
+    // they built while it is held, and only then.
     let got = store.snapshot_at(60).unwrap();
     assert!(got.same_as(&oracle_at(&commits, 60)));
-    assert_eq!(
-        store.graphstore().len(),
-        2,
-        "snapshot 50 and its replay to 60"
-    );
+    assert!(std::sync::Arc::ptr_eq(
+        &store.graphstore().get(60).unwrap(),
+        &got
+    ));
+    drop(got);
+    assert!(store.graphstore().get(60).is_none());
     // Ingestion continues.
     store.append_commit(1_000, &[add_node(999)]).unwrap();
     assert_eq!(store.latest_graph().node_count(), want.node_count() + 1);

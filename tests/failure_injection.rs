@@ -175,9 +175,6 @@ fn corrupt_snapshot_file_falls_back_to_log_replay() {
     assert!(corrupted > 0, "the policy must have produced snapshots");
     let mut cfg = AionConfig::new(dir.path());
     cfg.timestore.policy = timestore::SnapshotPolicy::Never;
-    // Tiny GraphStore so reconstruction cannot dodge the corrupt files via
-    // the in-memory cache.
-    cfg.timestore.graphstore_bytes = 1;
     let db = Aion::open(cfg).unwrap();
     // Historical reads still work (log replay from scratch).
     let g = db.get_graph_at(last / 2).unwrap();

@@ -20,12 +20,12 @@ fn counter(name: &str) -> u64 {
     obs::snapshot().counter(name).unwrap_or(0)
 }
 
-/// `(replays, snapshot segments decoded, pinned hits)` so far.
+/// `(replays, snapshot segments decoded, GraphStore hits)` so far.
 fn rebuilds() -> (u64, u64, u64) {
     (
         counter("timestore.snapshot.replays"),
         counter("timestore.snapshot.segments_decoded"),
-        counter("timestore.snapshot.pinned_hits"),
+        counter("timestore.graphstore.hits"),
     )
 }
 

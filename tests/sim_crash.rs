@@ -77,7 +77,6 @@ fn db_config(sim: &SimVfs, sync_on_commit: bool) -> AionConfig {
     cfg.sync_on_commit = sync_on_commit;
     // Small snapshot cadence so workloads cross snapshot boundaries.
     cfg.timestore.policy = SnapshotPolicy::EveryNOps(10);
-    cfg.timestore.graphstore_bytes = 4 << 20;
     cfg.lineage.cache_pages = 64;
     cfg
 }
