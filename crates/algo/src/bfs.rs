@@ -4,30 +4,24 @@
 //! to the remaining graph").
 
 use lpg::{Direction, Graph, NodeId, TimestampedUpdate, Update};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::convert::Infallible;
 
 /// Static BFS: hop distance from `source` following outgoing relationships.
 /// Unreachable nodes are absent from the map.
 pub fn bfs_levels(graph: &Graph, source: NodeId) -> HashMap<NodeId, u32> {
-    let mut levels = HashMap::new();
     if graph.node(source).is_none() {
-        return levels;
+        return HashMap::new();
     }
-    let mut queue = VecDeque::new();
-    levels.insert(source, 0);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let lu = levels[&u];
-        for rid in graph.relationships(u, Direction::Outgoing) {
-            let Some(rel) = graph.rel(rid) else { continue };
-            if let Entry::Vacant(slot) = levels.entry(rel.tgt) {
-                slot.insert(lu + 1);
-                queue.push_back(rel.tgt);
-            }
-        }
-    }
-    levels
+    let Ok(reached) = lpg::bfs::<Infallible>(source, u32::MAX, |u, out| {
+        out.extend(
+            graph
+                .relationships(u, Direction::Outgoing)
+                .filter_map(|rid| Some(graph.rel(rid)?.tgt)),
+        );
+        Ok(())
+    });
+    std::iter::once((source, 0)).chain(reached).collect()
 }
 
 /// Incremental BFS from a fixed source.

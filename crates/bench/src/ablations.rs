@@ -80,7 +80,7 @@ pub fn threshold_sweep(cfg: &BenchConfig) {
         let planner = Planner::with_threshold(threshold);
         print!("{:<12}", format!("{:.0}%", threshold * 100.0));
         for hops in [1u32, 2, 4, 8] {
-            let choice = planner.choose(&latest, 1, hops);
+            let choice = planner.choose(&latest, 1, lpg::Direction::Outgoing, hops);
             print!(" {:>10}", format!("{choice:?}"));
         }
         println!();

@@ -11,6 +11,7 @@ use crate::common::{banner, build_raphtory, fmt_rate, ingest_aion, open_aion, Be
 use lpg::Direction;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::convert::Infallible;
 use tempfile::tempdir;
 
 /// Datasets measured (paper uses these four for Fig. 8).
@@ -83,7 +84,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<NHopRow> {
             let t = Timer::start();
             for (s, at) in &starts {
                 let snap = (*db.get_graph_at(*at).expect("snapshot")).clone();
-                std::hint::black_box(bfs_hops(&snap, *s, hops));
+                std::hint::black_box(reached(&snap, *s, hops, |rid| Some(snap.rel(rid)?.tgt)));
             }
             let ts_rate = t.ops_per_sec(starts.len());
 
@@ -91,7 +92,10 @@ pub fn run(cfg: &BenchConfig) -> Vec<NHopRow> {
             // visibility re-check per touched node (the |U_R^n| scans).
             let t = Timer::start();
             for (s, _) in &starts {
-                raphtory_expand(&raphtory, &raph_graph, *s, hops, end_ts);
+                std::hint::black_box(reached(&raph_graph, *s, hops, |rid| {
+                    // The expensive per-edge validity check.
+                    Some(baselines::TemporalBackend::rel_at(&raphtory, rid, end_ts)?.tgt)
+                }));
             }
             let raph_rate = t.ops_per_sec(starts.len());
 
@@ -121,65 +125,24 @@ pub fn run(cfg: &BenchConfig) -> Vec<NHopRow> {
     out
 }
 
-/// BFS over a materialized snapshot, bounded by `hops`.
-fn bfs_hops(g: &lpg::Graph, start: lpg::NodeId, hops: u32) -> usize {
-    use std::collections::{HashSet, VecDeque};
-    if !g.has_node(start) {
-        return 0;
-    }
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::new();
-    seen.insert(start);
-    queue.push_back((start, 0u32));
-    let mut reached = 0;
-    while let Some((cur, hop)) = queue.pop_front() {
-        if hop == hops {
-            continue;
-        }
-        for rid in g.relationships(cur, Direction::Outgoing) {
-            let Some(rel) = g.rel(rid) else { continue };
-            if seen.insert(rel.tgt) {
-                reached += 1;
-                queue.push_back((rel.tgt, hop + 1));
-            }
-        }
-    }
-    reached
-}
-
-/// Raphtory-style expansion: BFS over the live graph but re-validating
-/// every traversed relationship against the per-entity history (the cost
-/// the paper attributes to deep Raphtory expansions).
-fn raphtory_expand(
-    store: &baselines::RaphtoryLike,
+/// How many nodes a `hops`-hop outgoing BFS from `start` reaches over
+/// `graph`'s adjacency, taking each relationship's target from `tgt`.
+fn reached(
     graph: &lpg::Graph,
     start: lpg::NodeId,
     hops: u32,
-    ts: u64,
+    tgt: impl Fn(lpg::RelId) -> Option<lpg::NodeId>,
 ) -> usize {
-    use std::collections::{HashSet, VecDeque};
-    let mut seen = HashSet::new();
-    let mut queue = VecDeque::new();
-    let mut reached = 0;
     if !graph.has_node(start) {
         return 0;
     }
-    seen.insert(start);
-    queue.push_back((start, 0u32));
-    while let Some((cur, hop)) = queue.pop_front() {
-        if hop == hops {
-            continue;
-        }
-        for rid in graph.relationships(cur, Direction::Outgoing) {
-            // The expensive per-edge validity check.
-            let Some(rel) = baselines::TemporalBackend::rel_at(store, rid, ts) else {
-                continue;
-            };
-            if seen.insert(rel.tgt) {
-                reached += 1;
-                queue.push_back((rel.tgt, hop + 1));
-            }
-        }
-    }
-    reached
+    let Ok(hits) = lpg::bfs::<Infallible>(start, hops, |cur, out| {
+        out.extend(
+            graph
+                .relationships(cur, Direction::Outgoing)
+                .filter_map(&tgt),
+        );
+        Ok(())
+    });
+    hits.len()
 }

@@ -7,11 +7,11 @@ use crate::planner::Planner;
 use crate::txn::{AppTimeKeys, CommitEvent, WriteTxn};
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{
-    Direction, Graph, GraphError, Interner, Node, NodeId, RelId, Relationship, Result,
+    Direction, EntityDelta, Graph, GraphError, Interner, Node, NodeId, RelId, Relationship, Result,
     TemporalGraph, TimeRange, Timestamp, TimestampedUpdate, Update, Version,
 };
 use parking_lot::RwLock;
-use std::collections::{HashSet, VecDeque};
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -490,16 +490,17 @@ impl Aion {
         // the diff window — never a whole-graph materialization.
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
-        let mut state = base.node(id).cloned();
         let updates = self.timestore.diff(start.saturating_add(1), end)?;
-        entity_versions(
+        Ok(version_chain(
             start,
             end,
-            &mut state,
+            base.node(id).cloned(),
             updates
                 .iter()
                 .filter(|u| u.op.entity() == lpg::EntityId::Node(id)),
-        )
+            added_node,
+            EntityDelta::apply_to_node,
+        ))
     }
 
     /// `getRelationship(relId, start, end)`.
@@ -514,16 +515,17 @@ impl Aion {
         }
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
-        let mut state = base.rel(id).cloned();
         let updates = self.timestore.diff(start.saturating_add(1), end)?;
-        rel_versions(
+        Ok(version_chain(
             start,
             end,
-            &mut state,
+            base.rel(id).cloned(),
             updates
                 .iter()
                 .filter(|u| u.op.entity() == lpg::EntityId::Rel(id)),
-        )
+            added_rel,
+            EntityDelta::apply_to_rel,
+        ))
     }
 
     /// `getRelationships(nodeId, direction, start, end)` — one version list
@@ -579,7 +581,7 @@ impl Aion {
     ) -> Result<Vec<(NodeId, u32)>> {
         // The latest graph's `Arc` drops with this statement: held, it
         // would make a concurrent commit copy the chunks it touches.
-        let choice = self.planner.choose(&self.latest_graph(), 1, hops);
+        let choice = self.planner.choose(&self.latest_graph(), 1, dir, hops);
         match choice {
             StoreChoice::Lineage if self.lineage_current(t) => {
                 let hits = self.lineage.expand(id, dir, hops, t)?;
@@ -601,34 +603,14 @@ impl Aion {
         if !g.has_node(id) {
             return Err(GraphError::NodeNotFound(id));
         }
-        let mut out = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut queue: VecDeque<(NodeId, u32)> = VecDeque::new();
-        seen.insert(id);
-        queue.push_back((id, 0));
-        while let Some((cur, hop)) = queue.pop_front() {
-            if hop == hops {
-                continue;
-            }
-            for rid in g.relationships(cur, dir) {
-                let Some(rel) = g.rel(rid) else { continue };
-                let n = match dir {
-                    Direction::Outgoing => rel.tgt,
-                    Direction::Incoming => rel.src,
-                    // `relationships(cur, ..)` only yields incident rels,
-                    // so `other_end` cannot miss; skip rather than panic.
-                    Direction::Both => match rel.other_end(cur) {
-                        Some(n) => n,
-                        None => continue,
-                    },
-                };
-                if seen.insert(n) {
-                    out.push((n, hop + 1));
-                    queue.push_back((n, hop + 1));
-                }
-            }
-        }
-        Ok(out)
+        let Ok(hits) = lpg::bfs::<Infallible>(id, hops, |cur, out| {
+            out.extend(
+                g.relationships(cur, dir)
+                    .filter_map(|rid| g.rel(rid)?.other_end(cur)),
+            );
+            Ok(())
+        });
+        Ok(hits)
     }
 
     // --------------------------------------------------- Table 1: global
@@ -743,87 +725,183 @@ impl Aion {
     }
 }
 
-/// Builds a single node's version chain over `[start, end)` from its base
-/// state plus its filtered updates (the per-entity TimeStore fallback).
-fn entity_versions<'a>(
+/// Builds one entity's version chain over `[start, end)` from its state at
+/// `start` plus its updates after it (the per-entity TimeStore fallback).
+/// `added` builds the entity from its `Add*` update; every other update but
+/// a delete is a delta that `apply` applies.
+fn version_chain<'a, T: Clone>(
     start: Timestamp,
     end: Timestamp,
-    state: &mut Option<Node>,
+    mut state: Option<T>,
     updates: impl Iterator<Item = &'a TimestampedUpdate>,
-) -> Result<Vec<Version<Node>>> {
+    added: impl Fn(&Update) -> Option<T>,
+    apply: impl Fn(&EntityDelta, &mut T),
+) -> Vec<Version<T>> {
     let mut versions = Vec::new();
     let mut open_since = start;
     for u in updates {
-        if let Some(node) = state.take() {
+        if let Some(entity) = &state {
             if u.ts > open_since {
-                versions.push(Version::new(open_since, u.ts, node.clone()));
+                versions.push(Version::new(open_since, u.ts, entity.clone()));
             }
-            *state = Some(node);
         }
-        match &u.op {
-            Update::AddNode { id, labels, props } => {
-                *state = Some(Node::new(*id, labels.clone(), props.clone()));
-            }
-            Update::DeleteNode { .. } => *state = None,
-            op => {
-                if let (Some(node), Some(delta)) =
-                    (state.as_mut(), lpg::EntityDelta::from_update(op))
-                {
-                    delta.apply_to_node(node);
-                }
-            }
+        if let Some(entity) = added(&u.op) {
+            state = Some(entity);
+        } else if matches!(u.op, Update::DeleteNode { .. } | Update::DeleteRel { .. }) {
+            state = None;
+        } else if let (Some(entity), Some(delta)) = (&mut state, EntityDelta::from_update(&u.op)) {
+            apply(&delta, entity);
         }
         open_since = u.ts;
     }
-    if let Some(node) = state.take() {
+    if let Some(entity) = state {
         if end > open_since {
-            versions.push(Version::new(open_since, end, node));
+            versions.push(Version::new(open_since, end, entity));
         }
     }
-    Ok(versions)
+    versions
 }
 
-/// The relationship analogue of [`entity_versions`].
-fn rel_versions<'a>(
-    start: Timestamp,
-    end: Timestamp,
-    state: &mut Option<Relationship>,
-    updates: impl Iterator<Item = &'a TimestampedUpdate>,
-) -> Result<Vec<Version<Relationship>>> {
-    let mut versions = Vec::new();
-    let mut open_since = start;
-    for u in updates {
-        if let Some(rel) = state.take() {
-            if u.ts > open_since {
-                versions.push(Version::new(open_since, u.ts, rel.clone()));
-            }
-            *state = Some(rel);
+/// The node an `AddNode` creates.
+fn added_node(op: &Update) -> Option<Node> {
+    match op {
+        Update::AddNode { id, labels, props } => {
+            Some(Node::new(*id, labels.clone(), props.clone()))
         }
-        match &u.op {
+        _ => None,
+    }
+}
+
+/// The relationship an `AddRel` creates.
+fn added_rel(op: &Update) -> Option<Relationship> {
+    match op {
+        Update::AddRel {
+            id,
+            src,
+            tgt,
+            label,
+            props,
+        } => Some(Relationship::new(*id, *src, *tgt, *label, props.clone())),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lpg::{EntityId, Interval, PropertyValue, StrId};
+
+    /// The fallback's chains equal the reference model's, over adds, property
+    /// and label updates, deletes and a re-add, for entities alive at `start`
+    /// and entities born after it.
+    #[test]
+    fn version_chains_match_the_temporal_graph() {
+        let (n, r, s) = (NodeId::new, RelId::new, StrId::new);
+        let int = PropertyValue::Int;
+        let mut base = Graph::new();
+        for op in [
+            Update::AddNode {
+                id: n(1),
+                labels: vec![s(0)],
+                props: vec![(s(1), int(1))],
+            },
+            Update::AddNode {
+                id: n(2),
+                labels: vec![],
+                props: vec![],
+            },
+        ] {
+            base.apply(&op).unwrap();
+        }
+        let script = [
+            Update::SetNodeProp {
+                id: n(1),
+                key: s(1),
+                value: int(2),
+            },
+            Update::AddLabel {
+                id: n(1),
+                label: s(2),
+            },
+            Update::AddNode {
+                id: n(3),
+                labels: vec![s(2)],
+                props: vec![],
+            },
             Update::AddRel {
-                id,
-                src,
-                tgt,
-                label,
-                props,
-            } => {
-                *state = Some(Relationship::new(*id, *src, *tgt, *label, props.clone()));
+                id: r(1),
+                src: n(1),
+                tgt: n(3),
+                label: Some(s(3)),
+                props: vec![(s(1), int(5))],
+            },
+            Update::SetRelProp {
+                id: r(1),
+                key: s(4),
+                value: int(6),
+            },
+            Update::RemoveNodeProp {
+                id: n(1),
+                key: s(1),
+            },
+            Update::RemoveRelProp {
+                id: r(1),
+                key: s(1),
+            },
+            Update::DeleteRel { id: r(1) },
+            Update::RemoveLabel {
+                id: n(1),
+                label: s(0),
+            },
+            Update::DeleteNode { id: n(2) },
+            Update::AddNode {
+                id: n(2),
+                labels: vec![s(0)],
+                props: vec![],
+            },
+            Update::DeleteNode { id: n(3) },
+        ];
+        let updates: Vec<TimestampedUpdate> = (20..)
+            .step_by(10)
+            .zip(script)
+            .map(|(ts, op)| TimestampedUpdate::new(ts, op))
+            .collect();
+        for (start, end) in [(10, 200), (10, 75), (45, 125)] {
+            // The fallback's inputs: the state at `start` (a snapshot) and
+            // the updates in `(start, end)` (the log's diff).
+            let mut at_start = base.clone();
+            for u in updates.iter().filter(|u| u.ts <= start) {
+                at_start.apply(&u.op).unwrap();
             }
-            Update::DeleteRel { .. } => *state = None,
-            op => {
-                if let (Some(rel), Some(delta)) =
-                    (state.as_mut(), lpg::EntityDelta::from_update(op))
-                {
-                    delta.apply_to_rel(rel);
-                }
+            let diff: Vec<_> = updates
+                .iter()
+                .filter(|u| u.ts > start && u.ts < end)
+                .cloned()
+                .collect();
+            let of = |e: EntityId| diff.iter().filter(move |u| u.op.entity() == e);
+            let want = TemporalGraph::build(&at_start, Interval::new(start, end), &diff);
+            for id in [n(1), n(2), n(3)] {
+                let got = version_chain(
+                    start,
+                    end,
+                    at_start.node(id).cloned(),
+                    of(EntityId::Node(id)),
+                    added_node,
+                    EntityDelta::apply_to_node,
+                );
+                let want = want.nodes.get(&id).cloned().unwrap_or_default();
+                assert_eq!(got, want, "node {id} over [{start}, {end})");
             }
+            let got = version_chain(
+                start,
+                end,
+                at_start.rel(r(1)).cloned(),
+                of(EntityId::Rel(r(1))),
+                added_rel,
+                EntityDelta::apply_to_rel,
+            );
+            let want = want.rels.get(&r(1)).cloned().unwrap_or_default();
+            assert_eq!(got, want, "rel 1 over [{start}, {end})");
         }
-        open_since = u.ts;
     }
-    if let Some(rel) = state.take() {
-        if end > open_since {
-            versions.push(Version::new(open_since, end, rel));
-        }
-    }
-    Ok(versions)
 }

@@ -10,7 +10,7 @@
 //! label, type and pattern histograms return together with a cost model
 //! that reads them.
 
-use lpg::Graph;
+use lpg::{Direction, Graph};
 
 /// The paper's threshold on the estimated accessed fraction.
 const THRESHOLD: f64 = 0.3;
@@ -47,15 +47,19 @@ impl Planner {
         self.threshold
     }
 
-    /// Estimated fraction of `graph` touched by an `hops`-hop expansion
-    /// from `seeds` start nodes, assuming average branching.
-    pub fn expand_fraction(graph: &Graph, seeds: u64, hops: u32) -> f64 {
+    /// Estimated fraction of `graph` touched by an `hops`-hop expansion in
+    /// `dir` from `seeds` start nodes, assuming average branching: `|E|/|V|`
+    /// along one direction, twice that along both.
+    pub fn expand_fraction(graph: &Graph, seeds: u64, dir: Direction, hops: u32) -> f64 {
         let (nodes, rels) = (graph.node_count() as u64, graph.rel_count() as u64);
         if nodes == 0 {
             return 0.0;
         }
         let entities = (nodes + rels) as f64;
-        let d = rels as f64 / nodes as f64;
+        let mut d = rels as f64 / nodes as f64;
+        if dir == Direction::Both {
+            d *= 2.0;
+        }
         // Reached nodes ≈ seeds · (1 + d + d² + … + d^hops), capped.
         let mut reached = seeds as f64;
         let mut frontier = seeds as f64;
@@ -70,10 +74,10 @@ impl Planner {
         ((reached * (1.0 + d)) / entities).min(1.0)
     }
 
-    /// Picks the store for an `hops`-hop expansion from `seeds` start
-    /// nodes over `graph`.
-    pub fn choose(&self, graph: &Graph, seeds: u64, hops: u32) -> StoreChoice {
-        if Self::expand_fraction(graph, seeds, hops) < self.threshold {
+    /// Picks the store for an `hops`-hop expansion in `dir` from `seeds`
+    /// start nodes over `graph`.
+    pub fn choose(&self, graph: &Graph, seeds: u64, dir: Direction, hops: u32) -> StoreChoice {
+        if Self::expand_fraction(graph, seeds, dir, hops) < self.threshold {
             StoreChoice::Lineage
         } else {
             StoreChoice::Time
@@ -91,6 +95,7 @@ impl Default for Planner {
 mod tests {
     use super::*;
     use lpg::{NodeId, RelId, Update};
+    use Direction::Outgoing as Out;
 
     /// `nodes` nodes on a ring carrying `rels` relationships.
     fn graph_with(nodes: u64, rels: u64) -> Graph {
@@ -120,9 +125,9 @@ mod tests {
     fn expand_fraction_grows_with_hops() {
         // Average degree 3.
         let g = graph_with(100, 300);
-        let f1 = Planner::expand_fraction(&g, 1, 1);
-        let f2 = Planner::expand_fraction(&g, 1, 2);
-        let f8 = Planner::expand_fraction(&g, 1, 8);
+        let f1 = Planner::expand_fraction(&g, 1, Out, 1);
+        let f2 = Planner::expand_fraction(&g, 1, Out, 2);
+        let f8 = Planner::expand_fraction(&g, 1, Out, 8);
         assert!(f1 < f2 && f2 < f8);
         assert!(f1 > 0.0);
         assert_eq!(f8, 1.0, "degree 3, 8 hops saturates 100 nodes");
@@ -130,9 +135,9 @@ mod tests {
 
     #[test]
     fn empty_graph_is_safe() {
-        assert_eq!(Planner::expand_fraction(&Graph::new(), 1, 4), 0.0);
+        assert_eq!(Planner::expand_fraction(&Graph::new(), 1, Out, 4), 0.0);
         assert_eq!(
-            Planner::new().choose(&Graph::new(), 1, 4),
+            Planner::new().choose(&Graph::new(), 1, Out, 4),
             StoreChoice::Lineage
         );
     }
@@ -142,10 +147,10 @@ mod tests {
         // Average degree 5: 1 hop touches a sliver, 8 hops everything.
         let g = graph_with(1_000, 5_000);
         let p = Planner::new();
-        assert_eq!(p.choose(&g, 1, 1), StoreChoice::Lineage);
-        assert_eq!(p.choose(&g, 1, 8), StoreChoice::Time);
+        assert_eq!(p.choose(&g, 1, Out, 1), StoreChoice::Lineage);
+        assert_eq!(p.choose(&g, 1, Out, 8), StoreChoice::Time);
         // The flip happens at some hop count in between.
-        assert!((1..=8).any(|hops| p.choose(&g, 1, hops) == StoreChoice::Time));
+        assert!((1..=8).any(|hops| p.choose(&g, 1, Out, hops) == StoreChoice::Time));
     }
 
     #[test]
@@ -153,7 +158,21 @@ mod tests {
         let g = graph_with(100, 100);
         let p = Planner::with_threshold(0.0);
         // Everything at or above 0 goes to TimeStore.
-        assert_eq!(p.choose(&g, 1, 1), StoreChoice::Time);
+        assert_eq!(p.choose(&g, 1, Out, 1), StoreChoice::Time);
         assert_eq!(p.threshold(), 0.0);
+    }
+
+    #[test]
+    fn undirected_expansions_branch_twice_as_wide() {
+        // |E|/|V| = 2: 2 hops one way reach ≈ 1 + 2 + 4 nodes, touching
+        // 7 % of the 300 entities; both ways ≈ 1 + 4 + 16, touching 35 %.
+        let g = graph_with(100, 200);
+        let p = Planner::new();
+        assert_eq!(p.choose(&g, 1, Out, 2), StoreChoice::Lineage);
+        assert_eq!(
+            p.choose(&g, 1, Direction::Incoming, 2),
+            StoreChoice::Lineage
+        );
+        assert_eq!(p.choose(&g, 1, Direction::Both, 2), StoreChoice::Time);
     }
 }

@@ -1,10 +1,11 @@
 //! Algorithm 1: the `expand` method — n-hop neighbourhood retrieval at a
-//! time point, plus the stepped variant over a window (Table 1).
+//! time point, plus the stepped variant over a window (Table 1). The BFS is
+//! [`lpg::bfs`]; its neighbour source is the neighbour-index scan, which
+//! takes each neighbour from its key `(a, b, relId, ts)`. Only the nodes
+//! reached are decoded, each once.
 
 use crate::store::LineageStore;
 use lpg::{Direction, GraphError, Node, NodeId, Result, Timestamp};
-use std::collections::HashSet;
-use std::collections::VecDeque;
 
 /// One discovered node with the hop at which it was first reached.
 #[derive(Clone, PartialEq, Debug)]
@@ -17,7 +18,8 @@ pub struct ExpandHit {
 
 impl LineageStore {
     /// Algorithm 1 — expand `id` by `hops` in direction `d` at timestamp
-    /// `t`. Returns every reached node tagged with its hop distance.
+    /// `t`. Returns every reached node tagged with its hop distance; within
+    /// a hop, each node's neighbours come in `(neighbour, relId)` order.
     pub fn expand(
         &self,
         id: NodeId,
@@ -29,39 +31,20 @@ impl LineageStore {
         if self.node_at(id, t)?.is_none() {
             return Err(GraphError::NodeNotFound(id));
         }
-        let mut result = Vec::new();
-        let mut queue: VecDeque<NodeId> = VecDeque::new(); // Q in Alg. 1
-        let mut seen: HashSet<NodeId> = HashSet::new(); // global frontier set
-        queue.push_back(id);
-        seen.insert(id);
-        for hop in 1..=hops {
-            let qsize = queue.len();
-            if qsize == 0 {
-                break;
-            }
-            for _ in 0..qsize {
-                let Some(cid) = queue.pop_front() else { break };
-                let rels = self.rels_at(cid, dir, t)?; // line 8
-                for r in rels {
-                    // Neighbour id depends on the direction of traversal.
-                    let n_id = match dir {
-                        Direction::Outgoing => r.tgt,
-                        Direction::Incoming => r.src,
-                        Direction::Both => {
-                            if r.src == cid {
-                                r.tgt
-                            } else {
-                                r.src
-                            }
-                        }
-                    };
-                    if seen.insert(n_id) {
-                        if let Some(node) = self.node_at(n_id, t)? {
-                            result.push(ExpandHit { node, hop }); // line 12
-                            queue.push_back(n_id);
-                        }
-                    }
-                }
+        let mut found = Vec::new();
+        let reached = lpg::bfs::<GraphError>(id, hops, |cur, out| {
+            found.clear();
+            self.valid_neighbours(cur, dir, t, &mut found)?; // line 8
+            found.sort_unstable();
+            out.extend(found.iter().map(|&(b, _)| b));
+            Ok(())
+        })?;
+        let mut result = Vec::with_capacity(reached.len());
+        for (n, hop) in reached {
+            // A valid relationship's endpoints are alive (Sec. 3); a node
+            // that is not is left out rather than reported.
+            if let Some(node) = self.node_at(n, t)? {
+                result.push(ExpandHit { node, hop }); // line 12
             }
         }
         self.metrics.expand_fanout.record(result.len() as u64);

@@ -517,20 +517,16 @@ impl LineageStore {
     // ----------------------------------------------- neighbourhood queries
 
     /// The relationships incident to `node` that are valid at `ts`, in the
-    /// given direction (Alg. 1 line 8). `Both` deduplicates self-loops.
+    /// given direction. `Both` deduplicates self-loops.
     pub fn rels_at(
         &self,
         node: NodeId,
         dir: lpg::Direction,
         ts: Timestamp,
     ) -> Result<Vec<Relationship>> {
-        let mut rel_ids = Vec::new();
-        if dir.includes_out() {
-            self.valid_neighbour_rels(&self.out_n, node, ts, &mut rel_ids)?;
-        }
-        if dir.includes_in() {
-            self.valid_neighbour_rels(&self.in_n, node, ts, &mut rel_ids)?;
-        }
+        let mut found = Vec::new();
+        self.valid_neighbours(node, dir, ts, &mut found)?;
+        let mut rel_ids: Vec<RelId> = found.into_iter().map(|(_, rel)| rel).collect();
         rel_ids.sort_unstable();
         rel_ids.dedup();
         let mut out = Vec::with_capacity(rel_ids.len());
@@ -542,45 +538,48 @@ impl LineageStore {
         Ok(out)
     }
 
-    /// Scans one neighbour index for `anchor`, collecting relationships
-    /// whose latest entry at or before `ts` is an addition.
-    fn valid_neighbour_rels(
+    /// Appends `(other end, rel)` for every relationship incident to `node`
+    /// in `dir` whose latest neighbour entry at or before `ts` is an
+    /// addition (Alg. 1 line 8), read from the neighbour keys alone: each
+    /// index's entries in key order, so in `(other end, rel)` order.
+    pub(crate) fn valid_neighbours(
         &self,
-        tree: &BTree,
-        anchor: NodeId,
+        node: NodeId,
+        dir: lpg::Direction,
         ts: Timestamp,
-        out: &mut Vec<RelId>,
+        out: &mut Vec<(NodeId, RelId)>,
     ) -> Result<()> {
-        let (low, high) = keys::neigh_range(anchor);
-        let mut current: Option<(RelId, bool)> = None; // (rel, alive)
-        for item in tree.scan(&low, &high)? {
-            let (key, value) = item?;
-            let (_, _, rel, ets) = keys::decode_neigh_key(&key)
-                .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
-            let deleted = neighbour_deleted(&value)
-                .ok_or_else(|| GraphError::Storage("bad neigh entry".into()))?;
-            match current {
-                Some((cur, _)) if cur == rel => {
+        for tree in self.neighbour_trees(dir) {
+            // A relationship's entries are adjacent, oldest first.
+            let mut current: Option<(NodeId, RelId, bool)> = None; // (b, rel, alive)
+            scan_neighbours(tree, node, |b, rel, ets, deleted| match &mut current {
+                Some((_, cur, alive)) if *cur == rel => {
                     if ets <= ts {
-                        current = Some((rel, !deleted));
+                        *alive = !deleted;
                     }
                 }
                 _ => {
-                    // Flush the previous group.
-                    if let Some((cur, true)) = current {
-                        out.push(cur);
+                    if let Some((b, rel, true)) = current {
+                        out.push((b, rel));
                     }
-                    current = Some((rel, ets <= ts && !deleted));
-                    if ets > ts {
-                        current = Some((rel, false));
-                    }
+                    current = Some((b, rel, ets <= ts && !deleted));
                 }
+            })?;
+            if let Some((b, rel, true)) = current {
+                out.push((b, rel));
             }
         }
-        if let Some((cur, true)) = current {
-            out.push(cur);
-        }
         Ok(())
+    }
+
+    /// The neighbour indexes `dir` reads: outgoing first, then incoming.
+    fn neighbour_trees(&self, dir: lpg::Direction) -> impl Iterator<Item = &BTree> {
+        [
+            (dir.includes_out(), &self.out_n),
+            (dir.includes_in(), &self.in_n),
+        ]
+        .into_iter()
+        .filter_map(|(read, tree)| read.then_some(tree))
     }
 
     /// `getRelationships(nodeId, direction, start, end)`: the history of
@@ -594,21 +593,8 @@ impl LineageStore {
         end: Timestamp,
     ) -> Result<Vec<Vec<Version<Relationship>>>> {
         let mut rel_ids = Vec::new();
-        let collect = |tree: &BTree, out: &mut Vec<RelId>| -> Result<()> {
-            let (low, high) = keys::neigh_range(node);
-            for item in tree.scan(&low, &high)? {
-                let (key, _) = item?;
-                let (_, _, rel, _) = keys::decode_neigh_key(&key)
-                    .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
-                out.push(rel);
-            }
-            Ok(())
-        };
-        if dir.includes_out() {
-            collect(&self.out_n, &mut rel_ids)?;
-        }
-        if dir.includes_in() {
-            collect(&self.in_n, &mut rel_ids)?;
+        for tree in self.neighbour_trees(dir) {
+            scan_neighbours(tree, node, |_, rel, _, _| rel_ids.push(rel))?;
         }
         rel_ids.sort_unstable();
         rel_ids.dedup();
@@ -722,6 +708,25 @@ fn apply_entry(current: Option<RecordBody>, body: RecordBody, id: u64) -> Result
             ))),
         },
     }
+}
+
+/// Calls `f(other end, rel, ts, deleted)` for each entry of `anchor`'s
+/// range in one neighbour index, in key order.
+fn scan_neighbours(
+    tree: &BTree,
+    anchor: NodeId,
+    mut f: impl FnMut(NodeId, RelId, Timestamp, bool),
+) -> Result<()> {
+    let (low, high) = keys::neigh_range(anchor);
+    for item in tree.scan(&low, &high)? {
+        let (key, value) = item?;
+        let (_, b, rel, ts) = keys::decode_neigh_key(&key)
+            .ok_or_else(|| GraphError::Storage("bad neigh key".into()))?;
+        let deleted = neighbour_deleted(&value)
+            .ok_or_else(|| GraphError::Storage("bad neigh entry".into()))?;
+        f(b, rel, ts, deleted);
+    }
+    Ok(())
 }
 
 /// Decodes a neighbour-index value: `[0]` added, `[1]` deleted.

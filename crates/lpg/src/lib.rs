@@ -18,6 +18,9 @@
 //!   `CONTAINED IN`).
 //! * [`entity`] — node / relationship snapshots and their versioned temporal
 //!   counterparts.
+//! * [`bfs`](mod@bfs) — the bounded breadth-first expansion (Alg. 1's
+//!   loop) over any neighbour source, shared by both stores and the BFS
+//!   measurements.
 //! * [`bag`] — the property bag and label set an entity holds, the common
 //!   one property and one or two labels inline.
 //! * [`update`] — the update universe `U` and timestamped update tuples.
@@ -30,6 +33,7 @@
 //!   Sec. 3 ("A graph entity g can be added only if g ∉ G", etc.).
 
 pub mod bag;
+pub mod bfs;
 pub mod delta;
 pub mod entity;
 pub mod error;
@@ -42,6 +46,7 @@ pub mod update;
 pub mod value;
 
 pub use bag::{LabelSet, PropBag};
+pub use bfs::bfs;
 pub use delta::{EntityDelta, PropChange};
 pub use entity::{Node, Props, Relationship, TemporalNode, TemporalRel, Version};
 pub use error::{GraphError, Result};

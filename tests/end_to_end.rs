@@ -8,7 +8,7 @@ use aion_suite::*;
 use baselines::TemporalBackend;
 use lpg::Direction;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tempfile::tempdir;
 use workload::datasets;
 
@@ -99,20 +99,24 @@ fn expansion_paths_agree() {
     for hops in [1u32, 2, 3] {
         for _ in 0..10 {
             let start = w.random_node(&mut rng);
-            let a = db
-                .lineagestore()
-                .expand(start, Direction::Outgoing, hops, last);
-            let b = db.expand_via_snapshot(start, Direction::Outgoing, hops, last);
-            match (a, b) {
-                (Ok(x), Ok(y)) => {
-                    let mut xs: Vec<u64> = x.iter().map(|h| h.node.id.raw()).collect();
-                    let mut ys: Vec<u64> = y.iter().map(|(n, _)| n.raw()).collect();
-                    xs.sort_unstable();
-                    ys.sort_unstable();
-                    assert_eq!(xs, ys, "expand mismatch from {start} at {hops} hops");
+            // The workload's own timestamps run past Aion's commit
+            // timestamps, so draw a historical commit directly.
+            let past = rng.gen_range(1..=last);
+            for at in [last, past] {
+                for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
+                    let a = db.lineagestore().expand(start, dir, hops, at);
+                    let b = db.expand_via_snapshot(start, dir, hops, at);
+                    match (a, b) {
+                        (Ok(x), Ok(mut y)) => {
+                            let mut x: Vec<_> = x.iter().map(|h| (h.node.id, h.hop)).collect();
+                            x.sort_unstable();
+                            y.sort_unstable();
+                            assert_eq!(x, y, "expand({start}, {dir:?}, {hops}) at {at}");
+                        }
+                        (Err(_), Err(_)) => {} // node not alive in both
+                        other => panic!("one path failed: {other:?}"),
+                    }
                 }
-                (Err(_), Err(_)) => {} // node not alive in both
-                other => panic!("one path failed: {other:?}"),
             }
         }
     }
