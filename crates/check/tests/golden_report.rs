@@ -111,8 +111,8 @@ fn damage_lineage(path: &Path) {
 }
 
 /// Allocates one page of the lineage file that no tree reaches and the
-/// free list does not hold, and syncs so the file still verifies against
-/// its checksum sidecar at the next open.
+/// free list does not hold, and syncs so the seal on its meta page still
+/// verifies at the next open.
 fn leak_page(path: &Path) {
     let store = PageStore::open(path, 16).unwrap();
     store.allocate().unwrap();

@@ -157,11 +157,16 @@ impl Aion {
         ls_config.vfs = fs.clone();
         ls_config.verify_pages = true;
         let lineage_path = config.dir.join("lineage.db");
+        // Earlier builds kept the page sums in this sidecar; the seal on the
+        // meta page replaces it.
+        let old_sums = config.dir.join("lineage.db.sums");
+        if fs.exists(&old_sums) {
+            fs.remove_file(&old_sums)?;
+        }
         let lineage = match Self::open_lineage(&timestore, &lineage_path, ls_config.clone()) {
             Ok(l) => l,
             Err(_) => {
                 let _ = fs.remove_file(&lineage_path);
-                let _ = fs.remove_file(&pagestore::PageStore::sums_path(&lineage_path));
                 Self::open_lineage(&timestore, &lineage_path, ls_config)?
             }
         };

@@ -29,10 +29,11 @@ pub struct LineageStoreConfig {
     pub chain_threshold: Option<u32>,
     /// File system the paged file is opened on.
     pub vfs: VfsRef,
-    /// Verify the paged file against its checksum sidecar at open and fail
-    /// with `Storage` on mismatch. Defaults to `false` here (tools open
-    /// lineage files directly, corrupt or not); `Aion::open` enables it
-    /// and rebuilds the store from the TimeStore on failure.
+    /// Verify the paged file against the seal its last sync wrote on the
+    /// meta page at open, and fail with `Storage` on mismatch. Defaults to
+    /// `false` here (tools open lineage files directly, corrupt or not);
+    /// `Aion::open` enables it and rebuilds the store from the TimeStore on
+    /// failure.
     pub verify_pages: bool,
 }
 

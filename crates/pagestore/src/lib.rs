@@ -10,8 +10,9 @@
 //! Layout:
 //!
 //! * page 0 is a meta page holding a magic number, the allocated page count,
-//!   the free-list head and eight u64 slots the B+Tree layer uses to persist
-//!   its root pointers;
+//!   the free-list head, eight u64 slots the B+Tree layer uses to persist
+//!   its root pointers and, in its last eight bytes, the seal the last
+//!   sync wrote over the whole file;
 //! * every other page is raw `PAGE_SIZE` bytes interpreted by the layer
 //!   above;
 //! * freed pages are chained into a free list (first 8 bytes = next free

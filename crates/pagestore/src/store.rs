@@ -1,13 +1,13 @@
 //! The paged file: allocation, free list, cached reads and write-back.
 //!
 //! All I/O goes through [`vfs::Vfs`], so the store runs unchanged on the
-//! production `StdVfs` and on the fault-injecting `SimVfs`. Alongside the
-//! page file the store maintains a **checksum sidecar** (`<file>.sums`),
-//! rewritten atomically-by-footer at every [`PageStore::sync`]: it records
-//! one [`vfs::bulk_sum64`] checksum per page plus a footer checksum over the
-//! whole sidecar, so `open_with_vfs(.., verify: true)` can tell a cleanly
-//! synced file from one torn by a crash — a torn file fails verification
-//! and the caller rebuilds it from its source of truth (the change log).
+//! production `StdVfs` and on the fault-injecting `SimVfs`. The file checks
+//! itself: [`PageStore::sync`] ends the meta page with a **seal**, one
+//! [`vfs::bulk_sum64`] over the rest of the meta page and the sum of every
+//! other page, made durable by the same fsync as the pages. A verifying
+//! open recomputes it, so a file torn by a crash, or written back after its
+//! last sync, fails verification and the caller rebuilds it from its source
+//! of truth (the change log).
 
 use crate::cache::{CacheStats, LruCache};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
@@ -18,29 +18,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
-/// "AIONPGS3": the page-file format version. Version 1 laid B+Tree leaf
+/// "AIONPGS4": the page-file format version. Version 1 laid B+Tree leaf
 /// cells out with a seven-byte header; version 2 had the varint cell header
-/// but 32-byte neighbour keys. This build reads neither, and an old file
-/// fails at open like a torn one, so the caller rebuilds it from the change
-/// log.
-const MAGIC: u64 = 0x4149_4F4E_5047_5333;
+/// but 32-byte neighbour keys; version 3 kept its checksums in a
+/// `<file>.sums` sidecar instead of the meta page's seal. This build reads
+/// none of them, and an old file fails at open like a torn one, so the
+/// caller rebuilds it from the change log.
+const MAGIC: u64 = 0x4149_4F4E_5047_5334;
 /// The magic without its version digit.
 const MAGIC_STEM: u64 = MAGIC >> 8;
 const META_MAGIC_OFF: usize = 0;
 const META_PAGE_COUNT_OFF: usize = 8;
 const META_FREE_HEAD_OFF: usize = 16;
 const META_ROOTS_OFF: usize = 24;
+/// The seal: the meta page's last eight bytes. A plain flush writes 0,
+/// "not sealed".
+const META_SEAL_OFF: usize = PAGE_SIZE - 8;
 /// Number of u64 root slots available to clients on the meta page.
 pub const ROOT_SLOTS: usize = 8;
-
-/// Suffix of the checksum sidecar next to every page file.
-pub const SUMS_SUFFIX: &str = "sums";
-
-/// "AIONSUM2": version 1 carried FNV-1a sums. An old sidecar fails
-/// verification like a torn one, and the caller rebuilds the page file.
-const SUMS_MAGIC: u64 = 0x4149_4F4E_5355_4D32;
-const SUMS_HEADER: usize = 24; // magic + generation + count
-const SUMS_FOOTER: usize = 8;
 
 struct Inner {
     cache: LruCache,
@@ -49,8 +44,6 @@ struct Inner {
     meta_dirty: bool,
     /// Checksum of each page as last written to the file.
     sums: Vec<u64>,
-    /// Monotonic sync counter, persisted in the sidecar header.
-    generation: u64,
 }
 
 /// Handles into the process-wide metrics registry, fetched once at open
@@ -84,7 +77,6 @@ impl Metrics {
 /// hazards.
 pub struct PageStore {
     file: Box<dyn VfsFile>,
-    sums_file: Box<dyn VfsFile>,
     inner: Mutex<Inner>,
     /// The meta page's root slots, readable without `inner`'s lock: every
     /// B+Tree descent starts with one. `set_root` stores under the lock
@@ -95,18 +87,6 @@ pub struct PageStore {
     metrics: Metrics,
 }
 
-fn unclean(detail: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("page store failed checksum verification ({detail}); rebuild required"),
-    )
-}
-
-/// A magic number as the eight ASCII characters it spells.
-fn magic_name(magic: u64) -> String {
-    magic.to_be_bytes().escape_ascii().to_string()
-}
-
 /// Checksum of an all-zero page: what an allocated page that was never
 /// written reads back as.
 fn zero_page_sum() -> u64 {
@@ -114,45 +94,12 @@ fn zero_page_sum() -> u64 {
     *SUM.get_or_init(|| vfs::bulk_sum64(&[0u8; PAGE_SIZE]))
 }
 
-/// Parses a sidecar image, returning `(generation, per-page checksums)`.
-fn decode_sidecar(bytes: &[u8]) -> io::Result<(u64, Vec<u64>)> {
-    let le = |b: &[u8]| -> u64 {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&b[..8]);
-        u64::from_le_bytes(a)
-    };
-    if bytes.len() < SUMS_HEADER + SUMS_FOOTER {
-        return Err(unclean("sidecar truncated"));
-    }
-    let body = &bytes[..bytes.len() - SUMS_FOOTER];
-    if le(&bytes[bytes.len() - SUMS_FOOTER..]) != vfs::bulk_sum64(body) {
-        return Err(unclean("sidecar footer checksum mismatch"));
-    }
-    if le(&bytes[0..8]) != SUMS_MAGIC {
-        return Err(unclean("sidecar bad magic"));
-    }
-    let generation = le(&bytes[8..16]);
-    let count = le(&bytes[16..24]) as usize;
-    if body.len() != SUMS_HEADER + count * 8 {
-        return Err(unclean("sidecar count/length mismatch"));
-    }
-    let sums = (0..count)
-        .map(|i| le(&body[SUMS_HEADER + i * 8..]))
-        .collect();
-    Ok((generation, sums))
-}
-
-fn encode_sidecar(generation: u64, sums: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(SUMS_HEADER + sums.len() * 8 + SUMS_FOOTER);
-    out.extend_from_slice(&SUMS_MAGIC.to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&(sums.len() as u64).to_le_bytes());
-    for s in sums {
-        out.extend_from_slice(&s.to_le_bytes());
-    }
-    let footer = vfs::bulk_sum64(&out);
-    out.extend_from_slice(&footer.to_le_bytes());
-    out
+/// The seal over a meta page image (up to the seal) and the sums of every
+/// page after it; `sums` is indexed by page id.
+fn seal_of(meta: &PageBuf, sums: &[u64]) -> u64 {
+    let mut bytes = meta.bytes()[..META_SEAL_OFF].to_vec();
+    bytes.extend(sums.iter().skip(1).flat_map(|sum| sum.to_le_bytes()));
+    vfs::bulk_sum64(&bytes)
 }
 
 impl PageStore {
@@ -165,12 +112,11 @@ impl PageStore {
 
     /// Opens (or creates) a page store at `path` on `vfs`.
     ///
-    /// With `verify` set, an existing non-empty file must match its
-    /// checksum sidecar exactly — i.e. be the image of its most recent
-    /// successful [`PageStore::sync`]. A missing, torn, or mismatching
-    /// sidecar yields `InvalidData`, signalling an unclean shutdown; the
-    /// caller is expected to delete the file (and its
-    /// [`PageStore::sums_path`]) and rebuild from its source of truth.
+    /// With `verify` set, an existing non-empty file must match the seal on
+    /// its meta page exactly — i.e. be the image of its most recent
+    /// successful [`PageStore::sync`]. An unsealed or mismatching file
+    /// yields `InvalidData`, signalling an unclean shutdown; the caller is
+    /// expected to delete the file and rebuild from its source of truth.
     pub fn open_with_vfs(
         vfs: &VfsRef,
         path: &Path,
@@ -186,7 +132,6 @@ impl PageStore {
             free_head: PageId::NULL,
             meta_dirty: true,
             sums: Vec::new(),
-            generation: 0,
         };
         if len >= PAGE_SIZE as u64 {
             let mut meta = PageBuf::zeroed();
@@ -196,8 +141,8 @@ impl PageStore {
                 let detail = if magic >> 8 == MAGIC_STEM {
                     format!(
                         "page file version {}, this build reads {}",
-                        magic_name(magic),
-                        magic_name(MAGIC)
+                        magic.to_be_bytes().escape_ascii(),
+                        MAGIC.to_be_bytes().escape_ascii()
                     )
                 } else {
                     "not an aion page store (bad magic)".to_string()
@@ -211,9 +156,8 @@ impl PageStore {
             }
             inner.meta_dirty = false;
             // Checksum every page as it sits in the file now, so later
-            // syncs write a sidecar covering pages this session never
-            // touches. Pages past EOF (allocated, never flushed, file
-            // hole) read back as zeros.
+            // syncs seal pages this session never touches. Pages past EOF
+            // (allocated, never flushed, file hole) read back as zeros.
             let zero = zero_page_sum();
             let mut buf = PageBuf::zeroed();
             for pid in 0..inner.page_count {
@@ -225,33 +169,19 @@ impl PageStore {
                     inner.sums.push(zero);
                 }
             }
-            if verify {
-                let side = vfs
-                    .read(&vfs::sidecar_path(path, SUMS_SUFFIX))
-                    .map_err(|_| unclean("sidecar missing or unreadable"))?;
-                let (generation, expected) = decode_sidecar(&side)?;
-                if expected.len() as u64 != inner.page_count {
-                    return Err(unclean("sidecar page count differs from meta page"));
-                }
-                if expected != inner.sums {
-                    return Err(unclean("page contents differ from last synced state"));
-                }
-                inner.generation = generation;
+            if verify && meta.read_u64(META_SEAL_OFF) != seal_of(&meta, &inner.sums) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "page file does not match the seal of its last sync; rebuild required",
+                ));
             }
         }
-        let sums_file = vfs.open(&vfs::sidecar_path(path, SUMS_SUFFIX))?;
         Ok(PageStore {
             file,
-            sums_file,
             inner: Mutex::new(inner),
             roots,
             metrics: Metrics::new(),
         })
-    }
-
-    /// The checksum-sidecar path for a page store at `path`.
-    pub fn sums_path(path: &Path) -> std::path::PathBuf {
-        vfs::sidecar_path(path, SUMS_SUFFIX)
     }
 
     /// Total allocated pages, including the meta page and free pages.
@@ -434,7 +364,10 @@ impl PageStore {
         Ok(problems)
     }
 
-    fn flush_locked(&self, inner: &mut Inner) -> io::Result<()> {
+    /// Writes every dirty page, then the meta page: always and sealed
+    /// over the resulting file when `seal` is set, else only when it
+    /// changed and with a seal of 0.
+    fn write_back(&self, inner: &mut Inner, seal: bool) -> io::Result<()> {
         for (pid, buf) in inner.cache.dirty_pages() {
             let _t = self.metrics.writeback_latency.start_timer();
             // Grow the file lazily: write_all_at extends as needed. The
@@ -444,41 +377,42 @@ impl PageStore {
             self.write_page(inner, pid, buf.bytes())?;
             inner.cache.clear_dirty(pid);
         }
-        if inner.meta_dirty {
-            let mut meta = PageBuf::zeroed();
-            meta.write_u64(META_MAGIC_OFF, MAGIC);
-            meta.write_u64(META_PAGE_COUNT_OFF, inner.page_count);
-            meta.write_u64(META_FREE_HEAD_OFF, inner.free_head.0);
-            for (i, slot) in self.roots.iter().enumerate() {
-                meta.write_u64(META_ROOTS_OFF + i * 8, slot.load(Ordering::Acquire));
-            }
-            self.write_page(inner, PageId::META, meta.bytes())?;
-            inner.meta_dirty = false;
+        if !seal && !inner.meta_dirty {
+            return Ok(());
         }
+        let mut meta = PageBuf::zeroed();
+        meta.write_u64(META_MAGIC_OFF, MAGIC);
+        meta.write_u64(META_PAGE_COUNT_OFF, inner.page_count);
+        meta.write_u64(META_FREE_HEAD_OFF, inner.free_head.0);
+        for (i, slot) in self.roots.iter().enumerate() {
+            meta.write_u64(META_ROOTS_OFF + i * 8, slot.load(Ordering::Acquire));
+        }
+        if seal {
+            inner
+                .sums
+                .resize(inner.page_count as usize, zero_page_sum());
+            meta.write_u64(META_SEAL_OFF, seal_of(&meta, &inner.sums));
+        }
+        self.write_page(inner, PageId::META, meta.bytes())?;
+        inner.meta_dirty = false;
         Ok(())
     }
 
-    /// Writes every dirty page (and the meta page) back to the file.
+    /// Writes every dirty page and, when it changed, the meta page back to
+    /// the file. The file verifies again only after the next
+    /// [`PageStore::sync`].
     pub fn flush(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock();
-        self.flush_locked(&mut inner)
+        self.write_back(&mut self.inner.lock(), false)
     }
 
-    /// Flushes, fsyncs the page file, then rewrites and fsyncs the
-    /// checksum sidecar. The sidecar's footer checksum makes it an atomic
-    /// unit: if it verifies at open, the page file is exactly the image
-    /// this sync made durable.
+    /// Writes every dirty page, then the meta page with the seal over the
+    /// resulting file, then fsyncs once. A crash before the fsync completes
+    /// leaves new pages beside an old meta page or the reverse, and neither
+    /// matches the seal it carries.
     pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        self.flush_locked(&mut inner)?;
-        self.file.sync_data()?;
-        inner.generation += 1;
-        let count = inner.page_count as usize;
-        inner.sums.resize(count, zero_page_sum());
-        let bytes = encode_sidecar(inner.generation, &inner.sums[..count]);
-        self.sums_file.set_len(bytes.len() as u64)?;
-        self.sums_file.write_all_at(&bytes, 0)?;
-        self.sums_file.sync_data()
+        self.write_back(&mut inner, true)?;
+        self.file.sync_data()
     }
 }
 
@@ -590,8 +524,8 @@ mod tests {
         let path = dir.path().join("old.db");
         PageStore::open(&path, 4).unwrap().sync().unwrap();
         let mut raw = VfsRef::std().read(&path).unwrap();
-        assert_eq!(&raw[..8], b"3SGPNOIA", "little-endian AIONPGS3");
-        for version in [b'1', b'2'] {
+        assert_eq!(&raw[..8], b"4SGPNOIA", "little-endian AIONPGS4");
+        for version in [b'1', b'2', b'3'] {
             raw[0] = version;
             VfsRef::std().write(&path, &raw).unwrap();
             let err = PageStore::open(&path, 4).err().unwrap();
@@ -599,7 +533,7 @@ mod tests {
             assert_eq!(
                 err.to_string(),
                 format!(
-                    "page file version AIONPGS{}, this build reads AIONPGS3",
+                    "page file version AIONPGS{}, this build reads AIONPGS4",
                     char::from(version)
                 )
             );
@@ -630,6 +564,84 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Non-verifying open still works (legacy path).
         PageStore::open_with_vfs(&vfs, &path, 4, false).unwrap();
+    }
+
+    #[test]
+    fn verify_rejects_a_flipped_meta_byte() {
+        let dir = tempdir().unwrap();
+        let (vfs, path) = (VfsRef::std(), dir.path().join("m.db"));
+        let store = PageStore::open(&path, 4).unwrap();
+        store.set_root(0, store.allocate().unwrap().0);
+        store.sync().unwrap();
+        drop(store);
+        let synced = vfs.read(&path).unwrap();
+        // The free head, a root slot, the unused middle and the seal itself.
+        for off in [16, 27, PAGE_SIZE / 2, PAGE_SIZE - 3] {
+            let mut raw = synced.clone();
+            raw[off] ^= 1;
+            vfs.write(&path, &raw).unwrap();
+            let err = PageStore::open_with_vfs(&vfs, &path, 4, true).err();
+            assert_eq!(
+                err.map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidData),
+                "byte {off}"
+            );
+        }
+    }
+
+    /// A page rolled back to its bytes from before the last sync is valid
+    /// on its own; the seal still rejects the file.
+    #[test]
+    fn verify_rejects_a_lost_write() {
+        let dir = tempdir().unwrap();
+        let (vfs, path) = (VfsRef::std(), dir.path().join("l.db"));
+        let store = PageStore::open(&path, 4).unwrap();
+        let p = store.allocate().unwrap();
+        store.sync().unwrap();
+        let before = vfs.read(&path).unwrap();
+        store.write(p, |b| b.write_u64(0, 2)).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        PageStore::open_with_vfs(&vfs, &path, 4, true).unwrap();
+        let mut raw = vfs.read(&path).unwrap();
+        raw[PAGE_SIZE..].copy_from_slice(&before[PAGE_SIZE..]);
+        vfs.write(&path, &raw).unwrap();
+        let err = PageStore::open_with_vfs(&vfs, &path, 4, true).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+    }
+
+    /// A plain flush writes the meta page unsealed: the file verifies
+    /// again only after a sync.
+    #[test]
+    fn verify_rejects_a_flushed_meta_page() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("f.db");
+        let store = PageStore::open(&path, 4).unwrap();
+        store.sync().unwrap();
+        store.set_root(0, 1);
+        store.flush().unwrap();
+        let err = PageStore::open_with_vfs(&VfsRef::std(), &path, 4, true).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        store.sync().unwrap();
+        PageStore::open_with_vfs(&VfsRef::std(), &path, 4, true).unwrap();
+    }
+
+    /// A sync after one page changed writes that page and the sealed meta
+    /// page, fsyncs once, and leaves no other file.
+    #[test]
+    fn sync_writes_the_page_and_the_meta_page_and_fsyncs_once() {
+        let sim = vfs::SimVfs::new(7);
+        let vfs = VfsRef::new(Arc::new(sim.clone()));
+        let store = PageStore::open_with_vfs(&vfs, Path::new("/s.db"), 4, false).unwrap();
+        let p = store.allocate().unwrap();
+        store.sync().unwrap();
+        store.write(p, |b| b.write_u64(0, 9)).unwrap();
+        let before = sim.op_count();
+        store.sync().unwrap();
+        assert_eq!(sim.op_count() - before, 3);
+        drop(store);
+        assert_eq!(vfs.read_dir(Path::new("/")).unwrap().len(), 1);
+        PageStore::open_with_vfs(&vfs, Path::new("/s.db"), 4, true).unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   bump epoch, open writes, start shipping, fence the old primary).
 //! * [`rejoin`] — offline quarantine for a deposed primary's divergent
 //!   log suffix ([`prepare_rejoin`]), archiving it byte-exact into a
-//!   checksummed sidecar before the node resyncs as a replica.
+//!   checksummed archive file before the node resyncs as a replica.
 
 pub mod epoch;
 pub mod node;

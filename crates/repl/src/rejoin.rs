@@ -13,12 +13,12 @@
 //!    cluster epoch and its own fork point);
 //! 2. scans the local `timestore.log` for the first frame past the fork
 //!    point and archives everything from there — including any torn
-//!    tail — **byte-exact** into a checksummed sidecar
+//!    tail — **byte-exact** into a checksummed archive file
 //!    `timestore.log.divergent-<epoch>`;
 //! 3. truncates the log back to the fork point, deletes its durable-end
 //!    record (which points past the new end) and the derived state that
-//!    indexed the divergent suffix (`lineage.db` and its checksum
-//!    sidecar), so the next open rebuilds from the surviving prefix;
+//!    indexed the divergent suffix (`lineage.db`), so the next open
+//!    rebuilds from the surviving prefix;
 //! 4. adopts the cluster epoch into the local chain, fencing the node's
 //!    write path before it ever reopens.
 //!
@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use timestore::log::parse_frame;
 use timestore::CommitFrame;
-use vfs::{fnv64, sidecar_path, VfsRef};
+use vfs::{fnv64, VfsRef};
 
 /// Magic prefix of a divergence archive.
 pub const DIVERGENCE_MAGIC: &[u8; 8] = b"AIONDIVG";
@@ -146,12 +146,9 @@ pub fn prepare_rejoin(
         let log = vfs.open(&log_path)?;
         log.set_len(fork_offset)?;
         log.sync_data()?;
-        let lineage = dir.join("lineage.db");
-        let lineage_sums = sidecar_path(&lineage, "sums");
         for stale in [
             ts_dir.join(timestore::store::DURABLE_END_FILE),
-            lineage,
-            lineage_sums,
+            dir.join("lineage.db"),
         ] {
             let _ = vfs.remove_file(&stale);
         }

@@ -24,7 +24,7 @@
 use std::fmt;
 use std::io;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 mod rng;
@@ -160,8 +160,8 @@ impl Fnv32 {
     }
 }
 
-/// 64-bit checksum for bulk *derived* files: page-checksum sidecars and
-/// snapshot footers, both rebuilt from the change log on mismatch.
+/// 64-bit checksum for bulk *derived* files: page sums, the page file's
+/// seal and snapshot footers, all rebuilt from the change log on mismatch.
 ///
 /// FNV-1a is one multiply per byte on a single dependency chain; hashing
 /// an 8 KiB page that way costs more than writing it. This kernel reads
@@ -199,14 +199,6 @@ pub fn bulk_sum64(bytes: &[u8]) -> u64 {
     h ^= h >> 32;
     h = h.wrapping_mul(P);
     h ^ (h >> 29)
-}
-
-/// Derives the conventional sidecar path `<path>.<suffix>`.
-pub fn sidecar_path(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".");
-    os.push(suffix);
-    PathBuf::from(os)
 }
 
 // ---------------------------------------------------------------- StdVfs
@@ -398,13 +390,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sidecar_path_appends_suffix() {
-        assert_eq!(
-            sidecar_path(Path::new("/x/lineage.db"), "sums"),
-            PathBuf::from("/x/lineage.db.sums")
-        );
     }
 }

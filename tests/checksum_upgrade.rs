@@ -1,16 +1,17 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
-//! page files are rebuilt from the change log — whose format did not
-//! change — and the stale snapshots are dropped at open. Five inputs:
+//! page file is rebuilt from the change log — whose format did not change
+//! — and the stale snapshots are dropped at open. Four kinds of input:
 //!
-//! * written before the bulk checksum (`vfs::bulk_sum64`, sidecar magic
-//!   `AIONSUM2`): page-checksum sidecars and snapshot footers carry FNV-1a
-//!   sums (`AIONSUM1`);
+//! * written before the bulk checksum (`vfs::bulk_sum64`): snapshot footers
+//!   carry FNV-1a sums;
 //! * written before snapshot files shared segments: every snapshot is a
 //!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer;
-//! * written before leaf cells had a varint header, or before neighbour
-//!   keys were compact: the page files carry the page-file magic `AIONPGS1`
-//!   or `AIONPGS2` behind a *valid* checksum sidecar;
+//! * written before leaf cells had a varint header, before neighbour keys
+//!   were compact, or before the page file sealed itself: the page file
+//!   carries the page-file magic `AIONPGS1`, `AIONPGS2` or `AIONPGS3`, with
+//!   its checksums in a `lineage.db.sums` sidecar. Open deletes the
+//!   sidecar;
 //! * written while the TimeStore kept its `ts → log offset` tree: a
 //!   `timestore.idx` page file with its checksum sidecar, and no
 //!   durable-end record next to the log. Open deletes both files.
@@ -19,7 +20,7 @@ use aion::{Aion, AionConfig};
 use check::CheckLevel;
 use lpg::{Graph, NodeId, PropertyValue, RelId};
 use pagestore::{PageStore, PAGE_SIZE};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use timestore::SnapshotPolicy;
 use vfs::{fnv64, VfsRef};
@@ -30,54 +31,40 @@ fn config(dir: &Path) -> AionConfig {
     config
 }
 
-fn u64_at(bytes: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+/// `<page_file>.sums`, the checksum sidecar older builds kept beside a
+/// page file.
+fn sidecar(page_file: &Path) -> PathBuf {
+    let mut path = page_file.as_os_str().to_owned();
+    path.push(".sums");
+    path.into()
 }
 
-/// Rewrites `<page_file>.sums` the way version 1 wrote it: magic
-/// `AIONSUM1`, one FNV-1a sum per page, FNV-1a footer over the rest.
-fn reseal_sidecar_v1(page_file: &Path) {
-    let sums_path = PageStore::sums_path(page_file);
-    let current = VfsRef::std().read(&sums_path).unwrap();
-    assert_eq!(&current[..8], b"2MUSNOIA", "little-endian AIONSUM2");
-    let (generation, count) = (u64_at(&current, 8), u64_at(&current, 16) as usize);
-    let mut pages = VfsRef::std().read(page_file).unwrap();
-    pages.resize(count * PAGE_SIZE, 0); // allocated, never written: a hole
+/// Writes the checksum sidecar the way older builds did: magic
+/// `AIONSUM2`, a generation, the page count, one sum per page and a
+/// footer over the rest.
+fn write_old_sidecar(page_file: &Path) {
+    let pages = VfsRef::std().read(page_file).unwrap();
     let mut out = Vec::new();
-    out.extend_from_slice(b"1MUSNOIA");
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&(count as u64).to_le_bytes());
+    out.extend_from_slice(b"2MUSNOIA");
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out.extend_from_slice(&((pages.len() / PAGE_SIZE) as u64).to_le_bytes());
     for page in pages.chunks_exact(PAGE_SIZE) {
-        out.extend_from_slice(&fnv64(page).to_le_bytes());
+        out.extend_from_slice(&vfs::bulk_sum64(page).to_le_bytes());
     }
-    let footer = fnv64(&out);
+    let footer = vfs::bulk_sum64(&out);
     out.extend_from_slice(&footer.to_le_bytes());
-    assert_eq!(
-        out.len(),
-        current.len(),
-        "same sidecar length in both versions"
-    );
-    VfsRef::std().write(&sums_path, &out).unwrap();
+    VfsRef::std().write(&sidecar(page_file), &out).unwrap();
 }
 
-/// Rewrites a page file's magic to `AIONPGS<version>` and reseals its
-/// `AIONSUM2` sidecar over the new bytes, so the format version is the only
-/// thing wrong with the file.
+/// Rewrites a page file's magic to `AIONPGS<version>`, so the format
+/// version is the only thing wrong with the file, and writes the checksum
+/// sidecar those versions kept beside it.
 fn rewrite_page_magic(page_file: &Path, version: u8) {
     let mut pages = VfsRef::std().read(page_file).unwrap();
-    assert_eq!(&pages[..8], b"3SGPNOIA", "little-endian AIONPGS3");
+    assert_eq!(&pages[..8], b"4SGPNOIA", "little-endian AIONPGS4");
     pages[0] = version;
     VfsRef::std().write(page_file, &pages).unwrap();
-    let sums_path = PageStore::sums_path(page_file);
-    let mut sums = VfsRef::std().read(&sums_path).unwrap();
-    // Header (magic, generation, count), then one sum per page from page
-    // 0, then the footer over everything before it.
-    let meta_sum = vfs::bulk_sum64(&pages[..PAGE_SIZE]);
-    sums[24..32].copy_from_slice(&meta_sum.to_le_bytes());
-    let body = sums.len() - 8;
-    let footer = vfs::bulk_sum64(&sums[..body]);
-    sums[body..].copy_from_slice(&footer.to_le_bytes());
-    VfsRef::std().write(&sums_path, &sums).unwrap();
+    write_old_sidecar(page_file);
 }
 
 /// Rewrites a snapshot's footer as FNV-1a over its payload.
@@ -147,21 +134,12 @@ fn assert_history(db: &Aion, history: &[(u64, Arc<Graph>)]) {
 fn old_checksums_are_rebuilt_from_the_log() {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
-    let page_files = [dir.join("lineage.db")];
     let history = write_history(dir);
     let snapshots = snapshot_files(dir);
     assert!(
         snapshots.len() >= 3,
         "the history crosses snapshot boundaries"
     );
-
-    for file in &page_files {
-        reseal_sidecar_v1(file);
-        let err = PageStore::open_with_vfs(&VfsRef::std(), file, 4, true)
-            .err()
-            .expect("a version-1 sidecar must not verify");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
     for snapshot in &snapshots {
         reseal_snapshot_v1(snapshot);
     }
@@ -176,11 +154,7 @@ fn old_checksums_are_rebuilt_from_the_log() {
         assert_history(&db, &history);
         db.sync().unwrap();
     }
-    for file in &page_files {
-        let sums = VfsRef::std().read(&PageStore::sums_path(file)).unwrap();
-        assert_eq!(&sums[..8], b"2MUSNOIA", "the next sync writes AIONSUM2");
-        PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
-    }
+    PageStore::open_with_vfs(&VfsRef::std(), &dir.join("lineage.db"), 4, true).unwrap();
 }
 
 /// PR 17's pinned whole-graph snapshot body: the version-1 format.
@@ -229,35 +203,33 @@ fn version_1_snapshots_are_dropped_at_open() {
     assert!(encoding::snapshot::open(&v1).is_none());
 }
 
-/// A directory whose page files carry the older page-file version
-/// `version` opens: both page files are rebuilt from the log before any
-/// read, the snapshots are kept, and history reads back from both stores.
-fn old_page_files_are_rebuilt_at_open(version: u8) {
+/// A directory whose page file carries the older page-file version
+/// `version`, beside its checksum sidecar, opens: the page file is rebuilt
+/// from the log before any read, the sidecar is deleted, the snapshots are
+/// kept, and history reads back from both stores.
+fn old_page_file_is_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
-    let page_files = [dir.join("lineage.db")];
+    let file = dir.join("lineage.db");
     let history = write_history(dir);
     let mut snapshots = snapshot_files(dir);
     snapshots.sort();
     let old_magic = [version, b'S', b'G', b'P', b'N', b'O', b'I', b'A'];
-    for file in &page_files {
-        rewrite_page_magic(file, version);
-        let err = PageStore::open_with_vfs(&VfsRef::std(), file, 4, true)
-            .err()
-            .expect("an old page file must not open");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let found = format!("version AIONPGS{}", char::from(version));
-        assert!(err.to_string().contains(&found), "{err}");
-    }
+    rewrite_page_magic(&file, version);
+    let err = PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true)
+        .err()
+        .expect("an old page file must not open");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let found = format!("version AIONPGS{}", char::from(version));
+    assert!(err.to_string().contains(&found), "{err}");
 
     {
         let db = Aion::open(config(dir)).unwrap();
-        // Rebuilt by the open, before anything read them: the old files
-        // were deleted, and the new ones are empty or the current version.
-        for file in &page_files {
-            let bytes = VfsRef::std().read(file).unwrap();
-            assert!(!bytes.starts_with(&old_magic), "{file:?} still old");
-        }
+        // Rebuilt by the open, before anything read it: the old file was
+        // deleted, and the new one is empty or the current version.
+        let bytes = VfsRef::std().read(&file).unwrap();
+        assert!(!bytes.starts_with(&old_magic), "{file:?} still old");
+        assert!(!sidecar(&file).exists(), "the sidecar is deleted at open");
         // The snapshot files did not change format: they are kept.
         let mut kept = snapshot_files(dir);
         kept.sort();
@@ -265,32 +237,38 @@ fn old_page_files_are_rebuilt_at_open(version: u8) {
         assert_history(&db, &history);
         db.sync().unwrap();
     }
-    for file in &page_files {
-        let bytes = VfsRef::std().read(file).unwrap();
-        assert_eq!(&bytes[..8], b"3SGPNOIA", "the next sync writes AIONPGS3");
-        PageStore::open_with_vfs(&VfsRef::std(), file, 4, true).unwrap();
-    }
+    let bytes = VfsRef::std().read(&file).unwrap();
+    assert_eq!(&bytes[..8], b"4SGPNOIA", "the next sync writes AIONPGS4");
+    assert!(!sidecar(&file).exists(), "and no sidecar");
+    PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
 
 #[test]
 fn version_1_page_files_are_rebuilt_at_open() {
-    old_page_files_are_rebuilt_at_open(b'1');
+    old_page_file_is_rebuilt_at_open(b'1');
 }
 
 #[test]
 fn version_2_page_files_are_rebuilt_at_open() {
-    old_page_files_are_rebuilt_at_open(b'2');
+    old_page_file_is_rebuilt_at_open(b'2');
+}
+
+#[test]
+fn version_3_page_files_are_rebuilt_at_open() {
+    old_page_file_is_rebuilt_at_open(b'3');
 }
 
 /// Writes the TimeStore's index page file the way an older build left it:
-/// a tree root at slot 0 and the durable log end at slot 2, synced, so the
-/// file verifies against its checksum sidecar.
+/// a tree root at slot 0 and the durable log end at slot 2, synced, with
+/// its checksum sidecar beside it.
 fn write_old_index_file(index_file: &Path, log_end: u64) {
     let store = PageStore::open(index_file, 4).unwrap();
     let page = store.allocate().unwrap();
     store.set_root(0, page.0);
     store.set_root(2, log_end);
     store.sync().unwrap();
+    drop(store);
+    write_old_sidecar(index_file);
 }
 
 #[test]

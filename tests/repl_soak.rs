@@ -221,6 +221,28 @@ fn run_storm(seed: u64, ops: u64) {
     for h in handles {
         h.join().unwrap();
     }
+    // The clients can finish before either proxy drew a fault: keep
+    // committing through the primary until one has, for at most 30 s.
+    let mut client = Client::connect_with(primary_srv.addr(), client_config(seed, 98)).unwrap();
+    let mut id = 1 + seed * 10_000_000 + 800_000;
+    wait_for(30, || {
+        let faults: u64 = replicas
+            .iter()
+            .map(|r| r.proxy.stats().total_faults())
+            .sum();
+        if faults > 0 {
+            return true;
+        }
+        if client
+            .run(&format!("CREATE (n:Soak {{_id: {id}}})"), Vec::new())
+            .is_ok()
+        {
+            acked.push(id);
+        }
+        id += 1;
+        false
+    });
+    drop(client);
     assert!(
         !acked.is_empty(),
         "storm acked nothing — the soak proved nothing (seed {seed})"
