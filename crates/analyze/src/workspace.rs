@@ -40,15 +40,6 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-impl Workspace {
-    /// Files belonging to `crate_name`.
-    pub fn crate_files<'a>(&'a self, crate_name: &'a str) -> impl Iterator<Item = &'a SourceFile> {
-        self.files
-            .iter()
-            .filter(move |f| f.crate_name == crate_name)
-    }
-}
-
 /// Reads and parses every in-scope `.rs` file under `root`.
 pub fn load(root: &Path) -> std::io::Result<Workspace> {
     let mut files = Vec::new();

@@ -221,26 +221,15 @@ impl Aion {
         config: LineageStoreConfig,
     ) -> Result<Arc<LineageStore>> {
         let lineage = Arc::new(LineageStore::open(path, config)?);
-        // Catch-up replay: the TimeStore log is the source of truth.
+        // Catch-up replay: the TimeStore log is the source of truth. Each
+        // commit is applied as its frame is read, so a rebuild from ts 1
+        // holds one frame in memory, not the history.
         let lag_from = lineage.applied_ts();
         let latest = timestore.latest_ts();
         if lag_from < latest {
-            let pending = timestore.diff(lag_from + 1, latest.saturating_add(1))?;
-            let mut batch_ts = None;
-            let mut batch: Vec<Update> = Vec::new();
-            for u in pending {
-                if batch_ts != Some(u.ts) {
-                    if let Some(ts) = batch_ts {
-                        lineage.apply_commit(ts, &batch)?;
-                        batch.clear();
-                    }
-                    batch_ts = Some(u.ts);
-                }
-                batch.push(u.op);
-            }
-            if let Some(ts) = batch_ts {
-                lineage.apply_commit(ts, &batch)?;
-            }
+            timestore.replay(lag_from + 1, latest.saturating_add(1), |ts, ops| {
+                lineage.apply_commit(ts, ops)
+            })?;
         }
         Ok(lineage)
     }
@@ -495,14 +484,12 @@ impl Aion {
         // the diff window — never a whole-graph materialization.
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
-        let updates = self.timestore.diff(start.saturating_add(1), end)?;
+        let updates = self.entity_updates(lpg::EntityId::Node(id), start, end)?;
         Ok(version_chain(
             start,
             end,
             base.node(id).cloned(),
-            updates
-                .iter()
-                .filter(|u| u.op.entity() == lpg::EntityId::Node(id)),
+            updates.iter(),
             added_node,
             EntityDelta::apply_to_node,
         ))
@@ -520,14 +507,12 @@ impl Aion {
         }
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
-        let updates = self.timestore.diff(start.saturating_add(1), end)?;
+        let updates = self.entity_updates(lpg::EntityId::Rel(id), start, end)?;
         Ok(version_chain(
             start,
             end,
             base.rel(id).cloned(),
-            updates
-                .iter()
-                .filter(|u| u.op.entity() == lpg::EntityId::Rel(id)),
+            updates.iter(),
             added_rel,
             EntityDelta::apply_to_rel,
         ))
@@ -550,16 +535,20 @@ impl Aion {
         let end = end.max(start.saturating_add(1));
         let base = self.timestore.snapshot_at(start)?;
         let mut rel_ids: Vec<RelId> = base.relationships(id, dir).collect();
-        for u in self.timestore.diff(start.saturating_add(1), end)? {
-            if let Update::AddRel {
-                id: rid, src, tgt, ..
-            } = &u.op
-            {
-                if (dir.includes_out() && *src == id) || (dir.includes_in() && *tgt == id) {
-                    rel_ids.push(*rid);
+        self.timestore
+            .replay(start.saturating_add(1), end, |_, ops| {
+                for op in ops {
+                    if let Update::AddRel {
+                        id: rid, src, tgt, ..
+                    } = op
+                    {
+                        if (dir.includes_out() && *src == id) || (dir.includes_in() && *tgt == id) {
+                            rel_ids.push(*rid);
+                        }
+                    }
                 }
-            }
-        }
+                Ok(())
+            })?;
         rel_ids.sort_unstable();
         rel_ids.dedup();
         let mut out = Vec::new();
@@ -569,6 +558,24 @@ impl Aion {
                 out.push(hist);
             }
         }
+        Ok(out)
+    }
+
+    /// The TimeStore fallback's replay of one entity: its updates with a
+    /// commit ts in `(start, end)`, filtered frame by frame.
+    fn entity_updates(
+        &self,
+        entity: lpg::EntityId,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> Result<Vec<TimestampedUpdate>> {
+        let mut out = Vec::new();
+        self.timestore
+            .replay(start.saturating_add(1), end, |ts, ops| {
+                let mine = ops.iter().filter(|op| op.entity() == entity);
+                out.extend(mine.map(|op| TimestampedUpdate::new(ts, op.clone())));
+                Ok(())
+            })?;
         Ok(out)
     }
 

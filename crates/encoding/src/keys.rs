@@ -59,16 +59,6 @@ pub fn decode_entity_ts_key(key: &[u8]) -> Option<(u64, Timestamp)> {
     Some((id, ts))
 }
 
-/// Node-history key.
-pub fn node_key(id: NodeId, ts: Timestamp) -> [u8; 16] {
-    entity_ts_key(id.raw(), ts)
-}
-
-/// Relationship-history key.
-pub fn rel_key(id: RelId, ts: Timestamp) -> [u8; 16] {
-    entity_ts_key(id.raw(), ts)
-}
-
 /// Longest [`neigh_key`]: four parts of a length byte and eight bytes.
 pub const MAX_NEIGH_KEY: usize = 36;
 

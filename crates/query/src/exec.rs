@@ -58,14 +58,6 @@ impl ExecBudget {
         ExecBudget::default()
     }
 
-    /// A budget that expires `timeout` from now.
-    pub fn with_timeout(timeout: Duration) -> ExecBudget {
-        ExecBudget {
-            deadline: Some(Instant::now() + timeout),
-            ..ExecBudget::default()
-        }
-    }
-
     /// A deadline/cancel budget (the server's per-request shape).
     pub fn with_deadline(deadline: Option<Instant>, cancel: Option<Arc<AtomicBool>>) -> ExecBudget {
         ExecBudget {

@@ -451,11 +451,9 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                     ));
                 };
                 if frame.ts > shared.db.latest_ts() {
-                    let updates: Vec<lpg::Update> =
-                        frame.to_updates().into_iter().map(|u| u.op).collect();
                     shared
                         .db
-                        .apply_replicated(frame.ts, updates)
+                        .apply_replicated(frame.ts, frame.updates())
                         .map_err(|e| io::Error::other(e.to_string()))?;
                     shared.tel.frames_applied.inc();
                 } else {

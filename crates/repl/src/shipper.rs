@@ -175,11 +175,6 @@ impl LogShipper {
         self.shared.addr
     }
 
-    /// Live replica connections.
-    pub fn replica_count(&self) -> usize {
-        self.shared.workers.active()
-    }
-
     /// Last durably-acked watermark of every live replica, keyed by an
     /// opaque per-connection id.
     pub fn replica_watermarks(&self) -> Vec<(u64, Watermark)> {

@@ -63,18 +63,6 @@ impl ChaosConfig {
             disconnect_prob: 0.02,
         }
     }
-
-    /// Forwards every byte untouched (a plain TCP proxy).
-    pub fn calm(seed: u64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            delay_prob: 0.0,
-            max_delay: Duration::ZERO,
-            corrupt_prob: 0.0,
-            partial_write_prob: 0.0,
-            disconnect_prob: 0.0,
-        }
-    }
 }
 
 /// Counts of injected faults, for assertions that a storm actually

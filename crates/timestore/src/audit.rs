@@ -56,11 +56,11 @@ impl TimeStore {
                 ));
             }
             prev_ts = Some(frame.ts);
-            for u in frame.to_updates() {
-                if let Err(e) = replay.apply(&u.op) {
+            for op in frame.updates() {
+                if let Err(e) = replay.apply(&op) {
                     findings.push(Finding::new(
                         "log/replay",
-                        format!("update at ts {} does not apply: {e}", u.ts),
+                        format!("update at ts {} does not apply: {e}", frame.ts),
                     ));
                     replay_ok = false;
                 }

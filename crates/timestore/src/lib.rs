@@ -32,7 +32,8 @@
 //! To retrieve a graph at timestamp `t`, [`store::TimeStore`] serves a
 //! version a reader holds at `t`, or else fetches the closest base `≤ t`
 //! (a held version, the latest graph or a snapshot file) and replays the
-//! forward changes from the log (Sec. 4.3).
+//! forward changes from the log (Sec. 4.3), each commit as its frame is
+//! read ([`store::TimeStore::replay`]).
 
 pub mod audit;
 pub mod graphstore;

@@ -12,21 +12,26 @@
 //! every append adds its own, and `ChangeLog::iter_ts` finds a time
 //! range by binary search. Commit timestamps are strictly increasing, so
 //! the list is sorted by both.
+//!
+//! A frame is read from the file in two reads: its header, then its
+//! payload, once. Before the payload buffer is allocated the length must
+//! be at most [`MAX_FRAME_LEN`] and the frame must end inside the file as
+//! scanned, so a damaged length field costs at most one allocation of the
+//! bytes that back it. The frame is then checked and decoded in that
+//! buffer by [`parse_frame`], the parser for log bytes already in memory:
+//! nothing is read twice to check it first.
 
 use encoding::varint;
 use encoding::{updates_from_record, RecordBody};
-use lpg::{GraphError, Result, Timestamp, TimestampedUpdate, Update};
+use lpg::{GraphError, Result, Timestamp, Update};
 use parking_lot::Mutex;
 use std::path::Path;
-use vfs::{fnv32, Fnv32, VfsFile, VfsRef};
+use vfs::{fnv32, VfsFile, VfsRef};
 
 /// Hard upper bound on a frame's payload. A corrupt length field can
 /// otherwise demand an allocation as large as the file; no legitimate
 /// commit comes anywhere near this.
 pub const MAX_FRAME_LEN: u64 = 64 * 1024 * 1024;
-
-/// Buffer size for the streaming checksum pass over a frame payload.
-const VERIFY_CHUNK: usize = 64 * 1024;
 
 /// One committed transaction in the log.
 #[derive(Clone, PartialEq, Debug)]
@@ -49,12 +54,11 @@ impl CommitFrame {
         }
     }
 
-    /// Expands the frame back into timestamped logical updates.
-    pub fn to_updates(&self) -> Vec<TimestampedUpdate> {
+    /// Expands the frame back into its logical updates, in commit order.
+    pub fn updates(&self) -> Vec<Update> {
         self.records
             .iter()
             .flat_map(|(entity, body)| updates_from_record(*entity, body))
-            .map(|op| TimestampedUpdate::new(self.ts, op))
             .collect()
     }
 
@@ -99,7 +103,7 @@ fn parse_header(head: [u8; 8]) -> Option<(u64, u32)> {
 /// memory (a log file read whole, a divergence archive): the frame and
 /// the offset of the next one, or `None` on truncation or any
 /// length/checksum/structure failure — what a scan treats as the torn
-/// tail. The on-file twin is [`ChangeLog::iter_from`].
+/// tail. [`ChangeLog`] runs it on each frame it reads from the file.
 pub fn parse_frame(bytes: &[u8], offset: usize) -> Option<(CommitFrame, usize)> {
     let body = offset.checked_add(8)?;
     let (len, checksum) = parse_header(bytes.get(offset..body)?.try_into().ok()?)?;
@@ -218,42 +222,27 @@ impl ChangeLog {
         self.tail.lock().frames.last().map(|(ts, _)| *ts)
     }
 
-    /// On-disk size of the log in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.end_offset()
-    }
-
+    /// The frame at `offset` of the file as scanned up to `file_len`, and
+    /// the offset of the next one; `None` on any bound, checksum or
+    /// structure failure. The header's length is bounded by
+    /// [`MAX_FRAME_LEN`] and by `file_len` before the buffer grows to
+    /// hold the payload, so it never outgrows the bytes that back it. The
+    /// payload is read once and [`parse_frame`] checks it in the buffer:
+    /// there is no second pass to check it before it is allocated.
     fn read_frame_at(&self, offset: u64, file_len: u64) -> Option<(CommitFrame, u64)> {
-        if offset + 8 > file_len {
+        if offset.checked_add(8)? > file_len {
             return None;
         }
-        let mut head = [0u8; 8];
-        self.file.read_exact_at(&mut head, offset).ok()?;
-        let (len, checksum) = parse_header(head)?;
+        let mut buf = vec![0u8; 8];
+        self.file.read_exact_at(&mut buf, offset).ok()?;
+        let (len, _) = parse_header(buf[..].try_into().ok()?)?;
         if offset + 8 + len > file_len {
             return None;
         }
-        // Verify the checksum with a streaming pass over a small buffer
-        // *before* allocating `len` bytes, so a corrupt length field never
-        // drives a large allocation of garbage.
-        let mut h = Fnv32::default();
-        let mut chunk = [0u8; VERIFY_CHUNK];
-        let mut pos = 0u64;
-        while pos < len {
-            let n = VERIFY_CHUNK.min((len - pos) as usize);
-            self.file
-                .read_exact_at(&mut chunk[..n], offset + 8 + pos)
-                .ok()?;
-            h.feed(&chunk[..n]);
-            pos += n as u64;
-        }
-        if h.sum() != checksum {
-            return None;
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut payload, offset + 8).ok()?;
-        let frame = CommitFrame::decode(&payload)?;
-        Some((frame, offset + 8 + len))
+        buf.resize(8 + len as usize, 0);
+        self.file.read_exact_at(&mut buf[8..], offset + 8).ok()?;
+        let (frame, end) = parse_frame(&buf, 0)?;
+        Some((frame, offset + end as u64))
     }
 
     /// Streams every frame from `offset` to the log end as of this call,
@@ -270,7 +259,7 @@ impl ChangeLog {
     /// Streams the frames with a timestamp in `[start, end)`: the frames
     /// are contiguous, so a binary search for each bound gives the byte
     /// range to read.
-    pub(crate) fn iter_ts(&self, start: Timestamp, end: Timestamp) -> LogIter<'_> {
+    pub fn iter_ts(&self, start: Timestamp, end: Timestamp) -> LogIter<'_> {
         let tail = self.tail.lock();
         let offset_of = |ts: Timestamp| {
             let i = tail.frames.partition_point(|(t, _)| *t < ts);
@@ -414,13 +403,11 @@ mod tests {
     }
 
     #[test]
-    fn to_updates_roundtrip() {
+    fn updates_roundtrip() {
         let ops = vec![add_node(5), Update::DeleteNode { id: NodeId::new(5) }];
         let frame = CommitFrame::from_updates(9, &ops);
-        let back = frame.to_updates();
-        assert_eq!(back.len(), 2);
-        assert!(back.iter().all(|u| u.ts == 9));
-        assert_eq!(back[0].op, ops[0]);
+        assert_eq!(frame.ts, 9);
+        assert_eq!(frame.updates(), ops);
     }
 
     #[test]
@@ -497,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn in_bound_bogus_len_fails_streaming_verify() {
+    fn in_bound_bogus_len_fails_the_checksum() {
         let dir = tempdir().unwrap();
         let path = dir.path().join("c.log");
         let good_end;
@@ -509,7 +496,7 @@ mod tests {
             log.sync().unwrap();
         }
         // A 8 MiB claimed payload under the cap and within the (sparse)
-        // file: the streaming checksum pass rejects it chunk by chunk.
+        // file: it is read into one buffer, and the checksum rejects it.
         let bogus = 8u64 * 1024 * 1024;
         let f = VfsRef::std().open(&path).unwrap();
         let mut head = Vec::new();

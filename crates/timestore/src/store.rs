@@ -315,11 +315,16 @@ impl TimeStore {
             if base_ts < latest_ts {
                 let _timer = self.metrics.snapshot_replay_latency.start_timer();
                 self.metrics.snapshot_replays.inc();
-                for u in &self.diff(base_ts + 1, latest_ts.saturating_add(1))? {
-                    graph.apply(&u.op)?;
-                    touched.insert(Segment::of(u.op.entity()), u.ts);
-                    ops_since_snapshot += u64::from(u.ts > newest);
-                }
+                self.replay(base_ts + 1, latest_ts.saturating_add(1), |ts, ops| {
+                    for op in ops {
+                        graph.apply(op)?;
+                        touched.insert(Segment::of(op.entity()), ts);
+                    }
+                    if ts > newest {
+                        ops_since_snapshot += ops.len() as u64;
+                    }
+                    Ok(())
+                })?;
             }
             self.graphstore.set_latest(graph, latest_ts);
             *self.chain.lock() = Chain { last, touched };
@@ -538,9 +543,28 @@ impl TimeStore {
     pub fn diff(&self, start: Timestamp, end: Timestamp) -> Result<Vec<TimestampedUpdate>> {
         let mut out = Vec::new();
         for entry in self.log.iter_ts(start, end) {
-            out.extend(entry?.frame.to_updates());
+            let frame = entry?.frame;
+            let stamp = |op| TimestampedUpdate::new(frame.ts, op);
+            out.extend(frame.updates().into_iter().map(stamp));
         }
         Ok(out)
+    }
+
+    /// Replays the commits with a timestamp in `[start, end)` in order:
+    /// `apply(ts, updates)` runs once per commit, as its frame is read, so
+    /// one frame is in memory at a time. The first error stops the replay
+    /// and is returned.
+    pub fn replay(
+        &self,
+        start: Timestamp,
+        end: Timestamp,
+        mut apply: impl FnMut(Timestamp, &[Update]) -> Result<()>,
+    ) -> Result<()> {
+        for entry in self.log.iter_ts(start, end) {
+            let frame = entry?.frame;
+            apply(frame.ts, &frame.updates())?;
+        }
+        Ok(())
     }
 
     /// `getGraph` at a single point: the full graph as of `ts` (inclusive).
@@ -582,17 +606,15 @@ impl TimeStore {
         };
         if base_ts < ts {
             // Replay (base_ts, ts]. A base someone else holds is cloned
-            // first, and the clone shares every chunk the replay does not
-            // touch with it.
+            // when the first update arrives, and the clone shares every
+            // chunk the replay does not touch with it; an empty range
+            // clones nothing.
             let _timer = self.metrics.snapshot_replay_latency.start_timer();
             self.metrics.snapshot_replays.inc();
-            let deltas = self.diff(base_ts.saturating_add(1), ts.saturating_add(1))?;
-            if !deltas.is_empty() {
-                let replayed = Arc::make_mut(&mut graph);
-                for u in &deltas {
-                    replayed.apply(&u.op)?;
-                }
-            }
+            self.replay(base_ts.saturating_add(1), ts.saturating_add(1), |_, ops| {
+                ops.iter()
+                    .try_for_each(|op| Arc::make_mut(&mut graph).apply(op))
+            })?;
         }
         if settled {
             self.graphstore.register(ts, &graph);
@@ -618,9 +640,9 @@ impl TimeStore {
         let mut t = start;
         while t.saturating_add(step) < end {
             let next = t + step;
-            for u in &self.diff(t + 1, next + 1)? {
-                current.apply(&u.op)?;
-            }
+            self.replay(t + 1, next + 1, |_, ops| {
+                ops.iter().try_for_each(|op| current.apply(op))
+            })?;
             out.push((next, Arc::new(current.clone())));
             t = next;
         }
@@ -681,7 +703,7 @@ impl TimeStore {
     pub fn stats(&self) -> TimeStoreStats {
         let state = self.state.lock();
         TimeStoreStats {
-            log_bytes: self.log.size_bytes(),
+            log_bytes: self.log.end_offset(),
             snapshot_bytes: state.snapshots.values().sum(),
             snapshot_count: state.snapshots.len() as u64,
         }

@@ -128,36 +128,15 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 
 /// FNV-1a over `bytes`, 32-bit: the change log's frame checksum. The log
 /// is the source of truth, so this too is a stored format that must never
-/// change. [`Fnv32`] computes it over bytes that arrive in pieces.
+/// change. The log reads a frame whole before it checks it, so the sum is
+/// only ever taken over one slice.
 pub fn fnv32(bytes: &[u8]) -> u32 {
-    let mut h = Fnv32::default();
-    h.feed(bytes);
-    h.sum()
-}
-
-/// [`fnv32`], fed piece by piece.
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv32(u32);
-
-impl Default for Fnv32 {
-    fn default() -> Self {
-        Fnv32(0x811C_9DC5)
+    let mut h: u32 = 0x811C_9DC5;
+    for &b in bytes {
+        h ^= u32::from(b);
+        h = h.wrapping_mul(0x0100_0193);
     }
-}
-
-impl Fnv32 {
-    /// Absorbs the next piece.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u32::from(b);
-            self.0 = self.0.wrapping_mul(0x0100_0193);
-        }
-    }
-
-    /// The checksum of everything fed so far.
-    pub fn sum(self) -> u32 {
-        self.0
-    }
+    h
 }
 
 /// 64-bit checksum for bulk *derived* files: page sums, the page file's
@@ -312,17 +291,12 @@ mod tests {
     }
 
     /// Change-log frames carry this sum: the published FNV-1a 32-bit test
-    /// vectors, whole and fed in pieces.
+    /// vectors.
     #[test]
     fn fnv32_known_answers() {
         assert_eq!(fnv32(b""), 0x811C_9DC5);
         assert_eq!(fnv32(b"a"), 0xE40C_292C);
         assert_eq!(fnv32(b"foobar"), 0xBF9C_F968);
-        let mut h = Fnv32::default();
-        for piece in [&b"foo"[..], b"", b"ba", b"r"] {
-            h.feed(piece);
-        }
-        assert_eq!(h.sum(), fnv32(b"foobar"));
     }
 
     /// A page of distinct pseudo-random words (xorshift64).

@@ -257,16 +257,6 @@ impl SimVfs {
     pub fn arm(&self, fault: FaultConfig) {
         self.state.lock().fault = fault;
     }
-
-    /// Durable length of `path`, if it exists — what a reopen after a
-    /// crash would observe. Test-introspection helper.
-    pub fn durable_len(&self, path: &Path) -> Option<u64> {
-        self.state
-            .lock()
-            .files
-            .get(path)
-            .map(|f| f.durable.len() as u64)
-    }
 }
 
 struct SimHandle {

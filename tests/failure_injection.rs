@@ -1,6 +1,6 @@
 //! Failure injection: crashes between the synchronous TimeStore append and
-//! the asynchronous LineageStore cascade, torn log tails, a lost durable-end
-//! record and corrupt snapshot files — in every case the change log is the
+//! the asynchronous LineageStore cascade, torn log tails, damaged log
+//! frames, a lost durable-end record and corrupt snapshot files — in every case the change log is the
 //! source of truth and recovery must restore a fully consistent system.
 
 use aion::{Aion, AionConfig};
@@ -150,6 +150,42 @@ fn mid_log_corruption_detected_not_truncated() {
         "unexpected error: {msg}"
     );
     // The log file was left as found for forensics — not truncated.
+    assert_eq!(std::fs::read(&log_path).unwrap().len(), bytes.len());
+}
+
+#[test]
+fn mid_log_length_damage_detected_not_truncated() {
+    // The same refusal when the damage is to a frame's length field and
+    // the damaged length still fits in the file: the frame's checksum,
+    // not a bound, is what rejects it.
+    let dir = tempdir().unwrap();
+    {
+        let db = Aion::open(AionConfig::new(dir.path())).unwrap();
+        seed(&db, 10);
+        db.sync().unwrap();
+    }
+    let log_path = dir.path().join("timestore").join("timestore.log");
+    let mut bytes = std::fs::read(&log_path).unwrap();
+    // Walk the frames (`u32 len, u32 checksum, payload`) to the first one
+    // past the middle, and make it claim every byte to the end of the file.
+    let frame_len = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let mut at = 0;
+    while at < bytes.len() / 2 {
+        at += 8 + frame_len(at) as usize;
+    }
+    assert!(at < bytes.len(), "the log has a frame past its middle");
+    let claimed = (bytes.len() - at - 8) as u32;
+    assert!(claimed > frame_len(at));
+    bytes[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+    std::fs::write(&log_path, &bytes).unwrap();
+    let err = Aion::open(AionConfig::new(dir.path()))
+        .err()
+        .expect("open must fail on a damaged length field");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("corrupt log frame at offset {at}")) && msg.contains("durable end"),
+        "unexpected error: {msg}"
+    );
     assert_eq!(std::fs::read(&log_path).unwrap().len(), bytes.len());
 }
 
