@@ -371,11 +371,6 @@ impl Aion {
         }
     }
 
-    /// Starts a write transaction against the latest graph.
-    pub fn begin(&self) -> (Arc<Graph>, AppTimeKeys) {
-        (self.latest_graph(), self.app_keys)
-    }
-
     /// Runs `f` inside a write transaction and commits it, returning the
     /// commit timestamp. On error nothing is persisted.
     pub fn write<F>(&self, f: F) -> Result<Timestamp>
@@ -421,8 +416,9 @@ impl Aion {
     /// goes straight to the commit pipeline without `WriteTxn`
     /// re-validation. Monotonicity is still enforced — a frame at or
     /// below the local latest timestamp fails with
-    /// [`GraphError::NonMonotonicCommit`], which replayers use to make
-    /// re-delivery after reconnect idempotent (skip, don't re-apply).
+    /// [`GraphError::NonMonotonicCommit`]. The replayer resumes from its
+    /// own log end, so it never sends such a frame unless its state is
+    /// wrong, and then the refusal ends its session.
     pub fn apply_replicated(&self, ts: Timestamp, updates: Vec<Update>) -> Result<Timestamp> {
         self.commit(updates, Some(ts))
     }

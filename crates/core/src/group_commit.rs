@@ -16,7 +16,7 @@
 //! * A forced timestamp below the clock is rejected with
 //!   [`GraphError::NonMonotonicCommit`] before anything is written; the
 //!   clock does not move, so a replayer retrying a transiently failed
-//!   frame is never mistaken for a re-delivery.
+//!   frame is never refused as if that frame had committed.
 //! * An append error with `TimeStore::latest_ts() < ts` is a *clean*
 //!   rejection: the frame never reached the log, the timestamp stays
 //!   available, and later commits are unaffected.
@@ -164,8 +164,7 @@ impl LogWriter {
                 // Keep the internal clock strictly ahead of explicit
                 // commits. The clock only reflects appends that reached
                 // the log, so this rejection really means "already
-                // committed" — replayers rely on that to treat it as
-                // idempotent re-delivery.
+                // committed".
                 Some(ts) if ts < self.next_ts => {
                     self.commits_failed.inc();
                     req.slot.complete(Err(GraphError::NonMonotonicCommit {

@@ -655,7 +655,8 @@ mod tests {
             store.write(p, |b| b.write_u64(0, 7)).unwrap();
             store.sync().unwrap();
             // More writes after the sync: Drop flushes them to the file
-            // but never syncs, so the sidecar no longer matches.
+            // but never syncs, so the file no longer matches the seal
+            // of its last sync.
             store.write(p, |b| b.write_u64(0, 8)).unwrap();
         }
         let err = PageStore::open_with_vfs(&vfs, &path, 4, true)

@@ -1,5 +1,5 @@
 //! The durable replication epoch: a monotonically increasing role
-//! counter persisted next to the replay watermark (DESIGN.md §17).
+//! counter persisted in the node's data directory (DESIGN.md §17).
 //!
 //! Every promotion bumps the epoch; every shipped frame, handshake, and
 //! heartbeat is stamped with the sender's current epoch, and a node only

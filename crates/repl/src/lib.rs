@@ -8,15 +8,16 @@
 //!   the [`timestore::ChangeLog`], tracking per-replica acked
 //!   watermarks and lag.
 //! * [`replayer`] — the replica side: a [`Replayer`] connects to the
-//!   primary, applies frames into its own database through the normal
-//!   commit pipeline ([`aion::Aion::apply_replicated`]), and persists a
-//!   replay [`Watermark`] that never exceeds the locally durable
-//!   prefix. Disconnects resume from the watermark; corrupt frames are
+//!   primary and applies frames into its own database through the
+//!   normal commit pipeline ([`aion::Aion::apply_replicated`]), so the
+//!   replica's own log is a byte copy of a prefix of the primary's. That
+//!   log is its replay position: a session resumes from the replica's
+//!   log end, its durable [`Watermark`] is the log end as of the last
+//!   sync, and the shipper serves only a replica whose log end is the
+//!   primary's offset for its latest timestamp. Corrupt frames are
 //!   rejected, never applied.
 //! * [`wire`] — the `Hello`/`HelloAck`/`Frame`/`Ack`/`Heartbeat`
 //!   message codec, carried in the server's checksummed frame envelope.
-//! * [`watermark`] — the checksummed on-disk watermark record, written
-//!   through the `crates/vfs` seam so crash simulation covers it.
 //!
 //! Replicas serve reads through the ordinary query server started with
 //! [`aion_server::ServerConfig::read_only`]; clients get bounded
@@ -41,13 +42,11 @@ pub mod node;
 pub mod rejoin;
 pub mod replayer;
 pub mod shipper;
-pub mod watermark;
 pub mod wire;
 
 pub use epoch::{EpochRecord, EpochState, EPOCH_FILE};
 pub use node::{NodeRole, ReplNode, ReplNodeConfig};
 pub use rejoin::{prepare_rejoin, read_divergence_archive, DivergenceArchive, RejoinReport};
-pub use replayer::{Replayer, ReplayerConfig};
+pub use replayer::{Replayer, ReplayerConfig, Watermark};
 pub use shipper::{LogShipper, ShipperConfig};
-pub use watermark::{Watermark, WatermarkStore};
 pub use wire::{decode_msg, encode_msg, ReplMsg};

@@ -10,8 +10,9 @@
 //!
 //! [`ReplNode::promote`] turns a replica into the new primary:
 //!
-//! 1. stop the replayer (its shutdown path flushes applied frames to a
-//!    durable watermark, so nothing already acked upstream is lost);
+//! 1. stop the replayer (its shutdown path syncs and acks the frames it
+//!    applied); the replica's log, a byte copy of a prefix of the old
+//!    primary's, is the log the new primary ships;
 //! 2. fsync the database, then **bump and persist** a new epoch based at
 //!    the node's latest commit timestamp — the fork point every other
 //!    node will be measured against;
@@ -177,7 +178,7 @@ impl ReplNode {
             ));
         }
         // Drain: the replayer's shutdown path makes applied frames
-        // durable (sync + watermark) before the thread exits.
+        // durable (sync + ack) before the thread exits.
         if let Some(mut replayer) = self.replayer.take() {
             replayer.shutdown();
         }

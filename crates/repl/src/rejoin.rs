@@ -108,9 +108,10 @@ pub fn prepare_rejoin(
     let ts_dir = dir.join("timestore");
     let log_path = ts_dir.join("timestore.log");
     let log_bytes = vfs.read(&log_path).unwrap_or_default();
-    let (local_latest_ts, _) = scan_frames(&log_bytes, 0);
+    let (frames, frames_end) = scan_frames(&log_bytes);
+    let latest_ts = frames.last().map_or(0, |(ts, _)| *ts);
 
-    let ack = probe_primary(primary, connect_timeout, my_epoch, local_latest_ts)?;
+    let ack = probe_primary(primary, connect_timeout, my_epoch, frames_end, latest_ts)?;
     let (primary_epoch, fence_ts) = (ack.head.epoch, ack.fence_ts);
 
     if primary_epoch <= my_epoch {
@@ -127,12 +128,10 @@ pub fn prepare_rejoin(
         });
     }
 
-    // Find the fork offset: the start of the first frame past fence_ts.
-    // Everything from there on — decodable frames *and* any torn tail —
-    // is the divergent suffix.
-    let fork_offset = find_fork_offset(&log_bytes, fence_ts);
+    // Everything from the fork offset on — decodable frames *and* any
+    // torn tail — is the divergent suffix.
+    let (fork_offset, archived_frames) = fork_point(&frames, frames_end, fence_ts);
     let suffix = log_bytes.get(fork_offset as usize..).unwrap_or_default();
-    let (_, archived_frames) = scan_frames(suffix, 0);
 
     let archive_path = if suffix.is_empty() {
         None
@@ -226,9 +225,10 @@ fn probe_primary(
     primary: SocketAddr,
     connect_timeout: Duration,
     my_epoch: u64,
+    log_end: u64,
     latest_ts: u64,
 ) -> io::Result<HelloAck> {
-    let mut stream = send_hello(primary, connect_timeout, 0, latest_ts, my_epoch)?;
+    let mut stream = send_hello(primary, connect_timeout, log_end, latest_ts, my_epoch)?;
     let deadline = Instant::now() + connect_timeout.max(Duration::from_secs(2));
     match await_hello_ack(&mut stream, || Instant::now() >= deadline)? {
         Some((ack, _)) => Ok(ack),
@@ -241,32 +241,26 @@ fn probe_primary(
 
 /// Walks raw log bytes frame by frame ([`timestore::log::parse_frame`]),
 /// stopping at the first frame that fails to parse (torn tail). Returns
-/// the highest frame timestamp seen and the number of complete frames.
-fn scan_frames(bytes: &[u8], from: usize) -> (u64, u64) {
-    let mut latest_ts = 0u64;
-    let mut frames = 0u64;
-    let mut offset = from;
-    while let Some((frame, next)) = parse_frame(bytes, offset) {
-        latest_ts = latest_ts.max(frame.ts);
-        frames += 1;
-        offset = next;
-    }
-    (latest_ts, frames)
-}
-
-/// The byte offset of the first frame with `ts > fence_ts`; the scan end
-/// (start of any torn tail) when every complete frame is at or below the
-/// fence. Log order is commit order, so the first past-fence frame
-/// starts the divergent suffix.
-fn find_fork_offset(bytes: &[u8], fence_ts: u64) -> u64 {
+/// every complete frame's `(ts, offset)` in log order and the offset
+/// where they end.
+fn scan_frames(bytes: &[u8]) -> (Vec<(u64, u64)>, u64) {
+    let mut frames = Vec::new();
     let mut offset = 0usize;
     while let Some((frame, next)) = parse_frame(bytes, offset) {
-        if frame.ts > fence_ts {
-            return offset as u64;
-        }
+        frames.push((frame.ts, offset as u64));
         offset = next;
     }
-    offset as u64
+    (frames, offset as u64)
+}
+
+/// The fork offset — the start of the first frame with `ts > fence_ts`,
+/// or `frames_end` when no complete frame is past the fence — and the
+/// number of frames from there on. Log order is commit order, so the
+/// first past-fence frame starts the divergent suffix.
+fn fork_point(frames: &[(u64, u64)], frames_end: u64, fence_ts: u64) -> (u64, u64) {
+    let fork = frames.partition_point(|(ts, _)| *ts <= fence_ts);
+    let offset = frames.get(fork).map_or(frames_end, |(_, offset)| *offset);
+    (offset, (frames.len() - fork) as u64)
 }
 
 #[cfg(test)]
@@ -313,14 +307,19 @@ mod tests {
         bytes.extend_from_slice(&[0xAB; 5]);
         vfs.write(&path, &bytes).unwrap();
 
-        let (latest, frames) = scan_frames(&bytes, 0);
-        assert_eq!((latest, frames), (4, 4));
+        let (frames, end) = scan_frames(&bytes);
+        assert_eq!(
+            frames.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        assert_eq!(end as usize, valid_len);
         // Fence at ts 2: frames 3 and 4 plus the torn tail diverge.
-        let fork = find_fork_offset(&bytes, 2) as usize;
-        assert!(fork < valid_len);
-        let (_, suffix_frames) = scan_frames(&bytes[fork..], 0);
+        let (fork, suffix_frames) = fork_point(&frames, end, 2);
+        assert!((fork as usize) < valid_len);
+        assert_eq!(fork, frames[2].1);
         assert_eq!(suffix_frames, 2);
+        assert_eq!(scan_frames(&bytes[fork as usize..]).0.len(), 2);
         // Fence above everything: fork lands at the torn-tail boundary.
-        assert_eq!(find_fork_offset(&bytes, 10) as usize, valid_len);
+        assert_eq!(fork_point(&frames, end, 10), (valid_len as u64, 0));
     }
 }

@@ -1,33 +1,38 @@
 //! Replica-side replay: connect to the primary, stream commit frames,
-//! apply them into the local database, and advance a durable watermark.
+//! apply them into the local database, and ack the durable prefix.
+//!
+//! The replica's own `timestore.log` is its replay position. Applying a
+//! frame through [`aion::Aion::apply_replicated`] appends the bytes the
+//! primary's log holds at the same offset, so the replica's log is a
+//! byte copy of a prefix of the primary's, and its end is the offset of
+//! the next frame it needs. Nothing else records that position.
 //!
 //! Correctness invariants (DESIGN.md §13):
 //!
-//! * **Watermark ≤ durable prefix.** The watermark file is written only
-//!   after [`aion::Aion::sync`] succeeds, so it never claims state the
-//!   local store could lose in a crash.
-//! * **Idempotent replay.** Every frame at or below the local latest
-//!   timestamp is skipped, so resuming from an *older* offset (stale
-//!   watermark, full resync after corruption) re-delivers but never
-//!   re-applies commits.
+//! * **The log is the position.** Each session sends the replica's log
+//!   end and latest timestamp in `Hello`. The shipper resumes at its
+//!   first frame past that timestamp and serves only a replica whose log
+//!   ends exactly there. A frame must start at the replica's log end,
+//!   and after it is applied the log end must be the frame's
+//!   `next_offset`, or the session fails. So no frame is delivered
+//!   twice, and `apply_replicated` refuses one at or below the local
+//!   latest timestamp.
+//! * **Watermark ≤ durable prefix.** The [`Watermark`] that `Ack`
+//!   reports is read from the log after [`aion::Aion::sync`] succeeds,
+//!   so it never claims state the local store could lose in a crash.
 //! * **Torn-tail rejection.** A frame whose `CommitFrame::decode`
 //!   fails — corruption anywhere between the primary's disk and this
 //!   process — drops the connection instead of applying garbage; the
-//!   reconnect resumes from the durable watermark.
-//! * **Startup reconciliation.** A watermark *ahead* of the local
-//!   database (possible only if the database lost unsynced state that
-//!   the watermark claimed — i.e. the durability order was violated by
-//!   crash recovery truncating a torn tail) is discarded, forcing a
-//!   resync from 0 rather than silently skipping frames.
-//! * **Divergence refusal.** A primary whose latest timestamp is
-//!   *below* this replica's durable watermark has a different history
-//!   (the primary lost state this replica already applied — lost disk,
-//!   restore from backup). Resyncing would silently skip mismatched
-//!   frames as re-delivery, so the replayer instead marks itself
+//!   reconnect resumes from the replica's log end (crash recovery cuts a
+//!   torn local tail, so that end is always a frame boundary).
+//! * **Divergence refusal.** A primary whose latest timestamp is below
+//!   this replica's, or whose offset for the replica's latest timestamp
+//!   is not the replica's log end, holds a different history (it lost
+//!   state, was restored from a backup, or the replica's directory has
+//!   commits of its own). The replayer marks itself
 //!   [`Replayer::diverged`] and stops; the replica needs a rebuild.
 
 use crate::epoch::EpochState;
-use crate::watermark::{Watermark, WatermarkStore};
 use crate::wire::{await_hello_ack, decode_msg, encode_msg, send_hello, ReplMsg};
 use aion::Aion;
 use aion_server::protocol::{write_frame, Polled};
@@ -41,19 +46,31 @@ use std::time::{Duration, Instant};
 use timestore::CommitFrame;
 use vfs::VfsRef;
 
+/// A replica's replay position as of its last durability point: its log
+/// end and latest timestamp. The replica's log is a byte copy of a prefix
+/// of the primary's, so `offset` is a position in both.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Watermark {
+    /// Byte offset of the next frame needed (everything before it is
+    /// applied and durable).
+    pub offset: u64,
+    /// Latest commit timestamp applied and durable locally.
+    pub ts: u64,
+}
+
 /// Tunables for one [`Replayer`].
 #[derive(Clone, Debug)]
 pub struct ReplayerConfig {
     /// The primary's replication listener ([`crate::LogShipper::addr`]).
     pub primary: SocketAddr,
-    /// The replica's data directory (the watermark file lives here).
+    /// The replica's data directory (the epoch chain persists here).
     pub dir: PathBuf,
-    /// File system seam for the watermark file — pass the same handle
-    /// as the replica's [`aion::AionConfig::vfs`] so crash simulation
+    /// File system seam for the epoch chain — pass the same handle as
+    /// the replica's [`aion::AionConfig::vfs`] so crash simulation
     /// covers both.
     pub vfs: VfsRef,
-    /// Frames applied between durability points (sync + watermark +
-    /// ack). `1` makes every frame durable before it is acked.
+    /// Frames applied between durability points (sync + ack). `1` makes
+    /// every frame durable before it is acked.
     pub sync_every: u64,
     /// TCP connect budget per attempt.
     pub connect_timeout: Duration,
@@ -89,7 +106,6 @@ impl ReplayerConfig {
 /// Obs metrics for the replica side.
 struct ReplayTelemetry {
     frames_applied: Arc<obs::Counter>,
-    frames_skipped: Arc<obs::Counter>,
     reconnects: Arc<obs::Counter>,
     corrupt_frames: Arc<obs::Counter>,
     watermark_ts: Arc<obs::Gauge>,
@@ -101,7 +117,6 @@ impl ReplayTelemetry {
     fn new() -> ReplayTelemetry {
         ReplayTelemetry {
             frames_applied: obs::counter("repl.replay.frames_applied"),
-            frames_skipped: obs::counter("repl.replay.frames_skipped"),
             reconnects: obs::counter("repl.replay.reconnects"),
             corrupt_frames: obs::counter("repl.replay.corrupt_frames"),
             watermark_ts: obs::gauge("repl.replay.watermark_ts"),
@@ -120,7 +135,6 @@ struct ReplayerShared {
     /// racing reader observe a torn combination (new offset, old ts).
     wm: Mutex<Watermark>,
     last_error: Mutex<Option<String>>,
-    store: WatermarkStore,
     cfg: ReplayerConfig,
     tel: ReplayTelemetry,
     epochs: Arc<EpochState>,
@@ -134,15 +148,30 @@ impl ReplayerShared {
         }
     }
 
-    fn set_watermark(&self, wm: Watermark) {
+    /// Syncs the database, then takes its durable log end and latest
+    /// timestamp as the watermark.
+    fn sync_watermark(&self) -> io::Result<Watermark> {
+        self.db
+            .sync()
+            .map_err(|e| io::Error::other(e.to_string()))?;
+        let wm = Watermark {
+            offset: self.db.timestore().durable_log_end(),
+            ts: self.db.latest_ts(),
+        };
         *self.lock_wm() = wm;
         self.tel
             .watermark_ts
             .set(i64::try_from(wm.ts).unwrap_or(i64::MAX));
+        Ok(wm)
     }
 
     fn watermark(&self) -> Watermark {
         *self.lock_wm()
+    }
+
+    /// The end of the local log: the offset the next frame must start at.
+    fn log_end(&self) -> u64 {
+        self.db.timestore().log().end_offset()
     }
 
     fn note_error(&self, e: impl ToString) {
@@ -162,10 +191,9 @@ pub struct Replayer {
 }
 
 impl Replayer {
-    /// Starts replaying into `db`. The durable watermark (if any, and if
-    /// consistent with the local database — see module docs) decides
-    /// where streaming resumes. The epoch chain is loaded from (and
-    /// persisted under) `cfg.dir`, next to the watermark.
+    /// Starts replaying into `db` from the end of its own log (see the
+    /// module docs). The epoch chain is loaded from (and persisted under)
+    /// `cfg.dir`.
     pub fn start(db: Arc<Aion>, cfg: ReplayerConfig) -> Replayer {
         let epochs = EpochState::load(cfg.vfs.clone(), &cfg.dir);
         Replayer::start_with(db, cfg, epochs)
@@ -174,8 +202,6 @@ impl Replayer {
     /// Starts replaying with an explicit shared epoch chain (the node
     /// role manager shares one chain between replay and promotion).
     pub fn start_with(db: Arc<Aion>, cfg: ReplayerConfig, epochs: Arc<EpochState>) -> Replayer {
-        let store = WatermarkStore::new(cfg.vfs.clone(), &cfg.dir);
-        let initial = reconcile_watermark(store.load(), db.latest_ts());
         // Knowing about an epoch fences the write path below it: a
         // replica that ever adopted epoch N refuses direct writes until
         // *it* is promoted to an epoch ≥ N.
@@ -184,17 +210,15 @@ impl Replayer {
             db,
             stop: AtomicBool::new(false),
             diverged: AtomicBool::new(false),
-            wm: Mutex::new(initial),
+            wm: Mutex::new(Watermark::default()),
             last_error: Mutex::new(None),
-            store,
             cfg,
             tel: ReplayTelemetry::new(),
             epochs,
         });
-        shared
-            .tel
-            .watermark_ts
-            .set(i64::try_from(initial.ts).unwrap_or(i64::MAX));
+        if let Err(e) = shared.sync_watermark() {
+            shared.note_error(e);
+        }
         let run_shared = shared.clone();
         let thread = std::thread::spawn(move || run(&run_shared));
         Replayer {
@@ -232,9 +256,10 @@ impl Replayer {
     }
 
     /// Whether the replayer detected primary/replica history divergence
-    /// (the primary's latest timestamp fell below this replica's durable
-    /// watermark) and permanently stopped. [`Replayer::last_error`]
-    /// carries the detail; the replica needs a rebuild to rejoin.
+    /// (the primary's latest timestamp is below this replica's, or the
+    /// replica's log is not a prefix of the primary's) and permanently
+    /// stopped. [`Replayer::last_error`] carries the detail; the replica
+    /// needs a rebuild to rejoin.
     pub fn diverged(&self) -> bool {
         self.shared.diverged.load(Ordering::Acquire)
     }
@@ -259,15 +284,6 @@ impl Replayer {
 impl Drop for Replayer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Startup sanity: a watermark claiming more commits than the database
-/// actually holds would make resume *skip* data — discard it instead.
-fn reconcile_watermark(loaded: Option<Watermark>, db_latest: u64) -> Watermark {
-    match loaded {
-        Some(wm) if wm.ts <= db_latest => wm,
-        _ => Watermark::default(),
     }
 }
 
@@ -313,13 +329,13 @@ fn run(shared: &Arc<ReplayerShared>) {
 /// `handshake_ok` is set once a valid `HelloAck` arrived, so the caller
 /// can reset its reconnect backoff after sessions that actually worked.
 fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<()> {
-    let wm = shared.watermark();
+    let (log_end, my_ts) = (shared.log_end(), shared.db.latest_ts());
     let my_epoch = shared.epochs.current().epoch;
     let mut stream = send_hello(
         shared.cfg.primary,
         shared.cfg.connect_timeout,
-        wm.offset,
-        wm.ts,
+        log_end,
+        my_ts,
         my_epoch,
     )?;
     let stopped = || shared.stop.load(Ordering::Acquire);
@@ -359,36 +375,46 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
         shared.epochs.adopt(ack.head)?;
         shared.db.observe_epoch(primary_epoch);
     }
-    if primary_ts < wm.ts {
-        // The primary has *less* history than we durably applied: it
-        // lost state (our watermark only ever covers commits the primary
-        // had fsynced, so this cannot be ordinary lag). Resyncing would
-        // skip reused timestamps as re-delivery and diverge silently —
-        // refuse instead and stop (see module docs).
+    if primary_ts < my_ts {
+        // The primary has *less* history than we applied: it lost state
+        // (we only ever apply commits the primary had fsynced, so this
+        // cannot be ordinary lag). Refuse and stop (see module docs).
         shared.diverged.store(true, Ordering::Release);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "primary regressed below our durable watermark (primary ts \
-                 {primary_ts} < watermark ts {}): histories diverged, this \
+                "primary regressed below our latest commit (primary ts \
+                 {primary_ts} < our ts {my_ts}): histories diverged, this \
+                 replica needs a rebuild"
+            ),
+        ));
+    }
+    if ack.resume_offset != log_end {
+        // The primary's first frame past our latest timestamp does not
+        // start where our log ends, so our log is not a prefix of its
+        // log: we hold commits it never shipped. The shipper refuses us
+        // too (see module docs).
+        shared.diverged.store(true, Ordering::Release);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "our log ends at {log_end}, but the primary's frames past \
+                 our ts {my_ts} start at {}: histories diverged, this \
                  replica needs a rebuild",
-                wm.ts
+                ack.resume_offset
             ),
         ));
     }
     *handshake_ok = true;
     shared.tel.link_down.set(0);
 
-    // The primary may have forced a full resync (resume_offset 0 when we
-    // asked for more): idempotent replay makes that safe, but the cursor
-    // must follow the *wire* position, not the local watermark.
-    let mut cursor = ack.resume_offset;
-    let mut pending: u64 = 0; // frames applied/skipped since last durability point
+    let mut pending: u64 = 0; // frames applied since the last durability point
     let mut last_inbound = Instant::now();
     loop {
         if shared.stop.load(Ordering::Acquire) {
-            // Flush progress so restart resumes close to the head.
-            let _ = make_durable(shared, &mut stream, cursor, &mut pending);
+            // Sync and ack what this session applied, so the primary's
+            // last view of this replica is where it stopped.
+            let _ = make_durable(shared, &mut stream, &mut pending);
             return Ok(());
         }
         let polled = reader.poll(&mut stream)?;
@@ -434,12 +460,13 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                 payload,
             } => {
                 check_stream_epoch(shared, epoch)?;
-                if offset != cursor {
+                let log_end = shared.log_end();
+                if offset != log_end {
                     // Out-of-order delivery is impossible on one TCP
-                    // stream unless state is corrupt: resync.
+                    // stream unless state is corrupt: reconnect.
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("frame offset {offset} does not match cursor {cursor}"),
+                        format!("frame offset {offset} is not our log end {log_end}"),
                     ));
                 }
                 let Some(frame) = CommitFrame::decode(&payload) else {
@@ -450,20 +477,26 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                         format!("corrupt commit frame at offset {offset}"),
                     ));
                 };
-                if frame.ts > shared.db.latest_ts() {
-                    shared
-                        .db
-                        .apply_replicated(frame.ts, frame.updates())
-                        .map_err(|e| io::Error::other(e.to_string()))?;
-                    shared.tel.frames_applied.inc();
-                } else {
-                    // Re-delivery below our latest ts: idempotent skip.
-                    shared.tel.frames_skipped.inc();
+                shared
+                    .db
+                    .apply_replicated(frame.ts, frame.updates())
+                    .map_err(|e| io::Error::other(e.to_string()))?;
+                shared.tel.frames_applied.inc();
+                let log_end = shared.log_end();
+                if log_end != next_offset {
+                    // The frame we appended is not the primary's bytes:
+                    // our log stopped being a prefix of its log.
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "the frame at {offset} ends our log at {log_end}, \
+                             the primary's at {next_offset}"
+                        ),
+                    ));
                 }
-                cursor = next_offset;
                 pending += 1;
                 if pending >= shared.cfg.sync_every {
-                    make_durable(shared, &mut stream, cursor, &mut pending)?;
+                    make_durable(shared, &mut stream, &mut pending)?;
                 }
             }
             ReplMsg::Heartbeat { epoch, .. } => {
@@ -471,7 +504,7 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                 // Quiesce point: flush any partial batch so an idle
                 // stream still converges to a durable, acked watermark.
                 if pending > 0 {
-                    make_durable(shared, &mut stream, cursor, &mut pending)?;
+                    make_durable(shared, &mut stream, &mut pending)?;
                 }
             }
             other => {
@@ -503,28 +536,17 @@ fn check_stream_epoch(shared: &Arc<ReplayerShared>, epoch: u64) -> io::Result<()
     Ok(())
 }
 
-/// The durability point: fsync the database, persist the watermark, then
-/// ack. Order matters — the watermark may never lead the database, and
-/// the ack may never lead the watermark.
+/// The durability point: fsync the database, take the watermark from
+/// its log, then ack. The ack never leads the fsync.
 fn make_durable(
     shared: &Arc<ReplayerShared>,
     stream: &mut TcpStream,
-    cursor: u64,
     pending: &mut u64,
 ) -> io::Result<()> {
     if *pending == 0 {
         return Ok(());
     }
-    shared
-        .db
-        .sync()
-        .map_err(|e| io::Error::other(e.to_string()))?;
-    let wm = Watermark {
-        offset: cursor,
-        ts: shared.db.latest_ts(),
-    };
-    shared.store.store(wm)?;
-    shared.set_watermark(wm);
+    let wm = shared.sync_watermark()?;
     *pending = 0;
     write_frame(
         stream,

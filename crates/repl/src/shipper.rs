@@ -14,16 +14,24 @@
 //! prefix — never the in-memory log head. Shipping further would let a
 //! replica durably apply (and ack) a commit the primary can still lose
 //! in a crash; recovery would then reuse the lost timestamps for
-//! *different* commits, which the replayer's idempotent-skip would treat
-//! as re-delivery — permanent, undetected divergence. When unsynced
-//! backlog exists (the default `sync_on_commit = false` configuration),
-//! the worker forces a group [`Aion::sync`] to make it shippable, so
-//! replication doubles as the group-durability trigger.
+//! *different* commits, and the replica would hold a history the primary
+//! no longer has. When unsynced backlog exists (the default
+//! `sync_on_commit = false` configuration), the worker forces a group
+//! [`Aion::sync`] to make it shippable, so replication doubles as the
+//! group-durability trigger.
+//!
+//! **A replica resumes where its log ends.** A replica's log is a byte
+//! copy of a prefix of this log, so the offset of our first frame past
+//! the replica's latest timestamp (found through the log's time index,
+//! [`ChangeLog::iter_ts`]) must be the replica's log end. The handshake
+//! refuses a replica whose `Hello` says otherwise: its log is not a
+//! prefix of ours.
 //!
 //! [`ChangeLog::iter_from`]: timestore::ChangeLog::iter_from
+//! [`ChangeLog::iter_ts`]: timestore::ChangeLog::iter_ts
 
 use crate::epoch::EpochState;
-use crate::watermark::Watermark;
+use crate::replayer::Watermark;
 use crate::wire::{decode_msg, encode_msg, ReplMsg};
 use aion::Aion;
 use aion_server::protocol::{write_frame, FrameReader, POLL_TICK};
@@ -234,7 +242,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ShipperShared>) {
 }
 
 /// Handles one replica connection end to end; any error drops the link
-/// (the replica reconnects and resumes from its durable watermark).
+/// (the replica reconnects and resumes from its log end).
 fn serve_replica(
     mut stream: TcpStream,
     worker_id: u64,
@@ -246,9 +254,9 @@ fn serve_replica(
     stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
     let stopped = || shared.stop.load(Ordering::Acquire) || cancel.load(Ordering::Acquire);
 
-    // Handshake: the replica says where to resume; we validate the
-    // offset by test-reading one frame there, falling back to a full
-    // resync from 0 (safe: replay is idempotent).
+    // Handshake: the replica says where its log ends and its latest
+    // timestamp; we answer with our offset for that timestamp and serve
+    // it only when the two agree.
     let mut reader = FrameReader::new();
     let Some(hello) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped)? else {
         return Ok(());
@@ -267,7 +275,7 @@ fn serve_replica(
     let timestore = shared.db.timestore();
     let log = timestore.log();
     let primary_ts = shared.db.latest_ts();
-    let resume_offset = validate_resume(start_offset, log);
+    let resume_offset = log.iter_ts(replica_ts.saturating_add(1), u64::MAX).offset();
     let my_epoch = shared.epochs.current();
     // The fork point of the *replica's* epoch: commits it holds past
     // this timestamp never shipped under any epoch we recognize.
@@ -308,8 +316,6 @@ fn serve_replica(
         // The replica (on an older epoch) durably applied commits past
         // its epoch's fork point: those are divergent and must be
         // quarantined offline (`prepare_rejoin`) before it may resync.
-        // Streaming anyway would skip the mismatched timestamps as
-        // re-delivery and diverge silently.
         shared.tel.handshake_refusals.inc();
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -323,16 +329,29 @@ fn serve_replica(
     if replica_ts > primary_ts {
         // The replica durably applied commits this primary does not
         // have — the primary's history regressed (lost disk, restore
-        // from backup). Streaming anyway would silently resync: frames
-        // at reused timestamps would be skipped as re-delivery and the
-        // replica would diverge undetected. Refuse loudly instead; the
-        // replica needs a rebuild.
+        // from backup). Refuse loudly; the replica needs a rebuild.
         shared.tel.handshake_refusals.inc();
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "replica is ahead of the primary (replica ts {replica_ts} > \
                  primary ts {primary_ts}): histories diverged, refusing to serve"
+            ),
+        ));
+    }
+
+    if start_offset != resume_offset {
+        // Our first frame past the replica's latest timestamp does not
+        // start where its log ends, so its log is not a prefix of ours
+        // (it holds commits of its own). Streaming would append our
+        // frames after a history we do not have.
+        shared.tel.handshake_refusals.inc();
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "replica log ends at {start_offset}, but our frames past its \
+                 ts {replica_ts} start at {resume_offset}: its log is not a \
+                 prefix of ours, refusing to serve"
             ),
         ));
     }
@@ -353,25 +372,6 @@ fn serve_replica(
     let _ = stream.shutdown(std::net::Shutdown::Both);
     let _ = ack_thread.join();
     result
-}
-
-/// Returns a safe offset to start streaming from: `requested` if a valid
-/// frame starts there, else 0 (full resync).
-fn validate_resume(requested: u64, log: &timestore::ChangeLog) -> u64 {
-    if requested == 0 {
-        return 0;
-    }
-    if requested > log.end_offset() {
-        return 0;
-    }
-    if requested == log.end_offset() {
-        // Exactly caught up: nothing to validate yet.
-        return requested;
-    }
-    match log.iter_from(requested).next() {
-        Some(Ok(_)) => requested,
-        _ => 0,
-    }
 }
 
 fn stream_frames(

@@ -38,15 +38,17 @@ use std::time::Duration;
 pub enum ReplMsg {
     /// Replica → primary, once per connection: where to resume.
     Hello {
-        /// First log offset the replica still needs (its watermark's
-        /// `next` offset; `0` for a fresh replica).
+        /// The end of the replica's own log, which is a byte copy of a
+        /// prefix of the primary's: the offset of the next frame it needs
+        /// (`0` for a fresh replica). The primary serves the replica only
+        /// when this equals its own offset for `latest_ts` (see
+        /// [`ReplMsg::HelloAck`]'s `resume_offset`).
         start_offset: u64,
-        /// The replica's latest durably applied commit timestamp. The
-        /// primary never *applies* anything based on it, but it does
-        /// gate the handshake: a value above the primary's own latest
-        /// timestamp means the histories diverged (the primary lost
-        /// state this replica already holds) and the connection is
-        /// refused instead of silently resyncing.
+        /// The replica's latest applied commit timestamp. The primary
+        /// resumes at its first frame past it, and gates the handshake
+        /// on it: a value above the primary's own latest timestamp means
+        /// the histories diverged (the primary lost state this replica
+        /// already holds) and the connection is refused.
         latest_ts: u64,
         /// The sender's current replication epoch. A primary receiving
         /// a Hello with a *higher* epoch knows it was deposed: it fences
@@ -56,17 +58,19 @@ pub enum ReplMsg {
     },
     /// Primary → replica, answering [`ReplMsg::Hello`].
     HelloAck {
-        /// The offset streaming will actually start from. Usually the
-        /// requested one; `0` if the request was unusable (past the end
-        /// or not a frame boundary), forcing a full resync — which is
-        /// safe because replay is idempotent.
+        /// The offset of the primary's first frame past the replica's
+        /// `latest_ts` (its log end when there is none): where streaming
+        /// starts. When it is not the replica's `start_offset`, the
+        /// replica's log is not a prefix of the primary's: the primary
+        /// refuses the connection after this answer, and the replica
+        /// marks itself diverged.
         resume_offset: u64,
         /// The primary's current *durable* (fsynced) log end offset —
         /// the furthest point this connection will ever ship.
         log_end: u64,
         /// The primary's latest committed timestamp. A replica whose
-        /// durable watermark timestamp exceeds this marks itself
-        /// diverged and stops rather than resyncing into silent skips.
+        /// latest timestamp exceeds this marks itself diverged and
+        /// stops.
         latest_ts: u64,
         /// The primary's current epoch. A replica seeing a *higher*
         /// epoch than its own adopts it (fencing itself); a replica
@@ -98,9 +102,9 @@ pub enum ReplMsg {
         payload: Vec<u8>,
     },
     /// Replica → primary: everything up to `offset` is applied *and
-    /// durable* on the replica (synced, watermark persisted).
+    /// durable* on the replica (its database synced).
     Ack {
-        /// The replica's durable log cursor (a `next_offset` it reached).
+        /// The replica's durable log end (a `next_offset` it reached).
         offset: u64,
         /// The replica's durable latest commit timestamp.
         ts: u64,

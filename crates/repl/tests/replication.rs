@@ -1,12 +1,15 @@
 //! End-to-end replication basics: a primary ships its commit log, a
-//! replica replays it, watermarks advance durably, reads obey the
-//! staleness gate, and the routed client sees its own writes.
+//! replica replays it into a byte copy of that log, watermarks advance
+//! durably, reads obey the staleness gate, and the routed client sees
+//! its own writes.
 
 use aion::{Aion, AionConfig, CheckLevel};
 use aion_server::{ClientConfig, RoutedClient, ServedBy, Server, ServerConfig};
-use lpg::{NodeId, PropertyValue};
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+use lpg::{NodeId, PropertyValue, RelId};
+use repl::{LogShipper, ReplNode, ReplNodeConfig, Replayer, ReplayerConfig, ShipperConfig};
 use std::io;
+use std::path::Path;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempfile::tempdir;
@@ -36,6 +39,182 @@ fn add_node(db: &Aion, id: u64) -> u64 {
         )
     })
     .unwrap()
+}
+
+fn log_bytes(dir: &Path) -> Vec<u8> {
+    vfs::VfsRef::std()
+        .read(&dir.join("timestore").join("timestore.log"))
+        .unwrap()
+}
+
+/// Commits a mixed history over node and relationship ids from `base`:
+/// labels; Int, Float (a NaN too) and Bool properties; relationships;
+/// set and remove; label add and remove; relationship and node deletes;
+/// multi-update commits.
+fn mixed_history(db: &Aion, base: u64) {
+    let (person, city, knows) = (db.intern("Person"), db.intern("City"), db.intern("KNOWS"));
+    let (age, score, flag) = (db.intern("age"), db.intern("score"), db.intern("flag"));
+    let n = |i: u64| NodeId::new(base + i);
+    let r = |i: u64| RelId::new(base + i);
+    db.write(|tx| {
+        for i in 0..4 {
+            tx.add_node(
+                n(i),
+                vec![person],
+                vec![
+                    (age, PropertyValue::Int(i as i64)),
+                    (score, PropertyValue::Float(i as f64 * 0.5)),
+                    (flag, PropertyValue::Bool(i % 2 == 0)),
+                ],
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.write(|tx| {
+        tx.add_rel(
+            r(0),
+            n(0),
+            n(1),
+            Some(knows),
+            vec![(score, PropertyValue::Float(1.5))],
+        )?;
+        tx.add_rel(r(1), n(1), n(2), Some(knows), vec![])
+    })
+    .unwrap();
+    db.write(|tx| tx.set_node_prop(n(0), score, PropertyValue::Float(f64::NAN)))
+        .unwrap();
+    db.write(|tx| tx.remove_node_prop(n(1), age)).unwrap();
+    db.write(|tx| {
+        tx.add_label(n(2), city)?;
+        tx.remove_label(n(3), person)
+    })
+    .unwrap();
+    db.write(|tx| tx.set_rel_prop(r(1), flag, PropertyValue::Bool(true)))
+        .unwrap();
+    db.write(|tx| tx.remove_rel_prop(r(0), score)).unwrap();
+    db.write(|tx| tx.delete_rel(r(0))).unwrap();
+    db.write(|tx| {
+        tx.delete_rel(r(1))?;
+        tx.delete_node(n(2))
+    })
+    .unwrap();
+}
+
+#[test]
+fn replica_log_is_a_byte_prefix_of_the_primary_log() {
+    let adir = tempdir().unwrap();
+    let bdir = tempdir().unwrap();
+    let cdir = tempdir().unwrap();
+    let db_a = open_db(adir.path());
+    let db_b = open_db(bdir.path());
+    let db_c = open_db(cdir.path());
+    mixed_history(&db_a, 0);
+
+    // B and C replicate from A: history written before they connect and
+    // a live tail.
+    let mut shipper_a = LogShipper::start(db_a.clone(), ShipperConfig::default()).unwrap();
+    let mut cfg_b = ReplayerConfig::new(shipper_a.addr(), bdir.path());
+    cfg_b.sync_every = 3;
+    let mut node_b = ReplNode::new_replica(
+        db_b.clone(),
+        cfg_b,
+        ReplNodeConfig::default(),
+        Arc::new(AtomicBool::new(true)),
+    );
+    let cfg_c = ReplayerConfig::new(shipper_a.addr(), cdir.path());
+    let mut replayer_c = Replayer::start(db_c.clone(), cfg_c.clone());
+    mixed_history(&db_a, 100);
+    let head = db_a.latest_ts();
+    assert!(
+        wait_for(10, || {
+            node_b.replayer().unwrap().watermark().ts == head && replayer_c.watermark().ts == head
+        }),
+        "replicas never converged (last errors {:?}, {:?})",
+        node_b.replayer().unwrap().last_error(),
+        replayer_c.last_error()
+    );
+    let log_a = log_bytes(adir.path());
+    assert_eq!(log_bytes(bdir.path()), log_a, "replica B's log differs");
+    assert_eq!(log_bytes(cdir.path()), log_a, "replica C's log differs");
+    // The durable watermark is the replica's log end.
+    let wm = node_b.replayer().unwrap().watermark();
+    assert_eq!(wm.offset, log_a.len() as u64);
+
+    // Promote B. C, which followed A, follows B from its own log end;
+    // B's log goes on from A's.
+    replayer_c.shutdown();
+    node_b.promote().unwrap();
+    shipper_a.shutdown();
+    mixed_history(&db_b, 200);
+    let cfg_c = ReplayerConfig {
+        primary: node_b.shipper_addr().unwrap(),
+        ..cfg_c
+    };
+    let replayer_c = Replayer::start(db_c.clone(), cfg_c);
+    assert!(
+        wait_for(10, || replayer_c.watermark().ts == db_b.latest_ts()),
+        "replica C never followed the promoted primary (last error {:?})",
+        replayer_c.last_error()
+    );
+    assert!(!replayer_c.diverged());
+    let log_b = log_bytes(bdir.path());
+    assert!(log_b.starts_with(&log_a) && log_b.len() > log_a.len());
+    assert_eq!(log_bytes(cdir.path()), log_b, "replica C's log differs");
+    drop(replayer_c);
+    node_b.shutdown();
+}
+
+/// A replica directory that holds commits of its own is not a prefix of
+/// the primary's log: the replayer refuses it instead of skipping the
+/// primary's frames at the timestamps it already holds and merging the
+/// two histories.
+#[test]
+fn a_replica_with_history_of_its_own_is_refused() {
+    let pdir = tempdir().unwrap();
+    let rdir = tempdir().unwrap();
+    let primary = open_db(pdir.path());
+    let replica = open_db(rdir.path());
+    for i in 1..=10 {
+        add_node(&primary, i);
+    }
+    // The replica's own commit at ts 1: three nodes the primary never had.
+    let own = replica.intern("own");
+    replica
+        .write(|tx| {
+            for i in 1001..=1003 {
+                tx.add_node(
+                    NodeId::new(i),
+                    vec![],
+                    vec![(own, PropertyValue::Bool(true))],
+                )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    let own_ts = replica.latest_ts();
+    let own_graph = replica.latest_graph();
+
+    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
+    cfg.reconnect_backoff = Duration::from_millis(5);
+    let mut replayer = Replayer::start(replica.clone(), cfg);
+    assert!(
+        wait_for(10, || replayer.diverged()),
+        "replayer never flagged divergence (last error {:?})",
+        replayer.last_error()
+    );
+    let err = replayer.last_error().unwrap_or_default();
+    assert!(
+        err.contains("diverged"),
+        "divergence not in last_error: {err}"
+    );
+    // Nothing of the primary's was applied: the replica's graph is its own.
+    assert_eq!(replica.latest_ts(), own_ts);
+    assert!(replica.latest_graph().same_as(&own_graph));
+    assert!(replica.latest_graph().node(NodeId::new(2)).is_none());
+    replayer.shutdown();
+    shipper.shutdown();
 }
 
 #[test]
@@ -84,7 +263,7 @@ fn replica_converges_and_resumes_after_restart() {
             .any(|(_, w)| w.ts == primary.latest_ts())
     }));
 
-    // Restart the replayer: it must resume from the durable watermark,
+    // Restart the replayer: it must resume from the replica's log end,
     // not refetch history into double-apply (latest_ts can't regress and
     // fsck stays clean).
     drop(replayer);
@@ -242,9 +421,8 @@ fn divergent_replica_is_refused_and_stops() {
     shipper_a.shutdown();
 
     // ...then is pointed at a primary with *less* history (a stand-in
-    // for a primary that lost its disk). Silently resyncing would let
-    // reused timestamps be skipped as re-delivery; instead the replayer
-    // must mark itself diverged and stop reconnecting.
+    // for a primary that lost its disk). The replayer must mark itself
+    // diverged and stop reconnecting.
     let bdir = tempdir().unwrap();
     let primary_b = open_db(bdir.path());
     add_node(&primary_b, 999); // shorter history: ts 1 < replica's ts 10

@@ -5,10 +5,9 @@
 //! 1. the replica reopens and the full `aion-fsck` audit is clean;
 //! 2. the recovered state is a prefix of the primary's history (its
 //!    latest timestamp never exceeds the primary's);
-//! 3. the on-disk replay watermark never claims more than the durable
-//!    prefix (`watermark.ts <= recovered latest_ts`) — a torn or lost
-//!    watermark file is legal (it forces a full, idempotent resync),
-//!    a *leading* one never is;
+//! 3. the replica's log, read through the [`vfs::SimVfs`], is a byte
+//!    prefix of the primary's log — it is the replay position, and no
+//!    watermark file beside it records that position a second time;
 //! 4. a fresh [`Replayer`] resumes from whatever survived and converges
 //!    back to the primary, and the audit stays clean.
 //!
@@ -17,7 +16,8 @@
 
 use aion::{Aion, AionConfig, CheckLevel};
 use lpg::{NodeId, PropertyValue};
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig, WatermarkStore};
+use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempfile::tempdir;
@@ -61,14 +61,15 @@ fn replayer_config(sim: &SimVfs, primary: std::net::SocketAddr) -> ReplayerConfi
     let mut cfg = ReplayerConfig::new(primary, REPLICA_ROOT);
     cfg.vfs = VfsRef::new(Arc::new(sim.clone()));
     // Small batches: many durability points inside one replay, so crash
-    // points land before, between, and after watermark writes.
+    // points land before, between, and after syncs.
     cfg.sync_every = 2;
     cfg.reconnect_backoff = Duration::from_millis(5);
     cfg
 }
 
 /// Recovery invariants after a (possible) crash; returns the recovered db.
-fn check_recovery(sim: &SimVfs, primary: &Aion, ctx: &str) -> Arc<Aion> {
+/// `primary_log` is the primary's `timestore.log`.
+fn check_recovery(sim: &SimVfs, primary: &Aion, primary_log: &Path, ctx: &str) -> Arc<Aion> {
     sim.heal();
     let db = Aion::open(replica_config(sim))
         .unwrap_or_else(|e| panic!("{ctx}: replica recovery reopen failed: {e}"));
@@ -78,20 +79,26 @@ fn check_recovery(sim: &SimVfs, primary: &Aion, ctx: &str) -> Arc<Aion> {
         "{ctx}: replica ts {recovered} ahead of primary {}",
         primary.latest_ts()
     );
-    let store = WatermarkStore::new(
-        VfsRef::new(Arc::new(sim.clone())),
-        std::path::Path::new(REPLICA_ROOT),
+    // The replica's log is its replay position: whatever recovery kept
+    // of it is a byte prefix of the primary's log, and nothing else in
+    // the directory records a position.
+    let vfs = VfsRef::new(Arc::new(sim.clone()));
+    let root = Path::new(REPLICA_ROOT);
+    let replica_log = vfs
+        .read(&root.join("timestore").join("timestore.log"))
+        .unwrap_or_else(|e| panic!("{ctx}: replica log unreadable: {e}"));
+    let primary_log = VfsRef::std().read(primary_log).unwrap();
+    assert!(
+        primary_log.starts_with(&replica_log),
+        "{ctx}: replica log ({} B) is not a byte prefix of the primary's ({} B)",
+        replica_log.len(),
+        primary_log.len()
     );
-    if let Some(wm) = store.load() {
-        // The watermark is written only after a successful sync, so it
-        // may lag the durable prefix (crash before the write) or vanish
-        // (torn write), but it must never lead it.
-        assert!(
-            wm.ts <= recovered,
-            "{ctx}: watermark ts {} leads recovered durable prefix {recovered}",
-            wm.ts
-        );
-    }
+    let files = vfs.read_dir(root).unwrap();
+    assert!(
+        files.iter().all(|(name, _)| !name.contains("watermark")),
+        "{ctx}: a watermark file exists beside the replica's log: {files:?}"
+    );
     let report = db
         .check_consistency(CheckLevel::Full)
         .unwrap_or_else(|e| panic!("{ctx}: check_consistency failed: {e}"));
@@ -116,6 +123,7 @@ fn run_seed(seed: u64, max_points: u64) {
             })
             .unwrap();
     }
+    let primary_log = pdir.path().join("timestore").join("timestore.log");
     let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
 
     // Fault-free measuring run: its op count enumerates the crash points.
@@ -164,7 +172,7 @@ fn run_seed(seed: u64, max_points: u64) {
         }
 
         // Recover, then prove the replica can rejoin and converge.
-        let db = check_recovery(&sim, &primary, &ctx);
+        let db = check_recovery(&sim, &primary, &primary_log, &ctx);
         let mut replayer = Replayer::start(db.clone(), replayer_config(&sim, shipper.addr()));
         assert!(
             wait_for(20, || db.latest_ts() == primary.latest_ts()),

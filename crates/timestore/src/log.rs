@@ -300,6 +300,14 @@ pub struct LogIter<'a> {
     end: u64,
 }
 
+impl LogIter<'_> {
+    /// The offset of the next frame this iterator yields; its end once
+    /// it has yielded them all.
+    pub fn offset(&self) -> u64 {
+        self.offset
+    }
+}
+
 impl Iterator for LogIter<'_> {
     type Item = Result<LogEntry>;
 

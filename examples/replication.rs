@@ -27,8 +27,9 @@ fn main() -> std::io::Result<()> {
     );
 
     // --- Replica: its own database, kept converging by a Replayer that
-    // applies the primary's commit frames and persists a durable replay
-    // watermark (crash-safe resume; see crates/repl docs).
+    // applies the primary's commit frames. The replica's log is a byte
+    // copy of the primary's, so its end is where a restart resumes (see
+    // crates/repl docs).
     let replica_dir = tempfile::tempdir().expect("tempdir");
     let replica = Arc::new(Aion::open(AionConfig::new(replica_dir.path())).expect("open replica"));
     let mut replayer = Replayer::start(
