@@ -3,15 +3,16 @@
 //!
 //! Compared to Fig. 12, the procedure path removes repeated query
 //! compilation and task scheduling, so the paper measures even higher
-//! speedups: AVG 9–61×, BFS 3.5–12×. In this reproduction the procedure
-//! path reuses one in-memory graph and its engine state across the
-//! entire series (the GraphStore result-caching of Sec. 5.2), while the
-//! classic path fetches and recomputes every snapshot — the same contrast.
+//! speedups: AVG 9–61×, BFS 3.5–12×. In this reproduction both paths are
+//! the temporal procedures (`proc_avg_series`, `proc_bfs_series`) over one
+//! forward walk through history: the procedure path keeps its engine state
+//! across the series and feeds it each diff, the classic path recomputes
+//! on every version. Embedded calls compile no query either, so this is
+//! Fig. 12's measurement at exactly 10 and 100 points.
 
 use crate::common::{banner, ingest_aion, open_aion, BenchConfig, Timer};
-use algo::aggregate::IncrementalAvg;
-use algo::bfs::{bfs_levels, IncrementalBfs};
-use lpg::{Graph, StrId};
+use aion::procedures::ExecMode;
+use lpg::StrId;
 use tempfile::tempdir;
 
 /// Datasets measured.
@@ -47,60 +48,31 @@ pub fn run(cfg: &BenchConfig) -> Vec<ProcRow> {
         let db = open_aion(dir.path(), true);
         ingest_aion(&db, &w);
         let half = w.max_ts / 2;
-        let end = w.max_ts + 1;
         for snapshots in [10usize, 100] {
-            let step = ((end - half) / snapshots as u64).max(1);
-            let times: Vec<u64> = (0..snapshots as u64)
-                .map(|i| half + i * step)
-                .filter(|t| *t < end)
-                .collect();
+            let step = ((w.max_ts + 1 - half) / snapshots as u64).max(1);
+            // Exactly `snapshots` points (fewer if history ends first).
+            let end = (half + snapshots as u64 * step).min(w.max_ts + 1);
 
-            // --- AVG ---
-            // Classic: re-fetch and re-scan per snapshot.
+            // Classic re-scans every version; the procedure keeps a
+            // running aggregate.
             let t = Timer::start();
-            for &ts in &times {
-                let g = db.get_graph_at(ts).expect("snapshot");
-                std::hint::black_box(algo::aggregate::avg_rel_property(&g, weight));
-            }
+            db.proc_avg_series(weight, half, end, step, ExecMode::Classic)
+                .expect("avg classic");
             let classic_s = t.secs();
-            // Procedure: one resident graph + running aggregate.
             let t = Timer::start();
-            {
-                let mut g = Graph::clone(&db.get_graph_at(times[0]).expect("snapshot"));
-                let mut agg = IncrementalAvg::from_graph(&g, weight);
-                std::hint::black_box(agg.value());
-                for pair in times.windows(2) {
-                    let diff = db.get_diff(pair[0] + 1, pair[1] + 1).expect("diff");
-                    g.apply_all(diff.iter().map(|u| &u.op))
-                        .expect("diff applies");
-                    agg.apply_diff(&diff);
-                    std::hint::black_box(agg.value());
-                }
-            }
+            db.proc_avg_series(weight, half, end, step, ExecMode::Incremental)
+                .expect("avg procedure");
             let proc_s = t.secs();
             report(&mut out, name, "AVG", snapshots, classic_s, proc_s);
 
-            // --- BFS ---
             let src = lpg::NodeId::new(0);
             let t = Timer::start();
-            for &ts in &times {
-                let g = db.get_graph_at(ts).expect("snapshot");
-                std::hint::black_box(bfs_levels(&g, src).len());
-            }
+            db.proc_bfs_series(src, half, end, step, ExecMode::Classic)
+                .expect("bfs classic");
             let classic_s = t.secs();
             let t = Timer::start();
-            {
-                let mut g = Graph::clone(&db.get_graph_at(times[0]).expect("snapshot"));
-                let mut engine = IncrementalBfs::new(&g, src);
-                std::hint::black_box(engine.levels().len());
-                for pair in times.windows(2) {
-                    let diff = db.get_diff(pair[0] + 1, pair[1] + 1).expect("diff");
-                    g.apply_all(diff.iter().map(|u| &u.op))
-                        .expect("diff applies");
-                    engine.apply_diff(&g, &diff);
-                    std::hint::black_box(engine.levels().len());
-                }
-            }
+            db.proc_bfs_series(src, half, end, step, ExecMode::Incremental)
+                .expect("bfs procedure");
             let proc_s = t.secs();
             report(&mut out, name, "BFS", snapshots, classic_s, proc_s);
         }

@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use timestore::{TimeStore, TimeStoreConfig};
+use timestore::{TimeStore, TimeStoreConfig, Versions};
 use vfs::VfsRef;
 
 pub use crate::planner::StoreChoice;
@@ -679,14 +679,24 @@ impl Aion {
         Ok(self.timestore.snapshot_at(ts)?.node(id).is_some())
     }
 
-    /// `getGraph(start, end, step)` — a snapshot series.
+    /// `getGraph(start, end, step)` — a snapshot series, collected from
+    /// [`Aion::versions`].
     pub fn get_graphs(
         &self,
         start: Timestamp,
         end: Timestamp,
         step: u64,
     ) -> Result<Vec<(Timestamp, Arc<Graph>)>> {
-        self.timestore.graphs(start, end, step)
+        self.versions(start, end, step)?
+            .map(|v| v.map(|(ts, graph, _)| (ts, graph)))
+            .collect()
+    }
+
+    /// The lazy walk behind `getGraph(start, end, step)` and the temporal
+    /// procedures: each version with the diff that led to it (see
+    /// [`TimeStore::versions`]).
+    pub fn versions(&self, start: Timestamp, end: Timestamp, step: u64) -> Result<Versions<'_>> {
+        self.timestore.versions(start, end, step)
     }
 
     /// `getWindow(start, end)` — the union graph of the window.

@@ -1,7 +1,9 @@
 //! Temporal procedures (Sec. 5.1): the callable analytics layer that wraps
 //! the Table 1 API — graph projections plus incremental algorithms over
-//! consecutive snapshots (Sec. 6.6), reusing intermediate results via
-//! `getDiff` between iterations.
+//! consecutive snapshots (Sec. 6.6). Both modes read the series from one
+//! forward walk through history ([`Aion::versions`]): Classic runs its
+//! algorithm on each version, Incremental feeds the diff each version comes
+//! with to its engine.
 
 use crate::db::Aion;
 use algo::{
@@ -10,7 +12,7 @@ use algo::{
     pagerank::{pagerank, IncrementalPageRank, PageRankConfig},
     Csr,
 };
-use lpg::{Direction, Graph, GraphError, NodeId, Result, StrId, Timestamp};
+use lpg::{Direction, Graph, NodeId, Result, StrId, Timestamp, TimestampedUpdate};
 use std::collections::HashMap;
 
 /// How a snapshot-series procedure executes.
@@ -19,8 +21,8 @@ pub enum ExecMode {
     /// Recompute from scratch per snapshot (the classic-Neo4j baseline of
     /// Figs. 12/14).
     Classic,
-    /// Reuse the previous snapshot's state and apply `getDiff` between
-    /// iterations.
+    /// Reuse the previous snapshot's state and apply the diff between
+    /// consecutive snapshots.
     Incremental,
 }
 
@@ -35,20 +37,26 @@ pub struct SeriesResult<T> {
 }
 
 impl Aion {
-    /// Materializes the snapshot time points `start, start+step, … < end`.
-    /// A `step` of 0 would never reach `end` and is refused.
-    pub fn series_times(start: Timestamp, end: Timestamp, step: u64) -> Result<Vec<Timestamp>> {
-        if step == 0 {
-            return Err(GraphError::InvalidTimeRange);
-        }
-        let mut out = Vec::new();
-        let mut t = start;
-        while t < end {
-            out.push(t);
-            match t.checked_add(step) {
-                Some(n) => t = n,
-                None => break,
-            }
+    /// Walks the versions `start, start + step, … < end` once and collects
+    /// what `at` makes of each: `at` gets the graph and the diff that led to
+    /// it from the previous point (empty at the first) and returns the
+    /// point's result and the work it took.
+    fn series<T>(
+        &self,
+        start: Timestamp,
+        end: Timestamp,
+        step: u64,
+        mut at: impl FnMut(&Graph, &[TimestampedUpdate]) -> (T, u64),
+    ) -> Result<SeriesResult<T>> {
+        let mut out = SeriesResult {
+            points: Vec::new(),
+            work: 0,
+        };
+        for version in self.versions(start, end, step)? {
+            let (ts, graph, diff) = version?;
+            let (value, work) = at(&graph, &diff);
+            out.points.push((ts, value));
+            out.work += work;
         }
         Ok(out)
     }
@@ -62,32 +70,21 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<Option<f64>>> {
-        let times = Self::series_times(start, end, step)?;
-        let mut points = Vec::with_capacity(times.len());
-        let mut work = 0u64;
-        match mode {
-            ExecMode::Classic => {
-                for &t in &times {
-                    let g = self.get_graph_at(t)?;
-                    work += g.rel_count() as u64; // full scan each time
-                    points.push((t, avg_rel_property(&g, key)));
+        let mut agg: Option<IncrementalAvg> = None;
+        self.series(start, end, step, |g, diff| match mode {
+            // A full scan each time.
+            ExecMode::Classic => (avg_rel_property(g, key), g.rel_count() as u64),
+            ExecMode::Incremental => match &mut agg {
+                Some(agg) => {
+                    agg.apply_diff(diff);
+                    (agg.value(), diff.len() as u64)
                 }
-            }
-            ExecMode::Incremental => {
-                let first = times.first().copied().unwrap_or(start);
-                let g = self.get_graph_at(first)?;
-                work += g.rel_count() as u64;
-                let mut agg = IncrementalAvg::from_graph(&g, key);
-                points.push((first, agg.value()));
-                for pair in times.windows(2) {
-                    let diff = self.get_diff(pair[0] + 1, pair[1] + 1)?;
-                    work += diff.len() as u64;
-                    agg.apply_diff(&diff);
-                    points.push((pair[1], agg.value()));
+                None => {
+                    let agg = agg.insert(IncrementalAvg::from_graph(g, key));
+                    (agg.value(), g.rel_count() as u64)
                 }
-            }
-        }
-        Ok(SeriesResult { points, work })
+            },
+        })
     }
 
     /// BFS levels from `source` over a snapshot series; the result per
@@ -100,36 +97,22 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<usize>> {
-        let times = Self::series_times(start, end, step)?;
-        let mut points = Vec::with_capacity(times.len());
-        let mut work = 0u64;
-        match mode {
-            ExecMode::Classic => {
-                for &t in &times {
-                    let g = self.get_graph_at(t)?;
-                    let levels = bfs_levels(&g, source);
-                    work += g.node_count() as u64;
-                    points.push((t, levels.len()));
+        let mut engine: Option<IncrementalBfs> = None;
+        self.series(start, end, step, |g, diff| match mode {
+            ExecMode::Classic => (bfs_levels(g, source).len(), g.node_count() as u64),
+            ExecMode::Incremental => match &mut engine {
+                Some(engine) => {
+                    let touched = engine.touched;
+                    engine.apply_diff(g, diff);
+                    let work = diff.len() + engine.touched - touched;
+                    (engine.levels().len(), work as u64)
                 }
-            }
-            ExecMode::Incremental => {
-                let first = times.first().copied().unwrap_or(start);
-                // A copy of the spine to apply the diffs to; the chunks stay
-                // shared with the stored snapshot until a diff touches them.
-                let mut g = Graph::clone(&*self.get_graph_at(first)?);
-                let mut engine = IncrementalBfs::new(&g, source);
-                work += g.node_count() as u64;
-                points.push((first, engine.levels().len()));
-                for pair in times.windows(2) {
-                    let diff = self.get_diff(pair[0] + 1, pair[1] + 1)?;
-                    g.apply_all(diff.iter().map(|u| &u.op))?;
-                    engine.apply_diff(&g, &diff);
-                    work += diff.len() as u64 + engine.touched as u64;
-                    points.push((pair[1], engine.levels().len()));
+                None => {
+                    let engine = engine.insert(IncrementalBfs::new(g, source));
+                    (engine.levels().len(), g.node_count() as u64)
                 }
-            }
-        }
-        Ok(SeriesResult { points, work })
+            },
+        })
     }
 
     /// PageRank over a snapshot series; the result per snapshot is the
@@ -142,38 +125,20 @@ impl Aion {
         step: u64,
         mode: ExecMode,
     ) -> Result<SeriesResult<HashMap<NodeId, f64>>> {
-        let times = Self::series_times(start, end, step)?;
-        let mut points = Vec::with_capacity(times.len());
-        let mut work = 0u64;
-        match mode {
+        let mut engine = IncrementalPageRank::new(config);
+        self.series(start, end, step, |g, _| match mode {
             ExecMode::Classic => {
-                for &t in &times {
-                    let g = self.get_graph_at(t)?;
-                    let csr = Csr::project(&g, Direction::Outgoing, None);
-                    let result = pagerank(&csr, config);
-                    work += result.iterations as u64;
-                    points.push((t, csr.ids.into_iter().zip(result.ranks).collect()));
-                }
+                let csr = Csr::project(g, Direction::Outgoing, None);
+                let result = pagerank(&csr, config);
+                let work = result.iterations as u64;
+                (csr.ids.into_iter().zip(result.ranks).collect(), work)
             }
+            // Warm-started from the previous point's ranks.
             ExecMode::Incremental => {
-                let first = times.first().copied().unwrap_or(start);
-                let mut g = Graph::clone(&*self.get_graph_at(first)?);
-                let mut engine = IncrementalPageRank::new(config);
-                let mut prev_iters = 0;
-                let ranks = engine.run(&g);
-                work += (engine.total_iterations - prev_iters) as u64;
-                prev_iters = engine.total_iterations;
-                points.push((first, ranks));
-                for pair in times.windows(2) {
-                    let diff = self.get_diff(pair[0] + 1, pair[1] + 1)?;
-                    g.apply_all(diff.iter().map(|u| &u.op))?;
-                    let ranks = engine.run(&g);
-                    work += (engine.total_iterations - prev_iters) as u64;
-                    prev_iters = engine.total_iterations;
-                    points.push((pair[1], ranks));
-                }
+                let iterations = engine.total_iterations;
+                let ranks = engine.run(g);
+                (ranks, (engine.total_iterations - iterations) as u64)
             }
-        }
-        Ok(SeriesResult { points, work })
+        })
     }
 }

@@ -480,3 +480,141 @@ fn incremental_procedures_match_classic() {
     let counts: Vec<usize> = reached.points.iter().map(|(_, n)| *n).collect();
     assert_eq!(counts, vec![1, 1, 1, 2, 2, 1, 1]);
 }
+
+/// A walk through a seeded history of relationship adds and deletes and
+/// property sets, with snapshot files every few commits: every version it
+/// yields is the one `getGraph(t)` builds, its diffs put together are
+/// `getDiff` over the walk (so it replays that and nothing else), and
+/// Classic and Incremental agree at every point.
+#[test]
+fn version_walk_replays_exactly_the_diff() {
+    let dir = tempdir().unwrap();
+    let mut config = AionConfig::new(dir.path());
+    config.timestore.policy = timestore::SnapshotPolicy::EveryNOps(40);
+    let db = Aion::open(config).unwrap();
+    let weight = db.intern("weight");
+    let mut rng = vfs::SplitMix64::new(41);
+    let nodes = 30;
+    let first = db
+        .write(|txn| (0..nodes).try_for_each(|i| txn.add_node(nid(i), vec![], vec![])))
+        .unwrap();
+    let (mut live, mut next_rel) = (Vec::new(), 0);
+    for _ in 0..300 {
+        let pick = rng.below(4);
+        let (src, tgt) = (rng.below(nodes), rng.below(nodes));
+        let value = PropertyValue::Float(rng.below(100) as f64);
+        let victim = (!live.is_empty()).then(|| rng.below(live.len() as u64) as usize);
+        db.write(|txn| match (pick, victim) {
+            (1, Some(i)) => txn.delete_rel(rid(live.swap_remove(i))),
+            (2, Some(i)) => txn.set_rel_prop(rid(live[i]), weight, value),
+            (3, _) => txn.set_node_prop(nid(src), weight, value),
+            _ => {
+                live.push(next_rel);
+                next_rel += 1;
+                txn.add_rel(
+                    rid(next_rel - 1),
+                    nid(src),
+                    nid(tgt),
+                    None,
+                    vec![(weight, value)],
+                )
+            }
+        })
+        .unwrap();
+    }
+    let last = db.latest_ts();
+    db.lineage_barrier(last);
+    let step = 5;
+
+    let mut diffs = Vec::new();
+    let mut held: Option<(u64, std::sync::Arc<lpg::Graph>)> = None;
+    for version in db.versions(first, last + 1, step).unwrap() {
+        let (ts, g, diff) = version.unwrap();
+        assert!(g.same_as(&db.get_graph_at(ts).unwrap()), "version at {ts}");
+        // A version the caller still holds is not changed by the next one.
+        if let Some((held_ts, held)) = held.replace((ts, g)) {
+            assert!(held.same_as(&db.get_graph_at(held_ts).unwrap()));
+        }
+        diffs.extend(diff);
+    }
+    let (walked_to, _) = held.unwrap();
+    let points = (walked_to - first) / step + 1;
+    assert!(points >= 50, "{points} points");
+    assert_eq!(diffs, db.get_diff(first + 1, walked_to + 1).unwrap());
+
+    let avg = |mode| {
+        db.proc_avg_series(weight, first, last + 1, step, mode)
+            .unwrap()
+            .points
+    };
+    let classic = avg(ExecMode::Classic);
+    assert_eq!(classic.len() as u64, points);
+    // The procedures drop each version, so the walk updates it in place.
+    for (ts, value) in &classic {
+        let g = db.get_graph_at(*ts).unwrap();
+        assert_eq!(*value, algo::aggregate::avg_rel_property(&g, weight));
+    }
+    for ((t1, a), (t2, b)) in classic.iter().zip(avg(ExecMode::Incremental)) {
+        assert_eq!(*t1, t2);
+        match (a, b) {
+            (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9, "avg at {t1}"),
+            (a, b) => assert_eq!(*a, b, "avg at {t1}"),
+        }
+    }
+    let bfs = |mode| {
+        db.proc_bfs_series(nid(0), first, last + 1, step, mode)
+            .unwrap()
+            .points
+    };
+    assert_eq!(bfs(ExecMode::Classic), bfs(ExecMode::Incremental));
+    let cfg = PageRankConfig {
+        damping: 0.85,
+        max_iters: 200,
+        epsilon: 1e-10,
+    };
+    let pagerank = |mode| {
+        db.proc_pagerank_series(cfg, first, last + 1, step, mode)
+            .unwrap()
+            .points
+    };
+    let classic = pagerank(ExecMode::Classic);
+    let incremental = pagerank(ExecMode::Incremental);
+    assert_eq!(classic.len(), incremental.len());
+    for ((t1, a), (t2, b)) in classic.iter().zip(&incremental) {
+        assert_eq!(t1, t2);
+        assert_eq!(a.len(), b.len(), "pagerank node set at {t1}");
+        for (id, ra) in a {
+            assert!((ra - b[id]).abs() < 1e-6, "pagerank at {t1} node {id}");
+        }
+    }
+}
+
+/// `start >= end` and a `step` of 0 are one rule for every series: the
+/// walk, `getGraph(start, end, step)` and both modes of every procedure
+/// refuse them, and a series that ends past the last commit still starts
+/// at `start`.
+#[test]
+fn empty_series_are_refused_in_both_modes() {
+    let dir = tempdir().unwrap();
+    let db = open(dir.path());
+    let last = *seed(&db, 4).last().unwrap();
+    let weight = db.intern("weight");
+    let cfg = PageRankConfig::default();
+    let refused = |r: lpg::Result<()>| r == Err(GraphError::InvalidTimeRange);
+    for (start, end, step) in [(5, 5, 1), (6, 5, 1), (1, last + 1, 0)] {
+        assert!(refused(db.get_graphs(start, end, step).map(drop)));
+        for mode in [ExecMode::Classic, ExecMode::Incremental] {
+            let avg = db.proc_avg_series(weight, start, end, step, mode);
+            let bfs = db.proc_bfs_series(nid(0), start, end, step, mode);
+            let pr = db.proc_pagerank_series(cfg, start, end, step, mode);
+            assert!(refused(avg.map(drop)), "avg {mode:?}");
+            assert!(refused(bfs.map(drop)), "bfs {mode:?}");
+            assert!(refused(pr.map(drop)), "pagerank {mode:?}");
+        }
+    }
+    for mode in [ExecMode::Classic, ExecMode::Incremental] {
+        let series = db.proc_bfs_series(nid(0), last, last + 100, 30, mode);
+        let times: Vec<u64> = series.unwrap().points.iter().map(|(t, _)| *t).collect();
+        assert_eq!(times, [last, last + 30, last + 60, last + 90], "{mode:?}");
+    }
+}

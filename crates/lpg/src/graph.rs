@@ -89,10 +89,12 @@
 //! relationships, incoming and outgoing id lists, copy-on-write snapshots).
 //! Its sparse→dense id remap for vector-backed algorithms is `algo::Csr`.
 
+use crate::bag::PropBag;
 use crate::entity::{Node, Relationship};
 use crate::error::{GraphError, Result};
 use crate::ids::{Direction, NodeId, RelId};
 use crate::update::Update;
+use crate::value::PropertyValue;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Weak};
@@ -910,13 +912,41 @@ impl Graph {
 
     /// Structural equality of the node and relationship sets (adjacency
     /// order, which depends on update order, is ignored); used by tests that
-    /// compare store reconstructions against this oracle.
+    /// compare store reconstructions against this oracle. Floats compare by
+    /// their bits, so a graph holding a NaN is the same as itself; query
+    /// equality (`PartialEq`) is left as IEEE has it.
     pub fn same_as(&self, other: &Graph) -> bool {
         self.node_count() == other.node_count()
             && self.rel_count() == other.rel_count()
-            && self.nodes().eq(other.nodes())
-            && self.rels().eq(other.rels())
+            && self.nodes().zip(other.nodes()).all(|(a, b)| {
+                a.id == b.id && a.labels == b.labels && same_props(&a.props, &b.props)
+            })
+            && self.rels().zip(other.rels()).all(|(a, b)| {
+                (a.id, a.src, a.tgt, a.label) == (b.id, b.src, b.tgt, b.label)
+                    && same_props(&a.props, &b.props)
+            })
     }
+}
+
+/// Whether two property bags hold the same keys and values, floats compared
+/// by their bits (see [`Graph::same_as`]).
+fn same_props(a: &PropBag, b: &PropBag) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|((ka, va), (kb, vb))| {
+            ka == kb
+                && match (va, vb) {
+                    (PropertyValue::Float(x), PropertyValue::Float(y)) => {
+                        x.to_bits() == y.to_bits()
+                    }
+                    (PropertyValue::FloatArray(x), PropertyValue::FloatArray(y)) => {
+                        x.len() == y.len()
+                            && x.iter()
+                                .zip(y.iter())
+                                .all(|(x, y)| x.to_bits() == y.to_bits())
+                    }
+                    _ => va == vb,
+                }
+        })
 }
 
 #[cfg(test)]
@@ -1249,5 +1279,39 @@ mod tests {
         })
         .unwrap();
         assert!(!a.same_as(&b));
+    }
+
+    #[test]
+    fn same_as_compares_floats_by_bits() {
+        let key = StrId::new(0);
+        let with = |node: f64, rel: f64| {
+            let mut g = Graph::new();
+            g.apply_all([&add_node(1), &add_node(2), &add_rel(1, 1, 2)])
+                .unwrap();
+            g.apply(&Update::SetNodeProp {
+                id: nid(1),
+                key,
+                value: PropertyValue::Float(node),
+            })
+            .unwrap();
+            g.apply(&Update::SetRelProp {
+                id: rid(1),
+                key,
+                value: PropertyValue::FloatArray(vec![1.0, rel].into()),
+            })
+            .unwrap();
+            g
+        };
+        let nan = with(f64::NAN, f64::NAN);
+        assert!(nan.same_as(&nan));
+        assert!(nan.same_as(&nan.clone()));
+        assert!(nan.same_as(&with(f64::NAN, f64::NAN)));
+        assert!(!nan.same_as(&with(1.0, f64::NAN)));
+        assert!(!nan.same_as(&with(f64::NAN, 1.0)));
+        assert!(!with(0.0, 1.0).same_as(&with(-0.0, 1.0)));
+        // Query equality stays IEEE: NaN equals nothing, 0.0 equals -0.0.
+        let node = |g: &Graph| g.node(nid(1)).unwrap().props.get(key).cloned();
+        assert_ne!(node(&nan), node(&nan));
+        assert_eq!(node(&with(0.0, 1.0)), node(&with(-0.0, 1.0)));
     }
 }

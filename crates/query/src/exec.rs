@@ -771,10 +771,10 @@ fn run_call(db: &Aion, name: &str, args: &[Literal], params: &Params) -> Result<
                         .points
                 }
                 // A key the table does not hold is on no relationship.
-                None => Aion::series_times(start, end, step)?
-                    .into_iter()
-                    .map(|ts| (ts, None))
-                    .collect(),
+                None => db
+                    .versions(start, end, step)?
+                    .map(|v| v.map(|(ts, ..)| (ts, None)))
+                    .collect::<Result<_>>()?,
             };
             Ok(QueryResult {
                 columns: vec!["ts".into(), "avg".into()],

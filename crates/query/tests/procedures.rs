@@ -97,25 +97,28 @@ fn call_errors() {
     assert!(execute(&db, "CALL aion.bfs('x', 1, 2, 3)", &Params::new()).is_err());
 }
 
-/// A series with step 0 never advances: it is refused, in both modes,
-/// before the first snapshot is fetched.
+/// A series with step 0 never advances, and one with `start >= end` has no
+/// point: both are refused, in both modes, before the first snapshot is
+/// fetched, also for a key no relationship carries.
 #[test]
 fn zero_step_series_are_rejected() {
     let (_d, db, last) = seeded_db();
     for call in [
-        "aion.avg('weight', 0, {end}, 0{mode})",
-        "aion.bfs(0, 0, {end}, 0{mode})",
-        "aion.pagerank(0, {end}, 0{mode})",
+        "aion.avg('weight', {range}{mode})",
+        "aion.avg('ectoplasm', {range}{mode})",
+        "aion.bfs(0, {range}{mode})",
+        "aion.pagerank({range}{mode})",
     ] {
-        for mode in ["", ", 'classic'"] {
-            let q = call
-                .replace("{end}", &(last + 1).to_string())
-                .replace("{mode}", mode);
-            assert_eq!(
-                execute(&db, &format!("CALL {q}"), &Params::new()).unwrap_err(),
-                lpg::GraphError::InvalidTimeRange,
-                "{q}"
-            );
+        let zero_step = format!("0, {}, 0", last + 1);
+        for range in [zero_step.as_str(), "20, 20, 1", "20, 10, 1"] {
+            for mode in ["", ", 'classic'"] {
+                let q = call.replace("{range}", range).replace("{mode}", mode);
+                assert_eq!(
+                    execute(&db, &format!("CALL {q}"), &Params::new()).unwrap_err(),
+                    lpg::GraphError::InvalidTimeRange,
+                    "{q}"
+                );
+            }
         }
     }
 }

@@ -44,4 +44,4 @@ pub mod store;
 pub use graphstore::GraphStore;
 pub use log::{ChangeLog, CommitFrame};
 pub use policy::SnapshotPolicy;
-pub use store::{TimeStore, TimeStoreConfig, TimeStoreStats};
+pub use store::{TimeStore, TimeStoreConfig, TimeStoreStats, Versions};

@@ -622,31 +622,27 @@ impl TimeStore {
         Ok(graph)
     }
 
-    /// `getGraph(start, end, step)`: materializes snapshots every `step`
-    /// time units over `[start, end)` with one base + incremental forward
-    /// replay.
-    pub fn graphs(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-        step: u64,
-    ) -> Result<Vec<(Timestamp, Arc<Graph>)>> {
+    /// `getGraph(start, end, step)`: the versions at `start`, `start +
+    /// step`, … below `end`, one at a time, as one forward walk through
+    /// history (Sec. 4.3). The first is [`TimeStore::snapshot_at`]`(start)`;
+    /// each later one is the previous version with the log's commits in
+    /// `(prev, ts]` applied, and comes with those commits as its diff (the
+    /// first comes with none). The walk holds only the version it last
+    /// yielded: when the caller has let go of it, the next one is made in
+    /// place, otherwise from a copy-on-write clone that shares every chunk
+    /// the diff does not touch. `start >= end` or a `step` of 0 is
+    /// [`GraphError::InvalidTimeRange`].
+    pub fn versions(&self, start: Timestamp, end: Timestamp, step: u64) -> Result<Versions<'_>> {
         if start >= end || step == 0 {
             return Err(GraphError::InvalidTimeRange);
         }
-        let mut out = Vec::new();
-        let mut current = (*self.snapshot_at(start)?).clone();
-        out.push((start, Arc::new(current.clone())));
-        let mut t = start;
-        while t.saturating_add(step) < end {
-            let next = t + step;
-            self.replay(t + 1, next + 1, |_, ops| {
-                ops.iter().try_for_each(|op| current.apply(op))
-            })?;
-            out.push((next, Arc::new(current.clone())));
-            t = next;
-        }
-        Ok(out)
+        Ok(Versions {
+            store: self,
+            next: Some(start),
+            end,
+            step,
+            prev: None,
+        })
     }
 
     /// `getWindow(start, end)`: the union graph of everything valid at some
@@ -753,5 +749,50 @@ impl TimeStore {
     /// would silently diverge when recovery reuses the lost timestamps.
     pub fn durable_log_end(&self) -> u64 {
         self.durable_log_end.load(Ordering::Acquire)
+    }
+}
+
+/// The lazy walk [`TimeStore::versions`] returns: `(ts, graph as of ts,
+/// the commits applied since the previous point)` per point. The first
+/// error ends it.
+pub struct Versions<'a> {
+    store: &'a TimeStore,
+    /// The next point; `None` once the walk is over.
+    next: Option<Timestamp>,
+    end: Timestamp,
+    step: u64,
+    /// The point last yielded and its graph.
+    prev: Option<(Timestamp, Arc<Graph>)>,
+}
+
+impl Versions<'_> {
+    fn version_at(&mut self, ts: Timestamp) -> Result<(Arc<Graph>, Vec<TimestampedUpdate>)> {
+        let Some((prev_ts, mut graph)) = self.prev.take() else {
+            return Ok((self.store.snapshot_at(ts)?, Vec::new()));
+        };
+        let diff = self.store.diff(prev_ts + 1, ts + 1)?;
+        if !diff.is_empty() {
+            Arc::make_mut(&mut graph).apply_all(diff.iter().map(|u| &u.op))?;
+        }
+        Ok((graph, diff))
+    }
+}
+
+impl Iterator for Versions<'_> {
+    type Item = Result<(Timestamp, Arc<Graph>, Vec<TimestampedUpdate>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let ts = self.next.filter(|ts| *ts < self.end)?;
+        self.next = ts.checked_add(self.step);
+        match self.version_at(ts) {
+            Ok((graph, diff)) => {
+                self.prev = Some((ts, Arc::clone(&graph)));
+                Some(Ok((ts, graph, diff)))
+            }
+            Err(e) => {
+                self.next = None;
+                Some(Err(e))
+            }
+        }
     }
 }

@@ -136,14 +136,14 @@ fn graphs_sequence_with_step() {
     for (ts, ops) in &commits {
         store.append_commit(*ts, ops).unwrap();
     }
-    let series = store.graphs(10, 110, 25).unwrap();
+    let series: Vec<_> = store.versions(10, 110, 25).unwrap().collect();
     assert_eq!(series.len(), 4); // 10, 35, 60, 85
-    for (ts, g) in &series {
-        let want = oracle_at(&commits, *ts);
+    for (ts, g, _) in series.into_iter().map(Result::unwrap) {
+        let want = oracle_at(&commits, ts);
         assert!(g.same_as(&want), "series mismatch at {ts}");
     }
-    assert!(store.graphs(10, 10, 5).is_err());
-    assert!(store.graphs(10, 20, 0).is_err());
+    assert!(store.versions(10, 10, 5).is_err());
+    assert!(store.versions(10, 20, 0).is_err());
 }
 
 #[test]
