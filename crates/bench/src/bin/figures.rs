@@ -61,9 +61,6 @@ fn main() -> ExitCode {
             "fig13" => {
                 fig13_bolt::run(&cfg);
             }
-            "fig14" => {
-                fig14_procedures::run(&cfg);
-            }
             "writes" => {
                 write_throughput::run(&write_throughput::WriteThroughputConfig {
                     seed: cfg.seed,

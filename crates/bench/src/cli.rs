@@ -4,7 +4,7 @@ use crate::common::BenchConfig;
 use std::path::PathBuf;
 
 /// Every experiment `figures` runs, in the order `all` runs them.
-pub const EXPERIMENTS: [&str; 14] = [
+pub const EXPERIMENTS: [&str; 13] = [
     "table3",
     "table4",
     "fig6",
@@ -15,7 +15,6 @@ pub const EXPERIMENTS: [&str; 14] = [
     "fig11",
     "fig12",
     "fig13",
-    "fig14",
     "writes",
     "ablations",
     "ids",
@@ -27,7 +26,7 @@ Usage: figures <experiment|all>... [--edges N] [--ops N] [--runs N] [--seed N]
                [--metrics-dir DIR]
 
 experiments: table3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-             fig14 writes ablations ids
+             writes ablations ids
 ";
 
 /// A parsed `figures` command line.

@@ -27,7 +27,6 @@ pub mod fig10_storage;
 pub mod fig11_materialize;
 pub mod fig12_incremental;
 pub mod fig13_bolt;
-pub mod fig14_procedures;
 pub mod graph_ids;
 pub mod table3_datasets;
 pub mod table4_complexity;

@@ -1,7 +1,7 @@
 //! `aion-fsck` — offline consistency checker for an Aion data directory.
 //!
 //! ```text
-//! aion-fsck check <dir> [--level quick|deep|full] [--metrics]
+//! aion-fsck check <dir> [--level quick|full] [--metrics]
 //! aion-fsck gen <dir> [--scale F] [--seed N] [--metrics]
 //! ```
 //!
@@ -12,6 +12,12 @@
 //! `<dir>` is an Aion data directory: `<dir>/timestore/` (change log, its
 //! durable-end record, snapshots) and `<dir>/lineage.db` (the four history
 //! indexes).
+//!
+//! `quick` verifies the structure of the lineage file. `full`, the
+//! default, adds the TimeStore's audit and compares `lineage.db` with its
+//! rebuild from the log up to its watermark, written beside it as
+//! `lineage.db.rebuild` and deleted afterwards; the rebuild uses the chain
+//! threshold `lineage.db` recorded, whatever the default is.
 //! Exit status: 0 = clean, 1 = violations found, 2 = usage or IO error.
 //! Opening the TimeStore may repair the directory (truncate a torn log
 //! tail, delete a snapshot file that does not verify);
@@ -36,7 +42,7 @@ fn main() -> ExitCode {
         Some("gen") => run_gen(&args[1..]),
         _ => {
             eprintln!(
-                "usage: aion-fsck check <dir> [--level quick|deep|full] [--metrics]\n       aion-fsck gen <dir> [--scale F] [--seed N] [--metrics]"
+                "usage: aion-fsck check <dir> [--level quick|full] [--metrics]\n       aion-fsck gen <dir> [--scale F] [--seed N] [--metrics]"
             );
             ExitCode::from(2)
         }
@@ -75,7 +81,7 @@ fn run_check(args: &[String]) -> ExitCode {
         Some(s) => match CheckLevel::parse(s) {
             Some(l) => l,
             None => {
-                eprintln!("aion-fsck check: unknown level {s:?} (quick|deep|full)");
+                eprintln!("aion-fsck check: unknown level {s:?} (quick|full)");
                 return ExitCode::from(2);
             }
         },

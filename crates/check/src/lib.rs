@@ -1,19 +1,21 @@
-//! # aion-check — deep consistency audits for Aion's hybrid stores
+//! # aion-check — consistency audits for Aion's hybrid stores
 //!
 //! The library behind the `aion-fsck` binary and
 //! `Aion::check_consistency`. It puts into one report, each finding tagged
 //! with its [`Subsystem`]:
 //!
-//! * [`timestore::TimeStore::audit`] — log order, log ↔ snapshot
-//!   agreement and snapshot + delta replay of the live graph (the
-//!   TimeStore keeps no page file, so it has no structural pass);
 //! * [`lineagestore::LineageStore::audit`] — the structural pass over the
 //!   lineage file ([`btree::audit_page_file`]: [`btree::BTree::verify`] on
-//!   every tree, page accounting), then per-entity interval chains,
-//!   delta-chain termination and neighbour-index mirroring;
-//! * a cross-store differential: the graph reconstructed from the
-//!   TimeStore (snapshot + forward replay) and from the LineageStore
-//!   (all-entities floor scan) must agree at every sampled timestamp.
+//!   every tree, page accounting); the TimeStore keeps no page file, so it
+//!   has no structural pass;
+//! * at [`CheckLevel::Full`], [`timestore::TimeStore::audit`] — log order,
+//!   log ↔ snapshot agreement and snapshot + delta replay of the live
+//!   graph;
+//! * at [`CheckLevel::Full`], the cross-store differential: below its
+//!   watermark the LineageStore is derived state, so the log is replayed
+//!   up to the watermark into a scratch store beside it, and the two must
+//!   hold the same bytes under the same keys in all four indexes at every
+//!   timestamp up to the watermark.
 //!
 //! Every finding is a [`btree::Finding`]. The report also carries each
 //! index's pages and leaf fill, measured by the structural pass, so
@@ -25,6 +27,7 @@ use btree::{Audit, Finding, TreeFill};
 use lineagestore::LineageStore;
 use lpg::Result;
 use std::fmt;
+use std::io;
 use timestore::TimeStore;
 
 /// How much work the consistency check performs.
@@ -32,12 +35,10 @@ use timestore::TimeStore;
 pub enum CheckLevel {
     /// Structural only: B+Tree verification and page accounting.
     Quick,
-    /// Structural plus the per-store deep audits (log order, log/snapshot
-    /// agreement, lineage chain invariants, neighbour mirroring).
+    /// Structural plus the TimeStore's audit (log order, log/snapshot
+    /// agreement) and the comparison of the LineageStore with its rebuild
+    /// from the log.
     #[default]
-    Deep,
-    /// Everything in `Deep` plus the cross-store differential at sampled
-    /// timestamps.
     Full,
 }
 
@@ -46,7 +47,6 @@ impl CheckLevel {
     pub fn parse(s: &str) -> Option<CheckLevel> {
         match s {
             "quick" => Some(CheckLevel::Quick),
-            "deep" => Some(CheckLevel::Deep),
             "full" => Some(CheckLevel::Full),
             _ => None,
         }
@@ -57,7 +57,6 @@ impl fmt::Display for CheckLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             CheckLevel::Quick => "quick",
-            CheckLevel::Deep => "deep",
             CheckLevel::Full => "full",
         })
     }
@@ -95,9 +94,6 @@ pub struct ConsistencyReport {
     /// Pages and leaf fill of every index, by subsystem and index name: the
     /// LineageStore's four.
     pub fill: Vec<(Subsystem, &'static str, TreeFill)>,
-    /// Timestamps the cross-store differential compared (empty below
-    /// [`CheckLevel::Full`]).
-    pub sampled_timestamps: Vec<u64>,
 }
 
 impl ConsistencyReport {
@@ -136,13 +132,6 @@ impl fmt::Display for ConsistencyReport {
                 format!("{} violation(s)", self.findings.len())
             }
         )?;
-        if !self.sampled_timestamps.is_empty() {
-            writeln!(
-                f,
-                "cross-store differential at {} timestamp(s)",
-                self.sampled_timestamps.len()
-            )?;
-        }
         for (subsystem, finding) in &self.findings {
             writeln!(f, "  {subsystem} {finding}")?;
         }
@@ -156,51 +145,77 @@ impl fmt::Display for ConsistencyReport {
     }
 }
 
-/// Timestamps the cross-store differential samples: up to `max` points
-/// spread evenly over `[1, upper]`, always including `upper`.
-pub fn sample_timestamps(upper: u64, max: usize) -> Vec<u64> {
-    if upper == 0 || max == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(max);
-    let n = (max as u64).min(upper);
-    for i in 1..=n {
-        out.push(upper * i / n);
-    }
-    out.dedup();
-    out
+/// Replays the log up to the LineageStore's watermark `w` into a scratch
+/// store beside it and compares the two, index by index, in key order.
+/// Every entry at a timestamp up to `w` must be byte-equal; a key that
+/// does not decode, or one past the TimeStore's latest timestamp, is a
+/// difference too. Entries above `w` whose commit the TimeStore holds are
+/// the live cascade's and are skipped. The first difference in each index
+/// is one finding naming the index, the key and both values.
+fn lineage_differential(ts: &TimeStore, ls: &LineageStore) -> Result<Vec<Finding>> {
+    let w = ls.applied_ts();
+    ls.with_rebuild(|rebuild| {
+        ts.replay(1, w.saturating_add(1), |t, ops| rebuild.apply_commit(t, ops))?;
+        let mut findings = Vec::new();
+        for ((index, live, key_ts), (_, rebuilt, _)) in ls.indexes().into_iter().zip(rebuild.indexes()) {
+            // The latest timestamp is read again for each entry above `w`:
+            // commits land while the walk runs.
+            let cascaded = |key: &[u8]| key_ts(key).is_some_and(|t| t > w && t <= ts.latest_ts());
+            let live = live.scan(&[], &[])?.filter(|item| !matches!(item, Ok((key, _)) if cascaded(key)));
+            if let Some((key, a, b)) = first_difference(live, rebuilt.scan(&[], &[])?)? {
+                findings.push(Finding::new(
+                    "differential",
+                    format!(
+                        "{index} key {key:?}: the store holds {}, its rebuild from the log up to ts {w} holds {}",
+                        show(a.as_deref()),
+                        show(b.as_deref()),
+                    ),
+                ));
+            }
+        }
+        Ok(findings)
+    })
 }
 
-/// Reconstructs the graph at each sampled timestamp from both stores and
-/// diffs them. Divergence at a timestamp the LineageStore has fully applied
-/// means one of the stores is corrupt (the paper's design makes the two
-/// stores fully redundant below the lineage watermark).
-pub fn cross_store_differential(
-    ts: &TimeStore,
-    ls: &LineageStore,
-    samples: &[u64],
-) -> Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for &t in samples {
-        let from_time = ts.snapshot_at(t)?;
-        let from_lineage = ls.snapshot_at(t)?;
-        if !from_time.same_as(&from_lineage) {
-            findings.push(Finding::new(
-                "differential",
-                format!(
-                    "stores disagree at ts {t}: TimeStore has {}N/{}R, LineageStore has {}N/{}R",
-                    from_time.node_count(),
-                    from_time.rel_count(),
-                    from_lineage.node_count(),
-                    from_lineage.rel_count()
-                ),
-            ));
+/// An index entry as a scan yields it.
+type Entry = io::Result<(Vec<u8>, Vec<u8>)>;
+
+/// A key and each side's value under it.
+type Difference = (Vec<u8>, Option<Vec<u8>>, Option<Vec<u8>>);
+
+/// The first key at which two key-ordered entry streams differ, with each
+/// side's value there (`None` on the side that lacks the key).
+fn first_difference(
+    mut a: impl Iterator<Item = Entry>,
+    mut b: impl Iterator<Item = Entry>,
+) -> io::Result<Option<Difference>> {
+    loop {
+        match (a.next().transpose()?, b.next().transpose()?) {
+            (None, None) => return Ok(None),
+            (Some((ka, va)), Some((kb, vb))) if ka == kb => {
+                if va != vb {
+                    return Ok(Some((ka, Some(va), Some(vb))));
+                }
+            }
+            // The smaller key is the one the other side lacks; a side that
+            // ended lacks every key.
+            (Some((ka, va)), Some((kb, _))) if ka < kb => return Ok(Some((ka, Some(va), None))),
+            (Some((ka, va)), None) => return Ok(Some((ka, Some(va), None))),
+            (_, Some((kb, vb))) => return Ok(Some((kb, None, Some(vb)))),
         }
     }
-    Ok(findings)
 }
 
-/// Runs the full consistency check over both stores at `level`.
+/// A value for a finding: its first 32 bytes, or `nothing`.
+fn show(value: Option<&[u8]>) -> String {
+    match value {
+        None => "nothing".to_string(),
+        Some(v) if v.len() <= 32 => format!("{v:?}"),
+        Some(v) => format!("{:?}… ({} bytes)", &v[..32], v.len()),
+    }
+}
+
+/// Runs the consistency check over both stores at `level`.
 pub fn check_stores(
     ts: &TimeStore,
     ls: &LineageStore,
@@ -210,17 +225,12 @@ pub fn check_stores(
         level,
         findings: Vec::new(),
         fill: Vec::new(),
-        sampled_timestamps: Vec::new(),
     };
-    let deep = level != CheckLevel::Quick;
-    report.add(Subsystem::TimeStore, ts.audit(deep)?);
-    report.add(Subsystem::LineageStore, ls.audit(deep)?);
-    if level == CheckLevel::Full {
-        // Only compare below the lineage watermark: above it the
-        // LineageStore legitimately lags the TimeStore.
-        let upper = ts.latest_ts().min(ls.applied_ts());
-        report.sampled_timestamps = sample_timestamps(upper, 8);
-        let findings = cross_store_differential(ts, ls, &report.sampled_timestamps)?;
+    let full = level == CheckLevel::Full;
+    report.add(Subsystem::TimeStore, ts.audit(full)?);
+    report.add(Subsystem::LineageStore, ls.audit()?);
+    if full {
+        let findings = lineage_differential(ts, ls)?;
         let findings = findings.into_iter().map(|f| (Subsystem::CrossStore, f));
         report.findings.extend(findings);
     }
@@ -230,7 +240,9 @@ pub fn check_stores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpg::{NodeId, RelId, StrId, Update};
+    use encoding::{keys, RecordBody};
+    use lineagestore::LineageEntry;
+    use lpg::{NodeId, PropertyValue, RelId, StrId, Update};
     use tempfile::tempdir;
 
     fn seed(ts: &TimeStore, ls: &LineageStore) {
@@ -261,6 +273,49 @@ mod tests {
         ls.sync().unwrap();
     }
 
+    /// 40 nodes in a chain of relationships, each node's property set
+    /// once, and relationship 5 deleted at ts 200: commit `i * 3 + 1` adds
+    /// node `i`, `i * 3 + 2` its incoming relationship `i`.
+    fn seed_chains(ts: &TimeStore, ls: &LineageStore) {
+        let commit = |t: u64, op: Update| {
+            ts.append_commit(t, std::slice::from_ref(&op)).unwrap();
+            ls.apply_commit(t, &[op]).unwrap();
+        };
+        for i in 0..40u64 {
+            commit(
+                i * 3 + 1,
+                Update::AddNode {
+                    id: NodeId::new(i),
+                    labels: vec![StrId::new(0)],
+                    props: vec![],
+                },
+            );
+            if i > 0 {
+                commit(
+                    i * 3 + 2,
+                    Update::AddRel {
+                        id: RelId::new(i),
+                        src: NodeId::new(i - 1),
+                        tgt: NodeId::new(i),
+                        label: Some(StrId::new(1)),
+                        props: vec![],
+                    },
+                );
+            }
+            commit(
+                i * 3 + 3,
+                Update::SetNodeProp {
+                    id: NodeId::new(i),
+                    key: StrId::new(2),
+                    value: PropertyValue::Int(i as i64),
+                },
+            );
+        }
+        commit(200, Update::DeleteRel { id: RelId::new(5) });
+        ts.sync().unwrap();
+        ls.sync().unwrap();
+    }
+
     fn open_stores(dir: &std::path::Path) -> (TimeStore, LineageStore) {
         let ts =
             TimeStore::open(dir.join("timestore"), timestore::TimeStoreConfig::default()).unwrap();
@@ -279,7 +334,6 @@ mod tests {
         seed(&ts, &ls);
         let report = check_stores(&ts, &ls, CheckLevel::Full).unwrap();
         assert!(report.is_clean(), "unexpected findings:\n{report}");
-        assert!(!report.sampled_timestamps.is_empty());
         let text = report.to_string();
         for index in [
             "lineagestore nodes",
@@ -317,12 +371,86 @@ mod tests {
             .any(|f| f.check == "differential"));
     }
 
+    /// The index named `name`.
+    fn index<'a>(ls: &'a LineageStore, name: &str) -> &'a btree::BTree {
+        let mut indexes = ls.indexes().into_iter();
+        indexes.find(|(n, ..)| *n == name).unwrap().1
+    }
+
+    /// The cross-store findings of a full check.
+    fn differentials(ts: &TimeStore, ls: &LineageStore) -> Vec<Finding> {
+        let report = check_stores(ts, ls, CheckLevel::Full).unwrap();
+        report
+            .by_subsystem(Subsystem::CrossStore)
+            .cloned()
+            .collect()
+    }
+
     #[test]
-    fn sampling_is_bounded_and_hits_the_upper_end() {
-        assert!(sample_timestamps(0, 8).is_empty());
-        assert_eq!(sample_timestamps(3, 8), vec![1, 2, 3]);
-        let s = sample_timestamps(1_000_000, 8);
-        assert_eq!(s.len(), 8);
-        assert_eq!(*s.last().unwrap(), 1_000_000);
+    fn one_sided_neighbour_entry_detected() {
+        let dir = tempdir().unwrap();
+        let (ts, ls) = open_stores(dir.path());
+        seed_chains(&ts, &ls);
+        // Inject an out-neighbour entry with no in-neighbour mirror.
+        index(&ls, "out-neighbours")
+            .insert(
+                &keys::neigh_key(NodeId::new(1), NodeId::new(2), RelId::new(999), 777),
+                &[0],
+            )
+            .unwrap();
+        let findings = differentials(&ts, &ls);
+        assert!(
+            findings.iter().any(|f| f.check == "differential"
+                && f.detail.starts_with("out-neighbours key")
+                && f.detail.contains("the store holds [0], its rebuild")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn non_canonical_neighbour_key_detected() {
+        let dir = tempdir().unwrap();
+        let (ts, ls) = open_stores(dir.path());
+        seed_chains(&ts, &ls);
+        // Node 0 written as `[1, 0]`, with a leading zero byte: it sorts
+        // among the one-byte ids but is no key `neigh_key` writes.
+        index(&ls, "out-neighbours")
+            .insert(&[1, 0, 1, 1, 1, 1, 1, 2], &[0])
+            .unwrap();
+        let findings = differentials(&ts, &ls);
+        assert!(
+            findings.iter().any(|f| f.check == "differential"
+                && f.detail
+                    .starts_with("out-neighbours key [1, 0, 1, 1, 1, 1, 1, 2]:")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn neighbour_value_other_than_the_deleted_flag_detected() {
+        let dir = tempdir().unwrap();
+        let (ts, ls) = open_stores(dir.path());
+        seed_chains(&ts, &ls);
+        // Rel 3 (2 -> 3, added at ts 11): overwrite its in-neighbour value
+        // with a byte that is no flag, then with a whole record.
+        let key = keys::neigh_key(NodeId::new(3), NodeId::new(2), RelId::new(3), 11);
+        let in_n = index(&ls, "in-neighbours");
+        for value in [
+            vec![2u8],
+            LineageEntry::full(11, RecordBody::RelDeleted).to_bytes(),
+        ] {
+            in_n.insert(&key, &value).unwrap();
+            let findings = differentials(&ts, &ls);
+            let expected = format!(
+                "in-neighbours key {:?}: the store holds {value:?}, its rebuild from the log up to ts 200 holds [0]",
+                &key[..]
+            );
+            assert!(
+                findings.iter().any(|f| f.detail == expected),
+                "{value:?}: {findings:?}"
+            );
+        }
+        in_n.insert(&key, &[0]).unwrap();
+        assert!(differentials(&ts, &ls).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! `aion-fsck` end to end: the binary's exit status and output on a
-//! generated database, on one whose snapshot file or log was damaged after
-//! it was written, and on `gen` arguments it must refuse.
+//! generated database, on one whose snapshot file, log or lineage file was
+//! damaged after it was written, and on `gen` arguments it must refuse.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -31,12 +31,60 @@ fn generated_database_is_clean_at_every_level() {
     let dir = tempdir().unwrap();
     let db = dir.path().join("db");
     generate(&db);
-    for level in ["quick", "deep", "full"] {
+    for level in ["quick", "full"] {
         let out = fsck(&["check", db.to_str().unwrap(), "--level", level]);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{level}:\n{stdout}");
         assert!(stdout.contains(": clean\n"), "{level}:\n{stdout}");
     }
+}
+
+#[test]
+fn flipped_neighbour_flag_is_caught_by_full_only() {
+    let dir = tempdir().unwrap();
+    let db = dir.path().join("db");
+    generate(&db);
+    // Raw slotted-page layout (`btree::layout`): a leaf page has type byte
+    // 1, ncells (u16 LE) at 2 and its slot directory at 16; a leaf cell
+    // starts `varint klen, varint (vlen << 1 | overflow)`, then key and
+    // value. Only a neighbour entry has a one-byte value, its deleted flag:
+    // a one-byte header varint `2` after a key of at most 36 bytes.
+    let (page_size, path) = (pagestore::PAGE_SIZE, db.join("lineage.db"));
+    let vfs = TimeStoreConfig::default().vfs;
+    let mut file = vfs.read(&path).unwrap();
+    let u16_at = |b: &[u8], off: usize| usize::from(u16::from_le_bytes([b[off], b[off + 1]]));
+    let flag = (1..file.len() / page_size)
+        .map(|p| p * page_size)
+        .filter(|&base| file[base] == 1)
+        .flat_map(|base| (0..u16_at(&file, base + 2)).map(move |i| (base, i)))
+        .map(|(base, i)| base + u16_at(&file, base + 16 + i * 2))
+        .find(|&cell| {
+            file[cell] <= 36 && file[cell + 1] == 2 && file[cell + 2 + usize::from(file[cell])] == 0
+        })
+        .map(|cell| cell + 2 + usize::from(file[cell]))
+        .expect("a neighbour entry that records an addition");
+    file[flag] = 1;
+    vfs.write(&path, &file).unwrap();
+
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "quick"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let out = fsck(&["check", db.to_str().unwrap(), "--level", "full"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("cross-store differential: "))
+        .unwrap_or_else(|| panic!("no differential line:\n{stdout}"));
+    assert!(
+        ["out-neighbours key", "in-neighbours key"]
+            .iter()
+            .any(|index| line.contains(index))
+            && line.contains("the store holds [1], its rebuild")
+            && line.ends_with("holds [0]"),
+        "{line}"
+    );
+    assert!(!vfs.exists(&db.join("lineage.db.rebuild")));
 }
 
 #[test]

@@ -120,11 +120,12 @@ fn leak_page(path: &Path) {
 }
 
 const PINNED: &str = concat!(
-    "consistency check (level deep): 4 violation(s)\n",
+    "consistency check (level full): 5 violation(s)\n",
     "  lineagestore nodes/structure: [key-order] page 1: keys out of order: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] !< [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]\n",
     "  lineagestore in-neighbours/structure: [key-order] page 4: keys out of order: [1, 2, 1, 1, 1, 2, 1, 5] !< [1, 1, 0, 1, 1, 1, 3]\n",
     "  lineagestore pages/accounting: 1 page(s) neither reachable nor free (first: 5)\n",
-    "  lineagestore chain/interval: node 0: version at ts 1 overlaps predecessor at ts 1\n",
+    "  cross-store differential: nodes key [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]: the store holds [1, 1, 8, 0, 1, 2, 0, 0, 32, 0], its rebuild from the log up to ts 115 holds nothing\n",
+    "  cross-store differential: in-neighbours key [1, 1, 0, 1, 1, 1, 3]: the store holds nothing, its rebuild from the log up to ts 115 holds [0]\n",
     "index pages and leaf fill:\n",
     "  lineagestore nodes: 1 pages, 1 leaves, leaf fill 27.8 %\n",
     "  lineagestore rels: 1 pages, 1 leaves, leaf fill 14.5 %\n",
@@ -143,6 +144,6 @@ fn damaged_stores_report_matches_the_pinned_text() {
     damage_lineage(&dir.path().join("lineage.db"));
 
     let (ts, ls) = open_stores(dir.path());
-    let report = check_stores(&ts, &ls, CheckLevel::Deep).unwrap();
+    let report = check_stores(&ts, &ls, CheckLevel::Full).unwrap();
     assert_eq!(report.to_string(), PINNED);
 }

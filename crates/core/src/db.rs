@@ -151,8 +151,9 @@ impl Aion {
         let timestore = Arc::new(TimeStore::open(config.dir.join("timestore"), ts_config)?);
         // The LineageStore is derived state: open it with page verification
         // on, and if that (or catch-up replay) fails — torn pages from a
-        // crash mid-cascade, a corrupt index — wipe it and rebuild from the
-        // TimeStore log, which is the source of truth.
+        // crash mid-cascade, a corrupt index, a file that records no chain
+        // threshold or another one than configured — wipe it and rebuild
+        // from the TimeStore log, which is the source of truth.
         let mut ls_config = config.lineage.clone();
         ls_config.vfs = fs.clone();
         ls_config.verify_pages = true;
@@ -214,13 +215,23 @@ impl Aion {
     }
 
     /// Opens the LineageStore and replays any TimeStore commits it missed
-    /// (crash during the asynchronous cascade).
+    /// (crash during the asynchronous cascade). Fails if the file was built
+    /// with another chain threshold than `config`'s.
     fn open_lineage(
         timestore: &TimeStore,
         path: &std::path::Path,
         config: LineageStoreConfig,
     ) -> Result<Arc<LineageStore>> {
+        let threshold = config.chain_threshold;
         let lineage = Arc::new(LineageStore::open(path, config)?);
+        // A file built with another chain threshold would mix two layouts
+        // of the same history: rebuild it with the configured one.
+        if lineage.chain_threshold() != threshold {
+            return Err(GraphError::Storage(format!(
+                "lineage file built with chain threshold {:?}, configured {threshold:?}",
+                lineage.chain_threshold()
+            )));
+        }
         // Catch-up replay: the TimeStore log is the source of truth. Each
         // commit is applied as its frame is read, so a rebuild from ts 1
         // holds one frame in memory, not the history.

@@ -363,6 +363,140 @@ fn lineage_rebuilt_from_the_log_equals_the_live_one() {
     assert!(report.is_clean(), "{report:?}");
 }
 
+/// Four sessions that end in `sync`, then a fifth dropped without one:
+/// after every reopen the LineageStore equals its rebuild from the log,
+/// and a write only the LineageStore sees, at its watermark, is reported.
+#[test]
+fn lineage_equals_its_rebuild_across_sessions_and_an_unclean_stop() {
+    let dir = tempdir().unwrap();
+    for session in 0..6u64 {
+        let db = open(dir.path());
+        let report = db.check_consistency(aion::CheckLevel::Full).unwrap();
+        assert!(report.is_clean(), "open {session}:\n{report}");
+        if session == 5 {
+            db.lineage_barrier(db.latest_ts());
+            let w = db.lineagestore().applied_ts();
+            db.lineagestore()
+                .apply_update(
+                    w,
+                    &lpg::Update::AddNode {
+                        id: nid(7_777_777),
+                        labels: vec![],
+                        props: vec![],
+                    },
+                )
+                .unwrap();
+            let report = db.check_consistency(aion::CheckLevel::Full).unwrap();
+            let mut cross = report.by_subsystem(check::Subsystem::CrossStore);
+            assert!(cross.any(|f| f.check == "differential"), "{report}");
+            return;
+        }
+        let weight = db.intern("weight");
+        // 1 500 updates of each kind in commits of 16. Update `u` is the
+        // `n`-th of its kind: node `n` added, relationship `n` from node
+        // `n` to `n / 2`, a property of node `n / 3` set (several per
+        // commit coalesce), and relationship `n - 750` deleted (in the
+        // first half of the first session, node `n / 5`'s property set).
+        for commit in 0..375u64 {
+            db.write(|txn| {
+                let first = session * 6_000 + commit * 16;
+                for u in first..first + 16 {
+                    let n = u / 4;
+                    let value = PropertyValue::Int(u as i64);
+                    match u % 4 {
+                        0 => txn.add_node(nid(n), vec![], vec![])?,
+                        1 => txn.add_rel(rid(n), nid(n), nid(n / 2), None, vec![])?,
+                        2 => txn.set_node_prop(nid(n / 3), weight, value)?,
+                        _ if n >= 750 => txn.delete_rel(rid(n - 750))?,
+                        _ => txn.set_node_prop(nid(n / 5), weight, value)?,
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        if session < 4 {
+            db.sync().unwrap();
+        }
+    }
+}
+
+/// A lineage file records the chain threshold it was built with. Opened
+/// with another one, or with none recorded, `Aion::open` rebuilds it from
+/// the log with the configured threshold; the histories read the same.
+#[test]
+fn a_changed_chain_threshold_rebuilds_the_lineage_store() {
+    let config = |dir: &std::path::Path, k| {
+        let mut config = AionConfig::new(dir);
+        config.lineage.chain_threshold = Some(k);
+        config
+    };
+    let histories = |db: &Aion| {
+        db.lineage_barrier(db.latest_ts());
+        let end = db.latest_ts() + 1;
+        let nodes: Vec<_> = (0..20)
+            .map(|i| db.get_node(nid(i), 0, end).unwrap())
+            .collect();
+        let rels: Vec<_> = (0..20)
+            .map(|i| db.get_relationship(rid(i), 0, end).unwrap())
+            .collect();
+        format!("{:?}", (nodes, rels))
+    };
+    // Two copies of one history, built with K = 4.
+    let (a, b) = (tempdir().unwrap(), tempdir().unwrap());
+    let mut before = Vec::new();
+    for dir in [a.path(), b.path()] {
+        let db = Aion::open(config(dir, 4)).unwrap();
+        seed(&db, 20);
+        let weight = db.intern("weight");
+        for round in 0..9 {
+            for i in 0..20 {
+                db.write(|txn| {
+                    txn.set_node_prop(nid(i), weight, PropertyValue::Int(round))?;
+                    txn.set_rel_prop(rid(i), weight, PropertyValue::Float(round as f64))
+                })
+                .unwrap();
+            }
+        }
+        before.push(histories(&db));
+        db.sync().unwrap();
+    }
+    assert_eq!(before[0], before[1]);
+    let fsck = |dir: &std::path::Path| {
+        // The configured threshold (4) is not the one the file recorded.
+        let ts = timestore::TimeStore::open(dir.join("timestore"), Default::default()).unwrap();
+        let ls = lineagestore::LineageStore::open(dir.join("lineage.db"), Default::default());
+        let ls = ls.unwrap();
+        let report = check::check_stores(&ts, &ls, aion::CheckLevel::Full).unwrap();
+        assert!(report.is_clean(), "{report}");
+        ls.chain_threshold()
+    };
+
+    // Reopened with K = 2: rebuilt with 2, the same histories.
+    {
+        let db = Aion::open(config(a.path(), 2)).unwrap();
+        assert_eq!(db.lineagestore().chain_threshold(), Some(2));
+        assert_eq!(histories(&db), before[0]);
+        db.sync().unwrap();
+    }
+    assert_eq!(fsck(a.path()), Some(2));
+
+    // The record erased, the file sealed again: rebuilt with 4.
+    let path = b.path().join("lineage.db");
+    let store = pagestore::PageStore::open(&path, 16).unwrap();
+    store.set_root(4, u64::MAX); // the chain-threshold slot
+    store.sync().unwrap();
+    drop(store);
+    let err = lineagestore::LineageStore::open(&path, Default::default()).err();
+    assert!(err.is_some_and(|e| e.to_string().contains("no chain threshold")));
+    {
+        let db = Aion::open(config(b.path(), 4)).unwrap();
+        assert_eq!(histories(&db), before[0]);
+        db.sync().unwrap();
+    }
+    assert_eq!(fsck(b.path()), Some(4));
+}
+
 #[test]
 fn incremental_procedures_match_classic() {
     // Paper protocol (Sec. 6.6): load half the relationships, then step

@@ -8,7 +8,8 @@ use lpg::{
     Update, Version,
 };
 use pagestore::PageStore;
-use std::path::Path;
+use parking_lot::Mutex;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vfs::VfsRef;
@@ -17,7 +18,13 @@ const SLOT_NODES: usize = 0;
 const SLOT_RELS: usize = 1;
 const SLOT_OUT: usize = 2;
 const SLOT_IN: usize = 3;
+/// The chain threshold the file was built with: `k`, [`NO_THRESHOLD`], or
+/// unset (`u64::MAX`) in a file an older build wrote.
+const SLOT_CHAIN_THRESHOLD: usize = 4;
 const SLOT_WATERMARK: usize = 7;
+/// The chain-threshold record of a store that never materializes: above
+/// every `u32`.
+const NO_THRESHOLD: u64 = 1 << 32;
 
 /// Tuning knobs for a [`LineageStore`].
 #[derive(Clone, Debug)]
@@ -25,7 +32,9 @@ pub struct LineageStoreConfig {
     /// Pages held by the index page cache.
     pub cache_pages: usize,
     /// Materialize a full entity once a delta chain would reach this length
-    /// (Sec. 6.5; the paper adopts 4). `None` never materializes.
+    /// (Sec. 6.5; the paper adopts 4). `None` never materializes. Only a new
+    /// file takes it: the file records it, and an existing file keeps the
+    /// threshold it was built with ([`LineageStore::chain_threshold`]).
     pub chain_threshold: Option<u32>,
     /// File system the paged file is opened on.
     pub vfs: VfsRef,
@@ -85,9 +94,19 @@ pub struct LineageStore {
     pub(crate) out_n: BTree,
     pub(crate) in_n: BTree,
     threshold: Option<u32>,
+    /// Where the file lives: a rebuild ([`LineageStore::with_rebuild`])
+    /// is written beside it.
+    vfs: VfsRef,
+    path: PathBuf,
+    /// Held while a rebuild exists, so two never share its file.
+    rebuild: Mutex<()>,
     stats: Counts,
     pub(crate) metrics: Metrics,
 }
+
+/// The timestamp in a key of one index; `None` for a key that index never
+/// writes.
+pub type KeyTs = fn(&[u8]) -> Option<Timestamp>;
 
 /// The [`LineageStoreStats`] counters, bumped without a lock.
 #[derive(Default)]
@@ -103,6 +122,9 @@ fn bump(counter: &AtomicU64) {
 
 impl LineageStore {
     /// Opens (or creates) a LineageStore backed by one paged file at `path`.
+    /// A new file records `config.chain_threshold`; an existing one is
+    /// opened with the threshold it recorded, and one that records none
+    /// (an older build wrote it) fails with `Storage`.
     pub fn open<P: AsRef<Path>>(path: P, config: LineageStoreConfig) -> Result<LineageStore> {
         let store = Arc::new(PageStore::open_with_vfs(
             &config.vfs,
@@ -110,6 +132,20 @@ impl LineageStore {
             config.cache_pages,
             config.verify_pages,
         )?);
+        let threshold = match store.root(SLOT_CHAIN_THRESHOLD) {
+            u64::MAX if store.root(SLOT_NODES) == u64::MAX => {
+                let record = config.chain_threshold.map_or(NO_THRESHOLD, u64::from);
+                store.set_root(SLOT_CHAIN_THRESHOLD, record);
+                config.chain_threshold
+            }
+            NO_THRESHOLD => None,
+            k => Some(u32::try_from(k).map_err(|_| {
+                GraphError::Storage(format!(
+                    "{}: no chain threshold recorded (slot holds {k:#x})",
+                    path.as_ref().display()
+                ))
+            })?),
+        };
         let open_tree = |slot| BTree::open(store.clone(), slot);
         Ok(LineageStore {
             nodes: open_tree(SLOT_NODES)?,
@@ -117,10 +153,53 @@ impl LineageStore {
             out_n: open_tree(SLOT_OUT)?,
             in_n: open_tree(SLOT_IN)?,
             store,
-            threshold: config.chain_threshold,
+            threshold,
+            vfs: config.vfs,
+            path: path.as_ref().to_path_buf(),
+            rebuild: Mutex::new(()),
             stats: Counts::default(),
             metrics: Metrics::new(),
         })
+    }
+
+    /// The chain threshold this store materializes at: the one its file
+    /// recorded when it was created.
+    pub fn chain_threshold(&self) -> Option<u32> {
+        self.threshold
+    }
+
+    /// The four indexes, each with its name and the timestamp decoder of
+    /// its keys.
+    pub fn indexes(&self) -> [(&'static str, &BTree, KeyTs); 4] {
+        let entity: KeyTs = |key| keys::decode_entity_ts_key(key).map(|(_, ts)| ts);
+        let neighbour: KeyTs = |key| keys::decode_neigh_key(key).map(|(.., ts)| ts);
+        [
+            ("nodes", &self.nodes, entity),
+            ("rels", &self.rels, entity),
+            ("out-neighbours", &self.out_n, neighbour),
+            ("in-neighbours", &self.in_n, neighbour),
+        ]
+    }
+
+    /// Runs `f` on an empty store beside this one: at `<path>.rebuild`, on
+    /// the same Vfs, with the same chain threshold. The file is deleted
+    /// before `f` runs (a crash can leave one) and after it returns.
+    pub fn with_rebuild<R>(&self, f: impl FnOnce(&LineageStore) -> Result<R>) -> Result<R> {
+        let _held = self.rebuild.lock();
+        let mut path = self.path.clone().into_os_string();
+        path.push(".rebuild");
+        let path = PathBuf::from(path);
+        if self.vfs.exists(&path) {
+            self.vfs.remove_file(&path)?;
+        }
+        let config = LineageStoreConfig {
+            chain_threshold: self.threshold,
+            vfs: self.vfs.clone(),
+            ..LineageStoreConfig::default()
+        };
+        let out = LineageStore::open(&path, config).and_then(|rebuild| f(&rebuild));
+        self.vfs.remove_file(&path)?;
+        out
     }
 
     /// High-water mark: every update with `ts <= applied_ts()` has been
@@ -731,7 +810,7 @@ fn scan_neighbours(
 }
 
 /// Decodes a neighbour-index value: `[0]` added, `[1]` deleted.
-pub(crate) fn neighbour_deleted(value: &[u8]) -> Option<bool> {
+fn neighbour_deleted(value: &[u8]) -> Option<bool> {
     match value {
         [0] => Some(false),
         [1] => Some(true),

@@ -304,12 +304,17 @@ mod corruption {
             .collect()
     }
 
-    /// Seeds a standalone LineageStore with chains long enough to span the
-    /// materialization threshold, plus relationships and a tombstone.
-    fn seed_lineage(ls: &LineageStore, big_value_node: Option<u64>) {
+    /// Seeds a TimeStore and a LineageStore with the same commits: chains
+    /// long enough to span the materialization threshold, plus
+    /// relationships and a tombstone.
+    fn seed_lineage(ts: &TimeStore, ls: &LineageStore, big_value_node: Option<u64>) {
         let mut t = 0u64;
-        for i in 0..20u64 {
+        let mut commit = |ops: &[Update]| {
             t += 1;
+            ts.append_commit(t, ops).unwrap();
+            ls.apply_commit(t, ops).unwrap();
+        };
+        for i in 0..20u64 {
             let props = if big_value_node == Some(i) {
                 // Large enough to exceed MAX_INLINE_VALUE (1 KiB) so the
                 // materialized record lands in an overflow chain.
@@ -320,56 +325,43 @@ mod corruption {
             } else {
                 vec![]
             };
-            ls.apply_commit(
-                t,
-                &[Update::AddNode {
-                    id: NodeId::new(i),
-                    labels: vec![StrId::new(0)],
-                    props,
-                }],
-            )
-            .unwrap();
+            commit(&[Update::AddNode {
+                id: NodeId::new(i),
+                labels: vec![StrId::new(0)],
+                props,
+            }]);
             if i > 0 {
-                t += 1;
-                ls.apply_commit(
-                    t,
-                    &[Update::AddRel {
-                        id: RelId::new(i),
-                        src: NodeId::new(i - 1),
-                        tgt: NodeId::new(i),
-                        label: None,
-                        props: vec![],
-                    }],
-                )
-                .unwrap();
+                commit(&[Update::AddRel {
+                    id: RelId::new(i),
+                    src: NodeId::new(i - 1),
+                    tgt: NodeId::new(i),
+                    label: None,
+                    props: vec![],
+                }]);
             }
         }
         // Property churn: several versions per node so entity chains have
         // adjacent same-entity cells within one leaf.
         for round in 0..6u64 {
             for node in 0..6u64 {
-                t += 1;
-                ls.apply_commit(
-                    t,
-                    &[Update::SetNodeProp {
-                        id: NodeId::new(node),
-                        key: StrId::new(2),
-                        value: PropertyValue::Int((round * 10 + node) as i64),
-                    }],
-                )
-                .unwrap();
+                commit(&[Update::SetNodeProp {
+                    id: NodeId::new(node),
+                    key: StrId::new(2),
+                    value: PropertyValue::Int((round * 10 + node) as i64),
+                }]);
             }
         }
-        t += 1;
-        ls.apply_commit(t, &[Update::DeleteRel { id: RelId::new(3) }])
-            .unwrap();
+        commit(&[Update::DeleteRel { id: RelId::new(3) }]);
+        ts.sync().unwrap();
         ls.sync().unwrap();
     }
 
+    /// A TimeStore and a LineageStore in `dir`; `lineage.db`'s path.
     fn build_lineage_db(dir: &std::path::Path, big_value_node: Option<u64>) -> std::path::PathBuf {
         let path = dir.join("lineage.db");
+        let ts = TimeStore::open(dir.join("timestore"), TimeStoreConfig::default()).unwrap();
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        seed_lineage(&ls, big_value_node);
+        seed_lineage(&ts, &ls, big_value_node);
         path
     }
 
@@ -390,7 +382,7 @@ mod corruption {
         std::fs::write(&path, &file).unwrap();
 
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = ls.audit(false).unwrap().findings;
+        let findings = ls.audit().unwrap().findings;
         assert!(
             findings
                 .iter()
@@ -428,7 +420,7 @@ mod corruption {
         std::fs::write(&path, &file).unwrap();
 
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = ls.audit(false).unwrap().findings;
+        let findings = ls.audit().unwrap().findings;
         assert!(
             findings
                 .iter()
@@ -446,7 +438,7 @@ mod corruption {
         // entity_ts keys share their first 8 bytes) and rewrite the second
         // version's timestamp to its predecessor's: the derived validity
         // intervals now overlap.
-        let mut injected = false;
+        let mut damaged = Vec::new();
         'outer: for page in leaf_pages(&file) {
             let base = page * PAGE_SIZE;
             let ncells = read_u16(&file, base + NCELLS_OFF);
@@ -460,22 +452,26 @@ mod corruption {
                 if alen == 16 && blen == 16 && file[a..a + 8] == file[b..b + 8] {
                     let ts = file[a + 8..a + 16].to_vec();
                     file[b + 8..b + 16].copy_from_slice(&ts);
-                    injected = true;
+                    damaged = file[b..b + 16].to_vec();
                     break 'outer;
                 }
             }
         }
         assert!(
-            injected,
+            !damaged.is_empty(),
             "property churn must produce adjacent same-entity versions"
         );
         std::fs::write(&path, &file).unwrap();
 
+        let ts = TimeStore::open(dir.path().join("timestore"), TimeStoreConfig::default()).unwrap();
         let ls = LineageStore::open(&path, LineageStoreConfig::default()).unwrap();
-        let findings = ls.audit(true).unwrap().findings;
+        let report = check_stores(&ts, &ls, CheckLevel::Full).unwrap();
+        let key = format!("key {damaged:?}:");
         assert!(
-            findings.iter().any(|f| f.check == "chain/interval"),
-            "interval overlap not reported: {findings:?}"
+            report
+                .by_subsystem(Subsystem::CrossStore)
+                .any(|f| f.check == "differential" && f.detail.contains(&key)),
+            "interval overlap not reported at {key}\n{report}"
         );
     }
 
