@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use timestore::{TimeStore, TimeStoreConfig, Versions};
+use timestore::{CommitFrame, Payload, TimeStore, TimeStoreConfig, Versions};
 use vfs::VfsRef;
 
 pub use crate::planner::StoreChoice;
@@ -397,7 +397,7 @@ impl Aion {
             f(&mut txn)?;
             txn.into_updates()
         };
-        self.commit(updates, None)
+        self.commit(Payload::records(&updates), updates, None)
     }
 
     /// Like [`write`], but commits at an explicit system timestamp (which
@@ -418,29 +418,33 @@ impl Aion {
             f(&mut txn)?;
             txn.into_updates()
         };
-        self.commit(updates, Some(ts))
+        self.commit(Payload::records(&updates), updates, Some(ts))
     }
 
-    /// Applies one replicated commit at its original timestamp. Used by
-    /// the replication replayer (`crates/repl`): the batch was already
-    /// validated on the primary and decoded from its commit log, so it
-    /// goes straight to the commit pipeline without `WriteTxn`
-    /// re-validation. Monotonicity is still enforced — a frame at or
-    /// below the local latest timestamp fails with
-    /// [`GraphError::NonMonotonicCommit`]. The replayer resumes from its
-    /// own log end, so it never sends such a frame unless its state is
-    /// wrong, and then the refusal ends its session.
-    pub fn apply_replicated(&self, ts: Timestamp, updates: Vec<Update>) -> Result<Timestamp> {
-        self.commit(updates, Some(ts))
+    /// Applies one replicated commit, a frame payload as the primary's log
+    /// holds it: the log appends it byte for byte. The batch was validated
+    /// on the primary, so there is no `WriteTxn` re-validation. A payload
+    /// that does not decode fails with [`GraphError::CorruptRecord`], one
+    /// over the frame cap or at or below the local latest timestamp as a
+    /// commit does; nothing is appended.
+    pub fn apply_frame(&self, payload: Vec<u8>) -> Result<Timestamp> {
+        let frame = CommitFrame::decode(&payload)
+            .ok_or_else(|| GraphError::CorruptRecord("shipped frame does not decode".into()))?;
+        self.commit(Payload::Whole(payload), frame.updates(), Some(frame.ts))
     }
 
     /// Commits a validated update batch (stage 1 + 2 of Fig. 4) through
     /// the group-commit pipeline: enqueue, park until the log writer has
     /// appended the group (and group-fsynced it under `sync_on_commit`),
     /// then run the commit's bookkeeping on this thread.
-    fn commit(&self, updates: Vec<Update>, forced_ts: Option<Timestamp>) -> Result<Timestamp> {
+    fn commit(
+        &self,
+        payload: Payload,
+        updates: Vec<Update>,
+        forced_ts: Option<Timestamp>,
+    ) -> Result<Timestamp> {
         let _timer = self.commit_latency.start_timer();
-        let event = self.pipeline.commit(updates, forced_ts)?;
+        let event = self.pipeline.commit(payload, updates, forced_ts)?;
         // Stage-1 after-commit listeners run here on the committer's
         // thread, off the writer's critical path — a slow listener delays
         // its own commit's return, never other writers.

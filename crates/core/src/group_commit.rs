@@ -2,9 +2,10 @@
 //! coalesces concurrent commits into one `TimeStore` append run and one
 //! durability fsync.
 //!
-//! Committers validate their batch on their own thread, enqueue a
-//! [`CommitRequest`] and park on a [`CommitSlot`]. The writer drains the
-//! queue (waiting up to [`AionConfig::commit_latency_budget`] for more
+//! Committers validate their batch and encode its log payload on their
+//! own thread (a replicated commit brings the bytes it was shipped),
+//! enqueue a [`CommitRequest`] and park on a [`CommitSlot`]. The writer
+//! drains the queue (waiting up to [`AionConfig::commit_latency_budget`] for more
 //! arrivals when every acknowledgement implies an fsync), appends every
 //! batch in arrival order, performs a single [`TimeStore::sync`] for the
 //! whole group, and only then wakes the waiters — so with
@@ -43,7 +44,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use timestore::TimeStore;
+use timestore::{Payload, TimeStore};
 
 /// One committer's parking spot. The writer publishes exactly one result:
 /// on success the commit event, for the after-commit listeners.
@@ -83,8 +84,9 @@ impl CommitSlot {
     }
 }
 
-/// A validated update batch travelling committer → writer.
+/// A validated batch and its log payload travelling committer → writer.
 struct CommitRequest {
+    payload: Payload,
     updates: Vec<Update>,
     forced_ts: Option<Timestamp>,
     slot: Arc<CommitSlot>,
@@ -176,7 +178,10 @@ impl LogWriter {
                 Some(ts) => ts,
                 None => self.next_ts,
             };
-            match self.timestore.append_commit(ts, &req.updates) {
+            match self
+                .timestore
+                .append_payload(ts, &req.payload, &req.updates)
+            {
                 Ok(()) => {
                     self.next_ts = ts + 1;
                     let event = CommitEvent {
@@ -272,11 +277,13 @@ impl Pipeline {
     /// Enqueues one validated batch and parks until the writer resolves it.
     pub(crate) fn commit(
         &self,
+        payload: Payload,
         updates: Vec<Update>,
         forced_ts: Option<Timestamp>,
     ) -> Result<CommitEvent> {
         let slot = Arc::new(CommitSlot::new());
         let req = CommitRequest {
+            payload,
             updates,
             forced_ts,
             slot: slot.clone(),

@@ -7,6 +7,7 @@ use aion::{Aion, AionConfig, StoreChoice};
 use algo::pagerank::PageRankConfig;
 use lpg::{Direction, GraphError, NodeId, PropertyValue, RelId, TimeRange};
 use tempfile::tempdir;
+use timestore::CommitFrame;
 
 fn open(dir: &std::path::Path) -> Aion {
     Aion::open(AionConfig::new(dir)).unwrap()
@@ -103,8 +104,9 @@ fn a_latest_pin_is_never_older_than_the_published_commit() {
     // its timestamp is published, but fails to apply to the in-memory
     // latest graph, which stays at the commit before it.
     let ts = db.latest_ts() + 1;
-    let bad = vec![lpg::Update::DeleteNode { id: nid(999) }];
-    assert!(db.apply_replicated(ts, bad).is_err());
+    let bad = [lpg::Update::DeleteNode { id: nid(999) }];
+    let frame = CommitFrame::from_updates(ts, &bad);
+    assert!(db.apply_frame(frame.encode()).is_err());
     assert_eq!(db.latest_ts(), ts);
     assert_eq!(db.pin_latest().ts(), ts, "not the lagging graph's");
 }
@@ -193,8 +195,9 @@ fn point_reads_fall_back_to_each_entitys_updates() {
     // A replicated commit that reaches the log but applies nowhere: the
     // LineageStore stops before it, so reads at or after it fall back.
     let bad = db.latest_ts() + 1;
-    let delete = vec![lpg::Update::DeleteNode { id: nid(999) }];
-    assert!(db.apply_replicated(bad, delete).is_err());
+    let delete = [lpg::Update::DeleteNode { id: nid(999) }];
+    let frame = CommitFrame::from_updates(bad, &delete);
+    assert!(db.apply_frame(frame.encode()).is_err());
     let ls = db.lineagestore();
     assert!(ls.applied_ts() < bad);
     let end = bad + 1;

@@ -76,12 +76,15 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Metrics {
+    /// The store's metrics in `registry`, or in the process-wide one.
+    fn new(registry: Option<&obs::Registry>) -> Metrics {
+        let counter = |name| registry.map_or_else(|| obs::counter(name), |r| r.counter(name));
+        let histogram = |name| registry.map_or_else(|| obs::histogram(name), |r| r.histogram(name));
         Metrics {
-            commits_applied: obs::counter("lineagestore.commits.applied"),
-            updates_applied: obs::counter("lineagestore.updates.applied"),
-            expands: obs::counter("lineagestore.expands"),
-            expand_fanout: obs::histogram("lineagestore.expand.fanout"),
+            commits_applied: counter("lineagestore.commits.applied"),
+            updates_applied: counter("lineagestore.updates.applied"),
+            expands: counter("lineagestore.expands"),
+            expand_fanout: histogram("lineagestore.expand.fanout"),
         }
     }
 }
@@ -126,9 +129,18 @@ impl LineageStore {
     /// opened with the threshold it recorded, and one that records none
     /// (an older build wrote it) fails with `Storage`.
     pub fn open<P: AsRef<Path>>(path: P, config: LineageStoreConfig) -> Result<LineageStore> {
+        LineageStore::open_counted(path.as_ref(), config, Metrics::new(None))
+    }
+
+    /// [`LineageStore::open`], counting into `metrics`.
+    fn open_counted(
+        path: &Path,
+        config: LineageStoreConfig,
+        metrics: Metrics,
+    ) -> Result<LineageStore> {
         let store = Arc::new(PageStore::open_with_vfs(
             &config.vfs,
-            path.as_ref(),
+            path,
             config.cache_pages,
             config.verify_pages,
         )?);
@@ -142,7 +154,7 @@ impl LineageStore {
             k => Some(u32::try_from(k).map_err(|_| {
                 GraphError::Storage(format!(
                     "{}: no chain threshold recorded (slot holds {k:#x})",
-                    path.as_ref().display()
+                    path.display()
                 ))
             })?),
         };
@@ -155,10 +167,10 @@ impl LineageStore {
             store,
             threshold,
             vfs: config.vfs,
-            path: path.as_ref().to_path_buf(),
+            path: path.to_path_buf(),
             rebuild: Mutex::new(()),
             stats: Counts::default(),
-            metrics: Metrics::new(),
+            metrics,
         })
     }
 
@@ -183,7 +195,9 @@ impl LineageStore {
 
     /// Runs `f` on an empty store beside this one: at `<path>.rebuild`, on
     /// the same Vfs, with the same chain threshold. The file is deleted
-    /// before `f` runs (a crash can leave one) and after it returns.
+    /// before `f` runs (a crash can leave one) and after it returns. The
+    /// store counts its ingest in a private registry, so a rebuild is not
+    /// counted as this process's ingest; its page and B+Tree reads are.
     pub fn with_rebuild<R>(&self, f: impl FnOnce(&LineageStore) -> Result<R>) -> Result<R> {
         let _held = self.rebuild.lock();
         let mut path = self.path.clone().into_os_string();
@@ -197,7 +211,8 @@ impl LineageStore {
             vfs: self.vfs.clone(),
             ..LineageStoreConfig::default()
         };
-        let out = LineageStore::open(&path, config).and_then(|rebuild| f(&rebuild));
+        let metrics = Metrics::new(Some(&obs::Registry::new()));
+        let out = LineageStore::open_counted(&path, config, metrics).and_then(|r| f(&r));
         self.vfs.remove_file(&path)?;
         out
     }
@@ -815,5 +830,32 @@ fn neighbour_deleted(value: &[u8]) -> Option<bool> {
         [0] => Some(false),
         [1] => Some(true),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A rebuild's ingest counters are its own, not the process-wide ones
+    /// a `--metrics` run prints.
+    #[test]
+    fn a_rebuild_counts_into_a_private_registry() {
+        let dir = tempfile::tempdir().unwrap();
+        let store = LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default());
+        let store = store.unwrap();
+        let global = obs::counter("lineagestore.commits.applied");
+        assert!(Arc::ptr_eq(&store.metrics.commits_applied, &global));
+        store
+            .with_rebuild(|rebuild| {
+                let own = &rebuild.metrics;
+                assert!(!Arc::ptr_eq(&own.commits_applied, &global));
+                let updates = obs::counter("lineagestore.updates.applied");
+                assert!(!Arc::ptr_eq(&own.updates_applied, &updates));
+                rebuild.apply_commit(1, &[])?;
+                assert_eq!(own.commits_applied.get(), 1);
+                Ok(())
+            })
+            .unwrap();
     }
 }

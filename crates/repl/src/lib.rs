@@ -9,12 +9,13 @@
 //!   watermarks and lag.
 //! * [`replayer`] — the replica side: a [`Replayer`] connects to the
 //!   primary and applies frames into its own database through the
-//!   normal commit pipeline ([`aion::Aion::apply_replicated`]), so the
-//!   replica's own log is a byte copy of a prefix of the primary's. That
-//!   log is its replay position: a session resumes from the replica's
-//!   log end, its durable [`Watermark`] is the log end as of the last
-//!   sync, and the shipper serves only a replica whose log end is the
-//!   primary's offset for its latest timestamp. Corrupt frames are
+//!   normal commit pipeline ([`aion::Aion::apply_frame`]), whose log
+//!   appends the shipped payload as it is, so the replica's own log is a
+//!   byte copy of a prefix of the primary's. That log is its replay
+//!   position: a session resumes from the replica's log end, its durable
+//!   [`Watermark`] is the log end as of the last sync, and the shipper
+//!   serves only a replica whose log end and log chain are the primary's
+//!   offset and chain for its latest timestamp. Corrupt frames are
 //!   rejected, never applied.
 //! * [`wire`] — the `Hello`/`HelloAck`/`Frame`/`Ack`/`Heartbeat`
 //!   message codec, carried in the server's checksummed frame envelope.

@@ -228,7 +228,7 @@ impl Drop for ReplNode {
 /// shipper folds the epoch into its fence state before answering, so
 /// delivery alone is enough — the reply is not awaited.
 fn fence_probe(target: SocketAddr, epoch: u64, timeout: Duration) -> io::Result<()> {
-    let _stream = send_hello(target, timeout, 0, 0, epoch)?;
+    let _stream = send_hello(target, timeout, 0, 0, 0, epoch)?;
     // Give the peer a beat to read the frame before the socket drops.
     std::thread::sleep(Duration::from_millis(20));
     Ok(())

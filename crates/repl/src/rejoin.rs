@@ -11,10 +11,11 @@
 //! 1. probes the current primary's replication handshake (the `HelloAck`
 //!    is answered before any gate, so a deposed node always learns the
 //!    cluster epoch and its own fork point);
-//! 2. scans the local `timestore.log` for the first frame past the fork
-//!    point and archives everything from there — including any torn
-//!    tail — **byte-exact** into a checksummed archive file
-//!    `timestore.log.divergent-<epoch>`;
+//! 2. reads the local `timestore.log` through [`ChangeLog::scan`], which
+//!    indexes its frames and leaves a torn tail in place, looks up the
+//!    first frame past the fork point in that index, and archives the
+//!    file from there — including any torn tail — **byte-exact** into a
+//!    checksummed archive file `timestore.log.divergent-<epoch>`;
 //! 3. truncates the log back to the fork point, deletes its durable-end
 //!    record (which points past the new end) and the derived state that
 //!    indexed the divergent suffix (`lineage.db`), so the next open
@@ -28,6 +29,9 @@
 //! magic "AIONDIVG" | u32 version (1) | u64 epoch | u64 fence_ts |
 //! u64 byte_len | u64 fnv64(bytes) | bytes (raw log suffix, verbatim)
 //! ```
+//!
+//! The kept prefix is checked by content when the node first resyncs:
+//! the replayer's handshake compares its log chain with the primary's.
 
 use crate::epoch::EpochState;
 use crate::wire::{await_hello_ack, send_hello, HelloAck};
@@ -37,7 +41,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use timestore::log::parse_frame;
-use timestore::CommitFrame;
+use timestore::{ChangeLog, CommitFrame};
 use vfs::{fnv64, VfsRef};
 
 /// Magic prefix of a divergence archive.
@@ -107,11 +111,8 @@ pub fn prepare_rejoin(
     let my_epoch = epochs.current().epoch;
     let ts_dir = dir.join("timestore");
     let log_path = ts_dir.join("timestore.log");
-    let log_bytes = vfs.read(&log_path).unwrap_or_default();
-    let (frames, frames_end) = scan_frames(&log_bytes);
-    let latest_ts = frames.last().map_or(0, |(ts, _)| *ts);
-
-    let ack = probe_primary(primary, connect_timeout, my_epoch, frames_end, latest_ts)?;
+    let log = ChangeLog::scan(vfs, &log_path, 0).map_err(io::Error::other)?;
+    let ack = probe_primary(primary, connect_timeout, my_epoch, &log)?;
     let (primary_epoch, fence_ts) = (ack.head.epoch, ack.fence_ts);
 
     if primary_epoch <= my_epoch {
@@ -121,7 +122,7 @@ pub fn prepare_rejoin(
         return Ok(RejoinReport {
             primary_epoch,
             fence_ts: u64::MAX,
-            fork_offset: log_bytes.len() as u64,
+            fork_offset: log.end_offset(),
             archived_frames: 0,
             archived_bytes: 0,
             archive_path: None,
@@ -130,14 +131,15 @@ pub fn prepare_rejoin(
 
     // Everything from the fork offset on — decodable frames *and* any
     // torn tail — is the divergent suffix.
-    let (fork_offset, archived_frames) = fork_point(&frames, frames_end, fence_ts);
-    let suffix = log_bytes.get(fork_offset as usize..).unwrap_or_default();
+    let (fork_offset, archived_frames) = log.frames_after(fence_ts);
+    let suffix = log.bytes_from(fork_offset).map_err(io::Error::other)?;
+    drop(log);
 
     let archive_path = if suffix.is_empty() {
         None
     } else {
         let path = ts_dir.join(format!("timestore.log.divergent-{primary_epoch}"));
-        write_archive(vfs, &path, primary_epoch, fence_ts, suffix)?;
+        write_archive(vfs, &path, primary_epoch, fence_ts, &suffix)?;
         // Truncate the live log back to the fork point, then drop the
         // durable-end record that points past it and the lineage store
         // that may reference the suffix; the next open rebuilds the
@@ -219,16 +221,17 @@ fn write_archive(
     file.sync_data()
 }
 
-/// One handshake round against the primary: send a Hello, read the
-/// pre-gate HelloAck.
+/// One handshake round against the primary: send a Hello from the end
+/// of `log`, read the pre-gate HelloAck.
 fn probe_primary(
     primary: SocketAddr,
     connect_timeout: Duration,
     my_epoch: u64,
-    log_end: u64,
-    latest_ts: u64,
+    log: &ChangeLog,
 ) -> io::Result<HelloAck> {
-    let mut stream = send_hello(primary, connect_timeout, log_end, latest_ts, my_epoch)?;
+    let end = log.end_offset();
+    let (chain, latest_ts) = (log.chain_at(end).unwrap_or(0), log.last_ts().unwrap_or(0));
+    let mut stream = send_hello(primary, connect_timeout, end, chain, latest_ts, my_epoch)?;
     let deadline = Instant::now() + connect_timeout.max(Duration::from_secs(2));
     match await_hello_ack(&mut stream, || Instant::now() >= deadline)? {
         Some((ack, _)) => Ok(ack),
@@ -237,30 +240,6 @@ fn probe_primary(
             "primary did not answer the rejoin probe",
         )),
     }
-}
-
-/// Walks raw log bytes frame by frame ([`timestore::log::parse_frame`]),
-/// stopping at the first frame that fails to parse (torn tail). Returns
-/// every complete frame's `(ts, offset)` in log order and the offset
-/// where they end.
-fn scan_frames(bytes: &[u8]) -> (Vec<(u64, u64)>, u64) {
-    let mut frames = Vec::new();
-    let mut offset = 0usize;
-    while let Some((frame, next)) = parse_frame(bytes, offset) {
-        frames.push((frame.ts, offset as u64));
-        offset = next;
-    }
-    (frames, offset as u64)
-}
-
-/// The fork offset — the start of the first frame with `ts > fence_ts`,
-/// or `frames_end` when no complete frame is past the fence — and the
-/// number of frames from there on. Log order is commit order, so the
-/// first past-fence frame starts the divergent suffix.
-fn fork_point(frames: &[(u64, u64)], frames_end: u64, fence_ts: u64) -> (u64, u64) {
-    let fork = frames.partition_point(|(ts, _)| *ts <= fence_ts);
-    let offset = frames.get(fork).map_or(frames_end, |(_, offset)| *offset);
-    (offset, (frames.len() - fork) as u64)
 }
 
 #[cfg(test)]
@@ -290,7 +269,7 @@ mod tests {
     fn fork_offset_splits_at_fence_and_keeps_torn_tail_in_suffix() {
         let dir = tempfile::tempdir().unwrap();
         let path = dir.path().join("timestore.log");
-        let log = timestore::ChangeLog::open(&path).unwrap();
+        let log = ChangeLog::open(&path).unwrap();
         for ts in 1..=4u64 {
             log.append(&CommitFrame {
                 ts,
@@ -307,19 +286,29 @@ mod tests {
         bytes.extend_from_slice(&[0xAB; 5]);
         vfs.write(&path, &bytes).unwrap();
 
-        let (frames, end) = scan_frames(&bytes);
+        let log = ChangeLog::scan(&vfs, &path, 0).unwrap();
+        let frames: Vec<_> = log.iter_from(0).map(|e| e.unwrap()).collect();
         assert_eq!(
-            frames.iter().map(|(ts, _)| *ts).collect::<Vec<_>>(),
+            frames.iter().map(|e| e.frame.ts).collect::<Vec<_>>(),
             [1, 2, 3, 4]
         );
-        assert_eq!(end as usize, valid_len);
+        assert_eq!(log.end_offset() as usize, valid_len);
         // Fence at ts 2: frames 3 and 4 plus the torn tail diverge.
-        let (fork, suffix_frames) = fork_point(&frames, end, 2);
+        let (fork, suffix_frames) = log.frames_after(2);
         assert!((fork as usize) < valid_len);
-        assert_eq!(fork, frames[2].1);
+        assert_eq!(fork, frames[2].offset);
         assert_eq!(suffix_frames, 2);
-        assert_eq!(scan_frames(&bytes[fork as usize..]).0.len(), 2);
+        let suffix = log.bytes_from(fork).unwrap();
+        assert_eq!(suffix, bytes[fork as usize..], "the torn tail is kept");
+        let archive = DivergenceArchive {
+            epoch: 1,
+            fence_ts: 2,
+            bytes: suffix,
+        };
+        assert_eq!(archive.frames().len(), 2);
         // Fence above everything: fork lands at the torn-tail boundary.
-        assert_eq!(fork_point(&frames, end, 10), (valid_len as u64, 0));
+        assert_eq!(log.frames_after(10), (valid_len as u64, 0));
+        // The scan left the file as it found it.
+        assert_eq!(vfs.read(&path).unwrap(), bytes);
     }
 }

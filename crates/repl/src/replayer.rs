@@ -2,48 +2,48 @@
 //! apply them into the local database, and ack the durable prefix.
 //!
 //! The replica's own `timestore.log` is its replay position. Applying a
-//! frame through [`aion::Aion::apply_replicated`] appends the bytes the
-//! primary's log holds at the same offset, so the replica's log is a
-//! byte copy of a prefix of the primary's, and its end is the offset of
-//! the next frame it needs. Nothing else records that position.
+//! frame through [`aion::Aion::apply_frame`] appends the payload bytes
+//! the primary shipped, so the replica's log is a byte copy of a prefix
+//! of the primary's by construction, and its end is the offset of the
+//! next frame it needs. Nothing else records that position.
 //!
 //! Correctness invariants (DESIGN.md §13):
 //!
 //! * **The log is the position.** Each session sends the replica's log
-//!   end and latest timestamp in `Hello`. The shipper resumes at its
-//!   first frame past that timestamp and serves only a replica whose log
-//!   ends exactly there. A frame must start at the replica's log end,
-//!   and after it is applied the log end must be the frame's
-//!   `next_offset`, or the session fails. So no frame is delivered
-//!   twice, and `apply_replicated` refuses one at or below the local
-//!   latest timestamp.
+//!   end, its log chain there and its latest timestamp in `Hello`. The
+//!   shipper resumes at its first frame past that timestamp and serves
+//!   only a replica whose log ends exactly there with the same chain. A
+//!   frame must start at the replica's log end, or the session fails. So
+//!   no frame is delivered twice, and `apply_frame` refuses one at or
+//!   below the local latest timestamp.
 //! * **Watermark ≤ durable prefix.** The [`Watermark`] that `Ack`
 //!   reports is read from the log after [`aion::Aion::sync`] succeeds,
 //!   so it never claims state the local store could lose in a crash.
-//! * **Torn-tail rejection.** A frame whose `CommitFrame::decode`
-//!   fails — corruption anywhere between the primary's disk and this
-//!   process — drops the connection instead of applying garbage; the
-//!   reconnect resumes from the replica's log end (crash recovery cuts a
-//!   torn local tail, so that end is always a frame boundary).
+//! * **Torn-tail rejection.** A frame that does not decode — corruption
+//!   anywhere between the primary's disk and this process — drops the
+//!   connection before anything is appended; the reconnect resumes from
+//!   the replica's log end (crash recovery cuts a torn local tail, so
+//!   that end is always a frame boundary).
 //! * **Divergence refusal.** A primary whose latest timestamp is below
-//!   this replica's, or whose offset for the replica's latest timestamp
-//!   is not the replica's log end, holds a different history (it lost
-//!   state, was restored from a backup, or the replica's directory has
-//!   commits of its own). The replayer marks itself
-//!   [`Replayer::diverged`] and stops; the replica needs a rebuild.
+//!   this replica's, or whose offset and chain for the replica's latest
+//!   timestamp are not the replica's log end and chain, holds a
+//!   different history (it lost state, was restored from a backup, or
+//!   the replica's directory has commits of its own, even ones of the
+//!   same length). The replayer marks itself [`Replayer::diverged`] and
+//!   stops; the replica needs a rebuild.
 
 use crate::epoch::EpochState;
 use crate::wire::{await_hello_ack, decode_msg, encode_msg, send_hello, ReplMsg};
 use aion::Aion;
 use aion_server::protocol::{write_frame, Polled};
+use lpg::GraphError;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use timestore::CommitFrame;
 use vfs::VfsRef;
 
 /// A replica's replay position as of its last durability point: its log
@@ -142,10 +142,7 @@ struct ReplayerShared {
 
 impl ReplayerShared {
     fn lock_wm(&self) -> std::sync::MutexGuard<'_, Watermark> {
-        match self.wm.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.wm.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Syncs the database, then takes its durable log end and latest
@@ -175,11 +172,10 @@ impl ReplayerShared {
     }
 
     fn note_error(&self, e: impl ToString) {
-        let mut slot = match self.last_error.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *slot = Some(e.to_string());
+        *self
+            .last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(e.to_string());
     }
 }
 
@@ -257,19 +253,17 @@ impl Replayer {
 
     /// Whether the replayer detected primary/replica history divergence
     /// (the primary's latest timestamp is below this replica's, or the
-    /// replica's log is not a prefix of the primary's) and permanently
-    /// stopped. [`Replayer::last_error`] carries the detail; the replica
-    /// needs a rebuild to rejoin.
+    /// replica's log is not a prefix of the primary's by offset or by
+    /// chain) and permanently stopped. [`Replayer::last_error`] carries
+    /// the detail; the replica needs a rebuild to rejoin.
     pub fn diverged(&self) -> bool {
         self.shared.diverged.load(Ordering::Acquire)
     }
 
     /// The most recent replay error, if any (diagnostics).
     pub fn last_error(&self) -> Option<String> {
-        match self.shared.last_error.lock() {
-            Ok(g) => g.clone(),
-            Err(poisoned) => poisoned.into_inner().clone(),
-        }
+        let slot = self.shared.last_error.lock();
+        slot.unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Stops the replay thread and joins it.
@@ -329,12 +323,15 @@ fn run(shared: &Arc<ReplayerShared>) {
 /// `handshake_ok` is set once a valid `HelloAck` arrived, so the caller
 /// can reset its reconnect backoff after sessions that actually worked.
 fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<()> {
-    let (log_end, my_ts) = (shared.log_end(), shared.db.latest_ts());
+    let log_end = shared.log_end();
+    let chain = shared.db.timestore().log().chain_at(log_end).unwrap_or(0);
+    let my_ts = shared.db.latest_ts();
     let my_epoch = shared.epochs.current().epoch;
     let mut stream = send_hello(
         shared.cfg.primary,
         shared.cfg.connect_timeout,
         log_end,
+        chain,
         my_ts,
         my_epoch,
     )?;
@@ -342,17 +339,19 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
     let Some((ack, mut reader)) = await_hello_ack(&mut stream, stopped)? else {
         return Ok(());
     };
-    let (primary_epoch, primary_ts, fence_ts) = (ack.head.epoch, ack.latest_ts, ack.fence_ts);
+    let (primary_epoch, fence_ts) = (ack.head.epoch, ack.fence_ts);
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    let diverge = |msg: String| {
+        shared.diverged.store(true, Ordering::Release);
+        invalid(msg)
+    };
     if primary_epoch < my_epoch {
         // A deposed primary: it predates an epoch we already adopted.
         // Following it would replay a dead timeline — reconnect (the
         // routing layer will eventually point us at the new primary).
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "primary is on stale epoch {primary_epoch} (ours is \
-                 {my_epoch}): refusing to follow a deposed primary"
-            ),
+        return invalid(format!(
+            "primary is on stale epoch {primary_epoch} (ours is {my_epoch}): \
+             refusing to follow a deposed primary"
         ));
     }
     if primary_epoch > my_epoch {
@@ -360,49 +359,27 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
         // for *our* epoch never shipped anywhere this primary knows —
         // they are divergent and must be quarantined offline
         // (`prepare_rejoin`) before this replica may resync.
-        if shared.db.latest_ts() > fence_ts {
-            shared.diverged.store(true, Ordering::Release);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "local history extends past the epoch {primary_epoch} \
-                     fork point (latest ts {} > fence ts {fence_ts}): \
-                     divergent suffix must be quarantined before rejoin",
-                    shared.db.latest_ts()
-                ),
+        if my_ts > fence_ts {
+            return diverge(format!(
+                "local history extends past the epoch {primary_epoch} fork point \
+                 (latest ts {my_ts} > fence ts {fence_ts}): divergent suffix \
+                 must be quarantined before rejoin"
             ));
         }
         shared.epochs.adopt(ack.head)?;
         shared.db.observe_epoch(primary_epoch);
     }
-    if primary_ts < my_ts {
-        // The primary has *less* history than we applied: it lost state
-        // (we only ever apply commits the primary had fsynced, so this
-        // cannot be ordinary lag). Refuse and stop (see module docs).
-        shared.diverged.store(true, Ordering::Release);
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "primary regressed below our latest commit (primary ts \
-                 {primary_ts} < our ts {my_ts}): histories diverged, this \
-                 replica needs a rebuild"
-            ),
-        ));
-    }
-    if ack.resume_offset != log_end {
+    if (ack.resume_offset, ack.chain) != (log_end, chain) {
         // The primary's first frame past our latest timestamp does not
-        // start where our log ends, so our log is not a prefix of its
-        // log: we hold commits it never shipped. The shipper refuses us
-        // too (see module docs).
-        shared.diverged.store(true, Ordering::Release);
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "our log ends at {log_end}, but the primary's frames past \
-                 our ts {my_ts} start at {}: histories diverged, this \
-                 replica needs a rebuild",
-                ack.resume_offset
-            ),
+        // start where our log ends, or the frames before it are not ours:
+        // our log is not a prefix of its log. It lost state we applied
+        // (a primary with less history ends before our log does), or we
+        // hold commits it never shipped. The shipper refuses us too.
+        return diverge(format!(
+            "our log ends at {log_end} with chain {chain:#x}, but the primary's \
+             frames past our ts {my_ts} start at {} after chain {:#x}: \
+             histories diverged, this replica needs a rebuild",
+            ack.resume_offset, ack.chain
         ));
     }
     *handshake_ok = true;
@@ -455,7 +432,6 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
         match msg {
             ReplMsg::Frame {
                 offset,
-                next_offset,
                 epoch,
                 payload,
             } => {
@@ -469,31 +445,18 @@ fn session(shared: &Arc<ReplayerShared>, handshake_ok: &mut bool) -> io::Result<
                         format!("frame offset {offset} is not our log end {log_end}"),
                     ));
                 }
-                let Some(frame) = CommitFrame::decode(&payload) else {
-                    // Torn/corrupt frame: never apply garbage.
-                    shared.tel.corrupt_frames.inc();
+                if let Err(e) = shared.db.apply_frame(payload) {
+                    // A corrupt frame is refused before anything is
+                    // appended: never apply garbage.
+                    if matches!(e, GraphError::CorruptRecord(_)) {
+                        shared.tel.corrupt_frames.inc();
+                    }
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("corrupt commit frame at offset {offset}"),
-                    ));
-                };
-                shared
-                    .db
-                    .apply_replicated(frame.ts, frame.updates())
-                    .map_err(|e| io::Error::other(e.to_string()))?;
-                shared.tel.frames_applied.inc();
-                let log_end = shared.log_end();
-                if log_end != next_offset {
-                    // The frame we appended is not the primary's bytes:
-                    // our log stopped being a prefix of its log.
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "the frame at {offset} ends our log at {log_end}, \
-                             the primary's at {next_offset}"
-                        ),
+                        format!("commit frame at offset {offset}: {e}"),
                     ));
                 }
+                shared.tel.frames_applied.inc();
                 pending += 1;
                 if pending >= shared.cfg.sync_every {
                     make_durable(shared, &mut stream, &mut pending)?;

@@ -4,10 +4,11 @@
 //! Each worker tails the primary's [`timestore::ChangeLog`] with the
 //! streaming [`ChangeLog::iter_from`] iterator — the log is append-only,
 //! so a reader chasing the head always sees a consistent prefix — and
-//! ships every commit frame verbatim inside [`crate::wire::ReplMsg::Frame`]
-//! messages. A companion ack-reader thread (sharing the socket via
-//! `try_clone`) consumes [`crate::wire::ReplMsg::Ack`]s so a slow or
-//! silent replica never blocks shipping.
+//! ships the payload of every commit frame as it read it inside
+//! [`crate::wire::ReplMsg::Frame`] messages. A companion ack-reader
+//! thread (sharing the socket via `try_clone`) consumes
+//! [`crate::wire::ReplMsg::Ack`]s so a slow or silent replica never
+//! blocks shipping.
 //!
 //! **Shipping never outruns the primary's own durability.** Workers ship
 //! only up to [`timestore::TimeStore::durable_log_end`] — the fsynced log
@@ -23,12 +24,14 @@
 //! **A replica resumes where its log ends.** A replica's log is a byte
 //! copy of a prefix of this log, so the offset of our first frame past
 //! the replica's latest timestamp (found through the log's time index,
-//! [`ChangeLog::iter_ts`]) must be the replica's log end. The handshake
-//! refuses a replica whose `Hello` says otherwise: its log is not a
-//! prefix of ours.
+//! [`ChangeLog::frames_after`]) must be the replica's log end, and our
+//! log chain there ([`ChangeLog::chain_at`]) must be the replica's. The
+//! handshake refuses a replica whose `Hello` says otherwise: its log is
+//! not a prefix of ours.
 //!
 //! [`ChangeLog::iter_from`]: timestore::ChangeLog::iter_from
-//! [`ChangeLog::iter_ts`]: timestore::ChangeLog::iter_ts
+//! [`ChangeLog::frames_after`]: timestore::ChangeLog::frames_after
+//! [`ChangeLog::chain_at`]: timestore::ChangeLog::chain_at
 
 use crate::epoch::EpochState;
 use crate::replayer::Watermark;
@@ -40,7 +43,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -108,24 +111,16 @@ struct ShipperShared {
 
 impl ShipperShared {
     fn lock_acked(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Watermark>> {
-        match self.acked.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.acked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn record_ack(&self, worker: u64, wm: Watermark) {
+    /// Records a replica's acked watermark, or forgets the replica.
+    fn record_ack(&self, worker: u64, wm: Option<Watermark>) {
         let mut map = self.lock_acked();
-        map.insert(worker, wm);
-        let min_ts = map.values().map(|w| w.ts).min().unwrap_or(0);
-        self.tel
-            .min_watermark_ts
-            .set(i64::try_from(min_ts).unwrap_or(i64::MAX));
-    }
-
-    fn drop_replica(&self, worker: u64) {
-        let mut map = self.lock_acked();
-        map.remove(&worker);
+        match wm {
+            Some(wm) => map.insert(worker, wm),
+            None => map.remove(&worker),
+        };
         let min_ts = map.values().map(|w| w.ts).min().unwrap_or(0);
         self.tel
             .min_watermark_ts
@@ -234,7 +229,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ShipperShared>) {
         let worker_shared = shared.clone();
         let handle = std::thread::spawn(move || {
             let _ = serve_replica(stream, id, &worker_shared, &cancel);
-            worker_shared.drop_replica(id);
+            worker_shared.record_ack(id, None);
             worker_shared.workers.finish(id);
         });
         shared.workers.set_handle(id, handle);
@@ -254,15 +249,16 @@ fn serve_replica(
     stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
     let stopped = || shared.stop.load(Ordering::Acquire) || cancel.load(Ordering::Acquire);
 
-    // Handshake: the replica says where its log ends and its latest
-    // timestamp; we answer with our offset for that timestamp and serve
-    // it only when the two agree.
+    // Handshake: the replica says where its log ends, its chain there and
+    // its latest timestamp; we answer with our offset and chain for that
+    // timestamp and serve it only when the two pairs agree.
     let mut reader = FrameReader::new();
     let Some(hello) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped)? else {
         return Ok(());
     };
     let ReplMsg::Hello {
         start_offset,
+        chain: replica_chain,
         latest_ts: replica_ts,
         epoch: replica_epoch,
     } = decode_msg(&hello)?
@@ -272,29 +268,32 @@ fn serve_replica(
             "expected HELLO as first replication message",
         ));
     };
-    let timestore = shared.db.timestore();
-    let log = timestore.log();
-    let primary_ts = shared.db.latest_ts();
-    let resume_offset = log.iter_ts(replica_ts.saturating_add(1), u64::MAX).offset();
+    let log = shared.db.timestore().log();
+    let (resume_offset, _) = log.frames_after(replica_ts);
+    // A frame boundary: appends only move the end past it.
+    let chain = log.chain_at(resume_offset).unwrap_or(0);
     let my_epoch = shared.epochs.current();
     // The fork point of the *replica's* epoch: commits it holds past
     // this timestamp never shipped under any epoch we recognize.
     // `u64::MAX` when the replica's epoch is current (nothing forked).
     let fence_ts = shared.epochs.fork_ts_for(replica_epoch).unwrap_or(u64::MAX);
-    // Always answer honestly (resume offset, our latest ts, our epoch)
-    // so the peer can detect divergence — or our deposition — on its
-    // side too, then gate below.
+    // Always answer honestly (resume offset and chain, our epoch) so the
+    // peer can detect divergence — or our deposition — on its side too,
+    // then gate below.
     write_frame(
         &mut stream,
         &encode_msg(&ReplMsg::HelloAck {
             resume_offset,
-            log_end: timestore.durable_log_end(),
-            latest_ts: primary_ts,
+            chain,
             epoch: my_epoch.epoch,
             epoch_base_ts: my_epoch.base_ts,
             fence_ts,
         }),
     )?;
+    let refuse = |msg: String| {
+        shared.tel.handshake_refusals.inc();
+        Err(io::Error::new(io::ErrorKind::InvalidData, msg))
+    };
     if replica_epoch > my_epoch.epoch {
         // The peer carries a newer epoch than we ever issued: we were
         // deposed while partitioned (this Hello may well be the new
@@ -302,57 +301,33 @@ fn serve_replica(
         // refusing, so no direct write can sneak in afterwards, and
         // leave the divergence handling to our own rejoin.
         shared.db.observe_epoch(replica_epoch);
-        shared.tel.handshake_refusals.inc();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "peer epoch {replica_epoch} exceeds this primary's epoch {}: \
-                 this node was deposed and is now fenced",
-                my_epoch.epoch
-            ),
+        return refuse(format!(
+            "peer epoch {replica_epoch} exceeds this primary's epoch {}: \
+             this node was deposed and is now fenced",
+            my_epoch.epoch
         ));
     }
     if replica_ts > fence_ts {
         // The replica (on an older epoch) durably applied commits past
         // its epoch's fork point: those are divergent and must be
         // quarantined offline (`prepare_rejoin`) before it may resync.
-        shared.tel.handshake_refusals.inc();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "replica on epoch {replica_epoch} holds commits past its \
-                 fork point (replica ts {replica_ts} > fence ts {fence_ts}): \
-                 divergent suffix must be quarantined before resync"
-            ),
+        return refuse(format!(
+            "replica on epoch {replica_epoch} holds commits past its fork point \
+             (replica ts {replica_ts} > fence ts {fence_ts}): divergent suffix \
+             must be quarantined before resync"
         ));
     }
-    if replica_ts > primary_ts {
-        // The replica durably applied commits this primary does not
-        // have — the primary's history regressed (lost disk, restore
-        // from backup). Refuse loudly; the replica needs a rebuild.
-        shared.tel.handshake_refusals.inc();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "replica is ahead of the primary (replica ts {replica_ts} > \
-                 primary ts {primary_ts}): histories diverged, refusing to serve"
-            ),
-        ));
-    }
-
-    if start_offset != resume_offset {
+    if (start_offset, replica_chain) != (resume_offset, chain) {
         // Our first frame past the replica's latest timestamp does not
-        // start where its log ends, so its log is not a prefix of ours
-        // (it holds commits of its own). Streaming would append our
-        // frames after a history we do not have.
-        shared.tel.handshake_refusals.inc();
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "replica log ends at {start_offset}, but our frames past its \
-                 ts {replica_ts} start at {resume_offset}: its log is not a \
-                 prefix of ours, refusing to serve"
-            ),
+        // start where its log ends, or the frames before it are not the
+        // replica's: its log is not a prefix of ours. We lost state it
+        // applied (lost disk, restore from backup), or it holds commits
+        // of its own. Streaming would append our frames after a history
+        // we do not have.
+        return refuse(format!(
+            "replica log ends at {start_offset} with chain {replica_chain:#x}, \
+             but our frames past its ts {replica_ts} start at {resume_offset} \
+             after chain {chain:#x}: histories diverged, refusing to serve"
         ));
     }
 
@@ -397,7 +372,7 @@ fn stream_frames(
                 if stopped() {
                     return Ok(());
                 }
-                let entry = entry.map_err(|e| {
+                let mut entry = entry.map_err(|e| {
                     // The primary's own log is corrupt past `cursor`:
                     // nothing more can be shipped on this connection.
                     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
@@ -405,13 +380,13 @@ fn stream_frames(
                 if entry.next > durable {
                     break;
                 }
+                entry.bytes.drain(..8); // the header: the replica's log writes its own
                 write_frame(
                     stream,
                     &encode_msg(&ReplMsg::Frame {
                         offset: entry.offset,
-                        next_offset: entry.next,
                         epoch: shared.epochs.current().epoch,
-                        payload: entry.frame.encode(),
+                        payload: entry.bytes,
                     }),
                 )?;
                 cursor = entry.next;
@@ -442,8 +417,6 @@ fn stream_frames(
             write_frame(
                 stream,
                 &encode_msg(&ReplMsg::Heartbeat {
-                    log_end: durable,
-                    latest_ts: shared.db.latest_ts(),
                     epoch: shared.epochs.current().epoch,
                 }),
             )?;
@@ -467,7 +440,7 @@ fn ack_loop(
     while let Ok(Some(payload)) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped) {
         if let Ok(ReplMsg::Ack { offset, ts }) = decode_msg(&payload) {
             shared.tel.frames_acked.inc();
-            shared.record_ack(worker_id, Watermark { offset, ts });
+            shared.record_ack(worker_id, Some(Watermark { offset, ts }));
         }
     }
 }

@@ -5,10 +5,14 @@
 //! [`aion_server::protocol`] and are read by its `FrameReader`,
 //! so a flipped byte is a framing error, never a different valid
 //! message. On top of that, a [`ReplMsg::Frame`] carries a verbatim
-//! commit-log frame *payload* whose own integrity the replica re-checks
-//! by decoding it with [`timestore::CommitFrame::decode`] (length +
-//! checksum + structure), giving end-to-end protection from the
-//! primary's disk to the replica's apply path.
+//! commit-log frame *payload*, which the replica checks by decoding it
+//! before its log appends the same bytes, giving end-to-end protection
+//! from the primary's disk to the replica's log.
+//!
+//! The handshake checks the replica's log by content: `Hello` and
+//! `HelloAck` each carry the sender's log chain
+//! ([`timestore::ChangeLog::chain_at`]) at the offset they name, and
+//! both sides refuse a pair that differs in offset or chain.
 //!
 //! Every message (except `Ack`, which only reports durability) carries
 //! the sender's replication **epoch** (DESIGN.md §17): receivers fold it
@@ -16,13 +20,14 @@
 //! or is probed by one — immediately stops accepting direct writes.
 //!
 //! ```text
-//! msg := 0x10 "HELLO"     u64 start_offset, u64 latest_ts, u64 epoch
-//!      | 0x11 "HELLO_ACK" u64 resume_offset, u64 log_end, u64 latest_ts,
-//!                         u64 epoch, u64 epoch_base_ts, u64 fence_ts
-//!      | 0x12 "FRAME"     u64 offset, u64 next_offset, u64 epoch,
+//! msg := 0x10 "HELLO"     u64 start_offset, u64 chain, u64 latest_ts,
+//!                         u64 epoch
+//!      | 0x11 "HELLO_ACK" u64 resume_offset, u64 chain, u64 epoch,
+//!                         u64 epoch_base_ts, u64 fence_ts
+//!      | 0x12 "FRAME"     u64 offset, u64 epoch,
 //!                         u32 plen, payload (a CommitFrame encoding)
 //!      | 0x13 "ACK"       u64 offset, u64 ts
-//!      | 0x14 "HEARTBEAT" u64 log_end, u64 latest_ts, u64 epoch
+//!      | 0x14 "HEARTBEAT" u64 epoch
 //! ```
 
 use crate::epoch::EpochRecord;
@@ -40,15 +45,14 @@ pub enum ReplMsg {
     Hello {
         /// The end of the replica's own log, which is a byte copy of a
         /// prefix of the primary's: the offset of the next frame it needs
-        /// (`0` for a fresh replica). The primary serves the replica only
-        /// when this equals its own offset for `latest_ts` (see
-        /// [`ReplMsg::HelloAck`]'s `resume_offset`).
+        /// (`0` for a fresh replica).
         start_offset: u64,
-        /// The replica's latest applied commit timestamp. The primary
-        /// resumes at its first frame past it, and gates the handshake
-        /// on it: a value above the primary's own latest timestamp means
-        /// the histories diverged (the primary lost state this replica
-        /// already holds) and the connection is refused.
+        /// The replica's log chain at `start_offset`. The primary serves
+        /// the replica only when `(start_offset, chain)` is its own offset
+        /// and chain for `latest_ts` (see [`ReplMsg::HelloAck`]).
+        chain: u64,
+        /// The replica's latest applied commit timestamp: the primary
+        /// resumes at its first frame past it.
         latest_ts: u64,
         /// The sender's current replication epoch. A primary receiving
         /// a Hello with a *higher* epoch knows it was deposed: it fences
@@ -60,18 +64,14 @@ pub enum ReplMsg {
     HelloAck {
         /// The offset of the primary's first frame past the replica's
         /// `latest_ts` (its log end when there is none): where streaming
-        /// starts. When it is not the replica's `start_offset`, the
+        /// starts.
+        resume_offset: u64,
+        /// The primary's log chain at `resume_offset`. When `(resume_offset,
+        /// chain)` is not the replica's `(start_offset, chain)`, the
         /// replica's log is not a prefix of the primary's: the primary
         /// refuses the connection after this answer, and the replica
         /// marks itself diverged.
-        resume_offset: u64,
-        /// The primary's current *durable* (fsynced) log end offset —
-        /// the furthest point this connection will ever ship.
-        log_end: u64,
-        /// The primary's latest committed timestamp. A replica whose
-        /// latest timestamp exceeds this marks itself diverged and
-        /// stops.
-        latest_ts: u64,
+        chain: u64,
         /// The primary's current epoch. A replica seeing a *higher*
         /// epoch than its own adopts it (fencing itself); a replica
         /// seeing a *lower* one is talking to a deposed primary and
@@ -92,31 +92,25 @@ pub enum ReplMsg {
     Frame {
         /// Byte offset of this frame in the primary's log.
         offset: u64,
-        /// Byte offset of the next frame (the replica's new cursor).
-        next_offset: u64,
         /// The epoch this frame is shipped under. A replica refuses
         /// frames from an epoch older than its own (a deposed primary
         /// must never feed a fenced replica).
         epoch: u64,
-        /// The frame's `CommitFrame::encode()` bytes, shipped verbatim.
+        /// The frame's payload as the primary's log holds it; the replica
+        /// appends it as it is.
         payload: Vec<u8>,
     },
     /// Replica → primary: everything up to `offset` is applied *and
     /// durable* on the replica (its database synced).
     Ack {
-        /// The replica's durable log end (a `next_offset` it reached).
+        /// The replica's durable log end.
         offset: u64,
         /// The replica's durable latest commit timestamp.
         ts: u64,
     },
-    /// Primary → replica, when the log is idle: proof of liveness plus
-    /// the current log head, so the replica can measure its lag and
-    /// flush a pending batch.
+    /// Primary → replica, when the log is idle: proof of liveness, so
+    /// the replica flushes a pending batch.
     Heartbeat {
-        /// The primary's current durable (shippable) log end offset.
-        log_end: u64,
-        /// The primary's latest committed timestamp.
-        latest_ts: u64,
         /// The primary's current epoch (same fencing rule as frames).
         epoch: u64,
     },
@@ -134,39 +128,37 @@ pub fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
     match msg {
         ReplMsg::Hello {
             start_offset,
+            chain,
             latest_ts,
             epoch,
         } => {
             out.push(TAG_HELLO);
             put_u64(&mut out, *start_offset);
+            put_u64(&mut out, *chain);
             put_u64(&mut out, *latest_ts);
             put_u64(&mut out, *epoch);
         }
         ReplMsg::HelloAck {
             resume_offset,
-            log_end,
-            latest_ts,
+            chain,
             epoch,
             epoch_base_ts,
             fence_ts,
         } => {
             out.push(TAG_HELLO_ACK);
             put_u64(&mut out, *resume_offset);
-            put_u64(&mut out, *log_end);
-            put_u64(&mut out, *latest_ts);
+            put_u64(&mut out, *chain);
             put_u64(&mut out, *epoch);
             put_u64(&mut out, *epoch_base_ts);
             put_u64(&mut out, *fence_ts);
         }
         ReplMsg::Frame {
             offset,
-            next_offset,
             epoch,
             payload,
         } => {
             out.push(TAG_FRAME);
             put_u64(&mut out, *offset);
-            put_u64(&mut out, *next_offset);
             put_u64(&mut out, *epoch);
             put_bytes(&mut out, payload);
         }
@@ -175,14 +167,8 @@ pub fn encode_msg(msg: &ReplMsg) -> Vec<u8> {
             put_u64(&mut out, *offset);
             put_u64(&mut out, *ts);
         }
-        ReplMsg::Heartbeat {
-            log_end,
-            latest_ts,
-            epoch,
-        } => {
+        ReplMsg::Heartbeat { epoch } => {
             out.push(TAG_HEARTBEAT);
-            put_u64(&mut out, *log_end);
-            put_u64(&mut out, *latest_ts);
             put_u64(&mut out, *epoch);
         }
     }
@@ -196,20 +182,19 @@ pub fn decode_msg(buf: &[u8]) -> io::Result<ReplMsg> {
     let msg = match r.u8()? {
         TAG_HELLO => ReplMsg::Hello {
             start_offset: r.u64()?,
+            chain: r.u64()?,
             latest_ts: r.u64()?,
             epoch: r.u64()?,
         },
         TAG_HELLO_ACK => ReplMsg::HelloAck {
             resume_offset: r.u64()?,
-            log_end: r.u64()?,
-            latest_ts: r.u64()?,
+            chain: r.u64()?,
             epoch: r.u64()?,
             epoch_base_ts: r.u64()?,
             fence_ts: r.u64()?,
         },
         TAG_FRAME => ReplMsg::Frame {
             offset: r.u64()?,
-            next_offset: r.u64()?,
             epoch: r.u64()?,
             payload: r.var_bytes()?.to_vec(),
         },
@@ -217,11 +202,7 @@ pub fn decode_msg(buf: &[u8]) -> io::Result<ReplMsg> {
             offset: r.u64()?,
             ts: r.u64()?,
         },
-        TAG_HEARTBEAT => ReplMsg::Heartbeat {
-            log_end: r.u64()?,
-            latest_ts: r.u64()?,
-            epoch: r.u64()?,
-        },
+        TAG_HEARTBEAT => ReplMsg::Heartbeat { epoch: r.u64()? },
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -240,6 +221,7 @@ pub(crate) fn send_hello(
     target: SocketAddr,
     connect_timeout: Duration,
     start_offset: u64,
+    chain: u64,
     latest_ts: u64,
     epoch: u64,
 ) -> io::Result<TcpStream> {
@@ -251,6 +233,7 @@ pub(crate) fn send_hello(
         &mut stream,
         &encode_msg(&ReplMsg::Hello {
             start_offset,
+            chain,
             latest_ts,
             epoch,
         }),
@@ -262,7 +245,7 @@ pub(crate) fn send_hello(
 /// [`ReplMsg::HelloAck`]).
 pub(crate) struct HelloAck {
     pub(crate) resume_offset: u64,
-    pub(crate) latest_ts: u64,
+    pub(crate) chain: u64,
     /// The primary's current epoch and the timestamp it began at.
     pub(crate) head: EpochRecord,
     pub(crate) fence_ts: u64,
@@ -291,11 +274,10 @@ pub(crate) fn await_hello_ack(
     };
     let ReplMsg::HelloAck {
         resume_offset,
-        latest_ts,
+        chain,
         epoch,
         epoch_base_ts,
         fence_ts,
-        ..
     } = decode_msg(&payload)?
     else {
         return Err(io::Error::new(
@@ -305,7 +287,7 @@ pub(crate) fn await_hello_ack(
     };
     let ack = HelloAck {
         resume_offset,
-        latest_ts,
+        chain,
         head: EpochRecord {
             epoch,
             base_ts: epoch_base_ts,

@@ -197,6 +197,78 @@ fn promotion_fences_old_primary_and_rejoin_archives_divergence() {
     drop(node_b);
 }
 
+/// Rejoin keeps the frames up to the fork point; whether they are the
+/// new primary's is checked by content when the node first resyncs. Here
+/// the new primary never replicated from the deposed one: its frames up
+/// to the fork have the same lengths and other bytes, and the rejoined
+/// node is refused in its first session.
+#[test]
+fn a_rejoined_node_whose_kept_frames_differ_is_refused() {
+    let adir = tempdir().unwrap();
+    let bdir = tempdir().unwrap();
+    let db_a = open_db(adir.path());
+    let db_b = open_db(bdir.path());
+    // A, the deposed epoch-0 primary, holds nodes 1..=7 with `v = i`; B
+    // holds nodes 1..=5 with node 1 at `v = 9`, and is promoted to epoch
+    // 1 at its ts 5.
+    for i in 1..=7 {
+        add_node(&db_a, i);
+    }
+    let v = db_b.intern("v");
+    db_b.write(|tx| tx.add_node(NodeId::new(1), vec![], vec![(v, PropertyValue::Int(9))]))
+        .unwrap();
+    for i in 2..=5 {
+        add_node(&db_b, i);
+    }
+    let fence_ts = db_b.latest_ts();
+    repl::EpochState::load(VfsRef::std(), bdir.path())
+        .bump(fence_ts)
+        .unwrap();
+    let node_b = ReplNode::new_primary(
+        db_b.clone(),
+        VfsRef::std(),
+        bdir.path(),
+        ReplNodeConfig::default(),
+    )
+    .unwrap();
+    let b_repl_addr = node_b.shipper_addr().unwrap();
+
+    drop(db_a);
+    let vfs = VfsRef::std();
+    let report = prepare_rejoin(&vfs, adir.path(), b_repl_addr, Duration::from_secs(5)).unwrap();
+    assert_eq!((report.primary_epoch, report.fence_ts), (1, fence_ts));
+    assert_eq!(report.archived_frames, 2, "commits 6 and 7 were divergent");
+    assert_eq!(
+        report.fork_offset,
+        db_b.timestore().log().end_offset(),
+        "the kept frames have the new primary's lengths"
+    );
+
+    let db_a = open_db(adir.path());
+    assert_eq!(db_a.latest_ts(), fence_ts);
+    let mut cfg = ReplayerConfig::new(b_repl_addr, adir.path());
+    cfg.reconnect_backoff = Duration::from_millis(5);
+    let node_a = ReplNode::new_replica(
+        db_a.clone(),
+        cfg,
+        ReplNodeConfig::default(),
+        Arc::new(AtomicBool::new(true)),
+    );
+    let replayer = node_a.replayer().unwrap();
+    assert!(
+        wait_for(10, || replayer.diverged()),
+        "the rejoined node was served (last error {:?})",
+        replayer.last_error()
+    );
+    let g = db_a.latest_graph();
+    assert_eq!(
+        g.node(NodeId::new(1)).unwrap().prop(db_a.intern("v")),
+        Some(&PropertyValue::Int(1))
+    );
+    drop(node_a);
+    drop(node_b);
+}
+
 #[test]
 fn stale_primary_cannot_fence_a_newer_node() {
     // A node that already holds epoch 2 ignores a Hello at epoch 1:
@@ -235,7 +307,7 @@ fn start_silent_primary() -> std::net::SocketAddr {
                 };
                 let Ok(ReplMsg::Hello {
                     start_offset,
-                    latest_ts,
+                    chain,
                     ..
                 }) = decode_msg(&hello)
                 else {
@@ -243,8 +315,7 @@ fn start_silent_primary() -> std::net::SocketAddr {
                 };
                 let ack = ReplMsg::HelloAck {
                     resume_offset: start_offset,
-                    log_end: start_offset,
-                    latest_ts,
+                    chain,
                     epoch: 0,
                     epoch_base_ts: 0,
                     fence_ts: u64::MAX,

@@ -20,45 +20,36 @@ fn every_message_variant() {
     check(
         &ReplMsg::Hello {
             start_offset: 0x0102,
+            chain: 0x0506,
             latest_ts: 77,
             epoch: 3,
         },
-        "1002010000000000004d000000000000000300000000000000",
+        "10020100000000000006050000000000004d000000000000000300000000000000",
     );
     check(
         &ReplMsg::HelloAck {
             resume_offset: 0x0102,
-            log_end: 0x0304,
-            latest_ts: 78,
+            chain: 0x0506,
             epoch: 4,
             epoch_base_ts: 70,
             fence_ts: u64::MAX,
         },
-        "11020100000000000004030000000000004e0000000000000004000000000000\
-         004600000000000000ffffffffffffffff",
+        "1102010000000000000605000000000000040000000000000046000000000000\
+         00ffffffffffffffff",
     );
     check(
         &ReplMsg::Frame {
             offset: 16,
-            next_offset: 29,
             epoch: 4,
             payload: vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00],
         },
-        "1210000000000000001d00000000000000040000000000000005000000deadbe\
-         ef00",
+        "121000000000000000040000000000000005000000deadbeef00",
     );
     check(
         &ReplMsg::Ack { offset: 29, ts: 78 },
         "131d000000000000004e00000000000000",
     );
-    check(
-        &ReplMsg::Heartbeat {
-            log_end: 29,
-            latest_ts: 78,
-            epoch: 4,
-        },
-        "141d000000000000004e000000000000000400000000000000",
-    );
+    check(&ReplMsg::Heartbeat { epoch: 4 }, "140400000000000000");
 }
 
 #[test]
@@ -74,8 +65,8 @@ fn framed_ack() {
         "11000000116f7358ed27098a131d000000000000004e00000000000000",
         "u32 len | u64 fnv64 | payload"
     );
-    // `repl`'s on-disk records use `vfs::fnv64`, the envelope uses
-    // `protocol`'s private copy: the same function until they are merged.
+    // The envelope's checksum is `vfs::fnv64`, the one `repl`'s on-disk
+    // records use too.
     assert_eq!(
         framed[4..12],
         vfs::fnv64(&framed[12..]).to_le_bytes(),

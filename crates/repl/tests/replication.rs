@@ -4,10 +4,15 @@
 //! its own writes.
 
 use aion::{Aion, AionConfig, CheckLevel};
+use aion_server::protocol::{read_frame, write_frame};
 use aion_server::{ClientConfig, RoutedClient, ServedBy, Server, ServerConfig};
 use lpg::{NodeId, PropertyValue, RelId};
-use repl::{LogShipper, ReplNode, ReplNodeConfig, Replayer, ReplayerConfig, ShipperConfig};
+use repl::{
+    decode_msg, encode_msg, LogShipper, ReplMsg, ReplNode, ReplNodeConfig, Replayer,
+    ReplayerConfig, ShipperConfig,
+};
 use std::io;
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -215,6 +220,142 @@ fn a_replica_with_history_of_its_own_is_refused() {
     assert!(replica.latest_graph().node(NodeId::new(2)).is_none());
     replayer.shutdown();
     shipper.shutdown();
+}
+
+/// A replica directory whose own commit is as long as the primary's frame
+/// at the same timestamp: the offsets agree, so only the log chains tell
+/// the two histories apart. The replica is refused, not merged.
+#[test]
+fn a_replica_whose_own_frame_has_the_primarys_length_is_refused() {
+    let pdir = tempdir().unwrap();
+    let rdir = tempdir().unwrap();
+    let primary = open_db(pdir.path());
+    let replica = open_db(rdir.path());
+    for i in 1..=5 {
+        add_node(&primary, i);
+    }
+    // The replica's own node 1 with `v = 9` at ts 1, where the primary
+    // has `v = 1`: one frame of the same length.
+    let v = replica.intern("v");
+    replica
+        .write(|tx| tx.add_node(NodeId::new(1), vec![], vec![(v, PropertyValue::Int(9))]))
+        .unwrap();
+    assert_eq!(replica.latest_ts(), 1);
+    let (primary_resume, _) = primary.timestore().log().frames_after(1);
+    assert_eq!(log_bytes(rdir.path()).len() as u64, primary_resume);
+    assert_ne!(
+        log_bytes(rdir.path()),
+        log_bytes(pdir.path())[..primary_resume as usize]
+    );
+
+    let refusals = obs::counter("server.repl.handshake_refusals");
+    let refused_before = refusals.get();
+    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
+    cfg.reconnect_backoff = Duration::from_millis(5);
+    let mut replayer = Replayer::start(replica.clone(), cfg);
+    assert!(
+        wait_for(10, || replayer.diverged()),
+        "replayer never flagged divergence (last error {:?})",
+        replayer.last_error()
+    );
+    assert!(
+        wait_for(10, || refusals.get() > refused_before),
+        "the shipper never counted a refusal"
+    );
+    // Nothing of the primary's was applied: ts 1 and `v = 9` stay.
+    assert_eq!(replica.latest_ts(), 1);
+    let g = replica.latest_graph();
+    assert_eq!(
+        g.node(NodeId::new(1)).unwrap().prop(v),
+        Some(&PropertyValue::Int(9))
+    );
+    assert!(g.node(NodeId::new(2)).is_none());
+    replayer.shutdown();
+    shipper.shutdown();
+}
+
+/// A stub primary that answers an empty replica's handshake and ships
+/// `payload` as the frame at offset 0, then stays silent with the
+/// link open.
+fn start_stub_primary(payload: Vec<u8>) -> std::net::SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            let payload = payload.clone();
+            std::thread::spawn(move || {
+                let Ok(ReplMsg::Hello {
+                    start_offset: 0,
+                    chain,
+                    ..
+                }) = read_frame(&mut stream).and_then(|hello| decode_msg(&hello))
+                else {
+                    return;
+                };
+                let ack = ReplMsg::HelloAck {
+                    resume_offset: 0,
+                    chain,
+                    epoch: 0,
+                    epoch_base_ts: 0,
+                    fence_ts: u64::MAX,
+                };
+                let frame = ReplMsg::Frame {
+                    offset: 0,
+                    epoch: 0,
+                    payload,
+                };
+                for msg in [ack, frame] {
+                    if write_frame(&mut stream, &encode_msg(&msg)).is_err() {
+                        return;
+                    }
+                }
+                std::thread::sleep(Duration::from_secs(3600));
+            });
+        }
+    });
+    addr
+}
+
+/// The replica's log holds the bytes it was shipped, not a re-encoding:
+/// a payload whose record count is the non-canonical varint `0x81 0x00`
+/// (1 in two bytes) ends the replica's log as it is.
+#[test]
+fn a_replica_appends_the_payload_bytes_it_was_shipped() {
+    let rdir = tempdir().unwrap();
+    let replica = open_db(rdir.path());
+    let update = lpg::Update::AddNode {
+        id: NodeId::new(1),
+        labels: vec![],
+        props: vec![],
+    };
+    let frame = timestore::CommitFrame::from_updates(1, std::slice::from_ref(&update));
+    let canonical = frame.encode();
+    assert_eq!(canonical[..2], [0x01, 0x01], "varint ts 1, varint count 1");
+    let mut payload = vec![0x01, 0x81, 0x00];
+    payload.extend_from_slice(&canonical[2..]);
+    assert_eq!(timestore::CommitFrame::decode(&payload), Some(frame));
+
+    let mut cfg = ReplayerConfig::new(start_stub_primary(payload.clone()), rdir.path());
+    cfg.heartbeat_timeout = Duration::from_secs(30);
+    let mut replayer = Replayer::start(replica.clone(), cfg);
+    assert!(
+        wait_for(10, || replica.latest_ts() == 1),
+        "the shipped frame was never applied (last error {:?})",
+        replayer.last_error()
+    );
+    replayer.shutdown();
+    assert!(!replayer.diverged());
+    let log = log_bytes(rdir.path());
+    assert_eq!(log.len(), 8 + payload.len());
+    assert!(log.ends_with(&payload), "the log re-encoded the payload");
+    drop(replayer);
+    drop(replica);
+    // The log reopens on those bytes.
+    let replica = open_db(rdir.path());
+    assert_eq!(replica.latest_ts(), 1);
+    assert!(replica.latest_graph().node(NodeId::new(1)).is_some());
 }
 
 #[test]

@@ -8,53 +8,42 @@ use repl::{decode_msg, encode_msg, ReplMsg};
 
 fn msg_strategy() -> impl Strategy<Value = ReplMsg> {
     prop_oneof![
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(start_offset, latest_ts, epoch)| {
-            ReplMsg::Hello {
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+            |(start_offset, chain, latest_ts, epoch)| ReplMsg::Hello {
                 start_offset,
+                chain,
                 latest_ts,
                 epoch,
             }
-        }),
+        ),
         (
-            any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             any::<u64>(),
         )
-            .prop_map(
-                |(resume_offset, log_end, latest_ts, epoch, epoch_base_ts, fence_ts)| {
-                    ReplMsg::HelloAck {
-                        resume_offset,
-                        log_end,
-                        latest_ts,
-                        epoch,
-                        epoch_base_ts,
-                        fence_ts,
-                    }
+            .prop_map(|(resume_offset, chain, epoch, epoch_base_ts, fence_ts)| {
+                ReplMsg::HelloAck {
+                    resume_offset,
+                    chain,
+                    epoch,
+                    epoch_base_ts,
+                    fence_ts,
                 }
-            ),
+            }),
         (
-            any::<u64>(),
             any::<u64>(),
             any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..64),
         )
-            .prop_map(|(offset, next_offset, epoch, payload)| ReplMsg::Frame {
+            .prop_map(|(offset, epoch, payload)| ReplMsg::Frame {
                 offset,
-                next_offset,
                 epoch,
                 payload,
             }),
         (any::<u64>(), any::<u64>()).prop_map(|(offset, ts)| ReplMsg::Ack { offset, ts }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(log_end, latest_ts, epoch)| {
-            ReplMsg::Heartbeat {
-                log_end,
-                latest_ts,
-                epoch,
-            }
-        }),
+        any::<u64>().prop_map(|epoch| ReplMsg::Heartbeat { epoch }),
     ]
 }
 

@@ -42,6 +42,6 @@ pub mod policy;
 pub mod store;
 
 pub use graphstore::GraphStore;
-pub use log::{ChangeLog, CommitFrame};
+pub use log::{ChangeLog, CommitFrame, Payload};
 pub use policy::SnapshotPolicy;
 pub use store::{TimeStore, TimeStoreConfig, TimeStoreStats, Versions};

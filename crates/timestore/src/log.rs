@@ -13,6 +13,11 @@
 //! range by binary search. Commit timestamps are strictly increasing, so
 //! the list is sorted by both.
 //!
+//! Each frame's entry also holds the chain before it: `chain_k =
+//! fnv64(chain_{k-1} ‖ sum_k)` over the frames' stored checksums, 0 for
+//! none (a hash chain, Haber and Stornetta 1991). Equal chains at an
+//! offset mean equal frames before it; replication compares them.
+//!
 //! A frame is read from the file in two reads: its header, then its
 //! payload, once. Before the payload buffer is allocated the length must
 //! be at most [`MAX_FRAME_LEN`] and the frame must end inside the file as
@@ -26,7 +31,7 @@ use encoding::{updates_from_record, RecordBody};
 use lpg::{GraphError, Result, Timestamp, Update};
 use parking_lot::Mutex;
 use std::path::Path;
-use vfs::{fnv32, VfsFile, VfsRef};
+use vfs::{fnv32, fnv64, VfsFile, VfsRef};
 
 /// Hard upper bound on a frame's payload. A corrupt length field can
 /// otherwise demand an allocation as large as the file; no legitimate
@@ -67,12 +72,17 @@ impl CommitFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(16 + self.records.len() * 16);
         varint::write_u64(&mut payload, self.ts);
-        varint::write_u64(&mut payload, self.records.len() as u64);
-        for (entity, body) in &self.records {
-            varint::write_u64(&mut payload, *entity);
-            body.encode(&mut payload);
-        }
+        self.encode_records(&mut payload);
         payload
+    }
+
+    /// Appends `varint n, n × record`: the payload after its timestamp.
+    fn encode_records(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, self.records.len() as u64);
+        for (entity, body) in &self.records {
+            varint::write_u64(out, *entity);
+            body.encode(out);
+        }
     }
 
     /// Parses a frame payload produced by [`CommitFrame::encode`];
@@ -88,6 +98,24 @@ impl CommitFrame {
             records.push((entity, body));
         }
         (pos == payload.len()).then_some(CommitFrame { ts, records })
+    }
+}
+
+/// A commit's payload on its way to [`ChangeLog::append_payload`].
+pub enum Payload {
+    /// `varint n, n × record`, encoded on the committer's thread: the
+    /// append puts `varint ts` in front.
+    Records(Vec<u8>),
+    /// A whole payload, appended byte for byte (what a primary shipped).
+    Whole(Vec<u8>),
+}
+
+impl Payload {
+    /// Encodes a local commit's updates.
+    pub fn records(updates: &[Update]) -> Payload {
+        let mut out = Vec::with_capacity(8 + updates.len() * 16);
+        CommitFrame::from_updates(0, updates).encode_records(&mut out);
+        Payload::Records(out)
     }
 }
 
@@ -123,13 +151,27 @@ pub struct ChangeLog {
     torn_tail: Option<(u64, u64)>,
 }
 
-/// The log's end and its time index, changed together by an append.
+/// The log's end, its chain there and its index, changed together by an
+/// append.
 #[derive(Default)]
 struct Tail {
     /// The next append position.
     end: u64,
-    /// Every frame's `(ts, offset)`, in log order.
-    frames: Vec<(Timestamp, u64)>,
+    chain: u64,
+    /// Every frame's `(ts, offset, chain before it)`, in log order.
+    frames: Vec<(Timestamp, u64, u64)>,
+}
+
+impl Tail {
+    /// Indexes the frame at the end, from its bytes (header first).
+    fn push(&mut self, ts: Timestamp, frame: &[u8]) {
+        self.frames.push((ts, self.end, self.chain));
+        let mut link = [0u8; 12];
+        link[..8].copy_from_slice(&self.chain.to_le_bytes());
+        link[8..].copy_from_slice(&frame[4..8]); // the stored checksum
+        self.chain = fnv64(&link);
+        self.end += frame.len() as u64;
+    }
 }
 
 impl ChangeLog {
@@ -150,6 +192,17 @@ impl ChangeLog {
     /// are truncated. Pass 0 when no durable marker is available
     /// (truncate-only recovery).
     pub fn open_with_vfs(vfs: &VfsRef, path: &Path, durable_end: u64) -> Result<ChangeLog> {
+        let log = ChangeLog::scan(vfs, path, durable_end)?;
+        if let Some((end, _)) = log.torn_tail {
+            log.file.set_len(end)?;
+        }
+        Ok(log)
+    }
+
+    /// Reads the log as [`ChangeLog::open_with_vfs`] does, but leaves a
+    /// torn tail in the file, for a reader that needs the file's bytes as
+    /// they are ([`ChangeLog::bytes_from`]).
+    pub fn scan(vfs: &VfsRef, path: &Path, durable_end: u64) -> Result<ChangeLog> {
         let file = vfs.open(path)?;
         let len = file.len()?;
         let mut log = ChangeLog {
@@ -157,14 +210,11 @@ impl ChangeLog {
             tail: Mutex::default(),
             torn_tail: None,
         };
-        let mut frames = Vec::new();
-        let mut offset = 0u64;
-        while offset < len {
+        let mut tail = Tail::default();
+        while tail.end < len {
+            let offset = tail.end;
             match log.read_frame_at(offset, len) {
-                Some((frame, next)) => {
-                    frames.push((frame.ts, offset));
-                    offset = next;
-                }
+                Some((frame, bytes)) => tail.push(frame.ts, &bytes),
                 None if offset < durable_end => {
                     return Err(GraphError::CorruptRecord(format!(
                         "corrupt log frame at offset {offset}, below the durable end {durable_end}"
@@ -173,41 +223,47 @@ impl ChangeLog {
                 None => break, // torn tail
             }
         }
-        if offset < len {
-            log.file.set_len(offset)?;
-            log.torn_tail = Some((offset, len));
+        if tail.end < len {
+            log.torn_tail = Some((tail.end, len));
         }
-        *log.tail.lock() = Tail {
-            end: offset,
-            frames,
-        };
+        *log.tail.get_mut() = tail;
         Ok(log)
     }
 
     /// Appends a commit frame; returns its starting offset.
     pub fn append(&self, frame: &CommitFrame) -> Result<u64> {
-        let payload = frame.encode();
-        if payload.len() as u64 > MAX_FRAME_LEN {
+        self.append_payload(frame.ts, &Payload::Whole(frame.encode()))
+    }
+
+    /// Appends the frame of the commit at `ts` (a [`Payload::Whole`]
+    /// must encode that timestamp); returns its starting offset.
+    pub fn append_payload(&self, ts: Timestamp, payload: &Payload) -> Result<u64> {
+        let mut buf = vec![0u8; 8];
+        match payload {
+            Payload::Records(records) => {
+                varint::write_u64(&mut buf, ts);
+                buf.extend_from_slice(records);
+            }
+            Payload::Whole(bytes) => buf.extend_from_slice(bytes),
+        }
+        let len = buf.len() as u64 - 8;
+        if len > MAX_FRAME_LEN {
             return Err(GraphError::Storage(format!(
-                "commit frame payload of {} bytes exceeds the {} byte frame cap",
-                payload.len(),
-                MAX_FRAME_LEN
+                "commit frame payload of {len} bytes exceeds the {MAX_FRAME_LEN} byte frame cap"
             )));
         }
-        let mut buf = Vec::with_capacity(payload.len() + 8);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&fnv32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        let sum = fnv32(&buf[8..]);
+        buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        buf[4..8].copy_from_slice(&sum.to_le_bytes());
         let mut tail = self.tail.lock();
         let offset = tail.end;
         self.file.write_all_at(&buf, offset)?;
-        tail.end = offset + buf.len() as u64;
-        tail.frames.push((frame.ts, offset));
+        tail.push(ts, &buf);
         Ok(offset)
     }
 
     /// `(offset, former length)` when open truncated a torn final frame at
-    /// `offset`, else `None`.
+    /// `offset` (or [`ChangeLog::scan`] found one there), else `None`.
     pub(crate) fn torn_tail(&self) -> Option<(u64, u64)> {
         self.torn_tail
     }
@@ -217,19 +273,48 @@ impl ChangeLog {
         self.tail.lock().end
     }
 
+    /// The chain of the frames before `offset`; `None` when `offset` is
+    /// not a frame boundary.
+    pub fn chain_at(&self, offset: u64) -> Option<u64> {
+        let tail = self.tail.lock();
+        if offset == tail.end {
+            return Some(tail.chain);
+        }
+        let i = tail.frames.binary_search_by_key(&offset, |f| f.1);
+        Some(tail.frames[i.ok()?].2)
+    }
+
+    /// Where the frames with a timestamp above `ts` start (the log end
+    /// when there are none), and how many there are.
+    pub fn frames_after(&self, ts: Timestamp) -> (u64, u64) {
+        let tail = self.tail.lock();
+        let i = tail.frames.partition_point(|f| f.0 <= ts);
+        let offset = tail.frames.get(i).map_or(tail.end, |f| f.1);
+        (offset, (tail.frames.len() - i) as u64)
+    }
+
     /// The timestamp of the last frame, `None` when the log is empty.
-    pub(crate) fn last_ts(&self) -> Option<Timestamp> {
-        self.tail.lock().frames.last().map(|(ts, _)| *ts)
+    pub fn last_ts(&self) -> Option<Timestamp> {
+        self.tail.lock().frames.last().map(|f| f.0)
+    }
+
+    /// The file's bytes from `offset` to its end, a torn tail that
+    /// [`ChangeLog::scan`] left included.
+    pub fn bytes_from(&self, offset: u64) -> Result<Vec<u8>> {
+        let len = self.file.len()?.saturating_sub(offset);
+        let mut buf = vec![0u8; len as usize];
+        self.file.read_exact_at(&mut buf, offset)?;
+        Ok(buf)
     }
 
     /// The frame at `offset` of the file as scanned up to `file_len`, and
-    /// the offset of the next one; `None` on any bound, checksum or
+    /// its bytes, header first; `None` on any bound, checksum or
     /// structure failure. The header's length is bounded by
     /// [`MAX_FRAME_LEN`] and by `file_len` before the buffer grows to
     /// hold the payload, so it never outgrows the bytes that back it. The
     /// payload is read once and [`parse_frame`] checks it in the buffer:
     /// there is no second pass to check it before it is allocated.
-    fn read_frame_at(&self, offset: u64, file_len: u64) -> Option<(CommitFrame, u64)> {
+    fn read_frame_at(&self, offset: u64, file_len: u64) -> Option<(CommitFrame, Vec<u8>)> {
         if offset.checked_add(8)? > file_len {
             return None;
         }
@@ -241,8 +326,8 @@ impl ChangeLog {
         }
         buf.resize(8 + len as usize, 0);
         self.file.read_exact_at(&mut buf[8..], offset + 8).ok()?;
-        let (frame, end) = parse_frame(&buf, 0)?;
-        Some((frame, offset + end as u64))
+        let (frame, _) = parse_frame(&buf, 0)?;
+        Some((frame, buf))
     }
 
     /// Streams every frame from `offset` to the log end as of this call,
@@ -262,8 +347,8 @@ impl ChangeLog {
     pub fn iter_ts(&self, start: Timestamp, end: Timestamp) -> LogIter<'_> {
         let tail = self.tail.lock();
         let offset_of = |ts: Timestamp| {
-            let i = tail.frames.partition_point(|(t, _)| *t < ts);
-            tail.frames.get(i).map_or(tail.end, |(_, offset)| *offset)
+            let i = tail.frames.partition_point(|f| f.0 < ts);
+            tail.frames.get(i).map_or(tail.end, |f| f.1)
         };
         LogIter {
             log: self,
@@ -289,6 +374,9 @@ pub struct LogEntry {
     pub next: u64,
     /// The decoded commit.
     pub frame: CommitFrame,
+    /// The frame's bytes as read from the log: the 8-byte header, then
+    /// the payload the replication stream ships.
+    pub bytes: Vec<u8>,
 }
 
 /// Streaming cursor over log frames; see [`ChangeLog::iter_from`]. The
@@ -317,12 +405,14 @@ impl Iterator for LogIter<'_> {
         }
         let offset = self.offset;
         match self.log.read_frame_at(offset, self.end) {
-            Some((frame, next)) => {
+            Some((frame, bytes)) => {
+                let next = offset + bytes.len() as u64;
                 self.offset = next;
                 Some(Ok(LogEntry {
                     offset,
                     next,
                     frame,
+                    bytes,
                 }))
             }
             None => {
@@ -433,6 +523,78 @@ mod tests {
         let log = ChangeLog::open(&path).unwrap();
         assert_eq!(log.end_offset(), end);
         assert_eq!(log.iter_from(0).count(), 1);
+    }
+
+    /// The chain a reopen scans equals the one the appends built, at every
+    /// frame boundary, also after a torn tail is truncated; an offset
+    /// inside a frame has none.
+    #[test]
+    fn chain_is_rebuilt_by_the_open_scan() {
+        let dir = tempdir().unwrap();
+        let path = dir.path().join("c.log");
+        let log = ChangeLog::open(&path).unwrap();
+        let mut built = vec![(0, log.chain_at(0).unwrap())];
+        for ts in 1..=4 {
+            log.append(&CommitFrame::from_updates(ts, &[add_node(ts)]))
+                .unwrap();
+            let end = log.end_offset();
+            built.push((end, log.chain_at(end).unwrap()));
+        }
+        assert_eq!(built[0].1, 0, "the empty log's chain");
+        let distinct: std::collections::HashSet<u64> = built.iter().map(|b| b.1).collect();
+        assert_eq!(distinct.len(), built.len());
+        for offset in [1, built[2].0 - 1, built[2].0 + 3, built[4].0 + 1] {
+            assert_eq!(log.chain_at(offset), None, "offset {offset}");
+        }
+        log.sync().unwrap();
+        drop(log);
+        let check = |log: &ChangeLog, frames: usize| {
+            for &(offset, chain) in &built[..=frames] {
+                assert_eq!(log.chain_at(offset), Some(chain), "offset {offset}");
+            }
+            assert_eq!(log.end_offset(), built[frames].0);
+        };
+        check(&ChangeLog::open(&path).unwrap(), 4);
+        // Tear the last frame: the reopen cuts it and keeps the chain
+        // before it, and the same append extends it as before.
+        let f = VfsRef::std().open(&path).unwrap();
+        f.set_len(built[3].0 + 5).unwrap();
+        drop(f);
+        let log = ChangeLog::open(&path).unwrap();
+        check(&log, 3);
+        assert_eq!(log.chain_at(built[4].0), None);
+        log.append(&CommitFrame::from_updates(4, &[add_node(4)]))
+            .unwrap();
+        check(&log, 4);
+    }
+
+    /// A local commit's records and the whole payload of the same commit
+    /// append the same bytes; a frame of the same length with other
+    /// bytes gives another chain.
+    #[test]
+    fn records_and_whole_payloads_append_the_same_frame() {
+        let dir = tempdir().unwrap();
+        let vfs = VfsRef::std();
+        let logs: Vec<_> = ["a", "b", "c"]
+            .iter()
+            .map(|name| ChangeLog::open(dir.path().join(name)).unwrap())
+            .collect();
+        logs[0]
+            .append_payload(7, &Payload::records(&[add_node(1)]))
+            .unwrap();
+        logs[1]
+            .append(&CommitFrame::from_updates(7, &[add_node(1)]))
+            .unwrap();
+        logs[2]
+            .append(&CommitFrame::from_updates(7, &[add_node(2)]))
+            .unwrap();
+        let bytes = |name: &str| vfs.read(&dir.path().join(name)).unwrap();
+        assert_eq!(bytes("a"), bytes("b"));
+        assert_eq!(bytes("a").len(), bytes("c").len());
+        assert_ne!(bytes("a"), bytes("c"));
+        let heads: Vec<_> = logs.iter().map(|l| l.chain_at(l.end_offset())).collect();
+        assert_eq!(heads[0], heads[1]);
+        assert_ne!(heads[0], heads[2]);
     }
 
     #[test]

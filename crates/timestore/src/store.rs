@@ -13,7 +13,7 @@
 //! durable-end record, see [`TimeStore::sync`]) and `snapshots/`.
 
 use crate::graphstore::GraphStore;
-use crate::log::{ChangeLog, CommitFrame};
+use crate::log::{ChangeLog, Payload};
 use crate::policy::SnapshotPolicy;
 use btree::Finding;
 use encoding::snapshot::{self, Manifest, Segment, SharedSegments};
@@ -410,6 +410,18 @@ impl TimeStore {
     /// increasing across commits ("no further changes are allowed on past
     /// updates").
     pub fn append_commit(&self, ts: Timestamp, updates: &[Update]) -> Result<()> {
+        self.append_payload(ts, &Payload::records(updates), updates)
+    }
+
+    /// Ingests one committed transaction whose log payload is already
+    /// encoded: `payload` holds `updates` at `ts` (see
+    /// [`ChangeLog::append_payload`]).
+    pub fn append_payload(
+        &self,
+        ts: Timestamp,
+        payload: &Payload,
+        updates: &[Update],
+    ) -> Result<()> {
         {
             // The first commit may take any timestamp, 0 included.
             let logged = self.log.end_offset() > 0;
@@ -421,7 +433,6 @@ impl TimeStore {
                 });
             }
         }
-        let frame = CommitFrame::from_updates(ts, updates);
         // The commit is in the log, and in its time index, from here on:
         // recovery replays it even if the in-memory apply below fails, and
         // a reader that rebuilds the version at `latest_ts()` finds every
@@ -431,7 +442,7 @@ impl TimeStore {
         // (nothing persisted, the same timestamp may be retried),
         // `latest_ts() >= ts` means the commit reached the log and its
         // durability is uncertain.
-        self.log.append(&frame)?;
+        self.log.append_payload(ts, payload)?;
         self.metrics.log_appends.inc();
         {
             let mut chain = self.chain.lock();
