@@ -19,8 +19,8 @@
 //! varint   = LEB128, low 7 bits first, at most 5 bytes
 //! ```
 //!
-//! A LineageStore cell (a 16-byte history key or a neighbour key of at most
-//! 36 bytes, value under 64 bytes) spends
+//! A LineageStore cell (a history key of 2–18 bytes or a neighbour key of
+//! 4–36 bytes, value under 64 bytes) spends
 //! two header bytes; a longer key or value only widens its own varint.
 //!
 //! Internal cell:  `u16 klen, u64 child, key`

@@ -427,6 +427,32 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_history_key_detected() {
+        let dir = tempdir().unwrap();
+        let (ts, ls) = open_stores(dir.path());
+        seed_chains(&ts, &ls);
+        // Node 1's version at ts 4 with its id written as `[1, 0, 1]`, a
+        // zero byte ahead of the digit: it sorts among the two-byte ids but
+        // is no key `history_key` writes. The value is node 1's own.
+        let nodes = index(&ls, "nodes");
+        let value = nodes
+            .get(&keys::history_key(1, 4))
+            .unwrap()
+            .expect("node 1 was added at ts 4");
+        let padded = [2, 0, 1, 1, 4];
+        assert_eq!(keys::decode_history_key(&padded), None);
+        nodes.insert(&padded, &value).unwrap();
+        let findings = differentials(&ts, &ls);
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.check == "differential"
+                    && f.detail.starts_with("nodes key [2, 0, 1, 1, 4]:")),
+            "{findings:?}"
+        );
+    }
+
+    #[test]
     fn neighbour_value_other_than_the_deleted_flag_detected() {
         let dir = tempdir().unwrap();
         let (ts, ls) = open_stores(dir.path());
@@ -437,7 +463,7 @@ mod tests {
         let in_n = index(&ls, "in-neighbours");
         for value in [
             vec![2u8],
-            LineageEntry::full(11, RecordBody::RelDeleted).to_bytes(),
+            LineageEntry::full(11, RecordBody::RelDeleted).to_bytes(11),
         ] {
             in_n.insert(&key, &value).unwrap();
             let findings = differentials(&ts, &ls);

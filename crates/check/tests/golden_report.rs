@@ -4,6 +4,7 @@
 //! the audit stack that only restructures it must leave this text alone.
 
 use check::{check_stores, CheckLevel};
+use encoding::keys::decode_history_key;
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{NodeId, PropertyValue, RelId, StrId, Update};
 use pagestore::{PageStore, PAGE_SIZE};
@@ -72,8 +73,9 @@ fn seed(ts: &TimeStore, ls: &LineageStore) {
 }
 
 /// Damages the lineage file in two leaves: in the first leaf holding two
-/// adjacent versions of one entity, the second takes the first's
-/// timestamp (an overlapping chain entry); in the last leaf with two
+/// adjacent versions of one entity whose timestamps are as wide, the
+/// second takes the first's timestamp (an overlapping chain entry); in
+/// the last leaf with two
 /// cells, the first two slot-directory entries swap (keys out of order).
 fn damage_lineage(path: &Path) {
     let vfs = LineageStoreConfig::default().vfs;
@@ -90,9 +92,16 @@ fn damage_lineage(path: &Path) {
         for i in 0..read_u16(&file, base + NCELLS_OFF).saturating_sub(1) {
             let (alen, a) = cell(&file, base, i);
             let (blen, b) = cell(&file, base, i + 1);
-            if alen == 16 && blen == 16 && file[a..a + 8] == file[b..b + 8] {
-                let ts = file[a + 8..a + 16].to_vec();
-                file[b + 8..b + 16].copy_from_slice(&ts);
+            let (ka, kb) = (&file[a..a + alen], &file[b..b + blen]);
+            let same_entity = match (decode_history_key(ka), decode_history_key(kb)) {
+                (Some((ida, _)), Some((idb, _))) => ida == idb,
+                _ => false,
+            };
+            // Equal lengths: the two timestamps have as many bytes, so the
+            // second key can take the first's in place.
+            if same_entity && alen == blen {
+                let ka = ka.to_vec();
+                file[b..b + blen].copy_from_slice(&ka);
                 overlap_page = Some(page);
                 break 'pages;
             }
@@ -121,14 +130,14 @@ fn leak_page(path: &Path) {
 
 const PINNED: &str = concat!(
     "consistency check (level full): 5 violation(s)\n",
-    "  lineagestore nodes/structure: [key-order] page 1: keys out of order: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1] !< [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]\n",
+    "  lineagestore nodes/structure: [key-order] page 1: keys out of order: [0, 1, 1] !< [0, 1, 1]\n",
     "  lineagestore in-neighbours/structure: [key-order] page 4: keys out of order: [1, 2, 1, 1, 1, 2, 1, 5] !< [1, 1, 0, 1, 1, 1, 3]\n",
     "  lineagestore pages/accounting: 1 page(s) neither reachable nor free (first: 5)\n",
-    "  cross-store differential: nodes key [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]: the store holds [1, 1, 8, 0, 1, 2, 0, 0, 32, 0], its rebuild from the log up to ts 115 holds nothing\n",
+    "  cross-store differential: nodes key [0, 1, 1]: the store holds [79, 1, 8, 0, 1, 2, 0, 0, 32, 0], its rebuild from the log up to ts 115 holds nothing\n",
     "  cross-store differential: in-neighbours key [1, 1, 0, 1, 1, 1, 3]: the store holds nothing, its rebuild from the log up to ts 115 holds [0]\n",
     "index pages and leaf fill:\n",
-    "  lineagestore nodes: 1 pages, 1 leaves, leaf fill 27.8 %\n",
-    "  lineagestore rels: 1 pages, 1 leaves, leaf fill 14.5 %\n",
+    "  lineagestore nodes: 1 pages, 1 leaves, leaf fill 16.6 %\n",
+    "  lineagestore rels: 1 pages, 1 leaves, leaf fill 8.8 %\n",
     "  lineagestore out-neighbours: 1 pages, 1 leaves, leaf fill 6.4 %\n",
     "  lineagestore in-neighbours: 1 pages, 1 leaves, leaf fill 6.4 %\n",
 );

@@ -6,8 +6,8 @@
 //!
 //! | store        | entry           | key layout                | bytes  |
 //! |--------------|-----------------|---------------------------|--------|
-//! | LineageStore | node            | `nodeId, ts`              | 16     |
-//! | LineageStore | relationship    | `relId, ts`               | 16     |
+//! | LineageStore | node            | `nodeId, ts`              | 2 – 18 |
+//! | LineageStore | relationship    | `relId, ts`               | 2 – 18 |
 //! | LineageStore | out-neighbours  | `srcId, tgtId, relId, ts` | 4 – 36 |
 //! | LineageStore | in-neighbours   | `tgtId, srcId, relId, ts` | 4 – 36 |
 //!
@@ -15,14 +15,15 @@
 //! change log and the snapshot directory are the TimeStore's time indexes
 //! (see `timestore`'s crate docs).
 //!
-//! The history keys write each part as 8 big-endian bytes.
-//! The neighbour keys, the most numerous, write each part compactly (the
-//! variable-size encoding of Sec. 4.2):
+//! Every key writes each of its parts compactly (the variable-size
+//! encoding of Sec. 4.2), in one grammar shared by the history and the
+//! neighbour keys:
 //!
 //! ```text
-//! neigh_key = part part part part
-//! part      = u8 n (0..=8), then the n low-order big-endian bytes of the
-//!             value, the first of them non-zero; zero is the single byte 0
+//! history_key = part part
+//! neigh_key   = part part part part
+//! part        = u8 n (0..=8), then the n low-order big-endian bytes of the
+//!               value, the first of them non-zero; zero is the single byte 0
 //! ```
 //!
 //! A shorter part is a smaller number and equal-length parts compare
@@ -35,7 +36,9 @@
 
 use lpg::{NodeId, RelId, Timestamp};
 
-/// A `(entityId, ts)` key for the node / relationship history indexes.
+/// `(id, ts)` as two fixed 8-byte big-endian halves. The store writes
+/// [`history_key`]; this form stays only for the benchmark's B+Tree probe,
+/// which takes a `[u8; 16]`.
 pub fn entity_ts_key(id: u64, ts: Timestamp) -> [u8; 16] {
     let mut k = [0u8; 16];
     k[..8].copy_from_slice(&id.to_be_bytes());
@@ -43,21 +46,8 @@ pub fn entity_ts_key(id: u64, ts: Timestamp) -> [u8; 16] {
     k
 }
 
-fn be_u64(key: &[u8], off: usize) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&key[off..off + 8]);
-    u64::from_be_bytes(a)
-}
-
-/// Decodes an [`entity_ts_key`] into `(id, ts)`.
-pub fn decode_entity_ts_key(key: &[u8]) -> Option<(u64, Timestamp)> {
-    if key.len() != 16 {
-        return None;
-    }
-    let id = be_u64(key, 0);
-    let ts = be_u64(key, 8);
-    Some((id, ts))
-}
+/// Longest [`history_key`]: two parts of a length byte and eight bytes.
+pub const MAX_HISTORY_KEY: usize = 18;
 
 /// Longest [`neigh_key`]: four parts of a length byte and eight bytes.
 pub const MAX_NEIGH_KEY: usize = 36;
@@ -69,6 +59,18 @@ fn put_part(out: &mut [u8; MAX_NEIGH_KEY], at: usize, v: u64) -> usize {
     out[at] = n as u8;
     out[at + 1..at + 1 + n].copy_from_slice(&v.to_be_bytes()[8 - n..]);
     at + 1 + n
+}
+
+/// The parts `values`, each written by [`put_part`], in order.
+fn key_of<const N: usize>(values: [u64; N]) -> Key {
+    let mut bytes = [0u8; MAX_NEIGH_KEY];
+    let len = values
+        .into_iter()
+        .fold(0, |at, part| put_part(&mut bytes, at, part));
+    Key {
+        bytes,
+        len: len as u8,
+    }
 }
 
 /// Reads one canonical part off the front of `key`.
@@ -88,28 +90,37 @@ fn take_part(key: &mut &[u8]) -> Option<u64> {
     Some(u64::from_be_bytes(be))
 }
 
-/// A `(a, b, relId, ts)` neighbourhood key — `a = src, b = tgt` for the
-/// out-neighbours index and the reverse for in-neighbours. It is built on
-/// the stack: the LineageStore writes two per relationship update.
-pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> NeighKey {
-    let mut bytes = [0u8; MAX_NEIGH_KEY];
-    let len = [a.raw(), b.raw(), rel.raw(), ts]
-        .into_iter()
-        .fold(0, |at, part| put_part(&mut bytes, at, part));
-    NeighKey {
-        bytes,
-        len: len as u8,
-    }
+/// A `(entityId, ts)` key for the node / relationship history indexes,
+/// two parts. It is built on the stack, as every history write and read
+/// builds one.
+pub fn history_key(id: u64, ts: Timestamp) -> Key {
+    key_of([id, ts])
 }
 
-/// The bytes of a [`neigh_key`], read through `Deref<Target = [u8]>`.
+/// Decodes a [`history_key`] into `(id, ts)`. `None` unless `key` is
+/// exactly two canonical parts.
+pub fn decode_history_key(mut key: &[u8]) -> Option<(u64, Timestamp)> {
+    let id = take_part(&mut key)?;
+    let ts = take_part(&mut key)?;
+    key.is_empty().then_some((id, ts))
+}
+
+/// A `(a, b, relId, ts)` neighbourhood key — `a = src, b = tgt` for the
+/// out-neighbours index and the reverse for in-neighbours. The
+/// LineageStore writes two per relationship update.
+pub fn neigh_key(a: NodeId, b: NodeId, rel: RelId, ts: Timestamp) -> Key {
+    key_of([a.raw(), b.raw(), rel.raw(), ts])
+}
+
+/// The bytes of a [`history_key`] or a [`neigh_key`], read through
+/// `Deref<Target = [u8]>`.
 #[derive(Clone, Copy)]
-pub struct NeighKey {
+pub struct Key {
     bytes: [u8; MAX_NEIGH_KEY],
     len: u8,
 }
 
-impl std::ops::Deref for NeighKey {
+impl std::ops::Deref for Key {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
@@ -133,11 +144,7 @@ pub fn decode_neigh_key(mut key: &[u8]) -> Option<(NodeId, NodeId, RelId, Timest
 /// B+Tree scans read it — for the largest node id, which has no successor
 /// to bound it with.
 pub fn neigh_range(a: NodeId) -> (Vec<u8>, Vec<u8>) {
-    let part = |v| {
-        let mut bytes = [0u8; MAX_NEIGH_KEY];
-        let len = put_part(&mut bytes, 0, v);
-        bytes[..len].to_vec()
-    };
+    let part = |v| key_of([v]).to_vec();
     let high = a.raw().checked_add(1).map_or_else(Vec::new, part);
     (part(a.raw()), high)
 }
@@ -154,7 +161,28 @@ mod tests {
         let c = entity_ts_key(1, 5);
         let d = entity_ts_key(1, 6);
         assert!(c < d, "ts breaks ties");
-        assert_eq!(decode_entity_ts_key(&a), Some((1, 999)));
+        assert_eq!(a[..8], 1u64.to_be_bytes());
+        assert_eq!(a[8..], 999u64.to_be_bytes());
+    }
+
+    #[test]
+    fn history_key_orders_by_id_then_ts_in_significant_bytes() {
+        let a = history_key(1, 999);
+        let b = history_key(2, 0);
+        assert!(a[..] < b[..], "id dominates");
+        assert!(
+            history_key(1, 5)[..] < history_key(1, 6)[..],
+            "ts breaks ties"
+        );
+        assert!(history_key(255, 1)[..] < history_key(256, 0)[..]);
+        assert_eq!(a[..], [1, 1, 2, 3, 0xE7]);
+        assert_eq!(b[..], [1, 2, 0]);
+        assert_eq!(history_key(0, 0)[..], [0, 0]);
+        assert_eq!(history_key(u64::MAX, u64::MAX).len(), MAX_HISTORY_KEY);
+        assert_eq!(decode_history_key(&a), Some((1, 999)));
+        for bad in [&[0][..], &[0, 0, 0], &[1, 0, 0], &[0, 2, 1], &[9, 0]] {
+            assert_eq!(decode_history_key(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! Reconstructing an entity version therefore reads exactly the key range
 //! `[(id, base_ts), (id, ts)]` — never the whole history — which is what
 //! bounds the delta-chain cost studied in Sec. 6.5.
+//!
+//! The value is written relative to its key's timestamp `ts`, so a full
+//! record spends one byte on its base:
+//!
+//! ```text
+//! entry = varint(ts - base_ts) varint(pos) body
+//! ```
+//!
+//! Decoding takes the key's timestamp; a base later than it does not
+//! decode.
 
 use encoding::varint;
 use encoding::RecordBody;
@@ -43,24 +53,23 @@ impl LineageEntry {
         LineageEntry { base_ts, pos, body }
     }
 
-    /// Serializes the envelope + body.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Serializes the envelope + body of the entry keyed at `key_ts`.
+    pub fn to_bytes(&self, key_ts: Timestamp) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
-        self.encode(&mut out);
+        self.encode(key_ts, &mut out);
         out
     }
 
-    /// Appends the envelope + body to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        encode_chain(out, self.base_ts, self.pos);
+    /// Appends the envelope + body of the entry keyed at `key_ts` to `out`.
+    pub fn encode(&self, key_ts: Timestamp, out: &mut Vec<u8>) {
+        encode_chain(out, key_ts, self.base_ts, self.pos);
         self.body.encode(out);
     }
 
-    /// Deserializes an envelope + body.
-    pub fn from_bytes(buf: &[u8]) -> Option<LineageEntry> {
+    /// Deserializes the envelope + body of the entry keyed at `key_ts`.
+    pub fn from_bytes(key_ts: Timestamp, buf: &[u8]) -> Option<LineageEntry> {
         let mut pos = 0;
-        let base_ts = varint::read_u64(buf, &mut pos)?;
-        let chain_pos = varint::read_u64(buf, &mut pos)? as u32;
+        let (base_ts, chain_pos) = read_chain(key_ts, buf, &mut pos)?;
         let body = RecordBody::decode(buf, &mut pos)?;
         (pos == buf.len()).then_some(LineageEntry {
             base_ts,
@@ -70,18 +79,30 @@ impl LineageEntry {
     }
 }
 
-/// Appends the chain fields of an entry; its body follows them.
-pub(crate) fn encode_chain(out: &mut Vec<u8>, base_ts: Timestamp, pos: u32) {
-    varint::write_u64(out, base_ts);
+/// Appends the chain fields of the entry keyed at `key_ts`; its body
+/// follows them. `base_ts` is never later than `key_ts`.
+pub(crate) fn encode_chain(out: &mut Vec<u8>, key_ts: Timestamp, base_ts: Timestamp, pos: u32) {
+    debug_assert!(
+        base_ts <= key_ts,
+        "chain base {base_ts} after its key {key_ts}"
+    );
+    // A base after the key would wrap to a distance that does not decode.
+    varint::write_u64(out, key_ts.wrapping_sub(base_ts));
     varint::write_u64(out, u64::from(pos));
 }
 
-/// An encoded entry's `(base_ts, pos)` and whether its body is a
-/// tombstone, read without decoding the body.
-pub(crate) fn peek_chain(buf: &[u8]) -> Option<(Timestamp, u32, bool)> {
+/// Reads the chain fields at `buf[*pos..]` of the entry keyed at `key_ts`.
+fn read_chain(key_ts: Timestamp, buf: &[u8], pos: &mut usize) -> Option<(Timestamp, u32)> {
+    let base_ts = key_ts.checked_sub(varint::read_u64(buf, pos)?)?;
+    let chain_pos = varint::read_u64(buf, pos)? as u32;
+    Some((base_ts, chain_pos))
+}
+
+/// The `(base_ts, pos)` of the encoded entry keyed at `key_ts` and whether
+/// its body is a tombstone, read without decoding the body.
+pub(crate) fn peek_chain(key_ts: Timestamp, buf: &[u8]) -> Option<(Timestamp, u32, bool)> {
     let mut pos = 0;
-    let base_ts = varint::read_u64(buf, &mut pos)?;
-    let chain_pos = varint::read_u64(buf, &mut pos)? as u32;
+    let (base_ts, chain_pos) = read_chain(key_ts, buf, &mut pos)?;
     let deleted = RecordBody::encodes_tombstone(buf.get(pos..)?)?;
     Some((base_ts, chain_pos, deleted))
 }
@@ -100,7 +121,9 @@ mod tests {
                 props: vec![(StrId::new(2), PropertyValue::Int(5))],
             },
         );
-        assert_eq!(LineageEntry::from_bytes(&e.to_bytes()), Some(e));
+        let bytes = e.to_bytes(42);
+        assert_eq!(bytes[..2], [0, 0], "a full record's base is its key");
+        assert_eq!(LineageEntry::from_bytes(42, &bytes), Some(e));
     }
 
     #[test]
@@ -114,11 +137,25 @@ mod tests {
                 props: vec![PropChange::Remove(StrId::new(1))],
             }),
         );
-        let bytes = e.to_bytes();
-        let back = LineageEntry::from_bytes(&bytes).unwrap();
+        let bytes = e.to_bytes(13);
+        assert_eq!(bytes[..2], [3, 3], "base 10 is 3 before its key at 13");
+        let back = LineageEntry::from_bytes(13, &bytes).unwrap();
         assert_eq!(back.base_ts, 10);
         assert_eq!(back.pos, 3);
         assert_eq!(back, e);
+        // Read under another key, the base moves with it.
+        assert_eq!(LineageEntry::from_bytes(20, &bytes).unwrap().base_ts, 17);
+    }
+
+    #[test]
+    fn a_base_after_its_key_does_not_decode() {
+        let e = LineageEntry::delta(10, 1, RecordBody::NodeDelta(EntityDelta::default()));
+        let bytes = e.to_bytes(300);
+        assert_eq!(peek_chain(300, &bytes).map(|(base, ..)| base), Some(10));
+        // The distance 290 reaches back past ts 0 from a key at ts 289.
+        assert_eq!(LineageEntry::from_bytes(289, &bytes), None);
+        assert_eq!(peek_chain(289, &bytes), None);
+        assert_eq!(peek_chain(290, &bytes).map(|(base, ..)| base), Some(0));
     }
 
     #[test]
@@ -132,19 +169,19 @@ mod tests {
                 props: vec![],
             }),
         );
-        assert_eq!(peek_chain(&delta.to_bytes()), Some((300, 2, false)));
+        assert_eq!(peek_chain(305, &delta.to_bytes(305)), Some((300, 2, false)));
         let gone = LineageEntry::full(301, RecordBody::RelDeleted);
-        assert_eq!(peek_chain(&gone.to_bytes()), Some((301, 0, true)));
-        assert_eq!(peek_chain(&gone.to_bytes()[..3]), None, "no body");
+        assert_eq!(peek_chain(301, &gone.to_bytes(301)), Some((301, 0, true)));
+        assert_eq!(peek_chain(301, &gone.to_bytes(301)[..2]), None, "no body");
     }
 
     #[test]
     fn truncation_detected() {
         let e = LineageEntry::full(1, RecordBody::NodeDeleted);
-        let bytes = e.to_bytes();
-        assert_eq!(LineageEntry::from_bytes(&bytes[..bytes.len() - 1]), None);
+        let bytes = e.to_bytes(1);
+        assert_eq!(LineageEntry::from_bytes(1, &bytes[..bytes.len() - 1]), None);
         let mut padded = bytes;
         padded.push(9);
-        assert_eq!(LineageEntry::from_bytes(&padded), None);
+        assert_eq!(LineageEntry::from_bytes(1, &padded), None);
     }
 }

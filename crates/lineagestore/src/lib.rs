@@ -7,16 +7,19 @@
 //!
 //! Four B+Tree indexes (Table 2):
 //!
-//! | entry           | key                      | value                      |
-//! |-----------------|--------------------------|----------------------------|
-//! | node            | `nodeId, ts`             | type, labels, props        |
-//! | relationship    | `relId, ts`              | type, label, props         |
-//! | out-neighbours  | `srcId, tgtId, relId, ts`| one byte: deleted flag     |
-//! | in-neighbours   | `tgtId, srcId, relId, ts`| one byte: deleted flag     |
+//! | entry           | key                       | value                             |
+//! |-----------------|---------------------------|-----------------------------------|
+//! | node            | `nodeId, ts`              | chain fields; type, labels, props |
+//! | relationship    | `relId, ts`               | chain fields; type, label, props  |
+//! | out-neighbours  | `srcId, tgtId, relId, ts` | one byte: deleted flag            |
+//! | in-neighbours   | `tgtId, srcId, relId, ts` | one byte: deleted flag            |
 //!
-//! A neighbour entry's key already names the relationship and the time, so
-//! its value is `[0]` (the relationship joined the neighbourhood at `ts`)
-//! or `[1]` (it left).
+//! Every key writes each part as a length byte and its significant
+//! big-endian bytes (`encoding::keys`): a history key is 2–18 bytes, a
+//! neighbour key 4–36. A neighbour entry's key already names the
+//! relationship and the time, so its value is `[0]` (the relationship
+//! joined the neighbourhood at `ts`) or `[1]` (it left). A history entry's
+//! chain fields are written relative to its key's `ts` ([`entry`]).
 //!
 //! Updates are stored **in place** as deltas or fully materialized entities
 //! (not as pointers into the TimeStore log), trading space for access

@@ -183,7 +183,7 @@ impl LineageStore {
     /// The four indexes, each with its name and the timestamp decoder of
     /// its keys.
     pub fn indexes(&self) -> [(&'static str, &BTree, KeyTs); 4] {
-        let entity: KeyTs = |key| keys::decode_entity_ts_key(key).map(|(_, ts)| ts);
+        let entity: KeyTs = |key| keys::decode_history_key(key).map(|(_, ts)| ts);
         let neighbour: KeyTs = |key| keys::decode_neigh_key(key).map(|(.., ts)| ts);
         [
             ("nodes", &self.nodes, entity),
@@ -281,12 +281,12 @@ impl LineageStore {
         buf.clear();
         match op {
             Update::AddNode { id, .. } | Update::DeleteNode { id } => {
-                entry::encode_chain(buf, ts, 0);
+                entry::encode_chain(buf, ts, ts, 0);
                 record::encode_update(buf, op);
                 self.put(&self.nodes, id.raw(), ts, buf)
             }
             Update::AddRel { id, src, tgt, .. } => {
-                entry::encode_chain(buf, ts, 0);
+                entry::encode_chain(buf, ts, ts, 0);
                 record::encode_update(buf, op);
                 self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(*src, *tgt, *id, ts, false)
@@ -294,7 +294,7 @@ impl LineageStore {
             Update::DeleteRel { id } => {
                 // The tombstone needs the endpoints for the neighbour indexes.
                 let rel = self.rel_at(*id, ts)?.ok_or(GraphError::RelNotFound(*id))?;
-                entry::encode_chain(buf, ts, 0);
+                entry::encode_chain(buf, ts, ts, 0);
                 record::encode_update(buf, op);
                 self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(rel.src, rel.tgt, *id, ts, true)
@@ -313,7 +313,7 @@ impl LineageStore {
 
     /// Writes the encoded entry `entry` for `id` at `ts`.
     fn put(&self, tree: &BTree, id: u64, ts: Timestamp, entry: &[u8]) -> Result<()> {
-        Ok(tree.insert(&keys::entity_ts_key(id, ts), entry)?)
+        Ok(tree.insert(&keys::history_key(id, ts), entry)?)
     }
 
     /// Records that `rel` joined (or, `deleted`, left) the neighbourhoods
@@ -348,7 +348,7 @@ impl LineageStore {
         op: &Update,
         buf: &mut Vec<u8>,
     ) -> Result<()> {
-        let key = keys::entity_ts_key(id, ts);
+        let key = keys::history_key(id, ts);
         tree.insert_with(&key, |floor| {
             let unknown =
                 || GraphError::Storage(format!("delta for unknown entity {id} at ts {ts}"));
@@ -362,12 +362,12 @@ impl LineageStore {
             };
             // The entity's latest version at or before `ts`.
             let (prev_key, prev) = floor.ok_or_else(unknown)?;
-            let (kid, prev_ts) = keys::decode_entity_ts_key(prev_key)
+            let (kid, prev_ts) = keys::decode_history_key(prev_key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             if kid != id {
                 return Err(unknown());
             }
-            let (base_ts, pos, deleted) = entry::peek_chain(prev).ok_or_else(bad_entry)?;
+            let (base_ts, pos, deleted) = entry::peek_chain(prev_ts, prev).ok_or_else(bad_entry)?;
             if deleted {
                 return Err(GraphError::Storage(format!(
                     "delta for deleted entity {id} at ts {ts}"
@@ -377,7 +377,7 @@ impl LineageStore {
                 // Several updates in one transaction share a timestamp;
                 // coalesce them into a single record so each `(id, ts)`
                 // key stays unique.
-                let prev = LineageEntry::from_bytes(prev).ok_or_else(bad_entry)?;
+                let prev = LineageEntry::from_bytes(prev_ts, prev).ok_or_else(bad_entry)?;
                 let merged = match prev.body {
                     full @ (RecordBody::NodeFull { .. } | RecordBody::RelFull { .. }) => {
                         apply_delta(full, &delta()?, id)?
@@ -401,17 +401,17 @@ impl LineageStore {
                     pos,
                     body: merged,
                 }
-                .encode(buf);
+                .encode(ts, buf);
             } else if self.threshold.is_some_and(|k| pos + 1 >= k) {
                 // Reconstruct the current state, apply the delta, store full.
-                let prev = LineageEntry::from_bytes(prev).ok_or_else(bad_entry)?;
+                let prev = LineageEntry::from_bytes(prev_ts, prev).ok_or_else(bad_entry)?;
                 let full = self.reconstruct(tree, id, prev_ts, &prev)?;
                 let body = apply_delta(full, &delta()?, id)?;
                 bump(&self.stats.materializations);
-                LineageEntry::full(ts, body).encode(buf);
+                LineageEntry::full(ts, body).encode(ts, buf);
             } else {
                 bump(&self.stats.deltas);
-                entry::encode_chain(buf, base_ts, pos + 1);
+                entry::encode_chain(buf, ts, base_ts, pos + 1);
                 record::encode_update(buf, op);
             }
             // The value borrows `buf`, which outlives the insert.
@@ -429,15 +429,15 @@ impl LineageStore {
         id: u64,
         ts: Timestamp,
     ) -> Result<Option<(Timestamp, LineageEntry)>> {
-        let Some((key, value)) = tree.seek_floor(&keys::entity_ts_key(id, ts))? else {
+        let Some((key, value)) = tree.seek_floor(&keys::history_key(id, ts))? else {
             return Ok(None);
         };
-        let (kid, kts) = keys::decode_entity_ts_key(&key)
+        let (kid, kts) = keys::decode_history_key(&key)
             .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
         if kid != id {
             return Ok(None);
         }
-        let entry = LineageEntry::from_bytes(&value)
+        let entry = LineageEntry::from_bytes(kts, &value)
             .ok_or_else(|| GraphError::Storage("bad lineage entry".into()))?;
         Ok(Some((kts, entry)))
     }
@@ -455,12 +455,13 @@ impl LineageStore {
             return Ok(entry.body.clone());
         }
         bump(&self.stats.chain_reconstructions);
-        let low = keys::entity_ts_key(id, entry.base_ts);
-        let high = keys::entity_ts_key(id, at_ts.saturating_add(1));
+        let low = keys::history_key(id, entry.base_ts);
+        let high = keys::history_key(id, at_ts.saturating_add(1));
         let mut current: Option<RecordBody> = None;
         for item in tree.scan(&low, &high)? {
-            let (_, value) = item?;
-            let e = LineageEntry::from_bytes(&value)
+            let (key, value) = item?;
+            let e = keys::decode_history_key(&key)
+                .and_then(|(_, ts)| LineageEntry::from_bytes(ts, &value))
                 .ok_or_else(|| GraphError::Storage("bad lineage entry".into()))?;
             current = Some(apply_entry(current, e.body, id)?);
         }
@@ -565,13 +566,13 @@ impl LineageStore {
         }
         let mut open_since = start;
         // Forward entries inside the window.
-        let low = keys::entity_ts_key(id, start.saturating_add(1));
-        let high = keys::entity_ts_key(id, end);
+        let low = keys::history_key(id, start.saturating_add(1));
+        let high = keys::history_key(id, end);
         for item in tree.scan(&low, &high)? {
             let (key, value) = item?;
-            let (_, ts) = keys::decode_entity_ts_key(&key)
+            let (_, ts) = keys::decode_history_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
-            let entry = LineageEntry::from_bytes(&value)
+            let entry = LineageEntry::from_bytes(ts, &value)
                 .ok_or_else(|| GraphError::Storage("bad lineage entry".into()))?;
             // Close the open version. A racing writer can split pages
             // mid-scan and replay a key at or behind `open_since`; such a
@@ -710,7 +711,7 @@ impl LineageStore {
         let mut out = Vec::new();
         for item in self.nodes.scan(&[], &[])? {
             let (key, _) = item?;
-            let (id, _) = keys::decode_entity_ts_key(&key)
+            let (id, _) = keys::decode_history_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             if out.last() != Some(&NodeId::new(id)) {
                 out.push(NodeId::new(id));
@@ -735,7 +736,7 @@ impl LineageStore {
         let mut rel_ids = Vec::new();
         for item in self.rels.scan(&[], &[])? {
             let (key, _) = item?;
-            let (id, _) = keys::decode_entity_ts_key(&key)
+            let (id, _) = keys::decode_history_key(&key)
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             if last != Some(RelId::new(id)) {
                 rel_ids.push(RelId::new(id));

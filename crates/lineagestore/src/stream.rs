@@ -1,7 +1,7 @@
 //! Ordered entity-id streaming over the lineage indexes.
 //!
-//! The node index keys every version as `(nodeId, ts)` big-endian, so a
-//! key-only walk yields node ids in ascending order with each entity's
+//! The node index keys every version as `(nodeId, ts)` in order-preserving
+//! parts (`encoding::keys::history_key`), so a key-only walk yields node ids in ascending order with each entity's
 //! history contiguous. [`NodeIdScan`] collapses that walk to one item per
 //! distinct id without reading values, which is what a streaming query
 //! executor needs: it resolves the state at its pinned snapshot lazily,
@@ -46,7 +46,7 @@ impl Iterator for NodeIdScan {
                 Err(e) => return Some(Err(e.into())),
             };
             self.entries_touched.inc();
-            let Some((id, _ts)) = keys::decode_entity_ts_key(&key) else {
+            let Some((id, _ts)) = keys::decode_history_key(&key) else {
                 return Some(Err(GraphError::Storage("bad lineage key".into())));
             };
             // Strictly-monotone guard: equal ids collapse history entries,
@@ -69,9 +69,9 @@ impl LineageStore {
     pub fn stream_node_ids_from(&self, after: Option<NodeId>) -> Result<NodeIdScan> {
         let low: Vec<u8> = match after {
             Some(id) => match id.raw().checked_add(1) {
-                Some(next) => keys::entity_ts_key(next, 0).to_vec(),
+                Some(next) => keys::history_key(next, 0).to_vec(),
                 // The anchor is u64::MAX: nothing can follow it.
-                None => keys::entity_ts_key(u64::MAX, u64::MAX).to_vec(),
+                None => keys::history_key(u64::MAX, u64::MAX).to_vec(),
             },
             None => Vec::new(),
         };

@@ -228,6 +228,137 @@ fn neighbour_queries_across_key_width_boundaries() {
     }
 }
 
+/// Node and relationship ids at every key-width boundary, with histories
+/// whose timestamps cross the widths too (1 to 8 bytes) and whose delta
+/// chains run past the threshold, so chain bases sit in narrower keys than
+/// the deltas built on them. `node_at`, `rel_at`, both histories and
+/// `stream_node_ids_from` agree with a naive replay at every commit, with
+/// and without materialization.
+#[test]
+fn entity_histories_across_key_width_boundaries() {
+    const IDS: [u64; 7] = [0, 255, 256, 65_535, 65_536, 1 << 56, u64::MAX];
+    let stamps: Vec<u64> = (250..=257)
+        .chain(65_533..=65_540)
+        .chain([
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 56) - 1,
+            1 << 56,
+            (1 << 56) + 1,
+        ])
+        .chain([u64::MAX - 2, u64::MAX - 1])
+        .collect();
+    let rel = |i: usize| Update::AddRel {
+        id: RelId::new(IDS[i]),
+        src: NodeId::new(IDS[i]),
+        tgt: NodeId::new(IDS[(i + 1) % IDS.len()]),
+        label: None,
+        props: vec![],
+    };
+    // The first commit adds every node but the last, the second every
+    // relationship that needs no later node; each later commit sets a
+    // property on every live entity, and a few add, delete or relabel.
+    let mut commits: Vec<Vec<Update>> = vec![
+        IDS[..6].iter().map(|&id| add_node(id)).collect(),
+        (0..5).map(rel).collect(),
+    ];
+    let (mut nodes, mut rels) = (IDS[..6].to_vec(), IDS[..5].to_vec());
+    for i in 2..stamps.len() {
+        let mut ops = Vec::new();
+        match i {
+            // At 2^32: relationship 256 leaves.
+            16 => {
+                rels.retain(|&id| id != 256);
+                ops.push(Update::DeleteRel {
+                    id: RelId::new(256),
+                });
+            }
+            // At 2^56: node 255 gains a label beside its property.
+            19 => ops.push(Update::AddLabel {
+                id: NodeId::new(255),
+                label: StrId::new(3),
+            }),
+            _ => {}
+        }
+        let v = i as i64;
+        ops.extend(nodes.iter().map(|&id| set_prop(id, v)));
+        ops.extend(rels.iter().map(|&id| Update::SetRelProp {
+            id: RelId::new(id),
+            key: StrId::new(2),
+            value: PropertyValue::Int(-v),
+        }));
+        // At 65 536: the last node and its two relationships.
+        if i == 11 {
+            ops.extend([add_node(IDS[6]), rel(5), rel(6)]);
+            nodes.push(IDS[6]);
+            rels.extend(&IDS[5..]);
+        }
+        commits.push(ops);
+    }
+
+    for threshold in [Some(4), None] {
+        let (_d, s) = open(threshold);
+        let mut graph = Graph::new();
+        let mut updates: Vec<TimestampedUpdate> = Vec::new();
+        let mut ever: Vec<NodeId> = Vec::new();
+        for (&ts, ops) in stamps.iter().zip(&commits) {
+            s.apply_commit(ts, ops).unwrap();
+            for op in ops {
+                graph.apply(op).unwrap();
+                updates.push(TimestampedUpdate::new(ts, op.clone()));
+                if let Update::AddNode { id, .. } = op {
+                    ever.push(*id);
+                }
+            }
+            ever.sort_unstable();
+            let oracle = TemporalGraph::build(&Graph::new(), Interval::new(0, ts + 1), &updates);
+            for id in IDS {
+                let (node, rel) = (NodeId::new(id), RelId::new(id));
+                let at = format!("{id} at ts {ts}, threshold {threshold:?}");
+                let got = s.node_at(node, ts).unwrap();
+                assert_eq!(got.as_ref(), graph.node(node), "node {at}");
+                let got = s.rel_at(rel, ts).unwrap();
+                assert_eq!(got.as_ref(), graph.rel(rel), "rel {at}");
+                // Every earlier commit, and the tick after it.
+                for t in stamps
+                    .iter()
+                    .take_while(|&&t| t < ts)
+                    .flat_map(|&t| [t, t + 1])
+                {
+                    let then = oracle.graph_at(t);
+                    let got = s.node_at(node, t).unwrap();
+                    assert_eq!(got.as_ref(), then.node(node), "node {id} at {t}, now {ts}");
+                    let got = s.rel_at(rel, t).unwrap();
+                    assert_eq!(got.as_ref(), then.rel(rel), "rel {id} at {t}, now {ts}");
+                }
+                let want = oracle.nodes.get(&node).cloned().unwrap_or_default();
+                let got = s.node_history(node, 0, ts + 1).unwrap();
+                assert_eq!(got, want, "node history {at}");
+                let want = oracle.rels.get(&rel).cloned().unwrap_or_default();
+                let got = s.rel_history(rel, 0, ts + 1).unwrap();
+                assert_eq!(got, want, "rel history {at}");
+            }
+            let streamed = |after| -> Vec<NodeId> {
+                let scan = s.stream_node_ids_from(after).unwrap();
+                scan.map(Result::unwrap).collect()
+            };
+            assert_eq!(streamed(None), ever, "every node id at ts {ts}");
+            for &after in &ever {
+                let want: Vec<NodeId> = ever.iter().copied().filter(|&n| n > after).collect();
+                assert_eq!(
+                    streamed(Some(after)),
+                    want,
+                    "ids after {after:?} at ts {ts}"
+                );
+            }
+        }
+        assert!(s.stats().chain_reconstructions > 0);
+        if threshold.is_some() {
+            assert!(s.stats().materializations > 0);
+        }
+    }
+}
+
 #[test]
 fn chain_thresholds_do_not_change_answers() {
     let mut answers = Vec::new();

@@ -106,23 +106,49 @@ impl ReplayerConfig {
 /// Obs metrics for the replica side.
 struct ReplayTelemetry {
     frames_applied: Arc<obs::Counter>,
-    reconnects: Arc<obs::Counter>,
+    reconnects: OwnCounter,
     corrupt_frames: Arc<obs::Counter>,
     watermark_ts: Arc<obs::Gauge>,
     link_down: Arc<obs::Gauge>,
-    heartbeat_timeouts: Arc<obs::Counter>,
+    heartbeat_timeouts: OwnCounter,
 }
 
 impl ReplayTelemetry {
     fn new() -> ReplayTelemetry {
         ReplayTelemetry {
             frames_applied: obs::counter("repl.replay.frames_applied"),
-            reconnects: obs::counter("repl.replay.reconnects"),
+            reconnects: OwnCounter::new("repl.replay.reconnects"),
             corrupt_frames: obs::counter("repl.replay.corrupt_frames"),
             watermark_ts: obs::gauge("repl.replay.watermark_ts"),
             link_down: obs::gauge("repl.link_down"),
-            heartbeat_timeouts: obs::counter("repl.heartbeat_timeouts"),
+            heartbeat_timeouts: OwnCounter::new("repl.heartbeat_timeouts"),
         }
+    }
+}
+
+/// One replayer's count of an event, which also adds to the process-wide
+/// counter of the same name that the exposition prints.
+struct OwnCounter {
+    own: obs::Counter,
+    process: Arc<obs::Counter>,
+}
+
+impl OwnCounter {
+    fn new(name: &str) -> OwnCounter {
+        OwnCounter {
+            own: obs::Counter::default(),
+            process: obs::counter(name),
+        }
+    }
+
+    fn inc(&self) {
+        self.own.inc();
+        self.process.inc();
+    }
+
+    /// This replayer's count.
+    fn get(&self) -> u64 {
+        self.own.get()
     }
 }
 
@@ -236,7 +262,9 @@ impl Replayer {
         move || shared.watermark()
     }
 
-    /// Times the replayer re-established its primary connection.
+    /// Times this replayer re-established its primary connection. Other
+    /// replayers in the process count their own; the process-wide
+    /// `repl.replay.reconnects` counter adds them all up.
     pub fn reconnect_count(&self) -> u64 {
         self.shared.tel.reconnects.get()
     }
@@ -246,7 +274,8 @@ impl Replayer {
         self.shared.epochs.clone()
     }
 
-    /// Heartbeat-timeout liveness trips so far (link declared down).
+    /// This replayer's heartbeat-timeout liveness trips so far (link
+    /// declared down); `repl.heartbeat_timeouts` counts the process's.
     pub fn heartbeat_timeout_count(&self) -> u64 {
         self.shared.tel.heartbeat_timeouts.get()
     }

@@ -9,8 +9,8 @@ use aion::{Aion, AionConfig, CheckLevel};
 use aion_server::protocol::{read_frame, write_frame};
 use lpg::{NodeId, PropertyValue};
 use repl::{
-    decode_msg, encode_msg, prepare_rejoin, read_divergence_archive, NodeRole, ReplMsg, ReplNode,
-    ReplNodeConfig, Replayer, ReplayerConfig,
+    decode_msg, encode_msg, prepare_rejoin, read_divergence_archive, LogShipper, NodeRole, ReplMsg,
+    ReplNode, ReplNodeConfig, Replayer, ReplayerConfig, ShipperConfig,
 };
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
@@ -356,4 +356,49 @@ fn heartbeat_timeout_marks_link_down_and_reconnects() {
         "timeout not surfaced in last_error: {err}"
     );
     replayer.shutdown();
+}
+
+/// A replayer's reconnect and heartbeat-timeout counts are its own: one
+/// driven into timeouts against a silent primary leaves a healthy
+/// replayer in the same process at zero for both.
+#[test]
+fn a_replayers_counts_are_its_own() {
+    let pdir = tempdir().unwrap();
+    let hdir = tempdir().unwrap();
+    let sdir = tempdir().unwrap();
+    let primary = open_db(pdir.path());
+    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let healthy_db = open_db(hdir.path());
+    let mut healthy = Replayer::start(
+        healthy_db.clone(),
+        ReplayerConfig::new(shipper.addr(), hdir.path()),
+    );
+
+    let mut cfg = ReplayerConfig::new(start_silent_primary(), sdir.path());
+    cfg.heartbeat_timeout = Duration::from_millis(100);
+    cfg.reconnect_backoff = Duration::from_millis(5);
+    let mut silent = Replayer::start(open_db(sdir.path()), cfg);
+
+    for i in 0..5 {
+        add_node(&primary, i);
+    }
+    assert!(
+        wait_for(10, || silent.heartbeat_timeout_count() >= 2
+            && silent.reconnect_count() >= 1),
+        "the silent link never timed out twice (last error {:?})",
+        silent.last_error()
+    );
+    assert!(
+        wait_for(10, || healthy.watermark().ts == primary.latest_ts()),
+        "the healthy replica never converged (last error {:?})",
+        healthy.last_error()
+    );
+    assert_eq!(healthy.heartbeat_timeout_count(), 0);
+    assert_eq!(healthy.reconnect_count(), 0);
+    // The process-wide series counts the silent replayer's trips.
+    assert!(obs::counter("repl.heartbeat_timeouts").get() >= 2);
+    assert!(obs::counter("repl.replay.reconnects").get() >= 1);
+    silent.shutdown();
+    healthy.shutdown();
+    shipper.shutdown();
 }

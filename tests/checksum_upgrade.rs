@@ -12,6 +12,8 @@
 //!   carries the page-file magic `AIONPGS1`, `AIONPGS2` or `AIONPGS3`, with
 //!   its checksums in a `lineage.db.sums` sidecar. Open deletes the
 //!   sidecar;
+//! * written before history keys were compact: the page file carries
+//!   `AIONPGS4` and the seal on its meta page;
 //! * written while the TimeStore kept its `ts → log offset` tree: a
 //!   `timestore.idx` page file with its checksum sidecar, and no
 //!   durable-end record next to the log. Open deletes both files.
@@ -56,15 +58,39 @@ fn write_old_sidecar(page_file: &Path) {
     VfsRef::std().write(&sidecar(page_file), &out).unwrap();
 }
 
+/// Rewrites the seal on a page file's meta page the way
+/// `PageStore::sync` writes it: `bulk_sum64` over the meta page up to the
+/// seal and the sum of every other page, a page past the end being zeros.
+fn reseal(pages: &mut [u8]) {
+    let count = u64::from_le_bytes(pages[8..16].try_into().unwrap()) as usize;
+    let seal_off = PAGE_SIZE - 8;
+    let mut sealed = pages[..seal_off].to_vec();
+    for p in 1..count {
+        let sum = match pages.get(p * PAGE_SIZE..(p + 1) * PAGE_SIZE) {
+            Some(page) => vfs::bulk_sum64(page),
+            None => vfs::bulk_sum64(&[0; PAGE_SIZE]),
+        };
+        sealed.extend_from_slice(&sum.to_le_bytes());
+    }
+    let seal = vfs::bulk_sum64(&sealed);
+    pages[seal_off..PAGE_SIZE].copy_from_slice(&seal.to_le_bytes());
+}
+
 /// Rewrites a page file's magic to `AIONPGS<version>`, so the format
-/// version is the only thing wrong with the file, and writes the checksum
-/// sidecar those versions kept beside it.
+/// version is the only thing wrong with the file: up to version 3 beside
+/// the checksum sidecar those versions kept, from version 4 under the
+/// seal on its meta page.
 fn rewrite_page_magic(page_file: &Path, version: u8) {
     let mut pages = VfsRef::std().read(page_file).unwrap();
-    assert_eq!(&pages[..8], b"4SGPNOIA", "little-endian AIONPGS4");
+    assert_eq!(&pages[..8], b"5SGPNOIA", "little-endian AIONPGS5");
     pages[0] = version;
-    VfsRef::std().write(page_file, &pages).unwrap();
-    write_old_sidecar(page_file);
+    if version >= b'4' {
+        reseal(&mut pages);
+        VfsRef::std().write(page_file, &pages).unwrap();
+    } else {
+        VfsRef::std().write(page_file, &pages).unwrap();
+        write_old_sidecar(page_file);
+    }
 }
 
 /// Rewrites a snapshot's footer as FNV-1a over its payload.
@@ -124,6 +150,10 @@ fn assert_history(db: &Aion, history: &[(u64, Arc<Graph>)]) {
         for node in want.nodes() {
             let got = db.lineagestore().node_at(node.id, *ts).unwrap();
             assert_eq!(got.as_ref(), Some(node), "node {:?} at ts {ts}", node.id);
+        }
+        for rel in want.rels() {
+            let got = db.lineagestore().rel_at(rel.id, *ts).unwrap();
+            assert_eq!(got.as_ref(), Some(rel), "rel {:?} at ts {ts}", rel.id);
         }
     }
     let report = db.check_consistency(CheckLevel::Full).unwrap();
@@ -204,9 +234,9 @@ fn version_1_snapshots_are_dropped_at_open() {
 }
 
 /// A directory whose page file carries the older page-file version
-/// `version`, beside its checksum sidecar, opens: the page file is rebuilt
-/// from the log before any read, the sidecar is deleted, the snapshots are
-/// kept, and history reads back from both stores.
+/// `version`, beside its checksum sidecar up to version 3, opens: the page
+/// file is rebuilt from the log before any read, the sidecar is deleted,
+/// the snapshots are kept, and history reads back from both stores.
 fn old_page_file_is_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
@@ -238,7 +268,7 @@ fn old_page_file_is_rebuilt_at_open(version: u8) {
         db.sync().unwrap();
     }
     let bytes = VfsRef::std().read(&file).unwrap();
-    assert_eq!(&bytes[..8], b"4SGPNOIA", "the next sync writes AIONPGS4");
+    assert_eq!(&bytes[..8], b"5SGPNOIA", "the next sync writes AIONPGS5");
     assert!(!sidecar(&file).exists(), "and no sidecar");
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
@@ -256,6 +286,26 @@ fn version_2_page_files_are_rebuilt_at_open() {
 #[test]
 fn version_3_page_files_are_rebuilt_at_open() {
     old_page_file_is_rebuilt_at_open(b'3');
+}
+
+#[test]
+fn version_4_page_files_are_rebuilt_at_open() {
+    old_page_file_is_rebuilt_at_open(b'4');
+}
+
+/// The version-4 input differs from a current file in its version digit
+/// only: the same bytes resealed under `AIONPGS5` open with verification.
+#[test]
+fn the_resealed_input_differs_in_its_version_only() {
+    let dir = tempfile::tempdir().unwrap();
+    let file = dir.path().join("lineage.db");
+    write_history(dir.path());
+    rewrite_page_magic(&file, b'4');
+    let mut pages = VfsRef::std().read(&file).unwrap();
+    pages[0] = b'5';
+    reseal(&mut pages);
+    VfsRef::std().write(&file, &pages).unwrap();
+    PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
 
 /// Writes the TimeStore's index page file the way an older build left it:

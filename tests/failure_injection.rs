@@ -253,6 +253,7 @@ fn durable_end_record_lost_history_still_reads_back() {
 
 mod corruption {
     use check::{check_stores, CheckLevel, Subsystem};
+    use encoding::keys::decode_history_key;
     use lineagestore::{LineageStore, LineageStoreConfig};
     use lpg::{NodeId, PropertyValue, RelId, StrId, Update};
     use pagestore::PAGE_SIZE;
@@ -434,10 +435,10 @@ mod corruption {
         let dir = tempdir().unwrap();
         let path = build_lineage_db(dir.path(), None);
         let mut file = std::fs::read(&path).unwrap();
-        // Find two adjacent history cells for the same entity (16-byte
-        // entity_ts keys share their first 8 bytes) and rewrite the second
-        // version's timestamp to its predecessor's: the derived validity
-        // intervals now overlap.
+        // Find two adjacent history cells for the same entity whose keys
+        // are as long (so their timestamps are as wide) and rewrite the
+        // second version's timestamp to its predecessor's: the derived
+        // validity intervals now overlap.
         let mut damaged = Vec::new();
         'outer: for page in leaf_pages(&file) {
             let base = page * PAGE_SIZE;
@@ -449,10 +450,14 @@ mod corruption {
                     &file,
                     base + read_u16(&file, base + SLOTS_OFF + (i + 1) * 2),
                 );
-                if alen == 16 && blen == 16 && file[a..a + 8] == file[b..b + 8] {
-                    let ts = file[a + 8..a + 16].to_vec();
-                    file[b + 8..b + 16].copy_from_slice(&ts);
-                    damaged = file[b..b + 16].to_vec();
+                let (ka, kb) = (&file[a..a + alen], &file[b..b + blen]);
+                let same_entity = match (decode_history_key(ka), decode_history_key(kb)) {
+                    (Some((ida, _)), Some((idb, _))) => ida == idb,
+                    _ => false,
+                };
+                if same_entity && alen == blen {
+                    damaged = ka.to_vec();
+                    file[b..b + blen].copy_from_slice(&damaged);
                     break 'outer;
                 }
             }
