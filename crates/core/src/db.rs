@@ -7,11 +7,10 @@ use crate::planner::Planner;
 use crate::txn::{AppTimeKeys, CommitEvent, WriteTxn};
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{
-    Direction, EntityDelta, Graph, GraphError, Interner, Node, NodeId, RelId, Relationship, Result,
+    Direction, Graph, GraphError, Interner, Node, NodeId, RelId, Relationship, Result,
     TemporalGraph, TimeRange, Timestamp, TimestampedUpdate, Update, Version,
 };
 use parking_lot::RwLock;
-use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,6 +126,7 @@ pub struct Aion {
     listeners: RwLock<Vec<Listener>>,
     commit_latency: Arc<obs::Histogram>,
     forced_flushes: Arc<obs::Counter>,
+    lineage_fallbacks: Arc<obs::Counter>,
     /// Replication-epoch fence (DESIGN.md §17). `held` is the highest
     /// epoch this node ever owned as primary; `max_seen` the highest it
     /// has observed anywhere in the cluster. `max_seen > held` means a
@@ -209,6 +209,7 @@ impl Aion {
             listeners: RwLock::new(Vec::new()),
             commit_latency: obs::histogram("core.commit.latency_ns"),
             forced_flushes: obs::counter("core.group_commit.forced_flushes"),
+            lineage_fallbacks: obs::counter("core.lineage_fallbacks"),
             held_epoch: AtomicU64::new(0),
             max_seen_epoch: AtomicU64::new(0),
         })
@@ -468,13 +469,19 @@ impl Aion {
         self.lineage_wedged.load(Ordering::Acquire)
     }
 
-    /// Whether the LineageStore can serve queries up to `ts`.
-    fn lineage_current(&self, ts: Timestamp) -> bool {
+    /// Whether the LineageStore serves a read at `ts` (Sec. 5.1): its watermark
+    /// covers `min(ts, latest)` and it is not wedged. Every read that wants it
+    /// asks here; the TimeStore serves a refusal, counted in `lineage_fallbacks`.
+    fn lineage_serves(&self, ts: Timestamp) -> bool {
         let applied = match &self.cascade {
             Some(c) => c.applied_ts(),
             None => self.lineage.applied_ts(),
         };
-        applied >= ts.min(self.timestore.latest_ts())
+        let serves = applied >= ts.min(self.timestore.latest_ts()) && !self.lineage_wedged();
+        if !serves {
+            self.lineage_fallbacks.inc();
+        }
+        serves
     }
 
     // --------------------------------------------------- Table 1: points
@@ -487,23 +494,11 @@ impl Aion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<Version<Node>>> {
-        if self.lineage_current(end.max(start)) {
-            return self.lineage.node_history(id, start, end);
+        if self.lineage_serves(end.max(start)) {
+            self.lineage.node_history(id, start, end)
+        } else {
+            self.timestore.node_history(id, start, end)
         }
-        // Fallback: the TimeStore serves the query (Sec. 5.1). Base state
-        // from the (usually cached) snapshot, then a per-entity replay of
-        // the diff window — never a whole-graph materialization.
-        let end = end.max(start.saturating_add(1));
-        let base = self.timestore.snapshot_at(start)?;
-        let updates = self.entity_updates(lpg::EntityId::Node(id), start, end)?;
-        Ok(version_chain(
-            start,
-            end,
-            base.node(id).cloned(),
-            updates.iter(),
-            added_node,
-            EntityDelta::apply_to_node,
-        ))
     }
 
     /// `getRelationship(relId, start, end)`.
@@ -513,20 +508,11 @@ impl Aion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<Version<Relationship>>> {
-        if self.lineage_current(end.max(start)) {
-            return self.lineage.rel_history(id, start, end);
+        if self.lineage_serves(end.max(start)) {
+            self.lineage.rel_history(id, start, end)
+        } else {
+            self.timestore.rel_history(id, start, end)
         }
-        let end = end.max(start.saturating_add(1));
-        let base = self.timestore.snapshot_at(start)?;
-        let updates = self.entity_updates(lpg::EntityId::Rel(id), start, end)?;
-        Ok(version_chain(
-            start,
-            end,
-            base.rel(id).cloned(),
-            updates.iter(),
-            added_rel,
-            EntityDelta::apply_to_rel,
-        ))
     }
 
     /// `getRelationships(nodeId, direction, start, end)` — one version list
@@ -538,63 +524,18 @@ impl Aion {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<Vec<Version<Relationship>>>> {
-        if self.lineage_current(end.max(start)) {
-            return self.lineage.rels_history(id, dir, start, end);
+        if self.lineage_serves(end.max(start)) {
+            self.lineage.rels_history(id, dir, start, end)
+        } else {
+            self.timestore.rels_history(id, dir, start, end)
         }
-        // Fallback: incident rel ids from the base snapshot's adjacency plus
-        // any touched by the diff window, then one per-rel history each.
-        let end = end.max(start.saturating_add(1));
-        let base = self.timestore.snapshot_at(start)?;
-        let mut rel_ids: Vec<RelId> = base.relationships(id, dir).collect();
-        self.timestore
-            .replay(start.saturating_add(1), end, |_, ops| {
-                for op in ops {
-                    if let Update::AddRel {
-                        id: rid, src, tgt, ..
-                    } = op
-                    {
-                        if (dir.includes_out() && *src == id) || (dir.includes_in() && *tgt == id) {
-                            rel_ids.push(*rid);
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-        rel_ids.sort_unstable();
-        rel_ids.dedup();
-        let mut out = Vec::new();
-        for rid in rel_ids {
-            let hist = self.get_relationship(rid, start, end)?;
-            if !hist.is_empty() {
-                out.push(hist);
-            }
-        }
-        Ok(out)
-    }
-
-    /// The TimeStore fallback's replay of one entity: its updates with a
-    /// commit ts in `(start, end)`, filtered frame by frame.
-    fn entity_updates(
-        &self,
-        entity: lpg::EntityId,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<Vec<TimestampedUpdate>> {
-        let mut out = Vec::new();
-        self.timestore
-            .replay(start.saturating_add(1), end, |ts, ops| {
-                let mine = ops.iter().filter(|op| op.entity() == entity);
-                out.extend(mine.map(|op| TimestampedUpdate::new(ts, op.clone())));
-                Ok(())
-            })?;
-        Ok(out)
     }
 
     // ------------------------------------------------- Table 1: subgraph
 
     /// `expand(nodeId, direction, hops, t)` — planner-routed (Sec. 5.1):
-    /// small expansions go to the LineageStore, large ones materialize a
-    /// snapshot in the TimeStore.
+    /// small expansions go to the LineageStore, large ones to a TimeStore
+    /// snapshot. Both yield the same hits in the same order.
     pub fn expand(
         &self,
         id: NodeId,
@@ -605,35 +546,12 @@ impl Aion {
         // The latest graph's `Arc` drops with this statement: held, it
         // would make a concurrent commit copy the chunks it touches.
         let choice = self.planner.choose(&self.latest_graph(), 1, dir, hops);
-        match choice {
-            StoreChoice::Lineage if self.lineage_current(t) => {
-                let hits = self.lineage.expand(id, dir, hops, t)?;
-                Ok(hits.into_iter().map(|h| (h.node.id, h.hop)).collect())
-            }
-            _ => self.expand_via_snapshot(id, dir, hops, t),
+        if choice == StoreChoice::Lineage && self.lineage_serves(t) {
+            let hits = self.lineage.expand(id, dir, hops, t)?;
+            Ok(hits.into_iter().map(|h| (h.node.id, h.hop)).collect())
+        } else {
+            self.timestore.expand(id, dir, hops, t)
         }
-    }
-
-    /// Expansion over a materialized snapshot (the TimeStore path).
-    pub fn expand_via_snapshot(
-        &self,
-        id: NodeId,
-        dir: Direction,
-        hops: u32,
-        t: Timestamp,
-    ) -> Result<Vec<(NodeId, u32)>> {
-        let g = self.timestore.snapshot_at(t)?;
-        if !g.has_node(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        let Ok(hits) = lpg::bfs::<Infallible>(id, hops, |cur, out| {
-            out.extend(
-                g.relationships(cur, dir)
-                    .filter_map(|rid| g.rel(rid)?.other_end(cur)),
-            );
-            Ok(())
-        });
-        Ok(hits)
     }
 
     // --------------------------------------------------- Table 1: global
@@ -651,23 +569,22 @@ impl Aion {
     /// Lazy ascending-id stream of the nodes alive at `ts`, starting
     /// strictly after `after`. Both sources yield the identical sequence,
     /// so pagination cursors are source-independent (see
-    /// [`crate::stream::NodeStream`]); this is the one place that picks
-    /// between them for a node scan, by the planner's rule (Sec. 5.1):
+    /// [`crate::stream::NodeStream`]). The planner's rule (Sec. 5.1):
     ///
     /// - `whole_graph` — the consumer folds over every node (an aggregate,
     ///   a sort, a write), so it accesses the whole graph: the TimeStore
     ///   snapshot serves it, as it does `get_graph_at`.
     /// - otherwise the consumer may stop early (`LIMIT`, one page), so the
     ///   scan walks the lineage index (O(log n) to the resume point, O(1)
-    ///   memory), falling back to a pinned snapshot only while the lineage
-    ///   applier lags or is wedged.
+    ///   memory), unless `lineage_serves` refuses it: then a pinned
+    ///   snapshot serves it.
     pub fn stream_nodes_at(
         &self,
         ts: Timestamp,
         after: Option<NodeId>,
         whole_graph: bool,
     ) -> Result<crate::stream::NodeStream> {
-        if !whole_graph && self.lineage_current(ts) && !self.lineage_wedged() {
+        if !whole_graph && self.lineage_serves(ts) {
             crate::stream::NodeStream::lineage(Arc::clone(&self.lineage), ts, after)
         } else {
             Ok(crate::stream::NodeStream::snapshot(
@@ -685,10 +602,7 @@ impl Aion {
     /// before it fails the cursor, because a B+Tree lookup racing the
     /// applier's page split can transiently miss a key that is there.
     pub fn node_alive_at(&self, id: NodeId, ts: Timestamp) -> Result<bool> {
-        if self.lineage_current(ts)
-            && !self.lineage_wedged()
-            && self.lineage.node_at(id, ts)?.is_some()
-        {
+        if self.lineage_serves(ts) && self.lineage.node_at(id, ts)?.is_some() {
             return Ok(true);
         }
         Ok(self.timestore.snapshot_at(ts)?.node(id).is_some())
@@ -755,186 +669,5 @@ impl Aion {
         self.timestore.sync()?;
         self.lineage.sync()?;
         Ok(())
-    }
-}
-
-/// Builds one entity's version chain over `[start, end)` from its state at
-/// `start` plus its updates after it (the per-entity TimeStore fallback).
-/// `added` builds the entity from its `Add*` update; every other update but
-/// a delete is a delta that `apply` applies.
-fn version_chain<'a, T: Clone>(
-    start: Timestamp,
-    end: Timestamp,
-    mut state: Option<T>,
-    updates: impl Iterator<Item = &'a TimestampedUpdate>,
-    added: impl Fn(&Update) -> Option<T>,
-    apply: impl Fn(&EntityDelta, &mut T),
-) -> Vec<Version<T>> {
-    let mut versions = Vec::new();
-    let mut open_since = start;
-    for u in updates {
-        if let Some(entity) = &state {
-            if u.ts > open_since {
-                versions.push(Version::new(open_since, u.ts, entity.clone()));
-            }
-        }
-        if let Some(entity) = added(&u.op) {
-            state = Some(entity);
-        } else if matches!(u.op, Update::DeleteNode { .. } | Update::DeleteRel { .. }) {
-            state = None;
-        } else if let (Some(entity), Some(delta)) = (&mut state, EntityDelta::from_update(&u.op)) {
-            apply(&delta, entity);
-        }
-        open_since = u.ts;
-    }
-    if let Some(entity) = state {
-        if end > open_since {
-            versions.push(Version::new(open_since, end, entity));
-        }
-    }
-    versions
-}
-
-/// The node an `AddNode` creates.
-fn added_node(op: &Update) -> Option<Node> {
-    match op {
-        Update::AddNode { id, labels, props } => {
-            Some(Node::new(*id, labels.clone(), props.clone()))
-        }
-        _ => None,
-    }
-}
-
-/// The relationship an `AddRel` creates.
-fn added_rel(op: &Update) -> Option<Relationship> {
-    match op {
-        Update::AddRel {
-            id,
-            src,
-            tgt,
-            label,
-            props,
-        } => Some(Relationship::new(*id, *src, *tgt, *label, props.clone())),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lpg::{EntityId, Interval, PropertyValue, StrId};
-
-    /// The fallback's chains equal the reference model's, over adds, property
-    /// and label updates, deletes and a re-add, for entities alive at `start`
-    /// and entities born after it.
-    #[test]
-    fn version_chains_match_the_temporal_graph() {
-        let (n, r, s) = (NodeId::new, RelId::new, StrId::new);
-        let int = PropertyValue::Int;
-        let mut base = Graph::new();
-        for op in [
-            Update::AddNode {
-                id: n(1),
-                labels: vec![s(0)],
-                props: vec![(s(1), int(1))],
-            },
-            Update::AddNode {
-                id: n(2),
-                labels: vec![],
-                props: vec![],
-            },
-        ] {
-            base.apply(&op).unwrap();
-        }
-        let script = [
-            Update::SetNodeProp {
-                id: n(1),
-                key: s(1),
-                value: int(2),
-            },
-            Update::AddLabel {
-                id: n(1),
-                label: s(2),
-            },
-            Update::AddNode {
-                id: n(3),
-                labels: vec![s(2)],
-                props: vec![],
-            },
-            Update::AddRel {
-                id: r(1),
-                src: n(1),
-                tgt: n(3),
-                label: Some(s(3)),
-                props: vec![(s(1), int(5))],
-            },
-            Update::SetRelProp {
-                id: r(1),
-                key: s(4),
-                value: int(6),
-            },
-            Update::RemoveNodeProp {
-                id: n(1),
-                key: s(1),
-            },
-            Update::RemoveRelProp {
-                id: r(1),
-                key: s(1),
-            },
-            Update::DeleteRel { id: r(1) },
-            Update::RemoveLabel {
-                id: n(1),
-                label: s(0),
-            },
-            Update::DeleteNode { id: n(2) },
-            Update::AddNode {
-                id: n(2),
-                labels: vec![s(0)],
-                props: vec![],
-            },
-            Update::DeleteNode { id: n(3) },
-        ];
-        let updates: Vec<TimestampedUpdate> = (20..)
-            .step_by(10)
-            .zip(script)
-            .map(|(ts, op)| TimestampedUpdate::new(ts, op))
-            .collect();
-        for (start, end) in [(10, 200), (10, 75), (45, 125)] {
-            // The fallback's inputs: the state at `start` (a snapshot) and
-            // the updates in `(start, end)` (the log's diff).
-            let mut at_start = base.clone();
-            for u in updates.iter().filter(|u| u.ts <= start) {
-                at_start.apply(&u.op).unwrap();
-            }
-            let diff: Vec<_> = updates
-                .iter()
-                .filter(|u| u.ts > start && u.ts < end)
-                .cloned()
-                .collect();
-            let of = |e: EntityId| diff.iter().filter(move |u| u.op.entity() == e);
-            let want = TemporalGraph::build(&at_start, Interval::new(start, end), &diff);
-            for id in [n(1), n(2), n(3)] {
-                let got = version_chain(
-                    start,
-                    end,
-                    at_start.node(id).cloned(),
-                    of(EntityId::Node(id)),
-                    added_node,
-                    EntityDelta::apply_to_node,
-                );
-                let want = want.nodes.get(&id).cloned().unwrap_or_default();
-                assert_eq!(got, want, "node {id} over [{start}, {end})");
-            }
-            let got = version_chain(
-                start,
-                end,
-                at_start.rel(r(1)).cloned(),
-                of(EntityId::Rel(r(1))),
-                added_rel,
-                EntityDelta::apply_to_rel,
-            );
-            let want = want.rels.get(&r(1)).cloned().unwrap_or_default();
-            assert_eq!(got, want, "rel 1 over [{start}, {end})");
-        }
     }
 }

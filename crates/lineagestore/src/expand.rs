@@ -1,8 +1,7 @@
 //! Algorithm 1: the `expand` method — n-hop neighbourhood retrieval at a
-//! time point, plus the stepped variant over a window (Table 1). The BFS is
-//! [`lpg::bfs`]; its neighbour source is the neighbour-index scan, which
-//! takes each neighbour from its key `(a, b, relId, ts)`. Only the nodes
-//! reached are decoded, each once.
+//! time point (Table 1). The BFS is [`lpg::bfs()`]; its neighbour source is
+//! the neighbour-index scan, which takes each neighbour from its key `(a,
+//! b, relId, ts)`. Only the nodes reached are decoded, each once.
 
 use crate::store::LineageStore;
 use lpg::{Direction, GraphError, Node, NodeId, Result, Timestamp};
@@ -49,38 +48,6 @@ impl LineageStore {
         }
         self.metrics.expand_fanout.record(result.len() as u64);
         Ok(result)
-    }
-
-    /// The stepped `expand(nodeId, direction, hops, start, end, step)` of
-    /// Table 1: runs Algorithm 1 at `start, start+step, …` within
-    /// `[start, end)`, yielding one result set per time point.
-    pub fn expand_series(
-        &self,
-        id: NodeId,
-        dir: Direction,
-        hops: u32,
-        start: Timestamp,
-        end: Timestamp,
-        step: u64,
-    ) -> Result<Vec<(Timestamp, Vec<ExpandHit>)>> {
-        if start >= end || step == 0 {
-            return Err(GraphError::InvalidTimeRange);
-        }
-        let mut out = Vec::new();
-        let mut t = start;
-        while t < end {
-            let hits = match self.expand(id, dir, hops, t) {
-                Ok(h) => h,
-                Err(GraphError::NodeNotFound(_)) => Vec::new(), // not alive yet
-                Err(e) => return Err(e),
-            };
-            out.push((t, hits));
-            match t.checked_add(step) {
-                Some(next) => t = next,
-                None => break,
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -203,21 +170,5 @@ mod tests {
             .expand(NodeId::new(0), Direction::Outgoing, 3, 14)
             .unwrap();
         assert_eq!(hits.len(), 3);
-    }
-
-    #[test]
-    fn expand_series_steps_through_time() {
-        let (_d, s) = store();
-        build_chain(&s);
-        let series = s
-            .expand_series(NodeId::new(0), Direction::Outgoing, 3, 9, 15, 2)
-            .unwrap();
-        assert_eq!(series.len(), 3); // t = 9, 11, 13
-        assert_eq!(series[0].1.len(), 0);
-        assert_eq!(series[1].1.len(), 2);
-        assert_eq!(series[2].1.len(), 3);
-        assert!(s
-            .expand_series(NodeId::new(0), Direction::Outgoing, 1, 9, 9, 1)
-            .is_err());
     }
 }

@@ -680,7 +680,7 @@ impl LineageStore {
 
     /// `getRelationships(nodeId, direction, start, end)`: the history of
     /// every relationship that touched `node` during `[start, end)`
-    /// (Table 1), one version list per relationship.
+    /// (Table 1), one version list per relationship; `start > end` is invalid.
     pub fn rels_history(
         &self,
         node: NodeId,
@@ -688,6 +688,9 @@ impl LineageStore {
         start: Timestamp,
         end: Timestamp,
     ) -> Result<Vec<Vec<Version<Relationship>>>> {
+        if start > end {
+            return Err(GraphError::InvalidTimeRange);
+        }
         let mut rel_ids = Vec::new();
         for tree in self.neighbour_trees(dir) {
             scan_neighbours(tree, node, |_, rel, _, _| rel_ids.push(rel))?;

@@ -353,3 +353,50 @@ fn write_queries_cannot_be_paged() {
     );
     assert!(matches!(r, Err(GraphError::ExecError(_))), "got {r:?}");
 }
+
+/// A `*k` page resumes by row offset, and each page picks its store again.
+/// Here the first page comes from the LineageStore; then the graph grows
+/// past the planner's threshold, so the second page, at the same pinned
+/// timestamp, comes from the TimeStore. Both stores yield the hits in one
+/// order, so no row repeats and none is lost.
+#[test]
+fn a_k_hop_page_resumes_in_order_when_the_store_changes() {
+    let (_d, db) = db();
+    let (n, r) = (lpg::NodeId::new, lpg::RelId::new);
+    db.write(|txn| {
+        for i in 0..100 {
+            txn.add_node(n(i), vec![], vec![])?;
+        }
+        txn.add_rel(r(1), n(0), n(5), None, vec![])?;
+        txn.add_rel(r(2), n(0), n(3), None, vec![])
+    })
+    .unwrap();
+    db.lineage_barrier(db.latest_ts());
+    let q = "MATCH (a)-[*2]->(b) WHERE id(a) = 0 RETURN id(b)";
+    let params = Params::new();
+    let first = execute_paged(&db, q, &params, ExecBudget::unlimited(), 1, None).unwrap();
+    let pinned = first.snapshot_ts;
+    let cursor = first.cursor.expect("a second page");
+    db.write(|txn| {
+        for i in 0..2_998u64 {
+            let (a, b) = (i % 80, (i % 80 + 1 + i / 80) % 80);
+            txn.add_rel(r(1_000 + i), n(10 + a), n(10 + b), None, vec![])?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let second = execute_paged(&db, q, &params, ExecBudget::unlimited(), 1, Some(&cursor)).unwrap();
+    assert_eq!(second.snapshot_ts, pinned);
+    let mut rows = first.result.rows;
+    rows.extend(second.result.rows);
+    if let Some(cursor) = second.cursor {
+        let third = execute_paged(&db, q, &params, ExecBudget::unlimited(), 1, Some(&cursor));
+        rows.extend(third.unwrap().result.rows);
+    }
+    let unpaged = exec(
+        &db,
+        &format!("USE GDB FOR SYSTEM_TIME AS OF {pinned} MATCH (a)-[*2]->(b) WHERE id(a) = 0 RETURN id(b)"),
+    );
+    assert_eq!(rows, unpaged.rows);
+    assert_eq!(rows, vec![vec![Value::Int(3)], vec![Value::Int(5)]]);
+}

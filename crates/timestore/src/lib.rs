@@ -33,10 +33,13 @@
 //! version a reader holds at `t`, or else fetches the closest base `≤ t`
 //! (a held version, the latest graph or a snapshot file) and replays the
 //! forward changes from the log (Sec. 4.3), each commit as its frame is
-//! read ([`store::TimeStore::replay`]).
+//! read ([`store::TimeStore::replay`]). It also answers Table 1's entity
+//! reads itself, as the LineageStore does ([`history`]), when that lags or
+//! the planner expects a large expansion.
 
 pub mod audit;
 pub mod graphstore;
+pub mod history;
 pub mod log;
 pub mod policy;
 pub mod store;

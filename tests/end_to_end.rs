@@ -6,11 +6,14 @@
 use aion::{Aion, AionConfig};
 use aion_suite::*;
 use baselines::TemporalBackend;
-use lpg::Direction;
+use lpg::{Direction, GraphError, NodeId, RelId, Update};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use tempfile::tempdir;
 use workload::datasets;
+use workload::simops::{commit_script, spread_ids, SimOpsConfig};
 
 fn ingest(db: &Aion, w: &workload::GeneratedWorkload) {
     for (ts, ops) in w.batches(500) {
@@ -89,37 +92,120 @@ fn all_systems_agree_on_history() {
     }
 }
 
-#[test]
-fn expansion_paths_agree() {
-    let spec = datasets::by_name("DBLP").unwrap().scaled(0.001);
-    let w = workload::generate(spec, 13);
-    let dir = tempdir().unwrap();
-    let db = Aion::open(AionConfig::new(dir.path())).unwrap();
-    ingest(&db, &w);
-    let last = db.latest_ts();
-    let mut rng = SmallRng::seed_from_u64(5);
-    for hops in [1u32, 2, 3] {
-        for _ in 0..10 {
-            let start = w.random_node(&mut rng);
-            // The workload's own timestamps run past Aion's commit
-            // timestamps, so draw a historical commit directly.
-            let past = rng.gen_range(1..=last);
-            for at in [last, past] {
-                for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
-                    let a = db.lineagestore().expand(start, dir, hops, at);
-                    let b = db.expand_via_snapshot(start, dir, hops, at);
-                    match (a, b) {
-                        (Ok(x), Ok(mut y)) => {
-                            let mut x: Vec<_> = x.iter().map(|h| (h.node.id, h.hop)).collect();
-                            x.sort_unstable();
-                            y.sort_unstable();
-                            assert_eq!(x, y, "expand({start}, {dir:?}, {hops}) at {at}");
-                        }
-                        (Err(_), Err(_)) => {} // node not alive in both
-                        other => panic!("one path failed: {other:?}"),
+/// The ids a script created, in ascending order: nodes, then relationships.
+fn created_ids(script: &[Vec<Update>]) -> (BTreeSet<NodeId>, BTreeSet<RelId>) {
+    let (mut nodes, mut rels) = (BTreeSet::new(), BTreeSet::new());
+    for op in script.iter().flatten() {
+        match op {
+            Update::AddNode { id, .. } => {
+                nodes.insert(*id);
+            }
+            Update::AddRel { id, .. } => {
+                rels.insert(*id);
+            }
+            _ => {}
+        }
+    }
+    (nodes, rels)
+}
+
+/// The ids a stream yields, in order.
+fn streamed(db: &Aion, ts: u64, whole_graph: bool) -> Vec<NodeId> {
+    let mut stream = db.stream_nodes_at(ts, None, whole_graph).unwrap();
+    let mut out = Vec::new();
+    while let Some(node) = stream.next_node().unwrap() {
+        out.push(node.id);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Either store answers every Table 1 entity read alike (Sec. 5.1):
+    /// node, relationship and incident-relationship histories over a point,
+    /// a short window, the whole history and an inverted window, expansions
+    /// of 1–3 hops in every direction (hits in the same order), and node
+    /// streams. The histories also equal those of the TimeStore's temporal
+    /// graph, the reference model. Every timestamp of a random history is
+    /// probed, with every id it created plus one it did not.
+    #[test]
+    fn history_stores_agree(seed in any::<u64>(), sync_lineage in any::<bool>(), k in 1u64..5) {
+        let dir = tempdir().unwrap();
+        let mut cfg = AionConfig::new(dir.path());
+        cfg.sync_lineage = sync_lineage;
+        // Bases come from several snapshot files.
+        cfg.timestore.policy = timestore::SnapshotPolicy::EveryNOps(6);
+        let db = Aion::open(cfg).unwrap();
+        let keys = db.app_time_keys();
+        let script = commit_script(
+            seed,
+            &SimOpsConfig {
+                commits: 24,
+                ops_per_commit: 4,
+                app_start: keys.start,
+                app_end: keys.end,
+                key: db.intern("k"),
+                label: db.intern("L"),
+            },
+        );
+        let script = spread_ids(script, 29);
+        for (ts, batch) in (1..).zip(&script) {
+            let frame = timestore::CommitFrame::from_updates(ts, batch);
+            db.apply_frame(frame.encode()).unwrap();
+        }
+        let last = db.latest_ts();
+        db.lineage_barrier(last);
+        let (mut nodes, mut rels) = created_ids(&script);
+        // Ids are spread by 29, so 1 is never created.
+        nodes.insert(NodeId::new(1));
+        rels.insert(RelId::new(1));
+        let (ls, ts) = (db.lineagestore(), db.timestore());
+        let dirs = [Direction::Outgoing, Direction::Incoming, Direction::Both];
+        let whole = (0, last + 1);
+        for t in 0..=last + 1 {
+            // Held, the version at `t` serves every TimeStore read from it.
+            let at_t = db.get_graph_at(t).unwrap();
+            for (start, end) in [(t, t), (t, t + k), whole, (t + 1, t)] {
+                let reference = (start < end).then(|| db.get_temporal_graph(start, end).unwrap());
+                for &id in &nodes {
+                    let got = ls.node_history(id, start, end);
+                    prop_assert_eq!(&got, &ts.node_history(id, start, end), "node {} [{}, {})", id, start, end);
+                    if let Some(tg) = &reference {
+                        let want = tg.nodes.get(&id).cloned().unwrap_or_default();
+                        prop_assert_eq!(got.unwrap(), want, "node {} against the model", id);
+                    }
+                    for dir in dirs {
+                        prop_assert_eq!(
+                            ls.rels_history(id, dir, start, end),
+                            ts.rels_history(id, dir, start, end),
+                            "rels of {} {:?} [{}, {})", id, dir, start, end
+                        );
+                    }
+                }
+                for &id in &rels {
+                    let got = ls.rel_history(id, start, end);
+                    prop_assert_eq!(&got, &ts.rel_history(id, start, end), "rel {} [{}, {})", id, start, end);
+                    if let Some(tg) = &reference {
+                        let want = tg.rels.get(&id).cloned().unwrap_or_default();
+                        prop_assert_eq!(got.unwrap(), want, "rel {} against the model", id);
                     }
                 }
             }
+            for &id in &nodes {
+                for hops in 1..=3 {
+                    for dir in dirs {
+                        let a = ls.expand(id, dir, hops, t);
+                        let a = a.map(|hits| hits.iter().map(|h| (h.node.id, h.hop)).collect::<Vec<_>>());
+                        let b = ts.expand(id, dir, hops, t);
+                        if !at_t.has_node(id) {
+                            prop_assert!(matches!(a, Err(GraphError::NodeNotFound(_))), "{:?}", a);
+                        }
+                        prop_assert_eq!(a, b, "expand({}, {:?}, {}) at {}", id, dir, hops, t);
+                    }
+                }
+            }
+            prop_assert_eq!(streamed(&db, t, false), streamed(&db, t, true), "stream at {}", t);
         }
     }
 }
