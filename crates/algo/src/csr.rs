@@ -9,7 +9,7 @@
 //! the map is the sorted id vector itself: every index names a live node and
 //! algorithm state lives in flat vectors.
 
-use lpg::{Direction, Graph, NodeId, PropertyValue, StrId};
+use lpg::{Direction, Graph, NodeId};
 
 /// A compressed-sparse-row projection of one direction of a [`Graph`].
 #[derive(Clone, Debug)]
@@ -20,8 +20,6 @@ pub struct Csr {
     pub offsets: Vec<usize>,
     /// Flattened neighbour lists (dense indexes).
     pub targets: Vec<u32>,
-    /// Optional per-edge weights aligned with `targets`.
-    pub weights: Option<Vec<f64>>,
 }
 
 /// The rank of `id` in the ascending `ids`. Ids counted up from 0 without
@@ -35,14 +33,12 @@ fn rank(ids: &[NodeId], id: NodeId) -> Option<usize> {
 
 impl Csr {
     /// Projects `g` in direction `dir` (`Both` concatenates out + in
-    /// adjacency per node). When `weight_key` is given, edge weights are
-    /// read from that relationship property (missing ⇒ 1.0).
-    pub fn project(g: &Graph, dir: Direction, weight_key: Option<StrId>) -> Csr {
+    /// adjacency per node).
+    pub fn project(g: &Graph, dir: Direction) -> Csr {
         let ids: Vec<NodeId> = g.nodes().map(|n| n.id).collect();
         assert!(u32::try_from(ids.len()).is_ok(), "dense indexes are u32");
         let mut offsets = Vec::with_capacity(ids.len() + 1);
         let mut targets = Vec::new();
-        let mut weights = weight_key.map(|_| Vec::new());
         offsets.push(0);
         for &id in &ids {
             for rid in g.relationships(id, dir) {
@@ -51,10 +47,6 @@ impl Csr {
                     continue;
                 };
                 targets.push(other as u32);
-                if let (Some(w), Some(key)) = (weights.as_mut(), weight_key) {
-                    let value = rel.prop(key).and_then(PropertyValue::as_float);
-                    w.push(value.unwrap_or(1.0));
-                }
             }
             offsets.push(targets.len());
         }
@@ -62,7 +54,6 @@ impl Csr {
             ids,
             offsets,
             targets,
-            weights,
         }
     }
 
@@ -119,7 +110,7 @@ mod tests {
                 src: NodeId::new(s),
                 tgt: NodeId::new(t),
                 label: None,
-                props: vec![(StrId::new(0), PropertyValue::Float(id as f64))],
+                props: vec![],
             })
             .unwrap();
         }
@@ -129,7 +120,7 @@ mod tests {
     #[test]
     fn outgoing_projection() {
         let g = build();
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         assert_eq!(csr.node_count(), 4);
         assert_eq!(csr.edge_count(), 4);
         // Node 0 (dense 0) points at dense 1 and 2.
@@ -145,20 +136,8 @@ mod tests {
     #[test]
     fn both_direction_doubles_edges() {
         let g = build();
-        let csr = Csr::project(&g, Direction::Both, None);
+        let csr = Csr::project(&g, Direction::Both);
         assert_eq!(csr.edge_count(), 8);
-    }
-
-    #[test]
-    fn weights_follow_property() {
-        let g = build();
-        let csr = Csr::project(&g, Direction::Outgoing, Some(StrId::new(0)));
-        let w = csr.weights.as_ref().unwrap();
-        assert_eq!(w.len(), 4);
-        // Weight equals the rel id we stored as property.
-        let d0 = csr.neighbours(0);
-        assert_eq!(d0.len(), 2);
-        assert!(w[..2].iter().all(|x| *x == 0.0 || *x == 1.0));
     }
 
     #[test]
@@ -169,7 +148,7 @@ mod tests {
             id: NodeId::new(30),
         })
         .unwrap();
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         assert_eq!(csr.node_count(), 3);
         assert_eq!(csr.dense(NodeId::new(30)), None);
         assert_eq!(csr.edge_count(), 3);

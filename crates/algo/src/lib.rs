@@ -1,22 +1,21 @@
 //! # aion-algo — graph algorithms: static, incremental, temporal
 //!
-//! The analytics layer of the reproduction. Three families, matching
-//! Sec. 5.2 "Aion supports three categories of incremental algorithms":
+//! The analytics layer of the reproduction. One algorithm per family of
+//! Sec. 5.2 "Aion supports three categories of incremental algorithms",
+//! the three the paper's evaluation runs (Fig. 12 and Fig. 14):
 //!
 //! 1. **Non-holistic aggregations** — [`aggregate::IncrementalAvg`]
 //!    maintains a running average over a relationship property from
 //!    `getDiff` batches using stream-processing-style counters.
-//! 2. **Monotonic path algorithms** — [`bfs`] (levels) and [`sssp`]
-//!    (weighted distances) with incremental engines using the Kickstarter
-//!    *tag & reset* technique for deletions: affected vertices are tagged,
-//!    their values reset, and the tags propagated before re-relaxation.
+//! 2. **Monotonic path algorithms** — [`bfs`] (levels), whose incremental
+//!    engine uses the Kickstarter *tag & reset* technique for deletions:
+//!    affected vertices are tagged, their values reset, and the tags
+//!    propagated before re-relaxation.
 //! 3. **Non-monotonic algorithms** — [`pagerank`] converges independently
 //!    of initialization, so the incremental engine warm-starts from the
 //!    previous snapshot's ranks and propagates changes until convergence.
 //!
-//! [`wcc`] (connected components) and [`clustering`] (local clustering
-//! coefficient) cover the static/subgraph workloads referenced in Sec. 3,
-//! and [`temporal_paths`] implements the single-scan earliest-arrival /
+//! [`temporal_paths`] implements the single-scan earliest-arrival /
 //! latest-departure computation over temporal LPGs (Fig. 2, following
 //! Wu et al. and TeGraph's topological-optimum formulation).
 //!
@@ -26,17 +25,12 @@
 
 pub mod aggregate;
 pub mod bfs;
-pub mod clustering;
 pub mod csr;
 pub mod pagerank;
-pub mod sssp;
 pub mod temporal_paths;
-pub mod wcc;
 
 pub use aggregate::IncrementalAvg;
 pub use bfs::{bfs_levels, IncrementalBfs};
 pub use csr::Csr;
 pub use pagerank::{pagerank, IncrementalPageRank, PageRankConfig};
-pub use sssp::{sssp, IncrementalSssp};
-pub use temporal_paths::{earliest_arrival, fastest_duration, latest_departure};
-pub use wcc::wcc;
+pub use temporal_paths::{earliest_arrival, latest_departure};

@@ -106,7 +106,7 @@ impl IncrementalPageRank {
     /// Computes ranks for `graph`, reusing the previous snapshot's ranks as
     /// the starting vector. Returns the per-node ranks.
     pub fn run(&mut self, graph: &Graph) -> HashMap<NodeId, f64> {
-        let csr = Csr::project(graph, Direction::Outgoing, None);
+        let csr = Csr::project(graph, Direction::Outgoing);
         let init = 1.0 / csr.node_count().max(1) as f64;
         // Warm start: prior rank where known, uniform share for new nodes.
         let mut start: Vec<f64> = csr
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn ranks_sum_to_one() {
         let g = line_graph(20);
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let r = pagerank(&csr, tight());
         let sum: f64 = r.ranks.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn sink_of_a_line_has_highest_rank() {
         let g = line_graph(10);
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let r = pagerank(&csr, tight());
         let max = r
             .ranks
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn empty_and_singleton_graphs() {
         let g = Graph::new();
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let r = pagerank(&csr, PageRankConfig::default());
         assert!(r.ranks.is_empty());
         let mut g = Graph::new();
@@ -210,7 +210,7 @@ mod tests {
             props: vec![],
         })
         .unwrap();
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let r = pagerank(&csr, tight());
         assert!((r.ranks[0] - 1.0).abs() < 1e-9);
     }
@@ -230,7 +230,7 @@ mod tests {
         })
         .unwrap();
         let inc_ranks = inc.run(&g);
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let scratch = pagerank(&csr, tight());
         for d in 0..30u32 {
             let id = csr.sparse(d);
@@ -275,7 +275,7 @@ mod tests {
         inc.run(&g);
         g.apply(&Update::DeleteRel { id: RelId::new(4) }).unwrap();
         let inc_ranks = inc.run(&g);
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let scratch = pagerank(&csr, tight());
         for d in 0..10u32 {
             let id = csr.sparse(d);

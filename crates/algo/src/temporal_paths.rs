@@ -191,131 +191,3 @@ mod tests {
         assert_eq!(ea.len(), 1, "airport 1 has no outgoing flights");
     }
 }
-
-/// Minimum travel duration from `source` to every reachable node — the
-/// third classic temporal-path problem of Wu et al. One forward scan in
-/// departure order maintaining, per node, a Pareto frontier of
-/// `(start, arrival)` pairs (a pair dominates another when it starts later
-/// *and* arrives earlier).
-pub fn fastest_duration(tg: &TemporalGraph, source: NodeId) -> HashMap<NodeId, Timestamp> {
-    // frontier[v] = non-dominated (start_from_source, arrival_at_v) pairs.
-    let mut frontier: HashMap<NodeId, Vec<(Timestamp, Timestamp)>> = HashMap::new();
-    let mut best: HashMap<NodeId, Timestamp> = HashMap::new();
-    best.insert(source, 0);
-    for v in sorted_by_departure(tg) {
-        let dep = v.valid.start;
-        let arr = arrival_of(v);
-        // Best (latest) start that has us at the rel's source by `dep`.
-        let start = if v.data.src == source {
-            // Starting fresh from the source at exactly the departure time.
-            Some(dep)
-        } else {
-            frontier
-                .get(&v.data.src)
-                .into_iter()
-                .flatten()
-                .filter(|(_, a)| *a <= dep)
-                .map(|(s, _)| *s)
-                .max()
-        };
-        let Some(start) = start else { continue };
-        let pair = (start, arr);
-        let entry = frontier.entry(v.data.tgt).or_default();
-        // Insert unless dominated; drop pairs the new one dominates.
-        let dominated = entry.iter().any(|(s, a)| *s >= pair.0 && *a <= pair.1);
-        if !dominated {
-            entry.retain(|(s, a)| !(pair.0 >= *s && pair.1 <= *a));
-            entry.push(pair);
-            let duration = arr - start;
-            let cur = best.entry(v.data.tgt).or_insert(u64::MAX);
-            if duration < *cur {
-                *cur = duration;
-            }
-        }
-    }
-    best
-}
-
-#[cfg(test)]
-mod fastest_tests {
-    use super::*;
-    use lpg::{Graph, Interval, RelId, TimestampedUpdate, Update};
-
-    fn nid(i: u64) -> NodeId {
-        NodeId::new(i)
-    }
-
-    fn network(flights: &[(u64, u64, u64, u64, u64)]) -> TemporalGraph {
-        let mut updates = Vec::new();
-        let max_node = flights.iter().map(|f| f.1.max(f.2)).max().unwrap_or(0);
-        for i in 0..=max_node {
-            updates.push(TimestampedUpdate::new(
-                0,
-                Update::AddNode {
-                    id: nid(i),
-                    labels: vec![],
-                    props: vec![],
-                },
-            ));
-        }
-        for &(id, s, t, dep, arr) in flights {
-            updates.push(TimestampedUpdate::new(
-                dep,
-                Update::AddRel {
-                    id: RelId::new(id),
-                    src: nid(s),
-                    tgt: nid(t),
-                    label: None,
-                    props: vec![],
-                },
-            ));
-            updates.push(TimestampedUpdate::new(
-                arr,
-                Update::DeleteRel { id: RelId::new(id) },
-            ));
-        }
-        updates.sort_by_key(|u| u.ts);
-        TemporalGraph::build(&Graph::new(), Interval::new(0, 1_000), &updates)
-    }
-
-    #[test]
-    fn direct_vs_connection_duration() {
-        // Direct 0→2 takes 15 (dep 5, arr 20); via 1 it takes 9
-        // (dep 10 → arr 13, dep 15 → arr 19).
-        let tg = network(&[(0, 0, 2, 5, 20), (1, 0, 1, 10, 13), (2, 1, 2, 15, 19)]);
-        let fastest = fastest_duration(&tg, nid(0));
-        assert_eq!(fastest[&nid(2)], 9, "connection beats the direct flight");
-        assert_eq!(fastest[&nid(1)], 3);
-    }
-
-    #[test]
-    fn later_start_can_be_fastest() {
-        // Early slow option (dep 1, arr 20) vs late quick one (dep 50, arr 52).
-        let tg = network(&[(0, 0, 1, 1, 20), (1, 0, 1, 50, 52)]);
-        let fastest = fastest_duration(&tg, nid(0));
-        assert_eq!(fastest[&nid(1)], 2);
-    }
-
-    #[test]
-    fn pareto_frontier_keeps_useful_early_arrivals() {
-        // To catch the 1→2 leg departing at 6, the slower-but-earlier
-        // 0→1 arrival must survive in the frontier even though a later
-        // start pair exists.
-        let tg = network(&[
-            (0, 0, 1, 1, 5), // start 1, arrive 5 (duration 4)
-            (1, 0, 1, 7, 9), // start 7, arrive 9 (duration 2, dominates for node 1)
-            (2, 1, 2, 6, 8), // only reachable via the early arrival
-        ]);
-        let fastest = fastest_duration(&tg, nid(0));
-        assert_eq!(fastest[&nid(1)], 2);
-        assert_eq!(fastest[&nid(2)], 7, "1 → 8 via the early pair");
-    }
-
-    #[test]
-    fn unreachable_absent_and_source_zero() {
-        let tg = network(&[(0, 0, 1, 1, 2)]);
-        let fastest = fastest_duration(&tg, nid(1));
-        assert_eq!(fastest.get(&nid(0)), None);
-        assert_eq!(fastest[&nid(1)], 0);
-    }
-}

@@ -7,8 +7,6 @@ use algo::{pagerank, Csr, PageRankConfig};
 use lpg::{Direction, Graph, NodeId, PropertyValue, RelId, StrId, Update};
 use proptest::prelude::*;
 
-const WEIGHT: StrId = StrId(0);
-
 /// Half the ids counted up from 0 (where rank and id can coincide), half far
 /// apart.
 fn node(a: u64) -> NodeId {
@@ -81,29 +79,21 @@ proptest! {
             g.apply(op).unwrap();
         }
         for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
-            let csr = Csr::project(&g, dir, Some(WEIGHT));
+            let csr = Csr::project(&g, dir);
             prop_assert!(csr.ids.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(csr.ids.iter().copied().eq(g.nodes().map(|n| n.id)));
             prop_assert_eq!(csr.offsets.len(), csr.ids.len() + 1);
-            let weights = csr.weights.as_ref().unwrap();
-            prop_assert_eq!(weights.len(), csr.targets.len());
             for (d, &id) in csr.ids.iter().enumerate() {
                 prop_assert_eq!(csr.dense(id), Some(d as u32));
-                // (other end, weight bits) of every incident relationship.
-                let mut want: Vec<(NodeId, u64)> = g
+                // The other end of every incident relationship.
+                let mut want: Vec<NodeId> = g
                     .relationships(id, dir)
-                    .map(|rid| {
-                        let rel = g.rel(rid).unwrap();
-                        let w = rel.prop(WEIGHT).and_then(PropertyValue::as_float);
-                        (rel.other_end(id).unwrap(), w.unwrap_or(1.0).to_bits())
-                    })
+                    .map(|rid| g.rel(rid).unwrap().other_end(id).unwrap())
                     .collect();
-                let span = csr.offsets[d]..csr.offsets[d + 1];
-                let mut got: Vec<(NodeId, u64)> = csr
+                let mut got: Vec<NodeId> = csr
                     .neighbours(d as u32)
                     .iter()
-                    .zip(&weights[span])
-                    .map(|(t, w)| (csr.sparse(*t), w.to_bits()))
+                    .map(|&t| csr.sparse(t))
                     .collect();
                 want.sort_unstable();
                 got.sort_unstable();
@@ -111,7 +101,7 @@ proptest! {
             }
         }
         // Deleted nodes hold no rank: the vector sums to 1 over the live ones.
-        let csr = Csr::project(&g, Direction::Outgoing, None);
+        let csr = Csr::project(&g, Direction::Outgoing);
         let ranks = pagerank(&csr, PageRankConfig::default()).ranks;
         prop_assert_eq!(ranks.len(), g.node_count());
         if !ranks.is_empty() {

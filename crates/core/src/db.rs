@@ -4,13 +4,12 @@ use crate::bitemporal;
 use crate::cascade::Cascade;
 use crate::group_commit::{self, LogWriter};
 use crate::planner::Planner;
-use crate::txn::{AppTimeKeys, CommitEvent, WriteTxn};
+use crate::txn::{AppTimeKeys, WriteTxn};
 use lineagestore::{LineageStore, LineageStoreConfig};
 use lpg::{
     Direction, Graph, GraphError, Interner, Node, NodeId, RelId, Relationship, Result,
     TemporalGraph, TimeRange, Timestamp, TimestampedUpdate, Update, Version,
 };
-use parking_lot::RwLock;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,8 +83,6 @@ impl AionConfig {
     }
 }
 
-type Listener = Box<dyn Fn(&CommitEvent) + Send + Sync>;
-
 /// The transactional temporal graph DBMS (Fig. 4).
 ///
 /// ```
@@ -123,7 +120,6 @@ pub struct Aion {
     /// commits funnel through its queue, so there is no commit lock —
     /// ordering comes from the single writer thread.
     pipeline: group_commit::Pipeline,
-    listeners: RwLock<Vec<Listener>>,
     commit_latency: Arc<obs::Histogram>,
     forced_flushes: Arc<obs::Counter>,
     lineage_fallbacks: Arc<obs::Counter>,
@@ -206,7 +202,6 @@ impl Aion {
             planner: Planner::new(),
             app_keys,
             pipeline,
-            listeners: RwLock::new(Vec::new()),
             commit_latency: obs::histogram("core.commit.latency_ns"),
             forced_flushes: obs::counter("core.group_commit.forced_flushes"),
             lineage_fallbacks: obs::counter("core.lineage_fallbacks"),
@@ -290,13 +285,6 @@ impl Aion {
     /// ([`check::ConsistencyReport::is_clean`]) means every invariant held.
     pub fn check_consistency(&self, level: check::CheckLevel) -> Result<check::ConsistencyReport> {
         check::check_stores(&self.timestore, &self.lineage, level)
-    }
-
-    /// Registers an after-commit event listener (Sec. 5.1: "graph updates
-    /// are passed to Aion from Neo4j via an event listener … triggered in
-    /// the after-commit phase of each write transaction").
-    pub fn register_listener(&self, f: impl Fn(&CommitEvent) + Send + Sync + 'static) {
-        self.listeners.write().push(Box::new(f));
     }
 
     // ----------------------------------------------------- epoch fencing
@@ -389,16 +377,7 @@ impl Aion {
     where
         F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
     {
-        self.check_fence()?;
-        let updates = {
-            // The base Arc drops before commit, so this transaction itself
-            // does not make the commit copy the chunks it touches.
-            let base = self.latest_graph();
-            let mut txn = WriteTxn::new(&base, self.app_keys);
-            f(&mut txn)?;
-            txn.into_updates()
-        };
-        self.commit(Payload::records(&updates), updates, None)
+        self.write_txn(None, f)
     }
 
     /// Like [`write`], but commits at an explicit system timestamp (which
@@ -412,14 +391,28 @@ impl Aion {
     where
         F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
     {
+        self.write_txn(Some(ts), f)
+    }
+
+    /// The body of [`write`] and [`write_at`]: `forced_ts` is the explicit
+    /// commit timestamp, `None` takes the next one.
+    ///
+    /// [`write`]: Aion::write
+    /// [`write_at`]: Aion::write_at
+    fn write_txn<F>(&self, forced_ts: Option<Timestamp>, f: F) -> Result<Timestamp>
+    where
+        F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
+    {
         self.check_fence()?;
         let updates = {
+            // The base Arc drops before commit, so this transaction itself
+            // does not make the commit copy the chunks it touches.
             let base = self.latest_graph();
             let mut txn = WriteTxn::new(&base, self.app_keys);
             f(&mut txn)?;
             txn.into_updates()
         };
-        self.commit(Payload::records(&updates), updates, Some(ts))
+        self.commit(Payload::records(&updates), updates, forced_ts)
     }
 
     /// Applies one replicated commit, a frame payload as the primary's log
@@ -435,9 +428,8 @@ impl Aion {
     }
 
     /// Commits a validated update batch (stage 1 + 2 of Fig. 4) through
-    /// the group-commit pipeline: enqueue, park until the log writer has
-    /// appended the group (and group-fsynced it under `sync_on_commit`),
-    /// then run the commit's bookkeeping on this thread.
+    /// the group-commit pipeline: enqueue and park until the log writer has
+    /// appended the group (and group-fsynced it under `sync_on_commit`).
     fn commit(
         &self,
         payload: Payload,
@@ -445,14 +437,7 @@ impl Aion {
         forced_ts: Option<Timestamp>,
     ) -> Result<Timestamp> {
         let _timer = self.commit_latency.start_timer();
-        let event = self.pipeline.commit(payload, updates, forced_ts)?;
-        // Stage-1 after-commit listeners run here on the committer's
-        // thread, off the writer's critical path — a slow listener delays
-        // its own commit's return, never other writers.
-        for l in self.listeners.read().iter() {
-            l(&event);
-        }
-        Ok(event.ts)
+        self.pipeline.commit(payload, updates, forced_ts)
     }
 
     /// Blocks until the LineageStore caught up with `ts` (tests, recovery).

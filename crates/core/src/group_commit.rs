@@ -29,8 +29,7 @@
 //!   `Aion::lineage_barrier` stops waiting.
 //!
 //! The writer submits successful commits to the lineage cascade in commit
-//! order on its own thread; the after-commit listeners run on the
-//! committer's thread after it wakes, off the write-path critical section.
+//! order on its own thread, then wakes their committers.
 //!
 //! [`AionConfig::commit_latency_budget`]: crate::AionConfig::commit_latency_budget
 //! [`TimeStore::sync`]: timestore::TimeStore::sync
@@ -47,9 +46,9 @@ use std::time::{Duration, Instant};
 use timestore::{Payload, TimeStore};
 
 /// One committer's parking spot. The writer publishes exactly one result:
-/// on success the commit event, for the after-commit listeners.
+/// on success the commit timestamp.
 struct CommitSlot {
-    state: Mutex<Option<Result<CommitEvent>>>,
+    state: Mutex<Option<Result<Timestamp>>>,
     cond: Condvar,
 }
 
@@ -61,7 +60,7 @@ impl CommitSlot {
         }
     }
 
-    fn complete(&self, result: Result<CommitEvent>) {
+    fn complete(&self, result: Result<Timestamp>) {
         // Poisoning cannot happen (neither side panics while holding the
         // lock), but recover rather than unwrap to keep the path abort-free.
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -73,7 +72,7 @@ impl CommitSlot {
     /// to stay distinct from `Condvar::wait`, which releases the lock
     /// while blocked — the lock-order analyzer resolves bare calls by
     /// name and must not mistake the reacquisition for lock nesting.)
-    fn wait_done(&self) -> Result<CommitEvent> {
+    fn wait_done(&self) -> Result<Timestamp> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = state.take() {
@@ -232,11 +231,12 @@ impl LogWriter {
         // here). Wedged, the watermark stalls and queries fall back to
         // the TimeStore — same contract as before group commit.
         for (slot, event) in appended {
+            let ts = event.ts;
             if !self.lineage_wedged.load(Ordering::Acquire) {
                 match &self.cascade {
-                    Some(c) => c.submit(event.clone()),
+                    Some(c) => c.submit(event),
                     None => {
-                        if let Err(e) = self.lineage.apply_commit(event.ts, &event.updates) {
+                        if let Err(e) = self.lineage.apply_commit(ts, &event.updates) {
                             self.lineage_wedged.store(true, Ordering::Release);
                             self.commits_failed.inc();
                             slot.complete(Err(e));
@@ -246,7 +246,7 @@ impl LogWriter {
                 }
             }
             self.commits.inc();
-            slot.complete(Ok(event));
+            slot.complete(Ok(ts));
         }
     }
 }
@@ -280,7 +280,7 @@ impl Pipeline {
         payload: Payload,
         updates: Vec<Update>,
         forced_ts: Option<Timestamp>,
-    ) -> Result<CommitEvent> {
+    ) -> Result<Timestamp> {
         let slot = Arc::new(CommitSlot::new());
         let req = CommitRequest {
             payload,

@@ -3,10 +3,10 @@
 //! This crate assembles the substrates into the system of Fig. 4:
 //!
 //! ```text
-//!   write txn ──commit──▶ event listener (stage 1)
-//!        │                      │
-//!        ▼                      ▼
-//!   latest graph        TimeStore (synchronous, stage 2)
+//!   write txn ──commit──▶ group-commit log writer (stage 1)
+//!                               │
+//!                               ▼
+//!            TimeStore + latest graph (synchronous, stage 2)
 //!                               │ background cascade
 //!                               ▼
 //!                 LineageStore + GraphStore (asynchronous)
@@ -15,8 +15,9 @@
 //! ```
 //!
 //! * [`txn`] — write transactions with full LPG constraint validation and
-//!   monotonically increasing commit timestamps; the after-commit event
-//!   listener contract mirrors Neo4j's (`TransactionEventListener`).
+//!   monotonically increasing commit timestamps. Where the paper hooks
+//!   Neo4j's after-commit event listener, a committed batch goes straight
+//!   to the group-commit writer, which feeds the TimeStore and the cascade.
 //! * [`cascade`] — the background workers that apply committed updates to
 //!   the LineageStore off the critical path; the LineageStore "lags behind
 //!   the TimeStore, and in the rare case that it cannot serve a temporal
@@ -35,7 +36,7 @@
 //!   retrieval, with fallback to system time when unset.
 //! * [`procedures`] — the temporal procedures layer (Sec. 5.1): graph
 //!   projections plus incremental AVG / BFS / PageRank over snapshot
-//!   series (Sec. 6.6), with results cached for reuse.
+//!   series (Sec. 6.6).
 
 pub mod bitemporal;
 pub mod cascade;

@@ -128,7 +128,7 @@ impl Aion {
         let mut engine = IncrementalPageRank::new(config);
         self.series(start, end, step, |g, _| match mode {
             ExecMode::Classic => {
-                let csr = Csr::project(g, Direction::Outgoing, None);
+                let csr = Csr::project(g, Direction::Outgoing);
                 let result = pagerank(&csr, config);
                 let work = result.iterations as u64;
                 (csr.ids.into_iter().zip(result.ranks).collect(), work)

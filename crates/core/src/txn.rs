@@ -3,7 +3,7 @@
 //! A [`WriteTxn`] buffers updates and validates every LPG constraint of
 //! Sec. 3 against the latest committed graph *plus* the transaction's own
 //! pending changes, so a committed transaction always yields a consistent
-//! graph — the guarantee the event listener hands to Aion ("committed
+//! graph — the guarantee Neo4j's event listener hands to Aion ("committed
 //! transactions always result in a consistent labeled property graph",
 //! Sec. 5.1).
 
@@ -21,7 +21,9 @@ pub struct AppTimeKeys {
     pub end: StrId,
 }
 
-/// The after-commit event delivered to listeners (stage 1 of Fig. 4).
+/// A committed batch as the group-commit writer hands it to the lineage
+/// cascade (stage 1 of Fig. 4, where the paper's after-commit listener
+/// sits).
 #[derive(Clone, Debug)]
 pub struct CommitEvent {
     /// Commit (system) timestamp assigned to the transaction.

@@ -112,19 +112,6 @@ fn a_latest_pin_is_never_older_than_the_published_commit() {
 }
 
 #[test]
-fn listener_sees_after_commit_events() {
-    let dir = tempdir().unwrap();
-    let db = open(dir.path());
-    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let seen2 = seen.clone();
-    db.register_listener(move |e| seen2.lock().unwrap().push((e.ts, e.updates.len())));
-    seed(&db, 3);
-    let events = seen.lock().unwrap();
-    assert_eq!(events.len(), 6);
-    assert!(events.windows(2).all(|w| w[0].0 < w[1].0), "ordered ts");
-}
-
-#[test]
 fn planner_routes_small_and_large_expansions() {
     let dir = tempdir().unwrap();
     let db = open(dir.path());

@@ -4,7 +4,7 @@ use crate::entry::{self, LineageEntry};
 use btree::BTree;
 use encoding::{keys, record, RecordBody};
 use lpg::{
-    EntityDelta, Graph, GraphError, Interval, Node, NodeId, RelId, Relationship, Result, Timestamp,
+    EntityDelta, GraphError, Interval, Node, NodeId, RelId, Relationship, Result, Timestamp,
     Update, Version,
 };
 use pagestore::PageStore;
@@ -705,53 +705,6 @@ impl LineageStore {
             }
         }
         Ok(out)
-    }
-
-    // ------------------------------------------------------- global queries
-
-    /// Every node id that ever existed (full index scan).
-    pub fn all_node_ids(&self) -> Result<Vec<NodeId>> {
-        let mut out = Vec::new();
-        for item in self.nodes.scan(&[], &[])? {
-            let (key, _) = item?;
-            let (id, _) = keys::decode_history_key(&key)
-                .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
-            if out.last() != Some(&NodeId::new(id)) {
-                out.push(NodeId::new(id));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Full-graph reconstruction at `ts` via an all-entities scan — the
-    /// expensive global path of fine-grained storage the paper contrasts
-    /// with TimeStore ("their processing cost depends solely on the graph
-    /// history size", Sec. 4.4).
-    pub fn snapshot_at(&self, ts: Timestamp) -> Result<Graph> {
-        let mut g = Graph::new();
-        // Nodes first so relationships validate.
-        for id in self.all_node_ids()? {
-            if let Some(n) = self.node_at(id, ts)? {
-                g.insert_node(n)?;
-            }
-        }
-        let mut last: Option<RelId> = None;
-        let mut rel_ids = Vec::new();
-        for item in self.rels.scan(&[], &[])? {
-            let (key, _) = item?;
-            let (id, _) = keys::decode_history_key(&key)
-                .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
-            if last != Some(RelId::new(id)) {
-                rel_ids.push(RelId::new(id));
-                last = Some(RelId::new(id));
-            }
-        }
-        for rid in rel_ids {
-            if let Some(r) = self.rel_at(rid, ts)? {
-                g.insert_rel(r)?;
-            }
-        }
-        Ok(g)
     }
 }
 

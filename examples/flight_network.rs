@@ -1,7 +1,8 @@
 //! The aviation network of the paper's Fig. 2: airports as nodes, flights
 //! as relationships whose validity interval is `[departure, arrival)`.
 //! Computes earliest-arrival and latest-departure temporal paths with the
-//! single-scan algorithms (no joins across snapshots).
+//! single-scan algorithms (no joins across snapshots), and asserts the
+//! answers the schedule implies.
 //!
 //! ```text
 //! cargo run --example flight_network
@@ -9,9 +10,17 @@
 
 use aion::{Aion, AionConfig};
 use algo::{earliest_arrival, latest_departure};
-use lpg::{NodeId, PropertyValue, RelId};
+use lpg::{NodeId, PropertyValue, RelId, Timestamp};
+use std::collections::HashMap;
 
 const AIRPORTS: [&str; 5] = ["AMS", "LHR", "JFK", "SFO", "NRT"];
+
+/// A path result as `(airport, time)` pairs in airport order.
+fn by_airport(times: &HashMap<NodeId, Timestamp>) -> Vec<(&'static str, Timestamp)> {
+    let mut out: Vec<_> = times.iter().map(|(n, &t)| (n.index(), t)).collect();
+    out.sort_unstable();
+    out.into_iter().map(|(i, t)| (AIRPORTS[i], t)).collect()
+}
 
 fn main() -> lpg::Result<()> {
     let dir = tempfile::tempdir().expect("tempdir");
@@ -82,26 +91,41 @@ fn main() -> lpg::Result<()> {
         tg.rels.len()
     );
 
-    // Earliest arrival from AMS starting at t=10.
-    let ea = earliest_arrival(&tg, NodeId::new(0), 10);
+    // Earliest arrival from AMS starting at t=10. SFO is reached at 27
+    // only by the tight JFK connection (arrive 20, leave 21).
+    let ea = by_airport(&earliest_arrival(&tg, NodeId::new(0), 10));
     println!("earliest arrival from AMS (start t=10):");
-    let mut sorted: Vec<_> = ea.iter().collect();
-    sorted.sort_by_key(|(n, _)| n.raw());
-    for (nid, at) in sorted {
-        println!("  {:<4} t = {at}", AIRPORTS[nid.index()]);
+    for (name, at) in &ea {
+        println!("  {name:<4} t = {at}");
     }
+    let want = [
+        ("AMS", 10),
+        ("LHR", 12),
+        ("JFK", 20),
+        ("SFO", 27),
+        ("NRT", 27),
+    ];
+    assert_eq!(ea, want, "earliest arrival");
 
     // Latest departure to reach NRT by t=45.
-    let ld = latest_departure(&tg, NodeId::new(4), 45);
+    let ld = by_airport(&latest_departure(&tg, NodeId::new(4), 45));
     println!("\nlatest departure reaching NRT by t=45:");
-    let mut sorted: Vec<_> = ld.iter().collect();
-    sorted.sort_by_key(|(n, _)| n.raw());
-    for (nid, at) in sorted {
-        println!("  {:<4} leave by t = {at}", AIRPORTS[nid.index()]);
+    for (name, at) in &ld {
+        println!("  {name:<4} leave by t = {at}");
     }
+    let want = [
+        ("AMS", 11),
+        ("LHR", 15),
+        ("JFK", 23),
+        ("SFO", 30),
+        ("NRT", 45),
+    ];
+    assert_eq!(ld, want, "latest departure");
 
-    // Contrast: the graph "as of" a time point only sees in-air flights.
+    // Contrast: the graph "as of" a time point only sees in-air flights:
+    // AMS→JFK, LHR→JFK and LHR→NRT.
     let mid = db.get_graph_at(15)?;
     println!("\nsnapshot at t=15: {} flights in the air", mid.rel_count());
+    assert_eq!(mid.rel_count(), 3, "flights in the air at t=15");
     Ok(())
 }
