@@ -62,11 +62,6 @@ impl Csr {
         self.ids.len()
     }
 
-    /// Total projected edges.
-    pub fn edge_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// The dense index of node `id`.
     pub fn dense(&self, id: NodeId) -> Option<u32> {
         rank(&self.ids, id).map(|d| d as u32)
@@ -122,7 +117,7 @@ mod tests {
         let g = build();
         let csr = Csr::project(&g, Direction::Outgoing);
         assert_eq!(csr.node_count(), 4);
-        assert_eq!(csr.edge_count(), 4);
+        assert_eq!(csr.targets.len(), 4);
         // Node 0 (dense 0) points at dense 1 and 2.
         let mut n0: Vec<u32> = csr.neighbours(0).to_vec();
         n0.sort_unstable();
@@ -137,7 +132,7 @@ mod tests {
     fn both_direction_doubles_edges() {
         let g = build();
         let csr = Csr::project(&g, Direction::Both);
-        assert_eq!(csr.edge_count(), 8);
+        assert_eq!(csr.targets.len(), 8);
     }
 
     #[test]
@@ -151,6 +146,6 @@ mod tests {
         let csr = Csr::project(&g, Direction::Outgoing);
         assert_eq!(csr.node_count(), 3);
         assert_eq!(csr.dense(NodeId::new(30)), None);
-        assert_eq!(csr.edge_count(), 3);
+        assert_eq!(csr.targets.len(), 3);
     }
 }

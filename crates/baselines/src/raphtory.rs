@@ -57,7 +57,6 @@ pub struct RaphtoryLike {
     /// Live (src, tgt) pairs for the multigraph restriction.
     live_pairs: HashMap<(NodeId, NodeId), RelId>,
     updates: u64,
-    dropped_multi: u64,
 }
 
 impl RaphtoryLike {
@@ -69,11 +68,6 @@ impl RaphtoryLike {
     /// Updates ingested (|U|).
     pub fn update_count(&self) -> u64 {
         self.updates
-    }
-
-    /// Relationships dropped by the multigraph restriction.
-    pub fn dropped_multigraph_rels(&self) -> u64 {
-        self.dropped_multi
     }
 
     fn rel_endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)> {
@@ -213,7 +207,6 @@ impl TemporalBackend for RaphtoryLike {
             } => {
                 // Multigraph restriction: drop parallel edges.
                 if self.live_pairs.contains_key(&(*src, *tgt)) {
-                    self.dropped_multi += 1;
                     self.updates -= 1;
                     return;
                 }
@@ -378,7 +371,7 @@ mod tests {
         r.apply(2, &add_node(2));
         r.apply(3, &add_rel(0, 1, 2));
         r.apply(4, &add_rel(1, 1, 2)); // parallel edge: dropped
-        assert_eq!(r.dropped_multigraph_rels(), 1);
+        assert!(r.rel_at(RelId::new(1), 10).is_none());
         assert_eq!(r.snapshot_at(10).rel_count(), 1);
         // After deleting the live edge a new pair is accepted.
         r.apply(5, &Update::DeleteRel { id: RelId::new(0) });

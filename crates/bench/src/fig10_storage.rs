@@ -7,7 +7,10 @@
 //! thanks to the variable-size record format.
 
 use crate::common::{banner, ingest_aion, open_aion, BenchConfig};
+use encoding::snapshot::{self, Change, Inline};
+use std::path::Path;
 use tempfile::tempdir;
+use vfs::VfsRef;
 
 /// Datasets measured.
 pub const DATASETS: [&str; 4] = ["DBLP", "WikiTalk", "Pokec", "LiveJournal"];
@@ -20,12 +23,31 @@ pub struct StorageRow {
     pub timestore: u64,
     /// The snapshot files' share of `timestore`.
     pub snapshots: u64,
+    /// What the snapshot files hold inline, read from their manifests.
+    pub inline: Inline,
     /// LineageStore bytes (four B+Tree indexes).
     pub lineagestore: u64,
     /// Base graph bytes (the snapshot-file equivalent of the data).
     pub base: u64,
     /// Temporal overhead relative to base.
     pub overhead: f64,
+}
+
+/// What the snapshot files in `dir` hold inline, summed over their
+/// manifests.
+fn snapshot_inline(dir: &Path) -> Inline {
+    let vfs = VfsRef::std();
+    let mut sum = Inline::default();
+    for (name, _) in vfs.read_dir(dir).expect("snapshot directory") {
+        let bytes = vfs.read(&dir.join(name)).expect("snapshot file");
+        let m = snapshot::open(&bytes).expect("a snapshot file the store wrote opens");
+        let i = m.inline();
+        sum.node_bytes += i.node_bytes;
+        sum.patch_bytes += i.patch_bytes;
+        sum.patches += i.patches;
+        sum.rel_bytes += i.rel_bytes;
+    }
+    sum
 }
 
 /// Runs the experiment.
@@ -35,8 +57,17 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         "paper: +29-41% over the full Neo4j footprint; log dominates, ~25% snapshots",
     );
     println!(
-        "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12} {:>10}",
-        "dataset", "base (KiB)", "TimeStore", "snapshots", "LineageStore", "total", "overhead"
+        "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12} {:>10} {:>14} {:>12} {:>10}",
+        "dataset",
+        "base (KiB)",
+        "TimeStore",
+        "snapshots",
+        "LineageStore",
+        "total",
+        "overhead",
+        "snap: nodes",
+        "rels",
+        "manifests"
     );
     let mut out = Vec::new();
     for name in DATASETS {
@@ -54,24 +85,35 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         // Neo4j baseline additionally keeps indexes and retained txn logs
         // (6-9× the raw data), which makes its reported relative overhead
         // smaller; we report against raw data, the conservative comparison.
-        let base = encoding::snapshot::encode(&db.latest_graph(), 1, None, |_| true)
+        let base = snapshot::encode(&db.latest_graph(), 1, None, |_| Change::Any)
             .0
             .len() as u64;
         let overhead = (timestore + lineagestore) as f64 / base as f64;
+        // The snapshot bytes by what they are: node segments (bases and
+        // patches), relationship segments, and the rest — manifests,
+        // headers and footers.
+        let inline = snapshot_inline(&dir.path().join("timestore").join("snapshots"));
+        let nodes = inline.node_bytes + inline.patch_bytes;
+        let manifests = ts_stats.snapshot_bytes - nodes - inline.rel_bytes;
+        let kib = |bytes: u64| format!("{} KiB", bytes / 1024);
         println!(
-            "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12} {:>9.1}x",
+            "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12} {:>9.1}x {:>14} {:>12} {:>10}",
             name,
             base / 1024,
-            format!("{} KiB", timestore / 1024),
-            format!("{} KiB", ts_stats.snapshot_bytes / 1024),
-            format!("{} KiB", lineagestore / 1024),
-            format!("{} KiB", (timestore + lineagestore) / 1024),
+            kib(timestore),
+            kib(ts_stats.snapshot_bytes),
+            kib(lineagestore),
+            kib(timestore + lineagestore),
             overhead,
+            kib(nodes),
+            kib(inline.rel_bytes),
+            kib(manifests),
         );
         out.push(StorageRow {
             dataset: name.to_string(),
             timestore,
             snapshots: ts_stats.snapshot_bytes,
+            inline,
             lineagestore,
             base,
             overhead,

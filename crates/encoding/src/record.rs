@@ -92,11 +92,6 @@ impl RecordBody {
         matches!(self, RecordBody::NodeDeleted | RecordBody::RelDeleted)
     }
 
-    /// `true` for delta records.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, RecordBody::NodeDelta(_) | RecordBody::RelDelta(_))
-    }
-
     /// Builds the record body for one logical [`Update`].
     pub fn from_update(op: &Update) -> RecordBody {
         match op {
@@ -559,7 +554,8 @@ mod tests {
         for (op, deleted, delta) in cases {
             let body = RecordBody::from_update(&op);
             assert_eq!(body.is_deleted(), deleted, "{op:?}");
-            assert_eq!(body.is_delta(), delta, "{op:?}");
+            let is_delta = matches!(body, RecordBody::NodeDelta(_) | RecordBody::RelDelta(_));
+            assert_eq!(is_delta, delta, "{op:?}");
         }
     }
 

@@ -7,28 +7,39 @@
 //! segment no update touched since the previous snapshot are not written
 //! again but referenced where an earlier file holds them.
 //!
-//! # Layout (version 2)
+//! # Layout (version 3)
 //!
 //! ```text
 //! file     := payload footer:u64le                 footer = bulk_sum64(payload)
 //! payload  := header body manifest manifest_at:u64le
 //! header   := magic:varint version:u8 ts:varint
-//! body     := the bytes of this file's inline segments, in manifest order
+//! body     := the bytes of this file's inline segments and patches, in manifest order
 //! manifest := node_segments:varint rel_segments:varint entry*
-//! entry    := segment:varint back:varint offset:varint len:varint [sum:u64le]
+//! entry    := tag:varint base:part [patch:part]    tag = segment · 2 + 1 when a patch follows
+//! part     := back:varint offset:varint len:varint [sum:u64le]     sum when back > 0
 //! segment  := (id:varint NodeFull | RelFull)*      ascending id, Fig. 3 bodies
+//! patch    := (id:varint NodeFull | NodeDeleted)*  ascending id, node segments only
 //! ```
 //!
 //! A **segment** is the nodes, or the relationships, whose ids agree above
 //! the low six bits: at most 64 entities. The manifest lists every non-empty
-//! node segment, then every non-empty relationship segment, ascending. An
-//! entry with `back = 0` is *inline*: its bytes are at `offset` in this file.
-//! An entry with `back > 0` is a **reference**: the file at `ts − back` holds
+//! node segment, then every non-empty relationship segment, ascending. A
+//! part with `back = 0` is *inline*: its bytes are at `offset` in this file.
+//! A part with `back > 0` is a **reference**: the file at `ts − back` holds
 //! the bytes inline at `offset`, and `sum` is their `bulk_sum64`. References
 //! are backward (`back` is unsigned, so a file cannot name itself or a later
 //! one) and one hop (the writer copies an earlier file's reference instead of
 //! pointing at it), so a file depends only on earlier files, and on each of
 //! them directly.
+//!
+//! An entry's **base** is the segment as some file wrote it whole. A node
+//! segment's entry may also carry a **patch**, held by a file later than the
+//! base's: the state at the file's timestamp of every node whose state may
+//! differ from the base's, a tombstone for one that is gone. A node the patch
+//! does not list has the base's state. The writer keeps one patch per
+//! segment, cumulative since the base was written: a touched segment gets a
+//! new patch listing every node changed since its base, as long as that is
+//! at most half the base's bytes, and is written whole again past that.
 //!
 //! Nodes precede relationships so decoding can insert through the
 //! constraint-checking [`lpg::Graph`].
@@ -70,9 +81,11 @@ use std::collections::HashMap;
 use vfs::bulk_sum64;
 
 const MAGIC: u32 = 0x4149_5053; // "AIPS"
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 /// A segment holds the entities whose ids agree above this many low bits.
 const SEGMENT_BITS: u32 = 6;
+/// The bits of an id below its segment's.
+const ID_MASK: u64 = (1 << SEGMENT_BITS) - 1;
 // A relationship segment decodes into exactly one graph chunk: what lets
 // loads share it (see the module doc).
 const _: () = assert!(SEGMENT_BITS == lpg::CHUNK_BITS);
@@ -96,6 +109,13 @@ impl Segment {
             EntityId::Rel(id) => Segment::Rel(id.raw() >> SEGMENT_BITS),
         }
     }
+
+    /// The segment of node `id`, and the bit that stands for `id` in a
+    /// [`Change::Nodes`] mask.
+    pub fn of_node(id: NodeId) -> (Segment, u64) {
+        let id = id.raw();
+        (Segment::Node(id >> SEGMENT_BITS), 1 << (id & ID_MASK))
+    }
 }
 
 /// `len` bytes at `offset` of the snapshot file at `ts`.
@@ -109,22 +129,37 @@ pub struct Extent {
     pub len: u64,
 }
 
-/// One segment and where its bytes are.
+/// Bytes an entry names: where they are and their sum.
 #[derive(Clone, Copy, Debug)]
-struct Entry {
-    segment: Segment,
+struct Part {
     at: Extent,
     sum: u64,
 }
 
-/// The bytes an entry names: its segment, where they are and their sum.
-/// Every file that references a segment names the bytes the file holding it
-/// inline does, so this is what two loads of different files can share.
+/// One segment and where its bytes are.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    segment: Segment,
+    /// The segment as a file wrote it whole.
+    base: Part,
+    /// Node segments only: every node whose state at the file's timestamp
+    /// may differ from the base's.
+    patch: Option<Part>,
+}
+
+/// The bytes an entry's base names: its segment, where they are and their
+/// sum. Every file that references a segment names the bytes the file
+/// holding it inline does, so this is what two loads of different files can
+/// share.
 type Source = (Segment, Extent, u64);
 
 impl Entry {
     fn source(&self) -> Source {
-        (self.segment, self.at, self.sum)
+        (self.segment, self.base.at, self.base.sum)
+    }
+
+    fn parts(&self) -> impl Iterator<Item = &Part> {
+        std::iter::once(&self.base).chain(&self.patch)
     }
 }
 
@@ -154,6 +189,19 @@ pub struct Manifest {
     entries: Vec<Entry>,
 }
 
+/// The bytes a snapshot file holds inline, by what they are.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Inline {
+    /// Node segments written whole.
+    pub node_bytes: u64,
+    /// Node segment patches.
+    pub patch_bytes: u64,
+    /// How many node segment patches.
+    pub patches: u64,
+    /// Relationship segments.
+    pub rel_bytes: u64,
+}
+
 impl Manifest {
     /// The timestamp of the file.
     pub fn ts(&self) -> Timestamp {
@@ -162,7 +210,7 @@ impl Manifest {
 
     /// The earlier files this one references, ascending.
     pub fn sources(&self) -> Vec<Timestamp> {
-        let mut out: Vec<Timestamp> = self.references().map(|e| e.at.ts).collect();
+        let mut out: Vec<Timestamp> = self.references().map(|p| p.at.ts).collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -171,11 +219,35 @@ impl Manifest {
     /// The reads that fetch every referenced byte: by file, then offset,
     /// ranges that touch or overlap merged into one.
     pub fn extents(&self) -> Vec<Extent> {
-        merge(self.references().map(|e| e.at))
+        merge(self.references().map(|p| p.at))
     }
 
-    fn references(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter().filter(move |e| e.at.ts != self.ts)
+    /// Whether the entry of `segment` carries a patch.
+    pub fn patched(&self, segment: Segment) -> bool {
+        self.find(segment).is_some_and(|e| e.patch.is_some())
+    }
+
+    /// What the file holds inline.
+    pub fn inline(&self) -> Inline {
+        let mut out = Inline::default();
+        for e in &self.entries {
+            if e.base.at.ts == self.ts {
+                match e.segment {
+                    Segment::Node(_) => out.node_bytes += e.base.at.len,
+                    Segment::Rel(_) => out.rel_bytes += e.base.at.len,
+                }
+            }
+            if let Some(patch) = e.patch.filter(|p| p.at.ts == self.ts) {
+                out.patch_bytes += patch.at.len;
+                out.patches += 1;
+            }
+        }
+        out
+    }
+
+    fn references(&self) -> impl Iterator<Item = &Part> {
+        let parts = self.entries.iter().flat_map(Entry::parts);
+        parts.filter(move |p| p.at.ts != self.ts)
     }
 
     fn find(&self, segment: Segment) -> Option<&Entry> {
@@ -196,27 +268,52 @@ pub enum Fault {
     Reference(Timestamp),
 }
 
-/// Encodes `graph` as the snapshot file at `ts`. A segment that `prev` lists
-/// and `dirty` does not name is written as a reference to where `prev` says
-/// its bytes are; every other segment is written inline. With no `prev` the
-/// file stands alone. Returns the sealed file and its manifest.
+/// What the writer knows of one segment against the previous file.
+#[derive(Clone, Copy, Debug)]
+pub enum Change {
+    /// No update named it since the previous file: it holds what that file
+    /// says it holds.
+    None,
+    /// A node segment in which at most the nodes whose bits this mask sets
+    /// ([`Segment::of_node`]) differ from the state its base in the
+    /// previous file holds.
+    Nodes(u64),
+    /// Anything may differ: the segment is written whole.
+    Any,
+}
+
+/// Encodes `graph` as the snapshot file at `ts`. A segment of `prev` that
+/// `change` calls [`Change::None`] is written as a copy of `prev`'s entry; a
+/// node segment of `prev` it gives [`Change::Nodes`] gets a patch listing
+/// those nodes inline, or is written whole when that patch would be more
+/// than half its base's bytes; every other segment is written whole. With no
+/// `prev` the file stands alone. Returns the sealed file and its manifest.
 ///
-/// The caller vouches that a segment `dirty` does not name holds the same
-/// entities as at `prev`'s timestamp: nothing here compares contents.
+/// The caller vouches for what `change` says: nothing here compares
+/// contents.
 pub fn encode(
     graph: &Graph,
     ts: Timestamp,
     prev: Option<&Manifest>,
-    dirty: impl Fn(Segment) -> bool,
+    change: impl Fn(Segment) -> Change,
 ) -> (Vec<u8>, Manifest) {
     let mut out = Vec::new();
     varint::write_u32(&mut out, MAGIC);
     out.push(VERSION);
     varint::write_u64(&mut out, ts);
-    let reuse = |segment: Segment| {
-        prev.filter(|m| m.ts < ts && !dirty(segment))
-            .and_then(|m| m.find(segment))
-            .copied()
+    let prev = prev.filter(|m| m.ts < ts);
+    // The entry that stands for `segment` without writing it whole, if any;
+    // a patch it needs is written to `out`.
+    let reuse = |out: &mut Vec<u8>, segment: Segment| {
+        let entry = prev?.find(segment)?;
+        match change(segment) {
+            Change::None => Some(*entry),
+            Change::Nodes(mask) => match segment {
+                Segment::Node(no) => patch(out, graph, ts, entry, no, mask),
+                Segment::Rel(_) => None,
+            },
+            Change::Any => None,
+        }
     };
     let mut entries = Vec::new();
     let mut segments = Segments {
@@ -238,6 +335,13 @@ pub fn encode(
         reuse,
         |out, r| encode_rel_full(out, r.src, r.tgt, r.label, &r.props),
     );
+    let out = seal(out, ts, &entries);
+    (out, Manifest { ts, entries })
+}
+
+/// Appends the manifest of `entries` and the footer to the header and body
+/// of the file at `ts` in `out`.
+fn seal(mut out: Vec<u8>, ts: Timestamp, entries: &[Entry]) -> Vec<u8> {
     let manifest_at = out.len() as u64;
     let nodes = entries
         .iter()
@@ -245,21 +349,68 @@ pub fn encode(
         .count();
     varint::write_u64(&mut out, nodes as u64);
     varint::write_u64(&mut out, (entries.len() - nodes) as u64);
-    for e in &entries {
+    for e in entries {
         let (Segment::Node(no) | Segment::Rel(no)) = e.segment;
-        let back = ts - e.at.ts;
-        varint::write_u64(&mut out, no);
-        varint::write_u64(&mut out, back);
-        varint::write_u64(&mut out, e.at.offset);
-        varint::write_u64(&mut out, e.at.len);
-        if back > 0 {
-            out.extend_from_slice(&e.sum.to_le_bytes());
+        varint::write_u64(&mut out, no << 1 | u64::from(e.patch.is_some()));
+        for part in e.parts() {
+            let back = ts - part.at.ts;
+            varint::write_u64(&mut out, back);
+            varint::write_u64(&mut out, part.at.offset);
+            varint::write_u64(&mut out, part.at.len);
+            if back > 0 {
+                out.extend_from_slice(&part.sum.to_le_bytes());
+            }
         }
     }
     out.extend_from_slice(&manifest_at.to_le_bytes());
     let footer = bulk_sum64(&out);
     out.extend_from_slice(&footer.to_le_bytes());
-    (out, Manifest { ts, entries })
+    out
+}
+
+/// `prev`'s base with a patch appended to `out` that holds the state in
+/// `graph` of every node of segment `no` whose bit `mask` sets; `None`, with
+/// `out` as it was, when that patch would be more than half the base's
+/// bytes. With no bit set the entry is `prev` itself.
+fn patch(
+    out: &mut Vec<u8>,
+    graph: &Graph,
+    ts: Timestamp,
+    prev: &Entry,
+    no: u64,
+    mask: u64,
+) -> Option<Entry> {
+    if mask == 0 {
+        return Some(*prev);
+    }
+    let start = out.len();
+    let mut bits = mask;
+    while bits != 0 {
+        let id = no << SEGMENT_BITS | u64::from(bits.trailing_zeros());
+        bits &= bits - 1;
+        varint::write_u64(out, id);
+        match graph.node(NodeId::new(id)) {
+            Some(n) => encode_node_full(out, &n.labels, &n.props),
+            None => RecordBody::NodeDeleted.encode(out),
+        }
+        if (out.len() - start) as u64 > prev.base.at.len / 2 {
+            out.truncate(start);
+            return None;
+        }
+    }
+    let bytes = &out[start..];
+    let at = Extent {
+        ts,
+        offset: start as u64,
+        len: bytes.len() as u64,
+    };
+    Some(Entry {
+        patch: Some(Part {
+            at,
+            sum: bulk_sum64(bytes),
+        }),
+        ..*prev
+    })
 }
 
 /// The file being written and its manifest so far.
@@ -277,7 +428,7 @@ impl Segments<'_> {
         items: impl Iterator<Item = &'g T>,
         id: impl Fn(&T) -> u64,
         segment_of: impl Fn(u64) -> Segment,
-        reuse: impl Fn(Segment) -> Option<Entry>,
+        reuse: impl Fn(&mut Vec<u8>, Segment) -> Option<Entry>,
         encode: impl Fn(&mut Vec<u8>, &T),
     ) {
         let mut items = items.peekable();
@@ -285,7 +436,7 @@ impl Segments<'_> {
             let segment = segment_of(no);
             let members =
                 std::iter::from_fn(|| items.next_if(|item| id(item) >> SEGMENT_BITS == no));
-            if let Some(entry) = reuse(segment) {
+            if let Some(entry) = reuse(self.out, segment) {
                 members.for_each(drop);
                 self.entries.push(entry);
                 continue;
@@ -296,14 +447,18 @@ impl Segments<'_> {
                 encode(self.out, item);
             }
             let bytes = &self.out[start..];
+            let at = Extent {
+                ts: self.ts,
+                offset: start as u64,
+                len: bytes.len() as u64,
+            };
             self.entries.push(Entry {
                 segment,
-                at: Extent {
-                    ts: self.ts,
-                    offset: start as u64,
-                    len: bytes.len() as u64,
+                base: Part {
+                    at,
+                    sum: bulk_sum64(bytes),
                 },
-                sum: bulk_sum64(bytes),
+                patch: None,
             });
         }
     }
@@ -311,7 +466,9 @@ impl Segments<'_> {
 
 /// Checks a snapshot file's footer and reads its manifest. `None` when the
 /// footer does not match, the version is not this one, or the manifest is
-/// malformed. Referenced bytes are not read: [`decode`] checks them.
+/// malformed: entries out of order, an empty part, a patch on a
+/// relationship segment or one no later than its base. Referenced bytes
+/// are not read: [`decode`] checks them.
 pub fn open(file: &[u8]) -> Option<Manifest> {
     let (payload, footer) = file.split_at_checked(file.len().checked_sub(8)?)?;
     if bulk_sum64(payload) != u64::from_le_bytes(footer.try_into().ok()?) {
@@ -333,23 +490,17 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
     pos = manifest_at;
     let nodes = varint::read_u64(rest, &mut pos)?;
     let total = nodes.checked_add(varint::read_u64(rest, &mut pos)?)?;
-    // Every entry takes at least four bytes: a count past that is garbage,
-    // and must not size an allocation.
+    // Every entry takes at least four bytes (tag, back, offset, len): a
+    // count past that is garbage, and must not size an allocation.
     if total > (rest.len() - pos) as u64 / 4 {
         return None;
     }
-    let mut entries: Vec<Entry> = Vec::with_capacity(total as usize);
-    for i in 0..total {
-        let no = varint::read_u64(rest, &mut pos)?;
-        let segment = if i < nodes {
-            Segment::Node(no)
-        } else {
-            Segment::Rel(no)
-        };
-        let back = varint::read_u64(rest, &mut pos)?;
-        let offset = varint::read_u64(rest, &mut pos)?;
-        let len = varint::read_u64(rest, &mut pos)?;
-        if len == 0 || entries.last().is_some_and(|e| e.segment >= segment) {
+    // One part at `pos`, its inline bytes checked to lie in the body.
+    let part = |pos: &mut usize| {
+        let back = varint::read_u64(rest, pos)?;
+        let offset = varint::read_u64(rest, pos)?;
+        let len = varint::read_u64(rest, pos)?;
+        if len == 0 {
             return None;
         }
         let sum = if back == 0 {
@@ -358,8 +509,8 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
             }
             bulk_sum64(slice(body, offset, len)?)
         } else {
-            let sum = rest.get(pos..pos.checked_add(8)?)?;
-            pos += 8;
+            let sum = rest.get(*pos..pos.checked_add(8)?)?;
+            *pos += 8;
             u64::from_le_bytes(sum.try_into().ok()?)
         };
         let at = Extent {
@@ -367,7 +518,36 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
             offset,
             len,
         };
-        entries.push(Entry { segment, at, sum });
+        Some(Part { at, sum })
+    };
+    let mut entries: Vec<Entry> = Vec::with_capacity(total as usize);
+    for i in 0..total {
+        let tag = varint::read_u64(rest, &mut pos)?;
+        let segment = if i < nodes {
+            Segment::Node(tag >> 1)
+        } else {
+            Segment::Rel(tag >> 1)
+        };
+        if entries.last().is_some_and(|e| e.segment >= segment) {
+            return None;
+        }
+        let base = part(&mut pos)?;
+        let patch = match (tag & 1, segment) {
+            (0, _) => None,
+            (_, Segment::Node(_)) => {
+                let patch = part(&mut pos)?;
+                if patch.at.ts <= base.at.ts {
+                    return None;
+                }
+                Some(patch)
+            }
+            (_, Segment::Rel(_)) => return None,
+        };
+        entries.push(Entry {
+            segment,
+            base,
+            patch,
+        });
     }
     (pos == rest.len()).then_some(Manifest { ts, entries })
 }
@@ -444,7 +624,10 @@ impl Loan {
     /// Referenced segments are left out: the write that held them inline
     /// lent them, or the load that decoded them kept them.
     pub fn new(manifest: &Manifest, graph: &Graph) -> Loan {
-        let inline = manifest.entries.iter().filter(|e| e.at.ts == manifest.ts);
+        let inline = manifest
+            .entries
+            .iter()
+            .filter(|e| e.base.at.ts == manifest.ts);
         let chunks = inline.filter_map(|e| match e.segment {
             Segment::Rel(no) => Some((e.source(), graph.rel_chunk(no)?.downgrade())),
             Segment::Node(_) => None,
@@ -462,6 +645,9 @@ pub struct Decoded {
     pub decoded: usize,
     /// Relationship segments taken from [`SharedSegments`].
     pub shared: usize,
+    /// Each node segment the file patches, with the mask of the nodes its
+    /// patch lists ([`Segment::of_node`]).
+    pub patched: Vec<(Segment, u64)>,
 }
 
 /// Decodes the graph of the snapshot file `file`, whose manifest is
@@ -480,8 +666,10 @@ pub fn decode(
 ) -> Result<Decoded, Fault> {
     let held = shared.find(&manifest.entries);
     let needed = manifest.entries.iter().zip(&held);
-    let needed = needed.filter(|(e, h)| h.is_none() && e.at.ts != manifest.ts);
-    let extents = merge(needed.map(|(e, _)| e.at));
+    let needed = needed
+        .filter(|(_, h)| h.is_none())
+        .flat_map(|(e, _)| e.parts());
+    let extents = merge(needed.filter(|p| p.at.ts != manifest.ts).map(|p| p.at));
     // Every referenced byte still needed in one buffer, extent after extent.
     let mut fetched = Vec::new();
     let mut starts = Vec::with_capacity(extents.len());
@@ -492,10 +680,10 @@ pub fn decode(
             .filter(|()| (fetched.len() - start) as u64 == e.len)
             .ok_or(Fault::Reference(e.ts))?;
     }
-    // The bytes of an entry that is not held, checked against its sum when
-    // they come from another file.
-    let bytes_of = |entry: &Entry| {
-        let at = entry.at;
+    // The bytes of a part, checked against its sum when they come from
+    // another file.
+    let bytes_of = |part: &Part| {
+        let at = part.at;
         if at.ts == manifest.ts {
             return slice(file, at.offset, at.len).ok_or(Fault::Corrupt);
         }
@@ -508,13 +696,14 @@ pub fn decode(
                 let offset = start.checked_add(at.offset.checked_sub(e.offset)?)?;
                 slice(&fetched, offset, at.len)
             })
-            .filter(|b| bulk_sum64(b) == entry.sum)
+            .filter(|b| bulk_sum64(b) == part.sum)
             .ok_or(Fault::Reference(at.ts))
     };
     let mut out = Decoded {
         graph: Graph::new(),
         decoded: 0,
         shared: 0,
+        patched: Vec::new(),
     };
     let mut fresh = Vec::new();
     let mut chunks = Vec::new();
@@ -526,12 +715,15 @@ pub fn decode(
             }
             (None, Segment::Node(no)) => {
                 out.decoded += 1;
-                decode_nodes(&mut out.graph, no, bytes_of(entry)?).ok_or(Fault::Corrupt)?;
+                let base = bytes_of(&entry.base)?;
+                let patch = entry.patch.as_ref().map(bytes_of).transpose()?;
+                decode_nodes(&mut out, no, base, patch.unwrap_or_default())
+                    .ok_or(Fault::Corrupt)?;
                 continue;
             }
             (None, Segment::Rel(no)) => {
                 out.decoded += 1;
-                let chunk = decode_rels(no, bytes_of(entry)?).ok_or(Fault::Corrupt)?;
+                let chunk = decode_rels(no, bytes_of(&entry.base)?).ok_or(Fault::Corrupt)?;
                 fresh.push((entry.source(), chunk.downgrade()));
                 chunk
             }
@@ -567,17 +759,42 @@ fn records(no: u64, bytes: &[u8]) -> impl Iterator<Item = Option<(u64, RecordBod
     })
 }
 
-/// Inserts the nodes of node segment `no`.
-fn decode_nodes(graph: &mut Graph, no: u64, bytes: &[u8]) -> Option<()> {
-    for record in records(no, bytes) {
+/// Inserts the nodes of node segment `no` into `out`'s graph: those of
+/// `base`, each in the state `patch` gives it when `patch` lists it, and
+/// those only `patch` lists; a node `patch` deletes is left out. The nodes
+/// a non-empty `patch` lists join `out.patched`.
+fn decode_nodes(out: &mut Decoded, no: u64, base: &[u8], patch: &[u8]) -> Option<()> {
+    let patch = records(no, patch)
+        .map(|record| match record? {
+            (id, RecordBody::NodeFull { labels, props }) => {
+                Some((id, Some(Node::new(NodeId::new(id), labels, props))))
+            }
+            (id, RecordBody::NodeDeleted) => Some((id, None)),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    if !patch.is_empty() {
+        let mask = patch
+            .iter()
+            .fold(0, |mask, (id, _)| mask | 1 << (id & ID_MASK));
+        out.patched.push((Segment::Node(no), mask));
+    }
+    let mut patch = patch.into_iter().peekable();
+    let graph = &mut out.graph;
+    let mut insert = |node: Option<Node>| node.map_or(Some(()), |n| graph.insert_node(n).ok());
+    for record in records(no, base) {
         let (id, RecordBody::NodeFull { labels, props }) = record? else {
             return None;
         };
-        graph
-            .insert_node(Node::new(NodeId::new(id), labels, props))
-            .ok()?;
+        while let Some((_, node)) = patch.next_if(|(p, _)| *p < id) {
+            insert(node)?;
+        }
+        match patch.next_if(|(p, _)| *p == id) {
+            Some((_, node)) => insert(node)?,
+            None => insert(Some(Node::new(NodeId::new(id), labels, props)))?,
+        }
     }
-    Some(())
+    patch.try_for_each(|(_, node)| insert(node))
 }
 
 /// The relationships of relationship segment `no`, as one chunk.
@@ -632,6 +849,17 @@ mod tests {
         g
     }
 
+    /// Writes the segments `dirty` names whole and references the rest.
+    fn rewrite(dirty: &[Segment]) -> impl Fn(Segment) -> Change + '_ {
+        |s| {
+            if dirty.contains(&s) {
+                Change::Any
+            } else {
+                Change::None
+            }
+        }
+    }
+
     /// Decodes `file` with its references answered from `earlier`, sharing
     /// what `shared` holds; also returns how many bytes were read.
     fn load_with(
@@ -661,21 +889,21 @@ mod tests {
     #[test]
     fn standalone_roundtrip() {
         let g = sample_graph();
-        let (file, manifest) = encode(&g, 5, None, |_| true);
+        let (file, manifest) = encode(&g, 5, None, |_| Change::Any);
         assert_eq!(manifest.entries.len(), 4 + 7);
         assert!(manifest.extents().is_empty());
         let back = load(&file, &[]).unwrap();
         assert!(g.same_as(&back));
         back.check_consistency().unwrap();
         let empty = Graph::new();
-        let (file, _) = encode(&empty, 1, None, |_| true);
+        let (file, _) = encode(&empty, 1, None, |_| Change::Any);
         assert_eq!(load(&file, &[]).unwrap().node_count(), 0);
     }
 
     #[test]
     fn clean_segments_are_referenced_one_hop() {
         let g1 = sample_graph();
-        let (f1, m1) = encode(&g1, 10, None, |_| true);
+        let (f1, m1) = encode(&g1, 10, None, |_| Change::Any);
         // Touch node 70 (node segment 1) and relationship 300 (segment 4).
         let mut g2 = g1.clone();
         let touched = [
@@ -690,7 +918,7 @@ mod tests {
         ];
         g2.apply_all(&touched).unwrap();
         let dirty: Vec<Segment> = touched.iter().map(|u| Segment::of(u.entity())).collect();
-        let (f2, m2) = encode(&g2, 20, Some(&m1), |s| dirty.contains(&s));
+        let (f2, m2) = encode(&g2, 20, Some(&m1), rewrite(&dirty));
         assert!(
             f2.len() * 4 < f1.len(),
             "{} vs {} bytes",
@@ -704,7 +932,7 @@ mod tests {
 
         // A third file copies f2's references to f1 rather than pointing at
         // f2, which holds those bytes only by reference.
-        let (f3, m3) = encode(&g2, 30, Some(&m2), |_| false);
+        let (f3, m3) = encode(&g2, 30, Some(&m2), |_| Change::None);
         assert_eq!(m3.sources(), vec![10, 20]);
         assert!(load(&f3, &[(10, &f1), (20, &f2)]).unwrap().same_as(&g2));
         // A referenced file that changed under the reference is refused.
@@ -723,7 +951,7 @@ mod tests {
     /// rest: `(f1, f2, g2)`.
     fn referencing_pair() -> (Vec<u8>, Vec<u8>, Graph) {
         let g1 = sample_graph();
-        let (f1, m1) = encode(&g1, 10, None, |_| true);
+        let (f1, m1) = encode(&g1, 10, None, |_| Change::Any);
         let mut g2 = g1.clone();
         g2.apply(&Update::SetNodeProp {
             id: NodeId::new(70),
@@ -736,7 +964,7 @@ mod tests {
         })
         .unwrap();
         let dirty = [Segment::Node(1), Segment::Rel(4)];
-        let (f2, _) = encode(&g2, 20, Some(&m1), |s| dirty.contains(&s));
+        let (f2, _) = encode(&g2, 20, Some(&m1), rewrite(&dirty));
         (f1, f2, g2)
     }
 
@@ -756,9 +984,10 @@ mod tests {
         let m2 = open(&f2).unwrap();
         let referenced: u64 = m2.extents().iter().map(|e| e.len).sum();
         let nodes: u64 = m2
-            .references()
-            .filter(|e| matches!(e.segment, Segment::Node(_)))
-            .map(|e| e.at.len)
+            .entries
+            .iter()
+            .filter(|e| matches!(e.segment, Segment::Node(_)) && e.base.at.ts != m2.ts)
+            .map(|e| e.base.at.len)
             .sum();
         assert_eq!(read as u64, nodes);
         assert!(nodes * 2 < referenced, "{nodes} of {referenced}");
@@ -834,10 +1063,208 @@ mod tests {
         assert!(c.graph.same_as(&sample_graph()));
     }
 
+    /// Sets a property on node `id`.
+    fn touch(id: u64) -> Update {
+        Update::SetNodeProp {
+            id: NodeId::new(id),
+            key: StrId::new(2),
+            value: PropertyValue::Bool(true),
+        }
+    }
+
+    #[test]
+    fn a_touched_node_segment_gets_a_cumulative_patch_until_it_is_too_big() {
+        let g1 = sample_graph();
+        let (f1, m1) = encode(&g1, 10, None, |_| Change::Any);
+        // Node 70 changes and node 100 goes, both in segment 1.
+        let mut g2 = g1.clone();
+        let mut gone: Vec<RelId> = g2
+            .relationships(NodeId::new(100), lpg::Direction::Both)
+            .collect();
+        // A self-loop is listed in both directions.
+        gone.sort_unstable();
+        gone.dedup();
+        let gone: Vec<Update> = gone
+            .into_iter()
+            .map(|id| Update::DeleteRel { id })
+            .collect();
+        g2.apply_all(&gone).unwrap();
+        g2.apply_all(&[
+            touch(70),
+            Update::DeleteNode {
+                id: NodeId::new(100),
+            },
+        ])
+        .unwrap();
+        let rels: Vec<Segment> = gone.iter().map(|u| Segment::of(u.entity())).collect();
+        // Patches segment 1 with `ids` and rewrites `rels`.
+        let changes = |ids: &[u64], rels: &[Segment]| {
+            let rels = rels.to_vec();
+            let mask = ids.iter().map(|&id| Segment::of_node(NodeId::new(id)).1);
+            let mask = mask.fold(0, |m, bit| m | bit);
+            move |s: Segment| match s {
+                Segment::Node(1) => Change::Nodes(mask),
+                s if rels.contains(&s) => Change::Any,
+                _ => Change::None,
+            }
+        };
+        let (f2, m2) = encode(&g2, 20, Some(&m1), changes(&[70, 100], &rels));
+        assert!(m2.patched(Segment::Node(1)) && !m2.patched(Segment::Node(0)));
+        let inline = m2.inline();
+        assert_eq!((inline.node_bytes, inline.patches), (0, 1));
+        assert!(inline.patch_bytes < 32, "{inline:?}");
+        assert_eq!(m2.sources(), vec![10]);
+        let (d2, _) = load_with(&f2, &[(10, &f1)], &SharedSegments::default()).unwrap();
+        assert!(d2.graph.same_as(&g2));
+        d2.graph.check_consistency().unwrap();
+        assert_eq!(d2.patched, vec![(Segment::Node(1), 1 << 6 | 1 << 36)]);
+
+        // An untouched file copies both references: it holds nothing of
+        // node segment 1 and names the patch where f2 holds it.
+        let (f3, m3) = encode(&g2, 30, Some(&m2), |_| Change::None);
+        assert!(m3.patched(Segment::Node(1)));
+        assert_eq!(m3.inline(), Inline::default());
+        assert_eq!(m3.sources(), vec![10, 20]);
+        let earlier: [(Timestamp, &[u8]); 2] = [(10, &f1), (20, &f2)];
+        assert!(load(&f3, &earlier).unwrap().same_as(&g2));
+        // Losing the patch loses the file.
+        assert_eq!(load(&f3, &earlier[..1]).err(), Some(Fault::Reference(20)));
+
+        // Node 100 comes back and node 127 changes: the next patch lists all
+        // three.
+        let mut g4 = g2.clone();
+        g4.apply(&Update::AddNode {
+            id: NodeId::new(100),
+            labels: vec![],
+            props: vec![],
+        })
+        .unwrap();
+        g4.apply(&touch(127)).unwrap();
+        let (f4, m4) = encode(&g4, 40, Some(&m3), changes(&[70, 100, 127], &[]));
+        assert_eq!(m4.inline().patches, 1);
+        let (d4, _) = load_with(&f4, &earlier, &SharedSegments::default()).unwrap();
+        assert!(d4.graph.same_as(&g4));
+        let mask = 1 << 6 | 1 << 36 | 1 << 63;
+        assert_eq!(d4.patched, vec![(Segment::Node(1), mask)]);
+
+        // Past half the base's bytes the segment is written whole.
+        let (f5, m5) = encode(&g4, 50, Some(&m4), changes(&Vec::from_iter(64..128), &[]));
+        assert!(!m5.patched(Segment::Node(1)));
+        let inline = m5.inline();
+        assert_eq!(inline.patches, 0);
+        assert!(inline.node_bytes > 200, "{inline:?}");
+        assert!(load(&f5, &earlier).unwrap().same_as(&g4));
+    }
+
+    /// The file at ts 30 with one entry, of `segment`: a base that holds
+    /// nodes 0 and 1, at ts `base_ts`, and `patch` as its patch at ts
+    /// `patch_ts`. The file holds both at the offsets the entry names, so a
+    /// referenced part reads from the file itself standing in for its source.
+    fn patched_file(
+        base_ts: Timestamp,
+        patch_ts: Timestamp,
+        segment: Segment,
+        patch: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        varint::write_u32(&mut out, MAGIC);
+        out.push(VERSION);
+        varint::write_u64(&mut out, 30);
+        let mut base = Vec::new();
+        for id in [0u64, 1] {
+            varint::write_u64(&mut base, id);
+            encode_node_full(&mut base, &[], &[]);
+        }
+        let mut part = |bytes: &[u8], ts| {
+            let at = Extent {
+                ts,
+                offset: out.len() as u64,
+                len: bytes.len() as u64,
+            };
+            out.extend_from_slice(bytes);
+            Part {
+                at,
+                sum: bulk_sum64(bytes),
+            }
+        };
+        let base = part(&base, base_ts);
+        let patch = Some(part(patch, patch_ts));
+        seal(
+            out,
+            30,
+            &[Entry {
+                segment,
+                base,
+                patch,
+            }],
+        )
+    }
+
+    /// A patch of `(id, body)` records.
+    fn patch_bytes(records: &[(u64, RecordBody)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (id, body) in records {
+            varint::write_u64(&mut out, *id);
+            body.encode(&mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn malformed_patches_are_refused() {
+        let full = || RecordBody::NodeFull {
+            labels: vec![StrId::new(1)],
+            props: vec![],
+        };
+        let good = patch_bytes(&[(1, full()), (5, RecordBody::NodeDeleted), (7, full())]);
+        let file = patched_file(20, 30, Segment::Node(0), &good);
+        let m = open(&file).expect("the well-formed file opens");
+        assert!(m.patched(Segment::Node(0)));
+        let g = load(&file, &[(20, &file)]).unwrap();
+        assert_eq!(g.node_count(), 3);
+        assert_eq!(
+            g.node(NodeId::new(1)).unwrap().labels,
+            vec![StrId::new(1)].into()
+        );
+
+        // The patch must come later than its base.
+        assert!(open(&patched_file(30, 30, Segment::Node(0), &good)).is_none());
+        assert!(open(&patched_file(20, 20, Segment::Node(0), &good)).is_none());
+        assert!(open(&patched_file(30, 20, Segment::Node(0), &good)).is_none());
+        // A relationship segment carries no patch.
+        assert!(open(&patched_file(20, 30, Segment::Rel(0), &good)).is_none());
+
+        let refused = [
+            patch_bytes(&[(5, full()), (1, full())]),
+            patch_bytes(&[(5, full()), (5, RecordBody::NodeDeleted)]),
+            patch_bytes(&[(64, full())]),
+            patch_bytes(&[(1, RecordBody::RelDeleted)]),
+            patch_bytes(&[(
+                1,
+                RecordBody::RelFull {
+                    src: NodeId::new(0),
+                    tgt: NodeId::new(1),
+                    label: None,
+                    props: vec![],
+                },
+            )]),
+            patch_bytes(&[(1, RecordBody::NodeDelta(Default::default()))]),
+        ];
+        for (i, patch) in refused.iter().enumerate() {
+            let file = patched_file(20, 30, Segment::Node(0), patch);
+            assert!(
+                open(&file).is_some(),
+                "patch {i}: the manifest is well-formed"
+            );
+            let read = load(&file, &[(20, &file)]);
+            assert_eq!(read.err(), Some(Fault::Corrupt), "patch {i}");
+        }
+    }
+
     #[test]
     fn corruption_detected() {
         let g = sample_graph();
-        let (file, _) = encode(&g, 3, None, |_| true);
+        let (file, _) = encode(&g, 3, None, |_| Change::Any);
         let mut bad = file.clone();
         bad[0] ^= 0xFF;
         assert!(open(&bad).is_none());

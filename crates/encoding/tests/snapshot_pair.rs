@@ -1,6 +1,7 @@
 //! The snapshot file format on a pinned pair: an anchor that holds every
-//! segment inline and a later file that rewrites the segments an update
-//! touched and references the rest in the anchor.
+//! segment inline and a later file that patches the node segments an update
+//! touched, rewrites the other touched segments and references the rest in
+//! the anchor.
 //!
 //! * The bytes of both files are pinned (`golden/snapshot_pair_*.hex`);
 //!   round-trip tests pass for any self-consistent layout, this pins the one
@@ -10,15 +11,17 @@
 //!   anchor was checked, by the reference's sum — and nothing panics or
 //!   returns a different graph.
 //! * The property test does the same for random graphs, random touched
-//!   segments and random corruption, and decodes re-sealed garbage without
+//!   segments (patched or rewritten) and random corruption, and decodes re-sealed garbage without
 //!   panicking. It also loads the anchor and then the later file through
 //!   one `SharedSegments`: the later graph is the same, and it takes from
 //!   memory exactly the relationship segments no update touched.
 
-use encoding::snapshot::{self, encode, open, Extent, Fault, Manifest, Segment, SharedSegments};
-use lpg::{Graph, NodeId, PropertyValue, RelId, StrId, Timestamp, Update};
+use encoding::snapshot::{
+    self, encode, open, Change, Extent, Fault, Manifest, Segment, SharedSegments,
+};
+use lpg::{EntityId, Graph, NodeId, PropertyValue, RelId, StrId, Timestamp, Update};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 const ANCHOR: &str = include_str!("golden/snapshot_pair_100.hex");
 const LATER: &str = include_str!("golden/snapshot_pair_200.hex");
@@ -127,8 +130,9 @@ fn fixed_graph() -> Graph {
     g
 }
 
-/// What separates the later file from the anchor: one node segment and one
-/// relationship segment of the dense run change, one far node is added.
+/// What separates the later file from the anchor: one node of the dense run
+/// changes (its segment is patched), one relationship of it goes (its
+/// segment is rewritten), one far node is added (a new segment).
 fn churn() -> Vec<Update> {
     vec![
         Update::SetNodeProp {
@@ -147,8 +151,9 @@ fn churn() -> Vec<Update> {
     ]
 }
 
-/// Encodes `g2` as the file at `ts2` after the anchor `g1` at `ts1`,
-/// rewriting the segments `updates` named.
+/// Encodes `g2` as the file at `ts2` after the anchor `g1` at `ts1`: a node
+/// segment `updates` touched is patched with the nodes they named, a
+/// relationship segment they touched is rewritten.
 fn pair(
     g1: &Graph,
     ts1: Timestamp,
@@ -156,9 +161,25 @@ fn pair(
     ts2: Timestamp,
     updates: &[Update],
 ) -> (Vec<u8>, Vec<u8>) {
-    let (anchor, m1) = encode(g1, ts1, None, |_| true);
-    let touched: Vec<Segment> = updates.iter().map(|u| Segment::of(u.entity())).collect();
-    let (later, _) = encode(g2, ts2, Some(&m1), |s| touched.contains(&s));
+    let (anchor, m1) = encode(g1, ts1, None, |_| Change::Any);
+    let mut changes: HashMap<Segment, Change> = HashMap::new();
+    for u in updates {
+        match u.entity() {
+            EntityId::Node(id) => {
+                let (segment, bit) = Segment::of_node(id);
+                let mask = match changes.get(&segment) {
+                    Some(Change::Nodes(mask)) => mask | bit,
+                    _ => bit,
+                };
+                changes.insert(segment, Change::Nodes(mask));
+            }
+            rel => {
+                changes.insert(Segment::of(rel), Change::Any);
+            }
+        }
+    }
+    let change = |s| changes.get(&s).copied().unwrap_or(Change::None);
+    let (later, _) = encode(g2, ts2, Some(&m1), change);
     (anchor, later)
 }
 
@@ -222,6 +243,8 @@ fn pinned_pair_bytes_and_roundtrip() {
     assert_eq!(hex(&later), LATER.split_whitespace().collect::<String>());
     let m2 = open(&later).unwrap();
     assert_eq!(m2.sources(), vec![100]);
+    assert!(m2.patched(Segment::Node(1)));
+    assert_eq!(m2.inline().patches, 1);
     assert!(
         later.len() * 2 < anchor.len(),
         "{} vs {}",
@@ -308,7 +331,7 @@ fn random_pair(seed: u64, n: u64, stride: u64, churn: usize) -> (Graph, Graph, V
     let mut g2 = g1.clone();
     let mut updates = Vec::new();
     while updates.len() < churn {
-        let u = match next(3) {
+        let u = match next(5) {
             0 => Update::SetNodeProp {
                 id: NodeId::new(next(n) * stride),
                 key: StrId::new(2),
@@ -316,6 +339,16 @@ fn random_pair(seed: u64, n: u64, stride: u64, churn: usize) -> (Graph, Graph, V
             },
             1 => Update::DeleteRel {
                 id: RelId::new(next(2 * n) * stride),
+            },
+            // Fails, and is left out, when the id is taken.
+            2 => Update::AddNode {
+                id: NodeId::new(next(n) * stride + next(stride)),
+                labels: vec![],
+                props: vec![],
+            },
+            // Fails, and is left out, while the node has relationships.
+            3 => Update::DeleteNode {
+                id: NodeId::new(next(n) * stride),
             },
             _ => Update::SetRelProp {
                 id: RelId::new(next(2 * n) * stride),

@@ -91,22 +91,6 @@ impl PropertyValue {
         }
     }
 
-    /// Boolean accessor.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            PropertyValue::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Interned-string accessor.
-    pub fn as_str_id(&self) -> Option<StrId> {
-        match self {
-            PropertyValue::Str(s) => Some(*s),
-            _ => None,
-        }
-    }
-
     /// The in-memory footprint estimate in bytes, used for Table 3-style
     /// memory accounting.
     pub fn heap_size(&self) -> usize {
@@ -165,11 +149,6 @@ mod tests {
         assert_eq!(PropertyValue::Int(4).as_float(), Some(4.0));
         assert_eq!(PropertyValue::Float(2.5).as_float(), Some(2.5));
         assert_eq!(PropertyValue::Float(2.5).as_int(), None);
-        assert_eq!(PropertyValue::Bool(true).as_bool(), Some(true));
-        assert_eq!(
-            PropertyValue::Str(StrId::new(9)).as_str_id(),
-            Some(StrId::new(9))
-        );
     }
 
     #[test]

@@ -294,4 +294,72 @@ mod tests {
         }
         assert!(ts.audit(true).unwrap().findings.is_empty());
     }
+
+    #[test]
+    fn damaged_patch_detected_and_dropped_with_the_file_that_references_it() {
+        let dir = tempdir().unwrap();
+        let config = || TimeStoreConfig {
+            policy: crate::SnapshotPolicy::Never,
+            ..TimeStoreConfig::default()
+        };
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        // 300 nodes over five segments, snapshotted whole at 300. Node 7
+        // changes at 301: the snapshot there patches segment 0. Node 100
+        // changes at 302: the snapshot there patches segment 1 and
+        // references segment 0's base at 300 and its patch at 301.
+        for i in 1..=300u64 {
+            ts.append_commit(i, &[add_node(i)]).unwrap();
+        }
+        ts.write_snapshot().unwrap();
+        for (at, node) in [(301, 7), (302, 100)] {
+            let label = Update::AddLabel {
+                id: NodeId::new(node),
+                label: lpg::StrId::new(1),
+            };
+            ts.append_commit(at, &[label]).unwrap();
+            ts.write_snapshot().unwrap();
+        }
+        ts.sync().unwrap();
+        assert!(ts.audit(true).unwrap().findings.is_empty());
+        let snapdir = dir.path().join("snapshots");
+        let vfs = vfs::VfsRef::std();
+        let (patch_file, dependant) = (
+            snapdir.join("snap_00000000000000000301.aisnap"),
+            "snap_00000000000000000302.aisnap",
+        );
+        let later = vfs.read(&snapdir.join(dependant)).unwrap();
+        let referenced = encoding::snapshot::open(&later).unwrap().extents();
+        let patch = referenced
+            .iter()
+            .find(|e| e.ts == 301)
+            .expect("the patch at 301");
+        let mut bytes = vfs.read(&patch_file).unwrap();
+        bytes[(patch.offset + patch.len / 2) as usize] ^= 0x10;
+        vfs.write(&patch_file, &bytes).unwrap();
+
+        let findings = ts.audit(true).unwrap().findings;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.check == "snapshot/reference" && f.detail.contains(dependant)),
+            "{findings:?}"
+        );
+        drop(ts);
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        let left: Vec<String> = vfs
+            .read_dir(&snapdir)
+            .unwrap()
+            .into_iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(left, ["snap_00000000000000000300.aisnap"], "both dropped");
+        let mut replay = Graph::new();
+        for t in 1..=302 {
+            for u in ts.diff(t, t + 1).unwrap() {
+                replay.apply(&u.op).unwrap();
+            }
+            assert!(ts.snapshot_at(t).unwrap().same_as(&replay), "at ts {t}");
+        }
+        assert!(ts.audit(true).unwrap().findings.is_empty());
+    }
 }

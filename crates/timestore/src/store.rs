@@ -16,12 +16,13 @@ use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, Payload};
 use crate::policy::SnapshotPolicy;
 use btree::Finding;
-use encoding::snapshot::{self, Manifest, Segment, SharedSegments};
+use encoding::snapshot::{self, Change, Decoded, Manifest, Segment, SharedSegments};
 use lpg::{
-    Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate, Update,
+    EntityId, Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate,
+    Update,
 };
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -89,6 +90,7 @@ pub struct TimeStoreStats {
 struct Metrics {
     log_appends: Arc<obs::Counter>,
     snapshot_creates: Arc<obs::Counter>,
+    patched_segments: Arc<obs::Counter>,
     snapshot_create_latency: Arc<obs::Histogram>,
     snapshot_replays: Arc<obs::Counter>,
     snapshot_replay_latency: Arc<obs::Histogram>,
@@ -103,6 +105,7 @@ impl Metrics {
         Metrics {
             log_appends: obs::counter("timestore.log.appends"),
             snapshot_creates: obs::counter("timestore.snapshot.creates"),
+            patched_segments: obs::counter("timestore.snapshot.patched_segments"),
             snapshot_create_latency: obs::histogram("timestore.snapshot.create.latency_ns"),
             snapshot_replays: obs::counter("timestore.snapshot.replays"),
             snapshot_replay_latency: obs::histogram("timestore.snapshot.replay.latency_ns"),
@@ -136,6 +139,23 @@ struct Chain {
     /// lets a snapshot at `ts` clear only entries up to `ts`, keeping those
     /// of a commit that raced with it.
     touched: HashMap<Segment, Timestamp>,
+    /// For each node segment, the mask of the nodes an update named since
+    /// the segment's base was last written whole ([`Segment::of_node`]):
+    /// what its next patch lists. Exact in the same way: a node whose bit is
+    /// clear has the state its segment's base in `last` holds.
+    changed: HashMap<Segment, u64>,
+}
+
+impl Chain {
+    /// Notes that the update `op` at `ts` changed its entity.
+    fn note(&mut self, ts: Timestamp, op: &Update) {
+        let entity = op.entity();
+        self.touched.insert(Segment::of(entity), ts);
+        if let EntityId::Node(id) = entity {
+            let (segment, bit) = Segment::of_node(id);
+            *self.changed.entry(segment).or_default() |= bit;
+        }
+    }
 }
 
 /// Snapshot-based temporal storage indexed by time (Sec. 4.3).
@@ -295,10 +315,17 @@ impl TimeStore {
         if latest_ts > 0 {
             // Built in place, not through `snapshot_at`: the latest graph is
             // not a version a reader holds. The floor is the last valid file.
-            let (mut base_ts, mut graph, mut last) = (0, Graph::new(), None);
+            let mut chain = Chain::default();
+            let (mut base_ts, mut graph) = (0, Graph::new());
             if let Some((manifest, bytes)) = floor {
                 match self.decode_snapshot(&manifest, &bytes, &self.segments) {
-                    Ok(g) => (base_ts, graph, last) = (manifest.ts(), g, Some(Arc::new(manifest))),
+                    Ok(decoded) => {
+                        (base_ts, graph) = (manifest.ts(), decoded.graph);
+                        // A node the floor's patches do not list has its
+                        // base's state there.
+                        chain.changed = decoded.patched.into_iter().collect();
+                        chain.last = Some(Arc::new(manifest));
+                    }
                     Err(fault) => repairs.push(Finding::new(
                         "repair/floor",
                         format!(
@@ -310,15 +337,14 @@ impl TimeStore {
                 }
             }
             // The updates replayed past the floor are what the next snapshot
-            // must not reference.
-            let mut touched = HashMap::new();
+            // must not copy from it.
             if base_ts < latest_ts {
                 let _timer = self.metrics.snapshot_replay_latency.start_timer();
                 self.metrics.snapshot_replays.inc();
                 self.replay(base_ts + 1, latest_ts.saturating_add(1), |ts, ops| {
                     for op in ops {
                         graph.apply(op)?;
-                        touched.insert(Segment::of(op.entity()), ts);
+                        chain.note(ts, op);
                     }
                     if ts > newest {
                         ops_since_snapshot += ops.len() as u64;
@@ -327,7 +353,7 @@ impl TimeStore {
                 })?;
             }
             self.graphstore.set_latest(graph, latest_ts);
-            *self.chain.lock() = Chain { last, touched };
+            *self.chain.lock() = chain;
         }
         *self.state.lock() = MutableState {
             latest_ts,
@@ -362,7 +388,7 @@ impl TimeStore {
         manifest: &Manifest,
         bytes: &[u8],
         shared: &SharedSegments,
-    ) -> std::result::Result<Graph, snapshot::Fault> {
+    ) -> std::result::Result<Decoded, snapshot::Fault> {
         // Extents come grouped by file: each source is opened once.
         let mut source: Option<(Timestamp, Box<dyn vfs::VfsFile>, u64)> = None;
         let decoded = snapshot::decode(manifest, bytes, shared, |extent, buf| {
@@ -386,7 +412,7 @@ impl TimeStore {
         })?;
         self.metrics.segments_decoded.add(decoded.decoded as u64);
         self.metrics.segments_shared.add(decoded.shared as u64);
-        Ok(decoded.graph)
+        Ok(decoded)
     }
 
     /// The one snapshot loader (`snapshot_at`, `recover`, the audit):
@@ -400,10 +426,10 @@ impl TimeStore {
         shared: &SharedSegments,
     ) -> std::result::Result<(Manifest, Graph), LoadError> {
         let (manifest, bytes) = self.read_snapshot_file(ts)?;
-        let graph = self
+        let decoded = self
             .decode_snapshot(&manifest, &bytes, shared)
             .map_err(LoadError::Fault)?;
-        Ok((manifest, graph))
+        Ok((manifest, decoded.graph))
     }
 
     /// Ingests one committed transaction. Timestamps must be strictly
@@ -447,7 +473,7 @@ impl TimeStore {
         {
             let mut chain = self.chain.lock();
             for u in updates {
-                chain.touched.insert(Segment::of(u.entity()), ts);
+                chain.note(ts, u);
             }
         }
         // Returns whether a snapshot is due.
@@ -472,10 +498,14 @@ impl TimeStore {
     /// timestamp already.
     ///
     /// The file references every segment of the previous snapshot that no
-    /// update touched since, and holds the rest inline. The relationship
-    /// chunks it holds inline are lent to later loads (see
-    /// `encoding::snapshot`'s module doc), so a snapshot loaded from it
-    /// shares them with the latest graph until a commit changes them.
+    /// update touched since, with its patch if it has one. A touched node
+    /// segment the previous snapshot holds gets a patch listing every node
+    /// changed since its base was written whole (see `encoding::snapshot`'s
+    /// module doc), or is written whole when that patch would be more than
+    /// half the base; every other touched segment is written whole. The
+    /// relationship chunks the file holds inline are lent to later loads,
+    /// so a snapshot loaded from it shares them with the latest graph until
+    /// a commit changes them.
     pub fn write_snapshot(&self) -> Result<()> {
         // The latest graph is borrowed only while it is encoded: an `Arc`
         // still alive at the next commit would make `apply_commit` copy
@@ -488,18 +518,28 @@ impl TimeStore {
                 return Ok(());
             }
             let since = prev.as_ref().map_or(0, |m| m.ts());
-            let dirty: HashSet<Segment> = chain
+            // What changed in each touched segment: in a node segment, the
+            // nodes changed since its base.
+            let dirty: HashMap<Segment, Change> = chain
                 .touched
                 .iter()
                 .filter(|(_, t)| **t > since)
-                .map(|(s, _)| *s)
+                .map(|(&s, _)| match s {
+                    // Every update notes both maps, so a touched node
+                    // segment has a mask; without one it is written whole.
+                    Segment::Node(_) => {
+                        let mask = chain.changed.get(&s).copied();
+                        (s, mask.map_or(Change::Any, Change::Nodes))
+                    }
+                    Segment::Rel(_) => (s, Change::Any),
+                })
                 .collect();
             (prev, dirty)
         };
         let _timer = self.metrics.snapshot_create_latency.start_timer();
         self.metrics.snapshot_creates.inc();
-        let (bytes, manifest) =
-            snapshot::encode(&graph, ts, prev.as_deref(), |s| dirty.contains(&s));
+        let change = |s| dirty.get(&s).copied().unwrap_or(Change::None);
+        let (bytes, manifest) = snapshot::encode(&graph, ts, prev.as_deref(), change);
         // The relationship chunks this file holds inline, taken while the
         // graph is still the one encoded.
         let loan = snapshot::Loan::new(&manifest, &graph);
@@ -519,6 +559,7 @@ impl TimeStore {
             state.snapshots.insert(ts, bytes.len() as u64);
             state.ops_since_snapshot = 0;
         }
+        self.metrics.patched_segments.add(manifest.inline().patches);
         // Loads can name this file's bytes from here on: they take the
         // chunks the latest graph still holds unchanged instead.
         self.segments.lend(loan);
@@ -530,6 +571,18 @@ impl TimeStore {
                 chain.last = Some(Arc::new(manifest));
             }
             chain.touched.retain(|_, t| *t > ts);
+            // A node segment the newest file holds without a patch has that
+            // file's base state there: it lists nothing until an update
+            // touches it, unless one after ts already did (listing more is
+            // harmless).
+            let Chain {
+                last,
+                touched,
+                changed,
+            } = &mut *chain;
+            if let Some(last) = last {
+                changed.retain(|s, _| last.patched(*s) || touched.contains_key(s));
+            }
         }
         Ok(())
     }

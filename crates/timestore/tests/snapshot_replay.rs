@@ -11,10 +11,14 @@
 //!
 //! The script's ids are spread (× 29) over many 64-id segments, so each
 //! snapshot rewrites some segments and references the rest in earlier
-//! files; the reopen halfway through makes the second half's snapshots
-//! depend on the touched-segment set recovery seeds.
+//! files. One dense segment of 64 nodes, one of which every commit changes,
+//! makes every snapshot after the first patch it or write it whole again.
+//! The reopen halfway through makes the second half's snapshots depend on
+//! what recovery seeds: the touched segments, and the nodes the floor's
+//! patches list.
 
-use lpg::{Graph, StrId};
+use encoding::snapshot;
+use lpg::{Graph, NodeId, PropertyValue, StrId, Update};
 use proptest::prelude::*;
 use tempfile::tempdir;
 use timestore::{SnapshotPolicy, TimeStore, TimeStoreConfig};
@@ -59,7 +63,7 @@ proptest! {
         ],
         victim in any::<u64>(),
     ) {
-        let script = spread_ids(
+        let mut script = spread_ids(
             commit_script(
                 seed,
                 &SimOpsConfig {
@@ -73,6 +77,28 @@ proptest! {
             ),
             29,
         );
+        // One more segment, dense and far from the script's ids: 64 nodes
+        // added first, then one of them changed by every commit, so every
+        // snapshot after the first patches it or writes it whole again.
+        let block = 1 << 40;
+        let key = StrId::new(2);
+        script.insert(
+            0,
+            (block..block + 64)
+                .map(|id| Update::AddNode {
+                    id: NodeId::new(id),
+                    labels: vec![],
+                    props: vec![(key, PropertyValue::Int(0))],
+                })
+                .collect(),
+        );
+        for (i, batch) in script.iter_mut().enumerate().skip(1) {
+            batch.push(Update::SetNodeProp {
+                id: NodeId::new(block + i as u64 * 7 % 64),
+                key,
+                value: PropertyValue::Int(i as i64),
+            });
+        }
         let mut segments: Vec<(bool, u64)> = script
             .iter()
             .flatten()
@@ -101,6 +127,21 @@ proptest! {
         if matches!(policy, SnapshotPolicy::EveryNOps(2)) {
             prop_assert!(store.stats().snapshot_count >= 2);
         }
+        // Every policy that writes snapshots patches the dense segment.
+        let vfs = VfsRef::std();
+        let snap_dir = dir.path().join("snapshots");
+        let patches: u64 = vfs
+            .read_dir(&snap_dir)
+            .unwrap()
+            .iter()
+            .map(|(name, _)| {
+                let bytes = vfs.read(&snap_dir.join(name)).unwrap();
+                snapshot::open(&bytes).unwrap().inline().patches
+            })
+            .sum();
+        if !matches!(policy, SnapshotPolicy::Never) {
+            prop_assert!(patches >= 1, "no patched segment under {policy:?}");
+        }
         assert_matches_replay(&store, end);
 
         // Recovery path: reopen from the files and re-check, so the
@@ -114,8 +155,6 @@ proptest! {
         // it and every file referencing it are dropped, and the log
         // re-derives what they held.
         drop(store);
-        let snap_dir = dir.path().join("snapshots");
-        let vfs = VfsRef::std();
         let files = vfs.read_dir(&snap_dir).unwrap();
         if !files.is_empty() {
             let (name, len) = &files[(victim % files.len() as u64) as usize];

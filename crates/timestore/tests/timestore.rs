@@ -405,7 +405,8 @@ fn open_reports_every_repair_it_makes() {
     drop(store);
     reopens_clean();
 
-    // A damaged snapshot file: deleted.
+    // A damaged snapshot file: deleted, and with it the file at 100, which
+    // patches a node segment whose base the damaged file holds.
     let snap = dir
         .path()
         .join("snapshots/snap_00000000000000000050.aisnap");
@@ -414,10 +415,17 @@ fn open_reports_every_repair_it_makes() {
     vfs.write(&snap, &bytes).unwrap();
     let store = open();
     let repairs = store.repairs();
-    assert_eq!(checks(&store), ["repair/snapshot"], "{repairs:?}");
+    assert_eq!(
+        checks(&store),
+        ["repair/snapshot", "repair/snapshot"],
+        "{repairs:?}"
+    );
     assert!(repairs[0]
         .detail
-        .contains("snap_00000000000000000050.aisnap"));
+        .contains("snap_00000000000000000050.aisnap: does not decode"));
+    assert!(repairs[1]
+        .detail
+        .contains("snap_00000000000000000100.aisnap: references the dropped snapshot at ts 50"));
     assert!(!snap.exists());
     assert!(store.latest_graph().same_as(&oracle_at(&commits, u64::MAX)));
     store.sync().unwrap();

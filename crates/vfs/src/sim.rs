@@ -105,7 +105,6 @@ struct State {
     rng: SplitMix64,
     ops: u64,
     crashed: bool,
-    crashes: u64,
     enospc_next: bool,
 }
 
@@ -146,7 +145,6 @@ impl State {
             }
         }
         self.crashed = true;
-        self.crashes += 1;
     }
 
     /// Gate for a mutating operation: post-crash failure, op accounting,
@@ -216,7 +214,6 @@ impl SimVfs {
                 rng: SplitMix64::new(seed),
                 ops: 0,
                 crashed: false,
-                crashes: 0,
                 enospc_next: false,
             })),
         }
@@ -230,11 +227,6 @@ impl SimVfs {
     /// Whether a crash point has fired.
     pub fn has_crashed(&self) -> bool {
         self.state.lock().crashed
-    }
-
-    /// Number of crashes so far.
-    pub fn crash_count(&self) -> u64 {
-        self.state.lock().crashes
     }
 
     /// Crashes immediately: runs the torn-write lottery over all pending
@@ -478,7 +470,6 @@ mod tests {
         f.sync_data().unwrap(); // op 1
         assert!(f.write_all_at(b"2", 1).is_err()); // op 2 → crash
         assert!(sim.has_crashed());
-        assert_eq!(sim.crash_count(), 1);
         sim.heal();
         assert_eq!(sim.read(p("/x")).unwrap()[0], b'1');
     }

@@ -1,12 +1,14 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
 //! page file is rebuilt from the change log — whose format did not change
-//! — and the stale snapshots are dropped at open. Four kinds of input:
+//! — and the stale snapshots are dropped at open. Six kinds of input:
 //!
 //! * written before the bulk checksum (`vfs::bulk_sum64`): snapshot footers
 //!   carry FNV-1a sums;
 //! * written before snapshot files shared segments: every snapshot is a
 //!   version-1 whole-graph body behind a *valid* `bulk_sum64` footer;
+//! * written before node segments carried patches: every snapshot is a
+//!   sealed version-2 file;
 //! * written before leaf cells had a varint header, before neighbour keys
 //!   were compact, or before the page file sealed itself: the page file
 //!   carries the page-file magic `AIONPGS1`, `AIONPGS2` or `AIONPGS3`, with
@@ -231,6 +233,55 @@ fn version_1_snapshots_are_dropped_at_open() {
     let bytes = VfsRef::std().read(&written[0]).unwrap();
     assert!(encoding::snapshot::open(&bytes).is_some());
     assert!(encoding::snapshot::open(&v1).is_none());
+}
+
+/// The pinned anchor of the version-2 snapshot pair: a whole-graph file in
+/// the format before node segments carried patches, sealed.
+const VERSION_2_FILE: &str = include_str!("../crates/encoding/tests/golden/snapshot_v2_100.hex");
+
+#[test]
+fn version_2_snapshots_are_dropped_at_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let history = write_history(dir);
+    let snapshots = snapshot_files(dir);
+    assert!(
+        snapshots.len() >= 3,
+        "the history crosses snapshot boundaries"
+    );
+    let hex: Vec<u8> = VERSION_2_FILE
+        .bytes()
+        .filter(u8::is_ascii_hexdigit)
+        .collect();
+    let v2: Vec<u8> = hex
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect();
+    // Its footer verifies: only the version is refused.
+    let payload = v2.len() - 8;
+    assert_eq!(vfs::bulk_sum64(&v2[..payload]).to_le_bytes(), v2[payload..]);
+    for snapshot in &snapshots {
+        VfsRef::std().write(snapshot, &v2).unwrap();
+    }
+
+    let db = Aion::open(config(dir)).unwrap();
+    // Dropped by the open, before anything read them.
+    assert!(
+        snapshot_files(dir).is_empty(),
+        "version-2 snapshots are dropped"
+    );
+    assert_eq!(db.timestore().stats().snapshot_count, 0);
+    assert_history(&db, &history);
+    // The next snapshot is written in the current version.
+    for i in 100..110u64 {
+        db.write(|txn| txn.add_node(NodeId::new(i), vec![], vec![]))
+            .unwrap();
+    }
+    let written = snapshot_files(dir);
+    assert_eq!(written.len(), 1);
+    let bytes = VfsRef::std().read(&written[0]).unwrap();
+    assert!(encoding::snapshot::open(&bytes).is_some());
+    assert!(encoding::snapshot::open(&v2).is_none());
 }
 
 /// A directory whose page file carries the older page-file version
