@@ -1,13 +1,10 @@
-//! A minimal Rust lexer: source text → significant tokens + comment
-//! trivia, with line numbers.
+//! A minimal Rust lexer: source text → significant tokens with line
+//! numbers.
 //!
-//! This is the layer that makes the analyzer's rules sound where the old
-//! line-oriented `strip_noise` scanner was not: string contents (including
-//! raw strings like `r#"…"#` with arbitrary hash counts), char literals,
-//! and block comments (including *nested* `/* /* */ */`) never produce
-//! code tokens, so prose mentioning `panic!(` or `.unwrap()` cannot trip
-//! a rule. Comments are kept as separate trivia because the
-//! unsafe-inventory rule needs to see `// SAFETY:` text.
+//! String contents (including raw strings like `r#"…"#` with arbitrary
+//! hash counts), char literals and comments (including *nested*
+//! `/* /* */ */` block comments) never produce code tokens, so prose that
+//! mentions `.lock()` or `check_budget()` cannot trip a rule.
 //!
 //! The lexer is deliberately lenient: it never fails. Malformed input
 //! (e.g. an unterminated string) lexes to *something* reasonable; the
@@ -54,24 +51,6 @@ impl Token {
             _ => None,
         }
     }
-}
-
-/// One comment (line or block), with the line range it covers.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// 1-based line the comment ends on.
-    pub end_line: u32,
-    /// Raw comment text including delimiters.
-    pub text: String,
-}
-
-/// Lexer output: the significant token stream plus comment trivia.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
 }
 
 struct Cursor<'a> {
@@ -125,10 +104,10 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-/// Lexes `src` into tokens and comments. Never fails.
-pub fn lex(src: &str) -> Lexed {
+/// Lexes `src` into tokens. Never fails.
+pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     while !cur.done() {
         let b = cur.peek();
         let line = cur.line;
@@ -137,18 +116,11 @@ pub fn lex(src: &str) -> Lexed {
                 cur.bump();
             }
             b'/' if cur.peek_at(1) == b'/' => {
-                let start = cur.pos;
                 while !cur.done() && cur.peek() != b'\n' {
                     cur.bump();
                 }
-                out.comments.push(Comment {
-                    line,
-                    end_line: cur.line,
-                    text: cur.slice(start).to_string(),
-                });
             }
             b'/' if cur.peek_at(1) == b'*' => {
-                let start = cur.pos;
                 cur.bump();
                 cur.bump();
                 // Block comments nest in Rust.
@@ -166,15 +138,10 @@ pub fn lex(src: &str) -> Lexed {
                         cur.bump();
                     }
                 }
-                out.comments.push(Comment {
-                    line,
-                    end_line: cur.line,
-                    text: cur.slice(start).to_string(),
-                });
             }
             b'"' => {
                 lex_string(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Lit,
                     line,
                 });
@@ -182,7 +149,7 @@ pub fn lex(src: &str) -> Lexed {
             b'\'' => lex_char_or_lifetime(&mut cur, &mut out, line),
             b'0'..=b'9' => {
                 lex_number(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Lit,
                     line,
                 });
@@ -197,7 +164,7 @@ pub fn lex(src: &str) -> Lexed {
                 if matches!(text, "r" | "b" | "br" | "c" | "cr") {
                     let raw = matches!(text, "r" | "br" | "cr");
                     if try_lex_prefixed_string(&mut cur, raw) {
-                        out.tokens.push(Token {
+                        out.push(Token {
                             tok: Tok::Lit,
                             line,
                         });
@@ -207,7 +174,7 @@ pub fn lex(src: &str) -> Lexed {
                     if text == "b" && cur.peek() == b'\'' {
                         cur.bump();
                         lex_char_body(&mut cur);
-                        out.tokens.push(Token {
+                        out.push(Token {
                             tok: Tok::Lit,
                             line,
                         });
@@ -220,21 +187,21 @@ pub fn lex(src: &str) -> Lexed {
                         while is_ident_continue(cur.peek()) {
                             cur.bump();
                         }
-                        out.tokens.push(Token {
+                        out.push(Token {
                             tok: Tok::Ident(cur.slice(istart).to_string()),
                             line,
                         });
                         continue;
                     }
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Ident(text.to_string()),
                     line,
                 });
             }
             _ => {
                 cur.bump();
-                out.tokens.push(Token {
+                out.push(Token {
                     tok: Tok::Punct(b as char),
                     line,
                 });
@@ -321,11 +288,11 @@ fn lex_char_body(cur: &mut Cursor<'_>) {
 }
 
 /// Disambiguates `'a'` (char literal) from `'a` (lifetime) from `'\n'`.
-fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32) {
+fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Vec<Token>, line: u32) {
     cur.bump(); // the quote
     if cur.peek() == b'\\' {
         lex_char_body(cur);
-        out.tokens.push(Token {
+        out.push(Token {
             tok: Tok::Lit,
             line,
         });
@@ -339,12 +306,12 @@ fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32) {
         }
         if cur.peek() == b'\'' {
             cur.bump();
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Lit,
                 line,
             });
         } else {
-            out.tokens.push(Token {
+            out.push(Token {
                 tok: Tok::Lifetime,
                 line,
             });
@@ -353,7 +320,7 @@ fn lex_char_or_lifetime(cur: &mut Cursor<'_>, out: &mut Lexed, line: u32) {
     }
     // `'('`, `' '`, etc: a single-char literal.
     lex_char_body(cur);
-    out.tokens.push(Token {
+    out.push(Token {
         tok: Tok::Lit,
         line,
     });
@@ -389,7 +356,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .iter()
             .filter_map(|t| t.ident().map(str::to_string))
             .collect()
@@ -419,22 +385,15 @@ mod tests {
         // The old scanner ended the comment at the first `*/`, leaking
         // `x.unwrap()` into code.
         let src = "/* outer /* inner */ x.unwrap() */ fn ok() {}";
-        let lexed = lex(src);
-        assert_eq!(lexed.comments.len(), 1);
-        let ids: Vec<_> = lexed.tokens.iter().filter_map(Token::ident).collect();
-        assert_eq!(ids, vec!["fn", "ok"]);
+        assert_eq!(idents(src), vec!["fn", "ok"]);
     }
 
     #[test]
     fn char_literals_vs_lifetimes() {
         let lexed = lex("fn g<'a>(x: &'a str) { let c = 'x'; let q = '\\''; }");
-        let lifetimes = lexed
-            .tokens
-            .iter()
-            .filter(|t| t.tok == Tok::Lifetime)
-            .count();
+        let lifetimes = lexed.iter().filter(|t| t.tok == Tok::Lifetime).count();
         assert_eq!(lifetimes, 2);
-        let lits = lexed.tokens.iter().filter(|t| t.tok == Tok::Lit).count();
+        let lits = lexed.iter().filter(|t| t.tok == Tok::Lit).count();
         assert_eq!(lits, 2);
     }
 
@@ -454,36 +413,30 @@ mod tests {
     #[test]
     fn line_numbers_are_tracked() {
         let lexed = lex("a\nb\n  c");
-        let lines: Vec<u32> = lexed.tokens.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = lexed.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
     }
 
     #[test]
     fn multiline_strings_advance_lines() {
         let lexed = lex("let s = \"one\ntwo\";\nnext");
-        let next = lexed
-            .tokens
-            .iter()
-            .find(|t| t.is_ident("next"))
-            .map(|t| t.line);
+        let next = lexed.iter().find(|t| t.is_ident("next")).map(|t| t.line);
         assert_eq!(next, Some(3));
     }
 
     #[test]
     fn doc_comments_are_trivia() {
-        let lexed = lex("/// calls .unwrap() when\n//! panic!( docs\nfn f() {}");
-        assert_eq!(lexed.comments.len(), 2);
-        let ids: Vec<_> = lexed.tokens.iter().filter_map(Token::ident).collect();
+        let ids = idents("/// calls .unwrap() when\n//! panic!( docs\nfn f() {}");
         assert_eq!(ids, vec!["fn", "f"]);
     }
 
     #[test]
     fn floats_and_ranges() {
         let lexed = lex("1.5 0..10 1e-5");
-        let lits = lexed.tokens.iter().filter(|t| t.tok == Tok::Lit).count();
+        let lits = lexed.iter().filter(|t| t.tok == Tok::Lit).count();
         // 1.5, 0, 10, 1e-5 — the `..` stays punctuation.
         assert_eq!(lits, 4);
-        let dots = lexed.tokens.iter().filter(|t| t.is_punct('.')).count();
+        let dots = lexed.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2);
     }
 }

@@ -1,38 +1,40 @@
 //! # aion-analyze — syntax-tree invariant analyzer for the workspace
 //!
-//! Replaces the original line-oriented `xtask lint` text scanner with a
-//! rule registry over lexed + structurally parsed sources (DESIGN.md
-//! §12). Driven by `cargo xtask analyze`.
+//! The checks no standard tool makes, as a rule registry over lexed +
+//! structurally parsed library sources (DESIGN.md §12). Driven by
+//! `cargo xtask analyze`.
 //!
 //! Rules:
 //!
-//! * **vfs-bypass** — storage I/O must flow through `crates/vfs`.
 //! * **lock-order** — the global Mutex/RwLock graph must be acyclic;
 //!   cycles fail with a witness path.
 //! * **budget-loops** — query-execution loops must reach an `ExecBudget`
 //!   check.
-//! * **panic-freedom** — no `unwrap`/`expect`/`panic!` in service-path
-//!   crates (AST port of the old scanner).
-//! * **unsafe-inventory** — every `unsafe` carries a `// SAFETY:`
-//!   comment.
 //!
 //! Plus a non-AST **manifest-lints** audit: every crate manifest must opt
 //! into `[lints] workspace = true`.
 //!
-//! Findings honor the checked-in suppression file `analyze.allow.toml`;
-//! every entry needs a reason, and entries that no longer match anything
-//! are reported as stale.
+//! The storage seam, panic-freedom and `// SAFETY:` comments are clippy
+//! lints (`clippy.toml`, the crate-root `deny`s and `[workspace.lints]`).
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::path::{Path, PathBuf};
 
 pub mod lexer;
 pub mod rules;
-pub mod suppress;
 pub mod syntax;
 pub mod workspace;
 
 pub use rules::{Finding, Rule};
-pub use suppress::AllowEntry;
 pub use workspace::Workspace;
 
 /// What to analyze.
@@ -53,22 +55,11 @@ impl Config {
     }
 }
 
-/// A finding that was matched by an allow entry.
-#[derive(Debug)]
-pub struct Suppressed {
-    pub finding: Finding,
-    pub reason: String,
-}
-
 /// Analysis output.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Report {
-    /// Unsuppressed findings — any entry here means the gate fails.
+    /// Findings — any entry here means the gate fails.
     pub findings: Vec<Finding>,
-    /// Findings matched by allow entries.
-    pub suppressed: Vec<Suppressed>,
-    /// Allow entries that matched nothing (file rot).
-    pub stale_allows: Vec<AllowEntry>,
     /// Files scanned.
     pub files_scanned: usize,
 }
@@ -86,16 +77,9 @@ impl Report {
             out.push_str(&f.to_string());
             out.push('\n');
         }
-        for e in &self.stale_allows {
-            out.push_str(&format!(
-                "note: stale allow entry (analyze.allow.toml:{}) matches nothing: rule={} path={}\n",
-                e.line, e.rule, e.path
-            ));
-        }
         out.push_str(&format!(
-            "analyze: {} finding(s), {} suppressed, {} file(s) scanned\n",
+            "analyze: {} finding(s), {} file(s) scanned\n",
             self.findings.len(),
-            self.suppressed.len(),
             self.files_scanned
         ));
         out
@@ -122,9 +106,7 @@ impl Report {
         }
         out.push_str("],\n");
         out.push_str(&format!(
-            "  \"suppressed\": {},\n  \"stale_allows\": {},\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
-            self.suppressed.len(),
-            self.stale_allows.len(),
+            "  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
             self.files_scanned,
             self.is_clean()
         ));
@@ -132,90 +114,34 @@ impl Report {
     }
 }
 
-/// Analyzer failure (I/O, bad suppression file) — distinct from findings.
-#[derive(Debug)]
-pub enum Error {
-    Io(std::io::Error),
-    Allow(suppress::ParseError),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Error::Io(e) => write!(f, "io: {e}"),
-            Error::Allow(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Error {
-        Error::Io(e)
-    }
-}
-
-/// Runs the configured rules over the workspace and applies the
-/// suppression file.
-pub fn run(cfg: &Config) -> Result<Report, Error> {
+/// Runs the configured rules over the workspace.
+pub fn run(cfg: &Config) -> std::io::Result<Report> {
     let ws = workspace::load(&cfg.root)?;
-    let allows = load_allows(&cfg.root)?;
-
-    let mut raw: Vec<Finding> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     for rule in rules::all() {
         if !cfg.only.is_empty() && !cfg.only.iter().any(|r| r == rule.id()) {
             continue;
         }
-        rule.check(&ws, &mut raw);
+        rule.check(&ws, &mut findings);
     }
     if cfg.only.is_empty() || cfg.only.iter().any(|r| r == "manifest-lints") {
-        manifest_lints(&cfg.root, &mut raw)?;
+        manifest_lints(&cfg.root, &mut findings)?;
     }
-
-    let mut report = Report {
+    findings.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
+    Ok(Report {
+        findings,
         files_scanned: ws.files.len(),
-        ..Report::default()
-    };
-    let mut used: Vec<bool> = vec![false; allows.len()];
-    for f in raw {
-        let hit = allows
-            .iter()
-            .enumerate()
-            .find(|(_, a)| a.matches(f.rule, &f.path, &f.key));
-        match hit {
-            Some((idx, a)) => {
-                used[idx] = true;
-                report.suppressed.push(Suppressed {
-                    finding: f,
-                    reason: a.reason.clone(),
-                });
-            }
-            None => report.findings.push(f),
-        }
-    }
-    for (idx, a) in allows.iter().enumerate() {
-        if !used[idx] {
-            report.stale_allows.push(a.clone());
-        }
-    }
-    report
-        .findings
-        .sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
-    Ok(report)
-}
-
-fn load_allows(root: &Path) -> Result<Vec<AllowEntry>, Error> {
-    let path = root.join("analyze.allow.toml");
-    if !path.is_file() {
-        return Ok(Vec::new());
-    }
-    let body = std::fs::read_to_string(&path)?;
-    suppress::parse(&body).map_err(Error::Allow)
+    })
 }
 
 /// Ported manifest audit: every crate manifest opts into the shared
 /// `[workspace.lints]` table so `warnings = "deny"` and the curated
 /// clippy set apply uniformly. Shims are vendored stand-ins and exempt.
-fn manifest_lints(root: &Path, out: &mut Vec<Finding>) -> Result<(), Error> {
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer walks the source tree and reads manifests; Vfs::read_dir lists plain files only (no recursion) and tooling must not depend on the storage seam it audits"
+)]
+fn manifest_lints(root: &Path, out: &mut Vec<Finding>) -> std::io::Result<()> {
     let mut manifests: Vec<PathBuf> = [root.join("Cargo.toml"), root.join("xtask/Cargo.toml")]
         .into_iter()
         .filter(|p| p.is_file())

@@ -7,7 +7,7 @@
 
 use super::{Finding, Rule};
 use crate::lexer::Token;
-use crate::workspace::{FileKind, Workspace};
+use crate::workspace::Workspace;
 use std::collections::HashSet;
 
 /// Execution-path files: every interpreter/executor loop lives here.
@@ -28,10 +28,9 @@ impl Rule for BudgetLoops {
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
-            let in_scope = file.kind == FileKind::Lib
-                && EXEC_FILES
-                    .iter()
-                    .any(|(c, f)| file.crate_name == *c && file.rel_path.ends_with(f));
+            let in_scope = EXEC_FILES
+                .iter()
+                .any(|(c, f)| file.crate_name == *c && file.rel_path.ends_with(f));
             if !in_scope {
                 continue;
             }
@@ -41,7 +40,7 @@ impl Rule for BudgetLoops {
 }
 
 fn check_file(file: &crate::workspace::SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.lexed.tokens;
+    let toks = &file.tokens;
 
     // Functions in this file that check the budget somewhere in their
     // body — a loop that calls one of these is budgeted. Computed as a

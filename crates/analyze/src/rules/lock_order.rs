@@ -21,14 +21,11 @@
 //!    count as acquisitions at the call site.
 //! 4. **Cycles fail** with the witness path: every edge in the cycle with
 //!    the function and line that creates it.
-//!
-//! Suppression: an `analyze.allow.toml` entry with `rule = "lock-order"`
-//! and `key = "A->B"` removes that edge before cycle detection.
 
 use super::{Finding, Rule};
 use crate::lexer::Token;
 use crate::syntax::matching_brace;
-use crate::workspace::{FileKind, Workspace};
+use crate::workspace::Workspace;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Method names never resolved across crates: too generic, and the lock
@@ -162,27 +159,22 @@ pub fn analyze(ws: &Workspace) -> LockGraph {
     // Lock field names declared per crate.
     let mut crate_locks: HashMap<String, HashSet<String>> = HashMap::new();
     for f in &ws.files {
-        if f.kind == FileKind::Lib {
-            crate_locks
-                .entry(f.crate_name.clone())
-                .or_default()
-                .extend(f.syntax.lock_fields.iter().cloned());
-        }
+        crate_locks
+            .entry(f.crate_name.clone())
+            .or_default()
+            .extend(f.syntax.lock_fields.iter().cloned());
     }
 
     // Per-function event extraction.
     let mut fns: Vec<FnSummary> = Vec::new();
     for file in &ws.files {
-        if file.kind != FileKind::Lib {
-            continue;
-        }
         let empty = HashSet::new();
         let locks = crate_locks.get(&file.crate_name).unwrap_or(&empty);
         for fi in &file.syntax.fns {
             if fi.is_test || fi.body.0 == fi.body.1 {
                 continue;
             }
-            let events = extract_events(&file.lexed.tokens, fi.body, locks, &file.crate_name);
+            let events = extract_events(&file.tokens, fi.body, locks, &file.crate_name);
             let direct: BTreeSet<String> = events
                 .iter()
                 .filter_map(|e| match e {
@@ -190,7 +182,7 @@ pub fn analyze(ws: &Workspace) -> LockGraph {
                     Event::Call { .. } => None,
                 })
                 .collect();
-            let returns_guard_of = guard_return(&file.lexed.tokens, fi, &direct);
+            let returns_guard_of = guard_return(&file.tokens, fi, &direct);
             fns.push(FnSummary {
                 file: file.rel_path.clone(),
                 fn_name: fi.name.clone(),

@@ -1,19 +1,15 @@
 //! The rule registry. Each rule inspects the loaded [`Workspace`] and
-//! emits [`Finding`]s carrying a stable `key` that suppression entries
-//! and tests can match on.
+//! emits [`Finding`]s carrying a stable `key`.
 
 use crate::workspace::Workspace;
 
 pub mod budget_loops;
 pub mod lock_order;
-pub mod panic_freedom;
-pub mod unsafe_inventory;
-pub mod vfs_bypass;
 
 /// One violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`vfs-bypass`, `lock-order`, …).
+    /// Rule id (`lock-order`, `budget-loops`, `manifest-lints`).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub path: String,
@@ -21,8 +17,7 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// Stable machine-matchable key (token, lock edge, …) used by
-    /// suppression entries.
+    /// Stable machine-matchable key (lock edge, function and line, …).
     pub key: String,
 }
 
@@ -38,7 +33,7 @@ impl std::fmt::Display for Finding {
 
 /// A workspace invariant checker.
 pub trait Rule {
-    /// Stable rule id used in output and suppression entries.
+    /// Stable rule id used in output and by `--rule`.
     fn id(&self) -> &'static str;
     /// One-line description for `--list`.
     fn describe(&self) -> &'static str;
@@ -49,10 +44,7 @@ pub trait Rule {
 /// Every rule, in reporting order.
 pub fn all() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(vfs_bypass::VfsBypass),
         Box::new(lock_order::LockOrder),
         Box::new(budget_loops::BudgetLoops),
-        Box::new(panic_freedom::PanicFreedom),
-        Box::new(unsafe_inventory::UnsafeInventory),
     ]
 }

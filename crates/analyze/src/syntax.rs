@@ -1,13 +1,13 @@
 //! Item-level structure over the token stream: functions (with their
-//! enclosing impl type and module path), `#[cfg(test)]` regions, and
-//! declared lock fields.
+//! enclosing impl type and whether they are test code) and declared lock
+//! fields.
 //!
 //! This is not a full AST — rules only need to know *which function* a
 //! token range belongs to, whether that function is test-gated, and how
 //! braces nest. Expression grammar stays opaque; rules pattern-match the
 //! token stream inside function bodies themselves.
 
-use crate::lexer::{Lexed, Token};
+use crate::lexer::Token;
 
 /// One `fn` item.
 #[derive(Debug, Clone)]
@@ -19,8 +19,6 @@ pub struct FnInfo {
     /// Whether the fn is test code: `#[test]`, `#[cfg(test)]`, or inside
     /// a test-gated module/impl.
     pub is_test: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token-index range of the body, *inside* the braces (empty for
     /// bodyless trait-method declarations).
     pub body: (usize, usize),
@@ -30,17 +28,8 @@ pub struct FnInfo {
 #[derive(Debug, Default)]
 pub struct Syntax {
     pub fns: Vec<FnInfo>,
-    /// Token-index ranges (half-open) covered by test-gated items.
-    pub test_ranges: Vec<(usize, usize)>,
     /// Field/static names declared as `Mutex<…>` or `RwLock<…>`.
     pub lock_fields: Vec<String>,
-}
-
-impl Syntax {
-    /// Whether token index `i` falls inside any test-gated item.
-    pub fn in_test(&self, i: usize) -> bool {
-        self.test_ranges.iter().any(|&(a, b)| i >= a && i < b)
-    }
 }
 
 /// Finds the matching `}` for the `{` at `open` (returns the index of the
@@ -209,10 +198,10 @@ fn collect_lock_fields(toks: &[Token], out: &mut Vec<String>) {
 }
 
 /// Parses the item structure of a lexed file.
-pub fn parse(lexed: &Lexed) -> Syntax {
+pub fn parse(tokens: &[Token]) -> Syntax {
     let mut syn = Syntax::default();
-    collect_lock_fields(&lexed.tokens, &mut syn.lock_fields);
-    scan_items(&lexed.tokens, 0, lexed.tokens.len(), None, false, &mut syn);
+    collect_lock_fields(tokens, &mut syn.lock_fields);
+    scan_items(tokens, 0, tokens.len(), None, false, &mut syn);
     syn
 }
 
@@ -264,9 +253,6 @@ fn scan_items(
         {
             let close = matching_brace(toks, i + 2);
             let gated = in_test || pending_test;
-            if pending_test {
-                syn.test_ranges.push((i, close + 1));
-            }
             scan_items(toks, i + 3, close, None, gated, syn);
             pending_test = false;
             i = close + 1;
@@ -278,9 +264,6 @@ fn scan_items(
             if toks.get(body_open).is_some_and(|t| t.is_punct('{')) {
                 let close = matching_brace(toks, body_open);
                 let gated = in_test || pending_test;
-                if pending_test {
-                    syn.test_ranges.push((i, close + 1));
-                }
                 let self_ty = if t.is_ident("impl") {
                     impl_self_type(&toks[i + 1..body_open])
                 } else {
@@ -303,14 +286,10 @@ fn scan_items(
                 } else {
                     ((body_open, body_open), body_open + 1)
                 };
-                if pending_test {
-                    syn.test_ranges.push((i, next));
-                }
                 syn.fns.push(FnInfo {
                     name: name.to_string(),
                     impl_type: impl_type.map(str::to_string),
                     is_test: gated,
-                    line: t.line,
                     body,
                 });
                 pending_test = false;

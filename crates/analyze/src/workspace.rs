@@ -1,46 +1,36 @@
-//! Loads the workspace's Rust sources into lexed + parsed form.
+//! Loads the workspace's library sources into lexed + parsed form.
 //!
-//! Scope: every crate under `crates/`, the `xtask` helper, the root
-//! package (`src/`, `tests/`). Vendored dependency shims (`shims/`) and
-//! `target/` are never scanned; `examples/` are demo code outside the
-//! invariant surface.
+//! Scope: `src/**` of every crate under `crates/` and of the root
+//! package, without `src/bin/**`. Binaries, `tests/`, `xtask`, vendored
+//! dependency shims (`shims/`), `examples/` and `target/` are outside
+//! every rule's scope and are never read.
 
-use crate::lexer::{self, Lexed};
+use crate::lexer::{self, Token};
 use crate::syntax::{self, Syntax};
 use std::path::{Path, PathBuf};
 
-/// What kind of compilation unit a file belongs to — rules scope
-/// themselves by kind (e.g. panic-freedom covers library sources only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
-    /// `src/**` of a library crate.
-    Lib,
-    /// `src/bin/**` or the source of a binary-only crate.
-    Bin,
-    /// `tests/**` integration tests.
-    Test,
-}
-
-/// One loaded source file.
+/// One loaded library source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub rel_path: String,
-    /// Owning crate's short name (`timestore`, `xtask`, `aion-suite`).
+    /// Owning crate's short name (`timestore`, `aion-suite`).
     pub crate_name: String,
-    pub kind: FileKind,
-    pub lexed: Lexed,
+    pub tokens: Vec<Token>,
     pub syntax: Syntax,
 }
 
 /// The loaded workspace.
 #[derive(Debug)]
 pub struct Workspace {
-    pub root: PathBuf,
     pub files: Vec<SourceFile>,
 }
 
 /// Reads and parses every in-scope `.rs` file under `root`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer walks the source tree and reads manifests; Vfs::read_dir lists plain files only (no recursion) and tooling must not depend on the storage seam it audits"
+)]
 pub fn load(root: &Path) -> std::io::Result<Workspace> {
     let mut files = Vec::new();
 
@@ -62,78 +52,29 @@ pub fn load(root: &Path) -> std::io::Result<Workspace> {
         }
     }
 
-    // xtask (a binary-only crate).
-    let xtask = root.join("xtask");
-    if xtask.is_dir() {
-        collect_rs(&xtask.join("src"), &mut |p, body| {
-            push_file(root, p, "xtask", FileKind::Bin, body, &mut files);
-        })?;
-    }
-
-    // Root package: src/ + tests/.
+    // Root package.
     load_crate(root, root, "aion-suite", &mut files)?;
 
     files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    Ok(Workspace {
-        root: root.to_path_buf(),
-        files,
-    })
+    Ok(Workspace { files })
 }
 
+/// Loads `dir/src/**` minus `src/bin/**`.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer walks the source tree and reads manifests; Vfs::read_dir lists plain files only (no recursion) and tooling must not depend on the storage seam it audits"
+)]
 fn load_crate(
     root: &Path,
     dir: &Path,
     name: &str,
     files: &mut Vec<SourceFile>,
 ) -> std::io::Result<()> {
-    let src = dir.join("src");
-    if src.is_dir() {
-        collect_rs(&src, &mut |p, body| {
-            let kind = if p.to_string_lossy().contains("/src/bin/") {
-                FileKind::Bin
-            } else {
-                FileKind::Lib
-            };
-            push_file(root, p, name, kind, body, files);
-        })?;
-    }
-    let tests = dir.join("tests");
-    if tests.is_dir() {
-        collect_rs(&tests, &mut |p, body| {
-            push_file(root, p, name, FileKind::Test, body, files);
-        })?;
-    }
-    Ok(())
-}
-
-fn push_file(
-    root: &Path,
-    path: &Path,
-    crate_name: &str,
-    kind: FileKind,
-    body: &str,
-    files: &mut Vec<SourceFile>,
-) {
-    let rel = path
-        .strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/");
-    let lexed = lexer::lex(body);
-    let syntax = syntax::parse(&lexed);
-    files.push(SourceFile {
-        rel_path: rel,
-        crate_name: crate_name.to_string(),
-        kind,
-        lexed,
-        syntax,
-    });
-}
-
-/// Walks `dir` recursively, invoking `f` for every `.rs` file.
-fn collect_rs(dir: &Path, f: &mut impl FnMut(&Path, &str)) -> std::io::Result<()> {
-    let mut stack = vec![dir.to_path_buf()];
+    let mut stack = vec![dir.join("src")];
     while let Some(d) = stack.pop() {
+        if !d.is_dir() || d.ends_with("src/bin") {
+            continue;
+        }
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&d)?
             .filter_map(Result::ok)
             .map(|e| e.path())
@@ -144,7 +85,18 @@ fn collect_rs(dir: &Path, f: &mut impl FnMut(&Path, &str)) -> std::io::Result<()
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let body = std::fs::read_to_string(&path)?;
-                f(&path, &body);
+                let tokens = lexer::lex(&body);
+                let syntax = syntax::parse(&tokens);
+                files.push(SourceFile {
+                    rel_path: path
+                        .strip_prefix(root)
+                        .unwrap_or(&path)
+                        .to_string_lossy()
+                        .replace('\\', "/"),
+                    crate_name: name.to_string(),
+                    tokens,
+                    syntax,
+                });
             }
         }
     }

@@ -2,12 +2,14 @@
 //! (positive) and stay silent on the compliant variant (negative).
 //!
 //! Fixtures are written as string literals into a temp workspace and
-//! analyzed via `Config { root }` — embedding them as literals keeps the
-//! analyzer from flagging its own test file (literals lex to opaque
-//! tokens), which itself regression-tests the literal handling.
+//! analyzed via `Config { root }`.
 
 use std::path::Path;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the analyzer walks the source tree and reads manifests; Vfs::read_dir lists plain files only (no recursion) and tooling must not depend on the storage seam it audits"
+)]
 fn ws(files: &[(&str, &str)]) -> tempfile::TempDir {
     let dir = tempfile::tempdir().unwrap();
     for (rel, body) in files {
@@ -24,85 +26,6 @@ fn run_rules(root: &Path, rules: &[&str]) -> analyze::Report {
         only: rules.iter().map(|s| s.to_string()).collect(),
     };
     analyze::run(&cfg).unwrap()
-}
-
-// ---------------------------------------------------------------- vfs-bypass
-
-#[test]
-fn vfs_bypass_flags_std_fs_in_library_crate() {
-    let dir = ws(&[(
-        "crates/timestore/src/lib.rs",
-        r#"
-pub fn load(p: &std::path::Path) -> Vec<u8> {
-    std::fs::read(p).unwrap_or_default()
-}
-"#,
-    )]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].rule, "vfs-bypass");
-    assert_eq!(r.findings[0].line, 3);
-    assert!(r.findings[0].key.contains("std::fs::read"));
-}
-
-#[test]
-fn vfs_bypass_flags_imported_fs_names() {
-    let dir = ws(&[(
-        "crates/pagestore/src/lib.rs",
-        r#"
-use std::fs::File;
-pub fn touch(p: &std::path::Path) {
-    let _ = File::open(p);
-}
-"#,
-    )]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
-    assert!(
-        r.findings.iter().any(|f| f.key.contains("File")),
-        "{:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn vfs_bypass_exempts_the_vfs_crate_and_seam_users() {
-    let dir = ws(&[
-        (
-            // The seam implementation itself must use std::fs.
-            "crates/vfs/src/lib.rs",
-            r#"
-pub fn read(p: &std::path::Path) -> std::io::Result<Vec<u8>> {
-    std::fs::read(p)
-}
-"#,
-        ),
-        (
-            // A client going through the seam is clean.
-            "crates/timestore/src/lib.rs",
-            r#"
-pub fn load(vfs: &vfs::VfsRef, p: &std::path::Path) -> std::io::Result<Vec<u8>> {
-    vfs.read(p)
-}
-"#,
-        ),
-    ]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn vfs_bypass_ignores_mentions_inside_strings_and_comments() {
-    let dir = ws(&[(
-        "crates/timestore/src/lib.rs",
-        r##"
-/* std::fs::write is /* not */ used here */
-pub fn advice() -> &'static str {
-    r#"never call std::fs::read directly"#
-}
-"##,
-    )]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
 }
 
 // ---------------------------------------------------------------- lock-order
@@ -305,115 +228,6 @@ pub fn count(n: u32) -> u32 {
     assert!(r.findings.is_empty(), "{:?}", r.findings);
 }
 
-// ------------------------------------------------------------ panic-freedom
-
-#[test]
-fn panic_freedom_flags_unwrap_expect_and_macros() {
-    let dir = ws(&[(
-        "crates/btree/src/lib.rs",
-        r#"
-pub fn bad(v: Option<u32>) -> u32 {
-    let a = v.unwrap();
-    let b = v.expect("always");
-    if a + b > 100 { panic!("overflow"); }
-    a + b
-}
-"#,
-    )]);
-    let r = run_rules(dir.path(), &["panic-freedom"]);
-    let keys: Vec<&str> = r.findings.iter().map(|f| f.key.as_str()).collect();
-    assert_eq!(
-        keys,
-        vec![".unwrap()", ".expect(..)", "panic!(..)"],
-        "{:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn panic_freedom_exempts_test_modules_and_other_crates() {
-    let dir = ws(&[
-        (
-            "crates/btree/src/lib.rs",
-            r#"
-pub fn ok(v: Option<u32>) -> u32 {
-    v.unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn uses_unwrap_freely() {
-        assert_eq!(Some(1).unwrap(), 1);
-    }
-}
-"#,
-        ),
-        (
-            // `workload` is not a panic-free crate.
-            "crates/workload/src/lib.rs",
-            "pub fn gen(v: Option<u32>) -> u32 { v.unwrap() }\n",
-        ),
-    ]);
-    let r = run_rules(dir.path(), &["panic-freedom"]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn panic_freedom_ignores_raw_strings_and_nested_comments() {
-    // The old line-oriented scanner's two blind spots (its strip_noise
-    // mishandled r#"…"# and nested /* /* */ */): literal and comment
-    // mentions must not fire, while real calls after them still do.
-    let dir = ws(&[(
-        "crates/encoding/src/lib.rs",
-        r##"
-/* outer /* .unwrap() in a nested comment */ still a comment */
-pub fn describe() -> &'static str {
-    r#"calling .unwrap() is forbidden"#
-}
-pub fn really_bad(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-"##,
-    )]);
-    let r = run_rules(dir.path(), &["panic-freedom"]);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].line, 7);
-}
-
-// --------------------------------------------------------- unsafe-inventory
-
-#[test]
-fn unsafe_without_safety_comment_is_flagged() {
-    let dir = ws(&[(
-        "crates/encoding/src/lib.rs",
-        r#"
-pub fn peek(v: &[u8]) -> u8 {
-    unsafe { *v.get_unchecked(0) }
-}
-"#,
-    )]);
-    let r = run_rules(dir.path(), &["unsafe-inventory"]);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].rule, "unsafe-inventory");
-}
-
-#[test]
-fn unsafe_with_safety_comment_passes() {
-    let dir = ws(&[(
-        "crates/encoding/src/lib.rs",
-        r#"
-pub fn peek(v: &[u8]) -> u8 {
-    assert!(!v.is_empty());
-    // SAFETY: bounds asserted on the line above.
-    unsafe { *v.get_unchecked(0) }
-}
-"#,
-    )]);
-    let r = run_rules(dir.path(), &["unsafe-inventory"]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
 // ------------------------------------------------------------ manifest-lints
 
 #[test]
@@ -434,59 +248,12 @@ fn manifest_without_workspace_lints_is_flagged() {
     assert_eq!(r.findings[0].path, "crates/bad/Cargo.toml");
 }
 
-// ------------------------------------------------------------- suppressions
-
-#[test]
-fn allow_file_suppresses_and_reports_stale_entries() {
-    let dir = ws(&[
-        (
-            "crates/timestore/src/lib.rs",
-            "pub fn load(p: &std::path::Path) -> Vec<u8> { std::fs::read(p).unwrap_or_default() }\n",
-        ),
-        (
-            "analyze.allow.toml",
-            r#"
-[[allow]]
-rule = "vfs-bypass"
-path = "crates/timestore/"
-reason = "fixture: exercised by the suppression test"
-
-[[allow]]
-rule = "vfs-bypass"
-path = "crates/nonexistent/"
-reason = "fixture: matches nothing, must be reported stale"
-"#,
-        ),
-    ]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed.len(), 1);
-    assert!(r.suppressed[0].reason.contains("fixture"));
-    assert_eq!(r.stale_allows.len(), 1);
-    assert_eq!(r.stale_allows[0].path, "crates/nonexistent/");
-}
-
-#[test]
-fn allow_entry_without_reason_is_an_error() {
-    let dir = ws(&[
-        ("crates/x/src/lib.rs", "pub fn f() {}\n"),
-        ("analyze.allow.toml", "[[allow]]\nrule = \"vfs-bypass\"\n"),
-    ]);
-    let cfg = analyze::Config {
-        root: dir.path().to_path_buf(),
-        only: vec!["vfs-bypass".to_string()],
-    };
-    let err = analyze::run(&cfg).expect_err("missing reason must fail");
-    assert!(err.to_string().contains("reason"), "{err}");
-}
-
 // --------------------------------------------------------------- self-check
 
 #[test]
 fn workspace_self_check_is_clean() {
     // The real workspace (two levels up from this crate) must analyze
-    // clean: every remaining finding is either fixed or suppressed with
-    // a reason, and no allow entry is stale.
+    // clean.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
@@ -494,12 +261,7 @@ fn workspace_self_check_is_clean() {
     let r = analyze::run(&analyze::Config::new(root)).unwrap();
     assert!(
         r.findings.is_empty(),
-        "workspace has unsuppressed findings:\n{}",
-        r.render_human()
-    );
-    assert!(
-        r.stale_allows.is_empty(),
-        "stale allow entries:\n{}",
+        "workspace has findings:\n{}",
         r.render_human()
     );
     assert!(r.files_scanned > 100, "suspiciously few files scanned");
@@ -508,11 +270,11 @@ fn workspace_self_check_is_clean() {
 #[test]
 fn json_output_is_well_formed_enough() {
     let dir = ws(&[(
-        "crates/timestore/src/lib.rs",
-        "pub fn load(p: &std::path::Path) -> Vec<u8> { std::fs::read(p).unwrap_or_default() }\n",
+        "crates/query/src/exec.rs",
+        "pub fn spin(n: u32) -> u32 { let mut t = 0; while t < n { t += 1; } t }\n",
     )]);
-    let r = run_rules(dir.path(), &["vfs-bypass"]);
+    let r = run_rules(dir.path(), &["budget-loops"]);
     let js = r.render_json();
-    assert!(js.contains("\"rule\": \"vfs-bypass\""), "{js}");
+    assert!(js.contains("\"rule\": \"budget-loops\""), "{js}");
     assert!(js.contains("\"clean\": false"), "{js}");
 }

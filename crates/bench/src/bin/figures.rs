@@ -85,6 +85,10 @@ fn main() -> ExitCode {
 /// Dumps the cumulative metrics snapshot next to the experiment output so
 /// perf investigations can correlate figures with storage-layer behaviour
 /// (cache hit rates, replay counts, commit latency) without a rerun.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "benchmark harness writing figure CSVs for humans; not on the storage path"
+)]
 fn write_metrics_sidecar(dir: &std::path::Path, exp: &str) {
     let path = dir.join(format!("BENCH_{exp}_metrics.json"));
     if let Err(e) =

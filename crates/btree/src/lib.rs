@@ -35,6 +35,16 @@
 //! retention policy"), so rebalancing would add complexity with no
 //! measurable win.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod layout;
 pub mod overflow;
 pub mod scan;

@@ -71,6 +71,10 @@ fn open_stores(dir: &std::path::Path) -> Result<(TimeStore, LineageStore), lpg::
     Ok((ts, ls))
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "CLI binary creating the user-facing report directory; not on the storage path exercised by SimVfs crash tests"
+)]
 fn run_check(args: &[String]) -> ExitCode {
     let Some(dir) = args.first().filter(|a| !a.starts_with("--")) else {
         eprintln!("aion-fsck check: missing <dir>");
@@ -157,6 +161,10 @@ fn run_gen(args: &[String]) -> ExitCode {
 /// scaled dataset stream, then property churn (exercising delta chains and
 /// materialization) and relationship deletions (exercising tombstones and
 /// neighbour-index updates).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "CLI binary creating the user-facing report directory; not on the storage path exercised by SimVfs crash tests"
+)]
 fn generate_db(
     dir: &std::path::Path,
     scale: f64,

@@ -38,6 +38,16 @@
 //!   projections plus incremental AVG / BFS / PageRank over snapshot
 //!   series (Sec. 6.6).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod bitemporal;
 pub mod cascade;
 pub mod db;

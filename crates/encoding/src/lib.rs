@@ -27,6 +27,16 @@
 //! physically sharing unchanged 64-id segments with earlier files), and
 //! [`varint`] provides the LEB128 + zigzag primitives everything above uses.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod keys;
 pub mod record;
 pub mod snapshot;

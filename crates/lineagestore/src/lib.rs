@@ -31,6 +31,16 @@
 //!
 //! [`expand`] implements Algorithm 1 (n-hop expansion at a time point).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod audit;
 pub mod entry;
 pub mod expand;

@@ -2,8 +2,8 @@
 //! counterparts.
 //!
 //! A plain [`Node`] / [`Relationship`] is a snapshot of one entity at a point
-//! in time — the shape returned by `AS OF` queries. [`TemporalNode`] /
-//! [`TemporalRel`] carry a list of [`Version`]s with non-overlapping
+//! in time — the shape returned by `AS OF` queries. A `Vec<Version<_>>`
+//! is an entity's history: [`Version`]s with non-overlapping
 //! `[τ_s, τ_e)` intervals — the shape returned by range queries (Sec. 3:
 //! "a temporal LPG can include entities with the same identifier and
 //! non-overlapping time intervals").
@@ -128,12 +128,6 @@ impl<T> Version<T> {
         }
     }
 }
-
-/// The full history of one node: timestamp-ordered, non-overlapping versions.
-pub type TemporalNode = Vec<Version<Node>>;
-
-/// The full history of one relationship.
-pub type TemporalRel = Vec<Version<Relationship>>;
 
 /// Checks the temporal-LPG invariant: versions are ordered by start time and
 /// their intervals do not overlap.

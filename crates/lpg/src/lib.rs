@@ -48,7 +48,7 @@ pub mod value;
 pub use bag::{LabelSet, PropBag};
 pub use bfs::bfs;
 pub use delta::{EntityDelta, PropChange};
-pub use entity::{Node, Props, Relationship, TemporalNode, TemporalRel, Version};
+pub use entity::{Node, Props, Relationship, Version};
 pub use error::{GraphError, Result};
 pub use graph::{Graph, RelChunk, WeakRelChunk, CHUNK_BITS};
 pub use ids::{Direction, EntityId, NodeId, RelId, StrId, Timestamp, TS_MAX, TS_MIN};

@@ -18,6 +18,16 @@
 //! * freed pages are chained into a free list (first 8 bytes = next free
 //!   page) and reused before the file grows.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod cache;
 pub mod page;
 pub mod store;

@@ -36,6 +36,16 @@
 //! reproduction's stand-in for Neo4j's internal id allocation), and `$name`
 //! parameters are resolved from a parameter map at execution time.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod ast;
 mod bind;
 pub mod cursor;

@@ -38,6 +38,16 @@
 //!   log suffix ([`prepare_rejoin`]), archiving it byte-exact into a
 //!   checksummed archive file before the node resyncs as a replica.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod epoch;
 pub mod node;
 pub mod rejoin;

@@ -22,6 +22,16 @@
 //! * [`chaos`] — a seeded fault-injecting TCP proxy for soak-testing the
 //!   stack under deliberately degraded networks (DESIGN.md §11).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod chaos;
 pub mod client;
 pub mod protocol;

@@ -37,6 +37,16 @@
 //! reads itself, as the LineageStore does ([`history`]), when that lags or
 //! the planner expects a large expansion.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 pub mod audit;
 pub mod graphstore;
 pub mod history;

@@ -27,7 +27,7 @@
 //! nothing is read twice to check it first.
 
 use encoding::varint;
-use encoding::{updates_from_record, RecordBody};
+use encoding::{record, updates_from_record, RecordBody};
 use lpg::{GraphError, Result, Timestamp, Update};
 use parking_lot::Mutex;
 use std::path::Path;
@@ -72,17 +72,12 @@ impl CommitFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::with_capacity(16 + self.records.len() * 16);
         varint::write_u64(&mut payload, self.ts);
-        self.encode_records(&mut payload);
-        payload
-    }
-
-    /// Appends `varint n, n × record`: the payload after its timestamp.
-    fn encode_records(&self, out: &mut Vec<u8>) {
-        varint::write_u64(out, self.records.len() as u64);
+        varint::write_u64(&mut payload, self.records.len() as u64);
         for (entity, body) in &self.records {
-            varint::write_u64(out, *entity);
-            body.encode(out);
+            varint::write_u64(&mut payload, *entity);
+            body.encode(&mut payload);
         }
+        payload
     }
 
     /// Parses a frame payload produced by [`CommitFrame::encode`];
@@ -111,10 +106,16 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Encodes a local commit's updates.
+    /// Encodes a local commit's updates straight from the updates: each
+    /// record is the bytes `RecordBody::from_update(op).encode` writes,
+    /// with no labels, properties or values copied on the way.
     pub fn records(updates: &[Update]) -> Payload {
         let mut out = Vec::with_capacity(8 + updates.len() * 16);
-        CommitFrame::from_updates(0, updates).encode_records(&mut out);
+        varint::write_u64(&mut out, updates.len() as u64);
+        for op in updates {
+            varint::write_u64(&mut out, op.entity().raw());
+            record::encode_update(&mut out, op);
+        }
         Payload::Records(out)
     }
 }

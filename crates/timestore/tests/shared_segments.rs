@@ -8,8 +8,9 @@
 //!
 //! The obs registry is process-wide, so this file holds exactly one test.
 
-use lpg::{Graph, NodeId, PropertyValue, RelId, StrId, Update};
+use lpg::{NodeId, PropertyValue, RelId, StrId, Update};
 use timestore::{SnapshotPolicy, TimeStore, TimeStoreConfig};
+use workload::oracle_at;
 
 fn counter(name: &str) -> u64 {
     obs::snapshot().counter(name).unwrap_or(0)
@@ -63,14 +64,6 @@ fn history() -> Vec<(u64, Vec<Update>)> {
         (20, vec![set_rel(700, 2)]),
         (30, vec![set_node]),
     ]
-}
-
-fn oracle_at(commits: &[(u64, Vec<Update>)], ts: u64) -> Graph {
-    let mut g = Graph::new();
-    for (_, ops) in commits.iter().take_while(|(cts, _)| *cts <= ts) {
-        g.apply_all(ops).unwrap();
-    }
-    g
 }
 
 #[test]

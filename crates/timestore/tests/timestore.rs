@@ -6,6 +6,7 @@ use lpg::{
 };
 use tempfile::tempdir;
 use timestore::{SnapshotPolicy, TimeStore, TimeStoreConfig};
+use workload::oracle_at;
 
 fn add_node(i: u64) -> Update {
     Update::AddNode {
@@ -60,17 +61,6 @@ fn config(policy: SnapshotPolicy) -> TimeStoreConfig {
         policy,
         ..Default::default()
     }
-}
-
-fn oracle_at(commits: &[(u64, Vec<Update>)], ts: u64) -> Graph {
-    let mut g = Graph::new();
-    for (cts, ops) in commits {
-        if *cts > ts {
-            break;
-        }
-        g.apply_all(ops.iter()).unwrap();
-    }
-    g
 }
 
 #[test]
@@ -426,7 +416,7 @@ fn open_reports_every_repair_it_makes() {
     assert!(repairs[1]
         .detail
         .contains("snap_00000000000000000100.aisnap: references the dropped snapshot at ts 50"));
-    assert!(!snap.exists());
+    assert!(!vfs.exists(&snap));
     assert!(store.latest_graph().same_as(&oracle_at(&commits, u64::MAX)));
     store.sync().unwrap();
     drop(store);

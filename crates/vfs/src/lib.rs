@@ -21,6 +21,16 @@
 //! order). File *creation* is modelled as immediately durable; directory
 //! fsync is out of scope.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::fmt;
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -185,8 +195,16 @@ pub fn bulk_sum64(bytes: &[u8]) -> u64 {
 /// The production VFS: a thin veneer over `std::fs`.
 pub struct StdVfs;
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "StdVfs is the seam: the one place storage I/O reaches std::fs"
+)]
 struct StdFile(std::fs::File);
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "StdVfs is the seam: the one place storage I/O reaches std::fs"
+)]
 impl VfsFile for StdFile {
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
         self.0.read_exact_at(buf, offset)
@@ -209,6 +227,11 @@ impl VfsFile for StdFile {
     }
 }
 
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "StdVfs is the seam: the one place storage I/O reaches std::fs"
+)]
 impl Vfs for StdVfs {
     fn open(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
         let file = std::fs::OpenOptions::new()

@@ -25,3 +25,16 @@ pub use datasets::{Dataset, DATASETS};
 pub use generator::{generate, GeneratedWorkload};
 pub use simops::{commit_script, spread_ids, SimOpsConfig};
 pub use txmix::{ClientOp, TxMix};
+
+use lpg::{Graph, Update};
+
+/// The graph a commit history holds at `ts`: every commit at or before
+/// `ts` applied in order, from an empty graph — the naive-replay oracle
+/// stores are checked against. Panics if a commit does not apply.
+pub fn oracle_at(commits: &[(u64, Vec<Update>)], ts: u64) -> Graph {
+    let mut g = Graph::new();
+    for (_, ops) in commits.iter().take_while(|(cts, _)| *cts <= ts) {
+        g.apply_all(ops).expect("the history applies in order");
+    }
+    g
+}

@@ -25,6 +25,10 @@ impl TempDir {
 }
 
 impl Drop for TempDir {
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "stand-in for the tempfile crate: makes and removes test scratch directories, off the storage path"
+    )]
     fn drop(&mut self) {
         if !self.path.as_os_str().is_empty() {
             let _ = fs::remove_dir_all(&self.path);
@@ -32,6 +36,10 @@ impl Drop for TempDir {
     }
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "stand-in for the tempfile crate: makes and removes test scratch directories, off the storage path"
+)]
 pub fn tempdir() -> io::Result<TempDir> {
     let base = std::env::temp_dir();
     let pid = std::process::id();

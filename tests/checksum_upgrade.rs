@@ -310,7 +310,10 @@ fn old_page_file_is_rebuilt_at_open(version: u8) {
         // deleted, and the new one is empty or the current version.
         let bytes = VfsRef::std().read(&file).unwrap();
         assert!(!bytes.starts_with(&old_magic), "{file:?} still old");
-        assert!(!sidecar(&file).exists(), "the sidecar is deleted at open");
+        assert!(
+            !VfsRef::std().exists(&sidecar(&file)),
+            "the sidecar is deleted at open"
+        );
         // The snapshot files did not change format: they are kept.
         let mut kept = snapshot_files(dir);
         kept.sort();
@@ -320,7 +323,7 @@ fn old_page_file_is_rebuilt_at_open(version: u8) {
     }
     let bytes = VfsRef::std().read(&file).unwrap();
     assert_eq!(&bytes[..8], b"5SGPNOIA", "the next sync writes AIONPGS5");
-    assert!(!sidecar(&file).exists(), "and no sidecar");
+    assert!(!VfsRef::std().exists(&sidecar(&file)), "and no sidecar");
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
 
@@ -391,11 +394,14 @@ fn an_index_file_from_an_older_build_is_deleted_at_open() {
         .len();
     VfsRef::std().remove_file(&marker).unwrap();
     write_old_index_file(&old_files[0], log_len as u64);
-    assert!(old_files.iter().all(|f| f.exists()));
+    assert!(old_files.iter().all(|f| VfsRef::std().exists(f)));
 
     {
         let db = Aion::open(config(dir)).unwrap();
-        assert!(old_files.iter().all(|f| !f.exists()), "deleted at open");
+        assert!(
+            old_files.iter().all(|f| !VfsRef::std().exists(f)),
+            "deleted at open"
+        );
         assert!(
             db.timestore().repairs().is_empty(),
             "{:?}",

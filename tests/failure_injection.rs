@@ -3,6 +3,12 @@
 //! frames, a lost durable-end record and corrupt snapshot files — in every case the change log is the
 //! source of truth and recovery must restore a fully consistent system.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "deliberately corrupts files out-of-band (rename/copy/truncate) to simulate external damage the Vfs seam must detect, so it cannot itself run through the seam"
+)]
+
 use aion::{Aion, AionConfig};
 use lpg::{Direction, NodeId, PropertyValue, RelId, StrId};
 use std::fs::OpenOptions;

@@ -1,12 +1,13 @@
 //! `cargo xtask analyze` — the workspace invariant gate.
 //!
 //! Thin CLI over the [`analyze`] crate (crates/analyze), which lexes and
-//! structurally parses every workspace source and runs the rule registry
-//! (vfs-bypass, lock-order, budget-loops, panic-freedom,
-//! unsafe-inventory, manifest-lints). See DESIGN.md §12.
+//! structurally parses the workspace's library sources and runs the
+//! checks no standard tool makes: lock-order, budget-loops and
+//! manifest-lints. The storage seam, panic-freedom and `// SAFETY:`
+//! comments are clippy lints (`clippy.toml`, crate-root `deny`s and
+//! `[workspace.lints]`). See DESIGN.md §12.
 //!
-//! Exit codes: 0 clean, 1 findings, 2 analyzer error (I/O, malformed
-//! allow file).
+//! Exit codes: 0 clean, 1 findings, 2 analyzer error (I/O).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
