@@ -7,6 +7,7 @@
 //! thanks to the variable-size record format.
 
 use crate::common::{banner, ingest_aion, open_aion, BenchConfig};
+use btree::TreeFill;
 use encoding::snapshot::{self, Change, Inline};
 use std::path::Path;
 use tempfile::tempdir;
@@ -27,6 +28,8 @@ pub struct StorageRow {
     pub inline: Inline,
     /// LineageStore bytes (four B+Tree indexes).
     pub lineagestore: u64,
+    /// Pages, leaves and leaf fill of each LineageStore index.
+    pub indexes: Vec<(&'static str, TreeFill)>,
     /// Base graph bytes (the snapshot-file equivalent of the data).
     pub base: u64,
     /// Temporal overhead relative to base.
@@ -80,6 +83,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         let ts_stats = db.timestore().stats();
         let timestore = ts_stats.log_bytes + ts_stats.snapshot_bytes;
         let lineagestore = db.lineagestore().size_bytes();
+        let indexes = db.lineagestore().audit().expect("audit").fill;
         // Base cost: one serialized snapshot of the final graph — the
         // "graph data" a non-temporal store must hold anyway. The paper's
         // Neo4j baseline additionally keeps indexes and retained txn logs
@@ -109,12 +113,17 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
             kib(inline.rel_bytes),
             kib(manifests),
         );
+        // The LineageStore bytes by index.
+        for (index, fill) in &indexes {
+            println!("{:<12}   LineageStore {index}: {fill}", "");
+        }
         out.push(StorageRow {
             dataset: name.to_string(),
             timestore,
             snapshots: ts_stats.snapshot_bytes,
             inline,
             lineagestore,
+            indexes,
             base,
             overhead,
         });

@@ -4,29 +4,42 @@
 //! off  0  u8   node type (1 = leaf, 2 = internal)
 //! off  2  u16  cell count
 //! off  4  u16  cell data start (lowest used byte; cells grow downward)
+//! off  6  u16  leaf: key prefix length | internal: 0
 //! off  8  u64  leaf: right sibling page | internal: leftmost child page
 //! off 16  u16  × ncells  slot directory (cell offsets, key-sorted)
 //! ...          free space
-//! ...          cells, packed towards PAGE_SIZE
+//! ...          cells, packed towards the prefix
+//! ...          leaf: the key prefix, the page's last bytes
 //! ```
+//!
+//! Every key on a leaf begins with the leaf's prefix, which the page holds
+//! once; a cell holds only the rest of its key, its suffix (leaf prefix
+//! truncation, Bayer & Unterauer, "Prefix B-trees", 1977). A rebuild of
+//! the page — a compaction, either half of a split, a new leaf — sets the
+//! prefix to the longest common prefix of the first and last keys it
+//! holds. An insert whose key does not begin with the prefix rebuilds the
+//! page under the prefix the key shares with it, or, when the longer cells
+//! no longer fit, splits the leaf ([`leaf_put`]). Keys leave the page
+//! whole ([`Key`]).
 //!
 //! Leaf cell:
 //!
 //! ```text
-//! cell     = varint(klen) varint(vlen << 1 | overflow) key payload
+//! cell     = varint(slen) varint(vlen << 1 | overflow) suffix payload
 //! payload  = value                 ; overflow = 0: vlen value bytes inline
 //!          | u64 overflow page     ; overflow = 1: the chain holds vlen bytes
 //! varint   = LEB128, low 7 bits first, at most 5 bytes
 //! ```
 //!
-//! A LineageStore cell (a history key of 2–18 bytes or a neighbour key of
-//! 4–36 bytes, value under 64 bytes) spends
-//! two header bytes; a longer key or value only widens its own varint.
+//! A LineageStore cell (a key of at most 36 bytes, value under 64 bytes)
+//! spends two header bytes; a longer suffix or value only widens its own
+//! varint.
 //!
 //! Internal cell:  `u16 klen, u64 child, key`
 
 use pagestore::{PageBuf, PAGE_SIZE};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Node type tag for leaves.
 pub const LEAF: u8 = 1;
@@ -36,6 +49,7 @@ pub const INTERNAL: u8 = 2;
 const TYPE_OFF: usize = 0;
 const NCELLS_OFF: usize = 2;
 const DATA_START_OFF: usize = 4;
+const PREFIX_LEN_OFF: usize = 6;
 const LINK_OFF: usize = 8;
 /// First byte of the slot directory.
 pub const SLOTS_OFF: usize = 16;
@@ -186,15 +200,101 @@ fn read_varint(b: &[u8], pos: &mut usize) -> Option<u64> {
     None
 }
 
+// ---------------------------------------------------------------- leaf keys
+
+/// Bytes at the front that `a` and `b` share.
+fn common_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// A leaf key as its page holds it: the leaf's prefix, then the cell's
+/// suffix. It compares and copies as the whole key.
+#[derive(Clone, Copy, Debug)]
+pub struct Key<'a> {
+    /// The leaf's prefix.
+    pub prefix: &'a [u8],
+    /// The cell's own bytes.
+    pub suffix: &'a [u8],
+}
+
+impl Key<'_> {
+    /// Length of the whole key.
+    pub fn len(&self) -> usize {
+        self.prefix.len() + self.suffix.len()
+    }
+
+    /// Whether the whole key is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The whole key.
+    pub fn to_vec(&self) -> Vec<u8> {
+        [self.prefix, self.suffix].concat()
+    }
+
+    /// Writes the whole key to the front of `out`, which must hold it.
+    pub fn copy_to(&self, out: &mut [u8]) {
+        let p = self.prefix.len();
+        out[..p].copy_from_slice(self.prefix);
+        out[p..self.len()].copy_from_slice(self.suffix);
+    }
+
+    /// Orders the whole key against `other`, as [`cmp_keys`] orders two
+    /// slices.
+    #[inline]
+    pub fn cmp_to(&self, other: &[u8]) -> Ordering {
+        let p = self.prefix.len();
+        // Equal only when `other` is at least as long as the prefix.
+        match cmp_keys(self.prefix, &other[..p.min(other.len())]) {
+            Ordering::Equal => cmp_keys(self.suffix, &other[p..]),
+            unequal => unequal,
+        }
+    }
+
+    /// Bytes at the front that the whole key shares with `other`.
+    fn common_len(&self, other: &[u8]) -> usize {
+        let p = self.prefix.len();
+        match common_len(self.prefix, other) {
+            shared if shared < p => shared,
+            _ => p + common_len(self.suffix, &other[p..]),
+        }
+    }
+}
+
+/// Length of the prefix of leaf `page`, as its header records it.
+pub fn prefix_len(page: &PageBuf) -> usize {
+    page.read_u16(PREFIX_LEN_OFF) as usize
+}
+
+/// The prefix every key of leaf `page` begins with: the page's last
+/// [`prefix_len`] bytes (a length past the page reads as the whole page).
+pub fn prefix(page: &PageBuf) -> &[u8] {
+    &page.bytes()[PAGE_SIZE.saturating_sub(prefix_len(page))..]
+}
+
+/// The prefix that cells `cells` of leaf `page` share: the longest common
+/// prefix of the first and the last, empty for no cells.
+fn shared_prefix(page: &PageBuf, cells: Range<usize>) -> Vec<u8> {
+    let Some(last) = cells.end.checked_sub(1).filter(|&l| l >= cells.start) else {
+        return Vec::new();
+    };
+    let (first, last) = (leaf_key(page, cells.start), leaf_key(page, last));
+    let mut out = first.to_vec();
+    out.truncate(first.prefix.len() + common_len(first.suffix, last.suffix));
+    out
+}
+
 // ---------------------------------------------------------------- leaf cells
 
 /// The decoded header of one leaf cell.
 #[derive(Clone, Copy, Default)]
 struct Header {
+    /// Length of the key's suffix.
     klen: usize,
     vlen: usize,
     overflow: bool,
-    /// Offset of the key's first byte (just past the two varints).
+    /// Offset of the suffix's first byte (just past the two varints).
     key_off: usize,
 }
 
@@ -229,10 +329,10 @@ fn read_header(b: &[u8], off: usize) -> Option<Header> {
 /// undecodable header reads as an empty cell rather than panicking.
 #[inline]
 fn header(page: &PageBuf, off: usize) -> Header {
-    // Every key comparison lands here. A key under 128 bytes with an
-    // inline value under 64 (every neighbour cell, most
-    // history cells) has two one-byte varints: decode them without the
-    // general loop.
+    // Every key comparison lands here. A suffix under 128 bytes with an
+    // inline value under 64 (every LineageStore cell but a few history
+    // cells) has two one-byte varints: decode them without the general
+    // loop.
     if let Some(&[klen, field]) = page.bytes().get(off..off + 2) {
         if (klen | field) < 0x80 {
             return Header {
@@ -249,19 +349,20 @@ fn header(page: &PageBuf, off: usize) -> Header {
     })
 }
 
-/// Bytes needed for a leaf cell holding a `klen`-byte key and a `vlen`-byte
-/// value, inline or (with `overflow`) behind an 8-byte chain pointer.
-pub fn leaf_cell_size(klen: usize, vlen: usize, overflow: bool) -> usize {
+/// Bytes needed for a leaf cell holding a `slen`-byte key suffix and a
+/// `vlen`-byte value, inline or (with `overflow`) behind an 8-byte chain
+/// pointer.
+pub fn leaf_cell_size(slen: usize, vlen: usize, overflow: bool) -> usize {
     let field = (vlen as u64) << 1 | u64::from(overflow);
     let inline = if overflow { 8 } else { vlen };
-    varint_len(klen as u64) + varint_len(field) + klen + inline
+    varint_len(slen as u64) + varint_len(field) + slen + inline
 }
 
 /// A decoded view of one leaf cell.
 pub struct LeafCell<'a> {
     overflow: bool,
-    /// The key bytes.
-    pub key: &'a [u8],
+    /// The key.
+    pub key: Key<'a>,
     /// Logical value length (may exceed the inline payload when overflowed).
     pub vlen: usize,
     /// Inline payload: value bytes, or the 8-byte overflow page id.
@@ -280,11 +381,14 @@ impl LeafCell<'_> {
     }
 }
 
-fn leaf_cell_at(b: &[u8], h: Header) -> LeafCell<'_> {
+fn leaf_cell_at<'a>(b: &'a [u8], h: Header, prefix: &'a [u8]) -> LeafCell<'a> {
     let inline_off = h.key_off + h.klen;
     LeafCell {
         overflow: h.overflow,
-        key: &b[h.key_off..inline_off],
+        key: Key {
+            prefix,
+            suffix: &b[h.key_off..inline_off],
+        },
         vlen: h.vlen,
         inline: &b[inline_off..h.end()],
     }
@@ -293,20 +397,27 @@ fn leaf_cell_at(b: &[u8], h: Header) -> LeafCell<'_> {
 /// Reads leaf cell `i`.
 pub fn leaf_cell(page: &PageBuf, i: usize) -> LeafCell<'_> {
     let h = header(page, slot(page, i));
-    leaf_cell_at(page.bytes(), h)
+    leaf_cell_at(page.bytes(), h, prefix(page))
 }
 
-/// Key of leaf cell `i` (avoids decoding the value).
-pub fn leaf_key(page: &PageBuf, i: usize) -> &[u8] {
+/// The suffix of leaf cell `i`.
+fn suffix(page: &PageBuf, i: usize) -> &[u8] {
     let h = header(page, slot(page, i));
     &page.bytes()[h.key_off..h.key_off + h.klen]
 }
 
-/// The raw bytes of leaf cell `i`, header included, for moving it to
-/// another page with [`leaf_insert_raw`].
-pub fn leaf_cell_bytes(page: &PageBuf, i: usize) -> &[u8] {
+/// Key of leaf cell `i` (avoids decoding the value).
+pub fn leaf_key(page: &PageBuf, i: usize) -> Key<'_> {
+    Key {
+        prefix: prefix(page),
+        suffix: suffix(page, i),
+    }
+}
+
+/// Heap bytes of leaf cell `i`, header included.
+pub fn leaf_cell_len(page: &PageBuf, i: usize) -> usize {
     let off = slot(page, i);
-    &page.bytes()[off..header(page, off).end()]
+    header(page, off).end() - off
 }
 
 /// Orders two keys as `a.cmp(b)` does, eight bytes at a time: each word is
@@ -341,13 +452,24 @@ fn be_word(chunk: &[u8]) -> u64 {
 }
 
 /// Binary search among leaf keys. `Ok(i)` exact hit, `Err(i)` insert slot.
+/// The key is held against the prefix once; a key that does not begin
+/// with it sorts before or after every cell.
 pub fn leaf_search(page: &PageBuf, key: &[u8]) -> Result<usize, usize> {
     let n = ncells(page);
+    let prefix = prefix(page);
+    let p = prefix.len();
+    match cmp_keys(prefix, &key[..p.min(key.len())]) {
+        // `key` is below the prefix, or a proper prefix of it.
+        Ordering::Greater => return Err(0),
+        Ordering::Less => return Err(n),
+        Ordering::Equal => {}
+    }
+    let rest = &key[p..];
     let mut lo = 0;
     let mut hi = n;
     while lo < hi {
         let mid = (lo + hi) / 2;
-        match cmp_keys(leaf_key(page, mid), key) {
+        match cmp_keys(suffix(page, mid), rest) {
             Ordering::Less => lo = mid + 1,
             Ordering::Greater => hi = mid,
             Ordering::Equal => return Ok(mid),
@@ -361,7 +483,7 @@ pub fn leaf_search(page: &PageBuf, key: &[u8]) -> Result<usize, usize> {
 /// of this page stands.
 pub fn placed_at(page: &PageBuf, key: &[u8], at: Result<usize, usize>) -> bool {
     let n = ncells(page);
-    let cmp_at = |i: usize| cmp_keys(leaf_key(page, i), key);
+    let cmp_at = |i: usize| leaf_key(page, i).cmp_to(key);
     match at {
         Ok(i) => i < n && cmp_at(i) == Ordering::Equal,
         Err(i) => {
@@ -372,30 +494,116 @@ pub fn placed_at(page: &PageBuf, key: &[u8], at: Result<usize, usize>) -> bool {
     }
 }
 
-/// Inserts a leaf cell at slot index `i`: `inline` is the value, or the
-/// overflow chain head when `overflow` is set. The caller must have ensured
-/// enough contiguous free space (see [`free_space`] / [`compact`]).
-pub fn leaf_insert(
+/// Writes a leaf cell whose suffix is the concatenation of `suffix` at
+/// slot `i`. The caller must have ensured enough contiguous free space.
+fn write_cell(
+    page: &mut PageBuf,
+    i: usize,
+    overflow: bool,
+    suffix: [&[u8]; 2],
+    vlen: u32,
+    inline: &[u8],
+) {
+    let slen = suffix[0].len() + suffix[1].len();
+    let size = leaf_cell_size(slen, vlen as usize, overflow);
+    let start = reserve(page, i, size);
+    let cell = &mut page.bytes_mut()[start..start + size];
+    let mut pos = put_varint(cell, slen as u64);
+    pos += put_varint(&mut cell[pos..], u64::from(vlen) << 1 | u64::from(overflow));
+    for part in suffix {
+        cell[pos..pos + part.len()].copy_from_slice(part);
+        pos += part.len();
+    }
+    cell[pos..].copy_from_slice(inline);
+}
+
+/// Puts a leaf cell for `key` at slot `i`, the slot [`leaf_search`] gave
+/// for it: `inline` is the value, or the overflow chain head when
+/// `overflow` is set. The cell goes into the free space when `key` begins
+/// with the prefix and the cell fits there. Otherwise the page is rebuilt
+/// under the prefix its first and last keys share with `key` — a
+/// compaction, which may lengthen the prefix, or a shrink — and the cell
+/// goes in after. Returns `false`, the page unchanged, when even the
+/// rebuilt page has no room: the leaf must split.
+pub fn leaf_put(
     page: &mut PageBuf,
     i: usize,
     overflow: bool,
     key: &[u8],
     vlen: u32,
     inline: &[u8],
-) {
-    let size = leaf_cell_size(key.len(), vlen as usize, overflow);
-    let start = reserve(page, i, size);
-    let cell = &mut page.bytes_mut()[start..start + size];
-    let mut pos = put_varint(cell, key.len() as u64);
-    pos += put_varint(&mut cell[pos..], u64::from(vlen) << 1 | u64::from(overflow));
-    cell[pos..pos + key.len()].copy_from_slice(key);
-    cell[pos + key.len()..].copy_from_slice(inline);
+) -> bool {
+    let n = ncells(page);
+    let old = prefix(page).len();
+    if n > 0 && key.starts_with(prefix(page)) {
+        let size = leaf_cell_size(key.len() - old, vlen as usize, overflow);
+        if free_space(page) >= size + 2 {
+            write_cell(page, i, overflow, [&key[old..], &[]], vlen, inline);
+            return true;
+        }
+    }
+    let plen = match n.checked_sub(1) {
+        None => key.len(),
+        Some(last) => {
+            let (first, last) = (leaf_key(page, 0), leaf_key(page, last));
+            let shared = old + common_len(first.suffix, last.suffix);
+            shared.min(first.common_len(key))
+        }
+    };
+    let cell = leaf_cell_size(key.len() - plen, vlen as usize, overflow) + 2;
+    if rebuilt_bytes(page, plen) + cell > PAGE_SIZE {
+        return false;
+    }
+    let copy = page.clone();
+    write_leaf(page, &copy, 0..n, &key[..plen]);
+    write_cell(page, i, overflow, [&key[plen..], &[]], vlen, inline);
+    true
 }
 
-/// Inserts a cell taken from [`leaf_cell_bytes`] at slot index `i`.
-pub fn leaf_insert_raw(page: &mut PageBuf, i: usize, raw: &[u8]) {
-    let start = reserve(page, i, raw.len());
-    page.bytes_mut()[start..start + raw.len()].copy_from_slice(raw);
+/// The [`live_bytes`] of leaf `page` rebuilt under a prefix of `plen`
+/// bytes, which every key must begin with.
+fn rebuilt_bytes(page: &PageBuf, plen: usize) -> usize {
+    let (n, old) = (ncells(page), prefix(page).len());
+    (0..n).fold(SLOTS_OFF + n * 2 + plen, |total, i| {
+        let h = header(page, slot(page, i));
+        let slen = (old + h.klen).saturating_sub(plen);
+        total + leaf_cell_size(slen, h.vlen, h.overflow)
+    })
+}
+
+/// Writes `out` as a leaf holding cells `cells` of leaf `from`, in order
+/// and packed below `prefix`, which each of their keys must begin with,
+/// and linked where `from` links. Every other byte of `out` is zero, so
+/// the page depends on its cells alone.
+fn write_leaf(out: &mut PageBuf, from: &PageBuf, cells: Range<usize>, prefix: &[u8]) {
+    init(out, LEAF);
+    set_link(out, link(from));
+    let top = PAGE_SIZE - prefix.len();
+    out.bytes_mut()[top..].copy_from_slice(prefix);
+    out.write_u16(PREFIX_LEN_OFF, prefix.len() as u16);
+    out.write_u16(DATA_START_OFF, top as u16);
+    let old = self::prefix(from);
+    for (slot, i) in cells.enumerate() {
+        let cell = leaf_cell(from, i);
+        // The key past the new prefix: what the old prefix holds beyond it
+        // (a shorter prefix), then the old suffix less what the new prefix
+        // took of it (a longer one).
+        let tail = old.get(prefix.len()..).unwrap_or_default();
+        let taken = prefix.len().saturating_sub(old.len());
+        let rest = cell.key.suffix.get(taken..).unwrap_or_default();
+        let vlen = cell.vlen as u32;
+        write_cell(out, slot, cell.overflow, [tail, rest], vlen, cell.inline);
+    }
+}
+
+/// The right half of leaf `page` split at slot `at`: a new leaf holding
+/// its cells from `at` on under their own prefix, linked where `page`
+/// links.
+pub fn leaf_split_off(page: &PageBuf, at: usize) -> PageBuf {
+    let n = ncells(page);
+    let mut right = PageBuf::zeroed();
+    write_leaf(&mut right, page, at..n, &shared_prefix(page, at..n));
+    right
 }
 
 /// Removes leaf cell `i` (slot only; heap bytes become garbage until the
@@ -422,15 +630,25 @@ pub fn checked_slot(page: &PageBuf, i: usize) -> Option<usize> {
     (off < PAGE_SIZE).then_some(off)
 }
 
+/// Bounds-checked prefix of leaf `page`: `None` when it would reach into
+/// the slot directory or past the page.
+pub fn checked_prefix(page: &PageBuf) -> Option<&[u8]> {
+    let room = PAGE_SIZE.checked_sub(SLOTS_OFF + ncells(page) * 2)?;
+    let plen = prefix_len(page);
+    (plen <= room).then(|| &page.bytes()[PAGE_SIZE - plen..])
+}
+
 /// Bounds-checked leaf cell decode: `None` for a varint that is truncated
-/// by the page end or longer than five bytes, and for a key or payload
-/// running past the page.
+/// by the page end or longer than five bytes, for a suffix or payload
+/// running into the prefix or past the page, and for a prefix that
+/// [`checked_prefix`] refuses.
 pub fn checked_leaf_cell(page: &PageBuf, i: usize) -> Option<LeafCell<'_>> {
+    let prefix = checked_prefix(page)?;
     let off = checked_slot(page, i)?;
     let b = page.bytes();
     let h = read_header(b, off)?;
     let end = h.key_off.checked_add(h.klen)?.checked_add(h.inline_len())?;
-    (end <= PAGE_SIZE).then(|| leaf_cell_at(b, h))
+    (end <= PAGE_SIZE - prefix.len()).then(|| leaf_cell_at(b, h, prefix))
 }
 
 /// Bounds-checked internal cell decode into `(key, child)`.
@@ -515,14 +733,19 @@ fn cell_len(page: &PageBuf, off: usize, is_leaf: bool) -> usize {
 
 /// Rewrites all live cells contiguously at the end of the page, reclaiming
 /// garbage left by removals and in-place updates. The cells are read from
-/// one copy of the page taken up front.
+/// one copy of the page taken up front. A leaf is rebuilt under the prefix
+/// its first and last keys share.
 pub fn compact(page: &mut PageBuf) {
     let old = page.clone();
-    let is_leaf = node_type(page) == LEAF;
+    let n = ncells(page);
+    if node_type(page) == LEAF {
+        write_leaf(page, &old, 0..n, &shared_prefix(&old, 0..n));
+        return;
+    }
     let mut pos = PAGE_SIZE;
-    for i in 0..ncells(page) {
+    for i in 0..n {
         let off = slot(&old, i);
-        let len = cell_len(&old, off, is_leaf);
+        let len = cell_len(&old, off, false);
         pos -= len;
         page.bytes_mut()[pos..pos + len].copy_from_slice(&old.bytes()[off..off + len]);
         page.write_u16(SLOTS_OFF + i * 2, pos as u16);
@@ -530,13 +753,14 @@ pub fn compact(page: &mut PageBuf) {
     page.write_u16(DATA_START_OFF, pos as u16);
 }
 
-/// Bytes in use after a [`compact`]: the node header, the slot directory
-/// and every live cell. Decides whether a compaction would make an insert
-/// fit, and measures how full a leaf is.
+/// Bytes in use after a [`compact`]: the node header, the slot directory,
+/// every live cell and a leaf's prefix. Decides whether a compaction would
+/// make an internal insert fit, and measures how full a leaf is.
 pub fn live_bytes(page: &PageBuf) -> usize {
     let n = ncells(page);
     let is_leaf = node_type(page) == LEAF;
-    (0..n).fold(SLOTS_OFF + n * 2, |total, i| {
+    let prefix = if is_leaf { prefix(page).len() } else { 0 };
+    (0..n).fold(SLOTS_OFF + n * 2 + prefix, |total, i| {
         total + cell_len(page, slot(page, i), is_leaf)
     })
 }
@@ -547,6 +771,19 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    /// Puts `key → value` at its sorted slot; panics when it does not fit.
+    fn put(page: &mut PageBuf, key: &[u8], value: &[u8]) {
+        let i = leaf_search(page, key).unwrap_err();
+        assert!(leaf_put(page, i, false, key, value.len() as u32, value));
+    }
+
+    /// Every key of leaf `page`, whole.
+    fn keys(page: &PageBuf) -> Vec<Vec<u8>> {
+        (0..ncells(page))
+            .map(|i| leaf_key(page, i).to_vec())
+            .collect()
+    }
+
     #[test]
     fn leaf_insert_search_remove() {
         let mut p = PageBuf::zeroed();
@@ -554,13 +791,10 @@ mod tests {
         assert_eq!(ncells(&p), 0);
         // Insert keys out of order at their sorted slots.
         for key in [b"bb".as_slice(), b"aa", b"cc"] {
-            let i = leaf_search(&p, key).unwrap_err();
-            leaf_insert(&mut p, i, false, key, 1, &[key[0]]);
+            put(&mut p, key, &[key[0]]);
         }
         assert_eq!(ncells(&p), 3);
-        assert_eq!(leaf_key(&p, 0), b"aa");
-        assert_eq!(leaf_key(&p, 1), b"bb");
-        assert_eq!(leaf_key(&p, 2), b"cc");
+        assert_eq!(keys(&p), [b"aa", b"bb", b"cc"]);
         assert_eq!(leaf_search(&p, b"bb"), Ok(1));
         assert_eq!(leaf_search(&p, b"b"), Err(1));
         let cell = leaf_cell(&p, 0);
@@ -572,14 +806,72 @@ mod tests {
     }
 
     #[test]
+    fn the_prefix_is_held_once_and_keys_leave_whole() {
+        let mut p = PageBuf::zeroed();
+        init(&mut p, LEAF);
+        // A first key is its own prefix; each key outside it shrinks it.
+        put(&mut p, b"node-0042", b"x");
+        assert_eq!(prefix(&p), b"node-0042");
+        assert!(leaf_key(&p, 0).suffix.is_empty());
+        put(&mut p, b"node-0047", b"y");
+        assert_eq!(prefix(&p), b"node-004");
+        put(&mut p, b"node-0051", b"z");
+        assert_eq!(prefix(&p), b"node-00");
+        assert_eq!(leaf_key(&p, 2).suffix, b"51");
+        assert_eq!(keys(&p), [b"node-0042", b"node-0047", b"node-0051"]);
+        // A key inside the prefix leaves it alone.
+        put(&mut p, b"node-0049", b"w");
+        assert_eq!(prefix(&p), b"node-00");
+        // Searches for keys below, above and a proper prefix of it.
+        assert_eq!(leaf_search(&p, b"node-0"), Err(0));
+        assert_eq!(leaf_search(&p, b"node-00"), Err(0));
+        assert_eq!(leaf_search(&p, b"node"), Err(0));
+        assert_eq!(leaf_search(&p, b"a"), Err(0));
+        assert_eq!(leaf_search(&p, b"node-1"), Err(4));
+        assert_eq!(leaf_search(&p, b"node-0049"), Ok(2));
+        assert_eq!(leaf_search(&p, b"node-0048"), Err(2));
+        for (i, key) in keys(&p).iter().enumerate() {
+            assert!(placed_at(&p, key, Ok(i)));
+            assert_eq!(leaf_key(&p, i).cmp_to(key), Ordering::Equal);
+        }
+        // Removals leave the prefix; a compaction lengthens it again.
+        leaf_remove(&mut p, 3);
+        leaf_remove(&mut p, 0);
+        compact(&mut p);
+        assert_eq!(prefix(&p), b"node-004");
+        assert_eq!(keys(&p), [b"node-0047", b"node-0049"]);
+        assert_eq!(
+            live_bytes(&p),
+            SLOTS_OFF + 2 * 2 + 8 + 2 * leaf_cell_size(1, 1, false)
+        );
+    }
+
+    #[test]
+    fn a_shrink_that_no_longer_fits_leaves_the_page_alone() {
+        let mut p = PageBuf::zeroed();
+        init(&mut p, LEAF);
+        // 200-byte keys sharing 196 bytes: each cell keeps 4 of them.
+        let key = |i: u32| [vec![7u8; 196], i.to_be_bytes().to_vec()].concat();
+        let mut n = 0;
+        while free_space(&p) >= leaf_cell_size(4, 0, false) + 2 {
+            put(&mut p, &key(n), &[]);
+            n += 1;
+        }
+        assert_eq!(prefix(&p).len(), 198);
+        let before = p.clone();
+        // A key sharing nothing would widen every cell by 198 bytes.
+        assert!(!leaf_put(&mut p, 0, false, &[1], 0, &[]));
+        assert!(p.bytes()[..] == before.bytes()[..]);
+        assert_eq!(keys(&p).len(), n as usize);
+    }
+
+    #[test]
     fn compact_reclaims_garbage() {
         let mut p = PageBuf::zeroed();
         init(&mut p, LEAF);
         let val = vec![7u8; 100];
         for i in 0..20u8 {
-            let key = [i];
-            let s = leaf_search(&p, &key).unwrap_err();
-            leaf_insert(&mut p, s, false, &key, 100, &val);
+            put(&mut p, &[i], &val);
         }
         let before = free_space(&p);
         for _ in 0..10 {
@@ -589,22 +881,34 @@ mod tests {
         assert!(free_space(&p) > before + 900);
         // Survivors intact.
         assert_eq!(ncells(&p), 10);
-        assert_eq!(leaf_key(&p, 0), &[10u8]);
+        assert_eq!(leaf_key(&p, 0).to_vec(), [10u8]);
         assert_eq!(leaf_cell(&p, 9).inline, &val[..]);
     }
 
-    /// Dropping cells one [`unslot`] at a time, then compacting through one
-    /// `Vec` per live cell: what splits did before [`truncate`] and the
-    /// single-copy [`compact`], kept as the reference they must match.
+    /// Dropping cells one [`unslot`] at a time, then rebuilding the page
+    /// cell by cell: an internal node through one `Vec` per live cell, a
+    /// leaf by putting each cell into a fresh leaf in key order. What
+    /// splits did before [`truncate`] and the single-copy [`compact`], kept
+    /// as the reference they must match.
     fn drop_and_compact_cell_by_cell(page: &mut PageBuf, from: usize) {
         while ncells(page) > from {
             unslot(page, from);
         }
-        let is_leaf = node_type(page) == LEAF;
+        if node_type(page) == LEAF {
+            let old = page.clone();
+            init(page, LEAF);
+            set_link(page, link(&old));
+            for i in 0..ncells(&old) {
+                let cell = leaf_cell(&old, i);
+                let (key, vlen) = (cell.key.to_vec(), cell.vlen as u32);
+                assert!(leaf_put(page, i, cell.overflow, &key, vlen, cell.inline));
+            }
+            return;
+        }
         let cells: Vec<Vec<u8>> = (0..ncells(page))
             .map(|i| {
                 let off = slot(page, i);
-                page.bytes()[off..off + cell_len(page, off, is_leaf)].to_vec()
+                page.bytes()[off..off + cell_len(page, off, false)].to_vec()
             })
             .collect();
         let mut pos = PAGE_SIZE;
@@ -620,31 +924,41 @@ mod tests {
         #[test]
         fn truncate_and_compact_write_the_bytes_the_reference_does(
             leaf in any::<bool>(),
-            cells in vec((vec(any::<u8>(), 1..40), 0usize..120, any::<bool>(), any::<u64>()), 1..160),
+            prefix in vec(any::<u8>(), 0..12),
+            cells in vec((vec(0u8..4, 1..40), 0usize..120, any::<bool>(), any::<u64>()), 1..160),
             holes in vec(any::<usize>(), 0..24),
             cut in any::<usize>(),
         ) {
             let mut page = PageBuf::zeroed();
             init(&mut page, if leaf { LEAF } else { INTERNAL });
-            for (key, vlen, overflow, word) in &cells {
-                let overflow = leaf && *overflow;
-                let size = if leaf {
-                    leaf_cell_size(key.len(), *vlen, overflow)
+            set_link(&mut page, 9);
+            for (tail, vlen, overflow, word) in &cells {
+                // A shared head and a small alphabet give leaves long
+                // prefixes that inserts shrink.
+                let key = [&prefix[..], tail].concat();
+                if !leaf {
+                    if free_space(&page) < internal_cell_size(key.len()) + 2 {
+                        break;
+                    }
+                    // Slot order does not matter to an internal node's bytes.
+                    let i = (*word as usize) % (ncells(&page) + 1);
+                    internal_insert(&mut page, i, &key, *word);
+                    continue;
+                }
+                let Err(i) = leaf_search(&page, &key) else { continue };
+                let fits = if *overflow {
+                    leaf_put(&mut page, i, true, &key, *vlen as u32, &word.to_le_bytes())
                 } else {
-                    internal_cell_size(key.len())
+                    leaf_put(&mut page, i, false, &key, *vlen as u32, &vec![*word as u8; *vlen])
                 };
-                if free_space(&page) < size + 2 {
+                if !fits {
                     break;
                 }
-                // Slot order does not matter to the byte layout.
-                let i = (*word as usize) % (ncells(&page) + 1);
-                if !leaf {
-                    internal_insert(&mut page, i, key, *word);
-                } else if overflow {
-                    leaf_insert(&mut page, i, true, key, *vlen as u32, &word.to_le_bytes());
-                } else {
-                    leaf_insert(&mut page, i, false, key, *vlen as u32, &vec![*word as u8; *vlen]);
-                }
+            }
+            if leaf {
+                let keys = keys(&page);
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(keys.iter().all(|k| k.starts_with(super::prefix(&page))));
             }
             // Removed cells leave garbage in the heap for compaction to skip.
             for hole in holes {
@@ -668,6 +982,7 @@ mod tests {
             prefix in vec(any::<u8>(), 0..20),
             a in vec(0u8..3, 0..20),
             b in vec(0u8..3, 0..20),
+            cut in any::<usize>(),
         ) {
             // A shared prefix and a small alphabet make ties and keys that
             // are prefixes of each other common.
@@ -676,6 +991,11 @@ mod tests {
             prop_assert_eq!(cmp_keys(&a, &b), a.cmp(&b));
             prop_assert_eq!(cmp_keys(&b, &a), b.cmp(&a));
             prop_assert_eq!(cmp_keys(&a, &a), Ordering::Equal);
+            // Split anywhere, a key still orders as a whole.
+            let at = cut % (a.len() + 1);
+            let key = Key { prefix: &a[..at], suffix: &a[at..] };
+            prop_assert_eq!(key.cmp_to(&b), a.cmp(&b));
+            prop_assert_eq!(key.common_len(&b), common_len(&a, &b));
         }
     }
 
@@ -700,8 +1020,9 @@ mod tests {
         let mut p = PageBuf::zeroed();
         init(&mut p, LEAF);
         let empty = live_bytes(&p);
-        leaf_insert(&mut p, 0, false, b"key", 5, b"value");
-        assert_eq!(live_bytes(&p), empty + 2 + leaf_cell_size(3, 5, false));
+        put(&mut p, b"key", b"value");
+        // A lone key is its own prefix: its cell holds no key byte.
+        assert_eq!(live_bytes(&p), empty + 2 + 3 + leaf_cell_size(0, 5, false));
         assert_eq!(leaf_cell_size(3, 5, false), 2 + 3 + 5, "two header bytes");
     }
 
@@ -723,7 +1044,9 @@ mod tests {
             (4, 8191),
             (200, 129),
         ];
-        for (n, (klen, vlen)) in cases.into_iter().enumerate() {
+        // Keys starting with distinct bytes share no prefix: each cell
+        // holds its whole key.
+        let cell = |n: usize, (klen, vlen): (usize, usize)| {
             let key = vec![n as u8; klen];
             let overflow = vlen > 1024;
             let inline = if overflow {
@@ -731,27 +1054,44 @@ mod tests {
             } else {
                 vec![0xA5; vlen]
             };
-            leaf_insert(&mut p, n, overflow, &key, vlen as u32, &inline);
-            let cell = checked_leaf_cell(&p, n).expect("decodes");
-            assert_eq!((cell.key, cell.vlen), (&key[..], vlen));
-            assert_eq!((cell.is_overflow(), cell.inline), (overflow, &inline[..]));
+            (key, overflow, inline)
+        };
+        for (n, case) in cases.into_iter().enumerate() {
+            let (key, overflow, inline) = cell(n, case);
+            assert!(leaf_put(&mut p, n, overflow, &key, case.1 as u32, &inline));
+        }
+        assert!(prefix(&p).is_empty());
+        for (n, case) in cases.into_iter().enumerate() {
+            let (key, overflow, inline) = cell(n, case);
+            let got = checked_leaf_cell(&p, n).expect("decodes");
+            assert_eq!((got.key.to_vec(), got.vlen), (key, case.1));
+            assert_eq!((got.is_overflow(), got.inline), (overflow, &inline[..]));
             assert_eq!(
-                leaf_cell_bytes(&p, n).len(),
-                leaf_cell_size(klen, vlen, overflow)
+                leaf_cell_len(&p, n),
+                leaf_cell_size(case.0, case.1, overflow)
             );
         }
     }
 
     #[test]
-    fn raw_cells_move_between_pages() {
-        let mut a = PageBuf::zeroed();
-        let mut b = PageBuf::zeroed();
-        init(&mut a, LEAF);
-        init(&mut b, LEAF);
-        leaf_insert(&mut a, 0, false, &[9; 300], 70, &[1; 70]);
-        leaf_insert_raw(&mut b, 0, leaf_cell_bytes(&a, 0));
-        let cell = leaf_cell(&b, 0);
-        assert_eq!((cell.key, cell.inline), (&[9u8; 300][..], &[1u8; 70][..]));
+    fn a_split_off_half_takes_its_own_prefix() {
+        let mut p = PageBuf::zeroed();
+        init(&mut p, LEAF);
+        set_link(&mut p, 77);
+        for key in [b"aa-1".as_slice(), b"aa-2", b"ab-1", b"ab-2"] {
+            put(&mut p, key, &[1; 40]);
+        }
+        assert_eq!(prefix(&p), b"a");
+        let right = leaf_split_off(&p, 2);
+        assert_eq!((prefix(&right), link(&right)), (&b"ab-"[..], 77));
+        assert_eq!(keys(&right), [b"ab-1", b"ab-2"]);
+        assert_eq!(leaf_cell(&right, 1).inline, &[1; 40]);
+        truncate(&mut p, 2);
+        compact(&mut p);
+        assert_eq!(
+            (prefix(&p), keys(&p)),
+            (&b"aa-"[..], vec![b"aa-1".to_vec(), b"aa-2".to_vec()])
+        );
     }
 
     /// A page with one leaf cell at the very end whose header bytes are
@@ -784,8 +1124,14 @@ mod tests {
         assert!(leaf_key(&p, 0).is_empty());
         assert_eq!(live_bytes(&p), SLOTS_OFF + 2);
         // The smallest valid cell still decodes.
-        let p = page_with_cell_header(&[0x00, 0x00]);
+        let mut p = page_with_cell_header(&[0x00, 0x00]);
         let cell = checked_leaf_cell(&p, 0).unwrap();
         assert!(cell.key.is_empty() && cell.inline.is_empty());
+        // A prefix over the cell, or into the slot directory, does not.
+        p.write_u16(PREFIX_LEN_OFF, 1);
+        assert!(checked_prefix(&p).is_some());
+        assert!(checked_leaf_cell(&p, 0).is_none());
+        p.write_u16(PREFIX_LEN_OFF, (PAGE_SIZE - SLOTS_OFF - 1) as u16);
+        assert!(checked_prefix(&p).is_none());
     }
 }

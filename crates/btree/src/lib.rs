@@ -14,7 +14,8 @@
 //!   than [`MAX_INLINE_VALUE`];
 //! * slotted 8 KiB pages served through the `pagestore` LRU cache, so the
 //!   tree works out-of-core; a leaf cell's header is two varints, so a
-//!   small cell spends two bytes on it ([`layout`]);
+//!   small cell spends two bytes on it, and a leaf holds the prefix its
+//!   keys share once, each cell only the rest of its key ([`layout`]);
 //! * `O(log n)` point lookups and ordered range scans over leaf sibling
 //!   chains — the access pattern behind the LineageStore;
 //! * leaves split 50/50, except that an insert past the last key of the

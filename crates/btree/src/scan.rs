@@ -70,7 +70,7 @@ impl Scan {
                 let mut past = false;
                 for i in start..n {
                     let cell = layout::leaf_cell(p, i);
-                    if !self.high.is_empty() && cell.key >= self.high.as_slice() {
+                    if !self.high.is_empty() && cell.key.cmp_to(&self.high).is_ge() {
                         past = true;
                         break;
                     }
@@ -172,7 +172,7 @@ impl KeyScan {
                 let mut past = false;
                 for i in start..n {
                     let key = layout::leaf_key(p, i);
-                    if !self.high.is_empty() && key >= self.high.as_slice() {
+                    if !self.high.is_empty() && key.cmp_to(&self.high).is_ge() {
                         past = true;
                         break;
                     }

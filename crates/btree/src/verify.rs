@@ -5,7 +5,8 @@
 //! panic) and checks, per the on-disk invariants:
 //!
 //! * node types are valid and internal levels are homogeneous;
-//! * keys within every node are strictly increasing;
+//! * a leaf's prefix stays inside its page, and its keys — prefix and
+//!   suffix together — are strictly increasing, as are every node's;
 //! * internal separator keys bound their subtrees (`sep(i) <= min(child
 //!   i+1)` and children left of `sep(i)` stay below it);
 //! * the leaf sibling chain visits exactly the in-order leaves and key
@@ -278,6 +279,12 @@ impl BTree {
                 }
                 match layout::node_type(p) {
                     layout::LEAF => {
+                        if layout::checked_prefix(p).is_none() {
+                            let plen = layout::prefix_len(p);
+                            return Node::Bad(format!(
+                                "leaf prefix of {plen} bytes runs past its page"
+                            ));
+                        }
                         let mut keys = Vec::with_capacity(ncells);
                         let mut overflows = Vec::new();
                         for i in 0..ncells {
@@ -529,12 +536,13 @@ mod tests {
         assert_eq!(r.entries, 5_000);
         assert!(r.height >= 2);
         assert!(r.reachable.len() > 2);
-        // 5 000 ascending cells of 2 + 8 + 8 bytes plus a 2-byte slot each,
-        // on leaves that append splits leave full.
+        // 5 000 ascending cells of 2 + 2 + 8 bytes (each leaf's prefix
+        // holds the keys' first six bytes) plus a 2-byte slot each, on
+        // leaves that append splits leave full.
         let fill = r.fill();
         assert_eq!(fill.pages, r.reachable.len() as u64);
-        assert!(fill.leaves >= 12 && fill.leaves < fill.pages);
-        assert!(fill.leaf_live_bytes >= 5_000 * 20);
+        assert!(fill.leaves >= 8 && fill.leaves < fill.pages);
+        assert!(fill.leaf_live_bytes >= 5_000 * 14);
         assert!(fill.leaf_fill() > 0.9, "{fill}");
     }
 
@@ -600,6 +608,72 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.class == VerifyClass::KeyOrder));
+    }
+
+    /// A two-level tree of 5 000 ascending keys and its leaves' pages, the
+    /// root's leftmost child first.
+    fn two_level_tree() -> (tempfile::TempDir, Arc<PageStore>, BTree, Vec<PageId>) {
+        let dir = tempdir().unwrap();
+        let store = Arc::new(PageStore::open(dir.path().join("t.db"), 64).unwrap());
+        let t = BTree::open(store.clone(), 0).unwrap();
+        for i in 0..5_000u64 {
+            t.insert(&k(i), b"v").unwrap();
+        }
+        assert_eq!(t.height().unwrap(), 2);
+        let root = PageId(store.root(0));
+        let leaves = store
+            .read(root, |p| {
+                let n = layout::ncells(p);
+                let children = (0..n).map(|i| PageId(layout::internal_child(p, i)));
+                std::iter::once(PageId(layout::link(p)))
+                    .chain(children)
+                    .collect()
+            })
+            .unwrap();
+        (dir, store, t, leaves)
+    }
+
+    #[test]
+    fn a_prefix_past_its_page_is_reported_as_structure() {
+        let (_dir, store, t, leaves) = two_level_tree();
+        store
+            .write(leaves[1], |p| {
+                p.write_u16(6, (PAGE_SIZE - layout::SLOTS_OFF) as u16)
+            })
+            .unwrap();
+        let r = t.verify().unwrap();
+        assert!(
+            r.violations
+                .iter()
+                .any(|v| v.class == VerifyClass::Structure
+                    && v.page == leaves[1].0
+                    && v.detail.contains("leaf prefix of")),
+            "{:?}",
+            r.violations
+        );
+    }
+
+    #[test]
+    fn a_damaged_prefix_moves_every_key_of_its_leaf_out_of_bounds() {
+        let (_dir, store, t, leaves) = two_level_tree();
+        // Every key of a middle leaf begins with six zero bytes; its
+        // prefix holds them once. Raise the first: its cells now rebuild
+        // to keys past the separator that bounds the leaf above.
+        store
+            .write(leaves[1], |p| {
+                assert!(layout::prefix(p).len() >= 6, "{:?}", layout::prefix(p));
+                let first = PAGE_SIZE - layout::prefix(p).len();
+                p.bytes_mut()[first] = 0xFF;
+            })
+            .unwrap();
+        let r = t.verify().unwrap();
+        assert!(
+            r.violations.iter().any(|v| v.class == VerifyClass::KeyOrder
+                && v.page == leaves[1].0
+                && v.detail.contains("not below parent separator")),
+            "{:?}",
+            r.violations
+        );
     }
 
     #[test]

@@ -6,8 +6,15 @@
 //! and ascending runs past the largest key drive the append split.
 //! `insert_with` gets the floor the model has, and its value is derived
 //! from that floor.
+//!
+//! Two key shapes share long prefixes, as leaf prefix truncation sees
+//! them: keys built like the LineageStore's from length-byte parts, and
+//! keys behind one 20-byte prefix. Bulk runs of them fill leaves, and
+//! inserts just outside a run, with values near `MAX_INLINE_VALUE`, shrink
+//! the prefix of a full leaf until the longer cells no longer fit and the
+//! leaf splits, at times more than once.
 
-use btree::{BTree, TreeFill};
+use btree::{BTree, TreeFill, MAX_INLINE_VALUE};
 use pagestore::PageStore;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -29,16 +36,67 @@ enum Op {
     /// Inserts this many ascending keys, each past every key in the tree,
     /// with values of the given length.
     AppendRun(usize, usize),
+    /// Inserts these prefix-heavy keys with values of the given lengths.
+    Bulk(Vec<(Vec<u8>, usize)>),
+    /// Inserts, with a value of the given length, a key just outside the
+    /// run of keys that share the first `depth + 1` bytes of the model's
+    /// `pick`-th key: below the run, or (`true`) above it. The key shares
+    /// only `depth` bytes with the run, so the leaf at the run's edge
+    /// takes it by shrinking its prefix.
+    Edge(usize, usize, bool, usize),
 }
 
 /// First byte of an [`Op::AppendRun`] key: above every `key_strategy` key.
-const RUN_PREFIX: u8 = 4;
+const RUN_PREFIX: u8 = 0xF0;
+
+/// The part `v` of a LineageStore-shaped key: a length byte, then the
+/// significant big-endian bytes of `v`.
+fn part(out: &mut Vec<u8>, v: u64) {
+    let bytes = v.to_be_bytes();
+    let skip = (v.leading_zeros() / 8) as usize;
+    out.push((8 - skip) as u8);
+    out.extend_from_slice(&bytes[skip..]);
+}
+
+/// Keys shaped like the LineageStore's neighbour keys: four length-byte
+/// parts, the first three large ids that share all but their last bytes.
+fn lineage_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    const BASE: u64 = 0x0123_4567_89AB_0000;
+    (0u64..3, 0u64..4, 0u64..600, 0u64..300).prop_map(|(a, b, rel, ts)| {
+        let mut key = Vec::new();
+        for v in [BASE + a, BASE + b, BASE + rel, ts] {
+            part(&mut key, v);
+        }
+        key
+    })
+}
+
+/// Keys behind one 20-byte prefix, with tails of up to three bytes.
+fn shared_prefix_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..16, 0..4).prop_map(|tail| [&[5u8; 20][..], &tail].concat())
+}
+
+fn prefix_heavy_key_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![lineage_key_strategy(), shared_prefix_key_strategy()]
+}
+
+/// A bulk run of one prefix-heavy shape, with values of 0 to 4 bytes.
+fn bulk_strategy() -> impl Strategy<Value = Op> {
+    let run = |keys: BoxedStrategy<Vec<u8>>| {
+        proptest::collection::vec((keys, 0usize..5), 200..1500).prop_map(Op::Bulk)
+    };
+    prop_oneof![
+        run(lineage_key_strategy().boxed()),
+        run(shared_prefix_key_strategy().boxed()),
+    ]
+}
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     // Small alphabet and length so operations collide often, plus keys of
-    // 127 and 128 bytes (where `klen` outgrows one varint byte) and of
-    // MAX_KEY bytes, padded with their first byte so they collide too.
-    let short = || proptest::collection::vec(0u8..RUN_PREFIX, 1..5);
+    // 127 and 128 bytes (where a cell's key length outgrows one varint
+    // byte under a short prefix) and of MAX_KEY bytes, padded with their
+    // first byte so they collide too; and the prefix-heavy shapes.
+    let short = || proptest::collection::vec(0u8..4, 1..5);
     prop_oneof![
         short(),
         short(),
@@ -48,6 +106,7 @@ fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
             k.resize(len, pad);
             k
         }),
+        prefix_heavy_key_strategy(),
     ]
 }
 
@@ -85,7 +144,29 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         key_strategy().prop_map(Op::Floor),
         (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Scan(a, b)),
         (50usize..700, 0usize..70).prop_map(|(n, vlen)| Op::AppendRun(n, vlen)),
+        bulk_strategy(),
+        (
+            any::<usize>(),
+            0usize..24,
+            any::<bool>(),
+            MAX_INLINE_VALUE - 24..=MAX_INLINE_VALUE,
+        )
+            .prop_map(|(pick, depth, above, vlen)| Op::Edge(pick, depth, above, vlen)),
     ]
+}
+
+/// The key of an [`Op::Edge`] next to `key`: its first `depth` bytes, then
+/// the next byte one higher (`above`) or one lower and padded high. `None`
+/// where that byte has no such neighbour.
+fn edge_key(key: &[u8], depth: usize, above: bool) -> Option<Vec<u8>> {
+    let depth = depth.min(key.len().checked_sub(1)?);
+    let mut edge = key[..depth].to_vec();
+    if above {
+        edge.push(key[depth].checked_add(1)?);
+    } else {
+        edge.extend_from_slice(&[key[depth].checked_sub(1)?, 0xFF, 0xFF]);
+    }
+    Some(edge)
 }
 
 /// The value an [`Op::InsertWith`] stores: a digest of the floor entry (its
@@ -177,6 +258,24 @@ proptest! {
                         .map(|(a, b)| (a.clone(), b.clone()))
                         .collect();
                     prop_assert_eq!(got, want);
+                }
+                Op::Bulk(entries) => {
+                    for (k, vlen) in entries {
+                        let v = vec![vlen as u8; vlen];
+                        tree.insert(&k, &v).unwrap();
+                        model.insert(k, v);
+                    }
+                }
+                Op::Edge(pick, depth, above, vlen) => {
+                    let Some(key) = model.keys().nth(pick % model.len().max(1)) else {
+                        continue;
+                    };
+                    let Some(k) = edge_key(key, depth, above) else {
+                        continue;
+                    };
+                    let v = vec![depth as u8; vlen];
+                    tree.insert(&k, &v).unwrap();
+                    model.insert(k, v);
                 }
                 Op::AppendRun(n, vlen) => {
                     for _ in 0..n {

@@ -46,24 +46,28 @@ fn flipped_neighbour_flag_is_caught_by_full_only() {
     generate(&db);
     // Raw slotted-page layout (`btree::layout`): a leaf page has type byte
     // 1, ncells (u16 LE) at 2 and its slot directory at 16; a leaf cell
-    // starts `varint klen, varint (vlen << 1 | overflow)`, then key and
-    // value. Only a neighbour entry has a one-byte value, its deleted flag:
-    // a one-byte header varint `2` after a key of at most 36 bytes.
+    // starts `varint slen, varint (vlen << 1 | overflow)`, then the key's
+    // suffix and the value. Only a neighbour entry that records a deletion
+    // has a one-byte value, its deleted flag `1`: a one-byte header varint
+    // `2` after a suffix of under 128 bytes. Rewriting that varint to `0`
+    // leaves a well-formed empty value, an addition.
     let (page_size, path) = (pagestore::PAGE_SIZE, db.join("lineage.db"));
     let vfs = TimeStoreConfig::default().vfs;
     let mut file = vfs.read(&path).unwrap();
     let u16_at = |b: &[u8], off: usize| usize::from(u16::from_le_bytes([b[off], b[off + 1]]));
-    let flag = (1..file.len() / page_size)
+    let field = (1..file.len() / page_size)
         .map(|p| p * page_size)
         .filter(|&base| file[base] == 1)
         .flat_map(|base| (0..u16_at(&file, base + 2)).map(move |i| (base, i)))
         .map(|(base, i)| base + u16_at(&file, base + 16 + i * 2))
         .find(|&cell| {
-            file[cell] <= 36 && file[cell + 1] == 2 && file[cell + 2 + usize::from(file[cell])] == 0
+            file[cell] < 0x80
+                && file[cell + 1] == 2
+                && file[cell + 2 + usize::from(file[cell])] == 1
         })
-        .map(|cell| cell + 2 + usize::from(file[cell]))
-        .expect("a neighbour entry that records an addition");
-    file[flag] = 1;
+        .map(|cell| cell + 1)
+        .expect("a neighbour entry that records a deletion");
+    file[field] = 0;
     vfs.write(&path, &file).unwrap();
 
     let out = fsck(&["check", db.to_str().unwrap(), "--level", "quick"]);
@@ -80,8 +84,8 @@ fn flipped_neighbour_flag_is_caught_by_full_only() {
         ["out-neighbours key", "in-neighbours key"]
             .iter()
             .any(|index| line.contains(index))
-            && line.contains("the store holds [1], its rebuild")
-            && line.ends_with("holds [0]"),
+            && line.contains("the store holds [], its rebuild")
+            && line.ends_with("holds [1]"),
         "{line}"
     );
     assert!(!vfs.exists(&db.join("lineage.db.rebuild")));

@@ -21,8 +21,8 @@
 //!   the log envelope.
 //!
 //! A LineageStore neighbourhood entry is not a record: its key holds both
-//! endpoints, the relationship id and the timestamp, and its value is one
-//! byte, the deleted flag.
+//! endpoints, the relationship id and the timestamp, and its value is
+//! empty for an addition and the one byte `1` for a deletion.
 //!
 //! A property is a `u32` word whose three most significant bits carry
 //! state + type and whose low 29 bits are the key reference, followed by the
@@ -161,6 +161,14 @@ impl RecordBody {
     /// from its header byte alone (`None` for an empty buffer).
     pub fn encodes_tombstone(buf: &[u8]) -> Option<bool> {
         buf.first().map(|header| header & FLAG_DELETED != 0)
+    }
+
+    /// Whether the body encoded at the front of `buf` is a delta, read from
+    /// its header byte alone as [`Self::decode`] reads it (`None` for an
+    /// empty buffer).
+    pub fn encodes_delta(buf: &[u8]) -> Option<bool> {
+        buf.first()
+            .map(|header| header & FLAG_DELTA != 0 && header & FLAG_DELETED == 0)
     }
 
     /// Deserializes a body, advancing `pos`.

@@ -11,15 +11,18 @@
 //! `[(id, base_ts), (id, ts)]` — never the whole history — which is what
 //! bounds the delta-chain cost studied in Sec. 6.5.
 //!
-//! The value is written relative to its key's timestamp `ts`, so a full
-//! record spends one byte on its base:
+//! The value is written relative to its key's timestamp `ts`. A full
+//! record or a tombstone is its own base at position 0, and spends one
+//! byte on both:
 //!
 //! ```text
-//! entry = varint(ts - base_ts) varint(pos) body
+//! entry = 0x00 body                          ; full record or tombstone
+//!       | varint(ts - base_ts) varint(pos) body   ; delta, ts - base_ts ≥ 1
 //! ```
 //!
-//! Decoding takes the key's timestamp; a base later than it does not
-//! decode.
+//! Decoding takes the key's timestamp. A base later than it does not
+//! decode, and neither does a zero distance in front of a delta body: a
+//! delta's base is always an earlier version.
 
 use encoding::varint;
 use encoding::RecordBody;
@@ -80,20 +83,32 @@ impl LineageEntry {
 }
 
 /// Appends the chain fields of the entry keyed at `key_ts`; its body
-/// follows them. `base_ts` is never later than `key_ts`.
+/// follows them. `base_ts` is never later than `key_ts`, and is `key_ts`
+/// itself (at `pos` 0) only for a full record or a tombstone.
 pub(crate) fn encode_chain(out: &mut Vec<u8>, key_ts: Timestamp, base_ts: Timestamp, pos: u32) {
     debug_assert!(
         base_ts <= key_ts,
         "chain base {base_ts} after its key {key_ts}"
     );
+    debug_assert_eq!(base_ts == key_ts, pos == 0, "a full record is its own base");
     // A base after the key would wrap to a distance that does not decode.
-    varint::write_u64(out, key_ts.wrapping_sub(base_ts));
-    varint::write_u64(out, u64::from(pos));
+    let distance = key_ts.wrapping_sub(base_ts);
+    varint::write_u64(out, distance);
+    if distance != 0 {
+        varint::write_u64(out, u64::from(pos));
+    }
 }
 
-/// Reads the chain fields at `buf[*pos..]` of the entry keyed at `key_ts`.
+/// Reads the chain fields at `buf[*pos..]` of the entry keyed at `key_ts`,
+/// and checks them against the body after them: a zero distance, which
+/// carries no position, fronts a full record or a tombstone only.
 fn read_chain(key_ts: Timestamp, buf: &[u8], pos: &mut usize) -> Option<(Timestamp, u32)> {
-    let base_ts = key_ts.checked_sub(varint::read_u64(buf, pos)?)?;
+    let distance = varint::read_u64(buf, pos)?;
+    if distance == 0 {
+        let delta = RecordBody::encodes_delta(buf.get(*pos..)?)?;
+        return (!delta).then_some((key_ts, 0));
+    }
+    let base_ts = key_ts.checked_sub(distance)?;
     let chain_pos = varint::read_u64(buf, pos)? as u32;
     Some((base_ts, chain_pos))
 }
@@ -122,7 +137,8 @@ mod tests {
             },
         );
         let bytes = e.to_bytes(42);
-        assert_eq!(bytes[..2], [0, 0], "a full record's base is its key");
+        assert_eq!(bytes[0], 0, "a full record's base is its key");
+        assert_eq!(bytes[1..], e.body.to_bytes(), "and it has no position");
         assert_eq!(LineageEntry::from_bytes(42, &bytes), Some(e));
     }
 
@@ -171,8 +187,21 @@ mod tests {
         );
         assert_eq!(peek_chain(305, &delta.to_bytes(305)), Some((300, 2, false)));
         let gone = LineageEntry::full(301, RecordBody::RelDeleted);
+        assert_eq!(gone.to_bytes(301).len(), 2, "one chain byte, one body byte");
         assert_eq!(peek_chain(301, &gone.to_bytes(301)), Some((301, 0, true)));
-        assert_eq!(peek_chain(301, &gone.to_bytes(301)[..2]), None, "no body");
+        assert_eq!(peek_chain(301, &gone.to_bytes(301)[..1]), None, "no body");
+    }
+
+    #[test]
+    fn a_zero_distance_in_front_of_a_delta_does_not_decode() {
+        let body = RecordBody::NodeDelta(EntityDelta::default());
+        let delta = LineageEntry::delta(10, 1, body.clone()).to_bytes(11);
+        assert_eq!(delta[..2], [1, 1]);
+        assert!(LineageEntry::from_bytes(11, &delta).is_some());
+        // The same body behind the one byte a full record spends.
+        let forged = [&[0u8][..], &body.to_bytes()].concat();
+        assert_eq!(LineageEntry::from_bytes(11, &forged), None);
+        assert_eq!(peek_chain(11, &forged), None);
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! |-----------------|---------------------------|-----------------------------------|
 //! | node            | `nodeId, ts`              | chain fields; type, labels, props |
 //! | relationship    | `relId, ts`               | chain fields; type, label, props  |
-//! | out-neighbours  | `srcId, tgtId, relId, ts` | one byte: deleted flag            |
-//! | in-neighbours   | `tgtId, srcId, relId, ts` | one byte: deleted flag            |
+//! | out-neighbours  | `srcId, tgtId, relId, ts` | empty, or `[1]` when deleted      |
+//! | in-neighbours   | `tgtId, srcId, relId, ts` | empty, or `[1]` when deleted      |
 //!
 //! Every key writes each part as a length byte and its significant
 //! big-endian bytes (`encoding::keys`): a history key is 2–18 bytes, a
 //! neighbour key 4–36. A neighbour entry's key already names the
-//! relationship and the time, so its value is `[0]` (the relationship
+//! relationship and the time, so its value is empty (the relationship
 //! joined the neighbourhood at `ts`) or `[1]` (it left). A history entry's
-//! chain fields are written relative to its key's `ts` ([`entry`]).
+//! chain fields are written relative to its key's `ts`, in one byte on a
+//! full record ([`entry`]). The B+Tree leaves hold the prefix their keys
+//! share once (`btree::layout`).
 //!
 //! Updates are stored **in place** as deltas or fully materialized entities
 //! (not as pointers into the TimeStore log), trading space for access

@@ -318,7 +318,7 @@ impl LineageStore {
 
     /// Records that `rel` joined (or, `deleted`, left) the neighbourhoods
     /// of its endpoints at `ts`. The key holds both endpoints, the rel id
-    /// and the ts, so the value is just the deleted flag.
+    /// and the ts, so the value is empty, or `[1]` for a deletion.
     fn put_neighbours(
         &self,
         src: NodeId,
@@ -327,12 +327,12 @@ impl LineageStore {
         ts: Timestamp,
         deleted: bool,
     ) -> Result<()> {
-        let value = [u8::from(deleted)];
+        let value: &[u8] = if deleted { &[1] } else { &[] };
         self.out_n
-            .insert(&keys::neigh_key(src, tgt, rel, ts), &value)?;
+            .insert(&keys::neigh_key(src, tgt, rel, ts), value)?;
         Ok(self
             .in_n
-            .insert(&keys::neigh_key(tgt, src, rel, ts), &value)?)
+            .insert(&keys::neigh_key(tgt, src, rel, ts), value)?)
     }
 
     /// Writes the modify update `op` for `id` at `ts` as the next link of
@@ -781,10 +781,10 @@ fn scan_neighbours(
     Ok(())
 }
 
-/// Decodes a neighbour-index value: `[0]` added, `[1]` deleted.
+/// Decodes a neighbour-index value: empty added, `[1]` deleted.
 fn neighbour_deleted(value: &[u8]) -> Option<bool> {
     match value {
-        [0] => Some(false),
+        [] => Some(false),
         [1] => Some(true),
         _ => None,
     }

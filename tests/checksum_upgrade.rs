@@ -16,13 +16,16 @@
 //!   sidecar;
 //! * written before history keys were compact: the page file carries
 //!   `AIONPGS4` and the seal on its meta page;
+//! * written before leaves held their keys' shared prefix once, live
+//!   neighbour entries had empty values and full records one chain byte:
+//!   the page file carries `AIONPGS5`;
 //! * written while the TimeStore kept its `ts → log offset` tree: a
 //!   `timestore.idx` page file with its checksum sidecar, and no
 //!   durable-end record next to the log. Open deletes both files.
 
 use aion::{Aion, AionConfig};
 use check::CheckLevel;
-use lpg::{Graph, NodeId, PropertyValue, RelId};
+use lpg::{Direction, Graph, NodeId, PropertyValue, RelId};
 use pagestore::{PageStore, PAGE_SIZE};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -84,7 +87,7 @@ fn reseal(pages: &mut [u8]) {
 /// seal on its meta page.
 fn rewrite_page_magic(page_file: &Path, version: u8) {
     let mut pages = VfsRef::std().read(page_file).unwrap();
-    assert_eq!(&pages[..8], b"5SGPNOIA", "little-endian AIONPGS5");
+    assert_eq!(&pages[..8], b"6SGPNOIA", "little-endian AIONPGS6");
     pages[0] = version;
     if version >= b'4' {
         reseal(&mut pages);
@@ -290,9 +293,21 @@ fn version_2_snapshots_are_dropped_at_open() {
 /// the snapshots are kept, and history reads back from both stores.
 fn old_page_file_is_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
-    let dir = dir.path();
+    let history = write_history(dir.path());
+    rebuild_old_page_file(dir.path(), version, &history, |_| ());
+}
+
+/// Rewrites the page file of `dir`, which holds `history`, to carry the
+/// older page-file version `version`, checks that it is refused by name
+/// and that `Aion::open` rebuilds it, and runs `reads` on the reopened
+/// database.
+fn rebuild_old_page_file(
+    dir: &Path,
+    version: u8,
+    history: &[(u64, Arc<Graph>)],
+    reads: impl FnOnce(&Aion),
+) {
     let file = dir.join("lineage.db");
-    let history = write_history(dir);
     let mut snapshots = snapshot_files(dir);
     snapshots.sort();
     let old_magic = [version, b'S', b'G', b'P', b'N', b'O', b'I', b'A'];
@@ -318,11 +333,12 @@ fn old_page_file_is_rebuilt_at_open(version: u8) {
         let mut kept = snapshot_files(dir);
         kept.sort();
         assert_eq!(kept, snapshots);
-        assert_history(&db, &history);
+        assert_history(&db, history);
+        reads(&db);
         db.sync().unwrap();
     }
     let bytes = VfsRef::std().read(&file).unwrap();
-    assert_eq!(&bytes[..8], b"5SGPNOIA", "the next sync writes AIONPGS5");
+    assert_eq!(&bytes[..8], b"6SGPNOIA", "the next sync writes AIONPGS6");
     assert!(!VfsRef::std().exists(&sidecar(&file)), "and no sidecar");
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
@@ -347,16 +363,54 @@ fn version_4_page_files_are_rebuilt_at_open() {
     old_page_file_is_rebuilt_at_open(b'4');
 }
 
-/// The version-4 input differs from a current file in its version digit
-/// only: the same bytes resealed under `AIONPGS5` open with verification.
+/// Every node's two-hop expansion in both directions at every time of
+/// `history`, from the LineageStore.
+fn expansions(db: &Aion, history: &[(u64, Arc<Graph>)]) -> Vec<Vec<(NodeId, u32)>> {
+    let mut out = Vec::new();
+    for (ts, graph) in history {
+        for node in graph.nodes() {
+            for dir in [Direction::Outgoing, Direction::Incoming] {
+                let hits = db.lineagestore().expand(node.id, dir, 2, *ts).unwrap();
+                out.push(hits.into_iter().map(|h| (h.node.id, h.hop)).collect());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn version_5_page_files_are_rebuilt_at_open() {
+    let dir = tempfile::tempdir().unwrap();
+    let dir = dir.path();
+    let mut history = write_history(dir);
+    // Deleted relationships give the neighbour indexes the entries whose
+    // value is not empty.
+    let before = {
+        let db = Aion::open(config(dir)).unwrap();
+        for rel in [2u64, 9, 15] {
+            let ts = db.write(|txn| txn.delete_rel(RelId::new(rel))).unwrap();
+            history.push((ts, db.latest_graph()));
+        }
+        db.lineage_barrier(db.latest_ts());
+        db.sync().unwrap();
+        expansions(&db, &history)
+    };
+    assert!(before.iter().any(|hits| !hits.is_empty()));
+    rebuild_old_page_file(dir, b'5', &history, |db| {
+        assert_eq!(expansions(db, &history), before);
+    });
+}
+
+/// The version-5 input differs from a current file in its version digit
+/// only: the same bytes resealed under `AIONPGS6` open with verification.
 #[test]
 fn the_resealed_input_differs_in_its_version_only() {
     let dir = tempfile::tempdir().unwrap();
     let file = dir.path().join("lineage.db");
     write_history(dir.path());
-    rewrite_page_magic(&file, b'4');
+    rewrite_page_magic(&file, b'5');
     let mut pages = VfsRef::std().read(&file).unwrap();
-    pages[0] = b'5';
+    pages[0] = b'6';
     reseal(&mut pages);
     VfsRef::std().write(&file, &pages).unwrap();
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();

@@ -267,9 +267,12 @@ mod corruption {
     use timestore::{TimeStore, TimeStoreConfig};
 
     // Raw slotted-page layout (crates/btree/src/layout.rs): integers LE,
-    // a leaf cell starts `varint klen, varint (vlen << 1 | overflow)`.
+    // a leaf cell starts `varint slen, varint (vlen << 1 | overflow)`, then
+    // the key's suffix; the leaf's prefix is the page's last `u16 at 6`
+    // bytes.
     const LEAF: u8 = 1;
     const NCELLS_OFF: usize = 2;
+    const PREFIX_LEN_OFF: usize = 6;
     const SLOTS_OFF: usize = 16;
 
     fn read_u16(b: &[u8], off: usize) -> usize {
@@ -290,7 +293,12 @@ mod corruption {
         v
     }
 
-    /// The leaf cell at `off`: `(klen, overflow, offset of its key)`.
+    /// The prefix of the leaf page starting at `base`.
+    fn leaf_prefix(b: &[u8], base: usize) -> &[u8] {
+        &b[base + PAGE_SIZE - read_u16(b, base + PREFIX_LEN_OFF)..base + PAGE_SIZE]
+    }
+
+    /// The leaf cell at `off`: `(slen, overflow, offset of its suffix)`.
     fn leaf_cell(b: &[u8], off: usize) -> (usize, bool, usize) {
         let mut pos = off;
         let klen = read_varint(b, &mut pos) as usize;
@@ -449,6 +457,7 @@ mod corruption {
         'outer: for page in leaf_pages(&file) {
             let base = page * PAGE_SIZE;
             let ncells = read_u16(&file, base + NCELLS_OFF);
+            let prefix = leaf_prefix(&file, base).to_vec();
             for i in 0..ncells.saturating_sub(1) {
                 let (alen, _, a) =
                     leaf_cell(&file, base + read_u16(&file, base + SLOTS_OFF + i * 2));
@@ -456,14 +465,17 @@ mod corruption {
                     &file,
                     base + read_u16(&file, base + SLOTS_OFF + (i + 1) * 2),
                 );
-                let (ka, kb) = (&file[a..a + alen], &file[b..b + blen]);
-                let same_entity = match (decode_history_key(ka), decode_history_key(kb)) {
+                let ka = [&prefix, &file[a..a + alen]].concat();
+                let kb = [&prefix, &file[b..b + blen]].concat();
+                let same_entity = match (decode_history_key(&ka), decode_history_key(&kb)) {
                     (Some((ida, _)), Some((idb, _))) => ida == idb,
                     _ => false,
                 };
+                // Equal suffix lengths: the second suffix can take the
+                // first's in place.
                 if same_entity && alen == blen {
-                    damaged = ka.to_vec();
-                    file[b..b + blen].copy_from_slice(&damaged);
+                    file.copy_within(a..a + alen, b);
+                    damaged = ka;
                     break 'outer;
                 }
             }
