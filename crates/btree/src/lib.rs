@@ -18,9 +18,14 @@
 //!   keys share once, each cell only the rest of its key ([`layout`]);
 //! * `O(log n)` point lookups and ordered range scans over leaf sibling
 //!   chains — the access pattern behind the LineageStore;
-//! * leaves split 50/50, except that an insert past the last key of the
-//!   rightmost leaf starts a new leaf and leaves the full one full, so
-//!   ascending ids and timestamps pack leaves instead of half-filling them;
+//! * a full leaf moves its tail into its right sibling under the same
+//!   parent, or, when that sibling is full too, the two split into three,
+//!   so uniformly spread keys leave leaves about 80 % full; an insert past
+//!   the last key of the rightmost leaf starts a new leaf and leaves the
+//!   full one full, so ascending ids and timestamps pack leaves; other
+//!   leaves split 50/50. Moves only go right, and readers take no latch:
+//!   scans resume past their last key, and point reads move right when
+//!   their key may have left the leaf the parents routed it to;
 //! * an insert walks from the root to its leaf once and searches the leaf
 //!   once (only a split walks down again, for the path), and
 //!   [`BTree::insert_with`] hands the value's builder the entry before the

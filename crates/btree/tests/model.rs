@@ -322,11 +322,11 @@ proptest! {
     }
 }
 
-/// Splits decide where every cell lives, so a change to the insert path
-/// that must not move them is held to the pages, leaves and leaf bytes
-/// this fixed sequence produced before it: 5 000 inserts of keys 4 to 32
-/// bytes long (one in ten replacing an earlier key) with values of 0 to
-/// 79 bytes, plus an overflow value every 500.
+/// Splits and shares decide where every cell lives, so a change to the
+/// insert path that must not move them is held to the pages, leaves and
+/// leaf bytes this fixed sequence produced before it: 5 000 inserts of
+/// keys 4 to 32 bytes long (one in ten replacing an earlier key) with
+/// values of 0 to 79 bytes, plus an overflow value every 500.
 #[test]
 fn split_decisions_are_pinned() {
     let dir = tempdir().unwrap();
@@ -357,9 +357,47 @@ fn split_decisions_are_pinned() {
     assert_eq!(
         report.fill(),
         TreeFill {
-            pages: 61,
-            leaves: 50,
-            leaf_live_bytes: 272_635,
+            pages: 54,
+            leaves: 43,
+            leaf_live_bytes: 272_523,
         }
     );
+}
+
+/// `n` distinct eight-byte keys in an order fixed by `seed`: ascending
+/// when `seed` is 0, else shuffled uniformly.
+fn keys_in_order(n: u64, seed: u64) -> Vec<[u8; 8]> {
+    let mut keys: Vec<u64> = (0..n).map(|i| i * 2_654_435_761 % (1 << 40)).collect();
+    keys.sort_unstable();
+    let mut x = seed;
+    for i in (1..keys.len()).rev() {
+        if seed == 0 {
+            break;
+        }
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        keys.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    keys.iter().map(|k| k.to_be_bytes()).collect()
+}
+
+/// Uniformly spread inserts fill leaves in step; shares and splits into
+/// three keep them about four fifths full, where 50/50 splits left them at
+/// about 71 %. Ascending inserts still fill every leaf but the last.
+#[test]
+fn leaves_stay_full_under_uniform_and_ascending_inserts() {
+    for (seed, least) in [(0x2545_F491_4F6C_DD1D, 0.78), (0, 0.97)] {
+        let dir = tempdir().unwrap();
+        let store = Arc::new(PageStore::open(dir.path().join("f.db"), 64).unwrap());
+        let tree = BTree::open(store, 0).unwrap();
+        for key in keys_in_order(100_000, seed) {
+            tree.insert(&key, &key[4..]).unwrap();
+        }
+        let report = tree.verify().unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.entries, 100_000);
+        let fill = report.fill();
+        assert!(fill.leaf_fill() >= least, "seed {seed:#x}: {fill}");
+    }
 }
