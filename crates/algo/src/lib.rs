@@ -11,7 +11,7 @@
 //!    engine uses the Kickstarter *tag & reset* technique for deletions:
 //!    affected vertices are tagged, their values reset, and the tags
 //!    propagated before re-relaxation.
-//! 3. **Non-monotonic algorithms** — [`pagerank`] converges independently
+//! 3. **Non-monotonic algorithms** — [`pagerank()`] converges independently
 //!    of initialization, so the incremental engine warm-starts from the
 //!    previous snapshot's ranks and propagates changes until convergence.
 //!

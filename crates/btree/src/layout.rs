@@ -141,7 +141,7 @@ fn unslot(page: &mut PageBuf, i: usize) {
 /// Drops every cell from slot `i` on, leaf or internal (their heap bytes
 /// become garbage until the next [`compact`]). The dropped directory entries
 /// are left holding the last cell's offset, as dropping the cells one
-/// [`unslot`] at a time would leave them, so the page bytes do not depend on
+/// `unslot` at a time would leave them, so the page bytes do not depend on
 /// the way the cells were dropped.
 pub fn truncate(page: &mut PageBuf, i: usize) {
     let n = ncells(page);

@@ -11,9 +11,10 @@
 use crate::txn::CommitEvent;
 use crossbeam_channel::{unbounded, Sender};
 use lineagestore::LineageStore;
+use lock::{Condvar, Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -38,7 +39,7 @@ impl Progress {
     /// Wakes every parked barrier. Taking the lock first means a barrier
     /// that saw the old state is already parked, so the wake-up is not lost.
     fn signal(&self) {
-        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        drop(self.lock.lock());
         self.moved.notify_all();
     }
 }
@@ -60,7 +61,7 @@ impl Cascade {
         let (tx, rx) = unbounded::<Job>();
         let progress = Arc::new(Progress {
             applied: AtomicU64::new(lineage.applied_ts()),
-            lock: Mutex::new(()),
+            lock: Mutex::new(Rank::CascadeProgress, ()),
             moved: Condvar::new(),
         });
         let progress2 = progress.clone();
@@ -116,13 +117,9 @@ impl Cascade {
     /// wedge flag is set (in which case the watermark may never reach `ts`).
     pub fn barrier(&self, ts: Timestamp) {
         let progress = &self.progress;
-        let mut guard = progress.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = progress.lock.lock();
         while self.applied_ts() < ts && !self.wedged.load(Ordering::Acquire) {
-            guard = progress
-                .moved
-                .wait_timeout(guard, WEDGE_POLL)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
+            guard = progress.moved.wait_timeout(guard, WEDGE_POLL);
         }
     }
 }

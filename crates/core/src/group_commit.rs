@@ -38,9 +38,10 @@ use crate::cascade::Cascade;
 use crate::txn::CommitEvent;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use lineagestore::LineageStore;
+use lock::{Condvar, Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp, Update};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use timestore::{Payload, TimeStore};
@@ -55,30 +56,25 @@ struct CommitSlot {
 impl CommitSlot {
     fn new() -> CommitSlot {
         CommitSlot {
-            state: Mutex::new(None),
+            state: Mutex::new(Rank::CommitSlot, None),
             cond: Condvar::new(),
         }
     }
 
     fn complete(&self, result: Result<Timestamp>) {
-        // Poisoning cannot happen (neither side panics while holding the
-        // lock), but recover rather than unwrap to keep the path abort-free.
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         *state = Some(result);
         self.cond.notify_all();
     }
 
-    /// Parks the committer until the writer publishes its result. (Named
-    /// to stay distinct from `Condvar::wait`, which releases the lock
-    /// while blocked — the lock-order analyzer resolves bare calls by
-    /// name and must not mistake the reacquisition for lock nesting.)
+    /// Parks the committer until the writer publishes its result.
     fn wait_done(&self) -> Result<Timestamp> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         loop {
             if let Some(result) = state.take() {
                 return result;
             }
-            state = self.cond.wait(state).unwrap_or_else(|e| e.into_inner());
+            state = self.cond.wait(state);
         }
     }
 }

@@ -75,8 +75,8 @@
 
 use crate::record::{encode_node_full, encode_rel_full, RecordBody};
 use crate::varint;
+use lock::{Mutex, Rank};
 use lpg::{EntityId, Graph, Node, NodeId, RelChunk, RelId, Relationship, Timestamp, WeakRelChunk};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use vfs::bulk_sum64;
 
@@ -570,9 +570,16 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
 /// for as long as some graph holds it unchanged. A decoded chunk was checked
 /// against its sum when it was decoded, a lent one is what those bytes were
 /// encoded from; a load that finds either here does not read the bytes.
-#[derive(Default)]
 pub struct SharedSegments {
     inner: Mutex<Held>,
+}
+
+impl Default for SharedSegments {
+    fn default() -> Self {
+        SharedSegments {
+            inner: Mutex::new(Rank::SharedSegments, Held::default()),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -670,7 +677,7 @@ pub struct Decoded {
 /// needed, in order by file and offset, to append the extent's bytes to
 /// the buffer it is given; every referenced range must match its sum. An
 /// extent covers the needed ranges of one file that lie at most
-/// [`FETCH_GAP`] bytes apart, and the bytes between them.
+/// `FETCH_GAP` bytes apart, and the bytes between them.
 pub fn decode(
     manifest: &Manifest,
     file: &[u8],

@@ -3,12 +3,12 @@
 use crate::entry::{self, LineageEntry};
 use btree::BTree;
 use encoding::{keys, record, RecordBody};
+use lock::{Mutex, Rank};
 use lpg::{
     EntityDelta, GraphError, Interval, Node, NodeId, RelId, Relationship, Result, Timestamp,
     Update, Version,
 };
 use pagestore::PageStore;
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,7 +168,7 @@ impl LineageStore {
             threshold,
             vfs: config.vfs,
             path: path.to_path_buf(),
-            rebuild: Mutex::new(()),
+            rebuild: Mutex::new(Rank::LineageRebuild, ()),
             stats: Counts::default(),
             metrics,
         })

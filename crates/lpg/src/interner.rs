@@ -9,7 +9,7 @@
 //! persisted and reloaded as a plain ordered list.
 
 use crate::ids::StrId;
-use parking_lot::RwLock;
+use lock::{Rank, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,9 +21,16 @@ struct Inner {
 
 /// Concurrent, append-only string interner backing labels, property keys and
 /// string property values.
-#[derive(Default)]
 pub struct Interner {
     inner: RwLock<Inner>,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Interner {
+            inner: RwLock::new(Rank::Interner, Inner::default()),
+        }
+    }
 }
 
 impl Interner {

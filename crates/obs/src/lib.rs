@@ -32,8 +32,9 @@
     )
 )]
 
+use lock::{Mutex, Rank};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A monotonically increasing counter.
@@ -185,9 +186,16 @@ struct RegistryInner {
 /// A named-metric registry. Most callers want the process-wide one via
 /// the free functions [`counter`], [`gauge`], [`histogram`], and
 /// [`snapshot`].
-#[derive(Default)]
 pub struct Registry {
     inner: Mutex<RegistryInner>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            inner: Mutex::new(Rank::Registry, RegistryInner::default()),
+        }
+    }
 }
 
 fn find_or_insert<T: Default>(list: &mut Vec<(String, Arc<T>)>, name: &str) -> Arc<T> {
@@ -205,33 +213,24 @@ impl Registry {
         Registry::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        // A poisoned metrics mutex must never take the database down;
-        // the counters it guards are advisory.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        find_or_insert(&mut self.lock().counters, name)
+        find_or_insert(&mut self.inner.lock().counters, name)
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        find_or_insert(&mut self.lock().gauges, name)
+        find_or_insert(&mut self.inner.lock().gauges, name)
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        find_or_insert(&mut self.lock().histograms, name)
+        find_or_insert(&mut self.inner.lock().histograms, name)
     }
 
     /// A point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.lock();
+        let inner = self.inner.lock();
         let mut counters: Vec<(String, u64)> = inner
             .counters
             .iter()

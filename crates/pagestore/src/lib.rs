@@ -1,6 +1,6 @@
 //! # aion-pagestore — file-backed pages with an LRU page cache
 //!
-//! Aion "back[s] its storage with Neo4j's B+Tree implementation … offering
+//! Aion "back\[s\] its storage with Neo4j's B+Tree implementation … offering
 //! sortedness, scalable accesses, out-of-core storage, and seamless
 //! integration with the page cache" (Sec. 5). This crate is the Rust
 //! substrate for that: a paged file ([`PageStore`]) fronted by a fixed-size

@@ -11,7 +11,7 @@
 
 use crate::cache::{CacheStats, LruCache};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
-use parking_lot::Mutex;
+use lock::{Mutex, Rank};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -182,7 +182,7 @@ impl PageStore {
         }
         Ok(PageStore {
             file,
-            inner: Mutex::new(inner),
+            inner: Mutex::new(Rank::PageStore, inner),
             roots,
             metrics: Metrics::new(),
         })

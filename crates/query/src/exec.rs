@@ -1,5 +1,5 @@
 //! The executor: budgets, entry points, and the sinks that pull from the
-//! one binding stream ([`crate::bind`]) — collect-with-`LIMIT`, `count`,
+//! one binding stream (`crate::bind`) — collect-with-`LIMIT`, `count`,
 //! sort-then-`LIMIT`, and the write actions. All reads go through Aion's
 //! temporal API, so the planner's store choice applies.
 
@@ -226,7 +226,7 @@ pub fn execute_with_budget(
 }
 
 /// Executes an already-parsed query at the latest snapshot: the one
-/// pipeline (*bind source → filter → sink*, see [`crate::bind`]) from the
+/// pipeline (*bind source → filter → sink*, see `crate::bind`) from the
 /// first row to the last, with `LIMIT` bounding the pull.
 pub fn run(db: &Aion, query: &Query, params: &Params) -> Result<QueryResult> {
     let whole = Resume {
@@ -425,7 +425,6 @@ fn run_page(
                 } else {
                     let mut lazy = Rows::Lazy(bindings, items);
                     while let Some(row) = lazy.next()? {
-                        check_budget()?;
                         all.push(row);
                     }
                 }
@@ -444,7 +443,6 @@ fn run_page(
             let key = db.intern(key);
             let mut targets = Vec::new();
             while let Some(b) = bindings.next()? {
-                check_budget()?;
                 targets.extend(lookup(&b, var).cloned());
             }
             let mut affected = 0;
@@ -471,7 +469,6 @@ fn run_page(
             let mut nodes = BTreeSet::new();
             let mut rels = BTreeSet::new();
             while let Some(b) = bindings.next()? {
-                check_budget()?;
                 for var in vars {
                     match lookup(&b, var) {
                         Some(Value::Node { id, .. }) => nodes.insert(NodeId::new(*id)),
@@ -513,11 +510,15 @@ enum Rows<'a> {
 }
 
 impl Rows<'_> {
-    /// The next result row. A lazy row is projected, charged against the
+    /// The next result row, after one budget check (a lazy row's is
+    /// [`Bindings::next`]'s). A lazy row is projected, charged against the
     /// result budget and counted only now — rows never pulled cost nothing.
     fn next(&mut self) -> Result<Option<Vec<Value>>> {
         match self {
-            Rows::Built(rows) => Ok(rows.next()),
+            Rows::Built(rows) => {
+                check_budget()?;
+                Ok(rows.next())
+            }
             Rows::Lazy(bindings, items) => {
                 let Some(b) = bindings.next()? else {
                     return Ok(None);
@@ -579,7 +580,6 @@ fn emit(
         .min(usize::try_from(remaining).unwrap_or(usize::MAX));
     let mut page = Vec::new();
     while page.len() < take {
-        check_budget()?;
         match rows.next()? {
             Some(row) => page.push(row),
             None => break,
@@ -640,7 +640,6 @@ fn project(items: &[ReturnItem], b: &Binding<'_>) -> Result<Vec<Value>> {
 fn count_row(bindings: &mut Bindings<'_>, items: &[ReturnItem]) -> Result<Vec<Value>> {
     let mut counts = vec![0i64; items.len()];
     while let Some(b) = bindings.next()? {
-        check_budget()?;
         for (n, item) in counts.iter_mut().zip(items) {
             if matches!(item, ReturnItem::Count(v) if lookup(&b, v).is_some()) {
                 *n += 1;

@@ -2,7 +2,9 @@
 //! executed against a real Aion instance.
 
 use aion::{Aion, AionConfig};
-use query::{execute, Params, Value};
+use lpg::GraphError;
+use query::{execute, execute_with_budget, ExecBudget, Params, Value};
+use std::time::Instant;
 use tempfile::tempdir;
 
 fn db() -> (tempfile::TempDir, Aion) {
@@ -379,4 +381,52 @@ fn reads_never_intern() {
     assert!(!avg.is_empty());
     assert!(avg.iter().all(|row| row[1] == Value::Null));
     assert_eq!(db.interner().len(), before, "a read interned a string");
+}
+
+/// Every query shape aborts on an expired deadline, and every one that
+/// returns two or more rows aborts under a one-row cap: the rows it pulls
+/// carry the budget checks, whichever loop pulls them. (`CREATE` never
+/// checks mid-commit, by design.)
+#[test]
+fn every_query_shape_honours_its_budget() {
+    let (_d, db) = db();
+    let last = seed(&db);
+    db.lineage_barrier(last);
+    let to = last + 1;
+    // Shape, and the rows it returns unbudgeted. Writes go last: the
+    // capped run of each commits.
+    let shapes = [
+        ("MATCH (n:Person) RETURN n".to_string(), 5),
+        ("MATCH (n:Person) RETURN count(n)".into(), 1),
+        (
+            "MATCH (n:Person) RETURN n.age ORDER BY n.age DESC".into(),
+            5,
+        ),
+        ("MATCH (n:Person) RETURN n LIMIT 3".into(), 3),
+        ("MATCH (a:Person), (b:Person) RETURN a, b".into(), 25),
+        ("MATCH (n)-[*2]->(m) WHERE id(n) = 0 RETURN m".into(), 2),
+        (
+            format!("USE GDB FOR SYSTEM_TIME FROM {last} TO {to} MATCH (n:Person) RETURN n"),
+            5,
+        ),
+        ("CALL aion.sleep(1)".into(), 1),
+        (format!("CALL aion.avg('age', 1, {to}, 4)"), 4),
+        ("MATCH (n:Person) SET n.age = 1".into(), 1),
+        ("MATCH (a)-[r]->(b) WHERE id(a) = 3 DELETE r".into(), 1),
+    ];
+    for (q, _) in &shapes {
+        let expired = ExecBudget::with_deadline(Some(Instant::now()), None);
+        match execute_with_budget(&db, q, &Params::new(), expired) {
+            Err(GraphError::DeadlineExceeded) => {}
+            other => panic!("{q}: expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+    for (q, rows) in &shapes {
+        let capped = ExecBudget::unlimited().with_result_caps(1, 0);
+        match execute_with_budget(&db, q, &Params::new(), capped) {
+            Err(GraphError::BudgetExceeded) if *rows >= 2 => {}
+            Ok(r) if *rows < 2 => assert_eq!(r.rows.len(), *rows, "{q}"),
+            other => panic!("{q} ({rows} rows) under a 1-row cap: got {other:?}"),
+        }
+    }
 }

@@ -8,11 +8,14 @@
 use aion::{Aion, AionConfig};
 use lpg::{NodeId, RelId};
 use query::{execute, execute_paged, ExecBudget, Params, QueryResult};
-use std::sync::Mutex;
 use tempfile::tempdir;
 
 /// Serializes tests that read deltas of process-global counters.
-static METRICS_LOCK: Mutex<()> = Mutex::new(());
+#[allow(
+    clippy::disallowed_types,
+    reason = "held around whole queries, outside every lock::Rank: a test-only lock"
+)]
+static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const NODES: u64 = 20_000;
 const RELS_PER_NODE: u64 = 3; // 60k edges

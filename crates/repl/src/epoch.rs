@@ -21,9 +21,10 @@
 //! violates that is treated as corruption and the chain is cut there.
 
 use aion_server::protocol::Reader;
+use lock::{Mutex, Rank};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vfs::{fnv64, VfsRef};
 
 /// File name of the epoch chain inside a node's data directory.
@@ -130,7 +131,7 @@ impl EpochState {
         let store = EpochStore::new(vfs, dir);
         let chain = store.load();
         let state = EpochState {
-            chain: Mutex::new(chain),
+            chain: Mutex::new(Rank::EpochChain, chain),
             store: Some(store),
             gauge: obs::gauge("repl.epoch"),
         };
@@ -142,17 +143,10 @@ impl EpochState {
     /// that never promote).
     pub fn in_memory() -> Arc<EpochState> {
         Arc::new(EpochState {
-            chain: Mutex::new(Vec::new()),
+            chain: Mutex::new(Rank::EpochChain, Vec::new()),
             store: None,
             gauge: obs::gauge("repl.epoch"),
         })
-    }
-
-    fn lock_chain(&self) -> std::sync::MutexGuard<'_, Vec<EpochRecord>> {
-        match self.chain.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     fn publish_gauge(&self) {
@@ -163,7 +157,7 @@ impl EpochState {
     /// The newest record of the chain; `(0, 0)` when the node was never
     /// promoted and never adopted a promotion.
     pub fn current(&self) -> EpochRecord {
-        self.lock_chain().last().copied().unwrap_or(EpochRecord {
+        self.chain.lock().last().copied().unwrap_or(EpochRecord {
             epoch: 0,
             base_ts: 0,
         })
@@ -175,7 +169,8 @@ impl EpochState {
     /// node recognizes and must be quarantined. `None` when no newer
     /// epoch exists (the peer is current).
     pub fn fork_ts_for(&self, old_epoch: u64) -> Option<u64> {
-        self.lock_chain()
+        self.chain
+            .lock()
             .iter()
             .find(|r| r.epoch > old_epoch)
             .map(|r| r.base_ts)
@@ -185,7 +180,7 @@ impl EpochState {
     /// newer primary). Appends and persists only if it is actually newer
     /// than the chain head; stale or duplicate records are ignored.
     pub fn adopt(&self, record: EpochRecord) -> io::Result<()> {
-        let mut chain = self.lock_chain();
+        let mut chain = self.chain.lock();
         let head = chain.last().map(|r| r.epoch).unwrap_or(0);
         if record.epoch <= head {
             return Ok(());
@@ -202,7 +197,7 @@ impl EpochState {
     /// Bumps to a brand-new epoch based at `base_ts` (promotion).
     /// Persists before returning, so the promotion survives a crash.
     pub fn bump(&self, base_ts: u64) -> io::Result<EpochRecord> {
-        let mut chain = self.lock_chain();
+        let mut chain = self.chain.lock();
         let head = chain.last().map(|r| r.epoch).unwrap_or(0);
         let record = EpochRecord {
             epoch: head + 1,

@@ -36,12 +36,13 @@ use crate::epoch::EpochState;
 use crate::wire::{await_hello_ack, decode_msg, encode_msg, send_hello, ReplMsg};
 use aion::Aion;
 use aion_server::protocol::{write_frame, Polled};
+use lock::{Mutex, Rank};
 use lpg::GraphError;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vfs::VfsRef;
@@ -167,10 +168,6 @@ struct ReplayerShared {
 }
 
 impl ReplayerShared {
-    fn lock_wm(&self) -> std::sync::MutexGuard<'_, Watermark> {
-        self.wm.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Syncs the database, then takes its durable log end and latest
     /// timestamp as the watermark.
     fn sync_watermark(&self) -> io::Result<Watermark> {
@@ -181,7 +178,7 @@ impl ReplayerShared {
             offset: self.db.timestore().durable_log_end(),
             ts: self.db.latest_ts(),
         };
-        *self.lock_wm() = wm;
+        *self.wm.lock() = wm;
         self.tel
             .watermark_ts
             .set(i64::try_from(wm.ts).unwrap_or(i64::MAX));
@@ -189,7 +186,7 @@ impl ReplayerShared {
     }
 
     fn watermark(&self) -> Watermark {
-        *self.lock_wm()
+        *self.wm.lock()
     }
 
     /// The end of the local log: the offset the next frame must start at.
@@ -198,10 +195,7 @@ impl ReplayerShared {
     }
 
     fn note_error(&self, e: impl ToString) {
-        *self
-            .last_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(e.to_string());
+        *self.last_error.lock() = Some(e.to_string());
     }
 }
 
@@ -232,8 +226,8 @@ impl Replayer {
             db,
             stop: AtomicBool::new(false),
             diverged: AtomicBool::new(false),
-            wm: Mutex::new(Watermark::default()),
-            last_error: Mutex::new(None),
+            wm: Mutex::new(Rank::ReplayWatermark, Watermark::default()),
+            last_error: Mutex::new(Rank::ReplayError, None),
             cfg,
             tel: ReplayTelemetry::new(),
             epochs,
@@ -291,8 +285,7 @@ impl Replayer {
 
     /// The most recent replay error, if any (diagnostics).
     pub fn last_error(&self) -> Option<String> {
-        let slot = self.shared.last_error.lock();
-        slot.unwrap_or_else(PoisonError::into_inner).clone()
+        self.shared.last_error.lock().clone()
     }
 
     /// Stops the replay thread and joins it.

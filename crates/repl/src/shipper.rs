@@ -39,11 +39,12 @@ use crate::wire::{decode_msg, encode_msg, ReplMsg};
 use aion::Aion;
 use aion_server::protocol::{write_frame, FrameReader, POLL_TICK};
 use aion_server::workers::WorkerSet;
+use lock::{Mutex, Rank};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,13 +111,9 @@ struct ShipperShared {
 }
 
 impl ShipperShared {
-    fn lock_acked(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Watermark>> {
-        self.acked.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Records a replica's acked watermark, or forgets the replica.
     fn record_ack(&self, worker: u64, wm: Option<Watermark>) {
-        let mut map = self.lock_acked();
+        let mut map = self.acked.lock();
         match wm {
             Some(wm) => map.insert(worker, wm),
             None => map.remove(&worker),
@@ -159,7 +156,7 @@ impl LogShipper {
             db,
             stop: AtomicBool::new(false),
             workers,
-            acked: Mutex::new(HashMap::new()),
+            acked: Mutex::new(Rank::ShipperAcks, HashMap::new()),
             cfg,
             addr,
             tel,
@@ -183,7 +180,8 @@ impl LogShipper {
     pub fn replica_watermarks(&self) -> Vec<(u64, Watermark)> {
         let mut v: Vec<(u64, Watermark)> = self
             .shared
-            .lock_acked()
+            .acked
+            .lock()
             .iter()
             .map(|(k, w)| (*k, *w))
             .collect();

@@ -23,10 +23,11 @@
 //! `chaos-soak` job), but lives in the library so the same storm can be
 //! pointed at a long-running server from `examples/` or a bench driver.
 
+use lock::{Mutex, Rank};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use vfs::SplitMix64;
@@ -103,22 +104,6 @@ struct ProxyShared {
     pumps: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl ProxyShared {
-    fn lock_socks(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
-        match self.socks.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn lock_pumps(&self) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-        match self.pumps.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
 /// A running chaos proxy.
 pub struct ChaosProxy {
     addr: SocketAddr,
@@ -135,8 +120,8 @@ impl ChaosProxy {
             cfg,
             stop: AtomicBool::new(false),
             stats: ChaosStats::default(),
-            socks: Mutex::new(Vec::new()),
-            pumps: Mutex::new(Vec::new()),
+            socks: Mutex::new(Rank::ChaosSockets, Vec::new()),
+            pumps: Mutex::new(Rank::ChaosPumps, Vec::new()),
         });
         let shared2 = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -168,10 +153,10 @@ impl ChaosProxy {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        for sock in self.shared.lock_socks().drain(..) {
+        for sock in self.shared.socks.lock().drain(..) {
             let _ = sock.shutdown(Shutdown::Both);
         }
-        let pumps: Vec<JoinHandle<()>> = self.shared.lock_pumps().drain(..).collect();
+        let pumps: Vec<JoinHandle<()>> = self.shared.pumps.lock().drain(..).collect();
         for p in pumps {
             let _ = p.join();
         }
@@ -200,7 +185,7 @@ fn accept_loop(listener: &TcpListener, target: SocketAddr, shared: &Arc<ProxySha
         let seed = shared.cfg.seed;
         spawn_pump(shared, &client_side, &server_side, mix(seed, conn_id, 0));
         spawn_pump(shared, &server_side, &client_side, mix(seed, conn_id, 1));
-        let mut socks = shared.lock_socks();
+        let mut socks = shared.socks.lock();
         socks.push(client_side);
         socks.push(server_side);
         conn_id += 1;
@@ -221,7 +206,7 @@ fn spawn_pump(shared: &Arc<ProxyShared>, src: &TcpStream, dst: &TcpStream, seed:
         .name("aion-chaos-pump".into())
         .spawn(move || pump(src, dst, seed, &shared2));
     if let Ok(handle) = spawned {
-        shared.lock_pumps().push(handle);
+        shared.pumps.lock().push(handle);
     }
 }
 

@@ -4,7 +4,7 @@
 //! Routing model (DESIGN.md §13):
 //!
 //! * **Classification once.** Each query is parsed exactly once per
-//!   logical call ([`crate::client::query_is_read_only`]); the answer
+//!   logical call (`client::query_is_read_only`); the answer
 //!   drives both the routing decision and the retry gate, and obs
 //!   counters are bumped once per logical call — a replica-served read
 //!   that fails over to the primary is **one** read, not two.

@@ -25,11 +25,12 @@ use crate::protocol::{
 };
 use crate::workers::WorkerSet;
 use aion::Aion;
+use lock::{Mutex, Rank};
 use query::{ExecBudget, Params};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -218,7 +219,7 @@ impl SlowLogLimiter {
     fn new(per_sec: u32) -> SlowLogLimiter {
         SlowLogLimiter {
             per_sec,
-            state: Mutex::new((f64::from(per_sec), Instant::now())),
+            state: Mutex::new(Rank::RateLimit, (f64::from(per_sec), Instant::now())),
         }
     }
 
@@ -226,10 +227,7 @@ impl SlowLogLimiter {
         if self.per_sec == 0 {
             return false;
         }
-        let mut state = match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut state = self.state.lock();
         let now = Instant::now();
         let refill = now.duration_since(state.1).as_secs_f64() * f64::from(self.per_sec);
         state.0 = (state.0 + refill).min(f64::from(self.per_sec));
@@ -313,7 +311,7 @@ impl Server {
             cfg,
             addr,
             read_only,
-            promote: Mutex::new(None),
+            promote: Mutex::new(Rank::Promote, None),
         });
         let shared2 = shared.clone();
         let accept_thread = std::thread::Builder::new()
@@ -357,10 +355,7 @@ impl Server {
     /// (typically `ReplNode::promote` in `aion-repl`). Without a handler
     /// the request is refused with a typed error.
     pub fn set_promote_handler(&self, handler: impl FnMut() -> io::Result<u64> + Send + 'static) {
-        let mut slot = match self.shared.promote.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut slot = self.shared.promote.lock();
         *slot = Some(Box::new(handler));
     }
 
@@ -561,10 +556,7 @@ fn handle_connection(
                 latest_ts: shared.db.latest_ts(),
             },
             Ok(Request::Promote) => {
-                let mut slot = match shared.promote.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let mut slot = shared.promote.lock();
                 match slot.as_mut() {
                     None => Response::Err(WireError::generic(
                         "this node has no promote handler (not running under a role manager)",

@@ -7,10 +7,11 @@
 //! and shutdown force-closes and joins whatever remains after the drain
 //! deadline.
 
+use lock::{Mutex, Rank};
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A connection that can be closed out from under its worker thread to
@@ -44,18 +45,9 @@ pub struct WorkerSet<C> {
 impl<C: ConnHandle> WorkerSet<C> {
     pub fn new(active_gauge: Arc<obs::Gauge>) -> WorkerSet<C> {
         WorkerSet {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(Rank::Workers, HashMap::new()),
             next_id: AtomicU64::new(0),
             active_gauge,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, WorkerEntry<C>>> {
-        // A worker that panicked mid-request poisons nothing of value
-        // here: the map only tracks liveness, so recover and continue.
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
         }
     }
 
@@ -64,7 +56,7 @@ impl<C: ConnHandle> WorkerSet<C> {
     pub fn register(&self, conn: C) -> (u64, Arc<AtomicBool>) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = Arc::new(AtomicBool::new(false));
-        let mut map = self.lock();
+        let mut map = self.inner.lock();
         map.insert(
             id,
             WorkerEntry {
@@ -81,28 +73,28 @@ impl<C: ConnHandle> WorkerSet<C> {
     /// finished (fast disconnect), the handle is dropped (detached while
     /// exiting).
     pub fn set_handle(&self, id: u64, handle: JoinHandle<()>) {
-        if let Some(entry) = self.lock().get_mut(&id) {
+        if let Some(entry) = self.inner.lock().get_mut(&id) {
             entry.handle = Some(handle);
         }
     }
 
     /// Called by a worker as its last action: removes it from the set.
     pub fn finish(&self, id: u64) {
-        let mut map = self.lock();
+        let mut map = self.inner.lock();
         map.remove(&id);
         self.active_gauge.set(map.len() as i64);
     }
 
     /// Number of live workers.
     pub fn active(&self) -> usize {
-        self.lock().len()
+        self.inner.lock().len()
     }
 
     /// Cancels and closes every remaining connection, returning the
     /// thread handles to join plus how many were force-closed.
     pub fn force_close_all(&self) -> (Vec<JoinHandle<()>>, u64) {
         let entries: Vec<WorkerEntry<C>> = {
-            let mut map = self.lock();
+            let mut map = self.inner.lock();
             let drained = map.drain().map(|(_, e)| e).collect();
             self.active_gauge.set(0);
             drained

@@ -37,8 +37,8 @@
 //! evicted, and it keeps every graph it was handed resident until then;
 //! EXPERIMENTS.md records what it won and what it cost here.
 
+use lock::{Mutex, Rank};
 use lpg::{Graph, Timestamp, Update};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
@@ -67,11 +67,14 @@ impl GraphStore {
     /// An empty latest graph and an empty registry.
     pub(crate) fn new() -> GraphStore {
         GraphStore {
-            inner: Mutex::new(Inner {
-                latest: Arc::new(Graph::new()),
-                latest_ts: 0,
-                versions: BTreeMap::new(),
-            }),
+            inner: Mutex::new(
+                Rank::GraphStore,
+                Inner {
+                    latest: Arc::new(Graph::new()),
+                    latest_ts: 0,
+                    versions: BTreeMap::new(),
+                },
+            ),
             cow_copies: obs::counter("timestore.latest.cow_copies"),
             cow_chunks: obs::counter("timestore.latest.cow_chunks"),
             live: obs::gauge("timestore.graphstore.versions"),

@@ -28,8 +28,8 @@
 
 use encoding::varint;
 use encoding::{record, updates_from_record, RecordBody};
+use lock::{Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp, Update};
-use parking_lot::Mutex;
 use std::path::Path;
 use vfs::{fnv32, fnv64, VfsFile, VfsRef};
 
@@ -208,7 +208,7 @@ impl ChangeLog {
         let len = file.len()?;
         let mut log = ChangeLog {
             file,
-            tail: Mutex::default(),
+            tail: Mutex::new(Rank::LogTail, Tail::default()),
             torn_tail: None,
         };
         let mut tail = Tail::default();

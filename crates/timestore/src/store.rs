@@ -17,11 +17,11 @@ use crate::log::{ChangeLog, Payload};
 use crate::policy::SnapshotPolicy;
 use btree::Finding;
 use encoding::snapshot::{self, Change, Decoded, Manifest, Segment, SharedSegments};
+use lock::{Mutex, Rank};
 use lpg::{
     EntityId, Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate,
     Update,
 };
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,7 +222,7 @@ impl TimeStore {
         let marker = dir.join(DURABLE_END_FILE);
         let record = vfs.read(&marker).ok();
         let durable_end = record.as_deref().and_then(decode_durable_end).unwrap_or(0);
-        let durable_end_file = Mutex::new(vfs.open(&marker)?);
+        let durable_end_file = Mutex::new(Rank::DurableEnd, vfs.open(&marker)?);
         let log = ChangeLog::open_with_vfs(&vfs, &dir.join("timestore.log"), durable_end)?;
         let mut repairs = Vec::new();
         if let Some((end, len)) = log.torn_tail() {
@@ -241,12 +241,15 @@ impl TimeStore {
             segments: SharedSegments::default(),
             snap_dir,
             policy: config.policy,
-            state: Mutex::new(MutableState {
-                latest_ts: 0,
-                ops_since_snapshot: 0,
-                snapshots: BTreeMap::new(),
-            }),
-            chain: Mutex::new(Chain::default()),
+            state: Mutex::new(
+                Rank::TimeStoreState,
+                MutableState {
+                    latest_ts: 0,
+                    ops_since_snapshot: 0,
+                    snapshots: BTreeMap::new(),
+                },
+            ),
+            chain: Mutex::new(Rank::TimeStoreChain, Chain::default()),
             durable_log_end,
             metrics: Metrics::new(),
             repairs: Vec::new(),

@@ -29,7 +29,7 @@
 //! latest written (live) data, like a page cache.
 
 use crate::{SplitMix64, Vfs, VfsFile};
-use parking_lot::Mutex;
+use lock::{Mutex, Rank};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -208,14 +208,17 @@ impl SimVfs {
     /// A simulated disk with `fault` armed.
     pub fn with_faults(seed: u64, fault: FaultConfig) -> SimVfs {
         SimVfs {
-            state: Arc::new(Mutex::new(State {
-                files: BTreeMap::new(),
-                fault,
-                rng: SplitMix64::new(seed),
-                ops: 0,
-                crashed: false,
-                enospc_next: false,
-            })),
+            state: Arc::new(Mutex::new(
+                Rank::SimVfs,
+                State {
+                    files: BTreeMap::new(),
+                    fault,
+                    rng: SplitMix64::new(seed),
+                    ops: 0,
+                    crashed: false,
+                    enospc_next: false,
+                },
+            )),
         }
     }
 

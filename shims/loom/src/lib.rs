@@ -110,6 +110,10 @@ pub mod thread {
 /// Synchronization primitives (std re-exports; perturbation happens at
 /// the [`thread::yield_now`] points the model under test places).
 pub mod sync {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "loom's API names std's locks; models run outside lock::Rank"
+    )]
     pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
     pub mod atomic {

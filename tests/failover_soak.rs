@@ -35,7 +35,7 @@ use repl::{prepare_rejoin, read_divergence_archive, ReplNode, ReplNodeConfig, Re
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use tempfile::tempdir;
 use vfs::VfsRef;
@@ -78,9 +78,16 @@ fn failover_chaos_soak() {
     }
 }
 
+/// A replica's role manager, shared with its server's promote handler.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the handler holds it under the server's Promote lock and across the node's own ranked locks: a test harness lock outside lock::Rank"
+)]
+type NodeLock = std::sync::Mutex<ReplNode>;
+
 struct ReplicaHarness {
     db: Arc<Aion>,
-    node: Arc<Mutex<ReplNode>>,
+    node: Arc<NodeLock>,
     proxy: ChaosProxy,
     server: Server,
     dir: tempfile::TempDir,
@@ -102,7 +109,7 @@ fn start_replica(seed: u64, shipper_addr: SocketAddr) -> ReplicaHarness {
     let mut cfg = ReplayerConfig::new(proxy.addr(), dir.path());
     cfg.sync_every = 4;
     cfg.reconnect_backoff = Duration::from_millis(5);
-    let node = Arc::new(Mutex::new(ReplNode::new_replica(
+    let node = Arc::new(NodeLock::new(ReplNode::new_replica(
         db.clone(),
         cfg,
         ReplNodeConfig::default(),
