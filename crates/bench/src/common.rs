@@ -92,40 +92,10 @@ pub fn open_aion(dir: &Path, sync_lineage: bool) -> Aion {
 /// probes then hit the same history distribution in every system.
 pub fn ingest_aion(db: &Aion, w: &GeneratedWorkload) {
     for (ts, ops) in w.batches(1_000) {
-        db.write_at(ts, |txn| apply_batch(txn, &ops))
+        db.write_at(ts, |txn| ops.into_iter().try_for_each(|u| txn.push(u)))
             .expect("ingest");
     }
     db.lineage_barrier(db.latest_ts());
-}
-
-fn apply_batch(txn: &mut aion::WriteTxn<'_>, batch: &[lpg::Update]) -> lpg::Result<()> {
-    for op in batch {
-        match op {
-            lpg::Update::AddNode { id, labels, props } => {
-                txn.add_node(*id, labels.clone(), props.clone())?
-            }
-            lpg::Update::AddRel {
-                id,
-                src,
-                tgt,
-                label,
-                props,
-            } => txn.add_rel(*id, *src, *tgt, *label, props.clone())?,
-            lpg::Update::DeleteRel { id } => txn.delete_rel(*id)?,
-            lpg::Update::DeleteNode { id } => txn.delete_node(*id)?,
-            lpg::Update::SetNodeProp { id, key, value } => {
-                txn.set_node_prop(*id, *key, value.clone())?
-            }
-            lpg::Update::SetRelProp { id, key, value } => {
-                txn.set_rel_prop(*id, *key, value.clone())?
-            }
-            lpg::Update::RemoveNodeProp { id, key } => txn.remove_node_prop(*id, *key)?,
-            lpg::Update::RemoveRelProp { id, key } => txn.remove_rel_prop(*id, *key)?,
-            lpg::Update::AddLabel { id, label } => txn.add_label(*id, *label)?,
-            lpg::Update::RemoveLabel { id, label } => txn.remove_label(*id, *label)?,
-        }
-    }
-    Ok(())
 }
 
 /// Ingests a workload into a baseline backend (stream-style, as Raphtory

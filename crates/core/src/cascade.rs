@@ -3,8 +3,10 @@
 //! outstanding updates to the LineageStore".
 //!
 //! The cascade owns a worker thread fed by an unbounded channel of commit
-//! events. [`Cascade::barrier`] lets tests and recovery wait until the
-//! LineageStore has caught up with a given timestamp: it parks on a condvar
+//! events; it is the one thread that applies commits to the LineageStore
+//! while the database is open. [`Cascade::barrier`] lets a commit under
+//! `sync_lineage`, tests and recovery wait until the LineageStore has
+//! caught up with a given timestamp: it parks on a condvar
 //! the worker signals after each apply, so the waiting thread leaves the
 //! CPU to the worker instead of spinning beside it.
 

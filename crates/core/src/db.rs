@@ -23,7 +23,7 @@ pub use crate::planner::StoreChoice;
 /// [`Aion::pin_latest`]). Dropping it releases the version.
 pub struct LatestPin {
     ts: Timestamp,
-    _graph: Option<Arc<Graph>>,
+    _graph: Arc<Graph>,
 }
 
 impl LatestPin {
@@ -42,8 +42,14 @@ pub struct AionConfig {
     pub timestore: TimeStoreConfig,
     /// LineageStore tuning.
     pub lineage: LineageStoreConfig,
-    /// Apply the LineageStore synchronously with each commit (the `TS+LS`
-    /// configuration of Fig. 9). Default `false`: background cascade.
+    /// Make each commit wait until the LineageStore holds it: `write`
+    /// returns once the cascade applied the commit (the `TS+LS`
+    /// configuration of Fig. 9). Default `false`: `write` returns once the
+    /// TimeStore holds the commit, and the cascade catches up in the
+    /// background. Either way the cascade is the one LineageStore applier,
+    /// and a LineageStore failure does not fail the commit: it wedges the
+    /// LineageStore (see [`Aion::lineage_wedged`]), whose next open
+    /// replays the gap from the log.
     pub sync_lineage: bool,
     /// Fsync the TimeStore after every commit before acknowledging it.
     /// Default `false`: commits become durable only at an explicit
@@ -112,7 +118,9 @@ pub struct Aion {
     interner: Arc<Interner>,
     timestore: Arc<TimeStore>,
     lineage: Arc<LineageStore>,
-    cascade: Option<Arc<Cascade>>,
+    cascade: Arc<Cascade>,
+    /// [`AionConfig::sync_lineage`]: each commit waits for the cascade.
+    sync_lineage: bool,
     planner: Planner,
     app_keys: AppTimeKeys,
     lineage_wedged: Arc<AtomicBool>,
@@ -173,17 +181,9 @@ impl Aion {
             end: interner.intern("_app_end"),
         };
         let lineage_wedged = Arc::new(AtomicBool::new(false));
-        let cascade = if config.sync_lineage {
-            None
-        } else {
-            Some(Arc::new(Cascade::spawn(
-                lineage.clone(),
-                lineage_wedged.clone(),
-            )?))
-        };
+        let cascade = Arc::new(Cascade::spawn(lineage.clone(), lineage_wedged.clone())?);
         let pipeline = group_commit::Pipeline::spawn(LogWriter {
             timestore: timestore.clone(),
-            lineage: lineage.clone(),
             cascade: cascade.clone(),
             lineage_wedged: lineage_wedged.clone(),
             sync_on_commit: config.sync_on_commit,
@@ -199,6 +199,7 @@ impl Aion {
             timestore,
             lineage,
             cascade,
+            sync_lineage: config.sync_lineage,
             planner: Planner::new(),
             app_keys,
             pipeline,
@@ -352,30 +353,22 @@ impl Aion {
     ///
     /// The pin is never older than [`Aion::latest_ts`] as read on entry,
     /// so a caller that checked a watermark against it reads at or after
-    /// that watermark. A commit is published under the GraphStore's lock
-    /// and applied before the lock is released, so only a commit that
-    /// failed to apply in memory leaves the latest graph behind; then the
-    /// guard holds no graph and the read rebuilds its version from the
-    /// TimeStore.
+    /// that watermark: a commit is published under the GraphStore's lock
+    /// and applied before the lock is released, and the log writer checked
+    /// the batch against that graph before it logged it, so the apply does
+    /// not fail.
     pub fn pin_latest(&self) -> LatestPin {
-        let published = self.timestore.latest_ts();
-        match self.timestore.graphstore().pin_latest(published) {
-            Some((ts, graph)) => LatestPin {
-                ts,
-                _graph: Some(graph),
-            },
-            None => LatestPin {
-                ts: published,
-                _graph: None,
-            },
-        }
+        let (ts, graph) = self.timestore.graphstore().pin_latest();
+        LatestPin { ts, _graph: graph }
     }
 
     /// Runs `f` inside a write transaction and commits it, returning the
-    /// commit timestamp. On error nothing is persisted.
+    /// commit timestamp. On error nothing is persisted: an error of `f`,
+    /// or a constraint error (Sec. 3) the log writer finds when it checks
+    /// the batch against the latest graph at commit.
     pub fn write<F>(&self, f: F) -> Result<Timestamp>
     where
-        F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
+        F: FnOnce(&mut WriteTxn) -> Result<()>,
     {
         self.write_txn(None, f)
     }
@@ -389,7 +382,7 @@ impl Aion {
     /// [`write`]: Aion::write
     pub fn write_at<F>(&self, ts: Timestamp, f: F) -> Result<Timestamp>
     where
-        F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
+        F: FnOnce(&mut WriteTxn) -> Result<()>,
     {
         self.write_txn(Some(ts), f)
     }
@@ -401,35 +394,32 @@ impl Aion {
     /// [`write_at`]: Aion::write_at
     fn write_txn<F>(&self, forced_ts: Option<Timestamp>, f: F) -> Result<Timestamp>
     where
-        F: FnOnce(&mut WriteTxn<'_>) -> Result<()>,
+        F: FnOnce(&mut WriteTxn) -> Result<()>,
     {
         self.check_fence()?;
-        let updates = {
-            // The base Arc drops before commit, so this transaction itself
-            // does not make the commit copy the chunks it touches.
-            let base = self.latest_graph();
-            let mut txn = WriteTxn::new(&base, self.app_keys);
-            f(&mut txn)?;
-            txn.into_updates()
-        };
+        let mut txn = WriteTxn::new(self.app_keys);
+        f(&mut txn)?;
+        let updates = txn.into_updates();
         self.commit(Payload::records(&updates), updates, forced_ts)
     }
 
     /// Applies one replicated commit, a frame payload as the primary's log
-    /// holds it: the log appends it byte for byte. The batch was validated
-    /// on the primary, so there is no `WriteTxn` re-validation. A payload
-    /// that does not decode fails with [`GraphError::CorruptRecord`], one
-    /// over the frame cap or at or below the local latest timestamp as a
-    /// commit does; nothing is appended.
+    /// holds it: the log appends it byte for byte. It is checked as a
+    /// local commit is. A payload that does not decode fails with
+    /// [`GraphError::CorruptRecord`]; one over the frame cap, at or below
+    /// the local latest timestamp, or whose batch does not apply to the
+    /// latest graph fails as a commit does. Nothing is appended then.
     pub fn apply_frame(&self, payload: Vec<u8>) -> Result<Timestamp> {
         let frame = CommitFrame::decode(&payload)
             .ok_or_else(|| GraphError::CorruptRecord("shipped frame does not decode".into()))?;
         self.commit(Payload::Whole(payload), frame.updates(), Some(frame.ts))
     }
 
-    /// Commits a validated update batch (stage 1 + 2 of Fig. 4) through
-    /// the group-commit pipeline: enqueue and park until the log writer has
-    /// appended the group (and group-fsynced it under `sync_on_commit`).
+    /// Commits an update batch (stage 1 + 2 of Fig. 4) through the
+    /// group-commit pipeline: enqueue and park until the log writer has
+    /// checked and appended the batch (and group-fsynced it under
+    /// `sync_on_commit`); under `sync_lineage`, also until the cascade
+    /// applied it or the LineageStore wedged.
     fn commit(
         &self,
         payload: Payload,
@@ -437,14 +427,17 @@ impl Aion {
         forced_ts: Option<Timestamp>,
     ) -> Result<Timestamp> {
         let _timer = self.commit_latency.start_timer();
-        self.pipeline.commit(payload, updates, forced_ts)
+        let ts = self.pipeline.commit(payload, updates, forced_ts)?;
+        if self.sync_lineage {
+            self.cascade.barrier(ts);
+        }
+        Ok(ts)
     }
 
-    /// Blocks until the LineageStore caught up with `ts` (tests, recovery).
+    /// Blocks until the LineageStore caught up with `ts`, or wedged (tests,
+    /// recovery).
     pub fn lineage_barrier(&self, ts: Timestamp) {
-        if let Some(c) = &self.cascade {
-            c.barrier(ts);
-        }
+        self.cascade.barrier(ts);
     }
 
     /// Whether the LineageStore stopped advancing: its applier hit an
@@ -458,11 +451,8 @@ impl Aion {
     /// covers `min(ts, latest)` and it is not wedged. Every read that wants it
     /// asks here; the TimeStore serves a refusal, counted in `lineage_fallbacks`.
     fn lineage_serves(&self, ts: Timestamp) -> bool {
-        let applied = match &self.cascade {
-            Some(c) => c.applied_ts(),
-            None => self.lineage.applied_ts(),
-        };
-        let serves = applied >= ts.min(self.timestore.latest_ts()) && !self.lineage_wedged();
+        let serves = self.cascade.applied_ts() >= ts.min(self.timestore.latest_ts())
+            && !self.lineage_wedged();
         if !serves {
             self.lineage_fallbacks.inc();
         }

@@ -2,15 +2,18 @@
 //! coalesces concurrent commits into one `TimeStore` append run and one
 //! durability fsync.
 //!
-//! Committers validate their batch and encode its log payload on their
-//! own thread (a replicated commit brings the bytes it was shipped),
-//! enqueue a [`CommitRequest`] and park on a [`CommitSlot`]. The writer
-//! drains the queue (waiting up to [`AionConfig::commit_latency_budget`] for more
-//! arrivals when every acknowledgement implies an fsync), appends every
-//! batch in arrival order, performs a single [`TimeStore::sync`] for the
-//! whole group, and only then wakes the waiters — so with
+//! Committers encode their batch's log payload on their own thread (a
+//! replicated commit brings the bytes it was shipped), enqueue a
+//! [`CommitRequest`] and park on a [`CommitSlot`]. The writer drains the
+//! queue (waiting up to [`AionConfig::commit_latency_budget`] for more
+//! arrivals when every acknowledgement implies an fsync), then checks,
+//! appends and applies every batch in arrival order
+//! ([`TimeStore::append_payload`]), performs a single [`TimeStore::sync`]
+//! for the whole group, and only then wakes the waiters — so with
 //! `sync_on_commit` the durability-before-ack contract is preserved while
-//! N concurrent commits share one fsync instead of paying N.
+//! N concurrent commits share one fsync instead of paying N. The writer is
+//! the one place a batch is checked against the latest graph: each is
+//! checked against the graph the batches before it left.
 //!
 //! Failure semantics per request:
 //!
@@ -18,26 +21,28 @@
 //!   [`GraphError::NonMonotonicCommit`] before anything is written; the
 //!   clock does not move, so a replayer retrying a transiently failed
 //!   frame is never refused as if that frame had committed.
-//! * An append error with `TimeStore::latest_ts() < ts` is a *clean*
-//!   rejection: the frame never reached the log, the timestamp stays
-//!   available, and later commits are unaffected.
-//! * An append error with `latest_ts() >= ts` (or a failed group fsync)
-//!   leaves the commit's durability *uncertain*: the timestamp is
-//!   consumed and the LineageStore is wedged so its watermark cannot
-//!   advance past the hole. The wedge flag is the one the cascade reads
-//!   (see `cascade`), so `Aion::lineage_wedged` reports it and
-//!   `Aion::lineage_barrier` stops waiting.
+//! * An error with `TimeStore::latest_ts() < ts` is a *clean* rejection:
+//!   the batch broke a constraint (`NodeExists`, `EndpointMissing`, …) or
+//!   the log refused the frame. Nothing reached the log, the timestamp
+//!   stays available, and later commits are unaffected.
+//! * An error with `latest_ts() >= ts` (or a failed group fsync) is an
+//!   I/O failure after the frame reached the log: the commit's durability
+//!   is *uncertain*. The timestamp is consumed and the LineageStore is
+//!   wedged so its watermark cannot advance past the hole. The wedge flag
+//!   is the one the cascade reads (see `cascade`), so
+//!   `Aion::lineage_wedged` reports it and `Aion::lineage_barrier` stops
+//!   waiting.
 //!
-//! The writer submits successful commits to the lineage cascade in commit
-//! order on its own thread, then wakes their committers.
+//! The writer submits successful commits to the lineage cascade, the one
+//! LineageStore applier, in commit order, then wakes their committers.
 //!
 //! [`AionConfig::commit_latency_budget`]: crate::AionConfig::commit_latency_budget
+//! [`TimeStore::append_payload`]: timestore::TimeStore::append_payload
 //! [`TimeStore::sync`]: timestore::TimeStore::sync
 
 use crate::cascade::Cascade;
 use crate::txn::CommitEvent;
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use lineagestore::LineageStore;
 use lock::{Condvar, Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp, Update};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +84,7 @@ impl CommitSlot {
     }
 }
 
-/// A validated batch and its log payload travelling committer → writer.
+/// A batch and its log payload travelling committer → writer.
 struct CommitRequest {
     payload: Payload,
     updates: Vec<Update>,
@@ -92,8 +97,7 @@ struct CommitRequest {
 /// [`Aion`]: crate::Aion
 pub(crate) struct LogWriter {
     pub timestore: Arc<TimeStore>,
-    pub lineage: Arc<LineageStore>,
-    pub cascade: Option<Arc<Cascade>>,
+    pub cascade: Arc<Cascade>,
     pub lineage_wedged: Arc<AtomicBool>,
     pub sync_on_commit: bool,
     /// How long the writer may hold an fsync open waiting for more
@@ -222,24 +226,13 @@ impl LogWriter {
                 return;
             }
         }
-        // Stage 2b: LineageStore, in commit order on this thread (the
-        // cascade channel preserves it; the synchronous path applies
-        // here). Wedged, the watermark stalls and queries fall back to
-        // the TimeStore — same contract as before group commit.
+        // Stage 2b: LineageStore, in commit order (the cascade channel
+        // preserves it). Wedged, the watermark stalls and queries fall
+        // back to the TimeStore.
         for (slot, event) in appended {
             let ts = event.ts;
             if !self.lineage_wedged.load(Ordering::Acquire) {
-                match &self.cascade {
-                    Some(c) => c.submit(event),
-                    None => {
-                        if let Err(e) = self.lineage.apply_commit(ts, &event.updates) {
-                            self.lineage_wedged.store(true, Ordering::Release);
-                            self.commits_failed.inc();
-                            slot.complete(Err(e));
-                            continue;
-                        }
-                    }
-                }
+                self.cascade.submit(event);
             }
             self.commits.inc();
             slot.complete(Ok(ts));
@@ -270,7 +263,7 @@ impl Pipeline {
         })
     }
 
-    /// Enqueues one validated batch and parks until the writer resolves it.
+    /// Enqueues one batch and parks until the writer resolves it.
     pub(crate) fn commit(
         &self,
         payload: Payload,

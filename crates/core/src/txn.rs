@@ -1,15 +1,17 @@
 //! Write transactions.
 //!
-//! A [`WriteTxn`] buffers updates and validates every LPG constraint of
-//! Sec. 3 against the latest committed graph *plus* the transaction's own
-//! pending changes, so a committed transaction always yields a consistent
-//! graph — the guarantee Neo4j's event listener hands to Aion ("committed
-//! transactions always result in a consistent labeled property graph",
-//! Sec. 5.1).
+//! A [`WriteTxn`] buffers updates. It checks only what needs no graph, the
+//! application-time constraint of Sec. 4.5; the LPG constraints of Sec. 3
+//! are checked when the transaction commits, by the log writer, against
+//! the latest graph as the commits before it in commit order left it
+//! ([`lpg::Graph::check_batch`]). A batch that fails there is refused
+//! before anything reaches the log, so a committed transaction always
+//! yields a consistent graph — the guarantee Neo4j's event listener hands
+//! to Aion ("committed transactions always result in a consistent labeled
+//! property graph", Sec. 5.1).
 
-use lpg::{Graph, GraphError, NodeId, Props, RelId, Result, StrId, Timestamp, Update};
+use lpg::{GraphError, NodeId, Props, RelId, Result, StrId, Timestamp, Update};
 use lpg::{PropertyValue, TS_MAX};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Application-time property keys (Sec. 4.5). Interned once per database.
@@ -28,68 +30,25 @@ pub struct AppTimeKeys {
 pub struct CommitEvent {
     /// Commit (system) timestamp assigned to the transaction.
     pub ts: Timestamp,
-    /// The validated updates, in application order.
+    /// The checked updates, in application order.
     pub updates: Arc<Vec<Update>>,
 }
 
-/// A buffered write transaction.
-pub struct WriteTxn<'a> {
-    base: &'a Graph,
+/// A buffered write transaction. The graph constraints are checked at
+/// commit, so a constraint error comes back from `Aion::write`, not from
+/// the method that buffered the update.
+pub struct WriteTxn {
     app_keys: AppTimeKeys,
     updates: Vec<Update>,
-    nodes_added: HashSet<NodeId>,
-    nodes_deleted: HashSet<NodeId>,
-    rels_added: HashMap<RelId, (NodeId, NodeId)>,
-    rels_deleted: HashSet<RelId>,
-    /// Degree delta per node caused by this transaction.
-    degree_delta: HashMap<NodeId, i64>,
 }
 
-impl<'a> WriteTxn<'a> {
-    /// Starts a transaction over the latest committed graph.
-    pub fn new(base: &'a Graph, app_keys: AppTimeKeys) -> WriteTxn<'a> {
+impl WriteTxn {
+    /// Starts an empty transaction.
+    pub fn new(app_keys: AppTimeKeys) -> WriteTxn {
         WriteTxn {
-            base,
             app_keys,
             updates: Vec::new(),
-            nodes_added: HashSet::new(),
-            nodes_deleted: HashSet::new(),
-            rels_added: HashMap::new(),
-            rels_deleted: HashSet::new(),
-            degree_delta: HashMap::new(),
         }
-    }
-
-    fn node_exists(&self, id: NodeId) -> bool {
-        if self.nodes_added.contains(&id) {
-            return true;
-        }
-        if self.nodes_deleted.contains(&id) {
-            return false;
-        }
-        self.base.has_node(id)
-    }
-
-    fn rel_exists(&self, id: RelId) -> bool {
-        if self.rels_added.contains_key(&id) {
-            return true;
-        }
-        if self.rels_deleted.contains(&id) {
-            return false;
-        }
-        self.base.has_rel(id)
-    }
-
-    fn degree(&self, id: NodeId) -> i64 {
-        let base = self.base.degree(id, lpg::Direction::Both) as i64;
-        base + self.degree_delta.get(&id).copied().unwrap_or(0)
-    }
-
-    fn endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)> {
-        if let Some(&(s, t)) = self.rels_added.get(&id) {
-            return Some((s, t));
-        }
-        self.base.rel(id).map(|r| (r.src, r.tgt))
     }
 
     /// Validates the application-time constraint: start < end whenever both
@@ -109,31 +68,24 @@ impl<'a> WriteTxn<'a> {
         Ok(())
     }
 
+    /// Buffers one update, after checking the application-time constraint
+    /// of the property bag an `AddNode` or `AddRel` carries.
+    pub fn push(&mut self, update: Update) -> Result<()> {
+        if let Update::AddNode { props, .. } | Update::AddRel { props, .. } = &update {
+            self.check_app_time(props)?;
+        }
+        self.updates.push(update);
+        Ok(())
+    }
+
     /// Creates a node.
     pub fn add_node(&mut self, id: NodeId, labels: Vec<StrId>, props: Props) -> Result<()> {
-        if self.node_exists(id) {
-            return Err(GraphError::NodeExists(id));
-        }
-        self.check_app_time(&props)?;
-        self.nodes_added.insert(id);
-        self.nodes_deleted.remove(&id);
-        self.updates.push(Update::AddNode { id, labels, props });
-        Ok(())
+        self.push(Update::AddNode { id, labels, props })
     }
 
     /// Deletes a node (which must have no remaining relationships).
     pub fn delete_node(&mut self, id: NodeId) -> Result<()> {
-        if !self.node_exists(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        if self.degree(id) > 0 {
-            return Err(GraphError::NodeHasRelationships(id));
-        }
-        if !self.nodes_added.remove(&id) {
-            self.nodes_deleted.insert(id);
-        }
-        self.updates.push(Update::DeleteNode { id });
-        Ok(())
+        self.push(Update::DeleteNode { id })
     }
 
     /// Creates a relationship between existing nodes.
@@ -145,99 +97,48 @@ impl<'a> WriteTxn<'a> {
         label: Option<StrId>,
         props: Props,
     ) -> Result<()> {
-        if self.rel_exists(id) {
-            return Err(GraphError::RelExists(id));
-        }
-        if !self.node_exists(src) {
-            return Err(GraphError::EndpointMissing { rel: id, node: src });
-        }
-        if !self.node_exists(tgt) {
-            return Err(GraphError::EndpointMissing { rel: id, node: tgt });
-        }
-        self.check_app_time(&props)?;
-        self.rels_added.insert(id, (src, tgt));
-        self.rels_deleted.remove(&id);
-        *self.degree_delta.entry(src).or_insert(0) += 1;
-        *self.degree_delta.entry(tgt).or_insert(0) += 1;
-        self.updates.push(Update::AddRel {
+        self.push(Update::AddRel {
             id,
             src,
             tgt,
             label,
             props,
-        });
-        Ok(())
+        })
     }
 
     /// Deletes a relationship.
     pub fn delete_rel(&mut self, id: RelId) -> Result<()> {
-        if !self.rel_exists(id) {
-            return Err(GraphError::RelNotFound(id));
-        }
-        let Some((src, tgt)) = self.endpoints(id) else {
-            return Err(GraphError::RelNotFound(id));
-        };
-        if self.rels_added.remove(&id).is_none() {
-            self.rels_deleted.insert(id);
-        }
-        *self.degree_delta.entry(src).or_insert(0) -= 1;
-        *self.degree_delta.entry(tgt).or_insert(0) -= 1;
-        self.updates.push(Update::DeleteRel { id });
-        Ok(())
+        self.push(Update::DeleteRel { id })
     }
 
     /// Sets a node property.
     pub fn set_node_prop(&mut self, id: NodeId, key: StrId, value: PropertyValue) -> Result<()> {
-        if !self.node_exists(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        self.updates.push(Update::SetNodeProp { id, key, value });
-        Ok(())
+        self.push(Update::SetNodeProp { id, key, value })
     }
 
     /// Removes a node property.
     pub fn remove_node_prop(&mut self, id: NodeId, key: StrId) -> Result<()> {
-        if !self.node_exists(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        self.updates.push(Update::RemoveNodeProp { id, key });
-        Ok(())
+        self.push(Update::RemoveNodeProp { id, key })
     }
 
     /// Adds a label to a node.
     pub fn add_label(&mut self, id: NodeId, label: StrId) -> Result<()> {
-        if !self.node_exists(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        self.updates.push(Update::AddLabel { id, label });
-        Ok(())
+        self.push(Update::AddLabel { id, label })
     }
 
     /// Removes a label from a node.
     pub fn remove_label(&mut self, id: NodeId, label: StrId) -> Result<()> {
-        if !self.node_exists(id) {
-            return Err(GraphError::NodeNotFound(id));
-        }
-        self.updates.push(Update::RemoveLabel { id, label });
-        Ok(())
+        self.push(Update::RemoveLabel { id, label })
     }
 
     /// Sets a relationship property.
     pub fn set_rel_prop(&mut self, id: RelId, key: StrId, value: PropertyValue) -> Result<()> {
-        if !self.rel_exists(id) {
-            return Err(GraphError::RelNotFound(id));
-        }
-        self.updates.push(Update::SetRelProp { id, key, value });
-        Ok(())
+        self.push(Update::SetRelProp { id, key, value })
     }
 
     /// Removes a relationship property.
     pub fn remove_rel_prop(&mut self, id: RelId, key: StrId) -> Result<()> {
-        if !self.rel_exists(id) {
-            return Err(GraphError::RelNotFound(id));
-        }
-        self.updates.push(Update::RemoveRelProp { id, key });
-        Ok(())
+        self.push(Update::RemoveRelProp { id, key })
     }
 
     /// Sets an entity's application-time validity `[start, end)`
@@ -263,7 +164,7 @@ impl<'a> WriteTxn<'a> {
         self.updates.is_empty()
     }
 
-    /// Finishes validation and hands the update batch to the committer.
+    /// Hands the update batch to the committer.
     pub(crate) fn into_updates(self) -> Vec<Update> {
         self.updates
     }
@@ -283,77 +184,20 @@ mod tests {
     fn nid(i: u64) -> NodeId {
         NodeId::new(i)
     }
-    fn rid(i: u64) -> RelId {
-        RelId::new(i)
-    }
-
-    #[test]
-    fn txn_validates_against_base_and_overlay() {
-        let mut base = Graph::new();
-        base.apply(&Update::AddNode {
-            id: nid(1),
-            labels: vec![],
-            props: vec![],
-        })
-        .unwrap();
-        let mut txn = WriteTxn::new(&base, keys());
-        // Existing node cannot be re-added.
-        assert!(matches!(
-            txn.add_node(nid(1), vec![], vec![]),
-            Err(GraphError::NodeExists(_))
-        ));
-        // New node + rel to base node works.
-        txn.add_node(nid(2), vec![], vec![]).unwrap();
-        txn.add_rel(rid(1), nid(1), nid(2), None, vec![]).unwrap();
-        // Cannot delete node 2 while the pending rel exists.
-        assert!(matches!(
-            txn.delete_node(nid(2)),
-            Err(GraphError::NodeHasRelationships(_))
-        ));
-        txn.delete_rel(rid(1)).unwrap();
-        txn.delete_node(nid(2)).unwrap();
-        assert_eq!(txn.len(), 4);
-    }
-
-    #[test]
-    fn rel_to_missing_endpoint_rejected() {
-        let base = Graph::new();
-        let mut txn = WriteTxn::new(&base, keys());
-        assert!(matches!(
-            txn.add_rel(rid(1), nid(1), nid(2), None, vec![]),
-            Err(GraphError::EndpointMissing { .. })
-        ));
-    }
-
-    #[test]
-    fn delete_then_readd_in_one_txn() {
-        let mut base = Graph::new();
-        base.apply(&Update::AddNode {
-            id: nid(1),
-            labels: vec![],
-            props: vec![],
-        })
-        .unwrap();
-        let mut txn = WriteTxn::new(&base, keys());
-        txn.delete_node(nid(1)).unwrap();
-        txn.add_node(nid(1), vec![StrId::new(1)], vec![]).unwrap();
-        assert_eq!(txn.len(), 2);
-        // Replaying the batch on the base graph must succeed.
-        let mut check = base.clone();
-        check.apply_all(txn.into_updates().iter()).unwrap();
-        assert!(check.node(nid(1)).unwrap().has_label(StrId::new(1)));
-    }
 
     #[test]
     fn app_time_constraint_checked() {
-        let base = Graph::new();
-        let mut txn = WriteTxn::new(&base, keys());
+        let mut txn = WriteTxn::new(keys());
         let bad = vec![
             (keys().start, PropertyValue::Int(10)),
             (keys().end, PropertyValue::Int(5)),
         ];
         assert_eq!(
-            txn.add_node(nid(1), vec![], bad),
+            txn.add_node(nid(1), vec![], bad.clone()),
+            Err(GraphError::InvalidApplicationTime)
+        );
+        assert_eq!(
+            txn.add_rel(RelId::new(1), nid(1), nid(1), None, bad),
             Err(GraphError::InvalidApplicationTime)
         );
         txn.add_node(nid(1), vec![], vec![]).unwrap();
@@ -366,18 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn property_ops_require_entity() {
-        let base = Graph::new();
-        let mut txn = WriteTxn::new(&base, keys());
-        assert!(txn
-            .set_node_prop(nid(1), StrId::new(0), PropertyValue::Int(1))
-            .is_err());
-        assert!(txn
-            .set_rel_prop(rid(1), StrId::new(0), PropertyValue::Int(1))
-            .is_err());
-        assert!(txn.add_label(nid(1), StrId::new(0)).is_err());
-        txn.add_node(nid(1), vec![], vec![]).unwrap();
-        txn.set_node_prop(nid(1), StrId::new(0), PropertyValue::Int(1))
+    fn graph_constraints_wait_for_the_commit() {
+        // Nothing here exists; the transaction buffers it all the same.
+        let mut txn = WriteTxn::new(keys());
+        txn.delete_node(nid(1)).unwrap();
+        txn.set_rel_prop(RelId::new(1), StrId::new(0), PropertyValue::Int(1))
             .unwrap();
+        assert_eq!(txn.into_updates().len(), 2);
     }
 }

@@ -94,21 +94,36 @@ fn failed_txn_commits_nothing() {
     assert!(!db.latest_graph().has_node(nid(100)));
 }
 
+/// A replicated frame is checked as a local commit is: one that adds a
+/// node the graph holds is refused, and nothing reaches the log.
 #[test]
-fn a_latest_pin_is_never_older_than_the_published_commit() {
+fn a_frame_that_does_not_apply_is_refused_and_not_logged() {
     let dir = tempdir().unwrap();
+    {
+        let db = open(dir.path());
+        seed(&db, 3);
+        let (latest, end) = (db.latest_ts(), db.timestore().log().end_offset());
+        let add = [lpg::Update::AddNode {
+            id: nid(1),
+            labels: vec![],
+            props: vec![],
+        }];
+        let frame = CommitFrame::from_updates(latest + 1, &add);
+        assert_eq!(
+            db.apply_frame(frame.encode()),
+            Err(GraphError::NodeExists(nid(1)))
+        );
+        assert_eq!(db.latest_ts(), latest);
+        assert_eq!(db.timestore().log().end_offset(), end);
+        assert_eq!(db.pin_latest().ts(), latest);
+        assert!(!db.lineage_wedged());
+        // The timestamp was not used up.
+        let frame = CommitFrame::from_updates(latest + 1, &[]);
+        assert_eq!(db.apply_frame(frame.encode()), Ok(latest + 1));
+        db.sync().unwrap();
+    }
     let db = open(dir.path());
-    seed(&db, 3);
-    assert_eq!(db.pin_latest().ts(), db.latest_ts());
-    // A replicated commit skips validation. This one reaches the log, so
-    // its timestamp is published, but fails to apply to the in-memory
-    // latest graph, which stays at the commit before it.
-    let ts = db.latest_ts() + 1;
-    let bad = [lpg::Update::DeleteNode { id: nid(999) }];
-    let frame = CommitFrame::from_updates(ts, &bad);
-    assert!(db.apply_frame(frame.encode()).is_err());
-    assert_eq!(db.latest_ts(), ts);
-    assert_eq!(db.pin_latest().ts(), ts, "not the lagging graph's");
+    assert_eq!(db.latest_graph().node_count(), 3);
 }
 
 #[test]
@@ -147,12 +162,15 @@ fn point_reads_fall_back_to_each_entitys_updates() {
     }
     db.write(|txn| txn.delete_rel(rid(4))).unwrap();
     db.lineage_barrier(db.latest_ts());
-    // A replicated commit that reaches the log but applies nowhere: the
+    // A commit appended to the TimeStore behind the cascade's back: the
     // LineageStore stops before it, so reads at or after it fall back.
     let bad = db.latest_ts() + 1;
-    let delete = [lpg::Update::DeleteNode { id: nid(999) }];
-    let frame = CommitFrame::from_updates(bad, &delete);
-    assert!(db.apply_frame(frame.encode()).is_err());
+    let add = [lpg::Update::AddNode {
+        id: nid(999),
+        labels: vec![],
+        props: vec![],
+    }];
+    db.timestore().append_commit(bad, &add).unwrap();
     let ls = db.lineagestore();
     assert!(ls.applied_ts() < bad);
     let fallbacks = || db.metrics().counter("core.lineage_fallbacks").unwrap_or(0);

@@ -26,6 +26,8 @@
 //! * [`update`] — the update universe `U` and timestamped update tuples.
 //! * [`delta`] — compact diffs between entity versions (paper Fig. 3 "Diff"
 //!   records), including merge and apply.
+//! * [`batch`] — the commit check: whether a batch of updates satisfies
+//!   every Sec. 3 constraint over a graph, decided without changing it.
 //! * [`graph`] — the in-memory graph: id-ordered copy-on-write chunks, so a
 //!   clone shares what later updates do not touch; the latest graph, the
 //!   materialization target for snapshots and the oracle in tests.
@@ -33,6 +35,7 @@
 //!   Sec. 3 ("A graph entity g can be added only if g ∉ G", etc.).
 
 pub mod bag;
+pub mod batch;
 pub mod bfs;
 pub mod delta;
 pub mod entity;

@@ -12,7 +12,8 @@
 //! | pattern | source | order |
 //! |---|---|---|
 //! | `(n)` + `id(n) = …` | `Aion::get_node` versions | version order |
-//! | `(n)` / `(n:L)` | `Aion::stream_nodes_at` | ascending node id |
+//! | `(n)` / `(n:L)` at a point | `Aion::stream_nodes_at` | ascending node id |
+//! | `(n)` / `(n:L)` over a window | `Aion::get_window` ids, `Aion::get_node` versions per pull | ascending node id, then version order |
 //! | `()-[r]->()` + `id(r) = …` | `Aion::get_relationship` versions | version order |
 //! | `(n)-[r]->(m)` + `id(n) = …` | `Aion::get_relationships`, neighbour resolved per pull | store order |
 //! | `(n)-[*k]->(m)` + `id(n) = …` | `Aion::expand` (planner-routed), hit resolved per pull | BFS order |
@@ -68,7 +69,7 @@ struct Scope<'a> {
     /// The node scan's consumer folds over every row (see
     /// `Aion::stream_nodes_at`, which owns the store choice).
     whole_graph: bool,
-    /// Resume a node scan strictly after this id.
+    /// Resume a point node scan strictly after this id.
     after: Option<NodeId>,
 }
 
@@ -106,6 +107,26 @@ impl<'a> Scope<'a> {
                             )])
                         }),
                 ));
+            }
+            if !point {
+                // Every version of every node the window holds, as an id
+                // lookup over the same window gives them.
+                let ids: Vec<NodeId> = db.get_window(start, end)?.nodes().map(|n| n.id).collect();
+                return Ok(Box::new(ids.into_iter().flat_map(move |id| {
+                    match db.get_node(id, start, end) {
+                        Ok(versions) => versions
+                            .into_iter()
+                            .filter(|v| wanted(&v.data))
+                            .map(|v| {
+                                Ok(vec![(
+                                    var,
+                                    Value::from_node(&v.data, interner, valid(&v.valid)),
+                                )])
+                            })
+                            .collect(),
+                        Err(e) => vec![Err(e)],
+                    }
+                })));
             }
             let mut nodes = db.stream_nodes_at(at, self.after, self.whole_graph)?;
             return Ok(Box::new(
@@ -213,9 +234,10 @@ pub(crate) struct Bindings<'a> {
     source: Source<'a>,
     predicates: &'a [Predicate],
     params: &'a Params,
-    /// The rows are one node scan in ascending id order, so a page can
-    /// resume strictly after the last id it emitted ([`Self::last_key`])
-    /// instead of by row offset.
+    /// The rows are one point node scan, one row per node in ascending id
+    /// order, so a page can resume strictly after the last id it emitted
+    /// ([`Self::last_key`]) instead of by row offset. A window scan gives
+    /// a row per version, several per id, so it resumes by offset.
     pub keyed: bool,
     /// Entity id of the first variable of the last row pulled.
     pub last_key: Option<u64>,
@@ -223,7 +245,7 @@ pub(crate) struct Bindings<'a> {
 
 impl<'a> Bindings<'a> {
     /// Opens the sources of `patterns` over `range`. `whole_graph` and
-    /// `after` apply to node scans only.
+    /// `after` apply to point node scans only.
     pub(crate) fn open(
         db: &'a Aion,
         range: TimeRange,
@@ -250,8 +272,8 @@ impl<'a> Bindings<'a> {
             whole_graph,
             after,
         };
-        let keyed =
-            matches!(patterns, [p] if p.rel.is_none() && scope.id_of(&p.start.var).is_none());
+        let keyed = scope.point
+            && matches!(patterns, [p] if p.rel.is_none() && scope.id_of(&p.start.var).is_none());
         let mut source: Source<'a> = match patterns.first() {
             Some(first) => scope.open(first)?,
             None => Box::new(std::iter::empty()),

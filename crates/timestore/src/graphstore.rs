@@ -91,6 +91,15 @@ impl GraphStore {
         self.live.set(g.versions.len() as i64);
     }
 
+    /// Checks that `updates` apply to the latest graph
+    /// ([`Graph::check_batch`]), under the store's lock and without
+    /// sharing the graph. Only the commit path changes the latest graph,
+    /// so a batch that passes applies when the same thread commits it
+    /// next.
+    pub fn check(&self, updates: &[Update]) -> lpg::Result<()> {
+        self.inner.lock().latest.check_batch(updates)
+    }
+
     /// Applies one committed transaction to the latest graph, returning
     /// what `publish` returns. `publish` runs first, under the store's
     /// lock: a reader that sees what it published and then pins the latest
@@ -126,17 +135,11 @@ impl GraphStore {
 
     /// The latest graph and its timestamp, pinned: until every clone of the
     /// returned `Arc` is dropped, [`Self::get`] finds it at that timestamp.
-    /// `None`, pinning nothing, while the latest graph is older than
-    /// `at_least`, which only a commit that failed to apply here leaves
-    /// behind.
-    pub fn pin_latest(&self, at_least: Timestamp) -> Option<(Timestamp, Arc<Graph>)> {
+    pub fn pin_latest(&self) -> (Timestamp, Arc<Graph>) {
         let mut g = self.inner.lock();
-        if g.latest_ts < at_least {
-            return None;
-        }
         let (ts, graph) = (g.latest_ts, g.latest.clone());
         self.register_locked(&mut g, ts, &graph);
-        Some((ts, graph))
+        (ts, graph)
     }
 
     /// Registers `graph` as the version at `ts` while some reader holds

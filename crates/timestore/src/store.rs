@@ -444,7 +444,9 @@ impl TimeStore {
 
     /// Ingests one committed transaction whose log payload is already
     /// encoded: `payload` holds `updates` at `ts` (see
-    /// [`ChangeLog::append_payload`]).
+    /// [`ChangeLog::append_payload`]). A batch that does not apply to the
+    /// latest graph ([`GraphStore::check`]) is refused with its constraint
+    /// error before anything reaches the log.
     pub fn append_payload(
         &self,
         ts: Timestamp,
@@ -462,15 +464,18 @@ impl TimeStore {
                 });
             }
         }
+        // Appends come from one thread (`aion`'s log writer), so the graph
+        // checked here is the one the batch is applied to below.
+        self.graphstore.check(updates)?;
         // The commit is in the log, and in its time index, from here on:
-        // recovery replays it even if the in-memory apply below fails, and
+        // recovery replays it even if the snapshot write below fails, and
         // a reader that rebuilds the version at `latest_ts()` finds every
-        // commit up to it. `latest_ts` is published whether or not the
-        // apply fails, so a caller seeing an error can classify it:
-        // `latest_ts() < ts` means the log rejected the frame cleanly
-        // (nothing persisted, the same timestamp may be retried),
-        // `latest_ts() >= ts` means the commit reached the log and its
-        // durability is uncertain.
+        // commit up to it. `latest_ts` is published whether or not a later
+        // step fails, so a caller seeing an error can classify it:
+        // `latest_ts() < ts` means the commit was refused cleanly (nothing
+        // persisted, the same timestamp may be retried), `latest_ts() >=
+        // ts` means the commit reached the log and its durability is
+        // uncertain.
         self.log.append_payload(ts, payload)?;
         self.metrics.log_appends.inc();
         {

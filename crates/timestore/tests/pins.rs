@@ -54,8 +54,7 @@ fn a_pinned_version_is_served_until_its_last_reader_drops_it() {
         oracle.apply(&add_node(ts)).unwrap();
     }
 
-    assert!(store.graphstore().pin_latest(21).is_none(), "not at 21 yet");
-    let (ts, pin) = store.graphstore().pin_latest(20).unwrap();
+    let (ts, pin) = store.graphstore().pin_latest();
     assert_eq!(ts, 20);
     assert_eq!(pins(), Some(1));
     for t in 21..=25 {
@@ -86,13 +85,13 @@ fn a_pinned_version_is_served_until_its_last_reader_drops_it() {
 
     // The next pin sweeps the dead entry: only its own version is alive,
     // and none once it is dropped and a commit moves the latest graph on.
-    let (ts, pin) = store.graphstore().pin_latest(25).unwrap();
+    let (ts, pin) = store.graphstore().pin_latest();
     assert_eq!(ts, 25);
     assert_eq!(pins(), Some(1));
     drop(pin);
     store.append_commit(26, &[add_node(26)]).unwrap();
     assert!(store.graphstore().get(25).is_none());
-    let (_, pin) = store.graphstore().pin_latest(26).unwrap();
+    let (_, pin) = store.graphstore().pin_latest();
     assert_eq!(pins(), Some(1));
     drop(pin);
 

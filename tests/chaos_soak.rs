@@ -11,8 +11,14 @@
 //!   "already exists");
 //! * **no acknowledged-commit loss** — every `_id` whose `CREATE` was
 //!   acked over the wire is durable in the store afterwards;
+//! * **conflicts are refused cleanly** — the clients also race `CREATE`s
+//!   of shared ids and `MATCH … DELETE`s of shared relationships from
+//!   their connections: every reply is `Ok` or a typed constraint error
+//!   (a request the storm cut or corrupted gets no reply, or the
+//!   server's refusal of a corrupted request), and at most one client is
+//!   acked per shared id;
 //! * **storage integrity** — the full consistency audit is clean after
-//!   the storm.
+//!   the storm, and the database reopens and accepts a write.
 //!
 //! Seeds and client counts are env-tunable for CI (`AION_CHAOS_SEEDS`,
 //! `AION_CHAOS_CLIENTS`); the defaults keep the test under a few
@@ -20,7 +26,10 @@
 
 use aion::{Aion, AionConfig};
 use aion_server::{ChaosConfig, ChaosProxy, Client, ClientConfig, Server, ServerConfig};
-use lpg::NodeId;
+use lpg::{NodeId, RelId};
+use query::Value;
+use std::collections::HashSet;
+use std::io;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -45,9 +54,27 @@ fn chaos_storm_preserves_network_contract() {
 /// Ops each client attempts per storm.
 const OPS_PER_CLIENT: u64 = 40;
 
+/// Every client creates node `SHARED_NODE + op` at op `op ≡ 1 (mod 8)`,
+/// and deletes relationship `SHARED_REL + op` at op `op ≡ 5 (mod 8)`;
+/// both lie far above the per-client ids.
+const SHARED_NODE: u64 = 1 << 40;
+const SHARED_REL: u64 = 1 << 40;
+
 fn run_storm(seed: u64, clients: usize) {
     let dir = tempdir().unwrap();
     let db = Arc::new(Aion::open(AionConfig::new(dir.path())).unwrap());
+    // The shared relationships, between two hub nodes.
+    let hubs = [NodeId::new(SHARED_NODE - 2), NodeId::new(SHARED_NODE - 1)];
+    db.write(|txn| {
+        for hub in hubs {
+            txn.add_node(hub, vec![], vec![])?;
+        }
+        for op in (5..OPS_PER_CLIENT).step_by(8) {
+            txn.add_rel(RelId::new(SHARED_REL + op), hubs[0], hubs[1], None, vec![])?;
+        }
+        Ok(())
+    })
+    .unwrap();
     let mut server = Server::start_with(
         db.clone(),
         ServerConfig {
@@ -78,6 +105,7 @@ fn run_storm(seed: u64, clients: usize) {
     // No-hang guard: a stuck worker or client shows up here as a timeout
     // instead of wedging the whole test binary.
     let mut acked: Vec<u64> = Vec::new();
+    let (mut created, mut deleted) = (HashSet::new(), HashSet::new());
     for _ in 0..clients {
         let (c, outcome) = rx
             .recv_timeout(Duration::from_secs(120))
@@ -86,7 +114,24 @@ fn run_storm(seed: u64, clients: usize) {
             outcome.double_applies, 0,
             "client {c} observed a replayed write (seed {seed})"
         );
+        assert!(
+            outcome.bad_replies.is_empty(),
+            "client {c}: a conflicting write failed otherwise than on a constraint (seed {seed}): {:?}",
+            outcome.bad_replies
+        );
         acked.extend(outcome.acked_ids);
+        for id in outcome.shared_created {
+            assert!(
+                created.insert(id),
+                "two clients created node {id} (seed {seed})"
+            );
+        }
+        for id in outcome.shared_deleted {
+            assert!(
+                deleted.insert(id),
+                "two clients deleted relationship {id} (seed {seed})"
+            );
+        }
     }
     for h in handles {
         h.join().unwrap();
@@ -115,11 +160,30 @@ fn run_storm(seed: u64, clients: usize) {
             "acked commit for _id {id} lost (seed {seed})"
         );
     }
+    let graph = db.latest_graph();
+    assert!(created.iter().all(|&id| graph.has_node(NodeId::new(id))));
+    assert!(deleted.iter().all(|&id| !graph.has_rel(RelId::new(id))));
+    drop(graph);
+    assert!(
+        !db.lineage_wedged(),
+        "the storm wedged the LineageStore (seed {seed})"
+    );
     let report = db.check_consistency(aion::CheckLevel::Full).unwrap();
     assert!(
         report.is_clean(),
         "post-storm audit (seed {seed}): {report:?}"
     );
+    drop(server);
+    assert_eq!(
+        Arc::strong_count(&db),
+        1,
+        "the server released the database"
+    );
+    drop(db);
+    let db = Aion::open(AionConfig::new(dir.path()))
+        .unwrap_or_else(|e| panic!("reopen after the storm (seed {seed}): {e}"));
+    db.write(|txn| txn.add_node(NodeId::new(SHARED_NODE - 3), vec![], vec![]))
+        .unwrap_or_else(|e| panic!("write after the reopen (seed {seed}): {e}"));
 }
 
 struct ClientOutcome {
@@ -127,6 +191,32 @@ struct ClientOutcome {
     acked_ids: Vec<u64>,
     /// "already exists" errors — evidence of a replayed write.
     double_applies: u64,
+    /// Shared node ids whose CREATE this client was acked for.
+    shared_created: Vec<u64>,
+    /// Shared relationship ids this client's DELETE was acked as deleting.
+    shared_deleted: Vec<u64>,
+    /// Replies to conflicting writes that were neither `Ok` nor a typed
+    /// constraint error.
+    bad_replies: Vec<String>,
+}
+
+/// Whether a conflicting write failed as the contract allows: a request
+/// the storm cut or corrupted (no reply, a broken connection, the
+/// server's refusal of a corrupted request), or a typed constraint error
+/// (a generic wire error carrying the `GraphError`'s text).
+fn allowed_failure(e: &io::Error) -> bool {
+    if e.kind() != io::ErrorKind::Other {
+        return true;
+    }
+    let msg = e.to_string();
+    [
+        "already exists",
+        "does not exist",
+        "protocol error",
+        "connection unavailable",
+    ]
+    .iter()
+    .any(|m| msg.contains(m))
 }
 
 fn client_loop(addr: SocketAddr, seed: u64, client_no: u64) -> ClientOutcome {
@@ -143,6 +233,9 @@ fn client_loop(addr: SocketAddr, seed: u64, client_no: u64) -> ClientOutcome {
     let mut out = ClientOutcome {
         acked_ids: Vec::new(),
         double_applies: 0,
+        shared_created: Vec::new(),
+        shared_deleted: Vec::new(),
+        bad_replies: Vec::new(),
     };
     // The proxy may sever the connection during the handshake itself, so
     // even construction needs retries.
@@ -170,6 +263,24 @@ fn client_loop(addr: SocketAddr, seed: u64, client_no: u64) -> ClientOutcome {
             }
             2 if op % 8 == 6 => {
                 let _ = client.ping();
+            }
+            // Conflicts: every client races the others on the same id.
+            1 => {
+                let (shared, q) = if op % 8 == 1 {
+                    let id = SHARED_NODE + op;
+                    (id, format!("CREATE (n:Soak {{_id: {id}}})"))
+                } else {
+                    let id = SHARED_REL + op;
+                    (id, format!("MATCH ()-[r]->() WHERE id(r) = {id} DELETE r"))
+                };
+                match client.run(&q, Vec::new()) {
+                    Ok(_) if op % 8 == 1 => out.shared_created.push(shared),
+                    // A DELETE that matched nothing affects nothing.
+                    Ok(r) if r.rows == [[Value::Int(1)]] => out.shared_deleted.push(shared),
+                    Ok(_) => {}
+                    Err(e) if allowed_failure(&e) => {}
+                    Err(e) => out.bad_replies.push(format!("{q}: {e}")),
+                }
             }
             _ => match client.run(&format!("CREATE (n:Soak {{_id: {id}}})"), Vec::new()) {
                 Ok(_) => out.acked_ids.push(id),

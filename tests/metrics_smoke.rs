@@ -1,7 +1,8 @@
 //! Observability smoke test: after a workload runs through the full
 //! stack — ingest, snapshots, reopen, historical reads, temporal Cypher —
 //! `Aion::metrics()` must report non-zero activity in every layer, and
-//! both exposition formats must be well-formed.
+//! both exposition formats must be well-formed. The tests assert deltas of
+//! process-global counters, so they take turns (`serial`).
 
 use aion::{Aion, AionConfig};
 use aion_suite::*;
@@ -10,8 +11,23 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempfile::tempdir;
 
+/// Serializes this binary's tests: each commits, and one asserts exact
+/// deltas of the process-global commit counters.
+#[allow(
+    clippy::disallowed_types,
+    reason = "held around whole tests, outside every lock::Rank: a test-only lock"
+)]
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[test]
 fn metrics_cover_every_layer_after_a_workload() {
+    let _serial = serial();
     let spec = workload::DATASETS[0].scaled(0.0005);
     let w = workload::generate(spec, 11);
     let dir = tempdir().unwrap();
@@ -23,25 +39,8 @@ fn metrics_cover_every_layer_after_a_workload() {
         config.timestore.policy = timestore::SnapshotPolicy::EveryNOps(200);
         let db = Aion::open(config).unwrap();
         for (ts, ops) in w.batches(50) {
-            db.write_at(ts, |txn| {
-                for op in &ops {
-                    match op {
-                        lpg::Update::AddNode { id, labels, props } => {
-                            txn.add_node(*id, labels.clone(), props.clone())?
-                        }
-                        lpg::Update::AddRel {
-                            id,
-                            src,
-                            tgt,
-                            label,
-                            props,
-                        } => txn.add_rel(*id, *src, *tgt, *label, props.clone())?,
-                        other => panic!("generator emits inserts only, got {other:?}"),
-                    }
-                }
-                Ok(())
-            })
-            .unwrap();
+            db.write_at(ts, |txn| ops.into_iter().try_for_each(|u| txn.push(u)))
+                .unwrap();
         }
         db.lineage_barrier(db.latest_ts());
         db.sync().unwrap();
@@ -124,6 +123,23 @@ fn metrics_cover_every_layer_after_a_workload() {
         failed_before + 1,
         "failed commits count separately"
     );
+    // So does a batch the log writer refuses for a constraint (Sec. 3).
+    let taken = NodeId::new(0);
+    assert!(db.latest_graph().has_node(taken));
+    let refused = db.write(|txn| txn.add_node(taken, vec![], vec![]));
+    assert_eq!(refused, Err(lpg::GraphError::NodeExists(taken)));
+    let snap = db.metrics();
+    let counter = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(
+        counter("core.commits"),
+        commits_before,
+        "a refused batch is not a commit"
+    );
+    assert_eq!(
+        counter("core.commits_failed"),
+        failed_before + 2,
+        "a refused batch counts as a failed commit"
+    );
     assert!(counter("query.executed") > 0, "queries");
     assert!(hist_count("query.exec.latency_ns") > 0, "query latency");
 
@@ -159,6 +175,7 @@ fn metrics_cover_every_layer_after_a_workload() {
 fn repl_metrics_read_back_after_replication() {
     use aion_server::{Client, ClientConfig, RoutedClient, Server, ServerConfig};
     use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+    let _serial = serial();
 
     let pdir = tempdir().unwrap();
     let rdir = tempdir().unwrap();
@@ -250,6 +267,7 @@ fn failover_metrics_read_back() {
     use aion_server::{ClientConfig, RoutedClient, Server};
     use repl::{prepare_rejoin, ReplNode, ReplNodeConfig};
     use vfs::VfsRef;
+    let _serial = serial();
 
     // A fenced write: the node learns of a newer epoch, so the server
     // refuses the commit with the typed error and counts it.

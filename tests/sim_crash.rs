@@ -17,7 +17,7 @@
 //! `AION_SIM_POINTS` (cap on crash points per seed; points are sampled
 //! evenly when the workload has more).
 
-use aion::{Aion, AionConfig, CheckLevel, WriteTxn};
+use aion::{Aion, AionConfig, CheckLevel};
 use lpg::{Graph, NodeId, Update};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,35 +71,14 @@ impl Scenario {
 fn db_config(sim: &SimVfs, sync_on_commit: bool) -> AionConfig {
     let mut cfg = AionConfig::new(db_root());
     cfg.vfs = VfsRef::new(Arc::new(sim.clone()));
-    // No cascade thread: the op stream must be a pure function of the
-    // seed, and the synchronous lineage path is the deterministic one.
+    // Each commit waits for the cascade to apply it before the next one
+    // starts, so the op stream stays a pure function of the seed.
     cfg.sync_lineage = true;
     cfg.sync_on_commit = sync_on_commit;
     // Small snapshot cadence so workloads cross snapshot boundaries.
     cfg.timestore.policy = SnapshotPolicy::EveryNOps(10);
     cfg.lineage.cache_pages = 64;
     cfg
-}
-
-fn apply_update(txn: &mut WriteTxn<'_>, u: &Update) -> lpg::Result<()> {
-    match u.clone() {
-        Update::AddNode { id, labels, props } => txn.add_node(id, labels, props),
-        Update::DeleteNode { id } => txn.delete_node(id),
-        Update::AddRel {
-            id,
-            src,
-            tgt,
-            label,
-            props,
-        } => txn.add_rel(id, src, tgt, label, props),
-        Update::DeleteRel { id } => txn.delete_rel(id),
-        Update::SetNodeProp { id, key, value } => txn.set_node_prop(id, key, value),
-        Update::RemoveNodeProp { id, key } => txn.remove_node_prop(id, key),
-        Update::AddLabel { id, label } => txn.add_label(id, label),
-        Update::RemoveLabel { id, label } => txn.remove_label(id, label),
-        Update::SetRelProp { id, key, value } => txn.set_rel_prop(id, key, value),
-        Update::RemoveRelProp { id, key } => txn.remove_rel_prop(id, key),
-    }
 }
 
 /// Builds the seed's commit script. Property keys match the interner ids
@@ -163,12 +142,7 @@ fn run_workload(sim: &SimVfs, script: &[Vec<Update>], sync_on_commit: bool) -> R
     for (i, batch) in script.iter().enumerate() {
         let ts = (i + 1) as u64;
         out.started_ts = ts;
-        let res = db.write_at(ts, |txn| {
-            for u in batch {
-                apply_update(txn, u)?;
-            }
-            Ok(())
-        });
+        let res = db.write_at(ts, |txn| batch.iter().try_for_each(|u| txn.push(u.clone())));
         match res {
             Ok(t) => {
                 acked = t;
@@ -518,12 +492,7 @@ fn transient_io_errors_surface_and_preserve_consistency() {
         let mut acked = Vec::new();
         for (i, batch) in script.iter().enumerate() {
             let ts = (i + 1) as u64;
-            let res = db.write_at(ts, |txn| {
-                for u in batch {
-                    apply_update(txn, u)?;
-                }
-                Ok(())
-            });
+            let res = db.write_at(ts, |txn| batch.iter().try_for_each(|u| txn.push(u.clone())));
             if res.is_ok() {
                 acked.push(ts);
             }
