@@ -33,13 +33,9 @@
 //! * several trees can share one file: each tree persists its root pointer
 //!   in one of the page-store meta slots.
 //!
-//! Deletion is *lazy*: cells are removed in place and their bytes reclaimed
-//! by the next compaction of that page, but no page is ever merged,
-//! unlinked or freed — an emptied leaf stays in the sibling chain — and
-//! underfull nodes are not rebalanced. Only overflow chains return to the
-//! free list. Aion's stores are append-mostly (the change log has "no
-//! retention policy"), so rebalancing would add complexity with no
-//! measurable win.
+//! There is no delete: Aion's stores only append (the change log has "no
+//! retention policy"), so no page is ever merged, unlinked or freed. Only
+//! the overflow chain of a replaced value returns to the free list.
 
 #![cfg_attr(
     not(test),

@@ -1,5 +1,4 @@
-//! The B+Tree proper: descent, splits, upserts, lazy deletes and floor
-//! lookups.
+//! The B+Tree proper: descent, splits, upserts and floor lookups.
 
 use crate::layout::{self, LeafCell, INTERNAL, LEAF, SLOTS_OFF};
 use crate::overflow;
@@ -349,14 +348,6 @@ impl BTree {
                 .map(|i| Value::copy(&layout::leaf_cell(p, i)))
         })?;
         hit.map(|value| self.resolve(value)).transpose()
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &[u8]) -> io::Result<bool> {
-        let since = self.moves();
-        let leaf = self.leaf_for(key)?;
-        let (_, hit) = self.settle(leaf, key, since, |p| layout::leaf_search(p, key).is_ok())?;
-        Ok(hit)
     }
 
     /// Inserts or replaces `key → value`.
@@ -813,33 +804,6 @@ impl BTree {
         Ok((promoted, new_page))
     }
 
-    /// Removes `key` if present; returns whether it existed.
-    ///
-    /// Deletion is lazy: pages are never merged or unlinked (Aion's stores
-    /// are append-mostly), but freed overflow chains return to the free list
-    /// and in-page space is reclaimed by compaction on later inserts.
-    pub fn remove(&self, key: &[u8]) -> io::Result<bool> {
-        let leaf = self.leaf_for(key)?;
-        let removed = self.store.write(leaf, |p| {
-            if let Ok(i) = layout::leaf_search(p, key) {
-                let cell = layout::leaf_cell(p, i);
-                let ovf = cell.is_overflow().then(|| PageId(cell.overflow_page()));
-                layout::leaf_remove(p, i);
-                Some(ovf)
-            } else {
-                None
-            }
-        })?;
-        match removed {
-            None => Ok(false),
-            Some(None) => Ok(true),
-            Some(Some(head)) => {
-                overflow::free_chain(&self.store, head)?;
-                Ok(true)
-            }
-        }
-    }
-
     /// Ordered scan over `[low, high)`. An empty `high` means "unbounded".
     pub fn scan(&self, low: &[u8], high: &[u8]) -> io::Result<Scan> {
         let leaf = self.leaf_for(low)?;
@@ -1035,7 +999,6 @@ mod tests {
                 let at = keys.partition_point(|key| *key < pending);
                 for key in &keys[at.saturating_sub(160)..(at + 160).min(keys.len())] {
                     assert_eq!(t.get(key).unwrap(), Some(value(key)), "get {key:?}");
-                    assert!(t.contains(key).unwrap());
                     let mut probe = key.clone();
                     probe.push(0);
                     let floor = t.seek_floor(&probe).unwrap().unwrap();
@@ -1088,7 +1051,6 @@ mod tests {
             for key in (0..held).map(|i| k(order(i))) {
                 let ctx = format!("key {key:?}, failed at stop {fail_at}");
                 assert_eq!(t.get(&key).unwrap(), Some(value(&key)), "get {ctx}");
-                assert!(t.contains(&key).unwrap(), "contains {ctx}");
                 let mut probe = key.clone();
                 probe.push(0);
                 let floor = t.seek_floor(&probe).unwrap().unwrap();
@@ -1118,19 +1080,16 @@ mod tests {
     }
 
     #[test]
-    fn get_insert_remove_basics() {
+    fn get_insert_basics() {
         let (_d, t) = open_tree(32);
         assert_eq!(t.get(b"missing").unwrap(), None);
         t.insert(b"a", b"1").unwrap();
         t.insert(b"b", b"2").unwrap();
         assert_eq!(t.get(b"a").unwrap().as_deref(), Some(b"1".as_slice()));
-        assert!(t.contains(b"b").unwrap());
+        assert_eq!(t.get(b"b").unwrap().as_deref(), Some(b"2".as_slice()));
         // Upsert replaces.
         t.insert(b"a", b"one").unwrap();
         assert_eq!(t.get(b"a").unwrap().as_deref(), Some(b"one".as_slice()));
-        assert!(t.remove(b"a").unwrap());
-        assert!(!t.remove(b"a").unwrap());
-        assert_eq!(t.get(b"a").unwrap(), None);
     }
 
     #[test]
@@ -1257,13 +1216,16 @@ mod tests {
         for i in 0..3_000u64 {
             t.insert(&k(i * 2), &(i * 2).to_le_bytes()).unwrap();
         }
-        // Take a leaf's first key out: the separator above the leaf still
-        // names it, so putting it back descends to that leaf and lands
-        // before every cell there. Its floor is the left sibling's last.
+        // Take a leaf's first cell out of its page: the separator above
+        // the leaf still names its key, so putting it back descends to
+        // that leaf and lands before every cell there. Its floor is the
+        // left sibling's last.
         let firsts = leaf_first_keys(&t);
         assert!(firsts.len() >= 4, "{} leaves", firsts.len());
         let first = firsts[2].clone();
-        assert!(t.remove(&first).unwrap());
+        t.store
+            .write(leaves(&t)[2], |p| layout::leaf_remove(p, 0))
+            .unwrap();
         let before = u64::from_be_bytes(first[..].try_into().unwrap()) - 2;
         let mut seen = None;
         t.insert_with(&first, |floor| {
@@ -1321,8 +1283,6 @@ mod tests {
         t.insert(b"big", &big2).unwrap();
         assert_eq!(t.get(b"big").unwrap().unwrap(), big2);
         assert!(store.page_count() <= pages + 1);
-        assert!(t.remove(b"big").unwrap());
-        assert_eq!(t.get(b"big").unwrap(), None);
     }
 
     #[test]

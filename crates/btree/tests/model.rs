@@ -29,7 +29,6 @@ enum Op {
     /// `insert_with` of a value built from the floor and these bytes; with
     /// `true`, the closure fails instead and nothing may change.
     InsertWith(Vec<u8>, Vec<u8>, bool),
-    Remove(Vec<u8>),
     Get(Vec<u8>),
     Floor(Vec<u8>),
     Scan(Vec<u8>, Vec<u8>),
@@ -139,7 +138,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             (0u8..10).prop_map(|n| n == 0),
         )
             .prop_map(|(k, v, fail)| Op::InsertWith(k, v, fail)),
-        key_strategy().prop_map(Op::Remove),
         key_strategy().prop_map(Op::Get),
         key_strategy().prop_map(Op::Floor),
         (key_strategy(), key_strategy()).prop_map(|(a, b)| Op::Scan(a, b)),
@@ -233,10 +231,6 @@ proptest! {
                         model.insert(k.clone(), derived(floor, &extra));
                     }
                     prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());
-                }
-                Op::Remove(k) => {
-                    let was = tree.remove(&k).unwrap();
-                    prop_assert_eq!(was, model.remove(&k).is_some());
                 }
                 Op::Get(k) => {
                     prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());

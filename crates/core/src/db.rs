@@ -572,13 +572,11 @@ impl Aion {
 
     /// Whether `id` was alive at `ts` — cursor-anchor revalidation: a
     /// resumed cursor's last-emitted node must still resolve at its pinned
-    /// snapshot, otherwise resuming could skip or duplicate rows. A lineage
-    /// hit is final; a lineage miss is confirmed against the TimeStore
-    /// before it fails the cursor, because a B+Tree lookup racing the
-    /// applier's page split can transiently miss a key that is there.
+    /// snapshot, otherwise resuming could skip or duplicate rows. The
+    /// LineageStore answers when it serves `ts`, the TimeStore otherwise.
     pub fn node_alive_at(&self, id: NodeId, ts: Timestamp) -> Result<bool> {
-        if self.lineage_serves(ts) && self.lineage.node_at(id, ts)?.is_some() {
-            return Ok(true);
+        if self.lineage_serves(ts) {
+            return Ok(self.lineage.node_at(id, ts)?.is_some());
         }
         Ok(self.timestore.snapshot_at(ts)?.node(id).is_some())
     }

@@ -574,18 +574,14 @@ impl LineageStore {
                 .ok_or_else(|| GraphError::Storage("bad lineage key".into()))?;
             let entry = LineageEntry::from_bytes(ts, &value)
                 .ok_or_else(|| GraphError::Storage("bad lineage entry".into()))?;
-            // Close the open version. A racing writer can split pages
-            // mid-scan and replay a key at or behind `open_since`; such a
-            // version is zero-width at best, so drop it instead of
-            // constructing an invalid interval.
+            // Close the open version. The scan starts past `start` and
+            // yields keys in strictly ascending order, so `ts > open_since`.
             let prior = current.take();
             if let Some(body) = prior.clone() {
-                if ts > open_since {
-                    versions.push(Version {
-                        valid: Interval::new(open_since, ts),
-                        data: make(id, body)?,
-                    });
-                }
+                versions.push(Version {
+                    valid: Interval::new(open_since, ts),
+                    data: make(id, body)?,
+                });
             }
             current = if entry.body.is_deleted() {
                 None
@@ -599,7 +595,7 @@ impl LineageStore {
                     None => Some(self.reconstruct(tree, id, ts, &entry)?),
                 }
             };
-            open_since = open_since.max(ts);
+            open_since = ts;
         }
         if let Some(body) = current {
             versions.push(Version {

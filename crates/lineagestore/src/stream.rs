@@ -49,9 +49,8 @@ impl Iterator for NodeIdScan {
             let Some((id, _ts)) = keys::decode_history_key(&key) else {
                 return Some(Err(GraphError::Storage("bad lineage key".into())));
             };
-            // Strictly-monotone guard: equal ids collapse history entries,
-            // and a racing page split can momentarily replay keys behind
-            // the cursor — never re-emit those.
+            // Strictly-monotone guard: one id's history keys collapse to
+            // one id.
             if self.last.is_some_and(|l| id <= l) {
                 continue;
             }

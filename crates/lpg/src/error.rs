@@ -109,7 +109,7 @@ impl fmt::Display for GraphError {
                 write!(f, "deadline exceeded: query aborted by execution budget")
             }
             GraphError::BudgetExceeded => {
-                write!(f, "budget exceeded: result larger than the row/byte budget")
+                write!(f, "budget exceeded: result larger than the row budget")
             }
             GraphError::CursorInvalid(msg) => write!(f, "invalid cursor: {msg}"),
             GraphError::Fenced { held, seen } => write!(

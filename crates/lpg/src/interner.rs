@@ -5,8 +5,7 @@
 //! size of labels and properties."
 //!
 //! [`Interner`] is a concurrent append-only string table. Interning the same
-//! string twice returns the same [`StrId`]; ids are dense so the table can be
-//! persisted and reloaded as a plain ordered list.
+//! string twice returns the same [`StrId`], and ids are dense.
 
 use crate::ids::StrId;
 use lock::{Rank, RwLock};
@@ -76,26 +75,6 @@ impl Interner {
         self.len() == 0
     }
 
-    /// Dumps all strings in id order, e.g. for persistence.
-    pub fn export(&self) -> Vec<Arc<str>> {
-        self.inner.read().strings.clone()
-    }
-
-    /// Rebuilds an interner from an id-ordered dump produced by [`export`].
-    ///
-    /// [`export`]: Interner::export
-    pub fn import<I, S>(strings: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let it = Interner::new();
-        for s in strings {
-            it.intern(s.as_ref());
-        }
-        it
-    }
-
     /// Approximate heap usage in bytes (Table 3 style accounting).
     pub fn heap_size(&self) -> usize {
         let inner = self.inner.read();
@@ -141,18 +120,6 @@ mod tests {
         assert!(it.is_empty());
         it.intern("yes");
         assert_eq!(it.get("yes"), Some(StrId::new(0)));
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let it = Interner::new();
-        for s in ["a", "b", "c"] {
-            it.intern(s);
-        }
-        let dump = it.export();
-        let it2 = Interner::import(dump.iter().map(|s| s.to_string()));
-        assert_eq!(it2.len(), 3);
-        assert_eq!(it2.get("b"), Some(StrId::new(1)));
     }
 
     #[test]

@@ -26,54 +26,7 @@ pub enum PropertyValue {
     FloatArray(Box<[f64]>),
 }
 
-/// Discriminant tags used by the on-disk property encoding (Sec. 4.2 reserves
-/// "the three most significant bits of a property's reference" for state and
-/// data type; we expose the data-type part here).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum ValueTag {
-    /// [`PropertyValue::Int`]
-    Int = 0,
-    /// [`PropertyValue::Float`]
-    Float = 1,
-    /// [`PropertyValue::Bool`]
-    Bool = 2,
-    /// [`PropertyValue::Str`]
-    Str = 3,
-    /// [`PropertyValue::IntArray`]
-    IntArray = 4,
-    /// [`PropertyValue::FloatArray`]
-    FloatArray = 5,
-}
-
-impl ValueTag {
-    /// Decodes a tag byte, if valid.
-    pub fn from_u8(b: u8) -> Option<ValueTag> {
-        Some(match b {
-            0 => ValueTag::Int,
-            1 => ValueTag::Float,
-            2 => ValueTag::Bool,
-            3 => ValueTag::Str,
-            4 => ValueTag::IntArray,
-            5 => ValueTag::FloatArray,
-            _ => return None,
-        })
-    }
-}
-
 impl PropertyValue {
-    /// The on-disk type tag of this value.
-    pub fn tag(&self) -> ValueTag {
-        match self {
-            PropertyValue::Int(_) => ValueTag::Int,
-            PropertyValue::Float(_) => ValueTag::Float,
-            PropertyValue::Bool(_) => ValueTag::Bool,
-            PropertyValue::Str(_) => ValueTag::Str,
-            PropertyValue::IntArray(_) => ValueTag::IntArray,
-            PropertyValue::FloatArray(_) => ValueTag::FloatArray,
-        }
-    }
-
     /// Integer accessor; `None` when the value is not an [`PropertyValue::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
@@ -149,22 +102,6 @@ mod tests {
         assert_eq!(PropertyValue::Int(4).as_float(), Some(4.0));
         assert_eq!(PropertyValue::Float(2.5).as_float(), Some(2.5));
         assert_eq!(PropertyValue::Float(2.5).as_int(), None);
-    }
-
-    #[test]
-    fn tags_roundtrip() {
-        for v in [
-            PropertyValue::Int(1),
-            PropertyValue::Float(1.0),
-            PropertyValue::Bool(false),
-            PropertyValue::Str(StrId::new(0)),
-            PropertyValue::IntArray(Box::new([1, 2])),
-            PropertyValue::FloatArray(Box::new([0.5])),
-        ] {
-            let tag = v.tag();
-            assert_eq!(ValueTag::from_u8(tag as u8), Some(tag));
-        }
-        assert_eq!(ValueTag::from_u8(200), None);
     }
 
     #[test]

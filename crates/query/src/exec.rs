@@ -18,22 +18,13 @@ use std::time::{Duration, Instant};
 /// Query parameters (`$name` bindings).
 pub type Params = HashMap<String, Value>;
 
-/// Result-size spending shared by every clone of one [`ExecBudget`] —
-/// a `RunBatch` installs per-statement clones of one budget, so the
-/// row/byte caps apply to the batch as a whole.
-#[derive(Default)]
-struct BudgetSpent {
-    rows: AtomicU64,
-    bytes: AtomicU64,
-}
-
 /// Cooperative execution budget for one query: an optional wall-clock
 /// deadline plus an optional external cancellation flag (set by the
-/// server when it drains), plus optional row/byte caps on the result.
+/// server when it drains), plus an optional row cap on the result.
 /// The executor checks the deadline at loop boundaries — bind scans,
 /// filters, row building, procedure slices — and aborts with
 /// [`GraphError::DeadlineExceeded`]; every result row built charges the
-/// row/byte caps and aborts with the distinct
+/// row cap and aborts with the distinct
 /// [`GraphError::BudgetExceeded`] (the query was not slow — it was too
 /// big, so the client should page or narrow it rather than retry). It
 /// never checks mid-commit, so a write either fully commits or never
@@ -47,9 +38,10 @@ pub struct ExecBudget {
     pub cancel: Option<Arc<AtomicBool>>,
     /// Maximum result rows (`None` = unlimited).
     pub max_rows: Option<u64>,
-    /// Maximum approximate result bytes (`None` = unlimited).
-    pub max_bytes: Option<u64>,
-    spent: Arc<BudgetSpent>,
+    /// Rows charged so far, shared by every clone: a `RunBatch` installs
+    /// per-statement clones of one budget, so the row cap applies to the
+    /// batch as a whole.
+    spent_rows: Arc<AtomicU64>,
 }
 
 impl ExecBudget {
@@ -67,10 +59,9 @@ impl ExecBudget {
         }
     }
 
-    /// Caps the result size; `0` means unlimited for either cap.
-    pub fn with_result_caps(mut self, max_rows: u64, max_bytes: u64) -> ExecBudget {
+    /// Caps the result rows; `0` means unlimited.
+    pub fn with_row_cap(mut self, max_rows: u64) -> ExecBudget {
         self.max_rows = (max_rows > 0).then_some(max_rows);
-        self.max_bytes = (max_bytes > 0).then_some(max_bytes);
         self
     }
 
@@ -81,15 +72,12 @@ impl ExecBudget {
             || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Charges `rows`/`bytes` against the result caps. Spending is shared
-    /// across clones (batch statements), and deliberately not rolled back
-    /// on failure: once over budget, every later charge fails too.
-    fn charge(&self, rows: u64, bytes: u64) -> Result<()> {
-        let spent_rows = self.spent.rows.fetch_add(rows, Ordering::Relaxed) + rows;
-        let spent_bytes = self.spent.bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if self.max_rows.is_some_and(|m| spent_rows > m)
-            || self.max_bytes.is_some_and(|m| spent_bytes > m)
-        {
+    /// Charges one row against the row cap. Spending is shared across
+    /// clones (batch statements), and deliberately not rolled back on
+    /// failure: once over budget, every later charge fails too.
+    fn charge_row(&self) -> Result<()> {
+        let spent_rows = self.spent_rows.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.max_rows.is_some_and(|m| spent_rows > m) {
             stage_metrics().budget_aborts.inc();
             return Err(GraphError::BudgetExceeded);
         }
@@ -131,12 +119,10 @@ pub(crate) fn check_budget() -> Result<()> {
     }
 }
 
-/// Charges one result row (plus its approximate byte size) against the
-/// installed budget's row/byte caps. Called wherever the executor emits
-/// or materializes a row.
-fn charge_row(row: &[Value]) -> Result<()> {
-    let bytes = 8 + row.iter().map(Value::approx_bytes).sum::<u64>();
-    BUDGET.with(|b| b.borrow().charge(1, bytes))
+/// Charges one result row against the installed budget's row cap.
+/// Called wherever the executor emits or materializes a row.
+fn charge_row() -> Result<()> {
+    BUDGET.with(|b| b.borrow().charge_row())
 }
 
 /// True when executing `query` cannot mutate the database, which makes
@@ -160,7 +146,7 @@ struct StageMetrics {
     rows_streamed: Arc<obs::Counter>,
     /// Pages served through `execute_paged`.
     pages_served: Arc<obs::Counter>,
-    /// Queries aborted by the row/byte result budget.
+    /// Queries aborted by the result row cap.
     budget_aborts: Arc<obs::Counter>,
     /// Cursor tokens rejected as invalid (corrupt, mismatched, stale
     /// anchor).
@@ -206,7 +192,7 @@ pub fn execute(db: &Aion, text: &str, params: &Params) -> Result<QueryResult> {
 /// Parses and executes `text` against `db` under `budget`: when the
 /// deadline passes or the cancel flag is raised, execution aborts at the
 /// next budget check with [`GraphError::DeadlineExceeded`]; when the
-/// result outgrows the row/byte caps it aborts with
+/// result outgrows the row cap it aborts with
 /// [`GraphError::BudgetExceeded`].
 pub fn execute_with_budget(
     db: &Aion,
@@ -372,9 +358,9 @@ fn run_page(
         Query::Create { patterns } => return Ok((run_create(db, &[], patterns, params)?, None)),
         Query::Call { name, args } => {
             let result = run_call(db, name, args, params)?;
-            for row in &result.rows {
+            for _ in &result.rows {
                 check_budget()?;
-                charge_row(row)?;
+                charge_row()?;
             }
             return emit(
                 result.columns,
@@ -524,7 +510,7 @@ impl Rows<'_> {
                     return Ok(None);
                 };
                 let row = project(items, &b)?;
-                charge_row(&row)?;
+                charge_row()?;
                 stage_metrics().rows_streamed.inc();
                 Ok(Some(row))
             }
@@ -654,7 +640,7 @@ fn count_row(bindings: &mut Bindings<'_>, items: &[ReturnItem]) -> Result<Vec<Va
             _ => Value::Null,
         })
         .collect();
-    charge_row(&row)?;
+    charge_row()?;
     Ok(row)
 }
 

@@ -133,39 +133,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Rough serialized footprint in bytes, used to charge result-size
-    /// budgets. Deliberately cheap and stable: tag byte + fixed scalar
-    /// widths + string lengths, recursing through containers.
-    pub fn approx_bytes(&self) -> u64 {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Str(s) => 1 + 4 + s.len() as u64,
-            Value::Node { labels, props, .. } => {
-                let mut n = 1 + 8 + 17; // tag + id + valid interval
-                for l in labels {
-                    n += 4 + l.len() as u64;
-                }
-                for (k, v) in props {
-                    n += 4 + k.len() as u64 + v.approx_bytes();
-                }
-                n
-            }
-            Value::Rel {
-                rel_type, props, ..
-            } => {
-                let mut n = 1 + 24 + 17; // tag + ids + valid interval
-                n += rel_type.as_ref().map_or(1, |t| 5 + t.len() as u64);
-                for (k, v) in props {
-                    n += 4 + k.len() as u64 + v.approx_bytes();
-                }
-                n
-            }
-            Value::List(vs) => 5 + vs.iter().map(Value::approx_bytes).sum::<u64>(),
-        }
-    }
 }
 
 impl fmt::Display for Value {

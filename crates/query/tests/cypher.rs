@@ -486,7 +486,7 @@ fn every_query_shape_honours_its_budget() {
         }
     }
     for (q, rows) in &shapes {
-        let capped = ExecBudget::unlimited().with_result_caps(1, 0);
+        let capped = ExecBudget::unlimited().with_row_cap(1);
         match execute_with_budget(&db, q, &Params::new(), capped) {
             Err(GraphError::BudgetExceeded) if *rows >= 2 => {}
             Ok(r) if *rows < 2 => assert_eq!(r.rows.len(), *rows, "{q}"),

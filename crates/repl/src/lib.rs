@@ -56,8 +56,8 @@ pub mod shipper;
 pub mod wire;
 
 pub use epoch::{EpochRecord, EpochState, EPOCH_FILE};
-pub use node::{NodeRole, ReplNode, ReplNodeConfig};
+pub use node::{NodeRole, ReplNode};
 pub use rejoin::{prepare_rejoin, read_divergence_archive, DivergenceArchive, RejoinReport};
 pub use replayer::{Replayer, ReplayerConfig, Watermark};
-pub use shipper::{LogShipper, ShipperConfig};
+pub use shipper::LogShipper;
 pub use wire::{decode_msg, encode_msg, ReplMsg};

@@ -30,7 +30,7 @@
 
 use crate::epoch::{EpochRecord, EpochState};
 use crate::replayer::{Replayer, ReplayerConfig};
-use crate::shipper::{LogShipper, ShipperConfig};
+use crate::shipper::LogShipper;
 use crate::wire::send_hello;
 use aion::Aion;
 use std::io;
@@ -48,29 +48,13 @@ pub enum NodeRole {
     Replica,
 }
 
-/// Construction parameters shared by both roles.
-#[derive(Clone, Debug)]
-pub struct ReplNodeConfig {
-    /// Shipper tunables (used on promotion even for a replica).
-    pub shipper: ShipperConfig,
-    /// Budget for the post-promotion fence probe connection.
-    pub probe_timeout: Duration,
-}
-
-impl Default for ReplNodeConfig {
-    fn default() -> ReplNodeConfig {
-        ReplNodeConfig {
-            shipper: ShipperConfig::default(),
-            probe_timeout: Duration::from_millis(500),
-        }
-    }
-}
+/// Budget for the post-promotion fence probe connection.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A database plus its replication role and durable epoch chain.
 pub struct ReplNode {
     db: Arc<Aion>,
     epochs: Arc<EpochState>,
-    cfg: ReplNodeConfig,
     role: NodeRole,
     read_only: Arc<AtomicBool>,
     shipper: Option<LogShipper>,
@@ -88,15 +72,13 @@ impl ReplNode {
         db: Arc<Aion>,
         vfs: vfs::VfsRef,
         dir: &std::path::Path,
-        cfg: ReplNodeConfig,
     ) -> io::Result<ReplNode> {
         let epochs = EpochState::load(vfs, dir);
         db.set_held_epoch(epochs.current().epoch);
-        let shipper = LogShipper::start_with(db.clone(), cfg.shipper.clone(), epochs.clone())?;
+        let shipper = LogShipper::start_with(db.clone(), epochs.clone())?;
         Ok(ReplNode {
             db,
             epochs,
-            cfg,
             role: NodeRole::Primary,
             read_only: Arc::new(AtomicBool::new(false)),
             shipper: Some(shipper),
@@ -112,7 +94,6 @@ impl ReplNode {
     pub fn new_replica(
         db: Arc<Aion>,
         replay: ReplayerConfig,
-        cfg: ReplNodeConfig,
         read_only: Arc<AtomicBool>,
     ) -> ReplNode {
         let epochs = EpochState::load(replay.vfs.clone(), &replay.dir);
@@ -122,7 +103,6 @@ impl ReplNode {
         ReplNode {
             db,
             epochs,
-            cfg,
             role: NodeRole::Replica,
             read_only,
             shipper: None,
@@ -190,11 +170,7 @@ impl ReplNode {
         // replica that might ack the old timeline.
         let record = self.epochs.bump(self.db.latest_ts())?;
         self.db.set_held_epoch(record.epoch);
-        let shipper = LogShipper::start_with(
-            self.db.clone(),
-            self.cfg.shipper.clone(),
-            self.epochs.clone(),
-        )?;
+        let shipper = LogShipper::start_with(self.db.clone(), self.epochs.clone())?;
         self.shipper = Some(shipper);
         self.role = NodeRole::Primary;
         self.read_only.store(false, Ordering::Release);
@@ -202,7 +178,7 @@ impl ReplNode {
         // old primary is unreachable, which is exactly when it cannot
         // accept writes anyway.
         if let Some(upstream) = self.upstream.take() {
-            let _ = fence_probe(upstream, record.epoch, self.cfg.probe_timeout);
+            let _ = fence_probe(upstream, record.epoch, PROBE_TIMEOUT);
         }
         Ok(record)
     }

@@ -81,7 +81,7 @@ pub struct ReplayerConfig {
     /// How long a connected session may go without *any* inbound
     /// message (frame or heartbeat) before the link is declared down
     /// and the session reconnects. The shipper heartbeats every
-    /// [`crate::ShipperConfig::heartbeat_interval`] (default 200 ms),
+    /// [`crate::shipper::HEARTBEAT_INTERVAL`] (200 ms),
     /// so the default here — 2 s — means ten missed heartbeats. This is
     /// the replica-side liveness trigger for failover: without it a
     /// silently dead link (half-open TCP, black-holing proxy) blocks

@@ -48,27 +48,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables for one [`LogShipper`].
-#[derive(Clone, Debug)]
-pub struct ShipperConfig {
-    /// How often an idle worker re-checks the log head for new frames.
-    pub poll_interval: Duration,
-    /// How often an idle worker sends a heartbeat (lag report + liveness
-    /// probe: a vanished replica surfaces as the heartbeat write error).
-    pub heartbeat_interval: Duration,
-    /// Socket read/write timeout for replica connections.
-    pub io_timeout: Duration,
-}
+/// How often an idle worker re-checks the log head for new frames.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
-impl Default for ShipperConfig {
-    fn default() -> ShipperConfig {
-        ShipperConfig {
-            poll_interval: Duration::from_millis(5),
-            heartbeat_interval: Duration::from_millis(200),
-            io_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// How often an idle worker sends a heartbeat (lag report + liveness
+/// probe: a vanished replica surfaces as the heartbeat write error).
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Socket read/write timeout for replica connections.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Obs counters/gauges for the primary side of replication.
 struct ShipTelemetry {
@@ -102,7 +90,6 @@ struct ShipperShared {
     /// stays bounded by exposing only the *minimum* as a gauge and the
     /// full map through [`LogShipper::replica_watermarks`].
     acked: Mutex<HashMap<u64, Watermark>>,
-    cfg: ShipperConfig,
     addr: SocketAddr,
     tel: ShipTelemetry,
     /// The epoch this primary ships under. Shared with the node's
@@ -138,16 +125,12 @@ impl LogShipper {
     /// shipped epoch is the durable one.
     ///
     /// [`start_with`]: LogShipper::start_with
-    pub fn start(db: Arc<Aion>, cfg: ShipperConfig) -> io::Result<LogShipper> {
-        LogShipper::start_with(db, cfg, EpochState::in_memory())
+    pub fn start(db: Arc<Aion>) -> io::Result<LogShipper> {
+        LogShipper::start_with(db, EpochState::in_memory())
     }
 
     /// Starts shipping under an explicit (usually durable) epoch chain.
-    pub fn start_with(
-        db: Arc<Aion>,
-        cfg: ShipperConfig,
-        epochs: Arc<EpochState>,
-    ) -> io::Result<LogShipper> {
+    pub fn start_with(db: Arc<Aion>, epochs: Arc<EpochState>) -> io::Result<LogShipper> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let tel = ShipTelemetry::new();
@@ -157,7 +140,6 @@ impl LogShipper {
             stop: AtomicBool::new(false),
             workers,
             acked: Mutex::new(Rank::ShipperAcks, HashMap::new()),
-            cfg,
             addr,
             tel,
             epochs,
@@ -244,14 +226,14 @@ fn serve_replica(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_TICK))?;
-    stream.set_write_timeout(Some(shared.cfg.io_timeout))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let stopped = || shared.stop.load(Ordering::Acquire) || cancel.load(Ordering::Acquire);
 
     // Handshake: the replica says where its log ends, its chain there and
     // its latest timestamp; we answer with our offset and chain for that
     // timestamp and serve it only when the two pairs agree.
     let mut reader = FrameReader::new();
-    let Some(hello) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped)? else {
+    let Some(hello) = reader.next_frame(&mut stream, IO_TIMEOUT, stopped)? else {
         return Ok(());
     };
     let ReplMsg::Hello {
@@ -411,7 +393,7 @@ fn stream_frames(
                 .map_err(|e| io::Error::other(e.to_string()))?;
             continue;
         }
-        if last_heartbeat.elapsed() >= shared.cfg.heartbeat_interval {
+        if last_heartbeat.elapsed() >= HEARTBEAT_INTERVAL {
             write_frame(
                 stream,
                 &encode_msg(&ReplMsg::Heartbeat {
@@ -420,7 +402,7 @@ fn stream_frames(
             )?;
             last_heartbeat = Instant::now();
         }
-        std::thread::sleep(shared.cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -435,7 +417,7 @@ fn ack_loop(
 ) {
     let stopped = || shared.stop.load(Ordering::Acquire);
     // Ends on stop, hang-up, a corrupt frame or a replica stalled mid-ack.
-    while let Ok(Some(payload)) = reader.next_frame(&mut stream, shared.cfg.io_timeout, stopped) {
+    while let Ok(Some(payload)) = reader.next_frame(&mut stream, IO_TIMEOUT, stopped) {
         if let Ok(ReplMsg::Ack { offset, ts }) = decode_msg(&payload) {
             shared.tel.frames_acked.inc();
             shared.record_ack(worker_id, Some(Watermark { offset, ts }));

@@ -10,7 +10,7 @@ use aion_server::protocol::{read_frame, write_frame};
 use lpg::{NodeId, PropertyValue};
 use repl::{
     decode_msg, encode_msg, prepare_rejoin, read_divergence_archive, LogShipper, NodeRole, ReplMsg,
-    ReplNode, ReplNodeConfig, Replayer, ReplayerConfig, ShipperConfig,
+    ReplNode, Replayer, ReplayerConfig,
 };
 use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
@@ -53,13 +53,7 @@ fn promotion_fences_old_primary_and_rejoin_archives_divergence() {
     let db_b = open_db(bdir.path());
 
     // A is the epoch-0 primary; B replicates from it.
-    let mut node_a = ReplNode::new_primary(
-        db_a.clone(),
-        VfsRef::std(),
-        adir.path(),
-        ReplNodeConfig::default(),
-    )
-    .unwrap();
+    let mut node_a = ReplNode::new_primary(db_a.clone(), VfsRef::std(), adir.path()).unwrap();
     for i in 1..=10 {
         add_node(&db_a, i);
     }
@@ -67,7 +61,6 @@ fn promotion_fences_old_primary_and_rejoin_archives_divergence() {
     let mut node_b = ReplNode::new_replica(
         db_b.clone(),
         ReplayerConfig::new(a_repl_addr, bdir.path()),
-        ReplNodeConfig::default(),
         Arc::new(AtomicBool::new(true)),
     );
     assert_eq!(node_b.role(), NodeRole::Replica);
@@ -159,7 +152,6 @@ fn promotion_fences_old_primary_and_rejoin_archives_divergence() {
     let node_a2 = ReplNode::new_replica(
         db_a2.clone(),
         ReplayerConfig::new(b_repl_addr, adir.path()),
-        ReplNodeConfig::default(),
         Arc::new(AtomicBool::new(true)),
     );
     assert!(
@@ -224,13 +216,7 @@ fn a_rejoined_node_whose_kept_frames_differ_is_refused() {
     repl::EpochState::load(VfsRef::std(), bdir.path())
         .bump(fence_ts)
         .unwrap();
-    let node_b = ReplNode::new_primary(
-        db_b.clone(),
-        VfsRef::std(),
-        bdir.path(),
-        ReplNodeConfig::default(),
-    )
-    .unwrap();
+    let node_b = ReplNode::new_primary(db_b.clone(), VfsRef::std(), bdir.path()).unwrap();
     let b_repl_addr = node_b.shipper_addr().unwrap();
 
     drop(db_a);
@@ -248,12 +234,7 @@ fn a_rejoined_node_whose_kept_frames_differ_is_refused() {
     assert_eq!(db_a.latest_ts(), fence_ts);
     let mut cfg = ReplayerConfig::new(b_repl_addr, adir.path());
     cfg.reconnect_backoff = Duration::from_millis(5);
-    let node_a = ReplNode::new_replica(
-        db_a.clone(),
-        cfg,
-        ReplNodeConfig::default(),
-        Arc::new(AtomicBool::new(true)),
-    );
+    let node_a = ReplNode::new_replica(db_a.clone(), cfg, Arc::new(AtomicBool::new(true)));
     let replayer = node_a.replayer().unwrap();
     assert!(
         wait_for(10, || replayer.diverged()),
@@ -275,13 +256,7 @@ fn stale_primary_cannot_fence_a_newer_node() {
     // adoption and fencing only ever move epochs forward.
     let dir = tempdir().unwrap();
     let db = open_db(dir.path());
-    let node = ReplNode::new_primary(
-        db.clone(),
-        VfsRef::std(),
-        dir.path(),
-        ReplNodeConfig::default(),
-    )
-    .unwrap();
+    let node = ReplNode::new_primary(db.clone(), VfsRef::std(), dir.path()).unwrap();
     node.epochs().bump(0).unwrap();
     node.epochs().bump(0).unwrap();
     db.set_held_epoch(2);
@@ -367,7 +342,7 @@ fn a_replayers_counts_are_its_own() {
     let hdir = tempdir().unwrap();
     let sdir = tempdir().unwrap();
     let primary = open_db(pdir.path());
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let healthy_db = open_db(hdir.path());
     let mut healthy = Replayer::start(
         healthy_db.clone(),

@@ -12,7 +12,7 @@
 
 use aion::{Aion, AionConfig, CheckLevel};
 use lpg::{NodeId, PropertyValue};
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+use repl::{LogShipper, Replayer, ReplayerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tempfile::tempdir;
@@ -59,7 +59,7 @@ fn primary_crash_loses_nothing_a_replica_acked() {
 
     // Ship to a replica on the real file system. The shipper may only
     // stream the fsynced prefix, group-syncing the backlog itself.
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let rdir = tempdir().unwrap();
     let replica = Arc::new(Aion::open(AionConfig::new(rdir.path())).unwrap());
     let mut rcfg = ReplayerConfig::new(shipper.addr(), rdir.path());
@@ -116,7 +116,7 @@ fn primary_crash_loses_nothing_a_replica_acked() {
     );
 
     // And the old replica can rejoin the recovered primary cleanly.
-    let mut shipper = LogShipper::start(recovered.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(recovered.clone()).unwrap();
     let mut rcfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     rcfg.sync_every = 4;
     let mut replayer = Replayer::start(replica.clone(), rcfg);

@@ -7,10 +7,7 @@ use aion::{Aion, AionConfig, CheckLevel};
 use aion_server::protocol::{read_frame, write_frame};
 use aion_server::{ClientConfig, RoutedClient, ServedBy, Server, ServerConfig};
 use lpg::{NodeId, PropertyValue, RelId};
-use repl::{
-    decode_msg, encode_msg, LogShipper, ReplMsg, ReplNode, ReplNodeConfig, Replayer,
-    ReplayerConfig, ShipperConfig,
-};
+use repl::{decode_msg, encode_msg, LogShipper, ReplMsg, ReplNode, Replayer, ReplayerConfig};
 use std::io;
 use std::net::TcpListener;
 use std::path::Path;
@@ -118,15 +115,10 @@ fn replica_log_is_a_byte_prefix_of_the_primary_log() {
 
     // B and C replicate from A: history written before they connect and
     // a live tail.
-    let mut shipper_a = LogShipper::start(db_a.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper_a = LogShipper::start(db_a.clone()).unwrap();
     let mut cfg_b = ReplayerConfig::new(shipper_a.addr(), bdir.path());
     cfg_b.sync_every = 3;
-    let mut node_b = ReplNode::new_replica(
-        db_b.clone(),
-        cfg_b,
-        ReplNodeConfig::default(),
-        Arc::new(AtomicBool::new(true)),
-    );
+    let mut node_b = ReplNode::new_replica(db_b.clone(), cfg_b, Arc::new(AtomicBool::new(true)));
     let cfg_c = ReplayerConfig::new(shipper_a.addr(), cdir.path());
     let mut replayer_c = Replayer::start(db_c.clone(), cfg_c.clone());
     mixed_history(&db_a, 100);
@@ -200,7 +192,7 @@ fn a_replica_with_history_of_its_own_is_refused() {
     let own_ts = replica.latest_ts();
     let own_graph = replica.latest_graph();
 
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     cfg.reconnect_backoff = Duration::from_millis(5);
     let mut replayer = Replayer::start(replica.clone(), cfg);
@@ -250,7 +242,7 @@ fn a_replica_whose_own_frame_has_the_primarys_length_is_refused() {
 
     let refusals = obs::counter("server.repl.handshake_refusals");
     let refused_before = refusals.get();
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     cfg.reconnect_backoff = Duration::from_millis(5);
     let mut replayer = Replayer::start(replica.clone(), cfg);
@@ -368,7 +360,7 @@ fn replica_converges_and_resumes_after_restart() {
     for i in 1..=20 {
         add_node(&primary, i);
     }
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     cfg.sync_every = 4;
     let replayer = Replayer::start(replica.clone(), cfg.clone());
@@ -433,7 +425,7 @@ fn read_only_replica_rejects_writes_and_stale_reads() {
     let primary = open_db(pdir.path());
     let replica = open_db(rdir.path());
 
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let replayer = Replayer::start(
         replica.clone(),
         ReplayerConfig::new(shipper.addr(), rdir.path()),
@@ -483,7 +475,7 @@ fn routed_client_reads_its_own_writes_from_replicas() {
     let primary = open_db(pdir.path());
     let replica = open_db(rdir.path());
 
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let replayer = Replayer::start(
         replica.clone(),
         ReplayerConfig::new(shipper.addr(), rdir.path()),
@@ -550,7 +542,7 @@ fn divergent_replica_is_refused_and_stops() {
     for i in 1..=10 {
         add_node(&primary_a, i);
     }
-    let mut shipper_a = LogShipper::start(primary_a.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper_a = LogShipper::start(primary_a.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper_a.addr(), rdir.path());
     cfg.sync_every = 2;
     let mut replayer = Replayer::start(replica.clone(), cfg);
@@ -567,7 +559,7 @@ fn divergent_replica_is_refused_and_stops() {
     let bdir = tempdir().unwrap();
     let primary_b = open_db(bdir.path());
     add_node(&primary_b, 999); // shorter history: ts 1 < replica's ts 10
-    let mut shipper_b = LogShipper::start(primary_b.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper_b = LogShipper::start(primary_b.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper_b.addr(), rdir.path());
     cfg.reconnect_backoff = Duration::from_millis(5);
     let mut replayer = Replayer::start(replica.clone(), cfg);

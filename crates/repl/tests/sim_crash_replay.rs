@@ -16,7 +16,7 @@
 
 use aion::{Aion, AionConfig, CheckLevel};
 use lpg::{NodeId, PropertyValue};
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+use repl::{LogShipper, Replayer, ReplayerConfig};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -124,7 +124,7 @@ fn run_seed(seed: u64, max_points: u64) {
             .unwrap();
     }
     let primary_log = pdir.path().join("timestore").join("timestore.log");
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
 
     // Fault-free measuring run: its op count enumerates the crash points.
     let sim = SimVfs::new(seed);
@@ -220,7 +220,7 @@ fn transient_replay_errors_never_lose_frames() {
             })
             .unwrap();
     }
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
 
     // Phase 1: replay under a persistent transient-error rate. Open is
     // clean (faults armed afterwards) so every failure lands in replay.

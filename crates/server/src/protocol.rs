@@ -126,7 +126,7 @@ pub enum ErrorCode {
     /// A write (or other non-read request) reached a read-only replica;
     /// it was refused without executing. Route it to the primary.
     ReadOnlyReplica = 5,
-    /// The result outgrew the per-request row/byte budget; the query was
+    /// The result outgrew the per-request row budget; the query was
     /// aborted mid-stream. Not retryable as-is: page it or narrow it.
     BudgetExceeded = 6,
     /// The pagination cursor was corrupt, minted for a different query,

@@ -64,8 +64,6 @@ pub struct ServerConfig {
     /// result outgrows it aborts mid-stream with a typed
     /// `BudgetExceeded` error. One budget spans a whole `RunBatch`.
     pub max_result_rows: u64,
-    /// Per-request approximate result-byte budget (`0` = unlimited).
-    pub max_result_bytes: u64,
 }
 
 impl Default for ServerConfig {
@@ -78,7 +76,6 @@ impl Default for ServerConfig {
             slow_log_per_sec: 5,
             read_only: false,
             max_result_rows: 0,
-            max_result_bytes: 0,
         }
     }
 }
@@ -491,7 +488,7 @@ fn exec_error_to_wire(shared: &ServerShared, e: lpg::GraphError) -> WireError {
         }
         lpg::GraphError::BudgetExceeded => WireError::new(
             ErrorCode::BudgetExceeded,
-            "result exceeded the row/byte budget; page or narrow the query",
+            "result exceeded the row budget; page or narrow the query",
         ),
         lpg::GraphError::CursorInvalid(msg) => {
             WireError::new(ErrorCode::CursorInvalid, format!("invalid cursor: {msg}"))
@@ -596,7 +593,7 @@ fn handle_connection(
                     Some(started + shared.cfg.request_deadline),
                     Some(cancel.clone()),
                 )
-                .with_result_caps(shared.cfg.max_result_rows, shared.cfg.max_result_bytes);
+                .with_row_cap(shared.cfg.max_result_rows);
                 // Staleness gate: refuse before executing so a client with
                 // a read-your-writes floor never sees pre-floor state. The
                 // check is conservative — replay may advance concurrently —
@@ -700,13 +697,13 @@ fn handle_connection(
                     .fetch_add(statements.len() as u64, Ordering::Relaxed);
                 // One budget spans the whole batch: a pipelined frame must
                 // not multiply the per-request deadline by its length, and
-                // the row/byte caps apply to the batch's combined result
+                // the row cap applies to the batch's combined result
                 // (clones share spending).
                 let budget = ExecBudget::with_deadline(
                     Some(started + shared.cfg.request_deadline),
                     Some(cancel.clone()),
                 )
-                .with_result_caps(shared.cfg.max_result_rows, shared.cfg.max_result_bytes);
+                .with_row_cap(shared.cfg.max_result_rows);
                 // The staleness gate applies to the batch as a whole (one
                 // floor, checked once, same conservatism as Run).
                 let watermark = shared.db.latest_ts();

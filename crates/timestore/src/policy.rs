@@ -1,16 +1,13 @@
 //! Snapshot creation policies (Sec. 4.3): "eagerly creates snapshots based
 //! on a user-defined policy … time-based or operation-based (the number of
-//! updates), with the default being operation-based".
-
-use lpg::Timestamp;
+//! updates), with the default being operation-based". Only the
+//! operation-based kind is built here.
 
 /// When TimeStore materializes a new full snapshot to disk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotPolicy {
     /// Snapshot after every `n` applied updates (the paper's default kind).
     EveryNOps(u64),
-    /// Snapshot whenever at least `dt` time units passed since the last one.
-    EveryInterval(u64),
     /// Never snapshot automatically (reconstruction always replays the log).
     Never,
 }
@@ -22,12 +19,11 @@ impl Default for SnapshotPolicy {
 }
 
 impl SnapshotPolicy {
-    /// Decides whether to snapshot, given the updates applied and time
-    /// elapsed since the last snapshot.
-    pub fn should_snapshot(&self, ops_since: u64, last_ts: Timestamp, now: Timestamp) -> bool {
+    /// Decides whether to snapshot, given the updates applied since the
+    /// last snapshot.
+    pub fn should_snapshot(&self, ops_since: u64) -> bool {
         match *self {
             SnapshotPolicy::EveryNOps(n) => ops_since >= n,
-            SnapshotPolicy::EveryInterval(dt) => now.saturating_sub(last_ts) >= dt,
             SnapshotPolicy::Never => false,
         }
     }
@@ -40,21 +36,14 @@ mod tests {
     #[test]
     fn ops_policy() {
         let p = SnapshotPolicy::EveryNOps(100);
-        assert!(!p.should_snapshot(99, 0, 50));
-        assert!(p.should_snapshot(100, 0, 50));
-        assert!(p.should_snapshot(101, 0, 0));
-    }
-
-    #[test]
-    fn interval_policy() {
-        let p = SnapshotPolicy::EveryInterval(10);
-        assert!(!p.should_snapshot(1_000_000, 5, 14));
-        assert!(p.should_snapshot(0, 5, 15));
+        assert!(!p.should_snapshot(99));
+        assert!(p.should_snapshot(100));
+        assert!(p.should_snapshot(101));
     }
 
     #[test]
     fn never_policy() {
-        assert!(!SnapshotPolicy::Never.should_snapshot(u64::MAX, 0, u64::MAX));
+        assert!(!SnapshotPolicy::Never.should_snapshot(u64::MAX));
     }
 
     #[test]

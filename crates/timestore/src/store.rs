@@ -489,9 +489,7 @@ impl TimeStore {
             let mut state = self.state.lock();
             state.latest_ts = ts;
             state.ops_since_snapshot += updates.len() as u64;
-            let last_snapshot_ts = state.snapshots.last_key_value().map_or(0, |(t, _)| *t);
-            self.policy
-                .should_snapshot(state.ops_since_snapshot, last_snapshot_ts, ts)
+            self.policy.should_snapshot(state.ops_since_snapshot)
         };
         // Published under the GraphStore's lock, so a read that pins the
         // latest graph after seeing `ts` gets this commit applied.

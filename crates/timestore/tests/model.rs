@@ -91,7 +91,6 @@ proptest! {
             Just(SnapshotPolicy::Never),
             Just(SnapshotPolicy::EveryNOps(3)),
             Just(SnapshotPolicy::EveryNOps(11)),
-            Just(SnapshotPolicy::EveryInterval(5)),
         ],
     ) {
         let dir = tempdir().unwrap();

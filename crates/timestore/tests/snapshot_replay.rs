@@ -59,7 +59,6 @@ proptest! {
             Just(SnapshotPolicy::Never),
             Just(SnapshotPolicy::EveryNOps(2)),
             Just(SnapshotPolicy::EveryNOps(9)),
-            Just(SnapshotPolicy::EveryInterval(5)),
         ],
         victim in any::<u64>(),
     ) {

@@ -9,7 +9,7 @@
 
 use aion::{Aion, AionConfig};
 use aion_server::{Client, ClientConfig, RoutedClient, Server, ServerConfig};
-use repl::{prepare_rejoin, read_divergence_archive, ReplNode, ReplNodeConfig, ReplayerConfig};
+use repl::{prepare_rejoin, read_divergence_archive, ReplNode, ReplayerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use vfs::VfsRef;
@@ -19,12 +19,7 @@ fn main() -> std::io::Result<()> {
     // role and to the durable epoch chain persisted next to it.
     let a_dir = tempfile::tempdir().expect("tempdir");
     let a_db = Arc::new(Aion::open(AionConfig::new(a_dir.path())).expect("open primary"));
-    let node_a = ReplNode::new_primary(
-        a_db.clone(),
-        VfsRef::std(),
-        a_dir.path(),
-        ReplNodeConfig::default(),
-    )?;
+    let node_a = ReplNode::new_primary(a_db.clone(), VfsRef::std(), a_dir.path())?;
     let mut a_srv = Server::start(a_db.clone())?;
     println!(
         "A: primary, epoch {}, queries on {}",
@@ -47,7 +42,6 @@ fn main() -> std::io::Result<()> {
     let mut node_b = ReplNode::new_replica(
         b_db.clone(),
         ReplayerConfig::new(node_a.shipper_addr().expect("shipping"), b_dir.path()),
-        ReplNodeConfig::default(),
         b_srv.read_only_flag(),
     );
     println!("B: replica, queries on {} (read-only)", b_srv.addr());
@@ -132,7 +126,6 @@ fn main() -> std::io::Result<()> {
     let node_a2 = ReplNode::new_replica(
         a_db.clone(),
         ReplayerConfig::new(node_b.shipper_addr().expect("B ships"), a_dir.path()),
-        ReplNodeConfig::default(),
         a_srv2.read_only_flag(),
     );
     while a_db.latest_ts() < b_db.latest_ts() {

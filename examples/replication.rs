@@ -9,7 +9,7 @@
 
 use aion::{Aion, AionConfig};
 use aion_server::{ClientConfig, RoutedClient, ServedBy, Server, ServerConfig};
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+use repl::{LogShipper, Replayer, ReplayerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,7 +18,7 @@ fn main() -> std::io::Result<()> {
     // that streams its ChangeLog to any replica that connects.
     let primary_dir = tempfile::tempdir().expect("tempdir");
     let primary = Arc::new(Aion::open(AionConfig::new(primary_dir.path())).expect("open primary"));
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default())?;
+    let mut shipper = LogShipper::start(primary.clone())?;
     let mut primary_srv = Server::start(primary.clone())?;
     println!(
         "primary:  queries on {}, replication on {}",
@@ -82,7 +82,7 @@ fn main() -> std::io::Result<()> {
     );
     assert!(matches!(served, ServedBy::Replica(_) | ServedBy::Primary));
     // The durable watermark follows at the next batch boundary or
-    // heartbeat (ShipperConfig::heartbeat_interval, 200 ms default).
+    // heartbeat (repl::shipper::HEARTBEAT_INTERVAL, 200 ms).
     while replayer.watermark().ts < primary.latest_ts() {
         std::thread::sleep(Duration::from_millis(10));
     }

@@ -31,7 +31,7 @@ use aion_server::{
     ChaosConfig, ChaosProxy, Client, ClientConfig, RoutedClient, Server, ServerConfig,
 };
 use lpg::NodeId;
-use repl::{prepare_rejoin, read_divergence_archive, ReplNode, ReplNodeConfig, ReplayerConfig};
+use repl::{prepare_rejoin, read_divergence_archive, ReplNode, ReplayerConfig};
 use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,7 +112,6 @@ fn start_replica(seed: u64, shipper_addr: SocketAddr) -> ReplicaHarness {
     let node = Arc::new(NodeLock::new(ReplNode::new_replica(
         db.clone(),
         cfg,
-        ReplNodeConfig::default(),
         server.read_only_flag(),
     )));
     // Wire the Promote control operation straight to the role manager —
@@ -134,13 +133,7 @@ fn start_replica(seed: u64, shipper_addr: SocketAddr) -> ReplicaHarness {
 fn run_failover(seed: u64, ops: u64) {
     let pdir = tempdir().unwrap();
     let primary = Arc::new(Aion::open(AionConfig::new(pdir.path())).unwrap());
-    let node_p = ReplNode::new_primary(
-        primary.clone(),
-        VfsRef::std(),
-        pdir.path(),
-        ReplNodeConfig::default(),
-    )
-    .unwrap();
+    let node_p = ReplNode::new_primary(primary.clone(), VfsRef::std(), pdir.path()).unwrap();
     let shipper_addr = node_p.shipper_addr().unwrap();
     let mut primary_srv = Server::start_with(
         primary.clone(),
@@ -319,7 +312,6 @@ fn run_failover(seed: u64, ops: u64) {
         *node = ReplNode::new_replica(
             replicas[lagging].db.clone(),
             cfg,
-            ReplNodeConfig::default(),
             replicas[lagging].server.read_only_flag(),
         );
     }
@@ -399,12 +391,7 @@ fn run_failover(seed: u64, ops: u64) {
     let mut cfg = ReplayerConfig::new(new_shipper_addr, pdir.path());
     cfg.sync_every = 4;
     cfg.reconnect_backoff = Duration::from_millis(5);
-    let node_rejoined = ReplNode::new_replica(
-        rejoined.clone(),
-        cfg,
-        ReplNodeConfig::default(),
-        rejoined_srv.read_only_flag(),
-    );
+    let node_rejoined = ReplNode::new_replica(rejoined.clone(), cfg, rejoined_srv.read_only_flag());
     // The rejoined node adopted epoch 1 during rejoin prep but holds no
     // epoch itself: once its replication role loads the chain, direct
     // writes are refused with the typed fence error.

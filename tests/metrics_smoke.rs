@@ -174,7 +174,7 @@ fn metrics_cover_every_layer_after_a_workload() {
 #[test]
 fn repl_metrics_read_back_after_replication() {
     use aion_server::{Client, ClientConfig, RoutedClient, Server, ServerConfig};
-    use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig};
+    use repl::{LogShipper, Replayer, ReplayerConfig};
     let _serial = serial();
 
     let pdir = tempdir().unwrap();
@@ -182,7 +182,7 @@ fn repl_metrics_read_back_after_replication() {
     let primary = Arc::new(Aion::open(AionConfig::new(pdir.path())).unwrap());
     let replica = Arc::new(Aion::open(AionConfig::new(rdir.path())).unwrap());
 
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let mut rcfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     rcfg.sync_every = 1;
     let mut replayer = Replayer::start(replica.clone(), rcfg);
@@ -265,7 +265,7 @@ fn repl_metrics_read_back_after_replication() {
 #[test]
 fn failover_metrics_read_back() {
     use aion_server::{ClientConfig, RoutedClient, Server};
-    use repl::{prepare_rejoin, ReplNode, ReplNodeConfig};
+    use repl::{prepare_rejoin, ReplNode};
     use vfs::VfsRef;
     let _serial = serial();
 
@@ -296,13 +296,7 @@ fn failover_metrics_read_back() {
     }
     let pdir = tempdir().unwrap();
     let new_primary = Arc::new(Aion::open(AionConfig::new(pdir.path())).unwrap());
-    let node = ReplNode::new_primary(
-        new_primary.clone(),
-        VfsRef::std(),
-        pdir.path(),
-        ReplNodeConfig::default(),
-    )
-    .unwrap();
+    let node = ReplNode::new_primary(new_primary.clone(), VfsRef::std(), pdir.path()).unwrap();
     node.epochs().bump(0).unwrap();
     let report = prepare_rejoin(
         &VfsRef::std(),

@@ -26,7 +26,7 @@ use aion_server::{
     ChaosConfig, ChaosProxy, Client, ClientConfig, RoutedClient, Server, ServerConfig,
 };
 use lpg::NodeId;
-use repl::{LogShipper, Replayer, ReplayerConfig, ShipperConfig, Watermark};
+use repl::{LogShipper, Replayer, ReplayerConfig, Watermark};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -119,7 +119,7 @@ fn run_storm(seed: u64, ops: u64) {
         },
     )
     .unwrap();
-    let mut shipper = LogShipper::start(primary.clone(), ShipperConfig::default()).unwrap();
+    let mut shipper = LogShipper::start(primary.clone()).unwrap();
 
     let mut replicas = vec![
         start_replica(seed.wrapping_mul(2) + 1, shipper.addr()),
