@@ -8,10 +8,9 @@
 
 use crate::common::{banner, ingest_aion, open_aion, BenchConfig};
 use btree::TreeFill;
-use encoding::snapshot::{self, Change, Inline};
-use std::path::Path;
+use encoding::snapshot::{self, Change};
 use tempfile::tempdir;
-use vfs::VfsRef;
+use timestore::SnapshotBytes;
 
 /// Datasets measured.
 pub const DATASETS: [&str; 4] = ["DBLP", "WikiTalk", "Pokec", "LiveJournal"];
@@ -20,12 +19,10 @@ pub const DATASETS: [&str; 4] = ["DBLP", "WikiTalk", "Pokec", "LiveJournal"];
 pub struct StorageRow {
     /// Dataset name.
     pub dataset: String,
-    /// TimeStore bytes (log + index + snapshots).
+    /// TimeStore bytes (log + snapshots).
     pub timestore: u64,
-    /// The snapshot files' share of `timestore`.
-    pub snapshots: u64,
-    /// What the snapshot files hold inline, read from their manifests.
-    pub inline: Inline,
+    /// The snapshot files' share of `timestore`, by what they hold.
+    pub snapshots: SnapshotBytes,
     /// LineageStore bytes (four B+Tree indexes).
     pub lineagestore: u64,
     /// Pages, leaves and leaf fill of each LineageStore index.
@@ -34,23 +31,6 @@ pub struct StorageRow {
     pub base: u64,
     /// Temporal overhead relative to base.
     pub overhead: f64,
-}
-
-/// What the snapshot files in `dir` hold inline, summed over their
-/// manifests.
-fn snapshot_inline(dir: &Path) -> Inline {
-    let vfs = VfsRef::std();
-    let mut sum = Inline::default();
-    for (name, _) in vfs.read_dir(dir).expect("snapshot directory") {
-        let bytes = vfs.read(&dir.join(name)).expect("snapshot file");
-        let m = snapshot::open(&bytes).expect("a snapshot file the store wrote opens");
-        let i = m.inline();
-        sum.node_bytes += i.node_bytes;
-        sum.patch_bytes += i.patch_bytes;
-        sum.patches += i.patches;
-        sum.rel_bytes += i.rel_bytes;
-    }
-    sum
 }
 
 /// Runs the experiment.
@@ -96,9 +76,9 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         // The snapshot bytes by what they are: node segments (bases and
         // patches), relationship segments, and the rest — manifests,
         // headers and footers.
-        let inline = snapshot_inline(&dir.path().join("timestore").join("snapshots"));
-        let nodes = inline.node_bytes + inline.patch_bytes;
-        let manifests = ts_stats.snapshot_bytes - nodes - inline.rel_bytes;
+        let snapshots = db.timestore().snapshot_bytes();
+        assert_eq!(snapshots.total, ts_stats.snapshot_bytes, "every file opens");
+        let nodes = snapshots.inline.node_bytes + snapshots.inline.patch_bytes;
         let kib = |bytes: u64| format!("{} KiB", bytes / 1024);
         println!(
             "{:<12} {:>12} {:>14} {:>14} {:>14} {:>12} {:>9.1}x {:>14} {:>12} {:>10}",
@@ -110,8 +90,8 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
             kib(timestore + lineagestore),
             overhead,
             kib(nodes),
-            kib(inline.rel_bytes),
-            kib(manifests),
+            kib(snapshots.inline.rel_bytes),
+            kib(snapshots.manifests()),
         );
         // The LineageStore bytes by index.
         for (index, fill) in &indexes {
@@ -120,8 +100,7 @@ pub fn run(cfg: &BenchConfig) -> Vec<StorageRow> {
         out.push(StorageRow {
             dataset: name.to_string(),
             timestore,
-            snapshots: ts_stats.snapshot_bytes,
-            inline,
+            snapshots,
             lineagestore,
             indexes,
             base,

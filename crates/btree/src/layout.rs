@@ -25,15 +25,21 @@
 //! Leaf cell:
 //!
 //! ```text
-//! cell     = varint(slen) varint(vlen << 1 | overflow) suffix payload
+//! cell     = varint(head) [varint(slen - 31)] suffix payload
+//! head     = (vlen << 1 | overflow) << 5 | min(slen, 31)
+//!                                  ; slen ≥ 31: the varint after head holds the rest
 //! payload  = value                 ; overflow = 0: vlen value bytes inline
 //!          | u64 overflow page     ; overflow = 1: the chain holds vlen bytes
-//! varint   = LEB128, low 7 bits first, at most 5 bytes
+//! varint   = LEB128, low 7 bits first, at most 6 bytes
 //! ```
 //!
-//! A LineageStore cell (a key of at most 36 bytes, value under 64 bytes)
-//! spends two header bytes; a longer suffix or value only widens its own
-//! varint.
+//! One varint holds both lengths. A cell whose suffix is under 31 bytes and
+//! whose value is empty or one byte inline — every LineageStore neighbour
+//! cell — spends one header byte; a value of up to 255 bytes inline, two.
+//! Against a varint for each length that is never more, except for a
+//! suffix of 31 bytes or longer with a value of two or more bytes, which
+//! spends one byte more. No LineageStore cell is one: a history key is at
+//! most 18 bytes, and a neighbour cell's value at most one byte.
 //!
 //! Internal cell:  `u16 klen, u64 child, key`
 
@@ -54,9 +60,13 @@ const LINK_OFF: usize = 8;
 /// First byte of the slot directory.
 pub const SLOTS_OFF: usize = 16;
 
-/// Widest varint a leaf-cell header holds: 5 bytes carry 35 bits, enough
-/// for `u32::MAX << 1 | 1`.
-const MAX_VARINT: usize = 5;
+/// Widest varint a leaf-cell header holds: 6 bytes carry 42 bits, enough
+/// for `(u32::MAX << 1 | 1) << SLEN_BITS | SLEN_ESCAPE`.
+const MAX_VARINT: usize = 6;
+/// The low bits of a leaf cell's `head` that hold its suffix length.
+const SLEN_BITS: u32 = 5;
+/// The suffix length in `head` that says the rest of it follows.
+const SLEN_ESCAPE: u64 = (1 << SLEN_BITS) - 1;
 
 /// Initializes a page as an empty node of the given type.
 pub fn init(page: &mut PageBuf, node_type: u8) {
@@ -299,11 +309,23 @@ struct Header {
     klen: usize,
     vlen: usize,
     overflow: bool,
-    /// Offset of the suffix's first byte (just past the two varints).
+    /// Offset of the suffix's first byte (just past the header).
     key_off: usize,
 }
 
 impl Header {
+    /// The header whose `head` varint, `len` bytes long, starts at `off`,
+    /// and whose suffix is shorter than [`SLEN_ESCAPE`].
+    fn short(off: usize, head: u64, len: usize) -> Header {
+        let field = head >> SLEN_BITS;
+        Header {
+            klen: (head & SLEN_ESCAPE) as usize,
+            vlen: (field >> 1) as usize,
+            overflow: field & 1 != 0,
+            key_off: off + len,
+        }
+    }
+
     fn inline_len(&self) -> usize {
         if self.overflow {
             8
@@ -320,47 +342,54 @@ impl Header {
 
 fn read_header(b: &[u8], off: usize) -> Option<Header> {
     let mut pos = off;
-    let klen = read_varint(b, &mut pos)? as usize;
-    let field = read_varint(b, &mut pos)?;
-    Some(Header {
-        klen,
-        vlen: (field >> 1) as usize,
-        overflow: field & 1 != 0,
-        key_off: pos,
-    })
+    let head = read_varint(b, &mut pos)?;
+    let mut h = Header::short(off, head, pos - off);
+    if head & SLEN_ESCAPE == SLEN_ESCAPE {
+        let rest = usize::try_from(read_varint(b, &mut pos)?).ok()?;
+        h.klen = h.klen.checked_add(rest)?;
+        h.key_off = pos;
+    }
+    Some(h)
 }
 
 /// The header of the cell at `off` on a page the tree wrote itself; an
 /// undecodable header reads as an empty cell rather than panicking.
 #[inline]
 fn header(page: &PageBuf, off: usize) -> Header {
-    // Every key comparison lands here. A suffix under 128 bytes with an
-    // inline value under 64 (every LineageStore cell but a few history
-    // cells) has two one-byte varints: decode them without the general
-    // loop.
-    if let Some(&[klen, field]) = page.bytes().get(off..off + 2) {
-        if (klen | field) < 0x80 {
-            return Header {
-                klen: usize::from(klen),
-                vlen: usize::from(field >> 1),
-                overflow: field & 1 != 0,
-                key_off: off + 2,
-            };
-        }
+    // Every key comparison lands here. A LineageStore cell's `head` is one
+    // byte (a neighbour cell) or two (a history cell), and its suffix is
+    // shorter than the escape: decode those without the general loop.
+    let b = page.bytes();
+    let head = match b.get(off..off + 2) {
+        Some(&[b0, _]) if b0 < 0x80 => Some((u64::from(b0), 1)),
+        Some(&[b0, b1]) if b1 < 0x80 => Some((u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2)),
+        _ => None,
+    };
+    match head {
+        Some((head, len)) if head & SLEN_ESCAPE != SLEN_ESCAPE => Header::short(off, head, len),
+        _ => read_header(b, off).unwrap_or(Header {
+            key_off: off,
+            ..Header::default()
+        }),
     }
-    read_header(page.bytes(), off).unwrap_or(Header {
-        key_off: off,
-        ..Header::default()
-    })
+}
+
+/// The `head` varint of a leaf cell, and the rest of its suffix length
+/// when that follows.
+fn head(slen: usize, vlen: usize, overflow: bool) -> (u64, Option<u64>) {
+    let field = (vlen as u64) << 1 | u64::from(overflow);
+    let slen = slen as u64;
+    let rest = slen.checked_sub(SLEN_ESCAPE);
+    (field << SLEN_BITS | slen.min(SLEN_ESCAPE), rest)
 }
 
 /// Bytes needed for a leaf cell holding a `slen`-byte key suffix and a
 /// `vlen`-byte value, inline or (with `overflow`) behind an 8-byte chain
 /// pointer.
 pub fn leaf_cell_size(slen: usize, vlen: usize, overflow: bool) -> usize {
-    let field = (vlen as u64) << 1 | u64::from(overflow);
+    let (head, rest) = head(slen, vlen, overflow);
     let inline = if overflow { 8 } else { vlen };
-    varint_len(slen as u64) + varint_len(field) + slen + inline
+    varint_len(head) + rest.map_or(0, varint_len) + slen + inline
 }
 
 /// A decoded view of one leaf cell.
@@ -541,8 +570,11 @@ fn write_cell(
     let size = leaf_cell_size(slen, vlen as usize, overflow);
     let start = reserve(page, i, size);
     let cell = &mut page.bytes_mut()[start..start + size];
-    let mut pos = put_varint(cell, slen as u64);
-    pos += put_varint(&mut cell[pos..], u64::from(vlen) << 1 | u64::from(overflow));
+    let (head, rest) = head(slen, vlen as usize, overflow);
+    let mut pos = put_varint(cell, head);
+    if let Some(rest) = rest {
+        pos += put_varint(&mut cell[pos..], rest);
+    }
     for part in suffix {
         cell[pos..pos + part.len()].copy_from_slice(part);
         pos += part.len();
@@ -706,7 +738,7 @@ pub fn checked_prefix(page: &PageBuf) -> Option<&[u8]> {
 }
 
 /// Bounds-checked leaf cell decode: `None` for a varint that is truncated
-/// by the page end or longer than five bytes, for a suffix or payload
+/// by the page end or longer than six bytes, for a suffix or payload
 /// running into the prefix or past the page, and for a prefix that
 /// [`checked_prefix`] refuses.
 pub fn checked_leaf_cell(page: &PageBuf, i: usize) -> Option<LeafCell<'_>> {
@@ -1117,21 +1149,61 @@ mod tests {
 
     #[test]
     fn header_varints_widen_at_their_boundaries() {
-        // vlen << 1 | overflow fits one byte up to vlen 63.
-        assert_eq!(leaf_cell_size(16, 63, false), 2 + 16 + 63);
-        assert_eq!(leaf_cell_size(16, 64, false), 3 + 16 + 64);
-        assert_eq!(leaf_cell_size(127, 0, false), 2 + 127);
-        assert_eq!(leaf_cell_size(128, 0, false), 3 + 128);
-        assert_eq!(leaf_cell_size(4, 5000, true), 1 + 2 + 4 + 8);
+        // A suffix under 31 bytes and a value of at most one byte: one byte,
+        // a neighbour cell's addition or deletion.
+        assert_eq!(leaf_cell_size(0, 0, false), 1);
+        assert_eq!(leaf_cell_size(30, 0, false), 1 + 30);
+        assert_eq!(leaf_cell_size(30, 1, false), 1 + 30 + 1);
+        // From 31 bytes on the suffix length escapes: the rest follows in a
+        // varint of its own, one byte up to 31 + 127.
+        assert_eq!(leaf_cell_size(31, 0, false), 2 + 31);
+        assert_eq!(leaf_cell_size(31, 1, false), 2 + 31 + 1);
+        assert_eq!(leaf_cell_size(158, 0, false), 2 + 158);
+        assert_eq!(leaf_cell_size(159, 0, false), 3 + 159);
+        // Two bytes hold a value of up to 255 bytes, three up to 32 767.
+        assert_eq!(leaf_cell_size(30, 2, false), 2 + 30 + 2);
+        assert_eq!(leaf_cell_size(16, 255, false), 2 + 16 + 255);
+        assert_eq!(leaf_cell_size(16, 256, false), 3 + 16 + 256);
+        assert_eq!(leaf_cell_size(4, 5000, true), 3 + 4 + 8);
+        assert_eq!(leaf_cell_size(4, 32_767, true), 3 + 4 + 8);
+        assert_eq!(leaf_cell_size(4, 32_768, true), 4 + 4 + 8);
+        // Never more than a varint for each length, but for a suffix that
+        // escapes beside a value of two bytes or more.
+        for slen in [0, 1, 17, 18, 30, 31, 36, 158, 159, 300] {
+            for (vlen, overflow) in [
+                (0, false),
+                (1, false),
+                (2, false),
+                (63, false),
+                (64, false),
+                (255, false),
+                (1024, false),
+                (5000, true),
+            ] {
+                let two =
+                    varint_len(slen as u64) + varint_len((vlen as u64) << 1 | u64::from(overflow));
+                let inline = if overflow { 8 } else { vlen };
+                let one = leaf_cell_size(slen, vlen, overflow) - slen - inline;
+                let escapes = slen >= 31 && (overflow || vlen >= 2);
+                assert!(
+                    one <= two + usize::from(escapes),
+                    "{slen} {vlen} {overflow}: {one} > {two}"
+                );
+            }
+        }
         let mut p = PageBuf::zeroed();
         init(&mut p, LEAF);
-        let cases: [(usize, usize); 6] = [
+        let cases: [(usize, usize); 10] = [
             (1, 0),
-            (127, 63),
-            (128, 64),
+            (30, 1),
+            (31, 0),
+            (32, 2),
+            (158, 63),
+            (159, 64),
             (512, 1024),
             (4, 8191),
             (200, 129),
+            (18, 256),
         ];
         // Keys starting with distinct bytes share no prefix: each cell
         // holds its whole key.
@@ -1198,22 +1270,26 @@ mod tests {
 
     #[test]
     fn malformed_varints_are_rejected_not_panicked_on() {
-        // klen's varint is cut off by the page end.
+        // The head's varint, or the escaped rest of the suffix length after
+        // it, is cut off by the page end.
         assert!(checked_leaf_cell(&page_with_cell_header(&[0x80]), 0).is_none());
-        assert!(checked_leaf_cell(&page_with_cell_header(&[0x04, 0xFF, 0xFF]), 0).is_none());
-        // Six bytes where at most five are allowed, for klen and for vlen.
-        let long = [0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00];
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x1F, 0xFF, 0xFF]), 0).is_none());
+        // Seven bytes where at most six are allowed, for the head and for
+        // the rest of the suffix length.
+        let long = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00];
         assert!(checked_leaf_cell(&page_with_cell_header(&long), 0).is_none());
-        let long_vlen = [0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
-        assert!(checked_leaf_cell(&page_with_cell_header(&long_vlen), 0).is_none());
-        // Well-formed header whose key runs past the page.
-        assert!(checked_leaf_cell(&page_with_cell_header(&[0x10, 0x00]), 0).is_none());
+        let long_rest = [0x1F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert!(checked_leaf_cell(&page_with_cell_header(&long_rest), 0).is_none());
+        // Well-formed header whose key runs past the page, with a short
+        // suffix and with an escaped one.
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x10]), 0).is_none());
+        assert!(checked_leaf_cell(&page_with_cell_header(&[0x1F, 0x00]), 0).is_none());
         // The trusting accessors read such a cell as empty.
         let p = page_with_cell_header(&long);
         assert!(leaf_key(&p, 0).is_empty());
         assert_eq!(live_bytes(&p), SLOTS_OFF + 2);
         // The smallest valid cell still decodes.
-        let mut p = page_with_cell_header(&[0x00, 0x00]);
+        let mut p = page_with_cell_header(&[0x00]);
         let cell = checked_leaf_cell(&p, 0).unwrap();
         assert!(cell.key.is_empty() && cell.inline.is_empty());
         // A prefix over the cell, or into the slot directory, does not.

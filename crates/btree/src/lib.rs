@@ -13,9 +13,10 @@
 //! * variable-size values with transparent overflow pages for values larger
 //!   than [`MAX_INLINE_VALUE`];
 //! * slotted 8 KiB pages served through the `pagestore` LRU cache, so the
-//!   tree works out-of-core; a leaf cell's header is two varints, so a
-//!   small cell spends two bytes on it, and a leaf holds the prefix its
-//!   keys share once, each cell only the rest of its key ([`layout`]);
+//!   tree works out-of-core; a leaf cell's header is one varint for both
+//!   lengths, so a cell with a short suffix and a value of at most one
+//!   byte spends one byte on it, and a leaf holds the prefix its keys
+//!   share once, each cell only the rest of its key ([`layout`]);
 //! * `O(log n)` point lookups and ordered range scans over leaf sibling
 //!   chains — the access pattern behind the LineageStore;
 //! * a full leaf moves its tail into its right sibling under the same

@@ -548,14 +548,17 @@ mod tests {
 
     #[test]
     fn malformed_cell_header_reported_as_structure() {
-        for header in [&[0x80u8][..], &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00]] {
+        for header in [
+            &[0x80u8][..],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00],
+        ] {
             let dir = tempdir().unwrap();
             let store = Arc::new(PageStore::open(dir.path().join("t.db"), 64).unwrap());
             let t = BTree::open(store.clone(), 0).unwrap();
             t.insert(b"a", b"1").unwrap();
             let root = PageId(store.root(0));
             // Point the one cell at a varint that the page end truncates
-            // or that runs longer than five bytes.
+            // or that runs longer than six bytes.
             store
                 .write(root, |p| {
                     let off = PAGE_SIZE - header.len();

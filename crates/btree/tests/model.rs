@@ -91,32 +91,45 @@ fn bulk_strategy() -> impl Strategy<Value = Op> {
 }
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    // Small alphabet and length so operations collide often, plus keys of
-    // 127 and 128 bytes (where a cell's key length outgrows one varint
-    // byte under a short prefix) and of MAX_KEY bytes, padded with their
-    // first byte so they collide too; and the prefix-heavy shapes.
+    // Small alphabet and length so operations collide often, plus keys on
+    // both sides of 31 bytes (where a cell's suffix length leaves its
+    // `head` varint under a short prefix) and of 159 (where the rest after
+    // it outgrows one varint byte), and of MAX_KEY bytes, padded with
+    // their first byte so they collide too; and the prefix-heavy shapes.
     let short = || proptest::collection::vec(0u8..4, 1..5);
     prop_oneof![
         short(),
         short(),
         short(),
-        (short(), prop_oneof![Just(127usize), Just(128), Just(512)]).prop_map(|(mut k, len)| {
-            let pad = k[0];
-            k.resize(len, pad);
-            k
-        }),
+        (
+            short(),
+            prop_oneof![
+                Just(30usize),
+                Just(31),
+                Just(32),
+                Just(159),
+                Just(160),
+                Just(512)
+            ]
+        )
+            .prop_map(|(mut k, len)| {
+                let pad = k[0];
+                k.resize(len, pad);
+                k
+            }),
         prefix_heavy_key_strategy(),
     ]
 }
 
 fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
-    // Random lengths, plus both sides of 63/64 (where `vlen << 1` outgrows
-    // one varint byte) and of 1024/1025 (MAX_INLINE_VALUE: overflow).
+    // Random lengths, plus both sides of 1/2 and 255/256 (where a cell's
+    // `head` varint outgrows one byte and two under a short suffix) and of
+    // 1024/1025 (MAX_INLINE_VALUE: overflow).
     let edge = prop_oneof![
-        Just(62usize),
-        Just(63),
-        Just(64),
-        Just(65),
+        Just(1usize),
+        Just(2),
+        Just(255),
+        Just(256),
         Just(1023),
         Just(1024),
         Just(1025),
@@ -351,11 +364,65 @@ fn split_decisions_are_pinned() {
     assert_eq!(
         report.fill(),
         TreeFill {
-            pages: 54,
-            leaves: 43,
-            leaf_live_bytes: 272_523,
+            pages: 55,
+            leaves: 44,
+            leaf_live_bytes: 271_832,
         }
     );
+}
+
+/// Cells on both sides of each width boundary of their header: suffixes
+/// of 30 to 32 bytes (the suffix length escapes its `head` from 31 on) and
+/// of 158 and 159 (the rest after the escape outgrows one byte), each with
+/// a value of 0, 1 or 2 bytes, of `MAX_INLINE_VALUE` bytes inline, and in
+/// an overflow chain. Each key starts with a byte of its own, so every
+/// leaf's first and last keys share nothing and each cell holds its whole
+/// key as its suffix. Every entry reads back by `get` and by a scan, and
+/// the tree verifies, also after a reopen.
+#[test]
+fn cells_at_the_header_boundaries_read_back() {
+    let dir = tempdir().unwrap();
+    let path = dir.path().join("h.db");
+    let mut model = BTreeMap::new();
+    let mut first = 0u8;
+    for slen in [30, 31, 32, 158, 159] {
+        for vlen in [0, 1, 2, MAX_INLINE_VALUE, MAX_INLINE_VALUE + 1] {
+            model.insert(vec![first; slen], vec![first ^ 0x5A; vlen]);
+            first += 1;
+        }
+    }
+    let check = |tree: &BTree| {
+        for (key, value) in &model {
+            assert_eq!(
+                tree.get(key).unwrap().as_ref(),
+                Some(value),
+                "{}",
+                key.len()
+            );
+        }
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> = tree
+            .scan(&[], &[])
+            .unwrap()
+            .collect::<io::Result<_>>()
+            .unwrap();
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
+        assert!(scanned == want);
+        let report = tree.verify().unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert_eq!(report.entries, model.len() as u64);
+    };
+    {
+        let store = Arc::new(PageStore::open(&path, 16).unwrap());
+        let tree = BTree::open(store.clone(), 0).unwrap();
+        // Inserted out of key order.
+        for (key, value) in model.iter().rev() {
+            tree.insert(key, value).unwrap();
+        }
+        check(&tree);
+        store.sync().unwrap();
+    }
+    let store = Arc::new(PageStore::open(&path, 16).unwrap());
+    check(&BTree::open(store, 0).unwrap());
 }
 
 /// `n` distinct eight-byte keys in an order fixed by `seed`: ascending

@@ -18,8 +18,10 @@
 //!   timestamp up to the watermark.
 //!
 //! Every finding is a [`btree::Finding`]. The report also carries each
-//! index's pages and leaf fill, measured by the structural pass, so
-//! `aion-fsck` shows how densely the stores use their pages. What
+//! index's pages and leaf fill, measured by the structural pass, and the
+//! snapshot files' bytes by what they hold
+//! ([`timestore::TimeStore::snapshot_bytes`]), so `aion-fsck` shows how
+//! densely the stores use their pages and files. What
 //! [`timestore::TimeStore::open`] repaired is not in the report:
 //! `aion-fsck` adds it ([`timestore::TimeStore::repairs`]).
 
@@ -28,7 +30,7 @@ use lineagestore::LineageStore;
 use lpg::Result;
 use std::fmt;
 use std::io;
-use timestore::TimeStore;
+use timestore::{SnapshotBytes, TimeStore};
 
 /// How much work the consistency check performs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -94,6 +96,8 @@ pub struct ConsistencyReport {
     /// Pages and leaf fill of every index, by subsystem and index name: the
     /// LineageStore's four.
     pub fill: Vec<(Subsystem, &'static str, TreeFill)>,
+    /// The TimeStore's snapshot files' bytes, by what they hold.
+    pub snapshots: SnapshotBytes,
 }
 
 impl ConsistencyReport {
@@ -141,7 +145,7 @@ impl fmt::Display for ConsistencyReport {
         for (subsystem, index, fill) in &self.fill {
             writeln!(f, "  {subsystem} {index}: {fill}")?;
         }
-        Ok(())
+        writeln!(f, "snapshot bytes: {}", self.snapshots)
     }
 }
 
@@ -225,6 +229,7 @@ pub fn check_stores(
         level,
         findings: Vec::new(),
         fill: Vec::new(),
+        snapshots: ts.snapshot_bytes(),
     };
     let full = level == CheckLevel::Full;
     report.add(Subsystem::TimeStore, ts.audit(full)?);

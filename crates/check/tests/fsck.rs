@@ -36,6 +36,21 @@ fn generated_database_is_clean_at_every_level() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(0), "{level}:\n{stdout}");
         assert!(stdout.contains(": clean\n"), "{level}:\n{stdout}");
+        // The one snapshot file `gen` writes, by what it holds: its parts
+        // add up to its length.
+        let line = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("snapshot bytes: 1 files, "))
+            .unwrap_or_else(|| panic!("{level}:\n{stdout}"));
+        let numbers: Vec<u64> = line
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect();
+        let [total, nodes, patches, 0, rels, manifests] = numbers[..] else {
+            panic!("{line}");
+        };
+        assert!(nodes > 0 && rels > 0 && manifests > 0, "{line}");
+        assert_eq!(total, nodes + patches + rels + manifests, "{line}");
     }
 }
 
@@ -46,11 +61,11 @@ fn flipped_neighbour_flag_is_caught_by_full_only() {
     generate(&db);
     // Raw slotted-page layout (`btree::layout`): a leaf page has type byte
     // 1, ncells (u16 LE) at 2 and its slot directory at 16; a leaf cell
-    // starts `varint slen, varint (vlen << 1 | overflow)`, then the key's
-    // suffix and the value. Only a neighbour entry that records a deletion
-    // has a one-byte value, its deleted flag `1`: a one-byte header varint
-    // `2` after a suffix of under 128 bytes. Rewriting that varint to `0`
-    // leaves a well-formed empty value, an addition.
+    // starts `varint head`, `head = (vlen << 1 | overflow) << 5 | slen`
+    // for a suffix under 31 bytes, then the key's suffix and the value.
+    // Only a neighbour entry that records a deletion has a one-byte value,
+    // its deleted flag `1`: a one-byte head `2 << 5 | slen`. Clearing its
+    // value length to 0 leaves a well-formed empty value, an addition.
     let (page_size, path) = (pagestore::PAGE_SIZE, db.join("lineage.db"));
     let vfs = TimeStoreConfig::default().vfs;
     let mut file = vfs.read(&path).unwrap();
@@ -61,13 +76,11 @@ fn flipped_neighbour_flag_is_caught_by_full_only() {
         .flat_map(|base| (0..u16_at(&file, base + 2)).map(move |i| (base, i)))
         .map(|(base, i)| base + u16_at(&file, base + 16 + i * 2))
         .find(|&cell| {
-            file[cell] < 0x80
-                && file[cell + 1] == 2
-                && file[cell + 2 + usize::from(file[cell])] == 1
+            let slen = usize::from(file[cell] & 31);
+            file[cell] >> 5 == 2 && slen < 31 && file[cell + 1 + slen] == 1
         })
-        .map(|cell| cell + 1)
         .expect("a neighbour entry that records a deletion");
-    file[field] = 0;
+    file[field] &= 31;
     vfs.write(&path, &file).unwrap();
 
     let out = fsck(&["check", db.to_str().unwrap(), "--level", "quick"]);

@@ -175,6 +175,13 @@ impl RecordBody {
     pub fn decode(buf: &[u8], pos: &mut usize) -> Option<RecordBody> {
         let header = *buf.get(*pos)?;
         *pos += 1;
+        Self::decode_after(header, buf, pos)
+    }
+
+    /// Deserializes the body whose header byte is `header` and whose other
+    /// bytes start at `buf[*pos..]`, advancing `pos`: what a container that
+    /// writes fields of its own between the two reads.
+    pub fn decode_after(header: u8, buf: &[u8], pos: &mut usize) -> Option<RecordBody> {
         let ty = header & TYPE_MASK;
         let deleted = header & FLAG_DELETED != 0;
         let delta = header & FLAG_DELTA != 0;

@@ -7,22 +7,27 @@
 //! segment no update touched since the previous snapshot are not written
 //! again but referenced where an earlier file holds them.
 //!
-//! # Layout (version 3)
+//! # Layout (version 4)
 //!
 //! ```text
 //! file     := payload footer:u64le                 footer = bulk_sum64(payload)
 //! payload  := header body manifest manifest_at:u64le
-//! header   := magic:varint version:u8 ts:varint
+//! header   := magic:u32le version:u8 ts:varint
 //! body     := the bytes of this file's inline segments and patches, in manifest order
 //! manifest := node_segments:varint rel_segments:varint entry*
 //! entry    := tag:varint base:part [patch:part]    tag = segment · 2 + 1 when a patch follows
 //! part     := back:varint offset:varint len:varint [sum:u64le]     sum when back > 0
-//! segment  := (id:varint NodeFull | RelFull)*      ascending id, Fig. 3 bodies
-//! patch    := (id:varint NodeFull | NodeDeleted)*  ascending id, node segments only
+//! segment  := members:u64le (NodeFull | RelFull)*    one Fig. 3 body per member
+//! patch    := members:u64le (NodeFull | NodeDeleted)*   node segments only
 //! ```
 //!
 //! A **segment** is the nodes, or the relationships, whose ids agree above
-//! the low six bits: at most 64 entities. The manifest lists every non-empty
+//! the low six bits: at most 64 entities. Its manifest entry names it, so a
+//! record carries no id: bit `i` of `members` stands for the id
+//! `segment · 64 + i`, and the records follow in ascending id, one for each
+//! bit set, neither fewer nor more. Neither `members` is ever 0: a segment
+//! is written only when it holds an entity, and a patch only when it lists
+//! one. The manifest lists every non-empty
 //! node segment, then every non-empty relationship segment, ascending. A
 //! part with `back = 0` is *inline*: its bytes are at `offset` in this file.
 //! A part with `back > 0` is a **reference**: the file at `ts − back` holds
@@ -81,7 +86,8 @@ use std::collections::HashMap;
 use vfs::bulk_sum64;
 
 const MAGIC: u32 = 0x4149_5053; // "AIPS"
-const VERSION: u8 = 3;
+/// The format version this build writes and reads.
+pub const VERSION: u8 = 4;
 /// A segment holds the entities whose ids agree above this many low bits.
 const SEGMENT_BITS: u32 = 6;
 /// The bits of an id below its segment's.
@@ -212,6 +218,15 @@ pub struct Inline {
     pub patches: u64,
     /// Relationship segments.
     pub rel_bytes: u64,
+}
+
+impl std::ops::AddAssign for Inline {
+    fn add_assign(&mut self, other: Inline) {
+        self.node_bytes += other.node_bytes;
+        self.patch_bytes += other.patch_bytes;
+        self.patches += other.patches;
+        self.rel_bytes += other.rel_bytes;
+    }
 }
 
 impl Manifest {
@@ -396,11 +411,11 @@ fn patch(
         return Some(*prev);
     }
     let start = out.len();
+    out.extend_from_slice(&mask.to_le_bytes());
     let mut bits = mask;
     while bits != 0 {
         let id = no << SEGMENT_BITS | u64::from(bits.trailing_zeros());
         bits &= bits - 1;
-        varint::write_u64(out, id);
         match graph.node(NodeId::new(id)) {
             Some(n) => encode_node_full(out, &n.labels, &n.props),
             None => RecordBody::NodeDeleted.encode(out),
@@ -454,10 +469,13 @@ impl Segments<'_> {
                 continue;
             }
             let start = self.out.len();
+            self.out.extend_from_slice(&[0; 8]);
+            let mut mask = 0u64;
             for item in members {
-                varint::write_u64(self.out, id(item));
+                mask |= 1 << (id(item) & ID_MASK);
                 encode(self.out, item);
             }
+            self.out[start..start + 8].copy_from_slice(&mask.to_le_bytes());
             let bytes = &self.out[start..];
             let at = Extent {
                 ts: self.ts,
@@ -476,20 +494,38 @@ impl Segments<'_> {
     }
 }
 
-/// Checks a snapshot file's footer and reads its manifest. `None` when the
-/// footer does not match, the version is not this one, or the manifest is
-/// malformed: entries out of order, an empty part, a patch on a
-/// relationship segment or one no later than its base. Referenced bytes
-/// are not read: [`decode`] checks them.
-pub fn open(file: &[u8]) -> Option<Manifest> {
+/// The payload of a snapshot file whose footer matches, and the format
+/// version its header names.
+fn sealed(file: &[u8]) -> Option<(&[u8], u8)> {
     let (payload, footer) = file.split_at_checked(file.len().checked_sub(8)?)?;
     if bulk_sum64(payload) != u64::from_le_bytes(footer.try_into().ok()?) {
         return None;
     }
     let mut pos = 0;
-    if varint::read_u32(payload, &mut pos)? != MAGIC || *payload.get(pos)? != VERSION {
+    if varint::read_u32(payload, &mut pos)? != MAGIC {
         return None;
     }
+    Some((payload, *payload.get(pos)?))
+}
+
+/// The format version of a snapshot file whose footer matches: what names
+/// a file of another version, which [`open`] refuses.
+pub fn version(file: &[u8]) -> Option<u8> {
+    sealed(file).map(|(_, version)| version)
+}
+
+/// Checks a snapshot file's footer and reads its manifest. `None` when the
+/// footer does not match, the version is not [`VERSION`], or the manifest
+/// is malformed: entries out of order, an empty part, a patch on a
+/// relationship segment or one no later than its base. Referenced bytes
+/// are not read: [`decode`] checks them.
+pub fn open(file: &[u8]) -> Option<Manifest> {
+    let (payload, version) = sealed(file)?;
+    if version != VERSION {
+        return None;
+    }
+    let mut pos = 0;
+    varint::read_u32(payload, &mut pos)?;
     pos += 1;
     let ts = varint::read_u64(payload, &mut pos)?;
     let body_start = pos;
@@ -535,6 +571,10 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
     let mut entries: Vec<Entry> = Vec::with_capacity(total as usize);
     for i in 0..total {
         let tag = varint::read_u64(rest, &mut pos)?;
+        // A segment past the last id's would wrap its members' ids.
+        if tag >> 1 > u64::MAX >> SEGMENT_BITS {
+            return None;
+        }
         let segment = if i < nodes {
             Segment::Node(tag >> 1)
         } else {
@@ -738,8 +778,7 @@ pub fn decode(
                 out.decoded += 1;
                 let base = bytes_of(&entry.base)?;
                 let patch = entry.patch.as_ref().map(bytes_of).transpose()?;
-                decode_nodes(&mut out, no, base, patch.unwrap_or_default())
-                    .ok_or(Fault::Corrupt)?;
+                decode_nodes(&mut out, no, base, patch).ok_or(Fault::Corrupt)?;
                 continue;
             }
             (None, Segment::Rel(no)) => {
@@ -764,36 +803,47 @@ fn slice(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
     bytes.get(start..start.checked_add(usize::try_from(len).ok()?)?)
 }
 
-/// The `(id, body)` records of one segment's bytes, whose ids must ascend
-/// and all belong to segment `no`.
+/// The `(id, body)` records of the bytes of one segment or patch of
+/// segment `no`: one body for each bit of its member mask, ascending. A
+/// `None` item ends them when a body does not decode, the mask is missing
+/// or 0, or bytes follow the last member's body.
 fn records(no: u64, bytes: &[u8]) -> impl Iterator<Item = Option<(u64, RecordBody)>> + '_ {
-    let mut pos = 0;
-    let mut last = None;
+    let (mask, bodies) = match bytes.split_first_chunk() {
+        Some((mask, bodies)) => (u64::from_le_bytes(*mask), bodies),
+        None => (0, bytes),
+    };
+    let (mut bits, mut pos, mut done) = (mask, 0, false);
     std::iter::from_fn(move || {
-        (pos < bytes.len()).then(|| {
-            let id = varint::read_u64(bytes, &mut pos)?;
-            let ascends = last.is_none_or(|last| last < id);
-            last = Some(id);
-            let body = RecordBody::decode(bytes, &mut pos)?;
-            (ascends && id >> SEGMENT_BITS == no).then_some((id, body))
-        })
+        if done {
+            return None;
+        }
+        if bits == 0 {
+            done = true;
+            return (mask == 0 || pos != bodies.len()).then_some(None);
+        }
+        let id = no << SEGMENT_BITS | u64::from(bits.trailing_zeros());
+        bits &= bits - 1;
+        Some(RecordBody::decode(bodies, &mut pos).map(|body| (id, body)))
     })
 }
 
 /// Inserts the nodes of node segment `no` into `out`'s graph: those of
 /// `base`, each in the state `patch` gives it when `patch` lists it, and
 /// those only `patch` lists; a node `patch` deletes is left out. The nodes
-/// a non-empty `patch` lists join `out.patched`.
-fn decode_nodes(out: &mut Decoded, no: u64, base: &[u8], patch: &[u8]) -> Option<()> {
-    let patch = records(no, patch)
-        .map(|record| match record? {
-            (id, RecordBody::NodeFull { labels, props }) => {
-                Some((id, Some(Node::new(NodeId::new(id), labels, props))))
-            }
-            (id, RecordBody::NodeDeleted) => Some((id, None)),
-            _ => None,
-        })
-        .collect::<Option<Vec<_>>>()?;
+/// `patch` lists join `out.patched`.
+fn decode_nodes(out: &mut Decoded, no: u64, base: &[u8], patch: Option<&[u8]>) -> Option<()> {
+    let patch = match patch {
+        Some(bytes) => records(no, bytes)
+            .map(|record| match record? {
+                (id, RecordBody::NodeFull { labels, props }) => {
+                    Some((id, Some(Node::new(NodeId::new(id), labels, props))))
+                }
+                (id, RecordBody::NodeDeleted) => Some((id, None)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?,
+        None => Vec::new(),
+    };
     if !patch.is_empty() {
         let mask = patch
             .iter()
@@ -919,6 +969,67 @@ mod tests {
         let empty = Graph::new();
         let (file, _) = encode(&empty, 1, None, |_| Change::Any);
         assert_eq!(load(&file, &[]).unwrap().node_count(), 0);
+    }
+
+    #[test]
+    fn segments_name_their_members_by_mask() {
+        // A partial segment of ids 0..10, and ids at the edges of a segment
+        // and of the one-, two- and three-byte varints: 63, 64, 2^14, 2^21.
+        let ids = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 1 << 14, 1 << 21];
+        let mut g = Graph::new();
+        for id in ids {
+            g.apply(&Update::AddNode {
+                id: NodeId::new(id),
+                labels: vec![],
+                props: vec![],
+            })
+            .unwrap();
+        }
+        for (rel, &src) in ids.iter().enumerate() {
+            g.apply(&Update::AddRel {
+                id: RelId::new(ids[ids.len() - 1 - rel]),
+                src: NodeId::new(src),
+                tgt: NodeId::new(63),
+                label: None,
+                props: vec![],
+            })
+            .unwrap();
+        }
+        let (file, manifest) = encode(&g, 7, None, |_| Change::Any);
+        let segments: Vec<Segment> = manifest.entries.iter().map(|e| e.segment).collect();
+        let (node, rel) = (Segment::Node, Segment::Rel);
+        let expect = [
+            node(0),
+            node(1),
+            node(1 << 8),
+            node(1 << 15),
+            rel(0),
+            rel(1),
+            rel(1 << 8),
+            rel(1 << 15),
+        ];
+        assert_eq!(segments, expect);
+        // Each segment is its mask, then one body per member: an empty node
+        // body is three bytes (header, no labels, no properties).
+        let masks = [((1 << 10) - 1) | (1 << 63), 1, 1, 1];
+        for (e, mask) in manifest.entries.iter().zip(masks) {
+            let bytes = slice(&file, e.base.at.offset, e.base.at.len).unwrap();
+            assert_eq!(bytes[..8], u64::to_le_bytes(mask), "{:?}", e.segment);
+            assert_eq!(bytes.len(), 8 + 3 * mask.count_ones() as usize);
+        }
+        let back = load(&file, &[]).unwrap();
+        assert!(back.same_as(&g));
+        back.check_consistency().unwrap();
+        // A relationship segment's mask with one member more than it has
+        // bodies: the file still opens, and does not decode.
+        let rels = manifest.entries[4].base.at.offset as usize;
+        let mut bad = file.clone();
+        bad[rels + 1] |= 1 << 2;
+        let payload = bad.len() - 8;
+        let footer = bulk_sum64(&bad[..payload]);
+        bad[payload..].copy_from_slice(&footer.to_le_bytes());
+        assert!(open(&bad).is_some());
+        assert_eq!(load(&bad, &[]).err(), Some(Fault::Corrupt));
     }
 
     #[test]
@@ -1231,9 +1342,8 @@ mod tests {
         varint::write_u32(&mut out, MAGIC);
         out.push(VERSION);
         varint::write_u64(&mut out, 30);
-        let mut base = Vec::new();
-        for id in [0u64, 1] {
-            varint::write_u64(&mut base, id);
+        let mut base = 0b11u64.to_le_bytes().to_vec();
+        for _ in [0u64, 1] {
             encode_node_full(&mut base, &[], &[]);
         }
         let mut part = |bytes: &[u8], ts| {
@@ -1261,11 +1371,10 @@ mod tests {
         )
     }
 
-    /// A patch of `(id, body)` records.
-    fn patch_bytes(records: &[(u64, RecordBody)]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (id, body) in records {
-            varint::write_u64(&mut out, *id);
+    /// A patch of `bodies` whose member mask is `mask`.
+    fn patch_bytes(mask: u64, bodies: &[RecordBody]) -> Vec<u8> {
+        let mut out = mask.to_le_bytes().to_vec();
+        for body in bodies {
             body.encode(&mut out);
         }
         out
@@ -1277,16 +1386,21 @@ mod tests {
             labels: vec![StrId::new(1)],
             props: vec![],
         };
-        let good = patch_bytes(&[(1, full()), (5, RecordBody::NodeDeleted), (7, full())]);
+        // Node 1 changes, node 5 goes and node 7 is new.
+        let mask = 1 << 1 | 1 << 5 | 1 << 7;
+        let good = patch_bytes(mask, &[full(), RecordBody::NodeDeleted, full()]);
         let file = patched_file(20, 30, Segment::Node(0), &good);
         let m = open(&file).expect("the well-formed file opens");
         assert!(m.patched(Segment::Node(0)));
-        let g = load(&file, &[(20, &file)]).unwrap();
-        assert_eq!(g.node_count(), 3);
+        let d = load_with(&file, &[(20, &file)], &SharedSegments::default()).unwrap();
+        let g = d.0.graph;
+        let ids: Vec<u64> = g.nodes().map(|n| n.id.raw()).collect();
+        assert_eq!(ids, [0, 1, 7]);
         assert_eq!(
             g.node(NodeId::new(1)).unwrap().labels,
             vec![StrId::new(1)].into()
         );
+        assert_eq!(d.0.patched, vec![(Segment::Node(0), mask)]);
 
         // The patch must come later than its base.
         assert!(open(&patched_file(30, 30, Segment::Node(0), &good)).is_none());
@@ -1296,20 +1410,25 @@ mod tests {
         assert!(open(&patched_file(20, 30, Segment::Rel(0), &good)).is_none());
 
         let refused = [
-            patch_bytes(&[(5, full()), (1, full())]),
-            patch_bytes(&[(5, full()), (5, RecordBody::NodeDeleted)]),
-            patch_bytes(&[(64, full())]),
-            patch_bytes(&[(1, RecordBody::RelDeleted)]),
-            patch_bytes(&[(
+            // A mask whose popcount is not the number of bodies.
+            patch_bytes(1 << 1 | 1 << 5, &[full()]),
+            patch_bytes(1 << 5, &[full(), RecordBody::NodeDeleted]),
+            patch_bytes(0, &[full()]),
+            // A patch that lists nothing, and one cut inside its mask.
+            patch_bytes(0, &[]),
+            patch_bytes(1, &[full()])[..4].to_vec(),
+            // Bodies a node patch does not hold.
+            patch_bytes(1, &[RecordBody::RelDeleted]),
+            patch_bytes(
                 1,
-                RecordBody::RelFull {
+                &[RecordBody::RelFull {
                     src: NodeId::new(0),
                     tgt: NodeId::new(1),
                     label: None,
                     props: vec![],
-                },
-            )]),
-            patch_bytes(&[(1, RecordBody::NodeDelta(Default::default()))]),
+                }],
+            ),
+            patch_bytes(1, &[RecordBody::NodeDelta(Default::default())]),
         ];
         for (i, patch) in refused.iter().enumerate() {
             let file = patched_file(20, 30, Segment::Node(0), patch);

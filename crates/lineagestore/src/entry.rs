@@ -12,17 +12,20 @@
 //! bounds the delta-chain cost studied in Sec. 6.5.
 //!
 //! The value is written relative to its key's timestamp `ts`. A full
-//! record or a tombstone is its own base at position 0, and spends one
-//! byte on both:
+//! record or a tombstone is its own base at position 0, and is its body
+//! alone: the body's Fig. 3 header byte already says it is not a delta. A
+//! delta carries its chain fields right after that byte:
 //!
 //! ```text
-//! entry = 0x00 body                          ; full record or tombstone
-//!       | varint(ts - base_ts) varint(pos) body   ; delta, ts - base_ts ≥ 1
+//! entry = body                                      ; full record or tombstone
+//!       | header varint(ts - base_ts) varint(pos) rest
+//!                                                   ; delta: its body is `header rest`,
+//!                                                   ; ts - base_ts ≥ 1
 //! ```
 //!
 //! Decoding takes the key's timestamp. A base later than it does not
-//! decode, and neither does a zero distance in front of a delta body: a
-//! delta's base is always an earlier version.
+//! decode, and neither does a zero distance: a delta's base is always an
+//! earlier version.
 
 use encoding::varint;
 use encoding::RecordBody;
@@ -56,24 +59,25 @@ impl LineageEntry {
         LineageEntry { base_ts, pos, body }
     }
 
-    /// Serializes the envelope + body of the entry keyed at `key_ts`.
+    /// Serializes the entry keyed at `key_ts`.
     pub fn to_bytes(&self, key_ts: Timestamp) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         self.encode(key_ts, &mut out);
         out
     }
 
-    /// Appends the envelope + body of the entry keyed at `key_ts` to `out`.
+    /// Appends the entry keyed at `key_ts` to `out`.
     pub fn encode(&self, key_ts: Timestamp, out: &mut Vec<u8>) {
-        encode_chain(out, key_ts, self.base_ts, self.pos);
-        self.body.encode(out);
+        encode(out, key_ts, self.base_ts, self.pos, |out| {
+            self.body.encode(out)
+        });
     }
 
-    /// Deserializes the envelope + body of the entry keyed at `key_ts`.
+    /// Deserializes the entry keyed at `key_ts`.
     pub fn from_bytes(key_ts: Timestamp, buf: &[u8]) -> Option<LineageEntry> {
-        let mut pos = 0;
-        let (base_ts, chain_pos) = read_chain(key_ts, buf, &mut pos)?;
-        let body = RecordBody::decode(buf, &mut pos)?;
+        let (base_ts, chain_pos, mut pos) = read_chain(key_ts, buf)?;
+        let header = *buf.first()?;
+        let body = RecordBody::decode_after(header, buf, &mut pos)?;
         (pos == buf.len()).then_some(LineageEntry {
             base_ts,
             pos: chain_pos,
@@ -82,43 +86,54 @@ impl LineageEntry {
     }
 }
 
-/// Appends the chain fields of the entry keyed at `key_ts`; its body
-/// follows them. `base_ts` is never later than `key_ts`, and is `key_ts`
-/// itself (at `pos` 0) only for a full record or a tombstone.
-pub(crate) fn encode_chain(out: &mut Vec<u8>, key_ts: Timestamp, base_ts: Timestamp, pos: u32) {
+/// Appends the entry keyed at `key_ts` whose body `body` appends: the body,
+/// with the chain fields right after its header byte when it is a delta.
+/// `base_ts` is never later than `key_ts`, and is `key_ts` itself (at `pos`
+/// 0) exactly when the body is a full record or a tombstone.
+pub(crate) fn encode(
+    out: &mut Vec<u8>,
+    key_ts: Timestamp,
+    base_ts: Timestamp,
+    pos: u32,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    body(out);
+    let delta = RecordBody::encodes_delta(&out[start..]) == Some(true);
     debug_assert!(
         base_ts <= key_ts,
         "chain base {base_ts} after its key {key_ts}"
     );
     debug_assert_eq!(base_ts == key_ts, pos == 0, "a full record is its own base");
-    // A base after the key would wrap to a distance that does not decode.
-    let distance = key_ts.wrapping_sub(base_ts);
-    varint::write_u64(out, distance);
-    if distance != 0 {
+    debug_assert_eq!(delta, pos > 0, "only a delta has a chain position");
+    if delta {
+        // Written after the body, then turned in behind its header byte.
+        let end = out.len();
+        varint::write_u64(out, key_ts.wrapping_sub(base_ts));
         varint::write_u64(out, u64::from(pos));
+        let fields = out.len() - end;
+        out[start + 1..].rotate_right(fields);
     }
 }
 
-/// Reads the chain fields at `buf[*pos..]` of the entry keyed at `key_ts`,
-/// and checks them against the body after them: a zero distance, which
-/// carries no position, fronts a full record or a tombstone only.
-fn read_chain(key_ts: Timestamp, buf: &[u8], pos: &mut usize) -> Option<(Timestamp, u32)> {
-    let distance = varint::read_u64(buf, pos)?;
-    if distance == 0 {
-        let delta = RecordBody::encodes_delta(buf.get(*pos..)?)?;
-        return (!delta).then_some((key_ts, 0));
+/// The `(base_ts, pos)` of the encoded entry `buf` keyed at `key_ts`, and
+/// where its body's bytes after the header byte start.
+fn read_chain(key_ts: Timestamp, buf: &[u8]) -> Option<(Timestamp, u32, usize)> {
+    let mut pos = 1;
+    if !RecordBody::encodes_delta(buf)? {
+        return Some((key_ts, 0, pos));
     }
-    let base_ts = key_ts.checked_sub(distance)?;
-    let chain_pos = varint::read_u64(buf, pos)? as u32;
-    Some((base_ts, chain_pos))
+    let distance = varint::read_u64(buf, &mut pos)?;
+    let base_ts = key_ts.checked_sub(distance).filter(|_| distance > 0)?;
+    let chain_pos = varint::read_u64(buf, &mut pos)? as u32;
+    Some((base_ts, chain_pos, pos))
 }
 
 /// The `(base_ts, pos)` of the encoded entry keyed at `key_ts` and whether
 /// its body is a tombstone, read without decoding the body.
 pub(crate) fn peek_chain(key_ts: Timestamp, buf: &[u8]) -> Option<(Timestamp, u32, bool)> {
-    let mut pos = 0;
-    let (base_ts, chain_pos) = read_chain(key_ts, buf, &mut pos)?;
-    let deleted = RecordBody::encodes_tombstone(buf.get(pos..)?)?;
+    let (base_ts, chain_pos, _) = read_chain(key_ts, buf)?;
+    let deleted = RecordBody::encodes_tombstone(buf)?;
     Some((base_ts, chain_pos, deleted))
 }
 
@@ -137,8 +152,7 @@ mod tests {
             },
         );
         let bytes = e.to_bytes(42);
-        assert_eq!(bytes[0], 0, "a full record's base is its key");
-        assert_eq!(bytes[1..], e.body.to_bytes(), "and it has no position");
+        assert_eq!(bytes, e.body.to_bytes(), "a full record is its body alone");
         assert_eq!(LineageEntry::from_bytes(42, &bytes), Some(e));
     }
 
@@ -154,7 +168,10 @@ mod tests {
             }),
         );
         let bytes = e.to_bytes(13);
-        assert_eq!(bytes[..2], [3, 3], "base 10 is 3 before its key at 13");
+        let body = e.body.to_bytes();
+        assert_eq!(bytes[0], body[0], "the body's header byte comes first");
+        assert_eq!(bytes[1..3], [3, 3], "base 10 is 3 before its key at 13");
+        assert_eq!(bytes[3..], body[1..], "then the rest of the body");
         let back = LineageEntry::from_bytes(13, &bytes).unwrap();
         assert_eq!(back.base_ts, 10);
         assert_eq!(back.pos, 3);
@@ -187,21 +204,32 @@ mod tests {
         );
         assert_eq!(peek_chain(305, &delta.to_bytes(305)), Some((300, 2, false)));
         let gone = LineageEntry::full(301, RecordBody::RelDeleted);
-        assert_eq!(gone.to_bytes(301).len(), 2, "one chain byte, one body byte");
+        assert_eq!(gone.to_bytes(301).len(), 1, "the body's one byte");
         assert_eq!(peek_chain(301, &gone.to_bytes(301)), Some((301, 0, true)));
-        assert_eq!(peek_chain(301, &gone.to_bytes(301)[..1]), None, "no body");
+        assert_eq!(peek_chain(301, &[]), None, "no body");
+        let full = LineageEntry::full(
+            302,
+            RecordBody::NodeFull {
+                labels: vec![],
+                props: vec![],
+            },
+        );
+        assert_eq!(peek_chain(302, &full.to_bytes(302)), Some((302, 0, false)));
     }
 
     #[test]
-    fn a_zero_distance_in_front_of_a_delta_does_not_decode() {
+    fn a_delta_at_a_zero_distance_does_not_decode() {
         let body = RecordBody::NodeDelta(EntityDelta::default());
         let delta = LineageEntry::delta(10, 1, body.clone()).to_bytes(11);
-        assert_eq!(delta[..2], [1, 1]);
+        assert_eq!(delta[1..3], [1, 1]);
         assert!(LineageEntry::from_bytes(11, &delta).is_some());
-        // The same body behind the one byte a full record spends.
-        let forged = [&[0u8][..], &body.to_bytes()].concat();
+        // The same delta whose base is its own key.
+        let mut forged = delta.clone();
+        forged[1] = 0;
         assert_eq!(LineageEntry::from_bytes(11, &forged), None);
         assert_eq!(peek_chain(11, &forged), None);
+        // A delta body with no chain fields at all.
+        assert_eq!(LineageEntry::from_bytes(11, &body.to_bytes()), None);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! neighbour key 4–36. A neighbour entry's key already names the
 //! relationship and the time, so its value is empty (the relationship
 //! joined the neighbourhood at `ts`) or `[1]` (it left). A history entry's
-//! chain fields are written relative to its key's `ts`, in one byte on a
-//! full record ([`entry`]). The B+Tree leaves hold the prefix their keys
-//! share once (`btree::layout`).
+//! chain fields are written relative to its key's `ts`, on a delta only: a
+//! full record is its body alone ([`entry`]). The B+Tree leaves hold the
+//! prefix their keys share once (`btree::layout`).
 //!
 //! Updates are stored **in place** as deltas or fully materialized entities
 //! (not as pointers into the TimeStore log), trading space for access

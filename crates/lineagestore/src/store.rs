@@ -281,12 +281,11 @@ impl LineageStore {
         buf.clear();
         match op {
             Update::AddNode { id, .. } | Update::DeleteNode { id } => {
-                entry::encode_chain(buf, ts, ts, 0);
+                // A full record or a tombstone is its body alone.
                 record::encode_update(buf, op);
                 self.put(&self.nodes, id.raw(), ts, buf)
             }
             Update::AddRel { id, src, tgt, .. } => {
-                entry::encode_chain(buf, ts, ts, 0);
                 record::encode_update(buf, op);
                 self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(*src, *tgt, *id, ts, false)
@@ -294,7 +293,6 @@ impl LineageStore {
             Update::DeleteRel { id } => {
                 // The tombstone needs the endpoints for the neighbour indexes.
                 let rel = self.rel_at(*id, ts)?.ok_or(GraphError::RelNotFound(*id))?;
-                entry::encode_chain(buf, ts, ts, 0);
                 record::encode_update(buf, op);
                 self.put(&self.rels, id.raw(), ts, buf)?;
                 self.put_neighbours(rel.src, rel.tgt, *id, ts, true)
@@ -411,8 +409,9 @@ impl LineageStore {
                 LineageEntry::full(ts, body).encode(ts, buf);
             } else {
                 bump(&self.stats.deltas);
-                entry::encode_chain(buf, ts, base_ts, pos + 1);
-                record::encode_update(buf, op);
+                entry::encode(buf, ts, base_ts, pos + 1, |buf| {
+                    record::encode_update(buf, op)
+                });
             }
             // The value borrows `buf`, which outlives the insert.
             let buf: &Vec<u8> = buf;
@@ -597,9 +596,11 @@ impl LineageStore {
             };
             open_since = ts;
         }
+        // `open_since` is `start` or the ts of a key the scan below
+        // `(id, end)` yielded: before `end` either way.
         if let Some(body) = current {
             versions.push(Version {
-                valid: Interval::new(open_since, end.max(open_since + 1)),
+                valid: Interval::new(open_since, end),
                 data: make(id, body)?,
             });
         }

@@ -18,17 +18,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use vfs::{VfsFile, VfsRef};
 
-/// "AIONPGS6": the page-file format version. Version 1 laid B+Tree leaf
+/// "AIONPGS7": the page-file format version. Version 1 laid B+Tree leaf
 /// cells out with a seven-byte header; version 2 had the varint cell header
 /// but 32-byte neighbour keys; version 3 kept its checksums in a
 /// `<file>.sums` sidecar instead of the meta page's seal; version 4 wrote
 /// the LineageStore's history keys as 16 fixed bytes and each entry's
 /// chain base as an absolute timestamp; version 5 wrote each leaf cell's
 /// whole key, a `[0]` value on every live neighbour entry and two chain
-/// bytes on every full record. This build reads none of them, and an old
+/// bytes on every full record; version 6 gave each leaf cell a varint for
+/// each of its two lengths, and every full LineageStore record a chain
+/// byte `0` in front of its body. This build reads none of them, and an old
 /// file fails at open like a torn one, so the caller rebuilds it from the
 /// change log.
-const MAGIC: u64 = 0x4149_4F4E_5047_5336;
+const MAGIC: u64 = 0x4149_4F4E_5047_5337;
 /// The magic without its version digit.
 const MAGIC_STEM: u64 = MAGIC >> 8;
 const META_MAGIC_OFF: usize = 0;
@@ -528,8 +530,8 @@ mod tests {
         let path = dir.path().join("old.db");
         PageStore::open(&path, 4).unwrap().sync().unwrap();
         let mut raw = VfsRef::std().read(&path).unwrap();
-        assert_eq!(&raw[..8], b"6SGPNOIA", "little-endian AIONPGS6");
-        for version in [b'1', b'2', b'3', b'4', b'5'] {
+        assert_eq!(&raw[..8], b"7SGPNOIA", "little-endian AIONPGS7");
+        for version in [b'1', b'2', b'3', b'4', b'5', b'6'] {
             raw[0] = version;
             VfsRef::std().write(&path, &raw).unwrap();
             let err = PageStore::open(&path, 4).err().unwrap();
@@ -537,7 +539,7 @@ mod tests {
             assert_eq!(
                 err.to_string(),
                 format!(
-                    "page file version AIONPGS{}, this build reads AIONPGS6",
+                    "page file version AIONPGS{}, this build reads AIONPGS7",
                     char::from(version)
                 )
             );

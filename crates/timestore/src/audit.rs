@@ -117,6 +117,16 @@ impl TimeStore {
                 ));
                 return;
             }
+            Err(LoadError::Version(v)) => {
+                findings.push(Finding::new(
+                    "snapshot/decode",
+                    format!(
+                        "snapshot {name} at ts {ts} is version {v}, this build reads {}",
+                        encoding::snapshot::VERSION
+                    ),
+                ));
+                return;
+            }
             Err(LoadError::Fault(Fault::Corrupt)) => {
                 findings.push(Finding::new(
                     "snapshot/decode",

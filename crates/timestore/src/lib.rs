@@ -57,4 +57,4 @@ pub mod store;
 pub use graphstore::GraphStore;
 pub use log::{ChangeLog, CommitFrame, Payload};
 pub use policy::SnapshotPolicy;
-pub use store::{TimeStore, TimeStoreConfig, TimeStoreStats, Versions};
+pub use store::{SnapshotBytes, TimeStore, TimeStoreConfig, TimeStoreStats, Versions};

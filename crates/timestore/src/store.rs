@@ -16,7 +16,7 @@ use crate::graphstore::GraphStore;
 use crate::log::{ChangeLog, Payload};
 use crate::policy::SnapshotPolicy;
 use btree::Finding;
-use encoding::snapshot::{self, Change, Decoded, Manifest, Segment, SharedSegments};
+use encoding::snapshot::{self, Change, Decoded, Inline, Manifest, Segment, SharedSegments};
 use lock::{Mutex, Rank};
 use lpg::{
     EntityId, Graph, GraphError, Interval, Result, TemporalGraph, Timestamp, TimestampedUpdate,
@@ -72,8 +72,51 @@ pub(crate) fn snapshot_name(ts: Timestamp) -> String {
 pub(crate) enum LoadError {
     /// The file itself could not be read.
     Unreadable(std::io::Error),
-    /// Its footer, version, name or contents, or a range it references.
+    /// Its footer matches, and it is of this format version, which this
+    /// build does not read.
+    Version(u8),
+    /// Its footer, name or contents, or a range it references.
     Fault(snapshot::Fault),
+}
+
+/// The snapshot files' bytes by what they hold, read from their manifests
+/// (Fig. 10).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotBytes {
+    /// Snapshot files read.
+    pub files: u64,
+    /// Their bytes.
+    pub total: u64,
+    /// What they hold inline, summed: node bases, patches and relationship
+    /// segments.
+    pub inline: Inline,
+}
+
+impl SnapshotBytes {
+    /// The bytes that are no segment or patch: headers, manifests and
+    /// footers.
+    pub fn manifests(&self) -> u64 {
+        let i = &self.inline;
+        self.total - i.node_bytes - i.patch_bytes - i.rel_bytes
+    }
+}
+
+impl std::fmt::Display for SnapshotBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let i = &self.inline;
+        write!(
+            f,
+            "{} files, {} B: node bases {} B, patches {} B in {}, relationship segments {} B, \
+             manifests {} B",
+            self.files,
+            self.total,
+            i.node_bytes,
+            i.patch_bytes,
+            i.patches,
+            i.rel_bytes,
+            self.manifests()
+        )
+    }
 }
 
 /// Size/footprint counters for the storage-overhead experiments (Fig. 10).
@@ -291,6 +334,10 @@ impl TimeStore {
             } else {
                 match self.read_snapshot_file(sts) {
                     Err(LoadError::Unreadable(e)) => Err(format!("unreadable: {e}")),
+                    Err(LoadError::Version(v)) => Err(format!(
+                        "version {v}, this build reads {}",
+                        snapshot::VERSION
+                    )),
                     Err(LoadError::Fault(_)) => Err("does not decode".into()),
                     Ok((m, bytes)) => {
                         match m.sources().into_iter().find(|s| !snapshots.contains_key(s)) {
@@ -368,6 +415,7 @@ impl TimeStore {
 
     /// Reads the snapshot file at `ts` and checks its footer, version and
     /// name; the referenced ranges are checked by [`Self::decode_snapshot`].
+    /// A sealed file of another version is refused by its version.
     fn read_snapshot_file(
         &self,
         ts: Timestamp,
@@ -376,8 +424,9 @@ impl TimeStore {
             .vfs
             .read(&self.snap_dir.join(snapshot_name(ts)))
             .map_err(LoadError::Unreadable)?;
-        match snapshot::open(&bytes) {
-            Some(manifest) if manifest.ts() == ts => Ok((manifest, bytes)),
+        match (snapshot::open(&bytes), snapshot::version(&bytes)) {
+            (Some(manifest), _) if manifest.ts() == ts => Ok((manifest, bytes)),
+            (None, Some(v)) if v != snapshot::VERSION => Err(LoadError::Version(v)),
             _ => Err(LoadError::Fault(snapshot::Fault::Corrupt)),
         }
     }
@@ -773,6 +822,21 @@ impl TimeStore {
             snapshot_bytes: state.snapshots.values().sum(),
             snapshot_count: state.snapshots.len() as u64,
         }
+    }
+
+    /// What the snapshot set's files hold, by kind. A file that does not
+    /// read or open is left out: [`TimeStore::audit`] reports it.
+    pub fn snapshot_bytes(&self) -> SnapshotBytes {
+        let mut out = SnapshotBytes::default();
+        for ts in self.snapshot_timestamps() {
+            let Ok((manifest, bytes)) = self.read_snapshot_file(ts) else {
+                continue;
+            };
+            out.inline += manifest.inline();
+            out.files += 1;
+            out.total += bytes.len() as u64;
+        }
+        out
     }
 
     /// The snapshot set's timestamps, ascending.

@@ -453,6 +453,51 @@ fn open_reports_every_repair_it_makes() {
     }
 }
 
+#[test]
+fn a_snapshot_file_of_an_older_version_is_refused_by_name() {
+    use encoding::snapshot;
+    let dir = tempdir().unwrap();
+    let commits = history();
+    let open = || TimeStore::open(dir.path(), config(SnapshotPolicy::EveryNOps(50))).unwrap();
+    {
+        let store = open();
+        for (ts, ops) in &commits {
+            store.append_commit(*ts, ops).unwrap();
+        }
+        store.sync().unwrap();
+    }
+    // The newest file, which no other references, as an older build wrote
+    // it: a version-3 header under a footer that matches.
+    let vfs = vfs::VfsRef::std();
+    let snap = dir
+        .path()
+        .join("snapshots/snap_00000000000000000100.aisnap");
+    let mut bytes = vfs.read(&snap).unwrap();
+    // The version byte follows the header's four-byte magic.
+    assert_eq!(snapshot::version(&bytes), Some(snapshot::VERSION));
+    assert_eq!(bytes[4], snapshot::VERSION);
+    bytes[4] = 3;
+    let payload = bytes.len() - 8;
+    let footer = vfs::bulk_sum64(&bytes[..payload]);
+    bytes[payload..].copy_from_slice(&footer.to_le_bytes());
+    assert_eq!(snapshot::version(&bytes), Some(3));
+    vfs.write(&snap, &bytes).unwrap();
+
+    let store = open();
+    let repairs = store.repairs();
+    assert_eq!(repairs.len(), 1, "{repairs:?}");
+    assert_eq!(repairs[0].check, "repair/snapshot");
+    assert_eq!(
+        repairs[0].detail,
+        format!(
+            "deleted snapshot file snap_00000000000000000100.aisnap: version 3, this build reads {}",
+            snapshot::VERSION
+        )
+    );
+    assert!(!vfs.exists(&snap));
+    assert!(store.latest_graph().same_as(&oracle_at(&commits, u64::MAX)));
+}
+
 /// The snapshot schedule carries over a reopen: the newest snapshot and
 /// the updates committed past it are where the policy counts from, so a
 /// reopen anywhere in the history leaves the same snapshot files as none.

@@ -1,7 +1,7 @@
 //! Opening a data directory written by an older version. Its derived files
 //! are not converted: they fail verification like a torn file would, the
 //! page file is rebuilt from the change log — whose format did not change
-//! — and the stale snapshots are dropped at open. Six kinds of input:
+//! — and the stale snapshots are dropped at open. Seven kinds of input:
 //!
 //! * written before the bulk checksum (`vfs::bulk_sum64`): snapshot footers
 //!   carry FNV-1a sums;
@@ -19,6 +19,8 @@
 //! * written before leaves held their keys' shared prefix once, live
 //!   neighbour entries had empty values and full records one chain byte:
 //!   the page file carries `AIONPGS5`;
+//! * written before a leaf cell's two lengths shared one varint and full
+//!   records lost their chain byte: the page file carries `AIONPGS6`;
 //! * written while the TimeStore kept its `ts → log offset` tree: a
 //!   `timestore.idx` page file with its checksum sidecar, and no
 //!   durable-end record next to the log. Open deletes both files.
@@ -87,7 +89,7 @@ fn reseal(pages: &mut [u8]) {
 /// seal on its meta page.
 fn rewrite_page_magic(page_file: &Path, version: u8) {
     let mut pages = VfsRef::std().read(page_file).unwrap();
-    assert_eq!(&pages[..8], b"6SGPNOIA", "little-endian AIONPGS6");
+    assert_eq!(&pages[..8], b"7SGPNOIA", "little-endian AIONPGS7");
     pages[0] = version;
     if version >= b'4' {
         reseal(&mut pages);
@@ -338,7 +340,7 @@ fn rebuild_old_page_file(
         db.sync().unwrap();
     }
     let bytes = VfsRef::std().read(&file).unwrap();
-    assert_eq!(&bytes[..8], b"6SGPNOIA", "the next sync writes AIONPGS6");
+    assert_eq!(&bytes[..8], b"7SGPNOIA", "the next sync writes AIONPGS7");
     assert!(!VfsRef::std().exists(&sidecar(&file)), "and no sidecar");
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
 }
@@ -378,8 +380,11 @@ fn expansions(db: &Aion, history: &[(u64, Arc<Graph>)]) -> Vec<Vec<(NodeId, u32)
     out
 }
 
-#[test]
-fn version_5_page_files_are_rebuilt_at_open() {
+/// A directory whose page file carries the older page-file version
+/// `version`, and whose history deleted relationships, opens as
+/// [`rebuild_old_page_file`] checks, and every two-hop expansion reads
+/// back as before.
+fn old_neighbour_entries_are_rebuilt_at_open(version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
     let mut history = write_history(dir);
@@ -396,21 +401,31 @@ fn version_5_page_files_are_rebuilt_at_open() {
         expansions(&db, &history)
     };
     assert!(before.iter().any(|hits| !hits.is_empty()));
-    rebuild_old_page_file(dir, b'5', &history, |db| {
+    rebuild_old_page_file(dir, version, &history, |db| {
         assert_eq!(expansions(db, &history), before);
     });
 }
 
-/// The version-5 input differs from a current file in its version digit
-/// only: the same bytes resealed under `AIONPGS6` open with verification.
+#[test]
+fn version_5_page_files_are_rebuilt_at_open() {
+    old_neighbour_entries_are_rebuilt_at_open(b'5');
+}
+
+#[test]
+fn version_6_page_files_are_rebuilt_at_open() {
+    old_neighbour_entries_are_rebuilt_at_open(b'6');
+}
+
+/// The version-6 input differs from a current file in its version digit
+/// only: the same bytes resealed under `AIONPGS7` open with verification.
 #[test]
 fn the_resealed_input_differs_in_its_version_only() {
     let dir = tempfile::tempdir().unwrap();
     let file = dir.path().join("lineage.db");
     write_history(dir.path());
-    rewrite_page_magic(&file, b'5');
+    rewrite_page_magic(&file, b'6');
     let mut pages = VfsRef::std().read(&file).unwrap();
-    pages[0] = b'6';
+    pages[0] = b'7';
     reseal(&mut pages);
     VfsRef::std().write(&file, &pages).unwrap();
     PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();

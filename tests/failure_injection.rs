@@ -267,7 +267,8 @@ mod corruption {
     use timestore::{TimeStore, TimeStoreConfig};
 
     // Raw slotted-page layout (crates/btree/src/layout.rs): integers LE,
-    // a leaf cell starts `varint slen, varint (vlen << 1 | overflow)`, then
+    // a leaf cell starts `varint head`, `head = (vlen << 1 | overflow) << 5
+    // | min(slen, 31)`, and from `slen` 31 on `varint (slen - 31)`, then
     // the key's suffix; the leaf's prefix is the page's last `u16 at 6`
     // bytes.
     const LEAF: u8 = 1;
@@ -282,7 +283,7 @@ mod corruption {
     /// Reads the LEB128 varint at `b[*pos..]`, advancing `pos`.
     fn read_varint(b: &[u8], pos: &mut usize) -> u64 {
         let mut v = 0u64;
-        for shift in (0..35).step_by(7) {
+        for shift in (0..42).step_by(7) {
             let byte = b[*pos];
             *pos += 1;
             v |= u64::from(byte & 0x7f) << shift;
@@ -301,9 +302,12 @@ mod corruption {
     /// The leaf cell at `off`: `(slen, overflow, offset of its suffix)`.
     fn leaf_cell(b: &[u8], off: usize) -> (usize, bool, usize) {
         let mut pos = off;
-        let klen = read_varint(b, &mut pos) as usize;
-        let overflow = read_varint(b, &mut pos) & 1 != 0;
-        (klen, overflow, pos)
+        let head = read_varint(b, &mut pos);
+        let mut slen = (head & 31) as usize;
+        if slen == 31 {
+            slen += read_varint(b, &mut pos) as usize;
+        }
+        (slen, head >> 5 & 1 != 0, pos)
     }
 
     fn read_u64(b: &[u8], off: usize) -> u64 {
