@@ -37,7 +37,8 @@ fn generated_database_is_clean_at_every_level() {
         assert_eq!(out.status.code(), Some(0), "{level}:\n{stdout}");
         assert!(stdout.contains(": clean\n"), "{level}:\n{stdout}");
         // The one snapshot file `gen` writes, by what it holds: its parts
-        // add up to its length.
+        // add up to its length, and it is the newest, holding every run it
+        // names inline.
         let line = stdout
             .lines()
             .find_map(|l| l.strip_prefix("snapshot bytes: 1 files, "))
@@ -46,11 +47,12 @@ fn generated_database_is_clean_at_every_level() {
             .split(|c: char| !c.is_ascii_digit())
             .filter_map(|n| n.parse().ok())
             .collect();
-        let [total, nodes, patches, 0, rels, manifests] = numbers[..] else {
+        let [total, nodes, patches, 0, rels, manifests, newest, runs, 0] = numbers[..] else {
             panic!("{line}");
         };
-        assert!(nodes > 0 && rels > 0 && manifests > 0, "{line}");
+        assert!(nodes > 0 && rels > 0 && manifests > 0 && runs > 0, "{line}");
         assert_eq!(total, nodes + patches + rels + manifests, "{line}");
+        assert_eq!(newest, manifests, "{line}");
     }
 }
 

@@ -153,7 +153,7 @@ const PINNED: &str = concat!(
     "  lineagestore rels: 1 pages, 1 leaves, leaf fill 7.3 %\n",
     "  lineagestore out-neighbours: 1 pages, 1 leaves, leaf fill 5.4 %\n",
     "  lineagestore in-neighbours: 1 pages, 1 leaves, leaf fill 5.0 %\n",
-    "snapshot bytes: 0 files, 0 B: node bases 0 B, patches 0 B in 0, relationship segments 0 B, manifests 0 B\n",
+    "snapshot bytes: 0 files, 0 B: node bases 0 B, patches 0 B in 0, relationship segments 0 B, manifests 0 B; the newest manifest 0 B, runs 0 inline and 0 referenced\n",
 );
 
 #[test]

@@ -23,8 +23,9 @@
 //! * B+Tree keys ([`keys`]) are big-endian so lexicographic byte order
 //!   equals numeric order — exactly the composite layouts of Table 2.
 //!
-//! [`snapshot`] is the format of TimeStore's snapshot files (logically full,
-//! physically sharing unchanged 64-id segments with earlier files), and
+//! [`snapshot`] is the format of TimeStore's snapshot files (each names
+//! every entity, and shares unchanged 64-id segments and unchanged runs of
+//! 64 segments with earlier files), and
 //! [`varint`] provides the LEB128 + zigzag primitives everything above uses.
 
 #![cfg_attr(

@@ -2,40 +2,65 @@
 //! references to the files are maintained in a second B+Tree indexed by
 //! time").
 //!
-//! A snapshot file is *logically* full — its manifest names every entity of
-//! the graph at its timestamp — and *physically* incremental: the bytes of a
-//! segment no update touched since the previous snapshot are not written
-//! again but referenced where an earlier file holds them.
+//! A snapshot file *names* every entity of the graph at its timestamp, and
+//! writes only what changed since the previous file. Its bytes are in two
+//! levels: a top level of *runs*, one per 64 consecutive segments of one
+//! kind, and for each run the entries that say where its segments' bytes
+//! are. Neither level is written again where it did not change: an
+//! untouched segment is referenced where an earlier file holds it, and a
+//! run none of whose entries changed is referenced where an earlier file
+//! holds the run. So a file costs its changed segments, the runs that hold
+//! them, and one top-level entry per 4 096 entities of the graph.
 //!
-//! # Layout (version 4)
+//! # Layout (version 5)
 //!
 //! ```text
 //! file     := payload footer:u64le                 footer = bulk_sum64(payload)
-//! payload  := header body manifest manifest_at:u64le
+//! payload  := header body runs top top_at:u64le
 //! header   := magic:u32le version:u8 ts:varint
-//! body     := the bytes of this file's inline segments and patches, in manifest order
-//! manifest := node_segments:varint rel_segments:varint entry*
-//! entry    := tag:varint base:part [patch:part]    tag = segment · 2 + 1 when a patch follows
-//! part     := back:varint offset:varint len:varint [sum:u64le]     sum when back > 0
+//! body     := this file's inline segments and patches, in manifest order
+//! runs     := this file's inline runs, in manifest order
+//! top      := node_runs:varint rel_runs:varint (tag:varint at:ref)*    tag = run number
+//! ref      := back:varint offset:varint len:varint [sum:u64le]        sum when back > 0
+//! run      := entry+                                  ascending, at most 64
+//! entry    := tag:varint base:part [patch:part]    tag = (segment mod 64) · 2 + 1 when a patch follows
+//! part     := back:varint offset:varint len:varint sum:u64le
 //! segment  := members:u64le (NodeFull | RelFull)*    one Fig. 3 body per member
 //! patch    := members:u64le (NodeFull | NodeDeleted)*   node segments only
 //! ```
 //!
 //! A **segment** is the nodes, or the relationships, whose ids agree above
-//! the low six bits: at most 64 entities. Its manifest entry names it, so a
-//! record carries no id: bit `i` of `members` stands for the id
-//! `segment · 64 + i`, and the records follow in ascending id, one for each
-//! bit set, neither fewer nor more. Neither `members` is ever 0: a segment
-//! is written only when it holds an entity, and a patch only when it lists
-//! one. The manifest lists every non-empty
-//! node segment, then every non-empty relationship segment, ascending. A
-//! part with `back = 0` is *inline*: its bytes are at `offset` in this file.
-//! A part with `back > 0` is a **reference**: the file at `ts − back` holds
-//! the bytes inline at `offset`, and `sum` is their `bulk_sum64`. References
-//! are backward (`back` is unsigned, so a file cannot name itself or a later
-//! one) and one hop (the writer copies an earlier file's reference instead of
-//! pointing at it), so a file depends only on earlier files, and on each of
-//! them directly.
+//! the low six bits: at most 64 entities. Its entry names it, so a record
+//! carries no id: bit `i` of `members` stands for the id `segment · 64 +
+//! i`, and the records follow in ascending id, one for each bit set,
+//! neither fewer nor more. Neither `members` is ever 0: a segment is
+//! written only when it holds an entity, and a patch only when it lists
+//! one.
+//!
+//! A **run** is the segments whose numbers agree above the low six bits,
+//! of one kind: run `r` of nodes holds the entries of node segments `r ·
+//! 64 ..< (r + 1) · 64` that hold an entity, ascending. The top level lists
+//! every non-empty node run, then every non-empty relationship run,
+//! ascending.
+//!
+//! A `ref` or `part` with `back = 0` is *inline*: its bytes are at `offset`
+//! in the file that holds it. One with `back > 0` is a **reference** to the
+//! file `back` timestamps earlier. A top-level `ref` counts back from this
+//! file; a part counts back from the file that holds its run inline, whose
+//! bytes a later file copies unchanged. References are backward (`back` is
+//! unsigned) and one hop: the writer copies an earlier file's reference, to
+//! a run or to a segment, instead of pointing at a file that holds the
+//! bytes only by reference. So a file depends only on earlier files, and on
+//! each of them directly.
+//!
+//! Every part carries its `bulk_sum64`, an inline one too: a later file
+//! that references the run reads the part's bytes without reading the
+//! footer of the file that holds them. A top-level reference carries the
+//! run's sum; an inline run is covered by this file's footer.
+//!
+//! A run is written inline when one of its entries differs from the
+//! previous file's, or a segment joined or left it; otherwise it is a copy
+//! of the previous file's reference to it.
 //!
 //! An entry's **base** is the segment as some file wrote it whole. A node
 //! segment's entry may also carry a **patch**, held by a file later than the
@@ -48,6 +73,13 @@
 //!
 //! Nodes precede relationships so decoding can insert through the
 //! constraint-checking [`lpg::Graph`].
+//!
+//! # Loading
+//!
+//! [`open`] checks a file's footer and reads its top level and inline
+//! runs. [`decode`] first *resolves* the referenced runs, one read per
+//! stretch of a source file, each run checked against its sum, and then
+//! fetches the segments' bytes the same way.
 //!
 //! # Sharing in memory what the files share on disk
 //!
@@ -87,11 +119,15 @@ use vfs::bulk_sum64;
 
 const MAGIC: u32 = 0x4149_5053; // "AIPS"
 /// The format version this build writes and reads.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 /// A segment holds the entities whose ids agree above this many low bits.
 const SEGMENT_BITS: u32 = 6;
 /// The bits of an id below its segment's.
 const ID_MASK: u64 = (1 << SEGMENT_BITS) - 1;
+/// A run holds the segments whose numbers agree above this many low bits.
+const RUN_BITS: u32 = 6;
+/// The bits of a segment number below its run's.
+const RUN_MASK: u64 = (1 << RUN_BITS) - 1;
 // A relationship segment decodes into exactly one graph chunk: what lets
 // loads share it (see the module doc).
 const _: () = assert!(SEGMENT_BITS == lpg::CHUNK_BITS);
@@ -122,6 +158,27 @@ impl Segment {
         let id = id.raw();
         (Segment::Node(id >> SEGMENT_BITS), 1 << (id & ID_MASK))
     }
+
+    /// The first segment of the run this one belongs to: what names the run.
+    fn run(self) -> Segment {
+        match self {
+            Segment::Node(no) => Segment::Node(no & !RUN_MASK),
+            Segment::Rel(no) => Segment::Rel(no & !RUN_MASK),
+        }
+    }
+
+    fn no(self) -> u64 {
+        let (Segment::Node(no) | Segment::Rel(no)) = self;
+        no
+    }
+
+    /// The segment of the same kind numbered `no`.
+    fn with_no(self, no: u64) -> Segment {
+        match self {
+            Segment::Node(_) => Segment::Node(no),
+            Segment::Rel(_) => Segment::Rel(no),
+        }
+    }
 }
 
 /// `len` bytes at `offset` of the snapshot file at `ts`.
@@ -135,15 +192,15 @@ pub struct Extent {
     pub len: u64,
 }
 
-/// Bytes an entry names: where they are and their sum.
-#[derive(Clone, Copy, Debug)]
+/// Bytes a manifest names: where they are and their sum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Part {
     at: Extent,
     sum: u64,
 }
 
 /// One segment and where its bytes are.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Entry {
     segment: Segment,
     /// The segment as a file wrote it whole.
@@ -167,6 +224,19 @@ impl Entry {
     fn parts(&self) -> impl Iterator<Item = &Part> {
         std::iter::once(&self.base).chain(&self.patch)
     }
+}
+
+/// The non-empty segments of one run and where the bytes that list them
+/// are.
+#[derive(Clone, Debug)]
+struct Run {
+    /// Its first segment ([`Segment::run`]), which names it.
+    first: Segment,
+    /// The run's bytes: inline when they are in the manifest's own file.
+    at: Part,
+    /// Its entries, ascending; `None` for a referenced run not yet
+    /// resolved.
+    entries: Option<Vec<Entry>>,
 }
 
 /// The widest gap between two needed ranges of one file that a load
@@ -199,12 +269,15 @@ fn merge(extents: impl Iterator<Item = Extent>, gap: u64) -> Vec<Extent> {
     out
 }
 
-/// Where the bytes of every segment of one snapshot file are.
+/// Where the bytes of every segment of one snapshot file are. As [`open`]
+/// reads it, the runs the file references are not resolved: it knows them
+/// only by where they are. [`decode`] resolves them, and a manifest
+/// [`encode`] returns is resolved.
 #[derive(Clone, Debug)]
 pub struct Manifest {
     ts: Timestamp,
-    /// Ascending by segment.
-    entries: Vec<Entry>,
+    /// Ascending by run.
+    runs: Vec<Run>,
 }
 
 /// The bytes a snapshot file holds inline, by what they are.
@@ -218,6 +291,14 @@ pub struct Inline {
     pub patches: u64,
     /// Relationship segments.
     pub rel_bytes: u64,
+}
+
+impl Inline {
+    /// The bytes of segments and patches: what is not header, manifest or
+    /// footer.
+    pub fn segment_bytes(&self) -> u64 {
+        self.node_bytes + self.patch_bytes + self.rel_bytes
+    }
 }
 
 impl std::ops::AddAssign for Inline {
@@ -235,18 +316,20 @@ impl Manifest {
         self.ts
     }
 
-    /// The earlier files this one references, ascending.
+    /// The earlier files this one references, ascending: those that hold
+    /// its referenced runs, and those its known entries reference.
     pub fn sources(&self) -> Vec<Timestamp> {
-        let mut out: Vec<Timestamp> = self.references().map(|p| p.at.ts).collect();
+        let mut out: Vec<Timestamp> = self.references().map(|e| e.ts).collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// The reads that fetch every referenced byte: by file, then offset,
-    /// ranges that touch or overlap merged into one.
+    /// The reads that fetch every referenced byte, of runs and of the
+    /// segments of known entries: by file, then offset, ranges that touch or
+    /// overlap merged into one.
     pub fn extents(&self) -> Vec<Extent> {
-        merge(self.references().map(|p| p.at), 0)
+        merge(self.references(), 0)
     }
 
     /// Whether the entry of `segment` carries a patch.
@@ -257,7 +340,7 @@ impl Manifest {
     /// What the file holds inline.
     pub fn inline(&self) -> Inline {
         let mut out = Inline::default();
-        for e in &self.entries {
+        for e in self.entries() {
             if e.base.at.ts == self.ts {
                 match e.segment {
                     Segment::Node(_) => out.node_bytes += e.base.at.len,
@@ -272,16 +355,33 @@ impl Manifest {
         out
     }
 
-    fn references(&self) -> impl Iterator<Item = &Part> {
-        let parts = self.entries.iter().flat_map(Entry::parts);
-        parts.filter(move |p| p.at.ts != self.ts)
+    /// How many runs the file holds inline, and how many it references.
+    pub fn runs(&self) -> (u64, u64) {
+        let inline = self.runs.iter().filter(|r| r.at.at.ts == self.ts).count();
+        (inline as u64, (self.runs.len() - inline) as u64)
+    }
+
+    /// The entries of every resolved run, ascending.
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.runs.iter().flat_map(|r| r.entries.iter().flatten())
+    }
+
+    /// Referenced runs and the referenced parts of known entries.
+    fn references(&self) -> impl Iterator<Item = Extent> + '_ {
+        let runs = self.runs.iter().map(|r| r.at.at);
+        let parts = self.entries().flat_map(Entry::parts).map(|p| p.at);
+        runs.chain(parts).filter(move |at| at.ts != self.ts)
+    }
+
+    fn run(&self, first: Segment) -> Option<&Run> {
+        let i = self.runs.binary_search_by_key(&first, |r| r.first).ok()?;
+        self.runs.get(i)
     }
 
     fn find(&self, segment: Segment) -> Option<&Entry> {
-        self.entries
-            .binary_search_by_key(&segment, |e| e.segment)
-            .ok()
-            .and_then(|i| self.entries.get(i))
+        let entries = self.run(segment.run())?.entries.as_ref()?;
+        let i = entries.binary_search_by_key(&segment, |e| e.segment).ok()?;
+        entries.get(i)
     }
 }
 
@@ -290,8 +390,8 @@ impl Manifest {
 pub enum Fault {
     /// The file's own bytes: structure or entities.
     Corrupt,
-    /// Bytes referenced in the file at this timestamp: unreadable, short,
-    /// or not matching their sum.
+    /// Bytes referenced in the file at this timestamp, of a run or of a
+    /// segment: unreadable, short, or not matching their sum.
     Reference(Timestamp),
 }
 
@@ -313,8 +413,11 @@ pub enum Change {
 /// `change` calls [`Change::None`] is written as a copy of `prev`'s entry; a
 /// node segment of `prev` it gives [`Change::Nodes`] gets a patch listing
 /// those nodes inline, or is written whole when that patch would be more
-/// than half its base's bytes; every other segment is written whole. With no
-/// `prev` the file stands alone. Returns the sealed file and its manifest.
+/// than half its base's bytes; every other segment is written whole. A run
+/// whose entries are all `prev`'s is a copy of `prev`'s reference to it;
+/// every other run is written inline. With no `prev` the file stands alone.
+/// `prev` must be resolved: a run it has not resolved is written again.
+/// Returns the sealed file and its manifest, resolved.
 ///
 /// The caller vouches for what `change` says: nothing here compares
 /// contents.
@@ -362,37 +465,85 @@ pub fn encode(
         reuse,
         |out, r| encode_rel_full(out, r.src, r.tgt, r.label, &r.props),
     );
-    let out = seal(out, ts, &entries);
-    (out, Manifest { ts, entries })
+    seal(out, ts, &entries, prev)
 }
 
-/// Appends the manifest of `entries` and the footer to the header and body
-/// of the file at `ts` in `out`.
-fn seal(mut out: Vec<u8>, ts: Timestamp, entries: &[Entry]) -> Vec<u8> {
-    let manifest_at = out.len() as u64;
-    let nodes = entries
+/// Appends the runs and top level of the manifest of `entries` (ascending)
+/// and the footer to the header and body of the file at `ts` in `out`. A
+/// run whose entries are exactly `prev`'s is a copy of `prev`'s reference to
+/// it; every other run is written inline.
+fn seal(
+    mut out: Vec<u8>,
+    ts: Timestamp,
+    entries: &[Entry],
+    prev: Option<&Manifest>,
+) -> (Vec<u8>, Manifest) {
+    let mut runs = Vec::new();
+    for run in entries.chunk_by(|a, b| a.segment.run() == b.segment.run()) {
+        let first = run[0].segment.run();
+        let same = prev
+            .and_then(|p| p.run(first))
+            .filter(|r| r.entries.as_deref() == Some(run));
+        let at = match same {
+            Some(r) => r.at,
+            None => {
+                let start = out.len();
+                write_run(&mut out, ts, run);
+                let bytes = &out[start..];
+                let at = Extent {
+                    ts,
+                    offset: start as u64,
+                    len: bytes.len() as u64,
+                };
+                Part {
+                    at,
+                    sum: bulk_sum64(bytes),
+                }
+            }
+        };
+        runs.push(Run {
+            first,
+            at,
+            entries: Some(run.to_vec()),
+        });
+    }
+    let top_at = out.len() as u64;
+    let nodes = runs
         .iter()
-        .filter(|e| matches!(e.segment, Segment::Node(_)))
+        .filter(|r| matches!(r.first, Segment::Node(_)))
         .count();
     varint::write_u64(&mut out, nodes as u64);
-    varint::write_u64(&mut out, (entries.len() - nodes) as u64);
-    for e in entries {
-        let (Segment::Node(no) | Segment::Rel(no)) = e.segment;
-        varint::write_u64(&mut out, no << 1 | u64::from(e.patch.is_some()));
-        for part in e.parts() {
-            let back = ts - part.at.ts;
-            varint::write_u64(&mut out, back);
-            varint::write_u64(&mut out, part.at.offset);
-            varint::write_u64(&mut out, part.at.len);
-            if back > 0 {
-                out.extend_from_slice(&part.sum.to_le_bytes());
-            }
+    varint::write_u64(&mut out, (runs.len() - nodes) as u64);
+    for r in &runs {
+        varint::write_u64(&mut out, r.first.no() >> RUN_BITS);
+        let back = ts - r.at.at.ts;
+        write_extent(&mut out, back, r.at.at);
+        if back > 0 {
+            out.extend_from_slice(&r.at.sum.to_le_bytes());
         }
     }
-    out.extend_from_slice(&manifest_at.to_le_bytes());
+    out.extend_from_slice(&top_at.to_le_bytes());
     let footer = bulk_sum64(&out);
     out.extend_from_slice(&footer.to_le_bytes());
-    out
+    (out, Manifest { ts, runs })
+}
+
+/// Appends the entries of one run, as the file at `ts` holds it inline.
+fn write_run(out: &mut Vec<u8>, ts: Timestamp, entries: &[Entry]) {
+    for e in entries {
+        let tag = (e.segment.no() & RUN_MASK) << 1 | u64::from(e.patch.is_some());
+        varint::write_u64(out, tag);
+        for part in e.parts() {
+            write_extent(out, ts - part.at.ts, part.at);
+            out.extend_from_slice(&part.sum.to_le_bytes());
+        }
+    }
+}
+
+fn write_extent(out: &mut Vec<u8>, back: u64, at: Extent) {
+    varint::write_u64(out, back);
+    varint::write_u64(out, at.offset);
+    varint::write_u64(out, at.len);
 }
 
 /// `prev`'s base with a patch appended to `out` that holds the state in
@@ -514,11 +665,13 @@ pub fn version(file: &[u8]) -> Option<u8> {
     sealed(file).map(|(_, version)| version)
 }
 
-/// Checks a snapshot file's footer and reads its manifest. `None` when the
-/// footer does not match, the version is not [`VERSION`], or the manifest
-/// is malformed: entries out of order, an empty part, a patch on a
-/// relationship segment or one no later than its base. Referenced bytes
-/// are not read: [`decode`] checks them.
+/// Checks a snapshot file's footer and reads its manifest: the top level,
+/// and the runs the file holds inline. `None` when the footer does not
+/// match, the version is not [`VERSION`], or the manifest is malformed:
+/// runs or entries out of order, an empty extent, an inline part whose
+/// bytes do not match its sum, a patch on a relationship segment or one no
+/// later than its base. Referenced bytes are not read: [`decode`] reads and
+/// checks them.
 pub fn open(file: &[u8]) -> Option<Manifest> {
     let (payload, version) = sealed(file)?;
     if version != VERSION {
@@ -528,58 +681,127 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
     varint::read_u32(payload, &mut pos)?;
     pos += 1;
     let ts = varint::read_u64(payload, &mut pos)?;
-    let body_start = pos;
+    let body_start = pos as u64;
     let (rest, at) = payload.split_at_checked(payload.len().checked_sub(8)?)?;
-    let manifest_at = usize::try_from(u64::from_le_bytes(at.try_into().ok()?)).ok()?;
-    if manifest_at < body_start || manifest_at > rest.len() {
+    let top_at = usize::try_from(u64::from_le_bytes(at.try_into().ok()?)).ok()?;
+    if (top_at as u64) < body_start || top_at > rest.len() {
         return None;
     }
-    let body = rest.get(..manifest_at)?;
-    pos = manifest_at;
+    // Segments, patches and runs: what an inline extent may name.
+    let body = Body {
+        bytes: rest.get(..top_at)?,
+        start: body_start,
+    };
+    pos = top_at;
     let nodes = varint::read_u64(rest, &mut pos)?;
     let total = nodes.checked_add(varint::read_u64(rest, &mut pos)?)?;
-    // Every entry takes at least four bytes (tag, back, offset, len): a
-    // count past that is garbage, and must not size an allocation.
+    // Every run takes at least four bytes (tag, back, offset, len): a count
+    // past that is garbage, and must not size an allocation.
     if total > (rest.len() - pos) as u64 / 4 {
         return None;
     }
-    // One part at `pos`, its inline bytes checked to lie in the body.
-    let part = |pos: &mut usize| {
-        let back = varint::read_u64(rest, pos)?;
-        let offset = varint::read_u64(rest, pos)?;
-        let len = varint::read_u64(rest, pos)?;
-        if len == 0 {
-            return None;
-        }
-        let sum = if back == 0 {
-            if offset < body_start as u64 {
-                return None;
-            }
-            bulk_sum64(slice(body, offset, len)?)
-        } else {
-            let sum = rest.get(*pos..pos.checked_add(8)?)?;
-            *pos += 8;
-            u64::from_le_bytes(sum.try_into().ok()?)
-        };
-        let at = Extent {
-            ts: ts.checked_sub(back)?,
-            offset,
-            len,
-        };
-        Some(Part { at, sum })
-    };
-    let mut entries: Vec<Entry> = Vec::with_capacity(total as usize);
+    let mut runs: Vec<Run> = Vec::with_capacity(total as usize);
     for i in 0..total {
         let tag = varint::read_u64(rest, &mut pos)?;
-        // A segment past the last id's would wrap its members' ids.
-        if tag >> 1 > u64::MAX >> SEGMENT_BITS {
+        // A run past the last id's would wrap its segments' numbers.
+        if tag > u64::MAX >> (SEGMENT_BITS + RUN_BITS) {
             return None;
         }
-        let segment = if i < nodes {
-            Segment::Node(tag >> 1)
+        let first = if i < nodes {
+            Segment::Node(tag << RUN_BITS)
         } else {
-            Segment::Rel(tag >> 1)
+            Segment::Rel(tag << RUN_BITS)
         };
+        if runs.last().is_some_and(|r| r.first >= first) {
+            return None;
+        }
+        let (back, at) = read_extent(rest, &mut pos, ts)?;
+        let run = if back == 0 {
+            let bytes = body.get(at)?;
+            Run {
+                first,
+                at: Part {
+                    at,
+                    sum: bulk_sum64(bytes),
+                },
+                entries: Some(read_run(first, ts, bytes, Some(&body))?),
+            }
+        } else {
+            Run {
+                first,
+                at: Part {
+                    at,
+                    sum: read_sum(rest, &mut pos)?,
+                },
+                entries: None,
+            }
+        };
+        runs.push(run);
+    }
+    (pos == rest.len()).then_some(Manifest { ts, runs })
+}
+
+/// The bytes of a file that its inline extents may name.
+struct Body<'a> {
+    /// The payload up to the top level.
+    bytes: &'a [u8],
+    /// Where the header ends.
+    start: u64,
+}
+
+impl Body<'_> {
+    fn get(&self, at: Extent) -> Option<&[u8]> {
+        if at.offset < self.start {
+            return None;
+        }
+        slice(self.bytes, at.offset, at.len)
+    }
+}
+
+/// `back offset len` at `pos`, counting back from the file at `ts`: `back`
+/// and the extent it names, which is never empty.
+fn read_extent(bytes: &[u8], pos: &mut usize, ts: Timestamp) -> Option<(u64, Extent)> {
+    let back = varint::read_u64(bytes, pos)?;
+    let offset = varint::read_u64(bytes, pos)?;
+    let len = varint::read_u64(bytes, pos)?;
+    let at = Extent {
+        ts: ts.checked_sub(back)?,
+        offset,
+        len,
+    };
+    (len > 0).then_some((back, at))
+}
+
+fn read_sum(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let sum = bytes.get(*pos..pos.checked_add(8)?)?;
+    *pos += 8;
+    Some(u64::from_le_bytes(sum.try_into().ok()?))
+}
+
+/// The entries of the run named by `first`, held inline by the file at
+/// `ts` as `bytes`. With `own`, the body of that file, each part inline in
+/// it must lie in the body and match its sum; without, the parts are
+/// checked when they are read.
+fn read_run(first: Segment, ts: Timestamp, bytes: &[u8], own: Option<&Body>) -> Option<Vec<Entry>> {
+    let mut pos = 0;
+    let part = |pos: &mut usize| {
+        let (back, at) = read_extent(bytes, pos, ts)?;
+        let sum = read_sum(bytes, pos)?;
+        if let Some(body) = own.filter(|_| back == 0) {
+            if bulk_sum64(body.get(at)?) != sum {
+                return None;
+            }
+        }
+        Some(Part { at, sum })
+    };
+    // Entries are ascending within the run: at most 64.
+    let mut entries: Vec<Entry> = Vec::with_capacity((bytes.len() / 12).min(1 << RUN_BITS));
+    while pos < bytes.len() {
+        let tag = varint::read_u64(bytes, &mut pos)?;
+        if tag >> 1 > RUN_MASK {
+            return None;
+        }
+        let segment = first.with_no(first.no() | tag >> 1);
         if entries.last().is_some_and(|e| e.segment >= segment) {
             return None;
         }
@@ -601,7 +823,7 @@ pub fn open(file: &[u8]) -> Option<Manifest> {
             patch,
         });
     }
-    (pos == rest.len()).then_some(Manifest { ts, entries })
+    Some(entries)
 }
 
 /// Relationship segments in memory, by the bytes they stand for (see the
@@ -631,7 +853,7 @@ struct Held {
 
 impl SharedSegments {
     /// The chunk of each of `entries` that is held, in their order.
-    fn find(&self, entries: &[Entry]) -> Vec<Option<RelChunk>> {
+    fn find(&self, entries: &[&Entry]) -> Vec<Option<RelChunk>> {
         let held = self.inner.lock();
         entries
             .iter()
@@ -683,10 +905,7 @@ impl Loan {
     /// Referenced segments are left out: the write that held them inline
     /// lent them, or the load that decoded them kept them.
     pub fn new(manifest: &Manifest, graph: &Graph) -> Loan {
-        let inline = manifest
-            .entries
-            .iter()
-            .filter(|e| e.base.at.ts == manifest.ts);
+        let inline = manifest.entries().filter(|e| e.base.at.ts == manifest.ts);
         let chunks = inline.filter_map(|e| match e.segment {
             Segment::Rel(no) => Some((e.source(), graph.rel_chunk(no)?.downgrade())),
             Segment::Node(_) => None,
@@ -700,6 +919,8 @@ impl Loan {
 pub struct Decoded {
     /// The graph at the file's timestamp.
     pub graph: Graph,
+    /// The file's manifest, resolved.
+    pub manifest: Manifest,
     /// Segments decoded from bytes.
     pub decoded: usize,
     /// Relationship segments taken from [`SharedSegments`].
@@ -709,80 +930,130 @@ pub struct Decoded {
     pub patched: Vec<(Segment, u64)>,
 }
 
+/// Referenced bytes read from their files: the extents asked for, and
+/// their bytes one after the other.
+struct Fetched {
+    extents: Vec<Extent>,
+    /// Where each extent's bytes start in `bytes`.
+    starts: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Fetched {
+    /// Asks `read` once for every extent that covers `needed`, ranges of
+    /// one file at most `FETCH_GAP` bytes apart read as one.
+    fn read(
+        needed: impl Iterator<Item = Extent>,
+        read: &mut impl FnMut(Extent, &mut Vec<u8>) -> Option<()>,
+    ) -> Result<Fetched, Fault> {
+        let extents = merge(needed, FETCH_GAP);
+        let mut bytes = Vec::new();
+        let mut starts = Vec::with_capacity(extents.len());
+        for e in &extents {
+            let start = bytes.len();
+            starts.push(start);
+            read(*e, &mut bytes)
+                .filter(|()| (bytes.len() - start) as u64 == e.len)
+                .ok_or(Fault::Reference(e.ts))?;
+        }
+        Ok(Fetched {
+            extents,
+            starts,
+            bytes,
+        })
+    }
+
+    /// The bytes of `part`, which must match its sum.
+    fn get(&self, part: &Part) -> Result<&[u8], Fault> {
+        let at = part.at;
+        // The extent that covers `at`: the last one starting at or before it.
+        let key = (at.ts, at.offset);
+        let i = self.extents.partition_point(|e| (e.ts, e.offset) <= key);
+        i.checked_sub(1)
+            .and_then(|i| Some((self.extents.get(i)?, *self.starts.get(i)? as u64)))
+            .and_then(|(e, start)| {
+                let offset = start.checked_add(at.offset.checked_sub(e.offset)?)?;
+                slice(&self.bytes, offset, at.len)
+            })
+            .filter(|b| bulk_sum64(b) == part.sum)
+            .ok_or(Fault::Reference(at.ts))
+    }
+}
+
+/// `manifest` with every referenced run read and its entries filled in;
+/// `read` as [`decode`] takes it. A run that is not read, does not match
+/// its sum or does not parse is a [`Fault::Reference`] to the file that
+/// holds it.
+fn resolve(
+    manifest: &Manifest,
+    read: &mut impl FnMut(Extent, &mut Vec<u8>) -> Option<()>,
+) -> Result<Manifest, Fault> {
+    let unresolved = |r: &&Run| r.entries.is_none();
+    let needed = manifest.runs.iter().filter(unresolved).map(|r| r.at.at);
+    let fetched = Fetched::read(needed, read)?;
+    let mut out = manifest.clone();
+    for run in out.runs.iter_mut().filter(|r| r.entries.is_none()) {
+        let holder = run.at.at.ts;
+        let bytes = fetched.get(&run.at)?;
+        let entries = read_run(run.first, holder, bytes, None).ok_or(Fault::Reference(holder))?;
+        run.entries = Some(entries);
+    }
+    Ok(out)
+}
+
 /// Decodes the graph of the snapshot file `file`, whose manifest is
-/// `manifest`. A relationship segment that `shared` holds is taken from
-/// there; every other segment is decoded from bytes, and the relationship
-/// ones are added to `shared` once the whole graph has decoded. `read` is
-/// asked once for every extent that fetches the referenced bytes still
-/// needed, in order by file and offset, to append the extent's bytes to
-/// the buffer it is given; every referenced range must match its sum. An
-/// extent covers the needed ranges of one file that lie at most
-/// `FETCH_GAP` bytes apart, and the bytes between them.
+/// `manifest`. The runs it references are resolved first, then the
+/// segments are fetched: a relationship segment that `shared` holds is
+/// taken from there; every other segment is decoded from bytes, and the
+/// relationship ones are added to `shared` once the whole graph has
+/// decoded. `read` is asked once for every extent that fetches the
+/// referenced bytes still needed, in order by file and offset (runs first,
+/// then segments), to append the extent's bytes to the buffer it is given;
+/// every referenced range must match its sum. An extent covers the needed
+/// ranges of one file that lie at most `FETCH_GAP` bytes apart, and the
+/// bytes between them.
 pub fn decode(
     manifest: &Manifest,
     file: &[u8],
     shared: &SharedSegments,
     mut read: impl FnMut(Extent, &mut Vec<u8>) -> Option<()>,
 ) -> Result<Decoded, Fault> {
-    let held = shared.find(&manifest.entries);
-    let needed = manifest.entries.iter().zip(&held);
+    let manifest = resolve(manifest, &mut read)?;
+    let entries: Vec<&Entry> = manifest.entries().collect();
+    let held = shared.find(&entries);
+    let needed = entries.iter().zip(&held);
     let needed = needed
         .filter(|(_, h)| h.is_none())
         .flat_map(|(e, _)| e.parts());
     let needed = needed.filter(|p| p.at.ts != manifest.ts).map(|p| p.at);
-    let extents = merge(needed, FETCH_GAP);
-    // Every referenced byte still needed in one buffer, extent after extent.
-    let mut fetched = Vec::new();
-    let mut starts = Vec::with_capacity(extents.len());
-    for e in &extents {
-        let start = fetched.len();
-        starts.push(start);
-        read(*e, &mut fetched)
-            .filter(|()| (fetched.len() - start) as u64 == e.len)
-            .ok_or(Fault::Reference(e.ts))?;
-    }
+    let fetched = Fetched::read(needed, &mut read)?;
     // The bytes of a part, checked against its sum when they come from
     // another file.
     let bytes_of = |part: &Part| {
-        let at = part.at;
-        if at.ts == manifest.ts {
-            return slice(file, at.offset, at.len).ok_or(Fault::Corrupt);
+        if part.at.ts == manifest.ts {
+            return slice(file, part.at.offset, part.at.len).ok_or(Fault::Corrupt);
         }
-        // The extent that covers `at`: the last one starting at or before it.
-        let key = (at.ts, at.offset);
-        let i = extents.partition_point(|e| (e.ts, e.offset) <= key);
-        i.checked_sub(1)
-            .and_then(|i| Some((extents.get(i)?, *starts.get(i)? as u64)))
-            .and_then(|(e, start)| {
-                let offset = start.checked_add(at.offset.checked_sub(e.offset)?)?;
-                slice(&fetched, offset, at.len)
-            })
-            .filter(|b| bulk_sum64(b) == part.sum)
-            .ok_or(Fault::Reference(at.ts))
+        fetched.get(part)
     };
-    let mut out = Decoded {
-        graph: Graph::new(),
-        decoded: 0,
-        shared: 0,
-        patched: Vec::new(),
-    };
+    let mut graph = Graph::new();
+    let (mut decoded, mut reused, mut patched) = (0, 0, Vec::new());
     let mut fresh = Vec::new();
     let mut chunks = Vec::new();
-    for (entry, held) in manifest.entries.iter().zip(held) {
+    for (entry, held) in entries.iter().zip(held) {
         let chunk = match (held, entry.segment) {
             (Some(chunk), _) => {
-                out.shared += 1;
+                reused += 1;
                 chunk
             }
             (None, Segment::Node(no)) => {
-                out.decoded += 1;
+                decoded += 1;
                 let base = bytes_of(&entry.base)?;
                 let patch = entry.patch.as_ref().map(bytes_of).transpose()?;
-                decode_nodes(&mut out, no, base, patch).ok_or(Fault::Corrupt)?;
+                decode_nodes(&mut graph, &mut patched, no, base, patch).ok_or(Fault::Corrupt)?;
                 continue;
             }
             (None, Segment::Rel(no)) => {
-                out.decoded += 1;
+                decoded += 1;
                 let chunk = decode_rels(no, bytes_of(&entry.base)?).ok_or(Fault::Corrupt)?;
                 fresh.push((entry.source(), chunk.downgrade()));
                 chunk
@@ -791,11 +1062,19 @@ pub fn decode(
         chunks.push(chunk);
     }
     // All at once: every adjacency list is allocated once, at its size.
-    out.graph
+    graph
         .insert_rel_chunks(&chunks)
         .map_err(|_| Fault::Corrupt)?;
     shared.keep(fresh);
-    Ok(out)
+    // They borrow `manifest`, which the result takes.
+    drop(entries);
+    Ok(Decoded {
+        graph,
+        manifest,
+        decoded,
+        shared: reused,
+        patched,
+    })
 }
 
 fn slice(bytes: &[u8], offset: u64, len: u64) -> Option<&[u8]> {
@@ -827,11 +1106,17 @@ fn records(no: u64, bytes: &[u8]) -> impl Iterator<Item = Option<(u64, RecordBod
     })
 }
 
-/// Inserts the nodes of node segment `no` into `out`'s graph: those of
-/// `base`, each in the state `patch` gives it when `patch` lists it, and
-/// those only `patch` lists; a node `patch` deletes is left out. The nodes
-/// `patch` lists join `out.patched`.
-fn decode_nodes(out: &mut Decoded, no: u64, base: &[u8], patch: Option<&[u8]>) -> Option<()> {
+/// Inserts the nodes of node segment `no` into `graph`: those of `base`,
+/// each in the state `patch` gives it when `patch` lists it, and those only
+/// `patch` lists; a node `patch` deletes is left out. The nodes `patch`
+/// lists join `patched`.
+fn decode_nodes(
+    graph: &mut Graph,
+    patched: &mut Vec<(Segment, u64)>,
+    no: u64,
+    base: &[u8],
+    patch: Option<&[u8]>,
+) -> Option<()> {
     let patch = match patch {
         Some(bytes) => records(no, bytes)
             .map(|record| match record? {
@@ -848,10 +1133,9 @@ fn decode_nodes(out: &mut Decoded, no: u64, base: &[u8], patch: Option<&[u8]>) -
         let mask = patch
             .iter()
             .fold(0, |mask, (id, _)| mask | 1 << (id & ID_MASK));
-        out.patched.push((Segment::Node(no), mask));
+        patched.push((Segment::Node(no), mask));
     }
     let mut patch = patch.into_iter().peekable();
-    let graph = &mut out.graph;
     let mut insert = |node: Option<Node>| node.map_or(Some(()), |n| graph.insert_node(n).ok());
     for record in records(no, base) {
         let (id, RecordBody::NodeFull { labels, props }) = record? else {
@@ -961,7 +1245,8 @@ mod tests {
     fn standalone_roundtrip() {
         let g = sample_graph();
         let (file, manifest) = encode(&g, 5, None, |_| Change::Any);
-        assert_eq!(manifest.entries.len(), 4 + 7);
+        assert_eq!(manifest.entries().count(), 4 + 7);
+        assert_eq!(manifest.runs(), (2, 0));
         assert!(manifest.extents().is_empty());
         let back = load(&file, &[]).unwrap();
         assert!(g.same_as(&back));
@@ -996,7 +1281,7 @@ mod tests {
             .unwrap();
         }
         let (file, manifest) = encode(&g, 7, None, |_| Change::Any);
-        let segments: Vec<Segment> = manifest.entries.iter().map(|e| e.segment).collect();
+        let segments: Vec<Segment> = manifest.entries().map(|e| e.segment).collect();
         let (node, rel) = (Segment::Node, Segment::Rel);
         let expect = [
             node(0),
@@ -1012,7 +1297,7 @@ mod tests {
         // Each segment is its mask, then one body per member: an empty node
         // body is three bytes (header, no labels, no properties).
         let masks = [((1 << 10) - 1) | (1 << 63), 1, 1, 1];
-        for (e, mask) in manifest.entries.iter().zip(masks) {
+        for (e, mask) in manifest.entries().zip(masks) {
             let bytes = slice(&file, e.base.at.offset, e.base.at.len).unwrap();
             assert_eq!(bytes[..8], u64::to_le_bytes(mask), "{:?}", e.segment);
             assert_eq!(bytes.len(), 8 + 3 * mask.count_ones() as usize);
@@ -1021,15 +1306,20 @@ mod tests {
         assert!(back.same_as(&g));
         back.check_consistency().unwrap();
         // A relationship segment's mask with one member more than it has
-        // bodies: the file still opens, and does not decode.
-        let rels = manifest.entries[4].base.at.offset as usize;
-        let mut bad = file.clone();
-        bad[rels + 1] |= 1 << 2;
-        let payload = bad.len() - 8;
-        let footer = bulk_sum64(&bad[..payload]);
-        bad[payload..].copy_from_slice(&footer.to_le_bytes());
+        // bodies, sealed under its sum: the file still opens, and does not
+        // decode.
+        let mut entries: Vec<Entry> = manifest.entries().copied().collect();
+        let rels = &mut entries[4].base;
+        let mut body = file[..manifest.runs[0].at.at.offset as usize].to_vec();
+        body[rels.at.offset as usize + 1] |= 1 << 2;
+        rels.sum = bulk_sum64(slice(&body, rels.at.offset, rels.at.len).unwrap());
+        let (bad, _) = seal(body, 7, &entries, None);
         assert!(open(&bad).is_some());
         assert_eq!(load(&bad, &[]).err(), Some(Fault::Corrupt));
+        // The same bytes under the old sum do not open.
+        entries[4].base.sum = manifest.entries().nth(4).unwrap().base.sum;
+        let body = bad[..manifest.runs[0].at.at.offset as usize].to_vec();
+        assert!(open(&seal(body, 7, &entries, None).0).is_none());
     }
 
     #[test]
@@ -1117,8 +1407,7 @@ mod tests {
         let m2 = open(&f2).unwrap();
         let referenced: u64 = m2.extents().iter().map(|e| e.len).sum();
         let nodes: u64 = m2
-            .entries
-            .iter()
+            .entries()
             .filter(|e| matches!(e.segment, Segment::Node(_)) && e.base.at.ts != m2.ts)
             .map(|e| e.base.at.len)
             .sum();
@@ -1368,7 +1657,9 @@ mod tests {
                 base,
                 patch,
             }],
+            None,
         )
+        .0
     }
 
     /// A patch of `bodies` whose member mask is `mask`.
@@ -1439,6 +1730,110 @@ mod tests {
             let read = load(&file, &[(20, &file)]);
             assert_eq!(read.err(), Some(Fault::Corrupt), "patch {i}");
         }
+    }
+
+    /// `n` nodes and no relationships.
+    fn nodes(n: u64) -> Graph {
+        let mut g = Graph::new();
+        for i in 0..n {
+            g.apply(&Update::AddNode {
+                id: NodeId::new(i),
+                labels: vec![],
+                props: vec![(StrId::new(9), PropertyValue::Int(i as i64))],
+            })
+            .unwrap();
+        }
+        g
+    }
+
+    /// The bytes of a file that are neither segment nor patch.
+    fn manifest_bytes(file: &[u8]) -> u64 {
+        file.len() as u64 - open(file).unwrap().inline().segment_bytes()
+    }
+
+    #[test]
+    fn unchanged_runs_are_referenced_one_hop_and_checked() {
+        // Three node runs: segments 0..64, 64..128 and 128..130.
+        let g1 = nodes(130 * 64);
+        let (f1, m1) = encode(&g1, 10, None, |_| Change::Any);
+        assert_eq!(m1.runs(), (3, 0));
+        // f2 patches segment 1 (run 0): runs 1 and 2 are f1's.
+        let mut g2 = g1.clone();
+        g2.apply(&touch(70)).unwrap();
+        let patch_one = |no| {
+            move |s: Segment| match s {
+                Segment::Node(n) if n == no => Change::Nodes(1 << (70 % 64)),
+                _ => Change::None,
+            }
+        };
+        let (f2, m2) = encode(&g2, 20, Some(&m1), patch_one(1));
+        assert_eq!(m2.runs(), (1, 2));
+        // f3 changes nothing: it copies every run reference, to f2 for run
+        // 0 and to f1 for runs 1 and 2, and writes the top level alone.
+        let (f3, m3) = encode(&g2, 30, Some(&m2), |_| Change::None);
+        assert_eq!(m3.runs(), (0, 3));
+        assert_eq!(m3.sources(), vec![10, 20]);
+        let top = manifest_bytes(&f3);
+        assert!(top < 80, "{top} B");
+        assert!(top * 10 < manifest_bytes(&f2), "{top} B");
+        let open3 = open(&f3).unwrap();
+        assert_eq!(open3.runs(), (0, 3));
+        assert_eq!(open3.sources(), vec![10, 20], "the run holders");
+        let earlier: [(Timestamp, &[u8]); 2] = [(10, &f1), (20, &f2)];
+        let d3 = load_with(&f3, &earlier, &SharedSegments::default())
+            .unwrap()
+            .0;
+        assert!(d3.graph.same_as(&g2));
+        // Resolved, the manifest also names the segments its runs hold.
+        assert_eq!(d3.manifest.entries().count(), 130);
+        assert!(d3.manifest.patched(Segment::Node(1)));
+        assert_eq!(d3.manifest.extents().len(), m3.extents().len());
+
+        // A byte of run 0 where f2 holds it: f3 is refused, by f2.
+        let run0 = m2.runs[0].at.at;
+        assert_eq!(run0.ts, 20);
+        let mut bad = f2.clone();
+        bad[(run0.offset + run0.len / 2) as usize] ^= 0x10;
+        let earlier_bad: [(Timestamp, &[u8]); 2] = [(10, &f1), (20, &bad)];
+        assert_eq!(load(&f3, &earlier_bad).err(), Some(Fault::Reference(20)));
+        assert_eq!(load(&f3, &earlier[..1]).err(), Some(Fault::Reference(20)));
+        // A segment a referenced run names is checked where its file holds
+        // it, although that file's footer is never read.
+        let seg = m1.find(Segment::Node(100)).unwrap().base.at;
+        let mut bad = f1.clone();
+        bad[(seg.offset + seg.len / 2) as usize] ^= 0x10;
+        let earlier_bad: [(Timestamp, &[u8]); 2] = [(10, &bad), (20, &f2)];
+        assert_eq!(load(&f3, &earlier_bad).err(), Some(Fault::Reference(10)));
+
+        // A segment that leaves a run makes it inline, and so does one that
+        // joins it: the run's entries are not the previous file's.
+        let mut g4 = g2.clone();
+        let gone: Vec<Update> = (128 * 64..129 * 64)
+            .map(|id| Update::DeleteNode {
+                id: NodeId::new(id),
+            })
+            .collect();
+        g4.apply_all(&gone).unwrap();
+        let (f4, m4) = encode(&g4, 40, Some(&m3), |_| Change::None);
+        assert_eq!(m4.runs(), (1, 2));
+        assert_eq!(m4.inline(), Inline::default());
+        let earlier: [(Timestamp, &[u8]); 2] = [(10, &f1), (20, &f2)];
+        assert!(load(&f4, &earlier).unwrap().same_as(&g4));
+        let mut g5 = g4.clone();
+        g5.apply(&Update::AddNode {
+            id: NodeId::new(128 * 64),
+            labels: vec![],
+            props: vec![],
+        })
+        .unwrap();
+        let joined = |s: Segment| match s {
+            Segment::Node(128) => Change::Any,
+            _ => Change::None,
+        };
+        let (f5, m5) = encode(&g5, 50, Some(&m4), joined);
+        assert_eq!(m5.runs(), (1, 2));
+        let earlier: [(Timestamp, &[u8]); 3] = [(10, &f1), (20, &f2), (40, &f4)];
+        assert!(load(&f5, &earlier).unwrap().same_as(&g5));
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The snapshot file format on a pinned pair: an anchor that holds every
-//! segment inline and a later file that patches the node segments an update
-//! touched, rewrites the other touched segments and references the rest in
-//! the anchor.
+//! segment and run inline, and a later file that patches the node segments
+//! an update touched, rewrites the other touched segments, writes the runs
+//! that hold them and references the rest, runs and segments, in the
+//! anchor.
 //!
 //! * The bytes of both files are pinned (`golden/snapshot_pair_*.hex`);
 //!   round-trip tests pass for any self-consistent layout, this pins the one
 //!   on disk.
 //! * Every truncation and every single-bit flip of either file is refused —
 //!   by the footer, or, for anchor bytes read through a reference after the
-//!   anchor was checked, by the reference's sum — and nothing panics or
-//!   returns a different graph.
+//!   anchor was checked, by the sum of the run or segment referenced — and
+//!   nothing panics or returns a different graph.
 //! * The property test does the same for random graphs, random touched
 //!   segments (patched or rewritten) and random corruption, and decodes re-sealed garbage without
 //!   panicking. It also loads the anchor and then the later file through
@@ -224,7 +225,19 @@ fn flip(bytes: &[u8], bit: usize) -> Vec<u8> {
     out
 }
 
-/// Whether `bit` of the anchor lies in a range the later file references.
+/// The later file's manifest with its runs resolved against `anchor`: what
+/// names every range a load of it reads.
+fn resolved(anchor: &[u8], later: &[u8]) -> Manifest {
+    let m2 = open(later).unwrap();
+    snapshot::decode(&m2, later, &SharedSegments::default(), |e, buf| {
+        read(anchor, e, buf)
+    })
+    .unwrap()
+    .manifest
+}
+
+/// Whether `bit` of the anchor lies in a range the later file references,
+/// run or segment.
 fn referenced(m2: &Manifest, bit: usize) -> bool {
     let byte = (bit / 8) as u64;
     m2.extents()
@@ -243,6 +256,9 @@ fn pinned_pair_bytes_and_roundtrip() {
     assert_eq!(hex(&later), LATER.split_whitespace().collect::<String>());
     let m2 = open(&later).unwrap();
     assert_eq!(m2.sources(), vec![100]);
+    // Node run 0 (a patch), relationship run 0 (a rewritten segment) and
+    // the new node's run are inline; the other six are the anchor's.
+    assert_eq!(m2.runs(), (3, 6));
     assert!(m2.patched(Segment::Node(1)));
     assert_eq!(m2.inline().patches, 1);
     assert!(
@@ -267,6 +283,7 @@ fn every_truncation_and_bit_flip_is_refused() {
     g2.apply_all(&churn()).unwrap();
     let (anchor, later) = pair(&g1, 100, &g2, 200, &churn());
     let m2 = open(&later).unwrap();
+    let reads = resolved(&anchor, &later);
     for len in 0..anchor.len() {
         assert!(
             load_later(&anchor[..len], &later).is_none(),
@@ -291,7 +308,7 @@ fn every_truncation_and_bit_flip_is_refused() {
         match decode_later(&bad, &m2, &later) {
             Err(fault) => assert_eq!(fault, Fault::Reference(100), "anchor bit {bit}"),
             Ok(g) => {
-                assert!(!referenced(&m2, bit), "anchor bit {bit} read unnoticed");
+                assert!(!referenced(&reads, bit), "anchor bit {bit} read unnoticed");
                 assert!(g.same_as(&g2), "anchor bit {bit}: a different graph");
             }
         }
@@ -411,7 +428,7 @@ proptest! {
         prop_assert!(load_later(&anchor[..bit / 8], &later).is_none());
         match decode_later(&bad, &m2, &later) {
             Err(fault) => prop_assert_eq!(fault, Fault::Reference(7)),
-            Ok(g) => prop_assert!(!referenced(&m2, bit) && g.same_as(&g2)),
+            Ok(g) => prop_assert!(!referenced(&resolved(&anchor, &later), bit) && g.same_as(&g2)),
         }
 
         // Garbage behind a valid footer: whatever it decodes to, decoding

@@ -372,4 +372,82 @@ mod tests {
         }
         assert!(ts.audit(true).unwrap().findings.is_empty());
     }
+
+    #[test]
+    fn damaged_run_detected_and_dropped_with_the_file_that_references_it() {
+        let dir = tempdir().unwrap();
+        let config = || TimeStoreConfig {
+            policy: crate::SnapshotPolicy::Never,
+            ..TimeStoreConfig::default()
+        };
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        // 4 160 nodes: node runs 0 (segments 0..64) and 1 (64 and 65),
+        // snapshotted whole at 1. Node 4 100 (run 1) changes at 2: the
+        // snapshot there holds run 1 inline and references run 0 at 1. Node
+        // 7 (run 0) changes at 3: the snapshot there holds run 0 inline and
+        // references run 1 where the one at 2 holds it.
+        let nodes: Vec<Update> = (0..4_160).map(add_node).collect();
+        ts.append_commit(1, &nodes).unwrap();
+        ts.write_snapshot().unwrap();
+        for (at, node) in [(2, 4_100), (3, 7)] {
+            let label = Update::AddLabel {
+                id: NodeId::new(node),
+                label: lpg::StrId::new(1),
+            };
+            ts.append_commit(at, &[label]).unwrap();
+            ts.write_snapshot().unwrap();
+        }
+        ts.sync().unwrap();
+        assert!(ts.audit(true).unwrap().findings.is_empty());
+        let snapdir = dir.path().join("snapshots");
+        let vfs = vfs::VfsRef::std();
+        let (holder, dependant) = (
+            snapdir.join("snap_00000000000000000002.aisnap"),
+            "snap_00000000000000000003.aisnap",
+        );
+        let later = vfs.read(&snapdir.join(dependant)).unwrap();
+        let manifest = encoding::snapshot::open(&later).unwrap();
+        assert_eq!(manifest.runs(), (1, 1));
+        let run = manifest
+            .extents()
+            .into_iter()
+            .find(|e| e.ts == 2)
+            .expect("run 1 at 2");
+        let mut bytes = vfs.read(&holder).unwrap();
+        bytes[(run.offset + run.len / 2) as usize] ^= 0x10;
+        vfs.write(&holder, &bytes).unwrap();
+
+        // The holder's load fails on its footer, the dependant's on the
+        // run's sum.
+        let loaded = ts.load_snapshot(3, &SharedSegments::default());
+        assert!(
+            matches!(loaded, Err(LoadError::Fault(Fault::Reference(2)))),
+            "{:?}",
+            loaded.map(|(m, _)| m)
+        );
+        let findings = ts.audit(true).unwrap().findings;
+        assert!(
+            findings.iter().any(|f| f.check == "snapshot/reference"
+                && f.detail.contains(dependant)
+                && f.detail.contains("at ts 2 ")),
+            "{findings:?}"
+        );
+        drop(ts);
+        let ts = TimeStore::open(dir.path(), config()).unwrap();
+        let left: Vec<String> = vfs
+            .read_dir(&snapdir)
+            .unwrap()
+            .into_iter()
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(left, ["snap_00000000000000000001.aisnap"], "both dropped");
+        let repairs: Vec<&str> = ts.repairs().iter().map(|f| f.detail.as_str()).collect();
+        assert!(
+            repairs.contains(&&*format!(
+                "deleted snapshot file {dependant}: references the dropped snapshot at ts 2"
+            )),
+            "{repairs:?}"
+        );
+        assert!(ts.audit(true).unwrap().findings.is_empty());
+    }
 }

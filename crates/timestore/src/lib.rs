@@ -18,8 +18,9 @@
 //!   ([`policy::SnapshotPolicy`], operation-based by default) to snapshot
 //!   files. The paper references them from "a second B+Tree indexed by
 //!   time" (Table 2, row 2); here the files' names are that index, held in
-//!   memory from open on (see [`store`]). Each file is logically full but writes only the 64-id
-//!   segments an update touched since the previous snapshot and references
+//!   memory from open on (see [`store`]). Each file names every entity but
+//!   writes only the 64-id segments an update touched since the previous
+//!   snapshot, and the runs of 64 segments that hold them, and references
 //!   the rest in earlier files ([`encoding::snapshot`]). Loading decodes a
 //!   relationship segment several files reference once, and the loaded
 //!   graphs hold it as one chunk;

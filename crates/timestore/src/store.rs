@@ -90,14 +90,20 @@ pub struct SnapshotBytes {
     /// What they hold inline, summed: node bases, patches and relationship
     /// segments.
     pub inline: Inline,
+    /// The newest file's bytes that are no segment or patch: its header,
+    /// manifest and footer. A file writes only the runs that changed, so
+    /// this stays flat as the history grows.
+    pub newest_manifest: u64,
+    /// The newest file's runs: how many it holds inline, and how many it
+    /// references.
+    pub newest_runs: (u64, u64),
 }
 
 impl SnapshotBytes {
     /// The bytes that are no segment or patch: headers, manifests and
     /// footers.
     pub fn manifests(&self) -> u64 {
-        let i = &self.inline;
-        self.total - i.node_bytes - i.patch_bytes - i.rel_bytes
+        self.total - self.inline.segment_bytes()
     }
 }
 
@@ -107,14 +113,17 @@ impl std::fmt::Display for SnapshotBytes {
         write!(
             f,
             "{} files, {} B: node bases {} B, patches {} B in {}, relationship segments {} B, \
-             manifests {} B",
+             manifests {} B; the newest manifest {} B, runs {} inline and {} referenced",
             self.files,
             self.total,
             i.node_bytes,
             i.patch_bytes,
             i.patches,
             i.rel_bytes,
-            self.manifests()
+            self.manifests(),
+            self.newest_manifest,
+            self.newest_runs.0,
+            self.newest_runs.1,
         )
     }
 }
@@ -374,7 +383,8 @@ impl TimeStore {
                         // A node the floor's patches do not list has its
                         // base's state there.
                         chain.changed = decoded.patched.into_iter().collect();
-                        chain.last = Some(Arc::new(manifest));
+                        // Resolved: the next file copies its runs.
+                        chain.last = Some(Arc::new(decoded.manifest));
                     }
                     Err(fault) => repairs.push(Finding::new(
                         "repair/floor",
@@ -431,17 +441,19 @@ impl TimeStore {
         }
     }
 
-    /// Decodes a snapshot file read by [`Self::read_snapshot_file`],
-    /// taking the relationship segments `shared` holds from there and
-    /// fetching the other ranges it references with one read per run of
-    /// consecutive ranges of one file; each range read must match its sum.
+    /// Decodes a snapshot file read by [`Self::read_snapshot_file`]: reads
+    /// the runs it references, then takes the relationship segments
+    /// `shared` holds from there and fetches the other segments it
+    /// references, each time with one read per stretch of nearby ranges of
+    /// one file; each range read must match its sum.
     fn decode_snapshot(
         &self,
         manifest: &Manifest,
         bytes: &[u8],
         shared: &SharedSegments,
     ) -> std::result::Result<Decoded, snapshot::Fault> {
-        // Extents come grouped by file: each source is opened once.
+        // Extents come grouped by file: each source is opened once for its
+        // runs and once for its segments.
         let mut source: Option<(Timestamp, Box<dyn vfs::VfsFile>, u64)> = None;
         let decoded = snapshot::decode(manifest, bytes, shared, |extent, buf| {
             if source.as_ref().is_none_or(|(ts, ..)| *ts != extent.ts) {
@@ -481,7 +493,7 @@ impl TimeStore {
         let decoded = self
             .decode_snapshot(&manifest, &bytes, shared)
             .map_err(LoadError::Fault)?;
-        Ok((manifest, decoded.graph))
+        Ok((decoded.manifest, decoded.graph))
     }
 
     /// Ingests one committed transaction. Timestamps must be strictly
@@ -557,10 +569,12 @@ impl TimeStore {
     /// segment the previous snapshot holds gets a patch listing every node
     /// changed since its base was written whole (see `encoding::snapshot`'s
     /// module doc), or is written whole when that patch would be more than
-    /// half the base; every other touched segment is written whole. The
-    /// relationship chunks the file holds inline are lent to later loads,
-    /// so a snapshot loaded from it shares them with the latest graph until
-    /// a commit changes them.
+    /// half the base; every other touched segment is written whole. A run of
+    /// 64 segments none of which was touched, joined or left is a copy of
+    /// the previous snapshot's reference to it; the runs that hold a touched
+    /// segment are written inline. The relationship chunks the file holds
+    /// inline are lent to later loads, so a snapshot loaded from it shares
+    /// them with the latest graph until a commit changes them.
     pub fn write_snapshot(&self) -> Result<()> {
         // The latest graph is borrowed only while it is encoded: an `Arc`
         // still alive at the next commit would make `apply_commit` copy
@@ -832,9 +846,12 @@ impl TimeStore {
             let Ok((manifest, bytes)) = self.read_snapshot_file(ts) else {
                 continue;
             };
-            out.inline += manifest.inline();
+            let inline = manifest.inline();
+            out.inline += inline;
             out.files += 1;
             out.total += bytes.len() as u64;
+            out.newest_manifest = bytes.len() as u64 - inline.segment_bytes();
+            out.newest_runs = manifest.runs();
         }
         out
     }

@@ -243,9 +243,25 @@ fn version_1_snapshots_are_dropped_at_open() {
 /// The pinned anchor of the version-2 snapshot pair: a whole-graph file in
 /// the format before node segments carried patches, sealed.
 const VERSION_2_FILE: &str = include_str!("../crates/encoding/tests/golden/snapshot_v2_100.hex");
+/// The pinned anchor of the version-4 snapshot pair: a whole-graph file in
+/// the format whose manifest named every segment in one level, sealed.
+const VERSION_4_FILE: &str = include_str!("../crates/encoding/tests/golden/snapshot_v4_100.hex");
 
 #[test]
 fn version_2_snapshots_are_dropped_at_open() {
+    old_snapshots_are_dropped_at_open(VERSION_2_FILE, 2);
+}
+
+#[test]
+fn version_4_snapshots_are_dropped_at_open() {
+    old_snapshots_are_dropped_at_open(VERSION_4_FILE, 4);
+}
+
+/// Every snapshot file of a history replaced by the sealed file `hex` of
+/// format `version`: open drops them all before anything reads them, the
+/// log re-derives history, and the next snapshot is written in the current
+/// version.
+fn old_snapshots_are_dropped_at_open(hex: &str, version: u8) {
     let dir = tempfile::tempdir().unwrap();
     let dir = dir.path();
     let history = write_history(dir);
@@ -254,26 +270,27 @@ fn version_2_snapshots_are_dropped_at_open() {
         snapshots.len() >= 3,
         "the history crosses snapshot boundaries"
     );
-    let hex: Vec<u8> = VERSION_2_FILE
-        .bytes()
-        .filter(u8::is_ascii_hexdigit)
-        .collect();
-    let v2: Vec<u8> = hex
+    let hex: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+    let old: Vec<u8> = hex
         .chunks(2)
         .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
         .collect();
     // Its footer verifies: only the version is refused.
-    let payload = v2.len() - 8;
-    assert_eq!(vfs::bulk_sum64(&v2[..payload]).to_le_bytes(), v2[payload..]);
+    let payload = old.len() - 8;
+    assert_eq!(
+        vfs::bulk_sum64(&old[..payload]).to_le_bytes(),
+        old[payload..]
+    );
+    assert_eq!(encoding::snapshot::version(&old), Some(version));
     for snapshot in &snapshots {
-        VfsRef::std().write(snapshot, &v2).unwrap();
+        VfsRef::std().write(snapshot, &old).unwrap();
     }
 
     let db = Aion::open(config(dir)).unwrap();
     // Dropped by the open, before anything read them.
     assert!(
         snapshot_files(dir).is_empty(),
-        "version-2 snapshots are dropped"
+        "version-{version} snapshots are dropped"
     );
     assert_eq!(db.timestore().stats().snapshot_count, 0);
     assert_history(&db, &history);
@@ -286,7 +303,7 @@ fn version_2_snapshots_are_dropped_at_open() {
     assert_eq!(written.len(), 1);
     let bytes = VfsRef::std().read(&written[0]).unwrap();
     assert!(encoding::snapshot::open(&bytes).is_some());
-    assert!(encoding::snapshot::open(&v2).is_none());
+    assert!(encoding::snapshot::open(&old).is_none());
 }
 
 /// A directory whose page file carries the older page-file version
