@@ -66,8 +66,8 @@ pub struct WriteRow {
 }
 
 /// Runs `commits` durable commits across `writers` threads and returns
-/// `(elapsed_secs, fsync_groups, grouped_commits)`; the last two are
-/// deltas of the process-global `core.group_commit.size` histogram.
+/// `(elapsed_secs, fsync_groups, grouped_commits)`; the last two are the
+/// database's `core.group_commit.size` histogram.
 fn run_writers(cfg: &WriteThroughputConfig, writers: u64, budget: Duration) -> (f64, u64, u64) {
     let dir = tempdir().expect("tempdir");
     let mut acfg = AionConfig::new(dir.path());
@@ -75,12 +75,6 @@ fn run_writers(cfg: &WriteThroughputConfig, writers: u64, budget: Duration) -> (
     acfg.commit_latency_budget = budget;
     let db = Arc::new(Aion::open(acfg).expect("open"));
 
-    let hist = |snap: &obs::MetricsSnapshot| {
-        snap.histogram("core.group_commit.size")
-            .map(|h| (h.count, h.sum))
-            .unwrap_or((0, 0))
-    };
-    let (groups0, sum0) = hist(&obs::snapshot());
     let per_writer = cfg.commits / writers;
     let start = Instant::now();
     let handles: Vec<_> = (0..writers)
@@ -99,8 +93,8 @@ fn run_writers(cfg: &WriteThroughputConfig, writers: u64, budget: Duration) -> (
         h.join().expect("writer thread");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    let (groups1, sum1) = hist(&obs::snapshot());
-    (elapsed, groups1 - groups0, sum1 - sum0)
+    let groups = db.metrics().histogram("core.group_commit.size").cloned();
+    groups.map_or((elapsed, 0, 0), |h| (elapsed, h.count, h.sum))
 }
 
 /// Runs the experiment.

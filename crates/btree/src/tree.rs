@@ -51,8 +51,8 @@ pub struct BTree {
     metrics: Metrics,
 }
 
-/// Process-wide metric handles, fetched once per tree so descent and
-/// split paths only pay a relaxed atomic op.
+/// Metric handles in the page store's registry, fetched once per tree so
+/// descent and split paths only pay a relaxed atomic op.
 #[derive(Clone)]
 struct Metrics {
     page_reads: Arc<obs::Counter>,
@@ -62,12 +62,12 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Metrics {
+    fn new(registry: &obs::Registry) -> Metrics {
         Metrics {
-            page_reads: obs::counter("btree.page.reads"),
-            splits: obs::counter("btree.splits"),
-            shares: obs::counter("btree.shares"),
-            overflow_walks: obs::counter("btree.overflow.walks"),
+            page_reads: registry.counter("btree.page.reads"),
+            splits: registry.counter("btree.splits"),
+            shares: registry.counter("btree.shares"),
+            overflow_walks: registry.counter("btree.overflow.walks"),
         }
     }
 }
@@ -213,7 +213,7 @@ impl Value {
 
 impl BTree {
     /// Opens the tree persisted in meta `slot`, creating an empty root leaf
-    /// on first use.
+    /// on first use. The tree counts into the store's registry.
     pub fn open(store: Arc<PageStore>, slot: usize) -> io::Result<BTree> {
         if store.root(slot) == u64::MAX {
             let root = store.allocate()?;
@@ -221,10 +221,10 @@ impl BTree {
             store.set_root(slot, root.0);
         }
         Ok(BTree {
+            metrics: Metrics::new(store.registry()),
             store,
             slot,
             moves: Arc::new(AtomicU64::new(0)),
-            metrics: Metrics::new(),
         })
     }
 

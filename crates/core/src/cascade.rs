@@ -11,11 +11,11 @@
 //! CPU to the worker instead of spinning beside it.
 
 use crate::txn::CommitEvent;
-use crossbeam_channel::{unbounded, Sender};
 use lineagestore::LineageStore;
 use lock::{Condvar, Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -60,7 +60,7 @@ impl Cascade {
     /// and the log writer on a commit of uncertain durability, after which
     /// it submits nothing more. Fails only if the OS refuses the thread.
     pub fn spawn(lineage: Arc<LineageStore>, wedged: Arc<AtomicBool>) -> Result<Cascade> {
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let progress = Arc::new(Progress {
             applied: AtomicU64::new(lineage.applied_ts()),
             lock: Mutex::new(Rank::CascadeProgress, ()),

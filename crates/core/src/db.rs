@@ -19,6 +19,41 @@ use vfs::VfsRef;
 
 pub use crate::planner::StoreChoice;
 
+/// The query executor's metric handles (the `query` crate records into
+/// them), resolved in the instance's registry when it opens, so a query
+/// looks nothing up.
+pub struct QueryMetrics {
+    /// Queries parsed and executed.
+    pub executed: Arc<obs::Counter>,
+    /// Parse time.
+    pub parse_latency: Arc<obs::Histogram>,
+    /// Parse and execution time.
+    pub exec_latency: Arc<obs::Histogram>,
+    /// Result rows built by `MATCH … RETURN` pipelines.
+    pub rows_streamed: Arc<obs::Counter>,
+    /// Pages served by paged executions.
+    pub pages_served: Arc<obs::Counter>,
+    /// Queries aborted by the result row cap.
+    pub budget_aborts: Arc<obs::Counter>,
+    /// Cursor tokens rejected as invalid (corrupt, mismatched, stale
+    /// anchor).
+    pub cursor_rejects: Arc<obs::Counter>,
+}
+
+impl QueryMetrics {
+    fn new(registry: &obs::Registry) -> QueryMetrics {
+        QueryMetrics {
+            executed: registry.counter("query.executed"),
+            parse_latency: registry.histogram("query.parse.latency_ns"),
+            exec_latency: registry.histogram("query.exec.latency_ns"),
+            rows_streamed: registry.counter("query.rows_streamed"),
+            pages_served: registry.counter("query.pages_served"),
+            budget_aborts: registry.counter("query.budget_aborts"),
+            cursor_rejects: registry.counter("query.cursor_rejects"),
+        }
+    }
+}
+
 /// A read's hold on the version it reads at the implicit latest time (see
 /// [`Aion::pin_latest`]). Dropping it releases the version.
 pub struct LatestPin {
@@ -128,9 +163,13 @@ pub struct Aion {
     /// commits funnel through its queue, so there is no commit lock —
     /// ordering comes from the single writer thread.
     pipeline: group_commit::Pipeline,
+    /// What this instance and everything under it count into.
+    registry: Arc<obs::Registry>,
     commit_latency: Arc<obs::Histogram>,
     forced_flushes: Arc<obs::Counter>,
     lineage_fallbacks: Arc<obs::Counter>,
+    streams_open: Arc<obs::Gauge>,
+    query_metrics: QueryMetrics,
     /// Replication-epoch fence (DESIGN.md §17). `held` is the highest
     /// epoch this node ever owned as primary; `max_seen` the highest it
     /// has observed anywhere in the cluster. `max_seen > held` means a
@@ -150,9 +189,12 @@ impl Aion {
     pub fn open(config: AionConfig) -> Result<Aion> {
         let fs = config.vfs.clone();
         fs.create_dir_all(&config.dir)?;
+        let registry = Arc::new(obs::Registry::scoped());
         let mut ts_config = config.timestore.clone();
         ts_config.vfs = fs.clone();
-        let timestore = Arc::new(TimeStore::open(config.dir.join("timestore"), ts_config)?);
+        let timestore =
+            TimeStore::open_in(&config.dir.join("timestore"), ts_config, registry.clone());
+        let timestore = Arc::new(timestore?);
         // The LineageStore is derived state: open it with page verification
         // on, and if that (or catch-up replay) fails — torn pages from a
         // crash mid-cascade, a corrupt index, a file that records no chain
@@ -168,11 +210,13 @@ impl Aion {
         if fs.exists(&old_sums) {
             fs.remove_file(&old_sums)?;
         }
-        let lineage = match Self::open_lineage(&timestore, &lineage_path, ls_config.clone()) {
+        let open_lineage =
+            |config| Self::open_lineage(&timestore, &lineage_path, config, &registry);
+        let lineage = match open_lineage(ls_config.clone()) {
             Ok(l) => l,
             Err(_) => {
                 let _ = fs.remove_file(&lineage_path);
-                Self::open_lineage(&timestore, &lineage_path, ls_config)?
+                open_lineage(ls_config)?
             }
         };
         let interner = Arc::new(Interner::new());
@@ -189,9 +233,9 @@ impl Aion {
             sync_on_commit: config.sync_on_commit,
             latency_budget: config.commit_latency_budget,
             next_ts: timestore.latest_ts() + 1,
-            commits: obs::counter("core.commits"),
-            commits_failed: obs::counter("core.commits_failed"),
-            group_size: obs::histogram("core.group_commit.size"),
+            commits: registry.counter("core.commits"),
+            commits_failed: registry.counter("core.commits_failed"),
+            group_size: registry.histogram("core.group_commit.size"),
         })?;
         Ok(Aion {
             interner,
@@ -203,9 +247,12 @@ impl Aion {
             planner: Planner::new(),
             app_keys,
             pipeline,
-            commit_latency: obs::histogram("core.commit.latency_ns"),
-            forced_flushes: obs::counter("core.group_commit.forced_flushes"),
-            lineage_fallbacks: obs::counter("core.lineage_fallbacks"),
+            commit_latency: registry.histogram("core.commit.latency_ns"),
+            forced_flushes: registry.counter("core.group_commit.forced_flushes"),
+            lineage_fallbacks: registry.counter("core.lineage_fallbacks"),
+            streams_open: registry.gauge("core.stream.open"),
+            query_metrics: QueryMetrics::new(&registry),
+            registry,
             held_epoch: AtomicU64::new(0),
             max_seen_epoch: AtomicU64::new(0),
         })
@@ -218,9 +265,10 @@ impl Aion {
         timestore: &TimeStore,
         path: &std::path::Path,
         config: LineageStoreConfig,
+        registry: &Arc<obs::Registry>,
     ) -> Result<Arc<LineageStore>> {
         let threshold = config.chain_threshold;
-        let lineage = Arc::new(LineageStore::open(path, config)?);
+        let lineage = Arc::new(LineageStore::open_in(path, config, registry.clone())?);
         // A file built with another chain threshold would mix two layouts
         // of the same history: rebuild it with the configured one.
         if lineage.chain_threshold() != threshold {
@@ -272,13 +320,18 @@ impl Aion {
         &self.lineage
     }
 
-    /// A point-in-time snapshot of every metric the process has recorded:
-    /// pagestore cache behaviour, btree structure work, timestore log and
-    /// snapshot activity, lineagestore ingest/expand traffic, query stage
-    /// timings and commit latency. Counters are process-global, so the
-    /// snapshot also reflects other [`Aion`] instances in this process.
+    /// A point-in-time snapshot of every metric this instance has
+    /// recorded: pagestore cache behaviour, btree structure work, timestore
+    /// log and snapshot activity, lineagestore ingest/expand traffic, query
+    /// stage timings and commit latency. Other instances in the process
+    /// count into their own registries; `obs::snapshot()` has the totals.
     pub fn metrics(&self) -> obs::MetricsSnapshot {
-        obs::snapshot()
+        self.registry.snapshot()
+    }
+
+    /// The query executor's metric handles in this instance's registry.
+    pub fn query_metrics(&self) -> &QueryMetrics {
+        &self.query_metrics
     }
 
     /// Audits both stores and their agreement at `level`; see
@@ -560,13 +613,12 @@ impl Aion {
         whole_graph: bool,
     ) -> Result<crate::stream::NodeStream> {
         if !whole_graph && self.lineage_serves(ts) {
-            crate::stream::NodeStream::lineage(Arc::clone(&self.lineage), ts, after)
+            let lineage = Arc::clone(&self.lineage);
+            crate::stream::NodeStream::lineage(lineage, ts, after, &self.streams_open)
         } else {
-            Ok(crate::stream::NodeStream::snapshot(
-                self.timestore.snapshot_at(ts)?,
-                ts,
-                after,
-            ))
+            let graph = self.timestore.snapshot_at(ts)?;
+            let stream = crate::stream::NodeStream::snapshot(graph, ts, after, &self.streams_open);
+            Ok(stream)
         }
     }
 

@@ -42,10 +42,10 @@
 
 use crate::cascade::Cascade;
 use crate::txn::CommitEvent;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use lock::{Condvar, Mutex, Rank};
 use lpg::{GraphError, Result, Timestamp, Update};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -252,7 +252,7 @@ pub(crate) struct Pipeline {
 
 impl Pipeline {
     pub(crate) fn spawn(writer: LogWriter) -> Result<Pipeline> {
-        let (tx, rx) = unbounded::<CommitRequest>();
+        let (tx, rx) = channel::<CommitRequest>();
         let worker = std::thread::Builder::new()
             .name("aion-log-writer".into())
             .spawn(move || writer.run(rx))

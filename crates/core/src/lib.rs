@@ -64,7 +64,7 @@ pub mod stream;
 pub mod txn;
 
 pub use check::{CheckLevel, ConsistencyReport};
-pub use db::{Aion, AionConfig, LatestPin, StoreChoice};
+pub use db::{Aion, AionConfig, LatestPin, QueryMetrics, StoreChoice};
 pub use planner::Planner;
 pub use stream::NodeStream;
 pub use txn::{CommitEvent, WriteTxn};

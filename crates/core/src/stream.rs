@@ -47,18 +47,29 @@ impl NodeStream {
         store: Arc<LineageStore>,
         ts: Timestamp,
         after: Option<NodeId>,
+        open: &Arc<obs::Gauge>,
     ) -> Result<NodeStream> {
         let ids = store.stream_node_ids_from(after)?;
-        Ok(NodeStream::register(Source::Lineage { ids, store }, ts))
+        Ok(NodeStream::register(
+            Source::Lineage { ids, store },
+            ts,
+            open,
+        ))
     }
 
-    pub(crate) fn snapshot(graph: Arc<Graph>, ts: Timestamp, after: Option<NodeId>) -> NodeStream {
-        NodeStream::register(Source::Snapshot { graph, last: after }, ts)
+    pub(crate) fn snapshot(
+        graph: Arc<Graph>,
+        ts: Timestamp,
+        after: Option<NodeId>,
+        open: &Arc<obs::Gauge>,
+    ) -> NodeStream {
+        NodeStream::register(Source::Snapshot { graph, last: after }, ts, open)
     }
 
-    fn register(source: Source, ts: Timestamp) -> NodeStream {
-        let open = obs::gauge("core.stream.open");
+    /// A stream over `source`, counted in `open` while it lives.
+    fn register(source: Source, ts: Timestamp, open: &Arc<obs::Gauge>) -> NodeStream {
         open.add(1);
+        let open = open.clone();
         NodeStream { source, ts, open }
     }
 

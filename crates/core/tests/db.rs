@@ -189,9 +189,8 @@ fn point_reads_fall_back_to_each_entitys_updates() {
         let got = db.get_relationships(nid(i), Direction::Both, 0, end);
         assert_eq!(got.unwrap(), want, "rels of node {i}");
     }
-    // Eighteen reads fell back. Other tests of this binary may add theirs:
-    // the registry is process-global.
-    assert!(fallbacks() >= before + 18);
+    // Eighteen reads fell back.
+    assert_eq!(fallbacks(), before + 18);
 }
 
 #[test]
@@ -342,6 +341,27 @@ fn lineage_rebuilt_from_the_log_equals_the_live_one() {
     }
     let report = db.check_consistency(aion::CheckLevel::Full).unwrap();
     assert!(report.is_clean(), "{report:?}");
+}
+
+/// The full audit rebuilds the LineageStore from the log beside the live
+/// one: the rebuild counts into a detached registry, so the live
+/// instance's `lineagestore.*` counts do not move.
+#[test]
+fn a_full_check_adds_nothing_to_the_live_lineagestore_counts() {
+    let dir = tempdir().unwrap();
+    let db = open(dir.path());
+    seed(&db, 12);
+    db.lineage_barrier(db.latest_ts());
+    let lineage_counts = || {
+        let mut counts = db.metrics().counters;
+        counts.retain(|(name, _)| name.starts_with("lineagestore."));
+        counts
+    };
+    let before = lineage_counts();
+    assert!(before.iter().any(|(_, v)| *v > 0), "{before:?}");
+    let report = db.check_consistency(aion::CheckLevel::Full).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(lineage_counts(), before);
 }
 
 /// Four sessions that end in `sync`, then a fifth dropped without one:

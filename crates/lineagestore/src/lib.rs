@@ -50,5 +50,5 @@ pub mod store;
 pub mod stream;
 
 pub use entry::LineageEntry;
-pub use store::{LineageStore, LineageStoreConfig, LineageStoreStats};
+pub use store::{LineageStore, LineageStoreConfig};
 pub use stream::NodeIdScan;

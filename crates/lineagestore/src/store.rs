@@ -10,7 +10,6 @@ use lpg::{
 };
 use pagestore::PageStore;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vfs::VfsRef;
 
@@ -57,34 +56,32 @@ impl Default for LineageStoreConfig {
     }
 }
 
-/// Ingest / lookup counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LineageStoreStats {
-    /// Full records written because a chain hit the threshold.
-    pub materializations: u64,
-    /// Delta records written.
-    pub deltas: u64,
-    /// Entity versions reconstructed through a delta chain.
-    pub chain_reconstructions: u64,
-}
-
 pub(crate) struct Metrics {
     pub(crate) commits_applied: Arc<obs::Counter>,
     pub(crate) updates_applied: Arc<obs::Counter>,
+    /// Full records written because a chain hit the threshold.
+    materializations: Arc<obs::Counter>,
+    /// Delta records written.
+    deltas: Arc<obs::Counter>,
+    /// Entity versions reconstructed through a delta chain.
+    chain_reconstructions: Arc<obs::Counter>,
     pub(crate) expands: Arc<obs::Counter>,
     pub(crate) expand_fanout: Arc<obs::Histogram>,
+    /// Node-index keys examined by id streams.
+    pub(crate) entries_touched: Arc<obs::Counter>,
 }
 
 impl Metrics {
-    /// The store's metrics in `registry`, or in the process-wide one.
-    fn new(registry: Option<&obs::Registry>) -> Metrics {
-        let counter = |name| registry.map_or_else(|| obs::counter(name), |r| r.counter(name));
-        let histogram = |name| registry.map_or_else(|| obs::histogram(name), |r| r.histogram(name));
+    fn new(registry: &obs::Registry) -> Metrics {
         Metrics {
-            commits_applied: counter("lineagestore.commits.applied"),
-            updates_applied: counter("lineagestore.updates.applied"),
-            expands: counter("lineagestore.expands"),
-            expand_fanout: histogram("lineagestore.expand.fanout"),
+            commits_applied: registry.counter("lineagestore.commits.applied"),
+            updates_applied: registry.counter("lineagestore.updates.applied"),
+            materializations: registry.counter("lineagestore.materializations"),
+            deltas: registry.counter("lineagestore.deltas"),
+            chain_reconstructions: registry.counter("lineagestore.chain_reconstructions"),
+            expands: registry.counter("lineagestore.expands"),
+            expand_fanout: registry.histogram("lineagestore.expand.fanout"),
+            entries_touched: registry.counter("lineage.stream.entries_touched"),
         }
     }
 }
@@ -103,7 +100,6 @@ pub struct LineageStore {
     path: PathBuf,
     /// Held while a rebuild exists, so two never share its file.
     rebuild: Mutex<()>,
-    stats: Counts,
     pub(crate) metrics: Metrics,
 }
 
@@ -111,38 +107,31 @@ pub struct LineageStore {
 /// writes.
 pub type KeyTs = fn(&[u8]) -> Option<Timestamp>;
 
-/// The [`LineageStoreStats`] counters, bumped without a lock.
-#[derive(Default)]
-struct Counts {
-    materializations: AtomicU64,
-    deltas: AtomicU64,
-    chain_reconstructions: AtomicU64,
-}
-
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
 impl LineageStore {
     /// Opens (or creates) a LineageStore backed by one paged file at `path`.
     /// A new file records `config.chain_threshold`; an existing one is
     /// opened with the threshold it recorded, and one that records none
-    /// (an older build wrote it) fails with `Storage`.
+    /// (an older build wrote it) fails with `Storage`. The store counts
+    /// into a registry of its own.
     pub fn open<P: AsRef<Path>>(path: P, config: LineageStoreConfig) -> Result<LineageStore> {
-        LineageStore::open_counted(path.as_ref(), config, Metrics::new(None))
+        let registry = Arc::new(obs::Registry::scoped());
+        LineageStore::open_in(path.as_ref(), config, registry)
     }
 
-    /// [`LineageStore::open`], counting into `metrics`.
-    fn open_counted(
+    /// [`LineageStore::open`], counting into `registry`: the store, its
+    /// page store and its four B+Trees.
+    pub fn open_in(
         path: &Path,
         config: LineageStoreConfig,
-        metrics: Metrics,
+        registry: Arc<obs::Registry>,
     ) -> Result<LineageStore> {
+        let metrics = Metrics::new(&registry);
         let store = Arc::new(PageStore::open_with_vfs(
             &config.vfs,
             path,
             config.cache_pages,
             config.verify_pages,
+            registry,
         )?);
         let threshold = match store.root(SLOT_CHAIN_THRESHOLD) {
             u64::MAX if store.root(SLOT_NODES) == u64::MAX => {
@@ -169,7 +158,6 @@ impl LineageStore {
             vfs: config.vfs,
             path: path.to_path_buf(),
             rebuild: Mutex::new(Rank::LineageRebuild, ()),
-            stats: Counts::default(),
             metrics,
         })
     }
@@ -196,8 +184,8 @@ impl LineageStore {
     /// Runs `f` on an empty store beside this one: at `<path>.rebuild`, on
     /// the same Vfs, with the same chain threshold. The file is deleted
     /// before `f` runs (a crash can leave one) and after it returns. The
-    /// store counts its ingest in a private registry, so a rebuild is not
-    /// counted as this process's ingest; its page and B+Tree reads are.
+    /// store counts into a detached registry, so a rebuild is counted
+    /// neither as this store's work nor as the process's.
     pub fn with_rebuild<R>(&self, f: impl FnOnce(&LineageStore) -> Result<R>) -> Result<R> {
         let _held = self.rebuild.lock();
         let mut path = self.path.clone().into_os_string();
@@ -211,8 +199,8 @@ impl LineageStore {
             vfs: self.vfs.clone(),
             ..LineageStoreConfig::default()
         };
-        let metrics = Metrics::new(Some(&obs::Registry::new()));
-        let out = LineageStore::open_counted(&path, config, metrics).and_then(|r| f(&r));
+        let registry = Arc::new(obs::Registry::new());
+        let out = LineageStore::open_in(&path, config, registry).and_then(|r| f(&r));
         self.vfs.remove_file(&path)?;
         out
     }
@@ -234,14 +222,9 @@ impl LineageStore {
         self.store.set_root(SLOT_WATERMARK, ts);
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> LineageStoreStats {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        LineageStoreStats {
-            materializations: read(&self.stats.materializations),
-            deltas: read(&self.stats.deltas),
-            chain_reconstructions: read(&self.stats.chain_reconstructions),
-        }
+    /// The registry the store counts into.
+    pub fn registry(&self) -> &Arc<obs::Registry> {
+        self.store.registry()
     }
 
     /// On-disk footprint in bytes.
@@ -405,10 +388,10 @@ impl LineageStore {
                 let prev = LineageEntry::from_bytes(prev_ts, prev).ok_or_else(bad_entry)?;
                 let full = self.reconstruct(tree, id, prev_ts, &prev)?;
                 let body = apply_delta(full, &delta()?, id)?;
-                bump(&self.stats.materializations);
+                self.metrics.materializations.inc();
                 LineageEntry::full(ts, body).encode(ts, buf);
             } else {
-                bump(&self.stats.deltas);
+                self.metrics.deltas.inc();
                 entry::encode(buf, ts, base_ts, pos + 1, |buf| {
                     record::encode_update(buf, op)
                 });
@@ -453,7 +436,7 @@ impl LineageStore {
         if entry.pos == 0 {
             return Ok(entry.body.clone());
         }
-        bump(&self.stats.chain_reconstructions);
+        self.metrics.chain_reconstructions.inc();
         let low = keys::history_key(id, entry.base_ts);
         let high = keys::history_key(id, at_ts.saturating_add(1));
         let mut current: Option<RecordBody> = None;
@@ -791,25 +774,26 @@ fn neighbour_deleted(value: &[u8]) -> Option<bool> {
 mod tests {
     use super::*;
 
-    /// A rebuild's ingest counters are its own, not the process-wide ones
-    /// a `--metrics` run prints.
+    /// A rebuild counts into a registry of its own, which feeds neither
+    /// the store it rebuilds nor the process-wide totals a `--metrics` run
+    /// prints.
     #[test]
     fn a_rebuild_counts_into_a_private_registry() {
         let dir = tempfile::tempdir().unwrap();
         let store = LineageStore::open(dir.path().join("l.db"), LineageStoreConfig::default());
         let store = store.unwrap();
-        let global = obs::counter("lineagestore.commits.applied");
-        assert!(Arc::ptr_eq(&store.metrics.commits_applied, &global));
+        let applied = |s: &LineageStore| {
+            let snap = s.registry().snapshot();
+            snap.counter("lineagestore.commits.applied")
+        };
         store
             .with_rebuild(|rebuild| {
-                let own = &rebuild.metrics;
-                assert!(!Arc::ptr_eq(&own.commits_applied, &global));
-                let updates = obs::counter("lineagestore.updates.applied");
-                assert!(!Arc::ptr_eq(&own.updates_applied, &updates));
+                assert!(!Arc::ptr_eq(rebuild.registry(), store.registry()));
                 rebuild.apply_commit(1, &[])?;
-                assert_eq!(own.commits_applied.get(), 1);
+                assert_eq!(applied(rebuild), Some(1));
                 Ok(())
             })
             .unwrap();
+        assert_eq!(applied(&store), Some(0));
     }
 }

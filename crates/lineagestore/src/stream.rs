@@ -25,13 +25,17 @@ pub struct NodeIdScan {
 }
 
 impl NodeIdScan {
-    pub(crate) fn new(keys: KeyScan, after: Option<NodeId>) -> NodeIdScan {
+    pub(crate) fn new(
+        keys: KeyScan,
+        after: Option<NodeId>,
+        entries_touched: Arc<obs::Counter>,
+    ) -> NodeIdScan {
         NodeIdScan {
             keys,
             // Seeding `last` with the anchor also suppresses the anchor
             // itself in the `checked_add` overflow edge case below.
             last: after.map(NodeId::raw),
-            entries_touched: obs::counter("lineage.stream.entries_touched"),
+            entries_touched,
         }
     }
 }
@@ -75,6 +79,10 @@ impl LineageStore {
             None => Vec::new(),
         };
         let scan = self.nodes.scan_keys(&low, &[])?;
-        Ok(NodeIdScan::new(scan, after))
+        Ok(NodeIdScan::new(
+            scan,
+            after,
+            self.metrics.entries_touched.clone(),
+        ))
     }
 }

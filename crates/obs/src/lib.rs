@@ -1,16 +1,21 @@
 //! # aion-obs — runtime observability for the Aion reproduction
 //!
 //! A dependency-light metrics layer: every subsystem registers named
-//! counters, gauges, and fixed-bucket latency histograms against one
-//! process-wide registry, and anything (the server's `Request::Metrics`,
-//! `Aion::metrics()`, the bench harness sidecars, `aion-fsck gen
-//! --metrics`) can snapshot it.
+//! counters, gauges, and fixed-bucket latency histograms against the
+//! registry of the instance it belongs to (an `Aion`, a server, a
+//! replayer), and [`Registry::snapshot`] reads that instance's counts
+//! (`Aion::metrics()`). An instance's registry is [`Registry::scoped`]:
+//! each of its metrics also records into the process-wide metric of the
+//! same name, which the process-wide surfaces (the server's
+//! `Request::Metrics`, the bench harness sidecars, `aion-fsck --metrics`)
+//! read through [`snapshot`].
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Hot paths are lock-free.** A handle (`Arc<Counter>` etc.) is
 //!    fetched once at subsystem construction; recording is a relaxed
-//!    atomic op. The registry mutex is only taken at registration and
+//!    atomic op, and one more for the process-wide total of an instance's
+//!    metric. The registry mutex is only taken at registration and
 //!    snapshot time.
 //! 2. **No dependencies.** `std` only — usable from every crate in the
 //!    workspace without widening the build graph.
@@ -39,7 +44,12 @@ use std::time::Instant;
 
 /// A monotonically increasing counter.
 #[derive(Default, Debug)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    value: AtomicU64,
+    /// The process-wide counter of the same name, for an instance's
+    /// counter.
+    total: Option<Arc<Counter>>,
+}
 
 impl Counter {
     /// Adds 1.
@@ -49,33 +59,46 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.value.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A signed instantaneous value.
 #[derive(Default, Debug)]
-pub struct Gauge(AtomicI64);
+pub struct Gauge {
+    value: AtomicI64,
+    /// The process-wide gauge of the same name, for an instance's gauge.
+    total: Option<Arc<Gauge>>,
+}
 
 impl Gauge {
     /// Sets the value.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.value.store(v, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.value.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Adds `delta` (may be negative).
     pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        if let Some(total) = &self.total {
+            total.value.fetch_add(delta, Ordering::Relaxed);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -100,20 +123,23 @@ fn bucket_index(value: u64) -> usize {
     i
 }
 
-/// A fixed-bucket distribution with lock-free recording.
+/// A fixed-bucket distribution with lock-free recording. The count is
+/// the buckets' sum, so an observation costs two atomic adds.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
+    /// The process-wide histogram of the same name, for an instance's
+    /// histogram.
+    total: Option<Arc<Histogram>>,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            total: None,
         }
     }
 }
@@ -121,14 +147,16 @@ impl Default for Histogram {
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        let bucket = bucket_index(value);
+        for h in std::iter::once(self).chain(self.total.as_deref()) {
+            h.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+            h.sum.fetch_add(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Sum of all observed values.
@@ -183,49 +211,83 @@ struct RegistryInner {
     histograms: Vec<(String, Arc<Histogram>)>,
 }
 
-/// A named-metric registry. Most callers want the process-wide one via
-/// the free functions [`counter`], [`gauge`], [`histogram`], and
-/// [`snapshot`].
+/// A named-metric registry: the process-wide one behind the free
+/// functions [`counter`], [`gauge`], [`histogram`] and [`snapshot`], or
+/// one instance's ([`Registry::scoped`]).
 pub struct Registry {
     inner: Mutex<RegistryInner>,
+    /// The process-wide registry, which an instance's metrics also record
+    /// into.
+    feeds: Option<&'static Registry>,
 }
 
 impl Default for Registry {
     fn default() -> Self {
         Registry {
             inner: Mutex::new(Rank::Registry, RegistryInner::default()),
+            feeds: None,
         }
     }
 }
 
-fn find_or_insert<T: Default>(list: &mut Vec<(String, Arc<T>)>, name: &str) -> Arc<T> {
+/// Finds `name` in `list`, or registers a new metric there made by `new`.
+fn find_or_insert<T>(
+    list: &mut Vec<(String, Arc<T>)>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> Arc<T> {
     if let Some((_, v)) = list.iter().find(|(n, _)| n == name) {
         return v.clone();
     }
-    let v = Arc::new(T::default());
+    let v = Arc::new(new());
     list.push((name.to_string(), v.clone()));
     v
 }
 
 impl Registry {
-    /// An empty registry (tests; production code uses the global one).
+    /// An empty registry that records into nothing else: what it counts,
+    /// only its own snapshot shows.
     pub fn new() -> Registry {
         Registry::default()
     }
 
+    /// An empty registry for one instance. Each metric it hands out also
+    /// records into the process-wide metric of the same name, so
+    /// [`snapshot`] keeps the process's totals.
+    pub fn scoped() -> Registry {
+        Registry {
+            feeds: Some(global()),
+            ..Registry::default()
+        }
+    }
+
     /// The counter named `name`, registering it on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        find_or_insert(&mut self.inner.lock().counters, name)
+        // The process-wide metric is resolved first: both registries'
+        // locks have one rank.
+        let total = self.feeds.map(|g| g.counter(name));
+        find_or_insert(&mut self.inner.lock().counters, name, || Counter {
+            total,
+            ..Counter::default()
+        })
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        find_or_insert(&mut self.inner.lock().gauges, name)
+        let total = self.feeds.map(|g| g.gauge(name));
+        find_or_insert(&mut self.inner.lock().gauges, name, || Gauge {
+            total,
+            ..Gauge::default()
+        })
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        find_or_insert(&mut self.inner.lock().histograms, name)
+        let total = self.feeds.map(|g| g.histogram(name));
+        find_or_insert(&mut self.inner.lock().histograms, name, || Histogram {
+            total,
+            ..Histogram::default()
+        })
     }
 
     /// A point-in-time copy of every registered metric, sorted by name.
@@ -522,5 +584,24 @@ mod tests {
     fn global_registry_is_shared() {
         counter("obs.test.global").add(5);
         assert!(snapshot().counter("obs.test.global").unwrap_or(0) >= 5);
+    }
+
+    #[test]
+    fn a_scoped_registry_counts_its_own_and_feeds_the_process_total() {
+        let (a, b) = (Registry::scoped(), Registry::scoped());
+        let total = counter("obs.test.scoped");
+        let before = total.get();
+        a.counter("obs.test.scoped").add(2);
+        b.counter("obs.test.scoped").add(3);
+        a.gauge("obs.test.scoped_gauge").set(7);
+        a.histogram("obs.test.scoped_lat").record(1_000);
+        assert_eq!(a.snapshot().counter("obs.test.scoped"), Some(2));
+        assert_eq!(b.snapshot().counter("obs.test.scoped"), Some(3));
+        assert!(total.get() >= before + 5);
+        assert_eq!(gauge("obs.test.scoped_gauge").get(), 7);
+        assert!(histogram("obs.test.scoped_lat").count() >= 1);
+        // A detached registry feeds nothing.
+        Registry::new().counter("obs.test.detached").add(4);
+        assert_eq!(snapshot().counter("obs.test.detached"), None);
     }
 }

@@ -46,17 +46,6 @@ impl Hasher for PageIdHasher {
 
 type PageMap = HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>;
 
-/// Cache hit/miss/eviction counters, exposed for the benchmark harness.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found the page resident.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Pages evicted to make room.
-    pub evictions: u64,
-}
-
 /// Fixed-capacity LRU page cache.
 pub struct LruCache {
     map: PageMap,
@@ -65,7 +54,6 @@ pub struct LruCache {
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
-    stats: CacheStats,
 }
 
 impl LruCache {
@@ -79,7 +67,6 @@ impl LruCache {
             head: NIL,
             tail: NIL,
             capacity,
-            stats: CacheStats::default(),
         }
     }
 
@@ -91,11 +78,6 @@ impl LruCache {
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     fn unlink(&mut self, i: usize) {
@@ -131,23 +113,14 @@ impl LruCache {
         }
     }
 
-    /// Resolves `page` to its slot, counting a hit or a miss and making
-    /// it the most recently used. The slot stays valid until the next
-    /// [`Self::insert`] or [`Self::remove`]; read it with [`Self::buf`] or
-    /// [`Self::buf_mut`], so one access costs one hash lookup and one
-    /// counter tick.
+    /// Resolves `page` to its slot, making it the most recently used. The
+    /// slot stays valid until the next [`Self::insert`] or
+    /// [`Self::remove`]; read it with [`Self::buf`] or [`Self::buf_mut`], so
+    /// one access costs one hash lookup.
     pub fn lookup(&mut self, page: PageId) -> Option<usize> {
-        match self.map.get(&page) {
-            Some(&i) => {
-                self.stats.hits += 1;
-                self.touch(i);
-                Some(i)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let i = *self.map.get(&page)?;
+        self.touch(i);
+        Some(i)
     }
 
     /// The page in `slot`.
@@ -183,7 +156,6 @@ impl LruCache {
             self.unlink(victim);
             let e = &mut self.slab[victim];
             self.map.remove(&e.page);
-            self.stats.evictions += 1;
             if e.dirty {
                 evicted = Some((e.page, std::mem::take(&mut e.buf)));
             }
@@ -275,14 +247,6 @@ mod tests {
         assert!(c.insert(PageId(3), buf(3), false).1.is_none()); // 2 evicted, clean
         assert_eq!(c.resident(), vec![PageId(3), PageId(1)]);
         assert!(c.lookup(PageId(2)).is_none());
-        assert_eq!(
-            c.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                evictions: 1
-            }
-        );
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod cache;
 pub mod page;
 pub mod store;
 
-pub use cache::{CacheStats, LruCache};
+pub use cache::LruCache;
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use store::PageStore;

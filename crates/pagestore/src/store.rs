@@ -9,7 +9,7 @@
 //! last sync, fails verification and the caller rebuilds it from its source
 //! of truth (the change log).
 
-use crate::cache::{CacheStats, LruCache};
+use crate::cache::LruCache;
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use lock::{Mutex, Rank};
 use std::io;
@@ -52,9 +52,8 @@ struct Inner {
     sums: Vec<u64>,
 }
 
-/// Handles into the process-wide metrics registry, fetched once at open
-/// so the hot path is a relaxed atomic op per event. All page stores in
-/// the process aggregate into the same series.
+/// Handles into the store's registry, fetched once at open so the hot
+/// path is a relaxed atomic op per event.
 struct Metrics {
     cache_hits: Arc<obs::Counter>,
     cache_misses: Arc<obs::Counter>,
@@ -64,13 +63,13 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Metrics {
+    fn new(registry: &obs::Registry) -> Metrics {
         Metrics {
-            cache_hits: obs::counter("pagestore.cache.hits"),
-            cache_misses: obs::counter("pagestore.cache.misses"),
-            cache_evictions: obs::counter("pagestore.cache.evictions"),
-            read_latency: obs::histogram("pagestore.read.latency_ns"),
-            writeback_latency: obs::histogram("pagestore.writeback.latency_ns"),
+            cache_hits: registry.counter("pagestore.cache.hits"),
+            cache_misses: registry.counter("pagestore.cache.misses"),
+            cache_evictions: registry.counter("pagestore.cache.evictions"),
+            read_latency: registry.histogram("pagestore.read.latency_ns"),
+            writeback_latency: registry.histogram("pagestore.writeback.latency_ns"),
         }
     }
 }
@@ -90,6 +89,8 @@ pub struct PageStore {
     /// with `Acquire`: a reader that sees a new root sees every write the
     /// setter made before it.
     roots: [AtomicU64; ROOT_SLOTS],
+    /// What the store, and every B+Tree over it, counts into.
+    registry: Arc<obs::Registry>,
     metrics: Metrics,
 }
 
@@ -110,13 +111,15 @@ fn seal_of(meta: &PageBuf, sums: &[u64]) -> u64 {
 
 impl PageStore {
     /// Opens (or creates) a page store at `path` with a cache of
-    /// `cache_pages` pages, on the production file system and without
-    /// checksum verification.
+    /// `cache_pages` pages, on the production file system, without
+    /// checksum verification and counting into a registry of its own.
     pub fn open<P: AsRef<Path>>(path: P, cache_pages: usize) -> io::Result<PageStore> {
-        PageStore::open_with_vfs(&VfsRef::std(), path.as_ref(), cache_pages, false)
+        let registry = Arc::new(obs::Registry::scoped());
+        PageStore::open_with_vfs(&VfsRef::std(), path.as_ref(), cache_pages, false, registry)
     }
 
-    /// Opens (or creates) a page store at `path` on `vfs`.
+    /// Opens (or creates) a page store at `path` on `vfs`, counting into
+    /// `registry`.
     ///
     /// With `verify` set, an existing non-empty file must match the seal on
     /// its meta page exactly — i.e. be the image of its most recent
@@ -128,6 +131,7 @@ impl PageStore {
         path: &Path,
         cache_pages: usize,
         verify: bool,
+        registry: Arc<obs::Registry>,
     ) -> io::Result<PageStore> {
         let file = vfs.open(path)?;
         let len = file.len()?;
@@ -186,7 +190,8 @@ impl PageStore {
             file,
             inner: Mutex::new(Rank::PageStore, inner),
             roots,
-            metrics: Metrics::new(),
+            metrics: Metrics::new(&registry),
+            registry,
         })
     }
 
@@ -200,9 +205,9 @@ impl PageStore {
         self.page_count() * PAGE_SIZE as u64
     }
 
-    /// Cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.lock().cache.stats()
+    /// The registry the store and every B+Tree over it count into.
+    pub fn registry(&self) -> &Arc<obs::Registry> {
+        &self.registry
     }
 
     /// Reads root slot `slot` from the meta page (`u64::MAX` when unset).
@@ -234,8 +239,8 @@ impl PageStore {
     }
 
     /// Resolves `page` to its cache slot with one cache lookup — one hit
-    /// or one miss, booked alike in [`CacheStats`] and the `obs` counters —
-    /// reading the page from the file on a miss.
+    /// or one miss, booked in the `pagestore.cache.*` counters — reading
+    /// the page from the file on a miss.
     fn load(&self, inner: &mut Inner, page: PageId) -> io::Result<usize> {
         if let Some(slot) = inner.cache.lookup(page) {
             self.metrics.cache_hits.inc();
@@ -433,6 +438,12 @@ mod tests {
     use super::*;
     use tempfile::tempdir;
 
+    /// A four-page-cache store at `path` on `vfs`, counting into a
+    /// detached registry.
+    fn open_on(vfs: &VfsRef, path: &Path, verify: bool) -> io::Result<PageStore> {
+        PageStore::open_with_vfs(vfs, path, 4, verify, Arc::new(obs::Registry::new()))
+    }
+
     #[test]
     fn allocate_write_read_roundtrip() {
         let dir = tempdir().unwrap();
@@ -475,7 +486,53 @@ mod tests {
         for (i, &p) in pages.iter().enumerate() {
             assert_eq!(store.read(p, |b| b.read_u64(0)).unwrap(), i as u64 * 7);
         }
-        assert!(store.cache_stats().evictions > 0);
+        let evictions = store
+            .registry()
+            .snapshot()
+            .counter("pagestore.cache.evictions");
+        assert!(evictions > Some(0));
+    }
+
+    #[test]
+    fn cache_stats_and_obs_counters_book_one_hit_or_miss_per_access() {
+        let dir = tempdir().unwrap();
+        let store = PageStore::open(dir.path().join("p.db"), 4).unwrap();
+        let hits_misses = || {
+            let snap = store.registry().snapshot();
+            (
+                snap.counter("pagestore.cache.hits").unwrap_or(0),
+                snap.counter("pagestore.cache.misses").unwrap_or(0),
+            )
+        };
+        // Fresh pages enter the cache without a lookup: no access is booked.
+        let pages: Vec<PageId> = (0..8).map(|_| store.allocate().unwrap()).collect();
+        assert_eq!(hits_misses(), (0, 0));
+
+        let mut accesses = 0;
+        // The last four allocated pages are resident, the first four were
+        // evicted: four misses (each evicting a resident page), then hits on
+        // what those loads brought in.
+        for &p in &pages[..4] {
+            store.write(p, |b| b.write_u64(0, p.0)).unwrap();
+            accesses += 1;
+        }
+        for &p in &pages[..4] {
+            assert_eq!(store.read(p, |b| b.read_u64(0)).unwrap(), p.0);
+            accesses += 1;
+        }
+        // free + allocate-from-free-list: one access each.
+        store.free(pages[0]).unwrap();
+        assert_eq!(store.allocate().unwrap(), pages[0]);
+        accesses += 2;
+        // free_list walks nothing (the list is empty again).
+        assert!(store.free_list().unwrap().is_empty());
+        // One more miss: page 7 was evicted by the loads above.
+        store.read(pages[7], |_| ()).unwrap();
+        accesses += 1;
+
+        let delta = hits_misses();
+        assert_eq!(delta, (6, 5));
+        assert_eq!(delta.0 + delta.1, accesses);
     }
 
     #[test]
@@ -552,24 +609,22 @@ mod tests {
         let vfs = VfsRef::std();
         let path = dir.path().join("v.db");
         {
-            let store = PageStore::open_with_vfs(&vfs, &path, 4, false).unwrap();
+            let store = open_on(&vfs, &path, false).unwrap();
             let p = store.allocate().unwrap();
             store.write(p, |b| b.write_u64(0, 42)).unwrap();
             store.sync().unwrap();
         }
         // Clean reopen verifies.
-        PageStore::open_with_vfs(&vfs, &path, 4, true).unwrap();
+        open_on(&vfs, &path, true).unwrap();
         // A byte flipped after the last sync is detected.
         let mut raw = vfs.read(&path).unwrap();
         let last = raw.len() - 1;
         raw[last] ^= 0xFF;
         vfs.write(&path, &raw).unwrap();
-        let err = PageStore::open_with_vfs(&vfs, &path, 4, true)
-            .err()
-            .unwrap();
+        let err = open_on(&vfs, &path, true).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Non-verifying open still works (legacy path).
-        PageStore::open_with_vfs(&vfs, &path, 4, false).unwrap();
+        open_on(&vfs, &path, false).unwrap();
     }
 
     #[test]
@@ -586,7 +641,7 @@ mod tests {
             let mut raw = synced.clone();
             raw[off] ^= 1;
             vfs.write(&path, &raw).unwrap();
-            let err = PageStore::open_with_vfs(&vfs, &path, 4, true).err();
+            let err = open_on(&vfs, &path, true).err();
             assert_eq!(
                 err.map(|e| e.kind()),
                 Some(io::ErrorKind::InvalidData),
@@ -608,11 +663,11 @@ mod tests {
         store.write(p, |b| b.write_u64(0, 2)).unwrap();
         store.sync().unwrap();
         drop(store);
-        PageStore::open_with_vfs(&vfs, &path, 4, true).unwrap();
+        open_on(&vfs, &path, true).unwrap();
         let mut raw = vfs.read(&path).unwrap();
         raw[PAGE_SIZE..].copy_from_slice(&before[PAGE_SIZE..]);
         vfs.write(&path, &raw).unwrap();
-        let err = PageStore::open_with_vfs(&vfs, &path, 4, true).err();
+        let err = open_on(&vfs, &path, true).err();
         assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
     }
 
@@ -626,10 +681,10 @@ mod tests {
         store.sync().unwrap();
         store.set_root(0, 1);
         store.flush().unwrap();
-        let err = PageStore::open_with_vfs(&VfsRef::std(), &path, 4, true).err();
+        let err = open_on(&VfsRef::std(), &path, true).err();
         assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
         store.sync().unwrap();
-        PageStore::open_with_vfs(&VfsRef::std(), &path, 4, true).unwrap();
+        open_on(&VfsRef::std(), &path, true).unwrap();
     }
 
     /// A sync after one page changed writes that page and the sealed meta
@@ -638,7 +693,7 @@ mod tests {
     fn sync_writes_the_page_and_the_meta_page_and_fsyncs_once() {
         let sim = vfs::SimVfs::new(7);
         let vfs = VfsRef::new(Arc::new(sim.clone()));
-        let store = PageStore::open_with_vfs(&vfs, Path::new("/s.db"), 4, false).unwrap();
+        let store = open_on(&vfs, Path::new("/s.db"), false).unwrap();
         let p = store.allocate().unwrap();
         store.sync().unwrap();
         store.write(p, |b| b.write_u64(0, 9)).unwrap();
@@ -647,7 +702,7 @@ mod tests {
         assert_eq!(sim.op_count() - before, 3);
         drop(store);
         assert_eq!(vfs.read_dir(Path::new("/")).unwrap().len(), 1);
-        PageStore::open_with_vfs(&vfs, Path::new("/s.db"), 4, true).unwrap();
+        open_on(&vfs, Path::new("/s.db"), true).unwrap();
     }
 
     #[test]
@@ -656,7 +711,7 @@ mod tests {
         let vfs = VfsRef::std();
         let path = dir.path().join("u.db");
         {
-            let store = PageStore::open_with_vfs(&vfs, &path, 4, false).unwrap();
+            let store = open_on(&vfs, &path, false).unwrap();
             let p = store.allocate().unwrap();
             store.write(p, |b| b.write_u64(0, 7)).unwrap();
             store.sync().unwrap();
@@ -665,9 +720,7 @@ mod tests {
             // of its last sync.
             store.write(p, |b| b.write_u64(0, 8)).unwrap();
         }
-        let err = PageStore::open_with_vfs(&vfs, &path, 4, true)
-            .err()
-            .unwrap();
+        let err = open_on(&vfs, &path, true).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -677,13 +730,13 @@ mod tests {
         let vfs = VfsRef::std();
         let path = dir.path().join("w.db");
         {
-            let store = PageStore::open_with_vfs(&vfs, &path, 4, false).unwrap();
+            let store = open_on(&vfs, &path, false).unwrap();
             for _ in 0..8 {
                 store.allocate().unwrap();
             }
             store.sync().unwrap();
         }
-        let store = PageStore::open_with_vfs(&vfs, &path, 4, true).unwrap();
+        let store = open_on(&vfs, &path, true).unwrap();
         assert_eq!(store.page_count(), 9);
     }
 }

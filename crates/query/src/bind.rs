@@ -230,7 +230,7 @@ impl<'a> Scope<'a> {
 
 /// The filtered binding stream of one `MATCH … WHERE …`.
 pub(crate) struct Bindings<'a> {
-    db: &'a Aion,
+    pub db: &'a Aion,
     source: Source<'a>,
     predicates: &'a [Predicate],
     params: &'a Params,

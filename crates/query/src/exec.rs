@@ -12,7 +12,7 @@ use lpg::{GraphError, NodeId, PropertyValue, RelId, Result, StrId, TimeRange, Ti
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Query parameters (`$name` bindings).
@@ -78,7 +78,6 @@ impl ExecBudget {
     fn charge_row(&self) -> Result<()> {
         let spent_rows = self.spent_rows.fetch_add(1, Ordering::Relaxed) + 1;
         if self.max_rows.is_some_and(|m| spent_rows > m) {
-            stage_metrics().budget_aborts.inc();
             return Err(GraphError::BudgetExceeded);
         }
         Ok(())
@@ -137,35 +136,6 @@ pub fn is_read_only(query: &Query) -> bool {
     }
 }
 
-/// Executor metrics, resolved once per process.
-struct StageMetrics {
-    executed: Arc<obs::Counter>,
-    parse_latency: Arc<obs::Histogram>,
-    exec_latency: Arc<obs::Histogram>,
-    /// Result rows built by `MATCH … RETURN` pipelines.
-    rows_streamed: Arc<obs::Counter>,
-    /// Pages served through `execute_paged`.
-    pages_served: Arc<obs::Counter>,
-    /// Queries aborted by the result row cap.
-    budget_aborts: Arc<obs::Counter>,
-    /// Cursor tokens rejected as invalid (corrupt, mismatched, stale
-    /// anchor).
-    cursor_rejects: Arc<obs::Counter>,
-}
-
-fn stage_metrics() -> &'static StageMetrics {
-    static METRICS: OnceLock<StageMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| StageMetrics {
-        executed: obs::counter("query.executed"),
-        parse_latency: obs::histogram("query.parse.latency_ns"),
-        exec_latency: obs::histogram("query.exec.latency_ns"),
-        rows_streamed: obs::counter("query.rows_streamed"),
-        pages_served: obs::counter("query.pages_served"),
-        budget_aborts: obs::counter("query.budget_aborts"),
-        cursor_rejects: obs::counter("query.cursor_rejects"),
-    })
-}
-
 /// A tabular query result.
 #[derive(Clone, PartialEq, Debug)]
 pub struct QueryResult {
@@ -200,7 +170,7 @@ pub fn execute_with_budget(
     params: &Params,
     budget: ExecBudget,
 ) -> Result<QueryResult> {
-    let m = stage_metrics();
+    let m = db.query_metrics();
     m.executed.inc();
     let _total = m.exec_latency.start_timer();
     let _budget = install_budget(budget);
@@ -208,7 +178,11 @@ pub fn execute_with_budget(
         let _parse = m.parse_latency.start_timer();
         crate::parser::parse(text).map_err(|e| GraphError::Unknown(e.to_string()))?
     };
-    run(db, &query, params)
+    let out = run(db, &query, params);
+    if let Err(GraphError::BudgetExceeded) = out {
+        m.budget_aborts.inc();
+    }
+    out
 }
 
 /// Executes an already-parsed query at the latest snapshot: the one
@@ -274,7 +248,7 @@ pub fn execute_paged(
     page_size: usize,
     cursor: Option<&[u8]>,
 ) -> Result<Page> {
-    let m = stage_metrics();
+    let m = db.query_metrics();
     m.executed.inc();
     let _total = m.exec_latency.start_timer();
     let _budget = install_budget(budget);
@@ -328,6 +302,7 @@ pub fn execute_paged(
     match &out {
         Ok(_) => m.pages_served.inc(),
         Err(GraphError::CursorInvalid(_)) => m.cursor_rejects.inc(),
+        Err(GraphError::BudgetExceeded) => m.budget_aborts.inc(),
         Err(_) => {}
     }
     out
@@ -511,7 +486,7 @@ impl Rows<'_> {
                 };
                 let row = project(items, &b)?;
                 charge_row()?;
-                stage_metrics().rows_streamed.inc();
+                bindings.db.query_metrics().rows_streamed.inc();
                 Ok(Some(row))
             }
         }

@@ -2,20 +2,12 @@
 //! must touch O(k) lineage index entries — not the whole index — and a
 //! paged drain must never materialize more than one page of rows at a
 //! time; and `LIMIT k` over a hub's edges must resolve O(k) neighbours.
-//! All are asserted through the process-wide obs counters, so the tests
-//! serialize on a lock to keep their deltas isolated.
+//! All are asserted through the database's own counters.
 
 use aion::{Aion, AionConfig};
 use lpg::{NodeId, RelId};
 use query::{execute, execute_paged, ExecBudget, Params, QueryResult};
 use tempfile::tempdir;
-
-/// Serializes tests that read deltas of process-global counters.
-#[allow(
-    clippy::disallowed_types,
-    reason = "held around whole queries, outside every lock::Rank: a test-only lock"
-)]
-static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const NODES: u64 = 20_000;
 const RELS_PER_NODE: u64 = 3; // 60k edges
@@ -58,19 +50,23 @@ fn big_db() -> (tempfile::TempDir, Aion) {
     (dir, db)
 }
 
+/// The database's counter `name`.
+fn count(db: &Aion, name: &str) -> u64 {
+    db.metrics().counter(name).unwrap_or(0)
+}
+
 #[test]
 fn limit_touches_o_of_limit_index_entries() {
-    let _guard = METRICS_LOCK.lock().unwrap();
     let (_d, db) = big_db();
-    let touched = obs::counter("lineage.stream.entries_touched");
+    let touched = || count(&db, "lineage.stream.entries_touched");
     let params = Params::new();
 
     // LIMIT 10: the stream stops after ten entities, so only a handful
     // of index entries are ever examined.
-    let before = touched.get();
+    let before = touched();
     let r = execute(&db, "MATCH (n) RETURN id(n) LIMIT 10", &params).unwrap();
     assert_eq!(r.rows.len(), 10);
-    let limited = touched.get() - before;
+    let limited = touched() - before;
     assert!(
         (10..=64).contains(&limited),
         "LIMIT 10 must touch O(LIMIT) index entries, touched {limited}"
@@ -78,10 +74,10 @@ fn limit_touches_o_of_limit_index_entries() {
 
     // Control: without LIMIT the same scan walks the full index, proving
     // the counter measures what the assertion above relies on.
-    let before = touched.get();
+    let before = touched();
     let r = execute(&db, "MATCH (n) RETURN id(n)", &params).unwrap();
     assert_eq!(r.rows.len(), NODES as usize);
-    let full = touched.get() - before;
+    let full = touched() - before;
     assert!(
         full >= NODES,
         "unlimited scan should touch at least one entry per node, touched {full}"
@@ -90,19 +86,18 @@ fn limit_touches_o_of_limit_index_entries() {
 
 #[test]
 fn paged_scan_materializes_at_most_one_page() {
-    let _guard = METRICS_LOCK.lock().unwrap();
     let (_d, db) = big_db();
-    let streamed = obs::counter("query.rows_streamed");
+    let streamed = || count(&db, "query.rows_streamed");
     let params = Params::new();
     let q = "MATCH (n) RETURN id(n)";
 
     let mut rows = Vec::new();
     let mut cursor: Option<Vec<u8>> = None;
     let mut started = false;
-    let drain_before = streamed.get();
+    let drain_before = streamed();
     while !started || cursor.is_some() {
         started = true;
-        let before = streamed.get();
+        let before = streamed();
         let page = execute_paged(
             &db,
             q,
@@ -112,7 +107,7 @@ fn paged_scan_materializes_at_most_one_page() {
             cursor.take().as_deref(),
         )
         .unwrap();
-        let delta = streamed.get() - before;
+        let delta = streamed() - before;
         assert!(
             delta <= 64,
             "one page must stream at most page_size rows, streamed {delta}"
@@ -125,13 +120,13 @@ fn paged_scan_materializes_at_most_one_page() {
     assert_eq!(rows.len(), NODES as usize);
     // Paging re-reads nothing and skips nothing: over the whole drain the
     // counter grows by exactly the result's row count.
-    assert_eq!(streamed.get() - drain_before, rows.len() as u64);
+    assert_eq!(streamed() - drain_before, rows.len() as u64);
 
     // The paged drain and the one-shot scan agree end to end, and the
     // one-shot scan streams each row once too.
-    let before = streamed.get();
+    let before = streamed();
     let full: QueryResult = execute(&db, q, &params).unwrap();
-    assert_eq!(streamed.get() - before, full.rows.len() as u64);
+    assert_eq!(streamed() - before, full.rows.len() as u64);
     assert_eq!(full.rows, rows);
 }
 
@@ -143,7 +138,6 @@ fn paged_scan_materializes_at_most_one_page() {
 /// control.
 #[test]
 fn limit_bounds_neighbour_lookups_on_a_hub() {
-    let _guard = METRICS_LOCK.lock().unwrap();
     const EDGES: u64 = 1200;
     let dir = tempdir().unwrap();
     let db = Aion::open(AionConfig::new(dir.path())).unwrap();
@@ -159,13 +153,13 @@ fn limit_bounds_neighbour_lookups_on_a_hub() {
     .unwrap();
     db.lineage_barrier(db.latest_ts());
 
-    let reads = obs::counter("btree.page.reads");
+    let reads = || count(&db, "btree.page.reads");
     let mut params = Params::new();
     params.insert("hub".into(), query::Value::Int(0));
     let page_reads = |q: &str, rows: usize| {
-        let before = reads.get();
+        let before = reads();
         assert_eq!(execute(&db, q, &params).unwrap().rows.len(), rows, "{q}");
-        reads.get() - before
+        reads() - before
     };
     let floor = page_reads(
         "MATCH (n)-[r]->() WHERE id(n) = $hub RETURN r",

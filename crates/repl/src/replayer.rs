@@ -104,52 +104,28 @@ impl ReplayerConfig {
     }
 }
 
-/// Obs metrics for the replica side.
+/// The replayer's metric handles, in its own registry.
 struct ReplayTelemetry {
+    registry: obs::Registry,
     frames_applied: Arc<obs::Counter>,
-    reconnects: OwnCounter,
+    reconnects: Arc<obs::Counter>,
     corrupt_frames: Arc<obs::Counter>,
     watermark_ts: Arc<obs::Gauge>,
     link_down: Arc<obs::Gauge>,
-    heartbeat_timeouts: OwnCounter,
+    heartbeat_timeouts: Arc<obs::Counter>,
 }
 
 impl ReplayTelemetry {
-    fn new() -> ReplayTelemetry {
+    fn new(registry: obs::Registry) -> ReplayTelemetry {
         ReplayTelemetry {
-            frames_applied: obs::counter("repl.replay.frames_applied"),
-            reconnects: OwnCounter::new("repl.replay.reconnects"),
-            corrupt_frames: obs::counter("repl.replay.corrupt_frames"),
-            watermark_ts: obs::gauge("repl.replay.watermark_ts"),
-            link_down: obs::gauge("repl.link_down"),
-            heartbeat_timeouts: OwnCounter::new("repl.heartbeat_timeouts"),
+            frames_applied: registry.counter("repl.replay.frames_applied"),
+            reconnects: registry.counter("repl.replay.reconnects"),
+            corrupt_frames: registry.counter("repl.replay.corrupt_frames"),
+            watermark_ts: registry.gauge("repl.replay.watermark_ts"),
+            link_down: registry.gauge("repl.link_down"),
+            heartbeat_timeouts: registry.counter("repl.heartbeat_timeouts"),
+            registry,
         }
-    }
-}
-
-/// One replayer's count of an event, which also adds to the process-wide
-/// counter of the same name that the exposition prints.
-struct OwnCounter {
-    own: obs::Counter,
-    process: Arc<obs::Counter>,
-}
-
-impl OwnCounter {
-    fn new(name: &str) -> OwnCounter {
-        OwnCounter {
-            own: obs::Counter::default(),
-            process: obs::counter(name),
-        }
-    }
-
-    fn inc(&self) {
-        self.own.inc();
-        self.process.inc();
-    }
-
-    /// This replayer's count.
-    fn get(&self) -> u64 {
-        self.own.get()
     }
 }
 
@@ -229,7 +205,7 @@ impl Replayer {
             wm: Mutex::new(Rank::ReplayWatermark, Watermark::default()),
             last_error: Mutex::new(Rank::ReplayError, None),
             cfg,
-            tel: ReplayTelemetry::new(),
+            tel: ReplayTelemetry::new(obs::Registry::scoped()),
             epochs,
         });
         if let Err(e) = shared.sync_watermark() {
@@ -256,22 +232,16 @@ impl Replayer {
         move || shared.watermark()
     }
 
-    /// Times this replayer re-established its primary connection. Other
-    /// replayers in the process count their own; the process-wide
-    /// `repl.replay.reconnects` counter adds them all up.
-    pub fn reconnect_count(&self) -> u64 {
-        self.shared.tel.reconnects.get()
+    /// What this replayer has counted (`repl.*`: frames applied,
+    /// reconnects, heartbeat timeouts, …); the process-wide registry adds
+    /// up every replayer's.
+    pub fn metrics(&self) -> obs::MetricsSnapshot {
+        self.shared.tel.registry.snapshot()
     }
 
     /// The shared epoch chain this replica replays under.
     pub fn epochs(&self) -> Arc<EpochState> {
         self.shared.epochs.clone()
-    }
-
-    /// This replayer's heartbeat-timeout liveness trips so far (link
-    /// declared down); `repl.heartbeat_timeouts` counts the process's.
-    pub fn heartbeat_timeout_count(&self) -> u64 {
-        self.shared.tel.heartbeat_timeouts.get()
     }
 
     /// Whether the replayer detected primary/replica history divergence

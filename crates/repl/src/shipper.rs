@@ -58,8 +58,9 @@ pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
 /// Socket read/write timeout for replica connections.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Obs counters/gauges for the primary side of replication.
+/// The shipper's metric handles, in its own registry.
 struct ShipTelemetry {
+    registry: obs::Registry,
     frames_shipped: Arc<obs::Counter>,
     frames_acked: Arc<obs::Counter>,
     replicas: Arc<obs::Gauge>,
@@ -69,14 +70,15 @@ struct ShipTelemetry {
 }
 
 impl ShipTelemetry {
-    fn new() -> ShipTelemetry {
+    fn new(registry: obs::Registry) -> ShipTelemetry {
         ShipTelemetry {
-            frames_shipped: obs::counter("server.repl.frames_shipped"),
-            frames_acked: obs::counter("server.repl.frames_acked"),
-            replicas: obs::gauge("server.repl.replicas"),
-            lag_bytes: obs::gauge("server.repl.lag_bytes"),
-            min_watermark_ts: obs::gauge("server.repl.min_watermark_ts"),
-            handshake_refusals: obs::counter("server.repl.handshake_refusals"),
+            frames_shipped: registry.counter("server.repl.frames_shipped"),
+            frames_acked: registry.counter("server.repl.frames_acked"),
+            replicas: registry.gauge("server.repl.replicas"),
+            lag_bytes: registry.gauge("server.repl.lag_bytes"),
+            min_watermark_ts: registry.gauge("server.repl.min_watermark_ts"),
+            handshake_refusals: registry.counter("server.repl.handshake_refusals"),
+            registry,
         }
     }
 }
@@ -133,7 +135,7 @@ impl LogShipper {
     pub fn start_with(db: Arc<Aion>, epochs: Arc<EpochState>) -> io::Result<LogShipper> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let tel = ShipTelemetry::new();
+        let tel = ShipTelemetry::new(obs::Registry::scoped());
         let workers = WorkerSet::new(tel.replicas.clone());
         let shared = Arc::new(ShipperShared {
             db,
@@ -155,6 +157,11 @@ impl LogShipper {
     /// The address replicas connect to.
     pub fn addr(&self) -> SocketAddr {
         self.shared.addr
+    }
+
+    /// What this shipper has counted (`server.repl.*`).
+    pub fn metrics(&self) -> obs::MetricsSnapshot {
+        self.shared.tel.registry.snapshot()
     }
 
     /// Last durably-acked watermark of every live replica, keyed by an

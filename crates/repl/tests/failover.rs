@@ -30,6 +30,11 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
     false
 }
 
+/// The replayer's counter `name`.
+fn count(replayer: &Replayer, name: &str) -> u64 {
+    replayer.metrics().counter(name).unwrap_or(0)
+}
+
 fn open_db(path: &std::path::Path) -> Arc<Aion> {
     Arc::new(Aion::open(AionConfig::new(path)).unwrap())
 }
@@ -320,11 +325,11 @@ fn heartbeat_timeout_marks_link_down_and_reconnects() {
     // The silent link is detected, surfaced, and retried: two timeouts
     // prove detect → reconnect → handshake → detect again.
     assert!(
-        wait_for(10, || replayer.heartbeat_timeout_count() >= 2),
+        wait_for(10, || count(&replayer, "repl.heartbeat_timeouts") >= 2),
         "heartbeat timeout never fired twice (last error {:?})",
         replayer.last_error()
     );
-    assert!(replayer.reconnect_count() >= 1);
+    assert!(count(&replayer, "repl.replay.reconnects") >= 1);
     let err = replayer.last_error().unwrap_or_default();
     assert!(
         err.contains("heartbeat"),
@@ -358,8 +363,8 @@ fn a_replayers_counts_are_its_own() {
         add_node(&primary, i);
     }
     assert!(
-        wait_for(10, || silent.heartbeat_timeout_count() >= 2
-            && silent.reconnect_count() >= 1),
+        wait_for(10, || count(&silent, "repl.heartbeat_timeouts") >= 2
+            && count(&silent, "repl.replay.reconnects") >= 1),
         "the silent link never timed out twice (last error {:?})",
         silent.last_error()
     );
@@ -368,8 +373,8 @@ fn a_replayers_counts_are_its_own() {
         "the healthy replica never converged (last error {:?})",
         healthy.last_error()
     );
-    assert_eq!(healthy.heartbeat_timeout_count(), 0);
-    assert_eq!(healthy.reconnect_count(), 0);
+    assert_eq!(count(&healthy, "repl.heartbeat_timeouts"), 0);
+    assert_eq!(count(&healthy, "repl.replay.reconnects"), 0);
     // The process-wide series counts the silent replayer's trips.
     assert!(obs::counter("repl.heartbeat_timeouts").get() >= 2);
     assert!(obs::counter("repl.replay.reconnects").get() >= 1);

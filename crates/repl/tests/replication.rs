@@ -240,8 +240,6 @@ fn a_replica_whose_own_frame_has_the_primarys_length_is_refused() {
         log_bytes(pdir.path())[..primary_resume as usize]
     );
 
-    let refusals = obs::counter("server.repl.handshake_refusals");
-    let refused_before = refusals.get();
     let mut shipper = LogShipper::start(primary.clone()).unwrap();
     let mut cfg = ReplayerConfig::new(shipper.addr(), rdir.path());
     cfg.reconnect_backoff = Duration::from_millis(5);
@@ -252,7 +250,10 @@ fn a_replica_whose_own_frame_has_the_primarys_length_is_refused() {
         replayer.last_error()
     );
     assert!(
-        wait_for(10, || refusals.get() > refused_before),
+        wait_for(10, || {
+            let refusals = shipper.metrics().counter("server.repl.handshake_refusals");
+            refusals.unwrap_or(0) > 0
+        }),
         "the shipper never counted a refusal"
     );
     // Nothing of the primary's was applied: ts 1 and `v = 9` stay.
@@ -578,9 +579,10 @@ fn divergent_replica_is_refused_and_stops() {
     assert_eq!(replica.latest_ts(), primary_a.latest_ts());
     assert!(replica.latest_graph().node(NodeId::new(999)).is_none());
     // The stopped replayer does not keep hammering the primary.
-    let reconnects = replayer.reconnect_count();
+    let reconnects = || replayer.metrics().counter("repl.replay.reconnects");
+    let before = reconnects();
     std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(replayer.reconnect_count(), reconnects);
+    assert_eq!(reconnects(), before);
     replayer.shutdown();
     shipper_b.shutdown();
 }

@@ -42,4 +42,4 @@ pub mod workers;
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{Client, ClientConfig, NodeStatus};
 pub use routing::{RoutedClient, ServedBy};
-pub use server::{Server, ServerConfig, ServerStats};
+pub use server::{Server, ServerConfig};

@@ -29,7 +29,7 @@ use lock::{Mutex, Rank};
 use query::{ExecBudget, Params};
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -80,56 +80,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// Point-in-time resilience counters for one server instance (the same
-/// events also feed the process-wide `server.*` obs metrics, which are
-/// cumulative across every server in the process).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Connections refused by admission control.
-    pub shed: u64,
-    /// `accept()` failures (e.g. EMFILE), each followed by backoff.
-    pub accept_errors: u64,
-    /// Connections dropped for I/O or protocol failures (clean EOFs are
-    /// not counted).
-    pub conn_errors: u64,
-    /// Connections force-closed because they outlived the drain deadline.
-    pub drain_forced: u64,
-    /// Requests aborted by the per-request deadline or drain cancel.
-    pub deadline_aborts: u64,
-    /// Slow-query log lines suppressed by the rate limiter.
-    pub slow_log_dropped: u64,
-}
-
-#[derive(Default)]
-struct StatsCells {
-    shed: AtomicU64,
-    accept_errors: AtomicU64,
-    conn_errors: AtomicU64,
-    drain_forced: AtomicU64,
-    deadline_aborts: AtomicU64,
-    slow_log_dropped: AtomicU64,
-}
-
-impl StatsCells {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            shed: self.shed.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            conn_errors: self.conn_errors.load(Ordering::Relaxed),
-            drain_forced: self.drain_forced.load(Ordering::Relaxed),
-            deadline_aborts: self.deadline_aborts.load(Ordering::Relaxed),
-            slow_log_dropped: self.slow_log_dropped.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Per-instance counters mirrored into the process-wide obs registry.
+/// The server's metric handles, in its own registry.
 struct Telemetry {
-    cells: StatsCells,
+    registry: obs::Registry,
     requests: Arc<obs::Counter>,
     run_latency: Arc<obs::Histogram>,
     ping_latency: Arc<obs::Histogram>,
     metrics_latency: Arc<obs::Histogram>,
+    /// Statements run: one per `Run`, one per statement of a `RunBatch`.
+    queries: Arc<obs::Counter>,
     slow_queries: Arc<obs::Counter>,
     shed: Arc<obs::Counter>,
     accept_errors: Arc<obs::Counter>,
@@ -144,63 +103,26 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn new() -> Telemetry {
+    fn new(registry: obs::Registry) -> Telemetry {
         Telemetry {
-            cells: StatsCells::default(),
-            requests: obs::counter("server.requests"),
-            run_latency: obs::histogram("server.request.run.latency_ns"),
-            ping_latency: obs::histogram("server.request.ping.latency_ns"),
-            metrics_latency: obs::histogram("server.request.metrics.latency_ns"),
-            slow_queries: obs::counter("server.slow_queries"),
-            shed: obs::counter("server.shed"),
-            accept_errors: obs::counter("server.accept_errors"),
-            conn_errors: obs::counter("server.conn_errors"),
-            drain_forced: obs::counter("server.drain_forced"),
-            deadline_aborts: obs::counter("server.deadline_aborts"),
-            slow_log_dropped: obs::counter("server.slow_log_dropped"),
-            active_connections: obs::gauge("server.active_connections"),
-            stale_rejects: obs::counter("server.repl.stale_rejects"),
-            read_only_rejects: obs::counter("server.repl.read_only_rejects"),
-            writes_fenced: obs::counter("server.writes_fenced"),
+            requests: registry.counter("server.requests"),
+            run_latency: registry.histogram("server.request.run.latency_ns"),
+            ping_latency: registry.histogram("server.request.ping.latency_ns"),
+            metrics_latency: registry.histogram("server.request.metrics.latency_ns"),
+            queries: registry.counter("server.queries"),
+            slow_queries: registry.counter("server.slow_queries"),
+            shed: registry.counter("server.shed"),
+            accept_errors: registry.counter("server.accept_errors"),
+            conn_errors: registry.counter("server.conn_errors"),
+            drain_forced: registry.counter("server.drain_forced"),
+            deadline_aborts: registry.counter("server.deadline_aborts"),
+            slow_log_dropped: registry.counter("server.slow_log_dropped"),
+            active_connections: registry.gauge("server.active_connections"),
+            stale_rejects: registry.counter("server.repl.stale_rejects"),
+            read_only_rejects: registry.counter("server.repl.read_only_rejects"),
+            writes_fenced: registry.counter("server.writes_fenced"),
+            registry,
         }
-    }
-
-    fn stale_reject(&self) {
-        self.stale_rejects.inc();
-    }
-
-    fn read_only_reject(&self) {
-        self.read_only_rejects.inc();
-    }
-
-    fn shed(&self) {
-        self.cells.shed.fetch_add(1, Ordering::Relaxed);
-        self.shed.inc();
-    }
-
-    fn accept_error(&self) {
-        self.cells.accept_errors.fetch_add(1, Ordering::Relaxed);
-        self.accept_errors.inc();
-    }
-
-    fn conn_error(&self) {
-        self.cells.conn_errors.fetch_add(1, Ordering::Relaxed);
-        self.conn_errors.inc();
-    }
-
-    fn drain_forced(&self, n: u64) {
-        self.cells.drain_forced.fetch_add(n, Ordering::Relaxed);
-        self.drain_forced.add(n);
-    }
-
-    fn deadline_abort(&self) {
-        self.cells.deadline_aborts.fetch_add(1, Ordering::Relaxed);
-        self.deadline_aborts.inc();
-    }
-
-    fn slow_log_dropped(&self) {
-        self.cells.slow_log_dropped.fetch_add(1, Ordering::Relaxed);
-        self.slow_log_dropped.inc();
     }
 }
 
@@ -247,7 +169,6 @@ type PromoteHandler = Box<dyn FnMut() -> io::Result<u64> + Send>;
 struct ServerShared {
     db: Arc<Aion>,
     stop: AtomicBool,
-    queries: AtomicU64,
     tel: Telemetry,
     slow_log: SlowLogLimiter,
     workers: WorkerSet<TcpStream>,
@@ -295,13 +216,12 @@ impl Server {
     pub fn start_with(db: Arc<Aion>, cfg: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let tel = Telemetry::new();
+        let tel = Telemetry::new(obs::Registry::scoped());
         let workers = WorkerSet::new(tel.active_connections.clone());
         let read_only = Arc::new(AtomicBool::new(cfg.read_only));
         let shared = Arc::new(ServerShared {
             db,
             stop: AtomicBool::new(false),
-            queries: AtomicU64::new(0),
             slow_log: SlowLogLimiter::new(cfg.slow_log_per_sec),
             tel,
             workers,
@@ -326,19 +246,16 @@ impl Server {
         self.shared.addr
     }
 
-    /// Total queries served.
-    pub fn query_count(&self) -> u64 {
-        self.shared.queries.load(Ordering::Relaxed)
-    }
-
     /// Connections currently being served (tracked workers).
     pub fn active_connections(&self) -> usize {
         self.shared.workers.active()
     }
 
-    /// This instance's resilience counters.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.tel.cells.snapshot()
+    /// What this server has counted: requests, their latencies and the
+    /// resilience events (`server.shed`, `server.conn_errors`, …). The
+    /// `Request::Metrics` reply carries the process-wide totals instead.
+    pub fn metrics(&self) -> obs::MetricsSnapshot {
+        self.shared.tel.registry.snapshot()
     }
 
     /// The live read-only flag. Share this `Arc` with a node role
@@ -379,7 +296,7 @@ impl Server {
         }
         let (handles, forced) = self.shared.workers.force_close_all();
         if forced > 0 {
-            self.shared.tel.drain_forced(forced);
+            self.shared.tel.drain_forced.add(forced);
         }
         for h in handles {
             let _ = h.join();
@@ -407,7 +324,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 s
             }
             Err(_) => {
-                shared.tel.accept_error();
+                shared.tel.accept_errors.inc();
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_millis(500));
                 continue;
@@ -420,7 +337,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
         // The registry keeps its own handle on the socket so shutdown
         // can force-close it; the worker owns the original.
         let Ok(registered) = stream.try_clone() else {
-            shared.tel.conn_error();
+            shared.tel.conn_errors.inc();
             continue;
         };
         let (id, cancel) = shared.workers.register(registered);
@@ -429,7 +346,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             .name("aion-server-worker".into())
             .spawn(move || {
                 if handle_connection(stream, &shared2, &cancel).is_err() {
-                    shared2.tel.conn_error();
+                    shared2.tel.conn_errors.inc();
                 }
                 shared2.workers.finish(id);
             });
@@ -437,7 +354,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
             Ok(handle) => shared.workers.set_handle(id, handle),
             Err(_) => {
                 shared.workers.finish(id);
-                shared.tel.conn_error();
+                shared.tel.conn_errors.inc();
             }
         }
     }
@@ -445,7 +362,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
 
 /// Admission-control rejection: one typed error frame, then close.
 fn shed(mut stream: TcpStream, shared: &ServerShared) {
-    shared.tel.shed();
+    shared.tel.shed.inc();
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let _ = write_frame(
         &mut stream,
@@ -473,7 +390,7 @@ fn elapsed_ns(started: Instant) -> u64 {
 fn exec_error_to_wire(shared: &ServerShared, e: lpg::GraphError) -> WireError {
     match e {
         lpg::GraphError::DeadlineExceeded => {
-            shared.tel.deadline_abort();
+            shared.tel.deadline_aborts.inc();
             if shared.stop.load(Ordering::Acquire) {
                 WireError::new(ErrorCode::ShuttingDown, "request aborted by server drain")
             } else {
@@ -587,7 +504,7 @@ fn handle_connection(
                 page_size,
                 cursor,
             }) => {
-                shared.queries.fetch_add(1, Ordering::Relaxed);
+                shared.tel.queries.inc();
                 let params: Params = params.into_iter().collect();
                 let budget = ExecBudget::with_deadline(
                     Some(started + shared.cfg.request_deadline),
@@ -600,7 +517,7 @@ fn handle_connection(
                 // but a watermark can only grow, never shrink.
                 let watermark = shared.db.latest_ts();
                 if min_watermark > watermark {
-                    shared.tel.stale_reject();
+                    shared.tel.stale_rejects.inc();
                     let r = Response::Err(WireError::new(
                         ErrorCode::StaleReplica,
                         format!("replica watermark {watermark} behind requested {min_watermark}"),
@@ -619,7 +536,7 @@ fn handle_connection(
                     .and_then(|c| query::peek_snapshot_ts(c).ok())
                 {
                     if pinned > watermark {
-                        shared.tel.stale_reject();
+                        shared.tel.stale_rejects.inc();
                         let r = Response::Err(WireError::new(
                             ErrorCode::StaleReplica,
                             format!(
@@ -631,7 +548,7 @@ fn handle_connection(
                     }
                 }
                 if shared.is_read_only() && !crate::client::query_is_read_only(&query) {
-                    shared.tel.read_only_reject();
+                    shared.tel.read_only_rejects.inc();
                     let r = Response::Err(WireError::new(
                         ErrorCode::ReadOnlyReplica,
                         "replica is read-only; route writes to the primary",
@@ -683,7 +600,7 @@ fn handle_connection(
                             elapsed / 1_000_000
                         );
                     } else {
-                        shared.tel.slow_log_dropped();
+                        shared.tel.slow_log_dropped.inc();
                     }
                 }
                 r
@@ -692,9 +609,7 @@ fn handle_connection(
                 statements,
                 min_watermark,
             }) => {
-                shared
-                    .queries
-                    .fetch_add(statements.len() as u64, Ordering::Relaxed);
+                shared.tel.queries.add(statements.len() as u64);
                 // One budget spans the whole batch: a pipelined frame must
                 // not multiply the per-request deadline by its length, and
                 // the row cap applies to the batch's combined result
@@ -708,7 +623,7 @@ fn handle_connection(
                 // floor, checked once, same conservatism as Run).
                 let watermark = shared.db.latest_ts();
                 if min_watermark > watermark {
-                    shared.tel.stale_reject();
+                    shared.tel.stale_rejects.inc();
                     let r = Response::Err(WireError::new(
                         ErrorCode::StaleReplica,
                         format!("replica watermark {watermark} behind requested {min_watermark}"),
@@ -722,7 +637,7 @@ fn handle_connection(
                     // mixed batch still execute, each write gets its own
                     // typed refusal.
                     if shared.is_read_only() && !crate::client::query_is_read_only(&query) {
-                        shared.tel.read_only_reject();
+                        shared.tel.read_only_rejects.inc();
                         results.push(Err(WireError::new(
                             ErrorCode::ReadOnlyReplica,
                             "replica is read-only; route writes to the primary",
@@ -745,7 +660,7 @@ fn handle_connection(
                 // A framing/decode failure means the byte stream can no
                 // longer be trusted (e.g. corruption): answer once, then
                 // close instead of resynchronising on garbage.
-                shared.tel.conn_error();
+                shared.tel.conn_errors.inc();
                 let _ = write_frame(
                     &mut stream,
                     &encode_response(&Response::Err(WireError::generic(format!(

@@ -56,7 +56,7 @@ fn budget_exceeded_mid_stream_neither_wedges_nor_leaks() {
     seed(&mut client, 40);
     db.lineage_barrier(db.latest_ts());
 
-    let open_streams = obs::gauge("core.stream.open");
+    let open_streams = || db.metrics().gauge("core.stream.open").unwrap_or(0);
 
     // The full scan trips the row cap mid-stream with a typed error…
     let err = client.run("MATCH (n) RETURN n", Vec::new()).unwrap_err();
@@ -86,9 +86,9 @@ fn budget_exceeded_mid_stream_neither_wedges_nor_leaks() {
     // No pinned stream leaked from the aborted request, and dropping the
     // client releases the connection.
     assert!(
-        wait_for(Duration::from_secs(5), || open_streams.get() == 0),
+        wait_for(Duration::from_secs(5), || open_streams() == 0),
         "aborted scan leaked a pinned stream: {}",
-        open_streams.get()
+        open_streams()
     );
     let baseline = server.active_connections();
     drop(client);

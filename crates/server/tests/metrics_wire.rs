@@ -51,9 +51,9 @@ fn metrics_snapshot_travels_over_the_wire() {
     assert!(run_hist.sum > 0);
     assert!(run_hist.p50 <= run_hist.p95 && run_hist.p95 <= run_hist.p99);
 
-    // The snapshot equals the in-process view modulo work recorded after
+    // The snapshot equals the process-wide view modulo work recorded after
     // it was taken: every wire counter must be <= the live value now.
-    let live = db.metrics();
+    let live = obs::snapshot();
     for (name, v) in &snap.counters {
         let now = live
             .counter(name)

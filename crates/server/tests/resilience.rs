@@ -27,6 +27,11 @@ fn test_server(cfg: ServerConfig) -> (TempDir, Arc<Aion>, Server) {
 
 /// A client that surfaces the first error instead of retrying, so tests
 /// see exactly what the server sent.
+/// The server's counter `name`.
+fn count(server: &Server, name: &str) -> u64 {
+    server.metrics().counter(name).unwrap_or(0)
+}
+
 fn no_retry() -> ClientConfig {
     ClientConfig {
         retries: 0,
@@ -70,7 +75,7 @@ fn request_deadline_aborts_slow_run_with_typed_timeout() {
         started.elapsed() < Duration::from_secs(5),
         "abort must happen near the deadline, not after the full sleep"
     );
-    assert!(server.stats().deadline_aborts >= 1);
+    assert!(count(&server, "server.deadline_aborts") >= 1);
 
     // The request was aborted, not the connection: the same client keeps
     // working without reconnecting.
@@ -103,7 +108,10 @@ fn admission_control_sheds_connections_over_the_cap() {
         }
         other => panic!("expected Overloaded error, got {other:?}"),
     }
-    assert!(wait_for(Duration::from_secs(2), || server.stats().shed >= 1));
+    assert!(wait_for(Duration::from_secs(2), || count(
+        &server,
+        "server.shed"
+    ) >= 1));
 
     // Through the Client, an Overloaded response maps to ResourceBusy
     // when retries are exhausted...
@@ -157,7 +165,7 @@ fn shutdown_drains_in_flight_request_to_completion() {
     let result = result.expect("in-flight request must complete during drain");
     assert_eq!(result.columns, vec!["slept_ms".to_string()]);
     assert_eq!(server.active_connections(), 0);
-    assert_eq!(server.stats().drain_forced, 0);
+    assert_eq!(count(&server, "server.drain_forced"), 0);
     worker.join().unwrap();
 }
 
@@ -191,8 +199,8 @@ fn shutdown_force_closes_stragglers_past_drain_deadline() {
         .recv_timeout(Duration::from_secs(10))
         .expect("client thread hung through force-close");
     assert!(result.is_err(), "straggler run must not report success");
-    assert!(server.stats().drain_forced >= 1);
-    assert!(server.stats().deadline_aborts >= 1);
+    assert!(count(&server, "server.drain_forced") >= 1);
+    assert!(count(&server, "server.deadline_aborts") >= 1);
     assert_eq!(server.active_connections(), 0);
     worker.join().unwrap();
 }
@@ -327,14 +335,17 @@ fn clean_eof_is_not_a_connection_error_but_garbage_is() {
     assert!(wait_for(Duration::from_secs(2), || {
         server.active_connections() == 0
     }));
-    assert_eq!(server.stats().conn_errors, 0);
+    assert_eq!(count(&server, "server.conn_errors"), 0);
 
     // A garbage header (length far over the frame cap) is a protocol
     // failure and must be counted.
     let mut sock = TcpStream::connect(addr).unwrap();
     sock.write_all(&[0xFF; 12]).unwrap();
     assert!(
-        wait_for(Duration::from_secs(2), || server.stats().conn_errors >= 1),
+        wait_for(Duration::from_secs(2), || count(
+            &server,
+            "server.conn_errors"
+        ) >= 1),
         "garbage frame header must count as a connection error"
     );
     drop(sock);
@@ -378,7 +389,7 @@ fn deeply_nested_parameter_is_a_protocol_error_not_a_process_abort() {
         read_frame(&mut sock).unwrap_err().kind(),
         ErrorKind::UnexpectedEof
     );
-    assert!(server.stats().conn_errors >= 1);
+    assert!(count(&server, "server.conn_errors") >= 1);
 
     let mut other = Client::connect_with(server.addr(), no_retry()).unwrap();
     other.ping().unwrap();

@@ -64,8 +64,9 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    /// An empty latest graph and an empty registry.
-    pub(crate) fn new() -> GraphStore {
+    /// An empty latest graph and an empty registry of versions, counting
+    /// into `metrics`.
+    pub(crate) fn new(metrics: &obs::Registry) -> GraphStore {
         GraphStore {
             inner: Mutex::new(
                 Rank::GraphStore,
@@ -75,9 +76,9 @@ impl GraphStore {
                     versions: BTreeMap::new(),
                 },
             ),
-            cow_copies: obs::counter("timestore.latest.cow_copies"),
-            cow_chunks: obs::counter("timestore.latest.cow_chunks"),
-            live: obs::gauge("timestore.graphstore.versions"),
+            cow_copies: metrics.counter("timestore.latest.cow_copies"),
+            cow_chunks: metrics.counter("timestore.latest.cow_chunks"),
+            live: metrics.gauge("timestore.graphstore.versions"),
         }
     }
 
@@ -197,7 +198,7 @@ mod tests {
 
     #[test]
     fn latest_graph_tracks_commits() {
-        let gs = GraphStore::new();
+        let gs = GraphStore::new(&obs::Registry::new());
         gs.apply_commit(
             5,
             &[Update::AddNode {
@@ -215,7 +216,7 @@ mod tests {
 
     #[test]
     fn cow_latest_does_not_disturb_readers() {
-        let gs = GraphStore::new();
+        let gs = GraphStore::new(&obs::Registry::new());
         gs.apply_commit(
             1,
             &[Update::AddNode {
@@ -244,7 +245,7 @@ mod tests {
 
     #[test]
     fn floor_prefers_closest_held_at_or_before() {
-        let gs = GraphStore::new();
+        let gs = GraphStore::new(&obs::Registry::new());
         let held: Vec<_> = (1..=3).map(|n| Arc::new(graph_with_nodes(n))).collect();
         for (ts, g) in [10, 20, 30].into_iter().zip(&held) {
             gs.register(ts, g);
@@ -256,7 +257,7 @@ mod tests {
 
     #[test]
     fn floor_uses_latest_when_applicable() {
-        let gs = GraphStore::new();
+        let gs = GraphStore::new(&obs::Registry::new());
         gs.apply_commit(
             50,
             &[Update::AddNode {
@@ -274,7 +275,7 @@ mod tests {
 
     #[test]
     fn a_version_lives_as_long_as_a_reader_holds_it() {
-        let gs = GraphStore::new();
+        let gs = GraphStore::new(&obs::Registry::new());
         let (ten, twenty) = (Arc::new(graph_with_nodes(1)), Arc::new(graph_with_nodes(2)));
         gs.register(10, &ten);
         gs.register(20, &twenty);

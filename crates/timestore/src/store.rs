@@ -153,18 +153,18 @@ struct Metrics {
 }
 
 impl Metrics {
-    fn new() -> Metrics {
+    fn new(registry: &obs::Registry) -> Metrics {
         Metrics {
-            log_appends: obs::counter("timestore.log.appends"),
-            snapshot_creates: obs::counter("timestore.snapshot.creates"),
-            patched_segments: obs::counter("timestore.snapshot.patched_segments"),
-            snapshot_create_latency: obs::histogram("timestore.snapshot.create.latency_ns"),
-            snapshot_replays: obs::counter("timestore.snapshot.replays"),
-            snapshot_replay_latency: obs::histogram("timestore.snapshot.replay.latency_ns"),
-            segments_decoded: obs::counter("timestore.snapshot.segments_decoded"),
-            segments_shared: obs::counter("timestore.snapshot.segments_shared"),
-            graphstore_hits: obs::counter("timestore.graphstore.hits"),
-            graphstore_misses: obs::counter("timestore.graphstore.misses"),
+            log_appends: registry.counter("timestore.log.appends"),
+            snapshot_creates: registry.counter("timestore.snapshot.creates"),
+            patched_segments: registry.counter("timestore.snapshot.patched_segments"),
+            snapshot_create_latency: registry.histogram("timestore.snapshot.create.latency_ns"),
+            snapshot_replays: registry.counter("timestore.snapshot.replays"),
+            snapshot_replay_latency: registry.histogram("timestore.snapshot.replay.latency_ns"),
+            segments_decoded: registry.counter("timestore.snapshot.segments_decoded"),
+            segments_shared: registry.counter("timestore.snapshot.segments_shared"),
+            graphstore_hits: registry.counter("timestore.graphstore.hits"),
+            graphstore_misses: registry.counter("timestore.graphstore.misses"),
         }
     }
 }
@@ -229,6 +229,8 @@ pub struct TimeStore {
     /// Replication ships only below this point — bytes past it could
     /// still be lost in a crash.
     durable_log_end: AtomicU64,
+    /// What the store and its GraphStore count into.
+    registry: Arc<obs::Registry>,
     metrics: Metrics,
     /// What `open` repaired; see [`TimeStore::repairs`].
     repairs: Vec<Finding>,
@@ -258,8 +260,19 @@ impl TimeStore {
     /// Every repair made on the way is kept in [`TimeStore::repairs`].
     /// When the record did not cover the whole log, open syncs, so the next
     /// open can tell damage from a torn tail everywhere.
+    ///
+    /// The store counts into a registry of its own.
     pub fn open<P: AsRef<Path>>(dir: P, config: TimeStoreConfig) -> Result<TimeStore> {
-        let dir = dir.as_ref();
+        let registry = Arc::new(obs::Registry::scoped());
+        TimeStore::open_in(dir.as_ref(), config, registry)
+    }
+
+    /// [`TimeStore::open`], counting into `registry`.
+    pub fn open_in(
+        dir: &Path,
+        config: TimeStoreConfig,
+        registry: Arc<obs::Registry>,
+    ) -> Result<TimeStore> {
         let vfs = config.vfs.clone();
         let snap_dir = dir.join("snapshots");
         vfs.create_dir_all(&snap_dir)?;
@@ -289,7 +302,7 @@ impl TimeStore {
             vfs,
             log,
             durable_end_file,
-            graphstore: GraphStore::new(),
+            graphstore: GraphStore::new(&registry),
             segments: SharedSegments::default(),
             snap_dir,
             policy: config.policy,
@@ -303,7 +316,8 @@ impl TimeStore {
             ),
             chain: Mutex::new(Rank::TimeStoreChain, Chain::default()),
             durable_log_end,
-            metrics: Metrics::new(),
+            metrics: Metrics::new(&registry),
+            registry,
             repairs: Vec::new(),
         };
         store.recover(&mut repairs)?;
@@ -819,6 +833,11 @@ impl TimeStore {
             Interval::new(start, end),
             &updates,
         ))
+    }
+
+    /// The registry the store counts into.
+    pub fn registry(&self) -> &Arc<obs::Registry> {
+        &self.registry
     }
 
     /// The underlying commit log. Replication tails this directly with

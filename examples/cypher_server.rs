@@ -68,6 +68,7 @@ fn main() -> std::io::Result<()> {
     // Aggregate scan.
     let r = client.run("MATCH (n:Person) RETURN count(n)", vec![])?;
     println!("person count: {}", r.rows[0][0]);
-    println!("\nserver handled {} queries", server.query_count());
+    let queries = server.metrics().counter("server.queries").unwrap_or(0);
+    println!("\nserver handled {queries} queries");
     Ok(())
 }

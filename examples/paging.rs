@@ -84,13 +84,13 @@ fn main() -> std::io::Result<()> {
 
     // LIMIT is pushed into the stream: this touches O(3) index entries
     // even though 500 nodes exist.
-    let touched = obs::counter("lineage.stream.entries_touched");
-    let before = touched.get();
+    let touched = || db.metrics().counter("lineage.stream.entries_touched");
+    let before = touched().unwrap_or(0);
     let r = client.run("MATCH (n:Person) RETURN id(n) LIMIT 3", vec![])?;
     let ids: Vec<&Value> = r.rows.iter().map(|row| &row[0]).collect();
     println!(
         "LIMIT 3:       {ids:?} ({} index entries touched)",
-        touched.get() - before
+        touched().unwrap_or(0) - before
     );
 
     Ok(())

@@ -42,6 +42,13 @@ fn config(dir: &Path) -> AionConfig {
 
 /// `<page_file>.sums`, the checksum sidecar older builds kept beside a
 /// page file.
+/// Opens `file` as a page store that must match the seal of its last
+/// sync.
+fn open_verified(file: &Path) -> std::io::Result<PageStore> {
+    let registry = Arc::new(obs::Registry::new());
+    PageStore::open_with_vfs(&VfsRef::std(), file, 4, true, registry)
+}
+
 fn sidecar(page_file: &Path) -> PathBuf {
     let mut path = page_file.as_os_str().to_owned();
     path.push(".sums");
@@ -191,7 +198,7 @@ fn old_checksums_are_rebuilt_from_the_log() {
         assert_history(&db, &history);
         db.sync().unwrap();
     }
-    PageStore::open_with_vfs(&VfsRef::std(), &dir.join("lineage.db"), 4, true).unwrap();
+    open_verified(&dir.join("lineage.db")).unwrap();
 }
 
 /// PR 17's pinned whole-graph snapshot body: the version-1 format.
@@ -331,7 +338,7 @@ fn rebuild_old_page_file(
     snapshots.sort();
     let old_magic = [version, b'S', b'G', b'P', b'N', b'O', b'I', b'A'];
     rewrite_page_magic(&file, version);
-    let err = PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true)
+    let err = open_verified(&file)
         .err()
         .expect("an old page file must not open");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -359,7 +366,7 @@ fn rebuild_old_page_file(
     let bytes = VfsRef::std().read(&file).unwrap();
     assert_eq!(&bytes[..8], b"7SGPNOIA", "the next sync writes AIONPGS7");
     assert!(!VfsRef::std().exists(&sidecar(&file)), "and no sidecar");
-    PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
+    open_verified(&file).unwrap();
 }
 
 #[test]
@@ -445,7 +452,7 @@ fn the_resealed_input_differs_in_its_version_only() {
     pages[0] = b'7';
     reseal(&mut pages);
     VfsRef::std().write(&file, &pages).unwrap();
-    PageStore::open_with_vfs(&VfsRef::std(), &file, 4, true).unwrap();
+    open_verified(&file).unwrap();
 }
 
 /// Writes the TimeStore's index page file the way an older build left it:
